@@ -347,14 +347,14 @@ let flightrec_ledger_overhead () =
     @ percentiles)
 
 (* The span recorder and attribution arrays have the same contract as the
-   event stream: with [Config.Obs] off (the default) every site is a
+   event stream: with [Config.obs_spans] off (the default) every site is a
    single branch — a [None]/empty-array test — so the dispatch loop must
    not slow down.  Time the disabled path twice to estimate the noise
    floor, then the same run with spans + attribution on, and report both
    deltas: the disabled re-run should sit inside the noise, the enabled
    cost is the priced-in cost of deep observability. *)
 let span_overhead () =
-  section "Span overhead (Config.Obs disabled vs enabled)";
+  section "Span overhead (obs_spans disabled vs enabled)";
   let layout = Lazy.force bench_layout in
   let reps = max 1 (int_of_float (10.0 *. scale)) in
   let time f =
@@ -432,7 +432,7 @@ let debug_checks_overhead () =
     let config = Tracegen.Config.make ~debug_checks:true () in
     let r = Tracegen.Engine.run ~config layout in
     violations :=
-      !violations + Tracegen.Engine.invariant_violations r.Tracegen.Engine.engine
+      !violations + r.Tracegen.Engine.run_stats.Tracegen.Stats.invariant_violations
   in
   let t_off = time off in
   let t_on = time on in
@@ -607,10 +607,10 @@ let osr_overhead () =
         ~seed:42 ()
     in
     let r = Tracegen.Engine.run ~config layout in
-    let e = r.Tracegen.Engine.engine in
-    deopts := !deopts + Tracegen.Engine.deopts e;
-    promotions := !promotions + Tracegen.Engine.osr_promotions e;
-    entries := !entries + Tracegen.Engine.osr_entries e;
+    let s = r.Tracegen.Engine.run_stats in
+    deopts := !deopts + s.Tracegen.Stats.deopts;
+    promotions := !promotions + s.Tracegen.Stats.osr_promotions;
+    entries := !entries + s.Tracegen.Stats.osr_entries;
     incr runs
   in
   let t_off = time off in
@@ -689,7 +689,7 @@ let backend_switch_overhead () =
     in
     let r = Tracegen.Engine.run ~config layout in
     switches :=
-      !switches + Tracegen.Engine.backend_switches r.Tracegen.Engine.engine
+      !switches + r.Tracegen.Engine.run_stats.Tracegen.Stats.backend_switches
   in
   let t_pin = time pinned in
   let t_follow = time following in

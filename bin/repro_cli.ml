@@ -256,7 +256,7 @@ let export_cmd format workload scale =
               (Harness.Experiment.default_key ~workload:name
                  ~size:(Harness.Experiment.size_for ~scale w))
           in
-          print_endline (Harness.Export.to_string (Harness.Export.run_json run)))
+          print_endline (Harness.Codec.to_string (Harness.Export.run_json run)))
   | other ->
       Printf.eprintf "unknown format %s (csv, jsonl, json)\n" other;
       exit 2
@@ -605,6 +605,7 @@ let session_cmd workloads users batch size threshold delay fault_spec
         List.assq (Engine.layout engine) baselines
       in
       let r = Session.vm_result m in
+      let c = Engine.counters engine in
       let ok =
         Harness.Chaos.fingerprint baseline = Harness.Chaos.fingerprint r
       in
@@ -612,9 +613,8 @@ let session_cmd workloads users batch size threshold delay fault_spec
       Printf.printf "%-14s %-6s %12d %12d %12d %8d\n" (Session.member_name m)
         (if ok then "yes" else "NO")
         r.Vm.Interp.instructions
-        (Engine.block_dispatches engine)
-        (Engine.trace_dispatches engine)
-        (Engine.backend_switches engine))
+        c.Tracegen.Stats.block_dispatches c.Tracegen.Stats.trace_dispatches
+        c.Tracegen.Stats.backend_switches)
     (Session.members session);
   Printf.printf
     "shared caches: %d for %d members; cross-session reuse: %d installs \
@@ -989,7 +989,7 @@ let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
           false
         end)
       true
-      (Oracle.ledger_checks ledger ~engine s)
+      (Oracle.ledger_checks ledger s)
   in
   if not ok then exit 1
 

@@ -25,12 +25,12 @@ type ctx = {
   metrics : Metrics.t;
   health : Health.t;
   faults : Faults.t;
-  osr : Osr.t option; (* None = on-stack replacement off (Config.Osr) *)
-  (* deep observability (Config.Obs + engine histograms) *)
+  osr : Osr.t option; (* None = on-stack replacement off *)
+  (* deep observability (Config.obs_* + engine histograms) *)
   spans : Spans.t option; (* None = span recording off *)
   flightrec : Flightrec.t option;
     (* the always-on black box (None only when
-       Config.Obs.flightrec_capacity = 0); dump triggers fire here and
+       Config.flightrec_capacity = 0); dump triggers fire here and
        in the engine, the intake is wired through the event tap *)
   ledger : Ledger.t option; (* None = decision ledger off *)
   attr_self : int array;
@@ -42,60 +42,25 @@ type ctx = {
   h_backoff : Metrics.histogram; (* finite quarantine backoff durations *)
   h_deopt_residue : Metrics.histogram;
     (* trace positions abandoned past each deopt point (OSR) *)
+  counts : Stats.t;
+    (* the counters the dispatch loop advances, in place; Engine fills
+       in the ones other modules own when it copies them out *)
   (* trace execution state *)
   mutable active : Trace.t option;
   mutable active_lowered : Microir.body option;
     (* the active trace's compiled body when it was entered on the
-       compiled tier (Config.Tier); positions followed while this is set
-       are accounted as micro-op dispatches instead of source
-       instructions.  Cleared with [active]. *)
+       compiled tier (Config.tier_enabled); positions followed while
+       this is set are accounted as micro-op dispatches instead of
+       source instructions.  Cleared with [active]. *)
   mutable active_pos : int; (* index of the next expected block *)
   mutable matched_blocks : int;
   mutable matched_instrs : int;
   (* last two blocks actually executed, traces included *)
   mutable prev : Layout.gid;
   mutable prev2 : Layout.gid;
-  (* accounting *)
-  mutable block_dispatches : int;
-  mutable trace_dispatches : int;
-  mutable traces_entered : int;
-  mutable traces_completed : int;
-  mutable completed_blocks : int;
-  mutable partial_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int;
-  mutable traces_constructed : int;
-  mutable builder_reuses : int;
-  mutable chained_entries : int;
-    (* trace entries whose previous dispatch completed another trace:
-       the dispatch-level view of Dynamo-style trace linking *)
-  mutable guards_checked : int;
-    (* in-trace guard positions compared against the executed block *)
-  mutable guards_elided : int;
-    (* in-trace guard positions skipped on a Trace_prover proof
-       (Trace.pruned); the comparison still runs — traces are a pure
-       observational overlay — but is accounted as elided *)
-  mutable guards_pruned : int;
-    (* static pruning verdicts derived at install time (builder-side) *)
-  (* compiled-tier accounting (Config.Tier; all zero with the tier off).
-     The tier is a pure overlay like everything else: the VM executes
-     the same bytecode either way, and these counters price what a
-     micro-IR dispatch loop would have done instead. *)
-  mutable traces_compiled : int;
-  mutable tier_demotions : int;
-  mutable compiled_entries : int; (* trace entries on the compiled tier *)
-  mutable mi_positions : int; (* positions followed on the compiled tier *)
-  mutable mi_ops : int; (* micro-ops those positions dispatched *)
-  mutable mi_fused : int; (* superinstructions among them *)
-  mutable mi_src_instrs : int;
-    (* source instructions the same positions dispatch under
-       Backend_trace — the baseline of the reduction *)
   mutable just_completed : bool;
-  (* debug_checks bookkeeping *)
-  mutable invariant_violations : int;
+    (* the previous dispatch completed a trace: an entry now chains *)
   mutable seen_decays : int; (* decay boundary detector, like Profiler's *)
-  (* self-heal bookkeeping *)
-  mutable healed_nodes : int; (* BCG nodes repaired in place *)
   mutable in_debug_sweep : bool;
     (* re-entrancy guard: healing a node rechecks it, which can signal
        the builder, whose construction boundary would sweep again *)
@@ -103,9 +68,7 @@ type ctx = {
 
 (* One dispatch strategy.  [step] decides what to do with a block
    dispatched outside any trace; [on_block] is the full VM observer
-   (shared following of an active trace, then [step]); [stats_into]
-   overlays the counters this strategy maintains onto a Stats record, so
-   the engine's end-of-run statistics compose from the strategies. *)
+   (shared following of an active trace, then [step]). *)
 module type S = sig
   val name : string
   (* stable one-word identifier: "interp" / "profile" / "trace" *)
@@ -130,14 +93,16 @@ module type S = sig
      after a deoptimization — a plain dispatch that never consults the
      trace cache (the engine just abandoned a trace; re-entering one at
      the deopt transition would defeat the resume). *)
-
-  val stats_into : ctx -> Stats.t -> Stats.t
-  (* overlay this strategy's counters onto [s] *)
 end
 
 (* The engine's dispatch clock: the timestamp base of spans, the cache
    clock and the event stream alike. *)
-let clock ctx = ctx.block_dispatches + ctx.trace_dispatches
+let clock ctx =
+  ctx.counts.Stats.block_dispatches + ctx.counts.Stats.trace_dispatches
+
+let note_violation ctx =
+  ctx.counts.Stats.invariant_violations <-
+    ctx.counts.Stats.invariant_violations + 1
 
 let fr_trigger ctx reason =
   match ctx.flightrec with
@@ -149,7 +114,7 @@ let ledger_record ctx ?trace_id ?first ?head action =
   | Some l -> Ledger.record l ?trace_id ?first ?head action
   | None -> ()
 
-(* Attribution bumps; the arrays are [||] when Config.Obs.attribution is
+(* Attribution bumps; the arrays are [||] when Config.obs_attribution is
    off, so the disabled path is one length test. *)
 let attr_step ctx g =
   if Array.length ctx.attr_self > 0 then
@@ -159,6 +124,22 @@ let attr_inline ctx g =
   if Array.length ctx.attr_inlined > 0 then
     ctx.attr_inlined.(g) <- ctx.attr_inlined.(g) + 1
 
+(* One ordinary block dispatch outside any trace: count and attribute
+   it.  The caller runs (or skips) the profiler hook. *)
+let block_dispatch ctx g =
+  ctx.counts.Stats.block_dispatches <- ctx.counts.Stats.block_dispatches + 1;
+  ctx.just_completed <- false;
+  attr_step ctx g
+
+(* Fold one trace-builder outcome into the counters. *)
+let note_build ctx (o : Trace_builder.outcome) =
+  let c = ctx.counts in
+  c.Stats.traces_constructed <-
+    c.Stats.traces_constructed + o.Trace_builder.new_traces;
+  c.Stats.builder_reuses <-
+    c.Stats.builder_reuses + o.Trace_builder.reused_traces;
+  c.Stats.guards_pruned <- c.Stats.guards_pruned + o.Trace_builder.pruned_guards
+
 (* Compiled-tier accounting for one followed trace position: what the
    micro-IR dispatch loop would have dispatched there versus the source
    instructions Backend_trace dispatches.  One length test when the
@@ -167,10 +148,11 @@ let account_lowered ctx pos =
   match ctx.active_lowered with
   | None -> ()
   | Some b ->
-      ctx.mi_positions <- ctx.mi_positions + 1;
-      ctx.mi_ops <- ctx.mi_ops + b.Microir.pos_ops.(pos);
-      ctx.mi_fused <- ctx.mi_fused + b.Microir.pos_fused.(pos);
-      ctx.mi_src_instrs <- ctx.mi_src_instrs + b.Microir.pos_src.(pos)
+      let c = ctx.counts in
+      c.Stats.mi_positions <- c.Stats.mi_positions + 1;
+      c.Stats.mi_ops <- c.Stats.mi_ops + b.Microir.pos_ops.(pos);
+      c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
+      c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
 
 (* Quarantine an entry transition and record the observability side of
    the episode: the backoff duration histogram (finite backoffs only —
@@ -222,9 +204,10 @@ let finish_completed ctx (tr : Trace.t) =
   ctx.just_completed <- true;
   tr.Trace.completed <- tr.Trace.completed + 1;
   Metrics.record ctx.h_trace_len (Trace.n_blocks tr);
-  ctx.traces_completed <- ctx.traces_completed + 1;
-  ctx.completed_blocks <- ctx.completed_blocks + Trace.n_blocks tr;
-  ctx.completed_instrs <- ctx.completed_instrs + tr.Trace.total_instrs;
+  let c = ctx.counts in
+  c.Stats.traces_completed <- c.Stats.traces_completed + 1;
+  c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
+  c.Stats.completed_instrs <- c.Stats.completed_instrs + tr.Trace.total_instrs;
   ctx.active <- None;
   ctx.active_lowered <- None;
   Trace_cache.unpin ctx.cache tr;
@@ -247,8 +230,9 @@ let finish_partial ctx (tr : Trace.t) =
   tr.Trace.partial_exits <- tr.Trace.partial_exits + 1;
   tr.Trace.partial_instrs <- tr.Trace.partial_instrs + ctx.matched_instrs;
   Metrics.record ctx.h_exit_distance ctx.matched_blocks;
-  ctx.partial_blocks <- ctx.partial_blocks + ctx.matched_blocks;
-  ctx.partial_instrs <- ctx.partial_instrs + ctx.matched_instrs;
+  let c = ctx.counts in
+  c.Stats.partial_blocks <- c.Stats.partial_blocks + ctx.matched_blocks;
+  c.Stats.partial_instrs <- c.Stats.partial_instrs + ctx.matched_instrs;
   ctx.active <- None;
   ctx.active_lowered <- None;
   Trace_cache.unpin ctx.cache tr;
@@ -284,7 +268,7 @@ let deopt ctx (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
       if not ok then begin
         Osr.note_state_mismatch osr;
         if Config.debug_checks ctx.config then begin
-          ctx.invariant_violations <- ctx.invariant_violations + 1;
+          note_violation ctx;
           if Events.enabled ctx.events then
             Events.emit ctx.events
               (Events.Invariant_violation
@@ -376,7 +360,7 @@ let run_debug_checks ctx =
     let diags = diags @ Trace_prover.validate_new ctx.layout ctx.cache in
     List.iter
       (fun (d : Analysis.Diag.t) ->
-        ctx.invariant_violations <- ctx.invariant_violations + 1;
+        note_violation ctx;
         if Events.enabled ctx.events then
           Events.emit ctx.events
             (Events.Invariant_violation
@@ -400,7 +384,8 @@ let run_debug_checks ctx =
                 match Bcg.find_node bcg ~x ~y with
                 | Some n ->
                     if Bcg.heal_node bcg n then
-                      ctx.healed_nodes <- ctx.healed_nodes + 1
+                      ctx.counts.Stats.healed_nodes <-
+                        ctx.counts.Stats.healed_nodes + 1
                 | None -> ()
               end
           | Analysis.Diag.Trace_loc { trace_id } ->
@@ -446,7 +431,7 @@ let note_executed ctx g =
 let prologue ctx =
   Metrics.tick ctx.metrics;
   if Config.self_heal ctx.config || Faults.is_active ctx.faults then begin
-    let now = ctx.block_dispatches + ctx.trace_dispatches in
+    let now = clock ctx in
     Trace_cache.set_clock ctx.cache now;
     (* injected faults land just before the dispatch decision *)
     List.iter
@@ -497,8 +482,9 @@ let rec follow ~step ~deopt_resume ctx (g : Layout.gid) =
       let elided =
         Array.length tr.Trace.pruned > 0 && tr.Trace.pruned.(ctx.active_pos)
       in
-      if elided then ctx.guards_elided <- ctx.guards_elided + 1
-      else ctx.guards_checked <- ctx.guards_checked + 1;
+      let c = ctx.counts in
+      if elided then c.Stats.guards_elided <- c.Stats.guards_elided + 1
+      else c.Stats.guards_checked <- c.Stats.guards_checked + 1;
       let forced =
         Faults.flip_now ctx.faults ~pos:ctx.active_pos
           ~n_blocks:(Trace.n_blocks tr)
@@ -519,7 +505,7 @@ let rec follow ~step ~deopt_resume ctx (g : Layout.gid) =
            Surface it as a TL217 violation when the checks are armed (a
            forced flip on a matching block proves nothing). *)
         if elided && g <> expected && Config.debug_checks ctx.config then begin
-          ctx.invariant_violations <- ctx.invariant_violations + 1;
+          note_violation ctx;
           if Events.enabled ctx.events then
             Events.emit ctx.events
               (Events.Invariant_violation
@@ -554,7 +540,7 @@ let observe ~step ~deopt_resume ctx (g : Layout.gid) =
   (* stamp the stream once per observed block; events emitted during this
      step carry the current dispatch index *)
   if Events.enabled ctx.events then
-    Events.set_now ctx.events (ctx.block_dispatches + ctx.trace_dispatches);
+    Events.set_now ctx.events (clock ctx);
   follow ~step ~deopt_resume ctx g;
   if Config.debug_checks ctx.config then begin
     (* decay boundary: the BCG ran one or more decay passes during this

@@ -30,21 +30,21 @@ type ctx = {
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option;
-      (** on-stack replacement state; [None] when [Config.Osr] is off *)
+      (** on-stack replacement state; [None] when [Config.osr_enabled] is off *)
   spans : Spans.t option;
-      (** causal span recorder; [None] when [Config.Obs.spans] is off *)
+      (** causal span recorder; [None] when [Config.obs_spans] is off *)
   flightrec : Flightrec.t option;
       (** the always-on black box; [None] only when
-          [Config.Obs.flightrec_capacity = 0].  Dump triggers fire from
+          [Config.flightrec_capacity = 0].  Dump triggers fire from
           the invariant sweep, the ladder bottom and snapshot
           rejection; the intake rides the event tap and the span
           close hook. *)
   ledger : Ledger.t option;
-      (** decision-attribution ledger; [None] when [Config.Obs.ledger]
+      (** decision-attribution ledger; [None] when [Config.ledger_enabled]
           is off *)
   attr_self : int array;
       (** per-gid dispatches outside any trace; [[||]] when
-          [Config.Obs.attribution] is off *)
+          [Config.obs_attribution] is off *)
   attr_inlined : int array;
       (** per-gid block executions inlined inside traces *)
   h_trace_len : Metrics.histogram;
@@ -56,11 +56,16 @@ type ctx = {
       (** finite quarantine backoff durations *)
   h_deopt_residue : Metrics.histogram;
       (** trace positions abandoned past each OSR deopt point *)
+  counts : Stats.t;
+      (** the counters the dispatch loop advances, updated in place.
+          Counters other modules own ([Profiler], [Trace_cache], [Osr],
+          [Health], [Faults]) stay zero here; [Engine.counters] fills
+          them in on a copy. *)
   mutable active : Trace.t option;
       (** the trace currently being followed *)
   mutable active_lowered : Microir.body option;
       (** the active trace's compiled body when it was entered on the
-          compiled tier ({!Config.Tier}); positions followed while this
+          compiled tier ({!Config.tier_enabled}); positions followed while this
           is set are accounted as micro-op dispatches.  Cleared with
           [active]. *)
   mutable active_pos : int;  (** index of the next expected block *)
@@ -69,48 +74,16 @@ type ctx = {
   mutable prev : Cfg.Layout.gid;
       (** last block actually executed, traces included *)
   mutable prev2 : Cfg.Layout.gid;
-  mutable block_dispatches : int;
-  mutable trace_dispatches : int;
-  mutable traces_entered : int;
-  mutable traces_completed : int;
-  mutable completed_blocks : int;
-  mutable partial_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int;
-  mutable traces_constructed : int;
-  mutable builder_reuses : int;
-  mutable chained_entries : int;
-  mutable guards_checked : int;
-      (** in-trace guard positions compared against the executed block *)
-  mutable guards_elided : int;
-      (** in-trace guard positions skipped on a [Trace_prover] proof
-          ([Trace.pruned]); the comparison still runs — traces are a
-          pure observational overlay — but is accounted as elided *)
-  mutable guards_pruned : int;
-      (** static pruning verdicts derived at install time *)
-  mutable traces_compiled : int;
-      (** promotions to the compiled micro-IR tier *)
-  mutable tier_demotions : int;
-      (** compiled slots lost under [compile_budget] *)
-  mutable compiled_entries : int;
-      (** trace entries that ran on the compiled tier *)
-  mutable mi_positions : int;
-      (** trace positions followed on the compiled tier *)
-  mutable mi_ops : int;  (** micro-ops those positions dispatched *)
-  mutable mi_fused : int;  (** superinstructions among them *)
-  mutable mi_src_instrs : int;
-      (** source instructions the same positions dispatch under
-          [Backend_trace] — the baseline of the reduction *)
   mutable just_completed : bool;
-  mutable invariant_violations : int;
+      (** the previous dispatch completed a trace, so an entry now
+          chains *)
   mutable seen_decays : int;
-  mutable healed_nodes : int;
   mutable in_debug_sweep : bool;
 }
 (** The engine's dispatch state, shared by every strategy.  The record
     is concrete so strategies (including out-of-tree ones) can be
     written against it; everyone else should treat it as owned by the
-    engine and read it through [Engine]'s accessors. *)
+    engine and read its counters through [Engine.counters]. *)
 
 (** One dispatch strategy. *)
 module type S = sig
@@ -142,13 +115,6 @@ module type S = sig
       the trace cache — the engine just abandoned a trace, and
       re-entering one at the deopt transition would defeat the
       resume. *)
-
-  val stats_into : ctx -> Stats.t -> Stats.t
-  (** Overlay the counters this strategy maintains onto a Stats record.
-      The engine composes the end-of-run statistics by piping a base
-      record through every strategy's [stats_into] — counters are
-      cumulative over the whole run, whichever backend was active when
-      they advanced. *)
 end
 
 (** {2 Shared helpers for strategy implementations} *)
@@ -163,8 +129,8 @@ val note_executed : ctx -> Cfg.Layout.gid -> unit
     two-block window the profiler resynchronizes from). *)
 
 val clock : ctx -> int
-(** The engine's dispatch clock ([block_dispatches +
-    trace_dispatches]) — the timestamp base of spans, the cache clock
+(** The engine's dispatch clock ([counts.block_dispatches +
+    counts.trace_dispatches]) — the timestamp base of spans, the cache clock
     and the event stream alike. *)
 
 val fr_trigger : ctx -> Flightrec.dump_reason -> unit
@@ -180,13 +146,17 @@ val ledger_record :
   unit
 (** Append a decision record; no-op when the ledger is off. *)
 
-val attr_step : ctx -> Cfg.Layout.gid -> unit
-(** Attribute one outside-trace dispatch of [g]; no-op when attribution
-    is off. *)
-
 val attr_inline : ctx -> Cfg.Layout.gid -> unit
 (** Attribute one execution of [g] inlined inside a trace; no-op when
     attribution is off. *)
+
+val block_dispatch : ctx -> Cfg.Layout.gid -> unit
+(** Count and attribute one ordinary block dispatch of [g] outside any
+    trace; the caller runs (or skips) the profiler hook. *)
+
+val note_build : ctx -> Trace_builder.outcome -> unit
+(** Fold one trace-builder outcome into [counts]: traces constructed,
+    builder reuses and pruned guards. *)
 
 val account_lowered : ctx -> int -> unit
 (** Compiled-tier accounting for one followed trace position ([pos]):
@@ -209,7 +179,7 @@ val apply_health : ctx -> Health.transition -> unit
     and reset the profiler when climbing out of interp-only. *)
 
 val run_debug_checks : ctx -> unit
-(** The invariant sweep ({!Config.t.debug_checks}): count and publish
+(** The invariant sweep ({!Config.debug_checks}): count and publish
     every finding; also translation-validates traces the sweep has not
     seen yet ([Trace_prover.validate_new] — TL212–TL218).  Under
     self-healing the sweep heals flagged BCG nodes, quarantines flagged

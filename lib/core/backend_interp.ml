@@ -12,9 +12,7 @@ let describe = "pure interpretation: no profiling, no traces"
 
 let step (ctx : Backend.ctx) g =
   Backend.prologue ctx;
-  ctx.Backend.block_dispatches <- ctx.Backend.block_dispatches + 1;
-  ctx.Backend.just_completed <- false;
-  Backend.attr_step ctx g;
+  Backend.block_dispatch ctx g;
   Profiler.note_skipped ctx.Backend.profiler;
   Backend.note_executed ctx g;
   Backend.apply_health ctx (Health.clean_dispatch ctx.Backend.health)
@@ -28,6 +26,3 @@ let poll_osr (_ : Backend.ctx) (_ : Cfg.Layout.gid) = ()
 let deopt_resume = step
 
 let on_block ctx g = Backend.observe ~step ~deopt_resume ctx g
-
-let stats_into (ctx : Backend.ctx) (s : Stats.t) =
-  { s with Stats.block_dispatches = ctx.Backend.block_dispatches }

@@ -1,4 +1,4 @@
-(* Tier-aware trace dispatch (Config.Tier): Backend_trace's dispatch
+(* Tier-aware trace dispatch (Config.tier_enabled): Backend_trace's dispatch
    skeleton with a compiled tier layered on the cache hits.
 
    At each trace entry the tier cost model runs (Tier.maybe_compile):
@@ -28,11 +28,12 @@ let enter (ctx : Backend.ctx) (tr : Trace.t) g =
     Tier.maybe_compile ctx.Backend.config ctx.Backend.layout ctx.Backend.cache
       ~events:ctx.Backend.events tr
   in
-  ctx.Backend.traces_compiled <- ctx.Backend.traces_compiled + compiled;
-  ctx.Backend.tier_demotions <- ctx.Backend.tier_demotions + demoted;
+  let c = ctx.Backend.counts in
+  c.Stats.traces_compiled <- c.Stats.traces_compiled + compiled;
+  c.Stats.tier_demotions <- c.Stats.tier_demotions + demoted;
   (match tr.Trace.lowered with
   | Some _ as lowered ->
-      ctx.Backend.compiled_entries <- ctx.Backend.compiled_entries + 1;
+      c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
       ctx.Backend.active_lowered <- lowered
   | None -> ctx.Backend.active_lowered <- None);
   (* the entry position (0) is matched by the lookup itself, before
@@ -48,15 +49,3 @@ let poll_osr = Backend_trace.poll_osr
 let deopt_resume = Backend_trace.deopt_resume
 
 let on_block ctx g = Backend.observe ~step ~deopt_resume ctx g
-
-let stats_into (ctx : Backend.ctx) (s : Stats.t) =
-  {
-    (Backend_trace.stats_into ctx s) with
-    Stats.traces_compiled = ctx.Backend.traces_compiled;
-    tier_demotions = ctx.Backend.tier_demotions;
-    compiled_entries = ctx.Backend.compiled_entries;
-    mi_positions = ctx.Backend.mi_positions;
-    mi_ops = ctx.Backend.mi_ops;
-    mi_fused = ctx.Backend.mi_fused;
-    mi_src_instrs = ctx.Backend.mi_src_instrs;
-  }

@@ -1,4 +1,4 @@
-(** Tier-aware trace dispatch ({!Config.Tier}): [Backend_trace]'s
+(** Tier-aware trace dispatch ({!Config.tier_enabled}): [Backend_trace]'s
     dispatch skeleton with a compiled micro-IR tier layered on the cache
     hits.  Each trace entry runs the tier cost model
     ([Tier.maybe_compile]); positions followed inside a compiled trace

@@ -26,9 +26,7 @@ let poll_osr (ctx : Backend.ctx) g = ignore (hot_loop ctx g ~promote:false)
 
 let step (ctx : Backend.ctx) g =
   Backend.prologue ctx;
-  ctx.Backend.block_dispatches <- ctx.Backend.block_dispatches + 1;
-  ctx.Backend.just_completed <- false;
-  Backend.attr_step ctx g;
+  Backend.block_dispatch ctx g;
   Profiler.dispatch ctx.Backend.profiler g;
   Backend.note_executed ctx g;
   poll_osr ctx g;
@@ -40,15 +38,3 @@ let step (ctx : Backend.ctx) g =
 let deopt_resume = step
 
 let on_block ctx g = Backend.observe ~step ~deopt_resume ctx g
-
-let stats_into (ctx : Backend.ctx) (s : Stats.t) =
-  let profiler = ctx.Backend.profiler in
-  let bcg = Profiler.bcg profiler in
-  {
-    s with
-    Stats.block_dispatches = ctx.Backend.block_dispatches;
-    signals = Profiler.signals profiler;
-    bcg_nodes = Bcg.n_nodes bcg;
-    bcg_edges = Bcg.n_edges bcg;
-    ic_predictions = Profiler.predictions profiler;
-  }

@@ -17,13 +17,14 @@ let enter (ctx : Backend.ctx) (tr : Trace.t) g =
   (* executing traces are pinned against eviction and quarantine for the
      duration of the dispatch; finish_completed/finish_partial unpin *)
   Trace_cache.pin ctx.Backend.cache tr;
-  ctx.Backend.trace_dispatches <- ctx.Backend.trace_dispatches + 1;
-  ctx.Backend.traces_entered <- ctx.Backend.traces_entered + 1;
+  let c = ctx.Backend.counts in
+  c.Stats.trace_dispatches <- c.Stats.trace_dispatches + 1;
+  c.Stats.traces_entered <- c.Stats.traces_entered + 1;
   (match ctx.Backend.osr with
   | Some osr -> Osr.note_entry osr ~trace_id:tr.Trace.id
   | None -> ());
   let chained = ctx.Backend.just_completed in
-  if chained then ctx.Backend.chained_entries <- ctx.Backend.chained_entries + 1;
+  if chained then c.Stats.chained_entries <- c.Stats.chained_entries + 1;
   ctx.Backend.just_completed <- false;
   tr.Trace.entered <- tr.Trace.entered + 1;
   if Events.enabled ctx.Backend.events then
@@ -66,12 +67,7 @@ let promote_loop (ctx : Backend.ctx) (osr : Osr.t) header ~hotness =
       (Profiler.bcg ctx.Backend.profiler)
       ~header
   in
-  ctx.Backend.traces_constructed <-
-    ctx.Backend.traces_constructed + outcome.Trace_builder.new_traces;
-  ctx.Backend.builder_reuses <-
-    ctx.Backend.builder_reuses + outcome.Trace_builder.reused_traces;
-  ctx.Backend.guards_pruned <-
-    ctx.Backend.guards_pruned + outcome.Trace_builder.pruned_guards;
+  Backend.note_build ctx outcome;
   let installed_id =
     match installed with Some tr -> tr.Trace.id | None -> -1
   in
@@ -166,9 +162,7 @@ let step_with ~enter (ctx : Backend.ctx) g =
   (match candidate with
   | Some tr -> enter ctx tr g
   | None ->
-      ctx.Backend.block_dispatches <- ctx.Backend.block_dispatches + 1;
-      ctx.Backend.just_completed <- false;
-      Backend.attr_step ctx g;
+      Backend.block_dispatch ctx g;
       Profiler.dispatch ctx.Backend.profiler g;
       Backend.note_executed ctx g);
   if self_heal && not detected then
@@ -181,53 +175,10 @@ let step (ctx : Backend.ctx) g = step_with ~enter ctx g
    re-entering one at the deopt transition would defeat the resume. *)
 let deopt_resume (ctx : Backend.ctx) g =
   Backend.prologue ctx;
-  ctx.Backend.block_dispatches <- ctx.Backend.block_dispatches + 1;
-  ctx.Backend.just_completed <- false;
-  Backend.attr_step ctx g;
+  Backend.block_dispatch ctx g;
   Profiler.dispatch ctx.Backend.profiler g;
   Backend.note_executed ctx g;
   if Config.self_heal ctx.Backend.config then
     Backend.apply_health ctx (Health.clean_dispatch ctx.Backend.health)
 
 let on_block ctx g = Backend.observe ~step ~deopt_resume ctx g
-
-let stats_into (ctx : Backend.ctx) (s : Stats.t) =
-  let static_traces = ref 0 in
-  let static_blocks = ref 0 in
-  Trace_cache.iter_all ctx.Backend.cache (fun tr ->
-      if tr.Trace.completed > 0 then begin
-        incr static_traces;
-        static_blocks := !static_blocks + Trace.n_blocks tr
-      end);
-  let deopts, deopt_residue_blocks, osr_promotions, osr_entries =
-    match ctx.Backend.osr with
-    | Some osr ->
-        ( Osr.deopts osr,
-          Osr.residue_blocks osr,
-          Osr.promotions osr,
-          Osr.entries osr )
-    | None -> (0, 0, 0, 0)
-  in
-  {
-    s with
-    Stats.trace_dispatches = ctx.Backend.trace_dispatches;
-    deopts;
-    deopt_residue_blocks;
-    osr_promotions;
-    osr_entries;
-    traces_entered = ctx.Backend.traces_entered;
-    traces_completed = ctx.Backend.traces_completed;
-    completed_blocks = ctx.Backend.completed_blocks;
-    partial_blocks = ctx.Backend.partial_blocks;
-    completed_instrs = ctx.Backend.completed_instrs;
-    partial_instrs = ctx.Backend.partial_instrs;
-    traces_constructed = ctx.Backend.traces_constructed;
-    traces_replaced = Trace_cache.n_replaced ctx.Backend.cache;
-    traces_live = Trace_cache.n_live ctx.Backend.cache;
-    static_traces = !static_traces;
-    static_blocks = !static_blocks;
-    chained_entries = ctx.Backend.chained_entries;
-    guards_checked = ctx.Backend.guards_checked;
-    guards_elided = ctx.Backend.guards_elided;
-    guards_pruned = ctx.Backend.guards_pruned;
-  }

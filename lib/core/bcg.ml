@@ -56,7 +56,6 @@ type t = {
 }
 
 let create (config : Config.t) ~n_blocks ~on_signal =
-  Config.validate config;
   {
     config;
     n_blocks;
@@ -220,7 +219,7 @@ let record_successor t ~(ctx : node) ~(target : node) =
   let bumped =
     match find_edge ctx z with
     | Some e ->
-        e.weight <- min (e.weight + event_weight) (Config.counter_max t.config);
+        e.weight <- min (e.weight + event_weight) Config.counter_max;
         e
     | None ->
         let e = { e_z = z; e_target = target; weight = event_weight } in
@@ -251,7 +250,7 @@ let heal_node t (n : node) : bool =
     v'
   in
   List.iter
-    (fun e -> e.weight <- clamp 1 (Config.counter_max t.config) e.weight)
+    (fun e -> e.weight <- clamp 1 Config.counter_max e.weight)
     n.edges;
   n.since_decay <- clamp 0 (Config.decay_period t.config - 1) n.since_decay;
   n.delay_left <- clamp 0 (Config.start_state_delay t.config) n.delay_left;

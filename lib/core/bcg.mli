@@ -9,7 +9,7 @@
     Counters are 16-bit and saturating; one observation is worth
     {!event_weight} counter units, so a single observation survives
     [log2 event_weight] decay shifts — the paper's 2048-execution history
-    clearing.  Every {!Config.t.decay_period} executions of a node its
+    clearing.  Every {!Config.decay_period} executions of a node its
     edge weights are shifted right one bit and dead edges are pruned;
     during decay the node's state and maximally correlated successor are
     re-evaluated and changes are signalled to the trace cache. *)

@@ -1,57 +1,7 @@
-(* Parameters of the profiling and trace-generation algorithm (paper §5.2),
-   grouped into layered sub-records mirroring the subsystems that consume
-   them:
-
-   - [Profile]: the BCG profiler and trace builder (paper §5.2 proper —
-     the two swept parameters live here);
-   - [Cache]: trace-cache capacity bounds;
-   - [Heal]: the self-healing machinery and degradation ladder;
-   - [Faults]: the fault-injection schedule.
-
-   [make] keeps the original flat labelled signature, and the per-field
-   accessor functions below keep projection sites one call deep, so
-   consumers never need to spell the nesting. *)
-
-module Profile = struct
-  type t = {
-    start_state_delay : int;
-        (* executions before a branch node leaves the newly-created state;
-           filters rarely executed code *)
-    threshold : float;
-        (* minimum expected trace completion probability, and the
-           strong/weak correlation boundary *)
-    decay_period : int; (* node executions between exponential decay passes *)
-    counter_max : int; (* saturation value of the 16-bit counters *)
-    max_trace_blocks : int; (* defensive cap on trace length *)
-    min_trace_blocks : int; (* traces shorter than this are not cached *)
-    max_walk : int; (* cap on maximum-likelihood walk length *)
-    max_backtrack : int; (* cap on entry-point backtracking depth *)
-    build_traces : bool; (* false = profile-only run (Table VI) *)
-  }
-
-  let default =
-    {
-      start_state_delay = 64;
-      threshold = 0.97;
-      decay_period = 256;
-      counter_max = 65535;
-      max_trace_blocks = 64;
-      min_trace_blocks = 2;
-      max_walk = 256;
-      max_backtrack = 128;
-      build_traces = true;
-    }
-
-  let validate t =
-    if t.start_state_delay < 1 then invalid_arg "start_state_delay < 1";
-    if t.threshold <= 0.0 || t.threshold > 1.0 then
-      invalid_arg "threshold out of (0, 1]";
-    if t.decay_period < 2 then invalid_arg "decay_period < 2";
-    if t.counter_max < 2 then invalid_arg "counter_max < 2";
-    if t.min_trace_blocks < 2 then invalid_arg "min_trace_blocks < 2";
-    if t.max_trace_blocks < t.min_trace_blocks then
-      invalid_arg "max_trace_blocks < min_trace_blocks"
-end
+(* Parameters of the profiling and trace-generation algorithm (paper §5.2)
+   and of the subsystems layered on it, as one flat record.  [make] is
+   the only constructor and validates; the leaf accessors below are the
+   only readers. *)
 
 module Cache = struct
   type eviction_policy = Lru | Footprint_aware
@@ -64,157 +14,19 @@ module Cache = struct
     | "lru" -> Some Lru
     | "footprint" -> Some Footprint_aware
     | _ -> None
-
-  type t = {
-    max_traces : int;
-        (* bound on live traces in the cache; 0 = unbounded.  Exceeding it
-           evicts a victim chosen by [eviction_policy]. *)
-    max_blocks : int;
-        (* bound on the total block count of live traces; 0 = unbounded *)
-    eviction_policy : eviction_policy;
-        (* Lru condemns the least recently dispatched entry;
-           Footprint_aware condemns the worst estimated-bytes-per-use
-           (footprint/heat) ratio *)
-  }
-
-  let default = { max_traces = 0; max_blocks = 0; eviction_policy = Lru }
-
-  let validate t =
-    if t.max_traces < 0 then invalid_arg "max_cache_traces < 0";
-    if t.max_blocks < 0 then invalid_arg "max_cache_blocks < 0"
-end
-
-module Heal = struct
-  type t = {
-    self_heal : bool;
-        (* validate traces at dispatch, quarantine on any detected fault,
-           heal corrupted BCG nodes, and walk the degradation ladder *)
-    max_rebuilds : int;
-        (* quarantines of one entry transition before it is permanently
-           blacklisted *)
-    backoff : int;
-        (* node executions before a quarantined entry may be rebuilt;
-           doubles per quarantine of the same entry *)
-    demote_after : int; (* detections before dropping a health level *)
-    recover_after : int;
-        (* consecutive clean dispatches before climbing a health level *)
-  }
-
-  let default =
-    {
-      self_heal = false;
-      max_rebuilds = 3;
-      backoff = 512;
-      demote_after = 3;
-      recover_after = 400;
-    }
-
-  let validate t =
-    if t.max_rebuilds < 1 then invalid_arg "heal_max_rebuilds < 1";
-    if t.backoff < 1 then invalid_arg "heal_backoff < 1";
-    if t.demote_after < 1 then invalid_arg "heal_demote_after < 1";
-    if t.recover_after < 1 then invalid_arg "heal_recover_after < 1"
-end
-
-module Faults = struct
-  type t = {
-    spec : string;
-        (* fault-injection schedule DSL (see Faults.parse); "" disables
-           injection.  Parsed by the engine at creation. *)
-    seed : int; (* PRNG seed of the fault injector *)
-  }
-
-  let default = { spec = ""; seed = 1 }
-
-  let validate (_ : t) = ()
-end
-
-module Osr = struct
-  type t = {
-    enabled : bool;
-        (* on-stack replacement: guard failures deoptimize to exact
-           interpreter state at the failing block (instead of abandoning
-           the residue and restarting dispatch from the trace head), and
-           hot loop headers are promoted into traces mid-iteration *)
-    promote_after : int;
-        (* outside-trace dispatches of one loop header before the
-           mid-loop promotion fires *)
-  }
-
-  let default = { enabled = false; promote_after = 96 }
-
-  let validate t =
-    if t.promote_after < 1 then invalid_arg "osr_promote_after < 1"
-end
-
-module Tier = struct
-  type t = {
-    enabled : bool;
-        (* the compiled tier: hot traces are lowered to register
-           micro-IR (Microir) and dispatched by Backend_microir's
-           specialized loop *)
-    compile_after : int;
-        (* cache uses of one trace before the cost model compiles it —
-           the attribution hot-report proxy: a trace entered this often
-           dominates dispatch cost *)
-    compile_budget : int;
-        (* bound on simultaneously compiled traces; exceeding it demotes
-           the coldest compiled trace (pinned traces are exempt) *)
-  }
-
-  let default = { enabled = false; compile_after = 32; compile_budget = 64 }
-
-  let validate t =
-    if t.compile_after < 1 then invalid_arg "tier_compile_after < 1";
-    if t.compile_budget < 1 then invalid_arg "tier_compile_budget < 1"
-end
-
-module Obs = struct
-  type t = {
-    spans : bool;
-        (* record causal spans (trace builds, heal sweeps, quarantine
-           episodes, member turns) into a bounded ring *)
-    attribution : bool;
-        (* keep per-BCG-block self/inlined dispatch attribution arrays
-           (one word per block) for the hot-report *)
-    span_buffer : int; (* span ring capacity *)
-    hist_buckets : int; (* power-of-two buckets per engine histogram *)
-    flightrec_capacity : int;
-        (* flight-recorder ring capacity (entries); 0 disarms the
-           recorder entirely *)
-    ledger : bool;
-        (* append a decision-attribution record on every consequential
-           engine action (builds, installs, quarantines, evictions,
-           tier moves, deopts) — cost proportional to those rare
-           actions, not to dispatch *)
-  }
-
-  let default =
-    {
-      spans = false;
-      attribution = false;
-      span_buffer = 4096;
-      hist_buckets = 16;
-      flightrec_capacity = 512;
-      ledger = true;
-    }
-
-  let validate t =
-    if t.span_buffer < 2 then invalid_arg "span_buffer < 2";
-    if t.hist_buckets < 2 || t.hist_buckets > 62 then
-      invalid_arg "hist_buckets out of [2, 62]";
-    if t.flightrec_capacity <> 0 && t.flightrec_capacity < 2 then
-      invalid_arg "flightrec_capacity must be 0 (off) or >= 2"
 end
 
 type t = {
-  profile : Profile.t;
-  cache : Cache.t;
-  heal : Heal.t;
-  faults : Faults.t;
-  obs : Obs.t;
-  osr : Osr.t;
-  tier : Tier.t;
+  (* the BCG profiler and trace builder (paper §5.2 proper) *)
+  start_state_delay : int;
+      (* executions before a branch node leaves the newly-created state;
+         filters rarely executed code *)
+  threshold : float;
+      (* minimum expected trace completion probability, and the
+         strong/weak correlation boundary *)
+  decay_period : int; (* node executions between exponential decay passes *)
+  max_trace_blocks : int; (* defensive cap on trace length *)
+  build_traces : bool; (* false = profile-only run (Table VI) *)
   snapshot_period : int;
       (* dispatches between periodic metrics snapshots; 0 disables the
          series (the observability layer's quiescent default) *)
@@ -225,189 +37,191 @@ type t = {
       (* run guard-implication pruning on every newly installed trace:
          guards proved implied by entry facts and earlier guards are
          elided (accounted, not checked) by the dispatch loop *)
+  (* the trace cache *)
+  max_cache_traces : int;
+      (* bound on live traces; 0 = unbounded.  Exceeding it evicts a
+         victim chosen by [eviction_policy]. *)
+  eviction_policy : Cache.eviction_policy;
+      (* Lru condemns the least recently dispatched entry;
+         Footprint_aware the worst estimated-bytes-per-use ratio *)
+  (* self-healing and the degradation ladder *)
+  self_heal : bool;
+      (* validate traces at dispatch, quarantine on any detected fault,
+         heal corrupted BCG nodes, and walk the degradation ladder *)
+  heal_max_rebuilds : int;
+      (* quarantines of one entry before it is permanently blacklisted *)
+  heal_backoff : int;
+      (* node executions before a quarantined entry may be rebuilt;
+         doubles per quarantine of the same entry *)
+  heal_demote_after : int; (* detections before dropping a health level *)
+  heal_recover_after : int;
+      (* consecutive clean dispatches before climbing a health level *)
+  (* fault injection *)
+  fault_spec : string;
+      (* schedule DSL (see Faults.parse); "" disables injection.  Parsed
+         by the engine at creation. *)
+  fault_seed : int; (* PRNG seed of the fault injector *)
+  (* on-stack replacement *)
+  osr : bool;
+      (* guard failures deoptimize to exact interpreter state at the
+         failing block, and hot loop headers are promoted into traces
+         mid-iteration *)
+  osr_promote_after : int;
+      (* outside-trace dispatches of one loop header before the mid-loop
+         promotion fires *)
+  (* the compiled micro-IR tier *)
+  tier : bool;
+  tier_compile_after : int;
+      (* cache uses of one trace before the cost model compiles it *)
+  tier_compile_budget : int;
+      (* bound on simultaneously compiled traces; exceeding it demotes
+         the coldest compiled trace (pinned traces are exempt) *)
+  (* observability *)
+  obs_spans : bool; (* record causal spans into a bounded ring *)
+  obs_attribution : bool;
+      (* keep per-block self/inlined dispatch attribution arrays *)
+  flightrec_capacity : int;
+      (* flight-recorder ring capacity; 0 disarms the recorder *)
+  ledger : bool; (* append a decision record on every engine action *)
 }
+
+(* The constants the paper fixes, and the builder's defensive caps. *)
+let counter_max = 65535 (* 16-bit saturating counters *)
+let min_trace_blocks = 2 (* a 1-block trace is a no-op *)
+let max_walk = 256
+let max_backtrack = 128
 
 let default =
   {
-    profile = Profile.default;
-    cache = Cache.default;
-    heal = Heal.default;
-    faults = Faults.default;
-    obs = Obs.default;
-    osr = Osr.default;
-    tier = Tier.default;
+    start_state_delay = 64;
+    threshold = 0.97;
+    decay_period = 256;
+    max_trace_blocks = 64;
+    build_traces = true;
     snapshot_period = 0;
     debug_checks = false;
     prune_guards = false;
+    max_cache_traces = 0;
+    eviction_policy = Cache.Lru;
+    self_heal = false;
+    heal_max_rebuilds = 3;
+    heal_backoff = 512;
+    heal_demote_after = 3;
+    heal_recover_after = 400;
+    fault_spec = "";
+    fault_seed = 1;
+    osr = false;
+    osr_promote_after = 96;
+    tier = false;
+    tier_compile_after = 32;
+    tier_compile_budget = 64;
+    obs_spans = false;
+    obs_attribution = false;
+    flightrec_capacity = 512;
+    ledger = true;
   }
 
-(* Leaf accessors: every consumer projects through these, so the nesting
-   is a Config-internal detail. *)
-
-let start_state_delay t = t.profile.Profile.start_state_delay
-let threshold t = t.profile.Profile.threshold
-let decay_period t = t.profile.Profile.decay_period
-let counter_max t = t.profile.Profile.counter_max
-let max_trace_blocks t = t.profile.Profile.max_trace_blocks
-let min_trace_blocks t = t.profile.Profile.min_trace_blocks
-let max_walk t = t.profile.Profile.max_walk
-let max_backtrack t = t.profile.Profile.max_backtrack
-let build_traces t = t.profile.Profile.build_traces
-let max_cache_traces t = t.cache.Cache.max_traces
-let max_cache_blocks t = t.cache.Cache.max_blocks
-let eviction_policy t = t.cache.Cache.eviction_policy
-let self_heal t = t.heal.Heal.self_heal
-let heal_max_rebuilds t = t.heal.Heal.max_rebuilds
-let heal_backoff t = t.heal.Heal.backoff
-let heal_demote_after t = t.heal.Heal.demote_after
-let heal_recover_after t = t.heal.Heal.recover_after
-let fault_spec t = t.faults.Faults.spec
-let fault_seed t = t.faults.Faults.seed
-let osr_enabled t = t.osr.Osr.enabled
-let osr_promote_after t = t.osr.Osr.promote_after
-let tier_enabled t = t.tier.Tier.enabled
-let tier_compile_after t = t.tier.Tier.compile_after
-let tier_compile_budget t = t.tier.Tier.compile_budget
-let obs_spans t = t.obs.Obs.spans
-let obs_attribution t = t.obs.Obs.attribution
-let span_buffer t = t.obs.Obs.span_buffer
-let hist_buckets t = t.obs.Obs.hist_buckets
-let flightrec_capacity t = t.obs.Obs.flightrec_capacity
-let ledger_enabled t = t.obs.Obs.ledger
-let snapshot_period t = t.snapshot_period
-let debug_checks t = t.debug_checks
-let prune_guards t = t.prune_guards
-
 let validate t =
-  Profile.validate t.profile;
+  if t.start_state_delay < 1 then invalid_arg "start_state_delay < 1";
+  if t.threshold <= 0.0 || t.threshold > 1.0 then
+    invalid_arg "threshold out of (0, 1]";
+  if t.decay_period < 2 then invalid_arg "decay_period < 2";
+  if t.max_trace_blocks < min_trace_blocks then
+    invalid_arg "max_trace_blocks < min_trace_blocks";
   if t.snapshot_period < 0 then invalid_arg "snapshot_period < 0";
-  Cache.validate t.cache;
-  Heal.validate t.heal;
-  Faults.validate t.faults;
-  Obs.validate t.obs;
-  Osr.validate t.osr;
-  Tier.validate t.tier
+  if t.max_cache_traces < 0 then invalid_arg "max_cache_traces < 0";
+  if t.heal_max_rebuilds < 1 then invalid_arg "heal_max_rebuilds < 1";
+  if t.heal_backoff < 1 then invalid_arg "heal_backoff < 1";
+  if t.heal_demote_after < 1 then invalid_arg "heal_demote_after < 1";
+  if t.heal_recover_after < 1 then invalid_arg "heal_recover_after < 1";
+  if t.osr_promote_after < 1 then invalid_arg "osr_promote_after < 1";
+  if t.tier_compile_after < 1 then invalid_arg "tier_compile_after < 1";
+  if t.tier_compile_budget < 1 then invalid_arg "tier_compile_budget < 1";
+  if t.flightrec_capacity <> 0 && t.flightrec_capacity < 2 then
+    invalid_arg "flightrec_capacity must be 0 (off) or >= 2"
 
-let make ?(start_state_delay = Profile.default.Profile.start_state_delay)
-    ?(threshold = Profile.default.Profile.threshold)
-    ?(decay_period = Profile.default.Profile.decay_period)
-    ?(counter_max = Profile.default.Profile.counter_max)
-    ?(max_trace_blocks = Profile.default.Profile.max_trace_blocks)
-    ?(min_trace_blocks = Profile.default.Profile.min_trace_blocks)
-    ?(max_walk = Profile.default.Profile.max_walk)
-    ?(max_backtrack = Profile.default.Profile.max_backtrack)
-    ?(build_traces = Profile.default.Profile.build_traces)
+let make ?(start_state_delay = default.start_state_delay)
+    ?(threshold = default.threshold) ?(decay_period = default.decay_period)
+    ?(max_trace_blocks = default.max_trace_blocks)
+    ?(build_traces = default.build_traces)
     ?(snapshot_period = default.snapshot_period)
     ?(debug_checks = default.debug_checks)
     ?(prune_guards = default.prune_guards)
-    ?(max_cache_traces = Cache.default.Cache.max_traces)
-    ?(max_cache_blocks = Cache.default.Cache.max_blocks)
-    ?(eviction_policy = Cache.default.Cache.eviction_policy)
-    ?(self_heal = Heal.default.Heal.self_heal)
-    ?(heal_max_rebuilds = Heal.default.Heal.max_rebuilds)
-    ?(heal_backoff = Heal.default.Heal.backoff)
-    ?(heal_demote_after = Heal.default.Heal.demote_after)
-    ?(heal_recover_after = Heal.default.Heal.recover_after)
-    ?(fault_spec = Faults.default.Faults.spec)
-    ?(fault_seed = Faults.default.Faults.seed)
-    ?(osr = Osr.default.Osr.enabled)
-    ?(osr_promote_after = Osr.default.Osr.promote_after)
-    ?(tier = Tier.default.Tier.enabled)
-    ?(tier_compile_after = Tier.default.Tier.compile_after)
-    ?(tier_compile_budget = Tier.default.Tier.compile_budget)
-    ?(obs_spans = Obs.default.Obs.spans)
-    ?(obs_attribution = Obs.default.Obs.attribution)
-    ?(span_buffer = Obs.default.Obs.span_buffer)
-    ?(hist_buckets = Obs.default.Obs.hist_buckets)
-    ?(flightrec_capacity = Obs.default.Obs.flightrec_capacity)
-    ?(ledger = Obs.default.Obs.ledger) () =
+    ?(max_cache_traces = default.max_cache_traces)
+    ?(eviction_policy = default.eviction_policy)
+    ?(self_heal = default.self_heal)
+    ?(heal_max_rebuilds = default.heal_max_rebuilds)
+    ?(heal_backoff = default.heal_backoff)
+    ?(heal_demote_after = default.heal_demote_after)
+    ?(heal_recover_after = default.heal_recover_after)
+    ?(fault_spec = default.fault_spec) ?(fault_seed = default.fault_seed)
+    ?(osr = default.osr) ?(osr_promote_after = default.osr_promote_after)
+    ?(tier = default.tier) ?(tier_compile_after = default.tier_compile_after)
+    ?(tier_compile_budget = default.tier_compile_budget)
+    ?(obs_spans = default.obs_spans)
+    ?(obs_attribution = default.obs_attribution)
+    ?(flightrec_capacity = default.flightrec_capacity)
+    ?(ledger = default.ledger) () =
   let t =
     {
-      profile =
-        {
-          Profile.start_state_delay;
-          threshold;
-          decay_period;
-          counter_max;
-          max_trace_blocks;
-          min_trace_blocks;
-          max_walk;
-          max_backtrack;
-          build_traces;
-        };
-      cache =
-        {
-          Cache.max_traces = max_cache_traces;
-          max_blocks = max_cache_blocks;
-          eviction_policy;
-        };
-      heal =
-        {
-          Heal.self_heal;
-          max_rebuilds = heal_max_rebuilds;
-          backoff = heal_backoff;
-          demote_after = heal_demote_after;
-          recover_after = heal_recover_after;
-        };
-      faults = { Faults.spec = fault_spec; seed = fault_seed };
-      obs =
-        {
-          Obs.spans = obs_spans;
-          attribution = obs_attribution;
-          span_buffer;
-          hist_buckets;
-          flightrec_capacity;
-          ledger;
-        };
-      osr = { Osr.enabled = osr; promote_after = osr_promote_after };
-      tier =
-        {
-          Tier.enabled = tier;
-          compile_after = tier_compile_after;
-          compile_budget = tier_compile_budget;
-        };
+      start_state_delay;
+      threshold;
+      decay_period;
+      max_trace_blocks;
+      build_traces;
       snapshot_period;
       debug_checks;
       prune_guards;
+      max_cache_traces;
+      eviction_policy;
+      self_heal;
+      heal_max_rebuilds;
+      heal_backoff;
+      heal_demote_after;
+      heal_recover_after;
+      fault_spec;
+      fault_seed;
+      osr;
+      osr_promote_after;
+      tier;
+      tier_compile_after;
+      tier_compile_budget;
+      obs_spans;
+      obs_attribution;
+      flightrec_capacity;
+      ledger;
     }
   in
   validate t;
   t
 
-let with_threshold t threshold =
-  { t with profile = { t.profile with Profile.threshold } }
-
-let with_delay t start_state_delay =
-  { t with profile = { t.profile with Profile.start_state_delay } }
-
-let with_profile t profile =
-  validate { t with profile };
-  { t with profile }
-
-let with_cache t cache =
-  validate { t with cache };
-  { t with cache }
-
-let with_heal t heal =
-  validate { t with heal };
-  { t with heal }
-
-let with_faults t faults =
-  validate { t with faults };
-  { t with faults }
-
-let with_obs t obs =
-  validate { t with obs };
-  { t with obs }
-
-let with_osr t osr =
-  validate { t with osr };
-  { t with osr }
-
-let with_tier t tier =
-  validate { t with tier };
-  { t with tier }
+let start_state_delay t = t.start_state_delay
+let threshold t = t.threshold
+let decay_period t = t.decay_period
+let max_trace_blocks t = t.max_trace_blocks
+let build_traces t = t.build_traces
+let snapshot_period t = t.snapshot_period
+let debug_checks t = t.debug_checks
+let prune_guards t = t.prune_guards
+let max_cache_traces t = t.max_cache_traces
+let eviction_policy t = t.eviction_policy
+let self_heal t = t.self_heal
+let heal_max_rebuilds t = t.heal_max_rebuilds
+let heal_backoff t = t.heal_backoff
+let heal_demote_after t = t.heal_demote_after
+let heal_recover_after t = t.heal_recover_after
+let fault_spec t = t.fault_spec
+let fault_seed t = t.fault_seed
+let osr_enabled t = t.osr
+let osr_promote_after t = t.osr_promote_after
+let tier_enabled t = t.tier
+let tier_compile_after t = t.tier_compile_after
+let tier_compile_budget t = t.tier_compile_budget
+let obs_spans t = t.obs_spans
+let obs_attribution t = t.obs_attribution
+let flightrec_capacity t = t.flightrec_capacity
+let ledger_enabled t = t.ledger
 
 let pp ppf t =
-  Format.fprintf ppf "delay=%d threshold=%.2f decay=%d" (start_state_delay t)
-    (threshold t) (decay_period t)
+  Format.fprintf ppf "delay=%d threshold=%.2f decay=%d" t.start_state_delay
+    t.threshold t.decay_period

@@ -75,93 +75,73 @@ type t = {
   pinned : bool; (* backend forced at creation: never re-selected *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
-  mutable backend_switches : int; (* strategy changes over the run *)
-  mutable snapshots_rejected : int; (* warm-start loads refused *)
 }
 
+(* The counters, filled in: a copy of the dispatch loop's own record
+   plus, in this one place, the counters other modules own. *)
+let counters t : Stats.t =
+  let ctx = t.ctx in
+  let s = Stats.copy ctx.Backend.counts in
+  let profiler = ctx.Backend.profiler and cache = ctx.Backend.cache in
+  let bcg = Profiler.bcg profiler in
+  s.Stats.signals <- Profiler.signals profiler;
+  s.Stats.ic_predictions <- Profiler.predictions profiler;
+  s.Stats.bcg_nodes <- Bcg.n_nodes bcg;
+  s.Stats.bcg_edges <- Bcg.n_edges bcg;
+  s.Stats.traces_replaced <- Trace_cache.n_replaced cache;
+  s.Stats.traces_live <- Trace_cache.n_live cache;
+  s.Stats.traces_quarantined <- Trace_cache.n_quarantines cache;
+  s.Stats.traces_evicted <- Trace_cache.n_evicted cache;
+  s.Stats.traces_blacklisted <- Trace_cache.n_blacklisted cache;
+  s.Stats.failed_installs <- Trace_cache.n_failed_installs cache;
+  s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
+  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
+  Trace_cache.iter_all cache (fun tr ->
+      if tr.Trace.completed > 0 then begin
+        s.Stats.static_traces <- s.Stats.static_traces + 1;
+        s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
+      end);
+  (match ctx.Backend.osr with
+  | Some osr ->
+      s.Stats.deopts <- Osr.deopts osr;
+      s.Stats.deopt_residue_blocks <- Osr.residue_blocks osr;
+      s.Stats.osr_promotions <- Osr.promotions osr;
+      s.Stats.osr_entries <- Osr.entries osr;
+      s.Stats.osr_state_checks <- Osr.state_checks osr;
+      s.Stats.osr_state_mismatches <- Osr.state_mismatches osr
+  | None -> ());
+  s.Stats.faults_injected <- Faults.injected ctx.Backend.faults;
+  s.Stats.health_demotions <- Health.demotions ctx.Backend.health;
+  s.Stats.health_promotions <- Health.promotions ctx.Backend.health;
+  s.Stats.final_health <- Health.level_rank (Health.level ctx.Backend.health);
+  s
+
+(* Every Stats counter but [instructions], which only the VM knows. *)
+let gauged_counters =
+  List.filter (fun (name, _) -> name <> "instructions") Stats.counters
+
 (* Expose the accounting through the registry as polled gauges: nothing
-   on the dispatch path, evaluated only when a snapshot is taken. *)
+   on the dispatch path, evaluated only when a snapshot is taken.  One
+   gauge per counter, all projecting one [counters] sample per snapshot,
+   then the state gauges that are not counters. *)
 let register_gauges (m : Metrics.t) (t : t) =
   let e = t.ctx in
-  Metrics.gauge m "block_dispatches" (fun () -> e.Backend.block_dispatches);
-  Metrics.gauge m "trace_dispatches" (fun () -> e.Backend.trace_dispatches);
-  Metrics.gauge m "traces_entered" (fun () -> e.Backend.traces_entered);
-  Metrics.gauge m "traces_completed" (fun () -> e.Backend.traces_completed);
-  Metrics.gauge m "completed_blocks" (fun () -> e.Backend.completed_blocks);
-  Metrics.gauge m "partial_blocks" (fun () -> e.Backend.partial_blocks);
-  Metrics.gauge m "completed_instrs" (fun () -> e.Backend.completed_instrs);
-  Metrics.gauge m "partial_instrs" (fun () -> e.Backend.partial_instrs);
-  Metrics.gauge m "traces_constructed" (fun () -> e.Backend.traces_constructed);
-  Metrics.gauge m "builder_reuses" (fun () -> e.Backend.builder_reuses);
-  Metrics.gauge m "chained_entries" (fun () -> e.Backend.chained_entries);
-  Metrics.gauge m "guards_checked" (fun () -> e.Backend.guards_checked);
-  Metrics.gauge m "guards_elided" (fun () -> e.Backend.guards_elided);
-  Metrics.gauge m "guards_pruned" (fun () -> e.Backend.guards_pruned);
-  Metrics.gauge m "signals" (fun () -> Profiler.signals e.Backend.profiler);
-  Metrics.gauge m "ic_predictions" (fun () ->
-      Profiler.predictions e.Backend.profiler);
-  Metrics.gauge m "bcg_nodes" (fun () ->
-      Bcg.n_nodes (Profiler.bcg e.Backend.profiler));
-  Metrics.gauge m "bcg_edges" (fun () ->
-      Bcg.n_edges (Profiler.bcg e.Backend.profiler));
-  Metrics.gauge m "traces_live" (fun () -> Trace_cache.n_live e.Backend.cache);
-  Metrics.gauge m "traces_replaced" (fun () ->
-      Trace_cache.n_replaced e.Backend.cache);
-  Metrics.gauge m "invariant_violations" (fun () ->
-      e.Backend.invariant_violations);
-  Metrics.gauge m "live_blocks" (fun () ->
-      Trace_cache.live_blocks e.Backend.cache);
-  Metrics.gauge m "traces_evicted" (fun () ->
-      Trace_cache.n_evicted e.Backend.cache);
-  Metrics.gauge m "traces_quarantined" (fun () ->
-      Trace_cache.n_quarantines e.Backend.cache);
+  Metrics.gauges m gauged_counters (fun () -> counters t);
+  let cache = e.Backend.cache in
+  Metrics.gauge m "live_blocks" (fun () -> Trace_cache.live_blocks cache);
   Metrics.gauge m "quarantine_active" (fun () ->
-      Trace_cache.n_quarantine_active e.Backend.cache);
-  Metrics.gauge m "traces_blacklisted" (fun () ->
-      Trace_cache.n_blacklisted e.Backend.cache);
-  Metrics.gauge m "failed_installs" (fun () ->
-      Trace_cache.n_failed_installs e.Backend.cache);
-  Metrics.gauge m "faults_injected" (fun () -> Faults.injected e.Backend.faults);
-  Metrics.gauge m "healed_nodes" (fun () -> e.Backend.healed_nodes);
-  Metrics.gauge m "health_level" (fun () ->
-      Health.level_rank (Health.level e.Backend.health));
-  Metrics.gauge m "health_demotions" (fun () ->
-      Health.demotions e.Backend.health);
-  Metrics.gauge m "health_promotions" (fun () ->
-      Health.promotions e.Backend.health);
+      Trace_cache.n_quarantine_active cache);
   Metrics.gauge m "skipped_dispatches" (fun () ->
       Profiler.skipped e.Backend.profiler);
-  Metrics.gauge m "backend_switches" (fun () -> t.backend_switches);
   Metrics.gauge m "cross_session_installs" (fun () ->
-      Trace_cache.n_cross_installs e.Backend.cache);
+      Trace_cache.n_cross_installs cache);
   Metrics.gauge m "cross_session_entries" (fun () ->
-      Trace_cache.n_cross_entries e.Backend.cache);
-  Metrics.gauge m "traces_restored" (fun () ->
-      Trace_cache.n_restored e.Backend.cache);
-  Metrics.gauge m "snapshots_rejected" (fun () -> t.snapshots_rejected);
+      Trace_cache.n_cross_entries cache);
+  Metrics.gauge m "traces_restored" (fun () -> Trace_cache.n_restored cache);
   Metrics.gauge m "cache_footprint_bytes" (fun () ->
-      Trace_cache.footprint_bytes e.Backend.cache);
-  Metrics.gauge m "pin_refusals" (fun () ->
-      Trace_cache.n_pin_refusals e.Backend.cache);
-  if Config.tier_enabled e.Backend.config then begin
-    Metrics.gauge m "traces_compiled" (fun () -> e.Backend.traces_compiled);
-    Metrics.gauge m "tier_demotions" (fun () -> e.Backend.tier_demotions);
-    Metrics.gauge m "compiled_entries" (fun () -> e.Backend.compiled_entries);
-    Metrics.gauge m "compiled_live" (fun () ->
-        Trace_cache.n_compiled e.Backend.cache);
-    Metrics.gauge m "demote_refusals" (fun () ->
-        Trace_cache.n_demote_refusals e.Backend.cache);
-    Metrics.gauge m "mi_ops" (fun () -> e.Backend.mi_ops);
-    Metrics.gauge m "mi_src_instrs" (fun () -> e.Backend.mi_src_instrs)
-  end;
-  (match e.Backend.osr with
-  | Some osr ->
-      Metrics.gauge m "deopts" (fun () -> Osr.deopts osr);
-      Metrics.gauge m "deopt_residue_blocks" (fun () ->
-          Osr.residue_blocks osr);
-      Metrics.gauge m "osr_promotions" (fun () -> Osr.promotions osr);
-      Metrics.gauge m "osr_entries" (fun () -> Osr.entries osr)
-  | None -> ());
+      Trace_cache.footprint_bytes cache);
+  if Config.tier_enabled e.Backend.config then
+    Metrics.gauge m "compiled_live" (fun () -> Trace_cache.n_compiled cache);
   (match e.Backend.spans with
   | Some s ->
       Metrics.gauge m "spans_recorded" (fun () -> Spans.recorded s);
@@ -178,7 +158,6 @@ let register_gauges (m : Metrics.t) (t : t) =
 
 let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     ?backend (layout : Layout.t) : t =
-  Config.validate config;
   let cache =
     match cache with
     | Some c ->
@@ -188,7 +167,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     | None ->
         Trace_cache.create ~events
           ~max_traces:(Config.max_cache_traces config)
-          ~max_blocks:(Config.max_cache_blocks config)
           ~eviction_policy:(Config.eviction_policy config)
           ~heal_max_rebuilds:(Config.heal_max_rebuilds config)
           ~heal_backoff:(Config.heal_backoff config)
@@ -208,17 +186,14 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let metrics = Metrics.create ~period:(Config.snapshot_period config) () in
   let spans =
     if Config.obs_spans config then
-      Some (Spans.create ~capacity:(Config.span_buffer config) ())
+      Some (Spans.create ())
     else None
   in
-  let buckets = Config.hist_buckets config in
-  let h_trace_len = Metrics.histogram metrics ~buckets "executed_trace_len" in
-  let h_exit_distance =
-    Metrics.histogram metrics ~buckets "completion_distance"
-  in
-  let h_build_len = Metrics.histogram metrics ~buckets "builder_path_len" in
-  let h_backoff = Metrics.histogram metrics ~buckets "quarantine_backoff" in
-  let h_deopt_residue = Metrics.histogram metrics ~buckets "deopt_residue" in
+  let h_trace_len = Metrics.histogram metrics "executed_trace_len" in
+  let h_exit_distance = Metrics.histogram metrics "completion_distance" in
+  let h_build_len = Metrics.histogram metrics "builder_path_len" in
+  let h_backoff = Metrics.histogram metrics "quarantine_backoff" in
+  let h_deopt_residue = Metrics.histogram metrics "deopt_residue" in
   let osr =
     if Config.osr_enabled config then
       Some (Osr.create ~promote_after:(Config.osr_promote_after config) layout)
@@ -270,12 +245,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
               ~on_path:(fun n -> Metrics.record e.Backend.h_build_len n)
               e.Backend.config e.Backend.cache signal
           in
-          e.Backend.traces_constructed <-
-            e.Backend.traces_constructed + outcome.Trace_builder.new_traces;
-          e.Backend.builder_reuses <-
-            e.Backend.builder_reuses + outcome.Trace_builder.reused_traces;
-          e.Backend.guards_pruned <-
-            e.Backend.guards_pruned + outcome.Trace_builder.pruned_guards;
+          Backend.note_build e outcome;
           (* attribute the builder outcome (skip all-quiet signals: a
              signal that built, reused or pruned nothing decided
              nothing) *)
@@ -341,6 +311,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       h_build_len;
       h_backoff;
       h_deopt_residue;
+      counts = Stats.zero ();
       active = None;
       active_lowered = None;
       active_pos = 0;
@@ -348,31 +319,8 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       matched_instrs = 0;
       prev = -1;
       prev2 = -1;
-      block_dispatches = 0;
-      trace_dispatches = 0;
-      traces_entered = 0;
-      traces_completed = 0;
-      completed_blocks = 0;
-      partial_blocks = 0;
-      completed_instrs = 0;
-      partial_instrs = 0;
-      traces_constructed = 0;
-      builder_reuses = 0;
-      chained_entries = 0;
-      guards_checked = 0;
-      guards_elided = 0;
-      guards_pruned = 0;
-      traces_compiled = 0;
-      tier_demotions = 0;
-      compiled_entries = 0;
-      mi_positions = 0;
-      mi_ops = 0;
-      mi_fused = 0;
-      mi_src_instrs = 0;
       just_completed = false;
-      invariant_violations = 0;
       seen_decays = 0;
-      healed_nodes = 0;
       in_debug_sweep = false;
     }
   in
@@ -394,16 +342,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     | Some k -> (k, true)
     | None -> (select config (Health.level health), false)
   in
-  let t =
-    {
-      ctx;
-      pinned;
-      kind;
-      kind_level = Health.level health;
-      backend_switches = 0;
-      snapshots_rejected = 0;
-    }
-  in
+  let t = { ctx; pinned; kind; kind_level = Health.level health } in
   register_gauges metrics t;
   let prev_values : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Metrics.on_snapshot metrics (fun snapshot ->
@@ -443,46 +382,11 @@ let metrics t = t.ctx.Backend.metrics
 
 let active_trace t = t.ctx.Backend.active
 
-let block_dispatches t = t.ctx.Backend.block_dispatches
-
-let trace_dispatches t = t.ctx.Backend.trace_dispatches
-
-let total_dispatches t =
-  t.ctx.Backend.block_dispatches + t.ctx.Backend.trace_dispatches
-
-let traces_entered t = t.ctx.Backend.traces_entered
-
-let traces_completed t = t.ctx.Backend.traces_completed
-
-let completed_blocks t = t.ctx.Backend.completed_blocks
-
-let partial_blocks t = t.ctx.Backend.partial_blocks
-
-let completed_instrs t = t.ctx.Backend.completed_instrs
-
-let partial_instrs t = t.ctx.Backend.partial_instrs
-
-let traces_constructed t = t.ctx.Backend.traces_constructed
-
-let builder_reuses t = t.ctx.Backend.builder_reuses
-
-let chained_entries t = t.ctx.Backend.chained_entries
-
-let guards_checked t = t.ctx.Backend.guards_checked
-
-let guards_elided t = t.ctx.Backend.guards_elided
-
-let guards_pruned t = t.ctx.Backend.guards_pruned
-
-let invariant_violations t = t.ctx.Backend.invariant_violations
+let total_dispatches t = Backend.clock t.ctx
 
 let health t = t.ctx.Backend.health
 
 let health_level t = Health.level t.ctx.Backend.health
-
-let faults_injected t = Faults.injected t.ctx.Backend.faults
-
-let healed_nodes t = t.ctx.Backend.healed_nodes
 
 let spans t = t.ctx.Backend.spans
 
@@ -509,44 +413,6 @@ let backoff_hist t = t.ctx.Backend.h_backoff
 
 let deopt_residue_hist t = t.ctx.Backend.h_deopt_residue
 
-(* OSR accounting; all zero when Config.Osr is off. *)
-let deopts t =
-  match t.ctx.Backend.osr with Some o -> Osr.deopts o | None -> 0
-
-let deopt_residue_blocks t =
-  match t.ctx.Backend.osr with Some o -> Osr.residue_blocks o | None -> 0
-
-let osr_promotions t =
-  match t.ctx.Backend.osr with Some o -> Osr.promotions o | None -> 0
-
-let osr_entries t =
-  match t.ctx.Backend.osr with Some o -> Osr.entries o | None -> 0
-
-let osr_state_checks t =
-  match t.ctx.Backend.osr with Some o -> Osr.state_checks o | None -> 0
-
-let osr_state_mismatches t =
-  match t.ctx.Backend.osr with Some o -> Osr.state_mismatches o | None -> 0
-
-let pin_refusals t = Trace_cache.n_pin_refusals t.ctx.Backend.cache
-
-(* compiled-tier accounting; all zero when Config.Tier is off *)
-let traces_compiled t = t.ctx.Backend.traces_compiled
-
-let tier_demotions t = t.ctx.Backend.tier_demotions
-
-let compiled_entries t = t.ctx.Backend.compiled_entries
-
-let mi_positions t = t.ctx.Backend.mi_positions
-
-let mi_ops t = t.ctx.Backend.mi_ops
-
-let mi_fused t = t.ctx.Backend.mi_fused
-
-let mi_src_instrs t = t.ctx.Backend.mi_src_instrs
-
-let demote_refusals t = Trace_cache.n_demote_refusals t.ctx.Backend.cache
-
 let arm_guard_flip t ~pos = Faults.arm_flip t.ctx.Backend.faults ~pos
 
 let debug_sweep t = Backend.run_debug_checks t.ctx
@@ -565,8 +431,6 @@ let backend_name t = backend_kind_name t.kind
 
 let backend_pinned t = t.pinned
 
-let backend_switches t = t.backend_switches
-
 (* The VM observer: re-select the backend if the ladder moved since the
    last dispatch (a mid-dispatch transition therefore takes effect at
    the next observed block, exactly like the old mode flags), then hand
@@ -580,7 +444,8 @@ let on_block t (g : Layout.gid) =
       let k = select ctx.Backend.config level in
       if k <> t.kind then begin
         t.kind <- k;
-        t.backend_switches <- t.backend_switches + 1
+        ctx.Backend.counts.Stats.backend_switches <-
+          ctx.Backend.counts.Stats.backend_switches + 1
       end
     end
   end;
@@ -590,34 +455,12 @@ let on_block t (g : Layout.gid) =
   | Trace -> Backend_trace.on_block ctx g
   | Microir -> Backend_microir.on_block ctx g
 
-(* Assemble final statistics: the engine fills the VM / resilience
-   fields, then every strategy overlays the counters it maintains.  All
-   three always contribute — counters are cumulative over the run,
-   whichever backend was active when they advanced. *)
+(* End-of-run statistics: the counters plus what only the VM knows. *)
 let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =
-  let ctx = t.ctx in
-  let base =
-    {
-      Stats.zero with
-      Stats.instructions = vm_result.Interp.instructions;
-      invariant_violations = ctx.Backend.invariant_violations;
-      faults_injected = Faults.injected ctx.Backend.faults;
-      traces_quarantined = Trace_cache.n_quarantines ctx.Backend.cache;
-      traces_evicted = Trace_cache.n_evicted ctx.Backend.cache;
-      traces_blacklisted = Trace_cache.n_blacklisted ctx.Backend.cache;
-      failed_installs = Trace_cache.n_failed_installs ctx.Backend.cache;
-      healed_nodes = ctx.Backend.healed_nodes;
-      health_demotions = Health.demotions ctx.Backend.health;
-      health_promotions = Health.promotions ctx.Backend.health;
-      final_health = Health.level_rank (Health.level ctx.Backend.health);
-      wall_seconds;
-    }
-  in
-  List.fold_left
-    (fun s k ->
-      let (module B : Backend.S) = implementation k in
-      B.stats_into ctx s)
-    base backends
+  let s = counters t in
+  s.Stats.instructions <- vm_result.Interp.instructions;
+  s.Stats.wall_seconds <- wall_seconds;
+  s
 
 (* Warm starts: the engine-level snapshot is the Persist encoding of
    the profiler's BCG plus the live trace cache, and restoring is the
@@ -640,13 +483,12 @@ type restore_info = {
   recompiled_traces : int;
 }
 
-let snapshots_rejected t = t.snapshots_rejected
-
 let restore t data : (restore_info, Persist.error) result =
   let ctx = t.ctx in
   match Persist.decode ~layout:ctx.Backend.layout data with
   | Error e ->
-      t.snapshots_rejected <- t.snapshots_rejected + 1;
+      ctx.Backend.counts.Stats.snapshots_rejected <-
+        ctx.Backend.counts.Stats.snapshots_rejected + 1;
       if Events.enabled ctx.Backend.events then
         Events.emit ctx.Backend.events
           (Events.Snapshot_rejected { reason = Persist.error_to_string e });
@@ -668,7 +510,8 @@ let restore t data : (restore_info, Persist.error) result =
         Tier.recompile_restored ctx.Backend.config ctx.Backend.layout
           ctx.Backend.cache ~events:ctx.Backend.events
       in
-      ctx.Backend.traces_compiled <- ctx.Backend.traces_compiled + recompiled;
+      ctx.Backend.counts.Stats.traces_compiled <-
+        ctx.Backend.counts.Stats.traces_compiled + recompiled;
       let info =
         {
           restored_traces = traces;

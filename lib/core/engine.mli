@@ -8,10 +8,11 @@
     [Backend.ctx] (the dispatch state every strategy shares) and selects
     a dispatch backend per observed block from the {!Health} ladder —
     [Full_tracing] maps to [Backend_trace] (or [Backend_profile] when
-    {!Config.Profile.build_traces} is off), [Profiling_only] to
+    {!Config.build_traces} is off), [Profiling_only] to
     [Backend_profile], [Interp_only] to [Backend_interp] — so walking
     the degradation ladder {e is} switching backends
-    ({!backend_switches}).  A backend can also be pinned at {!create}.
+    ([Stats.backend_switches]).  A backend can also be pinned at
+    {!create}.
 
     Dispatch accounting mirrors the modified SableVM:
 
@@ -29,9 +30,9 @@
 
     {2 Observing the engine}
 
-    The engine type is abstract.  Its accounting is read through the
-    accessor functions below or, end-of-run, through {!stats}; its
-    lifecycle is observable in two richer ways:
+    The engine type is abstract.  Its accounting is read through
+    {!counters} (live) or, end-of-run, through {!stats}; its lifecycle
+    is observable in two richer ways:
 
     - {!events} — the typed {!Events} stream every component publishes
       on ([Signal_raised], [Trace_constructed], [Trace_entered],
@@ -39,15 +40,16 @@
       [Phase_snapshot]).  Subscribe before driving the engine; a run
       with no subscribers pays one predictable branch per emission
       point and allocates nothing.
-    - {!metrics} — a {!Metrics} registry whose gauges poll the engine's
-      counters, snapshotted every {!Config.t.snapshot_period} dispatches
-      into a phase-analysis time series. *)
+    - {!metrics} — a {!Metrics} registry with one gauge per
+      {!Stats.counters} entry (bar [instructions]), snapshotted every
+      [Config.snapshot_period] dispatches into a phase-analysis time
+      series. *)
 
 type t
 
 type backend_kind = Interp | Profile | Trace | Microir
 (** The dispatch strategies, in ladder order (bottom up).  [Microir] is
-    [Trace] with the compiled micro-IR tier ({!Config.Tier}); the
+    [Trace] with the compiled micro-IR tier ({!Config.tier_enabled}); the
     ladder's top rung selects it when the tier is enabled. *)
 
 val backend_kind_name : backend_kind -> string
@@ -85,7 +87,14 @@ val on_block : t -> Cfg.Layout.gid -> unit
 (** The VM observer: feed one dispatched block.  Exposed so the engine
     can be driven by any block stream (the baselines and tests do). *)
 
+val counters : t -> Stats.t
+(** Every counter as it stands now, in a fresh record that later
+    dispatches do not change.  The fields only the VM knows
+    ([instructions], [wall_seconds]) are zero. *)
+
 val stats : t -> vm_result:Vm.Interp.result -> wall_seconds:float -> Stats.t
+(** {!counters} completed with the VM's instruction count and the wall
+    time. *)
 
 (** {2 Accessors} *)
 
@@ -107,80 +116,35 @@ val active_trace : t -> Trace.t option
 (** The trace currently being followed, if any (e.g. when the program
     trapped mid-trace). *)
 
-val block_dispatches : t -> int
-
-val trace_dispatches : t -> int
-
 val total_dispatches : t -> int
-(** [block_dispatches + trace_dispatches]. *)
-
-val traces_entered : t -> int
-
-val traces_completed : t -> int
-
-val completed_blocks : t -> int
-
-val partial_blocks : t -> int
-
-val completed_instrs : t -> int
-
-val partial_instrs : t -> int
-
-val traces_constructed : t -> int
-
-val builder_reuses : t -> int
-
-val chained_entries : t -> int
-
-val guards_checked : t -> int
-(** In-trace guard positions actually compared against the executed
-    block so far. *)
-
-val guards_elided : t -> int
-(** Guard positions skipped on a [Trace_prover] proof ([Trace.pruned]
-    verdicts) while following traces. *)
-
-val guards_pruned : t -> int
-(** Static pruning verdicts derived at trace installation
-    ({!Config.t.prune_guards}); [0] when pruning is off. *)
-
-val invariant_violations : t -> int
-(** Findings reported by the {!Config.t.debug_checks} sweeps so far;
-    always [0] when the flag is off, and [0] on a healthy run regardless.
-    Each finding is also published as an [Invariant_violation] event. *)
+(** The dispatch clock: [block_dispatches + trace_dispatches] so far. *)
 
 val health : t -> Health.t
-(** The degradation ladder ({!Config.t.self_heal}); stays at
+(** The degradation ladder ({!Config.self_heal}); stays at
     [Full_tracing] when self-healing is off. *)
 
 val health_level : t -> Health.level
 
-val faults_injected : t -> int
-(** Faults the {!Config.t.fault_spec} schedule actually applied so far. *)
-
-val healed_nodes : t -> int
-(** BCG nodes the self-healing sweeps repaired in place. *)
-
 (** {2 Deep observability} *)
 
 val spans : t -> Spans.t option
-(** The causal span recorder; [None] unless [Config.Obs.spans] was on at
+(** The causal span recorder; [None] unless [Config.obs_spans] was on at
     creation.  Call [Spans.end_all] before exporting a finished run. *)
 
 val flightrec : t -> Flightrec.t option
 (** The flight recorder (black box); [None] only when
-    [Config.Obs.flightrec_capacity] was 0 at creation.  Its intake taps
+    [Config.flightrec_capacity] was 0 at creation.  Its intake taps
     the event stream out of band, so an armed recorder does not count
     as an event subscriber.  Install a dump sink with
     [Flightrec.set_on_dump] to capture postmortems. *)
 
 val ledger : t -> Ledger.t option
-(** The decision ledger; [None] when [Config.Obs.ledger] was off at
+(** The decision ledger; [None] when [Config.ledger_enabled] was off at
     creation. *)
 
 val attr_self : t -> int array
 (** Per-gid dispatches outside any trace; [[||]] unless
-    [Config.Obs.attribution] was on.  Sums to [block_dispatches]. *)
+    [Config.obs_attribution] was on.  Sums to [block_dispatches]. *)
 
 val attr_inlined : t -> int array
 (** Per-gid block executions inlined inside traces; [[||]] unless
@@ -206,66 +170,6 @@ val backoff_hist : t -> Metrics.histogram
 
 val deopt_residue_hist : t -> Metrics.histogram
 (** Trace positions abandoned past each OSR deopt point. *)
-
-(** {2 On-stack replacement}
-
-    All zero / no-ops when {!Config.Osr} is off. *)
-
-val deopts : t -> int
-(** OSR deoptimizations taken so far (organic guard failures, FT008
-    flips and mid-flight condemnation cut-overs). *)
-
-val deopt_residue_blocks : t -> int
-(** Trace positions abandoned past the deopt points, summed. *)
-
-val osr_promotions : t -> int
-(** Hot loops promoted into traces mid-iteration. *)
-
-val osr_entries : t -> int
-(** Promoted traces entered on their armed back-edge. *)
-
-val osr_state_checks : t -> int
-(** Deopts that could materialize interpreter state (the engine was
-    driven through {!drive} or {!attach}ed to a handle). *)
-
-val osr_state_mismatches : t -> int
-(** TL219 findings: materialized interpreter state disagreed with the
-    deopt resume block.  Always [0] on a healthy engine. *)
-
-val pin_refusals : t -> int
-(** Quarantine attempts refused because the target trace was executing
-    (pinned) at that moment ({!Trace_cache.n_pin_refusals}). *)
-
-(** {2 The compiled tier}
-
-    All zero when {!Config.Tier} is off. *)
-
-val traces_compiled : t -> int
-(** Promotions to the compiled micro-IR tier (runtime and
-    restore-time). *)
-
-val tier_demotions : t -> int
-(** Compiled slots lost under [compile_budget]. *)
-
-val compiled_entries : t -> int
-(** Trace entries that ran on the compiled tier. *)
-
-val mi_positions : t -> int
-(** Trace positions followed on the compiled tier. *)
-
-val mi_ops : t -> int
-(** Micro-ops those positions dispatched. *)
-
-val mi_fused : t -> int
-(** Superinstructions among the dispatched micro-ops. *)
-
-val mi_src_instrs : t -> int
-(** Source instructions the same positions dispatch under
-    [Backend_trace] — the reduction baseline. *)
-
-val demote_refusals : t -> int
-(** Budget demotions refused because the compiled trace was executing
-    ({!Trace_cache.n_demote_refusals}). *)
 
 val arm_guard_flip : t -> pos:int -> unit
 (** Arm one FT008 guard flip at trace position [pos] directly
@@ -297,11 +201,6 @@ val backend_name : t -> string
 val backend_pinned : t -> bool
 (** Whether the backend was pinned at {!create}. *)
 
-val backend_switches : t -> int
-(** Strategy changes over the run so far — how often the health ladder
-    actually moved the engine to a different backend.  Always [0] when
-    pinned. *)
-
 (** {2 Warm starts} *)
 
 val snapshot : t -> string
@@ -324,15 +223,12 @@ val restore : t -> string -> (restore_info, Persist.error) result
 (** Validate and install a {!snapshot} into a freshly created engine,
     before it is driven.  On success the BCG and trace cache resume
     where the snapshot left them and a [Cache_restored] event is
-    emitted; on [Error] nothing was installed, {!snapshots_rejected} is
+    emitted; on [Error] nothing was installed, [snapshots_rejected] is
     bumped and a [Snapshot_rejected] event is emitted.  Because tracing
     is a pure overlay, a warm-started run produces results bit-identical
     to a cold one.
     @raise Invalid_argument if this engine was already driven (its BCG
     is non-empty). *)
-
-val snapshots_rejected : t -> int
-(** Warm-start loads this engine refused (also a metrics gauge). *)
 
 (** {2 Running} *)
 

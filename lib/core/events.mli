@@ -25,8 +25,8 @@
 
 type evict_reason =
   | Capacity
-      (** the {!Config.Cache} bounds were exceeded and a victim chosen by
-          the configured policy was dropped *)
+      (** the {!Config.max_cache_traces} bound was exceeded and a
+          victim chosen by the configured policy was dropped *)
   | Pressure
       (** an injected allocation-pressure fault ([FT007]) forced an
           LRU eviction *)
@@ -95,7 +95,7 @@ type payload =
       severity : string;  (** ["error"] / ["warning"] / ["info"] *)
       message : string;  (** rendered diagnostic, location included *)
     }
-      (** A {!Config.t.debug_checks} run found a trace/BCG invariant
+      (** A {!Config.debug_checks} run found a trace/BCG invariant
           violation.  The payload is pre-rendered strings so the stream
           does not depend on the analysis library's diagnostic type. *)
   | Fault_injected of {
@@ -122,8 +122,9 @@ type payload =
       reason : evict_reason;  (** why the trace left the cache *)
     }
       (** A trace was removed from the cache: capacity pressure
-          ({!Config.Cache}), an injected allocation-pressure fault, or a
-          quarantine/blacklist of its entry transition.  [Capacity],
+          ({!Config.max_cache_traces}), an injected allocation-pressure
+          fault, or a quarantine/blacklist of its entry transition.
+          [Capacity],
           [Pressure] and [Footprint] removals count toward
           {!Trace_cache.n_evicted} — [Quarantine] removals are counted
           by {!Trace_cache.n_quarantined} and carry their own
@@ -152,7 +153,7 @@ type payload =
       guards : int;  (** guard positions in the trace (its block count) *)
     }
       (** [Trace_prover] derived a non-empty guard-implication pruning
-          for a newly installed trace ({!Config.t.prune_guards}). *)
+          for a newly installed trace ({!Config.prune_guards}). *)
   | Deopt_entered of {
       trace_id : int;
       at_block : int;
@@ -170,7 +171,7 @@ type payload =
     }
       (** OSR deoptimization: the engine abandoned the active trace and
           resumed block dispatch at the materialized interpreter state
-          ({!Config.Osr.t.enabled}). *)
+          ({!Config.osr_enabled}). *)
   | Osr_promoted of {
       trace_id : int;
       header : Cfg.Layout.gid;  (** the promoted loop's header block *)
@@ -189,7 +190,7 @@ type payload =
     }
       (** The tier cost model promoted a hot trace to the compiled tier:
           its blocks were lowered to register micro-IR
-          ({!Config.Tier}). *)
+          ({!Config.tier_enabled}). *)
   | Tier_demoted of {
       trace_id : int;
       uses : int;  (** cache heat at demotion — the losing bid *)

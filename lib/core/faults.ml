@@ -267,7 +267,7 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t)
           let n = nth nodes (pick t (List.length nodes)) in
           let edges = n.Bcg.edges in
           let e = nth edges (pick t (List.length edges)) in
-          let w = (2 * Config.counter_max bcg.Bcg.config) + 1 in
+          let w = (2 * Config.counter_max) + 1 in
           e.Bcg.weight <- w;
           Some
             (Printf.sprintf "node (%d->%d): edge to %d saturated to %d"

@@ -20,11 +20,11 @@ let check_node ?context (bcg : Bcg.t) (n : Bcg.node) =
   (* TL204: 16-bit saturating counters; dead edges are pruned at decay *)
   List.iter
     (fun (e : Bcg.edge) ->
-      if e.Bcg.weight < 1 || e.Bcg.weight > Config.counter_max config then
+      if e.Bcg.weight < 1 || e.Bcg.weight > Config.counter_max then
         add
           (err ?context ~code:"TL204" ~loc
              "edge to %d has weight %d outside [1, %d]" e.Bcg.e_z e.Bcg.weight
-             (Config.counter_max config)))
+             Config.counter_max))
     n.Bcg.edges;
   (* TL205: the inline cache is a live maximal-weight edge *)
   (match (n.Bcg.best, n.Bcg.edges) with
@@ -135,11 +135,11 @@ let check_trace ?context ?bcg ?layout (config : Config.t) (tr : Trace.t) =
          (Config.threshold config));
   (* TL209: the cutter respects the configured length bounds *)
   let n = Trace.n_blocks tr in
-  if n < Config.min_trace_blocks config || n > Config.max_trace_blocks config
+  if n < Config.min_trace_blocks || n > Config.max_trace_blocks config
   then
     add
       (err ?context ~code:"TL209" ~loc "%d blocks outside [%d, %d]" n
-         (Config.min_trace_blocks config)
+         Config.min_trace_blocks
          (Config.max_trace_blocks config));
   (* TL203: a transition can appear twice (the single loop unrolling) but
      never three times *)

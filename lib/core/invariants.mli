@@ -35,7 +35,7 @@
       disagrees with the layout's static count for that block
 
     The checks are read-only and allocation-light but walk every node /
-    trace they are given; {!Config.t.debug_checks} runs them at
+    trace they are given; {!Config.debug_checks} runs them at
     trace-construction and decay boundaries, which is measurably slower
     than a production run (see the bench). *)
 
@@ -75,5 +75,5 @@ val check_all :
   cache:Trace_cache.t ->
   Analysis.Diag.t list
 (** {!check_bcg} followed by {!check_cache}: the full sweep the engine
-    runs under {!Config.t.debug_checks}, and [repro_cli lint] runs after
+    runs under {!Config.debug_checks}, and [repro_cli lint] runs after
     a workload's profiled execution. *)

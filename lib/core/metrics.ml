@@ -24,6 +24,8 @@ type histogram = {
 type source =
   | Counter of counter
   | Gauge of (unit -> int)
+  | Gauges : (string * ('a -> int)) list * (unit -> 'a) -> source
+      (* a gauge group: named projections of one sample, polled once *)
   | Hist of histogram
 
 type snapshot = { at : int; values : (string * int) array }
@@ -50,12 +52,20 @@ let create ?(period = 0) () =
 
 let period t = t.period
 
-let find t name = List.assoc_opt name t.entries
+(* Allocation-free: engines register dozens of metrics at creation. *)
+let rec find_in name = function
+  | [] -> None
+  | (_, (Gauges (named, _) as src)) :: rest ->
+      if List.mem_assoc name named then Some src else find_in name rest
+  | (n, src) :: rest -> if n = name then Some src else find_in name rest
+
+let find t name = find_in name t.entries
 
 let counter t name =
   match find t name with
   | Some (Counter c) -> c
-  | Some (Gauge _) -> invalid_arg ("Metrics.counter: " ^ name ^ " is a gauge")
+  | Some (Gauge _ | Gauges _) ->
+      invalid_arg ("Metrics.counter: " ^ name ^ " is a gauge")
   | Some (Hist _) ->
       invalid_arg ("Metrics.counter: " ^ name ^ " is a histogram")
   | None ->
@@ -71,6 +81,14 @@ let gauge t name f =
   match find t name with
   | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " already registered")
   | None -> t.entries <- (name, Gauge f) :: t.entries
+
+let gauges t named sample =
+  List.iter
+    (fun (name, _) ->
+      if find t name <> None then
+        invalid_arg ("Metrics.gauges: " ^ name ^ " already registered"))
+    named;
+  t.entries <- ("", Gauges (named, sample)) :: t.entries
 
 (* histograms *)
 
@@ -168,6 +186,9 @@ let percentile h p =
 let flatten_source name = function
   | Counter c -> [ (name, c.c_value) ]
   | Gauge f -> [ (name, f ()) ]
+  | Gauges (named, sample) ->
+      let v = sample () in
+      List.map (fun (name, f) -> (name, f v)) named
   | Hist h ->
       [
         (name ^ ".count", h.h_count);
@@ -178,14 +199,21 @@ let flatten_source name = function
         (name ^ ".max", h.h_max);
       ]
 
-let read_source = function
+let read_source name = function
   | Counter c -> c.c_value
   | Gauge f -> f ()
+  | Gauges (named, sample) -> (List.assoc name named) (sample ())
   | Hist h -> h.h_count
 
-let read t name = Option.map read_source (find t name)
+let read t name = Option.map (read_source name) (find t name)
 
-let names t = List.rev_map fst t.entries
+let names t =
+  List.concat_map
+    (fun (name, src) ->
+      match src with
+      | Gauges (named, _) -> List.map fst named
+      | _ -> [ name ])
+    (List.rev t.entries)
 
 let ticks t = t.ticks
 

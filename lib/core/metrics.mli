@@ -62,6 +62,13 @@ val gauge : t -> string -> (unit -> int) -> unit
 (** Register a polled gauge; the closure runs only at snapshot time.
     @raise Invalid_argument if the name is already registered. *)
 
+val gauges : t -> (string * ('a -> int)) list -> (unit -> 'a) -> unit
+(** [gauges t named sample] registers one polled gauge per
+    [(name, project)], all projecting one sample: a snapshot runs
+    [sample] once for the whole group, which flattens into one field
+    per name.
+    @raise Invalid_argument if a name is already registered. *)
+
 val histogram : t -> ?buckets:int -> string -> histogram
 (** Find or register the named histogram with [buckets] power-of-two
     buckets (default 16; the first find-or-register fixes the count).

@@ -17,7 +17,7 @@
       against the resume block — a mismatch is invariant TL219;
     - {e promotion} — outside-trace dispatches of natural-loop headers
       ({!Analysis.Loops}) are counted, and a header crossing
-      {!Config.Osr.t.promote_after} promotes its loop into a freshly
+      {!Config.osr_promote_after} promotes its loop into a freshly
       built back-edge trace mid-iteration, entered at the header on the
       very next latch→header transition.
 

@@ -2,69 +2,78 @@
    counts they derive from. *)
 
 type t = {
-  instructions : int; (* bytecodes executed (= Figure-1 dispatch count) *)
-  block_dispatches : int; (* dispatches outside traces (profiled) *)
-  trace_dispatches : int; (* trace entries (one hook each) *)
-  traces_entered : int;
-  traces_completed : int;
-  completed_blocks : int; (* sum over completions of the trace's block count *)
-  partial_blocks : int; (* blocks executed by partially executed traces *)
-  completed_instrs : int; (* instructions executed by completed traces *)
-  partial_instrs : int; (* instructions executed by partially executed traces *)
-  signals : int;
-  traces_constructed : int;
-  traces_replaced : int;
-  traces_live : int;
+  mutable instructions : int;
+    (* bytecodes executed (= Figure-1 dispatch count) *)
+  mutable block_dispatches : int; (* dispatches outside traces (profiled) *)
+  mutable trace_dispatches : int; (* trace entries (one hook each) *)
+  mutable traces_entered : int;
+  mutable traces_completed : int;
+  mutable completed_blocks : int;
+    (* sum over completions of the trace's block count *)
+  mutable partial_blocks : int;
+    (* blocks executed by partially executed traces *)
+  mutable completed_instrs : int;
+    (* instructions executed by completed traces *)
+  mutable partial_instrs : int;
+    (* instructions executed by partially executed traces *)
+  mutable signals : int;
+  mutable traces_constructed : int;
+  mutable builder_reuses : int;
+    (* builder walks that re-derived an already cached trace *)
+  mutable traces_replaced : int;
+  mutable traces_live : int;
   (* static view over distinct traces that completed at least once *)
-  static_traces : int;
-  static_blocks : int;
-  bcg_nodes : int;
-  bcg_edges : int;
-  ic_predictions : int; (* inline-cache hits in the profiler *)
-  chained_entries : int;
-      (* trace entries directly following another trace's completion *)
-  guards_checked : int;
-      (* trace-position guards actually compared against the executed
-         block during dispatch *)
-  guards_elided : int;
-      (* guard positions skipped because Trace_prover proved them
-         implied (Trace.pruned verdicts) *)
-  guards_pruned : int;
-      (* static pruning verdicts derived at install time, summed over
-         constructed traces *)
+  mutable static_traces : int;
+  mutable static_blocks : int;
+  mutable bcg_nodes : int;
+  mutable bcg_edges : int;
+  mutable ic_predictions : int; (* inline-cache hits in the profiler *)
+  mutable chained_entries : int;
+    (* trace entries directly following another trace's completion *)
+  mutable guards_checked : int;
+    (* trace-position guards compared against the executed block *)
+  mutable guards_elided : int;
+    (* guard positions skipped on a Trace_prover proof (Trace.pruned) *)
+  mutable guards_pruned : int;
+    (* static pruning verdicts derived at install time *)
   (* resilience: the self-healing / chaos counters.  All zero on a
      healthy run without fault injection. *)
-  invariant_violations : int; (* findings of the debug_checks sweeps *)
-  faults_injected : int; (* faults the injector actually applied *)
-  traces_quarantined : int; (* condemnations (entries may repeat) *)
-  traces_evicted : int; (* capacity / pressure evictions *)
-  traces_blacklisted : int; (* entries quarantined permanently *)
-  failed_installs : int; (* injected installation failures consumed *)
-  healed_nodes : int; (* BCG nodes repaired in place *)
-  health_demotions : int;
-  health_promotions : int;
-  final_health : int; (* Health.level_rank at end of run: 0 = full *)
-  (* on-stack replacement (Config.Osr).  All zero with OSR off. *)
-  deopts : int; (* mid-trace deoptimizations taken *)
-  deopt_residue_blocks : int;
-      (* trace positions abandoned past the deopt points, summed *)
-  osr_promotions : int; (* hot loops promoted mid-iteration *)
-  osr_entries : int; (* promoted traces entered on their armed back-edge *)
-  (* the compiled micro-IR tier (Config.Tier).  All zero with tier off. *)
-  traces_compiled : int; (* promotions to the compiled tier *)
-  tier_demotions : int; (* compiled slots lost under compile_budget *)
-  compiled_entries : int; (* trace entries that ran on the compiled tier *)
-  mi_positions : int; (* trace positions followed on the compiled tier *)
-  mi_ops : int; (* micro-ops those positions dispatched *)
-  mi_fused : int; (* superinstructions among them *)
-  mi_src_instrs : int;
-      (* source bytecode instructions the same positions would have
-         dispatched under Backend_trace — the baseline of the
-         dispatch-cost reduction *)
-  wall_seconds : float;
+  mutable invariant_violations : int; (* findings of the debug_checks sweeps *)
+  mutable faults_injected : int; (* faults the injector actually applied *)
+  mutable traces_quarantined : int; (* condemnations (entries may repeat) *)
+  mutable traces_evicted : int; (* capacity / pressure evictions *)
+  mutable traces_blacklisted : int; (* entries quarantined permanently *)
+  mutable failed_installs : int; (* injected installation failures consumed *)
+  mutable pin_refusals : int; (* quarantines refused on an executing trace *)
+  mutable healed_nodes : int; (* BCG nodes repaired in place *)
+  mutable health_demotions : int;
+  mutable health_promotions : int;
+  mutable final_health : int; (* Health.level_rank: 0 = full tracing *)
+  mutable backend_switches : int; (* strategy changes over the run *)
+  mutable snapshots_rejected : int; (* warm-start loads refused *)
+  (* on-stack replacement.  All zero with OSR off. *)
+  mutable deopts : int; (* mid-trace deoptimizations taken *)
+  mutable deopt_residue_blocks : int;
+    (* trace positions abandoned past the deopt points, summed *)
+  mutable osr_promotions : int; (* hot loops promoted mid-iteration *)
+  mutable osr_entries : int; (* promoted traces entered on their back-edge *)
+  mutable osr_state_checks : int; (* deopts that materialized VM state *)
+  mutable osr_state_mismatches : int; (* TL219 findings *)
+  (* the compiled micro-IR tier.  All zero with the tier off. *)
+  mutable traces_compiled : int; (* promotions to the compiled tier *)
+  mutable tier_demotions : int; (* compiled slots lost under compile_budget *)
+  mutable demote_refusals : int; (* demotions refused on an executing trace *)
+  mutable compiled_entries : int; (* trace entries on the compiled tier *)
+  mutable mi_positions : int; (* trace positions followed on the tier *)
+  mutable mi_ops : int; (* micro-ops those positions dispatched *)
+  mutable mi_fused : int; (* superinstructions among them *)
+  mutable mi_src_instrs : int;
+    (* source instructions the same positions would have dispatched
+       under Backend_trace: the baseline of the reduction *)
+  mutable wall_seconds : float;
 }
 
-let zero =
+let zero () =
   {
     instructions = 0;
     block_dispatches = 0;
@@ -77,6 +86,7 @@ let zero =
     partial_instrs = 0;
     signals = 0;
     traces_constructed = 0;
+    builder_reuses = 0;
     traces_replaced = 0;
     traces_live = 0;
     static_traces = 0;
@@ -94,16 +104,22 @@ let zero =
     traces_evicted = 0;
     traces_blacklisted = 0;
     failed_installs = 0;
+    pin_refusals = 0;
     healed_nodes = 0;
     health_demotions = 0;
     health_promotions = 0;
     final_health = 0;
+    backend_switches = 0;
+    snapshots_rejected = 0;
     deopts = 0;
     deopt_residue_blocks = 0;
     osr_promotions = 0;
     osr_entries = 0;
+    osr_state_checks = 0;
+    osr_state_mismatches = 0;
     traces_compiled = 0;
     tier_demotions = 0;
+    demote_refusals = 0;
     compiled_entries = 0;
     mi_positions = 0;
     mi_ops = 0;
@@ -111,6 +127,64 @@ let zero =
     mi_src_instrs = 0;
     wall_seconds = 0.0;
   }
+
+let copy t = { t with wall_seconds = t.wall_seconds }
+
+(* Every integer counter, by name: the one table the engine's gauges and
+   the JSON export are generated from. *)
+let counters : (string * (t -> int)) list =
+  [
+    ("instructions", fun s -> s.instructions);
+    ("block_dispatches", fun s -> s.block_dispatches);
+    ("trace_dispatches", fun s -> s.trace_dispatches);
+    ("traces_entered", fun s -> s.traces_entered);
+    ("traces_completed", fun s -> s.traces_completed);
+    ("completed_blocks", fun s -> s.completed_blocks);
+    ("partial_blocks", fun s -> s.partial_blocks);
+    ("completed_instrs", fun s -> s.completed_instrs);
+    ("partial_instrs", fun s -> s.partial_instrs);
+    ("signals", fun s -> s.signals);
+    ("traces_constructed", fun s -> s.traces_constructed);
+    ("builder_reuses", fun s -> s.builder_reuses);
+    ("traces_replaced", fun s -> s.traces_replaced);
+    ("traces_live", fun s -> s.traces_live);
+    ("static_traces", fun s -> s.static_traces);
+    ("static_blocks", fun s -> s.static_blocks);
+    ("bcg_nodes", fun s -> s.bcg_nodes);
+    ("bcg_edges", fun s -> s.bcg_edges);
+    ("ic_predictions", fun s -> s.ic_predictions);
+    ("chained_entries", fun s -> s.chained_entries);
+    ("guards_checked", fun s -> s.guards_checked);
+    ("guards_elided", fun s -> s.guards_elided);
+    ("guards_pruned", fun s -> s.guards_pruned);
+    ("invariant_violations", fun s -> s.invariant_violations);
+    ("faults_injected", fun s -> s.faults_injected);
+    ("traces_quarantined", fun s -> s.traces_quarantined);
+    ("traces_evicted", fun s -> s.traces_evicted);
+    ("traces_blacklisted", fun s -> s.traces_blacklisted);
+    ("failed_installs", fun s -> s.failed_installs);
+    ("pin_refusals", fun s -> s.pin_refusals);
+    ("healed_nodes", fun s -> s.healed_nodes);
+    ("health_demotions", fun s -> s.health_demotions);
+    ("health_promotions", fun s -> s.health_promotions);
+    ("final_health", fun s -> s.final_health);
+    ("backend_switches", fun s -> s.backend_switches);
+    ("snapshots_rejected", fun s -> s.snapshots_rejected);
+    ("deopts", fun s -> s.deopts);
+    ("deopt_residue_blocks", fun s -> s.deopt_residue_blocks);
+    ("osr_promotions", fun s -> s.osr_promotions);
+    ("osr_entries", fun s -> s.osr_entries);
+    ("osr_state_checks", fun s -> s.osr_state_checks);
+    ("osr_state_mismatches", fun s -> s.osr_state_mismatches);
+    ("traces_compiled", fun s -> s.traces_compiled);
+    ("tier_demotions", fun s -> s.tier_demotions);
+    ("demote_refusals", fun s -> s.demote_refusals);
+    ("compiled_entries", fun s -> s.compiled_entries);
+    ("mi_positions", fun s -> s.mi_positions);
+    ("mi_ops", fun s -> s.mi_ops);
+    ("mi_fused", fun s -> s.mi_fused);
+    ("mi_src_instrs", fun s -> s.mi_src_instrs);
+  ]
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 

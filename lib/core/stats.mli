@@ -2,81 +2,114 @@
     counts they derive from. *)
 
 type t = {
-  instructions : int;
+  mutable instructions : int;
       (** bytecodes executed — the Figure-1 per-instruction dispatch
           count *)
-  block_dispatches : int;  (** dispatches outside traces (profiled) *)
-  trace_dispatches : int;  (** trace entries (one profiler hook each) *)
-  traces_entered : int;
-  traces_completed : int;
-  completed_blocks : int;
+  mutable block_dispatches : int;  (** dispatches outside traces (profiled) *)
+  mutable trace_dispatches : int;
+      (** trace entries (one profiler hook each) *)
+  mutable traces_entered : int;
+  mutable traces_completed : int;
+  mutable completed_blocks : int;
       (** sum over completion events of the trace's block count *)
-  partial_blocks : int;  (** blocks executed by partially executed traces *)
-  completed_instrs : int;
+  mutable partial_blocks : int;
+      (** blocks executed by partially executed traces *)
+  mutable completed_instrs : int;
       (** instructions executed by completed traces *)
-  partial_instrs : int;
+  mutable partial_instrs : int;
       (** instructions executed by partially executed traces *)
-  signals : int;
-  traces_constructed : int;
-  traces_replaced : int;
-  traces_live : int;
-  static_traces : int;
+  mutable signals : int;
+  mutable traces_constructed : int;
+  mutable builder_reuses : int;
+      (** builder walks that re-derived an already cached trace *)
+  mutable traces_replaced : int;
+  mutable traces_live : int;
+  mutable static_traces : int;
       (** distinct traces that completed at least once *)
-  static_blocks : int;  (** their total length in blocks *)
-  bcg_nodes : int;
-  bcg_edges : int;
-  ic_predictions : int;  (** profiler inline-cache hits *)
-  chained_entries : int;
+  mutable static_blocks : int;  (** their total length in blocks *)
+  mutable bcg_nodes : int;
+  mutable bcg_edges : int;
+  mutable ic_predictions : int;  (** profiler inline-cache hits *)
+  mutable chained_entries : int;
       (** trace entries directly following another trace's completion *)
-  guards_checked : int;
+  mutable guards_checked : int;
       (** trace-position guards actually compared against the executed
           block during dispatch *)
-  guards_elided : int;
+  mutable guards_elided : int;
       (** guard positions skipped because [Trace_prover] proved them
           implied ([Trace.pruned] verdicts) *)
-  guards_pruned : int;
+  mutable guards_pruned : int;
       (** static pruning verdicts derived at install time, summed over
           constructed traces *)
-  invariant_violations : int;
-      (** findings of the {!Config.t.debug_checks} sweeps *)
-  faults_injected : int;  (** faults the injector actually applied *)
-  traces_quarantined : int;
+  mutable invariant_violations : int;
+      (** findings of the [Config.debug_checks] sweeps *)
+  mutable faults_injected : int;  (** faults the injector actually applied *)
+  mutable traces_quarantined : int;
       (** condemnations recorded (an entry condemned twice counts twice) *)
-  traces_evicted : int;  (** capacity / allocation-pressure evictions *)
-  traces_blacklisted : int;  (** entries quarantined permanently *)
-  failed_installs : int;  (** injected installation failures consumed *)
-  healed_nodes : int;  (** BCG nodes repaired in place *)
-  health_demotions : int;
-  health_promotions : int;
-  final_health : int;
+  mutable traces_evicted : int;
+      (** capacity / allocation-pressure evictions *)
+  mutable traces_blacklisted : int;  (** entries quarantined permanently *)
+  mutable failed_installs : int;
+      (** injected installation failures consumed *)
+  mutable pin_refusals : int;
+      (** quarantines refused because the target trace was executing
+          ({!Trace_cache.n_pin_refusals}) *)
+  mutable healed_nodes : int;  (** BCG nodes repaired in place *)
+  mutable health_demotions : int;
+  mutable health_promotions : int;
+  mutable final_health : int;
       (** {!Health.level_rank} at end of run: [0] = full tracing *)
-  deopts : int;
-      (** OSR mid-trace deoptimizations taken ({!Config.Osr}); [0] with
-          OSR off *)
-  deopt_residue_blocks : int;
+  mutable backend_switches : int;
+      (** dispatch-strategy changes the health ladder caused; [0] when
+          the backend is pinned *)
+  mutable snapshots_rejected : int;  (** warm-start loads refused *)
+  mutable deopts : int;
+      (** OSR mid-trace deoptimizations taken; [0] with OSR off *)
+  mutable deopt_residue_blocks : int;
       (** trace positions abandoned past the deopt points, summed *)
-  osr_promotions : int;  (** hot loops promoted mid-iteration *)
-  osr_entries : int;
+  mutable osr_promotions : int;  (** hot loops promoted mid-iteration *)
+  mutable osr_entries : int;
       (** promoted traces entered on their armed back-edge *)
-  traces_compiled : int;
-      (** promotions to the compiled micro-IR tier ({!Config.Tier});
-          [0] with the tier off *)
-  tier_demotions : int;
+  mutable osr_state_checks : int;
+      (** deopts that could materialize interpreter state *)
+  mutable osr_state_mismatches : int;
+      (** TL219 findings: materialized interpreter state disagreed with
+          the deopt resume block.  [0] on a healthy engine. *)
+  mutable traces_compiled : int;
+      (** promotions to the compiled micro-IR tier (runtime and
+          restore-time); [0] with the tier off *)
+  mutable tier_demotions : int;
       (** compiled slots lost under [compile_budget] *)
-  compiled_entries : int;
+  mutable demote_refusals : int;
+      (** budget demotions refused because the compiled trace was
+          executing ({!Trace_cache.n_demote_refusals}) *)
+  mutable compiled_entries : int;
       (** trace entries that ran on the compiled tier *)
-  mi_positions : int;
+  mutable mi_positions : int;
       (** trace positions followed on the compiled tier *)
-  mi_ops : int;  (** micro-ops those positions dispatched *)
-  mi_fused : int;  (** superinstructions among them *)
-  mi_src_instrs : int;
+  mutable mi_ops : int;  (** micro-ops those positions dispatched *)
+  mutable mi_fused : int;  (** superinstructions among them *)
+  mutable mi_src_instrs : int;
       (** source bytecode instructions the same positions would have
           dispatched under [Backend_trace] — the baseline of the
           dispatch-cost reduction *)
-  wall_seconds : float;
+  mutable wall_seconds : float;
 }
+(** Every engine counter, defined once.  The engine advances the
+    dispatch-loop counters in place in its own record; readers get a
+    {!copy} ([Engine.counters], [Engine.stats]) that does not change
+    afterwards. *)
 
-val zero : t
+val zero : unit -> t
+(** A fresh record with every counter at zero. *)
+
+val copy : t -> t
+
+val counters : (string * (t -> int)) list
+(** Every integer field, by its name — the one table the engine's
+    metrics gauges and the counter keys of [Harness.Export.stats_json]
+    are generated from.  Adding a counter is one field plus one row
+    here. *)
 
 type derived = {
   total_dispatches : int;

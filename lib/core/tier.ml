@@ -6,7 +6,7 @@ module Diag = Analysis.Diag
 (* The compiled tier's policy and plumbing: lowering a trace's blocks to
    micro-IR with the analysis facts wired in ([lower_trace]), validating
    a lowered body by re-derivation (TL220, [check_lowered]), and the
-   cost model that decides which traces hold the [Config.Tier] budget's
+   cost model that decides which traces hold the [Config.tier_compile_budget]
    compiled slots ([maybe_compile], [recompile_restored]).
 
    The heat signal is the cache's per-entry use count — the same number

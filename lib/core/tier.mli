@@ -1,7 +1,7 @@
 (** The compiled tier's policy layer: lowering hot traces to micro-IR
     ({!Microir}) with the analysis facts wired in, validating lowered
     bodies by re-derivation (TL220), and the cost model that decides
-    which traces hold the {!Config.Tier} budget's compiled slots.
+    which traces hold the {!Config.tier_compile_budget} compiled slots.
 
     The heat signal is the cache's per-entry use count — the same number
     the hot-report ranks by and footprint-aware eviction divides by, and

@@ -49,7 +49,7 @@ type t = {
   mutable lowered : Microir.body option;
       (** the compiled tier: the trace's blocks lowered to register
           micro-IR ({!Microir}), present only while the trace holds a
-          compiled-tier slot under [Config.Tier]'s budget.  Derived
+          compiled-tier slot under [Config.tier_compile_budget].  Derived
           state, never persisted — a restored cache re-lowers whatever
           the tier cost model picks, exactly like [pruned]/[validated]
           re-derive. *)

@@ -49,7 +49,7 @@ let strong_preds (n : Bcg.node) : Bcg.node list =
     n.Bcg.preds
 
 (* Step 1: entry points reachable backwards along strong edges. *)
-let find_entry_points (config : Config.t) (s : Bcg.node) : Bcg.node list =
+let find_entry_points (s : Bcg.node) : Bcg.node list =
   let visited : (int * int, unit) Hashtbl.t = Hashtbl.create 32 in
   let key (n : Bcg.node) = (n.Bcg.n_x, n.Bcg.n_y) in
   let roots = ref [] in
@@ -58,7 +58,7 @@ let find_entry_points (config : Config.t) (s : Bcg.node) : Bcg.node list =
     else begin
       Hashtbl.replace visited (key n) ();
       let preds = strong_preds n in
-      if preds = [] || depth >= Config.max_backtrack config then
+      if preds = [] || depth >= Config.max_backtrack then
         roots := n :: !roots
       else
         List.iter
@@ -112,7 +112,7 @@ let walk_from (config : Config.t) (root : Bcg.node) : walk =
                 corrs := c :: !corrs;
                 stop := true
             | None ->
-                if !len >= Config.max_walk config then stop := true
+                if !len >= Config.max_walk then stop := true
                 else begin
                   corrs := c :: !corrs;
                   path := target :: !path;
@@ -201,7 +201,7 @@ let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
       end
     done;
     let n_transitions = !j - !i + 1 in
-    if n_transitions >= Config.min_trace_blocks config then begin
+    if n_transitions >= Config.min_trace_blocks then begin
       let first = w.path.(!i).Bcg.n_x in
       let blocks =
         Array.init n_transitions (fun k -> w.path.(!i + k).Bcg.n_y)
@@ -269,7 +269,7 @@ let build_from (config : Config.t) (cache : Trace_cache.t) ~events ~on_path
 let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
     (config : Config.t) (cache : Trace_cache.t) (signal : Bcg.signal) : outcome
     =
-  let entries = find_entry_points config signal.Bcg.s_node in
+  let entries = find_entry_points signal.Bcg.s_node in
   let new_traces = ref 0 in
   let reused = ref 0 in
   let pruned = ref 0 in
@@ -327,7 +327,7 @@ let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
       let stalled = ref false in
       (* the closed walk installs as ONE trace, so it answers to the
          cutter's length bound (TL209) as well as the walk cap *)
-      let cap = min (Config.max_walk config) (Config.max_trace_blocks config) in
+      let cap = min Config.max_walk (Config.max_trace_blocks config) in
       while (not !closed) && (not !stalled) && !len < cap do
         match (!cur).Bcg.best with
         | None -> stalled := true
@@ -342,7 +342,7 @@ let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
             end
       done;
       on_path !len;
-      if (not !closed) || !len < Config.min_trace_blocks config then
+      if (not !closed) || !len < Config.min_trace_blocks then
         ({ no_outcome with entry_points = 1 }, None)
       else begin
         let blocks = Array.of_list (List.rev !rev_blocks) in

@@ -26,7 +26,7 @@ type outcome = {
 
 val no_outcome : outcome
 
-val find_entry_points : Config.t -> Bcg.node -> Bcg.node list
+val find_entry_points : Bcg.node -> Bcg.node list
 (** Step 1 alone, exposed for inspection and tests. *)
 
 val on_signal :

@@ -1,71 +1,18 @@
 module Stats = Tracegen.Stats
 
-(* Machine-readable results for experiment runs and sweeps.  The JSON
-   machinery and the per-record JSONL/Chrome writers moved to [Codec]
-   (the single encode/decode module); what remains here is the
-   experiment-level exporters plus thin deprecated aliases so callers
-   that predate the split keep compiling. *)
+open Codec
 
-(* Deprecated aliases: use [Codec]. *)
+(* Machine-readable results for experiment runs and sweeps; the JSON
+   machinery and the per-record writers live in [Codec]. *)
 
-type json = Codec.json =
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_bool of bool
-  | J_null
-  | J_obj of (string * json) list
-  | J_list of json list
-
-let to_string = Codec.to_string
-
-let json_escape = Codec.json_escape
-
-let parse = Codec.parse
-
-let schema_version = Codec.schema_version
-
-let snapshot_json = Codec.snapshot_json
-
-let snapshots_jsonl = Codec.snapshots_jsonl
-
-let event_json = Codec.event_json
-
-let events_jsonl = Codec.events_jsonl
-
-let hist_json = Codec.hist_json
-
-let span_json = Codec.span_json
-
-let spans_jsonl = Codec.spans_jsonl
-
-let diag_json = Codec.diag_json
-
-let diags_jsonl = Codec.diags_jsonl
-
-let chrome_trace = Codec.chrome_trace
-
-let chrome_trace_events = Codec.chrome_trace_events
-
-(* One run's statistics, raw counts plus the paper's derived values —
-   the latter computed once through Stats.derived. *)
+(* One run's statistics: every counter of [Stats.counters], then the
+   paper's derived values, computed once through Stats.derived. *)
 let stats_json ?(extra = []) (s : Stats.t) : json =
   let d = Stats.derived s in
   J_obj
     (extra
+    @ List.map (fun (name, get) -> (name, J_int (get s))) Stats.counters
     @ [
-        ("instructions", J_int s.Stats.instructions);
-        ("block_dispatches", J_int s.Stats.block_dispatches);
-        ("trace_dispatches", J_int s.Stats.trace_dispatches);
-        ("traces_entered", J_int s.Stats.traces_entered);
-        ("traces_completed", J_int s.Stats.traces_completed);
-        ("signals", J_int s.Stats.signals);
-        ("traces_constructed", J_int s.Stats.traces_constructed);
-        ("traces_replaced", J_int s.Stats.traces_replaced);
-        ("traces_live", J_int s.Stats.traces_live);
-        ("bcg_nodes", J_int s.Stats.bcg_nodes);
-        ("bcg_edges", J_int s.Stats.bcg_edges);
-        ("chained_entries", J_int s.Stats.chained_entries);
         ("avg_trace_length", J_float d.Stats.avg_trace_length);
         ("dynamic_trace_length", J_float d.Stats.dynamic_trace_length);
         ("coverage_completed", J_float d.Stats.coverage_completed);
@@ -75,16 +22,6 @@ let stats_json ?(extra = []) (s : Stats.t) : json =
         ("trace_event_interval", J_float d.Stats.trace_event_interval);
         ("linking_rate", J_float d.Stats.linking_rate);
         ("dispatch_reduction", J_float d.Stats.dispatch_reduction);
-        ("invariant_violations", J_int s.Stats.invariant_violations);
-        ("faults_injected", J_int s.Stats.faults_injected);
-        ("traces_quarantined", J_int s.Stats.traces_quarantined);
-        ("traces_evicted", J_int s.Stats.traces_evicted);
-        ("traces_blacklisted", J_int s.Stats.traces_blacklisted);
-        ("failed_installs", J_int s.Stats.failed_installs);
-        ("healed_nodes", J_int s.Stats.healed_nodes);
-        ("health_demotions", J_int s.Stats.health_demotions);
-        ("health_promotions", J_int s.Stats.health_promotions);
-        ("final_health", J_int s.Stats.final_health);
         ("quarantine_rate", J_float d.Stats.quarantine_rate);
         ("eviction_rate", J_float d.Stats.eviction_rate);
         ("wall_seconds", J_float s.Stats.wall_seconds);

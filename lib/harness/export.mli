@@ -1,77 +1,14 @@
 (** Machine-readable results: JSON for single runs, JSON-lines and CSV
-    for the parameter sweeps.
+    for the parameter sweeps.  The JSON value type, writer/parser pair
+    and every per-record serializer live in {!Codec}. *)
 
-    The JSON value type, writer/parser pair, version registry and every
-    per-record JSONL/Chrome serializer live in {!Codec} (the single
-    encode/decode module); the aliases below are {e deprecated} — they
-    are kept so callers that predate the split keep compiling, and new
-    code should use [Codec] directly.  What genuinely lives here is the
-    experiment-level export: {!stats_json}, {!run_json} and the sweep
-    writers. *)
+val stats_json :
+  ?extra:(string * Codec.json) list -> Tracegen.Stats.t -> Codec.json
+(** One flat object: [extra], then every {!Tracegen.Stats.counters}
+    entry under its own name, then the derived values and
+    [wall_seconds]. *)
 
-(** {2 Deprecated aliases — use {!Codec}} *)
-
-type json = Codec.json =
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_bool of bool
-  | J_null
-  | J_obj of (string * json) list
-  | J_list of json list
-(** Deprecated alias of {!Codec.json}. *)
-
-val to_string : json -> string
-(** Deprecated alias of {!Codec.to_string}. *)
-
-val json_escape : string -> string
-(** Deprecated alias of {!Codec.json_escape}. *)
-
-val parse : string -> (json, string) result
-(** Deprecated alias of {!Codec.parse}. *)
-
-val schema_version : int
-(** Deprecated alias of {!Codec.schema_version}. *)
-
-val snapshot_json : Tracegen.Metrics.snapshot -> json
-(** Deprecated alias of {!Codec.snapshot_json}. *)
-
-val snapshots_jsonl : Tracegen.Metrics.snapshot list -> string
-(** Deprecated alias of {!Codec.snapshots_jsonl}. *)
-
-val event_json : Tracegen.Events.event -> json
-(** Deprecated alias of {!Codec.event_json}. *)
-
-val events_jsonl : Tracegen.Events.event list -> string
-(** Deprecated alias of {!Codec.events_jsonl}. *)
-
-val hist_json : Tracegen.Metrics.histogram -> json
-(** Deprecated alias of {!Codec.hist_json}. *)
-
-val span_json : Tracegen.Spans.span -> json
-(** Deprecated alias of {!Codec.span_json}. *)
-
-val spans_jsonl : Tracegen.Spans.span list -> string
-(** Deprecated alias of {!Codec.spans_jsonl}. *)
-
-val chrome_trace : Tracegen.Spans.span list -> json
-(** Deprecated alias of {!Codec.chrome_trace}. *)
-
-val chrome_trace_events : Tracegen.Spans.span list -> json
-(** Deprecated alias of {!Codec.chrome_trace_events}. *)
-
-val diag_json : Analysis.Diag.t -> json
-(** Deprecated alias of {!Codec.diag_json}. *)
-
-val diags_jsonl : Analysis.Diag.t list -> string
-(** Deprecated alias of {!Codec.diags_jsonl}. *)
-
-(** {2 Experiment export} *)
-
-val stats_json : ?extra:(string * json) list -> Tracegen.Stats.t -> json
-(** Raw counts plus every derived value, as one flat object. *)
-
-val run_json : Experiment.run -> json
+val run_json : Experiment.run -> Codec.json
 (** {!stats_json} with the run's key (workload, size, parameters) and
     checksum prepended. *)
 

@@ -89,7 +89,7 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
     {
       name = "trace_constructed (reused) = builder reuses";
       got = count t "trace_constructed" - t.constructed_new;
-      want = Engine.builder_reuses engine;
+      want = s.Stats.builder_reuses;
     };
     {
       name = "trace_entered = traces_entered";
@@ -175,8 +175,7 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
    restore-time recompilation) through Compile, every real eviction
    (capacity/pressure/footprint — not quarantine removal) through
    Evict, and so on. *)
-let ledger_checks (l : Ledger.t) ~(engine : Engine.t) (s : Stats.t) :
-    check list =
+let ledger_checks (l : Ledger.t) (s : Stats.t) : check list =
   let built = ref 0
   and reused = ref 0
   and guard_pruned = ref 0
@@ -212,7 +211,7 @@ let ledger_checks (l : Ledger.t) ~(engine : Engine.t) (s : Stats.t) :
     {
       name = "ledger build.reused = builder reuses";
       got = !reused;
-      want = Engine.builder_reuses engine;
+      want = s.Stats.builder_reuses;
     };
     {
       name = "ledger guard_prune = guards_pruned";
@@ -258,5 +257,5 @@ let run_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   event_checks t ~engine s
   @
   match Engine.ledger engine with
-  | Some l -> ledger_checks l ~engine s
+  | Some l -> ledger_checks l s
   | None -> []

@@ -42,10 +42,7 @@ val event_checks :
     (entered − completed − in-flight) and the eviction-reason split. *)
 
 val ledger_checks :
-  Tracegen.Ledger.t ->
-  engine:Tracegen.Engine.t ->
-  Tracegen.Stats.t ->
-  check list
+  Tracegen.Ledger.t -> Tracegen.Stats.t -> check list
 (** The decision-ledger aggregates against the same counters: Build
     sums against constructions/reuses, Compile counts against
     [traces_compiled] (including restore-time recompilation), Evict

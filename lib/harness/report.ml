@@ -6,7 +6,7 @@ module Layout = Cfg.Layout
    Per-trace rows come from the trace's own counters (Trace.entered /
    completed / partial_instrs ...), which the dispatch loop maintains
    anyway; per-block rows come from the engine's attribution arrays
-   (Config.Obs.attribution).  Because both sides are maintained by the
+   (Config.obs_attribution).  Because both sides are maintained by the
    same loop that maintains Stats, every column must sum to the matching
    Stats total — [checks] states those identities and [repro_cli top]
    enforces them. *)

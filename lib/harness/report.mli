@@ -2,7 +2,7 @@
 
     Per-trace rows come from each trace's own counters; per-block rows
     come from the engine's attribution arrays
-    ([Config.Obs.attribution]).  Both are maintained by the same
+    ([Config.obs_attribution]).  Both are maintained by the same
     dispatch loop that maintains [Stats], so every column sums to the
     matching [Stats] total — {!checks} states those identities and
     [repro_cli top] enforces them. *)
@@ -21,7 +21,7 @@ type trace_row = {
           (0 unless the run had [Config.prune_guards] on) *)
   tier : string;
       (** ["compiled"] when the trace holds a micro-IR body
-          ([Config.Tier]), ["interp"] otherwise *)
+          ([Config.tier_enabled]), ["interp"] otherwise *)
 }
 
 type block_row = {
@@ -38,7 +38,7 @@ type t = {
 
 val of_engine : Tracegen.Engine.t -> t
 (** Collect the report from a finished engine.  Block rows are empty
-    unless the engine ran with [Config.Obs.attribution]. *)
+    unless the engine ran with [Config.obs_attribution]. *)
 
 val checks :
   t -> Tracegen.Engine.t -> Tracegen.Stats.t -> (string * int * int) list

@@ -62,6 +62,20 @@ dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
 # exactly with the end-of-run statistics; exits non-zero on mismatch.
 dune exec bin/repro_cli.exe -- top compress > /dev/null
 
+# Counter oracle: on every registered workload, a run with OSR, the
+# compiled tier, self-healing and a fault schedule must reconcile its
+# event stream, end-of-run statistics and decision ledger exactly;
+# exits non-zero on any mismatch.
+for w in $(dune exec bin/repro_cli.exe -- list | cut -d' ' -f1); do
+  report=$(dune exec bin/repro_cli.exe -- events "$w" --stats-only --osr \
+    --tier --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
+    2>&1 > /dev/null) || {
+    echo "$report" >&2
+    echo "check.sh: counter oracle failed on $w" >&2
+    exit 1
+  }
+done
+
 # Timeline round trip: export a Chrome trace and hold it to the
 # structural oracle (valid JSON, monotone timestamps, every E closing a
 # B); exits non-zero on any violation.

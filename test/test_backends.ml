@@ -67,7 +67,7 @@ let test_pinned_equivalence () =
                 s.Stats.trace_dispatches
           | Engine.Trace | Engine.Microir -> ());
           check Alcotest.int "pinned engines never switch" 0
-            (Engine.backend_switches r.Engine.engine))
+            s.Stats.backend_switches)
         Engine.backends)
     Workloads.Registry.all
 
@@ -188,7 +188,7 @@ let test_promotion_resets_profiler () =
     (Engine.backend_name e);
   List.iter (Engine.on_block e) [ 6; 7 ];
   check Alcotest.int "two genuine switches (profile->interp->profile)" 2
-    (Engine.backend_switches e);
+    (Engine.counters e).Stats.backend_switches;
   check Alcotest.bool "stale context not linked across the reset" true
     (Bcg.find_node bcg ~x:5 ~y:6 = None);
   check Alcotest.bool "profiling resumed with a fresh context" true

@@ -166,7 +166,7 @@ let test_counter_saturation () =
   let n = Option.get (Bcg.find_node bcg ~x:1 ~y:2) in
   let e = Option.get (Bcg.best_edge n) in
   check Alcotest.bool "weight saturates at counter_max" true
-    (e.Bcg.weight <= (Config.counter_max Config.default))
+    (e.Bcg.weight <= Config.counter_max)
 
 let test_preds_maintained () =
   let bcg, _ = mk ~delay:1 () in

@@ -149,7 +149,33 @@ let test_counters_and_gauges () =
       Metrics.gauge m "hits" (fun () -> 0));
   Alcotest.check_raises "counter over gauge"
     (Invalid_argument "Metrics.counter: depth is a gauge") (fun () ->
-      ignore (Metrics.counter m "depth"))
+      ignore (Metrics.counter m "depth"));
+  (* a gauge group samples once per snapshot and reads like gauges *)
+  let samples = ref 0 in
+  Metrics.gauges m
+    [ ("lo", fst); ("hi", snd) ]
+    (fun () ->
+      incr samples;
+      (!g, !g * 2));
+  check Alcotest.(option int) "group member readable" (Some 22)
+    (Metrics.read m "hi");
+  samples := 0;
+  let s = Metrics.force_snapshot m in
+  check Alcotest.int "one sample per snapshot" 1 !samples;
+  check
+    Alcotest.(list (pair string int))
+    "group flattens in order"
+    [ ("hits", 6); ("depth", 11); ("lo", 11); ("hi", 22) ]
+    (Array.to_list s.Metrics.values);
+  check
+    Alcotest.(list string)
+    "group names listed" [ "hits"; "depth"; "lo"; "hi" ] (Metrics.names m);
+  Alcotest.check_raises "group member over gauge"
+    (Invalid_argument "Metrics.gauges: depth already registered") (fun () ->
+      Metrics.gauges m [ ("depth", Fun.id) ] (fun () -> 0));
+  Alcotest.check_raises "gauge over group member"
+    (Invalid_argument "Metrics.gauge: lo already registered") (fun () ->
+      Metrics.gauge m "lo" (fun () -> 0))
 
 let test_periodic_snapshots () =
   let m = Metrics.create ~period:3 () in

@@ -1,6 +1,7 @@
 (* Machine-readable export: JSON well-formedness, CSV shape, value
    consistency with the underlying stats. *)
 
+module Codec = Harness.Codec
 module Export = Harness.Export
 module Experiment = Harness.Experiment
 module Stats = Tracegen.Stats
@@ -9,31 +10,31 @@ let tc = Alcotest.test_case
 let check = Alcotest.check
 
 let test_json_escaping () =
-  check Alcotest.string "quotes" "a\\\"b" (Export.json_escape "a\"b");
-  check Alcotest.string "backslash" "a\\\\b" (Export.json_escape "a\\b");
-  check Alcotest.string "newline" "a\\nb" (Export.json_escape "a\nb");
-  check Alcotest.string "control" "a\\u0001b" (Export.json_escape "a\001b")
+  check Alcotest.string "quotes" "a\\\"b" (Codec.json_escape "a\"b");
+  check Alcotest.string "backslash" "a\\\\b" (Codec.json_escape "a\\b");
+  check Alcotest.string "newline" "a\\nb" (Codec.json_escape "a\nb");
+  check Alcotest.string "control" "a\\u0001b" (Codec.json_escape "a\001b")
 
 let test_json_rendering () =
   let j =
-    Export.J_obj
+    Codec.J_obj
       [
-        ("name", Export.J_string "x\"y");
-        ("n", Export.J_int 42);
-        ("f", Export.J_float 0.25);
-        ("ok", Export.J_bool true);
-        ("xs", Export.J_list [ Export.J_int 1; Export.J_int 2 ]);
+        ("name", Codec.J_string "x\"y");
+        ("n", Codec.J_int 42);
+        ("f", Codec.J_float 0.25);
+        ("ok", Codec.J_bool true);
+        ("xs", Codec.J_list [ Codec.J_int 1; Codec.J_int 2 ]);
       ]
   in
   check Alcotest.string "rendering"
     "{\"name\":\"x\\\"y\",\"n\":42,\"f\":0.25,\"ok\":true,\"xs\":[1,2]}"
-    (Export.to_string j)
+    (Codec.to_string j)
 
 let test_nan_clamped () =
   check Alcotest.string "nan becomes 0" "0"
-    (Export.to_string (Export.J_float Float.nan));
+    (Codec.to_string (Codec.J_float Float.nan));
   check Alcotest.string "inf becomes 0" "0"
-    (Export.to_string (Export.J_float Float.infinity))
+    (Codec.to_string (Codec.J_float Float.infinity))
 
 (* a crude well-formedness scan: balanced braces/brackets outside strings *)
 let json_balanced s =
@@ -67,7 +68,7 @@ let test_run_json_consistent () =
         build_traces = true;
       }
   in
-  let s = Export.to_string (Export.run_json run) in
+  let s = Codec.to_string (Export.run_json run) in
   check Alcotest.bool "balanced json" true (json_balanced s);
   (* the rendered text carries the right checksum *)
   let expected = Printf.sprintf "\"checksum\":%d" run.Experiment.result_value in
@@ -108,7 +109,7 @@ let test_jsonl_shape () =
 let test_csv_escape () =
   (* exercised indirectly; check the helper semantics via a value rendered
      through stats_json instead: strings with commas survive *)
-  let j = Export.to_string (Export.J_string "a,b") in
+  let j = Codec.to_string (Codec.J_string "a,b") in
   check Alcotest.string "comma in json string" "\"a,b\"" j
 
 let () =

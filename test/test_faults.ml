@@ -332,12 +332,12 @@ let test_heal_node () =
   e.Bcg.weight <- -5;
   check Alcotest.bool "heal repairs" true (Bcg.heal_node bcg node);
   check Alcotest.bool "weight back in range" true
-    (e.Bcg.weight >= 1 && e.Bcg.weight <= (Config.counter_max Config.default));
+    (e.Bcg.weight >= 1 && e.Bcg.weight <= Config.counter_max);
   check Alcotest.bool "clean node untouched" false (Bcg.heal_node bcg node);
-  e.Bcg.weight <- (2 * (Config.counter_max Config.default)) + 1;
+  e.Bcg.weight <- (2 * Config.counter_max) + 1;
   check Alcotest.bool "saturation repaired too" true (Bcg.heal_node bcg node);
   check Alcotest.bool "clamped to counter_max" true
-    (e.Bcg.weight <= (Config.counter_max Config.default))
+    (e.Bcg.weight <= Config.counter_max)
 
 let () =
   Alcotest.run "faults"

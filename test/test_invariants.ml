@@ -43,7 +43,7 @@ let test_workloads_zero_violations () =
       check Alcotest.int
         (Printf.sprintf "%s: zero violations during the run" name)
         0
-        (Engine.invariant_violations engine);
+        r.Engine.run_stats.Tracegen.Stats.invariant_violations;
       let final =
         Invariants.check_all ~context:name debug_config
           ~bcg:(Tracegen.Profiler.bcg (Engine.profiler engine))
@@ -113,7 +113,7 @@ let test_corrupt_edge_weight_fires_tl204 () =
   e.Bcg.weight <- -5;
   check Alcotest.bool "negative weight fires TL204" true
     (has_code "TL204" (Invariants.check_bcg bcg));
-  e.Bcg.weight <- Tracegen.(Config.counter_max Config.default) + 1;
+  e.Bcg.weight <- Tracegen.Config.counter_max + 1;
   check Alcotest.bool "oversized weight fires TL204" true
     (has_code "TL204" (Invariants.check_bcg bcg));
   e.Bcg.weight <- saved

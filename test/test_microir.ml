@@ -231,7 +231,7 @@ let test_deopt_from_compiled_tier () =
     (s.Stats.compiled_entries > 0);
   check Alcotest.bool "the schedule actually deopted" true (s.Stats.deopts > 0);
   check Alcotest.int "every deopt materialized state (no TL219)" 0
-    (Engine.osr_state_mismatches r.Engine.engine);
+    s.Stats.osr_state_mismatches;
   (* the fault schedule must not desynchronize the three views *)
   assert_reconciled tally r
 

@@ -9,7 +9,7 @@ module Spans = Tracegen.Spans
 module Config = Tracegen.Config
 module Metrics = Tracegen.Metrics
 module Stats = Tracegen.Stats
-module Export = Harness.Export
+module Codec = Harness.Codec
 module Report = Harness.Report
 
 let tc = Alcotest.test_case
@@ -187,21 +187,21 @@ let test_session_member_turns () =
             (Tracegen.Session.member_name m)
             (List.hd turns).Spans.label;
           check Alcotest.(list string) "chrome-exportable" []
-            (Report.check_chrome (Export.chrome_trace (Spans.to_list spans))))
+            (Report.check_chrome (Codec.chrome_trace (Spans.to_list spans))))
     (Tracegen.Session.members session)
 
 let test_chrome_export_valid () =
   let _, _, spans = run_obs () in
-  let j = Export.chrome_trace (Spans.to_list spans) in
+  let j = Codec.chrome_trace (Spans.to_list spans) in
   check Alcotest.(list string) "structurally valid" [] (Report.check_chrome j);
   (* the printed form re-parses to an equally valid value *)
-  match Export.parse (Export.to_string j) with
+  match Codec.parse (Codec.to_string j) with
   | Error e -> Alcotest.failf "round trip failed to parse: %s" e
   | Ok parsed ->
       check Alcotest.(list string) "valid after the round trip" []
         (Report.check_chrome parsed);
-      check Alcotest.string "printer/parser fixpoint" (Export.to_string j)
-        (Export.to_string parsed)
+      check Alcotest.string "printer/parser fixpoint" (Codec.to_string j)
+        (Codec.to_string parsed)
 
 let test_chrome_export_under_faults () =
   (* quarantine episodes overlap freely; they must export as X events
@@ -218,7 +218,7 @@ let test_chrome_export_under_faults () =
   check Alcotest.bool "faults produced quarantine spans" true
     (quarantines <> []);
   check Alcotest.(list string) "still structurally valid" []
-    (Report.check_chrome (Export.chrome_trace spans))
+    (Report.check_chrome (Codec.chrome_trace spans))
 
 (* ------------------------------------------------------------------ *)
 (* the JSON parser                                                      *)
@@ -226,26 +226,26 @@ let test_chrome_export_under_faults () =
 
 let test_parser_values () =
   let roundtrip j =
-    match Export.parse (Export.to_string j) with
-    | Ok j' -> check Alcotest.string "fixpoint" (Export.to_string j)
-        (Export.to_string j')
+    match Codec.parse (Codec.to_string j) with
+    | Ok j' -> check Alcotest.string "fixpoint" (Codec.to_string j)
+        (Codec.to_string j')
     | Error e -> Alcotest.failf "parse: %s" e
   in
-  roundtrip (Export.J_int 42);
-  roundtrip (Export.J_int (-7));
-  roundtrip (Export.J_float 2.5);
-  roundtrip (Export.J_bool true);
-  roundtrip Export.J_null;
-  roundtrip (Export.J_string "a\"b\\c\nd");
-  roundtrip (Export.J_list []);
+  roundtrip (Codec.J_int 42);
+  roundtrip (Codec.J_int (-7));
+  roundtrip (Codec.J_float 2.5);
+  roundtrip (Codec.J_bool true);
+  roundtrip Codec.J_null;
+  roundtrip (Codec.J_string "a\"b\\c\nd");
+  roundtrip (Codec.J_list []);
   roundtrip
-    (Export.J_obj
+    (Codec.J_obj
        [
-         ("xs", Export.J_list [ Export.J_int 1; Export.J_null ]);
-         ("nested", Export.J_obj [ ("k", Export.J_string "v") ]);
+         ("xs", Codec.J_list [ Codec.J_int 1; Codec.J_null ]);
+         ("nested", Codec.J_obj [ ("k", Codec.J_string "v") ]);
        ]);
   let bad s =
-    match Export.parse s with
+    match Codec.parse s with
     | Ok _ -> Alcotest.failf "expected a parse error on %S" s
     | Error _ -> ()
   in

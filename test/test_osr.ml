@@ -57,15 +57,14 @@ let test_deopt_every_position () =
     check fp
       (Printf.sprintf "bit-identical with flips at position %d" pos)
       (fingerprint baseline) (fingerprint r);
+    let c = Engine.counters eng in
     check Alcotest.int
       (Printf.sprintf "every deopt at position %d materialized state" pos)
-      (Engine.deopts eng)
-      (Engine.osr_state_checks eng);
+      c.Stats.deopts c.Stats.osr_state_checks;
     check Alcotest.int
       (Printf.sprintf "no TL219 mismatch at position %d" pos)
-      0
-      (Engine.osr_state_mismatches eng);
-    total_deopts := !total_deopts + Engine.deopts eng
+      0 c.Stats.osr_state_mismatches;
+    total_deopts := !total_deopts + c.Stats.deopts
   done;
   check Alcotest.bool "the position sweep actually deopted" true
     (!total_deopts > 0)
@@ -88,16 +87,15 @@ let test_flip_schedule_all_workloads () =
         (w.Workloads.Workload.name ^ " bit-identical under flip schedule")
         (fingerprint baseline)
         (fingerprint result.Engine.vm_result);
-      let eng = result.Engine.engine in
+      let c = Engine.counters result.Engine.engine in
       check Alcotest.int
         (w.Workloads.Workload.name ^ " no TL219 mismatches")
-        0
-        (Engine.osr_state_mismatches eng);
-      (* the stats overlay carries the same counters *)
+        0 c.Stats.osr_state_mismatches;
+      (* the end-of-run stats carry the same counters *)
       check Alcotest.int
         (w.Workloads.Workload.name ^ " stats carry the deopt count")
-        (Engine.deopts eng) result.Engine.run_stats.Stats.deopts;
-      total_deopts := !total_deopts + Engine.deopts eng)
+        c.Stats.deopts result.Engine.run_stats.Stats.deopts;
+      total_deopts := !total_deopts + c.Stats.deopts)
     Workloads.Registry.all;
   check Alcotest.bool "the schedule deopted somewhere" true (!total_deopts > 0)
 
@@ -190,10 +188,11 @@ let test_promotion_mid_loop () =
   check fp "bit-identical with promotion armed" (fingerprint baseline)
     (fingerprint result.Engine.vm_result);
   let eng = result.Engine.engine in
-  check Alcotest.bool "promotions fired" true (Engine.osr_promotions eng > 0);
+  let c = Engine.counters eng in
+  check Alcotest.bool "promotions fired" true (c.Stats.osr_promotions > 0);
   check Alcotest.bool "a promoted trace was entered on its back-edge" true
-    (Engine.osr_entries eng > 0);
-  check Alcotest.int "every promotion was published" (Engine.osr_promotions eng)
+    (c.Stats.osr_entries > 0);
+  check Alcotest.int "every promotion was published" c.Stats.osr_promotions
     (List.length !promoted);
   (* each promoted trace self-chains: bound at (latch, header) with the
      latch being its own last block, and hot enough to cross the bar *)
@@ -210,8 +209,7 @@ let test_promotion_mid_loop () =
           ())
     !promoted;
   check Alcotest.int "stats carry the promotion counters"
-    (Engine.osr_promotions eng)
-    result.Engine.run_stats.Stats.osr_promotions
+    c.Stats.osr_promotions result.Engine.run_stats.Stats.osr_promotions
 
 (* --------------------------------------------------------------- *)
 (* execution pinning                                                 *)
@@ -324,9 +322,10 @@ let test_condemned_cutover () =
     (List.mem "condemned" !reasons);
   check Alcotest.bool "no trace active after the cut-over" true
     (Engine.active_trace eng = None);
-  check Alcotest.bool "deopt counted" true (Engine.deopts eng > 0);
+  let c = Engine.counters eng in
+  check Alcotest.bool "deopt counted" true (c.Stats.deopts > 0);
   (* the cut-over unpinned the trace, so the quarantine went through *)
-  check Alcotest.int "quarantine not refused" 0 (Engine.pin_refusals eng);
+  check Alcotest.int "quarantine not refused" 0 c.Stats.pin_refusals;
   let r = Interp.finish handle in
   check fp "bit-identical after the mid-flight cut-over"
     (fingerprint baseline) (fingerprint r)
@@ -339,7 +338,7 @@ let test_condemned_deferred_without_osr () =
   check Alcotest.bool "trace still executing" true
     (Engine.active_trace eng <> None);
   check Alcotest.bool "quarantine was pin-refused" true
-    (Engine.pin_refusals eng > 0);
+    ((Engine.counters eng).Stats.pin_refusals > 0);
   let r = Interp.finish handle in
   check fp "still bit-identical (pure overlay)" (fingerprint baseline)
     (fingerprint r)

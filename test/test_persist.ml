@@ -143,7 +143,8 @@ let test_rejection_never_half_loads () =
       Alcotest.failf "wrong error: %s" (Persist.error_to_string e));
   check Alcotest.int "nothing installed" 0
     (Trace_cache.n_live (Engine.cache engine));
-  check Alcotest.int "rejection counted" 1 (Engine.snapshots_rejected engine);
+  check Alcotest.int "rejection counted" 1
+    (Engine.counters engine).Stats.snapshots_rejected;
   (* the engine is still fresh, so a good snapshot loads afterwards *)
   match Engine.restore engine data with
   | Ok _ -> ()

@@ -398,7 +398,7 @@ let prop_osr_transparent =
         r.Tracegen.Engine.vm_result.Interp.outcome
       && plain.Interp.instructions
          = r.Tracegen.Engine.vm_result.Interp.instructions
-      && Tracegen.Engine.osr_state_mismatches r.Tracegen.Engine.engine = 0)
+      && r.Tracegen.Engine.run_stats.Tracegen.Stats.osr_state_mismatches = 0)
 
 (* The compiled micro-IR tier is a pure overlay: with a low promotion
    bar (so random programs actually reach the compiled tier) and OSR

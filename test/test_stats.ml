@@ -8,7 +8,7 @@ let approx = Alcotest.float 1e-9
 
 let sample =
   {
-    Stats.zero with
+    (Stats.zero ()) with
     Stats.instructions = 1000;
     block_dispatches = 100;
     trace_dispatches = 50;
@@ -62,7 +62,7 @@ let test_resilience_rates () =
      no constructions (no division by zero) *)
   check approx "healthy quarantine rate" 0.0 (Stats.quarantine_rate sample);
   check approx "no constructions" 0.0
-    (Stats.quarantine_rate { Stats.zero with Stats.traces_quarantined = 3 })
+    (Stats.quarantine_rate { (Stats.zero ()) with Stats.traces_quarantined = 3 })
 
 let test_resilience_pp () =
   (* healthy record: no resilience block *)
@@ -84,7 +84,7 @@ let test_resilience_pp () =
     (contains chaotic "quarantined")
 
 let test_zero_division_safety () =
-  let z = Stats.zero in
+  let z = Stats.zero () in
   check approx "length" 0.0 (Stats.avg_trace_length z);
   check approx "coverage" 0.0 (Stats.coverage_completed z);
   check approx "completion" 0.0 (Stats.completion_rate z);
@@ -115,6 +115,90 @@ let test_invariants_from_run () =
   check Alcotest.bool "linking rate meaningful" true
     (Stats.linking_rate s > 0.5)
 
+(* ---- the counter table: one definition drives gauges and JSON ---- *)
+
+module Engine = Tracegen.Engine
+module Metrics = Tracegen.Metrics
+
+let compress_layout size =
+  let w = Workloads.Compress.workload in
+  Cfg.Layout.build (w.Workloads.Workload.build ~size)
+
+let test_counter_names () =
+  let names = List.map fst Stats.counters in
+  check Alcotest.int "names are unique"
+    (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let keys =
+    match Harness.Export.stats_json (Stats.zero ()) with
+    | Harness.Codec.J_obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "stats_json is not an object"
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " is a stats_json key") true
+        (List.mem name keys))
+    names
+
+(* Every counter's gauge reads its Stats field, on a run that moves the
+   OSR, tier, guard-pruning and self-healing counters.  [instructions]
+   has no gauge: only the VM knows it. *)
+let test_gauges_match_stats () =
+  let config =
+    Tracegen.Config.make ~osr:true ~tier:true ~prune_guards:true
+      ~self_heal:true ~debug_checks:true
+      ~fault_spec:"corrupt-trace@0.005,budget=20" ()
+  in
+  let r = Engine.run ~config (compress_layout 2_000) in
+  let s = r.Engine.run_stats in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " moved") true
+        (List.assoc name Stats.counters s > 0))
+    [ "guards_checked"; "traces_compiled"; "deopts"; "faults_injected" ];
+  let snap = Metrics.force_snapshot (Engine.metrics r.Engine.engine) in
+  List.iter
+    (fun (name, get) ->
+      let gauge =
+        Array.find_opt (fun (n, _) -> n = name) snap.Metrics.values
+      in
+      if name = "instructions" then
+        check Alcotest.(option int) "no instructions gauge" None
+          (Option.map snd gauge)
+      else
+        check Alcotest.(option int) (name ^ " gauge") (Some (get s))
+          (Option.map snd gauge))
+    Stats.counters
+
+let values s = List.map (fun (_, get) -> get s) Stats.counters
+
+(* A returned record is a snapshot: it does not move with the engine,
+   and no two engines share a counter record. *)
+let test_counters_are_copies () =
+  let layout = compress_layout 500 in
+  let r = Engine.run layout in
+  let e = r.Engine.engine and stats = r.Engine.run_stats in
+  let idle = Engine.create layout in
+  let live = Engine.counters e in
+  let before = values live and stats_before = values stats in
+  (* keep feeding the engine after the run *)
+  for g = 0 to 99 do
+    Engine.on_block e (g mod layout.Cfg.Layout.n_blocks)
+  done;
+  check Alcotest.bool "the engine kept counting" true
+    (Engine.total_dispatches e > Stats.total_dispatches live);
+  check Alcotest.(list int) "counters copy unchanged" before (values live);
+  check Alcotest.(list int) "stats copy unchanged" stats_before (values stats);
+  check Alcotest.bool "two reads are distinct records" true
+    (Engine.counters e != Engine.counters e);
+  check Alcotest.(list int) "an idle engine saw none of it"
+    (values (Stats.zero ()))
+    (values (Engine.counters idle));
+  let z = Stats.zero () in
+  z.Stats.block_dispatches <- 7;
+  check Alcotest.int "zero is fresh every time" 0
+    (Stats.zero ()).Stats.block_dispatches
+
 let () =
   Alcotest.run "stats"
     [
@@ -131,4 +215,10 @@ let () =
           tc "pp" `Quick test_pp;
         ] );
       ("integration", [ tc "run invariants" `Quick test_invariants_from_run ]);
+      ( "counters",
+        [
+          tc "names unique and exported" `Quick test_counter_names;
+          tc "gauges match stats" `Quick test_gauges_match_stats;
+          tc "returned records are copies" `Quick test_counters_are_copies;
+        ] );
     ]

@@ -19,8 +19,8 @@ let layout =
     (let w = Workloads.Compress.workload in
      Layout.build (w.Workloads.Workload.build ~size:16))
 
-let mk_config ?(threshold = 0.97) () =
-  Config.make ~start_state_delay:1 ~threshold
+let mk_config ?(delay = 1) ?(threshold = 0.97) () =
+  Config.make ~start_state_delay:delay ~threshold
     ~decay_period:1_000_000 (* no decay during these tests *) ()
 
 let mk_bcg config =
@@ -90,7 +90,7 @@ let test_stops_at_weak_branch () =
   | None -> Alcotest.fail "expected trace entered at (1,2)"
 
 let test_newly_created_not_followed () =
-  let config = Config.with_delay (mk_config ()) 1000 in
+  let config = mk_config ~delay:1000 () in
   let bcg = mk_bcg config in
   let cache = Trace_cache.create (Lazy.force layout) in
   feed_path bcg [ 1; 2; 3; 4 ] ~times:20;
