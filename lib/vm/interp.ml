@@ -44,15 +44,21 @@ let error_kind_to_string = function
 let die kind fmt =
   Format.kasprintf (fun s -> raise (Runtime_error (kind, s))) fmt
 
-(* A call frame.  The operand stack is a preallocated array with a stack
-   pointer; the verifier bounds stack growth statically so [max_stack] is a
-   generous fixed cap checked only on push. *)
+(* A call frame: a window [base, sp) of its handle's one shared operand
+   stack, as in SableVM and the JVM.  A call opens the callee's window at
+   the caller's [sp], so a frame owns no stack storage and a call
+   allocates only the frame and its locals.  The verifier bounds stack
+   growth statically, so [max_stack] is a generous per-window cap checked
+   only on push.  Frames link to their callers; the entry frame is its
+   own caller, and the state's [depth], not the link, says where the
+   chain ends. *)
 type frame = {
   meth : Mthd.t;
   locals : Value.t array;
-  stack : Value.t array;
-  mutable sp : int;
+  base : int; (* the window's first slot in the shared stack *)
+  mutable sp : int; (* absolute: one past the window's top operand *)
   mutable pc : int;
+  caller : frame;
 }
 
 let max_stack = 1024
@@ -72,7 +78,10 @@ type result = {
 type state = {
   layout : Layout.t;
   program : Program.t;
-  mutable frames : frame list;
+  arity : int array; (* selector slot -> argument count, -1 if unbound *)
+  mutable stack : Value.t array; (* shared by every frame; doubles when full *)
+  mutable top : frame; (* the running frame, while [depth > 0] *)
+  mutable depth : int; (* live frames; 0 once the entry method returned *)
   mutable returned : Value.t option;
   mutable instructions : int;
   mutable block_dispatches : int;
@@ -81,34 +90,42 @@ type state = {
   on_block_state : (Layout.gid -> Value.t array -> unit) option;
 }
 
-let push fr v =
-  if fr.sp >= max_stack then die Stack_overflow "operand stack overflow";
-  fr.stack.(fr.sp) <- v;
-  fr.sp <- fr.sp + 1
+let grow st =
+  let n = Array.length st.stack in
+  let bigger = Array.make (2 * n) (Value.Vint 0) in
+  Array.blit st.stack 0 bigger 0 n;
+  st.stack <- bigger
 
-let pop fr =
-  if fr.sp = 0 then die Type_confusion "operand stack underflow";
+let push st fr v =
+  let sp = fr.sp in
+  if sp - fr.base >= max_stack then die Stack_overflow "operand stack overflow";
+  if sp >= Array.length st.stack then grow st;
+  st.stack.(sp) <- v;
+  fr.sp <- sp + 1
+
+let pop st fr =
+  if fr.sp <= fr.base then die Type_confusion "operand stack underflow";
   fr.sp <- fr.sp - 1;
-  fr.stack.(fr.sp)
+  st.stack.(fr.sp)
 
-let pop_int fr =
-  match pop fr with
+let pop_int st fr =
+  match pop st fr with
   | Value.Vint n -> n
   | v -> die Type_confusion "expected int, got %s" (Value.to_string v)
 
-let pop_float fr =
-  match pop fr with
+let pop_float st fr =
+  match pop st fr with
   | Value.Vfloat f -> f
   | v -> die Type_confusion "expected float, got %s" (Value.to_string v)
 
-let pop_obj fr =
-  match pop fr with
+let pop_obj st fr =
+  match pop st fr with
   | Value.Vobj o -> o
   | Value.Vnull -> die Null_pointer "field access on null"
   | v -> die Type_confusion "expected object, got %s" (Value.to_string v)
 
-let pop_arr fr =
-  match pop fr with
+let pop_arr st fr =
+  match pop st fr with
   | Value.Varr a -> a
   | Value.Vnull -> die Null_pointer "array access on null"
   | v -> die Type_confusion "expected array, got %s" (Value.to_string v)
@@ -117,67 +134,65 @@ let check_bounds (a : Value.arr) i =
   if i < 0 || i >= Array.length a.Value.cells then
     die Array_bounds "index %d, length %d" i (Array.length a.Value.cells)
 
-let new_frame (m : Mthd.t) : frame =
-  {
-    meth = m;
-    locals = Array.make (max 1 m.Mthd.n_locals) (Value.Vint 0);
-    stack = Array.make max_stack (Value.Vint 0);
-    sp = 0;
-    pc = 0;
-  }
+let fresh_locals (m : Mthd.t) =
+  Array.make (max 1 m.Mthd.n_locals) (Value.Vint 0)
 
 (* Invoke: pop n_args values off the caller's stack into the callee's
-   leading locals (receiver in local 0 for virtual methods). *)
+   leading locals (receiver in local 0 for virtual methods), then open
+   the callee's window where the arguments were. *)
 let setup_call st (caller : frame) (callee_m : Mthd.t) =
-  if List.length st.frames >= max_frames then
-    die Stack_overflow "too many frames";
-  let callee = new_frame callee_m in
+  if st.depth >= max_frames then die Stack_overflow "too many frames";
+  let locals = fresh_locals callee_m in
   for i = callee_m.Mthd.n_args - 1 downto 0 do
-    callee.locals.(i) <- pop caller
+    locals.(i) <- pop st caller
   done;
-  st.frames <- callee :: st.frames;
-  callee
+  let base = caller.sp in
+  st.top <- { meth = callee_m; locals; base; sp = base; pc = 0; caller };
+  st.depth <- st.depth + 1
 
 let receiver_class st (caller : frame) n_args =
-  (* receiver sits below the arguments *)
+  (* receiver sits below the arguments, inside the caller's window *)
   let idx = caller.sp - n_args in
-  if idx < 0 then die Type_confusion "missing receiver";
-  match caller.stack.(idx) with
+  if idx < caller.base then die Type_confusion "missing receiver";
+  match st.stack.(idx) with
   | Value.Vobj o -> o.Value.cls
   | Value.Vnull -> die Null_pointer "virtual call on null"
   | v -> die Type_confusion "virtual call on %s" (Value.to_string v)
-  [@@warning "-27"]
 
-(* Resolve a virtual call: find any class binding the selector to size the
-   argument count.  All bindings share a signature (front-end invariant), so
-   we take the arity from the receiver's own binding after peeking at it. *)
-let resolve_virtual st (caller : frame) slot : Mthd.t =
-  (* We need the arity to find the receiver, and the receiver to find the
-     method.  Scan classes once for any binding to learn the arity. *)
-  let program = st.program in
-  let any_binding =
-    let classes = program.Program.classes in
-    let n = Array.length classes in
-    let rec go i =
-      if i >= n then None
-      else
-        match Klass.method_for_selector classes.(i) ~slot with
-        | Some mid -> Some (Program.method_by_id program mid)
-        | None -> go (i + 1)
-    in
-    go 0
+(* Every class binding a selector gives it the same signature (front-end
+   invariant), so a selector's arity is a property of the program: the
+   first binding's argument count, tabulated once per handle. *)
+let selector_arities (program : Program.t) =
+  let classes = program.Program.classes in
+  let n =
+    Array.fold_left (fun n k -> max n (Array.length k.Klass.vtable)) 0 classes
   in
-  match any_binding with
-  | None -> die No_such_method "selector slot %d bound by no class" slot
-  | Some proto ->
-      let n_args = proto.Mthd.n_args in
-      let cls = receiver_class st caller n_args in
-      let k = Program.class_by_id program cls in
-      (match Klass.method_for_selector k ~slot with
-      | Some mid -> Program.method_by_id program mid
-      | None ->
-          die No_such_method "class %s does not understand %s" k.Klass.name
-            (Program.selector_name program slot))
+  let arity = Array.make n (-1) in
+  Array.iter
+    (fun k ->
+      Array.iteri
+        (fun slot mid ->
+          if mid >= 0 && arity.(slot) < 0 then
+            arity.(slot) <- (Program.method_by_id program mid).Mthd.n_args)
+        k.Klass.vtable)
+    classes;
+  arity
+
+(* Resolve a virtual call: the arity locates the receiver below the
+   arguments, and the receiver's vtable names the method. *)
+let resolve_virtual st (caller : frame) slot : Mthd.t =
+  let n_args =
+    if slot >= 0 && slot < Array.length st.arity then st.arity.(slot) else -1
+  in
+  if n_args < 0 then
+    die No_such_method "selector slot %d bound by no class" slot;
+  let k = Program.class_by_id st.program (receiver_class st caller n_args) in
+  let vtable = k.Klass.vtable in
+  let mid = if slot < Array.length vtable then vtable.(slot) else -1 in
+  if mid < 0 then
+    die No_such_method "class %s does not understand %s" k.Klass.name
+      (Program.selector_name st.program slot);
+  Program.method_by_id st.program mid
 
 let step_budget st n =
   st.instructions <- st.instructions + n;
@@ -188,261 +203,257 @@ let step_budget st n =
    dispatch, the observer hooks, the block's instructions, and its
    terminator.  A no-op once the entry method has returned. *)
 let exec_block st =
-  match st.frames with
-  | [] -> ()
-  | fr :: outer_frames ->
-        let mid = fr.meth.Mthd.id in
-        let cfg = Layout.cfg_of_method st.layout ~method_id:mid in
-        let b = Method_cfg.block_at_pc cfg fr.pc in
-        (* block dispatch *)
-        st.block_dispatches <- st.block_dispatches + 1;
-        let gid = Layout.gid_at_pc st.layout ~method_id:mid ~pc:fr.pc in
-        st.on_block gid;
-        (match st.on_block_state with
-        | Some f -> f gid fr.locals
-        | None -> ());
-        let end_pc = Block.end_pc b in
-        step_budget st b.Block.len;
-        (* straight-line portion *)
-        let pc = ref fr.pc in
-        let code = fr.meth.Mthd.code in
-        while !pc < end_pc do
-          let ins = code.(!pc) in
-          (match ins with
-          | Instr.Iconst n -> push fr (Value.Vint n)
-          | Instr.Fconst f -> push fr (Value.Vfloat f)
-          | Instr.Aconst_null -> push fr Value.Vnull
-          | Instr.Iload n -> push fr fr.locals.(n)
-          | Instr.Fload n -> push fr fr.locals.(n)
-          | Instr.Aload n -> push fr fr.locals.(n)
-          | Instr.Istore n | Instr.Fstore n | Instr.Astore n ->
-              fr.locals.(n) <- pop fr
-          | Instr.Iinc (n, d) -> (
-              match fr.locals.(n) with
-              | Value.Vint v -> fr.locals.(n) <- Value.Vint (v + d)
-              | v -> die Type_confusion "iinc on %s" (Value.to_string v))
-          | Instr.Dup ->
-              let v = pop fr in
-              push fr v;
-              push fr v
-          | Instr.Pop -> ignore (pop fr)
-          | Instr.Swap ->
-              let a = pop fr in
-              let b = pop fr in
-              push fr a;
-              push fr b
-          | Instr.Iadd ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr + b))
-          | Instr.Isub ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr - b))
-          | Instr.Imul ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr * b))
-          | Instr.Idiv ->
-              let b = pop_int fr in
-              if b = 0 then die Division_by_zero "idiv";
-              push fr (Value.Vint (pop_int fr / b))
-          | Instr.Irem ->
-              let b = pop_int fr in
-              if b = 0 then die Division_by_zero "irem";
-              push fr (Value.Vint (pop_int fr mod b))
-          | Instr.Ineg -> push fr (Value.Vint (-pop_int fr))
-          | Instr.Iand ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr land b))
-          | Instr.Ior ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr lor b))
-          | Instr.Ixor ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr lxor b))
-          | Instr.Ishl ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr lsl (b land 63)))
-          | Instr.Ishr ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr asr (b land 63)))
-          | Instr.Iushr ->
-              let b = pop_int fr in
-              push fr (Value.Vint (pop_int fr lsr (b land 63)))
-          | Instr.Fadd ->
-              let b = pop_float fr in
-              push fr (Value.Vfloat (pop_float fr +. b))
-          | Instr.Fsub ->
-              let b = pop_float fr in
-              push fr (Value.Vfloat (pop_float fr -. b))
-          | Instr.Fmul ->
-              let b = pop_float fr in
-              push fr (Value.Vfloat (pop_float fr *. b))
-          | Instr.Fdiv ->
-              let b = pop_float fr in
-              push fr (Value.Vfloat (pop_float fr /. b))
-          | Instr.Fneg -> push fr (Value.Vfloat (-.pop_float fr))
-          | Instr.F2i -> push fr (Value.Vint (int_of_float (pop_float fr)))
-          | Instr.I2f -> push fr (Value.Vfloat (float_of_int (pop_int fr)))
-          | Instr.Fcmp ->
-              let b = pop_float fr in
-              let a = pop_float fr in
-              push fr (Value.Vint (compare a b))
-          | Instr.New cid ->
-              let k = Program.class_by_id st.program cid in
-              let fields =
-                Array.map Value.default_of_field_kind k.Klass.field_kinds
+  if st.depth > 0 then
+    let fr = st.top in
+    let mid = fr.meth.Mthd.id in
+    let cfg = Layout.cfg_of_method st.layout ~method_id:mid in
+    let b = Method_cfg.block_at_pc cfg fr.pc in
+    (* block dispatch *)
+    st.block_dispatches <- st.block_dispatches + 1;
+    let gid = Layout.gid_at_pc st.layout ~method_id:mid ~pc:fr.pc in
+    st.on_block gid;
+    (match st.on_block_state with
+    | Some f -> f gid fr.locals
+    | None -> ());
+    let end_pc = Block.end_pc b in
+    step_budget st b.Block.len;
+    (* straight-line portion *)
+    let pc = ref fr.pc in
+    let code = fr.meth.Mthd.code in
+    while !pc < end_pc do
+      let ins = code.(!pc) in
+      (match ins with
+      | Instr.Iconst n -> push st fr (Value.Vint n)
+      | Instr.Fconst f -> push st fr (Value.Vfloat f)
+      | Instr.Aconst_null -> push st fr Value.Vnull
+      | Instr.Iload n -> push st fr fr.locals.(n)
+      | Instr.Fload n -> push st fr fr.locals.(n)
+      | Instr.Aload n -> push st fr fr.locals.(n)
+      | Instr.Istore n | Instr.Fstore n | Instr.Astore n ->
+          fr.locals.(n) <- pop st fr
+      | Instr.Iinc (n, d) -> (
+          match fr.locals.(n) with
+          | Value.Vint v -> fr.locals.(n) <- Value.Vint (v + d)
+          | v -> die Type_confusion "iinc on %s" (Value.to_string v))
+      | Instr.Dup ->
+          let v = pop st fr in
+          push st fr v;
+          push st fr v
+      | Instr.Pop -> ignore (pop st fr)
+      | Instr.Swap ->
+          let a = pop st fr in
+          let b = pop st fr in
+          push st fr a;
+          push st fr b
+      | Instr.Iadd ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr + b))
+      | Instr.Isub ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr - b))
+      | Instr.Imul ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr * b))
+      | Instr.Idiv ->
+          let b = pop_int st fr in
+          if b = 0 then die Division_by_zero "idiv";
+          push st fr (Value.Vint (pop_int st fr / b))
+      | Instr.Irem ->
+          let b = pop_int st fr in
+          if b = 0 then die Division_by_zero "irem";
+          push st fr (Value.Vint (pop_int st fr mod b))
+      | Instr.Ineg -> push st fr (Value.Vint (-pop_int st fr))
+      | Instr.Iand ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr land b))
+      | Instr.Ior ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr lor b))
+      | Instr.Ixor ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr lxor b))
+      | Instr.Ishl ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr lsl (b land 63)))
+      | Instr.Ishr ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr asr (b land 63)))
+      | Instr.Iushr ->
+          let b = pop_int st fr in
+          push st fr (Value.Vint (pop_int st fr lsr (b land 63)))
+      | Instr.Fadd ->
+          let b = pop_float st fr in
+          push st fr (Value.Vfloat (pop_float st fr +. b))
+      | Instr.Fsub ->
+          let b = pop_float st fr in
+          push st fr (Value.Vfloat (pop_float st fr -. b))
+      | Instr.Fmul ->
+          let b = pop_float st fr in
+          push st fr (Value.Vfloat (pop_float st fr *. b))
+      | Instr.Fdiv ->
+          let b = pop_float st fr in
+          push st fr (Value.Vfloat (pop_float st fr /. b))
+      | Instr.Fneg -> push st fr (Value.Vfloat (-.pop_float st fr))
+      | Instr.F2i ->
+          push st fr (Value.Vint (int_of_float (pop_float st fr)))
+      | Instr.I2f ->
+          push st fr (Value.Vfloat (float_of_int (pop_int st fr)))
+      | Instr.Fcmp ->
+          let b = pop_float st fr in
+          let a = pop_float st fr in
+          push st fr (Value.Vint (compare a b))
+      | Instr.New cid ->
+          let k = Program.class_by_id st.program cid in
+          let fields =
+            Array.map Value.default_of_field_kind k.Klass.field_kinds
+          in
+          push st fr (Value.Vobj { Value.cls = cid; fields })
+      | Instr.Getfield (_, slot) ->
+          let o = pop_obj st fr in
+          if slot >= Array.length o.Value.fields then
+            die Type_confusion "field slot %d out of range" slot;
+          push st fr o.Value.fields.(slot)
+      | Instr.Putfield (_, slot) ->
+          let v = pop st fr in
+          let o = pop_obj st fr in
+          if slot >= Array.length o.Value.fields then
+            die Type_confusion "field slot %d out of range" slot;
+          o.Value.fields.(slot) <- v
+      | Instr.Instanceof cid -> (
+          match pop st fr with
+          | Value.Vobj o ->
+              let yes =
+                Klass.is_subclass_of st.program.Program.classes
+                  ~sub:o.Value.cls ~super:cid
               in
-              push fr (Value.Vobj { Value.cls = cid; fields })
-          | Instr.Getfield (_, slot) ->
-              let o = pop_obj fr in
-              if slot >= Array.length o.Value.fields then
-                die Type_confusion "field slot %d out of range" slot;
-              push fr o.Value.fields.(slot)
-          | Instr.Putfield (_, slot) ->
-              let v = pop fr in
-              let o = pop_obj fr in
-              if slot >= Array.length o.Value.fields then
-                die Type_confusion "field slot %d out of range" slot;
-              o.Value.fields.(slot) <- v
-          | Instr.Instanceof cid -> (
-              match pop fr with
-              | Value.Vobj o ->
-                  let yes =
-                    Klass.is_subclass_of st.program.Program.classes
-                      ~sub:o.Value.cls ~super:cid
-                  in
-                  push fr (Value.Vint (if yes then 1 else 0))
-              | Value.Vnull -> push fr (Value.Vint 0)
-              | v -> die Type_confusion "instanceof on %s" (Value.to_string v))
-          | Instr.Newarray kind ->
-              let n = pop_int fr in
-              if n < 0 then die Array_bounds "negative array length %d" n;
-              push fr
-                (Value.Varr
-                   {
-                     Value.kind;
-                     cells = Array.make n (Value.default_of_array_kind kind);
-                   })
-          | Instr.Iaload | Instr.Faload | Instr.Aaload ->
-              let i = pop_int fr in
-              let a = pop_arr fr in
-              check_bounds a i;
-              push fr a.Value.cells.(i)
-          | Instr.Iastore ->
-              let v = pop_int fr in
-              let i = pop_int fr in
-              let a = pop_arr fr in
-              check_bounds a i;
-              a.Value.cells.(i) <- Value.Vint v
-          | Instr.Fastore ->
-              let v = pop_float fr in
-              let i = pop_int fr in
-              let a = pop_arr fr in
-              check_bounds a i;
-              a.Value.cells.(i) <- Value.Vfloat v
-          | Instr.Aastore ->
-              let v = pop fr in
-              let i = pop_int fr in
-              let a = pop_arr fr in
-              check_bounds a i;
-              a.Value.cells.(i) <- v
-          | Instr.Arraylength ->
-              let a = pop_arr fr in
-              push fr (Value.Vint (Array.length a.Value.cells))
-          | Instr.Nop -> ()
-          (* terminators are handled below; they are always last in a
-             block, so reaching them here just ends the straight-line
-             phase *)
-          | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _
-          | Instr.Tableswitch _ | Instr.Invokestatic _
-          | Instr.Invokevirtual _ | Instr.Return | Instr.Ireturn
-          | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
-              ());
-          (match ins with
-          | Instr.If_icmp (c, target) ->
-              let b2 = pop_int fr in
-              let a = pop_int fr in
-              fr.pc <- (if Instr.eval_cond c (compare a b2) then target else !pc + 1);
-              pc := end_pc (* leave straight-line loop *)
-          | Instr.Ifz (c, target) ->
-              let a = pop_int fr in
-              fr.pc <- (if Instr.eval_cond c a then target else !pc + 1);
-              pc := end_pc
-          | Instr.Goto target ->
-              fr.pc <- target;
-              pc := end_pc
-          | Instr.Tableswitch { low; targets; default } ->
-              let v = pop_int fr in
-              let i = v - low in
-              fr.pc <-
-                (if i >= 0 && i < Array.length targets then targets.(i)
-                 else default);
-              pc := end_pc
-          | Instr.Invokestatic mid2 ->
-              fr.pc <- !pc + 1;
-              let callee_m = Program.method_by_id st.program mid2 in
-              ignore (setup_call st fr callee_m);
-              pc := end_pc
-          | Instr.Invokevirtual slot ->
-              fr.pc <- !pc + 1;
-              let callee_m = resolve_virtual st fr slot in
-              ignore (setup_call st fr callee_m);
-              pc := end_pc
-          | Instr.Athrow ->
-              (* unwind: find the innermost covering handler, searching the
-                 current frame at the throw pc and callers at their call
-                 sites *)
-              let exc = pop fr in
-              let cls =
-                match exc with
-                | Value.Vobj o -> o.Value.cls
-                | Value.Vnull -> die Null_pointer "throw of null"
-                | v -> die Type_confusion "throw of %s" (Value.to_string v)
-              in
-              let is_subclass ~sub ~super =
-                Klass.is_subclass_of st.program.Program.classes ~sub ~super
-              in
-              let rec unwind frames throw_pc =
-                match frames with
-                | [] ->
-                    die Uncaught_exception "class %s"
-                      (Program.class_by_id st.program cls).Klass.name
-                | f :: rest -> (
-                    match
-                      Mthd.handler_for f.meth ~pc:throw_pc ~cls ~is_subclass
-                    with
-                    | Some h ->
-                        st.frames <- frames;
-                        f.sp <- 0;
-                        push f exc;
-                        f.pc <- h.Mthd.h_target
-                    | None -> (
-                        (* a caller is searched at its call site: the
-                           instruction before its stored continuation *)
-                        match rest with
-                        | caller :: _ -> unwind rest (max 0 (caller.pc - 1))
-                        | [] ->
-                            die Uncaught_exception "class %s"
-                              (Program.class_by_id st.program cls).Klass.name))
-              in
-              unwind st.frames !pc;
-              pc := end_pc
-          | Instr.Return ->
-              st.frames <- outer_frames;
-              if outer_frames = [] then st.returned <- None;
-              pc := end_pc
-          | Instr.Ireturn | Instr.Freturn | Instr.Areturn ->
-              let v = pop fr in
-              st.frames <- outer_frames;
-              (match outer_frames with
-              | caller :: _ -> push caller v
-              | [] -> st.returned <- Some v);
-              pc := end_pc
-          | _ ->
-              (* ordinary instruction: advance; if this was the last
-                 instruction of a fallthrough block, fr.pc must follow *)
-              incr pc;
-              if !pc = end_pc then fr.pc <- end_pc)
-        done
+              push st fr (Value.Vint (if yes then 1 else 0))
+          | Value.Vnull -> push st fr (Value.Vint 0)
+          | v -> die Type_confusion "instanceof on %s" (Value.to_string v))
+      | Instr.Newarray kind ->
+          let n = pop_int st fr in
+          if n < 0 then die Array_bounds "negative array length %d" n;
+          push st fr
+            (Value.Varr
+               {
+                 Value.kind;
+                 cells = Array.make n (Value.default_of_array_kind kind);
+               })
+      | Instr.Iaload | Instr.Faload | Instr.Aaload ->
+          let i = pop_int st fr in
+          let a = pop_arr st fr in
+          check_bounds a i;
+          push st fr a.Value.cells.(i)
+      | Instr.Iastore ->
+          let v = pop_int st fr in
+          let i = pop_int st fr in
+          let a = pop_arr st fr in
+          check_bounds a i;
+          a.Value.cells.(i) <- Value.Vint v
+      | Instr.Fastore ->
+          let v = pop_float st fr in
+          let i = pop_int st fr in
+          let a = pop_arr st fr in
+          check_bounds a i;
+          a.Value.cells.(i) <- Value.Vfloat v
+      | Instr.Aastore ->
+          let v = pop st fr in
+          let i = pop_int st fr in
+          let a = pop_arr st fr in
+          check_bounds a i;
+          a.Value.cells.(i) <- v
+      | Instr.Arraylength ->
+          let a = pop_arr st fr in
+          push st fr (Value.Vint (Array.length a.Value.cells))
+      | Instr.Nop -> ()
+      (* terminators are handled below; they are always last in a
+         block, so reaching them here just ends the straight-line
+         phase *)
+      | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _
+      | Instr.Tableswitch _ | Instr.Invokestatic _
+      | Instr.Invokevirtual _ | Instr.Return | Instr.Ireturn
+      | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
+          ());
+      (match ins with
+      | Instr.If_icmp (c, target) ->
+          let b2 = pop_int st fr in
+          let a = pop_int st fr in
+          fr.pc <- (if Instr.eval_cond c (compare a b2) then target else !pc + 1);
+          pc := end_pc (* leave straight-line loop *)
+      | Instr.Ifz (c, target) ->
+          let a = pop_int st fr in
+          fr.pc <- (if Instr.eval_cond c a then target else !pc + 1);
+          pc := end_pc
+      | Instr.Goto target ->
+          fr.pc <- target;
+          pc := end_pc
+      | Instr.Tableswitch { low; targets; default } ->
+          let v = pop_int st fr in
+          let i = v - low in
+          fr.pc <-
+            (if i >= 0 && i < Array.length targets then targets.(i)
+             else default);
+          pc := end_pc
+      | Instr.Invokestatic mid2 ->
+          fr.pc <- !pc + 1;
+          let callee_m = Program.method_by_id st.program mid2 in
+          setup_call st fr callee_m;
+          pc := end_pc
+      | Instr.Invokevirtual slot ->
+          fr.pc <- !pc + 1;
+          let callee_m = resolve_virtual st fr slot in
+          setup_call st fr callee_m;
+          pc := end_pc
+      | Instr.Athrow ->
+          (* unwind: find the innermost covering handler, searching the
+             current frame at the throw pc and callers at their call
+             sites *)
+          let exc = pop st fr in
+          let cls =
+            match exc with
+            | Value.Vobj o -> o.Value.cls
+            | Value.Vnull -> die Null_pointer "throw of null"
+            | v -> die Type_confusion "throw of %s" (Value.to_string v)
+          in
+          let is_subclass ~sub ~super =
+            Klass.is_subclass_of st.program.Program.classes ~sub ~super
+          in
+          let rec unwind f depth throw_pc =
+            match Mthd.handler_for f.meth ~pc:throw_pc ~cls ~is_subclass with
+            | Some h ->
+                st.top <- f;
+                st.depth <- depth;
+                f.sp <- f.base;
+                push st f exc;
+                f.pc <- h.Mthd.h_target
+            | None ->
+                (* a caller is searched at its call site: the
+                   instruction before its stored continuation *)
+                if depth > 1 then
+                  unwind f.caller (depth - 1) (max 0 (f.caller.pc - 1))
+                else
+                  die Uncaught_exception "class %s"
+                    (Program.class_by_id st.program cls).Klass.name
+          in
+          unwind fr st.depth !pc;
+          pc := end_pc
+      | Instr.Return ->
+          st.top <- fr.caller;
+          st.depth <- st.depth - 1;
+          if st.depth = 0 then st.returned <- None;
+          pc := end_pc
+      | Instr.Ireturn | Instr.Freturn | Instr.Areturn ->
+          let v = pop st fr in
+          st.top <- fr.caller;
+          st.depth <- st.depth - 1;
+          if st.depth > 0 then push st fr.caller v
+          else st.returned <- Some v;
+          pc := end_pc
+      | _ ->
+          (* ordinary instruction: advance; if this was the last
+             instruction of a fallthrough block, fr.pc must follow *)
+          incr pc;
+          if !pc = end_pc then fr.pc <- end_pc)
+    done
 
 (* Resumable execution.  A handle owns the interpreter state and absorbs
    a [Runtime_error] raised mid-step into a pending [Trapped] outcome, so
@@ -452,11 +463,19 @@ type handle = { h_st : state; mutable h_trap : (error_kind * string) option }
 let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
     ~(on_block : Layout.gid -> unit) : handle =
   let program = layout.Layout.program in
+  let entry = Program.entry_method program in
+  let locals = fresh_locals entry in
+  let rec bottom =
+    { meth = entry; locals; base = 0; sp = 0; pc = 0; caller = bottom }
+  in
   let st =
     {
       layout;
       program;
-      frames = [ new_frame (Program.entry_method program) ];
+      arity = selector_arities program;
+      stack = Array.make 64 (Value.Vint 0);
+      top = bottom;
+      depth = 1;
       returned = None;
       instructions = 0;
       block_dispatches = 0;
@@ -467,12 +486,12 @@ let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
   in
   { h_st = st; h_trap = None }
 
-let running h = h.h_trap = None && h.h_st.frames <> []
+let running h = h.h_trap = None && h.h_st.depth > 0
 
 let step_blocks h n =
   let executed = ref 0 in
   (try
-     while !executed < n && h.h_trap = None && h.h_st.frames <> [] do
+     while !executed < n && running h do
        exec_block h.h_st;
        incr executed
      done
@@ -487,7 +506,7 @@ let result_of h =
     match h.h_trap with
     | Some (kind, msg) -> Trapped (kind, msg)
     | None ->
-        if h.h_st.frames = [] then Finished h.h_st.returned
+        if h.h_st.depth = 0 then Finished h.h_st.returned
         else invalid_arg "Interp.result_of: program still running"
   in
   {
@@ -514,7 +533,7 @@ type frame_snapshot = {
   fs_pc : int;
   fs_sp : int;
   fs_locals : Value.t array;
-  fs_stack : Value.t array; (* live prefix only: stack.(0 .. sp-1) *)
+  fs_stack : Value.t array; (* the frame's window: stack.(base .. sp-1) *)
 }
 
 type materialized = {
@@ -522,31 +541,34 @@ type materialized = {
   m_instructions : int;
   m_block : Layout.gid option;
       (* the block the innermost frame's pc resolves to; None once the
-         program has stopped (or pc is not a block boundary) *)
+         program has stopped (or pc lies outside the method's code) *)
 }
 
-let snapshot_frame (fr : frame) : frame_snapshot =
+(* [fs_sp] and [fs_stack] are frame-relative, so a snapshot does not
+   depend on where the frame's window sits in the shared stack. *)
+let snapshot_frame st (fr : frame) : frame_snapshot =
   {
     fs_method = fr.meth.Mthd.id;
     fs_pc = fr.pc;
-    fs_sp = fr.sp;
+    fs_sp = fr.sp - fr.base;
     fs_locals = Array.copy fr.locals;
-    fs_stack = Array.sub fr.stack 0 fr.sp;
+    fs_stack = Array.sub st.stack fr.base (fr.sp - fr.base);
   }
 
 let materialize (h : handle) : materialized =
   let st = h.h_st in
+  let fr = st.top in
   let m_block =
-    match st.frames with
-    | [] -> None
-    | fr :: _ -> (
-        try
-          Some
-            (Layout.gid_at_pc st.layout ~method_id:fr.meth.Mthd.id ~pc:fr.pc)
-        with _ -> None)
+    if st.depth > 0 && fr.pc >= 0 && fr.pc < Array.length fr.meth.Mthd.code
+    then Some (Layout.gid_at_pc st.layout ~method_id:fr.meth.Mthd.id ~pc:fr.pc)
+    else None
+  in
+  let rec frames f depth =
+    if depth = 0 then []
+    else snapshot_frame st f :: frames f.caller (depth - 1)
   in
   {
-    m_frames = List.map snapshot_frame st.frames;
+    m_frames = frames fr st.depth;
     m_instructions = st.instructions;
     m_block;
   }

@@ -112,9 +112,9 @@ val result_of : handle -> result
 type frame_snapshot = {
   fs_method : int;  (** method id *)
   fs_pc : int;
-  fs_sp : int;
+  fs_sp : int;  (** operands in the frame's own window *)
   fs_locals : Value.t array;  (** copied *)
-  fs_stack : Value.t array;  (** live prefix only: [stack.(0 .. sp-1)] *)
+  fs_stack : Value.t array;  (** the frame's operands only, bottom first *)
 }
 
 type materialized = {

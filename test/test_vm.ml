@@ -68,6 +68,44 @@ let test_null_virtual_call () =
   | Interp.Trapped (Interp.Null_pointer, _) -> ()
   | _ -> Alcotest.fail "expected null pointer trap"
 
+(* Virtual dispatch failures, assembled directly: the front end would
+   reject both programs.  [main] calls selector [m] on a fresh [B],
+   which binds no method; patching the call's slot to one no class
+   binds gives the other failure. *)
+let test_no_such_method () =
+  let module B = Bytecode.Builder in
+  let b = B.create () in
+  B.declare_class b ~name:"A" ~fields:[] ~methods:[ ("m", "a_m") ] ();
+  B.declare_class b ~name:"B" ~fields:[] ~methods:[] ();
+  let m =
+    B.begin_method b ~name:"a_m" ~kind:Bytecode.Mthd.Virtual
+      ~returns:Bytecode.Mthd.Rint ~n_args:1 ~n_locals:1 ()
+  in
+  B.iconst m 1;
+  B.i m Bytecode.Instr.Ireturn;
+  B.finish_method m;
+  let m =
+    B.begin_method b ~name:"main" ~returns:Bytecode.Mthd.Rint ~n_args:0
+      ~n_locals:0 ()
+  in
+  B.iconst m 7;
+  B.new_object m "B";
+  B.invokevirtual m "m";
+  B.i m Bytecode.Instr.Ireturn;
+  B.finish_method m;
+  let program = B.link b ~entry:"main" in
+  let trap_of program =
+    match (Interp.run_plain (Layout.build program)).Interp.outcome with
+    | Interp.Trapped (Interp.No_such_method, msg) -> msg
+    | _ -> Alcotest.fail "expected a no-such-method trap"
+  in
+  check Alcotest.string "receiver's class lacks the selector"
+    "class B does not understand m" (trap_of program);
+  let code = (Bytecode.Program.entry_method program).Bytecode.Mthd.code in
+  code.(2) <- Bytecode.Instr.Invokevirtual 9;
+  check Alcotest.string "no class binds the slot"
+    "selector slot 9 bound by no class" (trap_of program)
+
 let test_instruction_budget () =
   let layout =
     layout_of [ while_ (i 1 =! i 1) [ ignore_ (i 0) ]; ret (i 0) ]
@@ -75,6 +113,21 @@ let test_instruction_budget () =
   match (Interp.run ~max_instructions:10_000 layout ~on_block:(fun _ -> ())).Interp.outcome with
   | Interp.Trapped (Interp.Instruction_budget, _) -> ()
   | _ -> Alcotest.fail "expected budget trap"
+
+(* A trap's whole signature: kind, message, and the instruction and
+   dispatch counts at which it fired. *)
+let expect_trap_at ~kind ~msg ~instructions ~block_dispatches layout =
+  let r = Interp.run_plain layout in
+  (match r.Interp.outcome with
+  | Interp.Trapped (k, m) ->
+      check Alcotest.string "trap kind" (Interp.error_kind_to_string kind)
+        (Interp.error_kind_to_string k);
+      check Alcotest.string "trap message" msg m
+  | Interp.Finished _ -> Alcotest.fail "expected a trap");
+  check Alcotest.int "instructions at the trap" instructions
+    r.Interp.instructions;
+  check Alcotest.int "dispatches at the trap" block_dispatches
+    r.Interp.block_dispatches
 
 let test_stack_overflow () =
   let p = S.create () in
@@ -85,10 +138,114 @@ let test_stack_overflow () =
     ~body:[ ret (call "recur" [ i 0 ]) ]
     ();
   let program = S.link p ~entry:"main" in
-  let layout = Layout.build program in
-  match (Interp.run_plain layout).Interp.outcome with
-  | Interp.Trapped (Interp.Stack_overflow, _) -> ()
-  | _ -> Alcotest.fail "expected stack overflow"
+  expect_trap_at ~kind:Interp.Stack_overflow ~msg:"too many frames"
+    ~instructions:16382 ~block_dispatches:4096
+    (Layout.build program)
+
+(* [deep n] pushes n + 1 operands before its first add. *)
+let rec deep n = if n = 0 then i 1 else i 1 +! deep (n - 1)
+
+let test_operand_overflow_deep () =
+  (* main -> a -> b -> c, each caller holding a live operand under its
+     call site; c's expression needs more than 1,024 operand slots *)
+  let defs p =
+    S.def_method p ~name:"a" ~args:[] ~ret:S.I
+      ~body:[ ret (i 1 +! call "b" []) ]
+      ();
+    S.def_method p ~name:"b" ~args:[] ~ret:S.I
+      ~body:[ ret (i 2 +! call "c" []) ]
+      ();
+    S.def_method p ~name:"c" ~args:[] ~ret:S.I ~body:[ ret (deep 1100) ] ()
+  in
+  expect_trap_at ~kind:Interp.Stack_overflow ~msg:"operand stack overflow"
+    ~instructions:2208 ~block_dispatches:4
+    (layout_of ~defs [ ret (i 3 +! call "a" []) ]);
+  (* 1,024 operands is the cap, not past it *)
+  let defs p =
+    S.def_method p ~name:"c" ~args:[] ~ret:S.I ~body:[ ret (deep 1023) ] ()
+  in
+  check Alcotest.int "1,024 operands fit" 1027
+    (run_int ~defs [ ret (i 3 +! call "c" []) ])
+
+let test_throw_unwinds_windows () =
+  (* thrown three frames below main, with a live operand under every
+     call site; main's handler must see its own window only *)
+  let defs p =
+    S.def_class p ~name:"Exn" ~fields:[ ("code", S.I) ] ~methods:[] ();
+    S.def_method p ~name:"a" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (i 100 +! call "b" [ v "x" +! i 1 ]) ]
+      ();
+    S.def_method p ~name:"b" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (i 200 +! call "c" [ v "x" +! i 1 ]) ]
+      ();
+    S.def_method p ~name:"c" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:
+        [
+          decl "e" S.R (new_obj "Exn");
+          setf "Exn" "code" (v "e") (v "x");
+          throw (v "e");
+          ret (i 0);
+        ]
+      ();
+    S.def_method p ~name:"sq" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (v "x" *! v "x") ]
+      ()
+  in
+  check Alcotest.int "caught in the outer frame" 2455
+    (run_int ~defs
+       [
+         decl_i "r" (i 0);
+         try_
+           [ set "r" (i 1000 +! call "a" [ i 40 ]) ]
+           ~catch:("Exn", "ex")
+           [ set "r" (i 7 +! getf "Exn" "code" (v "ex")) ];
+         ret (i 5 +! (v "r" +! call "sq" [ v "r" ]));
+       ])
+
+let test_materialize_windows () =
+  (* from inside c (main -> a -> c), each frame's snapshot holds only
+     the operands of its own window *)
+  let defs p =
+    S.def_method p ~name:"a" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (i 22 +! (i 23 +! call "c" [ v "x" ])) ]
+      ();
+    S.def_method p ~name:"c" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (v "x" *! i 2) ]
+      ()
+  in
+  let layout = layout_of ~defs [ ret (i 11 +! call "a" [ i 5 ]) ] in
+  let c =
+    (Option.get (Bytecode.Program.find_method layout.Layout.program "c"))
+      .Bytecode.Mthd.id
+  in
+  let h = ref None in
+  let seen = ref None in
+  let on_block gid =
+    let b = Layout.block layout gid in
+    if b.Cfg.Block.method_id = c && !seen = None then
+      seen := Some (Interp.materialize (Option.get !h))
+  in
+  h := Some (Interp.start layout ~on_block);
+  let r = Interp.finish (Option.get !h) in
+  check Alcotest.bool "result" true
+    (Interp.result_value r = Some (Vm.Value.Vint 66));
+  let m = Option.get !seen in
+  let stacks =
+    List.map
+      (fun (fs : Interp.frame_snapshot) ->
+        check Alcotest.int "fs_sp is the window size"
+          (Array.length fs.Interp.fs_stack) fs.Interp.fs_sp;
+        Array.to_list
+          (Array.map
+             (function Vm.Value.Vint n -> n | _ -> Alcotest.fail "int operand")
+             fs.Interp.fs_stack))
+      m.Interp.m_frames
+  in
+  check
+    Alcotest.(list (list int))
+    "innermost first, own operands only"
+    [ []; [ 22; 23 ]; [ 11 ] ]
+    stacks
 
 let test_dispatch_accounting () =
   (* instructions = sum of executed block lengths; block dispatches = number
@@ -205,8 +362,18 @@ let () =
         [
           tc "runtime errors" `Quick test_traps;
           tc "null virtual call" `Quick test_null_virtual_call;
+          tc "no such method" `Quick test_no_such_method;
           tc "instruction budget" `Quick test_instruction_budget;
           tc "stack overflow" `Quick test_stack_overflow;
+          tc "operand overflow in a deep callee" `Quick
+            test_operand_overflow_deep;
+        ] );
+      ( "frames",
+        [
+          tc "throw unwinds to the outer window" `Quick
+            test_throw_unwinds_windows;
+          tc "materialize shows per-frame windows" `Quick
+            test_materialize_windows;
         ] );
       ( "dispatch",
         [
