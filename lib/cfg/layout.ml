@@ -17,6 +17,7 @@ type t = {
   n_blocks : int;
   block_of_gid : Block.t array;
   instr_len : int array; (* gid -> static instruction count *)
+  mutable fingerprint_memo : string option; (* [fingerprint], once computed *)
 }
 
 let build (program : Program.t) : t =
@@ -41,7 +42,39 @@ let build (program : Program.t) : t =
           instr_len.(g) <- b.Block.len)
         cfg.Method_cfg.blocks)
     cfgs;
-  { program; cfgs; offsets; n_blocks; block_of_gid; instr_len }
+  {
+    program;
+    cfgs;
+    offsets;
+    n_blocks;
+    block_of_gid;
+    instr_len;
+    fingerprint_memo = None;
+  }
+
+(* The fingerprint ties persisted state to the exact program it was
+   profiled over: gids are meaningless under any other layout.  It
+   covers the full disassembly plus the block numbering, so it depends
+   on content, not identity.  Disassembling a program costs about a
+   millisecond, so the digest is computed on first use and kept; a
+   mutable option rather than a [Lazy.t] keeps the record free of
+   closures. *)
+let fingerprint t =
+  match t.fingerprint_memo with
+  | Some d -> d
+  | None ->
+      let buf = Buffer.create 4096 in
+      Buffer.add_string buf (Bytecode.Disasm.program_to_string t.program);
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (string_of_int t.n_blocks);
+      Array.iter
+        (fun len ->
+          Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int len))
+        t.instr_len;
+      let d = Digest.string (Buffer.contents buf) in
+      t.fingerprint_memo <- Some d;
+      d
 
 let gid t ~method_id ~block_index = t.offsets.(method_id) + block_index
 

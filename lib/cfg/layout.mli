@@ -17,12 +17,20 @@ type t = {
   n_blocks : int;
   block_of_gid : Block.t array;
   instr_len : int array;  (** gid -> static instruction count *)
+  mutable fingerprint_memo : string option;
+      (** {!fingerprint}'s cached digest; [None] until first asked for *)
 }
 
 val build : Program.t -> t
 (** Build every method's CFG and assign global ids.
     @raise Invalid_argument on malformed control flow (wild branch
     targets, code falling off a method's end). *)
+
+val fingerprint : t -> string
+(** 16-byte MD5 fingerprint of the layout (full disassembly plus block
+    numbering).  Two layouts built separately from the same program have
+    the same fingerprint.  Computed on first call and cached in the
+    layout, so {!build} does not pay for it. *)
 
 val gid : t -> method_id:int -> block_index:int -> gid
 

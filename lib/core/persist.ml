@@ -6,7 +6,7 @@
      offset  size  field
           0     8  magic "TCSNAP01"
           8     4  format version (u32 LE)
-         12    16  layout stamp (MD5 of the program layout)
+         12    16  layout stamp (Cfg.Layout.fingerprint)
          28     8  payload length (u64 LE)
          36    16  payload checksum (MD5)
          52     n  payload
@@ -49,21 +49,6 @@ let error_to_string = function
         got expected
   | Checksum_mismatch -> "payload checksum mismatch: snapshot is corrupted"
   | Malformed what -> Printf.sprintf "malformed payload: %s" what
-
-(* The layout stamp ties a snapshot to the exact program it was profiled
-   over: gids are meaningless under any other layout.  The fingerprint
-   covers the full disassembly plus the block numbering. *)
-let layout_stamp (layout : Cfg.Layout.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Bytecode.Disasm.program_to_string layout.program);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (string_of_int layout.n_blocks);
-  Array.iter
-    (fun len ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int len))
-    layout.instr_len;
-  Digest.string (Buffer.contents buf)
 
 type snapshot = {
   bcg_nodes : Bcg.node_snap list;
@@ -132,7 +117,7 @@ let encode ~(layout : Cfg.Layout.t) (s : snapshot) =
   let b4 = Bytes.create 4 in
   Bytes.set_int32_le b4 0 (Int32.of_int snapshot_version);
   Buffer.add_bytes buf b4;
-  Buffer.add_string buf (layout_stamp layout);
+  Buffer.add_string buf (Cfg.Layout.fingerprint layout);
   put_int buf (String.length payload);
   Buffer.add_string buf (Digest.string payload);
   Buffer.add_string buf payload;
@@ -263,7 +248,7 @@ let decode ~(layout : Cfg.Layout.t) data : (snapshot, error) result =
     if version <> snapshot_version then
       fail (Version_mismatch { got = version; expected = snapshot_version });
     let stamp = String.sub data 12 16 in
-    let expected_stamp = layout_stamp layout in
+    let expected_stamp = Cfg.Layout.fingerprint layout in
     if stamp <> expected_stamp then
       fail
         (Layout_mismatch

@@ -8,7 +8,7 @@
      offset  size  field
           0     8  magic "TCSNAP01"
           8     4  format version (u32 LE)
-         12    16  layout stamp (MD5 of the program layout)
+         12    16  layout stamp ({!Cfg.Layout.fingerprint})
          28     8  payload length (u64 LE)
          36    16  payload checksum (MD5)
          52     n  payload
@@ -22,11 +22,6 @@
 val snapshot_version : int
 (** The format version this build writes and reads (the single bump
     site).  Bumped on any change to the header or payload layout. *)
-
-val layout_stamp : Cfg.Layout.t -> string
-(** 16-byte MD5 fingerprint of the program layout (full disassembly plus
-    block numbering).  A snapshot only loads over a layout with the same
-    stamp — gids are meaningless under any other. *)
 
 type error =
   | Truncated of { expected : int; got : int }

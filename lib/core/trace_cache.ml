@@ -30,10 +30,12 @@ type qentry = {
 }
 
 (* One live entry binding.  Everything a dispatch touches sits in this
-   one record behind one probe: the trace, its LRU stamp and its heat.
-   [b_hit] is [Some b_trace], built once when the trace is bound, so a
-   lookup hit returns it without allocating. *)
+   one record: the trace, its LRU stamp and its heat.  [b_first] is the
+   context block of the binding's entry key (its head is the [by_head]
+   slot holding it).  [b_hit] is [Some b_trace], built once when the
+   trace is bound, so a lookup hit returns it without allocating. *)
 type binding = {
+  b_first : Layout.gid;
   mutable b_trace : Trace.t;
   mutable b_hit : Trace.t option;
   mutable b_stamp : int; (* LRU use stamp *)
@@ -44,6 +46,7 @@ type t = {
   layout : Layout.t;
   events : Events.t;
   by_entry : binding Int_table.t; (* key = first * n_blocks + head *)
+  by_head : binding list array; (* head -> live bindings entered at it *)
   by_seq : (string, Trace.t) Hashtbl.t; (* structural key *)
   max_traces : int; (* live-trace cap; 0 = unbounded *)
   max_blocks : int; (* live-block cap; 0 = unbounded *)
@@ -94,6 +97,7 @@ let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
     layout;
     events;
     by_entry = Int_table.create 256;
+    by_head = Array.make layout.Layout.n_blocks [];
     by_seq = Hashtbl.create 256;
     max_traces;
     max_blocks;
@@ -161,7 +165,20 @@ let touch t b =
   b.b_stamp <- t.stamp;
   b.b_uses <- b.b_uses + 1
 
-let binding t ekey = Int_table.find_opt t.by_entry ekey
+(* The [by_head] slot and context block of an entry key: floor
+   division, so every key (even one built from an out-of-range [first])
+   maps back to exactly one (first, head) pair. *)
+let slot_of_key t ekey =
+  let h = ekey mod t.layout.Layout.n_blocks in
+  if h < 0 then h + t.layout.Layout.n_blocks else h
+
+let first_of_key t ekey = (ekey - slot_of_key t ekey) / t.layout.Layout.n_blocks
+
+let rec find_in first = function
+  | [] -> None
+  | b :: rest -> if b.b_first = first then Some b else find_in first rest
+
+let binding t ekey = find_in (first_of_key t ekey) t.by_head.(slot_of_key t ekey)
 
 (* Execution pins.  The dispatch loop pins a trace for as long as it is
    being followed; eviction ([pick_victim]) and condemnation
@@ -198,11 +215,10 @@ let n_demote_refusals t = t.demote_refusals
 
 let trace_uses t (tr : Trace.t) =
   match
-    Int_table.find t.by_entry
-      (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0))
+    binding t (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0))
   with
-  | b -> b.b_uses
-  | exception Not_found -> 0
+  | Some b -> b.b_uses
+  | None -> 0
 
 let n_compiled t =
   Int_table.fold
@@ -237,29 +253,36 @@ let coldest_compiled t ~(excluding : Trace.t option) : Trace.t option =
     t.by_entry;
   match !best with Some (tr, _) -> Some tr | None -> None
 
+let in_layout t g = g >= 0 && g < t.layout.Layout.n_blocks
+
 (* Dispatch lookup: is there a trace entered by the transition
-   (prev, cur)?  One probe; a hit is a touch of the binding's fields and
-   returns its prebuilt option. *)
-let lookup t ~prev ~cur : Trace.t option =
-  if prev < 0 then None
-  else
-    match Int_table.find t.by_entry (entry_key_int t ~first:prev ~head:cur) with
-    | b ->
+   (prev, cur)?  A scan of [cur]'s slot; a hit is a touch of the
+   binding's fields and returns its prebuilt option. *)
+let rec enter_in t prev = function
+  | [] -> None
+  | b :: rest ->
+      if b.b_first = prev then begin
         touch t b;
         if b.b_trace.Trace.owner <> t.session then
           t.cross_entries <- t.cross_entries + 1;
         b.b_hit
-    | exception Not_found -> None
+      end
+      else enter_in t prev rest
+
+let lookup t ~prev ~cur : Trace.t option =
+  if prev < 0 || not (in_layout t cur) then None
+  else enter_in t prev t.by_head.(cur)
 
 (* Non-dispatch lookup: same binding, but no LRU touch and no
    cross-session accounting — observers (the OSR promotion glue, tests)
    use this to inspect a binding without heating it. *)
+let rec hit_in first = function
+  | [] -> None
+  | b :: rest -> if b.b_first = first then b.b_hit else hit_in first rest
+
 let peek t ~first ~head : Trace.t option =
-  if first < 0 then None
-  else
-    match Int_table.find t.by_entry (entry_key_int t ~first ~head) with
-    | b -> b.b_hit
-    | exception Not_found -> None
+  if first < 0 || not (in_layout t head) then None
+  else hit_in first t.by_head.(head)
 
 (* Purge every by_seq binding of this exact trace.  A corrupted trace's
    sequence key is stale (the blocks changed under it), so a key lookup
@@ -274,6 +297,8 @@ let purge_seq t (tr : Trace.t) =
    table, so rebuilding it later constructs (and re-validates) it afresh. *)
 let unbind t ekey (tr : Trace.t) =
   Int_table.remove t.by_entry ekey;
+  let h = slot_of_key t ekey and first = first_of_key t ekey in
+  t.by_head.(h) <- List.filter (fun b -> b.b_first <> first) t.by_head.(h);
   t.live_blocks <- t.live_blocks - Array.length tr.Trace.blocks;
   (* leaving the cache frees the compiled-tier slot too (no Tier_demoted
      event: the eviction/quarantine event already covers the removal) *)
@@ -387,8 +412,8 @@ let note_replaced t ~first ~head (tr : Trace.t) =
    entry. *)
 let bind t ekey (tr : Trace.t) =
   let b =
-    match Int_table.find t.by_entry ekey with
-    | b ->
+    match binding t ekey with
+    | Some b ->
         if b.b_trace != tr then begin
           t.live_blocks <-
             t.live_blocks
@@ -398,10 +423,20 @@ let bind t ekey (tr : Trace.t) =
           b.b_hit <- Some tr
         end;
         b
-    | exception Not_found ->
+    | None ->
         t.live_blocks <- t.live_blocks + Array.length tr.Trace.blocks;
-        let b = { b_trace = tr; b_hit = Some tr; b_stamp = 0; b_uses = 0 } in
+        let b =
+          {
+            b_first = first_of_key t ekey;
+            b_trace = tr;
+            b_hit = Some tr;
+            b_stamp = 0;
+            b_uses = 0;
+          }
+        in
         Int_table.replace t.by_entry ekey b;
+        let h = slot_of_key t ekey in
+        t.by_head.(h) <- b :: t.by_head.(h);
         b
   in
   touch t b;
@@ -685,6 +720,7 @@ let n_cross_entries t = t.cross_entries
    following the flushed traces, whose unpins balance them. *)
 let flush t =
   Int_table.reset t.by_entry;
+  Array.fill t.by_head 0 (Array.length t.by_head) [];
   Hashtbl.reset t.by_seq;
   Hashtbl.reset t.quarantine;
   t.live_blocks <- 0

@@ -72,15 +72,19 @@ val session : t -> int
 
 val lookup : t -> prev:Cfg.Layout.gid -> cur:Cfg.Layout.gid -> Trace.t option
 (** Dispatch lookup: the trace entered by the transition [(prev, cur)],
-    if any ([prev < 0] never matches).  A hit refreshes the entry's LRU
-    stamp and heat.  One table probe, no allocation: the [Some] returned
-    is the binding's own, built once when the trace was bound. *)
+    if any ([prev < 0] never matches, nor does a [cur] outside the
+    layout).  A hit refreshes the entry's LRU stamp and heat.  No
+    hashing and no allocation: an array read of [cur]'s bindings (the
+    head index, usually 0–2 entries) and a scan for [prev]; the [Some]
+    returned is the binding's own, built once when the trace was
+    bound. *)
 
 val peek : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** The trace bound to the entry transition [(first, head)], if any,
     {e without} refreshing its LRU stamp or counting a dispatch — for
     observers (the OSR promotion glue, tests) that must not heat the
-    entry. *)
+    entry.  Same head-index scan as {!lookup}; [first < 0] or a [head]
+    outside the layout never matches. *)
 
 val install :
   t ->

@@ -81,6 +81,16 @@ for w in $(dune exec bin/repro_cli.exe -- list | cut -d' ' -f1); do
   }
 done
 
+# Shared-cache gate: two members per workload interleaved over one
+# trace cache per layout, first under injected pressure evictions, then
+# with self-healing against corrupted traces.  Every member's result
+# must equal a solo interpreter run; exits non-zero on any divergence.
+dune exec bin/repro_cli.exe -- session --workloads javac,soot,mpegaudio \
+  --users 2 --fault-spec 'alloc-pressure@0.001,budget=20' > /dev/null
+dune exec bin/repro_cli.exe -- session --workloads javac,soot,mpegaudio \
+  --users 2 --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
+  > /dev/null
+
 # Timeline round trip: export a Chrome trace and hold it to the
 # structural oracle (valid JSON, monotone timestamps, every E closing a
 # B); exits non-zero on any violation.

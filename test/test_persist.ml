@@ -84,6 +84,31 @@ let test_restore_info_counts () =
       check Alcotest.bool "some BCG nodes restored" true
         (info.Engine.restored_bcg_nodes > 0)
 
+(* The layout stamp is cached in the layout on first use, but it is a
+   digest of the program's content: a snapshot taken over one layout
+   loads into a second layout built separately from the same program in
+   the same process. *)
+let test_same_program_other_layout () =
+  let data, layout = snapshot_of Workloads.Compress.workload in
+  check Alcotest.bool "the first layout's stamp is cached" true
+    (layout.Cfg.Layout.fingerprint_memo <> None);
+  let other = layout_of Workloads.Compress.workload in
+  check Alcotest.bool "a separately built layout" true (other != layout);
+  check Alcotest.bool "nothing computed before first use" true
+    (other.Cfg.Layout.fingerprint_memo = None);
+  let engine = Engine.create other in
+  (match Engine.restore engine data with
+  | Error e ->
+      Alcotest.failf "rejected by an equal layout: %s"
+        (Persist.error_to_string e)
+  | Ok info ->
+      check Alcotest.bool "traces restored" true
+        (info.Engine.restored_traces > 0));
+  check Alcotest.string "same stamp" (Cfg.Layout.fingerprint layout)
+    (Cfg.Layout.fingerprint other);
+  check Alcotest.string "re-snapshots identically over the other layout"
+    data (Engine.snapshot engine)
+
 (* --------------------------------------------------------------- *)
 (* rejection                                                         *)
 (* --------------------------------------------------------------- *)
@@ -364,6 +389,8 @@ let () =
           tc "restore re-snapshots identically" `Quick
             test_restore_resnapshot_identity;
           tc "restore info counts" `Quick test_restore_info_counts;
+          tc "loads into a separately built equal layout" `Quick
+            test_same_program_other_layout;
         ] );
       ( "rejection",
         [
