@@ -1,993 +1,271 @@
-(* The benchmark harness.
+(* The benchmark harness: the paper's tables and deterministic counters.
 
-   Running this executable regenerates every table and figure of the
-   paper's evaluation (Tables I-VII plus the Figure 1/2 dispatch-model
-   comparison and the section-5.3 baseline comparison), then runs a
-   Bechamel microbenchmark suite over the mechanisms whose cost the paper
-   argues about (the per-dispatch profiler hook, BCG maintenance, trace
-   cache lookup, and the interpreter dispatch models).
+   The full run prints every table and figure of the paper's evaluation
+   (Tables I-VII plus the Figure 1/2 dispatch-model comparison and the
+   section-5.3 baseline comparison) and the ablations beyond it, then
+   the counter rows.  --smoke prints the counter rows only.
 
-   BENCH_SCALE scales the workload sizes (default 1.0 = paper-scale runs,
-   a few minutes; 0.1 gives a quick smoke run).  BENCH_SKIP_MICRO=1 skips
-   the Bechamel section. *)
+   A counter row is one section label, one engine configuration run
+   once, and the metrics read back from [Stats], [Engine] or [Session]
+   — counts and ratios of counts, never wall-clock time, so two runs
+   of the same build print the same numbers.  Wall-clock cost is
+   perfbench's job (perfbench/README.md).  Section labels such as
+   span_overhead keep the names of the timed sections whose counters
+   they carry, so older baselines still join on (section, metric).
+
+   --json also writes the counter rows as BENCH_smoke.json (with
+   --smoke) or BENCH_full.json, the machine-readable baseline that
+   [repro_cli bench-diff] compares.  BENCH_SCALE scales the tables'
+   workload sizes (default 1.0 = paper scale, a few minutes) and the
+   warm-start rows' (capped at 0.5). *)
 
 module Stats = Tracegen.Stats
+module Engine = Tracegen.Engine
+module Perf = Harness.Perf
 
 let scale =
   match Sys.getenv_opt "BENCH_SCALE" with
   | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
 
+let smoke = Array.mem "--smoke" Sys.argv
+let json_mode = Array.mem "--json" Sys.argv
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* --json: besides the printed tables, accumulate every section's headline
-   numbers as [Harness.Perf] metrics and write them out as a single
-   machine-readable baseline (BENCH_<label>.json) at exit —
-   [repro_cli bench-diff] compares two such files. *)
-let json_mode = Array.exists (fun a -> a = "--json") Sys.argv
-let perf_sections : Harness.Perf.section list ref = ref []
-
-let perf label metrics =
-  if json_mode then
-    perf_sections := { Harness.Perf.label; metrics } :: !perf_sections
-
-let m name value unit_ better =
-  Harness.Perf.metric ~name ~value ~unit_ ~better
-
-let mhigher = Harness.Perf.Higher
-let mlower = Harness.Perf.Lower
-
-let write_perf ~label =
-  if json_mode then begin
-    let run =
-      {
-        Harness.Perf.bench = label;
-        env = Harness.Perf.env_stamp ~scale;
-        sections = List.rev !perf_sections;
-      }
-    in
-    let path = Printf.sprintf "BENCH_%s.json" label in
-    let oc = open_out path in
-    output_string oc (Harness.Perf.to_string run);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nperf baseline written to %s (%d sections)\n" path
-      (List.length run.Harness.Perf.sections)
-  end
 
 let tables () =
   section "Paper tables";
   Printf.printf "(workload scale %.2f; see EXPERIMENTS.md for analysis)\n\n"
     scale;
-  print_string (Harness.Tables.figure_dispatch ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.table1 ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.table2 ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.coverage_totals ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.table3 ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.table4 ~scale ());
-  print_newline ();
-  print_string (Harness.Tables.table5 ~scale ());
-  print_newline ();
+  let show table =
+    print_string table;
+    print_newline ()
+  in
+  show (Harness.Tables.figure_dispatch ~scale ());
+  show (Harness.Tables.table1 ~scale ());
+  show (Harness.Tables.table2 ~scale ());
+  show (Harness.Tables.coverage_totals ~scale ());
+  show (Harness.Tables.table3 ~scale ());
+  show (Harness.Tables.table4 ~scale ());
+  show (Harness.Tables.table5 ~scale ());
   let t6, rows6 = Harness.Overhead.table6 ~scale () in
-  print_string t6;
-  print_newline ();
-  print_string (Harness.Overhead.table7 ~scale ~rows:rows6 ());
-  print_newline ();
-  print_string (Harness.Tables.baselines ~scale ());
-  print_newline ();
-  print_string (Harness.Ablation.decay_ablation ());
-  print_newline ();
-  print_string (Harness.Ablation.optimizer_report ~scale:(min scale 0.3) ());
-  print_newline ();
-  print_string (Harness.Footprint.report ~scale:(min scale 0.3) ());
-  print_newline ()
+  show t6;
+  show (Harness.Overhead.table7 ~scale ~rows:rows6 ());
+  show (Harness.Tables.baselines ~scale ());
+  show (Harness.Ablation.decay_ablation ());
+  show (Harness.Ablation.optimizer_report ~scale:(min scale 0.3) ());
+  show (Harness.Footprint.report ~scale:(min scale 0.3) ());
+  show (Harness.Warmstart.eviction_ablation ~scale:(min scale 0.5) ())
 
 (* ------------------------------------------------------------------ *)
-(* Warm starts and eviction policy                                      *)
+(* Counter rows                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Time-to-peak-throughput cold vs warm (the payoff of Persist
-   snapshots), and the LRU vs footprint-aware eviction ablation over a
-   starved cache. *)
-let warmstart () =
-  section "Warm starts / eviction policy";
-  print_string (Harness.Warmstart.cold_vs_warm ~scale:(min scale 0.5) ());
-  print_newline ();
-  print_string (Harness.Warmstart.eviction_ablation ~scale:(min scale 0.5) ())
+let m name value unit_ better = Perf.metric ~name ~value ~unit_ ~better
+let count name n better = m name (float_of_int n) "count" better
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                             *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-(* a small real layout for mechanism benches *)
-let bench_layout =
+(* a small real layout for the single-workload rows *)
+let small_layout =
   lazy
     (let w = Workloads.Compress.workload in
      Cfg.Layout.build (w.Workloads.Workload.build ~size:500))
 
-(* Table VI's subject: the profiler hook, one dispatch *)
-let bench_profiler_hook () =
-  let layout = Lazy.force bench_layout in
-  let profiler =
-    Tracegen.Profiler.create Tracegen.Config.default
-      ~n_blocks:layout.Cfg.Layout.n_blocks ~on_signal:(fun _ -> ())
-  in
-  (* warm the graph with a short cyclic stream *)
-  let stream = [| 0; 1; 2; 3; 1; 2; 4 |] in
-  Array.iter (Tracegen.Profiler.dispatch profiler) stream;
-  let k = ref 0 in
-  Staged.stage (fun () ->
-      Tracegen.Profiler.dispatch profiler stream.(!k);
-      k := (!k + 1) mod Array.length stream)
+let run_small ?events config =
+  Engine.run ~config ?events (Lazy.force small_layout)
 
-(* BCG node visit + successor recording, the inner work of the hook *)
-let bench_bcg_touch () =
-  let bcg =
-    Tracegen.Bcg.create Tracegen.Config.default ~n_blocks:1024
-      ~on_signal:(fun _ -> ())
-  in
-  let k = ref 0 in
-  Staged.stage (fun () ->
-      let x = !k land 7 and y = (!k + 1) land 7 and z = (!k + 2) land 7 in
-      let ctx = Tracegen.Bcg.visit_node bcg ~x ~y in
-      let target = Tracegen.Bcg.visit_node bcg ~x:y ~y:z in
-      Tracegen.Bcg.record_successor bcg ~ctx ~target;
-      incr k)
-
-(* trace-cache dispatch lookup *)
-let bench_cache_lookup () =
-  let layout = Lazy.force bench_layout in
-  let cache = Tracegen.Trace_cache.create layout in
-  for g = 0 to 30 do
-    ignore
-      (Tracegen.Trace_cache.install cache ~first:g
-         ~blocks:[| g + 1; g + 2 |] ~prob:1.0)
-  done;
-  let k = ref 0 in
-  Staged.stage (fun () ->
-      ignore
-        (Tracegen.Trace_cache.lookup cache ~prev:(!k land 31)
-           ~cur:((!k land 31) + 1));
-      incr k)
-
-(* the interpreter itself, per dispatch model (Figures 1 and 2) *)
-let interp_bench ~with_profiler () =
-  let layout = Lazy.force bench_layout in
-  Staged.stage (fun () ->
-      if with_profiler then begin
-        let config = Tracegen.Config.make ~build_traces:false () in
-        ignore (Tracegen.Engine.run ~config layout)
-      end
-      else ignore (Vm.Interp.run_plain layout))
-
-let bench_full_engine () =
-  let layout = Lazy.force bench_layout in
-  Staged.stage (fun () -> ignore (Tracegen.Engine.run layout))
-
-(* same run with a live subscriber: the priced-in cost of observing *)
-let bench_engine_events () =
-  let layout = Lazy.force bench_layout in
-  Staged.stage (fun () ->
-      let events = Tracegen.Events.create () in
-      let n = ref 0 in
-      let _sub = Tracegen.Events.subscribe events (fun _ -> incr n) in
-      ignore (Tracegen.Engine.run ~events layout))
-
-(* same run with the debug invariant sweeps on: every trace construction
-   and decay boundary re-checks the BCG and the trace cache *)
-let bench_engine_debug_checks () =
-  let layout = Lazy.force bench_layout in
-  let config = Tracegen.Config.make ~debug_checks:true () in
-  Staged.stage (fun () -> ignore (Tracegen.Engine.run ~config layout))
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The event stream's contract is "free when nobody subscribes": every
-   emission site is a single predictable branch on the disabled path.
-   Time the full engine with no subscribers against the same run with a
-   subscriber counting every event (plus periodic metric snapshots), and
-   report both sides. *)
+(* The event stream with one counting subscriber and periodic metric
+   snapshots: how much a subscriber sees per run. *)
 let observability () =
-  section "Observability overhead (events disabled vs enabled)";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    (* median of 5 samples of [reps] runs *)
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
-  in
-  let disabled () = ignore (Tracegen.Engine.run layout) in
-  let counted = ref 0 in
-  let enabled () =
-    let events = Tracegen.Events.create () in
-    let _sub = Tracegen.Events.subscribe events (fun _ -> incr counted) in
-    let config = Tracegen.Config.make ~snapshot_period:10_000 () in
-    ignore (Tracegen.Engine.run ~config ~events layout)
-  in
-  let td = time disabled in
-  let te = time enabled in
-  let runs = (5 * reps) + 1 in
-  Printf.printf
-    "engine, events disabled : %8.2f ms/run (median of 5x%d)\n\
-     engine, events enabled  : %8.2f ms/run (~%d events per run)\n\
-     enabled-path cost       : %+7.2f%%\n"
-    (1000.0 *. td /. float_of_int reps)
-    reps
-    (1000.0 *. te /. float_of_int reps)
-    (!counted / runs)
-    (100.0 *. (te -. td) /. td);
-  perf "observability"
-    [
-      m "events_disabled_ms" (1000.0 *. td /. float_of_int reps) "ms/run"
-        mlower;
-      m "events_enabled_ms" (1000.0 *. te /. float_of_int reps) "ms/run"
-        mlower;
-      m "enabled_cost_pct" (100.0 *. (te -. td) /. td) "pct" mlower;
-      m "events_per_run" (float_of_int (!counted / runs)) "count" mhigher;
-    ]
-
-(* The black box and the decision ledger are on by default; their
-   contract is O(1) per record with bounded retention (the ring) and
-   per-consequential-action cost (the ledger), so the priced-in overhead
-   on an events-enabled run must stay small — the acceptance line is 3%.
-   Time the events-enabled engine with both disarmed
-   ([flightrec_capacity:0], [ledger:false]) against the same run with the
-   defaults, and report the delta plus the recorder's window accounting.
-   The enabled run's trace-length distribution feeds the perf baseline as
-   p50/p90/p99 ({!Tracegen.Metrics.percentile}). *)
-let flightrec_ledger_overhead () =
-  section "Flight recorder / ledger overhead (events-enabled config)";
-  let layout = Lazy.force bench_layout in
-  (* paired interleaved samples: the 3% acceptance line is finer than
-     the drift between two separately-timed blocks on a busy machine, so
-     time (off, on) back to back and take the median of the per-pair
-     relative deltas; the reps floor keeps each sample long enough to
-     ride over scheduler noise even at smoke scale *)
-  let reps = max 5 (int_of_float (10.0 *. scale)) in
-  let sample f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* "events-enabled" means what it means everywhere else in this repo:
-     the reconciliation oracle's tally is subscribed, as the chaos gate
-     and the events subcommand both do — both sides of the comparison
-     carry it, so the delta is exactly the ring + the ledger *)
-  let run_with config =
-    let events = Tracegen.Events.create () in
-    let _tally = Harness.Oracle.attach events in
-    Tracegen.Engine.run ~config ~events layout
-  in
-  let off () =
-    ignore
-      (run_with (Tracegen.Config.make ~flightrec_capacity:0 ~ledger:false ()))
-  in
-  let recorded = ref 0 in
-  let dropped = ref 0 in
-  let decisions = ref 0 in
-  let pcts = ref None in
-  let on () =
-    let r = run_with (Tracegen.Config.make ()) in
-    let e = r.Tracegen.Engine.engine in
-    (match Tracegen.Engine.flightrec e with
-    | Some fr ->
-        recorded := Tracegen.Flightrec.recorded fr;
-        dropped := Tracegen.Flightrec.dropped fr
-    | None -> ());
-    (match Tracegen.Engine.ledger e with
-    | Some l -> decisions := Tracegen.Ledger.length l
-    | None -> ());
-    (* keep only the three ints, not the engine: retaining the previous
-       run's heap across timed runs would tax the GC we are measuring *)
-    let h = Tracegen.Engine.trace_len_hist e in
-    let p q = Tracegen.Metrics.percentile h q in
-    pcts := Some (p 50.0, p 90.0, p 99.0)
-  in
-  off ();
-  on ();
-  Gc.compact ();
-  let pairs = List.init 9 (fun _ -> (sample off, sample on)) in
-  (* the minimum of each side is the run without scheduler interference —
-     medians still wander by several percent on a contended machine *)
-  let t_off = List.fold_left min infinity (List.map fst pairs) in
-  let t_on = List.fold_left min infinity (List.map snd pairs) in
-  let cost = 100.0 *. (t_on -. t_off) /. t_off in
-  Printf.printf
-    "engine, both disarmed   : %8.2f ms/run (median of 5x%d)\n\
-     engine, ring + ledger   : %8.2f ms/run (%d recorded, %d dropped, %d \
-     ledger records)\n\
-     enabled-path cost       : %+7.2f%% (budget 3%%: %s)\n"
-    (1000.0 *. t_off /. float_of_int reps)
-    reps
-    (1000.0 *. t_on /. float_of_int reps)
-    !recorded !dropped !decisions cost
-    (if cost <= 3.0 then "within" else "OVER");
-  let percentiles =
-    match !pcts with
-    | None -> []
-    | Some (p50, p90, p99) ->
-        Printf.printf
-          "trace length            : p50<=%d p90<=%d p99<=%d blocks\n" p50 p90
-          p99;
-        [
-          m "trace_len_p50" (float_of_int p50) "blocks" mhigher;
-          m "trace_len_p90" (float_of_int p90) "blocks" mhigher;
-          m "trace_len_p99" (float_of_int p99) "blocks" mhigher;
-        ]
-  in
-  perf "flightrec_ledger"
-    ([
-       m "disarmed_ms" (1000.0 *. t_off /. float_of_int reps) "ms/run" mlower;
-       m "armed_ms" (1000.0 *. t_on /. float_of_int reps) "ms/run" mlower;
-       m "overhead_pct" cost "pct" mlower;
-       m "flightrec_recorded" (float_of_int !recorded) "count" mhigher;
-       m "ledger_records" (float_of_int !decisions) "count" mhigher;
-     ]
-    @ percentiles)
-
-(* The span recorder and attribution arrays have the same contract as the
-   event stream: with [Config.obs_spans] off (the default) every site is a
-   single branch — a [None]/empty-array test — so the dispatch loop must
-   not slow down.  Time the disabled path twice to estimate the noise
-   floor, then the same run with spans + attribution on, and report both
-   deltas: the disabled re-run should sit inside the noise, the enabled
-   cost is the priced-in cost of deep observability. *)
-let span_overhead () =
-  section "Span overhead (obs_spans disabled vs enabled)";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
-  in
-  let disabled () = ignore (Tracegen.Engine.run layout) in
-  let spans_seen = ref 0 in
-  let enabled () =
-    let config =
-      Tracegen.Config.make ~obs_spans:true ~obs_attribution:true ()
-    in
-    let r = Tracegen.Engine.run ~config layout in
-    match Tracegen.Engine.spans r.Tracegen.Engine.engine with
-    | Some s -> spans_seen := Tracegen.Spans.recorded s
-    | None -> ()
-  in
-  let d1 = time disabled in
-  let d2 = time disabled in
-  let te = time enabled in
-  let noise = 100.0 *. abs_float (d2 -. d1) /. d1 in
-  let cost = 100.0 *. (te -. d1) /. d1 in
-  Printf.printf
-    "engine, obs disabled    : %8.2f ms/run (median of 5x%d)\n\
-     engine, obs disabled #2 : %8.2f ms/run (noise floor %.2f%%)\n\
-     engine, spans + attrib  : %8.2f ms/run (%d spans per run)\n\
-     enabled-path cost       : %+7.2f%%\n\
-     disabled path within noise: %s\n"
-    (1000.0 *. d1 /. float_of_int reps)
-    reps
-    (1000.0 *. d2 /. float_of_int reps)
-    noise
-    (1000.0 *. te /. float_of_int reps)
-    !spans_seen cost
-    (if abs_float (d2 -. d1) /. d1 <= 0.15 then "yes" else "NO (rerun)");
-  perf "span_overhead"
-    [
-      m "obs_disabled_ms" (1000.0 *. d1 /. float_of_int reps) "ms/run" mlower;
-      m "obs_enabled_ms" (1000.0 *. te /. float_of_int reps) "ms/run" mlower;
-      m "enabled_cost_pct" cost "pct" mlower;
-      m "spans_per_run" (float_of_int !spans_seen) "count" mhigher;
-    ]
-
-(* The invariant sweeps' contract is the same shape: one boolean test per
-   block dispatch and per builder outcome when [debug_checks] is off.
-   Time the engine with the sweeps off against the same run with them on
-   (every construction and decay boundary re-checks the BCG + cache). *)
-let debug_checks_overhead () =
-  section "Debug-check overhead (invariant sweeps off vs on)";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
-  in
-  let off () = ignore (Tracegen.Engine.run layout) in
-  let violations = ref 0 in
-  let on () =
-    let config = Tracegen.Config.make ~debug_checks:true () in
-    let r = Tracegen.Engine.run ~config layout in
-    violations :=
-      !violations + r.Tracegen.Engine.run_stats.Tracegen.Stats.invariant_violations
-  in
-  let t_off = time off in
-  let t_on = time on in
-  Printf.printf
-    "engine, debug_checks off: %8.2f ms/run (median of 5x%d)\n\
-     engine, debug_checks on : %8.2f ms/run (%d violations found)\n\
-     checked-path cost       : %+7.2f%%\n"
-    (1000.0 *. t_off /. float_of_int reps)
-    reps
-    (1000.0 *. t_on /. float_of_int reps)
-    !violations
-    (100.0 *. (t_on -. t_off) /. t_off);
-  perf "debug_checks"
-    [
-      m "checks_off_ms" (1000.0 *. t_off /. float_of_int reps) "ms/run"
-        mlower;
-      m "checks_on_ms" (1000.0 *. t_on /. float_of_int reps) "ms/run" mlower;
-      m "checked_cost_pct" (100.0 *. (t_on -. t_off) /. t_off) "pct" mlower;
-    ]
-
-(* Chaos costs two numbers: the steady-state overhead of running with the
-   self-healing machinery armed (dispatch-time validation, quarantine
-   bookkeeping, health accounting) versus the plain engine, and the
-   recovery latency — how many dispatches the engine spends below full
-   tracing after a fault burst before the ladder climbs back. *)
-let chaos_overhead () =
-  section "Chaos overhead / recovery latency";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
-  in
-  let plain () = ignore (Tracegen.Engine.run layout) in
-  (* self-healing armed but no faults scheduled: the pure price of the
-     armour *)
-  let armed () =
-    let config =
-      Tracegen.Config.make ~debug_checks:true ~self_heal:true
-        ~max_cache_traces:48 ()
-    in
-    ignore (Tracegen.Engine.run ~config layout)
-  in
-  (* the chaos operating point: full default fault schedule *)
-  let faults = ref 0 in
-  let quarantined = ref 0 in
-  let under_fire () =
-    let config = Harness.Chaos.config ~seed:42 () in
-    let r = Tracegen.Engine.run ~config layout in
-    let s = r.Tracegen.Engine.run_stats in
-    faults := !faults + s.Stats.faults_injected;
-    quarantined := !quarantined + s.Stats.traces_quarantined
-  in
-  let t_plain = time plain in
-  let t_armed = time armed in
-  let t_fire = time under_fire in
-  Printf.printf
-    "engine, plain           : %8.2f ms/run (median of 5x%d)\n\
-     engine, self-heal armed : %8.2f ms/run (no faults scheduled)\n\
-     engine, under fire      : %8.2f ms/run (default chaos schedule)\n\
-     armed-path cost         : %+7.2f%%\n\
-     under-fire cost         : %+7.2f%%\n"
-    (1000.0 *. t_plain /. float_of_int reps)
-    reps
-    (1000.0 *. t_armed /. float_of_int reps)
-    (1000.0 *. t_fire /. float_of_int reps)
-    (100.0 *. (t_armed -. t_plain) /. t_plain)
-    (100.0 *. (t_fire -. t_plain) /. t_plain);
-  perf "chaos"
-    [
-      m "plain_ms" (1000.0 *. t_plain /. float_of_int reps) "ms/run" mlower;
-      m "armed_cost_pct" (100.0 *. (t_armed -. t_plain) /. t_plain) "pct"
-        mlower;
-      m "under_fire_cost_pct" (100.0 *. (t_fire -. t_plain) /. t_plain) "pct"
-        mlower;
-    ];
-  (* Recovery latency: subscribe to Mode_degraded/Mode_recovered and
-     measure, in dispatches, each excursion below full tracing.  A hotter
-     schedule than the gate's, so the ladder actually moves on this small
-     layout. *)
-  let config =
-    Harness.Chaos.config
-      ~spec:
-        "corrupt-trace@0.02,corrupt-instrs@0.02,zero-counter@0.01,budget=60"
-      ~seed:42 ()
-  in
+  let seen = ref 0 in
   let events = Tracegen.Events.create () in
-  let down_at = ref None in
-  let excursions = ref [] in
-  let _sub =
-    Tracegen.Events.subscribe events (fun ev ->
-        match ev.Tracegen.Events.payload with
-        | Tracegen.Events.Mode_degraded _ ->
-            if !down_at = None then down_at := Some ev.Tracegen.Events.time
-        | Tracegen.Events.Mode_recovered
-            { to_level = Tracegen.Health.Full_tracing; _ } -> (
-            match !down_at with
-            | Some d ->
-                excursions := (ev.Tracegen.Events.time - d) :: !excursions;
-                down_at := None
-            | None -> ())
-        | _ -> ())
+  let _sub = Tracegen.Events.subscribe events (fun _ -> incr seen) in
+  ignore (run_small ~events (Tracegen.Config.make ~snapshot_period:10_000 ()));
+  [ count "events_per_run" !seen Perf.Higher ]
+
+(* Spans and attribution on: the spans one run records. *)
+let span_overhead () =
+  let config = Tracegen.Config.make ~obs_spans:true ~obs_attribution:true () in
+  let e = (run_small config).Engine.engine in
+  let spans =
+    Option.fold ~none:0 ~some:Tracegen.Spans.recorded (Engine.spans e)
   in
-  let r = Tracegen.Engine.run ~config ~events layout in
-  let s = r.Tracegen.Engine.run_stats in
-  let ex = List.rev !excursions in
-  let n = List.length ex in
-  Printf.printf
-    "recovery latency        : %d excursion(s) below full tracing\n" n;
-  if n > 0 then begin
-    let total = List.fold_left ( + ) 0 ex in
-    Printf.printf
-      "                          mean %d dispatches, max %d (of %d total)\n"
-      (total / n)
-      (List.fold_left max 0 ex)
-      (Stats.total_dispatches s)
+  [ count "spans_per_run" spans Perf.Higher ]
+
+(* The default black box and decision ledger on an events-enabled run
+   (the reconciliation oracle's tally subscribed, as the chaos gate and
+   the events subcommand do), plus the trace-length distribution. *)
+let flightrec_ledger () =
+  let events = Tracegen.Events.create () in
+  let _tally = Harness.Oracle.attach events in
+  let e = (run_small ~events (Tracegen.Config.make ())).Engine.engine in
+  let p q =
+    m
+      (Printf.sprintf "trace_len_p%.0f" q)
+      (float_of_int (Tracegen.Metrics.percentile (Engine.trace_len_hist e) q))
+      "blocks" Perf.Higher
+  in
+  [
+    count "flightrec_recorded"
+      (Option.fold ~none:0 ~some:Tracegen.Flightrec.recorded
+         (Engine.flightrec e))
+      Perf.Higher;
+    count "ledger_records"
+      (Option.fold ~none:0 ~some:Tracegen.Ledger.length (Engine.ledger e))
+      Perf.Higher;
+    p 50.0;
+    p 90.0;
+    p 99.0;
+  ]
+
+(* On-stack replacement under a guard-flip schedule that forces
+   mid-trace deoptimization. *)
+let osr () =
+  let config =
+    Harness.Chaos.config ~spec:"guard-flip@0.05,budget=200" ~osr:true ~seed:42
+      ()
+  in
+  let s = (run_small config).Engine.run_stats in
+  [
+    count "deopts_per_run" s.Stats.deopts Perf.Lower;
+    count "promotions_per_run" s.Stats.osr_promotions Perf.Higher;
+  ]
+
+(* Run workload [name] at its default size with [feature] off and on
+   and return the "on" statistics.  Guard pruning and the compiled tier
+   change what a position costs, never the dispatch stream, so
+   differing dispatch counts are a bug and fail the bench. *)
+let off_on feature name config =
+  let w = Option.get (Workloads.Registry.find name) in
+  let layout = Cfg.Layout.build (Workloads.Workload.build_default w) in
+  let stats on = (Engine.run ~config:(config on) layout).Engine.run_stats in
+  let off = stats false and on = stats true in
+  if Stats.total_dispatches off <> Stats.total_dispatches on then begin
+    Printf.eprintf "bench: %s.%s: DISPATCH MISMATCH (%d off vs %d on)\n"
+      feature name
+      (Stats.total_dispatches off)
+      (Stats.total_dispatches on);
+    exit 1
   end;
-  Printf.printf
-    "                          (run: faults=%d quarantined=%d healed=%d)\n"
-    s.Stats.faults_injected s.Stats.traces_quarantined s.Stats.healed_nodes
+  on
 
-(* On-stack replacement: the standing price of arming the machinery
-   (hot-loop polling, entry pinning, promotion walks) with no faults
-   scheduled, then a guard-flip schedule that forces mid-trace
-   deoptimization — the wall-time delta over the armed baseline divided
-   by the deopt count approximates the per-deopt latency. *)
-let osr_overhead () =
-  section "OSR overhead / deopt latency";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
+(* The install-time implication prover: the dynamic guard-comparison
+   rate and the share of in-trace positions a static proof covers. *)
+let guard_pruning name () =
+  let s =
+    off_on "guard_pruning" name (fun prune_guards ->
+        Tracegen.Config.make ~prune_guards ())
   in
-  let off () =
-    let config =
-      Tracegen.Config.make ~debug_checks:true ~self_heal:true
-        ~max_cache_traces:48 ()
-    in
-    ignore (Tracegen.Engine.run ~config layout)
-  in
-  let armed () =
-    let config =
-      Tracegen.Config.make ~debug_checks:true ~self_heal:true
-        ~max_cache_traces:48 ~osr:true ~osr_promote_after:64 ()
-    in
-    ignore (Tracegen.Engine.run ~config layout)
-  in
-  let deopts = ref 0 in
-  let promotions = ref 0 in
-  let entries = ref 0 in
-  let runs = ref 0 in
-  let flipped () =
-    let config =
-      Harness.Chaos.config ~spec:"guard-flip@0.05,budget=200" ~osr:true
-        ~seed:42 ()
-    in
-    let r = Tracegen.Engine.run ~config layout in
-    let s = r.Tracegen.Engine.run_stats in
-    deopts := !deopts + s.Tracegen.Stats.deopts;
-    promotions := !promotions + s.Tracegen.Stats.osr_promotions;
-    entries := !entries + s.Tracegen.Stats.osr_entries;
-    incr runs
-  in
-  let t_off = time off in
-  let t_armed = time armed in
-  let t_flip = time flipped in
-  let per_run c = float_of_int c /. float_of_int (max 1 !runs) in
-  Printf.printf
-    "engine, OSR off         : %8.2f ms/run (median of 5x%d)\n\
-     engine, OSR armed       : %8.2f ms/run (polling + pinning, no faults)\n\
-     arming cost             : %+7.2f%%\n\
-     engine, guard flips     : %8.2f ms/run (guard-flip@0.05, budget=200)\n\
-     per run                 : %.1f deopts, %.1f promotions, %.1f OSR \
-     entries\n"
-    (1000.0 *. t_off /. float_of_int reps)
-    reps
-    (1000.0 *. t_armed /. float_of_int reps)
-    (100.0 *. (t_armed -. t_off) /. t_off)
-    (1000.0 *. t_flip /. float_of_int reps)
-    (per_run !deopts) (per_run !promotions) (per_run !entries);
-  if per_run !deopts > 0.0 then
-    Printf.printf "deopt latency           : %8.2f us/deopt ((flips - \
-                   armed) / deopts)\n"
-      (1_000_000.0
-      *. (t_flip -. t_armed)
-      /. float_of_int reps /. per_run !deopts);
-  perf "osr"
-    ([
-       m "arming_cost_pct" (100.0 *. (t_armed -. t_off) /. t_off) "pct"
-         mlower;
-       m "deopts_per_run" (per_run !deopts) "count" mlower;
-       m "promotions_per_run" (per_run !promotions) "count" mhigher;
-     ]
-    @
-    if per_run !deopts > 0.0 then
-      [
-        m "deopt_latency_us"
-          (1_000_000.0
-          *. (t_flip -. t_armed)
-          /. float_of_int reps /. per_run !deopts)
-          "us/deopt" mlower;
-      ]
-    else [])
+  [
+    m "guards_per_kinstr" (Stats.guards_per_kinstr s) "guards/kinstr"
+      Perf.Lower;
+    m "elision_pct" (100.0 *. Stats.guard_elision_rate s) "pct" Perf.Higher;
+    count "guards_pruned" s.Stats.guards_pruned Perf.Higher;
+  ]
 
-(* The engine re-reads the health ladder at every observed block to pick
-   a backend; pinning skips that.  Time pinned-trace against the
-   ladder-following default (both stay at full tracing, so the delta is
-   the pure selection cost), then a fault schedule hot enough to move the
-   ladder, reporting how often the strategy actually changed. *)
-let backend_switch_overhead () =
-  section "Backend switch overhead (ladder-following vs pinned)";
-  let layout = Lazy.force bench_layout in
-  let reps = max 1 (int_of_float (10.0 *. scale)) in
-  let time f =
-    f ();
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    List.nth (List.sort compare samples) 2
-  in
-  let pinned () =
-    ignore (Tracegen.Engine.run ~backend:Tracegen.Engine.Trace layout)
-  in
-  let following () = ignore (Tracegen.Engine.run layout) in
-  let switches = ref 0 in
-  let switching () =
-    let config =
-      Harness.Chaos.config
-        ~spec:
-          "corrupt-trace@0.02,corrupt-instrs@0.02,zero-counter@0.01,budget=60"
-        ~seed:42 ()
-    in
-    let r = Tracegen.Engine.run ~config layout in
-    switches :=
-      !switches + r.Tracegen.Engine.run_stats.Tracegen.Stats.backend_switches
-  in
-  let t_pin = time pinned in
-  let t_follow = time following in
-  let t_switch = time switching in
-  let runs = (5 * reps) + 1 in
-  Printf.printf
-    "engine, pinned trace    : %8.2f ms/run (median of 5x%d)\n\
-     engine, ladder-followed : %8.2f ms/run (0 switches on a clean run)\n\
-     selection cost          : %+7.2f%%\n\
-     engine, under chaos     : %8.2f ms/run (~%d backend switches per run)\n"
-    (1000.0 *. t_pin /. float_of_int reps)
-    reps
-    (1000.0 *. t_follow /. float_of_int reps)
-    (100.0 *. (t_follow -. t_pin) /. t_pin)
-    (1000.0 *. t_switch /. float_of_int reps)
-    (!switches / runs);
-  perf "backend_switch"
-    [
-      m "pinned_ms" (1000.0 *. t_pin /. float_of_int reps) "ms/run" mlower;
-      m "selection_cost_pct" (100.0 *. (t_follow -. t_pin) /. t_pin) "pct"
-        mlower;
-      m "chaos_ms" (1000.0 *. t_switch /. float_of_int reps) "ms/run" mlower;
-    ]
+(* The compiled tier: micro-ops executed per position against the
+   source instructions those positions replaced — folding, dead-store
+   elision and superinstruction fusion are exactly the gap. *)
+let microir name () =
+  let s = off_on "microir" name (fun tier -> Tracegen.Config.make ~tier ()) in
+  let per n = float_of_int n /. float_of_int (max 1 s.Stats.mi_positions) in
+  let ops_pp = per s.Stats.mi_ops in
+  [
+    m "micro_ops_per_position" ops_pp "ops/position" Perf.Lower;
+    m "fold_pct"
+      (100.0 *. (1.0 -. (ops_pp /. per s.Stats.mi_src_instrs)))
+      "pct" Perf.Higher;
+    count "traces_compiled" s.Stats.traces_compiled Perf.Higher;
+    count "fused_ops" s.Stats.mi_fused Perf.Higher;
+  ]
 
-(* Four members of the same workload, private caches (solo engines) vs
-   one shared cache (a session): the shared side should reconstruct far
-   fewer traces and enter traces built by its siblings. *)
+(* Four members of the same workload over one shared trace cache (a
+   session): they should reconstruct far fewer traces than four solo
+   engines would and enter traces built by their siblings. *)
 let shared_cache () =
-  section "Shared vs private trace cache (4 members, compress)";
-  let layout = Lazy.force bench_layout in
-  let members = 4 in
-  let t0 = Unix.gettimeofday () in
-  let private_constructed = ref 0 in
-  for _ = 1 to members do
-    let r = Tracegen.Engine.run layout in
-    private_constructed :=
-      !private_constructed
-      + r.Tracegen.Engine.run_stats.Stats.traces_constructed
-  done;
-  let t_private = Unix.gettimeofday () -. t0 in
+  let layout = Lazy.force small_layout in
   let session = Tracegen.Session.create () in
-  for u = 1 to members do
-    ignore (Tracegen.Session.add ~name:(Printf.sprintf "compress#%d" u)
-              session layout)
+  for u = 1 to 4 do
+    ignore
+      (Tracegen.Session.add ~name:(Printf.sprintf "compress#%d" u) session
+         layout)
   done;
-  let t1 = Unix.gettimeofday () in
   Tracegen.Session.run session;
-  let t_shared = Unix.gettimeofday () -. t1 in
-  let shared_constructed =
+  let shared =
     List.fold_left
-      (fun n m ->
-        n + (Tracegen.Session.stats m).Stats.traces_constructed)
+      (fun n mb -> n + (Tracegen.Session.stats mb).Stats.traces_constructed)
       0
       (Tracegen.Session.members session)
   in
-  Printf.printf
-    "private caches          : %8.2f ms total, %d traces constructed\n\
-     shared cache (session)  : %8.2f ms total, %d traces constructed\n\
-     cross-session reuse     : %d installs saved, %d trace entries\n"
-    (1000.0 *. t_private) !private_constructed (1000.0 *. t_shared)
-    shared_constructed
-    (Tracegen.Session.cross_installs session)
-    (Tracegen.Session.cross_entries session);
-  perf "shared_cache"
+  [
+    count "shared_traces_constructed" shared Perf.Lower;
+    count "cross_installs_saved" (Tracegen.Session.cross_installs session)
+      Perf.Higher;
+  ]
+
+(* Time to peak throughput, cold vs warm-started from the cold run's
+   snapshot ({!Harness.Warmstart.cold_vs_warm}). *)
+let warm_start w () =
+  let r = Harness.Warmstart.cold_vs_warm ~scale:(min scale 0.5) w in
+  let phase label (p : Harness.Warmstart.phase) =
     [
-      m "private_ms" (1000.0 *. t_private) "ms" mlower;
-      m "shared_ms" (1000.0 *. t_shared) "ms" mlower;
-      m "shared_traces_constructed" (float_of_int shared_constructed) "count"
-        mlower;
-      m "cross_installs_saved"
-        (float_of_int (Tracegen.Session.cross_installs session))
-        "count" mhigher;
+      m (label ^ "_to_peak") (float_of_int p.to_peak) "dispatches" Perf.Lower;
+      m (label ^ "_deficit") (float_of_int p.deficit) "dispatches" Perf.Lower;
+      count (label ^ "_built") p.built Perf.Lower;
     ]
+  in
+  phase "cold" r.cold @ phase "warm" r.warm
 
-(* Guard pruning: the payoff of the install-time implication prover.
-   Run compress and scimark with pruning off and on, and report the
-   dynamic guard-comparison rate (checks per 1k executed instructions),
-   the fraction of in-trace positions covered by a static proof, and the
-   run-time delta.  Dispatch counts must be identical — pruning only
-   changes which positions still pay the comparison. *)
-let guard_pruning () =
-  section "Guard pruning (implication prover off vs on)";
-  let time f =
-    ignore (f ());
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (Unix.gettimeofday () -. t0, r))
-    in
-    match List.sort compare samples with
-    | _ :: _ :: (t, r) :: _ -> (t, r)
-    | (t, r) :: _ -> (t, r)
-    | [] -> assert false
+let rows =
+  let per names label row =
+    List.map (fun n -> (label ^ "." ^ n, row n)) names
   in
-  List.iter
-    (fun name ->
-      match Workloads.Registry.find name with
-      | None -> ()
-      | Some w ->
-          let layout =
-            Cfg.Layout.build (Workloads.Workload.build_default w)
-          in
-          let run prune () =
-            let config = Tracegen.Config.make ~prune_guards:prune () in
-            (Tracegen.Engine.run ~config layout).Tracegen.Engine.run_stats
-          in
-          let t_off, s_off = time (run false) in
-          let t_on, s_on = time (run true) in
-          if Stats.total_dispatches s_off <> Stats.total_dispatches s_on then
-            Printf.printf "%-10s DISPATCH MISMATCH (%d vs %d)\n" name
-              (Stats.total_dispatches s_off)
-              (Stats.total_dispatches s_on)
-          else begin
-            Printf.printf
-              "%-10s off: %6.2f guards/kinstr          %8.2f ms\n\
-               %-10s on : %6.2f guards/kinstr (-%4.1f%%) %8.2f ms (%+.1f%%)\n\
-               %-10s      %d of %d positions proven (%d static verdicts)\n"
-              name
-              (Stats.guards_per_kinstr s_off)
-              (1000.0 *. t_off) ""
-              (Stats.guards_per_kinstr s_on)
-              (100.0 *. Stats.guard_elision_rate s_on)
-              (1000.0 *. t_on)
-              (100.0 *. (t_on -. t_off) /. t_off)
-              "" s_on.Stats.guards_elided
-              (s_on.Stats.guards_checked + s_on.Stats.guards_elided)
-              s_on.Stats.guards_pruned;
-            perf ("guard_pruning." ^ name)
-              [
-                m "guards_per_kinstr"
-                  (Stats.guards_per_kinstr s_on)
-                  "guards/kinstr" mlower;
-                m "elision_pct"
-                  (100.0 *. Stats.guard_elision_rate s_on)
-                  "pct" mhigher;
-                m "guards_pruned"
-                  (float_of_int s_on.Stats.guards_pruned)
-                  "count" mhigher;
-              ]
-          end)
-    [ "compress"; "scimark" ]
+  let ablated = [ "compress"; "scimark" ] in
+  [
+    ("observability", observability);
+    ("span_overhead", span_overhead);
+    ("flightrec_ledger", flightrec_ledger);
+    ("osr", osr);
+  ]
+  @ per ablated "guard_pruning" guard_pruning
+  @ per ablated "microir" microir
+  @ [ ("shared_cache", shared_cache) ]
+  @ List.map
+      (fun w -> ("warm_start." ^ w.Workloads.Workload.name, warm_start w))
+      (Harness.Warmstart.workloads ())
 
-(* Micro-IR dispatch: the payoff of the compiled tier.  Run compress and
-   scimark with the tier off and on, and report how many traces reached
-   the compiled tier, the per-position dispatch cost (micro-ops executed
-   per position vs the source instructions those positions replaced —
-   folding, dead-store elision and superinstruction fusion are exactly
-   the gap), and the run-time delta.  Dispatch counts must be identical —
-   the tier only changes the cost of a position, never the dispatch
-   stream. *)
-let microir_dispatch () =
-  section "Micro-IR dispatch (compiled tier off vs on)";
-  let time f =
-    ignore (f ());
-    let samples =
-      List.init 5 (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (Unix.gettimeofday () -. t0, r))
-    in
-    match List.sort compare samples with
-    | _ :: _ :: (t, r) :: _ -> (t, r)
-    | (t, r) :: _ -> (t, r)
-    | [] -> assert false
-  in
-  List.iter
-    (fun name ->
-      match Workloads.Registry.find name with
-      | None -> ()
-      | Some w ->
-          let layout =
-            Cfg.Layout.build (Workloads.Workload.build_default w)
-          in
-          let run tier () =
-            let config = Tracegen.Config.make ~tier () in
-            (Tracegen.Engine.run ~config layout).Tracegen.Engine.run_stats
-          in
-          let t_off, s_off = time (run false) in
-          let t_on, s_on = time (run true) in
-          if Stats.total_dispatches s_off <> Stats.total_dispatches s_on then
-            Printf.printf "%-10s DISPATCH MISMATCH (%d vs %d)\n" name
-              (Stats.total_dispatches s_off)
-              (Stats.total_dispatches s_on)
-          else begin
-            let per denom n =
-              float_of_int n /. float_of_int (max 1 denom)
-            in
-            let ops_pp = per s_on.Stats.mi_positions s_on.Stats.mi_ops in
-            let src_pp =
-              per s_on.Stats.mi_positions s_on.Stats.mi_src_instrs
-            in
-            Printf.printf
-              "%-10s off: %6.2f instrs/position           %8.2f ms\n\
-               %-10s on : %6.2f micro-ops/position (-%4.1f%%) %8.2f ms \
-               (%+.1f%%)\n\
-               %-10s      %d traces compiled, %d compiled entries, %d fused \
-               ops\n"
-              name src_pp (1000.0 *. t_off) "" ops_pp
-              (100.0 *. (1.0 -. (ops_pp /. src_pp)))
-              (1000.0 *. t_on)
-              (100.0 *. (t_on -. t_off) /. t_off)
-              "" s_on.Stats.traces_compiled s_on.Stats.compiled_entries
-              s_on.Stats.mi_fused;
-            perf ("microir." ^ name)
-              [
-                m "micro_ops_per_position" ops_pp "ops/position" mlower;
-                m "fold_pct"
-                  (100.0 *. (1.0 -. (ops_pp /. src_pp)))
-                  "pct" mhigher;
-                m "traces_compiled"
-                  (float_of_int s_on.Stats.traces_compiled)
-                  "count" mhigher;
-                m "fused_ops"
-                  (float_of_int s_on.Stats.mi_fused)
-                  "count" mhigher;
-              ]
-          end)
-    [ "compress"; "scimark" ]
+let show_value v =
+  if Float.is_integer v then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.4g" v
 
-let micro () =
-  section "Bechamel microbenchmarks";
-  let test =
-    Test.make_grouped ~name:"tracevm"
-      [
-        Test.make ~name:"profiler_hook_per_dispatch" (bench_profiler_hook ());
-        Test.make ~name:"bcg_touch" (bench_bcg_touch ());
-        Test.make ~name:"trace_cache_lookup" (bench_cache_lookup ());
-        Test.make ~name:"interp_plain_small_compress"
-          (interp_bench ~with_profiler:false ());
-        Test.make ~name:"interp_profiled_small_compress"
-          (interp_bench ~with_profiler:true ());
-        Test.make ~name:"engine_traced_small_compress" (bench_full_engine ());
-        Test.make ~name:"engine_events_enabled_small_compress"
-          (bench_engine_events ());
-        Test.make ~name:"engine_debug_checks_small_compress"
-          (bench_engine_debug_checks ());
-      ]
-  in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 1.0) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Instance.monotonic_clock results in
-    Analyze.merge ols Instance.[ monotonic_clock ] [ results ]
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-42s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-42s (no estimate)\n" name)
-        tbl)
-    results
+let counters () =
+  section "Counter rows";
+  Printf.printf "%-24s %-28s %12s  %s\n" "section" "metric" "value" "unit";
+  List.map
+    (fun (label, row) ->
+      let metrics = row () in
+      List.iter
+        (fun (x : Perf.metric) ->
+          Printf.printf "%-24s %-28s %12s  %s\n" label x.name
+            (show_value x.value) x.unit_)
+        metrics;
+      { Perf.label; metrics })
+    rows
 
-(* --smoke: the seconds-long subset check.sh runs on every gate — the
-   mechanism sections over the small layout, no paper tables, no
-   Bechamel. *)
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
+let write_json ~bench sections =
+  let path = Printf.sprintf "BENCH_%s.json" bench in
+  let oc = open_out path in
+  output_string oc
+    (Perf.to_string { Perf.bench; env = Perf.env_stamp ~scale; sections });
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\nperf baseline written to %s (%d sections)\n" path
+    (List.length sections)
 
 let () =
-  if smoke then begin
-    span_overhead ();
-    flightrec_ledger_overhead ();
-    backend_switch_overhead ();
-    osr_overhead ();
-    guard_pruning ();
-    microir_dispatch ();
-    shared_cache ();
-    warmstart ();
-    write_perf ~label:"smoke";
-    print_newline ();
-    print_endline "smoke ok."
-  end
-  else begin
-    tables ();
-    warmstart ();
-    observability ();
-    span_overhead ();
-    flightrec_ledger_overhead ();
-    debug_checks_overhead ();
-    chaos_overhead ();
-    backend_switch_overhead ();
-    osr_overhead ();
-    guard_pruning ();
-    microir_dispatch ();
-    shared_cache ();
-    (match Sys.getenv_opt "BENCH_SKIP_MICRO" with
-    | Some "1" -> ()
-    | Some _ | None -> micro ());
-    write_perf ~label:"full";
-    print_newline ();
-    print_endline "done."
-  end
+  if not smoke then tables ();
+  let sections = counters () in
+  if json_mode then
+    write_json ~bench:(if smoke then "smoke" else "full") sections;
+  print_newline ();
+  print_endline (if smoke then "smoke ok." else "done.")

@@ -13,7 +13,7 @@ module Engine = Tracegen.Engine
    snapshots, and the run is "at peak" from the first window reaching
    90% of its steady-state share.  Because some workloads ramp or shift
    phases intrinsically (so cold and warm cross that line together),
-   the table also reports the warm-up deficit — the area between the
+   it also reports the warm-up deficit — the area between the
    throughput curve and steady state, in dispatches — which aggregates
    the whole learning curve and is what the snapshot actually buys
    back. *)
@@ -30,16 +30,17 @@ let value (s : Tracegen.Metrics.snapshot) name =
   | Some (_, v) -> v
   | None -> 0
 
-type measured = {
-  run : Engine.run_result;
-  wall_seconds : float;
-  peak_share : float;  (* steady-state windowed trace-dispatch share *)
-  to_peak : int;  (* dispatch index of the first window at >= 90% of it *)
+type phase = {
+  to_peak : int;  (* dispatch index of the first window at >= 90% of peak *)
   deficit : int;  (* dispatches below steady state, summed over windows *)
+  built : int;  (* traces constructed *)
 }
 
+type cold_warm = { cold : phase; warm : phase }
+
 (* Drive a fresh engine (optionally warm-started from [snapshot]) with
-   periodic metrics snapshots and locate its throughput peak. *)
+   periodic metrics snapshots and locate its throughput peak; returns
+   the engine, for the next run's snapshot, with the run's phase. *)
 let measure ?snapshot layout =
   let config = Tracegen.Config.make ~snapshot_period:window () in
   let engine = Engine.create ~config layout in
@@ -49,9 +50,7 @@ let measure ?snapshot layout =
       match Engine.restore engine data with
       | Ok _ -> ()
       | Error e -> invalid_arg (Tracegen.Persist.error_to_string e)));
-  let t0 = Unix.gettimeofday () in
   let run = Engine.drive engine in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
   let snaps = Tracegen.Metrics.snapshots (Engine.metrics run.Engine.engine) in
   (* windowed trace-dispatch share between consecutive snapshots *)
   let shares =
@@ -101,45 +100,20 @@ let measure ?snapshot layout =
            acc +. (max 0.0 (peak_share -. s) *. float_of_int window))
          0.0 shares)
   in
-  { run; wall_seconds; peak_share; to_peak; deficit }
+  ( run.Engine.engine,
+    { to_peak; deficit; built = run.Engine.run_stats.Stats.traces_constructed }
+  )
 
 let workloads () =
   (* two dissimilar learning curves: a slow-ramping DSP pipeline and a
      polymorphic ray tracer *)
   List.filter_map Workloads.Registry.find [ "mpegaudio"; "raytrace" ]
 
-let cold_vs_warm ?(scale = 1.0) () =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "Warm start: time to peak throughput (cold vs warm)\n";
-  Buffer.add_string buf
-    (Printf.sprintf "(windowed trace-dispatch share, window %d dispatches; \
-                     peak = first window at 90%% of steady state;\n\
-                     deficit = dispatches spent below steady state — the \
-                     area above the throughput curve)\n" window);
-  Buffer.add_string buf
-    (Printf.sprintf "%-10s %6s %11s %11s %10s %10s %8s %8s %9s %9s\n"
-       "workload" "steady" "cold-peak@" "warm-peak@" "deficit(c)"
-       "deficit(w)" "cold-ms" "warm-ms" "built(c)" "built(w)");
-  List.iter
-    (fun w ->
-      let size = Experiment.size_for ~scale w in
-      let layout = Experiment.layout_for w ~size in
-      let cold = measure layout in
-      let snap = Engine.snapshot cold.run.Engine.engine in
-      let warm = measure ~snapshot:snap layout in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%-10s %5.1f%% %11d %11d %10d %10d %8.1f %8.1f %9d %9d\n"
-           w.Workloads.Workload.name
-           (100.0 *. cold.peak_share)
-           cold.to_peak warm.to_peak cold.deficit warm.deficit
-           (1000.0 *. cold.wall_seconds)
-           (1000.0 *. warm.wall_seconds)
-           cold.run.Engine.run_stats.Stats.traces_constructed
-           warm.run.Engine.run_stats.Stats.traces_constructed))
-    (workloads ());
-  Buffer.contents buf
+let cold_vs_warm ?(scale = 1.0) w =
+  let layout = Experiment.layout_for w ~size:(Experiment.size_for ~scale w) in
+  let engine, cold = measure layout in
+  let _, warm = measure ~snapshot:(Engine.snapshot engine) layout in
+  { cold; warm }
 
 let policy_runs = [ Tracegen.Config.Cache.Lru; Tracegen.Config.Cache.Footprint_aware ]
 

@@ -129,32 +129,47 @@ if dune exec bin/repro_cli.exe -- warm compress --load "$snap_out" \
 fi
 rm -f "$snap_out"
 
-# Bench smoke: the seconds-long mechanism sections (span overhead,
-# backend switching, shared-vs-private trace cache) — catches bench
-# bitrot without the paper-scale tables.  --json additionally writes
-# the machine-readable BENCH_smoke.json baseline, which the next three
-# gates exercise.
+# Bench smoke: the deterministic counter rows (event, span, recorder
+# and ledger counts, OSR deopts, guard pruning, the compiled tier,
+# the shared trace cache, warm starts), no paper tables and no
+# wall-clock timing.  Two fresh --smoke --json runs must write
+# byte-identical BENCH_smoke.json files, and a fresh run must diff
+# clean against the committed BENCH_smoke.json at zero tolerance: a
+# counter that moves in its worse direction fails until the change
+# regenerates the committed baseline.
 dune build bench/main.exe
 bench_dir=$(mktemp -d /tmp/check_bench.XXXXXX)
 repo=$PWD
-(cd "$bench_dir" && "$repo/_build/default/bench/main.exe" --smoke --json)
-if ! test -s "$bench_dir/BENCH_smoke.json"; then
-  echo "check.sh: bench --json wrote no BENCH_smoke.json" >&2
+for run in 1 2; do
+  mkdir "$bench_dir/$run"
+  (cd "$bench_dir/$run" && "$repo/_build/default/bench/main.exe" --smoke --json) \
+    > /dev/null
+  if ! test -s "$bench_dir/$run/BENCH_smoke.json"; then
+    echo "check.sh: bench --json wrote no BENCH_smoke.json" >&2
+    rm -rf "$bench_dir"
+    exit 1
+  fi
+done
+if ! cmp "$bench_dir/1/BENCH_smoke.json" "$bench_dir/2/BENCH_smoke.json"; then
+  echo "check.sh: two bench --smoke --json runs differ" >&2
   rm -rf "$bench_dir"
   exit 1
 fi
+bench_report=$(dune exec bin/repro_cli.exe -- bench-diff \
+  BENCH_smoke.json "$bench_dir/1/BENCH_smoke.json" --max-regress 0 2>&1) || {
+  echo "$bench_report" >&2
+  echo "check.sh: bench counters differ from the committed BENCH_smoke.json" >&2
+  rm -rf "$bench_dir"
+  exit 1
+}
 
-# A baseline diffed against itself is a clean zero-regression pass even
-# at zero tolerance...
-dune exec bin/repro_cli.exe -- bench-diff \
-  "$bench_dir/BENCH_smoke.json" "$bench_dir/BENCH_smoke.json" \
-  --max-regress 0 > /dev/null
-
-# ...and a stomped metric must make bench-diff exit nonzero.
-sed 's/"value":[0-9.eE+-]*/"value":99999999/' \
-  "$bench_dir/BENCH_smoke.json" > "$bench_dir/BENCH_stomped.json"
+# Stomped metrics must make bench-diff exit nonzero.  The file is one
+# line, so the substitution is global: every value is stomped, and the
+# lower-is-better ones regress whatever order the sections come in.
+sed 's/"value":[0-9.eE+-]*/"value":99999999/g' \
+  "$bench_dir/1/BENCH_smoke.json" > "$bench_dir/BENCH_stomped.json"
 if dune exec bin/repro_cli.exe -- bench-diff \
-  "$bench_dir/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
+  "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
   > /dev/null 2>&1; then
   echo "check.sh: bench-diff accepted a stomped baseline" >&2
   rm -rf "$bench_dir"

@@ -116,6 +116,92 @@ let test_phase_program_runs () =
   | Vm.Interp.Finished (Some (Vm.Value.Vint _)) -> ()
   | _ -> Alcotest.fail "phase program must return an int"
 
+(* Harness.Perf: the baseline document bench --json writes and the
+   direction-aware diff repro_cli bench-diff gates on. *)
+module Perf = Harness.Perf
+
+let perf_run metrics =
+  {
+    Perf.bench = "unit";
+    env = Perf.env_stamp ~scale:0.5;
+    sections = [ { Perf.label = "sec"; metrics } ];
+  }
+
+let lower name value =
+  Perf.metric ~name ~value ~unit_:"count" ~better:Perf.Lower
+
+let higher name value =
+  Perf.metric ~name ~value ~unit_:"pct" ~better:Perf.Higher
+
+let test_perf_round_trip () =
+  let run = perf_run [ lower "deopts" 235.0; higher "elision_pct" 37.25 ] in
+  match Perf.of_string (Perf.to_string run) with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+      check Alcotest.string "bench" run.Perf.bench back.Perf.bench;
+      check
+        Alcotest.(list (pair string string))
+        "env" run.Perf.env back.Perf.env;
+      check Alcotest.bool "sections" true
+        (back.Perf.sections = run.Perf.sections)
+
+let test_perf_regress_pct () =
+  let pct = Alcotest.float 1e-9 in
+  check pct "lower: a rise regresses" 10.0
+    (Perf.regress_pct ~better:Perf.Lower ~old_v:100.0 ~new_v:110.0);
+  check pct "lower: a fall improves" (-10.0)
+    (Perf.regress_pct ~better:Perf.Lower ~old_v:100.0 ~new_v:90.0);
+  check pct "higher: a fall regresses" 25.0
+    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:30.0);
+  check pct "higher: a rise improves" (-25.0)
+    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:50.0);
+  check pct "equal values" 0.0
+    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:40.0)
+
+let test_perf_zero_baseline () =
+  let pct = Alcotest.float 1e-9 in
+  check pct "0 -> 3, lower better" 100.0
+    (Perf.regress_pct ~better:Perf.Lower ~old_v:0.0 ~new_v:3.0);
+  check pct "0 -> 3, higher better" (-100.0)
+    (Perf.regress_pct ~better:Perf.Higher ~old_v:0.0 ~new_v:3.0);
+  check pct "0 -> 0" 0.0
+    (Perf.regress_pct ~better:Perf.Lower ~old_v:0.0 ~new_v:0.0);
+  let d =
+    Perf.diff
+      ~baseline:(perf_run [ lower "violations" 0.0 ])
+      ~candidate:(perf_run [ lower "violations" 1.0 ])
+  in
+  check Alcotest.bool "a nonzero count over a zero baseline fails" false
+    (Perf.ok ~max_regress:50.0 d)
+
+let test_perf_tolerance_boundary () =
+  let d =
+    Perf.diff
+      ~baseline:(perf_run [ lower "ms" 100.0 ])
+      ~candidate:(perf_run [ lower "ms" 105.0 ])
+  in
+  check Alcotest.bool "exactly at the tolerance passes" true
+    (Perf.ok ~max_regress:5.0 d);
+  check Alcotest.bool "just below it fails" false
+    (Perf.ok ~max_regress:4.99 d);
+  check Alcotest.int "one regression at 4.99%" 1
+    (List.length (Perf.regressions ~max_regress:4.99 d))
+
+let test_perf_missing_metric () =
+  let d =
+    Perf.diff
+      ~baseline:(perf_run [ lower "deopts" 235.0; higher "elision_pct" 37.0 ])
+      ~candidate:(perf_run [ lower "deopts" 235.0; higher "new_metric" 1.0 ])
+  in
+  check
+    Alcotest.(list (pair string string))
+    "missing" [ ("sec", "elision_pct") ] d.Perf.missing;
+  check
+    Alcotest.(list (pair string string))
+    "added" [ ("sec", "new_metric") ] d.Perf.added;
+  check Alcotest.bool "a missing metric fails even at any tolerance" false
+    (Perf.ok ~max_regress:1000.0 d)
+
 let () =
   Alcotest.run "harness"
     [
@@ -136,5 +222,13 @@ let () =
           tc "footprint rows" `Slow test_footprint_rows;
           tc "decay ablation rows" `Slow test_ablation_rows;
           tc "phase program" `Quick test_phase_program_runs;
+        ] );
+      ( "perf",
+        [
+          tc "to_string/of_string round trip" `Quick test_perf_round_trip;
+          tc "regress_pct direction" `Quick test_perf_regress_pct;
+          tc "zero baseline" `Quick test_perf_zero_baseline;
+          tc "tolerance boundary" `Quick test_perf_tolerance_boundary;
+          tc "missing metric fails" `Quick test_perf_missing_metric;
         ] );
     ]
