@@ -107,10 +107,11 @@ let run_cmd workload size threshold delay fault_spec fault_seed self_heal
 (* ------------------------------------------------------------------ *)
 
 (* Replay a workload with the event stream enabled and dump the timeline
-   as JSON lines on stdout.  After the run the per-kind event totals and
-   the decision-ledger aggregates are checked against the end-of-run
-   statistics (Harness.Oracle): the stream, the ledger and the counters
-   are three views of the same execution and must agree exactly. *)
+   as JSON lines on stdout.  After the run the per-kind event totals of
+   the timeline and of the decision ledger are checked against the
+   end-of-run statistics (Harness.Oracle): the stream, the ledger and the
+   counters are three views of the same execution and must agree
+   exactly. *)
 let events_cmd workload size threshold delay fault_spec fault_seed self_heal
     osr tier snapshot_period stats_only =
   let module Events = Tracegen.Events in
@@ -176,21 +177,7 @@ let events_cmd workload size threshold delay fault_spec fault_seed self_heal
     in
     prerr_string (Harness.Report.hist_summary hists)
   end;
-  let ok =
-    List.fold_left
-      (fun ok (c : Oracle.check) ->
-        if Oracle.check_ok c then begin
-          Printf.eprintf "# ok: %s (%d)\n" c.Oracle.name c.Oracle.got;
-          ok
-        end
-        else begin
-          Printf.eprintf "# MISMATCH: %s (timeline %d, stats %d)\n"
-            c.Oracle.name c.Oracle.got c.Oracle.want;
-          false
-        end)
-      true checks
-  in
-  if not ok then exit 1
+  if not (Oracle.report ~source:"timeline" checks) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* table                                                                *)
@@ -684,15 +671,11 @@ let top_cmd workload size threshold delay prune_guards tier top json =
              ]);
         print_newline ()
       end;
-      List.iter
-        (fun (name, got, want) ->
-          if got = want then Printf.eprintf "# ok: %s (%d)\n" name got
-          else begin
-            incr failures;
-            Printf.eprintf "# MISMATCH: %s (report %d, stats %d)\n" name got
-              want
-          end)
-        (Harness.Report.checks report engine s))
+      if
+        not
+          (Harness.Oracle.report ~source:"report"
+             (Harness.Report.checks report engine s))
+      then incr failures)
     ws;
   if !failures > 0 then exit 1
 
@@ -895,51 +878,15 @@ let postmortem_cmd file =
 (* explain                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let describe_ledger_action (a : Tracegen.Ledger.action) : string =
-  let module L = Tracegen.Ledger in
-  match a with
-  | L.Build { new_traces; reused; pruned } ->
-      Printf.sprintf "builder: %d new trace(s), %d reused, %d guard(s) pruned"
-        new_traces reused pruned
-  | L.Install { replaced; n_blocks } ->
-      Printf.sprintf "installed (%d block(s)%s)" n_blocks
-        (if replaced then ", replacing a predecessor" else "")
-  | L.Guard_prune { pruned } ->
-      Printf.sprintf "implication proofs elided %d guard(s)" pruned
-  | L.Quarantine { code; attempts; until; permanent } ->
-      Printf.sprintf "quarantined (%s, attempt %d, %s)" code attempts
-        (if permanent then "blacklisted"
-         else Printf.sprintf "until tick %d" until)
-  | L.Evict { reason; footprint; heat; stamp } ->
-      Printf.sprintf
-        "evicted (%s; footprint %d bytes, heat %d, last used tick %d)"
-        reason footprint heat stamp
-  | L.Compile { heat; compile_after; budget; n_compiled } ->
-      Printf.sprintf
-        "compiled to micro-IR (heat %d >= threshold %d, budget slot %d/%d)"
-        heat compile_after n_compiled budget
-  | L.Demote { heat; winner_heat } ->
-      Printf.sprintf
-        "demoted from the compiled tier (heat %d, displaced by heat %d)"
-        heat winner_heat
-  | L.Osr_promote { header; latch; hotness } ->
-      Printf.sprintf "OSR-promoted loop header %d (latch %d, hotness %d)"
-        header latch hotness
-  | L.Deopt { at_pos; resume; residue; reason } ->
-      Printf.sprintf
-        "deopt at trace position %d (%s), resumed at block %d with %d \
-         residue block(s)"
-        at_pos reason resume residue
-
-(* Replay a workload and narrate the decision ledger: why a trace (or an
-   entry-key block) was built, installed, compiled, evicted, quarantined
-   — each record linked to its span id and dispatch tick.  The ledger
-   aggregates are then reconciled against the end-of-run statistics
-   (Harness.Oracle); exit 1 on any drift. *)
+(* Replay a workload and narrate the decision ledger: every decision
+   event concerning a trace (or an entry block), each with its dispatch
+   tick and the span that was open when it was made.  The ledger's
+   per-kind counts are then reconciled against the end-of-run
+   statistics (Harness.Oracle); exit 1 on any drift. *)
 let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
     osr tier trace_id block =
   let module L = Tracegen.Ledger in
-  let module Oracle = Harness.Oracle in
+  let module Events = Tracegen.Events in
   let w = find_workload workload in
   let layout = layout_of w ~size in
   let config =
@@ -947,51 +894,81 @@ let explain_cmd workload size threshold delay fault_spec fault_seed self_heal
       ~self_heal ~osr ~tier ()
   in
   let result = Tracegen.Engine.run ~config layout in
-  let engine = result.Tracegen.Engine.engine in
-  let s = result.Tracegen.Engine.run_stats in
   let ledger =
-    match Tracegen.Engine.ledger engine with
-    | Some l -> l
-    | None ->
-        Printf.eprintf "explain: the decision ledger is disabled\n";
-        exit 2
+    Option.get (Tracegen.Engine.ledger result.Tracegen.Engine.engine)
   in
-  let records, what =
+  let entries = List.mapi (fun seq e -> (seq, e)) (L.to_list ledger) in
+  (* the payload's integer field [name], read off its JSON rendering *)
+  let field name ((_, e) : int * L.entry) =
+    match Harness.Codec.event_json e.L.event with
+    | Harness.Codec.J_obj kvs -> (
+        match List.assoc_opt name kvs with
+        | Some (Harness.Codec.J_int i) -> Some i
+        | _ -> None)
+    | _ -> None
+  in
+  let shown, what =
     match (trace_id, block) with
-    | Some id, _ -> (L.for_trace ledger id, Printf.sprintf "trace %d" id)
-    | None, Some b -> (L.for_block ledger b, Printf.sprintf "block %d" b)
-    | None, None -> (L.to_list ledger, "the whole run")
+    | Some id, _ ->
+        ( List.filter (fun e -> field "trace_id" e = Some id) entries,
+          Printf.sprintf "trace %d" id )
+    | None, Some b ->
+        (* decisions naming [b] as an entry block, and every decision
+           about a trace one of those names *)
+        let names_b e =
+          List.exists
+            (fun k -> field k e = Some b)
+            [ "first"; "head"; "header"; "latch" ]
+        in
+        let ids =
+          List.filter_map
+            (fun e -> if names_b e then field "trace_id" e else None)
+            entries
+        in
+        ( List.filter
+            (fun e ->
+              names_b e
+              ||
+              match field "trace_id" e with
+              | Some id -> List.mem id ids
+              | None -> false)
+            entries,
+          Printf.sprintf "block %d" b )
+    | None, None -> (entries, "the whole run")
   in
-  Printf.printf "%d of %d ledger record(s) concern %s:\n" (List.length records)
+  Printf.printf "%d of %d ledger entries concern %s:\n" (List.length shown)
     (L.length ledger) what;
   List.iter
-    (fun (r : L.record) ->
-      Printf.printf "  seq=%-5d tick=%-8d span=%-4d trace=%-4d %s\n" r.L.seq
-        r.L.tick r.L.span r.L.trace_id
-        (describe_ledger_action r.L.action))
-    records;
-  Printf.printf "\naction totals:";
+    (fun (seq, (e : L.entry)) ->
+      let ev = e.L.event in
+      let line =
+        Harness.Codec.flightrec_entry_json
+          (Tracegen.Flightrec.Event
+             { seq; time = ev.Events.time; payload = ev.Events.payload })
+      in
+      let (Ok d | Error d) = Harness.Postmortem.describe_json line in
+      Printf.printf "  span=%-4d %s\n" e.L.span d)
+    shown;
+  Printf.printf "\nkind totals:";
   List.iter
-    (fun (kind, n) -> Printf.printf " %s=%d" kind n)
-    (L.totals ledger);
+    (fun kind ->
+      let n =
+        List.length
+          (List.filter
+             (fun (_, (e : L.entry)) ->
+               Events.kind e.L.event.Events.payload = kind)
+             entries)
+      in
+      if n > 0 then Printf.printf " %s=%d" kind n)
+    L.kinds;
   print_newline ();
   (* the ledger must reconcile with Stats no matter what was asked *)
-  let ok =
-    List.fold_left
-      (fun ok (c : Oracle.check) ->
-        if Oracle.check_ok c then begin
-          Printf.eprintf "# ok: %s (%d)\n" c.Oracle.name c.Oracle.got;
-          ok
-        end
-        else begin
-          Printf.eprintf "# MISMATCH: %s (ledger %d, stats %d)\n"
-            c.Oracle.name c.Oracle.got c.Oracle.want;
-          false
-        end)
-      true
-      (Oracle.ledger_checks ledger s)
-  in
-  if not ok then exit 1
+  if
+    not
+      (Harness.Oracle.report ~source:"ledger"
+         (Harness.Oracle.ledger_checks ledger
+            result.Tracegen.Engine.run_stats))
+  then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                           *)
@@ -1428,11 +1405,12 @@ let () =
 let explain_term =
   let trace_id =
     Arg.(value & opt (some int) None & info [ "trace" ] ~docv:"ID"
-           ~doc:"Only the records concerning trace $(docv).")
+           ~doc:"Only the decisions concerning trace $(docv).")
   in
   let block =
     Arg.(value & opt (some int) None & info [ "block" ] ~docv:"GID"
-           ~doc:"Only the records whose entry key involves block $(docv).")
+           ~doc:"Only the decisions naming block $(docv) as an entry \
+                 block, and every decision about the traces those name.")
   in
   Term.(
     const explain_cmd $ workload_arg $ size_arg $ threshold_arg $ delay_arg
@@ -1442,12 +1420,13 @@ let explain_term =
 let () =
   Cli_common.Subcommand.register ~name:"explain"
     ~doc:
-      "Replay a workload and narrate its decision ledger: why each trace \
-       was built, installed, compiled, demoted, evicted or quarantined, \
-       with the victim-scoring and budget inputs that justified the \
-       decision, each record linked to its causal span and dispatch tick.  \
-       The ledger's aggregates are reconciled against the end-of-run \
-       statistics (stderr, non-zero exit on drift)."
+      "Replay a workload and narrate its decision ledger: the events in \
+       which each trace was built, replaced, pruned, compiled, demoted, \
+       evicted or quarantined, promoted or deoptimized, with the \
+       victim-scoring and heat inputs they carry, each linked to its \
+       causal span and dispatch tick.  The ledger's per-kind counts are \
+       reconciled against the end-of-run statistics (stderr, non-zero \
+       exit on drift)."
     explain_term
 
 let bench_diff_term =

@@ -32,7 +32,6 @@ type ctx = {
     (* the always-on black box (None only when
        Config.flightrec_capacity = 0); dump triggers fire here and
        in the engine, the intake is wired through the event tap *)
-  ledger : Ledger.t option; (* None = decision ledger off *)
   attr_self : int array;
     (* per-gid dispatches outside traces; [||] = attribution off *)
   attr_inlined : int array; (* per-gid executions inlined inside traces *)
@@ -107,11 +106,6 @@ let note_violation ctx =
 let fr_trigger ctx reason =
   match ctx.flightrec with
   | Some fr -> Flightrec.trigger fr reason
-  | None -> ()
-
-let ledger_record ctx ?trace_id ?first ?head action =
-  match ctx.ledger with
-  | Some l -> Ledger.record l ?trace_id ?first ?head action
   | None -> ()
 
 (* Attribution bumps; the arrays are [||] when Config.obs_attribution is
@@ -288,17 +282,7 @@ let deopt ctx (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
            resume_block = resume;
            residue_blocks = residue;
            reason = Osr.reason_to_string reason;
-         });
-  ledger_record ctx ~trace_id:tr.Trace.id
-    ~first:(fst (Trace.entry_key tr))
-    ~head:(snd (Trace.entry_key tr))
-    (Ledger.Deopt
-       {
-         at_pos = at;
-         resume;
-         residue;
-         reason = Osr.reason_to_string reason;
-       })
+         })
 
 (* Mid-flight cut-over: deoptimize the currently executing trace (a
    sweep is condemning it).  Between dispatches there is no mismatching

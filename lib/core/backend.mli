@@ -39,9 +39,6 @@ type ctx = {
           the invariant sweep, the ladder bottom and snapshot
           rejection; the intake rides the event tap and the span
           close hook. *)
-  ledger : Ledger.t option;
-      (** decision-attribution ledger; [None] when [Config.ledger_enabled]
-          is off *)
   attr_self : int array;
       (** per-gid dispatches outside any trace; [[||]] when
           [Config.obs_attribution] is off *)
@@ -136,15 +133,6 @@ val clock : ctx -> int
 val fr_trigger : ctx -> Flightrec.dump_reason -> unit
 (** Fire a flight-recorder dump trigger; no-op when the recorder is
     disarmed. *)
-
-val ledger_record :
-  ctx ->
-  ?trace_id:int ->
-  ?first:int ->
-  ?head:int ->
-  Ledger.action ->
-  unit
-(** Append a decision record; no-op when the ledger is off. *)
 
 val attr_inline : ctx -> Cfg.Layout.gid -> unit
 (** Attribute one execution of [g] inlined inside a trace; no-op when

@@ -68,19 +68,6 @@ let promote_loop (ctx : Backend.ctx) (osr : Osr.t) header ~hotness =
       ~header
   in
   Backend.note_build ctx outcome;
-  let installed_id =
-    match installed with Some tr -> tr.Trace.id | None -> -1
-  in
-  Backend.ledger_record ctx ~trace_id:installed_id ~head:header
-    (Ledger.Build
-       {
-         new_traces = outcome.Trace_builder.new_traces;
-         reused = outcome.Trace_builder.reused_traces;
-         pruned = outcome.Trace_builder.pruned_guards;
-       });
-  if outcome.Trace_builder.pruned_guards > 0 then
-    Backend.ledger_record ctx ~trace_id:installed_id ~head:header
-      (Ledger.Guard_prune { pruned = outcome.Trace_builder.pruned_guards });
   (match installed with
   | Some tr ->
       Osr.note_promotion osr ~trace_id:tr.Trace.id;
@@ -92,10 +79,7 @@ let promote_loop (ctx : Backend.ctx) (osr : Osr.t) header ~hotness =
                header;
                latch = tr.Trace.first;
                hotness;
-             });
-      Backend.ledger_record ctx ~trace_id:tr.Trace.id
-        ~first:tr.Trace.first ~head:header
-        (Ledger.Osr_promote { header; latch = tr.Trace.first; hotness })
+             })
   | None -> ());
   (* trace-construction boundary *)
   if

@@ -82,7 +82,6 @@ type t = {
       (* keep per-block self/inlined dispatch attribution arrays *)
   flightrec_capacity : int;
       (* flight-recorder ring capacity; 0 disarms the recorder *)
-  ledger : bool; (* append a decision record on every engine action *)
 }
 
 (* The constants the paper fixes, and the builder's defensive caps. *)
@@ -118,7 +117,6 @@ let default =
     obs_spans = false;
     obs_attribution = false;
     flightrec_capacity = 512;
-    ledger = true;
   }
 
 let validate t =
@@ -160,8 +158,7 @@ let make ?(start_state_delay = default.start_state_delay)
     ?(tier_compile_budget = default.tier_compile_budget)
     ?(obs_spans = default.obs_spans)
     ?(obs_attribution = default.obs_attribution)
-    ?(flightrec_capacity = default.flightrec_capacity)
-    ?(ledger = default.ledger) () =
+    ?(flightrec_capacity = default.flightrec_capacity) () =
   let t =
     {
       start_state_delay;
@@ -189,7 +186,6 @@ let make ?(start_state_delay = default.start_state_delay)
       obs_spans;
       obs_attribution;
       flightrec_capacity;
-      ledger;
     }
   in
   validate t;
@@ -220,7 +216,6 @@ let tier_compile_budget t = t.tier_compile_budget
 let obs_spans t = t.obs_spans
 let obs_attribution t = t.obs_attribution
 let flightrec_capacity t = t.flightrec_capacity
-let ledger_enabled t = t.ledger
 
 let pp ppf t =
   Format.fprintf ppf "delay=%d threshold=%.2f decay=%d" t.start_state_delay

@@ -57,7 +57,6 @@ val make :
   ?obs_spans:bool ->
   ?obs_attribution:bool ->
   ?flightrec_capacity:int ->
-  ?ledger:bool ->
   unit ->
   t
 (** Every omitted parameter keeps its {!default}; the leaf accessors
@@ -212,10 +211,5 @@ val flightrec_capacity : t -> int
     recorder is always on — O(1) per record, bounded retention — and
     dumps its window on invariant violations, chaos divergence, snapshot
     rejection or degradation to interp-only.  0 disarms it. *)
-
-val ledger_enabled : t -> bool
-(** Append a decision-attribution record ({!Ledger}) on every
-    consequential engine action.  On by default; the cost is
-    proportional to those rare actions, not to dispatch. *)
 
 val pp : Format.formatter -> t -> unit

@@ -72,6 +72,7 @@ let select config (level : Health.level) : backend_kind =
 
 type t = {
   ctx : Backend.ctx;
+  ledger : Ledger.t;
   pinned : bool; (* backend forced at creation: never re-selected *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
@@ -152,9 +153,7 @@ let register_gauges (m : Metrics.t) (t : t) =
       Metrics.gauge m "flightrec_recorded" (fun () -> Flightrec.recorded fr);
       Metrics.gauge m "flightrec_dumps" (fun () -> Flightrec.dumps fr)
   | None -> ());
-  match e.Backend.ledger with
-  | Some l -> Metrics.gauge m "ledger_records" (fun () -> Ledger.length l)
-  | None -> ()
+  Metrics.gauge m "ledger_records" (fun () -> Ledger.length t.ledger)
 
 let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     ?backend (layout : Layout.t) : t =
@@ -199,29 +198,39 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       Some (Osr.create ~promote_after:(Config.osr_promote_after config) layout)
     else None
   in
-  (* The black box and the decision ledger.  The recorder's intake taps
-     the event stream out of band (it is not a subscriber: a run with an
-     armed recorder still reports its stream quiet to user code) and
+  (* The black box and the decision ledger share the stream's one tap,
+     out of band: neither is a subscriber, so a run with both still
+     reports its stream quiet to user code.  Hot kinds reach only the
+     recorder, as scalars; each cold event goes to the recorder, then
+     to the ledger with the innermost open span.  The recorder also
      rides the span close hook when spans are on. *)
   let flightrec =
     let cap = Config.flightrec_capacity config in
     if cap > 0 then Some (Flightrec.create ~capacity:cap) else None
   in
-  let ledger =
-    if Config.ledger_enabled config then Some (Ledger.create ()) else None
+  let ledger = Ledger.create () in
+  let recorder =
+    match flightrec with
+    | Some fr -> Flightrec.sink fr
+    | None -> { Events.hot = (fun _ _ _ _ _ _ -> ()); cold = ignore }
   in
-  (match flightrec with
-  | Some fr ->
-      Events.set_tap events (Flightrec.sink fr);
-      (match spans with
-      | Some s ->
-          Spans.set_on_close s (fun (sp : Spans.span) ->
-              Flightrec.record_span_closed fr ~time:sp.Spans.end_time
-                ~id:sp.Spans.id ~parent:sp.Spans.parent
-                ~kind:(Spans.kind_to_string sp.Spans.kind)
-                ~label:sp.Spans.label ~start_time:sp.Spans.start_time)
-      | None -> ())
-  | None -> ());
+  Events.set_tap events
+    {
+      recorder with
+      Events.cold =
+        (fun ev ->
+          recorder.Events.cold ev;
+          let span = match spans with Some s -> Spans.current s | None -> -1 in
+          Ledger.observe ledger ~span ev);
+    };
+  (match (flightrec, spans) with
+  | Some fr, Some s ->
+      Spans.set_on_close s (fun (sp : Spans.span) ->
+          Flightrec.record_span_closed fr ~time:sp.Spans.end_time
+            ~id:sp.Spans.id ~parent:sp.Spans.parent
+            ~kind:(Spans.kind_to_string sp.Spans.kind)
+            ~label:sp.Spans.label ~start_time:sp.Spans.start_time)
+  | _ -> ());
   (* The profiler's signal callback closes over the shared dispatch
      context; tie the knot with a forward reference. *)
   let context = ref None in
@@ -246,33 +255,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
               e.Backend.config e.Backend.cache signal
           in
           Backend.note_build e outcome;
-          (* attribute the builder outcome (skip all-quiet signals: a
-             signal that built, reused or pruned nothing decided
-             nothing) *)
-          if
-            outcome.Trace_builder.new_traces > 0
-            || outcome.Trace_builder.reused_traces > 0
-            || outcome.Trace_builder.pruned_guards > 0
-          then begin
-            let n = signal.Bcg.s_node in
-            let first = n.Bcg.n_x and head = n.Bcg.n_y in
-            let trace_id =
-              match Trace_cache.peek e.Backend.cache ~first ~head with
-              | Some tr -> tr.Trace.id
-              | None -> -1
-            in
-            Backend.ledger_record e ~trace_id ~first ~head
-              (Ledger.Build
-                 {
-                   new_traces = outcome.Trace_builder.new_traces;
-                   reused = outcome.Trace_builder.reused_traces;
-                   pruned = outcome.Trace_builder.pruned_guards;
-                 });
-            if outcome.Trace_builder.pruned_guards > 0 then
-              Backend.ledger_record e ~trace_id ~first ~head
-                (Ledger.Guard_prune
-                   { pruned = outcome.Trace_builder.pruned_guards })
-          end;
           (* trace-construction boundary *)
           if Config.debug_checks e.Backend.config then
             Backend.run_debug_checks e;
@@ -297,7 +279,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       osr;
       spans;
       flightrec;
-      ledger;
       attr_self =
         (if Config.obs_attribution config then
            Array.make layout.Layout.n_blocks 0
@@ -325,24 +306,12 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     }
   in
   context := Some ctx;
-  (* the ledger stamps each record with the dispatch tick and the
-     innermost open span at record time *)
-  (match ledger with
-  | Some l ->
-      Ledger.set_sources l
-        ~tick:(fun () -> Backend.clock ctx)
-        ~span:(fun () ->
-          match ctx.Backend.spans with
-          | Some s -> Spans.current s
-          | None -> -1);
-      Trace_cache.set_ledger cache l
-  | None -> ());
   let kind, pinned =
     match backend with
     | Some k -> (k, true)
     | None -> (select config (Health.level health), false)
   in
-  let t = { ctx; pinned; kind; kind_level = Health.level health } in
+  let t = { ctx; ledger; pinned; kind; kind_level = Health.level health } in
   register_gauges metrics t;
   let prev_values : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Metrics.on_snapshot metrics (fun snapshot ->
@@ -392,7 +361,7 @@ let spans t = t.ctx.Backend.spans
 
 let flightrec t = t.ctx.Backend.flightrec
 
-let ledger t = t.ctx.Backend.ledger
+let ledger t = Some t.ledger
 
 let attr_self t = t.ctx.Backend.attr_self
 

@@ -139,8 +139,10 @@ val flightrec : t -> Flightrec.t option
     [Flightrec.set_on_dump] to capture postmortems. *)
 
 val ledger : t -> Ledger.t option
-(** The decision ledger; [None] when [Config.ledger_enabled] was off at
-    creation. *)
+(** The decision ledger, fed from the event tap it shares with the
+    flight recorder.  Always [Some]: every engine keeps one.  The option
+    type stays because existing readers (perfbench among them) match
+    on it. *)
 
 val attr_self : t -> int array
 (** Per-gid dispatches outside any trace; [[||]] unless

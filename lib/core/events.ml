@@ -71,6 +71,9 @@ type payload =
       head : Cfg.Layout.gid;
       n_live : int;
       reason : evict_reason;
+      footprint : int; (* estimated i-cache bytes of the victim *)
+      heat : int; (* entry uses when it left *)
+      stamp : int; (* LRU stamp of its last use *)
     }
   | Mode_degraded of { from_level : Health.level; to_level : Health.level }
   | Mode_recovered of { from_level : Health.level; to_level : Health.level }
@@ -100,10 +103,12 @@ type payload =
       ops : int; (* micro-ops in the lowered body *)
       fused : int; (* superinstructions formed *)
       src_instrs : int; (* source bytecode instructions lowered *)
+      heat : int; (* cache heat that crossed compile_after *)
     }
   | Tier_demoted of {
       trace_id : int;
       uses : int; (* cache heat at demotion — the losing bid *)
+      winner_heat : int; (* heat of the trace that took the slot *)
     }
 
 type event = { time : int; payload : payload }

@@ -22,10 +22,10 @@
     The four per-dispatch ("hot") kinds — [Trace_entered], [Side_exit],
     [Trace_completed] and [Decay_pass] — are emitted through
     {!emit_trace_entered} and its siblings instead.  They travel as a
-    kind code plus int fields: the tap (the always-armed flight
-    recorder) receives those scalars, and the payload record is built
-    only when a subscriber exists.  A run whose only observer is the
-    recorder therefore allocates nothing per dispatch; on the
+    kind code plus int fields: the tap (the engine's intake for its
+    flight recorder and decision ledger) receives those scalars, and the
+    payload record is built only when a subscriber exists.  A run whose
+    only observer is the tap therefore allocates nothing per dispatch; on the
     benchmark's [calls] workload a trace pass fell from 3247 to about
     1070 minor words per 1000 instructions, of which the VM's own
     interpretation accounts for about 1050.  Subscribers are invoked
@@ -128,6 +128,11 @@ type payload =
       head : Cfg.Layout.gid;
       n_live : int;  (** live traces after the eviction *)
       reason : evict_reason;  (** why the trace left the cache *)
+      footprint : int;
+          (** estimated i-cache bytes of the victim
+              ({!Footprint_model.trace_bytes}) *)
+      heat : int;  (** the entry's use count when it left *)
+      stamp : int;  (** the entry's LRU stamp: its last use *)
     }
       (** A trace was removed from the cache: capacity pressure
           ({!Config.max_cache_traces}), an injected allocation-pressure
@@ -195,6 +200,9 @@ type payload =
       ops : int;  (** micro-ops in the lowered body *)
       fused : int;  (** superinstructions formed *)
       src_instrs : int;  (** source bytecode instructions lowered *)
+      heat : int;
+          (** the trace's cache heat, at or above
+              {!Config.tier_compile_after} *)
     }
       (** The tier cost model promoted a hot trace to the compiled tier:
           its blocks were lowered to register micro-IR
@@ -202,6 +210,7 @@ type payload =
   | Tier_demoted of {
       trace_id : int;
       uses : int;  (** cache heat at demotion — the losing bid *)
+      winner_heat : int;  (** heat of the trace that took the slot *)
     }
       (** A compiled trace lost its compiled-tier slot to a hotter
           candidate under [compile_budget]; its lowered body was
@@ -256,7 +265,8 @@ val n_subscribers : t -> int
 (** Taps are not subscribers; see {!set_tap}. *)
 
 val set_tap : t -> sink -> unit
-(** Install the out-of-band observer (the flight recorder's intake).
+(** Install the out-of-band observer (the engine's intake for its
+    flight recorder and decision ledger).
     The tap sees every event before the subscribers do — hot kinds as
     scalars, through the sink's [hot] — enables the
     stream like a subscriber would, but is invisible to

@@ -1,121 +1,45 @@
-(* Decision ledger: a compact attribution record appended on every
-   consequential engine action — builder outcomes, installs, guard
-   prunes, quarantines, evictions (with the victim-scoring inputs),
-   tier compiles/demotions (with the heat-vs-threshold state), OSR
-   promotions and deopts.  Each record links back to the originating
-   span and dispatch tick through thunks the engine installs, so the
-   ledger itself depends on nothing above it.  Aggregate counts over
-   the ledger must reconcile exactly with [Stats] — [Harness.Oracle]
-   enforces that. *)
+(* Decision ledger: the decision-kind events of one engine's stream,
+   each with the span open when it arrived.  The engine's event tap
+   feeds it (cold side only: no hot kind is a decision), so the ledger
+   holds the same payloads the stream delivered, never a second copy of
+   their fields.  Storage is a doubling array. *)
 
-type action =
-  | Build of { new_traces : int; reused : int; pruned : int }
-  | Install of { replaced : bool; n_blocks : int }
-  | Guard_prune of { pruned : int }
-  | Quarantine of {
-      code : string;
-      attempts : int;
-      until : int;
-      permanent : bool;
-    }
-  | Evict of { reason : string; footprint : int; heat : int; stamp : int }
-  | Compile of {
-      heat : int;
-      compile_after : int;
-      budget : int;
-      n_compiled : int;
-    }
-  | Demote of { heat : int; winner_heat : int }
-  | Osr_promote of { header : int; latch : int; hotness : int }
-  | Deopt of { at_pos : int; resume : int; residue : int; reason : string }
+let kinds =
+  [
+    "trace_constructed";
+    "trace_replaced";
+    "guards_pruned";
+    "trace_quarantined";
+    "trace_evicted";
+    "trace_compiled";
+    "tier_demoted";
+    "osr_promoted";
+    "deopt_entered";
+  ]
 
-let action_kind = function
-  | Build _ -> "build"
-  | Install _ -> "install"
-  | Guard_prune _ -> "guard_prune"
-  | Quarantine _ -> "quarantine"
-  | Evict _ -> "evict"
-  | Compile _ -> "compile"
-  | Demote _ -> "demote"
-  | Osr_promote _ -> "osr_promote"
-  | Deopt _ -> "deopt"
+type entry = { span : int; event : Events.event }
 
-type record = {
-  seq : int;
-  tick : int;  (** dispatch tick at record time *)
-  span : int;  (** innermost open span id, or -1 *)
-  trace_id : int;  (** -1 when the action is not tied to one trace *)
-  first : int;
-  head : int;
-  action : action;
-}
+type t = { mutable store : entry array; mutable n : int }
 
-type t = {
-  mutable store : record array;
-  mutable n : int;
-  mutable tick_source : unit -> int;
-  mutable span_source : unit -> int;
-}
-
-let create () =
-  {
-    store = [||];
-    n = 0;
-    tick_source = (fun () -> 0);
-    span_source = (fun () -> -1);
-  }
-
-let set_sources t ~tick ~span =
-  t.tick_source <- tick;
-  t.span_source <- span
+let create () = { store = [||]; n = 0 }
 
 let length t = t.n
 
-let record t ?(trace_id = -1) ?(first = -1) ?(head = -1) action =
-  let r =
-    {
-      seq = t.n;
-      tick = t.tick_source ();
-      span = t.span_source ();
-      trace_id;
-      first;
-      head;
-      action;
-    }
-  in
-  if t.n >= Array.length t.store then begin
-    let cap = max 64 (2 * Array.length t.store) in
-    let store = Array.make cap r in
-    Array.blit t.store 0 store 0 t.n;
-    t.store <- store
-  end;
-  t.store.(t.n) <- r;
-  t.n <- t.n + 1
+let observe t ~span (event : Events.event) =
+  if List.mem (Events.kind event.Events.payload) kinds then begin
+    let e = { span; event } in
+    if t.n = Array.length t.store then begin
+      let store = Array.make (max 64 (2 * t.n)) e in
+      Array.blit t.store 0 store 0 t.n;
+      t.store <- store
+    end;
+    t.store.(t.n) <- e;
+    t.n <- t.n + 1
+  end
 
 let iter f t =
   for i = 0 to t.n - 1 do
     f t.store.(i)
   done
 
-let to_list t =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    acc := t.store.(i) :: !acc
-  done;
-  !acc
-
-let for_trace t id =
-  List.filter (fun r -> r.trace_id = id) (to_list t)
-
-let for_block t b =
-  List.filter (fun r -> r.first = b || r.head = b) (to_list t)
-
-(* Per-kind record counts, used by the stats oracle and 'explain'. *)
-let totals t =
-  let tbl = Hashtbl.create 16 in
-  iter
-    (fun r ->
-      let k = action_kind r.action in
-      Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0))
-    t;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+let to_list t = List.init t.n (fun i -> t.store.(i))

@@ -1,70 +1,39 @@
-(** Decision ledger: one compact attribution record per consequential
-    engine action, each linked to the originating span id and dispatch
-    tick.  [Harness.Oracle.ledger_checks] reconciles aggregate ledger
-    counts against [Stats] so the two can never drift. *)
+(** Decision ledger: every decision-kind event of one engine's stream,
+    kept for the whole run, each stamped with the span that was open
+    when it arrived.
 
-type action =
-  | Build of { new_traces : int; reused : int; pruned : int }
-      (** A builder outcome (profiler signal or OSR promotion). *)
-  | Install of { replaced : bool; n_blocks : int }
-      (** A trace bound into the cache ([replaced] = displaced a
-          predecessor at the same entry key). *)
-  | Guard_prune of { pruned : int }
-      (** Guards elided by implication proofs at installation. *)
-  | Quarantine of {
-      code : string;
-      attempts : int;
-      until : int;
-      permanent : bool;
-    }
-      (** Entry quarantined; [until] is the backoff deadline tick and
-          [permanent] marks a blacklist. *)
-  | Evict of { reason : string; footprint : int; heat : int; stamp : int }
-      (** Victim selection inputs: policy reason, footprint bytes, use
-          count, and last-used stamp of the evicted trace. *)
-  | Compile of {
-      heat : int;
-      compile_after : int;
-      budget : int;
-      n_compiled : int;
-    }
-      (** Tier promotion, with the heat-vs-threshold and budget state
-          that justified it. *)
-  | Demote of { heat : int; winner_heat : int }
-      (** Compiled victim demoted to make budget room for a hotter
-          trace. *)
-  | Osr_promote of { header : int; latch : int; hotness : int }
-  | Deopt of { at_pos : int; resume : int; residue : int; reason : string }
+    The ledger records nothing of its own.  The engine feeds it from
+    the cold side of its event tap, the intake it shares with the
+    flight recorder, so a decision is written once, as its
+    {!Events.payload}, and the ledger is a projection of the stream:
+    unbounded where the recorder's ring forgets, and restricted to the
+    kinds in {!kinds}.  [Harness.Oracle.ledger_checks] reconciles its
+    per-kind counts against [Stats]. *)
 
-val action_kind : action -> string
-(** Stable wire tag ("build", "install", "evict", ...). *)
+val kinds : string list
+(** The decision kinds, as {!Events.kind} tags: trace construction
+    (new and reused), entry replacement, guard pruning, quarantine,
+    eviction, tier compilation and demotion, OSR promotion and
+    deoptimization. *)
 
-type record = {
-  seq : int;
-  tick : int;
-  span : int;
-  trace_id : int;
-  first : int;
-  head : int;
-  action : action;
+type entry = {
+  span : int;  (** innermost open span when the event arrived, or [-1] *)
+  event : Events.event;
+      (** [event.time] is the dispatch tick of the decision *)
 }
 
 type t
 
 val create : unit -> t
 
-val set_sources : t -> tick:(unit -> int) -> span:(unit -> int) -> unit
-(** Install the dispatch-tick and open-span thunks (engine wiring). *)
+val observe : t -> span:int -> Events.event -> unit
+(** Keep [event] if its kind is in {!kinds}; drop it otherwise. *)
 
 val length : t -> int
+(** Entries kept so far. *)
 
-val record :
-  t -> ?trace_id:int -> ?first:int -> ?head:int -> action -> unit
+val iter : (entry -> unit) -> t -> unit
+(** Oldest first. *)
 
-val iter : (record -> unit) -> t -> unit
-val to_list : t -> record list
-val for_trace : t -> int -> record list
-val for_block : t -> int -> record list
-
-val totals : t -> (string * int) list
-(** Record count per action kind, sorted by kind. *)
+val to_list : t -> entry list
+(** Oldest first. *)

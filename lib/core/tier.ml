@@ -134,7 +134,9 @@ let check_lowered ?context (layout : Layout.t) (tr : Trace.t) : Diag.t list =
 (* The cost model                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let emit_compiled events (tr : Trace.t) (body : Microir.body) =
+let compile (layout : Layout.t) ~events (tr : Trace.t) ~heat =
+  let body = lower_trace layout tr in
+  tr.Trace.lowered <- Some body;
   if Events.enabled events then
     Events.emit events
       (Events.Trace_compiled
@@ -143,17 +145,8 @@ let emit_compiled events (tr : Trace.t) (body : Microir.body) =
            ops = Microir.n_ops body;
            fused = body.Microir.fused;
            src_instrs = body.Microir.src_instrs;
+           heat;
          })
-
-let emit_demoted events (tr : Trace.t) ~uses =
-  if Events.enabled events then
-    Events.emit events (Events.Tier_demoted { trace_id = tr.Trace.id; uses })
-
-let compile (layout : Layout.t) ~events (tr : Trace.t) : Microir.body =
-  let body = lower_trace layout tr in
-  tr.Trace.lowered <- Some body;
-  emit_compiled events tr body;
-  body
 
 (* Promotion decision at trace entry.  Returns the (compiled, demoted)
    increments for the caller's counters — (0|1, 0|1).
@@ -175,11 +168,6 @@ let maybe_compile (config : Config.t) (layout : Layout.t)
     if uses < Config.tier_compile_after config then (0, 0)
     else begin
       let budget = Config.tier_compile_budget config in
-      let ledger_record ?trace_id action =
-        match Trace_cache.ledger cache with
-        | Some l -> Ledger.record l ?trace_id action
-        | None -> ()
-      in
       let demoted =
         if Trace_cache.n_compiled cache >= budget then
           match Trace_cache.coldest_compiled cache ~excluding:(Some tr) with
@@ -187,9 +175,14 @@ let maybe_compile (config : Config.t) (layout : Layout.t)
               let vuses = Trace_cache.trace_uses cache victim in
               if vuses < uses && Trace_cache.demote_lowered cache victim
               then begin
-                emit_demoted events victim ~uses:vuses;
-                ledger_record ~trace_id:victim.Trace.id
-                  (Ledger.Demote { heat = vuses; winner_heat = uses });
+                if Events.enabled events then
+                  Events.emit events
+                    (Events.Tier_demoted
+                       {
+                         trace_id = victim.Trace.id;
+                         uses = vuses;
+                         winner_heat = uses;
+                       });
                 1
               end
               else 0
@@ -198,15 +191,7 @@ let maybe_compile (config : Config.t) (layout : Layout.t)
       in
       if Trace_cache.n_compiled cache >= budget then (0, demoted)
       else begin
-        ignore (compile layout ~events tr);
-        ledger_record ~trace_id:tr.Trace.id
-          (Ledger.Compile
-             {
-               heat = uses;
-               compile_after = Config.tier_compile_after config;
-               budget;
-               n_compiled = Trace_cache.n_compiled cache;
-             });
+        compile layout ~events tr ~heat:uses;
         (1, demoted)
       end
     end
@@ -241,18 +226,7 @@ let recompile_restored (config : Config.t) (layout : Layout.t)
     List.iteri
       (fun i (tr, uses) ->
         if i < room then begin
-          ignore (compile layout ~events tr);
-          (match Trace_cache.ledger cache with
-          | Some l ->
-              Ledger.record l ~trace_id:tr.Trace.id
-                (Ledger.Compile
-                   {
-                     heat = uses;
-                     compile_after = Config.tier_compile_after config;
-                     budget = Config.tier_compile_budget config;
-                     n_compiled = Trace_cache.n_compiled cache;
-                   })
-          | None -> ());
+          compile layout ~events tr ~heat:uses;
           incr n
         end)
       sorted;

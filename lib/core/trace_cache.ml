@@ -79,10 +79,6 @@ type t = {
          session — a construction this session never had to pay for *)
   mutable cross_entries : int;
       (* dispatch lookups entering a trace built by another session *)
-  mutable ledger : Ledger.t option;
-      (* decision ledger (engine-owned); installs, evictions and
-         quarantines are recorded here, at the site that knows the
-         victim-scoring inputs *)
 }
 
 let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
@@ -125,17 +121,7 @@ let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
     demote_refusals = 0;
     cross_installs = 0;
     cross_entries = 0;
-    ledger = None;
   }
-
-let set_ledger t l = t.ledger <- Some l
-
-let ledger t = t.ledger
-
-let ledger_record t ?trace_id ?first ?head action =
-  match t.ledger with
-  | Some l -> Ledger.record l ?trace_id ?first ?head action
-  | None -> ()
 
 let layout t = t.layout
 
@@ -307,17 +293,22 @@ let unbind t ekey (tr : Trace.t) =
 
 let n_live t = Int_table.length t.by_entry
 
-let emit_evicted t ~ekey ~(tr : Trace.t) ~reason =
+(* Called after [unbind], with the victim's binding for its scoring
+   inputs. *)
+let emit_evicted t ~ekey b ~reason =
   if Events.enabled t.events then begin
     let n = t.layout.Layout.n_blocks in
     Events.emit t.events
       (Events.Trace_evicted
          {
-           trace_id = tr.Trace.id;
+           trace_id = b.b_trace.Trace.id;
            first = ekey / n;
            head = ekey mod n;
            n_live = n_live t;
            reason;
+           footprint = Footprint_model.trace_bytes b.b_trace;
+           heat = b.b_uses;
+           stamp = b.b_stamp;
          })
   end
 
@@ -373,21 +364,9 @@ let evict_one t ~keep ~reason =
   match pick_victim t ~keep with
   | None -> false
   | Some (ekey, b) ->
-      let tr = b.b_trace in
-      let footprint = Footprint_model.trace_bytes tr in
-      unbind t ekey tr;
+      unbind t ekey b.b_trace;
       t.evicted <- t.evicted + 1;
-      emit_evicted t ~ekey ~tr ~reason;
-      let n = t.layout.Layout.n_blocks in
-      ledger_record t ~trace_id:tr.Trace.id ~first:(ekey / n)
-        ~head:(ekey mod n)
-        (Ledger.Evict
-           {
-             reason = Events.evict_reason_to_string reason;
-             footprint;
-             heat = b.b_uses;
-             stamp = b.b_stamp;
-           });
+      emit_evicted t ~ekey b ~reason;
       true
 
 let over_capacity t =
@@ -445,7 +424,6 @@ let bind t ekey (tr : Trace.t) =
 let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
   let skey = seq_key ~first ~blocks in
   let ekey = entry_key_int t ~first ~head:blocks.(0) in
-  let displaced = ref false in
   let tr =
     match Hashtbl.find_opt t.by_seq skey with
     | Some existing ->
@@ -455,9 +433,7 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
         (* make sure it is (still) the trace bound to its entry *)
         (match binding t ekey with
         | Some b when b.b_trace == existing -> ()
-        | Some _ ->
-            displaced := true;
-            note_replaced t ~first ~head:blocks.(0) existing
+        | Some _ -> note_replaced t ~first ~head:blocks.(0) existing
         | None -> ());
         existing
     | None ->
@@ -468,15 +444,11 @@ let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
         t.constructed <- t.constructed + 1;
         Hashtbl.replace t.by_seq skey tr;
         (match binding t ekey with
-        | Some _ ->
-            displaced := true;
-            note_replaced t ~first ~head:blocks.(0) tr
+        | Some _ -> note_replaced t ~first ~head:blocks.(0) tr
         | None -> ());
         tr
   in
   ignore (bind t ekey tr);
-  ledger_record t ~trace_id:tr.Trace.id ~first ~head:blocks.(0)
-    (Ledger.Install { replaced = !displaced; n_blocks = Array.length blocks });
   enforce_caps t ~keep:ekey;
   tr
 
@@ -515,11 +487,11 @@ let quarantine t ~first ~head ~code : Trace.t option =
   | bound ->
   let removed =
     match bound with
-    | Some { b_trace = tr; _ } ->
+    | Some ({ b_trace = tr; _ } as b) ->
         unbind t ekey tr;
         (* not counted in [evicted] (that is capacity accounting) but
            visible in the timeline with its own reason *)
-        emit_evicted t ~ekey ~tr ~reason:Events.Quarantine;
+        emit_evicted t ~ekey b ~reason:Events.Quarantine;
         Some tr
     | None -> None
   in
@@ -551,16 +523,6 @@ let quarantine t ~first ~head ~code : Trace.t option =
            attempts = q.attempts;
            until = q.until;
          });
-  ledger_record t
-    ~trace_id:(match removed with Some tr -> tr.Trace.id | None -> -1)
-    ~first ~head
-    (Ledger.Quarantine
-       {
-         code;
-         attempts = q.attempts;
-         until = q.until;
-         permanent = q.until = max_int;
-       });
   removed
 
 let remove t ~first ~head : Trace.t option =

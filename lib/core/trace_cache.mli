@@ -51,14 +51,6 @@ val set_clock : t -> int -> unit
 (** Advance the cache clock (the engine's dispatch count) — the time base
     of quarantine backoff. *)
 
-val set_ledger : t -> Ledger.t -> unit
-(** Attach the engine's decision ledger.  Installs, evictions (with
-    their victim-scoring inputs) and quarantines are recorded at the
-    cache site that knows them; [Tier] reaches the same ledger through
-    {!ledger}. *)
-
-val ledger : t -> Ledger.t option
-
 val set_session : t -> int -> unit
 (** Announce which session's dispatches follow.  A cache shared between
     sessions (the [Session] layer) is told the current session id before

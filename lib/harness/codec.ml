@@ -10,7 +10,6 @@ module Events = Tracegen.Events
 module Metrics = Tracegen.Metrics
 module Spans = Tracegen.Spans
 module Flightrec = Tracegen.Flightrec
-module Ledger = Tracegen.Ledger
 
 (* The binary snapshot codec is Tracegen.Persist (the engine must be
    able to decode without the harness); re-exported so Codec is the
@@ -100,8 +99,12 @@ let to_string j =
    Version 8: flight-recorder postmortem records ([rec] = "postmortem"
    header / "event" / "span" / "metric"), decision-ledger records
    ([action] + attribution fields), and the bench baseline JSON
-   ([Perf]). *)
-let schema_version = 8
+   ([Perf]).
+   Version 9: the decision ledger keeps events, so its own records are
+   gone, and the attribution they alone carried moved into the events:
+   [trace_evicted] gains [footprint] / [heat] / [stamp],
+   [trace_compiled] gains [heat], [tier_demoted] gains [winner_heat]. *)
+let schema_version = 9
 
 type format = Jsonl | Chrome_trace | Binary_snapshot
 
@@ -208,13 +211,17 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
           (* max_int = permanently blacklisted; JSON-friendly sentinel *)
           ("until", J_int (if until = max_int then -1 else until));
         ]
-    | Events.Trace_evicted { trace_id; first; head; n_live; reason } ->
+    | Events.Trace_evicted
+        { trace_id; first; head; n_live; reason; footprint; heat; stamp } ->
         [
           ("trace_id", J_int trace_id);
           ("first", J_int first);
           ("head", J_int head);
           ("n_live", J_int n_live);
           ("reason", J_string (Events.evict_reason_to_string reason));
+          ("footprint", J_int footprint);
+          ("heat", J_int heat);
+          ("stamp", J_int stamp);
         ]
     | Events.Mode_degraded { from_level; to_level } ->
         [
@@ -256,15 +263,20 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
           ("latch", J_int latch);
           ("hotness", J_int hotness);
         ]
-    | Events.Trace_compiled { trace_id; ops; fused; src_instrs } ->
+    | Events.Trace_compiled { trace_id; ops; fused; src_instrs; heat } ->
         [
           ("trace_id", J_int trace_id);
           ("ops", J_int ops);
           ("fused", J_int fused);
           ("src_instrs", J_int src_instrs);
+          ("heat", J_int heat);
         ]
-    | Events.Tier_demoted { trace_id; uses } ->
-        [ ("trace_id", J_int trace_id); ("uses", J_int uses) ]
+    | Events.Tier_demoted { trace_id; uses; winner_heat } ->
+        [
+          ("trace_id", J_int trace_id);
+          ("uses", J_int uses);
+          ("winner_heat", J_int winner_heat);
+        ]
 
 let event_json (e : Events.event) : json =
   J_obj
@@ -369,7 +381,7 @@ let spans_jsonl (spans : Spans.span list) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder (post-mortem) and decision ledger                    *)
+(* Flight recorder (post-mortem)                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* One flight-recorder ring entry as a flat object.  The [rec] field
@@ -433,79 +445,6 @@ let postmortem_jsonl ~(reason : string) (fr : Flightrec.t) : string =
       Buffer.add_string buf (to_string (flightrec_entry_json e));
       Buffer.add_char buf '\n')
     (Flightrec.to_list fr);
-  Buffer.contents buf
-
-(* One decision-ledger record as a flat object.  The [action] field is
-   the stable kind tag; the attribution triple ([tick]/[span]/[seq]) and
-   trace linkage ([trace_id]/[first]/[head]) render -1 when absent. *)
-let ledger_record_json (r : Ledger.record) : json =
-  let action_fields =
-    match r.Ledger.action with
-    | Ledger.Build { new_traces; reused; pruned } ->
-        [
-          ("new_traces", J_int new_traces);
-          ("reused", J_int reused);
-          ("pruned", J_int pruned);
-        ]
-    | Ledger.Install { replaced; n_blocks } ->
-        [ ("replaced", J_bool replaced); ("n_blocks", J_int n_blocks) ]
-    | Ledger.Guard_prune { pruned } -> [ ("pruned", J_int pruned) ]
-    | Ledger.Quarantine { code; attempts; until; permanent } ->
-        [
-          ("code", J_string code);
-          ("attempts", J_int attempts);
-          (* permanent quarantine renders until as -1, like the event *)
-          ("until", J_int (if until = max_int then -1 else until));
-          ("permanent", J_bool permanent);
-        ]
-    | Ledger.Evict { reason; footprint; heat; stamp } ->
-        [
-          ("reason", J_string reason);
-          ("footprint", J_int footprint);
-          ("heat", J_int heat);
-          ("stamp", J_int stamp);
-        ]
-    | Ledger.Compile { heat; compile_after; budget; n_compiled } ->
-        [
-          ("heat", J_int heat);
-          ("compile_after", J_int compile_after);
-          ("budget", J_int budget);
-          ("n_compiled", J_int n_compiled);
-        ]
-    | Ledger.Demote { heat; winner_heat } ->
-        [ ("heat", J_int heat); ("winner_heat", J_int winner_heat) ]
-    | Ledger.Osr_promote { header; latch; hotness } ->
-        [
-          ("header", J_int header);
-          ("latch", J_int latch);
-          ("hotness", J_int hotness);
-        ]
-    | Ledger.Deopt { at_pos; resume; residue; reason } ->
-        [
-          ("at_pos", J_int at_pos);
-          ("resume", J_int resume);
-          ("residue", J_int residue);
-          ("reason", J_string reason);
-        ]
-  in
-  J_obj
-    (versioned
-       (("action", J_string (Ledger.action_kind r.Ledger.action))
-       :: ("seq", J_int r.Ledger.seq)
-       :: ("tick", J_int r.Ledger.tick)
-       :: ("span", J_int r.Ledger.span)
-       :: ("trace_id", J_int r.Ledger.trace_id)
-       :: ("first", J_int r.Ledger.first)
-       :: ("head", J_int r.Ledger.head)
-       :: action_fields))
-
-let ledger_jsonl (l : Ledger.t) : string =
-  let buf = Buffer.create 4096 in
-  Ledger.iter
-    (fun r ->
-      Buffer.add_string buf (to_string (ledger_record_json r));
-      Buffer.add_char buf '\n')
-    l;
   Buffer.contents buf
 
 (* Chrome trace_event JSON (the Perfetto / about://tracing format):

@@ -106,7 +106,7 @@ val diags_jsonl : Analysis.Diag.t list -> string
 (** A diagnostic list, one object per line, in list order — the
     [repro_cli lint --json] schema. *)
 
-(** {2 Flight recorder (post-mortem) and decision ledger} *)
+(** {2 Flight recorder (post-mortem)} *)
 
 val flightrec_entry_json : Tracegen.Flightrec.entry -> json
 (** One ring entry as a flat object discriminated by [rec]: ["event"]
@@ -121,14 +121,6 @@ val postmortem_header_json :
 val postmortem_jsonl : reason:string -> Tracegen.Flightrec.t -> string
 (** A complete post-mortem dump: the header line followed by the
     surviving ring window oldest-first, one object per line. *)
-
-val ledger_record_json : Tracegen.Ledger.record -> json
-(** One decision record as a flat object: the [action] kind tag, the
-    attribution triple ([seq]/[tick]/[span]), the trace linkage
-    ([trace_id]/[first]/[head], [-1] when absent) and the
-    action-specific justification fields. *)
-
-val ledger_jsonl : Tracegen.Ledger.t -> string
 
 (** {2 Chrome trace_event} *)
 

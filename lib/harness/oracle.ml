@@ -19,19 +19,34 @@ let all_ok checks = List.for_all check_ok checks
 
 let failures checks = List.filter (fun c -> not (check_ok c)) checks
 
+let report ~source checks =
+  List.fold_left
+    (fun ok c ->
+      if check_ok c then begin
+        Printf.eprintf "# ok: %s (%d)\n" c.name c.got;
+        ok
+      end
+      else begin
+        Printf.eprintf "# MISMATCH: %s (%s %d, stats %d)\n" c.name source
+          c.got c.want;
+        false
+      end)
+    true checks
+
 (* ------------------------------------------------------------------ *)
 (* Event tally                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-kind counts plus the three refinements the checks need beyond
-   raw kinds: new-vs-reused constructions and the eviction-reason
-   split (quarantine removals count under traces_quarantined, the
-   other reasons under traces_evicted). *)
+(* Per-kind counts plus the refinements the checks need beyond raw
+   kinds: new-vs-reused constructions, the eviction-reason split
+   (quarantine removals count under traces_quarantined, the other
+   reasons under traces_evicted) and the pruned-guard sum. *)
 type tally = {
   counts : (string, int) Hashtbl.t;
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
+  mutable guards_pruned : int;
 }
 
 let create_tally () =
@@ -40,6 +55,7 @@ let create_tally () =
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
+    guards_pruned = 0;
   }
 
 let count t k = try Hashtbl.find t.counts k with Not_found -> 0
@@ -58,6 +74,8 @@ let observe t (payload : Events.payload) =
   | Events.Trace_evicted
       { reason = Events.Capacity | Events.Pressure | Events.Footprint; _ } ->
       t.evicted_counted <- t.evicted_counted + 1
+  | Events.Guards_pruned { pruned; _ } ->
+      t.guards_pruned <- t.guards_pruned + pruned
   | _ -> ()
 
 let attach events =
@@ -68,191 +86,75 @@ let attach events =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Events vs stats                                                     *)
+(* The identities                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* The plain identities: occurrences of one event kind = one
+   [Stats.counters] counter. *)
+let kind_counters =
+  [
+    ("signal_raised", "signals");
+    ("trace_entered", "traces_entered");
+    ("trace_completed", "traces_completed");
+    ("trace_replaced", "traces_replaced");
+    ("fault_injected", "faults_injected");
+    ("trace_quarantined", "traces_quarantined");
+    ("mode_degraded", "health_demotions");
+    ("mode_recovered", "health_promotions");
+    ("deopt_entered", "deopts");
+    ("osr_promoted", "osr_promotions");
+    ("trace_compiled", "traces_compiled");
+    ("tier_demoted", "tier_demotions");
+  ]
+
+(* Every identity, tagged with the event kind it counts.  [in_flight]
+   is 1 when the run stopped inside a trace. *)
+let identities ~in_flight (t : tally) (s : Stats.t) : (string * check) list =
+  let stat name = (List.assoc name Stats.counters) s in
+  let row kind name got want = (kind, { name; got; want }) in
+  List.map
+    (fun (kind, counter) ->
+      row kind (kind ^ " = " ^ counter) (count t kind) (stat counter))
+    kind_counters
+  @ [
+      row "trace_constructed" "trace_constructed (new) = traces_constructed"
+        t.constructed_new (stat "traces_constructed");
+      row "trace_constructed" "trace_constructed (reused) = builder_reuses"
+        (count t "trace_constructed" - t.constructed_new)
+        (stat "builder_reuses");
+      row "side_exit" "side_exit = entered - completed - in-flight"
+        (count t "side_exit")
+        (stat "traces_entered" - stat "traces_completed" - in_flight);
+      (* quarantine removals also emit trace_evicted (reason
+         "quarantine") but count under traces_quarantined *)
+      row "trace_evicted" "trace_evicted (capacity+pressure) = traces_evicted"
+        t.evicted_counted (stat "traces_evicted");
+      row "trace_evicted" "trace_evicted (all reasons) = timeline total"
+        (t.evicted_counted + t.evicted_quarantine)
+        (count t "trace_evicted");
+      row "guards_pruned" "guards_pruned (sum of pruned) = guards_pruned"
+        t.guards_pruned (stat "guards_pruned");
+    ]
 
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   let in_flight =
     match Engine.active_trace engine with Some _ -> 1 | None -> 0
   in
-  [
-    {
-      name = "signal_raised = signals";
-      got = count t "signal_raised";
-      want = s.Stats.signals;
-    };
-    {
-      name = "trace_constructed (new) = traces_constructed";
-      got = t.constructed_new;
-      want = s.Stats.traces_constructed;
-    };
-    {
-      name = "trace_constructed (reused) = builder reuses";
-      got = count t "trace_constructed" - t.constructed_new;
-      want = s.Stats.builder_reuses;
-    };
-    {
-      name = "trace_entered = traces_entered";
-      got = count t "trace_entered";
-      want = s.Stats.traces_entered;
-    };
-    {
-      name = "trace_completed = traces_completed";
-      got = count t "trace_completed";
-      want = s.Stats.traces_completed;
-    };
-    {
-      name = "side_exit = entered - completed - in-flight";
-      got = count t "side_exit";
-      want = s.Stats.traces_entered - s.Stats.traces_completed - in_flight;
-    };
-    {
-      name = "trace_replaced = traces_replaced";
-      got = count t "trace_replaced";
-      want = s.Stats.traces_replaced;
-    };
-    {
-      name = "fault_injected = faults_injected";
-      got = count t "fault_injected";
-      want = s.Stats.faults_injected;
-    };
-    {
-      name = "trace_quarantined = traces_quarantined";
-      got = count t "trace_quarantined";
-      want = s.Stats.traces_quarantined;
-    };
-    (* quarantine removals also emit trace_evicted (reason "quarantine")
-       but count under traces_quarantined, not traces_evicted *)
-    {
-      name = "trace_evicted (capacity+pressure) = traces_evicted";
-      got = t.evicted_counted;
-      want = s.Stats.traces_evicted;
-    };
-    {
-      name = "trace_evicted (all reasons) = timeline total";
-      got = t.evicted_counted + t.evicted_quarantine;
-      want = count t "trace_evicted";
-    };
-    {
-      name = "mode_degraded = health_demotions";
-      got = count t "mode_degraded";
-      want = s.Stats.health_demotions;
-    };
-    {
-      name = "mode_recovered = health_promotions";
-      got = count t "mode_recovered";
-      want = s.Stats.health_promotions;
-    };
-    {
-      name = "deopt_entered = deopts";
-      got = count t "deopt_entered";
-      want = s.Stats.deopts;
-    };
-    {
-      name = "osr_promoted = osr_promotions";
-      got = count t "osr_promoted";
-      want = s.Stats.osr_promotions;
-    };
-    {
-      name = "trace_compiled = traces_compiled";
-      got = count t "trace_compiled";
-      want = s.Stats.traces_compiled;
-    };
-    {
-      name = "tier_demoted = tier_demotions";
-      got = count t "tier_demoted";
-      want = s.Stats.tier_demotions;
-    };
-  ]
+  List.map snd (identities ~in_flight t s)
 
-(* ------------------------------------------------------------------ *)
-(* Ledger vs stats                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The decision ledger's aggregates against the same counters.  The
-   mapping mirrors where the engine records: every construction and
-   reuse flows through a Build record, every tier compile (including
-   restore-time recompilation) through Compile, every real eviction
-   (capacity/pressure/footprint — not quarantine removal) through
-   Evict, and so on. *)
+(* The same identities over a tally of the ledger's events, restricted
+   to the kinds the ledger keeps. *)
 let ledger_checks (l : Ledger.t) (s : Stats.t) : check list =
-  let built = ref 0
-  and reused = ref 0
-  and guard_pruned = ref 0
-  and quarantines = ref 0
-  and evictions = ref 0
-  and replacements = ref 0
-  and compiles = ref 0
-  and demotions = ref 0
-  and osr_promotes = ref 0
-  and deopts = ref 0 in
-  Ledger.iter
-    (fun r ->
-      match r.Ledger.action with
-      | Ledger.Build { new_traces; reused = re; pruned = _ } ->
-          built := !built + new_traces;
-          reused := !reused + re
-      | Ledger.Guard_prune { pruned } -> guard_pruned := !guard_pruned + pruned
-      | Ledger.Install { replaced; _ } ->
-          if replaced then incr replacements
-      | Ledger.Quarantine _ -> incr quarantines
-      | Ledger.Evict _ -> incr evictions
-      | Ledger.Compile _ -> incr compiles
-      | Ledger.Demote _ -> incr demotions
-      | Ledger.Osr_promote _ -> incr osr_promotes
-      | Ledger.Deopt _ -> incr deopts)
-    l;
-  [
-    {
-      name = "ledger build.new = traces_constructed";
-      got = !built;
-      want = s.Stats.traces_constructed;
-    };
-    {
-      name = "ledger build.reused = builder reuses";
-      got = !reused;
-      want = s.Stats.builder_reuses;
-    };
-    {
-      name = "ledger guard_prune = guards_pruned";
-      got = !guard_pruned;
-      want = s.Stats.guards_pruned;
-    };
-    {
-      name = "ledger install.replaced = traces_replaced";
-      got = !replacements;
-      want = s.Stats.traces_replaced;
-    };
-    {
-      name = "ledger quarantine = traces_quarantined";
-      got = !quarantines;
-      want = s.Stats.traces_quarantined;
-    };
-    {
-      name = "ledger evict = traces_evicted";
-      got = !evictions;
-      want = s.Stats.traces_evicted;
-    };
-    {
-      name = "ledger compile = traces_compiled";
-      got = !compiles;
-      want = s.Stats.traces_compiled;
-    };
-    {
-      name = "ledger demote = tier_demotions";
-      got = !demotions;
-      want = s.Stats.tier_demotions;
-    };
-    {
-      name = "ledger osr_promote = osr_promotions";
-      got = !osr_promotes;
-      want = s.Stats.osr_promotions;
-    };
-    { name = "ledger deopt = deopts"; got = !deopts; want = s.Stats.deopts };
-  ]
+  let t = create_tally () in
+  Ledger.iter (fun e -> observe t e.Ledger.event.Events.payload) l;
+  List.filter_map
+    (fun (kind, c) ->
+      if List.mem kind Ledger.kinds then
+        Some { c with name = "ledger " ^ c.name }
+      else None)
+    (identities ~in_flight:0 t s)
 
-(* Both reconciliations for a finished solo-engine run.  Ledger checks
-   apply only when the run actually kept a ledger. *)
+(* Both reconciliations for a finished solo-engine run. *)
 let run_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   event_checks t ~engine s
   @

@@ -12,11 +12,17 @@ val check_ok : check -> bool
 val all_ok : check list -> bool
 val failures : check list -> check list
 
+val report : source:string -> check list -> bool
+(** Print one [# ok:] or [# MISMATCH:] line per check to stderr, naming
+    [source] (["timeline"], ["ledger"], ["report"]) as the side that
+    disagrees with the statistics; [true] iff every check holds. *)
+
 (** {2 Event tally} *)
 
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split). *)
+    (new-vs-reused constructions, the eviction-reason split, the
+    pruned-guard sum). *)
 
 val create_tally : unit -> tally
 
@@ -37,19 +43,19 @@ val n_kinds : tally -> int
 
 val event_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
-(** The event-timeline agreements: every counted kind against its
-    statistics counter, including the side-exit balance
-    (entered − completed − in-flight) and the eviction-reason split. *)
+(** Every identity over the event timeline.  Most are rows of one
+    table: the occurrences of an event kind equal the
+    {!Tracegen.Stats.counters} entry the row names.  Written out beside
+    them: the new/reused construction split, the side-exit balance
+    (entered − completed − in-flight), the eviction-reason split and
+    the pruned-guard sum. *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list
-(** The decision-ledger aggregates against the same counters: Build
-    sums against constructions/reuses, Compile counts against
-    [traces_compiled] (including restore-time recompilation), Evict
-    against [traces_evicted], and so on. *)
+(** The same identities over a tally of the ledger's events, restricted
+    to the kinds in {!Tracegen.Ledger.kinds}. *)
 
 val run_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
-(** {!event_checks} plus, when the engine kept a ledger,
-    {!ledger_checks} — the full reconciliation for a finished
-    solo-engine run. *)
+(** {!event_checks} plus {!ledger_checks} — the full reconciliation for
+    a finished solo-engine run. *)

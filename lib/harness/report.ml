@@ -95,12 +95,11 @@ let of_engine (engine : Tr.Engine.t) : t =
         !blocks;
   }
 
-(* The reconciliation identities: every (name, got, want) triple must
-   have got = want.  They hold exactly for a run over an unbounded,
-   non-healing cache (the [repro_cli top] configuration); eviction with
-   hash-cons purging can lose condemned traces' counters. *)
-let checks (r : t) (engine : Tr.Engine.t) (s : Tr.Stats.t) :
-    (string * int * int) list =
+(* The reconciliation identities.  They hold exactly for a run over an
+   unbounded, non-healing cache (the [repro_cli top] configuration);
+   eviction with hash-cons purging can lose condemned traces' counters. *)
+let checks (r : t) (engine : Tr.Engine.t) (s : Tr.Stats.t) : Oracle.check list
+    =
   let sum f = List.fold_left (fun acc row -> acc + f row) 0 r.traces in
   let sum_blocks f = List.fold_left (fun acc row -> acc + f row) 0 r.blocks in
   let inflight = Tr.Engine.inflight_matched_blocks engine in
@@ -124,9 +123,7 @@ let checks (r : t) (engine : Tr.Engine.t) (s : Tr.Stats.t) :
      sum_blocks (fun x -> x.inlined),
      s.Tr.Stats.completed_blocks + s.Tr.Stats.partial_blocks + inflight);
   ]
-
-let failed_checks r engine s =
-  List.filter (fun (_, got, want) -> got <> want) (checks r engine s)
+  |> List.map (fun (name, got, want) -> { Oracle.name; got; want })
 
 (* Rendering *)
 

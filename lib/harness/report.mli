@@ -40,16 +40,10 @@ val of_engine : Tracegen.Engine.t -> t
 (** Collect the report from a finished engine.  Block rows are empty
     unless the engine ran with [Config.obs_attribution]. *)
 
-val checks :
-  t -> Tracegen.Engine.t -> Tracegen.Stats.t -> (string * int * int) list
-(** The reconciliation identities as [(name, got, want)] triples; each
-    must have [got = want].  Exact for a run over an unbounded,
-    non-healing cache (eviction with hash-cons purging can lose
-    condemned traces' counters). *)
-
-val failed_checks :
-  t -> Tracegen.Engine.t -> Tracegen.Stats.t -> (string * int * int) list
-(** The subset of {!checks} that do not reconcile. *)
+val checks : t -> Tracegen.Engine.t -> Tracegen.Stats.t -> Oracle.check list
+(** The reconciliation identities; each must have [got = want].  Exact
+    for a run over an unbounded, non-healing cache (eviction with
+    hash-cons purging can lose condemned traces' counters). *)
 
 val render : ?top:int -> t -> string
 (** Human-readable ranked tables ([top] rows each, default 10). *)

@@ -81,6 +81,13 @@ for w in $(dune exec bin/repro_cli.exe -- list | cut -d' ' -f1); do
   }
 done
 
+# Decision-ledger gate: replay a run with OSR, the compiled tier,
+# self-healing and a fault schedule, narrate its decision ledger, and
+# reconcile the ledger's per-kind counts against the end-of-run
+# statistics; exits non-zero on any mismatch.
+dune exec bin/repro_cli.exe -- explain compress --osr --tier --self-heal \
+  --fault-spec 'corrupt-trace@0.005,budget=20' > /dev/null
+
 # Shared-cache gate: two members per workload interleaved over one
 # trace cache per layout, first under injected pressure evictions, then
 # with self-healing against corrupted traces.  Every member's result

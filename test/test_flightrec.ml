@@ -189,7 +189,9 @@ let test_engine_arms_recorder_by_default () =
   let off = Config.make ~flightrec_capacity:0 () in
   let r2 = Engine.run ~config:off hot_loop in
   check Alcotest.bool "capacity 0 disarms it" true
-    (Engine.flightrec r2.Engine.engine = None)
+    (Engine.flightrec r2.Engine.engine = None);
+  check Alcotest.bool "the ledger keeps decisions without the recorder" true
+    (Ledger.length (Option.get (Engine.ledger r2.Engine.engine)) > 0)
 
 let test_engine_run_reconciles () =
   let events = Events.create () in
@@ -280,6 +282,59 @@ let test_routes_agree () =
   check Alcotest.bool "some ring wrapped" true !wrapped;
   check Alcotest.bool "some window mixes hot and rare kinds" true !mixed
 
+(* In a shared-cache session each member's ledger is a projection of
+   its own stream: exactly that stream's decision-kind events, in order.
+   The cache reports its evictions to the stream of the member that
+   created it, so they belong to that member's ledger alone. *)
+let test_session_ledgers_follow_streams () =
+  let layout =
+    Harness.Experiment.layout_for Workloads.Javacish.workload ~size:300
+  in
+  let config =
+    Config.make ~max_cache_traces:8
+      ~eviction_policy:Config.Cache.Footprint_aware ()
+  in
+  let session = Tracegen.Session.create () in
+  let members =
+    List.map
+      (fun name ->
+        let events = Events.create () in
+        let decisions = ref [] in
+        let _sub =
+          Events.subscribe events (fun e ->
+              if List.mem (Events.kind e.Events.payload) Ledger.kinds then
+                decisions := e :: !decisions)
+        in
+        (Tracegen.Session.add ~name ~config ~events session layout, decisions))
+      [ "owner"; "guest" ]
+  in
+  Tracegen.Session.run session;
+  let evictions =
+    List.map
+      (fun (m, decisions) ->
+        let name = Tracegen.Session.member_name m in
+        let ledger =
+          Option.get (Engine.ledger (Tracegen.Session.engine m))
+        in
+        let kept = List.map (fun e -> e.Ledger.event) (Ledger.to_list ledger) in
+        check Alcotest.int (name ^ ": one entry per decision event")
+          (List.length !decisions) (Ledger.length ledger);
+        check Alcotest.bool (name ^ ": the stream's decision events, in order")
+          true
+          (List.for_all2 ( == ) (List.rev !decisions) kept);
+        List.length
+          (List.filter
+             (fun e ->
+               match e.Events.payload with
+               | Events.Trace_evicted _ -> true
+               | _ -> false)
+             kept))
+      members
+  in
+  check Alcotest.bool "the owner's ledger holds the cache's evictions" true
+    (List.hd evictions > 0);
+  check Alcotest.int "the guest's ledger holds none" 0 (List.nth evictions 1)
+
 let () =
   Alcotest.run "flightrec"
     [
@@ -301,5 +356,7 @@ let () =
             test_engine_run_reconciles;
           tc "subscriber leaves the recording unchanged" `Quick
             test_routes_agree;
+          tc "shared-session ledgers follow their own streams" `Quick
+            test_session_ledgers_follow_streams;
         ] );
     ]
