@@ -96,18 +96,6 @@ let run_one ?spec ?osr ?tier ?max_instructions ?dump_dir
     stats;
   }
 
-(* The gate: every registered workload under [schedules] seeded fault
-   schedules.  Returns all verdicts; the caller decides how to render
-   failures (the CLI exits non-zero on any). *)
-let gate ?spec ?osr ?tier ?max_instructions ?dump_dir ?(schedules = 50) ~seed
-    ~size_of () : verdict list =
-  List.concat_map
-    (fun (w : Workloads.Workload.t) ->
-      List.init schedules (fun i ->
-          run_one ?spec ?osr ?tier ?max_instructions ?dump_dir w
-            ~size:(size_of w) ~seed:(seed + (1000 * i))))
-    Workloads.Registry.all
-
 let describe v =
   Printf.sprintf
     "%-10s seed=%-6d %s %s %s faults=%d quarantined=%d evicted=%d healed=%d \

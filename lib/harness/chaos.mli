@@ -62,20 +62,5 @@ val run_one :
     sink there — a divergence triggers a dump, as do the engine's own
     invariant/degradation triggers. *)
 
-val gate :
-  ?spec:string ->
-  ?osr:bool ->
-  ?tier:bool ->
-  ?max_instructions:int ->
-  ?dump_dir:string ->
-  ?schedules:int ->
-  seed:int ->
-  size_of:(Workloads.Workload.t -> int) ->
-  unit ->
-  verdict list
-(** Every registered workload under [schedules] (default 50) seeded
-    schedules; seeds are [seed + 1000*i].  Returns every verdict — the
-    caller renders failures and derives an exit status. *)
-
 val describe : verdict -> string
 (** One line: pass/fail flags plus the resilience counters. *)

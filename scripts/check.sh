@@ -26,10 +26,14 @@ dune exec --profile release -- ./test/test_alloc.exe
 dune build
 dune runtest
 
+# Every gate below calls the binary just built, so none can wait on
+# another dune's build lock.
+cli=$PWD/_build/default/bin/repro_cli.exe
+
 # Static dataflow lint + dynamic invariant sweep over every registered
 # workload, plus the symbolic trace validator over every trace the
 # sweep's engine installed; exits non-zero on any error-severity finding.
-dune exec bin/repro_cli.exe -- lint --traces
+"$cli" lint --traces
 
 # Translation-validation gate: every trace installed on every workload
 # must prove observationally equivalent to its source blocks (TL21x
@@ -37,42 +41,42 @@ dune exec bin/repro_cli.exe -- lint --traces
 # pruned run's VM result must stay bit-identical to the unpruned run —
 # the pruning on/off ablation in one sweep.  Non-zero exit on any
 # unprovable trace, divergence, or insufficient pruning.
-dune exec bin/repro_cli.exe -- prove --min-pruning 2
+"$cli" prove --min-pruning 2
 
 # Chaos gate: every workload under 50 seeded fault schedules must yield
 # VM results identical to the no-tracing baseline and recover to full
 # tracing; exits non-zero on any FT901/FT902 verdict.
-dune exec bin/repro_cli.exe -- chaos --seed 42 --quick
+"$cli" chaos --seed 42 --quick
 
 # Deopt-transparency gate: with on-stack replacement armed, guard-flip
 # schedules (FT008) force mid-trace deoptimization at pseudo-random
 # positions on every workload — results must stay bit-identical and the
 # ladder must still end the run at full tracing.
-dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
+"$cli" chaos --spec 'guard_flip@0.05,budget=24' \
   --schedules 25 --seed 42 --quick --osr
 
 # Tier-transparency gate: with the compiled micro-IR tier armed, every
 # workload pinned to every backend must stay bit-identical to the plain
 # interpreter, and at least one trace must actually reach the compiled
 # tier — a transparency pass over an idle tier proves nothing.
-dune exec bin/repro_cli.exe -- backends --tier > /dev/null
+"$cli" backends --tier > /dev/null
 
 # Compiled-tier chaos: guard-flip schedules force mid-trace deopt while
 # traces are dispatched from the micro-IR tier (--tier --osr), putting
 # the deopt-from-compiled-tier path under the FT901/FT902 gate.
-dune exec bin/repro_cli.exe -- chaos --spec 'guard_flip@0.05,budget=24' \
+"$cli" chaos --spec 'guard_flip@0.05,budget=24' \
   --schedules 25 --seed 42 --quick --osr --tier
 
 # Hot-path attribution: the ranked report's every column must reconcile
 # exactly with the end-of-run statistics; exits non-zero on mismatch.
-dune exec bin/repro_cli.exe -- top compress > /dev/null
+"$cli" top compress > /dev/null
 
 # Counter oracle: on every registered workload, a run with OSR, the
 # compiled tier, self-healing and a fault schedule must reconcile its
 # event stream, end-of-run statistics and decision ledger exactly;
 # exits non-zero on any mismatch.
-for w in $(dune exec bin/repro_cli.exe -- list | cut -d' ' -f1); do
-  report=$(dune exec bin/repro_cli.exe -- events "$w" --stats-only --osr \
+for w in $("$cli" list | cut -d' ' -f1); do
+  report=$("$cli" events "$w" --stats-only --osr \
     --tier --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
     2>&1 > /dev/null) || {
     echo "$report" >&2
@@ -85,16 +89,16 @@ done
 # self-healing and a fault schedule, narrate its decision ledger, and
 # reconcile the ledger's per-kind counts against the end-of-run
 # statistics; exits non-zero on any mismatch.
-dune exec bin/repro_cli.exe -- explain compress --osr --tier --self-heal \
+"$cli" explain compress --osr --tier --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20' > /dev/null
 
 # Shared-cache gate: two members per workload interleaved over one
 # trace cache per layout, first under injected pressure evictions, then
 # with self-healing against corrupted traces.  Every member's result
 # must equal a solo interpreter run; exits non-zero on any divergence.
-dune exec bin/repro_cli.exe -- session --workloads javac,soot,mpegaudio \
+"$cli" session --workloads javac,soot,mpegaudio \
   --users 2 --fault-spec 'alloc-pressure@0.001,budget=20' > /dev/null
-dune exec bin/repro_cli.exe -- session --workloads javac,soot,mpegaudio \
+"$cli" session --workloads javac,soot,mpegaudio \
   --users 2 --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
   > /dev/null
 
@@ -102,7 +106,7 @@ dune exec bin/repro_cli.exe -- session --workloads javac,soot,mpegaudio \
 # structural oracle (valid JSON, monotone timestamps, every E closing a
 # B); exits non-zero on any violation.
 chrome_out=$(mktemp /tmp/check_chrome.XXXXXX.json)
-dune exec bin/repro_cli.exe -- timeline compress --self-heal \
+"$cli" timeline compress --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20' --chrome "$chrome_out" \
   > /dev/null || { rm -f "$chrome_out"; exit 1; }
 rm -f "$chrome_out"
@@ -111,8 +115,8 @@ rm -f "$chrome_out"
 # run to report a bit-identical VM result; then corrupt one byte and
 # require the loader to reject the file with a non-zero exit.
 snap_out=$(mktemp /tmp/check_snap.XXXXXX.tcsnap)
-dune exec bin/repro_cli.exe -- warm compress --save "$snap_out" > /dev/null
-warm_report=$(dune exec bin/repro_cli.exe -- warm compress --load "$snap_out") || {
+"$cli" warm compress --save "$snap_out" > /dev/null
+warm_report=$("$cli" warm compress --load "$snap_out") || {
   echo "check.sh: warm --load failed" >&2
   rm -f "$snap_out"
   exit 1
@@ -128,7 +132,7 @@ esac
 # stomp 4 bytes of the stored MD5 (header offset 36-51), guaranteeing a
 # checksum mismatch
 printf '\377\377\377\377' | dd of="$snap_out" bs=1 seek=40 count=4 conv=notrunc 2> /dev/null
-if dune exec bin/repro_cli.exe -- warm compress --load "$snap_out" \
+if "$cli" warm compress --load "$snap_out" \
   > /dev/null 2>&1; then
   echo "check.sh: corrupted snapshot was accepted" >&2
   rm -f "$snap_out"
@@ -162,7 +166,7 @@ if ! cmp "$bench_dir/1/BENCH_smoke.json" "$bench_dir/2/BENCH_smoke.json"; then
   rm -rf "$bench_dir"
   exit 1
 fi
-bench_report=$(dune exec bin/repro_cli.exe -- bench-diff \
+bench_report=$("$cli" bench-diff \
   BENCH_smoke.json "$bench_dir/1/BENCH_smoke.json" --max-regress 0 2>&1) || {
   echo "$bench_report" >&2
   echo "check.sh: bench counters differ from the committed BENCH_smoke.json" >&2
@@ -175,7 +179,7 @@ bench_report=$(dune exec bin/repro_cli.exe -- bench-diff \
 # lower-is-better ones regress whatever order the sections come in.
 sed 's/"value":[0-9.eE+-]*/"value":99999999/g' \
   "$bench_dir/1/BENCH_smoke.json" > "$bench_dir/BENCH_stomped.json"
-if dune exec bin/repro_cli.exe -- bench-diff \
+if "$cli" bench-diff \
   "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
   > /dev/null 2>&1; then
   echo "check.sh: bench-diff accepted a stomped baseline" >&2
@@ -187,10 +191,10 @@ rm -rf "$bench_dir"
 # Flight-recorder round trip: a faulted self-healing run forced to dump
 # its ring must produce a JSONL artifact the postmortem reader accepts.
 fr_out=$(mktemp /tmp/check_flightrec.XXXXXX.jsonl)
-dune exec bin/repro_cli.exe -- run compress --self-heal \
+"$cli" run compress --self-heal \
   --fault-spec 'corrupt-trace@0.01,budget=12' \
   --dump-flightrec "$fr_out" > /dev/null
-dune exec bin/repro_cli.exe -- postmortem "$fr_out" > /dev/null
+"$cli" postmortem "$fr_out" > /dev/null
 rm -f "$fr_out"
 
 if command -v odoc >/dev/null 2>&1; then
