@@ -144,9 +144,10 @@ let scale_arg =
 let tier_arg =
   Arg.(value & flag & info [ "tier" ]
          ~doc:"Arm the compiled micro-IR tier: hot traces are lowered to \
-               a register micro-IR with fused superinstructions and \
-               dispatched from the compiled tier (results stay \
-               bit-identical; see 'backends --tier').")
+               a register micro-IR with fused superinstructions, and \
+               trace dispatch prices their entries and positions on the \
+               compiled tier (results stay bit-identical; see 'backends \
+               --tier').")
 
 (* [faults] offers --fault-spec, --fault-seed and --self-heal *)
 let flags ?(faults = false) ?(osr = false) ?(tier = false)

@@ -1,20 +1,21 @@
 module Layout = Cfg.Layout
 
-(* The dispatch-strategy seam.
+(* The dispatch function.
 
    A backend is one way of processing the VM's block-dispatch stream:
-   pure interpretation (Backend_interp), BCG-profiled block dispatch
-   (Backend_profile), or trace-cache dispatch (Backend_trace).  The
-   engine owns one [ctx] — the state every strategy shares — and selects
-   a backend per dispatch from the health ladder, so degradation is a
-   backend *switch* rather than mode flags inside one loop.
+   pure interpretation (Interp), BCG-profiled block dispatch (Profile),
+   or trace-cache dispatch (Trace).  The engine owns one [ctx] — the
+   state every strategy shares — and picks the [kind] per dispatch from
+   the health ladder, so degradation is a backend *switch* rather than
+   mode flags inside one loop.
 
-   This module holds the shared state record and the helpers every
-   strategy composes: the dispatch prologue (metrics tick, fault
-   injection), active-trace following, trace completion/side-exit
-   bookkeeping, health-ladder transitions and the invariant sweep.  The
-   strategies themselves live in backend_interp.ml / backend_profile.ml /
-   backend_trace.ml. *)
+   Everything lives here: the dispatch prologue (metrics tick, fault
+   injection), trace construction (profiler signals and OSR promotion),
+   trace entry (with the compiled tier when Config.tier_enabled is on),
+   active-trace following, trace completion/side-exit bookkeeping,
+   health-ladder transitions and the invariant sweep.  The strategies
+   differ only in [step] and [deopt_resume], each one [match] on the
+   kind. *)
 
 type ctx = {
   config : Config.t;
@@ -65,34 +66,13 @@ type ctx = {
        the builder, whose construction boundary would sweep again *)
 }
 
-(* One dispatch strategy.  [step] decides what to do with a block
-   dispatched outside any trace; [on_block] is the full VM observer
-   (shared following of an active trace, then [step]). *)
-module type S = sig
-  val name : string
-  (* stable one-word identifier: "interp" / "profile" / "trace" *)
+type kind = Interp | Profile | Trace
 
-  val describe : string
-  (* one-line human-readable description of the strategy *)
-
-  val step : ctx -> Layout.gid -> unit
-  (* process one block dispatched outside any trace *)
-
-  val on_block : ctx -> Layout.gid -> unit
-  (* the VM observer: follow the active trace if any, else [step] *)
-
-  val poll_osr : ctx -> Layout.gid -> unit
-  (* OSR entry point: feed one outside-trace dispatch to hot-loop
-     detection.  The interp strategy ignores it, the profile strategy
-     counts header heat, and the trace strategy acts on a threshold
-     crossing by promoting the loop mid-iteration. *)
-
-  val deopt_resume : ctx -> Layout.gid -> unit
-  (* OSR exit point: process the block dispatch execution resumes at
-     after a deoptimization — a plain dispatch that never consults the
-     trace cache (the engine just abandoned a trace; re-entering one at
-     the deopt transition would defeat the resume). *)
-end
+let describe = function
+  | Interp -> ("interp", "pure interpretation: no profiling, no traces")
+  | Profile ->
+      ("profile", "block dispatch with BCG profiling; traces never entered")
+  | Trace -> ("trace", "trace-cache dispatch over the profiled block stream")
 
 (* The engine's dispatch clock: the timestamp base of spans, the cache
    clock and the event stream alike. *)
@@ -136,8 +116,8 @@ let note_build ctx (o : Trace_builder.outcome) =
 
 (* Compiled-tier accounting for one followed trace position: what the
    micro-IR dispatch loop would have dispatched there versus the source
-   instructions Backend_trace dispatches.  One length test when the
-   active trace is on the interpreted tier. *)
+   instructions trace dispatch runs.  One length test when the active
+   trace is on the interpreted tier. *)
 let account_lowered ctx pos =
   match ctx.active_lowered with
   | None -> ()
@@ -430,20 +410,282 @@ let validate_dispatch ctx (tr : Trace.t) ~prev ~cur : string option =
     | [] -> None
     | d :: _ -> Some d.Analysis.Diag.code
 
+(* ------------------------------------------------------------------ *)
+(* trace construction                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every trace construction, from a profiler signal or an OSR
+   promotion, is bracketed by these two.  [begin_build] opens a
+   Trace_build span labelled [label x] ([label] runs only when spans are
+   on).  [end_build] folds the builder's outcome into the counters, runs
+   the invariant sweep at the construction boundary when [sweep] holds,
+   and closes the span.  Neither allocates with spans off. *)
+let begin_build ctx label x =
+  match ctx.spans with
+  | Some s ->
+      Spans.begin_span s ~kind:Spans.Trace_build ~label:(label x)
+        ~now:(clock ctx)
+  | None -> -1
+
+let end_build ctx span (outcome : Trace_builder.outcome) ~sweep =
+  note_build ctx outcome;
+  if sweep && Config.debug_checks ctx.config then run_debug_checks ctx;
+  match ctx.spans with
+  | Some s -> Spans.end_span s span ~now:(clock ctx)
+  | None -> ()
+
+let signal_label (signal : Bcg.signal) =
+  let n = signal.Bcg.s_node in
+  Printf.sprintf "build N_%d,%d" n.Bcg.n_x n.Bcg.n_y
+
+let on_signal ctx signal =
+  if Config.build_traces ctx.config then begin
+    let span = begin_build ctx signal_label signal in
+    let outcome =
+      Trace_builder.on_signal ~events:ctx.events
+        ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
+        ctx.config ctx.cache signal
+    in
+    end_build ctx span outcome ~sweep:true
+  end
+
+(* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
+   None when OSR is off.  With [promote = false] the heat saturates at
+   the threshold instead of firing, so it survives until trace dispatch
+   can act on the crossing. *)
+let hot_loop ctx g ~promote =
+  match ctx.osr with
+  | Some osr -> Osr.observe_header osr g ~promote
+  | None -> None
+
+let promotion_label header = Printf.sprintf "osr promote header %d" header
+
+(* OSR mid-loop promotion: a hot header crossed its threshold while we
+   were dispatching blocks — build its loop trace immediately, so the
+   very next latch->header transition enters it.  The construction
+   boundary sweeps only when a trace was built.  Returns whether a trace
+   was installed. *)
+let promote_loop ctx (osr : Osr.t) header ~hotness =
+  let span = begin_build ctx promotion_label header in
+  let outcome, installed =
+    Trace_builder.promote ~events:ctx.events
+      ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
+      ctx.config ctx.cache (Profiler.bcg ctx.profiler) ~header
+  in
+  (match installed with
+  | Some tr ->
+      Osr.note_promotion osr ~trace_id:tr.Trace.id;
+      if Events.enabled ctx.events then
+        Events.emit ctx.events
+          (Events.Osr_promoted
+             {
+               trace_id = tr.Trace.id;
+               header;
+               latch = tr.Trace.first;
+               hotness;
+             })
+  | None -> ());
+  end_build ctx span outcome ~sweep:(outcome.Trace_builder.new_traces > 0);
+  installed <> None
+
+(* Returns whether a promotion installed a trace, so the trace step
+   knows to retry its cache lookup. *)
+let poll_promote ctx g =
+  match ctx.osr with
+  | None -> false
+  | Some osr -> (
+      let promote = Config.build_traces ctx.config in
+      match hot_loop ctx g ~promote with
+      | Some hotness -> promote_loop ctx osr g ~hotness
+      | None -> false)
+
+(* ------------------------------------------------------------------ *)
+(* trace entry                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The compiled tier's part of a trace entry (Config.tier_enabled).  The
+   tier cost model runs first (Tier.maybe_compile): a trace hot enough —
+   its entry's use count crossed [compile_after] — is lowered to
+   micro-IR, demoting the coldest compiled trace when the
+   [compile_budget] is full.  Entering a trace that holds a lowered body
+   sets [active_lowered], and every position followed while it is set
+   is accounted as the micro-ops the body dispatches there.  The VM runs
+   the same bytecode whichever tier a trace is on, so results stay
+   bit-identical with the tier on or off; what changes is the
+   dispatch-cost model the run is priced under. *)
+let enter_compiled ctx (tr : Trace.t) =
+  (* the lookup that produced [tr] just heated its entry, so the cost
+     model sees the use count including this dispatch *)
+  let compiled, demoted =
+    Tier.maybe_compile ctx.config ctx.layout ctx.cache ~events:ctx.events tr
+  in
+  let c = ctx.counts in
+  c.Stats.traces_compiled <- c.Stats.traces_compiled + compiled;
+  c.Stats.tier_demotions <- c.Stats.tier_demotions + demoted;
+  (match tr.Trace.lowered with
+  | Some _ as lowered ->
+      c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
+      ctx.active_lowered <- lowered
+  | None -> ctx.active_lowered <- None);
+  (* the entry position (0) is matched by the lookup itself, before
+     [follow] sees any position; account it here.  A single-block trace
+     completes inside [enter], which clears [active_lowered]. *)
+  account_lowered ctx 0
+
+(* Enter a trace the dispatch lookup produced: pin it, count the trace
+   dispatch, run the single profiler hook and start following (a
+   single-block trace completes immediately).  [hit] is the lookup's
+   [Some tr], the cache binding's own: following the trace stores it as
+   [active] rather than allocating another. *)
+let enter ctx ~hit (tr : Trace.t) g =
+  if Config.tier_enabled ctx.config then enter_compiled ctx tr;
+  (* executing traces are pinned against eviction and quarantine for the
+     duration of the dispatch; finish_completed/finish_partial unpin *)
+  Trace_cache.pin ctx.cache tr;
+  let c = ctx.counts in
+  c.Stats.trace_dispatches <- c.Stats.trace_dispatches + 1;
+  c.Stats.traces_entered <- c.Stats.traces_entered + 1;
+  (match ctx.osr with
+  | Some osr -> Osr.note_entry osr ~trace_id:tr.Trace.id
+  | None -> ());
+  let chained = ctx.just_completed in
+  if chained then c.Stats.chained_entries <- c.Stats.chained_entries + 1;
+  ctx.just_completed <- false;
+  tr.Trace.entered <- tr.Trace.entered + 1;
+  Events.emit_trace_entered ctx.events ~trace_id:tr.Trace.id ~chained;
+  (* the single profiling statement of a trace dispatch *)
+  Profiler.dispatch ctx.profiler g;
+  note_executed ctx g;
+  attr_inline ctx g;
+  ctx.matched_blocks <- 1;
+  ctx.matched_instrs <- tr.Trace.instr_len.(0);
+  if Trace.n_blocks tr = 1 then begin
+    (* degenerate single-block trace: completes immediately *)
+    ctx.active <- None;
+    finish_completed ctx tr
+  end
+  else begin
+    ctx.active <- hit;
+    ctx.active_pos <- 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* dispatch outside a trace                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An ordinary profiled block dispatch: the hook runs, the trace cache
+   is not consulted. *)
+let profiled_dispatch ctx g =
+  block_dispatch ctx g;
+  Profiler.dispatch ctx.profiler g;
+  note_executed ctx g
+
+let credit_clean ctx =
+  if Config.self_heal ctx.config then
+    apply_health ctx (Health.clean_dispatch ctx.health)
+
+(* The trace strategy's dispatch decision: consult the cache by the
+   entering transition.  A hit is one trace dispatch (the hook runs
+   once, the interior blocks are inlined); a miss is a profiled block
+   dispatch.  Under self-healing every candidate trace is validated
+   before entry; a condemned trace is quarantined, strikes the ladder,
+   and the block falls back to a normal dispatch. *)
+let trace_dispatch ctx g =
+  let self_heal = Config.self_heal ctx.config in
+  let hit = Trace_cache.lookup ctx.cache ~prev:ctx.prev ~cur:g in
+  (* hot-loop heat accumulates only on uncovered dispatches: a loop
+     already running under trace dispatch has nothing to promote, and a
+     loop that loses coverage (eviction, quarantine) starts re-heating
+     the moment its header misses again.  When the miss that crossed the
+     threshold is itself the latch->header transition, the freshly
+     promoted trace is entered by this very dispatch. *)
+  let hit =
+    match hit with
+    | Some _ -> hit
+    | None ->
+        if poll_promote ctx g then
+          Trace_cache.lookup ctx.cache ~prev:ctx.prev ~cur:g
+        else None
+  in
+  let condemned =
+    match hit with
+    | Some tr when self_heal -> (
+        match validate_dispatch ctx tr ~prev:ctx.prev ~cur:g with
+        | None -> false
+        | Some code ->
+            (* condemned at dispatch: quarantine the entry and strike
+               the ladder, then dispatch the block normally *)
+            ignore (condemn ctx ~first:ctx.prev ~head:g ~code);
+            apply_health ctx (Health.strike ctx.health);
+            true)
+    | _ -> false
+  in
+  (match hit with
+  | Some tr when not condemned -> enter ctx ~hit tr g
+  | _ -> profiled_dispatch ctx g);
+  if self_heal && not condemned then
+    apply_health ctx (Health.clean_dispatch ctx.health)
+
+(* Process one block dispatched outside any trace: the decision that
+   distinguishes the strategies.
+
+   - Interp, the ladder's last resort (Health.Interp_only): not even the
+     profiler hook runs — the profiler only counts how much of the
+     stream it missed, so its branch context goes stale (apply_health
+     resets it on promotion back up).  Clean dispatches still feed the
+     ladder so the engine can probe its way back to profiling.
+   - Profile (Health.Profiling_only, and full tracing with
+     Config.build_traces off — the paper's Table VI configuration):
+     every block feeds the profiler and OSR header heat; the cache is
+     never consulted.  The profiler's signals still fire — trace
+     construction is [on_signal]'s business, gated on build_traces.
+   - Trace (Health.Full_tracing): [trace_dispatch]. *)
+let step ctx kind g =
+  prologue ctx;
+  match kind with
+  | Interp ->
+      block_dispatch ctx g;
+      Profiler.note_skipped ctx.profiler;
+      note_executed ctx g;
+      apply_health ctx (Health.clean_dispatch ctx.health)
+  | Profile ->
+      profiled_dispatch ctx g;
+      ignore (hot_loop ctx g ~promote:false);
+      credit_clean ctx
+  | Trace -> trace_dispatch ctx g
+
+(* OSR exit point: the block dispatch execution resumes at after a
+   deoptimization.  It never consults the trace cache — the engine just
+   abandoned a trace at this block, and re-entering one at the deopt
+   transition would defeat the resume — so under Interp and Profile it
+   is their ordinary [step], and under Trace a profiled dispatch that
+   also skips the hot-loop poll. *)
+let deopt_resume ctx kind g =
+  match kind with
+  | Interp | Profile -> step ctx kind g
+  | Trace ->
+      prologue ctx;
+      profiled_dispatch ctx g;
+      credit_clean ctx
+
+(* ------------------------------------------------------------------ *)
+(* following a trace                                                    *)
+(* ------------------------------------------------------------------ *)
+
 (* Follow the active trace, if any; a block outside every trace goes to
-   the strategy's [step].  Shared by every backend: an active trace is
-   followed to its end regardless of health-level changes mid-trace.
+   [step].  An active trace is followed to its end whatever the kind, so
+   a health-level change mid-trace does not cut it short.
 
    A guard can fail two ways: organically ([g <> expected]) or because
    an armed FT008 guard flip forces this position to fail.  Without OSR
    both take the classic side exit — leave the trace, reprocess [g]
    through the full dispatch path (it may enter another trace).  With
    OSR both *deoptimize*: the engine proves the interpreter already sits
-   at [g] and resumes plain block dispatch there through the strategy's
+   at [g] and resumes plain block dispatch there through
    [deopt_resume], which never consults the trace cache. *)
-let rec follow ~step ~deopt_resume ctx (g : Layout.gid) =
+let rec follow ctx kind (g : Layout.gid) =
   match ctx.active with
-  | None -> step ctx g
+  | None -> step ctx kind g
   | Some tr ->
       let expected = tr.Trace.blocks.(ctx.active_pos) in
       (* guard accounting: a pruned position's comparison still runs
@@ -496,22 +738,22 @@ let rec follow ~step ~deopt_resume ctx (g : Layout.gid) =
                the failing block *)
             deopt ctx osr tr ~resume:g
               ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
-            deopt_resume ctx g
+            deopt_resume ctx kind g
         | None ->
             (* side exit: leave the trace, then process g normally (it
                may itself enter another trace) *)
             finish_partial ctx tr;
-            follow ~step ~deopt_resume ctx g
+            follow ctx kind g
       end
 
-(* The full VM observer a backend's [on_block] is built from: stamp the
-   event clock, follow/step, then check for a decay boundary. *)
-let observe ~step ~deopt_resume ctx (g : Layout.gid) =
+(* The VM observer: stamp the event clock, follow/step, then check for a
+   decay boundary. *)
+let on_block ctx kind (g : Layout.gid) =
   (* stamp the stream once per observed block; events emitted during this
      step carry the current dispatch index *)
   if Events.enabled ctx.events then
     Events.set_now ctx.events (clock ctx);
-  follow ~step ~deopt_resume ctx g;
+  follow ctx kind g;
   if Config.debug_checks ctx.config then begin
     (* decay boundary: the BCG ran one or more decay passes during this
        dispatch *)

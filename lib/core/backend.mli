@@ -1,24 +1,22 @@
-(** The dispatch-strategy seam.
+(** The dispatch function.
 
     A {e backend} is one way of processing the VM's block-dispatch
     stream — the paper's ladder of execution modes made explicit:
 
-    - [Backend_interp] — pure interpretation, not even the profiler hook;
-    - [Backend_profile] — block dispatch with BCG profiling;
-    - [Backend_trace] — trace-cache dispatch over the profiled stream.
+    - [Interp] — pure interpretation, not even the profiler hook;
+    - [Profile] — block dispatch with BCG profiling;
+    - [Trace] — trace-cache dispatch over the profiled stream, with hot
+      traces priced on the compiled micro-IR tier when
+      {!Config.tier_enabled} is on.
 
     The engine owns one {!ctx} (the state every strategy shares) and
-    selects a backend per dispatch from the {!Health} ladder, so
+    picks the {!kind} per dispatch from the {!Health} ladder, so
     degradation is a backend {e switch} rather than mode flags threaded
     through one loop.  All three strategies observe the same stream and
     keep the VM's results bit-identical — a backend only changes what
-    bookkeeping rides along.
-
-    This module holds the shared context and the helpers strategies
-    compose ({!prologue}, {!follow}, {!observe}, the trace
-    completion/side-exit bookkeeping, the health-ladder walk and the
-    invariant sweep); the strategy implementations live in their own
-    modules. *)
+    bookkeeping rides along.  They differ only in how a block outside
+    any trace is dispatched; trace construction, entry, following and
+    exit, the health-ladder walk and the invariant sweep are shared. *)
 
 type ctx = {
   config : Config.t;
@@ -77,53 +75,45 @@ type ctx = {
   mutable seen_decays : int;
   mutable in_debug_sweep : bool;
 }
-(** The engine's dispatch state, shared by every strategy.  The record
-    is concrete so strategies (including out-of-tree ones) can be
-    written against it; everyone else should treat it as owned by the
-    engine and read its counters through [Engine.counters]. *)
+(** The engine's dispatch state, shared by every strategy.  The engine
+    creates and owns it; read its counters through [Engine.counters]. *)
 
-(** One dispatch strategy. *)
-module type S = sig
-  val name : string
-  (** Stable one-word identifier: ["interp"] / ["profile"] /
-      ["trace"]. *)
+type kind = Interp | Profile | Trace
+(** The dispatch strategies, in ladder order (bottom up). *)
 
-  val describe : string
-  (** One-line human-readable description of the strategy. *)
+val describe : kind -> string * string
+(** [(name, description)]: the stable one-word identifier (["interp"] /
+    ["profile"] / ["trace"]) and a one-line description of the
+    strategy. *)
 
-  val step : ctx -> Cfg.Layout.gid -> unit
-  (** Process one block dispatched {e outside} any trace: the dispatch
-      decision that distinguishes the strategies. *)
+val on_block : ctx -> kind -> Cfg.Layout.gid -> unit
+(** The VM observer: feed one dispatched block under strategy [kind].
+    An active trace is followed to its end whatever the kind; a block
+    outside every trace is dispatched the way [kind] says.
 
-  val on_block : ctx -> Cfg.Layout.gid -> unit
-  (** The full VM observer: follow the active trace if any, else
-      {!step}; built from {!observe}. *)
+    Each followed position counts as one guard — [guards_elided] when
+    [Trace.pruned] covers it, [guards_checked] otherwise — and an
+    organic mismatch on a pruned position is reported as a TL217
+    disproof under [debug_checks].  A guard fails organically
+    (mismatching block) or by an armed FT008 flip ({!Faults.flip_now}).
+    Without OSR both take the classic side exit and reprocess the block
+    through the full dispatch path; with OSR both deoptimize and resume
+    with a block dispatch that never consults the trace cache.
 
-  val poll_osr : ctx -> Cfg.Layout.gid -> unit
-  (** OSR {e entry} point: feed one outside-trace dispatch to hot-loop
-      detection ({!Osr.observe_header}).  The interp strategy ignores
-      it, the profile strategy counts header heat without acting, and
-      the trace strategy promotes the loop mid-iteration on a threshold
-      crossing.  No-op when OSR is off. *)
+    Under [Trace], a cache hit enters the trace; with
+    {!Config.tier_enabled} the entry first runs the tier cost model
+    ([Tier.maybe_compile]) and, for a trace holding a lowered body,
+    accounts the entry and every followed position on the compiled
+    tier.  Under self-healing every candidate trace is validated before
+    entry.  After the dispatch, a decay boundary runs the invariant
+    sweep when {!Config.debug_checks} is on. *)
 
-  val deopt_resume : ctx -> Cfg.Layout.gid -> unit
-  (** OSR {e exit} point: process the block dispatch execution resumes
-      at after a deoptimization.  A plain dispatch that never consults
-      the trace cache — the engine just abandoned a trace, and
-      re-entering one at the deopt transition would defeat the
-      resume. *)
-end
-
-(** {2 Shared helpers for strategy implementations} *)
-
-val prologue : ctx -> unit
-(** The dispatch prologue every [step] runs first: advance the metrics
-    clock and, when self-healing or fault injection is armed, the cache
-    clock and the fault injector. *)
-
-val note_executed : ctx -> Cfg.Layout.gid -> unit
-(** Record [g] as the most recently executed block (shifting the
-    two-block window the profiler resynchronizes from). *)
+val on_signal : ctx -> Bcg.signal -> unit
+(** The profiler-signal subscriber: when {!Config.build_traces} is on,
+    rebuild every trace the signalled branch can affect
+    ([Trace_builder.on_signal]) inside a [Trace_build] span, fold the
+    outcome into [counts] and run the construction-boundary sweep when
+    {!Config.debug_checks} is on. *)
 
 val clock : ctx -> int
 (** The engine's dispatch clock ([counts.block_dispatches +
@@ -134,94 +124,10 @@ val fr_trigger : ctx -> Flightrec.dump_reason -> unit
 (** Fire a flight-recorder dump trigger; no-op when the recorder is
     disarmed. *)
 
-val attr_inline : ctx -> Cfg.Layout.gid -> unit
-(** Attribute one execution of [g] inlined inside a trace; no-op when
-    attribution is off. *)
-
-val block_dispatch : ctx -> Cfg.Layout.gid -> unit
-(** Count and attribute one ordinary block dispatch of [g] outside any
-    trace; the caller runs (or skips) the profiler hook. *)
-
-val note_build : ctx -> Trace_builder.outcome -> unit
-(** Fold one trace-builder outcome into [counts]: traces constructed,
-    builder reuses and pruned guards. *)
-
-val account_lowered : ctx -> int -> unit
-(** Compiled-tier accounting for one followed trace position ([pos]):
-    micro-ops, fused ops and baseline source instructions from the
-    active lowered body.  No-op when the active trace is on the
-    interpreted tier ([active_lowered = None]). *)
-
-val condemn :
-  ctx ->
-  first:Cfg.Layout.gid ->
-  head:Cfg.Layout.gid ->
-  code:string ->
-  Trace.t option
-(** [Trace_cache.quarantine] plus the observability side of the episode:
-    records the finite backoff duration in [h_backoff] and emits a
-    closed quarantine span stretching to the backoff expiry. *)
-
-val apply_health : ctx -> Health.transition -> unit
-(** Publish a ladder transition ([Mode_degraded] / [Mode_recovered])
-    and reset the profiler when climbing out of interp-only. *)
-
 val run_debug_checks : ctx -> unit
 (** The invariant sweep ({!Config.debug_checks}): count and publish
     every finding; also translation-validates traces the sweep has not
     seen yet ([Trace_prover.validate_new] — TL212–TL218).  Under
     self-healing the sweep heals flagged BCG nodes, quarantines flagged
-    traces and strikes the ladder.  Re-entrancy guarded. *)
-
-val finish_completed : ctx -> Trace.t -> unit
-(** End the active trace after a completion and resync the profiler. *)
-
-val finish_partial : ctx -> Trace.t -> unit
-(** End the active trace after a side exit (the mismatching block has
-    not been processed yet) and resync the profiler. *)
-
-val deopt : ctx -> Osr.t -> Trace.t -> resume:Cfg.Layout.gid -> reason:Osr.reason -> unit
-(** OSR deoptimization: abandon the active trace at the current position
-    and resume block dispatch at [resume].  Performs the side-exit
-    bookkeeping ({!finish_partial}: event, profiler resync, unpin),
-    records the abandoned residue, checks the materialized interpreter
-    continuation against [resume] (TL219 on mismatch) and emits
-    [Deopt_entered]. *)
-
-val deopt_active : ctx -> reason:Osr.reason -> unit
-(** Mid-flight cut-over: deoptimize the currently executing trace (a
-    sweep is condemning it) at whatever block the interpreter
-    materializes.  No-op when no trace is active or OSR is off. *)
-
-val validate_dispatch :
-  ctx -> Trace.t -> prev:Cfg.Layout.gid -> cur:Cfg.Layout.gid -> string option
-(** Validate a trace produced by the dispatch lookup before entering
-    it; [Some code] names the first violated invariant. *)
-
-val follow :
-  step:(ctx -> Cfg.Layout.gid -> unit) ->
-  deopt_resume:(ctx -> Cfg.Layout.gid -> unit) ->
-  ctx ->
-  Cfg.Layout.gid ->
-  unit
-(** Follow the active trace, if any; a block outside every trace goes
-    to [step].  An active trace is followed to its end regardless of
-    health-level changes mid-trace.  Each followed position counts as
-    one guard — [guards_elided] when [Trace.pruned] covers it,
-    [guards_checked] otherwise — and an organic mismatch on a pruned
-    position is reported as a TL217 disproof under [debug_checks].
-
-    A guard fails organically (mismatching block) or by an armed FT008
-    flip ({!Faults.flip_now}).  Without OSR both take the classic side
-    exit and reprocess the block through the full dispatch path; with
-    OSR both {!deopt} and resume through [deopt_resume]. *)
-
-val observe :
-  step:(ctx -> Cfg.Layout.gid -> unit) ->
-  deopt_resume:(ctx -> Cfg.Layout.gid -> unit) ->
-  ctx ->
-  Cfg.Layout.gid ->
-  unit
-(** The full VM observer a backend's [on_block] is built from: stamp
-    the event clock, {!follow}, then run the decay-boundary invariant
-    sweep when armed. *)
+    traces (deoptimizing first when OSR is on and the flagged trace is
+    executing) and strikes the ladder.  Re-entrancy guarded. *)

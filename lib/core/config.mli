@@ -182,8 +182,8 @@ val osr_promote_after : t -> int
 
 val tier_enabled : t -> bool
 (** When on, traces whose cache heat crosses {!tier_compile_after} are
-    lowered to register micro-IR ([Microir]) and dispatched by
-    [Backend_microir].  Results are bit-identical either way: the
+    lowered to register micro-IR ([Microir]) and trace dispatch
+    accounts their entries and positions on the compiled tier.  Results are bit-identical either way: the
     lowered body only changes what dispatch {e accounts}.  Off by
     default. *)
 

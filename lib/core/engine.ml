@@ -5,19 +5,21 @@ module Interp = Vm.Interp
    profiler signals drive trace reconstruction; and the trace cache overlays
    trace dispatch onto the stream.
 
-   The engine is a thin shell over the Backend layer: it owns one
-   Backend.ctx (the dispatch state every strategy shares) and selects a
-   dispatch backend per observed block from the Health ladder —
+   The engine is a thin shell over Backend: it owns one Backend.ctx (the
+   dispatch state every strategy shares) and picks the dispatch strategy
+   per observed block from the Health ladder —
 
-     Full_tracing  + build_traces -> Backend_trace
-     Full_tracing  (no traces)    -> Backend_profile
-     Profiling_only               -> Backend_profile
-     Interp_only                  -> Backend_interp
+     Full_tracing  + build_traces -> Trace
+     Full_tracing  (no traces)    -> Profile
+     Profiling_only               -> Profile
+     Interp_only                  -> Interp
 
-   so walking the degradation ladder IS switching backends.  A backend
-   can also be pinned at creation (tests, the `repro_cli backends`
-   inspection command), in which case the ladder still runs its
-   accounting but never changes the dispatch strategy.
+   so walking the degradation ladder IS switching backends.  The compiled
+   micro-IR tier (Config.tier_enabled) is part of trace dispatch, so it
+   rides the top rung only.  A backend can also be pinned at creation
+   (tests, the `repro_cli backends` inspection command), in which case
+   the ladder still runs its accounting but never changes the dispatch
+   strategy.
 
    Dispatch accounting mirrors the modified SableVM:
 
@@ -34,41 +36,20 @@ module Interp = Vm.Interp
    overlay, the VM's results are bit-identical under any backend, any
    ladder schedule and any fault schedule. *)
 
-type backend_kind = Interp | Profile | Trace | Microir
+type backend_kind = Backend.kind = Interp | Profile | Trace
 
-let backend_kind_name = function
-  | Interp -> Backend_interp.name
-  | Profile -> Backend_profile.name
-  | Trace -> Backend_trace.name
-  | Microir -> Backend_microir.name
+let backend_kind_name k = fst (Backend.describe k)
 
-let backend_kind_of_string = function
-  | "interp" -> Some Interp
-  | "profile" -> Some Profile
-  | "trace" -> Some Trace
-  | "microir" -> Some Microir
-  | _ -> None
-
-let implementation : backend_kind -> (module Backend.S) = function
-  | Interp -> (module Backend_interp)
-  | Profile -> (module Backend_profile)
-  | Trace -> (module Backend_trace)
-  | Microir -> (module Backend_microir)
-
-let backends = [ Interp; Profile; Trace; Microir ]
+let backends = [ Interp; Profile; Trace ]
 
 (* The ladder-to-backend mapping.  Note build_traces only matters at the
-   top level: the cache is only ever consulted by Backend_trace /
-   Backend_microir.  The compiled tier rides the top rung only — any
-   degradation drops it with the rest of trace dispatch. *)
+   top level: the cache is only ever consulted by trace dispatch. *)
 let select config (level : Health.level) : backend_kind =
   match level with
   | Health.Interp_only -> Interp
   | Health.Profiling_only -> Profile
   | Health.Full_tracing ->
-      if not (Config.build_traces config) then Profile
-      else if Config.tier_enabled config then Microir
-      else Trace
+      if Config.build_traces config then Trace else Profile
 
 type t = {
   ctx : Backend.ctx;
@@ -236,32 +217,8 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let context = ref None in
   let on_signal signal =
     match !context with
+    | Some ctx -> Backend.on_signal ctx signal
     | None -> ()
-    | Some (e : Backend.ctx) ->
-        if Config.build_traces e.Backend.config then begin
-          let build_span =
-            match e.Backend.spans with
-            | Some s ->
-                let n = signal.Bcg.s_node in
-                Spans.begin_span s ~kind:Spans.Trace_build
-                  ~label:
-                    (Printf.sprintf "build N_%d,%d" n.Bcg.n_x n.Bcg.n_y)
-                  ~now:(Backend.clock e)
-            | None -> -1
-          in
-          let outcome =
-            Trace_builder.on_signal ~events
-              ~on_path:(fun n -> Metrics.record e.Backend.h_build_len n)
-              e.Backend.config e.Backend.cache signal
-          in
-          Backend.note_build e outcome;
-          (* trace-construction boundary *)
-          if Config.debug_checks e.Backend.config then
-            Backend.run_debug_checks e;
-          match e.Backend.spans with
-          | Some s -> Spans.end_span s build_span ~now:(Backend.clock e)
-          | None -> ()
-        end
   in
   let profiler =
     Profiler.create ~events config ~n_blocks:layout.Layout.n_blocks ~on_signal
@@ -394,8 +351,6 @@ let attach t (handle : Interp.handle) =
 
 let backend_kind t = t.kind
 
-let backend t = implementation t.kind
-
 let backend_name t = backend_kind_name t.kind
 
 let backend_pinned t = t.pinned
@@ -418,11 +373,7 @@ let on_block t (g : Layout.gid) =
       end
     end
   end;
-  match t.kind with
-  | Interp -> Backend_interp.on_block ctx g
-  | Profile -> Backend_profile.on_block ctx g
-  | Trace -> Backend_trace.on_block ctx g
-  | Microir -> Backend_microir.on_block ctx g
+  Backend.on_block ctx t.kind g
 
 (* End-of-run statistics: the counters plus what only the VM knows. *)
 let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =

@@ -4,15 +4,15 @@
     drive trace reconstruction; and the trace cache overlays trace
     dispatch onto the stream.
 
-    The engine is a thin shell over the {!Backend} layer: it owns one
-    [Backend.ctx] (the dispatch state every strategy shares) and selects
-    a dispatch backend per observed block from the {!Health} ladder —
-    [Full_tracing] maps to [Backend_trace] (or [Backend_profile] when
-    {!Config.build_traces} is off), [Profiling_only] to
-    [Backend_profile], [Interp_only] to [Backend_interp] — so walking
-    the degradation ladder {e is} switching backends
-    ([Stats.backend_switches]).  A backend can also be pinned at
-    {!create}.
+    The engine is a thin shell over {!Backend}: it owns one
+    [Backend.ctx] (the dispatch state every strategy shares) and picks
+    the dispatch strategy per observed block from the {!Health} ladder
+    — [Full_tracing] maps to [Trace] (or [Profile] when
+    {!Config.build_traces} is off), [Profiling_only] to [Profile],
+    [Interp_only] to [Interp] — so walking the degradation ladder {e is}
+    switching backends ([Stats.backend_switches]).  The compiled micro-IR
+    tier ({!Config.tier_enabled}) is part of trace dispatch, not a
+    strategy of its own.  A backend can also be pinned at {!create}.
 
     Dispatch accounting mirrors the modified SableVM:
 
@@ -47,20 +47,15 @@
 
 type t
 
-type backend_kind = Interp | Profile | Trace | Microir
-(** The dispatch strategies, in ladder order (bottom up).  [Microir] is
-    [Trace] with the compiled micro-IR tier ({!Config.tier_enabled}); the
-    ladder's top rung selects it when the tier is enabled. *)
+type backend_kind = Backend.kind = Interp | Profile | Trace
+(** The dispatch strategies, in ladder order (bottom up). *)
 
 val backend_kind_name : backend_kind -> string
-(** ["interp"] / ["profile"] / ["trace"] / ["microir"]. *)
-
-val backend_kind_of_string : string -> backend_kind option
-
-val implementation : backend_kind -> (module Backend.S)
+(** ["interp"] / ["profile"] / ["trace"]: the name half of
+    {!Backend.describe}. *)
 
 val backends : backend_kind list
-(** Every registered strategy: [[Interp; Profile; Trace; Microir]]. *)
+(** Every strategy: [[Interp; Profile; Trace]]. *)
 
 val create :
   ?config:Config.t ->
@@ -195,8 +190,6 @@ val attach : t -> Vm.Interp.handle -> unit
 
 val backend_kind : t -> backend_kind
 (** The strategy currently dispatching. *)
-
-val backend : t -> (module Backend.S)
 
 val backend_name : t -> string
 

@@ -1,13 +1,10 @@
-(* Named counters, gauges and histograms with periodic snapshotting.
+(* Named gauges and histograms with periodic snapshotting.
 
-   Counters are owned mutable cells (hot-path increments touch nothing
-   else); gauges are closures polled only when a snapshot is taken.
+   Gauges are closures polled only when a snapshot is taken.
    Histograms use fixed power-of-two buckets so recording is O(1): one
    bit-length loop, one array bump.  The tick clock is the engine's
    dispatch count, so snapshots form a phase-analysis time series over
    dispatches. *)
-
-type counter = { c_name : string; mutable c_value : int }
 
 type histogram = {
   h_name : string;
@@ -22,7 +19,6 @@ type histogram = {
 }
 
 type source =
-  | Counter of counter
   | Gauge of (unit -> int)
   | Gauges : (string * ('a -> int)) list * (unit -> 'a) -> source
       (* a gauge group: named projections of one sample, polled once *)
@@ -32,7 +28,7 @@ type snapshot = { at : int; values : (string * int) array }
 
 type t = {
   mutable entries : (string * source) list; (* reverse registration order *)
-  mutable period : int;
+  period : int;
   mutable ticks : int;
   mutable until_snapshot : int;
   mutable snaps : snapshot list; (* reverse chronological *)
@@ -50,8 +46,6 @@ let create ?(period = 0) () =
     callbacks = [];
   }
 
-let period t = t.period
-
 (* Allocation-free: engines register dozens of metrics at creation. *)
 let rec find_in name = function
   | [] -> None
@@ -60,22 +54,6 @@ let rec find_in name = function
   | (n, src) :: rest -> if n = name then Some src else find_in name rest
 
 let find t name = find_in name t.entries
-
-let counter t name =
-  match find t name with
-  | Some (Counter c) -> c
-  | Some (Gauge _ | Gauges _) ->
-      invalid_arg ("Metrics.counter: " ^ name ^ " is a gauge")
-  | Some (Hist _) ->
-      invalid_arg ("Metrics.counter: " ^ name ^ " is a histogram")
-  | None ->
-      let c = { c_name = name; c_value = 0 } in
-      t.entries <- (name, Counter c) :: t.entries;
-      c
-
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
-
-let counter_value c = c.c_value
 
 let gauge t name f =
   match find t name with
@@ -181,10 +159,9 @@ let percentile h p =
     if hi < hist_min h then hist_min h else hi
   end
 
-(* A histogram flattens into several snapshot fields; counters and
-   gauges stay one field each. *)
+(* A histogram flattens into several snapshot fields; a gauge stays one
+   field. *)
 let flatten_source name = function
-  | Counter c -> [ (name, c.c_value) ]
   | Gauge f -> [ (name, f ()) ]
   | Gauges (named, sample) ->
       let v = sample () in
@@ -199,24 +176,6 @@ let flatten_source name = function
         (name ^ ".max", h.h_max);
       ]
 
-let read_source name = function
-  | Counter c -> c.c_value
-  | Gauge f -> f ()
-  | Gauges (named, sample) -> (List.assoc name named) (sample ())
-  | Hist h -> h.h_count
-
-let read t name = Option.map (read_source name) (find t name)
-
-let names t =
-  List.concat_map
-    (fun (name, src) ->
-      match src with
-      | Gauges (named, _) -> List.map fst named
-      | _ -> [ name ])
-    (List.rev t.entries)
-
-let ticks t = t.ticks
-
 let take t =
   let values =
     List.concat_map
@@ -229,15 +188,6 @@ let take t =
   s
 
 let force_snapshot t = take t
-
-let set_period t p =
-  if p < 0 then invalid_arg "Metrics.set_period: negative period";
-  (* A countdown in progress means ticks have accumulated toward a
-     snapshot that the restart below would silently drop; emit it at the
-     change point so the series stays gap-free across the boundary. *)
-  if t.period > 0 && t.until_snapshot < t.period then ignore (take t);
-  t.period <- p;
-  t.until_snapshot <- p
 
 let tick t =
   t.ticks <- t.ticks + 1;
@@ -252,5 +202,3 @@ let tick t =
 let snapshots t = List.rev t.snaps
 
 let on_snapshot t f = t.callbacks <- f :: t.callbacks
-
-let counter_name c = c.c_name

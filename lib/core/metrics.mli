@@ -1,12 +1,11 @@
-(** A registry of named counters, gauges and histograms with periodic
+(** A registry of named gauges and histograms with periodic
     snapshotting.
 
     The registry is the numeric half of the observability layer (the
-    {!Events} stream is the other): components register either {e owned
-    counters} (a mutable cell bumped on the hot path), {e polled gauges}
-    (a closure evaluated only when a snapshot is taken — the engine
-    exposes its dispatch accounting this way, at zero hot-path cost), or
-    {e histograms} (fixed power-of-two buckets; recording is O(1) and
+    {!Events} stream is the other): components register either {e polled
+    gauges} (a closure evaluated only when a snapshot is taken — the
+    engine exposes its dispatch accounting this way, at zero hot-path
+    cost) or {e histograms} (fixed power-of-two buckets; recording is O(1) and
     allocation-free, so distributions such as executed-trace length can
     be captured from the dispatch path).
 
@@ -17,9 +16,6 @@
     the disabled path stays effectively free. *)
 
 type t
-
-type counter
-(** An owned mutable cell, resolved once at registration. *)
 
 type histogram
 (** Fixed-bucket distribution of non-negative integer observations.
@@ -38,25 +34,6 @@ type snapshot = {
 val create : ?period:int -> unit -> t
 (** [period] ticks between snapshots; [0] (default) disables periodic
     snapshotting.  @raise Invalid_argument on a negative period. *)
-
-val period : t -> int
-
-val set_period : t -> int -> unit
-(** Change the snapshot period and restart the countdown.  If ticks had
-    already accumulated toward the next snapshot, one snapshot is taken
-    at the change point first — a mid-run period change never drops the
-    observations straddling the boundary. *)
-
-val counter : t -> string -> counter
-(** Find or register the named counter.
-    @raise Invalid_argument if the name is registered as something
-    else. *)
-
-val incr : ?by:int -> counter -> unit
-
-val counter_value : counter -> int
-
-val counter_name : counter -> string
 
 val gauge : t -> string -> (unit -> int) -> unit
 (** Register a polled gauge; the closure runs only at snapshot time.
@@ -111,18 +88,9 @@ val bucket_bounds : histogram -> int -> int * int
 (** Inclusive [(lo, hi)] range of bucket [i]; the overflow bucket's
     upper bound is [max_int].  @raise Invalid_argument out of range. *)
 
-val read : t -> string -> int option
-(** Current value of any registered metric (polls gauges; a histogram
-    reads as its observation count). *)
-
-val names : t -> string list
-(** Registered metric names, in registration order. *)
-
 val tick : t -> unit
 (** Advance the dispatch clock; takes a snapshot when the period
     elapses. *)
-
-val ticks : t -> int
 
 val force_snapshot : t -> snapshot
 (** Snapshot now, off the periodic schedule; appended to the series and

@@ -27,7 +27,7 @@ module Layout = Cfg.Layout
 
    This module holds the detection tables, the materialization hook and
    the OSR counters; the dispatch-loop integration lives in [Backend]
-   (deopt) and [Backend_trace]/[Backend_profile] (promotion). *)
+   (deopt and promotion). *)
 
 type reason = Guard_failure | Guard_flip | Condemned
 

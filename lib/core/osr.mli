@@ -22,8 +22,8 @@
       very next latch→header transition.
 
     This module holds the detection tables, the materialization hook and
-    the OSR counters; the dispatch-loop integration lives in [Backend]
-    (deopt) and [Backend_trace] / [Backend_profile] (promotion). *)
+    the OSR counters; the dispatch-loop integration (deopt and
+    promotion) lives in [Backend]. *)
 
 type reason =
   | Guard_failure  (** organic guard mismatch while following a trace *)

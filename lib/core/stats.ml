@@ -69,7 +69,7 @@ type t = {
   mutable mi_fused : int; (* superinstructions among them *)
   mutable mi_src_instrs : int;
     (* source instructions the same positions would have dispatched
-       under Backend_trace: the baseline of the reduction *)
+       on the interpreted tier: the baseline of the reduction *)
   mutable wall_seconds : float;
 }
 
@@ -233,8 +233,8 @@ type derived = {
       (* micro-ops dispatched per followed trace position on the
          compiled tier *)
   mi_src_per_position : float;
-      (* source instructions per position — what Backend_trace would
-         have dispatched for the same positions *)
+      (* source instructions per position — what the interpreted tier
+         would have dispatched for the same positions *)
   mi_dispatch_reduction : float;
       (* 1 - mi_ops/mi_src_instrs: the fraction of per-position dispatch
          work the lowered body removes (folding, DCE, fusion) *)

@@ -91,7 +91,7 @@ type t = {
   mutable mi_fused : int;  (** superinstructions among them *)
   mutable mi_src_instrs : int;
       (** source bytecode instructions the same positions would have
-          dispatched under [Backend_trace] — the baseline of the
+          dispatched on the interpreted tier — the baseline of the
           dispatch-cost reduction *)
   mutable wall_seconds : float;
 }
@@ -144,7 +144,7 @@ type derived = {
       (** micro-ops dispatched per followed trace position on the
           compiled tier *)
   mi_src_per_position : float;
-      (** source instructions per position — the [Backend_trace]
+      (** source instructions per position — the interpreted-tier
           baseline for the same positions *)
   mi_dispatch_reduction : float;
       (** [1 - mi_ops/mi_src_instrs]: the fraction of per-position

@@ -7,10 +7,7 @@
     the writers, the parser and the version registry in one module
     gives all formats the same discipline: one version bump site per
     format ({!version}), checksums where the format is binary, and a
-    {!round_trip} oracle where it is textual.
-
-    [Export] retains thin aliases for callers that predate the split;
-    new code should use [Codec] directly. *)
+    {!round_trip} oracle where it is textual. *)
 
 (** The binary warm-start snapshot codec ([Tracegen.Persist]),
     re-exported so [Codec] is the single front door to every format. *)

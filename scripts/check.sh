@@ -57,8 +57,9 @@ cli=$PWD/_build/default/bin/repro_cli.exe
 
 # Tier-transparency gate: with the compiled micro-IR tier armed, every
 # workload pinned to every backend must stay bit-identical to the plain
-# interpreter, and at least one trace must actually reach the compiled
-# tier — a transparency pass over an idle tier proves nothing.
+# interpreter, and the pinned trace backend must actually compile at
+# least one trace — the tier is part of trace dispatch, and a
+# transparency pass over an idle tier proves nothing.
 "$cli" backends --tier > /dev/null
 
 # Compiled-tier chaos: guard-flip schedules force mid-trace deopt while
@@ -71,18 +72,22 @@ cli=$PWD/_build/default/bin/repro_cli.exe
 # exactly with the end-of-run statistics; exits non-zero on mismatch.
 "$cli" top compress > /dev/null
 
-# Counter oracle: on every registered workload, a run with OSR, the
-# compiled tier, self-healing and a fault schedule must reconcile its
-# event stream, end-of-run statistics and decision ledger exactly;
-# exits non-zero on any mismatch.
-for w in $("$cli" list | cut -d' ' -f1); do
-  report=$("$cli" events "$w" --stats-only --osr \
-    --tier --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
-    2>&1 > /dev/null) || {
-    echo "$report" >&2
-    echo "check.sh: counter oracle failed on $w" >&2
-    exit 1
-  }
+# Counter oracle: on every registered workload, a run with OSR,
+# self-healing and a fault schedule must reconcile its event stream,
+# end-of-run statistics and decision ledger exactly; exits non-zero on
+# any mismatch.  One trace step serves both tiers, so the loop runs once
+# with the compiled tier off and once with it on.
+for tier in "" --tier; do
+  for w in $("$cli" list | cut -d' ' -f1); do
+    # $tier is unquoted on purpose: empty means no flag
+    report=$("$cli" events "$w" --stats-only --osr $tier \
+      --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
+      2>&1 > /dev/null) || {
+      echo "$report" >&2
+      echo "check.sh: counter oracle failed on $w ${tier:-without --tier}" >&2
+      exit 1
+    }
+  done
 done
 
 # Decision-ledger gate: replay a run with OSR, the compiled tier,

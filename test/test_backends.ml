@@ -1,7 +1,10 @@
 (* The pluggable dispatch backends and the multi-workload session layer:
 
    - each pinned backend (interp / profile / trace) yields a VM result
-     bit-identical to the plain interpreter on every registered workload;
+     bit-identical to the plain interpreter on every registered workload,
+     also with OSR and the compiled tier armed;
+   - under the compiled tier, a run pinned to trace dispatch and a run
+     following the ladder agree on every counter;
    - backend selection follows the health ladder, counting only genuine
      strategy changes, and promotion out of interp-only resets the
      profiler context;
@@ -37,9 +40,14 @@ let compress_layout =
 (* pinned-backend equivalence                                        *)
 (* --------------------------------------------------------------- *)
 
-(* every registered workload, every backend: the overlay promise *)
+(* every registered workload, every backend, with and without OSR and
+   the compiled tier: the overlay promise *)
 let test_pinned_equivalence () =
   let max_instructions = 120_000 in
+  let configs =
+    [ ("default", Config.default);
+      ("tier+osr", Config.make ~tier:true ~osr:true ()) ]
+  in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let layout =
@@ -47,11 +55,11 @@ let test_pinned_equivalence () =
       in
       let baseline = Interp.run_plain ~max_instructions layout in
       List.iter
-        (fun k ->
-          let r = Engine.run ~max_instructions ~backend:k layout in
+        (fun ((label, config), k) ->
+          let r = Engine.run ~config ~max_instructions ~backend:k layout in
           check Alcotest.bool
-            (Printf.sprintf "%s/%s identical" w.Workloads.Workload.name
-               (Engine.backend_kind_name k))
+            (Printf.sprintf "%s/%s/%s identical" w.Workloads.Workload.name
+               label (Engine.backend_kind_name k))
             true
             (fingerprint baseline = fingerprint r.Engine.vm_result);
           let s = r.Engine.run_stats in
@@ -65,29 +73,54 @@ let test_pinned_equivalence () =
           | Engine.Profile ->
               check Alcotest.int "profile: no trace dispatches" 0
                 s.Stats.trace_dispatches
-          | Engine.Trace | Engine.Microir -> ());
+          | Engine.Trace -> ());
           check Alcotest.int "pinned engines never switch" 0
             s.Stats.backend_switches)
-        Engine.backends)
+        (List.concat_map
+           (fun c -> List.map (fun k -> (c, k)) Engine.backends)
+           configs))
     Workloads.Registry.all
 
+(* every kind's name leads back to that kind, and a pinned engine
+   reports the name *)
 let test_backend_kind_names () =
+  let layout = Lazy.force compress_layout in
+  check
+    Alcotest.(list string)
+    "three strategies, ladder order"
+    [ "interp"; "profile"; "trace" ]
+    (List.map Engine.backend_kind_name Engine.backends);
   List.iter
     (fun k ->
-      let name = Engine.backend_kind_name k in
-      check
-        (Alcotest.option Alcotest.bool)
-        ("roundtrip " ^ name) (Some true)
-        (Option.map (fun k' -> k' = k) (Engine.backend_kind_of_string name));
-      let (module B : Tracegen.Backend.S) = Engine.implementation k in
-      check Alcotest.string "module name matches kind" name B.name;
-      check Alcotest.bool "describe is not empty" true
-        (String.length B.describe > 0))
-    Engine.backends;
+      let name, description = Tracegen.Backend.describe k in
+      check Alcotest.bool ("round trip " ^ name) true
+        (List.filter (fun k' -> Engine.backend_kind_name k' = name)
+           Engine.backends
+        = [ k ]);
+      check Alcotest.string ("pinned engine reports " ^ name) name
+        (Engine.backend_name (Engine.create ~backend:k layout));
+      check Alcotest.bool "description is not empty" true
+        (String.length description > 0))
+    Engine.backends
+
+(* The compiled tier is a property of trace dispatch, not a strategy of
+   its own: pinning the trace backend under the tier runs exactly what
+   the ladder selects, hot traces compiled included. *)
+let test_pinned_trace_compiles () =
+  let layout = Lazy.force compress_layout in
+  let config = Config.make ~tier:true () in
+  let counters (r : Engine.run_result) =
+    List.map (fun (name, get) -> (name, get r.Engine.run_stats)) Stats.counters
+  in
+  let pinned = Engine.run ~config ~backend:Engine.Trace layout in
+  let ladder = Engine.run ~config layout in
+  check Alcotest.string "the ladder selects trace dispatch" "trace"
+    (Engine.backend_name ladder.Engine.engine);
   check
-    (Alcotest.option Alcotest.bool)
-    "unknown name rejected" None
-    (Option.map (fun _ -> true) (Engine.backend_kind_of_string "jit"))
+    Alcotest.(list (pair string int))
+    "pinned and ladder runs agree" (counters ladder) (counters pinned);
+  check Alcotest.bool "hot traces compiled" true
+    (pinned.Engine.run_stats.Stats.traces_compiled > 0)
 
 (* an unpinned engine starts on the backend the config implies *)
 let test_unpinned_selection () =
@@ -342,7 +375,9 @@ let () =
       ( "equivalence",
         [
           tc "pinned backends vs interpreter" `Quick test_pinned_equivalence;
-          tc "kind names and implementations" `Quick test_backend_kind_names;
+          tc "kind name round trip" `Quick test_backend_kind_names;
+          tc "pinned trace compiles under the tier" `Quick
+            test_pinned_trace_compiles;
           tc "unpinned selection" `Quick test_unpinned_selection;
         ] );
       ( "stepping",

@@ -121,35 +121,23 @@ let test_kind_tags () =
 (* the registry in isolation                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_counters_and_gauges () =
+let test_gauges_and_groups () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "hits" in
-  Metrics.incr c;
-  Metrics.incr ~by:4 c;
-  check Alcotest.int "counter accumulates" 5 (Metrics.counter_value c);
-  check Alcotest.string "counter keeps its name" "hits" (Metrics.counter_name c);
-  (* find-or-register returns the same cell *)
-  let c' = Metrics.counter m "hits" in
-  Metrics.incr c';
-  check Alcotest.int "same cell" 6 (Metrics.counter_value c);
   let g = ref 10 in
   Metrics.gauge m "depth" (fun () -> !g);
-  check Alcotest.(option int) "gauge polls" (Some 10) (Metrics.read m "depth");
+  let value name =
+    let s = Metrics.force_snapshot m in
+    match Array.find_opt (fun (n, _) -> n = name) s.Metrics.values with
+    | Some (_, v) -> v
+    | None -> Alcotest.failf "missing %s" name
+  in
+  check Alcotest.int "gauge polls" 10 (value "depth");
   g := 11;
-  check Alcotest.(option int) "gauge re-polls" (Some 11) (Metrics.read m "depth");
-  check Alcotest.(option int) "counter readable by name" (Some 6)
-    (Metrics.read m "hits");
-  check Alcotest.(option int) "unknown name" None (Metrics.read m "nope");
-  check
-    Alcotest.(list string)
-    "registration order" [ "hits"; "depth" ] (Metrics.names m);
+  check Alcotest.int "gauge re-polls" 11 (value "depth");
   (* name clashes are rejected *)
-  Alcotest.check_raises "gauge over counter"
-    (Invalid_argument "Metrics.gauge: hits already registered") (fun () ->
-      Metrics.gauge m "hits" (fun () -> 0));
-  Alcotest.check_raises "counter over gauge"
-    (Invalid_argument "Metrics.counter: depth is a gauge") (fun () ->
-      ignore (Metrics.counter m "depth"));
+  Alcotest.check_raises "gauge over gauge"
+    (Invalid_argument "Metrics.gauge: depth already registered") (fun () ->
+      Metrics.gauge m "depth" (fun () -> 0));
   (* a gauge group samples once per snapshot and reads like gauges *)
   let samples = ref 0 in
   Metrics.gauges m
@@ -157,19 +145,14 @@ let test_counters_and_gauges () =
     (fun () ->
       incr samples;
       (!g, !g * 2));
-  check Alcotest.(option int) "group member readable" (Some 22)
-    (Metrics.read m "hi");
   samples := 0;
   let s = Metrics.force_snapshot m in
   check Alcotest.int "one sample per snapshot" 1 !samples;
   check
     Alcotest.(list (pair string int))
     "group flattens in order"
-    [ ("hits", 6); ("depth", 11); ("lo", 11); ("hi", 22) ]
+    [ ("depth", 11); ("lo", 11); ("hi", 22) ]
     (Array.to_list s.Metrics.values);
-  check
-    Alcotest.(list string)
-    "group names listed" [ "hits"; "depth"; "lo"; "hi" ] (Metrics.names m);
   Alcotest.check_raises "group member over gauge"
     (Invalid_argument "Metrics.gauges: depth already registered") (fun () ->
       Metrics.gauges m [ ("depth", Fun.id) ] (fun () -> 0));
@@ -179,11 +162,12 @@ let test_counters_and_gauges () =
 
 let test_periodic_snapshots () =
   let m = Metrics.create ~period:3 () in
-  let c = Metrics.counter m "ticks_seen" in
+  let seen = ref 0 in
+  Metrics.gauge m "ticks_seen" (fun () -> !seen);
   let reported = ref 0 in
   Metrics.on_snapshot m (fun _ -> incr reported);
   for _ = 1 to 10 do
-    Metrics.incr c;
+    incr seen;
     Metrics.tick m
   done;
   (* snapshots at ticks 3, 6, 9 *)
@@ -199,11 +183,12 @@ let test_periodic_snapshots () =
           check Alcotest.int "value captured at the boundary" s.Metrics.at v
       | _ -> Alcotest.fail "unexpected snapshot shape")
     snaps;
-  check Alcotest.int "clock ran to 10" 10 (Metrics.ticks m)
+  check Alcotest.int "clock ran to 10" 10
+    (Metrics.force_snapshot m).Metrics.at
 
 let test_disabled_period_no_snapshots () =
   let m = Metrics.create () in
-  ignore (Metrics.counter m "c");
+  Metrics.gauge m "c" (fun () -> 0);
   for _ = 1 to 1000 do
     Metrics.tick m
   done;
@@ -212,31 +197,6 @@ let test_disabled_period_no_snapshots () =
   let s = Metrics.force_snapshot m in
   check Alcotest.int "forced snapshot at the current tick" 1000 s.Metrics.at;
   check Alcotest.int "forced snapshot joins the series" 1
-    (List.length (Metrics.snapshots m))
-
-let test_set_period_midrun () =
-  let m = Metrics.create ~period:10 () in
-  let c = Metrics.counter m "ticks_seen" in
-  for _ = 1 to 7 do
-    Metrics.incr c;
-    Metrics.tick m
-  done;
-  (* 7 ticks accumulated toward the snapshot at 10; changing the period
-     must flush them at the change point rather than drop them *)
-  Metrics.set_period m 5;
-  (match Metrics.snapshots m with
-  | [ s ] -> check Alcotest.int "flushed at the change point" 7 s.Metrics.at
-  | l -> Alcotest.failf "expected one snapshot, got %d" (List.length l));
-  for _ = 1 to 5 do
-    Metrics.incr c;
-    Metrics.tick m
-  done;
-  (* the new period counts from the change point: next boundary at 12 *)
-  check Alcotest.(list int) "new period counts from the change" [ 7; 12 ]
-    (List.map (fun s -> s.Metrics.at) (Metrics.snapshots m));
-  (* immediately after a snapshot nothing has accumulated: no flush *)
-  Metrics.set_period m 3;
-  check Alcotest.int "no pending ticks, no flush" 2
     (List.length (Metrics.snapshots m))
 
 (* ------------------------------------------------------------------ *)
@@ -251,9 +211,7 @@ let test_histogram_empty () =
   check (Alcotest.float 1e-9) "zero mean" 0.0 (Metrics.hist_mean h);
   check Alcotest.int "p0 of empty" 0 (Metrics.percentile h 0.0);
   check Alcotest.int "p50 of empty" 0 (Metrics.percentile h 50.0);
-  check Alcotest.int "p100 of empty" 0 (Metrics.percentile h 100.0);
-  check Alcotest.(option int) "reads as its count" (Some 0)
-    (Metrics.read m "lat")
+  check Alcotest.int "p100 of empty" 0 (Metrics.percentile h 100.0)
 
 let test_histogram_single_value () =
   let m = Metrics.create () in
@@ -320,10 +278,10 @@ let test_histogram_in_snapshot () =
   check Alcotest.int "sum field" 110 (get "len.sum");
   check Alcotest.int "p50 field" 3 (get "len.p50");
   check Alcotest.int "max field" 100 (get "len.max");
-  (* a histogram cannot be re-registered as a counter *)
-  Alcotest.check_raises "counter over histogram"
-    (Invalid_argument "Metrics.counter: len is a histogram") (fun () ->
-      ignore (Metrics.counter m "len"))
+  (* a histogram's name cannot be re-registered as a gauge *)
+  Alcotest.check_raises "gauge over histogram"
+    (Invalid_argument "Metrics.gauge: len already registered") (fun () ->
+      Metrics.gauge m "len" (fun () -> 0))
 
 (* ------------------------------------------------------------------ *)
 (* wired through the engine                                             *)
@@ -476,10 +434,9 @@ let () =
         ] );
       ( "metrics",
         [
-          tc "counters and gauges" `Quick test_counters_and_gauges;
+          tc "gauges and groups" `Quick test_gauges_and_groups;
           tc "periodic snapshots" `Quick test_periodic_snapshots;
           tc "period 0 disables" `Quick test_disabled_period_no_snapshots;
-          tc "mid-run period change flushes" `Quick test_set_period_midrun;
         ] );
       ( "histograms",
         [
