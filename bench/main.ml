@@ -132,9 +132,9 @@ let osr () =
   ]
 
 (* Run workload [name] at its default size with [feature] off and on
-   and return the "on" statistics.  Guard pruning and the compiled tier
-   change what a position costs, never the dispatch stream, so
-   differing dispatch counts are a bug and fail the bench. *)
+   and return the "on" statistics.  The compiled tier changes what a
+   position costs, never the dispatch stream, so differing dispatch
+   counts are a bug and fail the bench. *)
 let off_on feature name config =
   let w = Option.get (Workloads.Registry.find name) in
   let layout = Cfg.Layout.build (Workloads.Workload.build_default w) in
@@ -148,20 +148,6 @@ let off_on feature name config =
     exit 1
   end;
   on
-
-(* The install-time implication prover: the dynamic guard-comparison
-   rate and the share of in-trace positions a static proof covers. *)
-let guard_pruning name () =
-  let s =
-    off_on "guard_pruning" name (fun prune_guards ->
-        Tracegen.Config.make ~prune_guards ())
-  in
-  [
-    m "guards_per_kinstr" (Stats.guards_per_kinstr s) "guards/kinstr"
-      Perf.Lower;
-    m "elision_pct" (100.0 *. Stats.guard_elision_rate s) "pct" Perf.Higher;
-    count "guards_pruned" s.Stats.guards_pruned Perf.Higher;
-  ]
 
 (* The compiled tier: micro-ops executed per position against the
    source instructions those positions replaced — folding, dead-store
@@ -227,7 +213,6 @@ let rows =
     ("flightrec_ledger", flightrec_ledger);
     ("osr", osr);
   ]
-  @ per ablated "guard_pruning" guard_pruning
   @ per ablated "microir" microir
   @ [ ("shared_cache", shared_cache) ]
   @ List.map

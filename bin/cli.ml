@@ -51,7 +51,6 @@ type flags = {
   self_heal : bool;
   osr : bool;
   tier : bool;
-  prune_guards : bool;
 }
 
 let defaults =
@@ -64,7 +63,6 @@ let defaults =
     self_heal = Config.self_heal d;
     osr = Config.osr_enabled d;
     tier = Config.tier_enabled d;
-    prune_guards = Config.prune_guards d;
   }
 
 (* Every engine configuration the CLI runs is built here.  The engine
@@ -77,8 +75,7 @@ let config ?debug_checks ?snapshot_period ?obs_spans ?obs_attribution f =
     Config.make ~threshold:f.threshold ~start_state_delay:f.delay
       ~fault_spec:f.fault_spec ~fault_seed:f.fault_seed ~self_heal:f.self_heal
       ~debug_checks:(Option.value debug_checks ~default:f.self_heal)
-      ~osr:f.osr ~tier:f.tier ~prune_guards:f.prune_guards ?snapshot_period
-      ?obs_spans ?obs_attribution ()
+      ~osr:f.osr ~tier:f.tier ?snapshot_period ?obs_spans ?obs_attribution ()
   with Invalid_argument msg -> die "invalid configuration: %s\n" msg
 
 (* ------------------------------------------------------------------ *)
@@ -95,7 +92,7 @@ let write_file path contents =
         Out_channel.output_string oc contents)
   with Sys_error msg -> die "cannot write %s: %s\n" path msg
 
-(* The pure-overlay promise the prove, backends, session and warm gates
+(* The pure-overlay promise the backends, session and warm gates
    hold a run to: its VM result equals the reference's.  [divergences]
    counts the comparisons that failed. *)
 let divergences = ref 0
@@ -150,8 +147,7 @@ let tier_arg =
                --tier').")
 
 (* [faults] offers --fault-spec, --fault-seed and --self-heal *)
-let flags ?(faults = false) ?(osr = false) ?(tier = false)
-    ?(prune_guards = false) () =
+let flags ?(faults = false) ?(osr = false) ?(tier = false) () =
   let threshold =
     Arg.(value & opt float defaults.threshold & info [ "threshold" ]
            ~docv:"P" ~doc:"Trace completion threshold in (0,1].")
@@ -180,12 +176,6 @@ let flags ?(faults = false) ?(osr = false) ?(tier = false)
                  mid-trace back to block dispatch, and hot loops are \
                  promoted into self-chaining traces mid-iteration.")
   in
-  let prune_guards_arg =
-    Arg.(value & flag & info [ "prune-guards" ]
-           ~doc:"Derive guard-implication proofs at trace installation and \
-                 elide the proven positions from guard accounting (see \
-                 'prove').")
-  in
   let offered on arg default = if on then arg else Term.const default in
   let open Term.Syntax in
   let+ threshold = threshold
@@ -194,17 +184,5 @@ let flags ?(faults = false) ?(osr = false) ?(tier = false)
   and+ fault_seed = offered faults fault_seed defaults.fault_seed
   and+ self_heal = offered faults self_heal defaults.self_heal
   and+ osr = offered osr osr_arg defaults.osr
-  and+ tier = offered tier tier_arg defaults.tier
-  and+ prune_guards =
-    offered prune_guards prune_guards_arg defaults.prune_guards
-  in
-  {
-    threshold;
-    delay;
-    fault_spec;
-    fault_seed;
-    self_heal;
-    osr;
-    tier;
-    prune_guards;
-  }
+  and+ tier = offered tier tier_arg defaults.tier in
+  { threshold; delay; fault_spec; fault_seed; self_heal; osr; tier }

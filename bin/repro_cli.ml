@@ -109,7 +109,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one workload under the trace-cache engine.")
     Term.(
       const run $ Cli.workload_arg $ Cli.size_arg
-      $ Cli.flags ~faults:true ~osr:true ~tier:true ~prune_guards:true ()
+      $ Cli.flags ~faults:true ~osr:true ~tier:true ()
       $ dump_traces $ dump_bcg $ top $ dump_flightrec)
 
 (* ------------------------------------------------------------------ *)
@@ -302,15 +302,16 @@ let list_cmd =
 let lint workload size flags json static_only traces =
   let module Diag = Analysis.Diag in
   let ws = Cli.workloads workload in
-  let config =
-    Cli.config ~debug_checks:true { flags with Cli.prune_guards = traces }
-  in
+  let config = Cli.config ~debug_checks:true flags in
   let diags =
     List.concat_map
       (fun w ->
         let name = w.Workloads.Workload.name in
         let program = Cli.program_of w ~size in
-        let static = Analysis.Lint.lint_program ~context:name program in
+        let static =
+          Analysis.Lint.lint_program ~context:name
+            ~max_trace_blocks:Tracegen.Config.max_trace_blocks program
+        in
         (* A verify-rejected program cannot be laid out, let alone run;
            its TL001 findings stand alone. *)
         let rejected =
@@ -325,9 +326,7 @@ let lint workload size flags json static_only traces =
               ~bcg:(Tracegen.Profiler.bcg (Engine.profiler engine))
               ~cache:(Engine.cache engine)
           in
-          (* --traces: translation-validate every installed trace (the
-             run above pruned them, so the TL217 re-derivations are
-             exercised too) *)
+          (* --traces: translation-validate every installed trace *)
           let proved =
             if traces then
               Tracegen.Trace_prover.check_cache ~context:name layout
@@ -361,9 +360,8 @@ let lint_cmd =
   let traces =
     Arg.(value & flag & info [ "traces" ]
            ~doc:"Also translation-validate every installed trace \
-                 (symbolic equivalence of the optimized body, TL212-TL218) \
-                 with guard pruning enabled, so pruning claims are \
-                 re-derived too.")
+                 (symbolic equivalence of the optimized body to its block \
+                 sequence, TL212-TL216 and TL218).")
   in
   Cmd.v
     (Cmd.info "lint"
@@ -376,80 +374,6 @@ let lint_cmd =
     Term.(
       const lint $ Cli.workloads_arg "lint" $ Cli.size_arg $ Cli.flags ()
       $ json $ static_only $ traces)
-
-(* ------------------------------------------------------------------ *)
-(* prove                                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Translation-validate every trace the engine builds, with guard
-   pruning on: run each workload under prune_guards, symbolically prove
-   every installed trace equivalent to its original block sequence
-   (TL212-TL218) and re-derive every pruning claim (TL217), then re-run
-   with pruning off and hold the two VM results to the same fingerprint
-   — proofs must not change what the program computes.  Exit 1 on any
-   error-severity finding, a diverging fingerprint, or fewer than
-   --min-pruning workloads actually losing guards. *)
-let prove workload size flags min_pruning =
-  let module Diag = Analysis.Diag in
-  let ws = Cli.workloads workload in
-  let config_on = Cli.config { flags with Cli.prune_guards = true } in
-  let config_off = Cli.config flags in
-  let errors = ref 0 in
-  let pruning_workloads = ref 0 in
-  Printf.printf "%-10s %-6s %7s %7s %10s %10s %8s %10s\n" "workload" "ok"
-    "traces" "diags" "g-checked" "g-elided" "pruned" "identical";
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-      let name = w.Workloads.Workload.name in
-      let layout = Cli.layout_of w ~size in
-      let r = Engine.run ~config:config_on layout in
-      let cache = Engine.cache r.Engine.engine in
-      let n_traces = ref 0 in
-      Tracegen.Trace_cache.iter_all cache (fun _ -> incr n_traces);
-      let diags = Tracegen.Trace_prover.check_cache ~context:name layout cache in
-      List.iter (fun d -> Printf.eprintf "%s\n" (Diag.to_string d)) diags;
-      let n_errors = Diag.count Diag.Error diags in
-      errors := !errors + n_errors;
-      let base = Engine.run ~config:config_off layout in
-      let identical = Cli.identical base.Engine.vm_result r.Engine.vm_result in
-      let s = r.Engine.run_stats in
-      if s.Stats.guards_elided > 0 then incr pruning_workloads;
-      Printf.printf "%-10s %-6s %7d %7d %10d %10d %8d %10s\n" name
-        (if n_errors = 0 && identical then "yes" else "NO")
-        !n_traces (List.length diags) s.Stats.guards_checked
-        s.Stats.guards_elided s.Stats.guards_pruned
-        (if identical then "yes" else "NO"))
-    ws;
-  Printf.printf
-    "prove gate: %d proof error(s), %d diverging run(s), pruning active on \
-     %d/%d workload(s)\n"
-    !errors !Cli.divergences !pruning_workloads (List.length ws);
-  if !errors > 0 || !Cli.divergences > 0 then exit 1;
-  if !pruning_workloads < min_pruning then begin
-    Printf.eprintf
-      "pruning removed guards on only %d workload(s) (need %d)\n"
-      !pruning_workloads min_pruning;
-    exit 1
-  end
-
-let prove_cmd =
-  let min_pruning =
-    Arg.(value & opt int 0 & info [ "min-pruning" ] ~docv:"K"
-           ~doc:"Fail unless guard pruning elided at least one guard on \
-                 $(docv) or more workloads.")
-  in
-  Cmd.v
-    (Cmd.info "prove"
-       ~doc:
-         "Translation-validate every trace the engine builds: run each \
-          workload with guard pruning on, symbolically prove every installed \
-          trace equivalent to its original block sequence and re-derive \
-          every pruning claim, then re-run with pruning off and assert \
-          bit-identical VM results.  Exits 1 on any unprovable trace, \
-          diverging result, or less pruning than --min-pruning demands.")
-    Term.(
-      const prove $ Cli.workloads_arg "prove" $ Cli.size_arg $ Cli.flags ()
-      $ min_pruning)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                                *)
@@ -795,7 +719,7 @@ let top_cmd =
           statistics (stderr, non-zero exit on mismatch).")
     Term.(
       const top $ Cli.workloads_arg "profile" $ Cli.size_arg
-      $ Cli.flags ~tier:true ~prune_guards:true ()
+      $ Cli.flags ~tier:true ()
       $ rows $ json)
 
 (* ------------------------------------------------------------------ *)
@@ -1177,7 +1101,7 @@ let () =
        (Cmd.group ~default info
           [
             run_cmd; events_cmd; table_cmd; disasm_cmd; export_cmd; list_cmd;
-            lint_cmd; prove_cmd; backends_cmd; session_cmd; chaos_cmd;
+            lint_cmd; backends_cmd; session_cmd; chaos_cmd;
             top_cmd; timeline_cmd; warm_cmd; postmortem_cmd; explain_cmd;
             bench_diff_cmd;
           ]))

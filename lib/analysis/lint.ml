@@ -7,7 +7,7 @@ module Verify = Bytecode.Verify
 
 let mloc name ?block ?pc () = Diag.Method_loc { method_name = name; block; pc }
 
-let lint_method ?context ~big_loop_blocks (program : Program.t) (m : Mthd.t) =
+let lint_method ?context ~max_trace_blocks (program : Program.t) (m : Mthd.t) =
   let cfg = Method_cfg.build m in
   let name = m.Mthd.name in
   let diags = ref [] in
@@ -44,7 +44,7 @@ let lint_method ?context ~big_loop_blocks (program : Program.t) (m : Mthd.t) =
   Array.iter
     (fun l ->
       let size = List.length l.Loops.blocks in
-      if size > big_loop_blocks then
+      if size > max_trace_blocks then
         add
           (Diag.make ?context ~code:"TL004" ~severity:Diag.Info
              ~loc:(mloc name ~block:l.Loops.header ())
@@ -117,7 +117,7 @@ let lint_method ?context ~big_loop_blocks (program : Program.t) (m : Mthd.t) =
   done;
   List.rev !diags
 
-let lint_program ?context ?(big_loop_blocks = 64) (program : Program.t) =
+let lint_program ?context ~max_trace_blocks (program : Program.t) =
   match Verify.verify_program_all program with
   | _ :: _ as errors ->
       (* dataflow assumes verified code; report the violations and stop *)
@@ -129,4 +129,4 @@ let lint_program ?context ?(big_loop_blocks = 64) (program : Program.t) =
         errors
   | [] ->
       Array.to_list program.Program.methods
-      |> List.concat_map (lint_method ?context ~big_loop_blocks program)
+      |> List.concat_map (lint_method ?context ~max_trace_blocks program)

@@ -7,7 +7,8 @@
     - [TL002] {e warning} — unreachable basic block
     - [TL003] {e warning} — irreducible control flow (retreating edge
       whose target does not dominate its source)
-    - [TL004] {e info} — natural loop larger than [big_loop_blocks]
+    - [TL004] {e info} — natural loop larger than [max_trace_blocks],
+      the trace-length cap
     - [TL101] {e error} — dead store: a local written but never read on
       any subsequent path
     - [TL102] {e warning} — conditional branch that always goes one way
@@ -21,7 +22,11 @@
     dataflow analyses assume verified code. *)
 
 val lint_program :
-  ?context:string -> ?big_loop_blocks:int -> Bytecode.Program.t -> Diag.t list
+  ?context:string ->
+  max_trace_blocks:int ->
+  Bytecode.Program.t ->
+  Diag.t list
 (** Findings in method order, per-method roughly by pc; callers wanting
-    severity order sort with {!Diag.compare}.  [big_loop_blocks] defaults
-    to 64. *)
+    severity order sort with {!Diag.compare}.  [max_trace_blocks] is the
+    trace builder's length cap ([Tracegen.Config.max_trace_blocks]),
+    passed in because this library sits below the builder. *)

@@ -111,8 +111,7 @@ let note_build ctx (o : Trace_builder.outcome) =
   c.Stats.traces_constructed <-
     c.Stats.traces_constructed + o.Trace_builder.new_traces;
   c.Stats.builder_reuses <-
-    c.Stats.builder_reuses + o.Trace_builder.reused_traces;
-  c.Stats.guards_pruned <- c.Stats.guards_pruned + o.Trace_builder.pruned_guards
+    c.Stats.builder_reuses + o.Trace_builder.reused_traces
 
 (* Compiled-tier accounting for one followed trace position: what the
    micro-IR dispatch loop would have dispatched there versus the source
@@ -306,9 +305,8 @@ let run_debug_checks ctx =
     in
     (* translation-validate traces the sweep has not seen yet: the
        optimized body must be provably equivalent to the original block
-       sequence, and every pruning claim must re-derive.  Findings join
-       the invariant diagnostics and flow through the same event /
-       self-heal processing below. *)
+       sequence.  Findings join the invariant diagnostics and flow
+       through the same event / self-heal processing below. *)
     let diags = diags @ Trace_prover.validate_new ctx.layout ctx.cache in
     List.iter
       (fun (d : Analysis.Diag.t) ->
@@ -470,7 +468,7 @@ let promote_loop ctx (osr : Osr.t) header ~hotness =
   let outcome, installed =
     Trace_builder.promote ~events:ctx.events
       ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
-      ctx.config ctx.cache (Profiler.bcg ctx.profiler) ~header
+      ctx.cache (Profiler.bcg ctx.profiler) ~header
   in
   (match installed with
   | Some tr ->
@@ -688,15 +686,7 @@ let rec follow ctx kind (g : Layout.gid) =
   | None -> step ctx kind g
   | Some tr ->
       let expected = tr.Trace.blocks.(ctx.active_pos) in
-      (* guard accounting: a pruned position's comparison still runs
-         (traces are a pure overlay — results stay bit-identical) but is
-         counted as elided, the cost a compiled backend would not pay *)
-      let elided =
-        Array.length tr.Trace.pruned > 0 && tr.Trace.pruned.(ctx.active_pos)
-      in
-      let c = ctx.counts in
-      if elided then c.Stats.guards_elided <- c.Stats.guards_elided + 1
-      else c.Stats.guards_checked <- c.Stats.guards_checked + 1;
+      ctx.counts.Stats.guards_checked <- ctx.counts.Stats.guards_checked + 1;
       let forced =
         Faults.flip_now ctx.faults ~pos:ctx.active_pos
           ~n_blocks:(Trace.n_blocks tr)
@@ -712,26 +702,6 @@ let rec follow ctx kind (g : Layout.gid) =
         else ctx.active_pos <- ctx.active_pos + 1
       end
       else begin
-        (* an *organic* mismatch on a pruned position disproves the
-           pruning proof: the prover claimed this transition forced.
-           Surface it as a TL217 violation when the checks are armed (a
-           forced flip on a matching block proves nothing). *)
-        if elided && g <> expected && Config.debug_checks ctx.config then begin
-          note_violation ctx;
-          if Events.enabled ctx.events then
-            Events.emit ctx.events
-              (Events.Invariant_violation
-                 {
-                   code = "TL217";
-                   severity = "error";
-                   message =
-                     Printf.sprintf
-                       "trace %d: pruned guard at position %d disproved at \
-                        dispatch (expected block %d, executed %d)"
-                       tr.Trace.id ctx.active_pos expected g;
-                 });
-          fr_trigger ctx Flightrec.Invariant
-        end;
         match ctx.osr with
         | Some osr ->
             (* deoptimize: abandon the residue, resume block dispatch at

@@ -91,14 +91,12 @@ val on_block : ctx -> kind -> Cfg.Layout.gid -> unit
     An active trace is followed to its end whatever the kind; a block
     outside every trace is dispatched the way [kind] says.
 
-    Each followed position counts as one guard — [guards_elided] when
-    [Trace.pruned] covers it, [guards_checked] otherwise — and an
-    organic mismatch on a pruned position is reported as a TL217
-    disproof under [debug_checks].  A guard fails organically
-    (mismatching block) or by an armed FT008 flip ({!Faults.flip_now}).
-    Without OSR both take the classic side exit and reprocess the block
-    through the full dispatch path; with OSR both deoptimize and resume
-    with a block dispatch that never consults the trace cache.
+    Each followed position counts as one checked guard.  A guard fails
+    organically (mismatching block) or by an armed FT008 flip
+    ({!Faults.flip_now}).  Without OSR both take the classic side exit
+    and reprocess the block through the full dispatch path; with OSR
+    both deoptimize and resume with a block dispatch that never consults
+    the trace cache.
 
     Under [Trace], a cache hit enters the trace; with
     {!Config.tier_enabled} the entry first runs the tier cost model

@@ -25,7 +25,6 @@ type t = {
       (* minimum expected trace completion probability, and the
          strong/weak correlation boundary *)
   decay_period : int; (* node executions between exponential decay passes *)
-  max_trace_blocks : int; (* defensive cap on trace length *)
   build_traces : bool; (* false = profile-only run (Table VI) *)
   snapshot_period : int;
       (* dispatches between periodic metrics snapshots; 0 disables the
@@ -33,10 +32,6 @@ type t = {
   debug_checks : bool;
       (* run the trace/BCG invariant checks at trace-construction and
          decay boundaries, emitting an event per violation *)
-  prune_guards : bool;
-      (* run guard-implication pruning on every newly installed trace:
-         guards proved implied by entry facts and earlier guards are
-         elided (accounted, not checked) by the dispatch loop *)
   (* the trace cache *)
   max_cache_traces : int;
       (* bound on live traces; 0 = unbounded.  Exceeding it evicts a
@@ -48,14 +43,6 @@ type t = {
   self_heal : bool;
       (* validate traces at dispatch, quarantine on any detected fault,
          heal corrupted BCG nodes, and walk the degradation ladder *)
-  heal_max_rebuilds : int;
-      (* quarantines of one entry before it is permanently blacklisted *)
-  heal_backoff : int;
-      (* node executions before a quarantined entry may be rebuilt;
-         doubles per quarantine of the same entry *)
-  heal_demote_after : int; (* detections before dropping a health level *)
-  heal_recover_after : int;
-      (* consecutive clean dispatches before climbing a health level *)
   (* fault injection *)
   fault_spec : string;
       (* schedule DSL (see Faults.parse); "" disables injection.  Parsed
@@ -87,26 +74,31 @@ type t = {
 (* The constants the paper fixes, and the builder's defensive caps. *)
 let counter_max = 65535 (* 16-bit saturating counters *)
 let min_trace_blocks = 2 (* a 1-block trace is a no-op *)
+let max_trace_blocks = 64
 let max_walk = 256
 let max_backtrack = 128
+
+(* The self-healing schedule: quarantines of one entry before it is
+   blacklisted for good; cache clock units before a quarantined entry
+   may be rebuilt (doubling per quarantine of the same entry);
+   detections before dropping a health level; consecutive clean
+   dispatches before climbing one. *)
+let heal_max_rebuilds = 3
+let heal_backoff = 512
+let heal_demote_after = 3
+let heal_recover_after = 400
 
 let default =
   {
     start_state_delay = 64;
     threshold = 0.97;
     decay_period = 256;
-    max_trace_blocks = 64;
     build_traces = true;
     snapshot_period = 0;
     debug_checks = false;
-    prune_guards = false;
     max_cache_traces = 0;
     eviction_policy = Cache.Lru;
     self_heal = false;
-    heal_max_rebuilds = 3;
-    heal_backoff = 512;
-    heal_demote_after = 3;
-    heal_recover_after = 400;
     fault_spec = "";
     fault_seed = 1;
     osr = false;
@@ -124,14 +116,8 @@ let validate t =
   if t.threshold <= 0.0 || t.threshold > 1.0 then
     invalid_arg "threshold out of (0, 1]";
   if t.decay_period < 2 then invalid_arg "decay_period < 2";
-  if t.max_trace_blocks < min_trace_blocks then
-    invalid_arg "max_trace_blocks < min_trace_blocks";
   if t.snapshot_period < 0 then invalid_arg "snapshot_period < 0";
   if t.max_cache_traces < 0 then invalid_arg "max_cache_traces < 0";
-  if t.heal_max_rebuilds < 1 then invalid_arg "heal_max_rebuilds < 1";
-  if t.heal_backoff < 1 then invalid_arg "heal_backoff < 1";
-  if t.heal_demote_after < 1 then invalid_arg "heal_demote_after < 1";
-  if t.heal_recover_after < 1 then invalid_arg "heal_recover_after < 1";
   if t.osr_promote_after < 1 then invalid_arg "osr_promote_after < 1";
   if t.tier_compile_after < 1 then invalid_arg "tier_compile_after < 1";
   if t.tier_compile_budget < 1 then invalid_arg "tier_compile_budget < 1";
@@ -140,18 +126,12 @@ let validate t =
 
 let make ?(start_state_delay = default.start_state_delay)
     ?(threshold = default.threshold) ?(decay_period = default.decay_period)
-    ?(max_trace_blocks = default.max_trace_blocks)
     ?(build_traces = default.build_traces)
     ?(snapshot_period = default.snapshot_period)
     ?(debug_checks = default.debug_checks)
-    ?(prune_guards = default.prune_guards)
     ?(max_cache_traces = default.max_cache_traces)
     ?(eviction_policy = default.eviction_policy)
     ?(self_heal = default.self_heal)
-    ?(heal_max_rebuilds = default.heal_max_rebuilds)
-    ?(heal_backoff = default.heal_backoff)
-    ?(heal_demote_after = default.heal_demote_after)
-    ?(heal_recover_after = default.heal_recover_after)
     ?(fault_spec = default.fault_spec) ?(fault_seed = default.fault_seed)
     ?(osr = default.osr) ?(osr_promote_after = default.osr_promote_after)
     ?(tier = default.tier) ?(tier_compile_after = default.tier_compile_after)
@@ -164,18 +144,12 @@ let make ?(start_state_delay = default.start_state_delay)
       start_state_delay;
       threshold;
       decay_period;
-      max_trace_blocks;
       build_traces;
       snapshot_period;
       debug_checks;
-      prune_guards;
       max_cache_traces;
       eviction_policy;
       self_heal;
-      heal_max_rebuilds;
-      heal_backoff;
-      heal_demote_after;
-      heal_recover_after;
       fault_spec;
       fault_seed;
       osr;
@@ -194,18 +168,12 @@ let make ?(start_state_delay = default.start_state_delay)
 let start_state_delay t = t.start_state_delay
 let threshold t = t.threshold
 let decay_period t = t.decay_period
-let max_trace_blocks t = t.max_trace_blocks
 let build_traces t = t.build_traces
 let snapshot_period t = t.snapshot_period
 let debug_checks t = t.debug_checks
-let prune_guards t = t.prune_guards
 let max_cache_traces t = t.max_cache_traces
 let eviction_policy t = t.eviction_policy
 let self_heal t = t.self_heal
-let heal_max_rebuilds t = t.heal_max_rebuilds
-let heal_backoff t = t.heal_backoff
-let heal_demote_after t = t.heal_demote_after
-let heal_recover_after t = t.heal_recover_after
 let fault_spec t = t.fault_spec
 let fault_seed t = t.fault_seed
 let osr_enabled t = t.osr

@@ -35,18 +35,12 @@ val make :
   ?start_state_delay:int ->
   ?threshold:float ->
   ?decay_period:int ->
-  ?max_trace_blocks:int ->
   ?build_traces:bool ->
   ?snapshot_period:int ->
   ?debug_checks:bool ->
-  ?prune_guards:bool ->
   ?max_cache_traces:int ->
   ?eviction_policy:Cache.eviction_policy ->
   ?self_heal:bool ->
-  ?heal_max_rebuilds:int ->
-  ?heal_backoff:int ->
-  ?heal_demote_after:int ->
-  ?heal_recover_after:int ->
   ?fault_spec:string ->
   ?fault_seed:int ->
   ?osr:bool ->
@@ -65,7 +59,8 @@ val make :
 
 (** {2 Constants}
 
-    Fixed by the paper or by the builder's defensive caps. *)
+    Fixed by the paper, by the builder's defensive caps, or by the
+    self-healing schedule. *)
 
 val counter_max : int
 (** Saturation value of the correlation counters: 16-bit, 65535. *)
@@ -74,11 +69,29 @@ val min_trace_blocks : int
 (** Traces shorter than this (2) are not cached: a 1-block trace is a
     no-op. *)
 
+val max_trace_blocks : int
+(** Defensive cap on trace length in blocks (64). *)
+
 val max_walk : int
 (** Cap on the maximum-likelihood walk length (256). *)
 
 val max_backtrack : int
 (** Cap on entry-point backtracking depth (128). *)
+
+val heal_max_rebuilds : int
+(** Quarantines of one entry transition before it is permanently
+    blacklisted (3). *)
+
+val heal_backoff : int
+(** Cache clock units before a quarantined entry may be rebuilt (512);
+    doubles on every further quarantine of the same entry. *)
+
+val heal_demote_after : int
+(** Detections before dropping one health level (3). *)
+
+val heal_recover_after : int
+(** Consecutive clean dispatches before climbing one health level back
+    up (400). *)
 
 (** {2 The profiler and trace builder} *)
 
@@ -96,9 +109,6 @@ val decay_period : t -> int
 (** Node executions between periodic exponential decay passes (paper
     and default: 256). *)
 
-val max_trace_blocks : t -> int
-(** Defensive cap on trace length in blocks (default 64). *)
-
 val build_traces : t -> bool
 (** When [false] the engine profiles every dispatch but never enters
     traces — the configuration of the paper's Table VI overhead
@@ -113,12 +123,6 @@ val debug_checks : t -> bool
     trace-construction and decay boundaries, emitting an
     [Invariant_violation] event per finding.  Off by default: the checks
     walk every node and trace. *)
-
-val prune_guards : t -> bool
-(** Run guard-implication pruning ([Trace_prover]) on every newly
-    installed trace: guards proved implied by entry facts and earlier
-    guards are counted as [guards_elided] instead of [guards_checked].
-    Off by default. *)
 
 (** {2 The trace cache} *)
 
@@ -136,22 +140,8 @@ val self_heal : t -> bool
 (** Validate traces at dispatch, quarantine any trace a TL2xx check or
     an injected fault touches, heal corrupted BCG nodes, and walk the
     [Health] degradation ladder (full tracing → profiling-only → pure
-    interpretation) with recovery probes back up.  Off by default. *)
-
-val heal_max_rebuilds : t -> int
-(** Quarantines of one entry transition before it is permanently
-    blacklisted (default 3). *)
-
-val heal_backoff : t -> int
-(** Node executions before a quarantined entry may be rebuilt; doubles
-    on every further quarantine of the same entry (default 512). *)
-
-val heal_demote_after : t -> int
-(** Detections before dropping one health level (default 3). *)
-
-val heal_recover_after : t -> int
-(** Consecutive clean dispatches before climbing one health level back
-    up (default 400). *)
+    interpretation) with recovery probes back up, on the fixed schedule
+    of the [heal_*] constants above.  Off by default. *)
 
 (** {2 Fault injection} *)
 

@@ -148,8 +148,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
         Trace_cache.create ~events
           ~max_traces:(Config.max_cache_traces config)
           ~eviction_policy:(Config.eviction_policy config)
-          ~heal_max_rebuilds:(Config.heal_max_rebuilds config)
-          ~heal_backoff:(Config.heal_backoff config)
           layout
   in
   (* parse the fault schedule here (not in Config.validate) so Config
@@ -158,11 +156,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let faults =
     Faults.create ~seed:(Config.fault_seed config) (Config.fault_spec config)
   in
-  let health =
-    Health.create
-      ~demote_after:(Config.heal_demote_after config)
-      ~recover_after:(Config.heal_recover_after config)
-  in
+  let health = Health.create () in
   let metrics = Metrics.create ~period:(Config.snapshot_period config) () in
   let spans =
     if Config.obs_spans config then

@@ -84,7 +84,6 @@ type payload =
       bcg_edges : int;
     }
   | Snapshot_rejected of { reason : string }
-  | Guards_pruned of { trace_id : int; pruned : int; guards : int }
   | Deopt_entered of {
       trace_id : int;
       at_block : int; (* trace position of the failed/abandoned guard *)
@@ -234,7 +233,6 @@ let kind = function
   | Mode_recovered _ -> "mode_recovered"
   | Cache_restored _ -> "cache_restored"
   | Snapshot_rejected _ -> "snapshot_rejected"
-  | Guards_pruned _ -> "guards_pruned"
   | Deopt_entered _ -> "deopt_entered"
   | Osr_promoted _ -> "osr_promoted"
   | Trace_compiled _ -> "trace_compiled"

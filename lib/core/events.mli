@@ -160,13 +160,6 @@ type payload =
       (** A warm-start snapshot failed validation and was discarded
           without touching the cache or BCG; [reason] is the rendered
           {!Persist.error}. *)
-  | Guards_pruned of {
-      trace_id : int;
-      pruned : int;  (** guard positions proved implied and elidable *)
-      guards : int;  (** guard positions in the trace (its block count) *)
-    }
-      (** [Trace_prover] derived a non-empty guard-implication pruning
-          for a newly installed trace ({!Config.prune_guards}). *)
   | Deopt_entered of {
       trace_id : int;
       at_block : int;

@@ -7,12 +7,13 @@
      Interp_only     — pure block interpretation, no profiling at all
 
    Detected faults (a quarantined trace, a healed BCG node) are
-   *strikes*; accumulating [demote_after] strikes without an intervening
-   recovery window drops the engine one level.  Every dispatch that
-   passes without a detection is a recovery probe: after [recover_after]
-   consecutive clean dispatches the engine climbs one level back up (and
-   at full tracing the same window forgives stale strikes, so isolated
-   faults never accumulate into a demotion across a whole run). *)
+   *strikes*; accumulating [Config.heal_demote_after] strikes without an
+   intervening recovery window drops the engine one level.  Every
+   dispatch that passes without a detection is a recovery probe: after
+   [Config.heal_recover_after] consecutive clean dispatches the engine
+   climbs one level back up (and at full tracing the same window
+   forgives stale strikes, so isolated faults never accumulate into a
+   demotion across a whole run). *)
 
 type level = Full_tracing | Profiling_only | Interp_only
 
@@ -29,8 +30,6 @@ let level_rank = function
 type transition = Stay | Changed of level * level
 
 type t = {
-  demote_after : int; (* strikes before dropping a level *)
-  recover_after : int; (* clean dispatches before climbing a level *)
   mutable level : level;
   mutable strikes : int;
   mutable clean : int; (* consecutive clean dispatches *)
@@ -38,12 +37,8 @@ type t = {
   mutable promotions : int;
 }
 
-let create ~demote_after ~recover_after =
-  if demote_after < 1 then invalid_arg "Health.create: demote_after < 1";
-  if recover_after < 1 then invalid_arg "Health.create: recover_after < 1";
+let create () =
   {
-    demote_after;
-    recover_after;
     level = Full_tracing;
     strikes = 0;
     clean = 0;
@@ -75,7 +70,7 @@ let up = function
 let strike t : transition =
   t.clean <- 0;
   t.strikes <- t.strikes + 1;
-  if t.strikes >= t.demote_after && t.level <> Interp_only then begin
+  if t.strikes >= Config.heal_demote_after && t.level <> Interp_only then begin
     let from_level = t.level in
     t.level <- down t.level;
     t.strikes <- 0;
@@ -91,7 +86,7 @@ let clean_dispatch t : transition =
   if t.level = Full_tracing && t.strikes = 0 then Stay
   else begin
     t.clean <- t.clean + 1;
-    if t.clean >= t.recover_after then begin
+    if t.clean >= Config.heal_recover_after then begin
       t.clean <- 0;
       t.strikes <- 0;
       if t.level = Full_tracing then Stay

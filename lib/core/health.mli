@@ -11,11 +11,11 @@
       (the last resort after profiler-structure faults persist).
 
     Detected faults — a quarantined trace, a healed BCG node — are
-    {e strikes} ({!strike}); [demote_after] strikes without an
-    intervening recovery window drop the engine one level.  Every
-    dispatch that completes without a detection is a recovery probe
-    ({!clean_dispatch}): after [recover_after] consecutive clean
-    dispatches the engine climbs one level back up, and at full tracing
+    {e strikes} ({!strike}); {!Config.heal_demote_after} strikes
+    without an intervening recovery window drop the engine one level.
+    Every dispatch that completes without a detection is a recovery
+    probe ({!clean_dispatch}): after {!Config.heal_recover_after}
+    consecutive clean dispatches the engine climbs one level back up, and at full tracing
     the same window forgives stale strikes, so isolated faults never
     accumulate into a demotion across a long run. *)
 
@@ -33,9 +33,8 @@ type transition = Stay | Changed of level * level  (** (from, to) *)
 
 type t
 
-val create : demote_after:int -> recover_after:int -> t
-(** Starts at {!Full_tracing}.
-    @raise Invalid_argument when either parameter is below 1. *)
+val create : unit -> t
+(** Starts at {!Full_tracing}. *)
 
 val level : t -> level
 

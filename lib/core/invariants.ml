@@ -133,14 +133,12 @@ let check_trace ?context ?bcg ?layout (config : Config.t) (tr : Trace.t) =
       (err ?context ~code:"TL201" ~loc
          "completion probability %.6f outside [%.2f, 1]" tr.Trace.prob
          (Config.threshold config));
-  (* TL209: the cutter respects the configured length bounds *)
+  (* TL209: the cutter respects the length bounds *)
   let n = Trace.n_blocks tr in
-  if n < Config.min_trace_blocks || n > Config.max_trace_blocks config
-  then
+  if n < Config.min_trace_blocks || n > Config.max_trace_blocks then
     add
       (err ?context ~code:"TL209" ~loc "%d blocks outside [%d, %d]" n
-         Config.min_trace_blocks
-         (Config.max_trace_blocks config));
+         Config.min_trace_blocks Config.max_trace_blocks);
   (* TL203: a transition can appear twice (the single loop unrolling) but
      never three times *)
   let transitions = Hashtbl.create 16 in

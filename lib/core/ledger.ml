@@ -8,7 +8,6 @@ let kinds =
   [
     "trace_constructed";
     "trace_replaced";
-    "guards_pruned";
     "trace_quarantined";
     "trace_evicted";
     "trace_compiled";

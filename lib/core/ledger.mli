@@ -12,9 +12,8 @@
 
 val kinds : string list
 (** The decision kinds, as {!Events.kind} tags: trace construction
-    (new and reused), entry replacement, guard pruning, quarantine,
-    eviction, tier compilation and demotion, OSR promotion and
-    deoptimization. *)
+    (new and reused), entry replacement, quarantine, eviction, tier
+    compilation and demotion, OSR promotion and deoptimization. *)
 
 type entry = {
   span : int;  (** innermost open span when the event arrived, or [-1] *)

@@ -32,10 +32,6 @@ type t = {
     (* trace entries directly following another trace's completion *)
   mutable guards_checked : int;
     (* trace-position guards compared against the executed block *)
-  mutable guards_elided : int;
-    (* guard positions skipped on a Trace_prover proof (Trace.pruned) *)
-  mutable guards_pruned : int;
-    (* static pruning verdicts derived at install time *)
   (* resilience: the self-healing / chaos counters.  All zero on a
      healthy run without fault injection. *)
   mutable invariant_violations : int; (* findings of the debug_checks sweeps *)
@@ -96,8 +92,6 @@ let zero () =
     ic_predictions = 0;
     chained_entries = 0;
     guards_checked = 0;
-    guards_elided = 0;
-    guards_pruned = 0;
     invariant_violations = 0;
     faults_injected = 0;
     traces_quarantined = 0;
@@ -155,8 +149,6 @@ let counters : (string * (t -> int)) list =
     ("ic_predictions", fun s -> s.ic_predictions);
     ("chained_entries", fun s -> s.chained_entries);
     ("guards_checked", fun s -> s.guards_checked);
-    ("guards_elided", fun s -> s.guards_elided);
-    ("guards_pruned", fun s -> s.guards_pruned);
     ("invariant_violations", fun s -> s.invariant_violations);
     ("faults_injected", fun s -> s.faults_injected);
     ("traces_quarantined", fun s -> s.traces_quarantined);
@@ -216,12 +208,8 @@ type derived = {
       (* condemnations per constructed trace: how much of the built
          population chaos claimed *)
   eviction_rate : float; (* capacity evictions per constructed trace *)
-  guard_elision_rate : float;
-      (* fraction of in-trace guard positions elided by proof:
-         elided / (checked + elided) *)
   guards_per_kinstr : float;
-      (* guards actually checked per 1000 executed instructions — the
-         dynamic cost pruning attacks *)
+      (* guards checked per 1000 executed instructions *)
   deopt_rate : float;
       (* OSR deoptimizations per trace entry: how often a followed trace
          was abandoned mid-flight instead of completing or side-exiting
@@ -265,7 +253,6 @@ let derived t : derived =
        else ratio block_model total_dispatches);
     quarantine_rate = ratio t.traces_quarantined t.traces_constructed;
     eviction_rate = ratio t.traces_evicted t.traces_constructed;
-    guard_elision_rate = ratio t.guards_elided (t.guards_checked + t.guards_elided);
     guards_per_kinstr = 1000.0 *. ratio t.guards_checked t.instructions;
     deopt_rate = ratio t.deopts t.traces_entered;
     deopt_residue = ratio t.deopt_residue_blocks t.deopts;
@@ -303,10 +290,6 @@ let dispatch_reduction t = (derived t).dispatch_reduction
 let quarantine_rate t = (derived t).quarantine_rate
 
 let eviction_rate t = (derived t).eviction_rate
-
-let guard_elision_rate t = (derived t).guard_elision_rate
-
-let guards_per_kinstr t = (derived t).guards_per_kinstr
 
 let deopt_rate t = (derived t).deopt_rate
 
@@ -347,16 +330,10 @@ let pp ppf t =
     (d.trace_event_interval /. 1000.0)
     (100.0 *. d.linking_rate)
     t.bcg_nodes t.bcg_edges;
-  (* guard accounting appears only once traces actually dispatched with
-     guard counting on, so older renderings are unchanged *)
-  if t.guards_checked + t.guards_elided > 0 then
-    Format.fprintf ppf
-      "@,\
-       @[<v>guards checked      %d (%.2f/kinstr)@,\
-       guards elided       %d (%.1f%% of positions, %d pruned statically)@]"
-      t.guards_checked d.guards_per_kinstr t.guards_elided
-      (100.0 *. d.guard_elision_rate)
-      t.guards_pruned;
+  (* guard accounting appears only once traces actually dispatched *)
+  if t.guards_checked > 0 then
+    Format.fprintf ppf "@,@[<v>guards checked      %d (%.2f/kinstr)@]"
+      t.guards_checked d.guards_per_kinstr;
   (* OSR accounting appears only when on-stack replacement actually
      fired, so a run with OSR off renders unchanged *)
   if t.deopts > 0 || t.osr_promotions > 0 then

@@ -33,14 +33,8 @@ type t = {
   mutable chained_entries : int;
       (** trace entries directly following another trace's completion *)
   mutable guards_checked : int;
-      (** trace-position guards actually compared against the executed
-          block during dispatch *)
-  mutable guards_elided : int;
-      (** guard positions skipped because [Trace_prover] proved them
-          implied ([Trace.pruned] verdicts) *)
-  mutable guards_pruned : int;
-      (** static pruning verdicts derived at install time, summed over
-          constructed traces *)
+      (** trace-position guards compared against the executed block
+          during dispatch *)
   mutable invariant_violations : int;
       (** findings of the [Config.debug_checks] sweeps *)
   mutable faults_injected : int;  (** faults the injector actually applied *)
@@ -129,12 +123,8 @@ type derived = {
       (** condemnations per constructed trace — how much of the built
           population chaos claimed *)
   eviction_rate : float;  (** capacity evictions per constructed trace *)
-  guard_elision_rate : float;
-      (** fraction of in-trace guard positions elided by proof:
-          elided / (checked + elided) *)
   guards_per_kinstr : float;
-      (** guards actually checked per 1000 executed instructions — the
-          dynamic cost pruning attacks *)
+      (** guards checked per 1000 executed instructions *)
   deopt_rate : float;
       (** OSR deoptimizations per trace entry — how often a followed
           trace was abandoned mid-flight *)
@@ -203,12 +193,6 @@ val quarantine_rate : t -> float
 
 val eviction_rate : t -> float
 (** Capacity evictions per constructed trace. *)
-
-val guard_elision_rate : t -> float
-(** Fraction of in-trace guard positions elided by proof. *)
-
-val guards_per_kinstr : t -> float
-(** Guards actually checked per 1000 executed instructions. *)
 
 val deopt_rate : t -> float
 (** OSR deoptimizations per trace entry. *)

@@ -30,7 +30,8 @@ type t = {
   mutable pruned : bool array;
       (* guard-implication pruning verdicts: pruned.(i) means the guard
          at position i is implied by the entry facts and the guards
-         before it, so its check can be elided.  [||] = no pruning.
+         before it.  Analysis output: dispatch never reads it.
+         [||] = no pruning.
          Derived state: recomputable from the body by Trace_prover, not
          persisted in snapshots — restored traces start unpruned. *)
   mutable validated : bool;

@@ -32,10 +32,11 @@ type t = {
       (** guard-implication pruning verdicts from
           [Tracegen.Trace_prover]: [pruned.(i)] means the guard at
           position [i] is implied by the trace's entry facts plus the
-          guards before it, so the dispatch loop elides (accounts rather
-          than checks) it.  [[||]] means no pruning.  Derived state:
-          recomputable from the body, never persisted in snapshots;
-          restored traces start unpruned. *)
+          guards before it.  Analysis output only: the engine never
+          prunes, and dispatch neither reads nor trusts it.  [[||]]
+          means no pruning.  Derived state: recomputable from the body,
+          never persisted in snapshots; restored traces start
+          unpruned. *)
   mutable validated : bool;
       (** whether the [debug_checks] sweep already ran translation
           validation on this trace; derived state, never persisted. *)

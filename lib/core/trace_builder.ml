@@ -28,13 +28,9 @@ type outcome = {
   new_traces : int; (* traces actually constructed *)
   reused_traces : int; (* reconstructions satisfied by hash-consing *)
   entry_points : int;
-  pruned_guards : int;
-      (* guard positions proved implied across the newly installed
-         traces (Config.prune_guards) *)
 }
 
-let no_outcome =
-  { new_traces = 0; reused_traces = 0; entry_points = 0; pruned_guards = 0 }
+let no_outcome = { new_traces = 0; reused_traces = 0; entry_points = 0 }
 
 (* A predecessor [p] leads into [n] strongly if p's best successor edge
    targets n and p is followable. *)
@@ -127,36 +123,17 @@ let walk_from (config : Config.t) (root : Bcg.node) : walk =
   { path; corrs; cycle_start = !cycle }
 
 (* Install one candidate and do the per-install bookkeeping the cutter
-   and OSR promotion share: hash-cons accounting, one-time
-   guard-implication pruning, the construction event.  Returns
-   ((new, reused, pruned), installed trace). *)
-let install_candidate (config : Config.t) (cache : Trace_cache.t) ~events
-    ~first ~blocks ~prob : (int * int * int) * Trace.t option =
+   and OSR promotion share: hash-cons accounting and the construction
+   event.  Returns ((new, reused), installed trace). *)
+let install_candidate (cache : Trace_cache.t) ~events ~first ~blocks ~prob :
+    (int * int) * Trace.t option =
   let before = Trace_cache.n_constructed cache in
   (* fallible: a quarantined entry or an injected installation failure
      drops the candidate — the cache records why *)
   match Trace_cache.try_install cache ~first ~blocks ~prob with
-  | None -> ((0, 0, 0), None)
+  | None -> ((0, 0), None)
   | Some tr ->
       let is_new = Trace_cache.n_constructed cache > before in
-      let pruned = ref 0 in
-      (* guard-implication pruning runs once, at installation: the
-         verdicts are a property of the trace body alone, so a hash-cons
-         reuse keeps the first derivation *)
-      if is_new && Config.prune_guards config then begin
-        let n = Trace_prover.prune (Trace_cache.layout cache) tr in
-        if n > 0 then begin
-          pruned := n;
-          if Events.enabled events then
-            Events.emit events
-              (Events.Guards_pruned
-                 {
-                   trace_id = tr.Trace.id;
-                   pruned = n;
-                   guards = Trace.n_blocks tr;
-                 })
-        end
-      end;
       if Events.enabled events then
         Events.emit events
           (Events.Trace_constructed
@@ -168,17 +145,16 @@ let install_candidate (config : Config.t) (cache : Trace_cache.t) ~events
                prob;
                reused = not is_new;
              });
-      (((if is_new then 1 else 0), (if is_new then 0 else 1), !pruned), Some tr)
+      (((if is_new then 1 else 0), if is_new then 0 else 1), Some tr)
 
 (* Step 4: greedy probability cut of one segment of transitions
    [lo .. hi] (inclusive).  A trace covering transitions i..j consists of
    blocks [n_i.n_y .. n_j.n_y] with entry context n_i.n_x and completion
    probability prod(corrs.(i) .. corrs.(j-1)). *)
 let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
-    (w : walk) ~lo ~hi : int * int * int =
+    (w : walk) ~lo ~hi : int * int =
   let new_traces = ref 0 in
   let reused = ref 0 in
-  let pruned_guards = ref 0 in
   let i = ref lo in
   while !i <= hi do
     let j = ref !i in
@@ -187,7 +163,7 @@ let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
     while !continue_ do
       let next = !j + 1 in
       if next > hi then continue_ := false
-      else if next - !i + 1 > Config.max_trace_blocks config then
+      else if next - !i + 1 > Config.max_trace_blocks then
         continue_ := false
       else begin
         (* corrs.(!j) links transition !j to transition next; it is present
@@ -206,16 +182,13 @@ let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
       let blocks =
         Array.init n_transitions (fun k -> w.path.(!i + k).Bcg.n_y)
       in
-      let (n, r, p), _ =
-        install_candidate config cache ~events ~first ~blocks ~prob:!p
-      in
+      let (n, r), _ = install_candidate cache ~events ~first ~blocks ~prob:!p in
       new_traces := !new_traces + n;
-      reused := !reused + r;
-      pruned_guards := !pruned_guards + p
+      reused := !reused + r
     end;
     i := !j + 1
   done;
-  (!new_traces, !reused, !pruned_guards)
+  (!new_traces, !reused)
 
 (* Step 3: a walk that closed a loop gets its loop segment unrolled once
    (paper §4.2): the candidate transition sequence is two copies of the
@@ -241,25 +214,25 @@ let unroll_loop (w : walk) ~c ~m : walk =
 
 (* Steps 2-4 for one entry point. *)
 let build_from (config : Config.t) (cache : Trace_cache.t) ~events ~on_path
-    (root : Bcg.node) : int * int * int =
+    (root : Bcg.node) : int * int =
   let w = walk_from config root in
   on_path (Array.length w.path);
   let m = Array.length w.path - 1 in
-  if m < 0 then (0, 0, 0)
+  if m < 0 then (0, 0)
   else
     match w.cycle_start with
     | Some c when c <= m ->
         (* the loop is processed first, then the prefix leading into it *)
         let lw = unroll_loop w ~c ~m in
-        let ln, lr, lp =
+        let ln, lr =
           cut_segment config cache ~events lw ~lo:0
             ~hi:(Array.length lw.path - 1)
         in
-        let pn, pr, pp =
+        let pn, pr =
           if c > 0 then cut_segment config cache ~events w ~lo:0 ~hi:(c - 1)
-          else (0, 0, 0)
+          else (0, 0)
         in
-        (ln + pn, lr + pr, lp + pp)
+        (ln + pn, lr + pr)
     | Some _ | None -> cut_segment config cache ~events w ~lo:0 ~hi:m
 
 (* Entry point: react to one profiler signal.  [on_path] observes the
@@ -272,19 +245,16 @@ let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
   let entries = find_entry_points signal.Bcg.s_node in
   let new_traces = ref 0 in
   let reused = ref 0 in
-  let pruned = ref 0 in
   List.iter
     (fun root ->
-      let n, r, p = build_from config cache ~events ~on_path root in
+      let n, r = build_from config cache ~events ~on_path root in
       new_traces := !new_traces + n;
-      reused := !reused + r;
-      pruned := !pruned + p)
+      reused := !reused + r)
     entries;
   {
     new_traces = !new_traces;
     reused_traces = !reused;
     entry_points = List.length entries;
-    pruned_guards = !pruned;
   }
 
 (* OSR mid-loop promotion (ROADMAP item 4): build the hot loop's
@@ -308,7 +278,7 @@ let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
    Returns the installed trace so the caller can arm it for its first
    OSR entry. *)
 let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
-    (config : Config.t) (cache : Trace_cache.t) (bcg : Bcg.t)
+    (cache : Trace_cache.t) (bcg : Bcg.t)
     ~(header : Layout.gid) : outcome * Trace.t option =
   let root = ref None in
   Bcg.iter_nodes bcg (fun (n : Bcg.node) ->
@@ -327,7 +297,7 @@ let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
       let stalled = ref false in
       (* the closed walk installs as ONE trace, so it answers to the
          cutter's length bound (TL209) as well as the walk cap *)
-      let cap = min Config.max_walk (Config.max_trace_blocks config) in
+      let cap = min Config.max_walk Config.max_trace_blocks in
       while (not !closed) && (not !stalled) && !len < cap do
         match (!cur).Bcg.best with
         | None -> stalled := true
@@ -348,17 +318,11 @@ let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
         let blocks = Array.of_list (List.rev !rev_blocks) in
         (* the latch: last block of the body, and the entry context *)
         let first = blocks.(Array.length blocks - 1) in
-        let (n, r, p), installed =
-          install_candidate config cache ~events ~first ~blocks ~prob:!prob
+        let (n, r), installed =
+          install_candidate cache ~events ~first ~blocks ~prob:!prob
         in
         (match installed with
         | Some tr -> tr.Trace.promoted <- true
         | None -> ());
-        ( {
-            new_traces = n;
-            reused_traces = r;
-            entry_points = 1;
-            pruned_guards = p;
-          },
-          installed )
+        ({ new_traces = n; reused_traces = r; entry_points = 1 }, installed)
       end

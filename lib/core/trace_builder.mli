@@ -18,10 +18,6 @@ type outcome = {
   new_traces : int;  (** traces actually constructed *)
   reused_traces : int;  (** reconstructions satisfied by hash-consing *)
   entry_points : int;
-  pruned_guards : int;
-      (** guard positions proved implied across the newly installed
-          traces ([Trace_prover.prune] under {!Config.t.prune_guards};
-          [0] when pruning is off) *)
 }
 
 val no_outcome : outcome
@@ -42,14 +38,11 @@ val on_signal :
     disabled stream is used when omitted.  [on_path] observes the length
     (in transitions) of each maximum-likelihood walk before the
     probability cut — the engine's builder-path histogram hangs off
-    it.  Under {!Config.t.prune_guards} every newly installed trace is
-    guard-implication pruned, with a [Guards_pruned] event per trace
-    that lost at least one guard. *)
+    it. *)
 
 val promote :
   ?events:Events.t ->
   ?on_path:(int -> unit) ->
-  Config.t ->
   Trace_cache.t ->
   Bcg.t ->
   header:Cfg.Layout.gid ->

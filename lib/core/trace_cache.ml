@@ -8,8 +8,8 @@ module Layout = Cfg.Layout
 
    On top of the paper's design the cache is bounded and self-healing:
 
-   - capacity caps ([max_traces] / [max_blocks], 0 = unbounded) evict a
-     victim under pressure instead of growing without bound — the least
+   - a capacity cap ([max_traces], 0 = unbounded) evicts a victim
+     under pressure instead of growing without bound — the least
      recently dispatched entry under the default Lru policy, or the entry
      with the worst estimated-bytes-per-use ratio under Footprint_aware
      (paper §3.3: the cache should hold as little rarely executed code as
@@ -18,7 +18,7 @@ module Layout = Cfg.Layout
    - a quarantine table blacklists entry transitions whose trace was
      condemned (by a TL2xx check or an injected fault), with exponential
      backoff in cache-clock units and permanent blacklisting after
-     [heal_max_rebuilds] condemnations;
+     [Config.heal_max_rebuilds] condemnations;
    - [try_install] is the fallible front door the trace builder uses: it
      refuses quarantined entries and consumes injected installation
      failures, so the builder degrades gracefully instead of reinstalling
@@ -49,10 +49,7 @@ type t = {
   by_head : binding list array; (* head -> live bindings entered at it *)
   by_seq : (string, Trace.t) Hashtbl.t; (* structural key *)
   max_traces : int; (* live-trace cap; 0 = unbounded *)
-  max_blocks : int; (* live-block cap; 0 = unbounded *)
   policy : Config.Cache.eviction_policy; (* victim selection under pressure *)
-  heal_max_rebuilds : int;
-  heal_backoff : int;
   quarantine : (int, qentry) Hashtbl.t; (* entry key -> blacklist record *)
   mutable n_pinned : int; (* traces with [pins > 0] *)
   mutable stamp : int; (* monotone use counter for LRU *)
@@ -81,14 +78,9 @@ type t = {
       (* dispatch lookups entering a trace built by another session *)
 }
 
-let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
-    ?(eviction_policy = Config.Cache.Lru) ?(heal_max_rebuilds = 3)
-    ?(heal_backoff = 512) (layout : Layout.t) =
+let create ?(events = Events.create ()) ?(max_traces = 0)
+    ?(eviction_policy = Config.Cache.Lru) (layout : Layout.t) =
   if max_traces < 0 then invalid_arg "Trace_cache.create: max_traces < 0";
-  if max_blocks < 0 then invalid_arg "Trace_cache.create: max_blocks < 0";
-  if heal_max_rebuilds < 1 then
-    invalid_arg "Trace_cache.create: heal_max_rebuilds < 1";
-  if heal_backoff < 1 then invalid_arg "Trace_cache.create: heal_backoff < 1";
   {
     layout;
     events;
@@ -96,10 +88,7 @@ let create ?(events = Events.create ()) ?(max_traces = 0) ?(max_blocks = 0)
     by_head = Array.make layout.Layout.n_blocks [];
     by_seq = Hashtbl.create 256;
     max_traces;
-    max_blocks;
     policy = eviction_policy;
-    heal_max_rebuilds;
-    heal_backoff;
     quarantine = Hashtbl.create 16;
     n_pinned = 0;
     stamp = 0;
@@ -369,9 +358,7 @@ let evict_one t ~keep ~reason =
       emit_evicted t ~ekey b ~reason;
       true
 
-let over_capacity t =
-  (t.max_traces > 0 && n_live t > t.max_traces)
-  || (t.max_blocks > 0 && t.live_blocks > t.max_blocks)
+let over_capacity t = t.max_traces > 0 && n_live t > t.max_traces
 
 let rec enforce_caps t ~keep =
   if over_capacity t && evict_one t ~keep ~reason:Events.Capacity then
@@ -505,13 +492,14 @@ let quarantine t ~first ~head ~code : Trace.t option =
   in
   q.attempts <- q.attempts + 1;
   t.quarantines <- t.quarantines + 1;
-  if q.attempts > t.heal_max_rebuilds then begin
+  if q.attempts > Config.heal_max_rebuilds then begin
     if q.until <> max_int then t.blacklisted <- t.blacklisted + 1;
     q.until <- max_int
   end
   else
     (* exponential backoff: backoff * 2^(attempts-1) clock units *)
-    q.until <- t.clock + (t.heal_backoff * (1 lsl min (q.attempts - 1) 20));
+    q.until <-
+      t.clock + (Config.heal_backoff * (1 lsl min (q.attempts - 1) 20));
   if Events.enabled t.events then
     Events.emit t.events
       (Events.Trace_quarantined

@@ -7,8 +7,8 @@
     On top of the paper's design the cache is {e bounded} and
     {e self-healing}:
 
-    - the capacity caps ([max_traces] live traces / [max_blocks] live
-      blocks; [0] = unbounded) evict a victim under pressure
+    - the capacity cap ([max_traces] live traces; [0] = unbounded)
+      evicts a victim under pressure
       ({!n_evicted}, [Trace_evicted] events) chosen by the
       {!Config.Cache.eviction_policy}: the least recently dispatched
       entry ([Lru], the default), or the entry with the worst estimated
@@ -19,7 +19,7 @@
     - {!quarantine} blacklists an entry transition whose trace was
       condemned by a TL2xx check or an injected fault, with exponential
       backoff in cache-clock units ({!set_clock}) and permanent
-      blacklisting after [heal_max_rebuilds] condemnations;
+      blacklisting after {!Config.heal_max_rebuilds} condemnations;
     - {!try_install} is the fallible front door the trace builder uses:
       it refuses quarantined entries and consumes injected installation
       failures ({!inject_install_failure}), so the builder degrades
@@ -30,18 +30,14 @@ type t
 val create :
   ?events:Events.t ->
   ?max_traces:int ->
-  ?max_blocks:int ->
   ?eviction_policy:Config.Cache.eviction_policy ->
-  ?heal_max_rebuilds:int ->
-  ?heal_backoff:int ->
   Cfg.Layout.t ->
   t
 (** [events] receives [Trace_replaced] / [Trace_evicted] /
     [Trace_quarantined]; a fresh disabled stream is used when omitted.
-    [max_traces] and [max_blocks] default to [0] (unbounded),
-    [eviction_policy] to [Lru]; [heal_max_rebuilds] defaults to 3 and
-    [heal_backoff] to 512 cache clock units.
-    @raise Invalid_argument on out-of-range parameters. *)
+    [max_traces] defaults to [0] (unbounded), [eviction_policy] to
+    [Lru].
+    @raise Invalid_argument when [max_traces] is negative. *)
 
 val layout : t -> Cfg.Layout.t
 (** The layout the cache was created over — a shared cache may only
@@ -116,8 +112,8 @@ val quarantine :
 (** Condemn the entry transition [(first, head)] (the [code] names the
     TL2xx / FT0xx finding): the bound trace, if any, is removed as by
     {!remove}, and the entry is blacklisted until
-    [clock + heal_backoff * 2^(attempts-1)] — permanently once its
-    condemnation count exceeds [heal_max_rebuilds].  Emits
+    [clock + Config.heal_backoff * 2^(attempts-1)] — permanently once
+    its condemnation count exceeds {!Config.heal_max_rebuilds}.  Emits
     [Trace_quarantined].
 
     If the bound trace is currently {!pin}ned (being executed), the
@@ -264,7 +260,7 @@ val iter_all : t -> (Trace.t -> unit) -> unit
 val n_live : t -> int
 
 val live_blocks : t -> int
-(** Total block count of live traces — the quantity [max_blocks] caps. *)
+(** Total block count of live traces. *)
 
 val n_constructed : t -> int
 

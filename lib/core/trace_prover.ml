@@ -22,9 +22,10 @@ module Diag = Analysis.Diag
       symbolic state itself — and marks a guard position as implied when
       the previous block's terminator provably transfers control to the
       expected next block and the block body provably cannot trap.  The
-      dispatch loop then elides those positions (counting them instead of
-      checking them); [check_pruned] re-derives the proofs and reports
-      TL217 for any claimed pruning that no longer follows. *)
+      verdicts are analysis output — the engine never prunes and the
+      dispatch loop never reads them; [check_pruned] re-derives the
+      proofs and reports TL217 for any claimed pruning that no longer
+      follows. *)
 
 (* Structural soundness: what trace_code needs to not crash.  Corrupted
    traces (fault injection) are reported by Invariants as TL210/TL211;

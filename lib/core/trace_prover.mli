@@ -9,7 +9,8 @@
     {e and} its last store must not be followed by any handler-covered
     code (the exceptional edge would observe it).  The [debug_checks]
     sweep runs {!validate_new} after every invariant pass; [repro_cli
-    prove] runs {!check_cache} over every workload as a CI gate.
+    lint --traces] runs {!check_cache} over every workload as a CI
+    gate.
 
     {b Pruning.}  {!prune} walks the trace forward with a fact
     environment — constant/interval facts from {!Analysis.Constprop}
@@ -18,11 +19,9 @@
     forcing, and the symbolic state itself — and marks guard positions
     whose transition is implied: the previous block provably cannot trap
     and its terminator provably targets the expected block.  Verdicts
-    land in [Trace.pruned] for the dispatch loop to elide (they are
-    counted as elided, and under [debug_checks] a mismatch on a pruned
-    position is reported as a TL217 disproof).  {!check_pruned}
-    re-derives the proofs, reporting TL217 for any claim that no longer
-    follows. *)
+    land in [Trace.pruned] as analysis output: the engine never prunes
+    and dispatch never reads them.  {!check_pruned} re-derives the
+    proofs, reporting TL217 for any claim that no longer follows. *)
 
 val validate :
   ?context:string -> Cfg.Layout.t -> Trace.t -> Analysis.Diag.t list
@@ -35,7 +34,7 @@ val validate :
 
 val check_cache :
   ?context:string -> Cfg.Layout.t -> Trace_cache.t -> Analysis.Diag.t list
-(** {!validate} every trace in the cache — the [prove] gate. *)
+(** {!validate} every trace in the cache — the [lint --traces] gate. *)
 
 val validate_new :
   ?context:string -> Cfg.Layout.t -> Trace_cache.t -> Analysis.Diag.t list

@@ -103,8 +103,11 @@ let to_string j =
    Version 9: the decision ledger keeps events, so its own records are
    gone, and the attribution they alone carried moved into the events:
    [trace_evicted] gains [footprint] / [heat] / [stamp],
-   [trace_compiled] gains [heat], [tier_demoted] gains [winner_heat]. *)
-let schema_version = 9
+   [trace_compiled] gains [heat], [tier_demoted] gains [winner_heat].
+   Version 10: guard pruning left the engine — the [guards_pruned] event
+   kind is gone, and so are the [guards_elided] / [guards_pruned]
+   counters and the hot-report's [pruned] column. *)
+let schema_version = 10
 
 type format = Jsonl | Chrome_trace | Binary_snapshot
 
@@ -241,12 +244,6 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
           ("bcg_edges", J_int bcg_edges);
         ]
     | Events.Snapshot_rejected { reason } -> [ ("reason", J_string reason) ]
-    | Events.Guards_pruned { trace_id; pruned; guards } ->
-        [
-          ("trace_id", J_int trace_id);
-          ("pruned", J_int pruned);
-          ("guards", J_int guards);
-        ]
     | Events.Deopt_entered
         { trace_id; at_block; resume_block; residue_blocks; reason } ->
         [

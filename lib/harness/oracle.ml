@@ -40,13 +40,12 @@ let report ~source checks =
 (* Per-kind counts plus the refinements the checks need beyond raw
    kinds: new-vs-reused constructions, the eviction-reason split
    (quarantine removals count under traces_quarantined, the other
-   reasons under traces_evicted) and the pruned-guard sum. *)
+   reasons under traces_evicted). *)
 type tally = {
   counts : (string, int) Hashtbl.t;
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
-  mutable guards_pruned : int;
 }
 
 let create_tally () =
@@ -55,7 +54,6 @@ let create_tally () =
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
-    guards_pruned = 0;
   }
 
 let count t k = try Hashtbl.find t.counts k with Not_found -> 0
@@ -74,8 +72,6 @@ let observe t (payload : Events.payload) =
   | Events.Trace_evicted
       { reason = Events.Capacity | Events.Pressure | Events.Footprint; _ } ->
       t.evicted_counted <- t.evicted_counted + 1
-  | Events.Guards_pruned { pruned; _ } ->
-      t.guards_pruned <- t.guards_pruned + pruned
   | _ -> ()
 
 let attach events =
@@ -132,8 +128,6 @@ let identities ~in_flight (t : tally) (s : Stats.t) : (string * check) list =
       row "trace_evicted" "trace_evicted (all reasons) = timeline total"
         (t.evicted_counted + t.evicted_quarantine)
         (count t "trace_evicted");
-      row "guards_pruned" "guards_pruned (sum of pruned) = guards_pruned"
-        t.guards_pruned (stat "guards_pruned");
     ]
 
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =

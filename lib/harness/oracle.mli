@@ -21,8 +21,7 @@ val report : source:string -> check list -> bool
 
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split, the
-    pruned-guard sum). *)
+    (new-vs-reused constructions, the eviction-reason split). *)
 
 val create_tally : unit -> tally
 
@@ -47,8 +46,8 @@ val event_checks :
     table: the occurrences of an event kind equal the
     {!Tracegen.Stats.counters} entry the row names.  Written out beside
     them: the new/reused construction split, the side-exit balance
-    (entered − completed − in-flight), the eviction-reason split and
-    the pruned-guard sum. *)
+    (entered − completed − in-flight) and the eviction-reason
+    split. *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list

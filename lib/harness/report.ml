@@ -11,9 +11,6 @@ module Layout = Cfg.Layout
    Stats total — [checks] states those identities and [repro_cli top]
    enforces them. *)
 
-let count_pruned (tr : Tr.Trace.t) =
-  Array.fold_left (fun n p -> if p then n + 1 else n) 0 tr.Tr.Trace.pruned
-
 type trace_row = {
   trace_id : int;
   entry : string; (* human-readable entering transition *)
@@ -23,7 +20,6 @@ type trace_row = {
   completed : int;
   partial_exits : int;
   instrs : int; (* instructions attributed to the trace body *)
-  pruned : int; (* guard positions proven redundant (Trace_prover) *)
   tier : string; (* "compiled" when holding a micro-IR body, else "interp" *)
 }
 
@@ -61,7 +57,6 @@ let of_engine (engine : Tr.Engine.t) : t =
             completed = tr.Tr.Trace.completed;
             partial_exits = tr.Tr.Trace.partial_exits;
             instrs = trace_instrs tr;
-            pruned = count_pruned tr;
             tier =
               (match tr.Tr.Trace.lowered with
               | Some _ -> "compiled"
@@ -141,17 +136,16 @@ let render ?(top = 10) (r : t) : string =
     go n l
   in
   Buffer.add_string buf
-    (Printf.sprintf "%-6s %-32s %7s %9s %9s %8s %10s %6s %6s %-8s\n" "trace"
-       "entry" "blocks" "entered" "completed" "partial" "instrs" "prob"
-       "pruned" "tier");
+    (Printf.sprintf "%-6s %-32s %7s %9s %9s %8s %10s %6s %-8s\n" "trace"
+       "entry" "blocks" "entered" "completed" "partial" "instrs" "prob" "tier");
   List.iter
     (fun row ->
       Buffer.add_string buf
-        (Printf.sprintf "%-6d %-32s %7d %9d %9d %8d %10d %6.3f %6d %-8s\n"
+        (Printf.sprintf "%-6d %-32s %7d %9d %9d %8d %10d %6.3f %-8s\n"
            row.trace_id
            (truncate_label 32 row.entry)
            row.n_blocks row.entered row.completed row.partial_exits row.instrs
-           row.prob row.pruned row.tier))
+           row.prob row.tier))
     (take top r.traces);
   if List.length r.traces > top then
     Buffer.add_string buf
@@ -187,7 +181,6 @@ let json (r : t) : Codec.json =
         ("completed", Codec.J_int row.completed);
         ("partial_exits", Codec.J_int row.partial_exits);
         ("instrs", Codec.J_int row.instrs);
-        ("pruned", Codec.J_int row.pruned);
         ("tier", Codec.J_string row.tier);
       ]
   in

@@ -16,9 +16,6 @@ type trace_row = {
   completed : int;
   partial_exits : int;
   instrs : int;  (** instructions attributed to the trace body *)
-  pruned : int;
-      (** guard positions proven redundant by [Tracegen.Trace_prover]
-          (0 unless the run had [Config.prune_guards] on) *)
   tier : string;
       (** ["compiled"] when the trace holds a micro-IR body
           ([Config.tier_enabled]), ["interp"] otherwise *)

@@ -31,17 +31,11 @@ dune runtest
 cli=$PWD/_build/default/bin/repro_cli.exe
 
 # Static dataflow lint + dynamic invariant sweep over every registered
-# workload, plus the symbolic trace validator over every trace the
-# sweep's engine installed; exits non-zero on any error-severity finding.
+# workload, plus the translation-validation gate: every trace the
+# sweep's engine installed must prove observationally equivalent to its
+# source blocks (TL21x clean).  Exits non-zero on any error-severity
+# finding.
 "$cli" lint --traces
-
-# Translation-validation gate: every trace installed on every workload
-# must prove observationally equivalent to its source blocks (TL21x
-# clean), guard pruning must engage on at least two workloads, and the
-# pruned run's VM result must stay bit-identical to the unpruned run —
-# the pruning on/off ablation in one sweep.  Non-zero exit on any
-# unprovable trace, divergence, or insufficient pruning.
-"$cli" prove --min-pruning 2
 
 # Chaos gate: every workload under 50 seeded fault schedules must yield
 # VM results identical to the no-tracing baseline and recover to full

@@ -85,7 +85,7 @@ check_seq() {
   fi
 }
 
-subs="run events table disasm export list lint prove backends session chaos \
+subs="run events table disasm export list lint backends session chaos \
 top timeline warm postmortem explain bench-diff"
 
 check --help=plain
@@ -93,7 +93,6 @@ for s in $subs; do check "$s" --help=plain; done
 
 # the scripts/check.sh invocations
 check lint --traces
-check prove --min-pruning 2
 check chaos --seed 42 --quick
 check chaos --spec 'guard_flip@0.05,budget=24' --schedules 25 --seed 42 \
   --quick --osr

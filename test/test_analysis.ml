@@ -15,6 +15,10 @@ module Loops = Analysis.Loops
 module Lint = Analysis.Lint
 module Diag = Analysis.Diag
 
+(* the linter at the trace builder's own length cap, as `repro_cli lint`
+   runs it *)
+let lint = Lint.lint_program ~max_trace_blocks:Tracegen.Config.max_trace_blocks
+
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
@@ -346,7 +350,7 @@ let test_lint_clean_program () =
         B.iload m 0;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program p in
+  let diags = lint p in
   check Alcotest.bool "no error findings" false (Diag.has_errors diags)
 
 let test_lint_seeded_dead_store () =
@@ -359,7 +363,7 @@ let test_lint_seeded_dead_store () =
         B.iload m 0;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program ~context:"seeded" p in
+  let diags = lint ~context:"seeded" p in
   check Alcotest.bool "TL101 reported" true (has_code "TL101" diags);
   check Alcotest.bool "and it is an error" true (Diag.has_errors diags);
   (* the rendering carries the context, code and location *)
@@ -379,7 +383,7 @@ let test_lint_unreachable_block () =
         B.iconst m 0;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program p in
+  let diags = lint p in
   check Alcotest.bool "TL002 reported" true (has_code "TL002" diags);
   check Alcotest.bool "unreachable code is not an error" false
     (Diag.has_errors diags)
@@ -398,7 +402,7 @@ let test_lint_always_taken_branch () =
         B.iconst m 1;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program p in
+  let diags = lint p in
   check Alcotest.bool "TL102 reported" true (has_code "TL102" diags)
 
 let test_lint_div_by_zero () =
@@ -409,7 +413,7 @@ let test_lint_div_by_zero () =
         B.i m Instr.Idiv;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program p in
+  let diags = lint p in
   check Alcotest.bool "TL105 reported" true (has_code "TL105" diags)
 
 let test_lint_verify_failure_is_tl001 () =
@@ -421,12 +425,33 @@ let test_lint_verify_failure_is_tl001 () =
         B.i m Instr.Iadd;
         B.i m Instr.Ireturn)
   in
-  let diags = Lint.lint_program p in
+  let diags = lint p in
   check Alcotest.bool "some diagnostics" true (diags <> []);
   check Alcotest.bool "all TL001" true
     (List.for_all (fun d -> d.Diag.code = "TL001") diags);
   check Alcotest.bool "verification failure is an error" true
     (Diag.has_errors diags)
+
+(* TL004 measures a loop against the cap the caller passes — the trace
+   builder's own — not a second literal of the linter's *)
+let test_lint_big_loop_uses_cap () =
+  let open Workloads.Dsl in
+  let module S = Bytecode.Structured in
+  let p = S.create () in
+  S.def_method p ~name:"main" ~args:[] ~ret:S.I
+    ~body:
+      [
+        decl_i "s" (i 0);
+        for_ "a" (i 0) (i 3)
+          [ for_ "b" (i 0) (i 3) [ set "s" (v "s" +! (v "a" *! v "b")) ] ];
+        ret (v "s");
+      ]
+    ();
+  let program = S.link p ~entry:"main" in
+  check Alcotest.bool "no TL004 at the builder's cap" false
+    (has_code "TL004" (lint program));
+  check Alcotest.bool "TL004 once the loop outgrows a 2-block cap" true
+    (has_code "TL004" (Lint.lint_program ~max_trace_blocks:2 program))
 
 (* every registered workload lints without error-severity findings — the
    static half of `repro_cli lint`'s acceptance bar *)
@@ -435,7 +460,7 @@ let test_lint_workloads_clean () =
     (fun w ->
       let program = Workloads.Workload.build_default w in
       let diags =
-        Lint.lint_program ~context:w.Workloads.Workload.name program
+        lint ~context:w.Workloads.Workload.name program
       in
       List.iter
         (fun d ->
@@ -505,6 +530,8 @@ let () =
           tc "always-taken branch" `Quick test_lint_always_taken_branch;
           tc "div by zero" `Quick test_lint_div_by_zero;
           tc "verify failure" `Quick test_lint_verify_failure_is_tl001;
+          tc "big loop measured at the passed cap" `Quick
+            test_lint_big_loop_uses_cap;
           tc "workloads lint clean" `Slow test_lint_workloads_clean;
         ] );
       ("verify_all", [ tc "collects errors" `Quick test_verify_all_collects ])

@@ -10,6 +10,8 @@
      profiler context;
    - the resumable interpreter handle replays exactly the same stream as
      a one-shot run, whatever the batch size;
+   - guard-pruning verdicts written into live traces mid-run leave every
+     counter where a run without them puts it;
    - sessions share a trace cache per layout with observable
      cross-session reuse, preserving bit-identical results (also under a
      chaos fault schedule);
@@ -24,6 +26,8 @@ module Health = Tracegen.Health
 module Bcg = Tracegen.Bcg
 module Profiler = Tracegen.Profiler
 module Stats = Tracegen.Stats
+module Trace_cache = Tracegen.Trace_cache
+module Trace_prover = Tracegen.Trace_prover
 module Interp = Vm.Interp
 
 let tc = Alcotest.test_case
@@ -186,19 +190,62 @@ let test_stepped_trap () =
   | Interp.Trapped (Interp.Division_by_zero, _) -> ()
   | _ -> Alcotest.fail "expected a division-by-zero trap"
 
+(* Trace_prover's pruning verdicts are analysis output, not dispatch
+   input: pruning every cached trace halfway through a run (as a replay
+   over a finished engine's cache does) must leave every counter where
+   the same run without the prune calls puts it. *)
+let test_pruning_verdicts_inert () =
+  let layout =
+    let w = Workloads.Compress.workload in
+    Cfg.Layout.build (w.Workloads.Workload.build ~size:2_000)
+  in
+  let counters s = List.map (fun (name, get) -> (name, get s)) Stats.counters in
+  let plain = Engine.run layout in
+  let halfway = Engine.total_dispatches plain.Engine.engine / 2 in
+  let e = Engine.create layout in
+  let h = Interp.start layout ~on_block:(Engine.on_block e) in
+  Engine.attach e h;
+  ignore (Interp.step_blocks h halfway);
+  check Alcotest.bool "still running halfway" true (Interp.running h);
+  (* each pruned trace with its entry count at the prune *)
+  let pruned = ref [] in
+  Trace_cache.iter_all (Engine.cache e) (fun tr ->
+      if Trace_prover.prune layout tr > 0 then
+        pruned := (tr, tr.Tracegen.Trace.entered) :: !pruned);
+  check Alcotest.bool "the prover pruned live traces" true (!pruned <> []);
+  let vm_result = Interp.finish h in
+  check Alcotest.bool "pruned traces dispatched after the prune" true
+    (List.exists
+       (fun (tr, entered) -> tr.Tracegen.Trace.entered > entered)
+       !pruned);
+  check Alcotest.bool "identical result" true
+    (fingerprint plain.Engine.vm_result = fingerprint vm_result);
+  check
+    Alcotest.(list (pair string int))
+    "every counter equal" (counters plain.Engine.run_stats)
+    (counters (Engine.stats e ~vm_result ~wall_seconds:0.0))
+
 (* --------------------------------------------------------------- *)
 (* ladder-driven backend switching                                   *)
 (* --------------------------------------------------------------- *)
+
+(* a fixed number of direct strikes or clean dispatches on a ladder *)
+let strike_n h n =
+  for _ = 1 to n do
+    ignore (Health.strike h)
+  done
+
+let clean_n h n =
+  for _ = 1 to n do
+    ignore (Health.clean_dispatch h)
+  done
 
 (* demote to interp-only by striking the ladder directly, recover by
    clean dispatches, and observe: the switch count, and the profiler
    context forgotten on promotion out of interp-only *)
 let test_promotion_resets_profiler () =
   let layout = Lazy.force compress_layout in
-  let config =
-    Config.make ~build_traces:false ~self_heal:true ~heal_demote_after:1
-      ~heal_recover_after:3 ()
-  in
+  let config = Config.make ~build_traces:false ~self_heal:true () in
   let e = Engine.create ~config layout in
   check Alcotest.string "starts on profile" "profile" (Engine.backend_name e);
   (* profile a short stream: context is (1,2) afterwards *)
@@ -206,14 +253,16 @@ let test_promotion_resets_profiler () =
   let bcg = Profiler.bcg (Engine.profiler e) in
   check Alcotest.bool "node (1,2) profiled" true
     (Bcg.find_node bcg ~x:1 ~y:2 != Bcg.no_node);
-  (* two direct strikes with demote_after=1: full -> profiling -> interp *)
-  ignore (Health.strike (Engine.health e));
-  ignore (Health.strike (Engine.health e));
+  (* two demotions' worth of direct strikes: full -> profiling -> interp *)
+  strike_n (Engine.health e) (2 * Config.heal_demote_after);
   check Alcotest.bool "ladder at interp-only" true
     (Health.level (Engine.health e) = Health.Interp_only);
-  (* three unprofiled dispatches fill the recovery window; the promotion
-     out of interp-only resets the profiler context *)
-  List.iter (Engine.on_block e) [ 3; 4; 5 ];
+  (* a recovery window of unprofiled dispatches, the last one block 5;
+     the promotion out of interp-only resets the profiler context *)
+  for _ = 2 to Config.heal_recover_after do
+    Engine.on_block e 3
+  done;
+  Engine.on_block e 5;
   (* the promotion lands mid-dispatch, so block 5 itself still ran on
      the interp backend; re-selection happens at the NEXT observed
      block *)
@@ -228,7 +277,7 @@ let test_promotion_resets_profiler () =
     (Bcg.find_node bcg ~x:6 ~y:7 != Bcg.no_node);
   check Alcotest.bool "pre-demotion history kept" true
     (Bcg.find_node bcg ~x:1 ~y:2 != Bcg.no_node);
-  check Alcotest.int "skipped dispatches counted" 3
+  check Alcotest.int "skipped dispatches counted" Config.heal_recover_after
     (Profiler.skipped (Engine.profiler e))
 
 (* --------------------------------------------------------------- *)
@@ -236,55 +285,50 @@ let test_promotion_resets_profiler () =
 (* --------------------------------------------------------------- *)
 
 let test_forgiveness_boundary () =
-  (* strikes are forgiven at exactly recover_after clean dispatches, not
-     one earlier *)
-  let h = Health.create ~demote_after:3 ~recover_after:5 in
-  ignore (Health.strike h);
-  ignore (Health.strike h);
-  check Alcotest.int "two strikes pending" 2 (Health.strikes h);
-  for _ = 1 to 4 do
-    ignore (Health.clean_dispatch h)
-  done;
-  (* one dispatch short of the window: a third strike still demotes *)
-  check Alcotest.int "still pending at window-1" 2 (Health.strikes h);
+  (* strikes are forgiven at exactly heal_recover_after clean
+     dispatches, not one earlier *)
+  let pending = Config.heal_demote_after - 1 in
+  let h = Health.create () in
+  strike_n h pending;
+  check Alcotest.int "one strike short of demotion" pending
+    (Health.strikes h);
+  clean_n h (Config.heal_recover_after - 1);
+  (* one dispatch short of the window: one more strike still demotes *)
+  check Alcotest.int "still pending at window-1" pending (Health.strikes h);
   (match Health.clean_dispatch h with
   | Health.Stay -> ()
   | Health.Changed _ -> Alcotest.fail "forgiveness must not change level");
   check Alcotest.int "forgiven at exactly the window" 0 (Health.strikes h);
   check Alcotest.bool "still at full tracing" false (Health.is_degraded h);
   (* the same sequence, one clean dispatch shorter, demotes instead *)
-  let h2 = Health.create ~demote_after:3 ~recover_after:5 in
-  ignore (Health.strike h2);
-  ignore (Health.strike h2);
-  for _ = 1 to 4 do
-    ignore (Health.clean_dispatch h2)
-  done;
+  let h2 = Health.create () in
+  strike_n h2 pending;
+  clean_n h2 (Config.heal_recover_after - 1);
   (match Health.strike h2 with
   | Health.Changed (Health.Full_tracing, Health.Profiling_only) -> ()
-  | _ -> Alcotest.fail "third strike inside the window must demote")
+  | _ -> Alcotest.fail "last strike inside the window must demote")
 
 let test_strikes_across_demote_recover () =
   (* each demotion and each promotion grants the new level a fresh
      strike budget *)
-  let h = Health.create ~demote_after:2 ~recover_after:3 in
-  ignore (Health.strike h);
+  let h = Health.create () in
+  strike_n h (Config.heal_demote_after - 1);
   (match Health.strike h with
   | Health.Changed (Health.Full_tracing, Health.Profiling_only) -> ()
-  | _ -> Alcotest.fail "second strike demotes");
+  | _ -> Alcotest.fail "last strike of the budget demotes");
   check Alcotest.int "budget reset after demotion" 0 (Health.strikes h);
   ignore (Health.strike h);
   check Alcotest.int "one strike at profiling-only" 1 (Health.strikes h);
   (* recover: the strike from the degraded level must not survive *)
-  ignore (Health.clean_dispatch h);
-  ignore (Health.clean_dispatch h);
+  clean_n h (Config.heal_recover_after - 1);
   (match Health.clean_dispatch h with
   | Health.Changed (Health.Profiling_only, Health.Full_tracing) -> ()
-  | _ -> Alcotest.fail "third clean dispatch promotes");
+  | _ -> Alcotest.fail "the window's last clean dispatch promotes");
   check Alcotest.int "budget reset after promotion" 0 (Health.strikes h);
-  ignore (Health.strike h);
+  strike_n h (Config.heal_demote_after - 1);
   (match Health.strike h with
   | Health.Changed (Health.Full_tracing, Health.Profiling_only) -> ()
-  | _ -> Alcotest.fail "fresh budget demotes on the second strike again");
+  | _ -> Alcotest.fail "a fresh budget demotes on its last strike again");
   check Alcotest.int "demotions counted" 2 (Health.demotions h);
   check Alcotest.int "promotions counted" 1 (Health.promotions h)
 
@@ -385,6 +429,8 @@ let () =
           tc "batched stepping replays the stream" `Quick
             test_stepped_equivalence;
           tc "trap mid-step" `Quick test_stepped_trap;
+          tc "pruning verdicts leave the counters alone" `Quick
+            test_pruning_verdicts_inert;
         ] );
       ( "ladder",
         [

@@ -98,12 +98,16 @@ let test_changed_store_value () =
 (* real traces: everything the engine installs proves clean            *)
 (* ------------------------------------------------------------------ *)
 
+(* a finished compress run whose every trace carries the prover's own
+   pruning verdicts, derived after the run *)
 let warm_engine () =
   let w = Workloads.Compress.workload in
   let layout = Cfg.Layout.build (w.Workloads.Workload.build ~size:2_000) in
-  let config = Tracegen.Config.make ~prune_guards:true () in
-  let r = Tracegen.Engine.run ~config layout in
-  (layout, Tracegen.Engine.cache r.Tracegen.Engine.engine)
+  let r = Tracegen.Engine.run layout in
+  let cache = Tracegen.Engine.cache r.Tracegen.Engine.engine in
+  Tracegen.Trace_cache.iter_all cache (fun tr ->
+      ignore (Tracegen.Trace_prover.prune layout tr));
+  (layout, cache)
 
 let test_real_traces_validate () =
   let layout, cache = warm_engine () in

@@ -175,21 +175,18 @@ let test_lru_eviction () =
   check Alcotest.bool "new entry live" true
     (Trace_cache.lookup cache ~prev:6 ~cur:7 <> None)
 
-let test_block_cap_and_pressure () =
+let test_pressure_eviction () =
   let layout = Lazy.force layout in
-  let cache = Trace_cache.create ~max_blocks:5 layout in
+  let cache = Trace_cache.create layout in
   ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
   ignore (Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0);
-  (* a third 2-block trace pushes live_blocks to 6 > 5: one eviction *)
   ignore (Trace_cache.install cache ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
-  check Alcotest.bool "block cap holds" true
-    (Trace_cache.live_blocks cache <= 5);
-  check Alcotest.int "one eviction" 1 (Trace_cache.n_evicted cache);
   (* pressure eviction: down to one live trace *)
   let n = Trace_cache.pressure_evict cache ~down_to:1 in
   check Alcotest.int "evicted down to one" 1 (Trace_cache.n_live cache);
-  check Alcotest.int "reported count" n
-    (Trace_cache.n_evicted cache - 1);
+  check Alcotest.int "reported count" 2 n;
+  check Alcotest.int "counted as evictions" n (Trace_cache.n_evicted cache);
+  check Alcotest.int "two live blocks" 2 (Trace_cache.live_blocks cache);
   (* invalid caps are rejected at construction *)
   (match Trace_cache.create ~max_traces:(-1) layout with
   | exception Invalid_argument _ -> ()
@@ -201,9 +198,8 @@ let test_block_cap_and_pressure () =
 
 let test_quarantine_backoff () =
   let layout = Lazy.force layout in
-  let cache =
-    Trace_cache.create ~heal_max_rebuilds:2 ~heal_backoff:100 layout
-  in
+  let cache = Trace_cache.create layout in
+  let backoff = Config.heal_backoff in
   let t0 = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
   (match Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210" with
   | Some tr -> check Alcotest.bool "condemned trace removed" true (tr == t0)
@@ -219,31 +215,42 @@ let test_quarantine_backoff () =
     = None);
   check Alcotest.int "refusal counted" 1
     (Trace_cache.n_quarantine_rejects cache);
-  (* first backoff window: heal_backoff * 2^0 = 100 clock units *)
-  Trace_cache.set_clock cache 99;
-  check Alcotest.bool "still quarantined at 99" true
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  Trace_cache.set_clock cache 101;
-  check Alcotest.bool "released at 101" false
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  check Alcotest.bool "rebuild allowed" true
-    (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
-    <> None);
-  (* second condemnation doubles the backoff (until 101 + 200) *)
-  ignore (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210");
-  Trace_cache.set_clock cache 300;
-  check Alcotest.bool "still quarantined at 300" true
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  Trace_cache.set_clock cache 302;
-  check Alcotest.bool "released at 302" false
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  (* third condemnation exceeds heal_max_rebuilds = 2: permanent *)
+  (* first backoff window: heal_backoff * 2^0 clock units from clock 0 *)
+  let released = ref backoff in
+  let window attempt =
+    Trace_cache.set_clock cache (!released - 1);
+    check Alcotest.bool
+      (Printf.sprintf "still quarantined before window %d ends" attempt)
+      true
+      (Trace_cache.is_quarantined cache ~first:0 ~head:1);
+    Trace_cache.set_clock cache (!released + 1);
+    check Alcotest.bool
+      (Printf.sprintf "released after window %d" attempt)
+      false
+      (Trace_cache.is_quarantined cache ~first:0 ~head:1);
+    check Alcotest.bool "rebuild allowed" true
+      (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
+      <> None)
+  in
+  window 1;
+  (* every further condemnation doubles the backoff, up to
+     heal_max_rebuilds condemnations in all *)
+  for attempt = 2 to Config.heal_max_rebuilds do
+    let now = !released + 1 in
+    ignore (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210");
+    released := now + (backoff lsl (attempt - 1));
+    window attempt
+  done;
+  check Alcotest.int "not yet blacklisted" 0 (Trace_cache.n_blacklisted cache);
+  (* one condemnation past heal_max_rebuilds: permanent *)
   ignore (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210");
   check Alcotest.int "blacklisted" 1 (Trace_cache.n_blacklisted cache);
   Trace_cache.set_clock cache 1_000_000_000;
   check Alcotest.bool "blacklist never expires" true
     (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  check Alcotest.int "three condemnations" 3 (Trace_cache.n_quarantines cache)
+  check Alcotest.int "every condemnation counted"
+    (Config.heal_max_rebuilds + 1)
+    (Trace_cache.n_quarantines cache)
 
 let test_inject_install_failure () =
   let layout = Lazy.force layout in
@@ -266,53 +273,50 @@ let level =
     (fun ppf l -> Format.pp_print_string ppf (Health.level_to_string l))
     ( = )
 
+let repeat n f =
+  for _ = 1 to n do
+    ignore (f ())
+  done
+
 let test_health_ladder () =
-  let h = Health.create ~demote_after:2 ~recover_after:3 in
+  let h = Health.create () in
+  let strike () = Health.strike h and clean () = Health.clean_dispatch h in
+  let demote_after = Config.heal_demote_after in
+  let recover_after = Config.heal_recover_after in
   check level "starts at full tracing" Health.Full_tracing (Health.level h);
-  check Alcotest.bool "first strike stays" true (Health.strike h = Health.Stay);
-  check Alcotest.bool "second strike demotes" true
-    (Health.strike h
-    = Health.Changed (Health.Full_tracing, Health.Profiling_only));
+  repeat (demote_after - 1) strike;
+  check level "strikes below the budget stay" Health.Full_tracing
+    (Health.level h);
+  check Alcotest.bool "the budget's last strike demotes" true
+    (strike () = Health.Changed (Health.Full_tracing, Health.Profiling_only));
   check Alcotest.bool "degraded" true (Health.is_degraded h);
-  (* two more strikes reach the floor *)
-  ignore (Health.strike h);
-  ignore (Health.strike h);
+  (* a second budget reaches the floor *)
+  repeat demote_after strike;
   check level "at interp-only" Health.Interp_only (Health.level h);
   (* strikes at the floor do not demote further *)
-  ignore (Health.strike h);
-  ignore (Health.strike h);
+  repeat demote_after strike;
   check level "still interp-only" Health.Interp_only (Health.level h);
   check Alcotest.int "two demotions" 2 (Health.demotions h);
-  (* recover_after clean dispatches climb one level at a time *)
-  ignore (Health.clean_dispatch h);
-  ignore (Health.clean_dispatch h);
+  (* heal_recover_after clean dispatches climb one level at a time *)
+  repeat (recover_after - 1) clean;
   check level "not yet" Health.Interp_only (Health.level h);
-  check Alcotest.bool "third clean promotes" true
-    (Health.clean_dispatch h
-    = Health.Changed (Health.Interp_only, Health.Profiling_only));
-  for _ = 1 to 3 do
-    ignore (Health.clean_dispatch h)
-  done;
+  check Alcotest.bool "the window's last clean dispatch promotes" true
+    (clean () = Health.Changed (Health.Interp_only, Health.Profiling_only));
+  repeat recover_after clean;
   check level "back to full tracing" Health.Full_tracing (Health.level h);
   check Alcotest.int "two promotions" 2 (Health.promotions h)
 
 let test_health_forgiveness () =
-  let h = Health.create ~demote_after:2 ~recover_after:3 in
+  let h = Health.create () in
   (* one strike, then a clean window: the stale strike is forgiven, so
      isolated faults never accumulate into a demotion *)
   check Alcotest.bool "stay" true (Health.strike h = Health.Stay);
   check Alcotest.int "one strike" 1 (Health.strikes h);
-  for _ = 1 to 3 do
-    ignore (Health.clean_dispatch h)
-  done;
+  repeat Config.heal_recover_after (fun () -> Health.clean_dispatch h);
   check Alcotest.int "forgiven" 0 (Health.strikes h);
   check Alcotest.bool "a much later strike stays again" true
     (Health.strike h = Health.Stay);
-  check level "never left full tracing" Health.Full_tracing (Health.level h);
-  (* constructor rejects nonsense windows *)
-  match Health.create ~demote_after:0 ~recover_after:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "demote_after 0 should be rejected"
+  check level "never left full tracing" Health.Full_tracing (Health.level h)
 
 (* --------------------------------------------------------------- *)
 (* BCG node repair                                                   *)
@@ -354,8 +358,7 @@ let () =
         [
           tc "remove keeps n_live consistent" `Quick test_remove_consistency;
           tc "LRU eviction under max_traces" `Quick test_lru_eviction;
-          tc "block cap and pressure eviction" `Quick
-            test_block_cap_and_pressure;
+          tc "pressure eviction" `Quick test_pressure_eviction;
         ] );
       ( "quarantine",
         [

@@ -159,7 +159,7 @@ let test_bad_trace_length_fires_tl209 () =
   let cache = Trace_cache.create layout in
   let too_long =
     Array.init
-      ((Tracegen.Config.max_trace_blocks Tracegen.Config.default) + 1)
+      (Tracegen.Config.max_trace_blocks + 1)
       (fun k -> (k + 1) mod layout.Cfg.Layout.n_blocks)
   in
   ignore (Trace_cache.install cache ~first:0 ~blocks:too_long ~prob:1.0);

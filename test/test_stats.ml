@@ -141,12 +141,12 @@ let test_counter_names () =
     names
 
 (* Every counter's gauge reads its Stats field, on a run that moves the
-   OSR, tier, guard-pruning and self-healing counters.  [instructions]
+   OSR, tier and self-healing counters.  [instructions]
    has no gauge: only the VM knows it. *)
 let test_gauges_match_stats () =
   let config =
-    Tracegen.Config.make ~osr:true ~tier:true ~prune_guards:true
-      ~self_heal:true ~debug_checks:true
+    Tracegen.Config.make ~osr:true ~tier:true ~self_heal:true
+      ~debug_checks:true
       ~fault_spec:"corrupt-trace@0.005,budget=20" ()
   in
   let r = Engine.run ~config (compress_layout 2_000) in

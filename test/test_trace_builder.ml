@@ -148,21 +148,22 @@ let test_probability_cut () =
         (tr.Trace.prob >= 0.97))
 
 let test_max_length_cap () =
-  let config =
-    Config.make ~start_state_delay:1 ~threshold:0.97 ~decay_period:1_000_000
-      ~max_trace_blocks:4 ()
-  in
+  let config = mk_config () in
   let bcg = mk_bcg config in
   let cache = Trace_cache.create (Lazy.force layout) in
-  feed_path bcg [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] ~times:20;
+  (* a certain straight path well past the cap: only the cap cuts it *)
+  let n = Config.max_trace_blocks + 16 in
+  check Alcotest.bool "layout holds the path" true
+    (n < (Lazy.force layout).Layout.n_blocks);
+  feed_path bcg (List.init n (fun k -> k + 1)) ~times:20;
   recheck_all bcg;
   ignore (Trace_builder.on_signal config cache (signal_for bcg ~x:5 ~y:6));
-  let checked = ref 0 in
+  let longest = ref 0 in
   Trace_cache.iter_all cache (fun tr ->
-      incr checked;
       check Alcotest.bool "respects max_trace_blocks" true
-        (Trace.n_blocks tr <= 4));
-  check Alcotest.bool "some traces built" true (!checked > 0)
+        (Trace.n_blocks tr <= Config.max_trace_blocks);
+      longest := max !longest (Trace.n_blocks tr));
+  check Alcotest.int "the cap binds" Config.max_trace_blocks !longest
 
 let test_single_transition_suppressed () =
   let config = mk_config () in
