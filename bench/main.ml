@@ -10,7 +10,7 @@
    — counts and ratios of counts, never wall-clock time, so two runs
    of the same build print the same numbers.  Wall-clock cost is
    perfbench's job (perfbench/README.md).  Section labels such as
-   span_overhead keep the names of the timed sections whose counters
+   flightrec_ledger keep the names of the timed sections whose counters
    they carry, so older baselines still join on (section, metric).
 
    --json also writes the counter rows as BENCH_smoke.json (with
@@ -82,15 +82,6 @@ let observability () =
   let _sub = Tracegen.Events.subscribe events (fun _ -> incr seen) in
   ignore (run_small ~events (Tracegen.Config.make ~snapshot_period:10_000 ()));
   [ count "events_per_run" !seen Perf.Higher ]
-
-(* Spans and attribution on: the spans one run records. *)
-let span_overhead () =
-  let config = Tracegen.Config.make ~obs_spans:true ~obs_attribution:true () in
-  let e = (run_small config).Engine.engine in
-  let spans =
-    Option.fold ~none:0 ~some:Tracegen.Spans.recorded (Engine.spans e)
-  in
-  [ count "spans_per_run" spans Perf.Higher ]
 
 (* The default black box and decision ledger on an events-enabled run
    (the reconciliation oracle's tally subscribed, as the chaos gate and
@@ -209,7 +200,6 @@ let rows =
   let ablated = [ "compress"; "scimark" ] in
   [
     ("observability", observability);
-    ("span_overhead", span_overhead);
     ("flightrec_ledger", flightrec_ledger);
     ("osr", osr);
   ]

@@ -23,7 +23,10 @@ let run workload size (flags : Cli.flags) dump_traces dump_bcg top
   | Some path -> (
       match Engine.flightrec result.Engine.engine with
       | Some fr ->
-          Harness.Postmortem.write ~reason:Tracegen.Flightrec.Manual ~path fr;
+          Cli.write_file path
+            (Harness.Codec.postmortem_jsonl
+               ~reason:(Tracegen.Flightrec.reason_to_string Manual)
+               fr);
           Printf.eprintf "# flightrec: %d of %d recorded entrie(s) -> %s\n"
             (min
                (Tracegen.Flightrec.recorded fr)
@@ -396,6 +399,11 @@ let chaos workload size seed schedules spec osr tier quick verbose catalogue
     ignore
       (Cli.config { Cli.defaults with Cli.fault_spec = spec; fault_seed = seed });
     let max_instructions = if quick then Some 120_000 else None in
+    let arm =
+      Option.map
+        (fun dir -> Harness.Postmortem.arm ~dir ~write:Cli.write_file)
+        dump_dir
+    in
     let failures = ref 0 in
     List.iter
       (fun (w : Workloads.Workload.t) ->
@@ -405,8 +413,8 @@ let chaos workload size seed schedules spec osr tier quick verbose catalogue
         let verdicts =
           List.init schedules (fun i ->
               let v =
-                Harness.Chaos.run_one ~spec ~osr ~tier ?max_instructions
-                  ?dump_dir w ~size ~seed:(seed + (1000 * i))
+                Harness.Chaos.run_one ~spec ~osr ~tier ?max_instructions ?arm
+                  w ~size ~seed:(seed + (1000 * i))
               in
               if not (Harness.Chaos.passed v) then
                 Printf.printf "FAIL %s\n" (Harness.Chaos.describe v)
@@ -723,79 +731,6 @@ let top_cmd =
       $ rows $ json)
 
 (* ------------------------------------------------------------------ *)
-(* timeline                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay a workload with the span recorder on and export the causal
-   timeline: span JSONL on stdout, or Chrome trace_event JSON with
-   --chrome FILE (loadable in Perfetto / about://tracing).  The Chrome
-   export is self-validating: the file is re-parsed and held to the
-   structural oracle (monotone timestamps, every E closing a B, X events
-   carrying dur).  Exit 1 on any violation. *)
-let timeline workload size flags chrome folded =
-  let module Spans = Tracegen.Spans in
-  let layout = Cli.layout workload ~size in
-  let config = Cli.config ~obs_spans:true flags in
-  let engine = (Engine.run ~config layout).Engine.engine in
-  let spans = Option.get (Engine.spans engine) (* obs_spans above *) in
-  Spans.end_all spans ~now:(Engine.total_dispatches engine);
-  let list = Spans.to_list spans in
-  Printf.eprintf "# %d span(s) recorded, %d dropped by wraparound\n"
-    (Spans.recorded spans) (Spans.dropped spans);
-  (* --folded: the span tree as folded stacks (frame;frame;frame weight),
-     weighted by self time in dispatch ticks — flamegraph.pl input *)
-  Option.iter
-    (fun path ->
-      let out = Harness.Report.folded list in
-      Cli.write_file path out;
-      Printf.eprintf "# ok: %d folded stack(s): %s\n"
-        (List.length (String.split_on_char '\n' out |> List.filter (( <> ) "")))
-        path)
-    folded;
-  match chrome with
-  | None -> if folded = None then print_string (Harness.Codec.spans_jsonl list)
-  | Some path -> (
-      let out = Harness.Codec.to_string (Harness.Codec.chrome_trace list) in
-      Cli.write_file path (out ^ "\n");
-      (* round-trip oracle: re-parse what was just written *)
-      match Harness.Codec.parse out with
-      | Error msg ->
-          Printf.eprintf "# MISMATCH: chrome trace does not re-parse: %s\n"
-            msg;
-          exit 1
-      | Ok parsed -> (
-          match Harness.Report.check_chrome parsed with
-          | [] -> Printf.eprintf "# ok: chrome trace valid: %s\n" path
-          | violations ->
-              List.iter (Printf.eprintf "# MISMATCH: %s\n") violations;
-              exit 1))
-
-let timeline_cmd =
-  let chrome =
-    Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
-           ~doc:"Write the timeline as Chrome trace_event JSON to $(docv) \
-                 (loadable in Perfetto or about://tracing) and \
-                 self-validate it, instead of printing span JSONL.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE"
-           ~doc:"Also write the span tree as folded stacks \
-                 (frame;frame;frame weight, weighted by self dispatch \
-                 ticks) to $(docv) — direct flamegraph.pl / speedscope \
-                 input.")
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Replay a workload with the causal span recorder on (trace builds, \
-          heal sweeps, quarantine episodes) and export the timeline: span \
-          JSON lines on stdout, or self-validated Chrome trace_event JSON \
-          with --chrome FILE.")
-    Term.(
-      const timeline $ Cli.workload_arg $ Cli.size_arg
-      $ Cli.flags ~faults:true () $ chrome $ folded)
-
-(* ------------------------------------------------------------------ *)
 (* warm                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -904,9 +839,9 @@ let postmortem_cmd =
        ~doc:
          "Pretty-print a flight-recorder post-mortem dump: the dump header \
           (trigger reason, ring occupancy) followed by the surviving window \
-          of events, span closures and metric deltas, oldest first.  Every \
-          line is re-parsed through the Codec JSON parser; exits 1 on any \
-          malformed record.")
+          of events and metric deltas, oldest first.  Every line is \
+          re-parsed through the Codec JSON parser; exits 1 on any malformed \
+          record.")
     Term.(const postmortem $ file)
 
 (* ------------------------------------------------------------------ *)
@@ -915,9 +850,8 @@ let postmortem_cmd =
 
 (* Replay a workload and narrate the decision ledger: every decision
    event concerning a trace (or an entry block), each with its dispatch
-   tick and the span that was open when it was made.  The ledger's
-   per-kind counts are then reconciled against the end-of-run
-   statistics (Harness.Oracle); exit 1 on any drift. *)
+   tick.  The ledger's per-kind counts are then reconciled against the
+   end-of-run statistics (Harness.Oracle); exit 1 on any drift. *)
 let explain workload size flags trace_id block =
   let module L = Tracegen.Ledger in
   let module Events = Tracegen.Events in
@@ -926,8 +860,8 @@ let explain workload size flags trace_id block =
   let ledger = Option.get (Engine.ledger result.Engine.engine) in
   let entries = List.mapi (fun seq e -> (seq, e)) (L.to_list ledger) in
   (* the payload's integer field [name], read off its JSON rendering *)
-  let field name ((_, e) : int * L.entry) =
-    match Harness.Codec.event_json e.L.event with
+  let field name ((_, e) : int * Events.event) =
+    match Harness.Codec.event_json e with
     | Harness.Codec.J_obj kvs -> (
         match List.assoc_opt name kvs with
         | Some (Harness.Codec.J_int i) -> Some i
@@ -966,15 +900,14 @@ let explain workload size flags trace_id block =
   Printf.printf "%d of %d ledger entries concern %s:\n" (List.length shown)
     (L.length ledger) what;
   List.iter
-    (fun (seq, (e : L.entry)) ->
-      let ev = e.L.event in
+    (fun (seq, (e : Events.event)) ->
       let line =
         Harness.Codec.flightrec_entry_json
           (Tracegen.Flightrec.Event
-             { seq; time = ev.Events.time; payload = ev.Events.payload })
+             { seq; time = e.Events.time; payload = e.Events.payload })
       in
       let (Ok d | Error d) = Harness.Postmortem.describe_json line in
-      Printf.printf "  span=%-4d %s\n" e.L.span d)
+      Printf.printf "  %s\n" d)
     shown;
   Printf.printf "\nkind totals:";
   List.iter
@@ -982,8 +915,7 @@ let explain workload size flags trace_id block =
       let n =
         List.length
           (List.filter
-             (fun (_, (e : L.entry)) ->
-               Events.kind e.L.event.Events.payload = kind)
+             (fun (_, (e : Events.event)) -> Events.kind e.Events.payload = kind)
              entries)
       in
       if n > 0 then Printf.printf " %s=%d" kind n)
@@ -1010,12 +942,11 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Replay a workload and narrate its decision ledger: the events in \
-          which each trace was built, replaced, pruned, compiled, demoted, \
-          evicted or quarantined, promoted or deoptimized, with the \
-          victim-scoring and heat inputs they carry, each linked to its \
-          causal span and dispatch tick.  The ledger's per-kind counts are \
-          reconciled against the end-of-run statistics (stderr, non-zero \
-          exit on drift).")
+          which each trace was built, replaced, compiled, demoted, evicted \
+          or quarantined, promoted or deoptimized, with the victim-scoring \
+          and heat inputs they carry, each with its dispatch tick.  The \
+          ledger's per-kind counts are reconciled against the end-of-run \
+          statistics (stderr, non-zero exit on drift).")
     Term.(
       const explain $ Cli.workload_arg $ Cli.size_arg
       $ Cli.flags ~faults:true ~osr:true ~tier:true ()
@@ -1102,6 +1033,6 @@ let () =
           [
             run_cmd; events_cmd; table_cmd; disasm_cmd; export_cmd; list_cmd;
             lint_cmd; backends_cmd; session_cmd; chaos_cmd;
-            top_cmd; timeline_cmd; warm_cmd; postmortem_cmd; explain_cmd;
+            top_cmd; warm_cmd; postmortem_cmd; explain_cmd;
             bench_diff_cmd;
           ]))

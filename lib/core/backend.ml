@@ -28,7 +28,6 @@ type ctx = {
   faults : Faults.t;
   osr : Osr.t option; (* None = on-stack replacement off *)
   (* deep observability (Config.obs_* + engine histograms) *)
-  spans : Spans.t option; (* None = span recording off *)
   flightrec : Flightrec.t option;
     (* the always-on black box (None only when
        Config.flightrec_capacity = 0); dump triggers fire here and
@@ -74,8 +73,8 @@ let describe = function
       ("profile", "block dispatch with BCG profiling; traces never entered")
   | Trace -> ("trace", "trace-cache dispatch over the profiled block stream")
 
-(* The engine's dispatch clock: the timestamp base of spans, the cache
-   clock and the event stream alike. *)
+(* The engine's dispatch clock: the cache clock and the event stream's
+   timestamp base alike. *)
 let clock ctx =
   ctx.counts.Stats.block_dispatches + ctx.counts.Stats.trace_dispatches
 
@@ -105,14 +104,6 @@ let block_dispatch ctx g =
   ctx.just_completed <- false;
   attr_step ctx g
 
-(* Fold one trace-builder outcome into the counters. *)
-let note_build ctx (o : Trace_builder.outcome) =
-  let c = ctx.counts in
-  c.Stats.traces_constructed <-
-    c.Stats.traces_constructed + o.Trace_builder.new_traces;
-  c.Stats.builder_reuses <-
-    c.Stats.builder_reuses + o.Trace_builder.reused_traces
-
 (* Compiled-tier accounting for one followed trace position: what the
    micro-IR dispatch loop would have dispatched there versus the source
    instructions trace dispatch runs.  One length test when the active
@@ -127,28 +118,16 @@ let account_lowered ctx pos =
       c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
       c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
 
-(* Quarantine an entry transition and record the observability side of
-   the episode: the backoff duration histogram (finite backoffs only —
-   a permanent blacklist has no duration) and a closed quarantine span
-   stretching to the backoff expiry. *)
+(* Quarantine an entry transition and record the episode's backoff
+   duration (finite backoffs only — a permanent blacklist has no
+   duration).  The episode's end is the [until] field of its
+   [Trace_quarantined] event. *)
 let condemn ctx ~first ~head ~code =
   let removed = Trace_cache.quarantine ctx.cache ~first ~head ~code in
   (match Trace_cache.quarantine_until ctx.cache ~first ~head with
-  | Some until ->
-      let now = clock ctx in
-      if until <> max_int then Metrics.record ctx.h_backoff (until - now);
-      (match ctx.spans with
-      | Some spans ->
-          let permanent = until = max_int in
-          let label =
-            Printf.sprintf "%s entry (%d,%d)%s" code first head
-              (if permanent then " permanent" else "")
-          in
-          ignore
-            (Spans.emit spans ~kind:Spans.Quarantine ~label ~start_time:now
-               ~end_time:(if permanent then now else until))
-      | None -> ())
-  | None -> ());
+  | Some until when until <> max_int ->
+      Metrics.record ctx.h_backoff (until - clock ctx)
+  | Some _ | None -> ());
   removed
 
 (* Walk the health ladder: publish the transition and, when climbing out
@@ -292,13 +271,6 @@ let run_debug_checks ctx =
   if ctx.in_debug_sweep then ()
   else begin
     ctx.in_debug_sweep <- true;
-    let sweep_span =
-      match ctx.spans with
-      | Some spans ->
-          Spans.begin_span spans ~kind:Spans.Heal_sweep ~label:"invariant sweep"
-            ~now:(clock ctx)
-      | None -> -1
-    in
     let bcg = Profiler.bcg ctx.profiler in
     let diags =
       Invariants.check_all ~layout:ctx.layout ctx.config ~bcg ~cache:ctx.cache
@@ -363,9 +335,6 @@ let run_debug_checks ctx =
         diags;
       apply_health ctx (Health.strike ctx.health)
     end;
-    (match ctx.spans with
-    | Some spans -> Spans.end_span spans sweep_span ~now:(clock ctx)
-    | None -> ());
     ctx.in_debug_sweep <- false
   end
 
@@ -413,39 +382,24 @@ let validate_dispatch ctx (tr : Trace.t) ~prev ~cur : string option =
 (* ------------------------------------------------------------------ *)
 
 (* Every trace construction, from a profiler signal or an OSR
-   promotion, is bracketed by these two.  [begin_build] opens a
-   Trace_build span labelled [label x] ([label] runs only when spans are
-   on).  [end_build] folds the builder's outcome into the counters, runs
-   the invariant sweep at the construction boundary when [sweep] holds,
-   and closes the span.  Neither allocates with spans off. *)
-let begin_build ctx label x =
-  match ctx.spans with
-  | Some s ->
-      Spans.begin_span s ~kind:Spans.Trace_build ~label:(label x)
-        ~now:(clock ctx)
-  | None -> -1
-
-let end_build ctx span (outcome : Trace_builder.outcome) ~sweep =
-  note_build ctx outcome;
-  if sweep && Config.debug_checks ctx.config then run_debug_checks ctx;
-  match ctx.spans with
-  | Some s -> Spans.end_span s span ~now:(clock ctx)
-  | None -> ()
-
-let signal_label (signal : Bcg.signal) =
-  let n = signal.Bcg.s_node in
-  Printf.sprintf "build N_%d,%d" n.Bcg.n_x n.Bcg.n_y
+   promotion, ends here: fold the builder's outcome into the counters
+   and, when [sweep] holds, run the invariant sweep at the construction
+   boundary. *)
+let note_build ctx (o : Trace_builder.outcome) ~sweep =
+  let c = ctx.counts in
+  c.Stats.traces_constructed <-
+    c.Stats.traces_constructed + o.Trace_builder.new_traces;
+  c.Stats.builder_reuses <-
+    c.Stats.builder_reuses + o.Trace_builder.reused_traces;
+  if sweep && Config.debug_checks ctx.config then run_debug_checks ctx
 
 let on_signal ctx signal =
-  if Config.build_traces ctx.config then begin
-    let span = begin_build ctx signal_label signal in
-    let outcome =
-      Trace_builder.on_signal ~events:ctx.events
-        ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
-        ctx.config ctx.cache signal
-    in
-    end_build ctx span outcome ~sweep:true
-  end
+  if Config.build_traces ctx.config then
+    note_build ctx
+      (Trace_builder.on_signal ~events:ctx.events
+         ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
+         ctx.config ctx.cache signal)
+      ~sweep:true
 
 (* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
    None when OSR is off.  With [promote = false] the heat saturates at
@@ -456,15 +410,12 @@ let hot_loop ctx g ~promote =
   | Some osr -> Osr.observe_header osr g ~promote
   | None -> None
 
-let promotion_label header = Printf.sprintf "osr promote header %d" header
-
 (* OSR mid-loop promotion: a hot header crossed its threshold while we
    were dispatching blocks — build its loop trace immediately, so the
    very next latch->header transition enters it.  The construction
    boundary sweeps only when a trace was built.  Returns whether a trace
    was installed. *)
 let promote_loop ctx (osr : Osr.t) header ~hotness =
-  let span = begin_build ctx promotion_label header in
   let outcome, installed =
     Trace_builder.promote ~events:ctx.events
       ~on_path:(fun n -> Metrics.record ctx.h_build_len n)
@@ -483,7 +434,7 @@ let promote_loop ctx (osr : Osr.t) header ~hotness =
                hotness;
              })
   | None -> ());
-  end_build ctx span outcome ~sweep:(outcome.Trace_builder.new_traces > 0);
+  note_build ctx outcome ~sweep:(outcome.Trace_builder.new_traces > 0);
   installed <> None
 
 (* Returns whether a promotion installed a trace, so the trace step

@@ -29,14 +29,11 @@ type ctx = {
   faults : Faults.t;
   osr : Osr.t option;
       (** on-stack replacement state; [None] when [Config.osr_enabled] is off *)
-  spans : Spans.t option;
-      (** causal span recorder; [None] when [Config.obs_spans] is off *)
   flightrec : Flightrec.t option;
       (** the always-on black box; [None] only when
           [Config.flightrec_capacity = 0].  Dump triggers fire from
           the invariant sweep, the ladder bottom and snapshot
-          rejection; the intake rides the event tap and the span
-          close hook. *)
+          rejection; the intake rides the event tap. *)
   attr_self : int array;
       (** per-gid dispatches outside any trace; [[||]] when
           [Config.obs_attribution] is off *)
@@ -109,14 +106,13 @@ val on_block : ctx -> kind -> Cfg.Layout.gid -> unit
 val on_signal : ctx -> Bcg.signal -> unit
 (** The profiler-signal subscriber: when {!Config.build_traces} is on,
     rebuild every trace the signalled branch can affect
-    ([Trace_builder.on_signal]) inside a [Trace_build] span, fold the
-    outcome into [counts] and run the construction-boundary sweep when
-    {!Config.debug_checks} is on. *)
+    ([Trace_builder.on_signal]), fold the outcome into [counts] and run
+    the construction-boundary sweep when {!Config.debug_checks} is on. *)
 
 val clock : ctx -> int
 (** The engine's dispatch clock ([counts.block_dispatches +
-    counts.trace_dispatches]) — the timestamp base of spans, the cache clock
-    and the event stream alike. *)
+    counts.trace_dispatches]) — the cache clock and the event stream's
+    timestamp base alike. *)
 
 val fr_trigger : ctx -> Flightrec.dump_reason -> unit
 (** Fire a flight-recorder dump trigger; no-op when the recorder is

@@ -48,7 +48,6 @@ val make :
   ?tier:bool ->
   ?tier_compile_after:int ->
   ?tier_compile_budget:int ->
-  ?obs_spans:bool ->
   ?obs_attribution:bool ->
   ?flightrec_capacity:int ->
   unit ->
@@ -187,10 +186,6 @@ val tier_compile_budget : t -> int
     (default 64). *)
 
 (** {2 Observability} *)
-
-val obs_spans : t -> bool
-(** Record causal spans ([Spans]) around trace builds, heal sweeps,
-    quarantine episodes and session member turns.  Off by default. *)
 
 val obs_attribution : t -> bool
 (** Keep per-block self/inlined dispatch attribution (one word per block

@@ -124,11 +124,6 @@ let register_gauges (m : Metrics.t) (t : t) =
       Trace_cache.footprint_bytes cache);
   if Config.tier_enabled e.Backend.config then
     Metrics.gauge m "compiled_live" (fun () -> Trace_cache.n_compiled cache);
-  (match e.Backend.spans with
-  | Some s ->
-      Metrics.gauge m "spans_recorded" (fun () -> Spans.recorded s);
-      Metrics.gauge m "spans_dropped" (fun () -> Spans.dropped s)
-  | None -> ());
   (match e.Backend.flightrec with
   | Some fr ->
       Metrics.gauge m "flightrec_recorded" (fun () -> Flightrec.recorded fr);
@@ -158,11 +153,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   in
   let health = Health.create () in
   let metrics = Metrics.create ~period:(Config.snapshot_period config) () in
-  let spans =
-    if Config.obs_spans config then
-      Some (Spans.create ())
-    else None
-  in
   let h_trace_len = Metrics.histogram metrics "executed_trace_len" in
   let h_exit_distance = Metrics.histogram metrics "completion_distance" in
   let h_build_len = Metrics.histogram metrics "builder_path_len" in
@@ -177,8 +167,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
      out of band: neither is a subscriber, so a run with both still
      reports its stream quiet to user code.  Hot kinds reach only the
      recorder, as scalars; each cold event goes to the recorder, then
-     to the ledger with the innermost open span.  The recorder also
-     rides the span close hook when spans are on. *)
+     to the ledger. *)
   let flightrec =
     let cap = Config.flightrec_capacity config in
     if cap > 0 then Some (Flightrec.create ~capacity:cap) else None
@@ -195,17 +184,8 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       Events.cold =
         (fun ev ->
           recorder.Events.cold ev;
-          let span = match spans with Some s -> Spans.current s | None -> -1 in
-          Ledger.observe ledger ~span ev);
+          Ledger.observe ledger ev);
     };
-  (match (flightrec, spans) with
-  | Some fr, Some s ->
-      Spans.set_on_close s (fun (sp : Spans.span) ->
-          Flightrec.record_span_closed fr ~time:sp.Spans.end_time
-            ~id:sp.Spans.id ~parent:sp.Spans.parent
-            ~kind:(Spans.kind_to_string sp.Spans.kind)
-            ~label:sp.Spans.label ~start_time:sp.Spans.start_time)
-  | _ -> ());
   (* The profiler's signal callback closes over the shared dispatch
      context; tie the knot with a forward reference. *)
   let context = ref None in
@@ -228,7 +208,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       health;
       faults;
       osr;
-      spans;
       flightrec;
       attr_self =
         (if Config.obs_attribution config then
@@ -305,10 +284,6 @@ let active_trace t = t.ctx.Backend.active
 let total_dispatches t = Backend.clock t.ctx
 
 let health t = t.ctx.Backend.health
-
-let health_level t = Health.level t.ctx.Backend.health
-
-let spans t = t.ctx.Backend.spans
 
 let flightrec t = t.ctx.Backend.flightrec
 

@@ -118,13 +118,7 @@ val health : t -> Health.t
 (** The degradation ladder ({!Config.self_heal}); stays at
     [Full_tracing] when self-healing is off. *)
 
-val health_level : t -> Health.level
-
 (** {2 Deep observability} *)
-
-val spans : t -> Spans.t option
-(** The causal span recorder; [None] unless [Config.obs_spans] was on at
-    creation.  Call [Spans.end_all] before exporting a finished run. *)
 
 val flightrec : t -> Flightrec.t option
 (** The flight recorder (black box); [None] only when

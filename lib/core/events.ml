@@ -178,8 +178,6 @@ let n_subscribers t = List.length t.subs
 
 let set_tap t sink = t.tap <- Some sink
 
-let clear_tap t = t.tap <- None
-
 let set_now t n = t.now <- n
 
 let now t = t.now

@@ -267,8 +267,6 @@ val set_tap : t -> sink -> unit
     listening?" semantics are unchanged by an armed recorder.  At most
     one tap; installing again replaces it. *)
 
-val clear_tap : t -> unit
-
 val set_now : t -> int -> unit
 (** Advance the logical clock; events emitted afterwards carry this
     time. *)

@@ -315,8 +315,6 @@ let arm_flip t ~pos =
   if pos < 1 then invalid_arg "Faults.arm_flip: pos < 1";
   t.pending_flip <- Some pos
 
-let flip_armed t = t.pending_flip <> None
-
 let flip_now t ~pos ~n_blocks =
   match t.pending_flip with
   | None -> false

@@ -97,9 +97,6 @@ val arm_flip : t -> pos:int -> unit
     consumption time.
     @raise Invalid_argument if [pos < 1]. *)
 
-val flip_armed : t -> bool
-(** Whether a flip is armed and not yet consumed. *)
-
 val flip_now : t -> pos:int -> n_blocks:int -> bool
 (** Called by the dispatch loop at guard position [pos] of a followed
     trace of [n_blocks] blocks: [true] exactly once, when the armed

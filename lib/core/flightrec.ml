@@ -1,7 +1,7 @@
 (* Flight recorder: an always-on bounded ring buffer of the most recent
-   events, span closures and metric deltas — the engine's black box.
-   Recording is O(1) and retention is bounded by the ring capacity, so
-   the recorder can stay armed on every run.  It never writes anything
+   events and metric deltas — the engine's black box.  Recording is
+   O(1) and retention is bounded by the ring capacity, so the recorder
+   can stay armed on every run.  It never writes anything
    itself: when a trigger condition fires (invariant violation, chaos
    divergence, snapshot rejection, degradation to interp-only) it calls
    the [on_dump] hook installed by the harness, which serializes the
@@ -9,15 +9,6 @@
 
 type entry =
   | Event of { seq : int; time : int; payload : Events.payload }
-  | Span_closed of {
-      seq : int;
-      time : int;
-      id : int;
-      parent : int;
-      kind : string;
-      label : string;
-      start_time : int;
-    }
   | Metric_delta of {
       seq : int;
       time : int;
@@ -52,21 +43,12 @@ let reason_of_string = function
    path — one event per engine emission, tens of thousands per run —
    costs a handful of int stores plus the cursor bump, and allocates
    nothing.  No per-slot sequence number is written.  Discrimination
-   works without one because writes are strictly sequential: a
-   span/metric record stamps its own sequence number into [box_seqs] at
-   its slot, so a slot whose [box_seqs] entry does not match the
-   sequence number the window walk expects there must hold an event.
-   Span closures and metric deltas are rare (trace lifecycle and
-   snapshot boundaries), so those box their fields. *)
-type box =
-  | B_span of {
-      id : int;
-      parent : int;
-      kind : string;
-      label : string;
-      start_time : int;
-    }
-  | B_metric of { name : string; delta : int; total : int }
+   works without one because writes are strictly sequential: a metric
+   record stamps its own sequence number into [box_seqs] at its slot,
+   so a slot whose [box_seqs] entry does not match the sequence number
+   the window walk expects there must hold an event.  Metric deltas are
+   rare (snapshot boundaries), so they box their fields. *)
+type box = { name : string; delta : int; total : int }
 
 (* The high-frequency event kinds — trace entry/exit/completion and
    decay ticks, the per-dispatch chatter that dominates the stream —
@@ -87,9 +69,9 @@ type t = {
          no nullary value to fill with, so the first recorded event
          seeds the array *)
   scalars : int array;  (* [scalar_width] ints per slot *)
-  boxes : box option array;  (* span/metric slots only *)
+  boxes : box option array;  (* metric slots only *)
   box_seqs : int array;  (* seq stamped when the slot got a box *)
-  times : int array;  (* span/metric slots only; events carry their own *)
+  times : int array;  (* metric slots only; events carry their own *)
   mutable pos : int;  (* next write index; invariant pos = next_seq mod cap *)
   mutable next_seq : int;
   mutable dumps : int;
@@ -152,54 +134,33 @@ let set_on_dump t f = t.on_dump <- Some f
 let sink t = t.sink
 let record_event t ev = Events.route t.sink ev
 
-let record_span_closed t ~time ~id ~parent ~kind ~label ~start_time =
-  let i = t.pos in
-  t.boxes.(i) <- Some (B_span { id; parent; kind; label; start_time });
-  t.box_seqs.(i) <- t.next_seq;
-  t.times.(i) <- time;
-  advance t i
-
 let record_metric_delta t ~time ~name ~delta ~total =
   let i = t.pos in
-  t.boxes.(i) <- Some (B_metric { name; delta; total });
+  t.boxes.(i) <- Some { name; delta; total };
   t.box_seqs.(i) <- t.next_seq;
   t.times.(i) <- time;
   advance t i
 
-let seq_of = function
-  | Event e -> e.seq
-  | Span_closed s -> s.seq
-  | Metric_delta m -> m.seq
-
-let time_of = function
-  | Event e -> e.time
-  | Span_closed s -> s.time
-  | Metric_delta m -> m.time
+let seq_of = function Event e -> e.seq | Metric_delta m -> m.seq
+let time_of = function Event e -> e.time | Metric_delta m -> m.time
 
 (* Rebuild one boxed entry from a slot (dump path only).  The sequence
    number is implicit in the walk: writes are strictly sequential, so
-   the slot for [seq] is [seq mod cap], and it holds a span/metric
-   exactly when that write stamped [box_seqs]. *)
+   the slot for [seq] is [seq mod cap], and it holds a metric exactly
+   when that write stamped [box_seqs]. *)
 let entry_at t ~seq i : entry option =
   if t.box_seqs.(i) = seq then
-    let time = t.times.(i) in
     match t.boxes.(i) with
-    | Some (B_span s) ->
-        Some
-          (Span_closed
-             {
-               seq;
-               time;
-               id = s.id;
-               parent = s.parent;
-               kind = s.kind;
-               label = s.label;
-               start_time = s.start_time;
-             })
-    | Some (B_metric m) ->
+    | Some b ->
         Some
           (Metric_delta
-             { seq; time; name = m.name; delta = m.delta; total = m.total })
+             {
+               seq;
+               time = t.times.(i);
+               name = b.name;
+               delta = b.delta;
+               total = b.total;
+             })
     | None -> None
   else
     let s = i * scalar_width in

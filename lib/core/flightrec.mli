@@ -1,21 +1,12 @@
 (** Flight recorder: an always-on bounded ring buffer ("black box") of
-    the most recent events, span closures and metric deltas.  Recording
-    is O(1) per entry with retention bounded by the ring capacity; on a
-    trigger condition the harness-installed [on_dump] hook serializes
+    the most recent events and metric deltas.  Recording is O(1) per
+    entry with retention bounded by the ring capacity; on a trigger
+    condition the harness-installed [on_dump] hook serializes
     the surviving window into a postmortem artifact. *)
 
 type entry =
   | Event of { seq : int; time : int; payload : Events.payload }
       (** A delivered engine event, as tapped off the event stream. *)
-  | Span_closed of {
-      seq : int;
-      time : int;
-      id : int;
-      parent : int;
-      kind : string;
-      label : string;
-      start_time : int;
-    }  (** A span that just closed ([time] is its end time). *)
   | Metric_delta of {
       seq : int;
       time : int;
@@ -66,16 +57,6 @@ val record_event : t -> Events.event -> unit
 (** Record one event through {!sink} ({!Events.route}): an event
     recorded this way and the same event arriving on the tap leave
     identical slots. *)
-
-val record_span_closed :
-  t ->
-  time:int ->
-  id:int ->
-  parent:int ->
-  kind:string ->
-  label:string ->
-  start_time:int ->
-  unit
 
 val record_metric_delta :
   t -> time:int -> name:string -> delta:int -> total:int -> unit

@@ -1,8 +1,7 @@
-(* Decision ledger: the decision-kind events of one engine's stream,
-   each with the span open when it arrived.  The engine's event tap
-   feeds it (cold side only: no hot kind is a decision), so the ledger
-   holds the same payloads the stream delivered, never a second copy of
-   their fields.  Storage is a doubling array. *)
+(* Decision ledger: the decision-kind events of one engine's stream.
+   The engine's event tap feeds it (cold side only: no hot kind is a
+   decision), so the ledger holds the same events the stream delivered,
+   never a second copy of their fields.  Storage is a doubling array. *)
 
 let kinds =
   [
@@ -16,17 +15,14 @@ let kinds =
     "deopt_entered";
   ]
 
-type entry = { span : int; event : Events.event }
-
-type t = { mutable store : entry array; mutable n : int }
+type t = { mutable store : Events.event array; mutable n : int }
 
 let create () = { store = [||]; n = 0 }
 
 let length t = t.n
 
-let observe t ~span (event : Events.event) =
-  if List.mem (Events.kind event.Events.payload) kinds then begin
-    let e = { span; event } in
+let observe t (e : Events.event) =
+  if List.mem (Events.kind e.Events.payload) kinds then begin
     if t.n = Array.length t.store then begin
       let store = Array.make (max 64 (2 * t.n)) e in
       Array.blit t.store 0 store 0 t.n;

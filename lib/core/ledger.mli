@@ -1,6 +1,5 @@
 (** Decision ledger: every decision-kind event of one engine's stream,
-    kept for the whole run, each stamped with the span that was open
-    when it arrived.
+    kept for the whole run.
 
     The ledger records nothing of its own.  The engine feeds it from
     the cold side of its event tap, the intake it shares with the
@@ -15,24 +14,18 @@ val kinds : string list
     (new and reused), entry replacement, quarantine, eviction, tier
     compilation and demotion, OSR promotion and deoptimization. *)
 
-type entry = {
-  span : int;  (** innermost open span when the event arrived, or [-1] *)
-  event : Events.event;
-      (** [event.time] is the dispatch tick of the decision *)
-}
-
 type t
 
 val create : unit -> t
 
-val observe : t -> span:int -> Events.event -> unit
+val observe : t -> Events.event -> unit
 (** Keep [event] if its kind is in {!kinds}; drop it otherwise. *)
 
 val length : t -> int
 (** Entries kept so far. *)
 
-val iter : (entry -> unit) -> t -> unit
-(** Oldest first. *)
+val iter : (Events.event -> unit) -> t -> unit
+(** Oldest first; [event.time] is the dispatch tick of the decision. *)
 
-val to_list : t -> entry list
+val to_list : t -> Events.event list
 (** Oldest first. *)

@@ -78,8 +78,6 @@ let add ?name ?config ?events ?max_instructions t (layout : Layout.t) =
   t.rev_members <- m :: t.rev_members;
   m
 
-let member_id m = m.id
-
 let member_name m = m.name
 
 let engine m = m.engine
@@ -98,23 +96,9 @@ let stats m =
    it in its (possibly shared) cache. *)
 let step_member t m =
   Trace_cache.set_session (Engine.cache m.engine) m.id;
-  (* a member turn is a span on that member's own dispatch clock *)
-  let turn_span =
-    match Engine.spans m.engine with
-    | Some s ->
-        Some
-          ( s,
-            Spans.begin_span s ~kind:Spans.Member_turn ~label:m.name
-              ~now:(Engine.total_dispatches m.engine) )
-    | None -> None
-  in
   let t0 = Unix.gettimeofday () in
   ignore (Interp.step_blocks m.handle t.batch);
   m.wall <- m.wall +. (Unix.gettimeofday () -. t0);
-  (match turn_span with
-  | Some (s, id) ->
-      Spans.end_span s id ~now:(Engine.total_dispatches m.engine)
-  | None -> ());
   if not (Interp.running m.handle) then
     m.finished <- Some (Interp.result_of m.handle)
 

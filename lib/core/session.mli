@@ -61,9 +61,6 @@ val cross_entries : t -> int
 
 (** {2 Members} *)
 
-val member_id : member -> int
-(** The session id (>= 1) stamped on traces this member builds. *)
-
 val member_name : member -> string
 
 val engine : member -> Engine.t

@@ -62,7 +62,7 @@ let fingerprint (r : Interp.result) : string * int * int =
   in
   (outcome, r.Interp.instructions, r.Interp.block_dispatches)
 
-let run_one ?spec ?osr ?tier ?max_instructions ?dump_dir
+let run_one ?spec ?osr ?tier ?max_instructions ?(arm = ignore)
     (w : Workloads.Workload.t) ~size ~seed : verdict =
   let layout = Experiment.layout_for w ~size in
   let baseline = Interp.run_plain ?max_instructions layout in
@@ -72,9 +72,7 @@ let run_one ?spec ?osr ?tier ?max_instructions ?dump_dir
   let events = Tracegen.Events.create () in
   let tally = Oracle.attach events in
   let engine = Engine.create ~config:chaos_config ~events layout in
-  (match dump_dir with
-  | Some dir -> Postmortem.arm ~dir engine
-  | None -> ());
+  arm engine;
   let result = Engine.drive ?max_instructions engine in
   let stats = result.Engine.run_stats in
   let identical =

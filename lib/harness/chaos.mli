@@ -50,16 +50,17 @@ val run_one :
   ?osr:bool ->
   ?tier:bool ->
   ?max_instructions:int ->
-  ?dump_dir:string ->
+  ?arm:(Tracegen.Engine.t -> unit) ->
   Workloads.Workload.t ->
   size:int ->
   seed:int ->
   verdict
 (** One workload under one seeded schedule, compared against a fresh
     no-tracing baseline of the same layout.  The run's event stream
-    feeds the reconciliation oracle (the [reconciled] verdict);
-    [dump_dir], when given, arms the flight recorder's post-mortem file
-    sink there — a divergence triggers a dump, as do the engine's own
+    feeds the reconciliation oracle (the [reconciled] verdict).
+    [arm] runs on the engine before the run starts; [Postmortem.arm]
+    installs the flight recorder's dump sink that way, and then a
+    divergence triggers a dump, as do the engine's own
     invariant/degradation triggers. *)
 
 val describe : verdict -> string

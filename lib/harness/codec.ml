@@ -1,20 +1,14 @@
-(* The one encode/decode module: every serialized artifact the system
-   produces — JSONL records, the Chrome trace_event timeline, and (by
-   re-export) the binary warm-start snapshot — goes through here, so
-   versioning, checksumming and the round-trip oracle live in one place
-   instead of being scattered per call site.  No JSON dependency is
-   installed in this environment, so a minimal escaper-and-printer and
-   its inverse parser live here too. *)
+(* The JSON codec: every JSONL record the harness writes (events,
+   metric snapshots, lint diagnostics, flight-recorder dumps) is built
+   here and stamped with the one schema version, and the parser that
+   reads dumps and bench baselines back lives here too.  The project
+   takes no JSON dependency, so a minimal escaper-and-printer and its
+   inverse parser are written out below.  The binary warm-start
+   snapshot has its own codec, [Tracegen.Persist]. *)
 
 module Events = Tracegen.Events
 module Metrics = Tracegen.Metrics
-module Spans = Tracegen.Spans
 module Flightrec = Tracegen.Flightrec
-
-(* The binary snapshot codec is Tracegen.Persist (the engine must be
-   able to decode without the harness); re-exported so Codec is the
-   single front door to every format. *)
-module Snapshot = Tracegen.Persist
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -78,7 +72,7 @@ let to_string j =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* The version registry: one bump site per format                       *)
+(* The JSONL schema version                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Every top-level JSONL record (event, snapshot, lint diagnostic, sweep
@@ -106,25 +100,10 @@ let to_string j =
    [trace_compiled] gains [heat], [tier_demoted] gains [winner_heat].
    Version 10: guard pruning left the engine — the [guards_pruned] event
    kind is gone, and so are the [guards_elided] / [guards_pruned]
-   counters and the hot-report's [pruned] column. *)
-let schema_version = 10
-
-type format = Jsonl | Chrome_trace | Binary_snapshot
-
-let format_name = function
-  | Jsonl -> "jsonl"
-  | Chrome_trace -> "chrome-trace"
-  | Binary_snapshot -> "snapshot"
-
-(* The Chrome trace_event emission below tracks the externally defined
-   format, not a schema of ours; its version only moves if we change
-   which fields we fill in. *)
-let chrome_trace_version = 1
-
-let version = function
-  | Jsonl -> schema_version
-  | Chrome_trace -> chrome_trace_version
-  | Binary_snapshot -> Snapshot.snapshot_version
+   counters and the hot-report's [pruned] column.
+   Version 11: the span recorder is gone — no span records, and no
+   ["span"] entries in postmortem dumps. *)
+let schema_version = 11
 
 let versioned fields = ("schema_version", J_int schema_version) :: fields
 
@@ -138,18 +117,6 @@ let snapshot_fields (s : Metrics.snapshot) =
   ("at", J_int s.Metrics.at)
   :: Array.to_list
        (Array.map (fun (name, v) -> (name, J_int v)) s.Metrics.values)
-
-let snapshot_json (s : Metrics.snapshot) : json =
-  J_obj (versioned (snapshot_fields s))
-
-let snapshots_jsonl (snaps : Metrics.snapshot list) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (to_string (snapshot_json s));
-      Buffer.add_char buf '\n')
-    snaps;
-  Buffer.contents buf
 
 (* One event as a flat object: {"event": <kind>, "time": <dispatch>, ...}
    with the payload's fields spliced in.  This is the JSONL schema
@@ -282,15 +249,6 @@ let event_json (e : Events.event) : json =
        :: ("time", J_int e.Events.time)
        :: event_payload_fields e.Events.payload))
 
-let events_jsonl (events : Events.event list) : string =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (to_string (event_json e));
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
-
 (* One lint diagnostic as a flat object — the `repro_cli lint --json`
    line schema. *)
 let diag_json (d : Analysis.Diag.t) : json =
@@ -318,73 +276,13 @@ let diags_jsonl (diags : Analysis.Diag.t list) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Histograms, spans, and the Chrome trace_event timeline               *)
-(* ------------------------------------------------------------------ *)
-
-(* One histogram with its percentile summary and the non-empty buckets —
-   the [repro_cli timeline] JSONL line for a distribution. *)
-let hist_json (h : Metrics.histogram) : json =
-  let buckets = ref [] in
-  for i = Metrics.n_buckets h - 1 downto 0 do
-    let count = Metrics.bucket_count h i in
-    if count > 0 then begin
-      let lo, hi = Metrics.bucket_bounds h i in
-      buckets :=
-        J_obj
-          [
-            ("lo", J_int lo);
-            (* the unbounded overflow bucket renders as -1 *)
-            ("hi", J_int (if hi = max_int then -1 else hi));
-            ("count", J_int count);
-          ]
-        :: !buckets
-    end
-  done;
-  J_obj
-    (versioned
-       [
-         ("hist", J_string (Metrics.hist_name h));
-         ("count", J_int (Metrics.hist_count h));
-         ("sum", J_int (Metrics.hist_sum h));
-         ("mean", J_float (Metrics.hist_mean h));
-         ("min", J_int (Metrics.hist_min h));
-         ("p50", J_int (Metrics.percentile h 50.0));
-         ("p90", J_int (Metrics.percentile h 90.0));
-         ("p99", J_int (Metrics.percentile h 99.0));
-         ("max", J_int (Metrics.hist_max h));
-         ("buckets", J_list !buckets);
-       ])
-
-let span_json (s : Spans.span) : json =
-  J_obj
-    (versioned
-       [
-         ("span", J_int s.Spans.id);
-         ("parent", J_int s.Spans.parent);
-         ("kind", J_string (Spans.kind_to_string s.Spans.kind));
-         ("label", J_string s.Spans.label);
-         ("start", J_int s.Spans.start_time);
-         (* -1 = still open at export time *)
-         ("end", J_int s.Spans.end_time);
-       ])
-
-let spans_jsonl (spans : Spans.span list) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (to_string (span_json s));
-      Buffer.add_char buf '\n')
-    spans;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder (post-mortem)                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* One flight-recorder ring entry as a flat object.  The [rec] field
-   discriminates the three entry shapes; [Event] entries reuse the
+   discriminates the two entry shapes; [Event] entries reuse the
    live-stream payload schema verbatim, so a post-mortem line for an
-   event is the events_jsonl line plus [rec]/[seq]. *)
+   event is its [event_json] line plus [rec]/[seq]. *)
 let flightrec_entry_json (e : Flightrec.entry) : json =
   match e with
   | Flightrec.Event { seq; time; payload } ->
@@ -395,19 +293,6 @@ let flightrec_entry_json (e : Flightrec.entry) : json =
            :: ("event", J_string (Events.kind payload))
            :: ("time", J_int time)
            :: event_payload_fields payload))
-  | Flightrec.Span_closed { seq; time; id; parent; kind; label; start_time } ->
-      J_obj
-        (versioned
-           [
-             ("rec", J_string "span");
-             ("seq", J_int seq);
-             ("time", J_int time);
-             ("span", J_int id);
-             ("parent", J_int parent);
-             ("kind", J_string kind);
-             ("label", J_string label);
-             ("start", J_int start_time);
-           ])
   | Flightrec.Metric_delta { seq; time; name; delta; total } ->
       J_obj
         (versioned
@@ -444,88 +329,8 @@ let postmortem_jsonl ~(reason : string) (fr : Flightrec.t) : string =
     (Flightrec.to_list fr);
   Buffer.contents buf
 
-(* Chrome trace_event JSON (the Perfetto / about://tracing format):
-   timestamps are dispatch ticks reported as microseconds.  Spans with
-   stack discipline (trace builds, heal sweeps, member turns — they
-   share the engine's one open-span stack) become B/E duration events on
-   one thread track; quarantine episodes overlap each other freely, so
-   they become ph:"X" complete events on a second track.  Events are
-   sorted by timestamp (ties broken by the recorder's begin/end
-   sequence), so the output is monotone and every E closes the B it
-   follows.  Open spans are skipped — close them (Spans.end_all)
-   first. *)
-let chrome_trace_events (spans : Spans.span list) : json =
-  let stack_tid = 1 and episode_tid = 2 in
-  let args (s : Spans.span) =
-    ( "args",
-      J_obj [ ("span", J_int s.Spans.id); ("parent", J_int s.Spans.parent) ]
-    )
-  in
-  let events = ref [] in
-  List.iter
-    (fun (s : Spans.span) ->
-      if s.Spans.end_time >= 0 then
-        let common =
-          [
-            ("name", J_string s.Spans.label);
-            ("cat", J_string (Spans.kind_to_string s.Spans.kind));
-            ("pid", J_int 1);
-          ]
-        in
-        match s.Spans.kind with
-        | Spans.Quarantine ->
-            events :=
-              ( s.Spans.start_time,
-                s.Spans.start_seq,
-                J_obj
-                  (common
-                  @ [
-                      ("tid", J_int episode_tid);
-                      ("ph", J_string "X");
-                      ("ts", J_int s.Spans.start_time);
-                      ("dur", J_int (s.Spans.end_time - s.Spans.start_time));
-                      args s;
-                    ]) )
-              :: !events
-        | Spans.Trace_build | Spans.Heal_sweep | Spans.Member_turn ->
-            events :=
-              ( s.Spans.start_time,
-                s.Spans.start_seq,
-                J_obj
-                  (common
-                  @ [
-                      ("tid", J_int stack_tid);
-                      ("ph", J_string "B");
-                      ("ts", J_int s.Spans.start_time);
-                      args s;
-                    ]) )
-              :: ( s.Spans.end_time,
-                   s.Spans.end_seq,
-                   J_obj
-                     (common
-                     @ [
-                         ("tid", J_int stack_tid);
-                         ("ph", J_string "E");
-                         ("ts", J_int s.Spans.end_time);
-                       ]) )
-              :: !events)
-    spans;
-  let sorted =
-    List.sort
-      (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
-      !events
-  in
-  J_list (List.map (fun (_, _, e) -> e) sorted)
-
-let chrome_trace (spans : Spans.span list) : json =
-  J_obj
-    [
-      ("traceEvents", chrome_trace_events spans);
-      ("displayTimeUnit", J_string "ms");
-    ]
-
 (* ------------------------------------------------------------------ *)
-(* A minimal JSON parser — just enough to round-trip what we emit       *)
+(* A minimal JSON parser — the inverse of [to_string]                  *)
 (* ------------------------------------------------------------------ *)
 
 exception Parse_error of string
@@ -687,32 +492,3 @@ let parse (input : string) : (json, string) result =
   with
   | v -> Ok v
   | exception Parse_error msg -> Error msg
-
-(* The round-trip oracle shared by the timeline command, check.sh and
-   the tests: rendering then parsing must reach a fixpoint.  Integral
-   floats legitimately re-parse as ints (the printer emits "3" for 3.0),
-   so the comparison normalises that one case instead of failing on
-   it. *)
-let rec json_equal a b =
-  match (a, b) with
-  | J_int x, J_int y -> x = y
-  | J_float x, J_float y -> x = y || to_string a = to_string b
-  | J_float x, J_int y | J_int y, J_float x -> x = float_of_int y
-  | J_string x, J_string y -> x = y
-  | J_bool x, J_bool y -> x = y
-  | J_null, J_null -> true
-  | J_obj xs, J_obj ys ->
-      List.length xs = List.length ys
-      && List.for_all2
-           (fun (nx, vx) (ny, vy) -> nx = ny && json_equal vx vy)
-           xs ys
-  | J_list xs, J_list ys ->
-      List.length xs = List.length ys && List.for_all2 json_equal xs ys
-  | _ -> false
-
-let round_trip (j : json) : (json, string) result =
-  match parse (to_string j) with
-  | Error e -> Error e
-  | Ok parsed ->
-      if json_equal j parsed then Ok parsed
-      else Error "round trip did not reach a fixpoint"

@@ -140,7 +140,7 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
    to the kinds the ledger keeps. *)
 let ledger_checks (l : Ledger.t) (s : Stats.t) : check list =
   let t = create_tally () in
-  Ledger.iter (fun e -> observe t e.Ledger.event.Events.payload) l;
+  Ledger.iter (fun e -> observe t e.Events.payload) l;
   List.filter_map
     (fun (kind, c) ->
       if List.mem kind Ledger.kinds then

@@ -4,8 +4,9 @@
 
    The recorder itself ([Tracegen.Flightrec]) performs no I/O; this
    module is the harness half that serializes the surviving ring window
-   through [Codec] when a trigger fires.  One file per reason, latest
-   dump wins — a crashing run's last dump is the interesting one. *)
+   through [Codec] when a trigger fires and hands it to the caller's
+   writer.  One file per reason, latest dump wins — a crashing run's
+   last dump is the interesting one. *)
 
 module Flightrec = Tracegen.Flightrec
 module Engine = Tracegen.Engine
@@ -13,25 +14,15 @@ module Engine = Tracegen.Engine
 let dump_filename reason =
   Printf.sprintf "flightrec_%s.jsonl" (Flightrec.reason_to_string reason)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let write ~(reason : Flightrec.dump_reason) ~path (fr : Flightrec.t) =
-  write_file path
-    (Codec.postmortem_jsonl ~reason:(Flightrec.reason_to_string reason) fr)
-
-(* Install the file sink.  [on_dump] records the path of the last dump
-   written, for callers that want to report it. *)
-let arm ?(dir = ".") ?on_dump (engine : Engine.t) =
+let arm ~dir ~write (engine : Engine.t) =
   match Engine.flightrec engine with
   | None -> ()
   | Some fr ->
       Flightrec.set_on_dump fr (fun reason ->
-          let path = Filename.concat dir (dump_filename reason) in
-          write ~reason ~path fr;
-          match on_dump with Some f -> f reason path | None -> ())
+          write
+            (Filename.concat dir (dump_filename reason))
+            (Codec.postmortem_jsonl ~reason:(Flightrec.reason_to_string reason)
+               fr))
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing a dump                                              *)
@@ -90,14 +81,6 @@ let describe_json (j : Codec.json) : (string, string) result =
                   (rest_fields kvs
                      ~skip:
                        [ "schema_version"; "rec"; "seq"; "time"; "event" ])))
-      | Some "span" ->
-          Ok
-            (Printf.sprintf "%6d  t=%-8d span   %s %S (span %d, parent %d, \
-                             opened t=%d)"
-               (ifd kvs "seq") (ifd kvs "time")
-               (match str_field kvs "kind" with Some k -> k | None -> "?")
-               (match str_field kvs "label" with Some l -> l | None -> "")
-               (ifd kvs "span") (ifd kvs "parent") (ifd kvs "start"))
       | Some "metric" ->
           let delta = ifd kvs "delta" in
           Ok

@@ -3,28 +3,15 @@
     [Tracegen.Flightrec] performs no I/O; this module is the harness
     half that serializes the surviving ring window through {!Codec}
     when a trigger fires, and pretty-prints a dump back for humans
-    ([repro_cli postmortem <file>]). *)
-
-val dump_filename : Tracegen.Flightrec.dump_reason -> string
-(** [flightrec_<reason>.jsonl]. *)
-
-val write :
-  reason:Tracegen.Flightrec.dump_reason ->
-  path:string ->
-  Tracegen.Flightrec.t ->
-  unit
-(** Serialize the recorder's surviving window to [path] (header line
-    plus entries, via {!Codec.postmortem_jsonl}). *)
+    ([repro_cli postmortem <file>]).  The caller owns the file I/O. *)
 
 val arm :
-  ?dir:string ->
-  ?on_dump:(Tracegen.Flightrec.dump_reason -> string -> unit) ->
-  Tracegen.Engine.t ->
-  unit
+  dir:string -> write:(string -> string -> unit) -> Tracegen.Engine.t -> unit
 (** Install the file sink on the engine's flight recorder (no-op when
-    the recorder is disabled).  Dumps land in [dir] (default ".") as
-    one file per reason, latest dump winning; [on_dump] observes each
-    written (reason, path). *)
+    the recorder is disabled).  Each trigger calls [write path
+    contents]: [path] is [dir/flightrec_<reason>.jsonl], so there is
+    one file per reason and the latest dump wins, and [contents] is the
+    {!Codec.postmortem_jsonl} dump. *)
 
 val describe_json : Codec.json -> (string, string) result
 (** One parsed dump line as a human-readable description. *)

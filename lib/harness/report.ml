@@ -220,119 +220,3 @@ let hist_summary (hists : Tr.Metrics.histogram list) : string =
              (Tr.Metrics.hist_max h)))
     hists;
   Buffer.contents buf
-
-(* Folded-stack flamegraph export over the span tree: one line per
-   distinct root-to-span path, `frame;frame;frame weight`, where the
-   weight is the span's self time in dispatch ticks (duration minus the
-   children's durations).  The output loads directly into
-   flamegraph.pl / speedscope / inferno.  Open spans are skipped — run
-   [Spans.end_all] first. *)
-let folded (spans : Tr.Spans.span list) : string =
-  let closed =
-    List.filter (fun s -> s.Tr.Spans.end_time >= 0) spans
-  in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.Tr.Spans.id s) closed;
-  let duration s = s.Tr.Spans.end_time - s.Tr.Spans.start_time in
-  (* children's time nested under each parent, to subtract for self *)
-  let child_time = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      let p = s.Tr.Spans.parent in
-      if p >= 0 && Hashtbl.mem by_id p then
-        Hashtbl.replace child_time p
-          (duration s
-          + Option.value ~default:0 (Hashtbl.find_opt child_time p)))
-    closed;
-  (* frames must not contain the stack separator *)
-  let frame s =
-    let label =
-      String.map
-        (fun c -> if c = ';' || c = '\n' then '_' else c)
-        s.Tr.Spans.label
-    in
-    Printf.sprintf "%s(%s)" (Tr.Spans.kind_to_string s.Tr.Spans.kind) label
-  in
-  let rec path s =
-    let f = frame s in
-    match Hashtbl.find_opt by_id s.Tr.Spans.parent with
-    | Some p when s.Tr.Spans.parent <> s.Tr.Spans.id -> path p ^ ";" ^ f
-    | _ -> f
-  in
-  let weights = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      let self =
-        duration s
-        - Option.value ~default:0 (Hashtbl.find_opt child_time s.Tr.Spans.id)
-      in
-      if self > 0 then begin
-        let p = path s in
-        Hashtbl.replace weights p
-          (self + Option.value ~default:0 (Hashtbl.find_opt weights p))
-      end)
-    closed;
-  let lines =
-    Hashtbl.fold (fun p w acc -> Printf.sprintf "%s %d" p w :: acc) weights []
-  in
-  String.concat "\n" (List.sort compare lines)
-  ^ if lines = [] then "" else "\n"
-
-(* Chrome trace oracle: structural validity of an exported timeline.
-   Returns human-readable violations; [] = valid.  Checks that the value
-   is an object with a traceEvents array, timestamps are monotonically
-   non-decreasing in array order, and on each thread track every E event
-   closes an open B (with none left open at the end). *)
-let check_chrome (j : Codec.json) : string list =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  (match j with
-  | Codec.J_obj fields -> (
-      match List.assoc_opt "traceEvents" fields with
-      | Some (Codec.J_list events) ->
-          let last_ts = ref min_int in
-          let stacks : (int, string list) Hashtbl.t = Hashtbl.create 4 in
-          List.iteri
-            (fun i ev ->
-              match ev with
-              | Codec.J_obj f -> (
-                  let field name =
-                    match List.assoc_opt name f with
-                    | Some (Codec.J_int v) -> Some v
-                    | _ -> None
-                  in
-                  let str name =
-                    match List.assoc_opt name f with
-                    | Some (Codec.J_string v) -> Some v
-                    | _ -> None
-                  in
-                  match (str "ph", field "ts", field "tid") with
-                  | Some ph, Some ts, Some tid ->
-                      if ts < !last_ts then
-                        err "event %d: ts %d < previous %d" i ts !last_ts;
-                      last_ts := ts;
-                      let stack =
-                        Option.value ~default:[] (Hashtbl.find_opt stacks tid)
-                      in
-                      let name = Option.value ~default:"?" (str "name") in
-                      (match ph with
-                      | "B" -> Hashtbl.replace stacks tid (name :: stack)
-                      | "E" -> (
-                          match stack with
-                          | [] -> err "event %d: E with no open B on tid %d" i tid
-                          | _ :: rest -> Hashtbl.replace stacks tid rest)
-                      | "X" ->
-                          if field "dur" = None then
-                            err "event %d: X without dur" i
-                      | other -> err "event %d: unknown ph %S" i other)
-                  | _ -> err "event %d: missing ph/ts/tid" i)
-              | _ -> err "event %d: not an object" i)
-            events;
-          Hashtbl.iter
-            (fun tid stack ->
-              if stack <> [] then
-                err "tid %d: %d B events left open" tid (List.length stack))
-            stacks
-      | _ -> err "no traceEvents array")
-  | _ -> err "top level is not an object");
-  List.rev !errors

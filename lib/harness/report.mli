@@ -54,16 +54,3 @@ val hist_summary : Tracegen.Metrics.histogram list -> string
 (** One line per non-empty distribution: count, mean and the
     p50/p90/p99/max percentile summary ({!Tracegen.Metrics.percentile}).
     Shared by [repro_cli top] and [repro_cli events --stats-only]. *)
-
-val folded : Tracegen.Spans.span list -> string
-(** Folded-stack flamegraph export over the span tree: one line per
-    distinct root-to-span path ([frame;frame;frame weight]), weighted
-    by self time in dispatch ticks (duration minus nested children).
-    Loads directly into flamegraph.pl / speedscope.  Open spans are
-    skipped — run [Spans.end_all] first. *)
-
-val check_chrome : Codec.json -> string list
-(** Structural oracle over an exported Chrome trace: an object with a
-    [traceEvents] array, monotonically non-decreasing timestamps, every
-    [E] closing an open [B] on its thread track (none left open), and
-    every [X] carrying [dur].  Returns the violations; [[]] = valid. *)

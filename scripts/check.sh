@@ -101,14 +101,26 @@ done
   --users 2 --self-heal --fault-spec 'corrupt-trace@0.005,budget=20' \
   > /dev/null
 
-# Timeline round trip: export a Chrome trace and hold it to the
-# structural oracle (valid JSON, monotone timestamps, every E closing a
-# B); exits non-zero on any violation.
-chrome_out=$(mktemp /tmp/check_chrome.XXXXXX.json)
-"$cli" timeline compress --self-heal \
-  --fault-spec 'corrupt-trace@0.005,budget=20' --chrome "$chrome_out" \
-  > /dev/null || { rm -f "$chrome_out"; exit 1; }
-rm -f "$chrome_out"
+# Post-mortem sink gate: chaos runs armed with --dump-dir must leave at
+# least one flightrec_<reason>.jsonl there, and every dump must read
+# back through postmortem; exits non-zero otherwise.
+dump_dir=$(mktemp -d /tmp/check_dumps.XXXXXX)
+"$cli" chaos compress --quick --schedules 2 --dump-dir "$dump_dir" \
+  > /dev/null || { rm -rf "$dump_dir"; exit 1; }
+set -- "$dump_dir"/flightrec_*.jsonl
+if ! test -e "$1"; then
+  echo "check.sh: chaos --dump-dir wrote no flightrec_*.jsonl" >&2
+  rm -rf "$dump_dir"
+  exit 1
+fi
+for dump in "$@"; do
+  "$cli" postmortem "$dump" > /dev/null || {
+    echo "check.sh: postmortem rejected $dump" >&2
+    rm -rf "$dump_dir"
+    exit 1
+  }
+done
+rm -rf "$dump_dir"
 
 # Warm-start gate: save a snapshot, load it back, and require the warm
 # run to report a bit-identical VM result; then corrupt one byte and
@@ -139,10 +151,9 @@ if "$cli" warm compress --load "$snap_out" \
 fi
 rm -f "$snap_out"
 
-# Bench smoke: the deterministic counter rows (event, span, recorder
-# and ledger counts, OSR deopts, guard pruning, the compiled tier,
-# the shared trace cache, warm starts), no paper tables and no
-# wall-clock timing.  Two fresh --smoke --json runs must write
+# Bench smoke: the deterministic counter rows (event, recorder and
+# ledger counts, OSR deopts, the compiled tier, the shared trace cache,
+# warm starts), no paper tables and no wall-clock timing.  Two fresh --smoke --json runs must write
 # byte-identical BENCH_smoke.json files, and a fresh run must diff
 # clean against the committed BENCH_smoke.json at zero tolerance: a
 # counter that moves in its worse direction fails until the change

@@ -86,7 +86,7 @@ check_seq() {
 }
 
 subs="run events table disasm export list lint backends session chaos \
-top timeline warm postmortem explain bench-diff"
+top warm postmortem explain bench-diff"
 
 check --help=plain
 for s in $subs; do check "$s" --help=plain; done
@@ -111,8 +111,8 @@ check session --workloads javac,soot,mpegaudio --users 2 \
   --fault-spec 'alloc-pressure@0.001,budget=20'
 check session --workloads javac,soot,mpegaudio --users 2 --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20'
-check timeline compress --self-heal \
-  --fault-spec 'corrupt-trace@0.005,budget=20' --chrome chrome.json
+check_seq "chaos compress --quick --schedules 2 --dump-dir ." \
+  "postmortem flightrec_invariant_violation.jsonl"
 check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress 0
 check bench-diff BENCH_smoke.json BENCH_stomped.json
 check_seq "warm compress --save snap.tcsnap" "warm compress --load snap.tcsnap"
@@ -123,8 +123,6 @@ check_seq "run compress --self-heal --fault-spec corrupt-trace@0.01,budget=12 \
 check run compress --size 500 --traces --bcg
 check events compress --size 500
 check top compress --size 500
-check timeline compress --size 500
-check timeline compress --size 500 --folded folded.txt
 check explain compress --size 500 --trace 1
 check backends --size 500
 check session --workloads compress,raytrace --size 500

@@ -49,25 +49,33 @@ let test_mixed_entries_survive_wrap () =
   for i = 0 to 7 do
     Flightrec.record_event fr (ev i i)
   done;
-  Flightrec.record_span_closed fr ~time:50 ~id:7 ~parent:(-1)
-    ~kind:"trace_build" ~label:"b" ~start_time:40;
-  Flightrec.record_metric_delta fr ~time:60 ~name:"traces_constructed"
+  Flightrec.record_metric_delta fr ~time:50 ~name:"traces_constructed"
     ~delta:2 ~total:5;
+  Flightrec.record_event fr (ev 55 8);
+  Flightrec.record_metric_delta fr ~time:60 ~name:"deopts" ~delta:1 ~total:4;
   let window = Flightrec.to_list fr in
   check Alcotest.int "window still bounded" 3 (List.length window);
   (match window with
-  | [ Flightrec.Event e; Flightrec.Span_closed s; Flightrec.Metric_delta m ]
+  | [ Flightrec.Metric_delta m; Flightrec.Event e; Flightrec.Metric_delta m' ]
     ->
-      check Alcotest.int "event seq" 7 e.seq;
-      check Alcotest.int "span id" 7 s.id;
-      check Alcotest.string "span kind" "trace_build" s.kind;
-      check Alcotest.int "span start" 40 s.start_time;
       check Alcotest.string "metric name" "traces_constructed" m.name;
       check Alcotest.int "metric delta" 2 m.delta;
-      check Alcotest.int "metric total" 5 m.total
-  | _ -> Alcotest.fail "expected [event; span; metric] oldest first");
-  check Alcotest.(list int) "seqs stay dense across kinds" [ 7; 8; 9 ]
-    (List.map Flightrec.seq_of window)
+      check Alcotest.int "metric total" 5 m.total;
+      check Alcotest.int "event seq" 9 e.seq;
+      check Alcotest.int "event time" 55 e.time;
+      check Alcotest.string "second metric" "deopts" m'.name;
+      check Alcotest.int "its time" 60 m'.time
+  | _ -> Alcotest.fail "expected [metric; event; metric] oldest first");
+  check Alcotest.(list int) "seqs stay dense across kinds" [ 8; 9; 10 ]
+    (List.map Flightrec.seq_of window);
+  (* a slot that held a metric and is overwritten by an event reads back
+     as the event *)
+  Flightrec.record_event fr (ev 70 9);
+  check Alcotest.bool "overwritten metric slot holds the event" true
+    (match Flightrec.to_list fr with
+    | [ Flightrec.Event _; Flightrec.Metric_delta _; Flightrec.Event e ] ->
+        e.seq = 11 && e.time = 70
+    | _ -> false)
 
 let test_triggers () =
   let fr = Flightrec.create ~capacity:4 in
@@ -108,8 +116,8 @@ let test_postmortem_round_trip () =
   for i = 0 to 11 do
     Flightrec.record_event fr (ev i i)
   done;
-  Flightrec.record_span_closed fr ~time:90 ~id:3 ~parent:1 ~kind:"quarantine"
-    ~label:"q \"esc\"" ~start_time:80;
+  Flightrec.record_metric_delta fr ~time:90 ~name:"q \"esc\"" ~delta:(-1)
+    ~total:3;
   Flightrec.record_metric_delta fr ~time:95 ~name:"deopts" ~delta:1 ~total:4;
   let lines =
     String.split_on_char '\n'
@@ -138,28 +146,47 @@ let test_postmortem_round_trip () =
               end
               else
                 check Alcotest.bool "body records tagged" true
-                  (List.mem kind [ "event"; "span"; "metric" ])
+                  (List.mem kind [ "event"; "metric" ])
           | _ -> Alcotest.failf "line %d has no rec tag" i))
     lines;
   (* the harness-side pretty printer accepts the same artifact *)
-  let path = Filename.temp_file "flightrec" ".jsonl" in
-  Postmortem.write ~reason:Flightrec.Manual ~path fr;
-  let contents =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (match Postmortem.describe_dump contents with
+  match Postmortem.describe_dump (String.concat "\n" lines) with
   | Error e -> Alcotest.failf "describe_dump rejected its own dump: %s" e
   | Ok described ->
-      check Alcotest.int "one description per line" 9 (List.length described));
-  Sys.remove path
+      check Alcotest.int "one description per line" 9 (List.length described)
 
 (* ------------------------------------------------------------------ *)
 (* wired through the engine                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* [Postmortem.arm] does no I/O of its own: every trigger hands the
+   caller's writer the dump's path and contents. *)
+let test_arm_hands_dumps_to_writer () =
+  let engine =
+    Engine.create
+      (Harness.Experiment.layout_for Workloads.Compress.workload ~size:200)
+  in
+  let written = ref [] in
+  Postmortem.arm ~dir:"dumps"
+    ~write:(fun path contents -> written := (path, contents) :: !written)
+    engine;
+  ignore (Engine.drive engine);
+  Flightrec.trigger
+    (Option.get (Engine.flightrec engine))
+    Flightrec.Divergence;
+  match !written with
+  | [ (path, contents) ] -> (
+      check Alcotest.string "one file per reason, under the dump dir"
+        (Filename.concat "dumps" "flightrec_chaos_divergence.jsonl")
+        path;
+      match Postmortem.describe_dump contents with
+      | Ok (header :: _ :: _) ->
+          check Alcotest.bool "header names the reason" true
+            (String.starts_with
+               ~prefix:"post-mortem dump: reason=chaos_divergence" header)
+      | Ok _ -> Alcotest.fail "dump holds no entries"
+      | Error e -> Alcotest.failf "describe_dump rejected the dump: %s" e)
+  | l -> Alcotest.failf "expected one dump, the writer saw %d" (List.length l)
 
 let layout_of body =
   let p = S.create () in
@@ -316,7 +343,7 @@ let test_session_ledgers_follow_streams () =
         let ledger =
           Option.get (Engine.ledger (Tracegen.Session.engine m))
         in
-        let kept = List.map (fun e -> e.Ledger.event) (Ledger.to_list ledger) in
+        let kept = Ledger.to_list ledger in
         check Alcotest.int (name ^ ": one entry per decision event")
           (List.length !decisions) (Ledger.length ledger);
         check Alcotest.bool (name ^ ": the stream's decision events, in order")
@@ -347,7 +374,11 @@ let () =
           tc "dump triggers" `Quick test_triggers;
         ] );
       ( "postmortem",
-        [ tc "codec round trip" `Quick test_postmortem_round_trip ] );
+        [
+          tc "codec round trip" `Quick test_postmortem_round_trip;
+          tc "arm hands each dump to the writer" `Quick
+            test_arm_hands_dumps_to_writer;
+        ] );
       ( "engine",
         [
           tc "recorder armed by default" `Quick

@@ -1,11 +1,10 @@
-(* Deep observability: causal spans (ring buffer, parent links,
-   wraparound), per-block attribution reconciliation, and the timeline
-   exports (span JSONL, Chrome trace_event, the JSON round trip). *)
+(* Deep observability: per-block attribution reconciliation, the JSON
+   parser, and byte-mutation fuzzing of the decoders that read a file
+   back (postmortem dumps and bench baselines). *)
 
 open Workloads.Dsl
 module S = Bytecode.Structured
 module Engine = Tracegen.Engine
-module Spans = Tracegen.Spans
 module Config = Tracegen.Config
 module Metrics = Tracegen.Metrics
 module Stats = Tracegen.Stats
@@ -14,85 +13,6 @@ module Report = Harness.Report
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* the recorder in isolation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let parent_of t id =
-  match Spans.find t id with
-  | Some s -> s.Spans.parent
-  | None -> Alcotest.failf "span %d not in the ring" id
-
-let test_nesting_and_parents () =
-  let t = Spans.create () in
-  let a = Spans.begin_span t ~kind:Spans.Trace_build ~label:"a" ~now:1 in
-  let b = Spans.begin_span t ~kind:Spans.Heal_sweep ~label:"b" ~now:2 in
-  check Alcotest.int "a is a root" (-1) (parent_of t a);
-  check Alcotest.int "b nests under a" a (parent_of t b);
-  (* an emitted span parents under the innermost open span too *)
-  let q =
-    Spans.emit t ~kind:Spans.Quarantine ~label:"q" ~start_time:2 ~end_time:9
-  in
-  check Alcotest.int "emit parents under b" b (parent_of t q);
-  check Alcotest.int "emit never joins the open stack" 2 (Spans.n_open t);
-  Spans.end_span t b ~now:3;
-  Spans.end_span t a ~now:4;
-  let c = Spans.begin_span t ~kind:Spans.Member_turn ~label:"c" ~now:5 in
-  check Alcotest.int "after unwinding, c is a root" (-1) (parent_of t c);
-  Spans.end_span t c ~now:6;
-  check Alcotest.int "all closed" 0 (Spans.n_open t);
-  check Alcotest.(list int) "listed in begin order" [ a; b; q; c ]
-    (List.map (fun s -> s.Spans.id) (Spans.to_list t));
-  List.iter
-    (fun s ->
-      check Alcotest.bool "every span closed with a valid extent" true
-        (s.Spans.end_time >= s.Spans.start_time
-        && s.Spans.end_seq > s.Spans.start_seq))
-    (Spans.to_list t)
-
-let test_wraparound_keeps_links_consistent () =
-  let t = Spans.create ~capacity:4 () in
-  let root = Spans.begin_span t ~kind:Spans.Trace_build ~label:"root" ~now:0 in
-  for i = 1 to 10 do
-    let s =
-      Spans.begin_span t ~kind:Spans.Heal_sweep
-        ~label:(Printf.sprintf "child%d" i)
-        ~now:i
-    in
-    Spans.end_span t s ~now:i
-  done;
-  check Alcotest.int "ids kept flowing" 11 (Spans.recorded t);
-  check Alcotest.int "overwrites counted" 7 (Spans.dropped t);
-  check Alcotest.bool "the root was evicted" true (Spans.find t root = None);
-  (* surviving children still name the root as parent, and resolving
-     that link answers None — never whichever span reused the slot *)
-  List.iter
-    (fun s ->
-      if s.Spans.id <> root then begin
-        check Alcotest.int "parent link survives eviction" root
-          s.Spans.parent;
-        check Alcotest.bool "evicted parent resolves to None" true
-          (Spans.find t s.Spans.parent = None)
-      end)
-    (Spans.to_list t);
-  (* closing the evicted root is a harmless no-op beyond unstacking *)
-  Spans.end_span t root ~now:99;
-  check Alcotest.int "stack unwound" 0 (Spans.n_open t);
-  check Alcotest.int "ring holds the last capacity spans" 4
-    (List.length (Spans.to_list t))
-
-let test_end_all_closes_innermost_first () =
-  let t = Spans.create () in
-  let a = Spans.begin_span t ~kind:Spans.Trace_build ~label:"a" ~now:1 in
-  let b = Spans.begin_span t ~kind:Spans.Member_turn ~label:"b" ~now:2 in
-  Spans.end_all t ~now:9;
-  check Alcotest.int "nothing left open" 0 (Spans.n_open t);
-  let get id = Option.get (Spans.find t id) in
-  check Alcotest.bool "both closed at now" true
-    ((get a).Spans.end_time = 9 && (get b).Spans.end_time = 9);
-  check Alcotest.bool "inner closed before outer on the event clock" true
-    ((get b).Spans.end_seq < (get a).Spans.end_seq)
 
 (* ------------------------------------------------------------------ *)
 (* wired through the engine                                             *)
@@ -114,23 +34,9 @@ let hot_loop =
       ret (v "s");
     ]
 
-let run_obs ?(config = Config.make ~obs_spans:true ~obs_attribution:true ())
-    () =
-  let r = Engine.run ~config hot_loop in
-  let engine = r.Engine.engine in
-  let spans =
-    match Engine.spans engine with
-    | Some s -> s
-    | None -> Alcotest.fail "obs_spans on but no recorder"
-  in
-  Spans.end_all spans ~now:(Engine.total_dispatches engine);
-  (r, engine, spans)
-
 let test_disabled_by_default () =
   let r = Engine.run hot_loop in
   let engine = r.Engine.engine in
-  check Alcotest.bool "no recorder unless asked" true
-    (Engine.spans engine = None);
   check Alcotest.int "no attribution arrays unless asked" 0
     (Array.length (Engine.attr_self engine));
   (* histograms are always on: O(1), off the dispatch fast path *)
@@ -139,15 +45,10 @@ let test_disabled_by_default () =
     s.Stats.traces_completed
     (Metrics.hist_count (Engine.trace_len_hist engine))
 
-let test_engine_spans_and_attribution () =
-  let r, engine, spans = run_obs () in
+let test_engine_attribution () =
+  let r = Engine.run ~config:(Config.make ~obs_attribution:true ()) hot_loop in
+  let engine = r.Engine.engine in
   let s = r.Engine.run_stats in
-  check Alcotest.bool "builds were spanned" true (Spans.recorded spans > 0);
-  List.iter
-    (fun sp ->
-      check Alcotest.bool "closed with a valid extent" true
-        (sp.Spans.end_time >= sp.Spans.start_time))
-    (Spans.to_list spans);
   (* the hot-report reconciles exactly against Stats *)
   let report = Report.of_engine engine in
   check Alcotest.bool "report has trace rows" true (report.Report.traces <> []);
@@ -165,62 +66,6 @@ let test_engine_spans_and_attribution () =
   check Alcotest.int "one distance observation per side exit"
     (s.Stats.traces_entered - s.Stats.traces_completed - in_flight)
     (Metrics.hist_count (Engine.exit_distance_hist engine))
-
-let test_session_member_turns () =
-  let session = Tracegen.Session.create () in
-  let config = Config.make ~obs_spans:true () in
-  ignore (Tracegen.Session.add ~name:"a" ~config session hot_loop);
-  ignore (Tracegen.Session.add ~name:"b" ~config session hot_loop);
-  Tracegen.Session.run session;
-  List.iter
-    (fun m ->
-      let engine = Tracegen.Session.engine m in
-      match Engine.spans engine with
-      | None -> Alcotest.fail "obs_spans on but no recorder"
-      | Some spans ->
-          Spans.end_all spans ~now:(Engine.total_dispatches engine);
-          let turns =
-            List.filter
-              (fun s -> s.Spans.kind = Spans.Member_turn)
-              (Spans.to_list spans)
-          in
-          check Alcotest.bool "member turns spanned" true (turns <> []);
-          check Alcotest.string "labelled with the member name"
-            (Tracegen.Session.member_name m)
-            (List.hd turns).Spans.label;
-          check Alcotest.(list string) "chrome-exportable" []
-            (Report.check_chrome (Codec.chrome_trace (Spans.to_list spans))))
-    (Tracegen.Session.members session)
-
-let test_chrome_export_valid () =
-  let _, _, spans = run_obs () in
-  let j = Codec.chrome_trace (Spans.to_list spans) in
-  check Alcotest.(list string) "structurally valid" [] (Report.check_chrome j);
-  (* the printed form re-parses to an equally valid value *)
-  match Codec.parse (Codec.to_string j) with
-  | Error e -> Alcotest.failf "round trip failed to parse: %s" e
-  | Ok parsed ->
-      check Alcotest.(list string) "valid after the round trip" []
-        (Report.check_chrome parsed);
-      check Alcotest.string "printer/parser fixpoint" (Codec.to_string j)
-        (Codec.to_string parsed)
-
-let test_chrome_export_under_faults () =
-  (* quarantine episodes overlap freely; they must export as X events
-     and leave the B/E stack discipline intact *)
-  let config =
-    Config.make ~obs_spans:true ~self_heal:true ~debug_checks:true
-      ~fault_spec:"corrupt-trace@0.02,budget=10" ~fault_seed:7 ()
-  in
-  let _, _, spans = run_obs ~config () in
-  let spans = Spans.to_list spans in
-  let quarantines =
-    List.filter (fun s -> s.Spans.kind = Spans.Quarantine) spans
-  in
-  check Alcotest.bool "faults produced quarantine spans" true
-    (quarantines <> []);
-  check Alcotest.(list string) "still structurally valid" []
-    (Report.check_chrome (Codec.chrome_trace spans))
 
 (* ------------------------------------------------------------------ *)
 (* the JSON parser                                                      *)
@@ -257,30 +102,100 @@ let test_parser_values () =
   bad "1 trailing";
   bad "\"unterminated"
 
+(* ------------------------------------------------------------------ *)
+(* decoders under byte mutation                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A real dump: a faulted, self-healing compress run, forced to dump its
+   ring (events and metric deltas). *)
+let faulted_dump =
+  lazy
+    (let layout =
+       Harness.Experiment.layout_for Workloads.Compress.workload ~size:200
+     in
+     let config =
+       Config.make ~self_heal:true ~debug_checks:true ~snapshot_period:100
+         ~fault_spec:"corrupt-trace@0.01,budget=12" ~fault_seed:7 ()
+     in
+     let r = Engine.run ~config layout in
+     Codec.postmortem_jsonl ~reason:"manual"
+       (Option.get (Engine.flightrec r.Engine.engine)))
+
+let bench_smoke =
+  lazy (In_channel.with_open_bin "../BENCH_smoke.json" In_channel.input_all)
+
+(* Each decoder must answer [Ok] or [Error] on any input; an exception
+   fails the property. *)
+let decoders_answer input =
+  (match Codec.parse input with Ok _ | Error _ -> ());
+  (match Harness.Postmortem.describe_dump input with Ok _ | Error _ -> ());
+  (match Harness.Perf.of_string input with Ok _ | Error _ -> ());
+  true
+
+(* 1-8 byte edits, each overwriting, deleting or duplicating the byte
+   at a random offset, then maybe a truncation. *)
+let mutate source =
+  let open QCheck.Gen in
+  let edit s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      let* at = int_bound (n - 1) in
+      let* byte = char in
+      oneofl
+        [
+          String.mapi (fun i c -> if i = at then byte else c) s;
+          String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1);
+          String.sub s 0 (at + 1) ^ String.sub s at (n - at);
+        ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  let* s = int_range 1 8 >>= fun k -> edits k source in
+  let* truncate = bool in
+  if truncate then map (String.sub s 0) (int_bound (String.length s))
+  else return s
+
+let fuzz_decoders name source =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:150
+       (QCheck.make ~print:(fun s -> String.escaped s)
+          (QCheck.Gen.delay (fun () -> mutate (Lazy.force source))))
+       decoders_answer)
+
+(* A v10 dump could hold span closures; the span record is gone, so such
+   a line is a typed error naming its line. *)
+let test_v10_span_line () =
+  let dump =
+    String.concat "\n"
+      [
+        {|{"schema_version":10,"rec":"postmortem","reason":"manual","capacity":4,"recorded":2,"dropped":0}|};
+        {|{"schema_version":10,"rec":"event","seq":0,"event":"decay_pass","time":5,"decays":1}|};
+        {|{"schema_version":10,"rec":"span","seq":1,"time":9,"span":0,"parent":-1,"kind":"trace_build","label":"build N_1,2","start":9}|};
+      ]
+  in
+  check
+    Alcotest.(result (list string) string)
+    "the span line is rejected"
+    (Error "line 3: unknown rec kind \"span\"")
+    (Harness.Postmortem.describe_dump dump)
+
 let () =
   Alcotest.run "obs"
     [
-      ( "spans",
-        [
-          tc "nesting and parent links" `Quick test_nesting_and_parents;
-          tc "wraparound keeps links consistent" `Quick
-            test_wraparound_keeps_links_consistent;
-          tc "end_all closes innermost first" `Quick
-            test_end_all_closes_innermost_first;
-        ] );
       ( "engine",
         [
           tc "disabled by default" `Quick test_disabled_by_default;
-          tc "spans + attribution reconcile" `Quick
-            test_engine_spans_and_attribution;
-          tc "session member turns spanned" `Quick
-            test_session_member_turns;
+          tc "attribution reconciles" `Quick test_engine_attribution;
         ] );
       ( "export",
         [
-          tc "chrome trace valid" `Quick test_chrome_export_valid;
-          tc "chrome trace valid under faults" `Quick
-            test_chrome_export_under_faults;
           tc "parser round trips" `Quick test_parser_values;
+          tc "a v10 span line is a typed error" `Quick test_v10_span_line;
+        ] );
+      ( "fuzz",
+        [
+          fuzz_decoders "mutated postmortem dump decodes or errs"
+            faulted_dump;
+          fuzz_decoders "mutated bench baseline decodes or errs" bench_smoke;
         ] );
     ]
