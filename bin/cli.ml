@@ -120,6 +120,20 @@ let positive =
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+(* bench-diff --max-regress: a NaN tolerance compares false against every
+   move, an infinite one forgives all of them, and a negative one flags
+   a file diffed against itself *)
+let tolerance =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | _ ->
+        Error
+          (Printf.sprintf "invalid value '%s', expected a finite number >= 0"
+             s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
 

@@ -839,7 +839,7 @@ let postmortem_cmd =
        ~doc:
          "Pretty-print a flight-recorder post-mortem dump: the dump header \
           (trigger reason, ring occupancy) followed by the surviving window \
-          of events and metric deltas, oldest first.  Every line is \
+          of events, oldest first.  Every line is \
           re-parsed through the Codec JSON parser; exits 1 on any malformed \
           record.")
     Term.(const postmortem $ file)
@@ -903,8 +903,11 @@ let explain workload size flags trace_id block =
     (fun (seq, (e : Events.event)) ->
       let line =
         Harness.Codec.flightrec_entry_json
-          (Tracegen.Flightrec.Event
-             { seq; time = e.Events.time; payload = e.Events.payload })
+          {
+            Tracegen.Flightrec.seq;
+            time = e.Events.time;
+            payload = e.Events.payload;
+          }
       in
       let (Ok d | Error d) = Harness.Postmortem.describe_json line in
       Printf.printf "  %s\n" d)
@@ -1005,9 +1008,10 @@ let bench_diff_cmd =
            ~doc:"Candidate BENCH_<label>.json.")
   in
   let max_regress =
-    Arg.(value & opt float 0.0 & info [ "max-regress" ] ~docv:"PCT"
+    Arg.(value & opt Cli.tolerance 0.0 & info [ "max-regress" ] ~docv:"PCT"
            ~doc:"Tolerated regression per metric, in percent of the \
-                 baseline value (direction-aware; default 0).")
+                 baseline value, a finite number >= 0 (direction-aware; \
+                 default 0).")
   in
   Cmd.v
     (Cmd.info "bench-diff"

@@ -9,7 +9,7 @@ module Layout = Cfg.Layout
    the health ladder, so degradation is a backend *switch* rather than
    mode flags inside one loop.
 
-   Everything lives here: the dispatch prologue (metrics tick, fault
+   Everything lives here: the dispatch prologue (phase snapshots, fault
    injection), trace construction (profiler signals and OSR promotion),
    trace entry (with the compiled tier when Config.tier_enabled is on),
    active-trace following, trace completion/side-exit bookkeeping,
@@ -23,7 +23,7 @@ type ctx = {
   profiler : Profiler.t;
   cache : Trace_cache.t;
   events : Events.t;
-  metrics : Metrics.t;
+  ledger : Ledger.t; (* fed by the event tap the engine installs *)
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option; (* None = on-stack replacement off *)
@@ -342,11 +342,94 @@ let note_executed ctx g =
   ctx.prev2 <- ctx.prev;
   ctx.prev <- g
 
-(* The dispatch prologue every strategy runs first: advance the metrics
-   clock and, when the self-healing or fault machinery is armed, the
-   cache clock and the fault injector. *)
+(* The counters, filled in: a copy of the dispatch loop's own record
+   plus, in this one place, the counters other modules own. *)
+let counters ctx : Stats.t =
+  let s = Stats.copy ctx.counts in
+  let bcg = Profiler.bcg ctx.profiler and cache = ctx.cache in
+  s.Stats.signals <- Profiler.signals ctx.profiler;
+  s.Stats.ic_predictions <- Profiler.predictions ctx.profiler;
+  s.Stats.bcg_nodes <- Bcg.n_nodes bcg;
+  s.Stats.bcg_edges <- Bcg.n_edges bcg;
+  s.Stats.traces_replaced <- Trace_cache.n_replaced cache;
+  s.Stats.traces_live <- Trace_cache.n_live cache;
+  s.Stats.traces_quarantined <- Trace_cache.n_quarantines cache;
+  s.Stats.traces_evicted <- Trace_cache.n_evicted cache;
+  s.Stats.traces_blacklisted <- Trace_cache.n_blacklisted cache;
+  s.Stats.failed_installs <- Trace_cache.n_failed_installs cache;
+  s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
+  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
+  Trace_cache.iter_all cache (fun tr ->
+      if tr.Trace.completed > 0 then begin
+        s.Stats.static_traces <- s.Stats.static_traces + 1;
+        s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
+      end);
+  (match ctx.osr with
+  | Some osr ->
+      s.Stats.deopts <- Osr.deopts osr;
+      s.Stats.deopt_residue_blocks <- Osr.residue_blocks osr;
+      s.Stats.osr_promotions <- Osr.promotions osr;
+      s.Stats.osr_entries <- Osr.entries osr;
+      s.Stats.osr_state_checks <- Osr.state_checks osr;
+      s.Stats.osr_state_mismatches <- Osr.state_mismatches osr
+  | None -> ());
+  s.Stats.faults_injected <- Faults.injected ctx.faults;
+  s.Stats.health_demotions <- Health.demotions ctx.health;
+  s.Stats.health_promotions <- Health.promotions ctx.health;
+  s.Stats.final_health <- Health.level_rank (Health.level ctx.health);
+  s
+
+(* One phase snapshot's values: the histogram summaries, every counter
+   but [instructions] (only the VM knows it), then the state no counter
+   covers. *)
+let sample ctx =
+  let s = counters ctx and cache = ctx.cache in
+  List.concat_map Metrics.hist_fields
+    [
+      ctx.h_trace_len;
+      ctx.h_exit_distance;
+      ctx.h_build_len;
+      ctx.h_backoff;
+      ctx.h_deopt_residue;
+    ]
+  @ List.filter_map
+      (fun (name, get) ->
+        if name = "instructions" then None else Some (name, get s))
+      Stats.counters
+  @ [
+      ("live_blocks", Trace_cache.live_blocks cache);
+      ("quarantine_active", Trace_cache.n_quarantine_active cache);
+      ("skipped_dispatches", Profiler.skipped ctx.profiler);
+      ("cross_session_installs", Trace_cache.n_cross_installs cache);
+      ("cross_session_entries", Trace_cache.n_cross_entries cache);
+      ("traces_restored", Trace_cache.n_restored cache);
+      ("cache_footprint_bytes", Trace_cache.footprint_bytes cache);
+    ]
+  @ (if Config.tier_enabled ctx.config then
+       [ ("compiled_live", Trace_cache.n_compiled cache) ]
+     else [])
+  @ (match ctx.flightrec with
+    | Some fr ->
+        [
+          ("flightrec_recorded", Flightrec.recorded fr);
+          ("flightrec_dumps", Flightrec.dumps fr);
+        ]
+    | None -> [])
+  @ [ ("ledger_records", Ledger.length ctx.ledger) ]
+
+(* The dispatch prologue every strategy runs first: every
+   [snapshot_period] dispatches publish a phase snapshot stamped with
+   this dispatch's 1-based index, and when the self-healing or fault
+   machinery is armed advance the cache clock and the fault injector. *)
 let prologue ctx =
-  Metrics.tick ctx.metrics;
+  let period = Config.snapshot_period ctx.config in
+  if period > 0 then begin
+    let at = clock ctx + 1 in
+    if at mod period = 0 && Events.enabled ctx.events then
+      Events.emit ctx.events
+        (Events.Phase_snapshot
+           { Metrics.at; values = Array.of_list (sample ctx) })
+  end;
   if Config.self_heal ctx.config || Faults.is_active ctx.faults then begin
     let now = clock ctx in
     Trace_cache.set_clock ctx.cache now;

@@ -24,7 +24,9 @@ type ctx = {
   profiler : Profiler.t;
   cache : Trace_cache.t;
   events : Events.t;
-  metrics : Metrics.t;
+  ledger : Ledger.t;
+      (** the decision ledger, fed by the event tap the engine
+          installs *)
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option;
@@ -51,8 +53,8 @@ type ctx = {
   counts : Stats.t;
       (** the counters the dispatch loop advances, updated in place.
           Counters other modules own ([Profiler], [Trace_cache], [Osr],
-          [Health], [Faults]) stay zero here; [Engine.counters] fills
-          them in on a copy. *)
+          [Health], [Faults]) stay zero here; {!counters} fills them
+          in on a copy. *)
   mutable active : Trace.t option;
       (** the trace currently being followed *)
   mutable active_lowered : Microir.body option;
@@ -100,7 +102,11 @@ val on_block : ctx -> kind -> Cfg.Layout.gid -> unit
     ([Tier.maybe_compile]) and, for a trace holding a lowered body,
     accounts the entry and every followed position on the compiled
     tier.  Under self-healing every candidate trace is validated before
-    entry.  After the dispatch, a decay boundary runs the invariant
+    entry.  When {!Config.snapshot_period} is positive, every
+    [period]-th dispatch first publishes a [Phase_snapshot] stamped
+    with its 1-based index ([clock + 1]), sampled from the five
+    histograms, {!counters} and the cache, recorder and ledger state.
+    After the dispatch, a decay boundary runs the invariant
     sweep when {!Config.debug_checks} is on. *)
 
 val on_signal : ctx -> Bcg.signal -> unit
@@ -113,6 +119,11 @@ val clock : ctx -> int
 (** The engine's dispatch clock ([counts.block_dispatches +
     counts.trace_dispatches]) — the cache clock and the event stream's
     timestamp base alike. *)
+
+val counters : ctx -> Stats.t
+(** Every counter as it stands now, in a fresh record: a copy of
+    [counts] with the counters other modules own filled in.  The fields
+    only the VM knows ([instructions], [wall_seconds]) are zero. *)
 
 val fr_trigger : ctx -> Flightrec.dump_reason -> unit
 (** Fire a flight-recorder dump trigger; no-op when the recorder is

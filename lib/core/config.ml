@@ -27,8 +27,8 @@ type t = {
   decay_period : int; (* node executions between exponential decay passes *)
   build_traces : bool; (* false = profile-only run (Table VI) *)
   snapshot_period : int;
-      (* dispatches between periodic metrics snapshots; 0 disables the
-         series (the observability layer's quiescent default) *)
+      (* dispatches between Phase_snapshot events; 0 disables them
+         (the observability layer's quiescent default) *)
   debug_checks : bool;
       (* run the trace/BCG invariant checks at trace-construction and
          decay boundaries, emitting an event per violation *)

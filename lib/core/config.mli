@@ -114,8 +114,8 @@ val build_traces : t -> bool
     measurement.  Default [true]. *)
 
 val snapshot_period : t -> int
-(** Dispatches between periodic {!Metrics} snapshots; [0] (default)
-    disables the snapshot series. *)
+(** Dispatches between the engine's [Phase_snapshot] events; [0]
+    (default) disables them. *)
 
 val debug_checks : t -> bool
 (** Run the trace/BCG invariant checks ([Invariants]) at

@@ -53,83 +53,12 @@ let select config (level : Health.level) : backend_kind =
 
 type t = {
   ctx : Backend.ctx;
-  ledger : Ledger.t;
   pinned : bool; (* backend forced at creation: never re-selected *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
 }
 
-(* The counters, filled in: a copy of the dispatch loop's own record
-   plus, in this one place, the counters other modules own. *)
-let counters t : Stats.t =
-  let ctx = t.ctx in
-  let s = Stats.copy ctx.Backend.counts in
-  let profiler = ctx.Backend.profiler and cache = ctx.Backend.cache in
-  let bcg = Profiler.bcg profiler in
-  s.Stats.signals <- Profiler.signals profiler;
-  s.Stats.ic_predictions <- Profiler.predictions profiler;
-  s.Stats.bcg_nodes <- Bcg.n_nodes bcg;
-  s.Stats.bcg_edges <- Bcg.n_edges bcg;
-  s.Stats.traces_replaced <- Trace_cache.n_replaced cache;
-  s.Stats.traces_live <- Trace_cache.n_live cache;
-  s.Stats.traces_quarantined <- Trace_cache.n_quarantines cache;
-  s.Stats.traces_evicted <- Trace_cache.n_evicted cache;
-  s.Stats.traces_blacklisted <- Trace_cache.n_blacklisted cache;
-  s.Stats.failed_installs <- Trace_cache.n_failed_installs cache;
-  s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
-  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
-  Trace_cache.iter_all cache (fun tr ->
-      if tr.Trace.completed > 0 then begin
-        s.Stats.static_traces <- s.Stats.static_traces + 1;
-        s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
-      end);
-  (match ctx.Backend.osr with
-  | Some osr ->
-      s.Stats.deopts <- Osr.deopts osr;
-      s.Stats.deopt_residue_blocks <- Osr.residue_blocks osr;
-      s.Stats.osr_promotions <- Osr.promotions osr;
-      s.Stats.osr_entries <- Osr.entries osr;
-      s.Stats.osr_state_checks <- Osr.state_checks osr;
-      s.Stats.osr_state_mismatches <- Osr.state_mismatches osr
-  | None -> ());
-  s.Stats.faults_injected <- Faults.injected ctx.Backend.faults;
-  s.Stats.health_demotions <- Health.demotions ctx.Backend.health;
-  s.Stats.health_promotions <- Health.promotions ctx.Backend.health;
-  s.Stats.final_health <- Health.level_rank (Health.level ctx.Backend.health);
-  s
-
-(* Every Stats counter but [instructions], which only the VM knows. *)
-let gauged_counters =
-  List.filter (fun (name, _) -> name <> "instructions") Stats.counters
-
-(* Expose the accounting through the registry as polled gauges: nothing
-   on the dispatch path, evaluated only when a snapshot is taken.  One
-   gauge per counter, all projecting one [counters] sample per snapshot,
-   then the state gauges that are not counters. *)
-let register_gauges (m : Metrics.t) (t : t) =
-  let e = t.ctx in
-  Metrics.gauges m gauged_counters (fun () -> counters t);
-  let cache = e.Backend.cache in
-  Metrics.gauge m "live_blocks" (fun () -> Trace_cache.live_blocks cache);
-  Metrics.gauge m "quarantine_active" (fun () ->
-      Trace_cache.n_quarantine_active cache);
-  Metrics.gauge m "skipped_dispatches" (fun () ->
-      Profiler.skipped e.Backend.profiler);
-  Metrics.gauge m "cross_session_installs" (fun () ->
-      Trace_cache.n_cross_installs cache);
-  Metrics.gauge m "cross_session_entries" (fun () ->
-      Trace_cache.n_cross_entries cache);
-  Metrics.gauge m "traces_restored" (fun () -> Trace_cache.n_restored cache);
-  Metrics.gauge m "cache_footprint_bytes" (fun () ->
-      Trace_cache.footprint_bytes cache);
-  if Config.tier_enabled e.Backend.config then
-    Metrics.gauge m "compiled_live" (fun () -> Trace_cache.n_compiled cache);
-  (match e.Backend.flightrec with
-  | Some fr ->
-      Metrics.gauge m "flightrec_recorded" (fun () -> Flightrec.recorded fr);
-      Metrics.gauge m "flightrec_dumps" (fun () -> Flightrec.dumps fr)
-  | None -> ());
-  Metrics.gauge m "ledger_records" (fun () -> Ledger.length t.ledger)
+let counters t = Backend.counters t.ctx
 
 let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     ?backend (layout : Layout.t) : t =
@@ -152,12 +81,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     Faults.create ~seed:(Config.fault_seed config) (Config.fault_spec config)
   in
   let health = Health.create () in
-  let metrics = Metrics.create ~period:(Config.snapshot_period config) () in
-  let h_trace_len = Metrics.histogram metrics "executed_trace_len" in
-  let h_exit_distance = Metrics.histogram metrics "completion_distance" in
-  let h_build_len = Metrics.histogram metrics "builder_path_len" in
-  let h_backoff = Metrics.histogram metrics "quarantine_backoff" in
-  let h_deopt_residue = Metrics.histogram metrics "deopt_residue" in
   let osr =
     if Config.osr_enabled config then
       Some (Osr.create ~promote_after:(Config.osr_promote_after config) layout)
@@ -204,7 +127,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       profiler;
       cache;
       events;
-      metrics;
+      ledger;
       health;
       faults;
       osr;
@@ -217,11 +140,11 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
         (if Config.obs_attribution config then
            Array.make layout.Layout.n_blocks 0
          else [||]);
-      h_trace_len;
-      h_exit_distance;
-      h_build_len;
-      h_backoff;
-      h_deopt_residue;
+      h_trace_len = Metrics.histogram "executed_trace_len";
+      h_exit_distance = Metrics.histogram "completion_distance";
+      h_build_len = Metrics.histogram "builder_path_len";
+      h_backoff = Metrics.histogram "quarantine_backoff";
+      h_deopt_residue = Metrics.histogram "deopt_residue";
       counts = Stats.zero ();
       active = None;
       active_lowered = None;
@@ -241,30 +164,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     | Some k -> (k, true)
     | None -> (select config (Health.level health), false)
   in
-  let t = { ctx; ledger; pinned; kind; kind_level = Health.level health } in
-  register_gauges metrics t;
-  let prev_values : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  Metrics.on_snapshot metrics (fun snapshot ->
-      if Events.enabled events then
-        Events.emit events (Events.Phase_snapshot snapshot);
-      (* the recorder keeps metric *deltas* between consecutive
-         snapshots — what moved, not the whole registry *)
-      match flightrec with
-      | Some fr ->
-          Array.iter
-            (fun (name, value) ->
-              let old =
-                match Hashtbl.find_opt prev_values name with
-                | Some v -> v
-                | None -> 0
-              in
-              if value <> old then
-                Flightrec.record_metric_delta fr ~time:snapshot.Metrics.at
-                  ~name ~delta:(value - old) ~total:value;
-              Hashtbl.replace prev_values name value)
-            snapshot.Metrics.values
-      | None -> ());
-  t
+  { ctx; pinned; kind; kind_level = Health.level health }
 
 (* accessors over the abstract engine *)
 let config t = t.ctx.Backend.config
@@ -277,8 +177,6 @@ let cache t = t.ctx.Backend.cache
 
 let events t = t.ctx.Backend.events
 
-let metrics t = t.ctx.Backend.metrics
-
 let active_trace t = t.ctx.Backend.active
 
 let total_dispatches t = Backend.clock t.ctx
@@ -287,7 +185,7 @@ let health t = t.ctx.Backend.health
 
 let flightrec t = t.ctx.Backend.flightrec
 
-let ledger t = Some t.ledger
+let ledger t = Some t.ctx.Backend.ledger
 
 let attr_self t = t.ctx.Backend.attr_self
 

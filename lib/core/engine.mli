@@ -32,18 +32,17 @@
 
     The engine type is abstract.  Its accounting is read through
     {!counters} (live) or, end-of-run, through {!stats}; its lifecycle
-    is observable in two richer ways:
-
-    - {!events} — the typed {!Events} stream every component publishes
-      on ([Signal_raised], [Trace_constructed], [Trace_entered],
-      [Side_exit], [Trace_completed], [Trace_replaced], [Decay_pass],
-      [Phase_snapshot]).  Subscribe before driving the engine; a run
-      with no subscribers — the default, where only the flight
-      recorder taps the stream — allocates nothing per dispatch.
-    - {!metrics} — a {!Metrics} registry with one gauge per
-      {!Stats.counters} entry (bar [instructions]), snapshotted every
-      [Config.snapshot_period] dispatches into a phase-analysis time
-      series. *)
+    is published on {!events}, the typed {!Events} stream every
+    component emits on ([Signal_raised], [Trace_constructed],
+    [Trace_entered], [Side_exit], [Trace_completed], [Trace_replaced],
+    [Decay_pass], …).  Subscribe before driving the engine; a run with
+    no subscribers — the default, where only the flight recorder and
+    the ledger tap the stream — allocates nothing per dispatch.  With
+    [Config.snapshot_period] positive the engine also samples its
+    histograms, every {!Stats.counters} entry (bar [instructions]) and
+    its cache, recorder and ledger state every [period] dispatches, and
+    publishes each sample as a [Phase_snapshot] event: the stream is
+    the phase-analysis time series. *)
 
 type t
 
@@ -102,10 +101,6 @@ val profiler : t -> Profiler.t
 val cache : t -> Trace_cache.t
 
 val events : t -> Events.t
-
-val metrics : t -> Metrics.t
-(** The registry created by the engine; its snapshot series is the
-    [Phase_snapshot] event payloads, also readable here after a run. *)
 
 val active_trace : t -> Trace.t option
 (** The trace currently being followed, if any (e.g. when the program

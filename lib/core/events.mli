@@ -2,11 +2,10 @@
 
     Every interesting moment of a run — a profiler signal, a trace being
     (re)constructed, entered, completed or side-exited, a decay pass, a
-    periodic metrics snapshot — is published here as a typed event,
-    stamped with the dispatch index it happened at.  The stream is the
-    qualitative half of the observability layer ({!Metrics} is the
-    quantitative half): end-of-run totals say {e how many} traces
-    completed, the stream says {e when}.
+    periodic phase snapshot of the engine's counters — is published
+    here as a typed event, stamped with the dispatch index it happened
+    at.  End-of-run totals say {e how many} traces completed, the
+    stream says {e when}.
 
     {2 Cost discipline}
 
@@ -97,7 +96,9 @@ type payload =
       (** The BCG ran one or more periodic decay passes during this
           dispatch; [decays] is the cumulative pass count. *)
   | Phase_snapshot of Metrics.snapshot
-      (** The metrics registry took a periodic snapshot. *)
+      (** Every [Config.snapshot_period] dispatches the engine samples
+          its histograms, counters and cache, recorder and ledger state;
+          [at] is the dispatch's 1-based index. *)
   | Invariant_violation of {
       code : string;  (** stable check code, e.g. ["TL204"] *)
       severity : string;  (** ["error"] / ["warning"] / ["info"] *)

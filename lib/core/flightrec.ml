@@ -1,5 +1,5 @@
 (* Flight recorder: an always-on bounded ring buffer of the most recent
-   events and metric deltas — the engine's black box.  Recording is
+   events — the engine's black box.  Recording is
    O(1) and retention is bounded by the ring capacity, so the recorder
    can stay armed on every run.  It never writes anything
    itself: when a trigger condition fires (invariant violation, chaos
@@ -7,15 +7,7 @@
    the [on_dump] hook installed by the harness, which serializes the
    ring through the codec into a postmortem artifact. *)
 
-type entry =
-  | Event of { seq : int; time : int; payload : Events.payload }
-  | Metric_delta of {
-      seq : int;
-      time : int;
-      name : string;
-      delta : int;
-      total : int;
-    }
+type entry = { seq : int; time : int; payload : Events.payload }
 
 type dump_reason =
   | Invariant
@@ -39,18 +31,13 @@ let reason_of_string = function
   | "manual" -> Some Manual
   | _ -> None
 
-(* Slot storage is split across parallel arrays and tuned so the hot
-   path — one event per engine emission, tens of thousands per run —
-   costs a handful of int stores plus the cursor bump, and allocates
-   nothing.  No per-slot sequence number is written.  Discrimination
-   works without one because writes are strictly sequential: a metric
-   record stamps its own sequence number into [box_seqs] at its slot,
-   so a slot whose [box_seqs] entry does not match the sequence number
-   the window walk expects there must hold an event.  Metric deltas are
-   rare (snapshot boundaries), so they box their fields. *)
-type box = { name : string; delta : int; total : int }
+(* Slot storage is tuned so the hot path — one event per engine
+   emission, tens of thousands per run — costs a handful of int stores
+   plus the cursor bump, and allocates nothing.  No per-slot sequence
+   number is written: writes are strictly sequential, so the slot for
+   sequence number [seq] is [seq mod cap].
 
-(* The high-frequency event kinds — trace entry/exit/completion and
+   The high-frequency event kinds — trace entry/exit/completion and
    decay ticks, the per-dispatch chatter that dominates the stream —
    arrive as scalars in the stream's hot-kind encoding (the intake is an
    [Events.sink]) and are copied into [scalars], a flat unboxed int
@@ -69,9 +56,6 @@ type t = {
          no nullary value to fill with, so the first recorded event
          seeds the array *)
   scalars : int array;  (* [scalar_width] ints per slot *)
-  boxes : box option array;  (* metric slots only *)
-  box_seqs : int array;  (* seq stamped when the slot got a box *)
-  times : int array;  (* metric slots only; events carry their own *)
   mutable pos : int;  (* next write index; invariant pos = next_seq mod cap *)
   mutable next_seq : int;
   mutable dumps : int;
@@ -110,9 +94,6 @@ let create ~capacity =
       cap;
       evs = [||];
       scalars = Array.make (cap * scalar_width) 0;
-      boxes = Array.make cap None;
-      box_seqs = Array.make cap (-1);
-      times = Array.make cap 0;
       pos = 0;
       next_seq = 0;
       dumps = 0;
@@ -134,57 +115,28 @@ let set_on_dump t f = t.on_dump <- Some f
 let sink t = t.sink
 let record_event t ev = Events.route t.sink ev
 
-let record_metric_delta t ~time ~name ~delta ~total =
-  let i = t.pos in
-  t.boxes.(i) <- Some { name; delta; total };
-  t.box_seqs.(i) <- t.next_seq;
-  t.times.(i) <- time;
-  advance t i
-
-let seq_of = function Event e -> e.seq | Metric_delta m -> m.seq
-let time_of = function Event e -> e.time | Metric_delta m -> m.time
-
-(* Rebuild one boxed entry from a slot (dump path only).  The sequence
-   number is implicit in the walk: writes are strictly sequential, so
-   the slot for [seq] is [seq mod cap], and it holds a metric exactly
-   when that write stamped [box_seqs]. *)
-let entry_at t ~seq i : entry option =
-  if t.box_seqs.(i) = seq then
-    match t.boxes.(i) with
-    | Some b ->
-        Some
-          (Metric_delta
-             {
-               seq;
-               time = t.times.(i);
-               name = b.name;
-               delta = b.delta;
-               total = b.total;
-             })
-    | None -> None
+(* Rebuild one entry from its slot (dump path only).  Every slot the
+   window walk visits was written, and a pointer-path write seeds
+   [evs], so a [k_pointer] slot always has its event. *)
+let entry_at t ~seq i : entry =
+  let s = i * scalar_width in
+  let k = t.scalars.(s) in
+  if k = k_pointer then
+    let ev = t.evs.(i) in
+    { seq; time = ev.Events.time; payload = ev.Events.payload }
   else
-    let s = i * scalar_width in
-    let k = t.scalars.(s) in
-    if k = k_pointer then
-      if Array.length t.evs = 0 then None
-      else
-        let ev = t.evs.(i) in
-        Some
-          (Event { seq; time = ev.Events.time; payload = ev.Events.payload })
-    else
-      let payload =
-        Events.hot_payload ~kind:k t.scalars.(s + 2) t.scalars.(s + 3)
-          t.scalars.(s + 4) t.scalars.(s + 5)
-      in
-      Some (Event { seq; time = t.scalars.(s + 1); payload })
+    let payload =
+      Events.hot_payload ~kind:k t.scalars.(s + 2) t.scalars.(s + 3)
+        t.scalars.(s + 4) t.scalars.(s + 5)
+    in
+    { seq; time = t.scalars.(s + 1); payload }
 
 (* Oldest-first reconstruction of the surviving window. *)
 let to_list t =
   let first = max 0 (t.next_seq - t.cap) in
   let acc = ref [] in
   for seq = t.next_seq - 1 downto first do
-    let i = seq mod t.cap in
-    match entry_at t ~seq i with Some e -> acc := e :: !acc | None -> ()
+    acc := entry_at t ~seq (seq mod t.cap) :: !acc
   done;
   !acc
 

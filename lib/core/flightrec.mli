@@ -1,20 +1,12 @@
 (** Flight recorder: an always-on bounded ring buffer ("black box") of
-    the most recent events and metric deltas.  Recording is O(1) per
-    entry with retention bounded by the ring capacity; on a trigger
-    condition the harness-installed [on_dump] hook serializes
-    the surviving window into a postmortem artifact. *)
+    the most recent events.  Recording is O(1) per entry with retention
+    bounded by the ring capacity; on a trigger condition the
+    harness-installed [on_dump] hook serializes the surviving window
+    into a postmortem artifact. *)
 
-type entry =
-  | Event of { seq : int; time : int; payload : Events.payload }
-      (** A delivered engine event, as tapped off the event stream. *)
-  | Metric_delta of {
-      seq : int;
-      time : int;
-      name : string;
-      delta : int;
-      total : int;
-    }
-      (** A metric that moved between two consecutive snapshots. *)
+type entry = { seq : int; time : int; payload : Events.payload }
+(** A delivered engine event, as tapped off the event stream; [seq]
+    numbers the recorder's entries from 0. *)
 
 (** Why a dump fired.  [Manual] is a forced dump (CLI / tests). *)
 type dump_reason =
@@ -57,12 +49,6 @@ val record_event : t -> Events.event -> unit
 (** Record one event through {!sink} ({!Events.route}): an event
     recorded this way and the same event arriving on the tap leave
     identical slots. *)
-
-val record_metric_delta :
-  t -> time:int -> name:string -> delta:int -> total:int -> unit
-
-val seq_of : entry -> int
-val time_of : entry -> int
 
 val to_list : t -> entry list
 (** The surviving window, oldest first. *)

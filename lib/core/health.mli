@@ -26,8 +26,8 @@ val level_to_string : level -> string
     stable names the events and the JSONL schema use. *)
 
 val level_rank : level -> int
-(** [0] (full) to [2] (interp-only); exported as the [health_level]
-    gauge. *)
+(** [0] (full) to [2] (interp-only); exported as the [final_health]
+    counter. *)
 
 type transition = Stay | Changed of level * level  (** (from, to) *)
 

@@ -1,10 +1,6 @@
-(* Named gauges and histograms with periodic snapshotting.
-
-   Gauges are closures polled only when a snapshot is taken.
-   Histograms use fixed power-of-two buckets so recording is O(1): one
-   bit-length loop, one array bump.  The tick clock is the engine's
-   dispatch count, so snapshots form a phase-analysis time series over
-   dispatches. *)
+(* Histograms with fixed power-of-two buckets, so recording is O(1): one
+   bit-length loop, one array bump.  The engine samples them, with its
+   counters, into the [snapshot] its Phase_snapshot events carry. *)
 
 type histogram = {
   h_name : string;
@@ -18,79 +14,17 @@ type histogram = {
   mutable h_max : int;
 }
 
-type source =
-  | Gauge of (unit -> int)
-  | Gauges : (string * ('a -> int)) list * (unit -> 'a) -> source
-      (* a gauge group: named projections of one sample, polled once *)
-  | Hist of histogram
-
 type snapshot = { at : int; values : (string * int) array }
 
-type t = {
-  mutable entries : (string * source) list; (* reverse registration order *)
-  period : int;
-  mutable ticks : int;
-  mutable until_snapshot : int;
-  mutable snaps : snapshot list; (* reverse chronological *)
-  mutable callbacks : (snapshot -> unit) list; (* reverse registration *)
-}
-
-let create ?(period = 0) () =
-  if period < 0 then invalid_arg "Metrics.create: negative period";
+let histogram name =
   {
-    entries = [];
-    period;
-    ticks = 0;
-    until_snapshot = period;
-    snaps = [];
-    callbacks = [];
+    h_name = name;
+    h_buckets = Array.make 16 0;
+    h_count = 0;
+    h_sum = 0;
+    h_min = max_int;
+    h_max = 0;
   }
-
-(* Allocation-free: engines register dozens of metrics at creation. *)
-let rec find_in name = function
-  | [] -> None
-  | (_, (Gauges (named, _) as src)) :: rest ->
-      if List.mem_assoc name named then Some src else find_in name rest
-  | (n, src) :: rest -> if n = name then Some src else find_in name rest
-
-let find t name = find_in name t.entries
-
-let gauge t name f =
-  match find t name with
-  | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " already registered")
-  | None -> t.entries <- (name, Gauge f) :: t.entries
-
-let gauges t named sample =
-  List.iter
-    (fun (name, _) ->
-      if find t name <> None then
-        invalid_arg ("Metrics.gauges: " ^ name ^ " already registered"))
-    named;
-  t.entries <- ("", Gauges (named, sample)) :: t.entries
-
-(* histograms *)
-
-let default_buckets = 16
-
-let histogram t ?(buckets = default_buckets) name =
-  match find t name with
-  | Some (Hist h) -> h
-  | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
-  | None ->
-      if buckets < 2 || buckets > 62 then
-        invalid_arg "Metrics.histogram: buckets must be in [2, 62]";
-      let h =
-        {
-          h_name = name;
-          h_buckets = Array.make buckets 0;
-          h_count = 0;
-          h_sum = 0;
-          h_min = max_int;
-          h_max = 0;
-        }
-      in
-      t.entries <- (name, Hist h) :: t.entries;
-      h
 
 let bucket_index h v =
   if v <= 0 then 0
@@ -159,46 +93,13 @@ let percentile h p =
     if hi < hist_min h then hist_min h else hi
   end
 
-(* A histogram flattens into several snapshot fields; a gauge stays one
-   field. *)
-let flatten_source name = function
-  | Gauge f -> [ (name, f ()) ]
-  | Gauges (named, sample) ->
-      let v = sample () in
-      List.map (fun (name, f) -> (name, f v)) named
-  | Hist h ->
-      [
-        (name ^ ".count", h.h_count);
-        (name ^ ".sum", h.h_sum);
-        (name ^ ".p50", percentile h 50.0);
-        (name ^ ".p90", percentile h 90.0);
-        (name ^ ".p99", percentile h 99.0);
-        (name ^ ".max", h.h_max);
-      ]
-
-let take t =
-  let values =
-    List.concat_map
-      (fun (name, src) -> flatten_source name src)
-      (List.rev t.entries)
-  in
-  let s = { at = t.ticks; values = Array.of_list values } in
-  t.snaps <- s :: t.snaps;
-  List.iter (fun f -> f s) (List.rev t.callbacks);
-  s
-
-let force_snapshot t = take t
-
-let tick t =
-  t.ticks <- t.ticks + 1;
-  if t.period > 0 then begin
-    t.until_snapshot <- t.until_snapshot - 1;
-    if t.until_snapshot <= 0 then begin
-      t.until_snapshot <- t.period;
-      ignore (take t)
-    end
-  end
-
-let snapshots t = List.rev t.snaps
-
-let on_snapshot t f = t.callbacks <- f :: t.callbacks
+let hist_fields h =
+  let name = h.h_name in
+  [
+    (name ^ ".count", h.h_count);
+    (name ^ ".sum", h.h_sum);
+    (name ^ ".p50", percentile h 50.0);
+    (name ^ ".p90", percentile h 90.0);
+    (name ^ ".p99", percentile h 99.0);
+    (name ^ ".max", h.h_max);
+  ]

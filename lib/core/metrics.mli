@@ -1,21 +1,11 @@
-(** A registry of named gauges and histograms with periodic
-    snapshotting.
+(** Histograms and the phase-snapshot payload.
 
-    The registry is the numeric half of the observability layer (the
-    {!Events} stream is the other): components register either {e polled
-    gauges} (a closure evaluated only when a snapshot is taken — the
-    engine exposes its dispatch accounting this way, at zero hot-path
-    cost) or {e histograms} (fixed power-of-two buckets; recording is O(1) and
-    allocation-free, so distributions such as executed-trace length can
-    be captured from the dispatch path).
-
-    Snapshotting is driven by {!tick}, which the engine calls once per
-    dispatch: every [period] ticks the registry evaluates every metric
-    and appends a {!snapshot} to the series.  With [period = 0]
-    (the default) a tick is one integer increment and one compare —
-    the disabled path stays effectively free. *)
-
-type t
+    A {e histogram} has fixed power-of-two buckets, so recording is
+    O(1) and allocation-free and distributions such as executed-trace
+    length can be captured from the dispatch path.  The engine keeps
+    five of them and, every [Config.snapshot_period] dispatches, samples
+    them with its counters into one {!snapshot}, published as a
+    [Phase_snapshot] event. *)
 
 type histogram
 (** Fixed-bucket distribution of non-negative integer observations.
@@ -24,33 +14,14 @@ type histogram
     (overflow).  Negative observations are clamped to [0]. *)
 
 type snapshot = {
-  at : int;  (** the tick count (dispatch index) the snapshot was taken at *)
+  at : int;  (** the dispatch the snapshot was taken in (1-based) *)
   values : (string * int) array;
-      (** every registered metric, in registration order.  A histogram
-          contributes six fields: [name.count], [name.sum], [name.p50],
-          [name.p90], [name.p99] and [name.max]. *)
+      (** every sampled value, in a fixed order.  A histogram
+          contributes the six fields of {!hist_fields}. *)
 }
 
-val create : ?period:int -> unit -> t
-(** [period] ticks between snapshots; [0] (default) disables periodic
-    snapshotting.  @raise Invalid_argument on a negative period. *)
-
-val gauge : t -> string -> (unit -> int) -> unit
-(** Register a polled gauge; the closure runs only at snapshot time.
-    @raise Invalid_argument if the name is already registered. *)
-
-val gauges : t -> (string * ('a -> int)) list -> (unit -> 'a) -> unit
-(** [gauges t named sample] registers one polled gauge per
-    [(name, project)], all projecting one sample: a snapshot runs
-    [sample] once for the whole group, which flattens into one field
-    per name.
-    @raise Invalid_argument if a name is already registered. *)
-
-val histogram : t -> ?buckets:int -> string -> histogram
-(** Find or register the named histogram with [buckets] power-of-two
-    buckets (default 16; the first find-or-register fixes the count).
-    @raise Invalid_argument if the name is registered as something else,
-    or if [buckets] is outside [[2, 62]]. *)
+val histogram : string -> histogram
+(** A fresh, empty histogram with 16 power-of-two buckets. *)
 
 val record : histogram -> int -> unit
 (** O(1): one bit-length loop and one array bump.  Negative values are
@@ -88,17 +59,6 @@ val bucket_bounds : histogram -> int -> int * int
 (** Inclusive [(lo, hi)] range of bucket [i]; the overflow bucket's
     upper bound is [max_int].  @raise Invalid_argument out of range. *)
 
-val tick : t -> unit
-(** Advance the dispatch clock; takes a snapshot when the period
-    elapses. *)
-
-val force_snapshot : t -> snapshot
-(** Snapshot now, off the periodic schedule; appended to the series and
-    reported to the {!on_snapshot} callback like a periodic one. *)
-
-val snapshots : t -> snapshot list
-(** The snapshot series so far, in chronological order. *)
-
-val on_snapshot : t -> (snapshot -> unit) -> unit
-(** Called at every snapshot (periodic or forced), after it is appended
-    to the series.  Callbacks run in registration order. *)
+val hist_fields : histogram -> (string * int) list
+(** The histogram as snapshot fields: [name.count], [name.sum],
+    [name.p50], [name.p90], [name.p99] and [name.max]. *)

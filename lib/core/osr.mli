@@ -65,7 +65,7 @@ val observe_header : t -> Cfg.Layout.gid -> promote:bool -> int option
 
 (** {2 Bookkeeping}
 
-    Written by the dispatch loop, read by the engine's stats/gauges. *)
+    Written by the dispatch loop, read by the engine's counters. *)
 
 val note_promotion : t -> trace_id:int -> unit
 (** A mid-loop promotion installed (or re-armed) trace [trace_id]; its

@@ -6,8 +6,8 @@ module Interp = Vm.Interp
    A session runs several programs "concurrently" by round-robin
    stepping: each member advances a fixed batch of basic blocks, then
    the next member runs, until every program has finished.  Each member
-   owns a full engine (its own BCG profiler, health ladder, metrics
-   registry) but members executing the same layout SHARE one trace
+   owns a full engine (its own BCG profiler, health ladder,
+   histograms) but members executing the same layout SHARE one trace
    cache, so a hot trace reconstructed by one member is entered by the
    others without being rebuilt — cross-session reuse, counted by the
    cache (Trace_cache.n_cross_installs / n_cross_entries).

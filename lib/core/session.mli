@@ -4,7 +4,7 @@
     The session round-robins its members, each advancing a fixed batch
     of basic blocks per turn until every program has finished.  Each
     member owns a full {!Engine} (private BCG profiler, health ladder,
-    metrics registry), but members executing the {e same layout} share
+    histograms), but members executing the {e same layout} share
     one {!Trace_cache} — a hot trace reconstructed by one member is
     entered by the others without being rebuilt.  The cache counts that
     reuse ({!Trace_cache.n_cross_installs} /

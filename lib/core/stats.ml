@@ -124,8 +124,8 @@ let zero () =
 
 let copy t = { t with wall_seconds = t.wall_seconds }
 
-(* Every integer counter, by name: the one table the engine's gauges and
-   the JSON export are generated from. *)
+(* Every integer counter, by name: the one table the engine's phase
+   snapshots and the JSON export are generated from. *)
 let counters : (string * (t -> int)) list =
   [
     ("instructions", fun s -> s.instructions);

@@ -100,10 +100,10 @@ val zero : unit -> t
 val copy : t -> t
 
 val counters : (string * (t -> int)) list
-(** Every integer field, by its name — the one table the engine's
-    metrics gauges and the counter keys of [Harness.Export.stats_json]
-    are generated from.  Adding a counter is one field plus one row
-    here. *)
+(** Every integer field, by its name — the one table the counter
+    fields of the engine's phase snapshots and the counter keys of
+    [Harness.Export.stats_json] are generated from.  Adding a counter
+    is one field plus one row here. *)
 
 type derived = {
   total_dispatches : int;

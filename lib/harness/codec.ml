@@ -1,5 +1,5 @@
 (* The JSON codec: every JSONL record the harness writes (events,
-   metric snapshots, lint diagnostics, flight-recorder dumps) is built
+   phase snapshots among them, lint diagnostics, flight-recorder dumps) is built
    here and stamped with the one schema version, and the parser that
    reads dumps and bench baselines back lives here too.  The project
    takes no JSON dependency, so a minimal escaper-and-printer and its
@@ -102,17 +102,20 @@ let to_string j =
    kind is gone, and so are the [guards_elided] / [guards_pruned]
    counters and the hot-report's [pruned] column.
    Version 11: the span recorder is gone — no span records, and no
-   ["span"] entries in postmortem dumps. *)
-let schema_version = 11
+   ["span"] entries in postmortem dumps.
+   Version 12: the flight recorder records events only — no ["metric"]
+   entries in postmortem dumps — and a phase snapshot's
+   [flightrec_recorded] counts events alone. *)
+let schema_version = 12
 
 let versioned fields = ("schema_version", J_int schema_version) :: fields
 
 (* ------------------------------------------------------------------ *)
-(* Event timelines and metric snapshots                                 *)
+(* Event timelines and phase snapshots                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One metrics snapshot: the logical time it was taken at plus every
-   registered source, flattened into the object. *)
+(* One phase snapshot: the dispatch it was taken in plus every sampled
+   value, flattened into the object. *)
 let snapshot_fields (s : Metrics.snapshot) =
   ("at", J_int s.Metrics.at)
   :: Array.to_list
@@ -279,31 +282,17 @@ let diags_jsonl (diags : Analysis.Diag.t list) : string =
 (* Flight recorder (post-mortem)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One flight-recorder ring entry as a flat object.  The [rec] field
-   discriminates the two entry shapes; [Event] entries reuse the
-   live-stream payload schema verbatim, so a post-mortem line for an
-   event is its [event_json] line plus [rec]/[seq]. *)
-let flightrec_entry_json (e : Flightrec.entry) : json =
-  match e with
-  | Flightrec.Event { seq; time; payload } ->
-      J_obj
-        (versioned
-           (("rec", J_string "event")
-           :: ("seq", J_int seq)
-           :: ("event", J_string (Events.kind payload))
-           :: ("time", J_int time)
-           :: event_payload_fields payload))
-  | Flightrec.Metric_delta { seq; time; name; delta; total } ->
-      J_obj
-        (versioned
-           [
-             ("rec", J_string "metric");
-             ("seq", J_int seq);
-             ("time", J_int time);
-             ("name", J_string name);
-             ("delta", J_int delta);
-             ("total", J_int total);
-           ])
+(* One flight-recorder ring entry as a flat object: the live-stream
+   event schema verbatim plus [rec]/[seq], so a post-mortem line for an
+   event is its [event_json] line with the two recorder fields. *)
+let flightrec_entry_json ({ seq; time; payload } : Flightrec.entry) : json =
+  J_obj
+    (versioned
+       (("rec", J_string "event")
+       :: ("seq", J_int seq)
+       :: ("event", J_string (Events.kind payload))
+       :: ("time", J_int time)
+       :: event_payload_fields payload))
 
 (* The post-mortem dump header — first line of a flightrec JSONL file. *)
 let postmortem_header_json ~(reason : string) (fr : Flightrec.t) : json =

@@ -1,9 +1,10 @@
 (** The JSON codec.
 
-    Every JSONL record the harness writes — events (metric snapshots
-    ride in [phase_snapshot] events), lint diagnostics, flight-recorder
-    dumps — is built here and leads with the one {!schema_version};
-    {!parse} reads dumps and bench baselines back.  The binary warm-start snapshot has its own codec,
+    Every JSONL record the harness writes — events (the engine's phase
+    snapshots ride in [phase_snapshot] events), lint diagnostics,
+    flight-recorder dumps of events — is built here and leads with the
+    one {!schema_version}; {!parse} reads dumps and bench baselines
+    back.  The binary warm-start snapshot has its own codec,
     [Tracegen.Persist]. *)
 
 (** {2 JSON values} *)
@@ -33,8 +34,8 @@ val schema_version : int
     {!flightrec_entry_json}, [Export.run_json]) leads with a ["schema_version"]
     field carrying this value, so downstream consumers can detect
     format drift.  Bumped on any breaking change to the record field
-    sets — version 4 added the [cache_restored] / [snapshot_rejected]
-    event kinds and the ["footprint"] eviction reason. *)
+    sets — version 12 dropped the flight recorder's ["metric"]
+    entries. *)
 
 val versioned : (string * json) list -> (string * json) list
 (** Prepend the [schema_version] field — how every JSONL writer here
@@ -58,9 +59,8 @@ val diags_jsonl : Analysis.Diag.t list -> string
 (** {2 Flight recorder (post-mortem)} *)
 
 val flightrec_entry_json : Tracegen.Flightrec.entry -> json
-(** One ring entry as a flat object discriminated by [rec]: ["event"]
-    entries carry the {!event_json} payload fields plus [seq];
-    ["metric"] entries are flat records of their own. *)
+(** One ring entry as a flat object: [rec] = ["event"] and [seq], then
+    the {!event_json} fields. *)
 
 val postmortem_jsonl : reason:string -> Tracegen.Flightrec.t -> string
 (** A complete post-mortem dump: the header line ([{"rec":

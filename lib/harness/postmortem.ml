@@ -57,8 +57,9 @@ let rest_fields kvs ~skip =
           | Codec.J_obj _ | Codec.J_list _ -> Printf.sprintf "%s=..." k))
     kvs
 
-(* One parsed dump line as a human-readable description.  Unknown [rec]
-   shapes degrade to a generic field listing rather than failing. *)
+(* One parsed dump line as a human-readable description.  A [rec] kind
+   this schema does not write (an older dump's ["span"] or ["metric"])
+   is an error naming it. *)
 let describe_json (j : Codec.json) : (string, string) result =
   match j with
   | Codec.J_obj kvs -> (
@@ -81,13 +82,6 @@ let describe_json (j : Codec.json) : (string, string) result =
                   (rest_fields kvs
                      ~skip:
                        [ "schema_version"; "rec"; "seq"; "time"; "event" ])))
-      | Some "metric" ->
-          let delta = ifd kvs "delta" in
-          Ok
-            (Printf.sprintf "%6d  t=%-8d metric %s %+d -> %d" (ifd kvs "seq")
-               (ifd kvs "time")
-               (match str_field kvs "name" with Some n -> n | None -> "?")
-               delta (ifd kvs "total"))
       | Some other -> Error (Printf.sprintf "unknown rec kind %S" other)
       | None -> Error "record has no \"rec\" field")
   | _ -> Error "dump line is not an object"

@@ -7,8 +7,8 @@ module Engine = Tracegen.Engine
    a run spends below its best trace-dispatch mix before the cache has
    learned the program.  A cold engine pays the whole learning curve; a
    warm one restores the previous run's snapshot and should sit at peak
-   from the first window.  Peak detection is deterministic: the metrics
-   registry snapshots every [window] dispatches, each window's
+   from the first window.  Peak detection is deterministic: the engine
+   publishes a phase snapshot every [window] dispatches, each window's
    trace-dispatch share is computed by differencing consecutive
    snapshots, and the run is "at peak" from the first window reaching
    90% of its steady-state share.  Because some workloads ramp or shift
@@ -38,12 +38,21 @@ type phase = {
 
 type cold_warm = { cold : phase; warm : phase }
 
-(* Drive a fresh engine (optionally warm-started from [snapshot]) with
-   periodic metrics snapshots and locate its throughput peak; returns
-   the engine, for the next run's snapshot, with the run's phase. *)
+(* Drive a fresh engine (optionally warm-started from [snapshot]),
+   collecting its phase snapshots off the event stream, and locate its
+   throughput peak; returns the engine, for the next run's snapshot,
+   with the run's phase. *)
 let measure ?snapshot layout =
   let config = Tracegen.Config.make ~snapshot_period:window () in
-  let engine = Engine.create ~config layout in
+  let events = Tracegen.Events.create () in
+  let series = ref [] in
+  let _ =
+    Tracegen.Events.subscribe events (fun e ->
+        match e.Tracegen.Events.payload with
+        | Tracegen.Events.Phase_snapshot s -> series := s :: !series
+        | _ -> ())
+  in
+  let engine = Engine.create ~config ~events layout in
   (match snapshot with
   | None -> ()
   | Some data -> (
@@ -51,7 +60,7 @@ let measure ?snapshot layout =
       | Ok _ -> ()
       | Error e -> invalid_arg (Tracegen.Persist.error_to_string e)));
   let run = Engine.drive engine in
-  let snaps = Tracegen.Metrics.snapshots (Engine.metrics run.Engine.engine) in
+  let snaps = List.rev !series in
   (* windowed trace-dispatch share between consecutive snapshots *)
   let shares =
     let rec windows prev acc = function

@@ -19,7 +19,7 @@ val workloads : unit -> Workloads.Workload.t list
 
 val cold_vs_warm : ?scale:float -> Workloads.Workload.t -> cold_warm
 (** Time-to-peak-throughput, cold vs warm, on one workload.  Each run
-    snapshots the metrics registry every 2000 dispatches; a window's
+    takes a phase snapshot every 2000 dispatches; a window's
     throughput is its trace-dispatch share, and the run is "at peak"
     from the first window reaching 90% of its steady-state share (mean
     of the last quarter of windows).  The warm-up deficit — dispatches

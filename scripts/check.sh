@@ -196,6 +196,14 @@ if "$cli" bench-diff \
   rm -rf "$bench_dir"
   exit 1
 fi
+# ... and so must a NaN tolerance, which no move can exceed.
+if "$cli" bench-diff \
+  "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
+  --max-regress nan > /dev/null 2>&1; then
+  echo "check.sh: bench-diff --max-regress nan accepted a stomped baseline" >&2
+  rm -rf "$bench_dir"
+  exit 1
+fi
 rm -rf "$bench_dir"
 
 # Flight-recorder round trip: a faulted self-healing run forced to dump

@@ -122,6 +122,8 @@ check_seq "run compress --self-heal --fault-spec corrupt-trace@0.01,budget=12 \
 # reporting commands
 check run compress --size 500 --traces --bcg
 check events compress --size 500
+check events compress --size 500 --snapshot-period 250 --osr --self-heal \
+  --fault-spec 'corrupt-trace@0.005,budget=20'
 check top compress --size 500
 check explain compress --size 500 --trace 1
 check backends --size 500
@@ -139,6 +141,9 @@ check run compress --size 200 --fault-spec bogus
 check warm compress --size 200
 check postmortem missing.jsonl
 check bench-diff missing.json BENCH_smoke.json
+check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress nan
+check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress inf
+check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress=-1
 
 echo "cli_diff: $failures of $cases invocation(s) differ"
 test "$failures" -eq 0

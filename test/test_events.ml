@@ -1,5 +1,5 @@
-(* The observability layer: the typed event stream and the metrics
-   registry, both in isolation and wired through a full engine run. *)
+(* The observability layer: the typed event stream and the histograms
+   in isolation, and the engine's phase snapshots on a full run. *)
 
 open Workloads.Dsl
 module S = Bytecode.Structured
@@ -118,94 +118,11 @@ let test_kind_tags () =
     tags
 
 (* ------------------------------------------------------------------ *)
-(* the registry in isolation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_gauges_and_groups () =
-  let m = Metrics.create () in
-  let g = ref 10 in
-  Metrics.gauge m "depth" (fun () -> !g);
-  let value name =
-    let s = Metrics.force_snapshot m in
-    match Array.find_opt (fun (n, _) -> n = name) s.Metrics.values with
-    | Some (_, v) -> v
-    | None -> Alcotest.failf "missing %s" name
-  in
-  check Alcotest.int "gauge polls" 10 (value "depth");
-  g := 11;
-  check Alcotest.int "gauge re-polls" 11 (value "depth");
-  (* name clashes are rejected *)
-  Alcotest.check_raises "gauge over gauge"
-    (Invalid_argument "Metrics.gauge: depth already registered") (fun () ->
-      Metrics.gauge m "depth" (fun () -> 0));
-  (* a gauge group samples once per snapshot and reads like gauges *)
-  let samples = ref 0 in
-  Metrics.gauges m
-    [ ("lo", fst); ("hi", snd) ]
-    (fun () ->
-      incr samples;
-      (!g, !g * 2));
-  samples := 0;
-  let s = Metrics.force_snapshot m in
-  check Alcotest.int "one sample per snapshot" 1 !samples;
-  check
-    Alcotest.(list (pair string int))
-    "group flattens in order"
-    [ ("depth", 11); ("lo", 11); ("hi", 22) ]
-    (Array.to_list s.Metrics.values);
-  Alcotest.check_raises "group member over gauge"
-    (Invalid_argument "Metrics.gauges: depth already registered") (fun () ->
-      Metrics.gauges m [ ("depth", Fun.id) ] (fun () -> 0));
-  Alcotest.check_raises "gauge over group member"
-    (Invalid_argument "Metrics.gauge: lo already registered") (fun () ->
-      Metrics.gauge m "lo" (fun () -> 0))
-
-let test_periodic_snapshots () =
-  let m = Metrics.create ~period:3 () in
-  let seen = ref 0 in
-  Metrics.gauge m "ticks_seen" (fun () -> !seen);
-  let reported = ref 0 in
-  Metrics.on_snapshot m (fun _ -> incr reported);
-  for _ = 1 to 10 do
-    incr seen;
-    Metrics.tick m
-  done;
-  (* snapshots at ticks 3, 6, 9 *)
-  let snaps = Metrics.snapshots m in
-  check Alcotest.int "three periodic snapshots" 3 (List.length snaps);
-  check Alcotest.(list int) "taken at the period boundaries" [ 3; 6; 9 ]
-    (List.map (fun s -> s.Metrics.at) snaps);
-  check Alcotest.int "callback saw each" 3 !reported;
-  List.iter
-    (fun s ->
-      match s.Metrics.values with
-      | [| ("ticks_seen", v) |] ->
-          check Alcotest.int "value captured at the boundary" s.Metrics.at v
-      | _ -> Alcotest.fail "unexpected snapshot shape")
-    snaps;
-  check Alcotest.int "clock ran to 10" 10
-    (Metrics.force_snapshot m).Metrics.at
-
-let test_disabled_period_no_snapshots () =
-  let m = Metrics.create () in
-  Metrics.gauge m "c" (fun () -> 0);
-  for _ = 1 to 1000 do
-    Metrics.tick m
-  done;
-  check Alcotest.int "period 0 never snapshots" 0
-    (List.length (Metrics.snapshots m));
-  let s = Metrics.force_snapshot m in
-  check Alcotest.int "forced snapshot at the current tick" 1000 s.Metrics.at;
-  check Alcotest.int "forced snapshot joins the series" 1
-    (List.length (Metrics.snapshots m))
-
-(* ------------------------------------------------------------------ *)
 (* histograms                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_histogram_empty () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "lat" in
+  let h = Metrics.histogram "lat" in
   check Alcotest.int "no observations" 0 (Metrics.hist_count h);
   check Alcotest.int "zero sum" 0 (Metrics.hist_sum h);
   check (Alcotest.float 1e-9) "zero mean" 0.0 (Metrics.hist_mean h);
@@ -214,8 +131,7 @@ let test_histogram_empty () =
   check Alcotest.int "p100 of empty" 0 (Metrics.percentile h 100.0)
 
 let test_histogram_single_value () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "lat" in
+  let h = Metrics.histogram "lat" in
   for _ = 1 to 9 do
     Metrics.record h 7
   done;
@@ -230,58 +146,45 @@ let test_histogram_single_value () =
   check Alcotest.int "p100 exact" 7 (Metrics.percentile h 100.0)
 
 let test_histogram_buckets_and_overflow () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:4 "small" in
-  (* 4 buckets: [<=0], [1,1], [2,3] and the overflow [4, inf) *)
-  check Alcotest.int "bucket count fixed at registration" 4
-    (Metrics.n_buckets h);
-  List.iter (Metrics.record h) [ -5; 0; 1; 2; 3; 4; 1000 ];
+  let h = Metrics.histogram "small" in
+  (* 16 buckets: [<=0], [1,1], [2,3], [4,7], … and the overflow
+     [2^14, inf) *)
+  check Alcotest.int "sixteen buckets" 16 (Metrics.n_buckets h);
+  List.iter (Metrics.record h) [ -5; 0; 1; 2; 3; 4; 1 lsl 20 ];
   check Alcotest.int "negatives clamp into bucket 0" 2
     (Metrics.bucket_count h 0);
   check Alcotest.int "bucket [1,1]" 1 (Metrics.bucket_count h 1);
   check Alcotest.int "bucket [2,3]" 2 (Metrics.bucket_count h 2);
-  check Alcotest.int "overflow bucket catches the rest" 2
-    (Metrics.bucket_count h 3);
+  check Alcotest.int "bucket [4,7]" 1 (Metrics.bucket_count h 3);
+  check Alcotest.int "overflow bucket catches the rest" 1
+    (Metrics.bucket_count h 15);
   check
     Alcotest.(pair int int)
-    "overflow bounds" (4, max_int)
-    (Metrics.bucket_bounds h 3);
+    "overflow bounds" (1 lsl 14, max_int)
+    (Metrics.bucket_bounds h 15);
   check Alcotest.int "min saw the clamp" 0 (Metrics.hist_min h);
-  check Alcotest.int "max tracked through overflow" 1000 (Metrics.hist_max h);
+  check Alcotest.int "max tracked through overflow" (1 lsl 20)
+    (Metrics.hist_max h);
   check Alcotest.int "p0 = min" 0 (Metrics.percentile h 0.0);
   (* rank ceil(0.5 * 7) = 4 lands in bucket [2,3]: upper edge 3 *)
   check Alcotest.int "p50 upper bound" 3 (Metrics.percentile h 50.0);
-  check Alcotest.int "p100 = max, not the bucket edge" 1000
-    (Metrics.percentile h 100.0);
-  (* find-or-register returns the same cell *)
-  let h' = Metrics.histogram m "small" in
-  Metrics.record h' 2;
-  check Alcotest.int "same cell" 8 (Metrics.hist_count h)
+  check Alcotest.int "p100 = max, not the bucket edge" (1 lsl 20)
+    (Metrics.percentile h 100.0)
 
 let test_histogram_in_snapshot () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "len" in
+  let h = Metrics.histogram "len" in
   List.iter (Metrics.record h) [ 1; 2; 3; 4; 100 ];
-  let s = Metrics.force_snapshot m in
-  let fields = Array.to_list (Array.map fst s.Metrics.values) in
+  let fields = Metrics.hist_fields h in
   check
     Alcotest.(list string)
     "six flattened fields"
     [ "len.count"; "len.sum"; "len.p50"; "len.p90"; "len.p99"; "len.max" ]
-    fields;
-  let get name =
-    match Array.find_opt (fun (n, _) -> n = name) s.Metrics.values with
-    | Some (_, v) -> v
-    | None -> Alcotest.failf "missing %s" name
-  in
+    (List.map fst fields);
+  let get name = List.assoc name fields in
   check Alcotest.int "count field" 5 (get "len.count");
   check Alcotest.int "sum field" 110 (get "len.sum");
   check Alcotest.int "p50 field" 3 (get "len.p50");
-  check Alcotest.int "max field" 100 (get "len.max");
-  (* a histogram's name cannot be re-registered as a gauge *)
-  Alcotest.check_raises "gauge over histogram"
-    (Invalid_argument "Metrics.gauge: len already registered") (fun () ->
-      Metrics.gauge m "len" (fun () -> 0))
+  check Alcotest.int "max field" 100 (get "len.max")
 
 (* ------------------------------------------------------------------ *)
 (* wired through the engine                                             *)
@@ -391,35 +294,85 @@ let test_deterministic_snapshot_series () =
       check Alcotest.bool "same values" true (x.Metrics.values = y.Metrics.values))
     a b
 
-let test_snapshot_series_on_engine () =
-  (* the engine registry's own series matches what the stream delivered *)
-  let config = Config.make ~snapshot_period:5_000 () in
-  let r, streamed = snapshot_series config in
-  let own = Metrics.snapshots (Engine.metrics r.Engine.engine) in
-  check Alcotest.int "registry series = streamed series"
-    (List.length own) (List.length streamed);
-  List.iter2
-    (fun (x : Metrics.snapshot) (y : Metrics.snapshot) ->
-      check Alcotest.int "same tick" x.Metrics.at y.Metrics.at)
-    own streamed;
-  (* snapshots poll the final counters consistently: the last snapshot's
-     gauge values never exceed the end-of-run stats *)
-  match List.rev own with
-  | [] -> Alcotest.fail "expected snapshots"
-  | last :: _ ->
-      let final = r.Engine.run_stats in
-      let get name =
-        match
-          Array.find_opt (fun (n, _) -> n = name) last.Metrics.values
-        with
-        | Some (_, v) -> v
-        | None -> Alcotest.failf "missing gauge %s" name
+(* A snapshot is stamped with the dispatch it was taken in: one past the
+   dispatches its own counters report, on every rung of the ladder and
+   across OSR deopt resumes. *)
+let test_snapshot_stamp_is_dispatch_clock () =
+  let layout =
+    Harness.Experiment.layout_for Workloads.Compress.workload ~size:1_000
+  in
+  List.iter
+    (fun (label, config, moved) ->
+      let events = Events.create () in
+      let series = ref [] in
+      let _s =
+        Events.subscribe events (fun e ->
+            match e.Events.payload with
+            | Events.Phase_snapshot s -> series := s :: !series
+            | _ -> ())
       in
-      check Alcotest.bool "completed monotone" true
-        (get "traces_completed" <= final.Stats.traces_completed);
-      check Alcotest.bool "dispatch gauges monotone" true
-        (get "block_dispatches" + get "trace_dispatches"
-        <= Stats.total_dispatches final)
+      let r = Engine.run ~config ~events layout in
+      check Alcotest.bool (label ^ ": snapshots were taken") true
+        (!series <> []);
+      List.iter
+        (fun name ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s moved" label name)
+            true
+            (List.assoc name Stats.counters r.Engine.run_stats > 0))
+        moved;
+      List.iter
+        (fun (s : Metrics.snapshot) ->
+          let get name = List.assoc name (Array.to_list s.Metrics.values) in
+          check Alcotest.int (label ^ ": at = dispatches + 1")
+            (get "block_dispatches" + get "trace_dispatches" + 1)
+            s.Metrics.at)
+        !series)
+    [
+      ("default", Config.make ~snapshot_period:997 (), [ "trace_dispatches" ]);
+      ( "osr + self-heal, corrupt-trace",
+        Config.make ~snapshot_period:997 ~osr:true ~self_heal:true
+          ~fault_spec:"corrupt-trace@0.005,budget=20" (),
+        [ "health_demotions"; "deopts" ] );
+      ( "osr, guard-flip",
+        Config.make ~snapshot_period:997 ~osr:true
+          ~fault_spec:"guard_flip@0.05,budget=24" (),
+        [ "deopts" ] );
+    ]
+
+(* A snapshot every [period] dispatches, at each boundary the run
+   reached; its fields lead with the histogram summaries and close with
+   the ledger's size, and [instructions], which only the VM knows, is
+   not among them. *)
+let test_periodic_snapshots () =
+  let period = 1_000 in
+  let r, series = snapshot_series (Config.make ~snapshot_period:period ()) in
+  let total = Engine.total_dispatches r.Engine.engine in
+  check
+    Alcotest.(list int)
+    "one snapshot per period boundary"
+    (List.init (total / period) (fun k -> (k + 1) * period))
+    (List.map (fun (s : Metrics.snapshot) -> s.Metrics.at) series);
+  match series with
+  | [] -> Alcotest.fail "expected snapshots"
+  | s :: _ ->
+      let names = Array.to_list (Array.map fst s.Metrics.values) in
+      check
+        Alcotest.(list string)
+        "histogram summaries lead"
+        (List.map fst
+           (Metrics.hist_fields (Engine.trace_len_hist r.Engine.engine)))
+        (List.filteri (fun i _ -> i < 6) names);
+      check Alcotest.string "the ledger closes" "ledger_records"
+        (List.nth names (List.length names - 1));
+      check Alcotest.bool "no instructions field" false
+        (List.mem "instructions" names)
+
+let test_disabled_period_no_snapshots () =
+  let r, series = snapshot_series Config.default in
+  check Alcotest.bool "the run dispatched" true
+    (Engine.total_dispatches r.Engine.engine > 1_000);
+  check Alcotest.int "period 0 never snapshots" 0 (List.length series)
 
 let () =
   Alcotest.run "events"
@@ -434,7 +387,8 @@ let () =
         ] );
       ( "metrics",
         [
-          tc "gauges and groups" `Quick test_gauges_and_groups;
+          tc "snapshot stamp is the dispatch clock" `Quick
+            test_snapshot_stamp_is_dispatch_clock;
           tc "periodic snapshots" `Quick test_periodic_snapshots;
           tc "period 0 disables" `Quick test_disabled_period_no_snapshots;
         ] );
@@ -453,7 +407,5 @@ let () =
             test_run_without_subscribers_unchanged;
           tc "deterministic snapshot series" `Quick
             test_deterministic_snapshot_series;
-          tc "registry series matches stream" `Quick
-            test_snapshot_series_on_engine;
         ] );
     ]

@@ -34,9 +34,9 @@ let test_wraparound () =
   let window = Flightrec.to_list fr in
   check Alcotest.int "window bounded by capacity" 4 (List.length window);
   check Alcotest.(list int) "newest survive, oldest first" [ 6; 7; 8; 9 ]
-    (List.map Flightrec.seq_of window);
+    (List.map (fun (e : Flightrec.entry) -> e.seq) window);
   check Alcotest.(list int) "times ride along" [ 106; 107; 108; 109 ]
-    (List.map Flightrec.time_of window)
+    (List.map (fun (e : Flightrec.entry) -> e.time) window)
 
 let test_capacity_clamped () =
   let fr = Flightrec.create ~capacity:0 in
@@ -44,37 +44,35 @@ let test_capacity_clamped () =
   Flightrec.record_event fr (ev 1 1);
   check Alcotest.int "no drops below capacity" 0 (Flightrec.dropped fr)
 
+(* A rare kind takes the pointer path, a hot kind the scalar one; a slot
+   rewritten from one path to the other reads back as its new event. *)
+let cold time =
+  { Events.time; payload = Events.Snapshot_rejected { reason = "r" } }
+
 let test_mixed_entries_survive_wrap () =
   let fr = Flightrec.create ~capacity:3 in
   for i = 0 to 7 do
     Flightrec.record_event fr (ev i i)
   done;
-  Flightrec.record_metric_delta fr ~time:50 ~name:"traces_constructed"
-    ~delta:2 ~total:5;
+  Flightrec.record_event fr (cold 50);
   Flightrec.record_event fr (ev 55 8);
-  Flightrec.record_metric_delta fr ~time:60 ~name:"deopts" ~delta:1 ~total:4;
+  Flightrec.record_event fr (cold 60);
   let window = Flightrec.to_list fr in
   check Alcotest.int "window still bounded" 3 (List.length window);
-  (match window with
-  | [ Flightrec.Metric_delta m; Flightrec.Event e; Flightrec.Metric_delta m' ]
-    ->
-      check Alcotest.string "metric name" "traces_constructed" m.name;
-      check Alcotest.int "metric delta" 2 m.delta;
-      check Alcotest.int "metric total" 5 m.total;
-      check Alcotest.int "event seq" 9 e.seq;
-      check Alcotest.int "event time" 55 e.time;
-      check Alcotest.string "second metric" "deopts" m'.name;
-      check Alcotest.int "its time" 60 m'.time
-  | _ -> Alcotest.fail "expected [metric; event; metric] oldest first");
-  check Alcotest.(list int) "seqs stay dense across kinds" [ 8; 9; 10 ]
-    (List.map Flightrec.seq_of window);
-  (* a slot that held a metric and is overwritten by an event reads back
-     as the event *)
+  check Alcotest.bool "[cold; hot; cold] oldest first" true
+    (List.map (fun (e : Flightrec.entry) -> (e.seq, e.time, e.payload)) window
+    = [
+        (8, 50, (cold 50).payload);
+        (9, 55, Events.Decay_pass { decays = 8 });
+        (10, 60, (cold 60).payload);
+      ]);
+  (* the slot that held the first rare event now holds a hot one *)
   Flightrec.record_event fr (ev 70 9);
-  check Alcotest.bool "overwritten metric slot holds the event" true
+  check Alcotest.bool "overwritten pointer slot holds the hot event" true
     (match Flightrec.to_list fr with
-    | [ Flightrec.Event _; Flightrec.Metric_delta _; Flightrec.Event e ] ->
-        e.seq = 11 && e.time = 70
+    | [ _; _; { seq = 11; time = 70; payload = Events.Decay_pass { decays = 9 } }
+      ] ->
+        true
     | _ -> false)
 
 let test_triggers () =
@@ -116,9 +114,12 @@ let test_postmortem_round_trip () =
   for i = 0 to 11 do
     Flightrec.record_event fr (ev i i)
   done;
-  Flightrec.record_metric_delta fr ~time:90 ~name:"q \"esc\"" ~delta:(-1)
-    ~total:3;
-  Flightrec.record_metric_delta fr ~time:95 ~name:"deopts" ~delta:1 ~total:4;
+  Flightrec.record_event fr
+    {
+      Events.time = 90;
+      payload = Events.Snapshot_rejected { reason = "q \"esc\"" };
+    };
+  Flightrec.record_event fr (ev 95 12);
   let lines =
     String.split_on_char '\n'
       (String.trim
@@ -145,8 +146,7 @@ let test_postmortem_round_trip () =
                   (field "dropped" json = Some (Codec.J_int 6))
               end
               else
-                check Alcotest.bool "body records tagged" true
-                  (List.mem kind [ "event"; "metric" ])
+                check Alcotest.string "body records tagged" "event" kind
           | _ -> Alcotest.failf "line %d has no rec tag" i))
     lines;
   (* the harness-side pretty printer accepts the same artifact *)
@@ -263,14 +263,10 @@ let recorder_run config layout ~subscribe =
   stats.Stats.wall_seconds <- 0.0;
   (fr, stats, List.rev !seen)
 
-let is_hot = function
-  | Flightrec.Event
-      {
-        payload =
-          ( Events.Trace_entered _ | Events.Side_exit _
-          | Events.Trace_completed _ | Events.Decay_pass _ );
-        _;
-      } ->
+let is_hot (e : Flightrec.entry) =
+  match e.payload with
+  | Events.Trace_entered _ | Events.Side_exit _ | Events.Trace_completed _
+  | Events.Decay_pass _ ->
       true
   | _ -> false
 

@@ -107,14 +107,14 @@ let test_parser_values () =
 (* ------------------------------------------------------------------ *)
 
 (* A real dump: a faulted, self-healing compress run, forced to dump its
-   ring (events and metric deltas). *)
+   ring. *)
 let faulted_dump =
   lazy
     (let layout =
        Harness.Experiment.layout_for Workloads.Compress.workload ~size:200
      in
      let config =
-       Config.make ~self_heal:true ~debug_checks:true ~snapshot_period:100
+       Config.make ~self_heal:true ~debug_checks:true
          ~fault_spec:"corrupt-trace@0.01,budget=12" ~fault_seed:7 ()
      in
      let r = Engine.run ~config layout in
@@ -162,22 +162,39 @@ let fuzz_decoders name source =
           (QCheck.Gen.delay (fun () -> mutate (Lazy.force source))))
        decoders_answer)
 
-(* A v10 dump could hold span closures; the span record is gone, so such
-   a line is a typed error naming its line. *)
-let test_v10_span_line () =
-  let dump =
-    String.concat "\n"
-      [
-        {|{"schema_version":10,"rec":"postmortem","reason":"manual","capacity":4,"recorded":2,"dropped":0}|};
-        {|{"schema_version":10,"rec":"event","seq":0,"event":"decay_pass","time":5,"decays":1}|};
-        {|{"schema_version":10,"rec":"span","seq":1,"time":9,"span":0,"parent":-1,"kind":"trace_build","label":"build N_1,2","start":9}|};
-      ]
-  in
-  check
-    Alcotest.(result (list string) string)
-    "the span line is rejected"
-    (Error "line 3: unknown rec kind \"span\"")
-    (Harness.Postmortem.describe_dump dump)
+(* Record kinds older schemas wrote and this one does not — a v10
+   dump's span closures, a v11 dump's metric deltas — are typed errors
+   naming their line. *)
+let test_retired_records () =
+  List.iter
+    (fun (version, kind, line) ->
+      let dump =
+        String.concat "\n"
+          [
+            Printf.sprintf
+              {|{"schema_version":%d,"rec":"postmortem","reason":"manual","capacity":4,"recorded":2,"dropped":0}|}
+              version;
+            Printf.sprintf
+              {|{"schema_version":%d,"rec":"event","seq":0,"event":"decay_pass","time":5,"decays":1}|}
+              version;
+            line;
+          ]
+      in
+      check
+        Alcotest.(result (list string) string)
+        (Printf.sprintf "a v%d %s line is rejected" version kind)
+        (Error (Printf.sprintf "line 3: unknown rec kind %S" kind))
+        (Harness.Postmortem.describe_dump dump))
+    [
+      ( 10,
+        "span",
+        {|{"schema_version":10,"rec":"span","seq":1,"time":9,"span":0,"parent":-1,"kind":"trace_build","label":"build N_1,2","start":9}|}
+      );
+      ( 11,
+        "metric",
+        {|{"schema_version":11,"rec":"metric","seq":1,"time":9,"name":"deopts","delta":1,"total":4}|}
+      );
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -190,7 +207,8 @@ let () =
       ( "export",
         [
           tc "parser round trips" `Quick test_parser_values;
-          tc "a v10 span line is a typed error" `Quick test_v10_span_line;
+          tc "retired dump records are typed errors" `Quick
+            test_retired_records;
         ] );
       ( "fuzz",
         [

@@ -115,7 +115,7 @@ let test_invariants_from_run () =
   check Alcotest.bool "linking rate meaningful" true
     (Stats.linking_rate s > 0.5)
 
-(* ---- the counter table: one definition drives gauges and JSON ---- *)
+(* ---- the counter table: one definition drives snapshots and JSON ---- *)
 
 module Engine = Tracegen.Engine
 module Metrics = Tracegen.Metrics
@@ -140,35 +140,48 @@ let test_counter_names () =
         (List.mem name keys))
     names
 
-(* Every counter's gauge reads its Stats field, on a run that moves the
-   OSR, tier and self-healing counters.  [instructions]
-   has no gauge: only the VM knows it. *)
+(* A phase snapshot holds every counter but [instructions] (only the VM
+   knows it), equal to [Engine.counters] read in the same dispatch:
+   subscribers run synchronously, inside the dispatch that took the
+   snapshot.  The run moves the OSR, tier and self-healing counters. *)
 let test_gauges_match_stats () =
   let config =
     Tracegen.Config.make ~osr:true ~tier:true ~self_heal:true
-      ~debug_checks:true
+      ~debug_checks:true ~snapshot_period:997
       ~fault_spec:"corrupt-trace@0.005,budget=20" ()
   in
-  let r = Engine.run ~config (compress_layout 2_000) in
-  let s = r.Engine.run_stats in
+  let events = Tracegen.Events.create () in
+  let engine = Engine.create ~config ~events (compress_layout 2_000) in
+  let snapshots = ref 0 in
+  let _ =
+    Tracegen.Events.subscribe events (fun e ->
+        match e.Tracegen.Events.payload with
+        | Tracegen.Events.Phase_snapshot snap ->
+            incr snapshots;
+            let live = Engine.counters engine in
+            List.iter
+              (fun (name, get) ->
+                let field =
+                  Array.find_opt
+                    (fun (n, _) -> n = name)
+                    snap.Metrics.values
+                in
+                if name = "instructions" then
+                  check Alcotest.(option int) "no instructions field" None
+                    (Option.map snd field)
+                else
+                  check Alcotest.(option int) (name ^ " field")
+                    (Some (get live)) (Option.map snd field))
+              Stats.counters
+        | _ -> ())
+  in
+  let s = (Engine.drive engine).Engine.run_stats in
+  check Alcotest.bool "snapshots were taken" true (!snapshots > 0);
   List.iter
     (fun name ->
       check Alcotest.bool (name ^ " moved") true
         (List.assoc name Stats.counters s > 0))
-    [ "guards_checked"; "traces_compiled"; "deopts"; "faults_injected" ];
-  let snap = Metrics.force_snapshot (Engine.metrics r.Engine.engine) in
-  List.iter
-    (fun (name, get) ->
-      let gauge =
-        Array.find_opt (fun (n, _) -> n = name) snap.Metrics.values
-      in
-      if name = "instructions" then
-        check Alcotest.(option int) "no instructions gauge" None
-          (Option.map snd gauge)
-      else
-        check Alcotest.(option int) (name ^ " gauge") (Some (get s))
-          (Option.map snd gauge))
-    Stats.counters
+    [ "guards_checked"; "traces_compiled"; "deopts"; "faults_injected" ]
 
 let values s = List.map (fun (_, get) -> get s) Stats.counters
 
