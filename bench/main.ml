@@ -15,18 +15,26 @@
 
    --json also writes the counter rows as BENCH_smoke.json (with
    --smoke) or BENCH_full.json, the machine-readable baseline that
-   [repro_cli bench-diff] compares.  BENCH_SCALE scales the tables'
-   workload sizes (default 1.0 = paper scale, a few minutes) and the
-   warm-start rows' (capped at 0.5). *)
+   [repro_cli bench-diff] compares.  BENCH_SCALE, a finite number > 0,
+   scales the tables' workload sizes (default 1.0 = paper scale, a few
+   minutes) and the warm-start rows' (capped at 0.5); any other value
+   exits 2. *)
 
 module Stats = Tracegen.Stats
 module Engine = Tracegen.Engine
 module Perf = Harness.Perf
 
+(* a scale that is not a finite positive number would clamp every
+   workload to size 1 and write rows that look real *)
 let scale =
   match Sys.getenv_opt "BENCH_SCALE" with
-  | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x > 0.0 -> x
+      | _ ->
+          Printf.eprintf "BENCH_SCALE=%s: expected a finite number > 0\n" s;
+          exit 2)
 
 let smoke = Array.mem "--smoke" Sys.argv
 let json_mode = Array.mem "--json" Sys.argv

@@ -108,8 +108,9 @@ let identical reference result =
 (* arguments                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* --size, --schedules, --users and --batch: a count of zero or less
-   would let a gate pass without checking anything *)
+(* --size, --schedules, --users, --batch and --top: a count of zero or
+   less would let a gate pass without checking anything, or print a
+   table with no rows *)
 let positive =
   let parse s =
     match int_of_string_opt s with
@@ -120,19 +121,23 @@ let positive =
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+(* A float that must be finite and pass [ok]; [expected] completes the
+   error message. *)
+let finite_float ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ ->
+        Error
+          (Printf.sprintf "invalid value '%s', expected a finite number %s" s
+             expected)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 (* bench-diff --max-regress: a NaN tolerance compares false against every
    move, an infinite one forgives all of them, and a negative one flags
    a file diffed against itself *)
-let tolerance =
-  let parse s =
-    match float_of_string_opt s with
-    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
-    | _ ->
-        Error
-          (Printf.sprintf "invalid value '%s', expected a finite number >= 0"
-             s)
-  in
-  Arg.conv' (parse, Format.pp_print_float)
+let tolerance = finite_float ~expected:">= 0" (fun x -> x >= 0.0)
 
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
@@ -148,9 +153,15 @@ let size_arg =
          ~doc:"Workload size, a positive integer (default: the workload's \
                test size).")
 
+(* --scale: every workload size is clamped to at least 1, so a scale
+   that is not a finite positive number would run every workload at
+   size 1 and print a table that looks real *)
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S"
-         ~doc:"Scale factor on workload bench sizes (1.0 = paper-scale runs).")
+  Arg.(value
+       & opt (finite_float ~expected:"> 0" (fun x -> x > 0.0)) 1.0
+       & info [ "scale" ] ~docv:"S"
+           ~doc:"Scale factor on workload bench sizes, a finite number > 0 \
+                 (1.0 = paper-scale runs).")
 
 let tier_arg =
   Arg.(value & flag & info [ "tier" ]

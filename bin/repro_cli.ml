@@ -98,8 +98,8 @@ let run_cmd =
     Arg.(value & flag & info [ "bcg" ] ~doc:"Dump the hottest BCG nodes.")
   in
   let top =
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"K"
-           ~doc:"How many traces/nodes to dump.")
+    Arg.(value & opt Cli.positive 20 & info [ "top" ] ~docv:"K"
+           ~doc:"How many traces/nodes to dump, a positive integer.")
   in
   let dump_flightrec =
     Arg.(value & opt (some string) None & info [ "dump-flightrec" ]
@@ -512,7 +512,7 @@ let backends workload size (flags : Cli.flags) =
   Printf.printf "%-8s %s\n" "backend" "strategy";
   List.iter
     (fun k ->
-      let name, description = Tracegen.Backend.describe k in
+      let name, description = Engine.describe_backend k in
       Printf.printf "%-8s %s\n" name description)
     Engine.backends;
   let ws = Cli.workloads workload in
@@ -532,7 +532,7 @@ let backends workload size (flags : Cli.flags) =
           if k = Engine.Trace then
             compiled_total := !compiled_total + s.Stats.traces_compiled;
           Printf.printf "%-10s %-8s %-6s %12d %12d %10d %9d\n"
-            w.Workloads.Workload.name (Engine.backend_kind_name k)
+            w.Workloads.Workload.name (Engine.backend_name r.Engine.engine)
             (if ok then "yes" else "NO")
             s.Stats.block_dispatches s.Stats.trace_dispatches s.Stats.signals
             s.Stats.traces_compiled)
@@ -709,8 +709,8 @@ let top workload size flags top json =
 
 let top_cmd =
   let rows =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows per ranked table.")
+    Arg.(value & opt Cli.positive 10 & info [ "top" ] ~docv:"K"
+           ~doc:"Rows per ranked table, a positive integer.")
   in
   let json =
     Arg.(value & flag & info [ "json" ]

@@ -5,21 +5,25 @@ module Interp = Vm.Interp
    profiler signals drive trace reconstruction; and the trace cache overlays
    trace dispatch onto the stream.
 
-   The engine is a thin shell over Backend: it owns one Backend.ctx (the
-   dispatch state every strategy shares) and picks the dispatch strategy
-   per observed block from the Health ladder —
+   One record, [t], holds the dispatch state, and one function,
+   [on_block], is the dispatch loop's body.  Each observed block is
+   dispatched under one of three backend kinds, picked from the Health
+   ladder —
 
      Full_tracing  + build_traces -> Trace
      Full_tracing  (no traces)    -> Profile
      Profiling_only               -> Profile
      Interp_only                  -> Interp
 
-   so walking the degradation ladder IS switching backends.  The compiled
-   micro-IR tier (Config.tier_enabled) is part of trace dispatch, so it
-   rides the top rung only.  A backend can also be pinned at creation
-   (tests, the `repro_cli backends` inspection command), in which case
-   the ladder still runs its accounting but never changes the dispatch
-   strategy.
+   so walking the degradation ladder IS switching backends.  The kinds
+   differ only in how a block outside any trace is dispatched ([step]
+   and [deopt_resume], one [match] each); trace construction, entry,
+   following and exit, the ladder walk and the invariant sweep are
+   shared.  The compiled micro-IR tier (Config.tier_enabled) is part of
+   trace dispatch, so it rides the top rung only.  A backend can also be
+   pinned at creation (tests, the `repro_cli backends` inspection
+   command), in which case the ladder still runs its accounting but
+   never changes the kind.
 
    Dispatch accounting mirrors the modified SableVM:
 
@@ -32,13 +36,19 @@ module Interp = Vm.Interp
      completes, the profiler context is resynchronized to the last two
      executed blocks and normal dispatching resumes.
 
-   Because every strategy observes the same stream and tracing is a pure
-   overlay, the VM's results are bit-identical under any backend, any
-   ladder schedule and any fault schedule. *)
+   Every counter the engine advances, OSR's and the ladder's included,
+   lives in [counts]; [counters] adds the ones Profiler, Bcg, Trace_cache
+   and Faults own.  Because every kind observes the same stream and
+   tracing is a pure overlay, the VM's results are bit-identical under
+   any backend, any ladder schedule and any fault schedule. *)
 
-type backend_kind = Backend.kind = Interp | Profile | Trace
+type backend_kind = Interp | Profile | Trace
 
-let backend_kind_name k = fst (Backend.describe k)
+let describe_backend = function
+  | Interp -> ("interp", "pure interpretation: no profiling, no traces")
+  | Profile ->
+      ("profile", "block dispatch with BCG profiling; traces never entered")
+  | Trace -> ("trace", "trace-cache dispatch over the profiled block stream")
 
 let backends = [ Interp; Profile; Trace ]
 
@@ -52,13 +62,759 @@ let select config (level : Health.level) : backend_kind =
       if Config.build_traces config then Trace else Profile
 
 type t = {
-  ctx : Backend.ctx;
+  config : Config.t;
+  layout : Layout.t;
+  profiler : Profiler.t;
+  cache : Trace_cache.t;
+  events : Events.t;
+  ledger : Ledger.t; (* fed by the event tap [create] installs *)
+  health : Health.t;
+  faults : Faults.t;
+  osr : Osr.t option; (* None = on-stack replacement off *)
+  (* deep observability (Config.obs_* + engine histograms) *)
+  flightrec : Flightrec.t option;
+    (* the always-on black box (None only when
+       Config.flightrec_capacity = 0); dump triggers fire here, the
+       intake is wired through the event tap *)
+  attr_self : int array;
+    (* per-gid dispatches outside traces; [||] = attribution off *)
+  attr_inlined : int array; (* per-gid executions inlined inside traces *)
+  h_trace_len : Metrics.histogram; (* blocks per executed (completed) trace *)
+  h_exit_distance : Metrics.histogram; (* blocks matched before a side exit *)
+  h_build_len : Metrics.histogram; (* blocks per installed builder path *)
+  h_backoff : Metrics.histogram; (* finite quarantine backoff durations *)
+  h_deopt_residue : Metrics.histogram;
+    (* trace positions abandoned past each deopt point (OSR) *)
+  counts : Stats.t;
+    (* the counters the engine advances, in place; [counters] fills in
+       the ones other modules own when it copies them out *)
+  (* trace execution state *)
+  mutable active : Trace.t option;
+  mutable active_lowered : Microir.body option;
+    (* the active trace's compiled body when it was entered on the
+       compiled tier (Config.tier_enabled); positions followed while
+       this is set are accounted as micro-op dispatches instead of
+       source instructions.  Cleared with [active]. *)
+  mutable active_pos : int; (* index of the next expected block *)
+  mutable matched_blocks : int;
+  mutable matched_instrs : int;
+  (* last two blocks actually executed, traces included *)
+  mutable prev : Layout.gid;
+  mutable prev2 : Layout.gid;
+  mutable just_completed : bool;
+    (* the previous dispatch completed a trace: an entry now chains *)
+  mutable seen_decays : int; (* decay boundary detector, like Profiler's *)
+  mutable in_debug_sweep : bool;
+    (* re-entrancy guard: healing a node rechecks it, which can signal
+       the builder, whose construction boundary would sweep again *)
+  (* backend selection *)
   pinned : bool; (* backend forced at creation: never re-selected *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
 }
 
-let counters t = Backend.counters t.ctx
+(* The engine's dispatch clock: the cache clock and the event stream's
+   timestamp base alike. *)
+let total_dispatches t =
+  t.counts.Stats.block_dispatches + t.counts.Stats.trace_dispatches
+
+let note_violation t =
+  t.counts.Stats.invariant_violations <-
+    t.counts.Stats.invariant_violations + 1
+
+let fr_trigger t reason =
+  match t.flightrec with
+  | Some fr -> Flightrec.trigger fr reason
+  | None -> ()
+
+(* Attribution bumps; the arrays are [||] when Config.obs_attribution is
+   off, so the disabled path is one length test. *)
+let attr_step t g =
+  if Array.length t.attr_self > 0 then t.attr_self.(g) <- t.attr_self.(g) + 1
+
+let attr_inline t g =
+  if Array.length t.attr_inlined > 0 then
+    t.attr_inlined.(g) <- t.attr_inlined.(g) + 1
+
+(* One ordinary block dispatch outside any trace: count and attribute
+   it.  The caller runs (or skips) the profiler hook. *)
+let block_dispatch t g =
+  t.counts.Stats.block_dispatches <- t.counts.Stats.block_dispatches + 1;
+  t.just_completed <- false;
+  attr_step t g
+
+let note_executed t g =
+  t.prev2 <- t.prev;
+  t.prev <- g
+
+(* Compiled-tier accounting for one followed trace position: what the
+   micro-IR dispatch loop would have dispatched there versus the source
+   instructions trace dispatch runs.  One length test when the active
+   trace is on the interpreted tier. *)
+let account_lowered t pos =
+  match t.active_lowered with
+  | None -> ()
+  | Some b ->
+      let c = t.counts in
+      c.Stats.mi_positions <- c.Stats.mi_positions + 1;
+      c.Stats.mi_ops <- c.Stats.mi_ops + b.Microir.pos_ops.(pos);
+      c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
+      c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
+
+(* Quarantine an entry transition and record the episode's backoff
+   duration (finite backoffs only — a permanent blacklist has no
+   duration).  The episode's end is the [until] field of its
+   [Trace_quarantined] event. *)
+let condemn t ~first ~head ~code =
+  let removed = Trace_cache.quarantine t.cache ~first ~head ~code in
+  (match Trace_cache.quarantine_until t.cache ~first ~head with
+  | Some until when until <> max_int ->
+      Metrics.record t.h_backoff (until - total_dispatches t)
+  | Some _ | None -> ());
+  removed
+
+(* Walk the health ladder: count and publish the transition and, when
+   climbing out of interp-only, drop the profiler's stale branch context
+   (the skipped dispatches never updated it). *)
+let apply_health t (transition : Health.transition) =
+  match transition with
+  | Health.Stay -> ()
+  | Health.Changed (from_level, to_level) ->
+      let c = t.counts in
+      let demoted =
+        Health.level_rank to_level > Health.level_rank from_level
+      in
+      if demoted then c.Stats.health_demotions <- c.Stats.health_demotions + 1
+      else c.Stats.health_promotions <- c.Stats.health_promotions + 1;
+      if Events.enabled t.events then
+        if demoted then
+          Events.emit t.events (Events.Mode_degraded { from_level; to_level })
+        else
+          Events.emit t.events (Events.Mode_recovered { from_level; to_level });
+      (* hitting the bottom of the ladder is a postmortem moment: tracing
+         is fully disabled, so capture how the engine got here *)
+      if demoted && to_level = Health.Interp_only then
+        fr_trigger t Flightrec.Degraded;
+      if from_level = Health.Interp_only then Profiler.reset t.profiler
+
+(* ------------------------------------------------------------------ *)
+(* trace exit and deoptimization                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* End the active trace after a completion. *)
+let finish_completed t (tr : Trace.t) =
+  t.just_completed <- true;
+  tr.Trace.completed <- tr.Trace.completed + 1;
+  Metrics.record t.h_trace_len (Trace.n_blocks tr);
+  let c = t.counts in
+  c.Stats.traces_completed <- c.Stats.traces_completed + 1;
+  c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
+  c.Stats.completed_instrs <- c.Stats.completed_instrs + tr.Trace.total_instrs;
+  t.active <- None;
+  t.active_lowered <- None;
+  Trace_cache.unpin t.cache tr;
+  Events.emit_trace_completed t.events ~trace_id:tr.Trace.id
+    ~n_blocks:(Trace.n_blocks tr) ~n_instrs:tr.Trace.total_instrs;
+  (* the profiler missed the trace interior: reposition its context at the
+     trace's final branch *)
+  Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
+
+(* End the active trace after a side exit; the mismatching block has not
+   been processed yet. *)
+let finish_partial t (tr : Trace.t) =
+  t.just_completed <- false;
+  tr.Trace.partial_exits <- tr.Trace.partial_exits + 1;
+  tr.Trace.partial_instrs <- tr.Trace.partial_instrs + t.matched_instrs;
+  Metrics.record t.h_exit_distance t.matched_blocks;
+  let c = t.counts in
+  c.Stats.partial_blocks <- c.Stats.partial_blocks + t.matched_blocks;
+  c.Stats.partial_instrs <- c.Stats.partial_instrs + t.matched_instrs;
+  t.active <- None;
+  t.active_lowered <- None;
+  Trace_cache.unpin t.cache tr;
+  Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:t.active_pos
+    ~matched_blocks:t.matched_blocks ~matched_instrs:t.matched_instrs;
+  Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
+
+(* OSR deoptimization: abandon the active trace at the current position
+   and resume block dispatch at [resume].  A deopt *is* a side exit plus
+   a state-equivalence proof: [finish_partial] does the exit bookkeeping
+   (side-exit event, profiler resync, unpin), and the proof obligation —
+   the materialized interpreter continuation already sits at the block
+   dispatch resumes at, because the overlay never moved it — is checked
+   against the live handle (TL219 on mismatch). *)
+let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
+  let c = t.counts in
+  let at = t.active_pos in
+  let residue = Trace.n_blocks tr - at in
+  (match Osr.materialized osr with
+  | Some m ->
+      c.Stats.osr_state_checks <- c.Stats.osr_state_checks + 1;
+      let ok =
+        match m.Interp.m_block with
+        | Some b -> b = resume
+        | None -> resume < 0
+      in
+      if not ok then begin
+        c.Stats.osr_state_mismatches <- c.Stats.osr_state_mismatches + 1;
+        if Config.debug_checks t.config then begin
+          note_violation t;
+          if Events.enabled t.events then
+            Events.emit t.events
+              (Events.Invariant_violation
+                 {
+                   code = "TL219";
+                   severity = "error";
+                   message =
+                     Printf.sprintf
+                       "trace %d: deopt at position %d resumes at block %d \
+                        but the interpreter materialized at %s"
+                       tr.Trace.id at resume
+                       (match m.Interp.m_block with
+                       | Some b -> string_of_int b
+                       | None -> "<stopped>");
+                 });
+          fr_trigger t Flightrec.Invariant
+        end
+      end
+  | None -> ());
+  finish_partial t tr;
+  Metrics.record t.h_deopt_residue residue;
+  c.Stats.deopts <- c.Stats.deopts + 1;
+  c.Stats.deopt_residue_blocks <- c.Stats.deopt_residue_blocks + max 0 residue;
+  if Events.enabled t.events then
+    Events.emit t.events
+      (Events.Deopt_entered
+         {
+           trace_id = tr.Trace.id;
+           at_block = at;
+           resume_block = resume;
+           residue_blocks = residue;
+           reason = Osr.reason_to_string reason;
+         })
+
+(* Mid-flight cut-over: deoptimize the currently executing trace (a
+   sweep is condemning it).  Between dispatches there is no mismatching
+   block to resume at; the resume point is wherever the interpreter
+   materializes (-1 when no handle is attached), and the next observed
+   block goes through the normal dispatch path. *)
+let deopt_active t ~reason =
+  match (t.active, t.osr) with
+  | Some tr, Some osr ->
+      let resume =
+        match Osr.materialized osr with
+        | Some m -> ( match m.Interp.m_block with Some b -> b | None -> -1)
+        | None -> -1
+      in
+      deopt t osr tr ~resume ~reason
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* the invariant sweep                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the invariant sweep (Config.debug_checks): count every finding and
+   publish it on the stream.  Called at trace-construction and decay
+   boundaries, never on the plain dispatch path.
+
+   Under Config.self_heal the sweep also repairs what it found: flagged
+   BCG nodes are healed in place (losing corrupted history, keeping the
+   node profiling), flagged traces are quarantined, and the whole sweep
+   counts as one strike against the health ladder. *)
+let debug_sweep t =
+  if t.in_debug_sweep then ()
+  else begin
+    t.in_debug_sweep <- true;
+    let bcg = Profiler.bcg t.profiler in
+    let diags =
+      Invariants.check_all ~layout:t.layout t.config ~bcg ~cache:t.cache
+    in
+    List.iter
+      (fun (d : Analysis.Diag.t) ->
+        note_violation t;
+        if Events.enabled t.events then
+          Events.emit t.events
+            (Events.Invariant_violation
+               {
+                 code = d.Analysis.Diag.code;
+                 severity =
+                   Analysis.Diag.severity_to_string d.Analysis.Diag.severity;
+                 message = Analysis.Diag.to_string d;
+               }))
+      diags;
+    if diags <> [] then fr_trigger t Flightrec.Invariant;
+    if Config.self_heal t.config && diags <> [] then begin
+      let healed = Hashtbl.create 8 in
+      let condemned = Hashtbl.create 8 in
+      List.iter
+        (fun (d : Analysis.Diag.t) ->
+          match d.Analysis.Diag.loc with
+          | Analysis.Diag.Node_loc { x; y } ->
+              if not (Hashtbl.mem healed (x, y)) then begin
+                Hashtbl.replace healed (x, y) ();
+                let n = Bcg.find_node bcg ~x ~y in
+                if n != Bcg.no_node && Bcg.heal_node bcg n then
+                  t.counts.Stats.healed_nodes <-
+                    t.counts.Stats.healed_nodes + 1
+              end
+          | Analysis.Diag.Trace_loc { trace_id } ->
+              if not (Hashtbl.mem condemned trace_id) then begin
+                Hashtbl.replace condemned trace_id ();
+                (* OSR mid-flight cut-over: when the flagged trace is
+                   the one being executed right now, deoptimize first —
+                   block dispatch resumes at the materialized state, the
+                   execution pin drops, and the quarantine below is not
+                   refused.  Without OSR the pin refuses the quarantine
+                   and a later sweep (or dispatch validation) condemns
+                   the trace once it has exited. *)
+                (match t.active with
+                | Some a when a.Trace.id = trace_id ->
+                    deopt_active t ~reason:Osr.Condemned
+                | _ -> ());
+                (* quarantine by the trace's live entry binding *)
+                let entry = ref None in
+                Trace_cache.iter_entries t.cache (fun ~first ~head tr ->
+                    if tr.Trace.id = trace_id then entry := Some (first, head));
+                match !entry with
+                | Some (first, head) ->
+                    ignore (condemn t ~first ~head ~code:d.Analysis.Diag.code)
+                | None -> ()
+              end
+          | Analysis.Diag.Method_loc _ | Analysis.Diag.Program_loc -> ())
+        diags;
+      apply_health t (Health.strike t.health)
+    end;
+    t.in_debug_sweep <- false
+  end
+
+(* ------------------------------------------------------------------ *)
+(* counters and the dispatch prologue                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The counters, filled in: a copy of the engine's own record plus, in
+   this one place, the counters other modules own. *)
+let counters t : Stats.t =
+  let s = Stats.copy t.counts in
+  let bcg = Profiler.bcg t.profiler and cache = t.cache in
+  s.Stats.signals <- Profiler.signals t.profiler;
+  s.Stats.ic_predictions <- Profiler.predictions t.profiler;
+  s.Stats.bcg_nodes <- Bcg.n_nodes bcg;
+  s.Stats.bcg_edges <- Bcg.n_edges bcg;
+  s.Stats.traces_replaced <- Trace_cache.n_replaced cache;
+  s.Stats.traces_live <- Trace_cache.n_live cache;
+  s.Stats.traces_quarantined <- Trace_cache.n_quarantines cache;
+  s.Stats.traces_evicted <- Trace_cache.n_evicted cache;
+  s.Stats.traces_blacklisted <- Trace_cache.n_blacklisted cache;
+  s.Stats.failed_installs <- Trace_cache.n_failed_installs cache;
+  s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
+  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
+  Trace_cache.iter_all cache (fun tr ->
+      if tr.Trace.completed > 0 then begin
+        s.Stats.static_traces <- s.Stats.static_traces + 1;
+        s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
+      end);
+  s.Stats.faults_injected <- Faults.injected t.faults;
+  s.Stats.final_health <- Health.level_rank (Health.level t.health);
+  s
+
+(* One phase snapshot's values: the histogram summaries, every counter
+   but [instructions] (only the VM knows it), then the state no counter
+   covers. *)
+let sample t =
+  let s = counters t and cache = t.cache in
+  List.concat_map Metrics.hist_fields
+    [
+      t.h_trace_len;
+      t.h_exit_distance;
+      t.h_build_len;
+      t.h_backoff;
+      t.h_deopt_residue;
+    ]
+  @ List.filter_map
+      (fun (name, get) ->
+        if name = "instructions" then None else Some (name, get s))
+      Stats.counters
+  @ [
+      ("live_blocks", Trace_cache.live_blocks cache);
+      ("quarantine_active", Trace_cache.n_quarantine_active cache);
+      ("skipped_dispatches", Profiler.skipped t.profiler);
+      ("cross_session_installs", Trace_cache.n_cross_installs cache);
+      ("cross_session_entries", Trace_cache.n_cross_entries cache);
+      ("traces_restored", Trace_cache.n_restored cache);
+      ("cache_footprint_bytes", Trace_cache.footprint_bytes cache);
+    ]
+  @ (if Config.tier_enabled t.config then
+       [ ("compiled_live", Trace_cache.n_compiled cache) ]
+     else [])
+  @ (match t.flightrec with
+    | Some fr ->
+        [
+          ("flightrec_recorded", Flightrec.recorded fr);
+          ("flightrec_dumps", Flightrec.dumps fr);
+        ]
+    | None -> [])
+  @ [ ("ledger_records", Ledger.length t.ledger) ]
+
+(* The dispatch prologue every kind runs first: every [snapshot_period]
+   dispatches publish a phase snapshot stamped with this dispatch's
+   1-based index, and when the self-healing or fault machinery is armed
+   advance the cache clock and the fault injector. *)
+let prologue t =
+  let period = Config.snapshot_period t.config in
+  if period > 0 then begin
+    let at = total_dispatches t + 1 in
+    if at mod period = 0 && Events.enabled t.events then
+      Events.emit t.events
+        (Events.Phase_snapshot { Metrics.at; values = Array.of_list (sample t) })
+  end;
+  if Config.self_heal t.config || Faults.is_active t.faults then begin
+    let now = total_dispatches t in
+    Trace_cache.set_clock t.cache now;
+    (* injected faults land just before the dispatch decision *)
+    List.iter
+      (fun (code, detail) ->
+        if Events.enabled t.events then
+          Events.emit t.events (Events.Fault_injected { code; detail }))
+      (Faults.tick t.faults ~now ~bcg:(Profiler.bcg t.profiler) ~cache:t.cache
+         ~active:t.active)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* trace construction                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every trace construction, from a profiler signal or an OSR
+   promotion, ends here: fold the builder's outcome into the counters
+   and, when [sweep] holds, run the invariant sweep at the construction
+   boundary. *)
+let note_build t (o : Trace_builder.outcome) ~sweep =
+  let c = t.counts in
+  c.Stats.traces_constructed <-
+    c.Stats.traces_constructed + o.Trace_builder.new_traces;
+  c.Stats.builder_reuses <-
+    c.Stats.builder_reuses + o.Trace_builder.reused_traces;
+  if sweep && Config.debug_checks t.config then debug_sweep t
+
+(* The profiler-signal subscriber: rebuild every trace the signalled
+   branch can affect. *)
+let on_signal t signal =
+  if Config.build_traces t.config then
+    note_build t
+      (Trace_builder.on_signal ~events:t.events
+         ~on_path:(fun n -> Metrics.record t.h_build_len n)
+         t.config t.cache signal)
+      ~sweep:true
+
+(* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
+   None when OSR is off.  With [promote = false] the heat saturates at
+   the threshold instead of firing, so it survives until trace dispatch
+   can act on the crossing. *)
+let hot_loop t g ~promote =
+  match t.osr with
+  | Some osr -> Osr.observe_header osr g ~promote
+  | None -> None
+
+(* OSR mid-loop promotion: a hot header crossed its threshold while we
+   were dispatching blocks — build its loop trace immediately, so the
+   very next latch->header transition enters it.  The construction
+   boundary sweeps only when a trace was built.  Returns whether a trace
+   was installed. *)
+let promote_loop t (osr : Osr.t) header ~hotness =
+  let outcome, installed =
+    Trace_builder.promote ~events:t.events
+      ~on_path:(fun n -> Metrics.record t.h_build_len n)
+      t.cache (Profiler.bcg t.profiler) ~header
+  in
+  (match installed with
+  | Some tr ->
+      t.counts.Stats.osr_promotions <- t.counts.Stats.osr_promotions + 1;
+      Osr.arm osr ~trace_id:tr.Trace.id;
+      if Events.enabled t.events then
+        Events.emit t.events
+          (Events.Osr_promoted
+             { trace_id = tr.Trace.id; header; latch = tr.Trace.first; hotness })
+  | None -> ());
+  note_build t outcome ~sweep:(outcome.Trace_builder.new_traces > 0);
+  installed <> None
+
+(* Returns whether a promotion installed a trace, so the trace step
+   knows to retry its cache lookup. *)
+let poll_promote t g =
+  match t.osr with
+  | None -> false
+  | Some osr -> (
+      let promote = Config.build_traces t.config in
+      match hot_loop t g ~promote with
+      | Some hotness -> promote_loop t osr g ~hotness
+      | None -> false)
+
+(* ------------------------------------------------------------------ *)
+(* trace entry                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The compiled tier's part of a trace entry (Config.tier_enabled).  The
+   tier cost model runs first (Tier.maybe_compile): a trace hot enough —
+   its entry's use count crossed [compile_after] — is lowered to
+   micro-IR, demoting the coldest compiled trace when the
+   [compile_budget] is full.  Entering a trace that holds a lowered body
+   sets [active_lowered], and every position followed while it is set
+   is accounted as the micro-ops the body dispatches there.  The VM runs
+   the same bytecode whichever tier a trace is on, so results stay
+   bit-identical with the tier on or off; what changes is the
+   dispatch-cost model the run is priced under. *)
+let enter_compiled t (tr : Trace.t) =
+  (* the lookup that produced [tr] just heated its entry, so the cost
+     model sees the use count including this dispatch *)
+  let compiled, demoted =
+    Tier.maybe_compile t.config t.layout t.cache ~events:t.events tr
+  in
+  let c = t.counts in
+  c.Stats.traces_compiled <- c.Stats.traces_compiled + compiled;
+  c.Stats.tier_demotions <- c.Stats.tier_demotions + demoted;
+  (match tr.Trace.lowered with
+  | Some _ as lowered ->
+      c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
+      t.active_lowered <- lowered
+  | None -> t.active_lowered <- None);
+  (* the entry position (0) is matched by the lookup itself, before
+     [follow] sees any position; account it here.  A single-block trace
+     completes inside [enter], which clears [active_lowered]. *)
+  account_lowered t 0
+
+(* Enter a trace the dispatch lookup produced: pin it, count the trace
+   dispatch, run the single profiler hook and start following (a
+   single-block trace completes immediately).  [hit] is the lookup's
+   [Some tr], the cache binding's own: following the trace stores it as
+   [active] rather than allocating another. *)
+let enter t ~hit (tr : Trace.t) g =
+  if Config.tier_enabled t.config then enter_compiled t tr;
+  (* executing traces are pinned against eviction and quarantine for the
+     duration of the dispatch; finish_completed/finish_partial unpin *)
+  Trace_cache.pin t.cache tr;
+  let c = t.counts in
+  c.Stats.trace_dispatches <- c.Stats.trace_dispatches + 1;
+  c.Stats.traces_entered <- c.Stats.traces_entered + 1;
+  (* the first entry of the latest promoted trace is an OSR entry taken *)
+  (match t.osr with
+  | Some osr when Osr.take_armed osr ~trace_id:tr.Trace.id ->
+      c.Stats.osr_entries <- c.Stats.osr_entries + 1
+  | _ -> ());
+  let chained = t.just_completed in
+  if chained then c.Stats.chained_entries <- c.Stats.chained_entries + 1;
+  t.just_completed <- false;
+  tr.Trace.entered <- tr.Trace.entered + 1;
+  Events.emit_trace_entered t.events ~trace_id:tr.Trace.id ~chained;
+  (* the single profiling statement of a trace dispatch *)
+  Profiler.dispatch t.profiler g;
+  note_executed t g;
+  attr_inline t g;
+  t.matched_blocks <- 1;
+  t.matched_instrs <- tr.Trace.instr_len.(0);
+  if Trace.n_blocks tr = 1 then begin
+    (* degenerate single-block trace: completes immediately *)
+    t.active <- None;
+    finish_completed t tr
+  end
+  else begin
+    t.active <- hit;
+    t.active_pos <- 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* dispatch outside a trace                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Validate a trace the dispatch lookup produced, before entering it.
+   Returns the code of the first violated invariant, or None when the
+   trace is sound.  The binding key is checked first (a corrupted head
+   block desynchronizes it), then the full TL2xx battery over the trace
+   body — the cost self-healing pays per trace dispatch. *)
+let validate_dispatch t (tr : Trace.t) ~prev ~cur : string option =
+  let f, h = Trace.entry_key tr in
+  if f <> prev || h <> cur then Some "TL202"
+  else
+    match
+      Invariants.check_trace ~bcg:(Profiler.bcg t.profiler) ~layout:t.layout
+        t.config tr
+    with
+    | [] -> None
+    | d :: _ -> Some d.Analysis.Diag.code
+
+(* An ordinary profiled block dispatch: the hook runs, the trace cache
+   is not consulted. *)
+let profiled_dispatch t g =
+  block_dispatch t g;
+  Profiler.dispatch t.profiler g;
+  note_executed t g
+
+let credit_clean t =
+  if Config.self_heal t.config then
+    apply_health t (Health.clean_dispatch t.health)
+
+(* The trace kind's dispatch decision: consult the cache by the entering
+   transition.  A hit is one trace dispatch (the hook runs once, the
+   interior blocks are inlined); a miss is a profiled block dispatch.
+   Under self-healing every candidate trace is validated before entry; a
+   condemned trace is quarantined, strikes the ladder, and the block
+   falls back to a normal dispatch. *)
+let trace_dispatch t g =
+  let self_heal = Config.self_heal t.config in
+  let hit = Trace_cache.lookup t.cache ~prev:t.prev ~cur:g in
+  (* hot-loop heat accumulates only on uncovered dispatches: a loop
+     already running under trace dispatch has nothing to promote, and a
+     loop that loses coverage (eviction, quarantine) starts re-heating
+     the moment its header misses again.  When the miss that crossed the
+     threshold is itself the latch->header transition, the freshly
+     promoted trace is entered by this very dispatch. *)
+  let hit =
+    match hit with
+    | Some _ -> hit
+    | None ->
+        if poll_promote t g then Trace_cache.lookup t.cache ~prev:t.prev ~cur:g
+        else None
+  in
+  let condemned =
+    match hit with
+    | Some tr when self_heal -> (
+        match validate_dispatch t tr ~prev:t.prev ~cur:g with
+        | None -> false
+        | Some code ->
+            (* condemned at dispatch: quarantine the entry and strike
+               the ladder, then dispatch the block normally *)
+            ignore (condemn t ~first:t.prev ~head:g ~code);
+            apply_health t (Health.strike t.health);
+            true)
+    | _ -> false
+  in
+  (match hit with
+  | Some tr when not condemned -> enter t ~hit tr g
+  | _ -> profiled_dispatch t g);
+  if self_heal && not condemned then
+    apply_health t (Health.clean_dispatch t.health)
+
+(* Process one block dispatched outside any trace: the decision that
+   distinguishes the kinds.
+
+   - Interp, the ladder's last resort (Health.Interp_only): not even the
+     profiler hook runs — the profiler only counts how much of the
+     stream it missed, so its branch context goes stale (apply_health
+     resets it on promotion back up).  Clean dispatches still feed the
+     ladder so the engine can probe its way back to profiling.
+   - Profile (Health.Profiling_only, and full tracing with
+     Config.build_traces off — the paper's Table VI configuration):
+     every block feeds the profiler and OSR header heat; the cache is
+     never consulted.  The profiler's signals still fire — trace
+     construction is [on_signal]'s business, gated on build_traces.
+   - Trace (Health.Full_tracing): [trace_dispatch]. *)
+let step t g =
+  prologue t;
+  match t.kind with
+  | Interp ->
+      block_dispatch t g;
+      Profiler.note_skipped t.profiler;
+      note_executed t g;
+      apply_health t (Health.clean_dispatch t.health)
+  | Profile ->
+      profiled_dispatch t g;
+      ignore (hot_loop t g ~promote:false);
+      credit_clean t
+  | Trace -> trace_dispatch t g
+
+(* OSR exit point: the block dispatch execution resumes at after a
+   deoptimization.  It never consults the trace cache — the engine just
+   abandoned a trace at this block, and re-entering one at the deopt
+   transition would defeat the resume — so under Interp and Profile it
+   is their ordinary [step], and under Trace a profiled dispatch that
+   also skips the hot-loop poll. *)
+let deopt_resume t g =
+  match t.kind with
+  | Interp | Profile -> step t g
+  | Trace ->
+      prologue t;
+      profiled_dispatch t g;
+      credit_clean t
+
+(* ------------------------------------------------------------------ *)
+(* following a trace                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Follow the active trace, if any; a block outside every trace goes to
+   [step].  An active trace is followed to its end whatever the kind, so
+   a health-level change mid-trace does not cut it short.
+
+   A guard can fail two ways: organically ([g <> expected]) or because
+   an armed FT008 guard flip forces this position to fail.  Without OSR
+   both take the classic side exit — leave the trace, reprocess [g]
+   through the full dispatch path (it may enter another trace).  With
+   OSR both *deoptimize*: the engine proves the interpreter already sits
+   at [g] and resumes plain block dispatch there through
+   [deopt_resume], which never consults the trace cache. *)
+let rec follow t (g : Layout.gid) =
+  match t.active with
+  | None -> step t g
+  | Some tr ->
+      let expected = tr.Trace.blocks.(t.active_pos) in
+      t.counts.Stats.guards_checked <- t.counts.Stats.guards_checked + 1;
+      let forced =
+        Faults.flip_now t.faults ~pos:t.active_pos ~n_blocks:(Trace.n_blocks tr)
+      in
+      if g = expected && not forced then begin
+        note_executed t g;
+        attr_inline t g;
+        account_lowered t t.active_pos;
+        t.matched_blocks <- t.matched_blocks + 1;
+        t.matched_instrs <- t.matched_instrs + tr.Trace.instr_len.(t.active_pos);
+        if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
+        else t.active_pos <- t.active_pos + 1
+      end
+      else begin
+        match t.osr with
+        | Some osr ->
+            (* deoptimize: abandon the residue, resume block dispatch at
+               the failing block *)
+            deopt t osr tr ~resume:g
+              ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
+            deopt_resume t g
+        | None ->
+            (* side exit: leave the trace, then process g normally (it
+               may itself enter another trace) *)
+            finish_partial t tr;
+            follow t g
+      end
+
+(* The VM observer: re-select the backend if the ladder moved since the
+   last dispatch (a mid-dispatch transition therefore takes effect at
+   the next observed block), stamp the event clock, follow/step, then
+   check for a decay boundary. *)
+let on_block t (g : Layout.gid) =
+  if not t.pinned then begin
+    let level = Health.level t.health in
+    if level <> t.kind_level then begin
+      t.kind_level <- level;
+      let k = select t.config level in
+      if k <> t.kind then begin
+        t.kind <- k;
+        t.counts.Stats.backend_switches <- t.counts.Stats.backend_switches + 1
+      end
+    end
+  end;
+  (* stamp the stream once per observed block; events emitted during this
+     step carry the current dispatch index *)
+  if Events.enabled t.events then Events.set_now t.events (total_dispatches t);
+  follow t g;
+  if Config.debug_checks t.config then begin
+    (* decay boundary: the BCG ran one or more decay passes during this
+       dispatch *)
+    let d = (Profiler.bcg t.profiler).Bcg.decays in
+    if d <> t.seen_decays then begin
+      t.seen_decays <- d;
+      debug_sweep t
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* life cycle                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     ?backend (layout : Layout.t) : t =
@@ -109,20 +865,27 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
           recorder.Events.cold ev;
           Ledger.observe ledger ev);
     };
-  (* The profiler's signal callback closes over the shared dispatch
-     context; tie the knot with a forward reference. *)
-  let context = ref None in
+  (* The profiler's signal callback closes over the engine; tie the knot
+     with a forward reference. *)
+  let engine = ref None in
   let on_signal signal =
-    match !context with
-    | Some ctx -> Backend.on_signal ctx signal
-    | None -> ()
+    match !engine with Some t -> on_signal t signal | None -> ()
   in
   let profiler =
     Profiler.create ~events config ~n_blocks:layout.Layout.n_blocks ~on_signal
   in
-  let ctx =
+  let attribution () =
+    if Config.obs_attribution config then Array.make layout.Layout.n_blocks 0
+    else [||]
+  in
+  let kind, pinned =
+    match backend with
+    | Some k -> (k, true)
+    | None -> (select config (Health.level health), false)
+  in
+  let t =
     {
-      Backend.config;
+      config;
       layout;
       profiler;
       cache;
@@ -132,14 +895,8 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       faults;
       osr;
       flightrec;
-      attr_self =
-        (if Config.obs_attribution config then
-           Array.make layout.Layout.n_blocks 0
-         else [||]);
-      attr_inlined =
-        (if Config.obs_attribution config then
-           Array.make layout.Layout.n_blocks 0
-         else [||]);
+      attr_self = attribution ();
+      attr_inlined = attribution ();
       h_trace_len = Metrics.histogram "executed_trace_len";
       h_exit_distance = Metrics.histogram "completion_distance";
       h_build_len = Metrics.histogram "builder_path_len";
@@ -156,91 +913,63 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       just_completed = false;
       seen_decays = 0;
       in_debug_sweep = false;
+      pinned;
+      kind;
+      kind_level = Health.level health;
     }
   in
-  context := Some ctx;
-  let kind, pinned =
-    match backend with
-    | Some k -> (k, true)
-    | None -> (select config (Health.level health), false)
-  in
-  { ctx; pinned; kind; kind_level = Health.level health }
+  engine := Some t;
+  t
 
 (* accessors over the abstract engine *)
-let config t = t.ctx.Backend.config
+let config t = t.config
 
-let layout t = t.ctx.Backend.layout
+let layout t = t.layout
 
-let profiler t = t.ctx.Backend.profiler
+let profiler t = t.profiler
 
-let cache t = t.ctx.Backend.cache
+let cache t = t.cache
 
-let events t = t.ctx.Backend.events
+let events t = t.events
 
-let active_trace t = t.ctx.Backend.active
+let active_trace t = t.active
 
-let total_dispatches t = Backend.clock t.ctx
+let health t = t.health
 
-let health t = t.ctx.Backend.health
+let flightrec t = t.flightrec
 
-let flightrec t = t.ctx.Backend.flightrec
+let ledger t = Some t.ledger
 
-let ledger t = Some t.ctx.Backend.ledger
+let attr_self t = t.attr_self
 
-let attr_self t = t.ctx.Backend.attr_self
-
-let attr_inlined t = t.ctx.Backend.attr_inlined
+let attr_inlined t = t.attr_inlined
 
 let inflight_matched_blocks t =
-  match t.ctx.Backend.active with
-  | Some _ -> t.ctx.Backend.matched_blocks
-  | None -> 0
+  match t.active with Some _ -> t.matched_blocks | None -> 0
 
-let trace_len_hist t = t.ctx.Backend.h_trace_len
+let trace_len_hist t = t.h_trace_len
 
-let exit_distance_hist t = t.ctx.Backend.h_exit_distance
+let exit_distance_hist t = t.h_exit_distance
 
-let build_len_hist t = t.ctx.Backend.h_build_len
+let build_len_hist t = t.h_build_len
 
-let backoff_hist t = t.ctx.Backend.h_backoff
+let backoff_hist t = t.h_backoff
 
-let deopt_residue_hist t = t.ctx.Backend.h_deopt_residue
+let deopt_residue_hist t = t.h_deopt_residue
 
-let arm_guard_flip t ~pos = Faults.arm_flip t.ctx.Backend.faults ~pos
-
-let debug_sweep t = Backend.run_debug_checks t.ctx
+let arm_guard_flip t ~pos = Faults.arm_flip t.faults ~pos
 
 let attach t (handle : Interp.handle) =
-  match t.ctx.Backend.osr with
+  match t.osr with
   | Some osr ->
       Osr.set_materialize osr (fun () -> Some (Interp.materialize handle))
   | None -> ()
 
 let backend_kind t = t.kind
 
-let backend_name t = backend_kind_name t.kind
+let backend_name t = fst (describe_backend t.kind)
 
 let backend_pinned t = t.pinned
-
-(* The VM observer: re-select the backend if the ladder moved since the
-   last dispatch (a mid-dispatch transition therefore takes effect at
-   the next observed block, exactly like the old mode flags), then hand
-   the block to the current strategy. *)
-let on_block t (g : Layout.gid) =
-  let ctx = t.ctx in
-  if not t.pinned then begin
-    let level = Health.level ctx.Backend.health in
-    if level <> t.kind_level then begin
-      t.kind_level <- level;
-      let k = select ctx.Backend.config level in
-      if k <> t.kind then begin
-        t.kind <- k;
-        ctx.Backend.counts.Stats.backend_switches <-
-          ctx.Backend.counts.Stats.backend_switches + 1
-      end
-    end
-  end;
-  Backend.on_block ctx t.kind g
 
 (* End-of-run statistics: the counters plus what only the VM knows. *)
 let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =
@@ -255,11 +984,10 @@ let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =
    emitted, so every load attempt is visible on the timeline. *)
 
 let snapshot t =
-  let ctx = t.ctx in
-  Persist.encode ~layout:ctx.Backend.layout
+  Persist.encode ~layout:t.layout
     {
-      Persist.bcg_nodes = Bcg.snapshot (Profiler.bcg ctx.Backend.profiler);
-      cache_entries = Trace_cache.snapshot ctx.Backend.cache;
+      Persist.bcg_nodes = Bcg.snapshot (Profiler.bcg t.profiler);
+      cache_entries = Trace_cache.snapshot t.cache;
     }
 
 type restore_info = {
@@ -271,45 +999,42 @@ type restore_info = {
 }
 
 let restore t data : (restore_info, Persist.error) result =
-  let ctx = t.ctx in
-  match Persist.decode ~layout:ctx.Backend.layout data with
+  match Persist.decode ~layout:t.layout data with
   | Error e ->
-      ctx.Backend.counts.Stats.snapshots_rejected <-
-        ctx.Backend.counts.Stats.snapshots_rejected + 1;
-      if Events.enabled ctx.Backend.events then
-        Events.emit ctx.Backend.events
+      t.counts.Stats.snapshots_rejected <- t.counts.Stats.snapshots_rejected + 1;
+      if Events.enabled t.events then
+        Events.emit t.events
           (Events.Snapshot_rejected { reason = Persist.error_to_string e });
-      Backend.fr_trigger ctx Flightrec.Snapshot_rejected;
+      fr_trigger t Flightrec.Snapshot_rejected;
       Error e
   | Ok snap ->
-      let bcg = Profiler.bcg ctx.Backend.profiler in
+      let bcg = Profiler.bcg t.profiler in
       Bcg.restore bcg snap.Persist.bcg_nodes;
       let traces =
         Trace_cache.restore
-          ~promoted_below:(Config.threshold t.ctx.Backend.config)
-          ctx.Backend.cache snap.Persist.cache_entries
+          ~promoted_below:(Config.threshold t.config)
+          t.cache snap.Persist.cache_entries
       in
       (* the compiled tier is derived state: snapshots persist heat, not
          lowered bodies, so re-derive the compiled set from the restored
          use counts (Tier.recompile_restored is a no-op with the tier
          off) *)
       let recompiled =
-        Tier.recompile_restored ctx.Backend.config ctx.Backend.layout
-          ctx.Backend.cache ~events:ctx.Backend.events
+        Tier.recompile_restored t.config t.layout t.cache ~events:t.events
       in
-      ctx.Backend.counts.Stats.traces_compiled <-
-        ctx.Backend.counts.Stats.traces_compiled + recompiled;
+      t.counts.Stats.traces_compiled <-
+        t.counts.Stats.traces_compiled + recompiled;
       let info =
         {
           restored_traces = traces;
-          restored_blocks = Trace_cache.live_blocks ctx.Backend.cache;
+          restored_blocks = Trace_cache.live_blocks t.cache;
           restored_bcg_nodes = Bcg.n_nodes bcg;
           restored_bcg_edges = Bcg.n_edges bcg;
           recompiled_traces = recompiled;
         }
       in
-      if Events.enabled ctx.Backend.events then
-        Events.emit ctx.Backend.events
+      if Events.enabled t.events then
+        Events.emit t.events
           (Events.Cache_restored
              {
                traces;
@@ -328,12 +1053,11 @@ type run_result = {
 (* Drive an already-created engine over its program — the warm-start
    flow creates, restores, then drives. *)
 let drive ?max_instructions t : run_result =
-  let layout = t.ctx.Backend.layout in
   let t0 = Unix.gettimeofday () in
   (* drive through a handle (not Interp.run) so the OSR deopt checks can
      materialize the live continuation; bit-identical either way *)
   let handle =
-    Interp.start ?max_instructions layout ~on_block:(fun g -> on_block t g)
+    Interp.start ?max_instructions t.layout ~on_block:(fun g -> on_block t g)
   in
   attach t handle;
   let vm_result = Interp.finish handle in

@@ -4,15 +4,18 @@
     drive trace reconstruction; and the trace cache overlays trace
     dispatch onto the stream.
 
-    The engine is a thin shell over {!Backend}: it owns one
-    [Backend.ctx] (the dispatch state every strategy shares) and picks
-    the dispatch strategy per observed block from the {!Health} ladder
+    One module owns the dispatch state, the dispatch function
+    ({!on_block}) and the engine's life cycle.  Each observed block is
+    dispatched under a {!backend_kind} picked from the {!Health} ladder
     — [Full_tracing] maps to [Trace] (or [Profile] when
     {!Config.build_traces} is off), [Profiling_only] to [Profile],
     [Interp_only] to [Interp] — so walking the degradation ladder {e is}
-    switching backends ([Stats.backend_switches]).  The compiled micro-IR
-    tier ({!Config.tier_enabled}) is part of trace dispatch, not a
-    strategy of its own.  A backend can also be pinned at {!create}.
+    switching backends ([Stats.backend_switches]).  The kinds differ
+    only in how a block outside any trace is dispatched; trace
+    construction, entry, following and exit, the ladder walk and the
+    invariant sweep are shared.  The compiled micro-IR tier
+    ({!Config.tier_enabled}) is part of trace dispatch, not a kind of
+    its own.  A backend can also be pinned at {!create}.
 
     Dispatch accounting mirrors the modified SableVM:
 
@@ -46,12 +49,13 @@
 
 type t
 
-type backend_kind = Backend.kind = Interp | Profile | Trace
+type backend_kind = Interp | Profile | Trace
 (** The dispatch strategies, in ladder order (bottom up). *)
 
-val backend_kind_name : backend_kind -> string
-(** ["interp"] / ["profile"] / ["trace"]: the name half of
-    {!Backend.describe}. *)
+val describe_backend : backend_kind -> string * string
+(** [(name, description)]: the stable one-word identifier (["interp"] /
+    ["profile"] / ["trace"]) and a one-line description of the
+    strategy. *)
 
 val backends : backend_kind list
 (** Every strategy: [[Interp; Profile; Trace]]. *)
@@ -79,11 +83,31 @@ val create :
 
 val on_block : t -> Cfg.Layout.gid -> unit
 (** The VM observer: feed one dispatched block.  Exposed so the engine
-    can be driven by any block stream (the baselines and tests do). *)
+    can be driven by any block stream (the baselines and tests do).
+
+    The backend is re-selected first when the ladder moved since the
+    last block.  An active trace is then followed to its end whatever
+    the kind; a block outside every trace is dispatched the way the
+    kind says.  Each followed position counts as one checked guard.  A
+    guard fails organically (mismatching block) or by an armed FT008
+    flip ({!Faults.flip_now}).  Without OSR both take the classic side
+    exit and reprocess the block through the full dispatch path; with
+    OSR both deoptimize and resume with a block dispatch that never
+    consults the trace cache.
+
+    Under [Trace], a cache hit enters the trace; with
+    {!Config.tier_enabled} the entry first runs the tier cost model
+    ([Tier.maybe_compile]).  Under self-healing every candidate trace is
+    validated before entry.  When {!Config.snapshot_period} is positive,
+    every [period]-th dispatch first publishes a [Phase_snapshot]
+    stamped with its 1-based index.  After the dispatch, a decay
+    boundary runs {!debug_sweep} when {!Config.debug_checks} is on. *)
 
 val counters : t -> Stats.t
 (** Every counter as it stands now, in a fresh record that later
-    dispatches do not change.  The fields only the VM knows
+    dispatches do not change: the engine's own counts, OSR's and the
+    ladder's among them, plus the counters [Profiler], [Bcg],
+    [Trace_cache] and [Faults] own.  The fields only the VM knows
     ([instructions], [wall_seconds]) are zero. *)
 
 val stats : t -> vm_result:Vm.Interp.result -> wall_seconds:float -> Stats.t
@@ -164,10 +188,14 @@ val arm_guard_flip : t -> pos:int -> unit
     @raise Invalid_argument if [pos < 1]. *)
 
 val debug_sweep : t -> unit
-(** Run one invariant sweep ({!Backend.run_debug_checks}) on demand,
-    outside the scheduled decay/construction boundaries — exposed so
-    tests can condemn a corrupted trace {e while it is executing} and
-    observe the mid-flight cut-over. *)
+(** The invariant sweep ({!Config.debug_checks}): run {!Invariants}
+    over the BCG and the cache, count and publish every finding.  Under
+    self-healing the sweep heals flagged BCG nodes, quarantines flagged
+    traces (deoptimizing first when OSR is on and the flagged trace is
+    executing) and strikes the ladder.  Re-entrancy guarded.  The
+    engine runs it at decay and construction boundaries; calling it
+    directly lets tests condemn a corrupted trace {e while it is
+    executing} and observe the mid-flight cut-over. *)
 
 val attach : t -> Vm.Interp.handle -> unit
 (** Point the OSR state-materialization hook at the live interpreter
@@ -175,7 +203,7 @@ val attach : t -> Vm.Interp.handle -> unit
     ([Session], tests stepping a handle themselves) call it once after
     [Vm.Interp.start].  No-op when OSR is off. *)
 
-(** {2 Backend selection} *)
+(** {2 Backend kinds} *)
 
 val backend_kind : t -> backend_kind
 (** The strategy currently dispatching. *)

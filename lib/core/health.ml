@@ -33,28 +33,15 @@ type t = {
   mutable level : level;
   mutable strikes : int;
   mutable clean : int; (* consecutive clean dispatches *)
-  mutable demotions : int;
-  mutable promotions : int;
 }
 
-let create () =
-  {
-    level = Full_tracing;
-    strikes = 0;
-    clean = 0;
-    demotions = 0;
-    promotions = 0;
-  }
+let create () = { level = Full_tracing; strikes = 0; clean = 0 }
 
 let level t = t.level
 
 let is_degraded t = t.level <> Full_tracing
 
 let strikes t = t.strikes
-
-let demotions t = t.demotions
-
-let promotions t = t.promotions
 
 let down = function
   | Full_tracing -> Profiling_only
@@ -74,7 +61,6 @@ let strike t : transition =
     let from_level = t.level in
     t.level <- down t.level;
     t.strikes <- 0;
-    t.demotions <- t.demotions + 1;
     Changed (from_level, t.level)
   end
   else Stay
@@ -93,14 +79,8 @@ let clean_dispatch t : transition =
       else begin
         let from_level = t.level in
         t.level <- up t.level;
-        t.promotions <- t.promotions + 1;
         Changed (from_level, t.level)
       end
     end
     else Stay
   end
-
-let pp ppf t =
-  Format.fprintf ppf "%s (strikes=%d clean=%d demoted=%d recovered=%d)"
-    (level_to_string t.level)
-    t.strikes t.clean t.demotions t.promotions

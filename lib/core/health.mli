@@ -15,9 +15,13 @@
     without an intervening recovery window drop the engine one level.
     Every dispatch that completes without a detection is a recovery
     probe ({!clean_dispatch}): after {!Config.heal_recover_after}
-    consecutive clean dispatches the engine climbs one level back up, and at full tracing
-    the same window forgives stale strikes, so isolated faults never
-    accumulate into a demotion across a long run. *)
+    consecutive clean dispatches the engine climbs one level back up,
+    and at full tracing the same window forgives stale strikes, so
+    isolated faults never accumulate into a demotion across a long run.
+
+    The ladder keeps no counters.  Each level change is returned as a
+    {!transition}, and the engine, its one consumer, counts it into
+    [health_demotions] or [health_promotions]. *)
 
 type level = Full_tracing | Profiling_only | Interp_only
 
@@ -44,15 +48,9 @@ val strikes : t -> int
 (** Strikes accumulated at the current level since the last demotion or
     forgiveness window. *)
 
-val demotions : t -> int
-
-val promotions : t -> int
-
 val strike : t -> transition
 (** Record one detected fault; may demote. *)
 
 val clean_dispatch : t -> transition
 (** Record one clean dispatch; may promote.  Costs one branch when the
     engine is healthy and strike-free. *)
-
-val pp : Format.formatter -> t -> unit

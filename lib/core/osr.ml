@@ -7,7 +7,7 @@ module Layout = Cfg.Layout
    Two directions:
 
    - Deoptimization (trace -> blocks).  When a guard fails at position k
-     of a trace — or a Health/Trace_prover sweep condemns the trace being
+     of a trace — or the invariant sweep condemns the trace being
      executed — the engine abandons the residue and resumes block
      dispatch at the failing block.  Because trace dispatch is a pure
      observational overlay, "reconstructing interpreter state" is a
@@ -26,8 +26,8 @@ module Layout = Cfg.Layout
      transition.
 
    This module holds the detection tables, the materialization hook and
-   the OSR counters; the dispatch-loop integration lives in [Backend]
-   (deopt and promotion). *)
+   the armed-promotion id.  The dispatch-loop integration (deopt and
+   promotion) lives in [Engine], which also keeps the OSR counters. *)
 
 type reason = Guard_failure | Guard_flip | Condemned
 
@@ -47,12 +47,6 @@ type t = {
   mutable armed_trace : int;
       (* trace id of the latest promotion, awaiting its first entry;
          -1 = none *)
-  mutable deopts : int;
-  mutable residue_blocks : int; (* abandoned trace positions, summed *)
-  mutable promotions : int;
-  mutable entries : int; (* promoted-trace entries actually taken *)
-  mutable state_checks : int; (* deopts that could materialize state *)
-  mutable state_mismatches : int; (* TL219 findings *)
 }
 
 let create ~promote_after (layout : Layout.t) =
@@ -77,12 +71,6 @@ let create ~promote_after (layout : Layout.t) =
     header_hits = Array.make n 0;
     materialize_fn = (fun () -> None);
     armed_trace = -1;
-    deopts = 0;
-    residue_blocks = 0;
-    promotions = 0;
-    entries = 0;
-    state_checks = 0;
-    state_mismatches = 0;
   }
 
 let set_materialize t f = t.materialize_fn <- f
@@ -115,36 +103,11 @@ let observe_header t g ~promote =
     end
   end
 
-let note_promotion t ~trace_id =
-  t.promotions <- t.promotions + 1;
-  t.armed_trace <- trace_id
+let arm t ~trace_id = t.armed_trace <- trace_id
 
-(* Called at every trace entry: counts the first entry of the latest
-   promoted trace as an OSR entry taken. *)
-let note_entry t ~trace_id =
+let take_armed t ~trace_id =
   if trace_id = t.armed_trace then begin
-    t.entries <- t.entries + 1;
-    t.armed_trace <- -1
+    t.armed_trace <- -1;
+    true
   end
-
-let note_deopt t ~residue =
-  t.deopts <- t.deopts + 1;
-  t.residue_blocks <- t.residue_blocks + max 0 residue
-
-let note_state_check t = t.state_checks <- t.state_checks + 1
-
-let note_state_mismatch t = t.state_mismatches <- t.state_mismatches + 1
-
-let deopts t = t.deopts
-
-let residue_blocks t = t.residue_blocks
-
-let promotions t = t.promotions
-
-let entries t = t.entries
-
-let state_checks t = t.state_checks
-
-let state_mismatches t = t.state_mismatches
-
-let promote_after t = t.promote_after
+  else false

@@ -22,8 +22,11 @@
       very next latch→header transition.
 
     This module holds the detection tables, the materialization hook and
-    the OSR counters; the dispatch-loop integration (deopt and
-    promotion) lives in [Backend]. *)
+    the armed-promotion id.  The dispatch-loop integration (deopt and
+    promotion) lives in [Engine], and so do the OSR counters: [Engine]
+    advances [deopts], [deopt_residue_blocks], [osr_promotions],
+    [osr_entries], [osr_state_checks] and [osr_state_mismatches] in its
+    one [Stats.t]. *)
 
 type reason =
   | Guard_failure  (** organic guard mismatch while following a trace *)
@@ -39,8 +42,8 @@ val reason_to_string : reason -> string
 type t
 
 val create : promote_after:int -> Cfg.Layout.t -> t
-(** Compute the natural-loop header set of every method CFG and
-    initialize empty counters.
+(** Compute the natural-loop header set of every method CFG, with every
+    header's heat at zero and no promotion armed.
     @raise Invalid_argument if [promote_after < 1]. *)
 
 val set_materialize : t -> (unit -> Vm.Interp.materialized option) -> unit
@@ -52,9 +55,6 @@ val set_materialize : t -> (unit -> Vm.Interp.materialized option) -> unit
 val materialized : t -> Vm.Interp.materialized option
 (** Materialize the live interpreter continuation through the hook. *)
 
-val is_header : t -> Cfg.Layout.gid -> bool
-(** Whether [g] is a natural-loop header (of any method). *)
-
 val observe_header : t -> Cfg.Layout.gid -> promote:bool -> int option
 (** Count one outside-trace dispatch of [g].  Returns [Some hotness]
     exactly when [g] is a header, its counter crosses [promote_after]
@@ -63,42 +63,10 @@ val observe_header : t -> Cfg.Layout.gid -> promote:bool -> int option
     survives until a trace-building backend can act on it.  Never
     allocates. *)
 
-(** {2 Bookkeeping}
-
-    Written by the dispatch loop, read by the engine's counters. *)
-
-val note_promotion : t -> trace_id:int -> unit
-(** A mid-loop promotion installed (or re-armed) trace [trace_id]; its
+val arm : t -> trace_id:int -> unit
+(** A mid-loop promotion installed (or re-armed) trace [trace_id]: its
     first entry will count as an OSR entry taken. *)
 
-val note_entry : t -> trace_id:int -> unit
-(** Called at every trace entry; counts the first entry of the latest
-    promoted trace. *)
-
-val note_deopt : t -> residue:int -> unit
-
-val note_state_check : t -> unit
-
-val note_state_mismatch : t -> unit
-
-val deopts : t -> int
-(** Deoptimizations taken (guard failures, flips and cut-overs). *)
-
-val residue_blocks : t -> int
-(** Trace positions abandoned past the deopt point, summed — the work a
-    non-OSR side exit would have thrown away. *)
-
-val promotions : t -> int
-(** Mid-loop promotions fired. *)
-
-val entries : t -> int
-(** Promoted traces entered on their armed back-edge. *)
-
-val state_checks : t -> int
-(** Deopts that could materialize interpreter state (a hook was set). *)
-
-val state_mismatches : t -> int
-(** TL219 findings: materialized state disagreed with the resume block.
-    Always [0] on a healthy engine. *)
-
-val promote_after : t -> int
+val take_armed : t -> trace_id:int -> bool
+(** Called at every trace entry: [true] exactly when [trace_id] is the
+    armed promotion, which is then disarmed. *)

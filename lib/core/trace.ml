@@ -34,9 +34,6 @@ type t = {
          [||] = no pruning.
          Derived state: recomputable from the body by Trace_prover, not
          persisted in snapshots — restored traces start unpruned. *)
-  mutable validated : bool;
-      (* whether the debug_checks sweep has already run translation
-         validation on this trace; derived state, not persisted *)
   mutable promoted : bool;
       (* built by OSR mid-loop promotion rather than the greedy cutter:
          the completion probability is the product of possibly immature
@@ -52,8 +49,8 @@ type t = {
       (* the compiled tier: the trace's blocks lowered to register
          micro-IR (see Microir), present only while the trace holds a
          compiled-tier slot.  Derived state, never persisted — a
-         restored cache re-lowers whatever the tier cost model picks,
-         exactly like pruned/validated re-derive. *)
+         restored cache re-lowers whatever the tier cost model
+         picks. *)
 }
 
 let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
@@ -72,7 +69,6 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     partial_instrs = 0;
     owner = 0;
     pruned = [||];
-    validated = false;
     promoted = false;
     pins = 0;
     lowered = None;

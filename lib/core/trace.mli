@@ -37,9 +37,6 @@ type t = {
           means no pruning.  Derived state: recomputable from the body,
           never persisted in snapshots; restored traces start
           unpruned. *)
-  mutable validated : bool;
-      (** whether the [debug_checks] sweep already ran translation
-          validation on this trace; derived state, never persisted. *)
   mutable promoted : bool;
       (** built by OSR mid-loop promotion rather than the greedy cutter:
           the completion probability is a product of possibly immature
@@ -57,8 +54,7 @@ type t = {
           micro-IR ({!Microir}), present only while the trace holds a
           compiled-tier slot under [Config.tier_compile_budget].  Derived
           state, never persisted — a restored cache re-lowers whatever
-          the tier cost model picks, exactly like [pruned]/[validated]
-          re-derive. *)
+          the tier cost model picks. *)
 }
 
 val make :

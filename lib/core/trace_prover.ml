@@ -412,13 +412,3 @@ let check_cache ?context (layout : Layout.t) (cache : Trace_cache.t) :
   Trace_cache.iter_all cache (fun tr ->
       acc := validate ?context layout tr @ !acc);
   List.rev !acc
-
-let validate_new ?context (layout : Layout.t) (cache : Trace_cache.t) :
-    Diag.t list =
-  let acc = ref [] in
-  Trace_cache.iter_all cache (fun tr ->
-      if (not tr.Trace.validated) && structurally_sound layout tr then begin
-        tr.Trace.validated <- true;
-        acc := validate ?context layout tr @ !acc
-      end);
-  List.rev !acc

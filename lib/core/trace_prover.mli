@@ -7,10 +7,10 @@
     (TL212–TL216/TL218 on divergence), deriving the trailing dead-store
     license here: a dropped slot must be dead at the trace's normal exit
     {e and} its last store must not be followed by any handler-covered
-    code (the exceptional edge would observe it).  The [debug_checks]
-    sweep runs {!validate_new} after every invariant pass; [repro_cli
-    lint --traces] runs {!check_cache} over every workload as a CI
-    gate.
+    code (the exceptional edge would observe it).  [repro_cli lint
+    --traces] runs {!check_cache} over every workload as a CI gate.
+    The engine's invariant sweep runs no translation validation: no
+    code path executes an optimized body.
 
     {b Pruning.}  {!prune} walks the trace forward with a fact
     environment — constant/interval facts from {!Analysis.Constprop}
@@ -35,13 +35,6 @@ val validate :
 val check_cache :
   ?context:string -> Cfg.Layout.t -> Trace_cache.t -> Analysis.Diag.t list
 (** {!validate} every trace in the cache — the [lint --traces] gate. *)
-
-val validate_new :
-  ?context:string -> Cfg.Layout.t -> Trace_cache.t -> Analysis.Diag.t list
-(** {!validate} traces not yet validated this run and mark them, so the
-    per-sweep cost under [Config.debug_checks] is one validation per
-    installed trace.  Structurally unsound traces are skipped without
-    being marked. *)
 
 val prune : Cfg.Layout.t -> Trace.t -> int
 (** Derive and store guard-implication verdicts in [Trace.pruned];

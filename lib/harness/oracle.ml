@@ -40,12 +40,13 @@ let report ~source checks =
 (* Per-kind counts plus the refinements the checks need beyond raw
    kinds: new-vs-reused constructions, the eviction-reason split
    (quarantine removals count under traces_quarantined, the other
-   reasons under traces_evicted). *)
+   reasons under traces_evicted) and the deopt residue sum. *)
 type tally = {
   counts : (string, int) Hashtbl.t;
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
+  mutable deopt_residue : int;
 }
 
 let create_tally () =
@@ -54,6 +55,7 @@ let create_tally () =
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
+    deopt_residue = 0;
   }
 
 let count t k = try Hashtbl.find t.counts k with Not_found -> 0
@@ -72,6 +74,8 @@ let observe t (payload : Events.payload) =
   | Events.Trace_evicted
       { reason = Events.Capacity | Events.Pressure | Events.Footprint; _ } ->
       t.evicted_counted <- t.evicted_counted + 1
+  | Events.Deopt_entered { residue_blocks; _ } ->
+      t.deopt_residue <- t.deopt_residue + residue_blocks
   | _ -> ()
 
 let attach events =
@@ -128,6 +132,8 @@ let identities ~in_flight (t : tally) (s : Stats.t) : (string * check) list =
       row "trace_evicted" "trace_evicted (all reasons) = timeline total"
         (t.evicted_counted + t.evicted_quarantine)
         (count t "trace_evicted");
+      row "deopt_entered" "deopt_entered (residue) = deopt_residue_blocks"
+        t.deopt_residue (stat "deopt_residue_blocks");
     ]
 
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =

@@ -21,7 +21,8 @@ val report : source:string -> check list -> bool
 
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split). *)
+    (new-vs-reused constructions, the eviction-reason split, the deopt
+    residue sum). *)
 
 val create_tally : unit -> tally
 
@@ -46,8 +47,9 @@ val event_checks :
     table: the occurrences of an event kind equal the
     {!Tracegen.Stats.counters} entry the row names.  Written out beside
     them: the new/reused construction split, the side-exit balance
-    (entered − completed − in-flight) and the eviction-reason
-    split. *)
+    (entered − completed − in-flight), the eviction-reason split and
+    the deopt residue (the [residue_blocks] of every [deopt_entered]
+    sum to [deopt_residue_blocks]). *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list

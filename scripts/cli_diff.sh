@@ -124,6 +124,11 @@ check run compress --size 500 --traces --bcg
 check events compress --size 500
 check events compress --size 500 --snapshot-period 250 --osr --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20'
+# OSR and ladder counters in every snapshot and in Stats.pp
+check events compress --size 500 --snapshot-period 250 --osr \
+  --fault-spec 'guard_flip@0.05,budget=24'
+check run compress --size 500 --osr --self-heal \
+  --fault-spec 'guard_flip@0.05,budget=24'
 check top compress --size 500
 check explain compress --size 500 --trace 1
 check backends --size 500
@@ -144,6 +149,10 @@ check bench-diff missing.json BENCH_smoke.json
 check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress nan
 check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress inf
 check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress=-1
+check run compress --size=200 --traces --top=-3
+check top compress --top 0
+check table 1 --scale=-1
+check export --scale nan
 
 echo "cli_diff: $failures of $cases invocation(s) differ"
 test "$failures" -eq 0

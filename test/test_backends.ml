@@ -63,7 +63,7 @@ let test_pinned_equivalence () =
           let r = Engine.run ~config ~max_instructions ~backend:k layout in
           check Alcotest.bool
             (Printf.sprintf "%s/%s/%s identical" w.Workloads.Workload.name
-               label (Engine.backend_kind_name k))
+               label (fst (Engine.describe_backend k)))
             true
             (fingerprint baseline = fingerprint r.Engine.vm_result);
           let s = r.Engine.run_stats in
@@ -89,19 +89,18 @@ let test_pinned_equivalence () =
    reports the name *)
 let test_backend_kind_names () =
   let layout = Lazy.force compress_layout in
+  let name k = fst (Engine.describe_backend k) in
   check
     Alcotest.(list string)
     "three strategies, ladder order"
     [ "interp"; "profile"; "trace" ]
-    (List.map Engine.backend_kind_name Engine.backends);
+    (List.map name Engine.backends);
   List.iter
     (fun k ->
-      let name, description = Tracegen.Backend.describe k in
-      check Alcotest.bool ("round trip " ^ name) true
-        (List.filter (fun k' -> Engine.backend_kind_name k' = name)
-           Engine.backends
-        = [ k ]);
-      check Alcotest.string ("pinned engine reports " ^ name) name
+      let name_k, description = Engine.describe_backend k in
+      check Alcotest.bool ("round trip " ^ name_k) true
+        (List.filter (fun k' -> name k' = name_k) Engine.backends = [ k ]);
+      check Alcotest.string ("pinned engine reports " ^ name_k) name_k
         (Engine.backend_name (Engine.create ~backend:k layout));
       check Alcotest.bool "description is not empty" true
         (String.length description > 0))
@@ -312,25 +311,43 @@ let test_strikes_across_demote_recover () =
   (* each demotion and each promotion grants the new level a fresh
      strike budget *)
   let h = Health.create () in
-  strike_n h (Config.heal_demote_after - 1);
-  (match Health.strike h with
+  (* every level change, counted the way the engine counts it *)
+  let demotions = ref 0 and promotions = ref 0 in
+  let walk tr =
+    (match tr with
+    | Health.Changed (from_level, to_level) ->
+        if Health.level_rank to_level > Health.level_rank from_level then
+          incr demotions
+        else incr promotions
+    | Health.Stay -> ());
+    tr
+  in
+  let strike () = walk (Health.strike h)
+  and clean () = walk (Health.clean_dispatch h) in
+  let repeat n f =
+    for _ = 1 to n do
+      ignore (f ())
+    done
+  in
+  repeat (Config.heal_demote_after - 1) strike;
+  (match strike () with
   | Health.Changed (Health.Full_tracing, Health.Profiling_only) -> ()
   | _ -> Alcotest.fail "last strike of the budget demotes");
   check Alcotest.int "budget reset after demotion" 0 (Health.strikes h);
-  ignore (Health.strike h);
+  ignore (strike ());
   check Alcotest.int "one strike at profiling-only" 1 (Health.strikes h);
   (* recover: the strike from the degraded level must not survive *)
-  clean_n h (Config.heal_recover_after - 1);
-  (match Health.clean_dispatch h with
+  repeat (Config.heal_recover_after - 1) clean;
+  (match clean () with
   | Health.Changed (Health.Profiling_only, Health.Full_tracing) -> ()
   | _ -> Alcotest.fail "the window's last clean dispatch promotes");
   check Alcotest.int "budget reset after promotion" 0 (Health.strikes h);
-  strike_n h (Config.heal_demote_after - 1);
-  (match Health.strike h with
+  repeat (Config.heal_demote_after - 1) strike;
+  (match strike () with
   | Health.Changed (Health.Full_tracing, Health.Profiling_only) -> ()
   | _ -> Alcotest.fail "a fresh budget demotes on its last strike again");
-  check Alcotest.int "demotions counted" 2 (Health.demotions h);
-  check Alcotest.int "promotions counted" 1 (Health.promotions h)
+  check Alcotest.int "demotions counted" 2 !demotions;
+  check Alcotest.int "promotions counted" 1 !promotions
 
 (* --------------------------------------------------------------- *)
 (* sessions                                                          *)

@@ -1,4 +1,5 @@
-(* The compiled micro-IR tier (Tracegen.Microir / Tier / Backend_microir):
+(* The compiled micro-IR tier (Tracegen.Microir / Tier, armed inside
+   trace dispatch by Config.tier_enabled):
 
    - lowering round-trips on every workload: each compiled body passes
      the structural check against its trace's block sequence and

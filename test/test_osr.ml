@@ -4,13 +4,14 @@
      position abandons the residue and resumes block dispatch at the
      failing block, with VM results bit-identical to pure interpretation
      and the materialized interpreter state agreeing at every deopt
-     (TL219 never fires on a healthy engine);
+     (TL219 never fires on a healthy engine), and the residues the
+     deopt events report sum to the engine's residue counter;
    - mid-loop promotion builds a hot loop's trace mid-iteration and
      enters it on the next back-edge, still bit-identical;
    - a currently executing trace is pinned: capacity/pressure eviction
      picks other victims and quarantine is refused outright;
-   - a Health/Trace_prover sweep condemning the executing trace cuts
-     over mid-flight under OSR (and defers, pin-refused, without). *)
+   - an invariant sweep condemning the executing trace cuts over
+     mid-flight under OSR (and defers, pin-refused, without). *)
 
 module Config = Tracegen.Config
 module Engine = Tracegen.Engine
@@ -137,6 +138,34 @@ let test_deopt_event_payload () =
     !payloads;
   check Alcotest.bool "the armed flips actually forced some deopts" true
     (List.exists (fun (_, _, _, r) -> r = "guard-flip") !payloads)
+
+(* The counter oracle over a guard-flip schedule: every identity holds,
+   and the residues the Deopt_entered events report sum to the
+   engine's deopt_residue_blocks counter. *)
+let test_deopt_residue_reconciles () =
+  let layout = layout_for ~size:500 compress in
+  let events = Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let config =
+    Config.make ~osr:true ~fault_spec:"guard_flip@0.05,budget=24" ()
+  in
+  let r = Engine.run ~config ~events layout in
+  let s = r.Engine.run_stats in
+  check Alcotest.bool "the schedule deopted" true (s.Stats.deopts > 0);
+  let checks = Harness.Oracle.run_checks tally ~engine:r.Engine.engine s in
+  List.iter
+    (fun (c : Harness.Oracle.check) ->
+      check Alcotest.int
+        (Printf.sprintf "oracle: %s" c.Harness.Oracle.name)
+        c.Harness.Oracle.want c.Harness.Oracle.got)
+    checks;
+  check Alcotest.bool "the residue identity is checked" true
+    (List.exists
+       (fun (c : Harness.Oracle.check) ->
+         c.Harness.Oracle.name
+         = "deopt_entered (residue) = deopt_residue_blocks"
+         && c.Harness.Oracle.got > 0)
+       checks)
 
 (* --------------------------------------------------------------- *)
 (* state materialization                                             *)
@@ -441,6 +470,8 @@ let () =
           tc "FT008 schedule across workloads" `Quick
             test_flip_schedule_all_workloads;
           tc "event payload is self-consistent" `Quick test_deopt_event_payload;
+          tc "residue sum reconciles with stats" `Quick
+            test_deopt_residue_reconciles;
           tc "ladder unmoved by flips" `Quick test_flips_do_not_degrade;
         ] );
       ( "materialize",
