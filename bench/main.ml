@@ -96,12 +96,17 @@ let observability () =
    the events subcommand do), plus the trace-length distribution. *)
 let flightrec_ledger () =
   let events = Tracegen.Events.create () in
-  let _tally = Harness.Oracle.attach events in
+  let tally = Harness.Oracle.attach events in
   let e = (run_small ~events (Tracegen.Config.make ())).Engine.engine in
+  let trace_len =
+    List.find
+      (fun h -> Tracegen.Metrics.hist_name h = "executed_trace_len")
+      (Harness.Oracle.histograms tally)
+  in
   let p q =
     m
       (Printf.sprintf "trace_len_p%.0f" q)
-      (float_of_int (Tracegen.Metrics.percentile (Engine.trace_len_hist e) q))
+      (float_of_int (Tracegen.Metrics.percentile trace_len q))
       "blocks" Perf.Higher
   in
   [

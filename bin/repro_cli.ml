@@ -165,15 +165,7 @@ let events workload size flags snapshot_period stats_only =
   if stats_only then
     (* the run's distributions with their percentile summaries, since
        the per-event timeline was suppressed *)
-    prerr_string
-      (Harness.Report.hist_summary
-         [
-           Engine.trace_len_hist engine;
-           Engine.exit_distance_hist engine;
-           Engine.build_len_hist engine;
-           Engine.backoff_hist engine;
-           Engine.deopt_residue_hist engine;
-         ]);
+    prerr_string (Harness.Report.hist_summary (Oracle.histograms tally));
   if not (Oracle.report ~source:"timeline" checks) then exit 1
 
 let events_cmd =
@@ -534,7 +526,7 @@ let backends workload size (flags : Cli.flags) =
           Printf.printf "%-10s %-8s %-6s %12d %12d %10d %9d\n"
             w.Workloads.Workload.name (Engine.backend_name r.Engine.engine)
             (if ok then "yes" else "NO")
-            s.Stats.block_dispatches s.Stats.trace_dispatches s.Stats.signals
+            s.Stats.block_dispatches s.Stats.traces_entered s.Stats.signals
             s.Stats.traces_compiled)
         Engine.backends)
     ws;
@@ -612,7 +604,7 @@ let session workloads users batch size flags =
       Printf.printf "%-14s %-6s %12d %12d %12d %8d\n" (Session.member_name m)
         (if ok then "yes" else "NO")
         r.Vm.Interp.instructions c.Stats.block_dispatches
-        c.Stats.trace_dispatches c.Stats.backend_switches)
+        c.Stats.traces_entered c.Stats.backend_switches)
     (Session.members session);
   Printf.printf
     "shared caches: %d for %d members; cross-session reuse: %d installs \
@@ -670,7 +662,9 @@ let top workload size flags top json =
   let failures = ref 0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let r = Engine.run ~config (Cli.layout_of w ~size) in
+      let events = Tracegen.Events.create () in
+      let tally = Harness.Oracle.attach events in
+      let r = Engine.run ~config ~events (Cli.layout_of w ~size) in
       let engine = r.Engine.engine in
       let report = Harness.Report.of_engine engine in
       if json then
@@ -690,13 +684,10 @@ let top workload size flags top json =
         Printf.printf "== %s ==\n" w.Workloads.Workload.name;
         print_string (Harness.Report.render ~top report);
         print_newline ();
+        (* quarantine backoff and deopt residue stay empty (top arms
+           neither self-healing nor OSR), and an empty row prints nothing *)
         print_string
-          (Harness.Report.hist_summary
-             [
-               Engine.trace_len_hist engine;
-               Engine.exit_distance_hist engine;
-               Engine.build_len_hist engine;
-             ]);
+          (Harness.Report.hist_summary (Harness.Oracle.histograms tally));
         print_newline ()
       end;
       if
@@ -748,7 +739,7 @@ let warm workload size flags save load =
     let s = r.Engine.run_stats in
     Printf.printf
       "%-5s %11d instrs %10d block-disp %10d trace-disp %6d constructed\n" tag
-      s.Stats.instructions s.Stats.block_dispatches s.Stats.trace_dispatches
+      s.Stats.instructions s.Stats.block_dispatches s.Stats.traces_entered
       s.Stats.traces_constructed
   in
   let write_snapshot path (r : Engine.run_result) =

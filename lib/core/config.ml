@@ -111,7 +111,9 @@ let default =
 
 let validate t =
   if t.start_state_delay < 1 then invalid_arg "start_state_delay < 1";
-  if t.threshold <= 0.0 || t.threshold > 1.0 then
+  (* written positively so a NaN, which fails every comparison, is
+     rejected too *)
+  if not (t.threshold > 0.0 && t.threshold <= 1.0) then
     invalid_arg "threshold out of (0, 1]";
   if t.decay_period < 2 then invalid_arg "decay_period < 2";
   if t.snapshot_period < 0 then invalid_arg "snapshot_period < 0";

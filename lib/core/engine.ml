@@ -71,7 +71,7 @@ type t = {
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option; (* None = on-stack replacement off *)
-  (* deep observability (Config.obs_* + engine histograms) *)
+  (* deep observability: the flight recorder and attribution *)
   flightrec : Flightrec.t option;
     (* the always-on black box (None only when
        Config.flightrec_capacity = 0); dump triggers fire here, the
@@ -79,12 +79,6 @@ type t = {
   attr_self : int array;
     (* per-gid dispatches outside traces; [||] = attribution off *)
   attr_inlined : int array; (* per-gid executions inlined inside traces *)
-  h_trace_len : Metrics.histogram; (* blocks per executed (completed) trace *)
-  h_exit_distance : Metrics.histogram; (* blocks matched before a side exit *)
-  h_build_len : Metrics.histogram; (* blocks per installed builder path *)
-  h_backoff : Metrics.histogram; (* finite quarantine backoff durations *)
-  h_deopt_residue : Metrics.histogram;
-    (* trace positions abandoned past each deopt point (OSR) *)
   counts : Stats.t;
     (* the counters the engine advances, in place; [counters] fills in
        the ones other modules own when it copies them out *)
@@ -95,8 +89,8 @@ type t = {
        compiled tier (Config.tier_enabled); positions followed while
        this is set are accounted as micro-op dispatches instead of
        source instructions.  Cleared with [active]. *)
-  mutable active_pos : int; (* index of the next expected block *)
-  mutable matched_blocks : int;
+  mutable active_pos : int;
+    (* index of the next expected block: the positions matched so far *)
   mutable matched_instrs : int;
   (* last two blocks actually executed, traces included *)
   mutable prev : Layout.gid;
@@ -116,7 +110,7 @@ type t = {
 (* The engine's dispatch clock: the cache clock and the event stream's
    timestamp base alike. *)
 let total_dispatches t =
-  t.counts.Stats.block_dispatches + t.counts.Stats.trace_dispatches
+  t.counts.Stats.block_dispatches + t.counts.Stats.traces_entered
 
 let note_violation t =
   t.counts.Stats.invariant_violations <-
@@ -161,18 +155,6 @@ let account_lowered t pos =
       c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
       c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
 
-(* Quarantine an entry transition and record the episode's backoff
-   duration (finite backoffs only — a permanent blacklist has no
-   duration).  The episode's end is the [until] field of its
-   [Trace_quarantined] event. *)
-let condemn t ~first ~head ~code =
-  let removed = Trace_cache.quarantine t.cache ~first ~head ~code in
-  (match Trace_cache.quarantine_until t.cache ~first ~head with
-  | Some until when until <> max_int ->
-      Metrics.record t.h_backoff (until - total_dispatches t)
-  | Some _ | None -> ());
-  removed
-
 (* Walk the health ladder: count and publish the transition and, when
    climbing out of interp-only, drop the profiler's stale branch context
    (the skipped dispatches never updated it). *)
@@ -186,11 +168,9 @@ let apply_health t (transition : Health.transition) =
       in
       if demoted then c.Stats.health_demotions <- c.Stats.health_demotions + 1
       else c.Stats.health_promotions <- c.Stats.health_promotions + 1;
-      if Events.enabled t.events then
-        if demoted then
-          Events.emit t.events (Events.Mode_degraded { from_level; to_level })
-        else
-          Events.emit t.events (Events.Mode_recovered { from_level; to_level });
+      Events.emit t.events
+        (if demoted then Events.Mode_degraded { from_level; to_level }
+         else Events.Mode_recovered { from_level; to_level });
       (* hitting the bottom of the ladder is a postmortem moment: tracing
          is fully disabled, so capture how the engine got here *)
       if demoted && to_level = Health.Interp_only then
@@ -205,7 +185,6 @@ let apply_health t (transition : Health.transition) =
 let finish_completed t (tr : Trace.t) =
   t.just_completed <- true;
   tr.Trace.completed <- tr.Trace.completed + 1;
-  Metrics.record t.h_trace_len (Trace.n_blocks tr);
   let c = t.counts in
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
@@ -225,15 +204,14 @@ let finish_partial t (tr : Trace.t) =
   t.just_completed <- false;
   tr.Trace.partial_exits <- tr.Trace.partial_exits + 1;
   tr.Trace.partial_instrs <- tr.Trace.partial_instrs + t.matched_instrs;
-  Metrics.record t.h_exit_distance t.matched_blocks;
   let c = t.counts in
-  c.Stats.partial_blocks <- c.Stats.partial_blocks + t.matched_blocks;
+  c.Stats.partial_blocks <- c.Stats.partial_blocks + t.active_pos;
   c.Stats.partial_instrs <- c.Stats.partial_instrs + t.matched_instrs;
   t.active <- None;
   t.active_lowered <- None;
   Trace_cache.unpin t.cache tr;
   Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:t.active_pos
-    ~matched_blocks:t.matched_blocks ~matched_instrs:t.matched_instrs;
+    ~matched_instrs:t.matched_instrs;
   Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
 
 (* OSR deoptimization: abandon the active trace at the current position
@@ -259,39 +237,36 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
         c.Stats.osr_state_mismatches <- c.Stats.osr_state_mismatches + 1;
         if Config.debug_checks t.config then begin
           note_violation t;
-          if Events.enabled t.events then
-            Events.emit t.events
-              (Events.Invariant_violation
-                 {
-                   code = "TL219";
-                   severity = "error";
-                   message =
-                     Printf.sprintf
-                       "trace %d: deopt at position %d resumes at block %d \
-                        but the interpreter materialized at %s"
-                       tr.Trace.id at resume
-                       (match m.Interp.m_block with
-                       | Some b -> string_of_int b
-                       | None -> "<stopped>");
-                 });
+          Events.emit t.events
+            (Events.Invariant_violation
+               {
+                 code = "TL219";
+                 severity = "error";
+                 message =
+                   Printf.sprintf
+                     "trace %d: deopt at position %d resumes at block %d \
+                      but the interpreter materialized at %s"
+                     tr.Trace.id at resume
+                     (match m.Interp.m_block with
+                     | Some b -> string_of_int b
+                     | None -> "<stopped>");
+               });
           fr_trigger t Flightrec.Invariant
         end
       end
   | None -> ());
   finish_partial t tr;
-  Metrics.record t.h_deopt_residue residue;
   c.Stats.deopts <- c.Stats.deopts + 1;
   c.Stats.deopt_residue_blocks <- c.Stats.deopt_residue_blocks + max 0 residue;
-  if Events.enabled t.events then
-    Events.emit t.events
-      (Events.Deopt_entered
-         {
-           trace_id = tr.Trace.id;
-           at_block = at;
-           resume_block = resume;
-           residue_blocks = residue;
-           reason = Osr.reason_to_string reason;
-         })
+  Events.emit t.events
+    (Events.Deopt_entered
+       {
+         trace_id = tr.Trace.id;
+         at_block = at;
+         resume_block = resume;
+         residue_blocks = residue;
+         reason = Osr.reason_to_string reason;
+       })
 
 (* Mid-flight cut-over: deoptimize the currently executing trace (a
    sweep is condemning it).  Between dispatches there is no mismatching
@@ -332,15 +307,14 @@ let debug_sweep t =
     List.iter
       (fun (d : Analysis.Diag.t) ->
         note_violation t;
-        if Events.enabled t.events then
-          Events.emit t.events
-            (Events.Invariant_violation
-               {
-                 code = d.Analysis.Diag.code;
-                 severity =
-                   Analysis.Diag.severity_to_string d.Analysis.Diag.severity;
-                 message = Analysis.Diag.to_string d;
-               }))
+        Events.emit t.events
+          (Events.Invariant_violation
+             {
+               code = d.Analysis.Diag.code;
+               severity =
+                 Analysis.Diag.severity_to_string d.Analysis.Diag.severity;
+               message = Analysis.Diag.to_string d;
+             }))
       diags;
     if diags <> [] then fr_trigger t Flightrec.Invariant;
     if Config.self_heal t.config && diags <> [] then begin
@@ -377,7 +351,9 @@ let debug_sweep t =
                     if tr.Trace.id = trace_id then entry := Some (first, head));
                 match !entry with
                 | Some (first, head) ->
-                    ignore (condemn t ~first ~head ~code:d.Analysis.Diag.code)
+                    ignore
+                      (Trace_cache.quarantine t.cache ~first ~head
+                         ~code:d.Analysis.Diag.code)
                 | None -> ()
               end
           | Analysis.Diag.Method_loc _ | Analysis.Diag.Program_loc -> ())
@@ -417,20 +393,11 @@ let counters t : Stats.t =
   s.Stats.final_health <- Health.level_rank (Health.level t.health);
   s
 
-(* One phase snapshot's values: the histogram summaries, every counter
-   but [instructions] (only the VM knows it), then the state no counter
-   covers. *)
+(* One phase snapshot's values: every counter but [instructions] (only
+   the VM knows it), then the state no counter covers. *)
 let sample t =
   let s = counters t and cache = t.cache in
-  List.concat_map Metrics.hist_fields
-    [
-      t.h_trace_len;
-      t.h_exit_distance;
-      t.h_build_len;
-      t.h_backoff;
-      t.h_deopt_residue;
-    ]
-  @ List.filter_map
+  List.filter_map
       (fun (name, get) ->
         if name = "instructions" then None else Some (name, get s))
       Stats.counters
@@ -463,7 +430,7 @@ let prologue t =
   let period = Config.snapshot_period t.config in
   if period > 0 then begin
     let at = total_dispatches t + 1 in
-    if at mod period = 0 && Events.enabled t.events then
+    if at mod period = 0 then
       Events.emit t.events
         (Events.Phase_snapshot { Metrics.at; values = Array.of_list (sample t) })
   end;
@@ -473,8 +440,7 @@ let prologue t =
     (* injected faults land just before the dispatch decision *)
     List.iter
       (fun (code, detail) ->
-        if Events.enabled t.events then
-          Events.emit t.events (Events.Fault_injected { code; detail }))
+        Events.emit t.events (Events.Fault_injected { code; detail }))
       (Faults.tick t.faults ~now ~bcg:(Profiler.bcg t.profiler) ~cache:t.cache
          ~active:t.active)
   end
@@ -495,14 +461,18 @@ let note_build t (o : Trace_builder.outcome) ~sweep =
     c.Stats.builder_reuses + o.Trace_builder.reused_traces;
   if sweep && Config.debug_checks t.config then debug_sweep t
 
+(* The builder's walk observer: each candidate path it walks is one
+   [Path_walked] event. *)
+let on_path t transitions =
+  Events.emit t.events (Events.Path_walked { transitions })
+
 (* The profiler-signal subscriber: rebuild every trace the signalled
    branch can affect. *)
 let on_signal t signal =
   if Config.build_traces t.config then
     note_build t
-      (Trace_builder.on_signal ~events:t.events
-         ~on_path:(fun n -> Metrics.record t.h_build_len n)
-         t.config t.cache signal)
+      (Trace_builder.on_signal ~events:t.events ~on_path:(on_path t) t.config
+         t.cache signal)
       ~sweep:true
 
 (* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
@@ -521,18 +491,16 @@ let hot_loop t g ~promote =
    was installed. *)
 let promote_loop t (osr : Osr.t) header ~hotness =
   let outcome, installed =
-    Trace_builder.promote ~events:t.events
-      ~on_path:(fun n -> Metrics.record t.h_build_len n)
-      t.cache (Profiler.bcg t.profiler) ~header
+    Trace_builder.promote ~events:t.events ~on_path:(on_path t) t.cache
+      (Profiler.bcg t.profiler) ~header
   in
   (match installed with
   | Some tr ->
       t.counts.Stats.osr_promotions <- t.counts.Stats.osr_promotions + 1;
       Osr.arm osr ~trace_id:tr.Trace.id;
-      if Events.enabled t.events then
-        Events.emit t.events
-          (Events.Osr_promoted
-             { trace_id = tr.Trace.id; header; latch = tr.Trace.first; hotness })
+      Events.emit t.events
+        (Events.Osr_promoted
+           { trace_id = tr.Trace.id; header; latch = tr.Trace.first; hotness })
   | None -> ());
   note_build t outcome ~sweep:(outcome.Trace_builder.new_traces > 0);
   installed <> None
@@ -592,7 +560,6 @@ let enter t ~hit (tr : Trace.t) g =
      duration of the dispatch; finish_completed/finish_partial unpin *)
   Trace_cache.pin t.cache tr;
   let c = t.counts in
-  c.Stats.trace_dispatches <- c.Stats.trace_dispatches + 1;
   c.Stats.traces_entered <- c.Stats.traces_entered + 1;
   (* the first entry of the latest promoted trace is an OSR entry taken *)
   (match t.osr with
@@ -608,7 +575,6 @@ let enter t ~hit (tr : Trace.t) g =
   Profiler.dispatch t.profiler g;
   note_executed t g;
   attr_inline t g;
-  t.matched_blocks <- 1;
   t.matched_instrs <- tr.Trace.instr_len.(0);
   if Trace.n_blocks tr = 1 then begin
     (* degenerate single-block trace: completes immediately *)
@@ -681,7 +647,7 @@ let trace_dispatch t g =
         | Some code ->
             (* condemned at dispatch: quarantine the entry and strike
                the ladder, then dispatch the block normally *)
-            ignore (condemn t ~first:t.prev ~head:g ~code);
+            ignore (Trace_cache.quarantine t.cache ~first:t.prev ~head:g ~code);
             apply_health t (Health.strike t.health);
             true)
     | _ -> false
@@ -762,7 +728,6 @@ let rec follow t (g : Layout.gid) =
         note_executed t g;
         attr_inline t g;
         account_lowered t t.active_pos;
-        t.matched_blocks <- t.matched_blocks + 1;
         t.matched_instrs <- t.matched_instrs + tr.Trace.instr_len.(t.active_pos);
         if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
         else t.active_pos <- t.active_pos + 1
@@ -800,7 +765,7 @@ let on_block t (g : Layout.gid) =
   end;
   (* stamp the stream once per observed block; events emitted during this
      step carry the current dispatch index *)
-  if Events.enabled t.events then Events.set_now t.events (total_dispatches t);
+  Events.set_now t.events (total_dispatches t);
   follow t g;
   if Config.debug_checks t.config then begin
     (* decay boundary: the BCG ran one or more decay passes during this
@@ -855,7 +820,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let recorder =
     match flightrec with
     | Some fr -> Flightrec.sink fr
-    | None -> { Events.hot = (fun _ _ _ _ _ _ -> ()); cold = ignore }
+    | None -> { Events.hot = (fun _ _ _ _ _ -> ()); cold = ignore }
   in
   Events.set_tap events
     {
@@ -897,16 +862,10 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       flightrec;
       attr_self = attribution ();
       attr_inlined = attribution ();
-      h_trace_len = Metrics.histogram "executed_trace_len";
-      h_exit_distance = Metrics.histogram "completion_distance";
-      h_build_len = Metrics.histogram "builder_path_len";
-      h_backoff = Metrics.histogram "quarantine_backoff";
-      h_deopt_residue = Metrics.histogram "deopt_residue";
       counts = Stats.zero ();
       active = None;
       active_lowered = None;
       active_pos = 0;
-      matched_blocks = 0;
       matched_instrs = 0;
       prev = -1;
       prev2 = -1;
@@ -945,17 +904,7 @@ let attr_self t = t.attr_self
 let attr_inlined t = t.attr_inlined
 
 let inflight_matched_blocks t =
-  match t.active with Some _ -> t.matched_blocks | None -> 0
-
-let trace_len_hist t = t.h_trace_len
-
-let exit_distance_hist t = t.h_exit_distance
-
-let build_len_hist t = t.h_build_len
-
-let backoff_hist t = t.h_backoff
-
-let deopt_residue_hist t = t.h_deopt_residue
+  match t.active with Some _ -> t.active_pos | None -> 0
 
 let arm_guard_flip t ~pos = Faults.arm_flip t.faults ~pos
 
@@ -1002,9 +951,8 @@ let restore t data : (restore_info, Persist.error) result =
   match Persist.decode ~layout:t.layout data with
   | Error e ->
       t.counts.Stats.snapshots_rejected <- t.counts.Stats.snapshots_rejected + 1;
-      if Events.enabled t.events then
-        Events.emit t.events
-          (Events.Snapshot_rejected { reason = Persist.error_to_string e });
+      Events.emit t.events
+        (Events.Snapshot_rejected { reason = Persist.error_to_string e });
       fr_trigger t Flightrec.Snapshot_rejected;
       Error e
   | Ok snap ->
@@ -1033,15 +981,14 @@ let restore t data : (restore_info, Persist.error) result =
           recompiled_traces = recompiled;
         }
       in
-      if Events.enabled t.events then
-        Events.emit t.events
-          (Events.Cache_restored
-             {
-               traces;
-               cache_blocks = info.restored_blocks;
-               bcg_nodes = info.restored_bcg_nodes;
-               bcg_edges = info.restored_bcg_edges;
-             });
+      Events.emit t.events
+        (Events.Cache_restored
+           {
+             traces;
+             cache_blocks = info.restored_blocks;
+             bcg_nodes = info.restored_bcg_nodes;
+             bcg_edges = info.restored_bcg_edges;
+           });
       Ok info
 
 type run_result = {

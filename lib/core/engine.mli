@@ -38,14 +38,18 @@
     is published on {!events}, the typed {!Events} stream every
     component emits on ([Signal_raised], [Trace_constructed],
     [Trace_entered], [Side_exit], [Trace_completed], [Trace_replaced],
-    [Decay_pass], …).  Subscribe before driving the engine; a run with
-    no subscribers — the default, where only the flight recorder and
-    the ledger tap the stream — allocates nothing per dispatch.  With
-    [Config.snapshot_period] positive the engine also samples its
-    histograms, every {!Stats.counters} entry (bar [instructions]) and
-    its cache, recorder and ledger state every [period] dispatches, and
-    publishes each sample as a [Phase_snapshot] event: the stream is
-    the phase-analysis time series. *)
+    [Decay_pass], [Path_walked], …).  Subscribe before driving the
+    engine; a run with no subscribers — the default, where only the
+    flight recorder and the ledger tap the stream — allocates nothing
+    per dispatch.  The stream is the one record of every per-event
+    observation: the engine keeps no histograms, and a distribution
+    such as executed-trace length is a fold of event fields
+    ([Harness.Oracle]'s tally keeps five).  With
+    [Config.snapshot_period] positive the engine also samples every
+    {!Stats.counters} entry (bar [instructions]) and its cache,
+    recorder and ledger state every [period] dispatches, and publishes
+    each sample as a [Phase_snapshot] event: the stream is the
+    phase-analysis time series. *)
 
 type t
 
@@ -131,7 +135,7 @@ val active_trace : t -> Trace.t option
     trapped mid-trace). *)
 
 val total_dispatches : t -> int
-(** The dispatch clock: [block_dispatches + trace_dispatches] so far. *)
+(** The dispatch clock: [block_dispatches + traces_entered] so far. *)
 
 val health : t -> Health.t
 (** The degradation ladder ({!Config.self_heal}); stays at
@@ -165,21 +169,6 @@ val inflight_matched_blocks : t -> int
 (** Blocks matched so far by the currently active trace (0 when no trace
     is active) — the attribution remainder of a run that ends
     mid-trace. *)
-
-val trace_len_hist : t -> Metrics.histogram
-(** Blocks per executed (completed) trace. *)
-
-val exit_distance_hist : t -> Metrics.histogram
-(** Blocks matched before a side exit (trace completion distance). *)
-
-val build_len_hist : t -> Metrics.histogram
-(** Transitions per maximum-likelihood builder walk. *)
-
-val backoff_hist : t -> Metrics.histogram
-(** Finite quarantine backoff durations, in dispatch ticks. *)
-
-val deopt_residue_hist : t -> Metrics.histogram
-(** Trace positions abandoned past each OSR deopt point. *)
 
 val arm_guard_flip : t -> pos:int -> unit
 (** Arm one FT008 guard flip at trace position [pos] directly

@@ -7,7 +7,7 @@
    payload construction behind [enabled].
 
    The four per-dispatch kinds — trace entry, side exit, completion and
-   decay ticks — travel as scalars instead: a kind code and up to four
+   decay ticks — travel as scalars instead: a kind code and up to three
    int fields.  The tap always receives them that way, and their payload
    record is built only for subscribers, so an armed recorder with no
    subscriber costs no allocation on the dispatch path. *)
@@ -42,14 +42,10 @@ type payload =
       trace_id : int;
     }
   | Trace_entered of { trace_id : int; chained : bool }
-  | Side_exit of {
-      trace_id : int;
-      at_block : int;
-      matched_blocks : int;
-      matched_instrs : int;
-    }
+  | Side_exit of { trace_id : int; at_block : int; matched_instrs : int }
   | Trace_completed of { trace_id : int; n_blocks : int; n_instrs : int }
   | Decay_pass of { decays : int }
+  | Path_walked of { transitions : int }
   | Phase_snapshot of Metrics.snapshot
   | Invariant_violation of {
       code : string;
@@ -115,36 +111,34 @@ type event = { time : int; payload : payload }
 (* The hot-kind encoding: the only place that knows which int field
    carries what.  Code 0 is reserved for "not a hot kind". *)
 let hot_entered = 1 (* trace_id, chained *)
-let hot_side_exit = 2 (* trace_id, at_block, matched_blocks, matched_instrs *)
+let hot_side_exit = 2 (* trace_id, at_block, matched_instrs *)
 let hot_completed = 3 (* trace_id, n_blocks, n_instrs *)
 let hot_decay = 4 (* decays *)
 
-let hot_payload ~kind a b c d =
+let hot_payload ~kind a b c =
   if kind = hot_entered then Trace_entered { trace_id = a; chained = b <> 0 }
   else if kind = hot_side_exit then
-    Side_exit
-      { trace_id = a; at_block = b; matched_blocks = c; matched_instrs = d }
+    Side_exit { trace_id = a; at_block = b; matched_instrs = c }
   else if kind = hot_completed then
     Trace_completed { trace_id = a; n_blocks = b; n_instrs = c }
   else if kind = hot_decay then Decay_pass { decays = a }
   else invalid_arg "Events.hot_payload: not a hot kind"
 
 type sink = {
-  hot : int -> int -> int -> int -> int -> int -> unit;
-      (* kind, time, then the kind's four int fields (unused ones 0) *)
+  hot : int -> int -> int -> int -> int -> unit;
+      (* kind, time, then the kind's three int fields (unused ones 0) *)
   cold : event -> unit;
 }
 
 let route sink (ev : event) =
   match ev.payload with
   | Trace_entered { trace_id; chained } ->
-      sink.hot hot_entered ev.time trace_id (Bool.to_int chained) 0 0
-  | Side_exit { trace_id; at_block; matched_blocks; matched_instrs } ->
-      sink.hot hot_side_exit ev.time trace_id at_block matched_blocks
-        matched_instrs
+      sink.hot hot_entered ev.time trace_id (Bool.to_int chained) 0
+  | Side_exit { trace_id; at_block; matched_instrs } ->
+      sink.hot hot_side_exit ev.time trace_id at_block matched_instrs
   | Trace_completed { trace_id; n_blocks; n_instrs } ->
-      sink.hot hot_completed ev.time trace_id n_blocks n_instrs 0
-  | Decay_pass { decays } -> sink.hot hot_decay ev.time decays 0 0 0
+      sink.hot hot_completed ev.time trace_id n_blocks n_instrs
+  | Decay_pass { decays } -> sink.hot hot_decay ev.time decays 0 0
   | _ -> sink.cold ev
 
 type subscription = int
@@ -196,21 +190,21 @@ let emit t payload =
 
 (* The hot kinds' emission: scalars to the tap, a payload only when a
    subscriber will read it. *)
-let emit_hot t kind a b c d =
-  (match t.tap with Some sink -> sink.hot kind t.now a b c d | None -> ());
+let emit_hot t kind a b c =
+  (match t.tap with Some sink -> sink.hot kind t.now a b c | None -> ());
   if t.subs <> [] then
-    deliver t { time = t.now; payload = hot_payload ~kind a b c d }
+    deliver t { time = t.now; payload = hot_payload ~kind a b c }
 
 let emit_trace_entered t ~trace_id ~chained =
-  emit_hot t hot_entered trace_id (Bool.to_int chained) 0 0
+  emit_hot t hot_entered trace_id (Bool.to_int chained) 0
 
-let emit_side_exit t ~trace_id ~at_block ~matched_blocks ~matched_instrs =
-  emit_hot t hot_side_exit trace_id at_block matched_blocks matched_instrs
+let emit_side_exit t ~trace_id ~at_block ~matched_instrs =
+  emit_hot t hot_side_exit trace_id at_block matched_instrs
 
 let emit_trace_completed t ~trace_id ~n_blocks ~n_instrs =
-  emit_hot t hot_completed trace_id n_blocks n_instrs 0
+  emit_hot t hot_completed trace_id n_blocks n_instrs
 
-let emit_decay_pass t ~decays = emit_hot t hot_decay decays 0 0 0
+let emit_decay_pass t ~decays = emit_hot t hot_decay decays 0 0
 
 let emitted t = t.emitted
 
@@ -222,6 +216,7 @@ let kind = function
   | Side_exit _ -> "side_exit"
   | Trace_completed _ -> "trace_completed"
   | Decay_pass _ -> "decay_pass"
+  | Path_walked _ -> "path_walked"
   | Phase_snapshot _ -> "phase_snapshot"
   | Invariant_violation _ -> "invariant_violation"
   | Fault_injected _ -> "fault_injected"

@@ -10,13 +10,20 @@
     {2 Cost discipline}
 
     The stream is {e disabled} while it has neither subscribers nor a
-    tap, and every emission site of a rare kind guards both the [emit]
-    call and the construction of the event payload behind {!enabled}:
+    tap, and an emission site of a rare kind that can run over a
+    disabled stream guards both the [emit] call and the construction
+    of the event payload behind {!enabled}:
 
     {[
       if Events.enabled evs then
         Events.emit evs (Events.Trace_evicted { ... })
     ]}
+
+    The engine's own sites need no guard: [Engine.create] always
+    installs the tap, so an engine's stream is always enabled.  The
+    stream is the one record of every per-event observation: the
+    engine keeps no histograms, and a distribution such as
+    executed-trace length is a fold of the fields its events carry.
 
     The four per-dispatch ("hot") kinds — [Trace_entered], [Side_exit],
     [Trace_completed] and [Decay_pass] — are emitted through
@@ -87,18 +94,23 @@ type payload =
     }
   | Side_exit of {
       trace_id : int;
-      at_block : int;  (** index in the trace where execution diverged *)
-      matched_blocks : int;
+      at_block : int;
+          (** index in the trace where execution diverged — the number
+              of positions matched before it *)
       matched_instrs : int;
     }
   | Trace_completed of { trace_id : int; n_blocks : int; n_instrs : int }
   | Decay_pass of { decays : int }
       (** The BCG ran one or more periodic decay passes during this
           dispatch; [decays] is the cumulative pass count. *)
+  | Path_walked of { transitions : int }
+      (** The trace builder walked one candidate path (a profiler
+          signal's maximum-likelihood walk or an OSR promotion's closed
+          walk) of [transitions] transitions, before any cut. *)
   | Phase_snapshot of Metrics.snapshot
       (** Every [Config.snapshot_period] dispatches the engine samples
-          its histograms, counters and cache, recorder and ledger state;
-          [at] is the dispatch's 1-based index. *)
+          its counters and cache, recorder and ledger state; [at] is the
+          dispatch's 1-based index. *)
   | Invariant_violation of {
       code : string;  (** stable check code, e.g. ["TL204"] *)
       severity : string;  (** ["error"] / ["warning"] / ["info"] *)
@@ -217,18 +229,18 @@ type event = { time : int; payload : payload }
 (** {2 The hot kinds}
 
     One integer encoding shared by the stream and the flight recorder:
-    a kind code ([>= 1]) and four int fields, unused ones [0] —
+    a kind code ([>= 1]) and three int fields, unused ones [0] —
     [Trace_entered]: trace id, chained (0/1); [Side_exit]: trace id,
-    at_block, matched_blocks, matched_instrs; [Trace_completed]: trace
-    id, n_blocks, n_instrs; [Decay_pass]: decays. *)
+    at_block, matched_instrs; [Trace_completed]: trace id, n_blocks,
+    n_instrs; [Decay_pass]: decays. *)
 
-val hot_payload : kind:int -> int -> int -> int -> int -> payload
+val hot_payload : kind:int -> int -> int -> int -> payload
 (** Decode a hot kind's scalars back into its payload.
     @raise Invalid_argument if [kind] is not a hot kind code. *)
 
 type sink = {
-  hot : int -> int -> int -> int -> int -> int -> unit;
-      (** a hot-kind event: kind code, time, then the four fields *)
+  hot : int -> int -> int -> int -> int -> unit;
+      (** a hot-kind event: kind code, time, then the three fields *)
   cold : event -> unit;  (** every other event, as the record *)
 }
 (** An observer that takes the hot kinds as scalars — the shape of the
@@ -284,12 +296,7 @@ val emit_trace_entered : t -> trace_id:int -> chained:bool -> unit
     pays two tests and allocates nothing. *)
 
 val emit_side_exit :
-  t ->
-  trace_id:int ->
-  at_block:int ->
-  matched_blocks:int ->
-  matched_instrs:int ->
-  unit
+  t -> trace_id:int -> at_block:int -> matched_instrs:int -> unit
 (** Emit [Side_exit] the hot way (see {!emit_trace_entered}). *)
 
 val emit_trace_completed :

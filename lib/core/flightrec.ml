@@ -45,7 +45,7 @@ let reason_of_string = function
    and the recorder holds no pointer into the young generation, so the
    minor GC never promotes anything on their account.  Rare,
    richly-typed events keep the pointer path. *)
-let scalar_width = 6 (* kind code; time; the kind's 4 int fields *)
+let scalar_width = 5 (* kind code; time; the kind's 3 int fields *)
 
 let k_pointer = 0 (* not a hot kind: the event lives in [evs] *)
 
@@ -69,7 +69,7 @@ let advance t i =
   t.next_seq <- t.next_seq + 1;
   t.pos <- (let p = i + 1 in if p = t.cap then 0 else p)
 
-let record_hot t kind time a b c d =
+let record_hot t kind time a b c =
   let i = t.pos in
   let s = i * scalar_width in
   t.scalars.(s) <- kind;
@@ -77,7 +77,6 @@ let record_hot t kind time a b c d =
   t.scalars.(s + 2) <- a;
   t.scalars.(s + 3) <- b;
   t.scalars.(s + 4) <- c;
-  t.scalars.(s + 5) <- d;
   advance t i
 
 let record_cold t (ev : Events.event) =
@@ -100,7 +99,7 @@ let create ~capacity =
       on_dump = None;
       sink =
         {
-          Events.hot = (fun k time a b c d -> record_hot t k time a b c d);
+          Events.hot = (fun k time a b c -> record_hot t k time a b c);
           cold = (fun ev -> record_cold t ev);
         };
     }
@@ -127,7 +126,7 @@ let entry_at t ~seq i : entry =
   else
     let payload =
       Events.hot_payload ~kind:k t.scalars.(s + 2) t.scalars.(s + 3)
-        t.scalars.(s + 4) t.scalars.(s + 5)
+        t.scalars.(s + 4)
     in
     { seq; time = t.scalars.(s + 1); payload }
 

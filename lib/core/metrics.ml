@@ -1,6 +1,7 @@
 (* Histograms with fixed power-of-two buckets, so recording is O(1): one
-   bit-length loop, one array bump.  The engine samples them, with its
-   counters, into the [snapshot] its Phase_snapshot events carry. *)
+   bit-length loop, one array bump.  Event-stream readers fold them from
+   event fields; the engine's Phase_snapshot events carry a [snapshot]
+   of its counters. *)
 
 type histogram = {
   h_name : string;
@@ -92,14 +93,3 @@ let percentile h p =
     let hi = if hi > h.h_max then h.h_max else hi in
     if hi < hist_min h then hist_min h else hi
   end
-
-let hist_fields h =
-  let name = h.h_name in
-  [
-    (name ^ ".count", h.h_count);
-    (name ^ ".sum", h.h_sum);
-    (name ^ ".p50", percentile h 50.0);
-    (name ^ ".p90", percentile h 90.0);
-    (name ^ ".p99", percentile h 99.0);
-    (name ^ ".max", h.h_max);
-  ]

@@ -1,11 +1,11 @@
 (** Histograms and the phase-snapshot payload.
 
     A {e histogram} has fixed power-of-two buckets, so recording is
-    O(1) and allocation-free and distributions such as executed-trace
-    length can be captured from the dispatch path.  The engine keeps
-    five of them and, every [Config.snapshot_period] dispatches, samples
-    them with its counters into one {!snapshot}, published as a
-    [Phase_snapshot] event. *)
+    O(1) and allocation-free.  The engine keeps none: a distribution
+    such as executed-trace length is folded from the fields of the
+    events that carry it ([Harness.Oracle]'s tally keeps five).  Every
+    [Config.snapshot_period] dispatches the engine samples its counters
+    into one {!snapshot}, published as a [Phase_snapshot] event. *)
 
 type histogram
 (** Fixed-bucket distribution of non-negative integer observations.
@@ -15,9 +15,7 @@ type histogram
 
 type snapshot = {
   at : int;  (** the dispatch the snapshot was taken in (1-based) *)
-  values : (string * int) array;
-      (** every sampled value, in a fixed order.  A histogram
-          contributes the six fields of {!hist_fields}. *)
+  values : (string * int) array;  (** every sampled value, in a fixed order *)
 }
 
 val histogram : string -> histogram
@@ -58,7 +56,3 @@ val bucket_count : histogram -> int -> int
 val bucket_bounds : histogram -> int -> int * int
 (** Inclusive [(lo, hi)] range of bucket [i]; the overflow bucket's
     upper bound is [max_int].  @raise Invalid_argument out of range. *)
-
-val hist_fields : histogram -> (string * int) list
-(** The histogram as snapshot fields: [name.count], [name.sum],
-    [name.p50], [name.p90], [name.p99] and [name.max]. *)

@@ -5,8 +5,7 @@ type t = {
   mutable instructions : int;
     (* bytecodes executed (= Figure-1 dispatch count) *)
   mutable block_dispatches : int; (* dispatches outside traces (profiled) *)
-  mutable trace_dispatches : int; (* trace entries (one hook each) *)
-  mutable traces_entered : int;
+  mutable traces_entered : int; (* trace dispatches (one hook each) *)
   mutable traces_completed : int;
   mutable completed_blocks : int;
     (* sum over completions of the trace's block count *)
@@ -73,7 +72,6 @@ let zero () =
   {
     instructions = 0;
     block_dispatches = 0;
-    trace_dispatches = 0;
     traces_entered = 0;
     traces_completed = 0;
     completed_blocks = 0;
@@ -130,7 +128,6 @@ let counters : (string * (t -> int)) list =
   [
     ("instructions", fun s -> s.instructions);
     ("block_dispatches", fun s -> s.block_dispatches);
-    ("trace_dispatches", fun s -> s.trace_dispatches);
     ("traces_entered", fun s -> s.traces_entered);
     ("traces_completed", fun s -> s.traces_completed);
     ("completed_blocks", fun s -> s.completed_blocks);
@@ -180,131 +177,60 @@ let counters : (string * (t -> int)) list =
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-(* All derived values of the evaluation, computed in one place so the
-   tables, the pretty-printer and the exporters cannot drift apart.
-   Field names deliberately shadow the projection functions below (value
-   and field namespaces are distinct). *)
-type derived = {
-  total_dispatches : int;
-      (* blocks dispatched outside traces plus one dispatch per trace
-         entry — the trace-dispatch model's count *)
-  trace_events : int; (* signals + traces constructed *)
-  avg_trace_length : float;
-      (* paper: completed static blocks / distinct completed traces *)
-  dynamic_trace_length : float; (* completion-event-weighted length *)
-  coverage_completed : float;
-  coverage_total : float;
-      (* coverage counting partial executions too (the paper's 90.7% vs.
-         87.1% distinction) *)
-  completion_rate : float;
-  dispatches_per_signal : float;
-  trace_event_interval : float;
-  linking_rate : float;
-      (* trace entries chaining directly from another trace's
-         completion: the dispatch-level analogue of Dynamo linking *)
-  dispatch_reduction : float;
-      (* block-model dispatches each trace-model dispatch replaces *)
-  quarantine_rate : float;
-      (* condemnations per constructed trace: how much of the built
-         population chaos claimed *)
-  eviction_rate : float; (* capacity evictions per constructed trace *)
-  guards_per_kinstr : float;
-      (* guards checked per 1000 executed instructions *)
-  deopt_rate : float;
-      (* OSR deoptimizations per trace entry: how often a followed trace
-         was abandoned mid-flight instead of completing or side-exiting
-         at its natural end *)
-  deopt_residue : float;
-      (* average trace positions abandoned past the deopt point — the
-         work a non-OSR side exit would have re-dispatched *)
-  mi_ops_per_position : float;
-      (* micro-ops dispatched per followed trace position on the
-         compiled tier *)
-  mi_src_per_position : float;
-      (* source instructions per position — what the interpreted tier
-         would have dispatched for the same positions *)
-  mi_dispatch_reduction : float;
-      (* 1 - mi_ops/mi_src_instrs: the fraction of per-position dispatch
-         work the lowered body removes (folding, DCE, fusion) *)
-  mi_fused_share : float;
-      (* fraction of dispatched micro-ops that are superinstructions *)
-}
+(* The dependent values of the evaluation, one function each. *)
+let total_dispatches t = t.block_dispatches + t.traces_entered
 
-let derived t : derived =
-  let total_dispatches = t.block_dispatches + t.trace_dispatches in
-  let trace_events = t.signals + t.traces_constructed in
-  let block_model =
-    t.block_dispatches + t.completed_blocks + t.partial_blocks
-  in
-  {
-    total_dispatches;
-    trace_events;
-    avg_trace_length = ratio t.static_blocks t.static_traces;
-    dynamic_trace_length = ratio t.completed_blocks t.traces_completed;
-    coverage_completed = ratio t.completed_instrs t.instructions;
-    coverage_total =
-      ratio (t.completed_instrs + t.partial_instrs) t.instructions;
-    completion_rate = ratio t.traces_completed t.traces_entered;
-    dispatches_per_signal = ratio total_dispatches t.signals;
-    trace_event_interval = ratio total_dispatches trace_events;
-    linking_rate = ratio t.chained_entries t.traces_entered;
-    dispatch_reduction =
-      (if total_dispatches = 0 then 1.0
-       else ratio block_model total_dispatches);
-    quarantine_rate = ratio t.traces_quarantined t.traces_constructed;
-    eviction_rate = ratio t.traces_evicted t.traces_constructed;
-    guards_per_kinstr = 1000.0 *. ratio t.guards_checked t.instructions;
-    deopt_rate = ratio t.deopts t.traces_entered;
-    deopt_residue = ratio t.deopt_residue_blocks t.deopts;
-    mi_ops_per_position = ratio t.mi_ops t.mi_positions;
-    mi_src_per_position = ratio t.mi_src_instrs t.mi_positions;
-    mi_dispatch_reduction =
-      (if t.mi_src_instrs = 0 then 0.0
-       else 1.0 -. ratio t.mi_ops t.mi_src_instrs);
-    mi_fused_share = ratio t.mi_fused t.mi_ops;
-  }
+let trace_events t = t.signals + t.traces_constructed
 
-(* Projections, kept for call sites that want a single value. *)
-let total_dispatches t = (derived t).total_dispatches
+(* paper: completed static blocks / distinct completed traces *)
+let avg_trace_length t = ratio t.static_blocks t.static_traces
 
-let trace_events t = (derived t).trace_events
+let dynamic_trace_length t = ratio t.completed_blocks t.traces_completed
 
-let avg_trace_length t = (derived t).avg_trace_length
+let coverage_completed t = ratio t.completed_instrs t.instructions
 
-let dynamic_trace_length t = (derived t).dynamic_trace_length
+(* coverage counting partial executions too (the paper's 90.7% vs. 87.1%
+   distinction) *)
+let coverage_total t =
+  ratio (t.completed_instrs + t.partial_instrs) t.instructions
 
-let coverage_completed t = (derived t).coverage_completed
+let completion_rate t = ratio t.traces_completed t.traces_entered
 
-let coverage_total t = (derived t).coverage_total
+let dispatches_per_signal t = ratio (total_dispatches t) t.signals
 
-let completion_rate t = (derived t).completion_rate
+let trace_event_interval t = ratio (total_dispatches t) (trace_events t)
 
-let dispatches_per_signal t = (derived t).dispatches_per_signal
+(* trace entries chaining directly from another trace's completion: the
+   dispatch-level analogue of Dynamo linking *)
+let linking_rate t = ratio t.chained_entries t.traces_entered
 
-let trace_event_interval t = (derived t).trace_event_interval
+(* block-model dispatches each trace-model dispatch replaces *)
+let dispatch_reduction t =
+  let total = total_dispatches t in
+  if total = 0 then 1.0
+  else
+    ratio (t.block_dispatches + t.completed_blocks + t.partial_blocks) total
 
-let linking_rate t = (derived t).linking_rate
+let quarantine_rate t = ratio t.traces_quarantined t.traces_constructed
 
-let dispatch_reduction t = (derived t).dispatch_reduction
+let eviction_rate t = ratio t.traces_evicted t.traces_constructed
 
-let quarantine_rate t = (derived t).quarantine_rate
+let deopt_rate t = ratio t.deopts t.traces_entered
 
-let eviction_rate t = (derived t).eviction_rate
+let deopt_residue t = ratio t.deopt_residue_blocks t.deopts
 
-let deopt_rate t = (derived t).deopt_rate
+let mi_ops_per_position t = ratio t.mi_ops t.mi_positions
 
-let deopt_residue t = (derived t).deopt_residue
+let mi_src_per_position t = ratio t.mi_src_instrs t.mi_positions
 
-let mi_ops_per_position t = (derived t).mi_ops_per_position
+(* 1 - mi_ops/mi_src_instrs: the fraction of per-position dispatch work
+   the lowered body removes (folding, DCE, fusion) *)
+let mi_dispatch_reduction t =
+  if t.mi_src_instrs = 0 then 0.0 else 1.0 -. ratio t.mi_ops t.mi_src_instrs
 
-let mi_src_per_position t = (derived t).mi_src_per_position
-
-let mi_dispatch_reduction t = (derived t).mi_dispatch_reduction
-
-let mi_fused_share t = (derived t).mi_fused_share
+let mi_fused_share t = ratio t.mi_fused t.mi_ops
 
 let pp ppf t =
-  let d = derived t in
   Format.fprintf ppf
     "@[<v>instructions        %d@,\
      block dispatches    %d@,\
@@ -319,21 +245,22 @@ let pp ppf t =
      kdisp/trace event   %.1f@,\
      linking rate        %.1f%%@,\
      bcg                 %d nodes, %d edges@]"
-    t.instructions t.block_dispatches t.trace_dispatches t.traces_entered
+    t.instructions t.block_dispatches t.traces_entered t.traces_entered
     t.traces_completed
-    (100.0 *. d.completion_rate)
-    d.avg_trace_length
-    (100.0 *. d.coverage_completed)
-    (100.0 *. d.coverage_total)
+    (100.0 *. completion_rate t)
+    (avg_trace_length t)
+    (100.0 *. coverage_completed t)
+    (100.0 *. coverage_total t)
     t.signals t.traces_constructed t.traces_replaced t.traces_live
-    (d.dispatches_per_signal /. 1000.0)
-    (d.trace_event_interval /. 1000.0)
-    (100.0 *. d.linking_rate)
+    (dispatches_per_signal t /. 1000.0)
+    (trace_event_interval t /. 1000.0)
+    (100.0 *. linking_rate t)
     t.bcg_nodes t.bcg_edges;
   (* guard accounting appears only once traces actually dispatched *)
   if t.guards_checked > 0 then
     Format.fprintf ppf "@,@[<v>guards checked      %d (%.2f/kinstr)@]"
-      t.guards_checked d.guards_per_kinstr;
+      t.guards_checked
+      (1000.0 *. ratio t.guards_checked t.instructions);
   (* OSR accounting appears only when on-stack replacement actually
      fired, so a run with OSR off renders unchanged *)
   if t.deopts > 0 || t.osr_promotions > 0 then
@@ -342,8 +269,8 @@ let pp ppf t =
        @[<v>deopts              %d (%.2f%% of entries, avg residue %.1f blocks)@,\
        osr promotions      %d (%d armed entries taken)@]"
       t.deopts
-      (100.0 *. d.deopt_rate)
-      d.deopt_residue t.osr_promotions t.osr_entries;
+      (100.0 *. deopt_rate t)
+      (deopt_residue t) t.osr_promotions t.osr_entries;
   (* compiled-tier accounting appears only when the tier actually
      dispatched something, so a tier-off run renders unchanged *)
   if t.mi_positions > 0 || t.traces_compiled > 0 then
@@ -353,9 +280,9 @@ let pp ppf t =
        micro-IR dispatch   %.2f ops/position vs %.2f instrs \
        (%.1f%% reduction, %.1f%% fused)@]"
       t.traces_compiled t.tier_demotions t.compiled_entries
-      d.mi_ops_per_position d.mi_src_per_position
-      (100.0 *. d.mi_dispatch_reduction)
-      (100.0 *. d.mi_fused_share);
+      (mi_ops_per_position t) (mi_src_per_position t)
+      (100.0 *. mi_dispatch_reduction t)
+      (100.0 *. mi_fused_share t);
   (* the resilience line only appears when something resilience-related
      happened, so a healthy run's rendering is unchanged *)
   if

@@ -6,9 +6,8 @@ type t = {
       (** bytecodes executed — the Figure-1 per-instruction dispatch
           count *)
   mutable block_dispatches : int;  (** dispatches outside traces (profiled) *)
-  mutable trace_dispatches : int;
-      (** trace entries (one profiler hook each) *)
   mutable traces_entered : int;
+      (** trace entries: the trace dispatches, one profiler hook each *)
   mutable traces_completed : int;
   mutable completed_blocks : int;
       (** sum over completion events of the trace's block count *)
@@ -104,50 +103,6 @@ val counters : (string * (t -> int)) list
     fields of the engine's phase snapshots and the counter keys of
     [Harness.Export.stats_json] are generated from.  Adding a counter
     is one field plus one row here. *)
-
-type derived = {
-  total_dispatches : int;
-      (** dispatches under the trace-dispatch model: blocks outside
-          traces plus one per trace entry *)
-  trace_events : int;  (** signals plus traces constructed *)
-  avg_trace_length : float;  (** Table I *)
-  dynamic_trace_length : float;
-  coverage_completed : float;  (** Table II *)
-  coverage_total : float;
-  completion_rate : float;  (** Table III *)
-  dispatches_per_signal : float;  (** Table IV *)
-  trace_event_interval : float;  (** Table V *)
-  linking_rate : float;
-  dispatch_reduction : float;
-  quarantine_rate : float;
-      (** condemnations per constructed trace — how much of the built
-          population chaos claimed *)
-  eviction_rate : float;  (** capacity evictions per constructed trace *)
-  guards_per_kinstr : float;
-      (** guards checked per 1000 executed instructions *)
-  deopt_rate : float;
-      (** OSR deoptimizations per trace entry — how often a followed
-          trace was abandoned mid-flight *)
-  deopt_residue : float;
-      (** average trace positions abandoned past the deopt point *)
-  mi_ops_per_position : float;
-      (** micro-ops dispatched per followed trace position on the
-          compiled tier *)
-  mi_src_per_position : float;
-      (** source instructions per position — the interpreted-tier
-          baseline for the same positions *)
-  mi_dispatch_reduction : float;
-      (** [1 - mi_ops/mi_src_instrs]: the fraction of per-position
-          dispatch work the lowered body removes *)
-  mi_fused_share : float;
-      (** fraction of dispatched micro-ops that are superinstructions *)
-}
-(** Every dependent value of the evaluation, computed together.  The
-    field names shadow the projection functions below: tables, {!pp} and
-    the exporters all read from one {!derived} computation, so they
-    cannot drift apart. *)
-
-val derived : t -> derived
 
 val total_dispatches : t -> int
 (** Dispatches under the trace-dispatch model: blocks outside traces plus

@@ -451,11 +451,6 @@ let quarantine_attempts t ~first ~head =
   | Some q -> q.attempts
   | None -> 0
 
-let quarantine_until t ~first ~head =
-  match Hashtbl.find_opt t.quarantine (entry_key_int t ~first ~head) with
-  | Some q -> Some q.until
-  | None -> None
-
 let n_quarantine_active t =
   Hashtbl.fold (fun _ q acc -> if q.until > t.clock then acc + 1 else acc)
     t.quarantine 0

@@ -182,11 +182,6 @@ val quarantine_attempts :
   t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> int
 (** Condemnations of this entry so far (0 = never condemned). *)
 
-val quarantine_until :
-  t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> int option
-(** The clock value this entry's quarantine expires at ([max_int] for a
-    permanent blacklist); [None] if the entry was never condemned. *)
-
 val inject_install_failure : t -> unit
 (** Arm one installation failure: the next {!try_install} that passes the
     quarantine check returns [None] (the fault injector's FT006). *)

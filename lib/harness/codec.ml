@@ -105,8 +105,13 @@ let to_string j =
    ["span"] entries in postmortem dumps.
    Version 12: the flight recorder records events only — no ["metric"]
    entries in postmortem dumps — and a phase snapshot's
-   [flightrec_recorded] counts events alone. *)
-let schema_version = 12
+   [flightrec_recorded] counts events alone.
+   Version 13: the engine keeps no histograms — snapshots lose their
+   [name.count] … [name.max] fields, and with [trace_dispatches] gone
+   (it repeated [traces_entered]) snapshots and [export] JSON lose that
+   key; [side_exit] loses [matched_blocks] (it repeated [at_block]);
+   the [path_walked] event kind is added. *)
+let schema_version = 13
 
 let versioned fields = ("schema_version", J_int schema_version) :: fields
 
@@ -148,11 +153,10 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
         [ ("first", J_int first); ("head", J_int head); ("trace_id", J_int trace_id) ]
     | Events.Trace_entered { trace_id; chained } ->
         [ ("trace_id", J_int trace_id); ("chained", J_bool chained) ]
-    | Events.Side_exit { trace_id; at_block; matched_blocks; matched_instrs } ->
+    | Events.Side_exit { trace_id; at_block; matched_instrs } ->
         [
           ("trace_id", J_int trace_id);
           ("at_block", J_int at_block);
-          ("matched_blocks", J_int matched_blocks);
           ("matched_instrs", J_int matched_instrs);
         ]
     | Events.Trace_completed { trace_id; n_blocks; n_instrs } ->
@@ -162,6 +166,8 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
           ("n_instrs", J_int n_instrs);
         ]
     | Events.Decay_pass { decays } -> [ ("decays", J_int decays) ]
+    | Events.Path_walked { transitions } ->
+        [ ("transitions", J_int transitions) ]
     | Events.Phase_snapshot s ->
         (* nested object: the enclosing event record carries the version *)
         [ ("snapshot", J_obj (snapshot_fields s)) ]

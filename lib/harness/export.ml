@@ -6,26 +6,27 @@ open Codec
    machinery and the per-record writers live in [Codec]. *)
 
 (* One run's statistics: every counter of [Stats.counters], then the
-   paper's derived values, computed once through Stats.derived. *)
+   paper's derived values. *)
 let stats_json ?(extra = []) (s : Stats.t) : json =
-  let d = Stats.derived s in
   J_obj
     (extra
     @ List.map (fun (name, get) -> (name, J_int (get s))) Stats.counters
-    @ [
-        ("avg_trace_length", J_float d.Stats.avg_trace_length);
-        ("dynamic_trace_length", J_float d.Stats.dynamic_trace_length);
-        ("coverage_completed", J_float d.Stats.coverage_completed);
-        ("coverage_total", J_float d.Stats.coverage_total);
-        ("completion_rate", J_float d.Stats.completion_rate);
-        ("dispatches_per_signal", J_float d.Stats.dispatches_per_signal);
-        ("trace_event_interval", J_float d.Stats.trace_event_interval);
-        ("linking_rate", J_float d.Stats.linking_rate);
-        ("dispatch_reduction", J_float d.Stats.dispatch_reduction);
-        ("quarantine_rate", J_float d.Stats.quarantine_rate);
-        ("eviction_rate", J_float d.Stats.eviction_rate);
-        ("wall_seconds", J_float s.Stats.wall_seconds);
-      ])
+    @ List.map
+        (fun (name, f) -> (name, J_float (f s)))
+        [
+          ("avg_trace_length", Stats.avg_trace_length);
+          ("dynamic_trace_length", Stats.dynamic_trace_length);
+          ("coverage_completed", Stats.coverage_completed);
+          ("coverage_total", Stats.coverage_total);
+          ("completion_rate", Stats.completion_rate);
+          ("dispatches_per_signal", Stats.dispatches_per_signal);
+          ("trace_event_interval", Stats.trace_event_interval);
+          ("linking_rate", Stats.linking_rate);
+          ("dispatch_reduction", Stats.dispatch_reduction);
+          ("quarantine_rate", Stats.quarantine_rate);
+          ("eviction_rate", Stats.eviction_rate);
+        ]
+    @ [ ("wall_seconds", J_float s.Stats.wall_seconds) ])
 
 let run_json (r : Experiment.run) : json =
   let k = r.Experiment.key in

@@ -10,6 +10,7 @@ module Events = Tracegen.Events
 module Stats = Tracegen.Stats
 module Engine = Tracegen.Engine
 module Ledger = Tracegen.Ledger
+module Metrics = Tracegen.Metrics
 
 type check = { name : string; got : int; want : int }
 
@@ -40,13 +41,22 @@ let report ~source checks =
 (* Per-kind counts plus the refinements the checks need beyond raw
    kinds: new-vs-reused constructions, the eviction-reason split
    (quarantine removals count under traces_quarantined, the other
-   reasons under traces_evicted) and the deopt residue sum. *)
+   reasons under traces_evicted), the instruction sums of the hot exit
+   events, and the run's five distributions, each a fold of one event
+   field. *)
 type tally = {
   counts : (string, int) Hashtbl.t;
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
-  mutable deopt_residue : int;
+  mutable completed_instrs : int; (* sum of trace_completed.n_instrs *)
+  mutable exit_instrs : int; (* sum of side_exit.matched_instrs *)
+  trace_len : Metrics.histogram; (* trace_completed.n_blocks *)
+  exit_distance : Metrics.histogram; (* side_exit.at_block *)
+  build_len : Metrics.histogram; (* path_walked.transitions *)
+  backoff : Metrics.histogram;
+      (* trace_quarantined: until - time, finite backoffs only *)
+  deopt_residue : Metrics.histogram; (* deopt_entered.residue_blocks *)
 }
 
 let create_tally () =
@@ -55,17 +65,26 @@ let create_tally () =
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
-    deopt_residue = 0;
+    completed_instrs = 0;
+    exit_instrs = 0;
+    trace_len = Metrics.histogram "executed_trace_len";
+    exit_distance = Metrics.histogram "completion_distance";
+    build_len = Metrics.histogram "builder_path_len";
+    backoff = Metrics.histogram "quarantine_backoff";
+    deopt_residue = Metrics.histogram "deopt_residue";
   }
 
 let count t k = try Hashtbl.find t.counts k with Not_found -> 0
 
 let n_kinds t = Hashtbl.length t.counts
 
-let observe t (payload : Events.payload) =
-  let k = Events.kind payload in
+let histograms t =
+  [ t.trace_len; t.exit_distance; t.build_len; t.backoff; t.deopt_residue ]
+
+let observe t (e : Events.event) =
+  let k = Events.kind e.Events.payload in
   Hashtbl.replace t.counts k (1 + count t k);
-  match payload with
+  match e.Events.payload with
   | Events.Trace_constructed { reused = false; _ } ->
       t.constructed_new <- t.constructed_new + 1
   (* exhaustive over the shared eviction-reason variant *)
@@ -74,15 +93,22 @@ let observe t (payload : Events.payload) =
   | Events.Trace_evicted
       { reason = Events.Capacity | Events.Pressure | Events.Footprint; _ } ->
       t.evicted_counted <- t.evicted_counted + 1
+  | Events.Trace_completed { n_blocks; n_instrs; _ } ->
+      Metrics.record t.trace_len n_blocks;
+      t.completed_instrs <- t.completed_instrs + n_instrs
+  | Events.Side_exit { at_block; matched_instrs; _ } ->
+      Metrics.record t.exit_distance at_block;
+      t.exit_instrs <- t.exit_instrs + matched_instrs
+  | Events.Path_walked { transitions } -> Metrics.record t.build_len transitions
+  | Events.Trace_quarantined { until; _ } when until <> max_int ->
+      Metrics.record t.backoff (until - e.Events.time)
   | Events.Deopt_entered { residue_blocks; _ } ->
-      t.deopt_residue <- t.deopt_residue + residue_blocks
+      Metrics.record t.deopt_residue residue_blocks
   | _ -> ()
 
 let attach events =
   let t = create_tally () in
-  let _sub =
-    Events.subscribe events (fun e -> observe t e.Events.payload)
-  in
+  let _sub = Events.subscribe events (observe t) in
   t
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +159,17 @@ let identities ~in_flight (t : tally) (s : Stats.t) : (string * check) list =
         (t.evicted_counted + t.evicted_quarantine)
         (count t "trace_evicted");
       row "deopt_entered" "deopt_entered (residue) = deopt_residue_blocks"
-        t.deopt_residue (stat "deopt_residue_blocks");
+        (Metrics.hist_sum t.deopt_residue)
+        (stat "deopt_residue_blocks");
+      (* the hot exit events' fields sum to the exit counters *)
+      row "trace_completed" "trace_completed (blocks) = completed_blocks"
+        (Metrics.hist_sum t.trace_len) (stat "completed_blocks");
+      row "trace_completed" "trace_completed (instrs) = completed_instrs"
+        t.completed_instrs (stat "completed_instrs");
+      row "side_exit" "side_exit (at_block) = partial_blocks"
+        (Metrics.hist_sum t.exit_distance) (stat "partial_blocks");
+      row "side_exit" "side_exit (instrs) = partial_instrs" t.exit_instrs
+        (stat "partial_instrs");
     ]
 
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
@@ -146,7 +182,7 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
    to the kinds the ledger keeps. *)
 let ledger_checks (l : Ledger.t) (s : Stats.t) : check list =
   let t = create_tally () in
-  Ledger.iter (fun e -> observe t e.Events.payload) l;
+  Ledger.iter (observe t) l;
   List.filter_map
     (fun (kind, c) ->
       if List.mem kind Ledger.kinds then

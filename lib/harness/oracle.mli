@@ -4,7 +4,11 @@
     are three views of the same execution.  This module owns the exact
     agreements between them, so [repro_cli events], the chaos harness
     and the tests all check one list instead of private copies that can
-    drift. *)
+    drift.
+
+    The stream is also the one record of every per-event observation:
+    the engine keeps no histograms, and the tally folds the run's five
+    distributions from the fields of the events it counts. *)
 
 type check = { name : string; got : int; want : int }
 
@@ -21,23 +25,26 @@ val report : source:string -> check list -> bool
 
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split, the deopt
-    residue sum). *)
-
-val create_tally : unit -> tally
-
-val observe : tally -> Tracegen.Events.payload -> unit
-(** Count one delivered payload (for callers with their own
-    subscription). *)
+    (new-vs-reused constructions, the eviction-reason split, the
+    instruction sums of completions and side exits) and the five
+    histograms. *)
 
 val attach : Tracegen.Events.t -> tally
 (** Subscribe a fresh tally to the stream — every subsequent event is
     counted.  Attach before the run starts. *)
 
-val count : tally -> string -> int
-(** Occurrences of one event kind (by {!Tracegen.Events.kind} tag). *)
-
 val n_kinds : tally -> int
+(** Distinct event kinds seen. *)
+
+val histograms : tally -> Tracegen.Metrics.histogram list
+(** The run's distributions, each a fold of one event field, in this
+    order:
+    - [executed_trace_len]: [trace_completed.n_blocks];
+    - [completion_distance]: [side_exit.at_block];
+    - [builder_path_len]: [path_walked.transitions];
+    - [quarantine_backoff]: [trace_quarantined]'s [until] minus the
+      event's time, finite [until] only;
+    - [deopt_residue]: [deopt_entered.residue_blocks]. *)
 
 (** {2 The reconciliations} *)
 
@@ -47,9 +54,13 @@ val event_checks :
     table: the occurrences of an event kind equal the
     {!Tracegen.Stats.counters} entry the row names.  Written out beside
     them: the new/reused construction split, the side-exit balance
-    (entered − completed − in-flight), the eviction-reason split and
-    the deopt residue (the [residue_blocks] of every [deopt_entered]
-    sum to [deopt_residue_blocks]). *)
+    (entered − completed − in-flight), the eviction-reason split, the
+    deopt residue (the [residue_blocks] of every [deopt_entered] sum to
+    [deopt_residue_blocks]) and the hot exit events' fields: the
+    [n_blocks] and [n_instrs] of every [trace_completed] sum to
+    [completed_blocks] and [completed_instrs], the [at_block] and
+    [matched_instrs] of every [side_exit] to [partial_blocks] and
+    [partial_instrs]. *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list

@@ -99,8 +99,6 @@ let checks (r : t) (engine : Tr.Engine.t) (s : Tr.Stats.t) : Oracle.check list
   let sum_blocks f = List.fold_left (fun acc row -> acc + f row) 0 r.blocks in
   let inflight = Tr.Engine.inflight_matched_blocks engine in
   [
-    ("trace self dispatches = trace_dispatches", sum (fun x -> x.entered),
-     s.Tr.Stats.trace_dispatches);
     ("trace self dispatches = traces_entered", sum (fun x -> x.entered),
      s.Tr.Stats.traces_entered);
     ("trace completions = traces_completed", sum (fun x -> x.completed),

@@ -67,7 +67,7 @@ let measure ?snapshot layout =
       | [] -> List.rev acc
       | s :: rest ->
           let d name = value s name - value prev name in
-          let traces = d "trace_dispatches" in
+          let traces = d "traces_entered" in
           let blocks = d "block_dispatches" in
           let share =
             if traces + blocks <= 0 then 0.0
@@ -156,9 +156,9 @@ let eviction_ablation ?(scale = 1.0) () =
           let r = Engine.run ~config layout in
           let s = r.Engine.run_stats in
           let share =
-            let total = s.Stats.block_dispatches + s.Stats.trace_dispatches in
+            let total = s.Stats.block_dispatches + s.Stats.traces_entered in
             if total = 0 then 0.0
-            else float_of_int s.Stats.trace_dispatches /. float_of_int total
+            else float_of_int s.Stats.traces_entered /. float_of_int total
           in
           Buffer.add_string buf
             (Printf.sprintf "%-10s %-9s %8d %8d %10.1f%% %9.4f %11.1f\n"

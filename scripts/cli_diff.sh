@@ -129,6 +129,9 @@ check events compress --size 500 --snapshot-period 250 --osr \
   --fault-spec 'guard_flip@0.05,budget=24'
 check run compress --size 500 --osr --self-heal \
   --fault-spec 'guard_flip@0.05,budget=24'
+# the histogram table folded from a deopt-heavy stream
+check events compress --size 500 --stats-only --osr \
+  --fault-spec 'guard_flip@0.05,budget=24'
 check top compress --size 500
 check explain compress --size 500 --trace 1
 check backends --size 500
@@ -142,6 +145,7 @@ check chaos --catalogue
 # usage errors
 check run nosuch
 check run compress --threshold 2.0 --size 200
+check run compress --size 500 --threshold=nan
 check run compress --size 200 --fault-spec bogus
 check warm compress --size 200
 check postmortem missing.jsonl

@@ -71,12 +71,12 @@ let test_pinned_equivalence () =
           | Engine.Interp ->
               check Alcotest.int "interp: no signals" 0 s.Stats.signals;
               check Alcotest.int "interp: no trace dispatches" 0
-                s.Stats.trace_dispatches;
+                s.Stats.traces_entered;
               check Alcotest.int "interp: every dispatch is a block dispatch"
                 baseline.Interp.block_dispatches s.Stats.block_dispatches
           | Engine.Profile ->
               check Alcotest.int "profile: no trace dispatches" 0
-                s.Stats.trace_dispatches
+                s.Stats.traces_entered
           | Engine.Trace -> ());
           check Alcotest.int "pinned engines never switch" 0
             s.Stats.backend_switches)

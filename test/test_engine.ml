@@ -67,7 +67,7 @@ let test_profile_only_mode () =
   let s = r.Engine.run_stats in
   check Alcotest.int "no traces in profile-only mode" 0
     s.Stats.traces_constructed;
-  check Alcotest.int "no trace dispatches" 0 s.Stats.trace_dispatches;
+  check Alcotest.int "no trace dispatches" 0 s.Stats.traces_entered;
   check Alcotest.bool "profiling still happened" true (s.Stats.bcg_nodes > 0);
   (* every block dispatch executed the hook *)
   let plain = Vm.Interp.run_plain layout in
@@ -176,6 +176,19 @@ let test_deterministic_stats () =
   check Alcotest.int "same completions" a.Stats.traces_completed
     b.Stats.traces_completed
 
+(* Every out-of-range threshold is refused at construction, NaN too: it
+   fails every comparison, so a range test written as "reject when
+   outside" would let it through. *)
+let test_threshold_validated () =
+  List.iter
+    (fun threshold ->
+      match Config.make ~threshold () with
+      | _ -> Alcotest.failf "threshold %g accepted" threshold
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; 0.0; -0.5; 1.5; Float.infinity ];
+  check (Alcotest.float 0.0) "1.0 accepted" 1.0
+    (Config.threshold (Config.make ~threshold:1.0 ()))
+
 let () =
   Alcotest.run "engine"
     [
@@ -194,4 +207,5 @@ let () =
           tc "noisy branch" `Quick test_partial_exits_on_noise;
           tc "signal metrics" `Quick test_dispatch_per_signal_metric;
         ] );
+      ("config", [ tc "threshold validated" `Quick test_threshold_validated ]);
     ]

@@ -96,9 +96,10 @@ let test_kind_tags () =
         Events.Trace_replaced { first = 0; head = 1; trace_id = 0 };
         Events.Trace_entered { trace_id = 0; chained = false };
         Events.Side_exit
-          { trace_id = 0; at_block = 0; matched_blocks = 1; matched_instrs = 1 };
+          { trace_id = 0; at_block = 1; matched_instrs = 1 };
         Events.Trace_completed { trace_id = 0; n_blocks = 1; n_instrs = 1 };
         Events.Decay_pass { decays = 1 };
+        Events.Path_walked { transitions = 3 };
         Events.Phase_snapshot { Metrics.at = 0; values = [||] };
       ]
   in
@@ -113,6 +114,7 @@ let test_kind_tags () =
       "side_exit";
       "trace_completed";
       "decay_pass";
+      "path_walked";
       "phase_snapshot";
     ]
     tags
@@ -170,21 +172,6 @@ let test_histogram_buckets_and_overflow () =
   check Alcotest.int "p50 upper bound" 3 (Metrics.percentile h 50.0);
   check Alcotest.int "p100 = max, not the bucket edge" (1 lsl 20)
     (Metrics.percentile h 100.0)
-
-let test_histogram_in_snapshot () =
-  let h = Metrics.histogram "len" in
-  List.iter (Metrics.record h) [ 1; 2; 3; 4; 100 ];
-  let fields = Metrics.hist_fields h in
-  check
-    Alcotest.(list string)
-    "six flattened fields"
-    [ "len.count"; "len.sum"; "len.p50"; "len.p90"; "len.p99"; "len.max" ]
-    (List.map fst fields);
-  let get name = List.assoc name fields in
-  check Alcotest.int "count field" 5 (get "len.count");
-  check Alcotest.int "sum field" 110 (get "len.sum");
-  check Alcotest.int "p50 field" 3 (get "len.p50");
-  check Alcotest.int "max field" 100 (get "len.max")
 
 (* ------------------------------------------------------------------ *)
 (* wired through the engine                                             *)
@@ -325,11 +312,11 @@ let test_snapshot_stamp_is_dispatch_clock () =
         (fun (s : Metrics.snapshot) ->
           let get name = List.assoc name (Array.to_list s.Metrics.values) in
           check Alcotest.int (label ^ ": at = dispatches + 1")
-            (get "block_dispatches" + get "trace_dispatches" + 1)
+            (get "block_dispatches" + get "traces_entered" + 1)
             s.Metrics.at)
         !series)
     [
-      ("default", Config.make ~snapshot_period:997 (), [ "trace_dispatches" ]);
+      ("default", Config.make ~snapshot_period:997 (), [ "traces_entered" ]);
       ( "osr + self-heal, corrupt-trace",
         Config.make ~snapshot_period:997 ~osr:true ~self_heal:true
           ~fault_spec:"corrupt-trace@0.005,budget=20" (),
@@ -341,9 +328,9 @@ let test_snapshot_stamp_is_dispatch_clock () =
     ]
 
 (* A snapshot every [period] dispatches, at each boundary the run
-   reached; its fields lead with the histogram summaries and close with
-   the ledger's size, and [instructions], which only the VM knows, is
-   not among them. *)
+   reached; its fields lead with the counters and close with the
+   ledger's size, and [instructions], which only the VM knows, is not
+   among them. *)
 let test_periodic_snapshots () =
   let period = 1_000 in
   let r, series = snapshot_series (Config.make ~snapshot_period:period ()) in
@@ -357,12 +344,8 @@ let test_periodic_snapshots () =
   | [] -> Alcotest.fail "expected snapshots"
   | s :: _ ->
       let names = Array.to_list (Array.map fst s.Metrics.values) in
-      check
-        Alcotest.(list string)
-        "histogram summaries lead"
-        (List.map fst
-           (Metrics.hist_fields (Engine.trace_len_hist r.Engine.engine)))
-        (List.filteri (fun i _ -> i < 6) names);
+      check Alcotest.string "the counters lead" "block_dispatches"
+        (List.hd names);
       check Alcotest.string "the ledger closes" "ledger_records"
         (List.nth names (List.length names - 1));
       check Alcotest.bool "no instructions field" false
@@ -398,7 +381,6 @@ let () =
           tc "single value answers exactly" `Quick
             test_histogram_single_value;
           tc "buckets and overflow" `Quick test_histogram_buckets_and_overflow;
-          tc "snapshot flattening" `Quick test_histogram_in_snapshot;
         ] );
       ( "engine",
         [

@@ -34,19 +34,31 @@ let hot_loop =
       ret (v "s");
     ]
 
+(* The tally's histogram named [name]. *)
+let hist tally name =
+  List.find
+    (fun h -> Metrics.hist_name h = name)
+    (Harness.Oracle.histograms tally)
+
 let test_disabled_by_default () =
-  let r = Engine.run hot_loop in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Engine.run ~events hot_loop in
   let engine = r.Engine.engine in
   check Alcotest.int "no attribution arrays unless asked" 0
     (Array.length (Engine.attr_self engine));
-  (* histograms are always on: O(1), off the dispatch fast path *)
+  (* the trace-length distribution is a fold of the completion events *)
   let s = r.Engine.run_stats in
   check Alcotest.int "one length observation per completion"
     s.Stats.traces_completed
-    (Metrics.hist_count (Engine.trace_len_hist engine))
+    (Metrics.hist_count (hist tally "executed_trace_len"))
 
 let test_engine_attribution () =
-  let r = Engine.run ~config:(Config.make ~obs_attribution:true ()) hot_loop in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r =
+    Engine.run ~config:(Config.make ~obs_attribution:true ()) ~events hot_loop
+  in
   let engine = r.Engine.engine in
   let s = r.Engine.run_stats in
   (* the hot-report reconciles exactly against Stats *)
@@ -65,7 +77,60 @@ let test_engine_attribution () =
   in
   check Alcotest.int "one distance observation per side exit"
     (s.Stats.traces_entered - s.Stats.traces_completed - in_flight)
-    (Metrics.hist_count (Engine.exit_distance_hist engine))
+    (Metrics.hist_count (hist tally "completion_distance"))
+
+(* The hot exit events' fields sum to the exit counters, and each
+   histogram the tally folds from them counts one observation per
+   event — on full runs and on runs cut off by an instruction cap, which
+   leave a trace in flight.  The four configurations exercise side
+   exits, self-healing quarantines, OSR deopts with a bounded cache and
+   the compiled tier. *)
+let test_hot_event_sums () =
+  let configs =
+    [
+      ("default", Config.make ());
+      ( "self-heal",
+        Config.make ~self_heal:true
+          ~fault_spec:"corrupt-trace@0.005,corrupt-instrs@0.005" () );
+      ( "osr + self-heal, 48 traces",
+        Config.make ~osr:true ~self_heal:true ~max_cache_traces:48
+          ~fault_spec:
+            "guard_flip@0.02,corrupt-trace@0.005,zero-counter@0.005,budget=40"
+          () );
+      ( "tier + osr",
+        Config.make ~tier:true ~osr:true ~fault_spec:"guard_flip@0.05,budget=24"
+          () );
+    ]
+  in
+  List.iter
+    (fun w ->
+      let layout = Harness.Experiment.layout_for w ~size:500 in
+      List.iter
+        (fun (label, config) ->
+          List.iter
+            (fun max_instructions ->
+              let events = Tracegen.Events.create () in
+              let tally = Harness.Oracle.attach events in
+              let r = Engine.run ~config ~events ?max_instructions layout in
+              let s = r.Engine.run_stats in
+              let where =
+                Printf.sprintf "%s/%s/%s" w.Workloads.Workload.name label
+                  (match max_instructions with
+                  | Some n -> string_of_int n
+                  | None -> "full")
+              in
+              List.iter
+                (fun (c : Harness.Oracle.check) ->
+                  check Alcotest.int
+                    (where ^ ": " ^ c.Harness.Oracle.name)
+                    c.Harness.Oracle.want c.Harness.Oracle.got)
+                (Harness.Oracle.run_checks tally ~engine:r.Engine.engine s);
+              check Alcotest.int (where ^ ": one residue per deopt")
+                s.Stats.deopts
+                (Metrics.hist_count (hist tally "deopt_residue")))
+            [ None; Some 100_003; Some 33_331 ])
+        configs)
+    [ Workloads.Compress.workload; Workloads.Mpegaudio.workload ]
 
 (* ------------------------------------------------------------------ *)
 (* the JSON parser                                                      *)
@@ -203,6 +268,7 @@ let () =
         [
           tc "disabled by default" `Quick test_disabled_by_default;
           tc "attribution reconciles" `Quick test_engine_attribution;
+          tc "hot event sums reconcile" `Quick test_hot_event_sums;
         ] );
       ( "export",
         [

@@ -11,7 +11,6 @@ let sample =
     (Stats.zero ()) with
     Stats.instructions = 1000;
     block_dispatches = 100;
-    trace_dispatches = 50;
     traces_entered = 50;
     traces_completed = 40;
     completed_blocks = 200;
