@@ -14,7 +14,12 @@ module Stats = Tracegen.Stats
 let run workload size (flags : Cli.flags) dump_traces dump_bcg top
     dump_flightrec =
   let layout = Cli.layout workload ~size in
-  let result = Engine.run ~config:(Cli.config flags) layout in
+  (* --traces reads each trace's counts from a tally of the run's events *)
+  let events = Tracegen.Events.create () in
+  let tally =
+    if dump_traces then Some (Harness.Oracle.attach events) else None
+  in
+  let result = Engine.run ~config:(Cli.config flags) ~events layout in
   let s = result.Engine.run_stats in
   (* --dump-flightrec: force a Manual post-mortem dump of the black-box
      ring — what an invariant/divergence trigger would have written *)
@@ -46,21 +51,23 @@ let run workload size (flags : Cli.flags) dump_traces dump_bcg top
         (Vm.Interp.error_kind_to_string kind)
         msg);
   Format.printf "%a@." Stats.pp s;
-  if dump_traces then begin
+  Option.iter (fun tally ->
+    let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+    let completed tr = Harness.Oracle.completed tally tr.Tracegen.Trace.id in
     let traces = ref [] in
     Tracegen.Trace_cache.iter_all (Engine.cache result.Engine.engine)
       (fun tr -> traces := tr :: !traces);
     let sorted =
-      List.sort
-        (fun a b -> compare b.Tracegen.Trace.completed a.Tracegen.Trace.completed)
-        !traces
+      List.sort (fun a b -> compare (completed b) (completed a)) !traces
     in
     Printf.printf "\ntraces (%d total, showing up to %d by completions):\n"
       (List.length sorted) top;
     List.iteri
       (fun k tr ->
         if k < top then begin
-          print_endline (Tracegen.Trace.describe layout tr);
+          Printf.printf "%s entered=%d completed=%d\n"
+            (Tracegen.Trace.describe layout tr)
+            (entered tr) (completed tr);
           match tr.Tracegen.Trace.lowered with
           | Some body ->
               Printf.printf
@@ -70,8 +77,8 @@ let run workload size (flags : Cli.flags) dump_traces dump_bcg top
                 body.Tracegen.Microir.fused body.Tracegen.Microir.src_instrs
           | None -> if flags.tier then print_endline "       tier: interp"
         end)
-      sorted
-  end;
+      sorted)
+    tally;
   if dump_bcg then begin
     let bcg = Tracegen.Profiler.bcg (Engine.profiler result.Engine.engine) in
     let nodes = ref [] in
@@ -652,10 +659,9 @@ let session_cmd =
 
 (* Run workloads with per-block attribution on and print the hot-report:
    ranked traces (self dispatches, completions, attributed instructions)
-   and ranked blocks (self vs inlined executions).  Every column is then
-   reconciled against the end-of-run statistics — the report and Stats
-   are two views of the same dispatch loop and must agree exactly over
-   the unbounded, non-healing cache used here.  Exit 1 on mismatch. *)
+   and ranked blocks (self vs inlined executions).  The report folds the
+   events the oracle's identities reconcile against the end-of-run
+   statistics.  Exit 1 on mismatch. *)
 let top workload size flags top json =
   let ws = Cli.workloads workload in
   let config = Cli.config ~obs_attribution:true flags in
@@ -666,20 +672,12 @@ let top workload size flags top json =
       let tally = Harness.Oracle.attach events in
       let r = Engine.run ~config ~events (Cli.layout_of w ~size) in
       let engine = r.Engine.engine in
-      let report = Harness.Report.of_engine engine in
+      let report = Harness.Report.of_engine tally engine in
       if json then
         (* one schema-versioned object per workload, JSONL *)
         print_endline
           (Harness.Codec.to_string
-             (match Harness.Report.json report with
-             | Harness.Codec.J_obj (sv :: fields) ->
-                 (* keep schema_version leading, as on every record *)
-                 Harness.Codec.J_obj
-                   (sv
-                   :: ( "workload",
-                        Harness.Codec.J_string w.Workloads.Workload.name )
-                   :: fields)
-             | other -> other))
+             (Harness.Report.json ~workload:w.Workloads.Workload.name report))
       else begin
         Printf.printf "== %s ==\n" w.Workloads.Workload.name;
         print_string (Harness.Report.render ~top report);
@@ -693,7 +691,7 @@ let top workload size flags top json =
       if
         not
           (Harness.Oracle.report ~source:"report"
-             (Harness.Report.checks report engine r.Engine.run_stats))
+             (Harness.Oracle.event_checks tally ~engine r.Engine.run_stats))
       then incr failures)
     ws;
   if !failures > 0 then exit 1

@@ -29,7 +29,9 @@ let () =
         (Cfg.Layout.cfg_of_method layout ~method_id:m.Bytecode.Mthd.id)
   | None -> Printf.printf "(no method named %s; skipping disassembly)\n" meth);
 
-  let r = Tracegen.Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Tracegen.Engine.run ~events layout in
   let engine = r.Tracegen.Engine.engine in
 
   Printf.printf "\n=== hottest branch correlation nodes ===\n";
@@ -43,16 +45,19 @@ let () =
          if k < 10 then Format.printf "%a@." (Tracegen.Bcg.pp_node layout) n);
 
   Printf.printf "\n=== traces by instructions delivered ===\n";
+  let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+  let completed tr = Harness.Oracle.completed tally tr.Tracegen.Trace.id in
+  let delivered tr = completed tr * tr.Tracegen.Trace.total_instrs in
   let traces = ref [] in
   Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache engine) (fun tr ->
       traces := tr :: !traces);
   !traces
-  |> List.sort (fun a b ->
-         compare
-           (b.Tracegen.Trace.completed * b.Tracegen.Trace.total_instrs)
-           (a.Tracegen.Trace.completed * a.Tracegen.Trace.total_instrs))
+  |> List.sort (fun a b -> compare (delivered b) (delivered a))
   |> List.iteri (fun k tr ->
-         if k < 10 then print_endline (Tracegen.Trace.describe layout tr));
+         if k < 10 then
+           Printf.printf "%s entered=%d completed=%d\n"
+             (Tracegen.Trace.describe layout tr)
+             (entered tr) (completed tr));
 
   let s = r.Tracegen.Engine.run_stats in
   Printf.printf "\n%d signals, %d traces, %.1f%% coverage, %.2f%% completion\n"

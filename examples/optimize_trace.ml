@@ -17,23 +17,27 @@ let () =
         exit 2
   in
   let layout = Cfg.Layout.build (Workloads.Workload.build_default w) in
-  let r = Tracegen.Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Tracegen.Engine.run ~events layout in
+  let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+  let completed tr = Harness.Oracle.completed tally tr.Tracegen.Trace.id in
+  let delivered tr = completed tr * tr.Tracegen.Trace.total_instrs in
   let traces = ref [] in
   Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache r.Tracegen.Engine.engine)
     (fun tr -> traces := tr :: !traces);
   let hottest =
     !traces
-    |> List.filter (fun tr -> tr.Tracegen.Trace.completed > 0)
-    |> List.sort (fun a b ->
-           compare
-             (b.Tracegen.Trace.completed * b.Tracegen.Trace.total_instrs)
-             (a.Tracegen.Trace.completed * a.Tracegen.Trace.total_instrs))
+    |> List.filter (fun tr -> completed tr > 0)
+    |> List.sort (fun a b -> compare (delivered b) (delivered a))
   in
   List.iteri
     (fun k tr ->
       if k < 3 then begin
         let res = Opt.optimize layout tr in
-        Printf.printf "=== %s ===\n" (Tracegen.Trace.describe layout tr);
+        Printf.printf "=== %s entered=%d completed=%d ===\n"
+          (Tracegen.Trace.describe layout tr)
+          (entered tr) (completed tr);
         Printf.printf "original (%d instructions):\n"
           (Array.length res.Opt.original);
         Array.iter

@@ -44,7 +44,9 @@ let program () =
 
 let () =
   let layout = Cfg.Layout.build (program ()) in
-  let r = Tracegen.Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Tracegen.Engine.run ~events layout in
   let s = r.Tracegen.Engine.run_stats in
   Printf.printf "three phases of 30k iterations each\n\n";
   Printf.printf "signals raised      : %d\n" s.St.signals;
@@ -57,14 +59,18 @@ let () =
   Printf.printf "total coverage      : %.1f%%\n\n"
     (100.0 *. St.coverage_total s);
   print_endline "hottest traces at exit (phase 2's path dominates):";
+  let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+  let completed tr = Harness.Oracle.completed tally tr.Tracegen.Trace.id in
   let traces = ref [] in
   Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache r.Tracegen.Engine.engine)
     (fun tr -> traces := tr :: !traces);
   !traces
-  |> List.sort (fun a b ->
-         compare b.Tracegen.Trace.entered a.Tracegen.Trace.entered)
+  |> List.sort (fun a b -> compare (entered b) (entered a))
   |> List.iteri (fun k tr ->
-         if k < 6 then print_endline ("  " ^ Tracegen.Trace.describe layout tr));
+         if k < 6 then
+           Printf.printf "  %s entered=%d completed=%d\n"
+             (Tracegen.Trace.describe layout tr)
+             (entered tr) (completed tr));
   print_newline ();
   print_endline
     "Each phase flip demotes the switch's old target, raises a handful of";

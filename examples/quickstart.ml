@@ -38,7 +38,9 @@ let () =
     layout.Cfg.Layout.n_blocks;
 
   (* 3. Run under the profiling + trace-cache engine. *)
-  let result = Tracegen.Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let result = Tracegen.Engine.run ~events layout in
   (match Vm.Interp.result_value result.Tracegen.Engine.vm_result with
   | Some v -> Printf.printf "result: %s\n\n" (Vm.Value.to_string v)
   | None -> print_endline "void result");
@@ -56,13 +58,19 @@ let () =
   Printf.printf "trace event interval : %.1fk dispatches\n\n"
     (St.trace_event_interval s /. 1000.0);
 
-  (* 5. The traces themselves. *)
+  (* 5. The traces themselves.  Their entry and completion counts are
+        folds of the run's event stream, kept by the tally attached in
+        step 3. *)
   print_endline "hottest traces:";
+  let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+  let completed tr = Harness.Oracle.completed tally tr.Tracegen.Trace.id in
   let traces = ref [] in
   Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache result.Tracegen.Engine.engine)
     (fun tr -> traces := tr :: !traces);
   !traces
-  |> List.sort (fun a b ->
-         compare b.Tracegen.Trace.completed a.Tracegen.Trace.completed)
+  |> List.sort (fun a b -> compare (completed b) (completed a))
   |> List.iteri (fun k tr ->
-         if k < 5 then print_endline ("  " ^ Tracegen.Trace.describe layout tr))
+         if k < 5 then
+           Printf.printf "  %s entered=%d completed=%d\n"
+             (Tracegen.Trace.describe layout tr)
+             (entered tr) (completed tr))

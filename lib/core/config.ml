@@ -65,7 +65,7 @@ type t = {
          the coldest compiled trace (pinned traces are exempt) *)
   (* observability *)
   obs_attribution : bool;
-      (* keep per-block self/inlined dispatch attribution arrays *)
+      (* keep the per-block attribution of dispatches outside traces *)
   flightrec_capacity : int;
       (* flight-recorder ring capacity; 0 disarms the recorder *)
 }
@@ -181,7 +181,3 @@ let tier_compile_after t = t.tier_compile_after
 let tier_compile_budget t = t.tier_compile_budget
 let obs_attribution t = t.obs_attribution
 let flightrec_capacity t = t.flightrec_capacity
-
-let pp ppf t =
-  Format.fprintf ppf "delay=%d threshold=%.2f decay=%d" t.start_state_delay
-    t.threshold t.decay_period

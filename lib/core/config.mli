@@ -188,13 +188,13 @@ val tier_compile_budget : t -> int
 (** {2 Observability} *)
 
 val obs_attribution : t -> bool
-(** Keep per-block self/inlined dispatch attribution (one word per block
-    per array) feeding the hot-report.  Off by default. *)
+(** Keep per-block attribution of the dispatches outside traces (one
+    word per block) feeding the hot-report.  Off by default.  The
+    inlined executions need no switch: the hot report folds them from
+    the exit events. *)
 
 val flightrec_capacity : t -> int
 (** Flight-recorder ring capacity in entries (default 512).  The
     recorder is always on — O(1) per record, bounded retention — and
     dumps its window on invariant violations, chaos divergence, snapshot
     rejection or degradation to interp-only.  0 disarms it. *)
-
-val pp : Format.formatter -> t -> unit

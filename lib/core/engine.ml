@@ -77,8 +77,8 @@ type t = {
        Config.flightrec_capacity = 0); dump triggers fire here, the
        intake is wired through the event tap *)
   attr_self : int array;
-    (* per-gid dispatches outside traces; [||] = attribution off *)
-  attr_inlined : int array; (* per-gid executions inlined inside traces *)
+    (* per-gid dispatches outside traces; [||] = attribution off.  The
+       exit events imply the executions inlined inside traces. *)
   counts : Stats.t;
     (* the counters the engine advances, in place; [counters] fills in
        the ones other modules own when it copies them out *)
@@ -121,14 +121,10 @@ let fr_trigger t reason =
   | Some fr -> Flightrec.trigger fr reason
   | None -> ()
 
-(* Attribution bumps; the arrays are [||] when Config.obs_attribution is
-   off, so the disabled path is one length test. *)
+(* The attribution bump; the array is [||] when Config.obs_attribution
+   is off, so the disabled path is one length test. *)
 let attr_step t g =
   if Array.length t.attr_self > 0 then t.attr_self.(g) <- t.attr_self.(g) + 1
-
-let attr_inline t g =
-  if Array.length t.attr_inlined > 0 then
-    t.attr_inlined.(g) <- t.attr_inlined.(g) + 1
 
 (* One ordinary block dispatch outside any trace: count and attribute
    it.  The caller runs (or skips) the profiler hook. *)
@@ -184,7 +180,7 @@ let apply_health t (transition : Health.transition) =
 (* End the active trace after a completion. *)
 let finish_completed t (tr : Trace.t) =
   t.just_completed <- true;
-  tr.Trace.completed <- tr.Trace.completed + 1;
+  tr.Trace.ever_completed <- true;
   let c = t.counts in
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
@@ -202,8 +198,6 @@ let finish_completed t (tr : Trace.t) =
    been processed yet. *)
 let finish_partial t (tr : Trace.t) =
   t.just_completed <- false;
-  tr.Trace.partial_exits <- tr.Trace.partial_exits + 1;
-  tr.Trace.partial_instrs <- tr.Trace.partial_instrs + t.matched_instrs;
   let c = t.counts in
   c.Stats.partial_blocks <- c.Stats.partial_blocks + t.active_pos;
   c.Stats.partial_instrs <- c.Stats.partial_instrs + t.matched_instrs;
@@ -385,7 +379,7 @@ let counters t : Stats.t =
   s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
   s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
   Trace_cache.iter_all cache (fun tr ->
-      if tr.Trace.completed > 0 then begin
+      if tr.Trace.ever_completed then begin
         s.Stats.static_traces <- s.Stats.static_traces + 1;
         s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
       end);
@@ -569,12 +563,10 @@ let enter t ~hit (tr : Trace.t) g =
   let chained = t.just_completed in
   if chained then c.Stats.chained_entries <- c.Stats.chained_entries + 1;
   t.just_completed <- false;
-  tr.Trace.entered <- tr.Trace.entered + 1;
   Events.emit_trace_entered t.events ~trace_id:tr.Trace.id ~chained;
   (* the single profiling statement of a trace dispatch *)
   Profiler.dispatch t.profiler g;
   note_executed t g;
-  attr_inline t g;
   t.matched_instrs <- tr.Trace.instr_len.(0);
   if Trace.n_blocks tr = 1 then begin
     (* degenerate single-block trace: completes immediately *)
@@ -726,7 +718,6 @@ let rec follow t (g : Layout.gid) =
       in
       if g = expected && not forced then begin
         note_executed t g;
-        attr_inline t g;
         account_lowered t t.active_pos;
         t.matched_instrs <- t.matched_instrs + tr.Trace.instr_len.(t.active_pos);
         if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
@@ -839,10 +830,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   let profiler =
     Profiler.create ~events config ~n_blocks:layout.Layout.n_blocks ~on_signal
   in
-  let attribution () =
-    if Config.obs_attribution config then Array.make layout.Layout.n_blocks 0
-    else [||]
-  in
   let kind, pinned =
     match backend with
     | Some k -> (k, true)
@@ -860,8 +847,10 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       faults;
       osr;
       flightrec;
-      attr_self = attribution ();
-      attr_inlined = attribution ();
+      attr_self =
+        (if Config.obs_attribution config then
+           Array.make layout.Layout.n_blocks 0
+         else [||]);
       counts = Stats.zero ();
       active = None;
       active_lowered = None;
@@ -901,8 +890,6 @@ let ledger t = Some t.ledger
 
 let attr_self t = t.attr_self
 
-let attr_inlined t = t.attr_inlined
-
 let inflight_matched_blocks t =
   match t.active with Some _ -> t.active_pos | None -> 0
 
@@ -913,8 +900,6 @@ let attach t (handle : Interp.handle) =
   | Some osr ->
       Osr.set_materialize osr (fun () -> Some (Interp.materialize handle))
   | None -> ()
-
-let backend_kind t = t.kind
 
 let backend_name t = fst (describe_backend t.kind)
 

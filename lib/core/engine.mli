@@ -158,17 +158,13 @@ val ledger : t -> Ledger.t option
 
 val attr_self : t -> int array
 (** Per-gid dispatches outside any trace; [[||]] unless
-    [Config.obs_attribution] was on.  Sums to [block_dispatches]. *)
-
-val attr_inlined : t -> int array
-(** Per-gid block executions inlined inside traces; [[||]] unless
-    attribution was on.  Sums to
-    [completed_blocks + partial_blocks + inflight_matched_blocks]. *)
+    [Config.obs_attribution] was on.  Sums to [block_dispatches].  The
+    exit events imply the executions inlined inside traces. *)
 
 val inflight_matched_blocks : t -> int
 (** Blocks matched so far by the currently active trace (0 when no trace
-    is active) — the attribution remainder of a run that ends
-    mid-trace. *)
+    is active) — the inlined executions of a run that ends mid-trace,
+    which no exit event covers yet. *)
 
 val arm_guard_flip : t -> pos:int -> unit
 (** Arm one FT008 guard flip at trace position [pos] directly
@@ -193,9 +189,6 @@ val attach : t -> Vm.Interp.handle -> unit
     [Vm.Interp.start].  No-op when OSR is off. *)
 
 (** {2 Backend kinds} *)
-
-val backend_kind : t -> backend_kind
-(** The strategy currently dispatching. *)
 
 val backend_name : t -> string
 

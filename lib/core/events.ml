@@ -31,7 +31,7 @@ type payload =
   | Trace_constructed of {
       trace_id : int;
       first : Cfg.Layout.gid;
-      n_blocks : int;
+      blocks : Cfg.Layout.gid array;
       n_instrs : int;
       prob : float;
       reused : bool;
@@ -151,8 +151,8 @@ type t = {
   mutable emitted : int;
   mutable tap : sink option;
       (* out-of-band observer (the flight recorder): sees every event
-         but does not count as a subscriber — [emitted] and
-         [n_subscribers] are unaffected, so a tapped-but-unsubscribed
+         but does not count as a subscriber — [emitted] is
+         unaffected, so a tapped-but-unsubscribed
          stream still reports itself quiet to user code *)
 }
 
@@ -167,8 +167,6 @@ let subscribe t f =
   id
 
 let unsubscribe t id = t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
-
-let n_subscribers t = List.length t.subs
 
 let set_tap t sink = t.tap <- Some sink
 

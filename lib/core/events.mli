@@ -71,7 +71,9 @@ type payload =
   | Trace_constructed of {
       trace_id : int;
       first : Cfg.Layout.gid;  (** entry context block *)
-      n_blocks : int;
+      blocks : Cfg.Layout.gid array;
+          (** a copy of the trace body [X1 .. Xk] as installed: a fault
+              that corrupts the live body later leaves it intact *)
       n_instrs : int;
       prob : float;  (** expected completion probability at construction *)
       reused : bool;
@@ -267,16 +269,12 @@ val subscribe : t -> (event -> unit) -> subscription
 val unsubscribe : t -> subscription -> unit
 (** Unknown or already-removed subscriptions are ignored. *)
 
-val n_subscribers : t -> int
-(** Taps are not subscribers; see {!set_tap}. *)
-
 val set_tap : t -> sink -> unit
 (** Install the out-of-band observer (the engine's intake for its
-    flight recorder and decision ledger).
-    The tap sees every event before the subscribers do — hot kinds as
-    scalars, through the sink's [hot] — enables the
-    stream like a subscriber would, but is invisible to
-    {!n_subscribers} and {!emitted} — user-facing "is anyone
+    flight recorder and decision ledger).  The tap sees every event
+    before the subscribers do — hot kinds as scalars, through the
+    sink's [hot] — and enables the stream like a subscriber would, but
+    is not one and is invisible to {!emitted}: user-facing "is anyone
     listening?" semantics are unchanged by an armed recorder.  At most
     one tap; installing again replaces it. *)
 

@@ -1,7 +1,7 @@
 module Instr = Bytecode.Instr
 module Layout = Cfg.Layout
 
-(* A flat register-based micro-IR for hot traces (ROADMAP item 2).  The
+(* A flat register-based micro-IR for hot traces.  The
    stack bytecode of a trace's blocks is converted to straight-line
    register code: every operand-stack push allocates a virtual register
    identified by its (epoch, stack depth) at push time, where the epoch
@@ -823,13 +823,3 @@ let op_to_string = function
       else
         Printf.sprintf "r%d = %s r%d, local[%d]" dst (iop_to_string op) other
           slot
-
-let pp ppf (b : body) =
-  Format.fprintf ppf
-    "@[<v>micro-IR: %d ops / %d src instrs, %d regs, folded=%d dead=%d \
-     fused=%d@,"
-    (Array.length b.ops) b.src_instrs b.n_regs b.folded b.dead b.fused;
-  Array.iteri
-    (fun i op -> Format.fprintf ppf "  %3d: %s@," i (op_to_string op))
-    b.ops;
-  Format.fprintf ppf "@]"

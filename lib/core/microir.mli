@@ -173,5 +173,3 @@ val check : ?expect:Cfg.Layout.gid array -> body -> string list
 val cval_to_string : cval -> string
 
 val op_to_string : op -> string
-
-val pp : Format.formatter -> body -> unit

@@ -1,6 +1,6 @@
 module Layout = Cfg.Layout
 
-(* On-stack replacement (ROADMAP item 4): the machinery that lets the
+(* On-stack replacement: the machinery that lets the
    engine switch between block dispatch and trace dispatch *inside* a
    trace or a loop iteration, instead of only at trace boundaries.
 

@@ -1,5 +1,5 @@
 (** On-stack replacement: mid-trace deoptimization and mid-loop
-    promotion (ROADMAP item 4).
+    promotion.
 
     The paper's engine only switches between block dispatch and trace
     dispatch at trace boundaries: a guard failure abandons the whole

@@ -1,8 +1,8 @@
-(** The versioned, checksummed binary snapshot format for warm starts
-    (ROADMAP item 5): the flattened BCG plus the live trace cache,
-    behind a fixed header that is validated outermost-first so a foreign
-    or corrupted snapshot is rejected with a typed {!error} before any
-    value is constructed — decoding never half-loads.
+(** The versioned, checksummed binary snapshot format for warm starts:
+    the flattened BCG plus the live trace cache, behind a fixed header
+    that is validated outermost-first so a foreign or corrupted snapshot
+    is rejected with a typed {!error} before any value is constructed —
+    decoding never half-loads.
 
     {v
      offset  size  field

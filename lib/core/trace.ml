@@ -18,10 +18,9 @@ type t = {
   prob : float; (* expected completion probability at construction *)
   instr_len : int array; (* static instruction count per block *)
   total_instrs : int;
-  mutable entered : int;
-  mutable completed : int;
-  mutable partial_exits : int;
-  mutable partial_instrs : int; (* instructions executed on early exits *)
+  mutable ever_completed : bool;
+      (* followed to its end at least once (Stats.static_traces); how
+         often is a fold of the event stream *)
   mutable owner : int;
       (* id of the session whose profiler built this trace; 0 for a
          single-engine run.  Stamped by the cache at installation and
@@ -63,10 +62,7 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     prob;
     instr_len;
     total_instrs = Array.fold_left ( + ) 0 instr_len;
-    entered = 0;
-    completed = 0;
-    partial_exits = 0;
-    partial_instrs = 0;
+    ever_completed = false;
     owner = 0;
     pruned = [||];
     promoted = false;
@@ -84,19 +80,12 @@ let last_block t = t.blocks.(Array.length t.blocks - 1)
    identical. *)
 let same_sequence a b = a.first = b.first && a.blocks = b.blocks
 
-let completion_rate t =
-  if t.entered = 0 then 0.0
-  else float_of_int t.completed /. float_of_int t.entered
-
+(* FT001 negates a gid in place: render it rather than index with it *)
 let describe layout t =
-  Printf.sprintf "T%d [%s | %s] p=%.3f entered=%d completed=%d" t.id
-    (Layout.describe layout t.first)
-    (String.concat " -> "
-       (Array.to_list (Array.map (Layout.describe layout) t.blocks)))
-    t.prob t.entered t.completed
-
-let pp ppf t =
-  Format.fprintf ppf "T%d ctx=%d blocks=[%s] p=%.3f" t.id t.first
-    (String.concat ";"
-       (Array.to_list (Array.map string_of_int t.blocks)))
+  let name g =
+    if g >= 0 && g < layout.Layout.n_blocks then Layout.describe layout g
+    else Printf.sprintf "?%d" g
+  in
+  Printf.sprintf "T%d [%s | %s] p=%.3f" t.id (name t.first)
+    (String.concat " -> " (Array.to_list (Array.map name t.blocks)))
     t.prob

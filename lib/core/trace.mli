@@ -18,11 +18,10 @@ type t = {
   prob : float;  (** expected completion probability at construction *)
   instr_len : int array;  (** static instruction count per block *)
   total_instrs : int;
-  mutable entered : int;
-  mutable completed : int;
-  mutable partial_exits : int;
-  mutable partial_instrs : int;
-      (** instructions executed on early exits *)
+  mutable ever_completed : bool;
+      (** followed to its end at least once: [Stats.static_traces]
+          counts these.  How often a trace was entered, completed or
+          exited is a fold of the event stream ([Harness.Oracle]). *)
   mutable owner : int;
       (** id of the session whose profiler built this trace ([0] for a
           single-engine run).  Stamped by the cache at installation and
@@ -76,9 +75,7 @@ val last_block : t -> Cfg.Layout.gid
 val same_sequence : t -> t -> bool
 (** Same entry context and same block sequence: the same cache entry. *)
 
-val completion_rate : t -> float
-
 val describe : Cfg.Layout.t -> t -> string
-(** One-line human-readable rendering with block names and counters. *)
-
-val pp : Format.formatter -> t -> unit
+(** One-line human-readable rendering of the live body with block
+    names; a gid outside the layout (a corrupted block) renders as
+    [?gid]. *)

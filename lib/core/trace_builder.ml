@@ -140,7 +140,7 @@ let install_candidate (cache : Trace_cache.t) ~events ~first ~blocks ~prob :
              {
                trace_id = tr.Trace.id;
                first;
-               n_blocks = Trace.n_blocks tr;
+               blocks = Array.copy tr.Trace.blocks;
                n_instrs = tr.Trace.total_instrs;
                prob;
                reused = not is_new;
@@ -257,8 +257,8 @@ let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
     entry_points = List.length entries;
   }
 
-(* OSR mid-loop promotion (ROADMAP item 4): build the hot loop's
-   back-edge trace *now*, without waiting for a profiler signal.
+(* OSR mid-loop promotion: build the hot loop's back-edge trace *now*,
+   without waiting for a profiler signal.
 
    This walk is deliberately not the signal path's maximum-likelihood
    walk: that one refuses immature (newly created / weakly correlated)

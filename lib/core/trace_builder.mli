@@ -20,11 +20,6 @@ type outcome = {
   entry_points : int;
 }
 
-val no_outcome : outcome
-
-val find_entry_points : Bcg.node -> Bcg.node list
-(** Step 1 alone, exposed for inspection and tests. *)
-
 val on_signal :
   ?events:Events.t ->
   ?on_path:(int -> unit) ->

@@ -68,11 +68,10 @@ type decay_row = {
 let decay_run ~decay_period ~iters_per_phase : decay_row =
   let layout = Cfg.Layout.build (phase_program ~iters_per_phase) in
   let config = Config.make ~decay_period () in
-  let r = Tracegen.Engine.run ~config layout in
+  let events = Tracegen.Events.create () in
+  let tally = Oracle.attach events in
+  let r = Tracegen.Engine.run ~config ~events layout in
   let s = r.Tracegen.Engine.run_stats in
-  let partial_exits = ref 0 in
-  Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache r.Tracegen.Engine.engine)
-    (fun tr -> partial_exits := !partial_exits + tr.Tracegen.Trace.partial_exits);
   {
     label =
       (if decay_period > 1_000_000 then "no decay"
@@ -81,7 +80,10 @@ let decay_run ~decay_period ~iters_per_phase : decay_row =
     traces_replaced = s.Stats.traces_replaced;
     completion = Stats.completion_rate s;
     coverage_total = Stats.coverage_total s;
-    partial_exits = !partial_exits;
+    partial_exits =
+      List.fold_left
+        (fun acc row -> acc + Oracle.side_exits row)
+        0 (Oracle.traces tally);
   }
 
 let decay_ablation ?(iters_per_phase = 40_000) () =
@@ -121,20 +123,11 @@ let optimizer_report ?(scale = 1.0) () =
   List.iter
     (fun w ->
       let name = w.Workloads.Workload.name in
-      let key =
-        Experiment.default_key ~workload:name
-          ~size:(Experiment.size_for ~scale w)
-      in
-      ignore (Experiment.execute key);
-      (* re-run to get the engine with its cache (Experiment only keeps
-         stats); cheap at small scale but wasteful at 1.0 — accept it,
-         the run cache keyed identically cannot hand us the engine *)
-      let layout =
-        Experiment.layout_for
-          (Option.get (Workloads.Registry.find name))
-          ~size:key.Experiment.size
-      in
-      let r = Tracegen.Engine.run layout in
+      let size = Experiment.size_for ~scale w in
+      let layout = Experiment.layout_for w ~size in
+      let events = Tracegen.Events.create () in
+      let tally = Oracle.attach events in
+      let r = Tracegen.Engine.run ~events layout in
       let traces = ref 0 in
       let weighted_orig = ref 0 in
       let weighted_saved = ref 0 in
@@ -144,10 +137,10 @@ let optimizer_report ?(scale = 1.0) () =
       let tail = ref 0 in
       Tracegen.Trace_cache.iter_all (Tracegen.Engine.cache r.Tracegen.Engine.engine)
         (fun tr ->
-          if tr.Tracegen.Trace.completed > 0 then begin
+          let c = Oracle.completed tally tr.Tracegen.Trace.id in
+          if c > 0 then begin
             incr traces;
             let res = Tracegen.Trace_optimizer.optimize layout tr in
-            let c = tr.Tracegen.Trace.completed in
             weighted_orig :=
               !weighted_orig + (c * Array.length res.Tracegen.Trace_optimizer.original);
             weighted_saved :=

@@ -110,8 +110,11 @@ let to_string j =
    [name.count] … [name.max] fields, and with [trace_dispatches] gone
    (it repeated [traces_entered]) snapshots and [export] JSON lose that
    key; [side_exit] loses [matched_blocks] (it repeated [at_block]);
-   the [path_walked] event kind is added. *)
-let schema_version = 13
+   the [path_walked] event kind is added.
+   Version 14: [trace_constructed] carries the trace body, [blocks] (a
+   list of gids), in place of its length [n_blocks], so the hot report
+   folds per-block counts from the stream alone. *)
+let schema_version = 14
 
 let versioned fields = ("schema_version", J_int schema_version) :: fields
 
@@ -139,12 +142,13 @@ let event_payload_fields (payload : Events.payload) : (string * json) list =
           ("new_state", J_string (Tracegen.State.to_string new_state));
           ("best_changed", J_bool best_changed);
         ]
-    | Events.Trace_constructed { trace_id; first; n_blocks; n_instrs; prob; reused }
+    | Events.Trace_constructed { trace_id; first; blocks; n_instrs; prob; reused }
       ->
         [
           ("trace_id", J_int trace_id);
           ("first", J_int first);
-          ("n_blocks", J_int n_blocks);
+          ( "blocks",
+            J_list (Array.to_list (Array.map (fun g -> J_int g) blocks)) );
           ("n_instrs", J_int n_instrs);
           ("prob", J_float prob);
           ("reused", J_bool reused);

@@ -18,8 +18,6 @@ let check_ok c = c.got = c.want
 
 let all_ok checks = List.for_all check_ok checks
 
-let failures checks = List.filter (fun c -> not (check_ok c)) checks
-
 let report ~source checks =
   List.fold_left
     (fun ok c ->
@@ -41,16 +39,28 @@ let report ~source checks =
 (* Per-kind counts plus the refinements the checks need beyond raw
    kinds: new-vs-reused constructions, the eviction-reason split
    (quarantine removals count under traces_quarantined, the other
-   reasons under traces_evicted), the instruction sums of the hot exit
-   events, and the run's five distributions, each a fold of one event
-   field. *)
+   reasons under traces_evicted), the run's five distributions, each a
+   fold of one event field, and one row per constructed trace. *)
+type trace_row = {
+  id : int;
+  first : Cfg.Layout.gid;
+  body : Cfg.Layout.gid array; (* trace_constructed.blocks *)
+  n_instrs : int;
+  prob : float;
+  mutable entered : int;
+  mutable completed : int;
+  exits : int array; (* side exits by at_block *)
+  mutable partial_instrs : int; (* sum of side_exit.matched_instrs *)
+}
+
 type tally = {
   counts : (string, int) Hashtbl.t;
+  rows : (int, trace_row) Hashtbl.t; (* by trace id, first construction *)
+  mutable unknown_trace : int; (* hot events naming no constructed trace *)
+  mutable mismatched : int; (* completions whose sizes are not the body's *)
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
-  mutable completed_instrs : int; (* sum of trace_completed.n_instrs *)
-  mutable exit_instrs : int; (* sum of side_exit.matched_instrs *)
   trace_len : Metrics.histogram; (* trace_completed.n_blocks *)
   exit_distance : Metrics.histogram; (* side_exit.at_block *)
   build_len : Metrics.histogram; (* path_walked.transitions *)
@@ -62,11 +72,12 @@ type tally = {
 let create_tally () =
   {
     counts = Hashtbl.create 16;
+    rows = Hashtbl.create 64;
+    unknown_trace = 0;
+    mismatched = 0;
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
-    completed_instrs = 0;
-    exit_instrs = 0;
     trace_len = Metrics.histogram "executed_trace_len";
     exit_distance = Metrics.histogram "completion_distance";
     build_len = Metrics.histogram "builder_path_len";
@@ -81,24 +92,60 @@ let n_kinds t = Hashtbl.length t.counts
 let histograms t =
   [ t.trace_len; t.exit_distance; t.build_len; t.backoff; t.deopt_residue ]
 
+let traces t = Hashtbl.fold (fun _ row acc -> row :: acc) t.rows []
+
+let row_count f t id =
+  match Hashtbl.find_opt t.rows id with Some row -> f row | None -> 0
+
+let entered = row_count (fun row -> row.entered)
+
+let completed = row_count (fun row -> row.completed)
+
+let side_exits row = Array.fold_left ( + ) 0 row.exits
+
+let rows_sum t f = Hashtbl.fold (fun _ row acc -> acc + f row) t.rows 0
+
+(* Fold a hot event into its trace's row, or count a row-less one. *)
+let on_row t id f =
+  match Hashtbl.find_opt t.rows id with
+  | Some row -> f row
+  | None -> t.unknown_trace <- t.unknown_trace + 1
+
 let observe t (e : Events.event) =
   let k = Events.kind e.Events.payload in
   Hashtbl.replace t.counts k (1 + count t k);
   match e.Events.payload with
-  | Events.Trace_constructed { reused = false; _ } ->
-      t.constructed_new <- t.constructed_new + 1
+  | Events.Trace_constructed { trace_id; first; blocks; n_instrs; prob; reused }
+    ->
+      if not reused then t.constructed_new <- t.constructed_new + 1;
+      (* a hash-cons reuse names a trace already seen: keep its row *)
+      if not (Hashtbl.mem t.rows trace_id) then
+        Hashtbl.replace t.rows trace_id
+          { id = trace_id; first; body = blocks; n_instrs; prob; entered = 0;
+            completed = 0; exits = Array.make (Array.length blocks) 0;
+            partial_instrs = 0 }
+  | Events.Trace_entered { trace_id; _ } ->
+      on_row t trace_id (fun row -> row.entered <- row.entered + 1)
   (* exhaustive over the shared eviction-reason variant *)
   | Events.Trace_evicted { reason = Events.Quarantine; _ } ->
       t.evicted_quarantine <- t.evicted_quarantine + 1
   | Events.Trace_evicted
       { reason = Events.Capacity | Events.Pressure | Events.Footprint; _ } ->
       t.evicted_counted <- t.evicted_counted + 1
-  | Events.Trace_completed { n_blocks; n_instrs; _ } ->
+  | Events.Trace_completed { trace_id; n_blocks; n_instrs } ->
       Metrics.record t.trace_len n_blocks;
-      t.completed_instrs <- t.completed_instrs + n_instrs
-  | Events.Side_exit { at_block; matched_instrs; _ } ->
+      on_row t trace_id (fun row ->
+          row.completed <- row.completed + 1;
+          if n_blocks <> Array.length row.body || n_instrs <> row.n_instrs then
+            t.mismatched <- t.mismatched + 1)
+  | Events.Side_exit { trace_id; at_block; matched_instrs } ->
       Metrics.record t.exit_distance at_block;
-      t.exit_instrs <- t.exit_instrs + matched_instrs
+      on_row t trace_id (fun row ->
+          (* an at_block outside the body goes unrecorded, and the
+             inlined-positions identity catches it *)
+          if at_block >= 0 && at_block < Array.length row.exits then
+            row.exits.(at_block) <- row.exits.(at_block) + 1;
+          row.partial_instrs <- row.partial_instrs + matched_instrs)
   | Events.Path_walked { transitions } -> Metrics.record t.build_len transitions
   | Events.Trace_quarantined { until; _ } when until <> max_int ->
       Metrics.record t.backoff (until - e.Events.time)
@@ -165,18 +212,61 @@ let identities ~in_flight (t : tally) (s : Stats.t) : (string * check) list =
       row "trace_completed" "trace_completed (blocks) = completed_blocks"
         (Metrics.hist_sum t.trace_len) (stat "completed_blocks");
       row "trace_completed" "trace_completed (instrs) = completed_instrs"
-        t.completed_instrs (stat "completed_instrs");
+        (rows_sum t (fun r -> r.completed * r.n_instrs))
+        (stat "completed_instrs");
       row "side_exit" "side_exit (at_block) = partial_blocks"
         (Metrics.hist_sum t.exit_distance) (stat "partial_blocks");
-      row "side_exit" "side_exit (instrs) = partial_instrs" t.exit_instrs
+      row "side_exit" "side_exit (instrs) = partial_instrs"
+        (rows_sum t (fun r -> r.partial_instrs))
         (stat "partial_instrs");
     ]
+
+(* Completions cover whole bodies, side exits their first [at_block]
+   positions, a run that stops mid-trace the positions matched so far. *)
+let inlined t ~(engine : Engine.t) =
+  let counts = Array.make (Engine.layout engine).Cfg.Layout.n_blocks 0 in
+  (* the body's first [upto] positions, [k] times each *)
+  let cover body upto k =
+    for i = 0 to upto - 1 do
+      counts.(body.(i)) <- counts.(body.(i)) + k
+    done
+  in
+  Hashtbl.iter
+    (fun _ row ->
+      cover row.body (Array.length row.body) row.completed;
+      Array.iteri (cover row.body) row.exits)
+    t.rows;
+  (match Engine.active_trace engine with
+  | Some tr when Hashtbl.mem t.rows tr.Tracegen.Trace.id ->
+      cover (Hashtbl.find t.rows tr.Tracegen.Trace.id).body
+        (Engine.inflight_matched_blocks engine) 1
+  | _ -> ());
+  counts
 
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   let in_flight =
     match Engine.active_trace engine with Some _ -> 1 | None -> 0
   in
+  let sum = Array.fold_left ( + ) 0 and attr_self = Engine.attr_self engine in
+  let row name got want = { name; got; want } in
   List.map snd (identities ~in_flight t s)
+  (* the per-trace rows the hot report reads *)
+  @ [
+      row "hot events name a constructed trace" t.unknown_trace 0;
+      row "trace_completed (n_blocks, n_instrs) = constructed trace's"
+        t.mismatched 0;
+      row "inlined positions = completed + partial blocks + in-flight"
+        (sum (inlined t ~engine))
+        (s.Stats.completed_blocks + s.Stats.partial_blocks
+        + Engine.inflight_matched_blocks engine);
+    ]
+  @
+  if attr_self = [||] then []
+  else
+    [
+      row "attributed self dispatches = block_dispatches" (sum attr_self)
+        s.Stats.block_dispatches;
+    ]
 
 (* The same identities over a tally of the ledger's events, restricted
    to the kinds the ledger keeps. *)

@@ -7,14 +7,13 @@
     drift.
 
     The stream is also the one record of every per-event observation:
-    the engine keeps no histograms, and the tally folds the run's five
-    distributions from the fields of the events it counts. *)
+    the engine keeps no histograms and no per-trace counters, and the
+    tally folds the run's five distributions and its per-trace rows
+    from the fields of the events it counts. *)
 
 type check = { name : string; got : int; want : int }
 
-val check_ok : check -> bool
 val all_ok : check list -> bool
-val failures : check list -> check list
 
 val report : source:string -> check list -> bool
 (** Print one [# ok:] or [# MISMATCH:] line per check to stderr, naming
@@ -23,11 +22,25 @@ val report : source:string -> check list -> bool
 
 (** {2 Event tally} *)
 
+type trace_row = private {
+  id : int;
+  first : Cfg.Layout.gid;
+  body : Cfg.Layout.gid array;  (** [trace_constructed.blocks] *)
+  n_instrs : int;
+  prob : float;
+  mutable entered : int;
+  mutable completed : int;
+  exits : int array;  (** side exits by [at_block] *)
+  mutable partial_instrs : int;  (** instructions executed on side exits *)
+}
+(** One trace: the first [trace_constructed] event naming it, then every
+    hot event naming it.  Evicted, quarantined and corrupted traces keep
+    their rows. *)
+
 type tally
 (** Per-kind event counts plus the refinements the checks need
-    (new-vs-reused constructions, the eviction-reason split, the
-    instruction sums of completions and side exits) and the five
-    histograms. *)
+    (new-vs-reused constructions, the eviction-reason split), the five
+    histograms and one {!trace_row} per constructed trace. *)
 
 val attach : Tracegen.Events.t -> tally
 (** Subscribe a fresh tally to the stream — every subsequent event is
@@ -46,21 +59,37 @@ val histograms : tally -> Tracegen.Metrics.histogram list
       event's time, finite [until] only;
     - [deopt_residue]: [deopt_entered.residue_blocks]. *)
 
+val traces : tally -> trace_row list
+(** Every trace row, in no particular order. *)
+
+val entered : tally -> int -> int
+(** [entered t id]: trace [id]'s row's count, 0 without a row (a
+    restored trace); [completed] likewise. *)
+
+val completed : tally -> int -> int
+val side_exits : trace_row -> int
+
+val inlined : tally -> engine:Tracegen.Engine.t -> int array
+(** Per-gid block executions inlined inside traces: a completion covers
+    its trace's body, a side exit at [at_block] the first [at_block]
+    positions, and a run that stopped mid-trace the positions matched
+    so far. *)
+
 (** {2 The reconciliations} *)
 
 val event_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
-(** Every identity over the event timeline.  Most are rows of one
-    table: the occurrences of an event kind equal the
-    {!Tracegen.Stats.counters} entry the row names.  Written out beside
-    them: the new/reused construction split, the side-exit balance
-    (entered − completed − in-flight), the eviction-reason split, the
-    deopt residue (the [residue_blocks] of every [deopt_entered] sum to
-    [deopt_residue_blocks]) and the hot exit events' fields: the
-    [n_blocks] and [n_instrs] of every [trace_completed] sum to
-    [completed_blocks] and [completed_instrs], the [at_block] and
-    [matched_instrs] of every [side_exit] to [partial_blocks] and
-    [partial_instrs]. *)
+(** Every identity over the event timeline, one named row each.  Most
+    say the occurrences of an event kind equal the
+    {!Tracegen.Stats.counters} entry the row names; the rest tie event
+    fields to counters: the new/reused construction split, the
+    side-exit balance, the eviction-reason split, the deopt residue,
+    the block and instruction sums of the exit events, and the trace
+    rows the hot report reads — every hot event names a constructed
+    trace whose sizes it repeats, the {!inlined} counts sum to the
+    inlined positions, and {!Tracegen.Engine.attr_self}, when kept, to
+    [block_dispatches].  Events outlive their traces, so all of these
+    hold under eviction, quarantine and corruption. *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list

@@ -54,7 +54,8 @@ let rest_fields kvs ~skip =
           | Codec.J_string s -> Printf.sprintf "%s=%s" k s
           | Codec.J_bool b -> Printf.sprintf "%s=%b" k b
           | Codec.J_null -> Printf.sprintf "%s=null" k
-          | Codec.J_obj _ | Codec.J_list _ -> Printf.sprintf "%s=..." k))
+          | Codec.J_list _ -> Printf.sprintf "%s=%s" k (Codec.to_string v)
+          | Codec.J_obj _ -> Printf.sprintf "%s=..." k))
     kvs
 
 (* One parsed dump line as a human-readable description.  A [rec] kind

@@ -1,10 +1,12 @@
 (** The hot-report: where did a run's dispatches and instructions go?
 
-    Per-trace rows come from each trace's own counters; per-block rows
-    come from the engine's attribution arrays
-    ([Config.obs_attribution]).  Both are maintained by the same
-    dispatch loop that maintains [Stats], so every column sums to the
-    matching [Stats] total — {!checks} states those identities and
+    A fold of the event stream.  The per-trace rows are
+    {!Oracle.traces}, which keep the traces a run evicted, quarantined
+    or corrupted; a block's inlined executions are {!Oracle.inlined}.
+    Only a block's self dispatches come from the engine's attribution
+    array ([Config.obs_attribution]), since no event marks a dispatch
+    outside a trace.  Every column sums to its [Stats] total under any
+    configuration: {!Oracle.event_checks} states the identities and
     [repro_cli top] enforces them. *)
 
 type trace_row = {
@@ -33,22 +35,18 @@ type t = {
   blocks : block_row list;  (** ranked by self + inlined, descending *)
 }
 
-val of_engine : Tracegen.Engine.t -> t
-(** Collect the report from a finished engine.  Block rows are empty
-    unless the engine ran with [Config.obs_attribution]. *)
-
-val checks : t -> Tracegen.Engine.t -> Tracegen.Stats.t -> Oracle.check list
-(** The reconciliation identities; each must have [got = want].  Exact
-    for a run over an unbounded, non-healing cache (eviction with
-    hash-cons purging can lose condemned traces' counters). *)
+val of_engine : Oracle.tally -> Tracegen.Engine.t -> t
+(** Collect the report from a finished engine and the tally attached to
+    its stream before the run.  Block rows are empty unless the engine
+    ran with [Config.obs_attribution]. *)
 
 val render : ?top:int -> t -> string
 (** Human-readable ranked tables ([top] rows each, default 10). *)
 
-val json : t -> Codec.json
-(** The whole report as one schema-versioned object ([repro_cli top
-    --json]): the ranked trace and block rows with the same columns as
-    the rendered tables. *)
+val json : workload:string -> t -> Codec.json
+(** The whole report as one schema-versioned object naming [workload]
+    ([repro_cli top --json]): the ranked trace and block rows with the
+    same columns as the rendered tables. *)
 
 val hist_summary : Tracegen.Metrics.histogram list -> string
 (** One line per non-empty distribution: count, mean and the

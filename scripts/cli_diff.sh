@@ -133,6 +133,11 @@ check run compress --size 500 --osr --self-heal \
 check events compress --size 500 --stats-only --osr \
   --fault-spec 'guard_flip@0.05,budget=24'
 check top compress --size 500
+check top compress --size 500 --json
+check top mpegaudio --size 500 --tier
+# a corrupted trace body in the --traces dump
+check run compress --size 500 --traces \
+  --fault-spec 'corrupt-trace@0.005,budget=20'
 check explain compress --size 500 --trace 1
 check backends --size 500
 check session --workloads compress,raytrace --size 500

@@ -201,7 +201,10 @@ let test_pruning_verdicts_inert () =
   let counters s = List.map (fun (name, get) -> (name, get s)) Stats.counters in
   let plain = Engine.run layout in
   let halfway = Engine.total_dispatches plain.Engine.engine / 2 in
-  let e = Engine.create layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let entered tr = Harness.Oracle.entered tally tr.Tracegen.Trace.id in
+  let e = Engine.create ~events layout in
   let h = Interp.start layout ~on_block:(Engine.on_block e) in
   Engine.attach e h;
   ignore (Interp.step_blocks h halfway);
@@ -210,12 +213,12 @@ let test_pruning_verdicts_inert () =
   let pruned = ref [] in
   Trace_cache.iter_all (Engine.cache e) (fun tr ->
       if Trace_prover.prune layout tr > 0 then
-        pruned := (tr, tr.Tracegen.Trace.entered) :: !pruned);
+        pruned := (tr, entered tr) :: !pruned);
   check Alcotest.bool "the prover pruned live traces" true (!pruned <> []);
   let vm_result = Interp.finish h in
   check Alcotest.bool "pruned traces dispatched after the prune" true
     (List.exists
-       (fun (tr, entered) -> tr.Tracegen.Trace.entered > entered)
+       (fun (tr, before) -> entered tr > before)
        !pruned);
   check Alcotest.bool "identical result" true
     (fingerprint plain.Engine.vm_result = fingerprint vm_result);

@@ -89,20 +89,20 @@ let test_accounting_identity () =
      a completed or partial trace: block dispatches carry their block's
      instructions, traces carry theirs *)
   let layout = layout_of hot_loop_body in
-  let r = Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Engine.run ~events layout in
   let s = r.Engine.run_stats in
   let engine = r.Engine.engine in
-  ignore engine;
   let traced = s.Stats.completed_instrs + s.Stats.partial_instrs in
   check Alcotest.bool "traced instructions do not exceed the total" true
     (traced <= s.Stats.instructions);
   check Alcotest.int "entered = completed + partial exits + in flight"
     s.Stats.traces_entered
     (s.Stats.traces_completed
-    + (let p = ref 0 in
-       Tracegen.Trace_cache.iter_all (Engine.cache engine) (fun tr ->
-           p := !p + tr.Tracegen.Trace.partial_exits);
-       !p)
+    + List.fold_left
+        (fun acc row -> acc + Harness.Oracle.side_exits row)
+        0 (Harness.Oracle.traces tally)
     + (match Engine.active_trace engine with Some _ -> 1 | None -> 0))
 
 let test_phase_change_adapts () =

@@ -88,7 +88,7 @@ let test_kind_tags () =
           {
             trace_id = 0;
             first = 0;
-            n_blocks = 1;
+            blocks = [| 1 |];
             n_instrs = 1;
             prob = 1.0;
             reused = false;

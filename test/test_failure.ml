@@ -35,7 +35,9 @@ let trapping_body =
 
 let test_trap_mid_trace () =
   let layout = layout_of trapping_body in
-  let r = Engine.run layout in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let r = Engine.run ~events layout in
   (match r.Engine.vm_result.Interp.outcome with
   | Interp.Trapped (Interp.Array_bounds, _) -> ()
   | Interp.Trapped (k, m) ->
@@ -47,15 +49,17 @@ let test_trap_mid_trace () =
     (s.Stats.traces_completed > 1000);
   (* accounting still balances: completed + partial + (possibly one
      in-flight trace) = entered *)
-  let partials = ref 0 in
-  Tracegen.Trace_cache.iter_all (Engine.cache r.Engine.engine) (fun tr ->
-      partials := !partials + tr.Tracegen.Trace.partial_exits);
+  let partials =
+    List.fold_left
+      (fun acc row -> acc + Harness.Oracle.side_exits row)
+      0 (Harness.Oracle.traces tally)
+  in
   let in_flight =
     match Engine.active_trace r.Engine.engine with Some _ -> 1 | None -> 0
   in
   check Alcotest.int "entered = completed + partial + in-flight"
     s.Stats.traces_entered
-    (s.Stats.traces_completed + !partials + in_flight);
+    (s.Stats.traces_completed + partials + in_flight);
   check Alcotest.bool "coverage still bounded" true
     (Stats.coverage_total s <= 1.0)
 

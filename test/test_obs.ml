@@ -53,6 +53,48 @@ let test_disabled_by_default () =
     s.Stats.traces_completed
     (Metrics.hist_count (hist tally "executed_trace_len"))
 
+(* Every oracle identity holds, and the hot report built from the same
+   tally sums, column by column, to the Stats totals. *)
+let check_reconciles where tally engine (s : Stats.t) =
+  List.iter
+    (fun (c : Harness.Oracle.check) ->
+      check Alcotest.int
+        (where ^ ": " ^ c.Harness.Oracle.name)
+        c.Harness.Oracle.want c.Harness.Oracle.got)
+    (Harness.Oracle.run_checks tally ~engine s);
+  let report = Report.of_engine tally engine in
+  let sum rows f = List.fold_left (fun acc row -> acc + f row) 0 rows in
+  let traces = sum report.Report.traces and blocks = sum report.Report.blocks in
+  let in_flight =
+    match Engine.active_trace engine with Some _ -> 1 | None -> 0
+  in
+  List.iter
+    (fun (name, want, got) ->
+      check Alcotest.int (where ^ ": report " ^ name) want got)
+    ([
+       ("entered", s.Stats.traces_entered, traces (fun x -> x.Report.entered));
+       ( "completed",
+         s.Stats.traces_completed,
+         traces (fun x -> x.Report.completed) );
+       ( "partial exits",
+         s.Stats.traces_entered - s.Stats.traces_completed - in_flight,
+         traces (fun x -> x.Report.partial_exits) );
+       ( "instrs",
+         s.Stats.completed_instrs + s.Stats.partial_instrs,
+         traces (fun x -> x.Report.instrs) );
+     ]
+    @
+    if report.Report.blocks = [] then []
+    else
+      [
+        ("self", s.Stats.block_dispatches, blocks (fun x -> x.Report.self));
+        ( "inlined",
+          s.Stats.completed_blocks + s.Stats.partial_blocks
+          + Engine.inflight_matched_blocks engine,
+          blocks (fun x -> x.Report.inlined) );
+      ]);
+  report
+
 let test_engine_attribution () =
   let events = Tracegen.Events.create () in
   let tally = Harness.Oracle.attach events in
@@ -61,16 +103,9 @@ let test_engine_attribution () =
   in
   let engine = r.Engine.engine in
   let s = r.Engine.run_stats in
-  (* the hot-report reconciles exactly against Stats *)
-  let report = Report.of_engine engine in
+  let report = check_reconciles "hot loop" tally engine s in
   check Alcotest.bool "report has trace rows" true (report.Report.traces <> []);
   check Alcotest.bool "report has block rows" true (report.Report.blocks <> []);
-  check
-    Alcotest.(list string)
-    "every identity reconciles" []
-    (List.map
-       (fun (c : Harness.Oracle.check) -> c.Harness.Oracle.name)
-       (Harness.Oracle.failures (Report.checks report engine s)));
   (* the side-exit distance histogram counts exactly the side exits *)
   let in_flight =
     match Engine.active_trace engine with Some _ -> 1 | None -> 0
@@ -79,27 +114,32 @@ let test_engine_attribution () =
     (s.Stats.traces_entered - s.Stats.traces_completed - in_flight)
     (Metrics.hist_count (hist tally "completion_distance"))
 
-(* The hot exit events' fields sum to the exit counters, and each
+(* The hot exit events' fields sum to the exit counters, each
    histogram the tally folds from them counts one observation per
-   event — on full runs and on runs cut off by an instruction cap, which
-   leave a trace in flight.  The four configurations exercise side
-   exits, self-healing quarantines, OSR deopts with a bounded cache and
-   the compiled tier. *)
+   event, and the hot report folded from the same tally reconciles — on
+   full runs and on runs cut off by an instruction cap, which leave a
+   trace in flight.  The configurations exercise side exits,
+   self-healing quarantines, OSR deopts with a bounded cache, the
+   compiled tier, and capacity eviction of traces that were entered. *)
 let test_hot_event_sums () =
   let configs =
     [
-      ("default", Config.make ());
+      ("default", Config.make ~obs_attribution:true ());
       ( "self-heal",
-        Config.make ~self_heal:true
+        Config.make ~obs_attribution:true ~self_heal:true
           ~fault_spec:"corrupt-trace@0.005,corrupt-instrs@0.005" () );
       ( "osr + self-heal, 48 traces",
-        Config.make ~osr:true ~self_heal:true ~max_cache_traces:48
+        Config.make ~obs_attribution:true ~osr:true ~self_heal:true
+          ~max_cache_traces:48
           ~fault_spec:
             "guard_flip@0.02,corrupt-trace@0.005,zero-counter@0.005,budget=40"
           () );
       ( "tier + osr",
-        Config.make ~tier:true ~osr:true ~fault_spec:"guard_flip@0.05,budget=24"
-          () );
+        Config.make ~obs_attribution:true ~tier:true ~osr:true
+          ~fault_spec:"guard_flip@0.05,budget=24" () );
+      ( "8 traces, footprint-aware",
+        Config.make ~obs_attribution:true ~max_cache_traces:8
+          ~eviction_policy:Config.Cache.Footprint_aware () );
     ]
   in
   List.iter
@@ -119,18 +159,35 @@ let test_hot_event_sums () =
                   | Some n -> string_of_int n
                   | None -> "full")
               in
-              List.iter
-                (fun (c : Harness.Oracle.check) ->
-                  check Alcotest.int
-                    (where ^ ": " ^ c.Harness.Oracle.name)
-                    c.Harness.Oracle.want c.Harness.Oracle.got)
-                (Harness.Oracle.run_checks tally ~engine:r.Engine.engine s);
+              ignore (check_reconciles where tally r.Engine.engine s);
               check Alcotest.int (where ^ ": one residue per deopt")
                 s.Stats.deopts
                 (Metrics.hist_count (hist tally "deopt_residue")))
             [ None; Some 100_003; Some 33_331 ])
         configs)
     [ Workloads.Compress.workload; Workloads.Mpegaudio.workload ]
+
+(* A corrupt-trace run under OSR and self-healing, debug checks off: the
+   live bodies of condemned traces carry negated gids and their entries
+   are quarantined away, yet the report, read from the stream, builds
+   and reconciles. *)
+let test_report_after_corruption () =
+  let layout =
+    Cfg.Layout.build
+      (Workloads.Workload.build_default Workloads.Javacish.workload)
+  in
+  let events = Tracegen.Events.create () in
+  let tally = Harness.Oracle.attach events in
+  let config =
+    Config.make ~obs_attribution:true ~osr:true ~self_heal:true
+      ~fault_spec:"corrupt-trace@0.005,budget=20" ()
+  in
+  let r = Engine.run ~config ~events layout in
+  let s = r.Engine.run_stats in
+  check Alcotest.bool "traces were quarantined" true
+    (s.Stats.traces_quarantined > 0);
+  let report = check_reconciles "javac" tally r.Engine.engine s in
+  check Alcotest.bool "report has trace rows" true (report.Report.traces <> [])
 
 (* ------------------------------------------------------------------ *)
 (* the JSON parser                                                      *)
@@ -269,6 +326,8 @@ let () =
           tc "disabled by default" `Quick test_disabled_by_default;
           tc "attribution reconciles" `Quick test_engine_attribution;
           tc "hot event sums reconcile" `Quick test_hot_event_sums;
+          tc "report after trace corruption" `Quick
+            test_report_after_corruption;
         ] );
       ( "export",
         [

@@ -1,4 +1,4 @@
-(* On-stack replacement (ROADMAP item 4):
+(* On-stack replacement:
 
    - deoptimization is transparent: a guard flipped at any trace
      position abandons the residue and resumes block dispatch at the

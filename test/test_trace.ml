@@ -98,13 +98,16 @@ let test_live_count () =
   Trace_cache.flush cache;
   check Alcotest.int "flush empties the cache" 0 (Trace_cache.n_live cache)
 
-let test_completion_rate () =
+(* FT001 negates a body gid in place; describe renders the live body
+   and names the corrupted gid instead of indexing outside the layout. *)
+let test_describe_corrupted () =
   let l = Lazy.force layout in
-  let tr = Trace.make ~id:0 ~layout:l ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  check (Alcotest.float 1e-9) "no entries yet" 0.0 (Trace.completion_rate tr);
-  tr.Trace.entered <- 4;
-  tr.Trace.completed <- 3;
-  check (Alcotest.float 1e-9) "3 of 4" 0.75 (Trace.completion_rate tr)
+  let tr = Trace.make ~id:3 ~layout:l ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  tr.Trace.blocks.(1) <- -2;
+  check Alcotest.string "corrupted gid rendered"
+    (Printf.sprintf "T3 [%s | %s -> ?-2] p=1.000" (Layout.describe l 0)
+       (Layout.describe l 1))
+    (Trace.describe l tr)
 
 let test_same_sequence () =
   let l = Lazy.force layout in
@@ -313,7 +316,7 @@ let () =
       ( "trace values",
         [
           tc "make" `Quick test_trace_make;
-          tc "completion rate" `Quick test_completion_rate;
+          tc "describe corrupted gid" `Quick test_describe_corrupted;
           tc "same sequence" `Quick test_same_sequence;
         ] );
       ( "cache",
