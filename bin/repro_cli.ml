@@ -567,9 +567,9 @@ let backends_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Run several workloads interleaved in one session, [users] members per
-   workload, sharing a trace cache per layout; assert every member's VM
-   result is bit-identical to a solo plain-interpreter run and report the
-   cross-session trace reuse.  Exit 1 on any divergence. *)
+   workload, sharing a trace cache per layout; report the cross-session
+   reuse, and exit 1 unless every member's VM result equals a solo plain
+   run and each cache's evictions are the sum of its members'. *)
 let session workloads users batch size flags =
   let module Session = Tracegen.Session in
   let names = String.split_on_char ',' workloads in
@@ -600,19 +600,34 @@ let session workloads users batch size flags =
   let baselines =
     List.map (fun (_, layout) -> (layout, Vm.Interp.run_plain layout)) layouts
   in
-  Printf.printf "%-14s %-6s %12s %12s %12s %8s\n" "member" "ok" "instrs"
-    "block-disp" "trace-disp" "switches";
+  Printf.printf "%-14s %-6s %12s %12s %12s %8s %6s %7s\n" "member" "ok"
+    "instrs" "block-disp" "trace-disp" "switches" "built" "evicted";
   List.iter
     (fun m ->
       let engine = Session.engine m in
       let r = Session.vm_result m in
       let c = Engine.counters engine in
       let ok = Cli.identical (List.assq (Engine.layout engine) baselines) r in
-      Printf.printf "%-14s %-6s %12d %12d %12d %8d\n" (Session.member_name m)
+      Printf.printf "%-14s %-6s %12d %12d %12d %8d %6d %7d\n"
+        (Session.member_name m)
         (if ok then "yes" else "NO")
         r.Vm.Interp.instructions c.Stats.block_dispatches
-        c.Stats.traces_entered c.Stats.backend_switches)
+        c.Stats.traces_entered c.Stats.backend_switches
+        c.Stats.traces_constructed c.Stats.traces_evicted)
     (Session.members session);
+  let evicted_from c =
+    List.fold_left
+      (fun n m ->
+        if Engine.cache (Session.engine m) == c then
+          n + (Session.stats m).Stats.traces_evicted
+        else n)
+      0 (Session.members session)
+  in
+  let unbalanced =
+    List.exists
+      (fun c -> evicted_from c <> Tracegen.Trace_cache.n_evicted c)
+      (Session.caches session)
+  in
   Printf.printf
     "shared caches: %d for %d members; cross-session reuse: %d installs \
      saved, %d trace entries\n"
@@ -620,11 +635,12 @@ let session workloads users batch size flags =
     (List.length (Session.members session))
     (Session.cross_installs session)
     (Session.cross_entries session);
-  if !Cli.divergences > 0 then begin
+  if unbalanced then
+    prerr_endline "the members' evictions do not sum to their cache's";
+  if !Cli.divergences > 0 then
     Printf.eprintf "%d member(s) diverged from the solo interpreter\n"
       !Cli.divergences;
-    exit 1
-  end
+  if unbalanced || !Cli.divergences > 0 then exit 1
 
 let session_cmd =
   let workloads =
@@ -647,8 +663,9 @@ let session_cmd =
        ~doc:
          "Run several workloads interleaved in one multi-session engine over \
           shared per-layout trace caches, assert every member's VM result is \
-          bit-identical to a solo interpreter run, and report cross-session \
-          trace reuse.")
+          bit-identical to a solo interpreter run and that the evictions each \
+          member counted sum to its cache's, and report cross-session trace \
+          reuse.")
     Term.(
       const session $ workloads $ users $ batch $ Cli.size_arg
       $ Cli.flags ~faults:true ())

@@ -36,11 +36,11 @@ module Interp = Vm.Interp
      completes, the profiler context is resynchronized to the last two
      executed blocks and normal dispatching resumes.
 
-   Every counter the engine advances, OSR's and the ladder's included,
-   lives in [counts]; [counters] adds the ones Profiler, Bcg, Trace_cache
-   and Faults own.  Because every kind observes the same stream and
-   tracing is a pure overlay, the VM's results are bit-identical under
-   any backend, any ladder schedule and any fault schedule. *)
+   Every counter the engine advances — OSR's, the ladder's, its cache
+   decisions' — lives in [counts]; [counters] adds Profiler's and Bcg's.
+   Because every kind observes the same stream and tracing is a pure
+   overlay, the VM's results are bit-identical under any backend, any
+   ladder schedule and any fault schedule. *)
 
 type backend_kind = Interp | Profile | Trace
 
@@ -82,6 +82,9 @@ type t = {
   counts : Stats.t;
     (* the counters the engine advances, in place; [counters] fills in
        the ones other modules own when it copies them out *)
+  mutable completed_ids : Bytes.t;
+    (* by trace id: '\001' once this engine completed the trace *)
+  mutable restored : int; (* traces rebound by [restore] *)
   (* trace execution state *)
   mutable active : Trace.t option;
   mutable active_lowered : Microir.body option;
@@ -177,10 +180,23 @@ let apply_health t (transition : Health.transition) =
 (* trace exit and deoptimization                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Count [tr] among the static traces at this engine's first completion
+   of it (the trace may be shared, the mark is this engine's). *)
+let note_static t (tr : Trace.t) =
+  let id = tr.Trace.id in
+  if id >= Bytes.length t.completed_ids then
+    t.completed_ids <- Bytes.cat t.completed_ids (Bytes.make (id + 1) '\000');
+  if Bytes.get t.completed_ids id = '\000' then begin
+    Bytes.set t.completed_ids id '\001';
+    let c = t.counts in
+    c.Stats.static_traces <- c.Stats.static_traces + 1;
+    c.Stats.static_blocks <- c.Stats.static_blocks + Trace.n_blocks tr
+  end
+
 (* End the active trace after a completion. *)
 let finish_completed t (tr : Trace.t) =
   t.just_completed <- true;
-  tr.Trace.ever_completed <- true;
+  note_static t tr;
   let c = t.counts in
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
@@ -346,7 +362,8 @@ let debug_sweep t =
                 match !entry with
                 | Some (first, head) ->
                     ignore
-                      (Trace_cache.quarantine t.cache ~first ~head
+                      (Trace_cache.quarantine t.cache ~events:t.events
+                         ~counts:t.counts ~first ~head
                          ~code:d.Analysis.Diag.code)
                 | None -> ()
               end
@@ -365,25 +382,13 @@ let debug_sweep t =
    this one place, the counters other modules own. *)
 let counters t : Stats.t =
   let s = Stats.copy t.counts in
-  let bcg = Profiler.bcg t.profiler and cache = t.cache in
+  let bcg = Profiler.bcg t.profiler in
   s.Stats.signals <- Profiler.signals t.profiler;
   s.Stats.ic_predictions <- Profiler.predictions t.profiler;
   s.Stats.bcg_nodes <- Bcg.n_nodes bcg;
   s.Stats.bcg_edges <- Bcg.n_edges bcg;
-  s.Stats.traces_replaced <- Trace_cache.n_replaced cache;
-  s.Stats.traces_live <- Trace_cache.n_live cache;
-  s.Stats.traces_quarantined <- Trace_cache.n_quarantines cache;
-  s.Stats.traces_evicted <- Trace_cache.n_evicted cache;
-  s.Stats.traces_blacklisted <- Trace_cache.n_blacklisted cache;
-  s.Stats.failed_installs <- Trace_cache.n_failed_installs cache;
-  s.Stats.pin_refusals <- Trace_cache.n_pin_refusals cache;
-  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals cache;
-  Trace_cache.iter_all cache (fun tr ->
-      if tr.Trace.ever_completed then begin
-        s.Stats.static_traces <- s.Stats.static_traces + 1;
-        s.Stats.static_blocks <- s.Stats.static_blocks + Trace.n_blocks tr
-      end);
-  s.Stats.faults_injected <- Faults.injected t.faults;
+  s.Stats.traces_live <- Trace_cache.n_live t.cache;
+  s.Stats.demote_refusals <- Trace_cache.n_demote_refusals t.cache;
   s.Stats.final_health <- Health.level_rank (Health.level t.health);
   s
 
@@ -401,7 +406,7 @@ let sample t =
       ("skipped_dispatches", Profiler.skipped t.profiler);
       ("cross_session_installs", Trace_cache.n_cross_installs cache);
       ("cross_session_entries", Trace_cache.n_cross_entries cache);
-      ("traces_restored", Trace_cache.n_restored cache);
+      ("traces_restored", t.restored);
       ("cache_footprint_bytes", Trace_cache.footprint_bytes cache);
     ]
   @ (if Config.tier_enabled t.config then
@@ -432,11 +437,13 @@ let prologue t =
     let now = total_dispatches t in
     Trace_cache.set_clock t.cache now;
     (* injected faults land just before the dispatch decision *)
+    let c = t.counts in
     List.iter
       (fun (code, detail) ->
+        c.Stats.faults_injected <- c.Stats.faults_injected + 1;
         Events.emit t.events (Events.Fault_injected { code; detail }))
       (Faults.tick t.faults ~now ~bcg:(Profiler.bcg t.profiler) ~cache:t.cache
-         ~active:t.active)
+         ~events:t.events ~counts:c ~active:t.active)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -465,8 +472,8 @@ let on_path t transitions =
 let on_signal t signal =
   if Config.build_traces t.config then
     note_build t
-      (Trace_builder.on_signal ~events:t.events ~on_path:(on_path t) t.config
-         t.cache signal)
+      (Trace_builder.on_signal ~events:t.events ~counts:t.counts
+         ~on_path:(on_path t) t.config t.cache signal)
       ~sweep:true
 
 (* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
@@ -485,8 +492,8 @@ let hot_loop t g ~promote =
    was installed. *)
 let promote_loop t (osr : Osr.t) header ~hotness =
   let outcome, installed =
-    Trace_builder.promote ~events:t.events ~on_path:(on_path t) t.cache
-      (Profiler.bcg t.profiler) ~header
+    Trace_builder.promote ~events:t.events ~counts:t.counts
+      ~on_path:(on_path t) t.cache (Profiler.bcg t.profiler) ~header
   in
   (match installed with
   | Some tr ->
@@ -639,7 +646,9 @@ let trace_dispatch t g =
         | Some code ->
             (* condemned at dispatch: quarantine the entry and strike
                the ladder, then dispatch the block normally *)
-            ignore (Trace_cache.quarantine t.cache ~first:t.prev ~head:g ~code);
+            ignore
+              (Trace_cache.quarantine t.cache ~events:t.events
+                 ~counts:t.counts ~first:t.prev ~head:g ~code);
             apply_health t (Health.strike t.health);
             true)
     | _ -> false
@@ -781,7 +790,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
           invalid_arg "Engine.create: cache built over a different layout";
         c
     | None ->
-        Trace_cache.create ~events
+        Trace_cache.create
           ~max_traces:(Config.max_cache_traces config)
           ~eviction_policy:(Config.eviction_policy config)
           layout
@@ -852,6 +861,8 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
            Array.make layout.Layout.n_blocks 0
          else [||]);
       counts = Stats.zero ();
+      completed_ids = Bytes.empty;
+      restored = 0;
       active = None;
       active_lowered = None;
       active_pos = 0;
@@ -946,8 +957,9 @@ let restore t data : (restore_info, Persist.error) result =
       let traces =
         Trace_cache.restore
           ~promoted_below:(Config.threshold t.config)
-          t.cache snap.Persist.cache_entries
+          t.cache ~events:t.events ~counts:t.counts snap.Persist.cache_entries
       in
+      t.restored <- t.restored + traces;
       (* the compiled tier is derived state: snapshots persist heat, not
          lowered bodies, so re-derive the compiled set from the restored
          use counts (Tier.recompile_restored is a no-op with the tier

@@ -86,8 +86,7 @@ type payload =
       trace_id : int;  (** the trace now installed at that entry *)
     }
       (** An entry transition was rebound to a different trace — the
-          cache-instability event counted by
-          {!Trace_cache.n_replaced}. *)
+          cache-instability event counted by [Stats.traces_replaced]. *)
   | Trace_entered of {
       trace_id : int;
       chained : bool;
@@ -152,10 +151,9 @@ type payload =
       (** A trace was removed from the cache: capacity pressure
           ({!Config.max_cache_traces}), an injected allocation-pressure
           fault, or a quarantine/blacklist of its entry transition.
-          [Capacity],
-          [Pressure] and [Footprint] removals count toward
-          {!Trace_cache.n_evicted} — [Quarantine] removals are counted
-          by {!Trace_cache.n_quarantined} and carry their own
+          [Capacity], [Pressure] and [Footprint] removals count toward
+          [Stats.traces_evicted] — [Quarantine] removals are counted by
+          [Stats.traces_quarantined] and carry their own
           [Trace_quarantined] event alongside. *)
   | Mode_degraded of { from_level : Health.level; to_level : Health.level }
       (** Repeated detections dropped the engine one level down the

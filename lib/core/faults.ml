@@ -107,7 +107,6 @@ type arm = { a_kind : kind; a_trigger : trigger; mutable a_fired : bool }
 type t = {
   arms : arm list;
   mutable budget : int; (* remaining injections; max_int = unbounded *)
-  mutable injected : int;
   mutable state : int64; (* xorshift64 *)
   mutable pending_flip : int option;
       (* armed FT008: requested guard position of the next followed
@@ -175,13 +174,11 @@ let create ~seed spec =
     let s = Int64.of_int seed in
     if Int64.equal s 0L then 0x2545F4914F6CDD1DL else s
   in
-  { arms; budget; injected = 0; state; pending_flip = None }
+  { arms; budget; state; pending_flip = None }
 
 let is_active t = t.arms <> [] && t.budget > 0
 
 let budget_left t = t.budget
-
-let injected t = t.injected
 
 (* xorshift64: fast, full-period, and trivially reseedable *)
 let next t =
@@ -226,7 +223,7 @@ let node_victims bcg ~need_best =
 let nth l i = List.nth l i
 
 (* Apply one fault; [None] = no eligible victim, nothing was injected. *)
-let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t)
+let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
     ~(active : Trace.t option) : string option =
   match kind with
   | Corrupt_trace -> (
@@ -288,7 +285,9 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t)
       let live = Trace_cache.n_live cache in
       if live < 2 then None
       else begin
-        let evicted = Trace_cache.pressure_evict cache ~down_to:(live / 2) in
+        let evicted =
+          Trace_cache.pressure_evict cache ~events ~counts ~down_to:(live / 2)
+        in
         if evicted = 0 then None
         else Some (Printf.sprintf "pressure-evicted %d of %d traces" evicted
                      live)
@@ -326,7 +325,7 @@ let flip_now t ~pos ~n_blocks =
       end
       else false
 
-let tick t ~now ~bcg ~cache ~active : (string * string) list =
+let tick t ~now ~bcg ~cache ~events ~counts ~active : (string * string) list =
   if t.budget <= 0 || t.arms = [] then []
   else begin
     let applied = ref [] in
@@ -344,10 +343,9 @@ let tick t ~now ~bcg ~cache ~active : (string * string) list =
                 else false
           in
           if fire then
-            match apply t arm.a_kind ~bcg ~cache ~active with
+            match apply t arm.a_kind ~bcg ~cache ~events ~counts ~active with
             | Some detail ->
                 t.budget <- t.budget - 1;
-                t.injected <- t.injected + 1;
                 applied := (code arm.a_kind, detail) :: !applied
             | None -> ()
         end)

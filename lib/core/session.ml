@@ -6,11 +6,12 @@ module Interp = Vm.Interp
    A session runs several programs "concurrently" by round-robin
    stepping: each member advances a fixed batch of basic blocks, then
    the next member runs, until every program has finished.  Each member
-   owns a full engine (its own BCG profiler, health ladder,
-   histograms) but members executing the same layout SHARE one trace
-   cache, so a hot trace reconstructed by one member is entered by the
-   others without being rebuilt — cross-session reuse, counted by the
-   cache (Trace_cache.n_cross_installs / n_cross_entries).
+   owns a full engine (its own profiler, ladder, counters and stream)
+   but members executing the same layout SHARE one trace cache, so a hot
+   trace reconstructed by one member is entered by the others without
+   being rebuilt — cross-session reuse, counted by the cache
+   (Trace_cache.n_cross_installs / n_cross_entries); every other cache
+   decision, by the member making it.
 
    Before each batch the member announces itself to its cache
    (Trace_cache.set_session), so traces are stamped with their builder

@@ -4,12 +4,13 @@
     The session round-robins its members, each advancing a fixed batch
     of basic blocks per turn until every program has finished.  Each
     member owns a full {!Engine} (private BCG profiler, health ladder,
-    histograms), but members executing the {e same layout} share
-    one {!Trace_cache} — a hot trace reconstructed by one member is
+    counters, event stream), but members executing the {e same layout}
+    share one {!Trace_cache} — a hot trace reconstructed by one member is
     entered by the others without being rebuilt.  The cache counts that
     reuse ({!Trace_cache.n_cross_installs} /
     {!Trace_cache.n_cross_entries}); {!cross_installs} and
-    {!cross_entries} sum it over the session.
+    {!cross_entries} sum it over the session; every other cache
+    decision is counted by the member making it.
 
     Tracing remains a pure overlay under interleaving: every member's VM
     result is bit-identical to a solo run of the same program. *)

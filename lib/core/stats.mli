@@ -24,7 +24,7 @@ type t = {
   mutable traces_replaced : int;
   mutable traces_live : int;
   mutable static_traces : int;
-      (** distinct traces that completed at least once *)
+      (** distinct traces this engine completed, evicted ones included *)
   mutable static_blocks : int;  (** their total length in blocks *)
   mutable bcg_nodes : int;
   mutable bcg_edges : int;
@@ -45,8 +45,7 @@ type t = {
   mutable failed_installs : int;
       (** injected installation failures consumed *)
   mutable pin_refusals : int;
-      (** quarantines refused because the target trace was executing
-          ({!Trace_cache.n_pin_refusals}) *)
+      (** quarantines refused because the target trace was executing *)
   mutable healed_nodes : int;  (** BCG nodes repaired in place *)
   mutable health_demotions : int;
   mutable health_promotions : int;
@@ -89,7 +88,8 @@ type t = {
   mutable wall_seconds : float;
 }
 (** Every engine counter, defined once.  The engine advances the
-    dispatch-loop counters in place in its own record; readers get a
+    counters in place in its own record (the trace cache counts each
+    decision into the record of the engine making it); readers get a
     {!copy} ([Engine.counters], [Engine.stats]) that does not change
     afterwards. *)
 

@@ -18,9 +18,6 @@ type t = {
   prob : float; (* expected completion probability at construction *)
   instr_len : int array; (* static instruction count per block *)
   total_instrs : int;
-  mutable ever_completed : bool;
-      (* followed to its end at least once (Stats.static_traces); how
-         often is a fold of the event stream *)
   mutable owner : int;
       (* id of the session whose profiler built this trace; 0 for a
          single-engine run.  Stamped by the cache at installation and
@@ -62,7 +59,6 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     prob;
     instr_len;
     total_instrs = Array.fold_left ( + ) 0 instr_len;
-    ever_completed = false;
     owner = 0;
     pruned = [||];
     promoted = false;

@@ -18,10 +18,6 @@ type t = {
   prob : float;  (** expected completion probability at construction *)
   instr_len : int array;  (** static instruction count per block *)
   total_instrs : int;
-  mutable ever_completed : bool;
-      (** followed to its end at least once: [Stats.static_traces]
-          counts these.  How often a trace was entered, completed or
-          exited is a fold of the event stream ([Harness.Oracle]). *)
   mutable owner : int;
       (** id of the session whose profiler built this trace ([0] for a
           single-engine run).  Stamped by the cache at installation and

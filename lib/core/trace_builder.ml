@@ -124,35 +124,35 @@ let walk_from (config : Config.t) (root : Bcg.node) : walk =
 
 (* Install one candidate and do the per-install bookkeeping the cutter
    and OSR promotion share: hash-cons accounting and the construction
-   event.  Returns ((new, reused), installed trace). *)
-let install_candidate (cache : Trace_cache.t) ~events ~first ~blocks ~prob :
-    (int * int) * Trace.t option =
-  let before = Trace_cache.n_constructed cache in
-  (* fallible: a quarantined entry or an injected installation failure
-     drops the candidate — the cache records why *)
-  match Trace_cache.try_install cache ~first ~blocks ~prob with
-  | None -> ((0, 0), None)
-  | Some tr ->
-      let is_new = Trace_cache.n_constructed cache > before in
-      if Events.enabled events then
-        Events.emit events
-          (Events.Trace_constructed
-             {
-               trace_id = tr.Trace.id;
-               first;
-               blocks = Array.copy tr.Trace.blocks;
-               n_instrs = tr.Trace.total_instrs;
-               prob;
-               reused = not is_new;
-             });
-      (((if is_new then 1 else 0), if is_new then 0 else 1), Some tr)
+   event, whose sequence and probability are the trace's own, so a reuse
+   repeats the first construction.  Returns ((new, reused), installed
+   trace). *)
+let install_candidate (cache : Trace_cache.t) ~events ~counts ~first ~blocks
+    ~prob : (int * int) * Trace.t option =
+  let installed (tr : Trace.t) ~reused =
+    if Events.enabled events then
+      Events.emit events
+        (Events.Trace_constructed
+           {
+             trace_id = tr.Trace.id;
+             first;
+             blocks = Array.copy blocks;
+             n_instrs = tr.Trace.total_instrs;
+             prob = tr.Trace.prob;
+             reused;
+           });
+    ((if reused then (0, 1) else (1, 0)), Some tr)
+  in
+  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
+  | Trace_cache.Refused -> ((0, 0), None)
+  | Trace_cache.Built tr -> installed tr ~reused:false
+  | Trace_cache.Reused tr -> installed tr ~reused:true
 
 (* Step 4: greedy probability cut of one segment of transitions
    [lo .. hi] (inclusive).  A trace covering transitions i..j consists of
    blocks [n_i.n_y .. n_j.n_y] with entry context n_i.n_x and completion
    probability prod(corrs.(i) .. corrs.(j-1)). *)
-let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
-    (w : walk) ~lo ~hi : int * int =
+let cut_segment (config : Config.t) ~install (w : walk) ~lo ~hi : int * int =
   let new_traces = ref 0 in
   let reused = ref 0 in
   let i = ref lo in
@@ -182,7 +182,7 @@ let cut_segment (config : Config.t) (cache : Trace_cache.t) ~events
       let blocks =
         Array.init n_transitions (fun k -> w.path.(!i + k).Bcg.n_y)
       in
-      let (n, r), _ = install_candidate cache ~events ~first ~blocks ~prob:!p in
+      let (n, r), _ = install ~first ~blocks ~prob:!p in
       new_traces := !new_traces + n;
       reused := !reused + r
     end;
@@ -213,8 +213,8 @@ let unroll_loop (w : walk) ~c ~m : walk =
   { path; corrs; cycle_start = None }
 
 (* Steps 2-4 for one entry point. *)
-let build_from (config : Config.t) (cache : Trace_cache.t) ~events ~on_path
-    (root : Bcg.node) : int * int =
+let build_from (config : Config.t) ~install ~on_path (root : Bcg.node) :
+    int * int =
   let w = walk_from config root in
   on_path (Array.length w.path);
   let m = Array.length w.path - 1 in
@@ -225,29 +225,28 @@ let build_from (config : Config.t) (cache : Trace_cache.t) ~events ~on_path
         (* the loop is processed first, then the prefix leading into it *)
         let lw = unroll_loop w ~c ~m in
         let ln, lr =
-          cut_segment config cache ~events lw ~lo:0
-            ~hi:(Array.length lw.path - 1)
+          cut_segment config ~install lw ~lo:0 ~hi:(Array.length lw.path - 1)
         in
         let pn, pr =
-          if c > 0 then cut_segment config cache ~events w ~lo:0 ~hi:(c - 1)
+          if c > 0 then cut_segment config ~install w ~lo:0 ~hi:(c - 1)
           else (0, 0)
         in
         (ln + pn, lr + pr)
-    | Some _ | None -> cut_segment config cache ~events w ~lo:0 ~hi:m
+    | Some _ | None -> cut_segment config ~install w ~lo:0 ~hi:m
 
 (* Entry point: react to one profiler signal.  [on_path] observes the
    length (in transitions) of each maximum-likelihood walk, before the
-   probability cut — the engine feeds its builder-path histogram with
-   it. *)
-let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
-    (config : Config.t) (cache : Trace_cache.t) (signal : Bcg.signal) : outcome
-    =
+   probability cut. *)
+let on_signal ?(events = Events.create ()) ?(counts = Stats.zero ())
+    ?(on_path = fun (_ : int) -> ()) (config : Config.t) (cache : Trace_cache.t)
+    (signal : Bcg.signal) : outcome =
   let entries = find_entry_points signal.Bcg.s_node in
+  let install = install_candidate cache ~events ~counts in
   let new_traces = ref 0 in
   let reused = ref 0 in
   List.iter
     (fun root ->
-      let n, r = build_from config cache ~events ~on_path root in
+      let n, r = build_from config ~install ~on_path root in
       new_traces := !new_traces + n;
       reused := !reused + r)
     entries;
@@ -277,8 +276,8 @@ let on_signal ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
    and the loop runs under trace dispatch from the very next back edge.
    Returns the installed trace so the caller can arm it for its first
    OSR entry. *)
-let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
-    (cache : Trace_cache.t) (bcg : Bcg.t)
+let promote ?(events = Events.create ()) ?(counts = Stats.zero ())
+    ?(on_path = fun (_ : int) -> ()) (cache : Trace_cache.t) (bcg : Bcg.t)
     ~(header : Layout.gid) : outcome * Trace.t option =
   let root = ref None in
   Bcg.iter_nodes bcg (fun (n : Bcg.node) ->
@@ -319,7 +318,7 @@ let promote ?(events = Events.create ()) ?(on_path = fun (_ : int) -> ())
         (* the latch: last block of the body, and the entry context *)
         let first = blocks.(Array.length blocks - 1) in
         let (n, r), installed =
-          install_candidate cache ~events ~first ~blocks ~prob:!prob
+          install_candidate cache ~events ~counts ~first ~blocks ~prob:!prob
         in
         (match installed with
         | Some tr -> tr.Trace.promoted <- true

@@ -22,6 +22,7 @@ type outcome = {
 
 val on_signal :
   ?events:Events.t ->
+  ?counts:Stats.t ->
   ?on_path:(int -> unit) ->
   Config.t ->
   Trace_cache.t ->
@@ -29,14 +30,16 @@ val on_signal :
   outcome
 (** React to one profiler signal: rebuild every trace the signalled
     branch can affect.  [events] receives one [Trace_constructed] per
-    installed trace (with [reused] marking hash-cons hits); a fresh
-    disabled stream is used when omitted.  [on_path] observes the length
-    (in transitions) of each maximum-likelihood walk before the
-    probability cut — the engine's builder-path histogram hangs off
-    it. *)
+    installed trace ([reused] marks a hash-cons hit, which repeats the
+    trace's first construction) and the cache's other decisions, which
+    [counts] counts; a fresh disabled stream and record are used when
+    omitted.  [on_path] observes the length (in transitions) of each
+    maximum-likelihood walk before the probability cut — the engine
+    publishes it as a [Path_walked] event. *)
 
 val promote :
   ?events:Events.t ->
+  ?counts:Stats.t ->
   ?on_path:(int -> unit) ->
   Trace_cache.t ->
   Bcg.t ->
@@ -48,4 +51,5 @@ val promote :
     second component is the installed self-chaining back-edge trace
     (entered at the header on the very next latch→header transition)
     when one exists — [None] when the BCG has no followable transition
-    into the header or the probability cut rejected every candidate. *)
+    into the header or the probability cut rejected every candidate.
+    [events], [counts] and [on_path] as in {!on_signal}. *)

@@ -22,7 +22,12 @@ module Layout = Cfg.Layout
    - [try_install] is the fallible front door the trace builder uses: it
      refuses quarantined entries and consumes injected installation
      failures, so the builder degrades gracefully instead of reinstalling
-     a known-bad trace. *)
+     a known-bad trace.
+
+   The cache owns no event stream and keeps no count of its decisions:
+   each operation that makes one takes the stream and counters of the
+   engine performing it ([~events], [~counts]).  It keeps only its state
+   and the totals over every engine using it. *)
 
 type qentry = {
   mutable attempts : int; (* condemnations of this entry so far *)
@@ -44,7 +49,6 @@ type binding = {
 
 type t = {
   layout : Layout.t;
-  events : Events.t;
   by_entry : binding Int_table.t; (* key = first * n_blocks + head *)
   by_head : binding list array; (* head -> live bindings entered at it *)
   by_seq : (string, Trace.t) Hashtbl.t; (* structural key *)
@@ -57,18 +61,9 @@ type t = {
   mutable session : int; (* id of the session currently dispatching; 0 solo *)
   mutable live_blocks : int; (* sum of block counts over by_entry *)
   mutable next_id : int;
-  mutable constructed : int; (* traces newly built *)
-  mutable restored : int; (* traces rebound from a warm-start snapshot *)
-  mutable replaced : int; (* entry keys whose trace changed *)
-  mutable hash_hits : int; (* reconstructions satisfied by an existing trace *)
-  mutable evicted : int; (* capacity evictions *)
-  mutable quarantines : int; (* condemnations recorded *)
-  mutable blacklisted : int; (* entries quarantined permanently *)
+  mutable constructed : int; (* traces newly built, by any engine *)
+  mutable evicted : int; (* capacity and pressure evictions, by any engine *)
   mutable pending_fail : int; (* injected installation failures to consume *)
-  mutable failed_installs : int; (* injected failures consumed *)
-  mutable quarantine_rejects : int; (* installs refused while quarantined *)
-  mutable pin_refusals : int;
-      (* quarantine attempts refused because the bound trace was pinned *)
   mutable demote_refusals : int;
       (* tier demotions refused because the compiled trace was pinned *)
   mutable cross_installs : int;
@@ -78,12 +73,11 @@ type t = {
       (* dispatch lookups entering a trace built by another session *)
 }
 
-let create ?(events = Events.create ()) ?(max_traces = 0)
-    ?(eviction_policy = Config.Cache.Lru) (layout : Layout.t) =
+let create ?(max_traces = 0) ?(eviction_policy = Config.Cache.Lru)
+    (layout : Layout.t) =
   if max_traces < 0 then invalid_arg "Trace_cache.create: max_traces < 0";
   {
     layout;
-    events;
     by_entry = Int_table.create 256;
     by_head = Array.make layout.Layout.n_blocks [];
     by_seq = Hashtbl.create 256;
@@ -97,16 +91,8 @@ let create ?(events = Events.create ()) ?(max_traces = 0)
     live_blocks = 0;
     next_id = 0;
     constructed = 0;
-    restored = 0;
-    replaced = 0;
-    hash_hits = 0;
     evicted = 0;
-    quarantines = 0;
-    blacklisted = 0;
     pending_fail = 0;
-    failed_installs = 0;
-    quarantine_rejects = 0;
-    pin_refusals = 0;
     demote_refusals = 0;
     cross_installs = 0;
     cross_entries = 0;
@@ -177,8 +163,6 @@ let unpin t (tr : Trace.t) =
 let is_pinned _t (tr : Trace.t) = tr.Trace.pins > 0
 
 let n_pinned t = t.n_pinned
-
-let n_pin_refusals t = t.pin_refusals
 
 let n_demote_refusals t = t.demote_refusals
 
@@ -284,10 +268,10 @@ let n_live t = Int_table.length t.by_entry
 
 (* Called after [unbind], with the victim's binding for its scoring
    inputs. *)
-let emit_evicted t ~ekey b ~reason =
-  if Events.enabled t.events then begin
+let emit_evicted t ~events ~ekey b ~reason =
+  if Events.enabled events then begin
     let n = t.layout.Layout.n_blocks in
-    Events.emit t.events
+    Events.emit events
       (Events.Trace_evicted
          {
            trace_id = b.b_trace.Trace.id;
@@ -349,29 +333,23 @@ let pick_victim t ~keep =
 (* Evict one live entry chosen by the policy.  [reason] says who asked —
    capacity caps or an injected pressure fault.  Returns false when
    nothing is evictable. *)
-let evict_one t ~keep ~reason =
+let evict_one t ~events ~(counts : Stats.t) ~keep ~reason =
   match pick_victim t ~keep with
   | None -> false
   | Some (ekey, b) ->
       unbind t ekey b.b_trace;
       t.evicted <- t.evicted + 1;
-      emit_evicted t ~ekey b ~reason;
+      counts.Stats.traces_evicted <- counts.Stats.traces_evicted + 1;
+      emit_evicted t ~events ~ekey b ~reason;
       true
 
 let over_capacity t = t.max_traces > 0 && n_live t > t.max_traces
 
-let rec enforce_caps t ~keep =
-  if over_capacity t && evict_one t ~keep ~reason:Events.Capacity then
-    enforce_caps t ~keep
-
-(* Install a candidate trace.  If an identical trace is already cached we
-   keep it (hash-cons hit); otherwise a new trace is constructed and bound
-   to its entry transition, displacing any previous binding. *)
-let note_replaced t ~first ~head (tr : Trace.t) =
-  t.replaced <- t.replaced + 1;
-  if Events.enabled t.events then
-    Events.emit t.events
-      (Events.Trace_replaced { first; head; trace_id = tr.Trace.id })
+let rec enforce_caps t ~events ~counts ~keep =
+  if
+    over_capacity t
+    && evict_one t ~events ~counts ~keep ~reason:Events.Capacity
+  then enforce_caps t ~events ~counts ~keep
 
 (* Bind [tr] at [ekey] and count the binding as used.  Rebinding an
    entry to another trace keeps its stamp and heat, which belong to the
@@ -408,37 +386,6 @@ let bind t ekey (tr : Trace.t) =
   touch t b;
   b
 
-let install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t =
-  let skey = seq_key ~first ~blocks in
-  let ekey = entry_key_int t ~first ~head:blocks.(0) in
-  let tr =
-    match Hashtbl.find_opt t.by_seq skey with
-    | Some existing ->
-        t.hash_hits <- t.hash_hits + 1;
-        if existing.Trace.owner <> t.session then
-          t.cross_installs <- t.cross_installs + 1;
-        (* make sure it is (still) the trace bound to its entry *)
-        (match binding t ekey with
-        | Some b when b.b_trace == existing -> ()
-        | Some _ -> note_replaced t ~first ~head:blocks.(0) existing
-        | None -> ());
-        existing
-    | None ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let tr = Trace.make ~id ~layout:t.layout ~first ~blocks ~prob in
-        tr.Trace.owner <- t.session;
-        t.constructed <- t.constructed + 1;
-        Hashtbl.replace t.by_seq skey tr;
-        (match binding t ekey with
-        | Some _ -> note_replaced t ~first ~head:blocks.(0) tr
-        | None -> ());
-        tr
-  in
-  ignore (bind t ekey tr);
-  enforce_caps t ~keep:ekey;
-  tr
-
 (* Quarantine bookkeeping *)
 
 let is_quarantined t ~first ~head =
@@ -455,7 +402,8 @@ let n_quarantine_active t =
   Hashtbl.fold (fun _ q acc -> if q.until > t.clock then acc + 1 else acc)
     t.quarantine 0
 
-let quarantine t ~first ~head ~code : Trace.t option =
+let quarantine t ~events ~(counts : Stats.t) ~first ~head ~code :
+    Trace.t option =
   let ekey = entry_key_int t ~first ~head in
   match binding t ekey with
   | Some { b_trace = tr; _ } when is_pinned t tr ->
@@ -464,7 +412,7 @@ let quarantine t ~first ~head ~code : Trace.t option =
          unpins) first and retries; without OSR a later sweep or
          dispatch validation re-detects the fault once the trace has
          exited.  The refusal is counted, not silently dropped. *)
-      t.pin_refusals <- t.pin_refusals + 1;
+      counts.Stats.pin_refusals <- counts.Stats.pin_refusals + 1;
       None
   | bound ->
   let removed =
@@ -473,7 +421,7 @@ let quarantine t ~first ~head ~code : Trace.t option =
         unbind t ekey tr;
         (* not counted in [evicted] (that is capacity accounting) but
            visible in the timeline with its own reason *)
-        emit_evicted t ~ekey b ~reason:Events.Quarantine;
+        emit_evicted t ~events ~ekey b ~reason:Events.Quarantine;
         Some tr
     | None -> None
   in
@@ -486,17 +434,18 @@ let quarantine t ~first ~head ~code : Trace.t option =
         q
   in
   q.attempts <- q.attempts + 1;
-  t.quarantines <- t.quarantines + 1;
+  counts.Stats.traces_quarantined <- counts.Stats.traces_quarantined + 1;
   if q.attempts > Config.heal_max_rebuilds then begin
-    if q.until <> max_int then t.blacklisted <- t.blacklisted + 1;
+    if q.until <> max_int then
+      counts.Stats.traces_blacklisted <- counts.Stats.traces_blacklisted + 1;
     q.until <- max_int
   end
   else
     (* exponential backoff: backoff * 2^(attempts-1) clock units *)
     q.until <-
       t.clock + (Config.heal_backoff * (1 lsl min (q.attempts - 1) 20));
-  if Events.enabled t.events then
-    Events.emit t.events
+  if Events.enabled events then
+    Events.emit events
       (Events.Trace_quarantined
          {
            trace_id = (match removed with Some tr -> tr.Trace.id | None -> -1);
@@ -518,20 +467,59 @@ let remove t ~first ~head : Trace.t option =
 
 let inject_install_failure t = t.pending_fail <- t.pending_fail + 1
 
-let try_install t ~first ~(blocks : Layout.gid array) ~prob : Trace.t option =
-  if Array.length blocks = 0 then None
-  else if is_quarantined t ~first ~head:blocks.(0) then begin
-    t.quarantine_rejects <- t.quarantine_rejects + 1;
-    None
-  end
+type installed = Built of Trace.t | Reused of Trace.t | Refused
+
+(* Install a candidate trace, unless its entry is quarantined or an
+   injected failure is pending.  If an identical trace is already cached
+   we keep it (hash-cons hit); otherwise a new trace is constructed and
+   bound to its entry transition, displacing any previous binding. *)
+let try_install t ~events ~(counts : Stats.t) ~first
+    ~(blocks : Layout.gid array) ~prob : installed =
+  if Array.length blocks = 0 || is_quarantined t ~first ~head:blocks.(0) then
+    Refused
   else if t.pending_fail > 0 then begin
     t.pending_fail <- t.pending_fail - 1;
-    t.failed_installs <- t.failed_installs + 1;
-    None
+    counts.Stats.failed_installs <- counts.Stats.failed_installs + 1;
+    Refused
   end
-  else Some (install t ~first ~blocks ~prob)
+  else begin
+    let skey = seq_key ~first ~blocks in
+    let head = blocks.(0) in
+    let ekey = entry_key_int t ~first ~head in
+    let replaced (tr : Trace.t) =
+      counts.Stats.traces_replaced <- counts.Stats.traces_replaced + 1;
+      if Events.enabled events then
+        Events.emit events
+          (Events.Trace_replaced { first; head; trace_id = tr.Trace.id })
+    in
+    let result =
+      match Hashtbl.find_opt t.by_seq skey with
+      | Some existing ->
+          if existing.Trace.owner <> t.session then
+            t.cross_installs <- t.cross_installs + 1;
+          (* make sure it is (still) the trace bound to its entry *)
+          (match binding t ekey with
+          | Some b when b.b_trace == existing -> ()
+          | Some _ -> replaced existing
+          | None -> ());
+          ignore (bind t ekey existing);
+          Reused existing
+      | None ->
+          let id = t.next_id in
+          t.next_id <- id + 1;
+          let tr = Trace.make ~id ~layout:t.layout ~first ~blocks ~prob in
+          tr.Trace.owner <- t.session;
+          t.constructed <- t.constructed + 1;
+          Hashtbl.replace t.by_seq skey tr;
+          if binding t ekey <> None then replaced tr;
+          ignore (bind t ekey tr);
+          Built tr
+    in
+    enforce_caps t ~events ~counts ~keep:ekey;
+    result
+  end
 
-let pressure_evict t ~down_to =
+let pressure_evict t ~events ~counts ~down_to =
   let down_to = max 0 down_to in
   (* the reason tag records which policy chose the victim, so the
      timeline can distinguish an LRU pressure eviction from a
@@ -541,15 +529,12 @@ let pressure_evict t ~down_to =
     | Config.Cache.Lru -> Events.Pressure
     | Config.Cache.Footprint_aware -> Events.Footprint
   in
-  let count = ref 0 in
-  let rec go () =
-    if n_live t > down_to && evict_one t ~keep:min_int ~reason then begin
-      incr count;
-      go ()
-    end
+  let rec go n =
+    if n_live t > down_to && evict_one t ~events ~counts ~keep:min_int ~reason
+    then go (n + 1)
+    else n
   in
-  go ();
-  !count
+  go 0
 
 (* Warm-start snapshots.  A snapshot captures the live cache — entry
    bindings, completion probabilities and per-entry heat — in canonical
@@ -581,8 +566,7 @@ let snapshot t : entry_snap list =
     t.by_entry;
   List.sort (fun (a, _) (b, _) -> compare a b) !entries |> List.map snd
 
-let restore ?promoted_below t (snaps : entry_snap list) : int =
-  let n = ref 0 in
+let restore ?promoted_below t ~events ~counts (snaps : entry_snap list) : int =
   List.iter
     (fun snap ->
       if Array.length snap.snap_blocks = 0 then
@@ -613,11 +597,9 @@ let restore ?promoted_below t (snaps : entry_snap list) : int =
       let b = bind t ekey tr in
       (* the snapshot's heat replaces the single use [bind] just stamped *)
       b.b_uses <- snap.snap_heat;
-      t.restored <- t.restored + 1;
-      incr n;
-      enforce_caps t ~keep:ekey)
+      enforce_caps t ~events ~counts ~keep:ekey)
     snaps;
-  !n
+  List.length snaps
 
 let iter t f = Int_table.iter (fun _ b -> f b.b_trace) t.by_entry
 
@@ -634,12 +616,6 @@ let iter_all t f = Hashtbl.iter (fun _ tr -> f tr) t.by_seq
 
 let n_constructed t = t.constructed
 
-let n_restored t = t.restored
-
-let n_replaced t = t.replaced
-
-let eviction_policy t = t.policy
-
 let footprint_bytes t =
   Int_table.fold
     (fun _ b acc -> acc + Footprint_model.trace_bytes b.b_trace)
@@ -648,14 +624,6 @@ let footprint_bytes t =
 let live_blocks t = t.live_blocks
 
 let n_evicted t = t.evicted
-
-let n_quarantines t = t.quarantines
-
-let n_blacklisted t = t.blacklisted
-
-let n_failed_installs t = t.failed_installs
-
-let n_quarantine_rejects t = t.quarantine_rejects
 
 let n_cross_installs t = t.cross_installs
 

@@ -1,15 +1,15 @@
 (** The trace cache (paper §4.2): traces indexed two ways — by entry
     transition for dispatch, and by full block sequence for hash-consing,
     so an identical reconstruction is retrieved and relinked rather than
-    rebuilt.  Rebinding an entry transition to a different trace counts as
-    an instability event ({!n_replaced}).
+    rebuilt.  Rebinding an entry transition to a different trace is an
+    instability event ([Trace_replaced], [Stats.traces_replaced]).
 
     On top of the paper's design the cache is {e bounded} and
     {e self-healing}:
 
     - the capacity cap ([max_traces] live traces; [0] = unbounded)
       evicts a victim under pressure
-      ({!n_evicted}, [Trace_evicted] events) chosen by the
+      ([Trace_evicted] events) chosen by the
       {!Config.Cache.eviction_policy}: the least recently dispatched
       entry ([Lru], the default), or the entry with the worst estimated
       i-cache bytes per use ([Footprint_aware], byte model shared with
@@ -23,19 +23,22 @@
     - {!try_install} is the fallible front door the trace builder uses:
       it refuses quarantined entries and consumes injected installation
       failures ({!inject_install_failure}), so the builder degrades
-      gracefully instead of reinstalling a known-bad trace. *)
+      gracefully instead of reinstalling a known-bad trace.
+
+    The cache owns no event stream and keeps no count of its decisions:
+    each operation that makes one takes the [~events] stream and the
+    [~counts] record of the engine performing it.  It keeps its state and
+    the totals over every engine using it: {!n_constructed} and
+    {!n_evicted} (the benchmark reads them) and the cross-session reuse. *)
 
 type t
 
 val create :
-  ?events:Events.t ->
   ?max_traces:int ->
   ?eviction_policy:Config.Cache.eviction_policy ->
   Cfg.Layout.t ->
   t
-(** [events] receives [Trace_replaced] / [Trace_evicted] /
-    [Trace_quarantined]; a fresh disabled stream is used when omitted.
-    [max_traces] defaults to [0] (unbounded), [eviction_policy] to
+(** [max_traces] defaults to [0] (unbounded), [eviction_policy] to
     [Lru].
     @raise Invalid_argument when [max_traces] is negative. *)
 
@@ -74,28 +77,26 @@ val peek : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
     entry.  Same head-index scan as {!lookup}; [first < 0] or a [head]
     outside the layout never matches. *)
 
-val install :
-  t ->
-  first:Cfg.Layout.gid ->
-  blocks:Cfg.Layout.gid array ->
-  prob:float ->
-  Trace.t
-(** Install a candidate trace.  An identical cached trace is reused
-    (hash-cons hit); otherwise a new trace is constructed and bound to its
-    entry transition, displacing any previous binding.  Installation may
-    push the cache over a capacity cap, in which case the least recently
-    dispatched {e other} entries are evicted until the caps hold again
-    (the trace just installed is never its own victim). *)
+type installed = Built of Trace.t | Reused of Trace.t | Refused
 
 val try_install :
   t ->
+  events:Events.t ->
+  counts:Stats.t ->
   first:Cfg.Layout.gid ->
   blocks:Cfg.Layout.gid array ->
   prob:float ->
-  Trace.t option
-(** Like {!install} but fallible: [None] when the entry transition is
-    quarantined ({!n_quarantine_rejects}) or an injected installation
-    failure is pending ({!n_failed_installs}). *)
+  installed
+(** Install a candidate trace, the one way traces enter the cache.  An
+    identical cached trace is reused ([Reused], a hash-cons hit);
+    otherwise a new trace is constructed ([Built]) and bound to its entry
+    transition, displacing any previous binding ([traces_replaced]).
+    Installation may push the cache over a capacity cap, in which case
+    the policy's victims among the {e other} entries are evicted until
+    the caps hold again ([traces_evicted]; the trace just installed is
+    never its own victim).  [Refused]: nothing was installed — the entry
+    is quarantined, an injected failure was consumed
+    ([failed_installs]), or the block sequence is empty. *)
 
 val remove : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** Unbind the entry transition [(first, head)], returning the trace it
@@ -105,6 +106,8 @@ val remove : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 
 val quarantine :
   t ->
+  events:Events.t ->
+  counts:Stats.t ->
   first:Cfg.Layout.gid ->
   head:Cfg.Layout.gid ->
   code:string ->
@@ -114,11 +117,12 @@ val quarantine :
     {!remove}, and the entry is blacklisted until
     [clock + Config.heal_backoff * 2^(attempts-1)] — permanently once
     its condemnation count exceeds {!Config.heal_max_rebuilds}.  Emits
-    [Trace_quarantined].
+    [Trace_quarantined] and counts [traces_quarantined] (and
+    [traces_blacklisted] when the entry turns permanent).
 
     If the bound trace is currently {!pin}ned (being executed), the
     condemnation is {e refused} wholly — no unbind, no blacklist record,
-    [None] returned, {!n_pin_refusals} bumped.  Callers that must
+    [None] returned, [pin_refusals] counted.  Callers that must
     condemn an executing trace (the OSR mid-flight cut-over) deopt and
     unpin first. *)
 
@@ -142,10 +146,6 @@ val is_pinned : t -> Trace.t -> bool
 
 val n_pinned : t -> int
 (** Distinct traces currently pinned. *)
-
-val n_pin_refusals : t -> int
-(** {!quarantine} condemnations refused because the bound trace was
-    pinned. *)
 
 val n_demote_refusals : t -> int
 (** {!demote_lowered} demotions refused because the compiled trace was
@@ -186,11 +186,12 @@ val inject_install_failure : t -> unit
 (** Arm one installation failure: the next {!try_install} that passes the
     quarantine check returns [None] (the fault injector's FT006). *)
 
-val pressure_evict : t -> down_to:int -> int
+val pressure_evict :
+  t -> events:Events.t -> counts:Stats.t -> down_to:int -> int
 (** Evict entries until at most [down_to] live traces remain; returns
-    the number evicted (the fault injector's FT007 allocation-pressure
-    fault).  Victims are chosen by the configured
-    {!Config.Cache.eviction_policy}; the emitted [Trace_evicted] reason
+    the number evicted, each counted in [traces_evicted] (the fault
+    injector's FT007 allocation-pressure fault).  Victims are chosen by
+    the configured {!Config.Cache.eviction_policy}; the [Trace_evicted] reason
     is [Pressure] under [Lru] and [Footprint] under [Footprint_aware].
     {!pin}ned traces are never victims, so the eviction may stop above
     [down_to]. *)
@@ -214,22 +215,23 @@ val snapshot : t -> entry_snap list
     counters, LRU stamps, quarantine records — is not captured, so
     snapshot → restore → snapshot is bit-identical. *)
 
-val restore : ?promoted_below:float -> t -> entry_snap list -> int
+val restore :
+  ?promoted_below:float ->
+  t ->
+  events:Events.t ->
+  counts:Stats.t ->
+  entry_snap list ->
+  int
 (** Rebind every snapshot entry (constructing traces afresh over this
     cache's layout, hash-cons deduplicated), returning the number
-    restored.  Restored traces count toward {!n_restored}, not
-    {!n_constructed}, and carry the current session as owner.  Capacity
-    caps are enforced as usual, so restoring into a smaller cache keeps
-    the policy's preferred subset.  [promoted_below] (normally the
+    restored.  Restored traces do not count toward {!n_constructed},
+    and carry the current session as owner.  Capacity caps are enforced
+    as usual, so restoring into a smaller cache keeps the policy's
+    preferred subset.  [promoted_below] (normally the
     config's correlation threshold) re-marks sub-threshold snapshots as
     OSR-promoted loop traces — the greedy cutter never commits below the
     threshold, so the probability alone identifies them.
     @raise Invalid_argument on an empty block sequence. *)
-
-val n_restored : t -> int
-(** Entries rebound from snapshots by {!restore}. *)
-
-val eviction_policy : t -> Config.Cache.eviction_policy
 
 val footprint_bytes : t -> int
 (** Estimated i-cache footprint of the live cache under the shared byte
@@ -249,8 +251,8 @@ val iter_entries :
 
 val iter_all : t -> (Trace.t -> unit) -> unit
 (** Over every trace ever constructed and still reachable for
-    hash-consing, including displaced ones — the population the
-    completion statistics are drawn from. *)
+    hash-consing, including displaced ones but not evicted or
+    quarantined ones. *)
 
 val n_live : t -> int
 
@@ -258,26 +260,14 @@ val live_blocks : t -> int
 (** Total block count of live traces. *)
 
 val n_constructed : t -> int
-
-val n_replaced : t -> int
+(** Traces built, by every engine using the cache. *)
 
 val n_evicted : t -> int
-(** Capacity (and allocation-pressure) evictions. *)
-
-val n_quarantines : t -> int
-(** Condemnations recorded (an entry condemned twice counts twice). *)
+(** Capacity and allocation-pressure evictions, by every engine using
+    the cache: the sum of their [traces_evicted]. *)
 
 val n_quarantine_active : t -> int
 (** Entry transitions blacklisted at the current clock. *)
-
-val n_blacklisted : t -> int
-(** Entry transitions quarantined permanently. *)
-
-val n_failed_installs : t -> int
-(** Injected installation failures consumed by {!try_install}. *)
-
-val n_quarantine_rejects : t -> int
-(** {!try_install} refusals due to an active quarantine. *)
 
 val n_cross_installs : t -> int
 (** Hash-cons hits where the cached trace was built by a different
@@ -291,6 +281,6 @@ val n_cross_entries : t -> int
 val flush : t -> unit
 (** Empty the cache — live traces, hash-cons table and quarantine records
     (Dynamo's bail-out; never needed by the BCG design, provided for
-    experiments).  Counters survive, and so do pins: they belong to the
+    experiments).  The totals survive, and so do pins: they belong to the
     dispatch loops still following flushed traces, whose unpins balance
     them. *)

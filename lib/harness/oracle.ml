@@ -58,6 +58,7 @@ type tally = {
   rows : (int, trace_row) Hashtbl.t; (* by trace id, first construction *)
   mutable unknown_trace : int; (* hot events naming no constructed trace *)
   mutable mismatched : int; (* completions whose sizes are not the body's *)
+  mutable restated : int; (* reuses that differ from the row they name *)
   mutable constructed_new : int;
   mutable evicted_counted : int;
   mutable evicted_quarantine : int;
@@ -75,6 +76,7 @@ let create_tally () =
     rows = Hashtbl.create 64;
     unknown_trace = 0;
     mismatched = 0;
+    restated = 0;
     constructed_new = 0;
     evicted_counted = 0;
     evicted_quarantine = 0;
@@ -118,12 +120,17 @@ let observe t (e : Events.event) =
   | Events.Trace_constructed { trace_id; first; blocks; n_instrs; prob; reused }
     ->
       if not reused then t.constructed_new <- t.constructed_new + 1;
-      (* a hash-cons reuse names a trace already seen: keep its row *)
-      if not (Hashtbl.mem t.rows trace_id) then
-        Hashtbl.replace t.rows trace_id
-          { id = trace_id; first; body = blocks; n_instrs; prob; entered = 0;
-            completed = 0; exits = Array.make (Array.length blocks) 0;
-            partial_instrs = 0 }
+      (* a hash-cons reuse names a trace already seen: keep its row, which
+         the reuse must repeat *)
+      (match Hashtbl.find_opt t.rows trace_id with
+      | Some row ->
+          if prob <> row.prob || blocks <> row.body then
+            t.restated <- t.restated + 1
+      | None ->
+          Hashtbl.replace t.rows trace_id
+            { id = trace_id; first; body = blocks; n_instrs; prob; entered = 0;
+              completed = 0; exits = Array.make (Array.length blocks) 0;
+              partial_instrs = 0 })
   | Events.Trace_entered { trace_id; _ } ->
       on_row t trace_id (fun row -> row.entered <- row.entered + 1)
   (* exhaustive over the shared eviction-reason variant *)
@@ -249,12 +256,22 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   in
   let sum = Array.fold_left ( + ) 0 and attr_self = Engine.attr_self engine in
   let row name got want = { name; got; want } in
+  let completed_rows f =
+    rows_sum t (fun r -> if r.completed > 0 then f r else 0)
+  in
   List.map snd (identities ~in_flight t s)
   (* the per-trace rows the hot report reads *)
   @ [
       row "hot events name a constructed trace" t.unknown_trace 0;
+      row "reused trace_constructed = the trace's first construction"
+        t.restated 0;
       row "trace_completed (n_blocks, n_instrs) = constructed trace's"
         t.mismatched 0;
+      row "trace rows completed = static_traces" (completed_rows (fun _ -> 1))
+        s.Stats.static_traces;
+      row "trace rows completed (body blocks) = static_blocks"
+        (completed_rows (fun r -> Array.length r.body))
+        s.Stats.static_blocks;
       row "inlined positions = completed + partial blocks + in-flight"
         (sum (inlined t ~engine))
         (s.Stats.completed_blocks + s.Stats.partial_blocks
@@ -280,7 +297,7 @@ let ledger_checks (l : Ledger.t) (s : Stats.t) : check list =
       else None)
     (identities ~in_flight:0 t s)
 
-(* Both reconciliations for a finished solo-engine run. *)
+(* Both reconciliations for a finished run. *)
 let run_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   event_checks t ~engine s
   @

@@ -86,10 +86,12 @@ val event_checks :
     side-exit balance, the eviction-reason split, the deopt residue,
     the block and instruction sums of the exit events, and the trace
     rows the hot report reads — every hot event names a constructed
-    trace whose sizes it repeats, the {!inlined} counts sum to the
-    inlined positions, and {!Tracegen.Engine.attr_self}, when kept, to
-    [block_dispatches].  Events outlive their traces, so all of these
-    hold under eviction, quarantine and corruption. *)
+    trace whose sizes it repeats, a reuse repeats the trace's first
+    construction, the completed rows count [static_traces] and
+    [static_blocks], the {!inlined} counts sum to the inlined positions,
+    and {!Tracegen.Engine.attr_self}, when kept, to [block_dispatches].
+    Events outlive their traces, so all of these hold under eviction,
+    quarantine and corruption (a restored trace has no row). *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list
@@ -99,4 +101,5 @@ val ledger_checks :
 val run_checks :
   tally -> engine:Tracegen.Engine.t -> Tracegen.Stats.t -> check list
 (** {!event_checks} plus {!ledger_checks} — the full reconciliation for
-    a finished solo-engine run. *)
+    a finished run.  For a [Session] member, only the rows folding trace
+    bodies fail, on traces another member built. *)

@@ -94,7 +94,9 @@ done
 # Shared-cache gate: two members per workload interleaved over one
 # trace cache per layout, first under injected pressure evictions, then
 # with self-healing against corrupted traces.  Every member's result
-# must equal a solo interpreter run; exits non-zero on any divergence.
+# must equal a solo interpreter run, and the evictions the members
+# sharing a cache counted must sum to that cache's; exits non-zero
+# otherwise.
 "$cli" session --workloads javac,soot,mpegaudio \
   --users 2 --fault-spec 'alloc-pressure@0.001,budget=20' > /dev/null
 "$cli" session --workloads javac,soot,mpegaudio \

@@ -129,6 +129,9 @@ check events compress --size 500 --snapshot-period 250 --osr \
   --fault-spec 'guard_flip@0.05,budget=24'
 check run compress --size 500 --osr --self-heal \
   --fault-spec 'guard_flip@0.05,budget=24'
+# failed installs and pressure evictions, counted by the engine
+check run compress --self-heal \
+  --fault-spec 'fail-install@0.01,alloc-pressure@0.001,budget=20'
 # the histogram table folded from a deopt-heavy stream
 check events compress --size 500 --stats-only --osr \
   --fault-spec 'guard_flip@0.05,budget=24'

@@ -14,13 +14,15 @@
      counter where a run without them puts it;
    - sessions share a trace cache per layout with observable
      cross-session reuse, preserving bit-identical results (also under a
-     chaos fault schedule);
+     chaos fault schedule), and each member publishes and counts the
+     cache decisions it makes;
    - the Health edge cases: forgiveness exactly at the clean-window
      boundary, and strike budgets resetting across a demote + recover
      cycle. *)
 
 module Config = Tracegen.Config
 module Engine = Tracegen.Engine
+module Events = Tracegen.Events
 module Session = Tracegen.Session
 module Health = Tracegen.Health
 module Bcg = Tracegen.Bcg
@@ -418,6 +420,77 @@ let test_session_chaos_equivalence () =
         (fingerprint baseline = fingerprint (Session.vm_result m)))
     (Session.members session)
 
+(* Each member of a shared-cache session publishes and counts the cache
+   decisions it makes: the replacement, eviction and quarantine events
+   on its own stream equal its own Stats, and the members' evictions sum
+   to the cache's.  A solo engine's evictions are the cache's. *)
+let test_session_decisions_per_member () =
+  let layout =
+    Cfg.Layout.build
+      (Workloads.Workload.build_default Workloads.Compress.workload)
+  in
+  let config ?self_heal ?fault_spec () =
+    Config.make ?self_heal ?fault_spec ~max_cache_traces:8
+      ~eviction_policy:Config.Cache.Footprint_aware ()
+  in
+  List.iter
+    (fun (label, config) ->
+      let session = Session.create () in
+      let members =
+        List.map
+          (fun name ->
+            let events = Events.create () in
+            let seen = Hashtbl.create 8 in
+            let _sub =
+              Events.subscribe events (fun e ->
+                  let k =
+                    match e.Events.payload with
+                    | Events.Trace_evicted { reason = Events.Quarantine; _ } ->
+                        "trace_evicted (quarantine)"
+                    | p -> Events.kind p
+                  in
+                  Hashtbl.replace seen k
+                    (1 + Option.value (Hashtbl.find_opt seen k) ~default:0))
+            in
+            (Session.add ~name ~config ~events session layout, seen))
+          [ "a"; "b" ]
+      in
+      Session.run session;
+      let quarantined = ref 0 in
+      let evicted =
+        List.fold_left
+          (fun sum (m, seen) ->
+            let s = Session.stats m in
+            let mine kind want =
+              check Alcotest.int
+                (Printf.sprintf "%s/%s: %s" label (Session.member_name m) kind)
+                want
+                (Option.value (Hashtbl.find_opt seen kind) ~default:0)
+            in
+            mine "trace_replaced" s.Stats.traces_replaced;
+            mine "trace_evicted" s.Stats.traces_evicted;
+            mine "trace_quarantined" s.Stats.traces_quarantined;
+            quarantined := !quarantined + s.Stats.traces_quarantined;
+            sum + s.Stats.traces_evicted)
+          0 members
+      in
+      let cache = Engine.cache (Session.engine (fst (List.hd members))) in
+      check Alcotest.bool (label ^ ": the cache evicted or quarantined") true
+        (Trace_cache.n_evicted cache > 0 || !quarantined > 0);
+      check Alcotest.int
+        (label ^ ": the members' evictions sum to the cache's")
+        (Trace_cache.n_evicted cache) evicted)
+    [
+      ("plain", config ());
+      ( "self-heal",
+        config ~self_heal:true ~fault_spec:"corrupt-trace@0.005,budget=20" ()
+      );
+    ];
+  let r = Engine.run ~config:(config ()) layout in
+  check Alcotest.int "solo: traces_evicted = the cache's"
+    (Trace_cache.n_evicted (Engine.cache r.Engine.engine))
+    r.Engine.run_stats.Stats.traces_evicted
+
 let test_session_validation () =
   (match Session.create ~batch:0 () with
   | exception Invalid_argument _ -> ()
@@ -467,6 +540,8 @@ let () =
           tc "solo counts no cross reuse" `Quick
             test_session_solo_counts_nothing;
           tc "chaos equivalence" `Quick test_session_chaos_equivalence;
+          tc "each member counts its own cache decisions" `Quick
+            test_session_decisions_per_member;
           tc "validation" `Quick test_session_validation;
         ] );
     ]

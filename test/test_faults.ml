@@ -3,6 +3,7 @@
    - the fault-schedule DSL (parse errors, determinism, the FT catalogue);
    - the bounded trace cache (remove, LRU eviction, pressure eviction);
    - quarantine (backoff, blacklisting, try_install refusals);
+   - each cache decision counted in the [counts] record passed with it;
    - the degradation ladder (Health) and BCG node repair (heal_node). *)
 
 module Config = Tracegen.Config
@@ -11,9 +12,16 @@ module Trace_cache = Tracegen.Trace_cache
 module Faults = Tracegen.Faults
 module Health = Tracegen.Health
 module Events = Tracegen.Events
+module Stats = Tracegen.Stats
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+
+(* A trace the cache must accept. *)
+let install ~events ~counts cache ~first ~blocks ~prob =
+  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
 
 let layout =
   lazy
@@ -82,44 +90,47 @@ let warm_targets () =
     Bcg.record_successor bcg ~ctx ~target
   done;
   let cache = Trace_cache.create layout in
+  let events = Events.create () and counts = Stats.zero () in
   for g = 0 to 9 do
     ignore
-      (Trace_cache.install cache ~first:g ~blocks:[| g + 1; g + 2 |] ~prob:1.0)
+      (install ~events ~counts cache ~first:g
+         ~blocks:[| g + 1; g + 2 |] ~prob:1.0)
   done;
   (bcg, cache)
 
 let run_schedule ~seed ~ticks spec =
   let bcg, cache = warm_targets () in
   let f = Faults.create ~seed spec in
+  let events = Events.create () and counts = Stats.zero () in
   let log = ref [] in
   for now = 0 to ticks - 1 do
-    let fired = Faults.tick f ~now ~bcg ~cache ~active:None in
+    let fired = Faults.tick f ~now ~bcg ~cache ~events ~counts ~active:None in
     log := List.rev_append fired !log
   done;
-  (f, List.rev !log)
+  List.rev !log
 
 let test_determinism () =
   let spec = "corrupt-trace@0.1,zero-counter@0.2,drop-best@0.1,budget=16" in
-  let f1, log1 = run_schedule ~seed:7 ~ticks:400 spec in
-  let f2, log2 = run_schedule ~seed:7 ~ticks:400 spec in
-  check Alcotest.bool "some faults fired" true (Faults.injected f1 > 0);
-  check Alcotest.int "same injection count" (Faults.injected f1)
-    (Faults.injected f2);
+  let log1 = run_schedule ~seed:7 ~ticks:400 spec in
+  let log2 = run_schedule ~seed:7 ~ticks:400 spec in
+  check Alcotest.bool "some faults fired" true (log1 <> []);
+  check Alcotest.int "same injection count" (List.length log1)
+    (List.length log2);
   check
     Alcotest.(list (pair string string))
     "same (code, detail) sequence" log1 log2;
   (* seed 0 is legal (remapped internally, xorshift has no zero state) *)
-  let f0, log0 = run_schedule ~seed:0 ~ticks:400 spec in
-  let f0', log0' = run_schedule ~seed:0 ~ticks:400 spec in
-  check Alcotest.int "seed 0 deterministic too" (Faults.injected f0)
-    (Faults.injected f0');
+  let log0 = run_schedule ~seed:0 ~ticks:400 spec in
+  let log0' = run_schedule ~seed:0 ~ticks:400 spec in
+  check Alcotest.int "seed 0 deterministic too" (List.length log0)
+    (List.length log0');
   check Alcotest.(list (pair string string)) "seed 0 same log" log0 log0'
 
 let test_budget_and_one_shot () =
-  let _, log = run_schedule ~seed:3 ~ticks:400 "corrupt-trace@1.0,budget=5" in
+  let log = run_schedule ~seed:3 ~ticks:400 "corrupt-trace@1.0,budget=5" in
   check Alcotest.int "budget caps injections" 5 (List.length log);
   (* a one-shot arm fires exactly once, at the first tick >= N *)
-  let _, log1 = run_schedule ~seed:3 ~ticks:400 "fail-install!50" in
+  let log1 = run_schedule ~seed:3 ~ticks:400 "fail-install!50" in
   check Alcotest.int "one-shot fires once" 1 (List.length log1);
   check Alcotest.string "with its FT code" "FT006" (fst (List.hd log1))
 
@@ -130,9 +141,11 @@ let test_budget_and_one_shot () =
 let test_remove_consistency () =
   let layout = Lazy.force layout in
   let cache = Trace_cache.create layout in
-  let t0 = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  let _t1 = Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
-  let _t2 = Trace_cache.install cache ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0 in
+  let events = Events.create () and counts = Stats.zero () in
+  let install = install ~events ~counts cache in
+  let t0 = install ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let _t1 = install ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
+  let _t2 = install ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0 in
   check Alcotest.int "three live" 3 (Trace_cache.n_live cache);
   check Alcotest.int "six live blocks" 6 (Trace_cache.live_blocks cache);
   (match Trace_cache.remove cache ~first:0 ~head:1 with
@@ -146,7 +159,7 @@ let test_remove_consistency () =
     (Trace_cache.remove cache ~first:0 ~head:1);
   (* the removed trace left the hash-cons table: an identical
      reconstruction builds a fresh trace, not the condemned one *)
-  let t0' = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let t0' = install ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
   check Alcotest.bool "reinstall is a fresh trace" true (not (t0' == t0));
   check Alcotest.int "three live again" 3 (Trace_cache.n_live cache)
 
@@ -161,14 +174,17 @@ let test_lru_eviction () =
             evicted := (first, head) :: !evicted
         | _ -> ())
   in
-  let cache = Trace_cache.create ~events ~max_traces:2 layout in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
-  ignore (Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0);
+  let cache = Trace_cache.create ~max_traces:2 layout in
+  let counts = Stats.zero () in
+  let install = install ~events ~counts cache in
+  ignore (install ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
+  ignore (install ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0);
   (* touch (0,1) so (3,4) is the least recently dispatched *)
   ignore (Trace_cache.lookup cache ~prev:0 ~cur:1);
-  ignore (Trace_cache.install cache ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
+  ignore (install ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
   check Alcotest.int "cap holds" 2 (Trace_cache.n_live cache);
   check Alcotest.int "one eviction" 1 (Trace_cache.n_evicted cache);
+  check Alcotest.int "counted for the installer" 1 counts.Stats.traces_evicted;
   check Alcotest.(list (pair int int)) "LRU victim" [ (3, 4) ] !evicted;
   check Alcotest.bool "touched entry survives" true
     (Trace_cache.lookup cache ~prev:0 ~cur:1 <> None);
@@ -178,14 +194,17 @@ let test_lru_eviction () =
 let test_pressure_eviction () =
   let layout = Lazy.force layout in
   let cache = Trace_cache.create layout in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
-  ignore (Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0);
-  ignore (Trace_cache.install cache ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
+  let events = Events.create () and counts = Stats.zero () in
+  let install = install ~events ~counts cache in
+  ignore (install ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
+  ignore (install ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0);
+  ignore (install ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
   (* pressure eviction: down to one live trace *)
-  let n = Trace_cache.pressure_evict cache ~down_to:1 in
+  let n = Trace_cache.pressure_evict cache ~events ~counts ~down_to:1 in
   check Alcotest.int "evicted down to one" 1 (Trace_cache.n_live cache);
   check Alcotest.int "reported count" 2 n;
   check Alcotest.int "counted as evictions" n (Trace_cache.n_evicted cache);
+  check Alcotest.int "counted for the evictor" n counts.Stats.traces_evicted;
   check Alcotest.int "two live blocks" 2 (Trace_cache.live_blocks cache);
   (* invalid caps are rejected at construction *)
   (match Trace_cache.create ~max_traces:(-1) layout with
@@ -199,9 +218,20 @@ let test_pressure_eviction () =
 let test_quarantine_backoff () =
   let layout = Lazy.force layout in
   let cache = Trace_cache.create layout in
+  let events = Events.create () and counts = Stats.zero () in
   let backoff = Config.heal_backoff in
-  let t0 = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  (match Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210" with
+  let try_install () =
+    Trace_cache.try_install cache ~events ~counts ~first:0 ~blocks:[| 1; 2 |]
+      ~prob:1.0
+  in
+  let quarantine () =
+    Trace_cache.quarantine cache ~events ~counts ~first:0 ~head:1
+      ~code:"TL210"
+  in
+  let t0 =
+    install ~events ~counts cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
+  in
+  (match quarantine () with
   | Some tr -> check Alcotest.bool "condemned trace removed" true (tr == t0)
   | None -> Alcotest.fail "quarantine returned None for a bound entry");
   check Alcotest.int "unbound" 0 (Trace_cache.n_live cache);
@@ -209,12 +239,11 @@ let test_quarantine_backoff () =
     (Trace_cache.is_quarantined cache ~first:0 ~head:1);
   check Alcotest.int "one attempt" 1
     (Trace_cache.quarantine_attempts cache ~first:0 ~head:1);
-  (* try_install refuses while the backoff holds *)
+  (* try_install refuses while the backoff holds, and not because an
+     installation failed *)
   check Alcotest.bool "try_install refused" true
-    (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
-    = None);
-  check Alcotest.int "refusal counted" 1
-    (Trace_cache.n_quarantine_rejects cache);
+    (try_install () = Trace_cache.Refused);
+  check Alcotest.int "no failed install" 0 counts.Stats.failed_installs;
   (* first backoff window: heal_backoff * 2^0 clock units from clock 0 *)
   let released = ref backoff in
   let window attempt =
@@ -229,40 +258,44 @@ let test_quarantine_backoff () =
       false
       (Trace_cache.is_quarantined cache ~first:0 ~head:1);
     check Alcotest.bool "rebuild allowed" true
-      (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
-      <> None)
+      (try_install () <> Trace_cache.Refused)
   in
   window 1;
   (* every further condemnation doubles the backoff, up to
      heal_max_rebuilds condemnations in all *)
   for attempt = 2 to Config.heal_max_rebuilds do
     let now = !released + 1 in
-    ignore (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210");
+    ignore (quarantine ());
     released := now + (backoff lsl (attempt - 1));
     window attempt
   done;
-  check Alcotest.int "not yet blacklisted" 0 (Trace_cache.n_blacklisted cache);
+  check Alcotest.int "not yet blacklisted" 0 counts.Stats.traces_blacklisted;
   (* one condemnation past heal_max_rebuilds: permanent *)
-  ignore (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210");
-  check Alcotest.int "blacklisted" 1 (Trace_cache.n_blacklisted cache);
+  ignore (quarantine ());
+  check Alcotest.int "blacklisted" 1 counts.Stats.traces_blacklisted;
   Trace_cache.set_clock cache 1_000_000_000;
   check Alcotest.bool "blacklist never expires" true
     (Trace_cache.is_quarantined cache ~first:0 ~head:1);
   check Alcotest.int "every condemnation counted"
     (Config.heal_max_rebuilds + 1)
-    (Trace_cache.n_quarantines cache)
+    counts.Stats.traces_quarantined
 
 let test_inject_install_failure () =
   let layout = Lazy.force layout in
   let cache = Trace_cache.create layout in
+  let events = Events.create () and counts = Stats.zero () in
+  let try_install () =
+    Trace_cache.try_install cache ~events ~counts ~first:0 ~blocks:[| 1; 2 |]
+      ~prob:1.0
+  in
   Trace_cache.inject_install_failure cache;
   check Alcotest.bool "armed failure consumed" true
-    (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
-    = None);
-  check Alcotest.int "counted" 1 (Trace_cache.n_failed_installs cache);
-  check Alcotest.bool "next install succeeds" true
-    (Trace_cache.try_install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
-    <> None)
+    (try_install () = Trace_cache.Refused);
+  check Alcotest.int "counted" 1 counts.Stats.failed_installs;
+  check Alcotest.bool "next install builds" true
+    (match try_install () with Trace_cache.Built _ -> true | _ -> false);
+  check Alcotest.bool "a third install reuses" true
+    (match try_install () with Trace_cache.Reused _ -> true | _ -> false)
 
 (* --------------------------------------------------------------- *)
 (* the degradation ladder                                            *)

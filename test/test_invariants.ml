@@ -15,6 +15,16 @@ module Config = Tracegen.Config
 module Events = Tracegen.Events
 module Diag = Analysis.Diag
 
+(* Cache decisions made outside any engine go to a stream and counters
+   nobody reads. *)
+let install cache ~first ~blocks ~prob =
+  match
+    Trace_cache.try_install cache ~events:(Events.create ())
+      ~counts:(Tracegen.Stats.zero ()) ~first ~blocks ~prob
+  with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
@@ -145,11 +155,11 @@ let tiny_layout () =
 let test_bad_trace_prob_fires_tl201 () =
   let layout = tiny_layout () in
   let cache = Trace_cache.create layout in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:1.5);
+  ignore (install cache ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:1.5);
   let diags = Invariants.check_cache Config.default cache in
   check Alcotest.bool "prob > 1 fires TL201" true (has_code "TL201" diags);
   let cache2 = Trace_cache.create layout in
-  ignore (Trace_cache.install cache2 ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:0.5);
+  ignore (install cache2 ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:0.5);
   let diags2 = Invariants.check_cache Config.default cache2 in
   check Alcotest.bool "prob below threshold fires TL201" true
     (has_code "TL201" diags2)
@@ -162,13 +172,13 @@ let test_bad_trace_length_fires_tl209 () =
       (Tracegen.Config.max_trace_blocks + 1)
       (fun k -> (k + 1) mod layout.Cfg.Layout.n_blocks)
   in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:too_long ~prob:1.0);
+  ignore (install cache ~first:0 ~blocks:too_long ~prob:1.0);
   let diags = Invariants.check_cache Config.default cache in
   check Alcotest.bool "overlong trace fires TL209" true
     (has_code "TL209" diags);
   (* a single-block trace violates the minimum *)
   let cache2 = Trace_cache.create layout in
-  ignore (Trace_cache.install cache2 ~first:0 ~blocks:[| 1 |] ~prob:1.0);
+  ignore (install cache2 ~first:0 ~blocks:[| 1 |] ~prob:1.0);
   check Alcotest.bool "short trace fires TL209" true
     (has_code "TL209" (Invariants.check_cache Config.default cache2))
 
@@ -177,7 +187,7 @@ let test_unrolled_transitions_fire_tl203 () =
   let cache = Trace_cache.create layout in
   (* the transition 1->2 appears three times: a loop unrolled twice *)
   ignore
-    (Trace_cache.install cache ~first:0
+    (install cache ~first:0
        ~blocks:[| 1; 2; 1; 2; 1; 2 |] ~prob:1.0);
   check Alcotest.bool "thrice-repeated transition fires TL203" true
     (has_code "TL203" (Invariants.check_cache Config.default cache))
@@ -186,7 +196,7 @@ let test_unrolled_transitions_fire_tl203 () =
 let test_findings_render () =
   let layout = tiny_layout () in
   let cache = Trace_cache.create layout in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:2.0);
+  ignore (install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:2.0);
   let diags = Invariants.check_cache ~context:"seeded" Config.default cache in
   check Alcotest.bool "errors" true (Diag.has_errors diags);
   List.iter

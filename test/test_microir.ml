@@ -26,6 +26,16 @@ module Trace = Tracegen.Trace
 module Trace_cache = Tracegen.Trace_cache
 module Interp = Vm.Interp
 
+(* Cache decisions made outside any engine go to a stream and counters
+   nobody reads. *)
+let install cache ~first ~blocks ~prob =
+  match
+    Trace_cache.try_install cache ~events:(Events.create ())
+      ~counts:(Stats.zero ()) ~first ~blocks ~prob
+  with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+
 let tc = Alcotest.test_case
 let check = Alcotest.check
 let fp = Alcotest.(triple string int int)
@@ -274,7 +284,7 @@ let test_promotion_edge () =
   let cache = Trace_cache.create layout in
   let config = Config.make ~tier:true ~tier_compile_after:4 () in
   let events = Events.create () in
-  let tr = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let tr = install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
   (* install stamps one use; stay strictly below the bar *)
   heat cache tr 2;
   check Alcotest.(pair int int) "below the bar: no compile" (0, 0)
@@ -288,7 +298,7 @@ let test_promotion_edge () =
     (Tier.maybe_compile config layout cache ~events tr);
   (* the tier off is a hard gate regardless of heat *)
   let cold_config = Config.make () in
-  let tr2 = Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
+  let tr2 = install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
   heat cache tr2 100;
   check Alcotest.(pair int int) "tier off: no compile" (0, 0)
     (Tier.maybe_compile cold_config layout cache ~events tr2)
@@ -300,12 +310,12 @@ let test_budget_demotion () =
     Config.make ~tier:true ~tier_compile_after:4 ~tier_compile_budget:1 ()
   in
   let events = Events.create () in
-  let a = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let a = install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
   heat cache a 9;
   check Alcotest.(pair int int) "A compiled into the only slot" (1, 0)
     (Tier.maybe_compile config layout cache ~events a);
   (* an equally hot candidate must not thrash the slot *)
-  let b = Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
+  let b = install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
   heat cache b (Trace_cache.trace_uses cache a - 1);
   check Alcotest.(pair int int) "equal heat: no thrash" (0, 0)
     (Tier.maybe_compile config layout cache ~events b);
@@ -325,7 +335,7 @@ let test_pin_blocks_demotion () =
     Config.make ~tier:true ~tier_compile_after:4 ~tier_compile_budget:1 ()
   in
   let events = Events.create () in
-  let a = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let a = install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
   heat cache a 9;
   ignore (Tier.maybe_compile config layout cache ~events a);
   check Alcotest.bool "A compiled" true (a.Trace.lowered <> None);
@@ -337,7 +347,7 @@ let test_pin_blocks_demotion () =
   check Alcotest.int "refusal counted" 1 (Trace_cache.n_demote_refusals cache);
   (* a hotter candidate cannot claim the slot either: the pinned trace
      is not a victim, so the budget stays full and B stays interpreted *)
-  let b = Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
+  let b = install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
   heat cache b 50;
   check Alcotest.(pair int int) "budget full behind a pin: no compile" (0, 0)
     (Tier.maybe_compile config layout cache ~events b);

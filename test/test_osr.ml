@@ -23,6 +23,12 @@ module Interp = Vm.Interp
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
+
+(* A trace the cache must accept. *)
+let install ~events ~counts cache ~first ~blocks ~prob =
+  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
 let fp = Alcotest.(triple string int int)
 let fingerprint = Harness.Chaos.fingerprint
 
@@ -247,25 +253,31 @@ let test_promotion_mid_loop () =
 let test_pinned_trace_protected () =
   let layout = layout_for ~size:200 compress in
   let cache = Trace_cache.create ~max_traces:2 layout in
-  let t0 = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  let _t1 = Trace_cache.install cache ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
+  let events = Events.create () and counts = Stats.zero () in
+  let install = install ~events ~counts cache in
+  let quarantine () =
+    Trace_cache.quarantine cache ~events ~counts ~first:0 ~head:1
+      ~code:"TL210"
+  in
+  let t0 = install ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let _t1 = install ~first:3 ~blocks:[| 4; 5 |] ~prob:1.0 in
   Trace_cache.pin cache t0;
   check Alcotest.bool "pinned" true (Trace_cache.is_pinned cache t0);
   (* capacity eviction must pick the unpinned victim even though the
      pinned trace is least recently dispatched *)
-  ignore (Trace_cache.install cache ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
+  ignore (install ~first:6 ~blocks:[| 7; 8 |] ~prob:1.0);
   check Alcotest.bool "pinned trace survives capacity eviction" true
     (Trace_cache.lookup cache ~prev:0 ~cur:1 <> None);
   (* pressure eviction skips it too, even when asked to empty the cache *)
-  ignore (Trace_cache.pressure_evict cache ~down_to:0);
+  ignore (Trace_cache.pressure_evict cache ~events ~counts ~down_to:0);
   check Alcotest.bool "pinned trace survives pressure eviction" true
     (Trace_cache.lookup cache ~prev:0 ~cur:1 <> None);
   check Alcotest.int "only the pinned trace is left" 1
     (Trace_cache.n_live cache);
   (* quarantine is refused wholly: no unbind, no blacklist record *)
   check Alcotest.bool "quarantine refused" true
-    (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210" = None);
-  check Alcotest.int "refusal counted" 1 (Trace_cache.n_pin_refusals cache);
+    (quarantine () = None);
+  check Alcotest.int "refusal counted" 1 counts.Stats.pin_refusals;
   check Alcotest.bool "entry not blacklisted by the refusal" false
     (Trace_cache.is_quarantined cache ~first:0 ~head:1);
   check Alcotest.bool "still live" true
@@ -278,7 +290,7 @@ let test_pinned_trace_protected () =
   Trace_cache.unpin cache t0;
   check Alcotest.bool "unpinned" false (Trace_cache.is_pinned cache t0);
   check Alcotest.bool "quarantine succeeds once unpinned" true
-    (Trace_cache.quarantine cache ~first:0 ~head:1 ~code:"TL210" <> None)
+    (quarantine () <> None)
 
 (* The PR-9 extension of the same promise: a pin also protects the
    trace's compiled-tier body.  Demoting a lowered body out from under
@@ -288,7 +300,10 @@ let test_pinned_trace_protected () =
 let test_pinned_trace_keeps_compiled_body () =
   let layout = layout_for ~size:200 compress in
   let cache = Trace_cache.create layout in
-  let tr = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let tr =
+    install ~events:(Events.create ()) ~counts:(Stats.zero ()) cache ~first:0
+      ~blocks:[| 1; 2 |] ~prob:1.0
+  in
   tr.Trace.lowered <- Some (Tracegen.Tier.lower_trace layout tr);
   check Alcotest.int "one compiled trace" 1 (Trace_cache.n_compiled cache);
   Trace_cache.pin cache tr;
@@ -338,13 +353,15 @@ let test_shared_cache_pins () =
   check Alcotest.int "one pin per member" 2 tr.Trace.pins;
   check Alcotest.bool "pinned" true (Trace_cache.is_pinned cache tr);
   let still_bound () = Trace_cache.peek cache ~first ~head = Some tr in
-  ignore (Trace_cache.pressure_evict cache ~down_to:0);
+  (* the test makes these decisions itself, outside both members *)
+  let events = Events.create () and counts = Stats.zero () in
+  let quarantine () =
+    Trace_cache.quarantine cache ~events ~counts ~first ~head ~code:"TL210"
+  in
+  ignore (Trace_cache.pressure_evict cache ~events ~counts ~down_to:0);
   check Alcotest.bool "eviction skips it" true (still_bound ());
-  let refusals = Trace_cache.n_pin_refusals cache in
-  check Alcotest.bool "quarantine refuses it" true
-    (Trace_cache.quarantine cache ~first ~head ~code:"TL210" = None);
-  check Alcotest.int "refusal counted" (refusals + 1)
-    (Trace_cache.n_pin_refusals cache);
+  check Alcotest.bool "quarantine refuses it" true (quarantine () = None);
+  check Alcotest.int "refusal counted" 1 counts.Stats.pin_refusals;
   (* member 1 leaves the trace: member 2's pin still protects it *)
   let rec leave id h e =
     step id h;
@@ -355,10 +372,9 @@ let test_shared_cache_pins () =
   leave 1 h1 e1;
   check Alcotest.int "one pin left" 1 tr.Trace.pins;
   check Alcotest.bool "still pinned" true (Trace_cache.is_pinned cache tr);
-  ignore (Trace_cache.pressure_evict cache ~down_to:0);
+  ignore (Trace_cache.pressure_evict cache ~events ~counts ~down_to:0);
   check Alcotest.bool "eviction still skips it" true (still_bound ());
-  check Alcotest.bool "quarantine still refuses it" true
-    (Trace_cache.quarantine cache ~first ~head ~code:"TL210" = None);
+  check Alcotest.bool "quarantine still refuses it" true (quarantine () = None);
   (* a flush leaves the pin to its owner, whose unpin is then harmless *)
   Trace_cache.flush cache;
   check Alcotest.bool "pin survives the flush" true

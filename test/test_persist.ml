@@ -18,6 +18,19 @@ module Persist = Tracegen.Persist
 module Trace_cache = Tracegen.Trace_cache
 module Stats = Tracegen.Stats
 
+(* Cache decisions made outside any engine go to a stream and counters
+   nobody reads, unless a test passes its own stream. *)
+let install ?(events = Events.create ()) cache ~first ~blocks ~prob =
+  match
+    Trace_cache.try_install cache ~events ~counts:(Stats.zero ()) ~first
+      ~blocks ~prob
+  with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+
+let pressure_evict ?(events = Events.create ()) cache =
+  Trace_cache.pressure_evict cache ~events ~counts:(Stats.zero ())
+
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
@@ -69,16 +82,24 @@ let test_restore_resnapshot_identity () =
 
 let test_restore_info_counts () =
   let data, layout = snapshot_of Workloads.Compress.workload in
-  let engine = Engine.create layout in
+  let events = Events.create () in
+  let published = ref [] in
+  let _sub =
+    Events.subscribe events (fun e ->
+        match e.Events.payload with
+        | Events.Cache_restored { traces; _ } ->
+            published := traces :: !published
+        | _ -> ())
+  in
+  let engine = Engine.create ~events layout in
   match Engine.restore engine data with
   | Error e -> Alcotest.failf "restore failed: %s" (Persist.error_to_string e)
   | Ok info ->
       check Alcotest.int "restored traces = live traces"
         info.Engine.restored_traces
         (Trace_cache.n_live (Engine.cache engine));
-      check Alcotest.int "restored count on the cache"
-        info.Engine.restored_traces
-        (Trace_cache.n_restored (Engine.cache engine));
+      check (Alcotest.list Alcotest.int) "restored count on the stream"
+        [ info.Engine.restored_traces ] !published;
       check Alcotest.bool "some traces restored" true
         (info.Engine.restored_traces > 0);
       check Alcotest.bool "some BCG nodes restored" true
@@ -235,13 +256,14 @@ let test_warm_equals_cold () =
    was never dispatched.  LRU sees only recency (the small trace was
    bound last, so the big one is oldest); the footprint policy sees
    bytes per use. *)
-let hot_large_cold_small cache touches =
-  let hot = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2; 3; 4; 5; 6 |]
-      ~prob:1.0 in
+let hot_large_cold_small ?events cache touches =
+  let hot =
+    install ?events cache ~first:0 ~blocks:[| 1; 2; 3; 4; 5; 6 |] ~prob:1.0
+  in
   for _ = 1 to touches do
     ignore (Trace_cache.lookup cache ~prev:0 ~cur:1)
   done;
-  let cold = Trace_cache.install cache ~first:10 ~blocks:[| 11 |] ~prob:1.0 in
+  let cold = install ?events cache ~first:10 ~blocks:[| 11 |] ~prob:1.0 in
   (hot, cold)
 
 let survivors cache =
@@ -261,7 +283,7 @@ let test_footprint_keeps_hot_large () =
   check Alcotest.bool "cold trace scores worse" true
     (float_of_int (bytes cold) /. 2.0
     > float_of_int (bytes hot) /. float_of_int (100 + 2));
-  check Alcotest.int "one eviction" 1 (Trace_cache.pressure_evict cache ~down_to:1);
+  check Alcotest.int "one eviction" 1 (pressure_evict cache ~down_to:1);
   check (Alcotest.list Alcotest.int) "hot-but-large survives" [ 0 ]
     (survivors cache)
 
@@ -269,7 +291,7 @@ let test_lru_keeps_recent () =
   let layout = Lazy.force compress_layout in
   let cache = Trace_cache.create ~eviction_policy:Config.Cache.Lru layout in
   let _ = hot_large_cold_small cache 100 in
-  check Alcotest.int "one eviction" 1 (Trace_cache.pressure_evict cache ~down_to:1);
+  check Alcotest.int "one eviction" 1 (pressure_evict cache ~down_to:1);
   (* same population, opposite verdict: the cold-but-small trace was
      bound most recently, so LRU condemns the hot one *)
   check (Alcotest.list Alcotest.int) "most-recent survives" [ 10 ]
@@ -287,15 +309,15 @@ let test_eviction_reasons () =
           | _ -> ())
     in
     let cache =
-      Trace_cache.create ~events ~eviction_policy:policy
+      Trace_cache.create ~eviction_policy:policy
         ~max_traces:(if pressure then 0 else 2)
         layout
     in
-    let _ = hot_large_cold_small cache 3 in
-    if pressure then ignore (Trace_cache.pressure_evict cache ~down_to:1)
+    let _ = hot_large_cold_small ~events cache 3 in
+    if pressure then ignore (pressure_evict ~events cache ~down_to:1)
     else
       (* a third install overflows max_traces = 2 *)
-      ignore (Trace_cache.install cache ~first:20 ~blocks:[| 21 |] ~prob:1.0);
+      ignore (install ~events cache ~first:20 ~blocks:[| 21 |] ~prob:1.0);
     List.rev !seen
   in
   let pp = Events.evict_reason_to_string in
@@ -322,8 +344,10 @@ let test_restored_heat_counts () =
   let fresh =
     Trace_cache.create ~eviction_policy:Config.Cache.Footprint_aware layout
   in
-  check Alcotest.int "both entries restored" 2 (Trace_cache.restore fresh snaps);
-  ignore (Trace_cache.pressure_evict fresh ~down_to:1);
+  check Alcotest.int "both entries restored" 2
+    (Trace_cache.restore fresh ~events:(Events.create ())
+       ~counts:(Stats.zero ()) snaps);
+  ignore (pressure_evict fresh ~down_to:1);
   check (Alcotest.list Alcotest.int) "hot trace survives after restore" [ 0 ]
     (survivors fresh)
 

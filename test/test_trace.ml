@@ -7,6 +7,22 @@ module Trace = Tracegen.Trace
 module Trace_cache = Tracegen.Trace_cache
 module Layout = Cfg.Layout
 module Config = Tracegen.Config
+module Events = Tracegen.Events
+module Stats = Tracegen.Stats
+
+(* The stream and counters of the engine a cache decision is made for;
+   these tests drive the cache directly, so a fresh pair stands in. *)
+let decider () = (Events.create (), Stats.zero ())
+
+(* A trace the cache must accept. *)
+let accept ~events ~counts cache ~first ~blocks ~prob =
+  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
+  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
+  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+
+let install cache =
+  let events, counts = decider () in
+  accept ~events ~counts cache
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
@@ -53,7 +69,7 @@ let test_install_and_lookup () =
   let l = Lazy.force layout in
   let cache = Trace_cache.create l in
   let blocks = [| 1; 2; 0 |] in
-  let tr = Trace_cache.install cache ~first:0 ~blocks ~prob:0.99 in
+  let tr = install cache ~first:0 ~blocks ~prob:0.99 in
   check Alcotest.int "constructed" 1 (Trace_cache.n_constructed cache);
   (match Trace_cache.lookup cache ~prev:0 ~cur:1 with
   | Some found -> check Alcotest.bool "same trace" true (found == tr)
@@ -67,19 +83,23 @@ let test_hash_consing () =
   let l = Lazy.force layout in
   let cache = Trace_cache.create l in
   let blocks = [| 1; 2 |] in
-  let a = Trace_cache.install cache ~first:0 ~blocks ~prob:0.99 in
-  let b = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
+  let events, counts = decider () in
+  let install = accept ~events ~counts cache in
+  let a = install ~first:0 ~blocks ~prob:0.99 in
+  let b = install ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
   check Alcotest.bool "identical reconstruction reuses the trace" true (a == b);
   check Alcotest.int "only one construction" 1 (Trace_cache.n_constructed cache);
-  check Alcotest.int "no replacement" 0 (Trace_cache.n_replaced cache)
+  check Alcotest.int "no replacement" 0 counts.Stats.traces_replaced
 
 let test_replacement () =
   let l = Lazy.force layout in
   let cache = Trace_cache.create l in
-  let a = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
-  let b = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2; 0 |] ~prob:0.97 in
+  let events, counts = decider () in
+  let install = accept ~events ~counts cache in
+  let a = install ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
+  let b = install ~first:0 ~blocks:[| 1; 2; 0 |] ~prob:0.97 in
   check Alcotest.bool "different sequences are different traces" true (a != b);
-  check Alcotest.int "replacement counted" 1 (Trace_cache.n_replaced cache);
+  check Alcotest.int "replacement counted" 1 counts.Stats.traces_replaced;
   (* the entry key now dispatches the new trace *)
   (match Trace_cache.lookup cache ~prev:0 ~cur:1 with
   | Some found -> check Alcotest.bool "newest wins" true (found == b)
@@ -92,8 +112,8 @@ let test_replacement () =
 let test_live_count () =
   let l = Lazy.force layout in
   let cache = Trace_cache.create l in
-  ignore (Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
-  ignore (Trace_cache.install cache ~first:1 ~blocks:[| 2; 0 |] ~prob:1.0);
+  ignore (install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
+  ignore (install cache ~first:1 ~blocks:[| 2; 0 |] ~prob:1.0);
   check Alcotest.int "two live entries" 2 (Trace_cache.n_live cache);
   Trace_cache.flush cache;
   check Alcotest.int "flush empties the cache" 0 (Trace_cache.n_live cache)
@@ -222,29 +242,34 @@ let agree cache ~step =
     done
   done
 
-let apply cache ~fresh op =
+let apply cache ~fresh ~events ~counts op =
   let c = !cache in
   match op with
   | Install (first, blocks) ->
       ignore
-        (Trace_cache.install c ~first ~blocks:(Array.of_list blocks) ~prob:0.99)
+        (Trace_cache.try_install c ~events ~counts ~first
+           ~blocks:(Array.of_list blocks) ~prob:0.99)
   | Lookup (prev, cur) -> ignore (Trace_cache.lookup c ~prev ~cur)
   | Quarantine (first, head) ->
-      ignore (Trace_cache.quarantine c ~first ~head ~code:"TL202")
+      ignore
+        (Trace_cache.quarantine c ~events ~counts ~first ~head ~code:"TL202")
   | Pinned_quarantine (first, head) -> (
       match Trace_cache.peek c ~first ~head with
       | None -> ()
       | Some tr ->
           Trace_cache.pin c tr;
-          let refusals = Trace_cache.n_pin_refusals c in
-          if Trace_cache.quarantine c ~first ~head ~code:"TL202" <> None then
-            QCheck.Test.fail_report "a pinned trace was quarantined";
-          if Trace_cache.n_pin_refusals c <> refusals + 1 then
+          let refusals = counts.Stats.pin_refusals in
+          if
+            Trace_cache.quarantine c ~events ~counts ~first ~head ~code:"TL202"
+            <> None
+          then QCheck.Test.fail_report "a pinned trace was quarantined";
+          if counts.Stats.pin_refusals <> refusals + 1 then
             QCheck.Test.fail_report "pinned refusal not counted";
           Trace_cache.unpin c tr)
   | Remove (first, head) -> ignore (Trace_cache.remove c ~first ~head)
   | Flush -> Trace_cache.flush c
-  | Pressure down_to -> ignore (Trace_cache.pressure_evict c ~down_to)
+  | Pressure down_to ->
+      ignore (Trace_cache.pressure_evict c ~events ~counts ~down_to)
   | Roundtrip ->
       (* a corrupted trace cannot be rebuilt from its snapshot (its
          negated gid is outside the layout); the healer would have
@@ -256,7 +281,8 @@ let apply cache ~fresh op =
       if not !corrupted then begin
         let next = fresh () in
         Trace_cache.set_session next (Trace_cache.session c);
-        ignore (Trace_cache.restore next (Trace_cache.snapshot c));
+        ignore
+          (Trace_cache.restore next ~events ~counts (Trace_cache.snapshot c));
         cache := next
       end
   | Corrupt (first, head) -> (
@@ -285,9 +311,10 @@ let prop_index_agrees =
       in
       let fresh () = Trace_cache.create ~max_traces ~eviction_policy l in
       let cache = ref (fresh ()) in
+      let events, counts = decider () in
       List.iteri
         (fun i op ->
-          apply cache ~fresh op;
+          apply cache ~fresh ~events ~counts op;
           agree !cache ~step:(Printf.sprintf "step %d (%s)" i (show_op op)))
         ops;
       true)
@@ -298,7 +325,7 @@ let prop_index_agrees =
 let test_index_keys_on_binding () =
   let l = Lazy.force layout in
   let cache = Trace_cache.create l in
-  let tr = Trace_cache.install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
+  let tr = install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:0.99 in
   tr.Trace.blocks.(0) <- -2;
   (match Trace_cache.lookup cache ~prev:0 ~cur:1 with
   | Some found -> check Alcotest.bool "still found at its key" true (found == tr)
