@@ -225,31 +225,36 @@ let find_edge (n : node) z = edge_to z n.edges
    than unique) instead of evaporating at the first decay. *)
 let event_weight = 256
 
-(* Record that branch (y, z) followed branch (x, y): bump (or create) edge
-   E_XYZ from [ctx] = N_XY to [target] = N_YZ.  Saturating 16-bit counter. *)
-let record_successor t ~(ctx : node) ~(target : node) =
-  let z = target.n_y in
-  let known = find_edge ctx z in
-  let bumped =
-    if known != no_edge then begin
-      known.weight <- min (known.weight + event_weight) Config.counter_max;
-      known
-    end
-    else begin
-      let e = { e_z = z; e_target = target; weight = event_weight } in
-      ctx.edges <- e :: ctx.edges;
-      t.edge_count <- t.edge_count + 1;
-      if not (List.memq ctx target.preds) then
-        target.preds <- ctx :: target.preds;
-      e
-    end
-  in
-  (* keep the inline cache current: the cached most-likely successor is
-     replaced as soon as another edge overtakes it.  State signals are
-     still only raised at the periodic recheck, as in the paper. *)
+(* Keep [ctx]'s inline cache current after [e] moved: the cached
+   most-likely successor is replaced as soon as another edge overtakes
+   it.  State signals are still only raised at the periodic recheck, as
+   in the paper. *)
+let[@inline] refresh_best (ctx : node) (e : edge) =
   match ctx.best with
-  | Some b when b.weight >= bumped.weight -> ()
-  | Some _ | None -> ctx.best <- Some bumped
+  | Some b when b.weight >= e.weight -> ()
+  | Some _ | None -> ctx.best <- Some e
+
+(* Record one more traversal of [ctx]'s known edge [e].  Saturating
+   16-bit counter; [Int.min], because the polymorphic [min] is a C
+   call. *)
+let[@inline] bump_edge (ctx : node) (e : edge) =
+  e.weight <- Int.min (e.weight + event_weight) Config.counter_max;
+  refresh_best ctx e
+
+(* Create edge E_XYZ from [ctx] = N_XY to [target] = N_YZ, which [ctx]
+   does not have yet. *)
+let add_edge t ~(ctx : node) ~(target : node) =
+  let e = { e_z = target.n_y; e_target = target; weight = event_weight } in
+  ctx.edges <- e :: ctx.edges;
+  t.edge_count <- t.edge_count + 1;
+  if not (List.memq ctx target.preds) then target.preds <- ctx :: target.preds;
+  refresh_best ctx e
+
+(* Record that branch (y, z) followed branch (x, y): bump (or create) edge
+   E_XYZ from [ctx] = N_XY to [target] = N_YZ. *)
+let record_successor t ~(ctx : node) ~(target : node) =
+  let known = find_edge ctx target.n_y in
+  if known != no_edge then bump_edge ctx known else add_edge t ~ctx ~target
 
 (* Self-healing: clamp a node's counters and bookkeeping back into their
    legal ranges, then recheck so the inline cache and correlation state

@@ -89,7 +89,18 @@ val visit_node : t -> x:Cfg.Layout.gid -> y:Cfg.Layout.gid -> node
 val record_successor : t -> ctx:node -> target:node -> unit
 (** Record that [target]'s branch followed [ctx]'s branch: bump or create
     the correlation edge, saturating, and keep [ctx]'s inline cache
-    current. *)
+    current.  {!find_edge}, then {!bump_edge} or {!add_edge}. *)
+
+val bump_edge : node -> edge -> unit
+(** [bump_edge ctx e]: one more traversal of [ctx]'s edge [e], which the
+    caller already found (saturating), keeping [ctx]'s inline cache
+    current.  [e] must still be in [ctx.edges]: only {!decay} prunes
+    edges, so a caller that found [e] before a {!visit} must look it up
+    again when [decays] moved. *)
+
+val add_edge : t -> ctx:node -> target:node -> unit
+(** Create [ctx]'s edge to [target] with one traversal, keeping [ctx]'s
+    inline cache current.  [ctx] must have no edge to [target.n_y]. *)
 
 val find_edge : node -> Cfg.Layout.gid -> edge
 (** The node's edge to successor block [z]; {!no_edge} when absent.

@@ -93,8 +93,9 @@ type t = {
        this is set are accounted as micro-op dispatches instead of
        source instructions.  Cleared with [active]. *)
   mutable active_pos : int;
-    (* index of the next expected block: the positions matched so far *)
-  mutable matched_instrs : int;
+    (* index of the next expected block: the positions matched so far.
+       The guards checked and the instructions matched are folded in
+       from it when the trace ends *)
   (* last two blocks actually executed, traces included *)
   mutable prev : Layout.gid;
   mutable prev2 : Layout.gid;
@@ -142,17 +143,17 @@ let note_executed t g =
 
 (* Compiled-tier accounting for one followed trace position: what the
    micro-IR dispatch loop would have dispatched there versus the source
-   instructions trace dispatch runs.  One length test when the active
-   trace is on the interpreted tier. *)
-let account_lowered t pos =
-  match t.active_lowered with
-  | None -> ()
-  | Some b ->
-      let c = t.counts in
-      c.Stats.mi_positions <- c.Stats.mi_positions + 1;
-      c.Stats.mi_ops <- c.Stats.mi_ops + b.Microir.pos_ops.(pos);
-      c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
-      c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
+   instructions trace dispatch runs.  Only the test for the interpreted
+   tier is inlined into the dispatch loop. *)
+let account_position t (b : Microir.body) pos =
+  let c = t.counts in
+  c.Stats.mi_positions <- c.Stats.mi_positions + 1;
+  c.Stats.mi_ops <- c.Stats.mi_ops + b.Microir.pos_ops.(pos);
+  c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
+  c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
+
+let[@inline] account_lowered t pos =
+  match t.active_lowered with None -> () | Some b -> account_position t b pos
 
 (* Walk the health ladder: count and publish the transition and, when
    climbing out of interp-only, drop the profiler's stale branch context
@@ -193,16 +194,24 @@ let note_static t (tr : Trace.t) =
     c.Stats.static_blocks <- c.Stats.static_blocks + Trace.n_blocks tr
   end
 
-(* End the active trace after a completion. *)
+(* Clear the trace execution state.  [active_lowered] is written only
+   when set: a pointer store pays the write barrier, and a trace on the
+   interpreted tier never sets it. *)
+let leave t =
+  t.active <- None;
+  match t.active_lowered with Some _ -> t.active_lowered <- None | None -> ()
+
+(* End the active trace after a completion: every position past the
+   entry was a guard that held. *)
 let finish_completed t (tr : Trace.t) =
   t.just_completed <- true;
   note_static t tr;
   let c = t.counts in
+  c.Stats.guards_checked <- c.Stats.guards_checked + Trace.n_blocks tr - 1;
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
   c.Stats.completed_instrs <- c.Stats.completed_instrs + tr.Trace.total_instrs;
-  t.active <- None;
-  t.active_lowered <- None;
+  leave t;
   Trace_cache.unpin t.cache tr;
   Events.emit_trace_completed t.events ~trace_id:tr.Trace.id
     ~n_blocks:(Trace.n_blocks tr) ~n_instrs:tr.Trace.total_instrs;
@@ -211,17 +220,24 @@ let finish_completed t (tr : Trace.t) =
   Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
 
 (* End the active trace after a side exit; the mismatching block has not
-   been processed yet. *)
-let finish_partial t (tr : Trace.t) =
+   been processed yet.  [guards] is the number of guards checked, the
+   failed one included.  The matched instructions are summed from the
+   trace's live per-block counts, as trace dispatch ran them. *)
+let finish_partial t (tr : Trace.t) ~guards =
   t.just_completed <- false;
   let c = t.counts in
-  c.Stats.partial_blocks <- c.Stats.partial_blocks + t.active_pos;
-  c.Stats.partial_instrs <- c.Stats.partial_instrs + t.matched_instrs;
-  t.active <- None;
-  t.active_lowered <- None;
+  let at = t.active_pos in
+  let matched_instrs = ref 0 in
+  for i = 0 to at - 1 do
+    matched_instrs := !matched_instrs + tr.Trace.instr_len.(i)
+  done;
+  c.Stats.guards_checked <- c.Stats.guards_checked + guards;
+  c.Stats.partial_blocks <- c.Stats.partial_blocks + at;
+  c.Stats.partial_instrs <- c.Stats.partial_instrs + !matched_instrs;
+  leave t;
   Trace_cache.unpin t.cache tr;
-  Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:t.active_pos
-    ~matched_instrs:t.matched_instrs;
+  Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:at
+    ~matched_instrs:!matched_instrs;
   Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
 
 (* OSR deoptimization: abandon the active trace at the current position
@@ -265,7 +281,13 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
         end
       end
   | None -> ());
-  finish_partial t tr;
+  (* a failed guard was checked; a condemned trace's next one was not *)
+  let guards =
+    match reason with
+    | Osr.Condemned -> at - 1
+    | Osr.Guard_failure | Osr.Guard_flip -> at
+  in
+  finish_partial t tr ~guards;
   c.Stats.deopts <- c.Stats.deopts + 1;
   c.Stats.deopt_residue_blocks <- c.Stats.deopt_residue_blocks + max 0 residue;
   Events.emit t.events
@@ -379,9 +401,13 @@ let debug_sweep t =
 (* ------------------------------------------------------------------ *)
 
 (* The counters, filled in: a copy of the engine's own record plus, in
-   this one place, the counters other modules own. *)
+   this one place, the counters other modules own and the guards the
+   active trace has checked so far (the exits count them). *)
 let counters t : Stats.t =
   let s = Stats.copy t.counts in
+  (match t.active with
+  | Some _ -> s.Stats.guards_checked <- s.Stats.guards_checked + t.active_pos - 1
+  | None -> ());
   let bcg = Profiler.bcg t.profiler in
   s.Stats.signals <- Profiler.signals t.profiler;
   s.Stats.ic_predictions <- Profiler.predictions t.profiler;
@@ -467,13 +493,19 @@ let note_build t (o : Trace_builder.outcome) ~sweep =
 let on_path t transitions =
   Events.emit t.events (Events.Path_walked { transitions })
 
+(* The builder's install gate: an FT006 failure this engine's injector
+   armed fails this engine's next installation, whichever cache it
+   shares. *)
+let fail_install t () = Faults.take_install_failure t.faults
+
 (* The profiler-signal subscriber: rebuild every trace the signalled
    branch can affect. *)
 let on_signal t signal =
   if Config.build_traces t.config then
     note_build t
       (Trace_builder.on_signal ~events:t.events ~counts:t.counts
-         ~on_path:(on_path t) t.config t.cache signal)
+         ~on_path:(on_path t) ~fail_install:(fail_install t) t.config t.cache
+         signal)
       ~sweep:true
 
 (* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
@@ -493,7 +525,8 @@ let hot_loop t g ~promote =
 let promote_loop t (osr : Osr.t) header ~hotness =
   let outcome, installed =
     Trace_builder.promote ~events:t.events ~counts:t.counts
-      ~on_path:(on_path t) t.cache (Profiler.bcg t.profiler) ~header
+      ~on_path:(on_path t) ~fail_install:(fail_install t) t.cache
+      (Profiler.bcg t.profiler) ~header
   in
   (match installed with
   | Some tr ->
@@ -574,12 +607,9 @@ let enter t ~hit (tr : Trace.t) g =
   (* the single profiling statement of a trace dispatch *)
   Profiler.dispatch t.profiler g;
   note_executed t g;
-  t.matched_instrs <- tr.Trace.instr_len.(0);
-  if Trace.n_blocks tr = 1 then begin
+  if Trace.n_blocks tr = 1 then
     (* degenerate single-block trace: completes immediately *)
-    t.active <- None;
     finish_completed t tr
-  end
   else begin
     t.active <- hit;
     t.active_pos <- 1
@@ -721,14 +751,12 @@ let rec follow t (g : Layout.gid) =
   | None -> step t g
   | Some tr ->
       let expected = tr.Trace.blocks.(t.active_pos) in
-      t.counts.Stats.guards_checked <- t.counts.Stats.guards_checked + 1;
       let forced =
         Faults.flip_now t.faults ~pos:t.active_pos ~n_blocks:(Trace.n_blocks tr)
       in
       if g = expected && not forced then begin
         note_executed t g;
         account_lowered t t.active_pos;
-        t.matched_instrs <- t.matched_instrs + tr.Trace.instr_len.(t.active_pos);
         if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
         else t.active_pos <- t.active_pos + 1
       end
@@ -743,7 +771,7 @@ let rec follow t (g : Layout.gid) =
         | None ->
             (* side exit: leave the trace, then process g normally (it
                may itself enter another trace) *)
-            finish_partial t tr;
+            finish_partial t tr ~guards:t.active_pos;
             follow t g
       end
 
@@ -809,27 +837,17 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   in
   (* The black box and the decision ledger share the stream's one tap,
      out of band: neither is a subscriber, so a run with both still
-     reports its stream quiet to user code.  Hot kinds reach only the
-     recorder, as scalars; each cold event goes to the recorder, then
-     to the ledger. *)
+     reports its stream quiet to user code.  Every event reaches the
+     recorder's ring (hot kinds as scalars, written by the stream
+     itself), and each cold event then reaches the ledger. *)
   let flightrec =
     let cap = Config.flightrec_capacity config in
     if cap > 0 then Some (Flightrec.create ~capacity:cap) else None
   in
   let ledger = Ledger.create () in
-  let recorder =
-    match flightrec with
-    | Some fr -> Flightrec.sink fr
-    | None -> { Events.hot = (fun _ _ _ _ _ -> ()); cold = ignore }
-  in
   Events.set_tap events
-    {
-      recorder with
-      Events.cold =
-        (fun ev ->
-          recorder.Events.cold ev;
-          Ledger.observe ledger ev);
-    };
+    ~ring:(Option.map Flightrec.ring flightrec)
+    ~cold:(Ledger.observe ledger);
   (* The profiler's signal callback closes over the engine; tie the knot
      with a forward reference. *)
   let engine = ref None in
@@ -866,7 +884,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       active = None;
       active_lowered = None;
       active_pos = 0;
-      matched_instrs = 0;
       prev = -1;
       prev2 = -1;
       just_completed = false;

@@ -1,16 +1,17 @@
 (* The typed event stream.
 
    A stream is a list of subscribers kept in subscription order, an
-   optional tap (the flight recorder's intake) and a logical clock (the
-   engine's dispatch index).  Emission is synchronous; the disabled
-   stream (no subscribers, no tap) is a no-op, and emission sites guard
-   payload construction behind [enabled].
+   optional tap (the flight recorder's ring and a cold-event observer)
+   and a logical clock (the engine's dispatch index).  Emission is
+   synchronous; the disabled stream (no subscribers, no tap) is a no-op,
+   and emission sites guard payload construction behind [enabled].
 
    The four per-dispatch kinds — trace entry, side exit, completion and
    decay ticks — travel as scalars instead: a kind code and up to three
-   int fields.  The tap always receives them that way, and their payload
-   record is built only for subscribers, so an armed recorder with no
-   subscriber costs no allocation on the dispatch path. *)
+   int fields.  The stream writes them straight into the ring it holds,
+   and their payload record is built only for subscribers, so an armed
+   recorder with no subscriber costs no allocation and no closure call
+   on the dispatch path. *)
 
 type evict_reason = Capacity | Pressure | Quarantine | Footprint
 
@@ -124,22 +125,112 @@ let hot_payload ~kind a b c =
   else if kind = hot_decay then Decay_pass { decays = a }
   else invalid_arg "Events.hot_payload: not a hot kind"
 
-type sink = {
-  hot : int -> int -> int -> int -> int -> unit;
-      (* kind, time, then the kind's three int fields (unused ones 0) *)
-  cold : event -> unit;
+let is_hot = function
+  | Trace_entered _ | Side_exit _ | Trace_completed _ | Decay_pass _ -> true
+  | _ -> false
+
+(* The flight recorder's ring: the most recent events, in emission
+   order.  Slot storage is tuned so the hot path — one event per engine
+   emission, tens of thousands per run — costs a handful of int stores
+   plus the cursor bump, and allocates nothing.  No per-slot sequence
+   number is written: writes are strictly sequential, so the slot for
+   sequence number [seq] is [seq mod cap].
+
+   The hot kinds arrive as scalars and are copied into [scalars], a flat
+   unboxed int array: no payload is ever built for them, there is no
+   write barrier, and the ring holds no pointer into the young
+   generation, so the minor GC never promotes anything on their account.
+   Rare, richly-typed events keep the pointer path. *)
+let scalar_width = 5 (* kind code; time; the kind's 3 int fields *)
+
+let k_pointer = 0 (* not a hot kind: the event lives in [evs] *)
+
+type ring = {
+  cap : int;
+  mutable evs : event array;
+      (* [[||]] until the first pointer-path event: [event] has no
+         nullary value to fill with, so the first recorded event seeds
+         the array *)
+  scalars : int array; (* [scalar_width] ints per slot *)
+  mutable pos : int; (* next write index; invariant pos = next_seq mod cap *)
+  mutable next_seq : int;
 }
 
-let route sink (ev : event) =
+let ring ~capacity =
+  let cap = max 2 capacity in
+  {
+    cap;
+    evs = [||];
+    scalars = Array.make (cap * scalar_width) 0;
+    pos = 0;
+    next_seq = 0;
+  }
+
+let ring_capacity r = r.cap
+
+let ring_recorded r = r.next_seq
+
+(* Advance the cursor; branch instead of [mod] keeps an integer
+   division off the per-event path. *)
+let[@inline] advance r i =
+  r.next_seq <- r.next_seq + 1;
+  r.pos <- (let p = i + 1 in if p = r.cap then 0 else p)
+
+(* One hot event into the next slot: one bounds check covers the
+   slot's five stores. *)
+let[@inline] record_hot r kind time a b c =
+  let i = r.pos in
+  let s = i * scalar_width in
+  let sc = r.scalars in
+  if s + scalar_width > Array.length sc then invalid_arg "Events.record_hot";
+  Array.unsafe_set sc s kind;
+  Array.unsafe_set sc (s + 1) time;
+  Array.unsafe_set sc (s + 2) a;
+  Array.unsafe_set sc (s + 3) b;
+  Array.unsafe_set sc (s + 4) c;
+  advance r i
+
+let record_cold r (ev : event) =
+  let i = r.pos in
+  if Array.length r.evs = 0 then r.evs <- Array.make r.cap ev;
+  r.scalars.(i * scalar_width) <- k_pointer;
+  r.evs.(i) <- ev;
+  advance r i
+
+let ring_record r (ev : event) =
   match ev.payload with
   | Trace_entered { trace_id; chained } ->
-      sink.hot hot_entered ev.time trace_id (Bool.to_int chained) 0
+      record_hot r hot_entered ev.time trace_id (Bool.to_int chained) 0
   | Side_exit { trace_id; at_block; matched_instrs } ->
-      sink.hot hot_side_exit ev.time trace_id at_block matched_instrs
+      record_hot r hot_side_exit ev.time trace_id at_block matched_instrs
   | Trace_completed { trace_id; n_blocks; n_instrs } ->
-      sink.hot hot_completed ev.time trace_id n_blocks n_instrs
-  | Decay_pass { decays } -> sink.hot hot_decay ev.time decays 0 0
-  | _ -> sink.cold ev
+      record_hot r hot_completed ev.time trace_id n_blocks n_instrs
+  | Decay_pass { decays } -> record_hot r hot_decay ev.time decays 0 0
+  | _ -> record_cold r ev
+
+(* Rebuild one event from its slot (dump path only).  Every slot the
+   window walk visits was written, and a pointer-path write seeds
+   [evs], so a [k_pointer] slot always has its event. *)
+let event_at r i : event =
+  let s = i * scalar_width in
+  let k = r.scalars.(s) in
+  if k = k_pointer then r.evs.(i)
+  else
+    {
+      time = r.scalars.(s + 1);
+      payload =
+        hot_payload ~kind:k r.scalars.(s + 2) r.scalars.(s + 3)
+          r.scalars.(s + 4);
+    }
+
+(* Oldest-first reconstruction of the surviving window. *)
+let ring_window r =
+  let first = max 0 (r.next_seq - r.cap) in
+  let acc = ref [] in
+  for seq = r.next_seq - 1 downto first do
+    acc := (seq, event_at r (seq mod r.cap)) :: !acc
+  done;
+  !acc
 
 type subscription = int
 
@@ -149,16 +240,18 @@ type t = {
   mutable next_sub : subscription;
   mutable now : int;
   mutable emitted : int;
-  mutable tap : sink option;
-      (* out-of-band observer (the flight recorder): sees every event
-         but does not count as a subscriber — [emitted] is
-         unaffected, so a tapped-but-unsubscribed
-         stream still reports itself quiet to user code *)
+  (* the tap: out-of-band observers (the flight recorder's ring, the
+     decision ledger) that see every event but do not count as
+     subscribers — [emitted] is unaffected, so a tapped-but-unsubscribed
+     stream still reports itself quiet to user code *)
+  mutable ring : ring option;
+  mutable cold : (event -> unit) option; (* every non-hot event *)
 }
 
-let create () = { subs = []; next_sub = 0; now = 0; emitted = 0; tap = None }
+let create () =
+  { subs = []; next_sub = 0; now = 0; emitted = 0; ring = None; cold = None }
 
-let enabled t = t.subs <> [] || t.tap <> None
+let enabled t = t.subs <> [] || t.ring <> None || t.cold <> None
 
 let subscribe t f =
   let id = t.next_sub in
@@ -168,7 +261,9 @@ let subscribe t f =
 
 let unsubscribe t id = t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
 
-let set_tap t sink = t.tap <- Some sink
+let set_tap t ~ring ~cold =
+  t.ring <- ring;
+  t.cold <- Some cold
 
 let set_now t n = t.now <- n
 
@@ -179,17 +274,19 @@ let deliver t ev =
   List.iter (fun (_, f) -> f ev) t.subs
 
 let emit t payload =
-  match (t.subs, t.tap) with
-  | [], None -> ()
-  | subs, tap ->
-      let ev = { time = t.now; payload } in
-      (match tap with Some sink -> route sink ev | None -> ());
-      if subs <> [] then deliver t ev
+  if enabled t then begin
+    let ev = { time = t.now; payload } in
+    (match t.ring with Some r -> ring_record r ev | None -> ());
+    (match t.cold with
+    | Some f when not (is_hot payload) -> f ev
+    | Some _ | None -> ());
+    if t.subs <> [] then deliver t ev
+  end
 
-(* The hot kinds' emission: scalars to the tap, a payload only when a
+(* The hot kinds' emission: scalars into the ring, a payload only when a
    subscriber will read it. *)
 let emit_hot t kind a b c =
-  (match t.tap with Some sink -> sink.hot kind t.now a b c | None -> ());
+  (match t.ring with Some r -> record_hot r kind t.now a b c | None -> ());
   if t.subs <> [] then
     deliver t { time = t.now; payload = hot_payload ~kind a b c }
 

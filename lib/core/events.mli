@@ -28,10 +28,10 @@
     The four per-dispatch ("hot") kinds — [Trace_entered], [Side_exit],
     [Trace_completed] and [Decay_pass] — are emitted through
     {!emit_trace_entered} and its siblings instead.  They travel as a
-    kind code plus int fields: the tap (the engine's intake for its
-    flight recorder and decision ledger) receives those scalars, and the
-    payload record is built only when a subscriber exists.  A run whose
-    only observer is the tap therefore allocates nothing per dispatch; on the
+    kind code plus int fields: the stream writes those scalars straight
+    into the flight recorder's {!ring} it holds, and the payload record
+    is built only when a subscriber exists.  A run whose only observer
+    is the tap therefore allocates nothing per dispatch; on the
     benchmark's [calls] workload a trace pass fell from 3247 to about
     1070 minor words per 1000 instructions, of which the VM's own
     interpretation accounts for about 1050.  Subscribers are invoked
@@ -226,29 +226,33 @@ type event = { time : int; payload : payload }
 (** [time] is the engine's dispatch index (block + trace dispatches) at
     emission. *)
 
-(** {2 The hot kinds}
+(** {2 The flight recorder's ring}
 
-    One integer encoding shared by the stream and the flight recorder:
-    a kind code ([>= 1]) and three int fields, unused ones [0] —
-    [Trace_entered]: trace id, chained (0/1); [Side_exit]: trace id,
-    at_block, matched_instrs; [Trace_completed]: trace id, n_blocks,
-    n_instrs; [Decay_pass]: decays. *)
+    A bounded ring of the most recent events, in emission order.  The
+    hot kinds are stored as a kind code and three int fields, unused
+    ones [0] — [Trace_entered]: trace id, chained (0/1); [Side_exit]:
+    trace id, at_block, matched_instrs; [Trace_completed]: trace id,
+    n_blocks, n_instrs; [Decay_pass]: decays — in a flat int array, so
+    recording one allocates nothing; every other event is stored by
+    pointer. *)
 
-val hot_payload : kind:int -> int -> int -> int -> payload
-(** Decode a hot kind's scalars back into its payload.
-    @raise Invalid_argument if [kind] is not a hot kind code. *)
+type ring
 
-type sink = {
-  hot : int -> int -> int -> int -> int -> unit;
-      (** a hot-kind event: kind code, time, then the three fields *)
-  cold : event -> unit;  (** every other event, as the record *)
-}
-(** An observer that takes the hot kinds as scalars — the shape of the
-    tap. *)
+val ring : capacity:int -> ring
+(** An empty ring of [capacity] slots (clamped to at least 2). *)
 
-val route : sink -> event -> unit
-(** Hand one event to a sink: a hot kind is encoded to [hot], anything
-    else goes to [cold]. *)
+val ring_capacity : ring -> int
+
+val ring_recorded : ring -> int
+(** Events ever recorded; above the capacity the ring has wrapped. *)
+
+val ring_record : ring -> event -> unit
+(** Record one event: a hot kind as its scalars, anything else by
+    pointer. *)
+
+val ring_window : ring -> (int * event) list
+(** The surviving window, oldest first, each event with its sequence
+    number (the count of events recorded before it). *)
 
 type t
 (** A stream: an ordered set of subscribers and a logical clock. *)
@@ -267,14 +271,14 @@ val subscribe : t -> (event -> unit) -> subscription
 val unsubscribe : t -> subscription -> unit
 (** Unknown or already-removed subscriptions are ignored. *)
 
-val set_tap : t -> sink -> unit
-(** Install the out-of-band observer (the engine's intake for its
-    flight recorder and decision ledger).  The tap sees every event
-    before the subscribers do — hot kinds as scalars, through the
-    sink's [hot] — and enables the stream like a subscriber would, but
-    is not one and is invisible to {!emitted}: user-facing "is anyone
-    listening?" semantics are unchanged by an armed recorder.  At most
-    one tap; installing again replaces it. *)
+val set_tap : t -> ring:ring option -> cold:(event -> unit) -> unit
+(** Install the out-of-band observers: the flight recorder's [ring],
+    which records every event, and [cold], which then sees every event
+    that is not a hot kind (the engine's decision ledger).  The tap sees
+    each event before the subscribers do and enables the stream like a
+    subscriber would, but is not one and is invisible to {!emitted}:
+    user-facing "is anyone listening?" semantics are unchanged by an
+    armed recorder.  At most one tap; installing again replaces it. *)
 
 val set_now : t -> int -> unit
 (** Advance the logical clock; events emitted afterwards carry this
@@ -283,12 +287,12 @@ val set_now : t -> int -> unit
 val now : t -> int
 
 val emit : t -> payload -> unit
-(** Deliver to the tap (through {!route}) and to every subscriber; a
-    no-op when disabled. *)
+(** Deliver to the tap and to every subscriber; a no-op when
+    disabled. *)
 
 val emit_trace_entered : t -> trace_id:int -> chained:bool -> unit
-(** Emit [Trace_entered] the hot way: scalars to the tap, a payload only
-    for subscribers.  Needs no {!enabled} guard — a disabled stream
+(** Emit [Trace_entered] the hot way: scalars into the tap's ring, a
+    payload only for subscribers.  Needs no {!enabled} guard — a disabled stream
     pays two tests and allocates nothing. *)
 
 val emit_side_exit :

@@ -111,6 +111,10 @@ type t = {
   mutable pending_flip : int option;
       (* armed FT008: requested guard position of the next followed
          trace (clamped to its length at consumption) *)
+  mutable pending_fail : int;
+      (* armed FT006: installations this engine will fail.  Held here,
+         not in the trace cache, so a shared cache's other members never
+         consume them *)
 }
 
 (* DSL parsing *)
@@ -174,7 +178,7 @@ let create ~seed spec =
     let s = Int64.of_int seed in
     if Int64.equal s 0L then 0x2545F4914F6CDD1DL else s
   in
-  { arms; budget; state; pending_flip = None }
+  { arms; budget; state; pending_flip = None; pending_fail = 0 }
 
 let is_active t = t.arms <> [] && t.budget > 0
 
@@ -279,7 +283,7 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
             (Printf.sprintf "node (%d->%d): best successor dropped" n.Bcg.n_x
                n.Bcg.n_y))
   | Fail_install ->
-      Trace_cache.inject_install_failure cache;
+      t.pending_fail <- t.pending_fail + 1;
       Some "next trace installation will fail"
   | Alloc_pressure ->
       let live = Trace_cache.n_live cache in
@@ -314,16 +318,29 @@ let arm_flip t ~pos =
   if pos < 1 then invalid_arg "Faults.arm_flip: pos < 1";
   t.pending_flip <- Some pos
 
-let flip_now t ~pos ~n_blocks =
+let take_flip t p ~pos ~n_blocks =
+  let target = max 1 (min p (n_blocks - 1)) in
+  if pos = target then begin
+    t.pending_flip <- None;
+    true
+  end
+  else false
+
+(* Asked at every followed position: nothing but the [None] test is
+   inlined into the dispatch loop. *)
+let[@inline] flip_now t ~pos ~n_blocks =
   match t.pending_flip with
   | None -> false
-  | Some p ->
-      let target = max 1 (min p (n_blocks - 1)) in
-      if pos = target then begin
-        t.pending_flip <- None;
-        true
-      end
-      else false
+  | Some p -> take_flip t p ~pos ~n_blocks
+
+(* FT006 consumption: the engine's trace installations ask this after
+   the cache's quarantine check. *)
+let take_install_failure t =
+  t.pending_fail > 0
+  && begin
+       t.pending_fail <- t.pending_fail - 1;
+       true
+     end
 
 let tick t ~now ~bcg ~cache ~events ~counts ~active : (string * string) list =
   if t.budget <= 0 || t.arms = [] then []

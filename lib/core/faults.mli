@@ -82,7 +82,17 @@ val tick :
 
     A [Guard_flip] arm does not corrupt anything at tick time: it {e
     arms} a pending flip, consumed later by the dispatch loop's guard
-    comparison ({!flip_now}) inside the next followed trace. *)
+    comparison ({!flip_now}) inside the next followed trace.  A
+    [Fail_install] arm likewise arms a pending failure, consumed by this
+    injector's engine's next trace installation
+    ({!take_install_failure}). *)
+
+val take_install_failure : t -> bool
+(** Consume one pending FT006 installation failure: [true] when one was
+    armed, and the installation asking must then fail.  The engine hands
+    this to [Trace_cache.try_install] as its [~fail], so on a cache
+    shared by a [Session] only the injecting member's installations
+    fail. *)
 
 (** {2 FT008 guard flips}
 

@@ -40,15 +40,15 @@ val dumps : t -> int
 val set_on_dump : t -> (dump_reason -> unit) -> unit
 (** Install the dump hook.  The recorder itself performs no I/O. *)
 
-val sink : t -> Events.sink
-(** The recorder's intake, for {!Events.set_tap}: hot kinds arrive as
-    scalars and are stored unboxed — the per-dispatch path allocates
-    nothing — while rare kinds are stored by pointer. *)
+val ring : t -> Events.ring
+(** The recorder's ring, for {!Events.set_tap}: the stream writes hot
+    kinds into it as unboxed scalars — the per-dispatch path allocates
+    nothing and calls no closure — and rare kinds by pointer. *)
 
 val record_event : t -> Events.event -> unit
-(** Record one event through {!sink} ({!Events.route}): an event
-    recorded this way and the same event arriving on the tap leave
-    identical slots. *)
+(** Record one event into {!ring} ({!Events.ring_record}): an event
+    recorded this way and the same event emitted on a stream tapped
+    with the ring leave identical slots. *)
 
 val to_list : t -> entry list
 (** The surviving window, oldest first. *)

@@ -23,13 +23,17 @@ val events : t -> Events.t
 val dispatch : t -> Cfg.Layout.gid -> unit
 (** One profiled dispatch of a block: updates the branch context's node
     and correlation edge, counts inline-cache predictions, and advances
-    decay. *)
+    decay.  The context's successor list is searched at most once, and
+    not at all when the inline cache predicts the block (again only when
+    the visit ran a decay pass, which can prune edges). *)
 
 val resync : t -> x:Cfg.Layout.gid -> y:Cfg.Layout.gid -> unit
 (** Re-establish the branch context after unprofiled (in-trace)
     execution: the last two dispatched blocks were [x] then [y].  The
     context node is looked up but not counted — the trace's interior ran
-    without hooks. *)
+    without hooks.  The lookup first tries the profiler's memo of the
+    node it last found ending at [y], and probes the node table only
+    when that node's [n_x] is not [x]. *)
 
 val reset : t -> unit
 (** Forget the context entirely (start of an independent stream). *)

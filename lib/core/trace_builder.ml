@@ -27,10 +27,9 @@ module Layout = Cfg.Layout
 type outcome = {
   new_traces : int; (* traces actually constructed *)
   reused_traces : int; (* reconstructions satisfied by hash-consing *)
-  entry_points : int;
 }
 
-let no_outcome = { new_traces = 0; reused_traces = 0; entry_points = 0 }
+let no_outcome = { new_traces = 0; reused_traces = 0 }
 
 (* A predecessor [p] leads into [n] strongly if p's best successor edge
    targets n and p is followable. *)
@@ -127,8 +126,8 @@ let walk_from (config : Config.t) (root : Bcg.node) : walk =
    event, whose sequence and probability are the trace's own, so a reuse
    repeats the first construction.  Returns ((new, reused), installed
    trace). *)
-let install_candidate (cache : Trace_cache.t) ~events ~counts ~first ~blocks
-    ~prob : (int * int) * Trace.t option =
+let install_candidate ?fail (cache : Trace_cache.t) ~events ~counts ~first
+    ~blocks ~prob : (int * int) * Trace.t option =
   let installed (tr : Trace.t) ~reused =
     if Events.enabled events then
       Events.emit events
@@ -143,7 +142,9 @@ let install_candidate (cache : Trace_cache.t) ~events ~counts ~first ~blocks
            });
     ((if reused then (0, 1) else (1, 0)), Some tr)
   in
-  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
+  match
+    Trace_cache.try_install ?fail cache ~events ~counts ~first ~blocks ~prob
+  with
   | Trace_cache.Refused -> ((0, 0), None)
   | Trace_cache.Built tr -> installed tr ~reused:false
   | Trace_cache.Reused tr -> installed tr ~reused:true
@@ -238,10 +239,10 @@ let build_from (config : Config.t) ~install ~on_path (root : Bcg.node) :
    length (in transitions) of each maximum-likelihood walk, before the
    probability cut. *)
 let on_signal ?(events = Events.create ()) ?(counts = Stats.zero ())
-    ?(on_path = fun (_ : int) -> ()) (config : Config.t) (cache : Trace_cache.t)
-    (signal : Bcg.signal) : outcome =
+    ?(on_path = fun (_ : int) -> ()) ?fail_install (config : Config.t)
+    (cache : Trace_cache.t) (signal : Bcg.signal) : outcome =
   let entries = find_entry_points signal.Bcg.s_node in
-  let install = install_candidate cache ~events ~counts in
+  let install = install_candidate ?fail:fail_install cache ~events ~counts in
   let new_traces = ref 0 in
   let reused = ref 0 in
   List.iter
@@ -250,11 +251,7 @@ let on_signal ?(events = Events.create ()) ?(counts = Stats.zero ())
       new_traces := !new_traces + n;
       reused := !reused + r)
     entries;
-  {
-    new_traces = !new_traces;
-    reused_traces = !reused;
-    entry_points = List.length entries;
-  }
+  { new_traces = !new_traces; reused_traces = !reused }
 
 (* OSR mid-loop promotion: build the hot loop's back-edge trace *now*,
    without waiting for a profiler signal.
@@ -277,8 +274,8 @@ let on_signal ?(events = Events.create ()) ?(counts = Stats.zero ())
    Returns the installed trace so the caller can arm it for its first
    OSR entry. *)
 let promote ?(events = Events.create ()) ?(counts = Stats.zero ())
-    ?(on_path = fun (_ : int) -> ()) (cache : Trace_cache.t) (bcg : Bcg.t)
-    ~(header : Layout.gid) : outcome * Trace.t option =
+    ?(on_path = fun (_ : int) -> ()) ?fail_install (cache : Trace_cache.t)
+    (bcg : Bcg.t) ~(header : Layout.gid) : outcome * Trace.t option =
   let root = ref None in
   Bcg.iter_nodes bcg (fun (n : Bcg.node) ->
       if n.Bcg.n_y = header then
@@ -312,16 +309,17 @@ let promote ?(events = Events.create ()) ?(counts = Stats.zero ())
       done;
       on_path !len;
       if (not !closed) || !len < Config.min_trace_blocks then
-        ({ no_outcome with entry_points = 1 }, None)
+        (no_outcome, None)
       else begin
         let blocks = Array.of_list (List.rev !rev_blocks) in
         (* the latch: last block of the body, and the entry context *)
         let first = blocks.(Array.length blocks - 1) in
         let (n, r), installed =
-          install_candidate cache ~events ~counts ~first ~blocks ~prob:!prob
+          install_candidate ?fail:fail_install cache ~events ~counts ~first
+            ~blocks ~prob:!prob
         in
         (match installed with
         | Some tr -> tr.Trace.promoted <- true
         | None -> ());
-        ({ new_traces = n; reused_traces = r; entry_points = 1 }, installed)
+        ({ new_traces = n; reused_traces = r }, installed)
       end

@@ -17,13 +17,13 @@
 type outcome = {
   new_traces : int;  (** traces actually constructed *)
   reused_traces : int;  (** reconstructions satisfied by hash-consing *)
-  entry_points : int;
 }
 
 val on_signal :
   ?events:Events.t ->
   ?counts:Stats.t ->
   ?on_path:(int -> unit) ->
+  ?fail_install:(unit -> bool) ->
   Config.t ->
   Trace_cache.t ->
   Bcg.signal ->
@@ -35,12 +35,15 @@ val on_signal :
     [counts] counts; a fresh disabled stream and record are used when
     omitted.  [on_path] observes the length (in transitions) of each
     maximum-likelihood walk before the probability cut — the engine
-    publishes it as a [Path_walked] event. *)
+    publishes it as a [Path_walked] event.  [fail_install] is each
+    installation's [~fail] ({!Trace_cache.try_install}): the engine's
+    pending injected failures. *)
 
 val promote :
   ?events:Events.t ->
   ?counts:Stats.t ->
   ?on_path:(int -> unit) ->
+  ?fail_install:(unit -> bool) ->
   Trace_cache.t ->
   Bcg.t ->
   header:Cfg.Layout.gid ->
@@ -52,4 +55,5 @@ val promote :
     (entered at the header on the very next latch→header transition)
     when one exists — [None] when the BCG has no followable transition
     into the header or the probability cut rejected every candidate.
-    [events], [counts] and [on_path] as in {!on_signal}. *)
+    [events], [counts], [on_path] and [fail_install] as in
+    {!on_signal}. *)

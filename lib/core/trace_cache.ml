@@ -20,9 +20,9 @@ module Layout = Cfg.Layout
      backoff in cache-clock units and permanent blacklisting after
      [Config.heal_max_rebuilds] condemnations;
    - [try_install] is the fallible front door the trace builder uses: it
-     refuses quarantined entries and consumes injected installation
-     failures, so the builder degrades gracefully instead of reinstalling
-     a known-bad trace.
+     refuses quarantined entries and consumes the installing engine's
+     injected installation failures, so the builder degrades gracefully
+     instead of reinstalling a known-bad trace.
 
    The cache owns no event stream and keeps no count of its decisions:
    each operation that makes one takes the stream and counters of the
@@ -63,7 +63,6 @@ type t = {
   mutable next_id : int;
   mutable constructed : int; (* traces newly built, by any engine *)
   mutable evicted : int; (* capacity and pressure evictions, by any engine *)
-  mutable pending_fail : int; (* injected installation failures to consume *)
   mutable demote_refusals : int;
       (* tier demotions refused because the compiled trace was pinned *)
   mutable cross_installs : int;
@@ -92,7 +91,6 @@ let create ?(max_traces = 0) ?(eviction_policy = Config.Cache.Lru)
     next_id = 0;
     constructed = 0;
     evicted = 0;
-    pending_fail = 0;
     demote_refusals = 0;
     cross_installs = 0;
     cross_entries = 0;
@@ -233,8 +231,8 @@ let lookup t ~prev ~cur : Trace.t option =
   else enter_in t prev t.by_head.(cur)
 
 (* Non-dispatch lookup: same binding, but no LRU touch and no
-   cross-session accounting — observers (the OSR promotion glue, tests)
-   use this to inspect a binding without heating it. *)
+   cross-session accounting — tests use this to inspect a binding
+   without heating it. *)
 let rec hit_in first = function
   | [] -> None
   | b :: rest -> if b.b_first = first then b.b_hit else hit_in first rest
@@ -465,20 +463,18 @@ let remove t ~first ~head : Trace.t option =
       unbind t ekey b.b_trace;
       b.b_hit
 
-let inject_install_failure t = t.pending_fail <- t.pending_fail + 1
-
 type installed = Built of Trace.t | Reused of Trace.t | Refused
 
-(* Install a candidate trace, unless its entry is quarantined or an
-   injected failure is pending.  If an identical trace is already cached
-   we keep it (hash-cons hit); otherwise a new trace is constructed and
-   bound to its entry transition, displacing any previous binding. *)
-let try_install t ~events ~(counts : Stats.t) ~first
-    ~(blocks : Layout.gid array) ~prob : installed =
+(* Install a candidate trace, unless its entry is quarantined or the
+   installing engine has an injected failure pending ([fail] consumes
+   one).  If an identical trace is already cached we keep it (hash-cons
+   hit); otherwise a new trace is constructed and bound to its entry
+   transition, displacing any previous binding. *)
+let try_install ?(fail = fun () -> false) t ~events ~(counts : Stats.t)
+    ~first ~(blocks : Layout.gid array) ~prob : installed =
   if Array.length blocks = 0 || is_quarantined t ~first ~head:blocks.(0) then
     Refused
-  else if t.pending_fail > 0 then begin
-    t.pending_fail <- t.pending_fail - 1;
+  else if fail () then begin
     counts.Stats.failed_installs <- counts.Stats.failed_installs + 1;
     Refused
   end

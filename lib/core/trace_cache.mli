@@ -21,9 +21,10 @@
       backoff in cache-clock units ({!set_clock}) and permanent
       blacklisting after {!Config.heal_max_rebuilds} condemnations;
     - {!try_install} is the fallible front door the trace builder uses:
-      it refuses quarantined entries and consumes injected installation
-      failures ({!inject_install_failure}), so the builder degrades
-      gracefully instead of reinstalling a known-bad trace.
+      it refuses quarantined entries and consumes the installing
+      engine's injected installation failures (its [~fail]), so the
+      builder degrades gracefully instead of reinstalling a known-bad
+      trace.
 
     The cache owns no event stream and keeps no count of its decisions:
     each operation that makes one takes the [~events] stream and the
@@ -73,13 +74,13 @@ val lookup : t -> prev:Cfg.Layout.gid -> cur:Cfg.Layout.gid -> Trace.t option
 val peek : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** The trace bound to the entry transition [(first, head)], if any,
     {e without} refreshing its LRU stamp or counting a dispatch — for
-    observers (the OSR promotion glue, tests) that must not heat the
-    entry.  Same head-index scan as {!lookup}; [first < 0] or a [head]
+    tests that must not heat the entry.  Same head-index scan as {!lookup}; [first < 0] or a [head]
     outside the layout never matches. *)
 
 type installed = Built of Trace.t | Reused of Trace.t | Refused
 
 val try_install :
+  ?fail:(unit -> bool) ->
   t ->
   events:Events.t ->
   counts:Stats.t ->
@@ -96,7 +97,12 @@ val try_install :
     the caps hold again ([traces_evicted]; the trace just installed is
     never its own victim).  [Refused]: nothing was installed — the entry
     is quarantined, an injected failure was consumed
-    ([failed_installs]), or the block sequence is empty. *)
+    ([failed_installs]), or the block sequence is empty.  [fail] is
+    asked once the quarantine check passed: [true] consumes one of the
+    installing engine's pending injected failures (FT006, held by that
+    engine's [Faults] injector, so a member of a shared cache consumes
+    only its own).
+    Never fails when omitted. *)
 
 val remove : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** Unbind the entry transition [(first, head)], returning the trace it
@@ -181,10 +187,6 @@ val is_quarantined : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> bool
 val quarantine_attempts :
   t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> int
 (** Condemnations of this entry so far (0 = never condemned). *)
-
-val inject_install_failure : t -> unit
-(** Arm one installation failure: the next {!try_install} that passes the
-    quarantine check returns [None] (the fault injector's FT006). *)
 
 val pressure_evict :
   t -> events:Events.t -> counts:Stats.t -> down_to:int -> int

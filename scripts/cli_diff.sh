@@ -132,6 +132,15 @@ check run compress --size 500 --osr --self-heal \
 # failed installs and pressure evictions, counted by the engine
 check run compress --self-heal \
   --fault-spec 'fail-install@0.01,alloc-pressure@0.001,budget=20'
+# the full timeline of every workload: the hot kinds, the resync and
+# the exit-time counter folds under side exits, deopts and skewed
+# per-block instruction counts
+for w in compress javac raytrace mpegaudio soot scimark; do
+  check events "$w"
+  check events "$w" --osr --fault-spec 'guard_flip@0.05,budget=24'
+  check events "$w" --self-heal \
+    --fault-spec 'corrupt-instrs@0.01,budget=20'
+done
 # the histogram table folded from a deopt-heavy stream
 check events compress --size 500 --stats-only --osr \
   --fault-spec 'guard_flip@0.05,budget=24'

@@ -491,6 +491,41 @@ let test_session_decisions_per_member () =
     (Trace_cache.n_evicted (Engine.cache r.Engine.engine))
     r.Engine.run_stats.Stats.traces_evicted
 
+(* FT006 in a session: an armed installation failure belongs to the
+   member whose injector armed it, so each member's failed installs are
+   its own injections, never another member's. *)
+let test_session_fail_install_per_member () =
+  let layout =
+    Cfg.Layout.build
+      (Workloads.Workload.build_default Workloads.Compress.workload)
+  in
+  let config = Config.make ~fault_spec:"fail-install@0.01,budget=20" () in
+  let session = Session.create () in
+  let members =
+    List.map
+      (fun name ->
+        let events = Events.create () in
+        let injected = ref 0 in
+        let _sub =
+          Events.subscribe events (fun e ->
+              match e.Events.payload with
+              | Events.Fault_injected { code = "FT006"; _ } -> incr injected
+              | _ -> ())
+        in
+        (Session.add ~name ~config ~events session layout, injected))
+      [ "a"; "b" ]
+  in
+  Session.run session;
+  List.iter
+    (fun (m, injected) ->
+      check Alcotest.bool
+        (Session.member_name m ^ " injected failures")
+        true (!injected > 0);
+      check Alcotest.int
+        (Session.member_name m ^ ": failed installs are its own injections")
+        !injected (Session.stats m).Stats.failed_installs)
+    members
+
 let test_session_validation () =
   (match Session.create ~batch:0 () with
   | exception Invalid_argument _ -> ()
@@ -542,6 +577,8 @@ let () =
           tc "chaos equivalence" `Quick test_session_chaos_equivalence;
           tc "each member counts its own cache decisions" `Quick
             test_session_decisions_per_member;
+          tc "each member fails only its own installs" `Quick
+            test_session_fail_install_per_member;
           tc "validation" `Quick test_session_validation;
         ] );
     ]

@@ -189,6 +189,112 @@ let test_threshold_validated () =
   check (Alcotest.float 0.0) "1.0 accepted" 1.0
     (Config.threshold (Config.make ~threshold:1.0 ()))
 
+(* The engine folds [guards_checked] and [partial_instrs] in when a
+   trace ends.  Read between any two [on_block] calls, mid-trace
+   included, they must equal counting position by position: one guard
+   per block observed while a trace is active, and per side exit the
+   instructions of every position matched, each read from the live trace
+   when it matched.  FT002 skews those counts, flips armed mid-trace fail
+   guards at chosen positions, and a trace whose head is corrupted as it
+   is entered is condemned by the sweep before its first guard. *)
+module Events = Tracegen.Events
+module Trace = Tracegen.Trace
+module Trace_cache = Tracegen.Trace_cache
+
+type seen = Entered of int (* its first block's instructions *) | Exited of int
+
+let test_counters_between_blocks () =
+  let layout =
+    Layout.build (Workloads.Compress.workload.Workloads.Workload.build ~size:800)
+  in
+  List.iter
+    (fun (label, corrupt_entries, config) ->
+      let events = Events.create () in
+      let e = Engine.create ~config ~events layout in
+      let seen = ref [] and skews = ref 0 and condemned = ref 0 in
+      let entries = ref 0 in
+      let _sub =
+        Events.subscribe events (fun ev ->
+            match ev.Events.payload with
+            | Events.Side_exit { matched_instrs; _ } ->
+                seen := Exited matched_instrs :: !seen
+            | Events.Trace_entered { trace_id; _ } ->
+                incr entries;
+                Trace_cache.iter (Engine.cache e) (fun tr ->
+                    if tr.Trace.id = trace_id then begin
+                      seen := Entered tr.Trace.instr_len.(0) :: !seen;
+                      if corrupt_entries && !entries mod 5 = 0 then
+                        tr.Trace.blocks.(0) <- -1 - tr.Trace.blocks.(0)
+                    end)
+            | Events.Fault_injected { code = "FT002"; _ } -> incr skews
+            | Events.Deopt_entered { reason = "condemned"; _ } ->
+                incr condemned
+            | _ -> ())
+      in
+      let guards = ref 0 and matched = ref 0 and partial = ref 0 in
+      let n = ref 0 and flips = ref 0 and exits = ref 0 in
+      let on_block g =
+        incr n;
+        let before = Engine.active_trace e in
+        let pos = Engine.inflight_matched_blocks e in
+        (match before with
+        | Some _ when !n mod 41 = 0 ->
+            Engine.arm_guard_flip e ~pos:(pos + (!n mod 3));
+            incr flips
+        | _ -> ());
+        seen := [];
+        Engine.on_block e g;
+        let seen = List.rev !seen in
+        (match before with
+        | Some tr -> (
+            incr guards;
+            (* the guard at [pos] held unless the trace left right there *)
+            match seen with
+            | Exited _ :: _ -> ()
+            | _ -> matched := !matched + tr.Trace.instr_len.(pos))
+        | None -> ());
+        List.iter
+          (function
+            | Entered len0 -> matched := len0
+            | Exited mi ->
+                incr exits;
+                if mi <> !matched then
+                  Alcotest.failf
+                    "%s: block %d: side exit matched %d, per position %d" label
+                    !n mi !matched;
+                partial := !partial + mi)
+          seen;
+        let s = Engine.counters e in
+        if s.Stats.guards_checked <> !guards then
+          Alcotest.failf "%s: block %d: guards_checked %d, per position %d"
+            label !n s.Stats.guards_checked !guards;
+        if s.Stats.partial_instrs <> !partial then
+          Alcotest.failf "%s: block %d: partial_instrs %d, per position %d"
+            label !n s.Stats.partial_instrs !partial
+      in
+      let h = Vm.Interp.start layout ~on_block in
+      Engine.attach e h;
+      ignore (Vm.Interp.finish h);
+      check Alcotest.bool
+        (Printf.sprintf "%s: covered (%d exits, %d flips, %d skews, %d condemned)"
+           label !exits !flips !skews !condemned)
+        true
+        (!exits > 10 && !flips > 10
+        && (!skews > 0 || corrupt_entries)
+        && (!condemned > 0 || not corrupt_entries)))
+    [
+      ( "side exits",
+        false,
+        Config.make ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+      ( "osr",
+        false,
+        Config.make ~osr:true ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+      ( "condemned",
+        true,
+        Config.make ~osr:true ~self_heal:true ~debug_checks:true
+          ~decay_period:4 () );
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -206,6 +312,7 @@ let () =
           tc "phase change" `Quick test_phase_change_adapts;
           tc "noisy branch" `Quick test_partial_exits_on_noise;
           tc "signal metrics" `Quick test_dispatch_per_signal_metric;
+          tc "counters between blocks" `Quick test_counters_between_blocks;
         ] );
       ("config", [ tc "threshold validated" `Quick test_threshold_validated ]);
     ]

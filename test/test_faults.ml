@@ -284,11 +284,21 @@ let test_inject_install_failure () =
   let layout = Lazy.force layout in
   let cache = Trace_cache.create layout in
   let events = Events.create () and counts = Stats.zero () in
+  let faults = Faults.create ~seed:1 "fail-install!0" in
   let try_install () =
-    Trace_cache.try_install cache ~events ~counts ~first:0 ~blocks:[| 1; 2 |]
-      ~prob:1.0
+    Trace_cache.try_install cache
+      ~fail:(fun () -> Faults.take_install_failure faults)
+      ~events ~counts ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
   in
-  Trace_cache.inject_install_failure cache;
+  let bcg =
+    Bcg.create Config.default ~n_blocks:layout.Cfg.Layout.n_blocks
+      ~on_signal:ignore
+  in
+  check
+    Alcotest.(list string)
+    "FT006 armed" [ "FT006" ]
+    (List.map fst
+       (Faults.tick faults ~now:0 ~bcg ~cache ~events ~counts ~active:None));
   check Alcotest.bool "armed failure consumed" true
     (try_install () = Trace_cache.Refused);
   check Alcotest.int "counted" 1 counts.Stats.failed_installs;

@@ -245,7 +245,7 @@ let test_engine_run_reconciles () =
    payloads are built only for subscribers.  A run with a subscriber
    must therefore leave the same window, in the same order, and the
    same statistics as a run without one; and re-recording what the
-   subscriber saw — payloads encoded back through [Events.route] —
+   subscriber saw — payloads encoded back through [Events.ring_record] —
    must rebuild that window exactly. *)
 let recorder_run config layout ~subscribe =
   let events = Events.create () in
