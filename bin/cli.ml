@@ -69,13 +69,13 @@ let defaults =
    parses the fault spec only at create, so it is parsed here too: a bad
    spec and an out-of-range parameter both die as usage errors.  Debug
    checks follow --self-heal unless the caller says otherwise. *)
-let config ?debug_checks ?snapshot_period ?obs_attribution f =
+let config ?debug_checks ?snapshot_period f =
   try
     ignore (Tracegen.Faults.create ~seed:f.fault_seed f.fault_spec);
     Config.make ~threshold:f.threshold ~start_state_delay:f.delay
       ~fault_spec:f.fault_spec ~fault_seed:f.fault_seed ~self_heal:f.self_heal
       ~debug_checks:(Option.value debug_checks ~default:f.self_heal)
-      ~osr:f.osr ~tier:f.tier ?snapshot_period ?obs_attribution ()
+      ~osr:f.osr ~tier:f.tier ?snapshot_period ()
   with Invalid_argument msg -> die "invalid configuration: %s\n" msg
 
 (* ------------------------------------------------------------------ *)

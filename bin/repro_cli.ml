@@ -674,14 +674,15 @@ let session_cmd =
 (* top                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Run workloads with per-block attribution on and print the hot-report:
-   ranked traces (self dispatches, completions, attributed instructions)
-   and ranked blocks (self vs inlined executions).  The report folds the
-   events the oracle's identities reconcile against the end-of-run
-   statistics.  Exit 1 on mismatch. *)
+(* Run workloads and print the hot-report: ranked traces (self
+   dispatches, completions, attributed instructions) and ranked blocks
+   (self vs inlined executions).  The report folds the events the
+   oracle's identities reconcile against the end-of-run statistics, and
+   a counted plain run gives each block's executions.  Exit 1 on
+   mismatch. *)
 let top workload size flags top json =
   let ws = Cli.workloads workload in
-  let config = Cli.config ~obs_attribution:true flags in
+  let config = Cli.config flags in
   let failures = ref 0 in
   List.iter
     (fun (w : Workloads.Workload.t) ->
@@ -689,7 +690,8 @@ let top workload size flags top json =
       let tally = Harness.Oracle.attach events in
       let r = Engine.run ~config ~events (Cli.layout_of w ~size) in
       let engine = r.Engine.engine in
-      let report = Harness.Report.of_engine tally engine in
+      let executed = Harness.Oracle.executed engine in
+      let report = Harness.Report.of_engine ~executed tally engine in
       if json then
         (* one schema-versioned object per workload, JSONL *)
         print_endline
@@ -708,7 +710,9 @@ let top workload size flags top json =
       if
         not
           (Harness.Oracle.report ~source:"report"
-             (Harness.Oracle.event_checks tally ~engine r.Engine.run_stats))
+             (Harness.Oracle.event_checks tally ~engine r.Engine.run_stats
+             @ Harness.Oracle.block_checks ~executed tally ~engine
+                 r.Engine.run_stats))
       then incr failures)
     ws;
   if !failures > 0 then exit 1

@@ -53,9 +53,3 @@ val findings : t -> finding list
 
 val singleton : aval -> int option
 (** [Some c] when the abstract value is exactly the integer [c]. *)
-
-val aval_join : aval -> aval -> aval
-
-val aval_pp : Format.formatter -> aval -> unit
-
-val state_pp : Format.formatter -> state -> unit

@@ -75,11 +75,6 @@ module Make (L : LATTICE) : sig
       along possible unwind paths too. *)
 end
 
-val exceptional_successors : Cfg.Method_cfg.t -> int -> int list
-(** The handler entry blocks reachable from block [b] by a throw inside
-    it: handlers whose covered pc range intersects the block.  Sorted,
-    deduplicated. *)
-
 val reachable : ?exceptional:bool -> Cfg.Method_cfg.t -> bool array
 (** Blocks reachable from the method entry, following normal edges and —
     with [exceptional] (default [true]) — handler edges from reachable

@@ -96,5 +96,3 @@ let compute (cfg : Method_cfg.t) =
          headers)
   in
   { cfg; dom; loops; depth; back_edges; irreducible }
-
-let loop_of_header t h = Array.find_opt (fun l -> l.header = h) t.loops

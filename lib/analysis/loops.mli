@@ -28,5 +28,3 @@ type t = {
 }
 
 val compute : Cfg.Method_cfg.t -> t
-
-val loop_of_header : t -> int -> loop option

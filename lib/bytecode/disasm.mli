@@ -1,12 +1,6 @@
 (** Human-readable listings of methods and programs, with symbolic names
     for method/class/selector/field operands and branch targets marked. *)
 
-val pp_instr_resolved : Program.t -> Format.formatter -> Instr.t -> unit
-
-val pp_method : Program.t -> Format.formatter -> Mthd.t -> unit
-
-val pp_program : Format.formatter -> Program.t -> unit
-
 val method_to_string : Program.t -> Mthd.t -> string
 
 val program_to_string : Program.t -> string

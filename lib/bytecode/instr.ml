@@ -159,8 +159,6 @@ let is_return = function
   | Return | Ireturn | Freturn | Areturn -> true
   | _ -> false
 
-let is_throw = function Athrow -> true | _ -> false
-
 let is_call = function Invokestatic _ | Invokevirtual _ -> true | _ -> false
 
 let is_conditional = function If_icmp _ | Ifz _ -> true | _ -> false

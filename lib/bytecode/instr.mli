@@ -105,8 +105,6 @@ val branch_targets : t -> int list
 
 val is_return : t -> bool
 
-val is_throw : t -> bool
-
 val is_call : t -> bool
 
 val is_conditional : t -> bool

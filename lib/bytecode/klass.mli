@@ -22,8 +22,6 @@ type t = {
   vtable : int array;  (** selector slot -> method id, -1 if absent *)
 }
 
-val field_kind_to_string : field_kind -> string
-
 val n_fields : t -> int
 
 val field_slot : t -> string -> int option

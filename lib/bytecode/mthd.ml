@@ -55,12 +55,6 @@ let return_type_to_string = function
 
 let kind_to_string = function Static -> "static" | Virtual -> "virtual"
 
-(* Number of values an invocation pops from the caller's stack. *)
-let invocation_pops t = t.n_args
-
-(* Number of values an invocation pushes on return. *)
-let invocation_pushes t = match t.returns with Rvoid -> 0 | _ -> 1
-
 let pp ppf t =
   Format.fprintf ppf "%s %s %s(args=%d, locals=%d) [%d instrs]"
     (kind_to_string t.kind)

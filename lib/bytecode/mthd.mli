@@ -43,14 +43,4 @@ val handler_for :
   handler option
 (** The innermost handler covering [pc] that catches class [cls]. *)
 
-val return_type_to_string : return_type -> string
-
-val kind_to_string : kind -> string
-
-val invocation_pops : t -> int
-(** Values an invocation pops from the caller's operand stack. *)
-
-val invocation_pushes : t -> int
-(** Values an invocation pushes on return (0 or 1). *)
-
 val pp : Format.formatter -> t -> unit

@@ -96,11 +96,6 @@ type t
 
 exception Type_error of string
 
-val ty_to_string : ty -> string
-
-val ty_equal : ty -> ty -> bool
-(** Structural, except any array type is compatible with [R]. *)
-
 val create : unit -> t
 
 val def_class :

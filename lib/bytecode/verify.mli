@@ -21,17 +21,6 @@ type error = {
 
 exception Invalid of error
 
-val vty_to_string : vty -> string
-
-val verify_method : Program.t -> Mthd.t -> unit
-(** @raise Invalid on the first violation found. *)
-
-val verify_method_all : Program.t -> Mthd.t -> error list
-(** Collect every violation in the method instead of stopping at the
-    first.  The head of the list is the error {!verify_method} raises;
-    later entries are best-effort (verification continues past a broken
-    state).  [[]] means the method verifies. *)
-
 val verify_program : Program.t -> unit
 (** Verify every method.  @raise Invalid on the first violation. *)
 

@@ -35,6 +35,4 @@ val is_loop_back_candidate : t -> bool
 (** A branch whose target does not lie after the block — the usual shape
     of a compiled loop back edge. *)
 
-val terminator_to_string : terminator -> string
-
 val pp : Format.formatter -> t -> unit

@@ -265,7 +265,7 @@ let record_successor t ~(ctx : node) ~(target : node) =
 let heal_node t (n : node) : bool =
   let repaired = ref false in
   let clamp lo hi v =
-    let v' = max lo (min hi v) in
+    let v' = Int.max lo (Int.min hi v) in
     if v' <> v then repaired := true;
     v'
   in

@@ -107,18 +107,13 @@ val find_edge : node -> Cfg.Layout.gid -> edge
     Every edge keeps [e_target == find_node ~x:n.n_y ~y:e_z], which is
     what lets the profiler follow the pointer instead of hashing. *)
 
-val total_weight : node -> int
-(** Sum of outgoing edge weights: the denominator of every correlation. *)
-
 val correlation : node -> edge -> float
 (** The probability of taking the edge's branch given the node's branch
-    was just taken: [weight / total_weight], in [0, 1]. *)
+    was just taken: [weight] over the node's total outgoing weight, in
+    [0, 1]. *)
 
 val best_edge : node -> edge option
 (** The heaviest outgoing edge right now. *)
-
-val evaluate_state : t -> node -> State.t * edge option
-(** Classify a hot node from its current edges (does not mutate). *)
 
 val recheck : t -> node -> unit
 (** Re-evaluate state and maximally correlated successor, updating the

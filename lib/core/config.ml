@@ -64,8 +64,6 @@ type t = {
       (* bound on simultaneously compiled traces; exceeding it demotes
          the coldest compiled trace (pinned traces are exempt) *)
   (* observability *)
-  obs_attribution : bool;
-      (* keep the per-block attribution of dispatches outside traces *)
   flightrec_capacity : int;
       (* flight-recorder ring capacity; 0 disarms the recorder *)
 }
@@ -105,7 +103,6 @@ let default =
     tier = false;
     tier_compile_after = 32;
     tier_compile_budget = 64;
-    obs_attribution = false;
     flightrec_capacity = 512;
   }
 
@@ -136,7 +133,6 @@ let make ?(start_state_delay = default.start_state_delay)
     ?(osr = default.osr) ?(osr_promote_after = default.osr_promote_after)
     ?(tier = default.tier) ?(tier_compile_after = default.tier_compile_after)
     ?(tier_compile_budget = default.tier_compile_budget)
-    ?(obs_attribution = default.obs_attribution)
     ?(flightrec_capacity = default.flightrec_capacity) () =
   let t =
     {
@@ -156,7 +152,6 @@ let make ?(start_state_delay = default.start_state_delay)
       tier;
       tier_compile_after;
       tier_compile_budget;
-      obs_attribution;
       flightrec_capacity;
     }
   in
@@ -179,5 +174,4 @@ let osr_promote_after t = t.osr_promote_after
 let tier_enabled t = t.tier
 let tier_compile_after t = t.tier_compile_after
 let tier_compile_budget t = t.tier_compile_budget
-let obs_attribution t = t.obs_attribution
 let flightrec_capacity t = t.flightrec_capacity

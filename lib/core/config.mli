@@ -7,7 +7,10 @@
     ({!counter_max}).
 
     A configuration is built one way, with {!make}, which validates it,
-    and read one way, through the leaf accessors. *)
+    and read one way, through the leaf accessors.  Two values concern
+    observation, a period ({!snapshot_period}) and a size
+    ({!flightrec_capacity}); the hot report needs none, since it
+    derives its per-block split after the run. *)
 
 (** The trace cache's eviction policy. *)
 module Cache : sig
@@ -48,7 +51,6 @@ val make :
   ?tier:bool ->
   ?tier_compile_after:int ->
   ?tier_compile_budget:int ->
-  ?obs_attribution:bool ->
   ?flightrec_capacity:int ->
   unit ->
   t
@@ -186,12 +188,6 @@ val tier_compile_budget : t -> int
     (default 64). *)
 
 (** {2 Observability} *)
-
-val obs_attribution : t -> bool
-(** Keep per-block attribution of the dispatches outside traces (one
-    word per block) feeding the hot-report.  Off by default.  The
-    inlined executions need no switch: the hot report folds them from
-    the exit events. *)
 
 val flightrec_capacity : t -> int
 (** Flight-recorder ring capacity in entries (default 512).  The

@@ -71,14 +71,11 @@ type t = {
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option; (* None = on-stack replacement off *)
-  (* deep observability: the flight recorder and attribution *)
+  (* deep observability: the flight recorder *)
   flightrec : Flightrec.t option;
     (* the always-on black box (None only when
        Config.flightrec_capacity = 0); dump triggers fire here, the
        intake is wired through the event tap *)
-  attr_self : int array;
-    (* per-gid dispatches outside traces; [||] = attribution off.  The
-       exit events imply the executions inlined inside traces. *)
   counts : Stats.t;
     (* the counters the engine advances, in place; [counters] fills in
        the ones other modules own when it copies them out *)
@@ -125,17 +122,11 @@ let fr_trigger t reason =
   | Some fr -> Flightrec.trigger fr reason
   | None -> ()
 
-(* The attribution bump; the array is [||] when Config.obs_attribution
-   is off, so the disabled path is one length test. *)
-let attr_step t g =
-  if Array.length t.attr_self > 0 then t.attr_self.(g) <- t.attr_self.(g) + 1
-
-(* One ordinary block dispatch outside any trace: count and attribute
-   it.  The caller runs (or skips) the profiler hook. *)
-let block_dispatch t g =
+(* One ordinary block dispatch outside any trace: count it.  The
+   caller runs (or skips) the profiler hook. *)
+let block_dispatch t =
   t.counts.Stats.block_dispatches <- t.counts.Stats.block_dispatches + 1;
-  t.just_completed <- false;
-  attr_step t g
+  t.just_completed <- false
 
 let note_executed t g =
   t.prev2 <- t.prev;
@@ -289,7 +280,8 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
   in
   finish_partial t tr ~guards;
   c.Stats.deopts <- c.Stats.deopts + 1;
-  c.Stats.deopt_residue_blocks <- c.Stats.deopt_residue_blocks + max 0 residue;
+  c.Stats.deopt_residue_blocks <-
+    c.Stats.deopt_residue_blocks + Int.max 0 residue;
   Events.emit t.events
     (Events.Deopt_entered
        {
@@ -638,7 +630,7 @@ let validate_dispatch t (tr : Trace.t) ~prev ~cur : string option =
 (* An ordinary profiled block dispatch: the hook runs, the trace cache
    is not consulted. *)
 let profiled_dispatch t g =
-  block_dispatch t g;
+  block_dispatch t;
   Profiler.dispatch t.profiler g;
   note_executed t g
 
@@ -707,7 +699,7 @@ let step t g =
   prologue t;
   match t.kind with
   | Interp ->
-      block_dispatch t g;
+      block_dispatch t;
       Profiler.note_skipped t.profiler;
       note_executed t g;
       apply_health t (Health.clean_dispatch t.health)
@@ -874,10 +866,6 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       faults;
       osr;
       flightrec;
-      attr_self =
-        (if Config.obs_attribution config then
-           Array.make layout.Layout.n_blocks 0
-         else [||]);
       counts = Stats.zero ();
       completed_ids = Bytes.empty;
       restored = 0;
@@ -915,8 +903,6 @@ let health t = t.health
 let flightrec t = t.flightrec
 
 let ledger t = Some t.ledger
-
-let attr_self t = t.attr_self
 
 let inflight_matched_blocks t =
   match t.active with Some _ -> t.active_pos | None -> 0

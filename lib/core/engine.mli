@@ -42,9 +42,11 @@
     engine; a run with no subscribers — the default, where only the
     flight recorder and the ledger tap the stream — allocates nothing
     per dispatch.  The stream is the one record of every per-event
-    observation: the engine keeps no histograms, and a distribution
-    such as executed-trace length is a fold of event fields
-    ([Harness.Oracle]'s tally keeps five).  With
+    observation: the engine keeps no histograms and no per-block
+    counts.  A distribution such as executed-trace length is a fold of
+    event fields ([Harness.Oracle]'s tally keeps five), and a block's
+    dispatches outside traces are its executions in a plain run minus
+    the positions the exit events inline.  With
     [Config.snapshot_period] positive the engine also samples every
     {!Stats.counters} entry (bar [instructions]) and its cache,
     recorder and ledger state every [period] dispatches, and publishes
@@ -155,11 +157,6 @@ val ledger : t -> Ledger.t option
     flight recorder.  Always [Some]: every engine keeps one.  The option
     type stays because existing readers (perfbench among them) match
     on it. *)
-
-val attr_self : t -> int array
-(** Per-gid dispatches outside any trace; [[||]] unless
-    [Config.obs_attribution] was on.  Sums to [block_dispatches].  The
-    exit events imply the executions inlined inside traces. *)
 
 val inflight_matched_blocks : t -> int
 (** Blocks matched so far by the currently active trace (0 when no trace

@@ -157,7 +157,7 @@ type ring = {
 }
 
 let ring ~capacity =
-  let cap = max 2 capacity in
+  let cap = Int.max 2 capacity in
   {
     cap;
     evs = [||];
@@ -225,7 +225,7 @@ let event_at r i : event =
 
 (* Oldest-first reconstruction of the surviving window. *)
 let ring_window r =
-  let first = max 0 (r.next_seq - r.cap) in
+  let first = Int.max 0 (r.next_seq - r.cap) in
   let acc = ref [] in
   for seq = r.next_seq - 1 downto first do
     acc := (seq, event_at r (seq mod r.cap)) :: !acc

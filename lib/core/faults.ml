@@ -319,7 +319,7 @@ let arm_flip t ~pos =
   t.pending_flip <- Some pos
 
 let take_flip t p ~pos ~n_blocks =
-  let target = max 1 (min p (n_blocks - 1)) in
+  let target = Int.max 1 (Int.min p (n_blocks - 1)) in
   if pos = target then begin
     t.pending_flip <- None;
     true

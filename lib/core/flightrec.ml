@@ -46,7 +46,7 @@ let create ~capacity =
 
 let capacity t = Events.ring_capacity t.ring
 let recorded t = Events.ring_recorded t.ring
-let dropped t = max 0 (recorded t - capacity t)
+let dropped t = Int.max 0 (recorded t - capacity t)
 let dumps t = t.dumps
 let set_on_dump t f = t.on_dump <- Some f
 let ring t = t.ring

@@ -4,23 +4,14 @@
     so the two cannot drift (paper §3.5's representation-cost concern,
     §3.3's cache-size concern). *)
 
-val node_bytes : int
-(** Estimated bytes per BCG node: two block ids, four counters, a state
-    tag, an inline-cache pointer and a predecessor list entry. *)
-
-val edge_bytes : int
-(** Estimated bytes per BCG edge: target id, pointer, 16-bit counter. *)
-
-val instr_bytes : int
-(** Bytes per cached trace instruction — one direct-threaded code slot. *)
-
 val microp_bytes : int
 (** Bytes per decoded micro-op of a compiled (lowered) trace body:
     opcode plus registers/immediate. *)
 
 val trace_bytes : Trace.t -> int
 (** Estimated i-cache footprint of one cached trace:
-    [total_instrs * instr_bytes], plus [n_ops * microp_bytes] for the
+    one direct-threaded code slot per instruction, plus
+    [n_ops * microp_bytes] for the
     lowered body when the trace holds a compiled-tier slot — so
     footprint-aware eviction and the cache-pressure path price compiled
     traces honestly. *)

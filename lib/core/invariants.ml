@@ -37,7 +37,7 @@ let check_node ?context (bcg : Bcg.t) (n : Bcg.node) =
              "best edge (to %d) is not among the node's edges" b.Bcg.e_z)
       else
         let max_w =
-          List.fold_left (fun acc (e : Bcg.edge) -> max acc e.Bcg.weight) 0
+          List.fold_left (fun acc (e : Bcg.edge) -> Int.max acc e.Bcg.weight) 0
             edges
         in
         if b.Bcg.weight < max_w then

@@ -15,6 +15,21 @@ let kinds =
     "deopt_entered";
   ]
 
+(* The same set as [kinds], decided by constructor; exhaustive, so a new
+   payload must be classified. *)
+let is_decision : Events.payload -> bool = function
+  | Events.Trace_constructed _ | Events.Trace_replaced _
+  | Events.Trace_quarantined _ | Events.Trace_evicted _
+  | Events.Trace_compiled _ | Events.Tier_demoted _ | Events.Osr_promoted _
+  | Events.Deopt_entered _ ->
+      true
+  | Events.Signal_raised _ | Events.Trace_entered _ | Events.Side_exit _
+  | Events.Trace_completed _ | Events.Decay_pass _ | Events.Path_walked _
+  | Events.Phase_snapshot _ | Events.Invariant_violation _
+  | Events.Fault_injected _ | Events.Mode_degraded _ | Events.Mode_recovered _
+  | Events.Cache_restored _ | Events.Snapshot_rejected _ ->
+      false
+
 type t = { mutable store : Events.event array; mutable n : int }
 
 let create () = { store = [||]; n = 0 }
@@ -22,9 +37,9 @@ let create () = { store = [||]; n = 0 }
 let length t = t.n
 
 let observe t (e : Events.event) =
-  if List.mem (Events.kind e.Events.payload) kinds then begin
+  if is_decision e.Events.payload then begin
     if t.n = Array.length t.store then begin
-      let store = Array.make (max 64 (2 * t.n)) e in
+      let store = Array.make (Int.max 64 (2 * t.n)) e in
       Array.blit t.store 0 store 0 t.n;
       t.store <- store
     end;

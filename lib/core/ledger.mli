@@ -14,6 +14,10 @@ val kinds : string list
     (new and reused), entry replacement, quarantine, eviction, tier
     compilation and demotion, OSR promotion and deoptimization. *)
 
+val is_decision : Events.payload -> bool
+(** Whether the payload's kind is in {!kinds}, decided by its
+    constructor. *)
+
 type t
 
 val create : unit -> t

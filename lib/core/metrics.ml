@@ -36,7 +36,7 @@ let bucket_index h v =
       b := !b + 1;
       x := !x lsr 1
     done;
-    min !b (Array.length h.h_buckets - 1)
+    Int.min !b (Array.length h.h_buckets - 1)
   end
 
 let record h v =

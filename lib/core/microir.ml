@@ -603,7 +603,7 @@ let lower ?(local_const = fun ~pos:_ ~slot:_ -> None)
   (* backward pass: a pure op whose destination no kept op reads is dead,
      and killing it can expose its operands' producers *)
   let cells_rev = !out in
-  let needed = Array.make (max 1 !n_regs) false in
+  let needed = Array.make (Int.max 1 !n_regs) false in
   List.iter
     (fun c ->
       if c.kept then
@@ -615,7 +615,7 @@ let lower ?(local_const = fun ~pos:_ ~slot:_ -> None)
     cells_rev;
   let cells = List.rev (List.filter (fun c -> c.kept) cells_rev) in
   (* --- phase 3: superinstruction fusion ----------------------------- *)
-  let reads = Array.make (max 1 !n_regs) 0 in
+  let reads = Array.make (Int.max 1 !n_regs) 0 in
   List.iter
     (fun c -> List.iter (fun r -> reads.(r) <- reads.(r) + 1) (uses_of c.op))
     cells;
@@ -718,7 +718,7 @@ let check ?expect (b : body) : string list =
         regs)
     b.ops;
   (* guards: exactly one per position 1..n-1, with the right pos *)
-  let seen = Array.make (max 1 n_pos) 0 in
+  let seen = Array.make (Int.max 1 n_pos) 0 in
   Array.iter
     (fun op ->
       match op with

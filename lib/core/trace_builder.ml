@@ -293,7 +293,7 @@ let promote ?(events = Events.create ()) ?(counts = Stats.zero ())
       let stalled = ref false in
       (* the closed walk installs as ONE trace, so it answers to the
          cutter's length bound (TL209) as well as the walk cap *)
-      let cap = min Config.max_walk Config.max_trace_blocks in
+      let cap = Int.min Config.max_walk Config.max_trace_blocks in
       while (not !closed) && (not !stalled) && !len < cap do
         match (!cur).Bcg.best with
         | None -> stalled := true

@@ -441,7 +441,7 @@ let quarantine t ~events ~(counts : Stats.t) ~first ~head ~code :
   else
     (* exponential backoff: backoff * 2^(attempts-1) clock units *)
     q.until <-
-      t.clock + (Config.heal_backoff * (1 lsl min (q.attempts - 1) 20));
+      t.clock + (Config.heal_backoff * (1 lsl Int.min (q.attempts - 1) 20));
   if Events.enabled events then
     Events.emit events
       (Events.Trace_quarantined
@@ -516,7 +516,7 @@ let try_install ?(fail = fun () -> false) t ~events ~(counts : Stats.t)
   end
 
 let pressure_evict t ~events ~counts ~down_to =
-  let down_to = max 0 down_to in
+  let down_to = Int.max 0 down_to in
   (* the reason tag records which policy chose the victim, so the
      timeline can distinguish an LRU pressure eviction from a
      footprint-scored one *)

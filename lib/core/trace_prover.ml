@@ -115,7 +115,7 @@ let derive_pruned (layout : Layout.t) (tr : Trace.t) : bool array =
       | _ ->
           let lo, hi =
             match Hashtbl.find_opt intervals v with
-            | Some (lo0, hi0) -> (max lo lo0, min hi hi0)
+            | Some (lo0, hi0) -> (Int.max lo lo0, Int.min hi hi0)
             | None -> (lo, hi)
           in
           if lo <= hi then Hashtbl.replace intervals v (lo, hi)

@@ -30,7 +30,7 @@ val parse : string -> (json, string) result
     malformed input is an [Error], never an exception. *)
 
 val schema_version : int
-(** Every top-level JSONL record ({!event_json}, {!diag_json},
+(** Every top-level JSONL record ({!event_json}, {!diags_jsonl},
     {!flightrec_entry_json}, [Export.run_json]) leads with a ["schema_version"]
     field carrying this value, so downstream consumers can detect
     format drift.  Bumped on any breaking change to the record field
@@ -47,14 +47,11 @@ val event_json : Tracegen.Events.event -> json
 (** One event as a flat object: [{"event": <kind>, "time": <dispatch>,
     …payload fields}].  The [event] tag is {!Tracegen.Events.kind}. *)
 
-val diag_json : Analysis.Diag.t -> json
-(** One lint diagnostic as a flat object: [{"context": …, "code": …,
+val diags_jsonl : Analysis.Diag.t list -> string
+(** A diagnostic list, one flat object per line, in list order — the
+    [repro_cli lint --json] schema: [{"context": …, "code": …,
     "severity": …, "location": …, "message": …}] (context omitted when
     absent). *)
-
-val diags_jsonl : Analysis.Diag.t list -> string
-(** A diagnostic list, one object per line, in list order — the
-    [repro_cli lint --json] schema. *)
 
 (** {2 Flight recorder (post-mortem)} *)
 

@@ -250,11 +250,21 @@ let inlined t ~(engine : Engine.t) =
   | _ -> ());
   counts
 
+(* Trace dispatch is an overlay, so the engine's run executed exactly
+   the blocks a plain run of its layout under the same cap executes. *)
+let executed ?max_instructions (engine : Engine.t) =
+  let layout = Engine.layout engine in
+  let counts = Array.make layout.Cfg.Layout.n_blocks 0 in
+  ignore
+    (Vm.Interp.run ?max_instructions layout ~on_block:(fun g ->
+         counts.(g) <- counts.(g) + 1));
+  counts
+
 let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
   let in_flight =
     match Engine.active_trace engine with Some _ -> 1 | None -> 0
   in
-  let sum = Array.fold_left ( + ) 0 and attr_self = Engine.attr_self engine in
+  let sum = Array.fold_left ( + ) 0 in
   let row name got want = { name; got; want } in
   let completed_rows f =
     rows_sum t (fun r -> if r.completed > 0 then f r else 0)
@@ -277,13 +287,26 @@ let event_checks (t : tally) ~(engine : Engine.t) (s : Stats.t) : check list =
         (s.Stats.completed_blocks + s.Stats.partial_blocks
         + Engine.inflight_matched_blocks engine);
     ]
-  @
-  if attr_self = [||] then []
-  else
-    [
-      row "attributed self dispatches = block_dispatches" (sum attr_self)
-        s.Stats.block_dispatches;
-    ]
+
+(* Every execution of a block is either a dispatch outside any trace or
+   an inlined position inside one. *)
+let block_checks ~executed (t : tally) ~(engine : Engine.t) (s : Stats.t) :
+    check list =
+  let inlined = inlined t ~engine in
+  let over = ref 0 and self = ref 0 in
+  Array.iteri
+    (fun g e ->
+      if inlined.(g) > e then incr over;
+      self := !self + e - inlined.(g))
+    executed;
+  [
+    { name = "blocks inlined more often than executed"; got = !over; want = 0 };
+    {
+      name = "self dispatches (executed - inlined) = block_dispatches";
+      got = !self;
+      want = s.Stats.block_dispatches;
+    };
+  ]
 
 (* The same identities over a tally of the ledger's events, restricted
    to the kinds the ledger keeps. *)

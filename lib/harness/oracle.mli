@@ -4,7 +4,9 @@
     are three views of the same execution.  This module owns the exact
     agreements between them, so [repro_cli events], the chaos harness
     and the tests all check one list instead of private copies that can
-    drift.
+    drift.  A fourth view, a counted plain run of the same program
+    ({!executed}), gives each block's executions; the hot report splits
+    them into self dispatches and inlined positions ({!block_checks}).
 
     The stream is also the one record of every per-event observation:
     the engine keeps no histograms and no per-trace counters, and the
@@ -75,6 +77,12 @@ val inlined : tally -> engine:Tracegen.Engine.t -> int array
     positions, and a run that stopped mid-trace the positions matched
     so far. *)
 
+val executed : ?max_instructions:int -> Tracegen.Engine.t -> int array
+(** Per-gid block executions of one counted {!Vm.Interp.run} of the
+    engine's layout under [max_instructions], which must be the engine
+    run's own cap.  Trace dispatch is an overlay, so these are the
+    engine run's executions too; {!block_checks} splits them. *)
+
 (** {2 The reconciliations} *)
 
 val event_checks :
@@ -88,10 +96,21 @@ val event_checks :
     rows the hot report reads — every hot event names a constructed
     trace whose sizes it repeats, a reuse repeats the trace's first
     construction, the completed rows count [static_traces] and
-    [static_blocks], the {!inlined} counts sum to the inlined positions,
-    and {!Tracegen.Engine.attr_self}, when kept, to [block_dispatches].
-    Events outlive their traces, so all of these hold under eviction,
-    quarantine and corruption (a restored trace has no row). *)
+    [static_blocks], and the {!inlined} counts sum to the inlined
+    positions.  Events outlive their traces, so all of these hold under
+    eviction, quarantine and corruption (a restored trace has no row). *)
+
+val block_checks :
+  executed:int array ->
+  tally ->
+  engine:Tracegen.Engine.t ->
+  Tracegen.Stats.t ->
+  check list
+(** The per-block identity: every execution of a block ({!executed}) is
+    either a dispatch outside any trace or an {!inlined} position inside
+    one.  No block has more inlined positions than executions, and the
+    self dispatches (executed − inlined) sum to [block_dispatches].
+    They run wherever a hot report is built. *)
 
 val ledger_checks :
   Tracegen.Ledger.t -> Tracegen.Stats.t -> check list

@@ -8,11 +8,6 @@
 
 type direction = Higher | Lower  (** Which way "better" points. *)
 
-val direction_to_string : direction -> string
-(** ["higher"] / ["lower"] — the wire tags. *)
-
-val direction_of_string : string -> direction option
-
 type metric = {
   name : string;
   value : float;

@@ -2,8 +2,9 @@ module Tr = Tracegen
 module Layout = Cfg.Layout
 
 (* The hot-report: where did the run's dispatches and instructions go?
-   A fold of the oracle tally's trace rows, plus the engine's attribution
-   of dispatches outside traces, which no event marks. *)
+   A fold of the oracle tally's trace rows and inlined positions; a
+   block's self dispatches are its executions in a counted plain run
+   minus its inlined positions. *)
 
 type trace_row = {
   trace_id : int;
@@ -29,7 +30,7 @@ type t = {
   blocks : block_row list; (* ranked by self + inlined, descending *)
 }
 
-let of_engine (tally : Oracle.tally) (engine : Tr.Engine.t) : t =
+let of_engine ~executed (tally : Oracle.tally) (engine : Tr.Engine.t) : t =
   let layout = Tr.Engine.layout engine in
   (* the compiled tier is the one column the stream does not carry *)
   let compiled = Hashtbl.create 16 in
@@ -54,13 +55,12 @@ let of_engine (tally : Oracle.tally) (engine : Tr.Engine.t) : t =
   let inlined = Oracle.inlined tally ~engine in
   let blocks = ref [] in
   Array.iteri
-    (fun gid s ->
+    (fun gid e ->
       let i = inlined.(gid) in
-      if s > 0 || i > 0 then
-        blocks :=
-          { gid; block = Layout.describe layout gid; self = s; inlined = i }
-          :: !blocks)
-    (Tr.Engine.attr_self engine);
+      if e > 0 || i > 0 then
+        let block = Layout.describe layout gid in
+        blocks := { gid; block; self = e - i; inlined = i } :: !blocks)
+    executed;
   {
     traces =
       List.filter (fun (r : Oracle.trace_row) -> r.entered > 0)

@@ -3,11 +3,13 @@
     A fold of the event stream.  The per-trace rows are
     {!Oracle.traces}, which keep the traces a run evicted, quarantined
     or corrupted; a block's inlined executions are {!Oracle.inlined}.
-    Only a block's self dispatches come from the engine's attribution
-    array ([Config.obs_attribution]), since no event marks a dispatch
-    outside a trace.  Every column sums to its [Stats] total under any
-    configuration: {!Oracle.event_checks} states the identities and
-    [repro_cli top] enforces them. *)
+    No event marks a dispatch outside a trace, and none is needed:
+    trace dispatch is an overlay, so a block's self dispatches are its
+    executions in a counted plain run ({!Oracle.executed}) minus its
+    inlined positions.  Every column sums to its [Stats] total under
+    any configuration: {!Oracle.event_checks} and
+    {!Oracle.block_checks} state the identities and [repro_cli top]
+    enforces them. *)
 
 type trace_row = {
   trace_id : int;
@@ -35,10 +37,9 @@ type t = {
   blocks : block_row list;  (** ranked by self + inlined, descending *)
 }
 
-val of_engine : Oracle.tally -> Tracegen.Engine.t -> t
-(** Collect the report from a finished engine and the tally attached to
-    its stream before the run.  Block rows are empty unless the engine
-    ran with [Config.obs_attribution]. *)
+val of_engine : executed:int array -> Oracle.tally -> Tracegen.Engine.t -> t
+(** Collect the report from a finished engine, the tally attached to its
+    stream before the run and the run's {!Oracle.executed} counts. *)
 
 val render : ?top:int -> t -> string
 (** Human-readable ranked tables ([top] rows each, default 10). *)

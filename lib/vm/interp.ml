@@ -135,7 +135,7 @@ let check_bounds (a : Value.arr) i =
     die Array_bounds "index %d, length %d" i (Array.length a.Value.cells)
 
 let fresh_locals (m : Mthd.t) =
-  Array.make (max 1 m.Mthd.n_locals) (Value.Vint 0)
+  Array.make (Int.max 1 m.Mthd.n_locals) (Value.Vint 0)
 
 (* Invoke: pop n_args values off the caller's stack into the callee's
    leading locals (receiver in local 0 for virtual methods), then open
@@ -165,7 +165,9 @@ let receiver_class st (caller : frame) n_args =
 let selector_arities (program : Program.t) =
   let classes = program.Program.classes in
   let n =
-    Array.fold_left (fun n k -> max n (Array.length k.Klass.vtable)) 0 classes
+    Array.fold_left
+      (fun n k -> Int.max n (Array.length k.Klass.vtable))
+      0 classes
   in
   let arity = Array.make n (-1) in
   Array.iter
@@ -429,7 +431,7 @@ let exec_block st =
                 (* a caller is searched at its call site: the
                    instruction before its stored continuation *)
                 if depth > 1 then
-                  unwind f.caller (depth - 1) (max 0 (f.caller.pc - 1))
+                  unwind f.caller (depth - 1) (Int.max 0 (f.caller.pc - 1))
                 else
                   die Uncaught_exception "class %s"
                     (Program.class_by_id st.program cls).Klass.name

@@ -13,8 +13,6 @@ type t = {
 
 let build_default w = w.build ~size:w.default_size
 
-let build_bench w = w.build ~size:w.bench_size
-
 let pp ppf w =
   Format.fprintf ppf "%-10s (for %s): %s" w.name w.paper_counterpart
     w.description

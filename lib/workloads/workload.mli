@@ -13,6 +13,4 @@ type t = {
 
 val build_default : t -> Bytecode.Program.t
 
-val build_bench : t -> Bytecode.Program.t
-
 val pp : Format.formatter -> t -> unit

@@ -13,7 +13,7 @@
 set -eu
 old=$1
 new=$2
-work=$(mktemp -d /tmp/cli_diff.XXXXXX)
+work=$(mktemp -d "${TMPDIR:-/tmp}/cli_diff.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 failures=0
 cases=0
@@ -144,6 +144,12 @@ done
 # the histogram table folded from a deopt-heavy stream
 check events compress --size 500 --stats-only --osr \
   --fault-spec 'guard_flip@0.05,budget=24'
+# the hot report of every workload: its block rows are each block's
+# executions in a counted plain run split into self and inlined
+for w in compress javac raytrace mpegaudio soot scimark; do
+  check top "$w"
+  check top "$w" --json
+done
 check top compress --size 500
 check top compress --size 500 --json
 check top mpegaudio --size 500 --tier

@@ -72,36 +72,62 @@ let test_time_stamping () =
   check Alcotest.(list int) "events carry the clock" [ 7; 42 ] (List.rev !times);
   check Alcotest.int "now readable" 42 (Events.now t)
 
+(* One payload per constructor: each has a stable tag, and the
+   ledger's constructor match agrees with its list of decision kinds. *)
 let test_kind_tags () =
-  let tags =
-    List.map Events.kind
-      [
-        Events.Signal_raised
-          {
-            x = 0;
-            y = 1;
-            old_state = Tracegen.State.Newly_created;
-            new_state = Tracegen.State.Unique;
-            best_changed = true;
-          };
-        Events.Trace_constructed
-          {
-            trace_id = 0;
-            first = 0;
-            blocks = [| 1 |];
-            n_instrs = 1;
-            prob = 1.0;
-            reused = false;
-          };
-        Events.Trace_replaced { first = 0; head = 1; trace_id = 0 };
-        Events.Trace_entered { trace_id = 0; chained = false };
-        Events.Side_exit
-          { trace_id = 0; at_block = 1; matched_instrs = 1 };
-        Events.Trace_completed { trace_id = 0; n_blocks = 1; n_instrs = 1 };
-        Events.Decay_pass { decays = 1 };
-        Events.Path_walked { transitions = 3 };
-        Events.Phase_snapshot { Metrics.at = 0; values = [||] };
-      ]
+  let payloads =
+    [
+      Events.Signal_raised
+        {
+          x = 0;
+          y = 1;
+          old_state = Tracegen.State.Newly_created;
+          new_state = Tracegen.State.Unique;
+          best_changed = true;
+        };
+      Events.Trace_constructed
+        {
+          trace_id = 0;
+          first = 0;
+          blocks = [| 1 |];
+          n_instrs = 1;
+          prob = 1.0;
+          reused = false;
+        };
+      Events.Trace_replaced { first = 0; head = 1; trace_id = 0 };
+      Events.Trace_entered { trace_id = 0; chained = false };
+      Events.Side_exit
+        { trace_id = 0; at_block = 1; matched_instrs = 1 };
+      Events.Trace_completed { trace_id = 0; n_blocks = 1; n_instrs = 1 };
+      Events.Decay_pass { decays = 1 };
+      Events.Path_walked { transitions = 3 };
+      Events.Phase_snapshot { Metrics.at = 0; values = [||] };
+      Events.Invariant_violation
+        { code = "TL204"; severity = "error"; message = "m" };
+      Events.Fault_injected { code = "FT001"; detail = "d" };
+      Events.Trace_quarantined
+        { trace_id = 0; first = 0; head = 1; code = "TL204"; attempts = 1;
+          until = 512 };
+      Events.Trace_evicted
+        { trace_id = 0; first = 0; head = 1; n_live = 0;
+          reason = Events.Capacity; footprint = 8; heat = 1; stamp = 0 };
+      Events.Mode_degraded
+        { from_level = Tracegen.Health.Full_tracing;
+          to_level = Tracegen.Health.Profiling_only };
+      Events.Mode_recovered
+        { from_level = Tracegen.Health.Profiling_only;
+          to_level = Tracegen.Health.Full_tracing };
+      Events.Cache_restored
+        { traces = 1; cache_blocks = 2; bcg_nodes = 3; bcg_edges = 4 };
+      Events.Snapshot_rejected { reason = "r" };
+      Events.Deopt_entered
+        { trace_id = 0; at_block = 1; resume_block = 2; residue_blocks = 1;
+          reason = "guard-failure" };
+      Events.Osr_promoted { trace_id = 0; header = 1; latch = 2; hotness = 96 };
+      Events.Trace_compiled
+        { trace_id = 0; ops = 4; fused = 1; src_instrs = 5; heat = 32 };
+      Events.Tier_demoted { trace_id = 0; uses = 1; winner_heat = 2 };
+    ]
   in
   check
     Alcotest.(list string)
@@ -116,8 +142,27 @@ let test_kind_tags () =
       "decay_pass";
       "path_walked";
       "phase_snapshot";
+      "invariant_violation";
+      "fault_injected";
+      "trace_quarantined";
+      "trace_evicted";
+      "mode_degraded";
+      "mode_recovered";
+      "cache_restored";
+      "snapshot_rejected";
+      "deopt_entered";
+      "osr_promoted";
+      "trace_compiled";
+      "tier_demoted";
     ]
-    tags
+    (List.map Events.kind payloads);
+  List.iter
+    (fun p ->
+      check Alcotest.bool
+        (Events.kind p ^ ": is_decision = listed in Ledger.kinds")
+        (List.mem (Events.kind p) Tracegen.Ledger.kinds)
+        (Tracegen.Ledger.is_decision p))
+    payloads
 
 (* ------------------------------------------------------------------ *)
 (* histograms                                                           *)

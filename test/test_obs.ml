@@ -44,25 +44,26 @@ let test_disabled_by_default () =
   let events = Tracegen.Events.create () in
   let tally = Harness.Oracle.attach events in
   let r = Engine.run ~events hot_loop in
-  let engine = r.Engine.engine in
-  check Alcotest.int "no attribution arrays unless asked" 0
-    (Array.length (Engine.attr_self engine));
   (* the trace-length distribution is a fold of the completion events *)
   let s = r.Engine.run_stats in
   check Alcotest.int "one length observation per completion"
     s.Stats.traces_completed
     (Metrics.hist_count (hist tally "executed_trace_len"))
 
-(* Every oracle identity holds, and the hot report built from the same
-   tally sums, column by column, to the Stats totals. *)
-let check_reconciles where tally engine (s : Stats.t) =
+(* Every oracle identity holds, the per-block one over a counted plain
+   run under the engine run's own cap among them, and the hot report
+   built from the same tally and counts sums, column by column, to the
+   Stats totals. *)
+let check_reconciles ?max_instructions where tally engine (s : Stats.t) =
+  let executed = Harness.Oracle.executed ?max_instructions engine in
   List.iter
     (fun (c : Harness.Oracle.check) ->
       check Alcotest.int
         (where ^ ": " ^ c.Harness.Oracle.name)
         c.Harness.Oracle.want c.Harness.Oracle.got)
-    (Harness.Oracle.run_checks tally ~engine s);
-  let report = Report.of_engine tally engine in
+    (Harness.Oracle.run_checks tally ~engine s
+    @ Harness.Oracle.block_checks ~executed tally ~engine s);
+  let report = Report.of_engine ~executed tally engine in
   let sum rows f = List.fold_left (fun acc row -> acc + f row) 0 rows in
   let traces = sum report.Report.traces and blocks = sum report.Report.blocks in
   let in_flight =
@@ -71,35 +72,30 @@ let check_reconciles where tally engine (s : Stats.t) =
   List.iter
     (fun (name, want, got) ->
       check Alcotest.int (where ^ ": report " ^ name) want got)
-    ([
-       ("entered", s.Stats.traces_entered, traces (fun x -> x.Report.entered));
-       ( "completed",
-         s.Stats.traces_completed,
-         traces (fun x -> x.Report.completed) );
-       ( "partial exits",
-         s.Stats.traces_entered - s.Stats.traces_completed - in_flight,
-         traces (fun x -> x.Report.partial_exits) );
-       ( "instrs",
-         s.Stats.completed_instrs + s.Stats.partial_instrs,
-         traces (fun x -> x.Report.instrs) );
-     ]
-    @
-    if report.Report.blocks = [] then []
-    else
-      [
-        ("self", s.Stats.block_dispatches, blocks (fun x -> x.Report.self));
-        ( "inlined",
-          s.Stats.completed_blocks + s.Stats.partial_blocks
-          + Engine.inflight_matched_blocks engine,
-          blocks (fun x -> x.Report.inlined) );
-      ]);
+    [
+      ("entered", s.Stats.traces_entered, traces (fun x -> x.Report.entered));
+      ( "completed",
+        s.Stats.traces_completed,
+        traces (fun x -> x.Report.completed) );
+      ( "partial exits",
+        s.Stats.traces_entered - s.Stats.traces_completed - in_flight,
+        traces (fun x -> x.Report.partial_exits) );
+      ( "instrs",
+        s.Stats.completed_instrs + s.Stats.partial_instrs,
+        traces (fun x -> x.Report.instrs) );
+      ("self", s.Stats.block_dispatches, blocks (fun x -> x.Report.self));
+      ( "inlined",
+        s.Stats.completed_blocks + s.Stats.partial_blocks
+        + Engine.inflight_matched_blocks engine,
+        blocks (fun x -> x.Report.inlined) );
+    ];
   report
 
 let test_engine_attribution () =
   let events = Tracegen.Events.create () in
   let tally = Harness.Oracle.attach events in
   let r =
-    Engine.run ~config:(Config.make ~obs_attribution:true ()) ~events hot_loop
+    Engine.run ~events hot_loop
   in
   let engine = r.Engine.engine in
   let s = r.Engine.run_stats in
@@ -124,21 +120,21 @@ let test_engine_attribution () =
 let test_hot_event_sums () =
   let configs =
     [
-      ("default", Config.make ~obs_attribution:true ());
+      ("default", Config.default);
       ( "self-heal",
-        Config.make ~obs_attribution:true ~self_heal:true
+        Config.make ~self_heal:true
           ~fault_spec:"corrupt-trace@0.005,corrupt-instrs@0.005" () );
       ( "osr + self-heal, 48 traces",
-        Config.make ~obs_attribution:true ~osr:true ~self_heal:true
+        Config.make ~osr:true ~self_heal:true
           ~max_cache_traces:48
           ~fault_spec:
             "guard_flip@0.02,corrupt-trace@0.005,zero-counter@0.005,budget=40"
           () );
       ( "tier + osr",
-        Config.make ~obs_attribution:true ~tier:true ~osr:true
+        Config.make ~tier:true ~osr:true
           ~fault_spec:"guard_flip@0.05,budget=24" () );
       ( "8 traces, footprint-aware",
-        Config.make ~obs_attribution:true ~max_cache_traces:8
+        Config.make ~max_cache_traces:8
           ~eviction_policy:Config.Cache.Footprint_aware () );
     ]
   in
@@ -159,7 +155,9 @@ let test_hot_event_sums () =
                   | Some n -> string_of_int n
                   | None -> "full")
               in
-              ignore (check_reconciles where tally r.Engine.engine s);
+              ignore
+                (check_reconciles ?max_instructions where tally
+                   r.Engine.engine s);
               check Alcotest.int (where ^ ": one residue per deopt")
                 s.Stats.deopts
                 (Metrics.hist_count (hist tally "deopt_residue")))
@@ -179,7 +177,7 @@ let test_report_after_corruption () =
   let events = Tracegen.Events.create () in
   let tally = Harness.Oracle.attach events in
   let config =
-    Config.make ~obs_attribution:true ~osr:true ~self_heal:true
+    Config.make ~osr:true ~self_heal:true
       ~fault_spec:"corrupt-trace@0.005,budget=20" ()
   in
   let r = Engine.run ~config ~events layout in
