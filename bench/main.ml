@@ -70,8 +70,8 @@ let tables () =
 (* Counter rows                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let m name value unit_ better = Perf.metric ~name ~value ~unit_ ~better
-let count name n better = m name (float_of_int n) "count" better
+let m name value unit_ = { Perf.name; value; unit_ }
+let count name n = m name (float_of_int n) "count"
 
 (* a small real layout for the single-workload rows *)
 let small_layout =
@@ -89,7 +89,7 @@ let observability () =
   let events = Tracegen.Events.create () in
   let _sub = Tracegen.Events.subscribe events (fun _ -> incr seen) in
   ignore (run_small ~events (Tracegen.Config.make ~snapshot_period:10_000 ()));
-  [ count "events_per_run" !seen Perf.Higher ]
+  [ count "events_per_run" !seen ]
 
 (* The default black box and decision ledger on an events-enabled run
    (the reconciliation oracle's tally subscribed, as the chaos gate and
@@ -107,16 +107,14 @@ let flightrec_ledger () =
     m
       (Printf.sprintf "trace_len_p%.0f" q)
       (float_of_int (Tracegen.Metrics.percentile trace_len q))
-      "blocks" Perf.Higher
+      "blocks"
   in
   [
     count "flightrec_recorded"
       (Option.fold ~none:0 ~some:Tracegen.Flightrec.recorded
-         (Engine.flightrec e))
-      Perf.Higher;
+         (Engine.flightrec e));
     count "ledger_records"
-      (Option.fold ~none:0 ~some:Tracegen.Ledger.length (Engine.ledger e))
-      Perf.Higher;
+      (Option.fold ~none:0 ~some:Tracegen.Ledger.length (Engine.ledger e));
     p 50.0;
     p 90.0;
     p 99.0;
@@ -131,8 +129,8 @@ let osr () =
   in
   let s = (run_small config).Engine.run_stats in
   [
-    count "deopts_per_run" s.Stats.deopts Perf.Lower;
-    count "promotions_per_run" s.Stats.osr_promotions Perf.Higher;
+    count "deopts_per_run" s.Stats.deopts;
+    count "promotions_per_run" s.Stats.osr_promotions;
   ]
 
 (* Run workload [name] at its default size with [feature] off and on
@@ -161,12 +159,12 @@ let microir name () =
   let per n = float_of_int n /. float_of_int (max 1 s.Stats.mi_positions) in
   let ops_pp = per s.Stats.mi_ops in
   [
-    m "micro_ops_per_position" ops_pp "ops/position" Perf.Lower;
+    m "micro_ops_per_position" ops_pp "ops/position";
     m "fold_pct"
       (100.0 *. (1.0 -. (ops_pp /. per s.Stats.mi_src_instrs)))
-      "pct" Perf.Higher;
-    count "traces_compiled" s.Stats.traces_compiled Perf.Higher;
-    count "fused_ops" s.Stats.mi_fused Perf.Higher;
+      "pct";
+    count "traces_compiled" s.Stats.traces_compiled;
+    count "fused_ops" s.Stats.mi_fused;
   ]
 
 (* Four members of the same workload over one shared trace cache (a
@@ -188,9 +186,8 @@ let shared_cache () =
       (Tracegen.Session.members session)
   in
   [
-    count "shared_traces_constructed" shared Perf.Lower;
-    count "cross_installs_saved" (Tracegen.Session.cross_installs session)
-      Perf.Higher;
+    count "shared_traces_constructed" shared;
+    count "cross_installs_saved" (Tracegen.Session.cross_installs session);
   ]
 
 (* Time to peak throughput, cold vs warm-started from the cold run's
@@ -199,9 +196,9 @@ let warm_start w () =
   let r = Harness.Warmstart.cold_vs_warm ~scale:(min scale 0.5) w in
   let phase label (p : Harness.Warmstart.phase) =
     [
-      m (label ^ "_to_peak") (float_of_int p.to_peak) "dispatches" Perf.Lower;
-      m (label ^ "_deficit") (float_of_int p.deficit) "dispatches" Perf.Lower;
-      count (label ^ "_built") p.built Perf.Lower;
+      m (label ^ "_to_peak") (float_of_int p.to_peak) "dispatches";
+      m (label ^ "_deficit") (float_of_int p.deficit) "dispatches";
+      count (label ^ "_built") p.built;
     ]
   in
   phase "cold" r.cold @ phase "warm" r.warm

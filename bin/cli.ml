@@ -134,11 +134,6 @@ let finite_float ~expected ok =
   in
   Arg.conv' (parse, Format.pp_print_float)
 
-(* bench-diff --max-regress: a NaN tolerance compares false against every
-   move, an infinite one forgives all of them, and a negative one flags
-   a file diffed against itself *)
-let tolerance = finite_float ~expected:">= 0" (fun x -> x >= 0.0)
-
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
 

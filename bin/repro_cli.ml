@@ -731,10 +731,10 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Run workloads with per-block attribution on and print the \
-          hot-report: ranked traces and ranked blocks (self vs inlined \
-          executions).  Every column is reconciled against the end-of-run \
-          statistics (stderr, non-zero exit on mismatch).")
+         "Run workloads and print the hot-report: ranked traces and ranked \
+          blocks (self vs inlined executions), folded from the event stream \
+          and one counted plain run.  Every column is reconciled against the \
+          end-of-run statistics (stderr, non-zero exit on mismatch).")
     Term.(
       const top $ Cli.workloads_arg "profile" $ Cli.size_arg
       $ Cli.flags ~tier:true ()
@@ -969,44 +969,37 @@ let explain_cmd =
 (* bench-diff                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Compare two bench baseline documents (BENCH_<label>.json) direction-
-   aware and gate on regressions: exit 1 when any metric moved more than
-   --max-regress percent in its worse direction, or when a baseline
-   metric vanished from the candidate. *)
-let bench_diff old_path new_path max_regress =
+(* Compare two bench baseline documents (BENCH_<label>.json) exactly:
+   every metric is a deterministic count, so any move is a behaviour
+   change.  Prints the metrics that differ and exits 1 when a metric
+   changed, vanished or appeared. *)
+let bench_diff old_path new_path =
   let read path =
     match Harness.Perf.of_string (Cli.read_file path) with
     | Ok run -> run
-    | Error msg -> Cli.die "%s: not a bench baseline: %s\n" path msg
+    | Error e ->
+        Cli.die "%s: not a bench baseline: %s\n" path
+          (Harness.Perf.error_to_string e)
   in
   let baseline = read old_path in
   let candidate = read new_path in
   let d = Harness.Perf.diff ~baseline ~candidate in
-  Printf.printf "%-18s %-26s %12s %12s %9s  %s\n" "section" "metric" "old"
-    "new" "change" "verdict";
   List.iter
-    (fun (dl : Harness.Perf.delta) ->
-      Printf.printf "%-18s %-26s %12.4g %12.4g %8.2f%%  %s\n" dl.d_section
-        dl.d_name dl.d_old dl.d_new dl.d_regress_pct
-        (if dl.d_regress_pct > max_regress then "REGRESSED"
-         else if dl.d_regress_pct < 0.0 then "improved"
-         else "ok"))
-    d.Harness.Perf.deltas;
-  List.iter
-    (fun (sec, name) ->
-      Printf.printf "%-18s %-26s %35s  MISSING in %s\n" sec name "" new_path)
-    d.Harness.Perf.missing;
-  List.iter
-    (fun (sec, name) -> Printf.eprintf "# note: new metric %s/%s\n" sec name)
-    d.Harness.Perf.added;
-  let regressions = Harness.Perf.regressions ~max_regress d in
-  Printf.printf
-    "bench-diff: %d metric(s) compared, %d regression(s) beyond %.2f%%, %d \
-     missing\n"
-    (List.length d.Harness.Perf.deltas)
-    (List.length regressions) max_regress
-    (List.length d.Harness.Perf.missing);
-  if not (Harness.Perf.ok ~max_regress d) then exit 1
+    (fun (c : Harness.Perf.change) ->
+      Printf.printf "%-22s %-26s %12.6g -> %-12.6g %s\n" c.c_section c.c_name
+        c.c_old c.c_new c.c_unit)
+    d.Harness.Perf.changed;
+  let only verdict =
+    List.iter (fun (sec, name) ->
+        Printf.printf "%-22s %-26s %s\n" sec name verdict)
+  in
+  only ("MISSING in " ^ new_path) d.Harness.Perf.missing;
+  only ("ADDED in " ^ new_path) d.Harness.Perf.added;
+  Printf.printf "bench-diff: %d changed, %d missing, %d added\n"
+    (List.length d.Harness.Perf.changed)
+    (List.length d.Harness.Perf.missing)
+    (List.length d.Harness.Perf.added);
+  if not (Harness.Perf.clean d) then exit 1
 
 let bench_diff_cmd =
   let old_path =
@@ -1017,21 +1010,16 @@ let bench_diff_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW"
            ~doc:"Candidate BENCH_<label>.json.")
   in
-  let max_regress =
-    Arg.(value & opt Cli.tolerance 0.0 & info [ "max-regress" ] ~docv:"PCT"
-           ~doc:"Tolerated regression per metric, in percent of the \
-                 baseline value, a finite number >= 0 (direction-aware; \
-                 default 0).")
-  in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two machine-readable bench baselines (BENCH_<label>.json, \
-          from bench --json) direction-aware: each metric knows whether \
-          higher or lower is better.  Exits 1 when any metric regressed \
-          beyond --max-regress percent or a baseline metric is missing from \
-          the candidate.")
-    Term.(const bench_diff $ old_path $ new_path $ max_regress)
+          from bench --json) exactly: every metric is a deterministic \
+          count, so a metric that moved either way, a baseline metric \
+          missing from the candidate and a metric only the candidate has \
+          each print a row and make the command exit 1.  A document of \
+          another schema version exits 2.")
+    Term.(const bench_diff $ old_path $ new_path)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

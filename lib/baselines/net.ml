@@ -1,5 +1,6 @@
 module Layout = Cfg.Layout
 module Block = Cfg.Block
+module Stats = Tracegen.Stats
 
 (* Next-Executing-Tail trace selection, after Dynamo (Bala et al., PLDI
    2000).  Counters sit on potential trace heads — targets of backward
@@ -39,13 +40,9 @@ type t = {
   traces : (Layout.gid, trace) Hashtbl.t;
   mutable mode : mode;
   mutable prev : Layout.gid;
-  mutable dispatches : int;
-  mutable traces_entered : int;
-  mutable traces_completed : int;
-  mutable completed_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int;
-  mutable traces_built : int;
+  counts : Stats.t;
+      (* the engine's counters, those NET has: dispatches outside traces,
+         trace entries, completions, partial work, traces built *)
 }
 
 let create ?(config = default_config) (layout : Layout.t) : t =
@@ -56,13 +53,7 @@ let create ?(config = default_config) (layout : Layout.t) : t =
     traces = Hashtbl.create 64;
     mode = Profiling;
     prev = -1;
-    dispatches = 0;
-    traces_entered = 0;
-    traces_completed = 0;
-    completed_blocks = 0;
-    completed_instrs = 0;
-    partial_instrs = 0;
-    traces_built = 0;
+    counts = Stats.zero ();
   }
 
 (* A transition is a backward taken branch when it stays in one method and
@@ -92,23 +83,23 @@ let finish_recording (t : t) (rev_blocks : Layout.gid list) =
       let tr = mk_trace t rev_blocks in
       if not (Hashtbl.mem t.traces tr.head) then begin
         Hashtbl.replace t.traces tr.head tr;
-        t.traces_built <- t.traces_built + 1
+        t.counts.traces_constructed <- t.counts.traces_constructed + 1
       end);
   t.mode <- Profiling
 
 let enter_or_profile (t : t) g =
+  let st = t.counts in
   match Hashtbl.find_opt t.traces g with
   | Some tr ->
-      t.dispatches <- t.dispatches + 1;
-      t.traces_entered <- t.traces_entered + 1;
+      st.traces_entered <- st.traces_entered + 1;
       if Array.length tr.blocks = 1 then begin
-        t.traces_completed <- t.traces_completed + 1;
-        t.completed_blocks <- t.completed_blocks + 1;
-        t.completed_instrs <- t.completed_instrs + tr.total_instrs
+        st.traces_completed <- st.traces_completed + 1;
+        st.completed_blocks <- st.completed_blocks + 1;
+        st.completed_instrs <- st.completed_instrs + tr.total_instrs
       end
       else t.mode <- Executing (tr, 1, 1, tr.instr_len.(0))
   | None -> (
-      t.dispatches <- t.dispatches + 1;
+      st.block_dispatches <- st.block_dispatches + 1;
       (* hot-head counting on backward taken branches *)
       if is_backward t ~prev:t.prev ~cur:g then begin
         let c =
@@ -124,12 +115,13 @@ let enter_or_profile (t : t) g =
       end)
 
 let rec on_block (t : t) (g : Layout.gid) =
+  let st = t.counts in
   match t.mode with
   | Profiling ->
       enter_or_profile t g;
       t.prev <- g
   | Recording acc ->
-      t.dispatches <- t.dispatches + 1;
+      st.block_dispatches <- st.block_dispatches + 1;
       let stop_backward = is_backward t ~prev:t.prev ~cur:g in
       let hits_existing = Hashtbl.mem t.traces g in
       if
@@ -143,9 +135,9 @@ let rec on_block (t : t) (g : Layout.gid) =
         let mblocks = mblocks + 1 in
         let minstrs = minstrs + tr.instr_len.(pos) in
         if pos = Array.length tr.blocks - 1 then begin
-          t.traces_completed <- t.traces_completed + 1;
-          t.completed_blocks <- t.completed_blocks + mblocks;
-          t.completed_instrs <- t.completed_instrs + minstrs;
+          st.traces_completed <- st.traces_completed + 1;
+          st.completed_blocks <- st.completed_blocks + mblocks;
+          st.completed_instrs <- st.completed_instrs + minstrs;
           t.mode <- Profiling
         end
         else t.mode <- Executing (tr, pos + 1, mblocks, minstrs);
@@ -153,27 +145,19 @@ let rec on_block (t : t) (g : Layout.gid) =
       end
       else begin
         (* side exit *)
-        t.partial_instrs <- t.partial_instrs + minstrs;
+        st.partial_instrs <- st.partial_instrs + minstrs;
         t.mode <- Profiling;
         on_block t g
       end
 
-let summary (t : t) ~instructions : Summary.t =
-  {
-    Summary.name = "net";
-    instructions;
-    dispatches = t.dispatches;
-    traces_entered = t.traces_entered;
-    traces_completed = t.traces_completed;
-    completed_blocks = t.completed_blocks;
-    completed_instrs = t.completed_instrs;
-    partial_instrs = t.partial_instrs;
-    traces_built = t.traces_built;
-  }
+let stats (t : t) ~instructions : Stats.t =
+  let s = Stats.copy t.counts in
+  s.instructions <- instructions;
+  s
 
-let run ?config ?max_instructions (layout : Layout.t) : Summary.t =
+let run ?config ?max_instructions (layout : Layout.t) : Stats.t =
   let t = create ?config layout in
   let result =
     Vm.Interp.run ?max_instructions layout ~on_block:(fun g -> on_block t g)
   in
-  summary t ~instructions:result.Vm.Interp.instructions
+  stats t ~instructions:result.Vm.Interp.instructions

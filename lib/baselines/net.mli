@@ -23,8 +23,13 @@ val create : ?config:config -> Cfg.Layout.t -> t
 val on_block : t -> Cfg.Layout.gid -> unit
 (** Feed one dispatched block (attach to {!Vm.Interp.run}'s observer). *)
 
-val summary : t -> instructions:int -> Summary.t
+val stats : t -> instructions:int -> Tracegen.Stats.t
+(** A copy of the counters in the engine's record, with
+    [instructions], the run's instruction count, filled in: dispatches
+    outside traces, trace entries and completions, completed and
+    partial work, and traces built ([traces_constructed]); every other
+    field is 0. *)
 
 val run :
-  ?config:config -> ?max_instructions:int -> Cfg.Layout.t -> Summary.t
-(** Run a program under NET selection and summarize. *)
+  ?config:config -> ?max_instructions:int -> Cfg.Layout.t -> Tracegen.Stats.t
+(** Run a program under NET selection and return its {!stats}. *)

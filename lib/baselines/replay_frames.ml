@@ -1,5 +1,6 @@
 module Layout = Cfg.Layout
 module Block = Cfg.Block
+module Stats = Tracegen.Stats
 
 (* Frame construction after rePLay (Patel & Lumetta, IEEE TC 2001),
    simulated in software.  A conditional branch is *promoted* to an
@@ -49,13 +50,9 @@ type t = {
   mutable history : int;
   mutable mode : mode;
   mutable prev : Layout.gid;
-  mutable dispatches : int;
-  mutable frames_entered : int;
-  mutable frames_completed : int;
-  mutable completed_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int; (* rolled-back work *)
-  mutable frames_built : int;
+  counts : Stats.t;
+      (* the engine's counters, those rePLay has: a frame is a trace, and
+         rolled-back work is partial *)
   mutable promotions : int;
   mutable demotions : int;
 }
@@ -69,13 +66,7 @@ let create ?(config = default_config) (layout : Layout.t) : t =
     history = 0;
     mode = Idle;
     prev = -1;
-    dispatches = 0;
-    frames_entered = 0;
-    frames_completed = 0;
-    completed_blocks = 0;
-    completed_instrs = 0;
-    partial_instrs = 0;
-    frames_built = 0;
+    counts = Stats.zero ();
     promotions = 0;
     demotions = 0;
   }
@@ -147,7 +138,7 @@ let finish_recording (t : t) rev_blocks =
       let fr = mk_frame t blocks in
       if not (Hashtbl.mem t.frames fr.entry) then begin
         Hashtbl.replace t.frames fr.entry fr;
-        t.frames_built <- t.frames_built + 1
+        t.counts.traces_constructed <- t.counts.traces_constructed + 1
       end
   | _ -> ());
   t.mode <- Idle
@@ -156,19 +147,22 @@ let finish_recording (t : t) rev_blocks =
    here, otherwise (if the incoming transition was asserted) begin
    recording a new one. *)
 let process_idle (t : t) g ~asserted =
-  t.dispatches <- t.dispatches + 1;
+  let st = t.counts in
   match Hashtbl.find_opt t.frames g with
   | Some fr ->
-      t.frames_entered <- t.frames_entered + 1;
+      st.traces_entered <- st.traces_entered + 1;
       if Array.length fr.blocks = 1 then begin
-        t.frames_completed <- t.frames_completed + 1;
-        t.completed_blocks <- t.completed_blocks + 1;
-        t.completed_instrs <- t.completed_instrs + fr.total_instrs
+        st.traces_completed <- st.traces_completed + 1;
+        st.completed_blocks <- st.completed_blocks + 1;
+        st.completed_instrs <- st.completed_instrs + fr.total_instrs
       end
       else t.mode <- Executing (fr, 1, 1, fr.instr_len.(0))
-  | None -> if asserted then t.mode <- Recording [ g ]
+  | None ->
+      st.block_dispatches <- st.block_dispatches + 1;
+      if asserted then t.mode <- Recording [ g ]
 
 let on_block (t : t) (g : Layout.gid) =
+  let st = t.counts in
   let asserted = profile_transition t ~prev:t.prev ~cur:g in
   (match t.mode with
   | Idle -> process_idle t g ~asserted
@@ -186,7 +180,7 @@ let on_block (t : t) (g : Layout.gid) =
       else if List.length acc + 1 >= t.config.max_blocks then
         finish_recording t (g :: acc)
       else begin
-        t.dispatches <- t.dispatches + 1;
+        st.block_dispatches <- st.block_dispatches + 1;
         t.mode <- Recording (g :: acc)
       end
   | Executing (fr, pos, mblocks, minstrs) ->
@@ -194,37 +188,29 @@ let on_block (t : t) (g : Layout.gid) =
         let mblocks = mblocks + 1 in
         let minstrs = minstrs + fr.instr_len.(pos) in
         if pos = Array.length fr.blocks - 1 then begin
-          t.frames_completed <- t.frames_completed + 1;
-          t.completed_blocks <- t.completed_blocks + mblocks;
-          t.completed_instrs <- t.completed_instrs + minstrs;
+          st.traces_completed <- st.traces_completed + 1;
+          st.completed_blocks <- st.completed_blocks + mblocks;
+          st.completed_instrs <- st.completed_instrs + minstrs;
           t.mode <- Idle
         end
         else t.mode <- Executing (fr, pos + 1, mblocks, minstrs)
       end
       else begin
         (* assertion failure: the hardware rolls the frame back *)
-        t.partial_instrs <- t.partial_instrs + minstrs;
+        st.partial_instrs <- st.partial_instrs + minstrs;
         t.mode <- Idle;
         process_idle t g ~asserted
       end);
   t.prev <- g
 
-let summary (t : t) ~instructions : Summary.t =
-  {
-    Summary.name = "replay";
-    instructions;
-    dispatches = t.dispatches;
-    traces_entered = t.frames_entered;
-    traces_completed = t.frames_completed;
-    completed_blocks = t.completed_blocks;
-    completed_instrs = t.completed_instrs;
-    partial_instrs = t.partial_instrs;
-    traces_built = t.frames_built;
-  }
+let stats (t : t) ~instructions : Stats.t =
+  let s = Stats.copy t.counts in
+  s.instructions <- instructions;
+  s
 
-let run ?config ?max_instructions (layout : Layout.t) : Summary.t =
+let run ?config ?max_instructions (layout : Layout.t) : Stats.t =
   let t = create ?config layout in
   let result =
     Vm.Interp.run ?max_instructions layout ~on_block:(fun g -> on_block t g)
   in
-  summary t ~instructions:result.Vm.Interp.instructions
+  stats t ~instructions:result.Vm.Interp.instructions

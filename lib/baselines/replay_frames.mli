@@ -31,13 +31,10 @@ type t = private {
   mutable history : int;
   mutable mode : mode;
   mutable prev : Cfg.Layout.gid;
-  mutable dispatches : int;
-  mutable frames_entered : int;
-  mutable frames_completed : int;
-  mutable completed_blocks : int;
-  mutable completed_instrs : int;
-  mutable partial_instrs : int;
-  mutable frames_built : int;
+  counts : Tracegen.Stats.t;
+      (** the engine's counters that frame construction has, a frame
+          counting as a trace and rolled-back work as partial; read
+          them through {!stats} *)
   mutable promotions : int;
   mutable demotions : int;
 }
@@ -64,7 +61,10 @@ val create : ?config:config -> Cfg.Layout.t -> t
 
 val on_block : t -> Cfg.Layout.gid -> unit
 
-val summary : t -> instructions:int -> Summary.t
+val stats : t -> instructions:int -> Tracegen.Stats.t
+(** A copy of the counters with [instructions], the run's instruction
+    count, filled in; frames built are [traces_constructed]. *)
 
 val run :
-  ?config:config -> ?max_instructions:int -> Cfg.Layout.t -> Summary.t
+  ?config:config -> ?max_instructions:int -> Cfg.Layout.t -> Tracegen.Stats.t
+(** Run a program under frame construction and return its {!stats}. *)

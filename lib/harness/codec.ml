@@ -113,8 +113,10 @@ let to_string j =
    the [path_walked] event kind is added.
    Version 14: [trace_constructed] carries the trace body, [blocks] (a
    list of gids), in place of its length [n_blocks], so the hot report
-   folds per-block counts from the stream alone. *)
-let schema_version = 14
+   folds per-block counts from the stream alone.
+   Version 15: a bench baseline's metrics lose [better] (baselines are
+   compared exactly), and [Perf.of_string] refuses any other version. *)
+let schema_version = 15
 
 let versioned fields = ("schema_version", J_int schema_version) :: fields
 

@@ -1,34 +1,17 @@
-(* Machine-readable perf baselines.
+(* Machine-readable counter baselines.
 
    The bench harness emits one [run] per bench invocation as a single
    JSON document (BENCH_<label>.json): an environment stamp plus the
-   per-section metrics, each carrying its unit and direction-of-better.
-   [diff] compares two such documents direction-aware, so
-   `repro_cli bench-diff OLD NEW --max-regress PCT` can gate CI without
-   a human reading the tables.  All serialization goes through [Codec]
-   (schema_version discipline, round-trip-able by [Codec.parse]). *)
+   per-section metrics, each carrying its unit.  [diff] compares two
+   such documents exactly, so `repro_cli bench-diff OLD NEW` can gate
+   CI without a human reading the tables.  All serialization goes
+   through [Codec] (schema_version discipline, round-trip-able by
+   [Codec.parse]). *)
 
-type direction = Higher | Lower
-
-let direction_to_string = function Higher -> "higher" | Lower -> "lower"
-
-let direction_of_string = function
-  | "higher" -> Some Higher
-  | "lower" -> Some Lower
-  | _ -> None
-
-type metric = {
-  name : string;
-  value : float;
-  unit_ : string;
-  better : direction;
-}
-
+type metric = { name : string; value : float; unit_ : string }
 type section = { label : string; metrics : metric list }
 
 type run = { bench : string; env : (string * string) list; sections : section list }
-
-let metric ~name ~value ~unit_ ~better = { name; value; unit_; better }
 
 (* The environment stamp: enough to tell two baselines were produced by
    comparable builds without recording anything machine-unique beyond
@@ -51,7 +34,6 @@ let metric_json (m : metric) : Codec.json =
       ("name", Codec.J_string m.name);
       ("value", Codec.J_float m.value);
       ("unit", Codec.J_string m.unit_);
-      ("better", Codec.J_string (direction_to_string m.better));
     ]
 
 let section_json (s : section) : Codec.json =
@@ -115,11 +97,7 @@ let metric_of_json j =
   let* value = as_number value in
   let* unit_ = field j "unit" in
   let* unit_ = as_string unit_ in
-  let* better = field j "better" in
-  let* better = as_string better in
-  match direction_of_string better with
-  | Some better -> Ok { name; value; unit_; better }
-  | None -> Error (Printf.sprintf "metric %S: bad direction %S" name better)
+  Ok { name; value; unit_ }
 
 let section_of_json j =
   let* label = field j "section" in
@@ -148,41 +126,47 @@ let run_of_json (j : Codec.json) : (run, string) result =
   let* sections = map_result section_of_json sections in
   Ok { bench; env; sections }
 
-let of_string (s : string) : (run, string) result =
-  let* j = Codec.parse s in
-  run_of_json j
+type error =
+  | Version_mismatch of { got : int; expected : int }
+  | Malformed of string
+
+let error_to_string = function
+  | Version_mismatch { got; expected } ->
+      Printf.sprintf "schema version %d, expected %d" got expected
+  | Malformed msg -> msg
+
+(* The version is checked before anything else is read: a document of
+   another version may spell the same metrics differently. *)
+let of_string (s : string) : (run, error) result =
+  let malformed r = Result.map_error (fun msg -> Malformed msg) r in
+  let* j = malformed (Codec.parse s) in
+  let* version = malformed (field j "schema_version") in
+  match version with
+  | Codec.J_int v when v = Codec.schema_version -> malformed (run_of_json j)
+  | Codec.J_int got ->
+      Error (Version_mismatch { got; expected = Codec.schema_version })
+  | _ -> Error (Malformed "expected schema_version to be an integer")
 
 (* ------------------------------------------------------------------ *)
-(* Direction-aware diff                                                *)
+(* Exact diff                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type delta = {
-  d_section : string;
-  d_name : string;
-  d_unit : string;
-  d_better : direction;
-  d_old : float;
-  d_new : float;
-  d_regress_pct : float;
-      (* percent change in the *worse* direction; <= 0 means no worse *)
+type change = {
+  c_section : string;
+  c_name : string;
+  c_unit : string;
+  c_old : float;
+  c_new : float;
 }
 
 type diff = {
-  deltas : delta list;
+  changed : change list;
   missing : (string * string) list;
-      (* (section, metric) present in OLD but absent in NEW *)
-  added : (string * string) list;  (* present in NEW only — informational *)
+  added : (string * string) list;
 }
 
-(* Positive = regressed by that percentage; negative = improved. *)
-let regress_pct ~better ~old_v ~new_v =
-  let worse =
-    match better with Lower -> new_v -. old_v | Higher -> old_v -. new_v
-  in
-  if worse = 0.0 then 0.0
-  else if old_v = 0.0 then if worse > 0.0 then 100.0 else -100.0
-  else 100.0 *. worse /. Float.abs old_v
-
+(* Every metric is a deterministic count or ratio of counts, so any
+   move is a behaviour change, whichever way it points. *)
 let diff ~(baseline : run) ~(candidate : run) : diff =
   let index r =
     List.concat_map
@@ -190,44 +174,31 @@ let diff ~(baseline : run) ~(candidate : run) : diff =
       r.sections
   in
   let old_idx = index baseline and new_idx = index candidate in
-  let deltas =
+  let changed =
     List.filter_map
-      (fun ((sec, name), (om : metric)) ->
-        match List.assoc_opt (sec, name) new_idx with
-        | None -> None
-        | Some nm ->
+      (fun ((c_section, c_name), (om : metric)) ->
+        match List.assoc_opt (c_section, c_name) new_idx with
+        | Some nm when not (Float.equal om.value nm.value) ->
             Some
               {
-                d_section = sec;
-                d_name = name;
-                d_unit = om.unit_;
-                d_better = om.better;
-                d_old = om.value;
-                d_new = nm.value;
-                d_regress_pct =
-                  regress_pct ~better:om.better ~old_v:om.value
-                    ~new_v:nm.value;
-              })
+                c_section;
+                c_name;
+                c_unit = om.unit_;
+                c_old = om.value;
+                c_new = nm.value;
+              }
+        | _ -> None)
       old_idx
   in
-  let missing =
+  let only_in idx other =
     List.filter_map
-      (fun (key, _) ->
-        if List.mem_assoc key new_idx then None else Some key)
-      old_idx
+      (fun (key, _) -> if List.mem_assoc key other then None else Some key)
+      idx
   in
-  let added =
-    List.filter_map
-      (fun (key, _) ->
-        if List.mem_assoc key old_idx then None else Some key)
-      new_idx
-  in
-  { deltas; missing; added }
+  {
+    changed;
+    missing = only_in old_idx new_idx;
+    added = only_in new_idx old_idx;
+  }
 
-let regressions ~(max_regress : float) (d : diff) : delta list =
-  List.filter (fun dl -> dl.d_regress_pct > max_regress) d.deltas
-
-(* A diff gates clean when nothing regressed past the tolerance and no
-   baseline metric vanished (a deleted metric can hide a regression). *)
-let ok ~max_regress (d : diff) =
-  regressions ~max_regress d = [] && d.missing = []
+let clean d = d.changed = [] && d.missing = [] && d.added = []

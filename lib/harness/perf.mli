@@ -1,18 +1,17 @@
-(** Machine-readable perf baselines.
+(** Machine-readable counter baselines.
 
     The bench harness emits one {!run} per invocation as a single JSON
     document ([BENCH_<label>.json]): an environment stamp plus the
-    per-section metrics, each carrying its unit and direction-of-better.
-    {!diff} compares two such documents direction-aware, which is what
-    [repro_cli bench-diff OLD NEW --max-regress PCT] gates CI on. *)
-
-type direction = Higher | Lower  (** Which way "better" points. *)
+    per-section metrics, each carrying its unit.  Every metric is a
+    deterministic count or ratio of counts, so {!diff} compares two
+    documents exactly: a metric that moved either way, one that is
+    missing and one that was added all make the diff unclean, and
+    [repro_cli bench-diff OLD NEW] exits 1 on any of them. *)
 
 type metric = {
   name : string;
   value : float;
-  unit_ : string;  (** e.g. ["ns/instr"], ["ratio"], ["count"] *)
-  better : direction;
+  unit_ : string;  (** e.g. ["ops/position"], ["pct"], ["count"] *)
 }
 
 type section = { label : string; metrics : metric list }
@@ -23,9 +22,6 @@ type run = {
   sections : section list;
 }
 
-val metric :
-  name:string -> value:float -> unit_:string -> better:direction -> metric
-
 val env_stamp : scale:float -> (string * string) list
 (** Toolchain + workload-scale stamp: OCaml version, word size, OS
     type, and the bench scale factor. *)
@@ -35,44 +31,37 @@ val run_json : run -> Codec.json
 
 val to_string : run -> string
 
-val of_string : string -> (run, string) result
+type error =
+  | Version_mismatch of { got : int; expected : int }
+      (** written under another [Codec.schema_version] *)
+  | Malformed of string
+      (** not JSON, or not the shape {!to_string} writes *)
+
+val error_to_string : error -> string
+
+val of_string : string -> (run, error) result
 (** Parse a baseline document (the inverse of {!to_string}, via
-    [Codec.parse]). *)
+    [Codec.parse]).  A document of any other schema version is an
+    error, never a partial read. *)
 
-(** {2 Direction-aware diff} *)
+(** {2 Exact diff} *)
 
-type delta = {
-  d_section : string;
-  d_name : string;
-  d_unit : string;
-  d_better : direction;
-  d_old : float;
-  d_new : float;
-  d_regress_pct : float;
-      (** percent change in the {e worse} direction — positive means
-          the candidate regressed, negative means it improved. *)
+type change = {
+  c_section : string;
+  c_name : string;
+  c_unit : string;
+  c_old : float;
+  c_new : float;
 }
 
 type diff = {
-  deltas : delta list;  (** metrics present in both runs *)
+  changed : change list;  (** in both runs, with different values *)
   missing : (string * string) list;
-      (** (section, metric) pairs present in the baseline but absent in
-          the candidate — treated as failures by {!ok}, since a deleted
-          metric can hide a regression. *)
-  added : (string * string) list;
-      (** present in the candidate only — informational. *)
+      (** (section, metric) pairs in the baseline only *)
+  added : (string * string) list;  (** in the candidate only *)
 }
-
-val regress_pct :
-  better:direction -> old_v:float -> new_v:float -> float
-(** The signed regression percentage for one metric pair.  A zero
-    baseline with a nonzero worse-direction movement reports 100%. *)
 
 val diff : baseline:run -> candidate:run -> diff
 
-val regressions : max_regress:float -> diff -> delta list
-(** The deltas whose regression exceeds the tolerance (percent). *)
-
-val ok : max_regress:float -> diff -> bool
-(** True when nothing regressed past [max_regress] and no baseline
-    metric is missing from the candidate. *)
+val clean : diff -> bool
+(** True when all three lists of the diff are empty. *)

@@ -169,46 +169,34 @@ let figure_dispatch ?(scale = 1.0) () =
   Buffer.contents buf
 
 (* Baseline comparison (paper section 5.3 compares against rePLay's
-   coverage band). *)
+   coverage band).  All three rows read the same [Stats] functions.
+   Length is the completion-weighted one, the only length all three
+   selectors record (NET and rePLay keep no per-trace completion
+   sets). *)
 let baselines ?(scale = 1.0) () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "Trace selection comparison: BCG (this paper) vs. NET (Dynamo) vs. \
      frame construction (rePLay)\n";
   Buffer.add_string buf
-    (Printf.sprintf "%-11s %-8s %10s %12s %12s %10s\n" "benchmark" "system"
-       "len(blk)" "coverage%" "completion%" "built");
+    (Printf.sprintf "%-11s %-8s %12s %12s %12s %10s\n" "benchmark" "system"
+       "dyn len(blk)" "coverage%" "completion%" "built");
+  let row bench system s =
+    Buffer.add_string buf
+      (Printf.sprintf "%-11s %-8s %12.1f %12.1f %12.2f %10d\n" bench system
+         (Stats.dynamic_trace_length s)
+         (pct (Stats.coverage_completed s))
+         (pct (Stats.completion_rate s))
+         s.Stats.traces_constructed)
+  in
   List.iter
     (fun w ->
       let name = w.Workloads.Workload.name in
       let size = Experiment.size_for ~scale w in
       let key = Experiment.default_key ~workload:name ~size in
-      let run = Experiment.execute key in
-      let s = run.Experiment.stats in
-      Buffer.add_string buf
-        (Printf.sprintf "%-11s %-8s %10.1f %12.1f %12.2f %10d\n" name "bcg"
-           (Stats.avg_trace_length s)
-           (pct (Stats.coverage_completed s))
-           (pct (Stats.completion_rate s))
-           s.Stats.traces_constructed);
-      let layout =
-        Experiment.layout_for
-          (Option.get (Workloads.Registry.find name))
-          ~size
-      in
-      let net = Baselines.Net.run layout in
-      Buffer.add_string buf
-        (Printf.sprintf "%-11s %-8s %10.1f %12.1f %12.2f %10d\n" "" "net"
-           (Baselines.Summary.avg_trace_length net)
-           (pct (Baselines.Summary.coverage_completed net))
-           (pct (Baselines.Summary.completion_rate net))
-           net.Baselines.Summary.traces_built);
-      let rp = Baselines.Replay_frames.run layout in
-      Buffer.add_string buf
-        (Printf.sprintf "%-11s %-8s %10.1f %12.1f %12.2f %10d\n" "" "replay"
-           (Baselines.Summary.avg_trace_length rp)
-           (pct (Baselines.Summary.coverage_completed rp))
-           (pct (Baselines.Summary.completion_rate rp))
-           rp.Baselines.Summary.traces_built))
+      row name "bcg" (Experiment.execute key).Experiment.stats;
+      let layout = Experiment.layout_for w ~size in
+      row "" "net" (Baselines.Net.run layout);
+      row "" "replay" (Baselines.Replay_frames.run layout))
     (Experiment.bench_workloads ());
   Buffer.contents buf

@@ -155,11 +155,12 @@ rm -f "$snap_out"
 
 # Bench smoke: the deterministic counter rows (event, recorder and
 # ledger counts, OSR deopts, the compiled tier, the shared trace cache,
-# warm starts), no paper tables and no wall-clock timing.  Two fresh --smoke --json runs must write
-# byte-identical BENCH_smoke.json files, and a fresh run must diff
-# clean against the committed BENCH_smoke.json at zero tolerance: a
-# counter that moves in its worse direction fails until the change
-# regenerates the committed baseline.
+# warm starts), no paper tables and no wall-clock timing.  Two fresh
+# --smoke --json runs must write byte-identical BENCH_smoke.json files,
+# and a fresh run must diff clean against the committed BENCH_smoke.json.
+# bench-diff compares exactly: a counter that moved either way, or a
+# metric missing or added, fails until the change regenerates the
+# committed baseline.
 dune build bench/main.exe
 bench_dir=$(mktemp -d /tmp/check_bench.XXXXXX)
 repo=$PWD
@@ -179,33 +180,27 @@ if ! cmp "$bench_dir/1/BENCH_smoke.json" "$bench_dir/2/BENCH_smoke.json"; then
   exit 1
 fi
 bench_report=$("$cli" bench-diff \
-  BENCH_smoke.json "$bench_dir/1/BENCH_smoke.json" --max-regress 0 2>&1) || {
+  BENCH_smoke.json "$bench_dir/1/BENCH_smoke.json" 2>&1) || {
   echo "$bench_report" >&2
   echo "check.sh: bench counters differ from the committed BENCH_smoke.json" >&2
   rm -rf "$bench_dir"
   exit 1
 }
 
-# Stomped metrics must make bench-diff exit nonzero.  The file is one
-# line, so the substitution is global: every value is stomped, and the
-# lower-is-better ones regress whatever order the sections come in.
-sed 's/"value":[0-9.eE+-]*/"value":99999999/g' \
-  "$bench_dir/1/BENCH_smoke.json" > "$bench_dir/BENCH_stomped.json"
-if "$cli" bench-diff \
-  "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
-  > /dev/null 2>&1; then
-  echo "check.sh: bench-diff accepted a stomped baseline" >&2
-  rm -rf "$bench_dir"
-  exit 1
-fi
-# ... and so must a NaN tolerance, which no move can exceed.
-if "$cli" bench-diff \
-  "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
-  --max-regress nan > /dev/null 2>&1; then
-  echo "check.sh: bench-diff --max-regress nan accepted a stomped baseline" >&2
-  rm -rf "$bench_dir"
-  exit 1
-fi
+# Stomped metrics must make bench-diff exit nonzero, whichever way they
+# moved.  The file is one line, so each substitution is global: every
+# value is raised to 99999999 in one copy and lowered to 0 in the other.
+for stomp in 99999999 0; do
+  sed "s/\"value\":[0-9.eE+-]*/\"value\":$stomp/g" \
+    "$bench_dir/1/BENCH_smoke.json" > "$bench_dir/BENCH_stomped.json"
+  if "$cli" bench-diff \
+    "$bench_dir/1/BENCH_smoke.json" "$bench_dir/BENCH_stomped.json" \
+    > /dev/null 2>&1; then
+    echo "check.sh: bench-diff accepted a baseline stomped to $stomp" >&2
+    rm -rf "$bench_dir"
+    exit 1
+  fi
+done
 rm -rf "$bench_dir"
 
 # Flight-recorder round trip: a faulted self-healing run forced to dump

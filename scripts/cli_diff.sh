@@ -113,7 +113,7 @@ check session --workloads javac,soot,mpegaudio --users 2 --self-heal \
   --fault-spec 'corrupt-trace@0.005,budget=20'
 check_seq "chaos compress --quick --schedules 2 --dump-dir ." \
   "postmortem flightrec_invariant_violation.jsonl"
-check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress 0
+check bench-diff BENCH_smoke.json BENCH_smoke.json
 check bench-diff BENCH_smoke.json BENCH_stomped.json
 check_seq "warm compress --save snap.tcsnap" "warm compress --load snap.tcsnap"
 check_seq "run compress --self-heal --fault-spec corrupt-trace@0.01,budget=12 \
@@ -173,9 +173,6 @@ check run compress --size 200 --fault-spec bogus
 check warm compress --size 200
 check postmortem missing.jsonl
 check bench-diff missing.json BENCH_smoke.json
-check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress nan
-check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress inf
-check bench-diff BENCH_smoke.json BENCH_smoke.json --max-regress=-1
 check run compress --size=200 --traces --top=-3
 check top compress --top 0
 check table 1 --scale=-1

@@ -6,7 +6,7 @@ module S = Bytecode.Structured
 module Layout = Cfg.Layout
 module Net = Baselines.Net
 module Replay = Baselines.Replay_frames
-module Summary = Baselines.Summary
+module Stats = Tracegen.Stats
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
@@ -30,13 +30,13 @@ let test_net_hot_loop () =
   let layout = layout_of hot_loop in
   let s = Net.run layout in
   check Alcotest.bool "net builds traces on a hot loop" true
-    (s.Summary.traces_built > 0);
+    (s.Stats.traces_constructed > 0);
   check Alcotest.bool "net traces get entered" true
-    (s.Summary.traces_entered > 0);
+    (s.Stats.traces_entered > 0);
   check Alcotest.bool "net coverage substantial" true
-    (Summary.coverage_completed s > 0.3);
+    (Stats.coverage_completed s > 0.3);
   check Alcotest.bool "net completion high on a pure loop" true
-    (Summary.completion_rate s > 0.9)
+    (Stats.completion_rate s > 0.9)
 
 let test_net_threshold () =
   (* below the hot threshold nothing is recorded *)
@@ -49,7 +49,7 @@ let test_net_threshold () =
   in
   let layout = layout_of small in
   let s = Net.run ~config:{ Net.default_config with Net.hot_threshold = 100 } layout in
-  check Alcotest.int "cold loop builds nothing" 0 s.Summary.traces_built
+  check Alcotest.int "cold loop builds nothing" 0 s.Stats.traces_constructed
 
 let test_net_length_cap () =
   let layout = layout_of hot_loop in
@@ -57,18 +57,18 @@ let test_net_length_cap () =
     Net.run ~config:{ Net.default_config with Net.max_blocks = 3 } layout
   in
   check Alcotest.bool "respects cap (avg length)" true
-    (Summary.avg_trace_length s <= 3.0 +. 1e-9);
-  check Alcotest.bool "still builds" true (s.Summary.traces_built > 0)
+    (Stats.dynamic_trace_length s <= 3.0 +. 1e-9);
+  check Alcotest.bool "still builds" true (s.Stats.traces_constructed > 0)
 
 let test_replay_promotion () =
   let layout = layout_of hot_loop in
   let t = Replay.create layout in
   let r = Vm.Interp.run layout ~on_block:(fun g -> Replay.on_block t g) in
-  let s = Replay.summary t ~instructions:r.Vm.Interp.instructions in
+  let s = Replay.stats t ~instructions:r.Vm.Interp.instructions in
   check Alcotest.bool "branches got promoted" true (t.Replay.promotions > 0);
-  check Alcotest.bool "frames were built" true (s.Summary.traces_built > 0);
+  check Alcotest.bool "frames were built" true (s.Stats.traces_constructed > 0);
   check Alcotest.bool "frames complete on a biased loop" true
-    (Summary.completion_rate s > 0.9)
+    (Stats.completion_rate s > 0.9)
 
 let test_replay_no_promotion_on_noise () =
   (* a 50/50 branch under a 6-bit history never reaches 32 consecutive
@@ -92,12 +92,12 @@ let test_replay_no_promotion_on_noise () =
   let layout = layout_of ~defs body in
   let t = Replay.create layout in
   let r = Vm.Interp.run layout ~on_block:(fun g -> Replay.on_block t g) in
-  let s = Replay.summary t ~instructions:r.Vm.Interp.instructions in
+  let s = Replay.stats t ~instructions:r.Vm.Interp.instructions in
   (* the loop back-edge branch still promotes; the noisy branch inside
      must keep overall completion below a pure-loop's level or frames
      stay short *)
   check Alcotest.bool "summary sane" true
-    (Summary.completion_rate s >= 0.0 && Summary.completion_rate s <= 1.0);
+    (Stats.completion_rate s >= 0.0 && Stats.completion_rate s <= 1.0);
   check Alcotest.bool "demotions observed under noise" true
     (t.Replay.demotions > 0 || t.Replay.promotions = 0)
 
@@ -109,15 +109,15 @@ let test_summaries_on_workloads () =
       let n = Net.run layout in
       let r = Replay.run layout in
       List.iter
-        (fun s ->
+        (fun (system, s) ->
           check Alcotest.bool
             (Printf.sprintf "%s/%s coverage in [0,1]"
-               w.Workloads.Workload.name s.Summary.name)
+               w.Workloads.Workload.name system)
             true
-            (Summary.coverage_total s >= 0.0 && Summary.coverage_total s <= 1.0);
+            (Stats.coverage_total s >= 0.0 && Stats.coverage_total s <= 1.0);
           check Alcotest.bool "completed <= entered" true
-            (s.Summary.traces_completed <= s.Summary.traces_entered))
-        [ n; r ])
+            (s.Stats.traces_completed <= s.Stats.traces_entered))
+        [ ("net", n); ("replay", r) ])
     Workloads.Registry.all
 
 let test_bcg_beats_baselines_on_completion () =
@@ -129,10 +129,10 @@ let test_bcg_beats_baselines_on_completion () =
   let net = Net.run layout in
   check Alcotest.bool
     (Printf.sprintf "bcg completion (%.2f) > net completion (%.2f)"
-       (Tracegen.Stats.completion_rate bcg)
-       (Summary.completion_rate net))
+       (Stats.completion_rate bcg)
+       (Stats.completion_rate net))
     true
-    (Tracegen.Stats.completion_rate bcg > Summary.completion_rate net)
+    (Stats.completion_rate bcg > Stats.completion_rate net)
 
 let () =
   Alcotest.run "baselines"

@@ -117,7 +117,7 @@ let test_phase_program_runs () =
   | _ -> Alcotest.fail "phase program must return an int"
 
 (* Harness.Perf: the baseline document bench --json writes and the
-   direction-aware diff repro_cli bench-diff gates on. *)
+   exact diff repro_cli bench-diff gates on. *)
 module Perf = Harness.Perf
 
 let perf_run metrics =
@@ -127,16 +127,19 @@ let perf_run metrics =
     sections = [ { Perf.label = "sec"; metrics } ];
   }
 
-let lower name value =
-  Perf.metric ~name ~value ~unit_:"count" ~better:Perf.Lower
-
-let higher name value =
-  Perf.metric ~name ~value ~unit_:"pct" ~better:Perf.Higher
+let count name value = { Perf.name; value; unit_ = "count" }
+let keys = Alcotest.(list (pair string string))
 
 let test_perf_round_trip () =
-  let run = perf_run [ lower "deopts" 235.0; higher "elision_pct" 37.25 ] in
+  let run =
+    perf_run
+      [
+        count "deopts" 235.0;
+        { Perf.name = "fold_pct"; value = 37.25; unit_ = "pct" };
+      ]
+  in
   match Perf.of_string (Perf.to_string run) with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Perf.error_to_string e)
   | Ok back ->
       check Alcotest.string "bench" run.Perf.bench back.Perf.bench;
       check
@@ -145,62 +148,62 @@ let test_perf_round_trip () =
       check Alcotest.bool "sections" true
         (back.Perf.sections = run.Perf.sections)
 
-let test_perf_regress_pct () =
-  let pct = Alcotest.float 1e-9 in
-  check pct "lower: a rise regresses" 10.0
-    (Perf.regress_pct ~better:Perf.Lower ~old_v:100.0 ~new_v:110.0);
-  check pct "lower: a fall improves" (-10.0)
-    (Perf.regress_pct ~better:Perf.Lower ~old_v:100.0 ~new_v:90.0);
-  check pct "higher: a fall regresses" 25.0
-    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:30.0);
-  check pct "higher: a rise improves" (-25.0)
-    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:50.0);
-  check pct "equal values" 0.0
-    (Perf.regress_pct ~better:Perf.Higher ~old_v:40.0 ~new_v:40.0)
+let perf_diff old_metrics new_metrics =
+  Perf.diff ~baseline:(perf_run old_metrics) ~candidate:(perf_run new_metrics)
 
-let test_perf_zero_baseline () =
-  let pct = Alcotest.float 1e-9 in
-  check pct "0 -> 3, lower better" 100.0
-    (Perf.regress_pct ~better:Perf.Lower ~old_v:0.0 ~new_v:3.0);
-  check pct "0 -> 3, higher better" (-100.0)
-    (Perf.regress_pct ~better:Perf.Higher ~old_v:0.0 ~new_v:3.0);
-  check pct "0 -> 0" 0.0
-    (Perf.regress_pct ~better:Perf.Lower ~old_v:0.0 ~new_v:0.0);
-  let d =
-    Perf.diff
-      ~baseline:(perf_run [ lower "violations" 0.0 ])
-      ~candidate:(perf_run [ lower "violations" 1.0 ])
-  in
-  check Alcotest.bool "a nonzero count over a zero baseline fails" false
-    (Perf.ok ~max_regress:50.0 d)
-
-let test_perf_tolerance_boundary () =
-  let d =
-    Perf.diff
-      ~baseline:(perf_run [ lower "ms" 100.0 ])
-      ~candidate:(perf_run [ lower "ms" 105.0 ])
-  in
-  check Alcotest.bool "exactly at the tolerance passes" true
-    (Perf.ok ~max_regress:5.0 d);
-  check Alcotest.bool "just below it fails" false
-    (Perf.ok ~max_regress:4.99 d);
-  check Alcotest.int "one regression at 4.99%" 1
-    (List.length (Perf.regressions ~max_regress:4.99 d))
+(* a count that moved is unclean whichever way it moved, off a zero
+   baseline too: there is no better direction to forgive it in *)
+let test_perf_moved old_v new_v () =
+  let d = perf_diff [ count "deopts" old_v ] [ count "deopts" new_v ] in
+  check Alcotest.bool "a move is unclean" false (Perf.clean d);
+  match d.Perf.changed with
+  | [ c ] ->
+      check Alcotest.string "name" "deopts" c.Perf.c_name;
+      check (Alcotest.float 0.0) "old" old_v c.Perf.c_old;
+      check (Alcotest.float 0.0) "new" new_v c.Perf.c_new
+  | l -> Alcotest.failf "%d changed rows, expected 1" (List.length l)
 
 let test_perf_missing_metric () =
   let d =
-    Perf.diff
-      ~baseline:(perf_run [ lower "deopts" 235.0; higher "elision_pct" 37.0 ])
-      ~candidate:(perf_run [ lower "deopts" 235.0; higher "new_metric" 1.0 ])
+    perf_diff
+      [ count "deopts" 235.0; count "ledger" 37.0 ]
+      [ count "deopts" 235.0 ]
   in
-  check
-    Alcotest.(list (pair string string))
-    "missing" [ ("sec", "elision_pct") ] d.Perf.missing;
-  check
-    Alcotest.(list (pair string string))
-    "added" [ ("sec", "new_metric") ] d.Perf.added;
-  check Alcotest.bool "a missing metric fails even at any tolerance" false
-    (Perf.ok ~max_regress:1000.0 d)
+  check keys "missing" [ ("sec", "ledger") ] d.Perf.missing;
+  check Alcotest.bool "a missing metric is unclean" false (Perf.clean d)
+
+let test_perf_added_metric () =
+  let d =
+    perf_diff
+      [ count "deopts" 235.0 ]
+      [ count "deopts" 235.0; count "ledger" 1.0 ]
+  in
+  check keys "added" [ ("sec", "ledger") ] d.Perf.added;
+  check Alcotest.bool "an added metric is unclean" false (Perf.clean d)
+
+let test_perf_identical () =
+  let ms = [ count "deopts" 0.0; count "ledger" 37.0 ] in
+  let d = perf_diff ms ms in
+  check Alcotest.bool "identical runs diff clean" true (Perf.clean d);
+  check Alcotest.int "no changed rows" 0 (List.length d.Perf.changed)
+
+(* The version is read first: another version's document is refused
+   even when the rest of it parses. *)
+let test_perf_other_version () =
+  let v = Harness.Codec.schema_version in
+  let prefix v = Printf.sprintf {|{"schema_version":%d,|} v in
+  let doc = Perf.to_string (perf_run [ count "deopts" 235.0 ]) in
+  check Alcotest.bool "the writer leads with the version" true
+    (String.starts_with ~prefix:(prefix v) doc);
+  let n = String.length (prefix v) in
+  let doc = prefix (v - 1) ^ String.sub doc n (String.length doc - n) in
+  match Perf.of_string doc with
+  | Error (Perf.Version_mismatch { got; expected }) ->
+      check Alcotest.int "got" (v - 1) got;
+      check Alcotest.int "expected" v expected
+  | Error (Perf.Malformed msg) ->
+      Alcotest.failf "malformed, not a version error: %s" msg
+  | Ok _ -> Alcotest.fail "a document of another version was read"
 
 let () =
   Alcotest.run "harness"
@@ -226,9 +229,11 @@ let () =
       ( "perf",
         [
           tc "to_string/of_string round trip" `Quick test_perf_round_trip;
-          tc "regress_pct direction" `Quick test_perf_regress_pct;
-          tc "zero baseline" `Quick test_perf_zero_baseline;
-          tc "tolerance boundary" `Quick test_perf_tolerance_boundary;
+          tc "moved up fails" `Quick (test_perf_moved 0.0 1.0);
+          tc "moved down fails" `Quick (test_perf_moved 235.0 234.0);
           tc "missing metric fails" `Quick test_perf_missing_metric;
+          tc "added metric fails" `Quick test_perf_added_metric;
+          tc "identical diffs clean" `Quick test_perf_identical;
+          tc "another schema version fails" `Quick test_perf_other_version;
         ] );
     ]
