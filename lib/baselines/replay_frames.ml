@@ -177,11 +177,11 @@ let on_block (t : t) (g : Layout.gid) =
         finish_recording t acc;
         process_idle t g ~asserted
       end
-      else if List.length acc + 1 >= t.config.max_blocks then
-        finish_recording t (g :: acc)
       else begin
         st.block_dispatches <- st.block_dispatches + 1;
-        t.mode <- Recording (g :: acc)
+        if List.length acc + 1 >= t.config.max_blocks then
+          finish_recording t (g :: acc)
+        else t.mode <- Recording (g :: acc)
       end
   | Executing (fr, pos, mblocks, minstrs) ->
       if g = fr.blocks.(pos) then begin

@@ -110,7 +110,8 @@ let negate_cond = function
   | Gt -> Le
   | Le -> Gt
 
-let eval_cond c n =
+(* Inlined into the interpreter's conditional branches. *)
+let[@inline] eval_cond c n =
   match c with
   | Eq -> n = 0
   | Ne -> n <> 0

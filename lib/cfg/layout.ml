@@ -76,7 +76,9 @@ let fingerprint t =
       t.fingerprint_memo <- Some d;
       d
 
-let gid t ~method_id ~block_index = t.offsets.(method_id) + block_index
+(* Inlined into the interpreter's dispatch, as is [cfg_of_method]. *)
+let[@inline] gid t ~method_id ~block_index =
+  t.offsets.(method_id) + block_index
 
 let gid_at_pc t ~method_id ~pc =
   t.offsets.(method_id)
@@ -87,7 +89,7 @@ let block t (g : gid) = t.block_of_gid.(g)
 let method_of_gid t (g : gid) =
   t.program.Program.methods.((t.block_of_gid.(g)).Block.method_id)
 
-let cfg_of_method t ~method_id = t.cfgs.(method_id)
+let[@inline] cfg_of_method t ~method_id = t.cfgs.(method_id)
 
 let block_len t (g : gid) = t.instr_len.(g)
 

@@ -96,43 +96,61 @@ let grow st =
   Array.blit st.stack 0 bigger 0 n;
   st.stack <- bigger
 
-let push st fr v =
+(* The hot path.  Every helper [exec_block] calls per instruction is
+   [@inline], so a block's common case compiles to straight-line code, as
+   in an inlining interpreter; each trap is raised from an
+   [@inline never] raiser below, which keeps the formatting out of the
+   inlined bodies.  [scripts/check.sh] fails if the release build's
+   [exec_block] calls any of these helpers. *)
+
+let[@inline never] overflow () = die Stack_overflow "operand stack overflow"
+
+let[@inline never] underflow () = die Type_confusion "operand stack underflow"
+
+let[@inline never] expected what v =
+  die Type_confusion "expected %s, got %s" what (Value.to_string v)
+
+let[@inline never] null_access what = die Null_pointer "%s access on null" what
+
+let[@inline never] out_of_bounds i n =
+  die Array_bounds "index %d, length %d" i n
+
+let[@inline never] over_budget limit =
+  die Instruction_budget "exceeded %d instructions" limit
+
+let[@inline] push st fr v =
   let sp = fr.sp in
-  if sp - fr.base >= max_stack then die Stack_overflow "operand stack overflow";
+  if sp - fr.base >= max_stack then overflow ();
   if sp >= Array.length st.stack then grow st;
   st.stack.(sp) <- v;
   fr.sp <- sp + 1
 
-let pop st fr =
-  if fr.sp <= fr.base then die Type_confusion "operand stack underflow";
+let[@inline] pop st fr =
+  if fr.sp <= fr.base then underflow ();
   fr.sp <- fr.sp - 1;
   st.stack.(fr.sp)
 
-let pop_int st fr =
-  match pop st fr with
-  | Value.Vint n -> n
-  | v -> die Type_confusion "expected int, got %s" (Value.to_string v)
+let[@inline] pop_int st fr =
+  match pop st fr with Value.Vint n -> n | v -> expected "int" v
 
-let pop_float st fr =
-  match pop st fr with
-  | Value.Vfloat f -> f
-  | v -> die Type_confusion "expected float, got %s" (Value.to_string v)
+let[@inline] pop_float st fr =
+  match pop st fr with Value.Vfloat f -> f | v -> expected "float" v
 
-let pop_obj st fr =
+let[@inline] pop_obj st fr =
   match pop st fr with
   | Value.Vobj o -> o
-  | Value.Vnull -> die Null_pointer "field access on null"
-  | v -> die Type_confusion "expected object, got %s" (Value.to_string v)
+  | Value.Vnull -> null_access "field"
+  | v -> expected "object" v
 
-let pop_arr st fr =
+let[@inline] pop_arr st fr =
   match pop st fr with
   | Value.Varr a -> a
-  | Value.Vnull -> die Null_pointer "array access on null"
-  | v -> die Type_confusion "expected array, got %s" (Value.to_string v)
+  | Value.Vnull -> null_access "array"
+  | v -> expected "array" v
 
-let check_bounds (a : Value.arr) i =
-  if i < 0 || i >= Array.length a.Value.cells then
-    die Array_bounds "index %d, length %d" i (Array.length a.Value.cells)
+let[@inline] check_bounds (a : Value.arr) i =
+  let n = Array.length a.Value.cells in
+  if i < 0 || i >= n then out_of_bounds i n
 
 let fresh_locals (m : Mthd.t) =
   Array.make (Int.max 1 m.Mthd.n_locals) (Value.Vint 0)
@@ -196,10 +214,9 @@ let resolve_virtual st (caller : frame) slot : Mthd.t =
       (Program.selector_name st.program slot);
   Program.method_by_id st.program mid
 
-let step_budget st n =
+let[@inline] step_budget st n =
   st.instructions <- st.instructions + n;
-  if st.instructions > st.max_instructions then
-    die Instruction_budget "exceeded %d instructions" st.max_instructions
+  if st.instructions > st.max_instructions then over_budget st.max_instructions
 
 (* Execute exactly one basic block from the current frame/pc: one
    dispatch, the observer hooks, the block's instructions, and its
@@ -209,10 +226,11 @@ let exec_block st =
     let fr = st.top in
     let mid = fr.meth.Mthd.id in
     let cfg = Layout.cfg_of_method st.layout ~method_id:mid in
-    let b = Method_cfg.block_at_pc cfg fr.pc in
+    let bi = Method_cfg.block_index_at_pc cfg fr.pc in
+    let b = cfg.Method_cfg.blocks.(bi) in
     (* block dispatch *)
     st.block_dispatches <- st.block_dispatches + 1;
-    let gid = Layout.gid_at_pc st.layout ~method_id:mid ~pc:fr.pc in
+    let gid = Layout.gid st.layout ~method_id:mid ~block_index:bi in
     st.on_block gid;
     (match st.on_block_state with
     | Some f -> f gid fr.locals

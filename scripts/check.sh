@@ -23,6 +23,33 @@ rm -f /tmp/check_build.$$
 # build too, not only in the dev build runtest uses.
 dune exec --profile release -- ./test/test_alloc.exe
 
+# Inlining gate on the same release build: the interpreter's
+# per-instruction path must compile without calls (DESIGN.md §22).
+# Vm.Interp.exec_block may not call or jump to any hot helper below;
+# the trap raisers those helpers call out of line are allowed.
+if ! command -v objdump > /dev/null 2>&1; then
+  echo "check.sh: objdump not found; the inlining gate needs it" >&2
+  exit 1
+fi
+alloc_exe=_build/default/test/test_alloc.exe
+exec_block=$(objdump -d --no-show-raw-insn "$alloc_exe" | awk '
+  /^[0-9a-f]+ <camlVm__Interp[.$]exec_block_[0-9]+>:$/ { p = 1; next }
+  /^[0-9a-f]+ </ { p = 0 }
+  p')
+if test -z "$exec_block"; then
+  echo "check.sh: no Vm.Interp.exec_block in $alloc_exe" >&2
+  exit 1
+fi
+hot='Vm__Interp[.$](push|pop|pop_int|pop_float|pop_obj|pop_arr|check_bounds|step_budget)'
+hot="$hot|Cfg__Method_cfg[.$]block_index_at_pc"
+hot="$hot|Cfg__Layout[.$](gid|cfg_of_method)|Bytecode__Instr[.$]eval_cond"
+hot_calls=$(printf '%s\n' "$exec_block" | grep -E "<caml($hot)_[0-9]+>") || true
+if test -n "$hot_calls"; then
+  printf '%s\n' "$hot_calls" >&2
+  echo "check.sh: Vm.Interp.exec_block calls the hot helpers above" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 

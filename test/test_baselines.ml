@@ -101,6 +101,27 @@ let test_replay_no_promotion_on_noise () =
   check Alcotest.bool "demotions observed under noise" true
     (t.Replay.demotions > 0 || t.Replay.promotions = 0)
 
+let test_replay_capped_recording_counts () =
+  (* [main]'s one block ends in a return, so every transition fed is
+     asserted: the first block opens a recording, and the third, at the
+     length cap, closes it into a frame.  No frame is entered, so every
+     block fed is a block dispatch, the one that closes the frame too. *)
+  let layout = layout_of [ ret (i 0) ] in
+  let g = Layout.entry_gid layout in
+  let max_blocks = 3 in
+  let t =
+    Replay.create ~config:{ Replay.default_config with Replay.max_blocks }
+      layout
+  in
+  for _ = 1 to max_blocks do
+    Replay.on_block t g
+  done;
+  let s = Replay.stats t ~instructions:0 in
+  check Alcotest.int "a frame was built" 1 s.Stats.traces_constructed;
+  check Alcotest.int "no frame entered" 0 s.Stats.traces_entered;
+  check Alcotest.int "every block fed is dispatched" max_blocks
+    (Stats.total_dispatches s)
+
 let test_summaries_on_workloads () =
   List.iter
     (fun w ->
@@ -147,6 +168,8 @@ let () =
         [
           tc "promotion and frames" `Quick test_replay_promotion;
           tc "noise resists promotion" `Quick test_replay_no_promotion_on_noise;
+          tc "a capped recording counts its last block" `Quick
+            test_replay_capped_recording_counts;
         ] );
       ( "comparison",
         [

@@ -106,18 +106,11 @@ let test_no_such_method () =
   check Alcotest.string "no class binds the slot"
     "selector slot 9 bound by no class" (trap_of program)
 
-let test_instruction_budget () =
-  let layout =
-    layout_of [ while_ (i 1 =! i 1) [ ignore_ (i 0) ]; ret (i 0) ]
-  in
-  match (Interp.run ~max_instructions:10_000 layout ~on_block:(fun _ -> ())).Interp.outcome with
-  | Interp.Trapped (Interp.Instruction_budget, _) -> ()
-  | _ -> Alcotest.fail "expected budget trap"
-
 (* A trap's whole signature: kind, message, and the instruction and
    dispatch counts at which it fired. *)
-let expect_trap_at ~kind ~msg ~instructions ~block_dispatches layout =
-  let r = Interp.run_plain layout in
+let expect_trap_at ?max_instructions ~kind ~msg ~instructions
+    ~block_dispatches layout =
+  let r = Interp.run_plain ?max_instructions layout in
   (match r.Interp.outcome with
   | Interp.Trapped (k, m) ->
       check Alcotest.string "trap kind" (Interp.error_kind_to_string kind)
@@ -166,6 +159,102 @@ let test_operand_overflow_deep () =
   in
   check Alcotest.int "1,024 operands fit" 1027
     (run_int ~defs [ ret (i 3 +! call "c" []) ])
+
+(* A one-method program assembled directly and left unverified: the
+   verifier rejects every operand-type error the traps below need.  Its
+   one class [C] has an int field [x]. *)
+let raw_layout emit =
+  let module B = Bytecode.Builder in
+  let b = B.create () in
+  B.declare_class b ~name:"C" ~fields:[ ("x", Bytecode.Klass.Kint) ]
+    ~methods:[] ();
+  let m =
+    B.begin_method b ~name:"main" ~returns:Bytecode.Mthd.Rint ~n_args:0
+      ~n_locals:0 ()
+  in
+  emit m;
+  B.finish_method m;
+  Layout.build (B.link b ~entry:"main")
+
+(* The operand-stack and bounds traps, each raised from its own raiser
+   off the inlined hot path: kind, message and the counts at the trap. *)
+let test_trap_underflow () =
+  let module B = Bytecode.Builder in
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"operand stack underflow"
+    ~instructions:3 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.i m Bytecode.Instr.Pop;
+         B.iconst m 0;
+         B.i m Bytecode.Instr.Ireturn))
+
+let test_trap_expected () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected int, got 1.5"
+    ~instructions:4 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.fconst m 1.5;
+         B.iconst m 1;
+         B.i m I.Iadd;
+         B.i m I.Ireturn));
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected float, got 1"
+    ~instructions:5 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.iconst m 1;
+         B.fconst m 2.5;
+         B.i m I.Fadd;
+         B.i m I.F2i;
+         B.i m I.Ireturn));
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected object, got 5"
+    ~instructions:3 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.iconst m 5;
+         B.getfield m "C" "x";
+         B.i m I.Ireturn));
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected array, got 5"
+    ~instructions:3 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.iconst m 5;
+         B.i m I.Arraylength;
+         B.i m I.Ireturn))
+
+let test_trap_null_access () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  expect_trap_at ~kind:Interp.Null_pointer ~msg:"field access on null"
+    ~instructions:3 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.i m I.Aconst_null;
+         B.getfield m "C" "x";
+         B.i m I.Ireturn));
+  expect_trap_at ~kind:Interp.Null_pointer ~msg:"array access on null"
+    ~instructions:3 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.i m I.Aconst_null;
+         B.i m I.Arraylength;
+         B.i m I.Ireturn))
+
+let test_trap_out_of_bounds () =
+  (* the loop walks off the end of a three-cell array *)
+  let walk lo =
+    layout_of
+      [
+        decl "a" (S.Arr S.I) (new_arr S.I (i 3));
+        decl_i "s" (i 0);
+        for_ "k" (i lo) (i 10) [ set "s" (v "s" +! (v "a" @. v "k")) ];
+        ret (v "s");
+      ]
+  in
+  expect_trap_at ~kind:Interp.Array_bounds ~msg:"index 3, length 3"
+    ~instructions:48 ~block_dispatches:9 (walk 0);
+  expect_trap_at ~kind:Interp.Array_bounds ~msg:"index -2, length 3"
+    ~instructions:18 ~block_dispatches:3 (walk (-2))
+
+let test_instruction_budget () =
+  expect_trap_at ~max_instructions:10_000 ~kind:Interp.Instruction_budget
+    ~msg:"exceeded 10000 instructions" ~instructions:10_001
+    ~block_dispatches:4001
+    (layout_of [ while_ (i 1 =! i 1) [ ignore_ (i 0) ]; ret (i 0) ])
 
 let test_throw_unwinds_windows () =
   (* thrown three frames below main, with a live operand under every
@@ -367,6 +456,13 @@ let () =
           tc "stack overflow" `Quick test_stack_overflow;
           tc "operand overflow in a deep callee" `Quick
             test_operand_overflow_deep;
+        ] );
+      ( "trap kinds",
+        [
+          tc "operand underflow" `Quick test_trap_underflow;
+          tc "expected int, float, object, array" `Quick test_trap_expected;
+          tc "field and array access on null" `Quick test_trap_null_access;
+          tc "index out of bounds" `Quick test_trap_out_of_bounds;
         ] );
       ( "frames",
         [
