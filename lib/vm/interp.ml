@@ -118,6 +118,11 @@ let[@inline never] out_of_bounds i n =
 let[@inline never] over_budget limit =
   die Instruction_budget "exceeded %d instructions" limit
 
+(* [Method_cfg.build] makes a block's last instruction its only
+   terminator, so this is unreachable. *)
+let[@inline never] misplaced_terminator () =
+  invalid_arg "Interp.exec_block: a terminator is not last in its block"
+
 let[@inline] push st fr v =
   let sp = fr.sp in
   if sp - fr.base >= max_stack then overflow ();
@@ -218,9 +223,160 @@ let[@inline] step_budget st n =
   st.instructions <- st.instructions + n;
   if st.instructions > st.max_instructions then over_budget st.max_instructions
 
+(* A block's straight-line instructions: every instruction but the
+   terminators.  Top-level rather than local to [exec_block], so that
+   inlining it there allocates no closure. *)
+let[@inline] exec_ordinary st fr (ins : Instr.t) =
+  match ins with
+  | Instr.Iconst n -> push st fr (Value.Vint n)
+  | Instr.Fconst f -> push st fr (Value.Vfloat f)
+  | Instr.Aconst_null -> push st fr Value.Vnull
+  | Instr.Iload n -> push st fr fr.locals.(n)
+  | Instr.Fload n -> push st fr fr.locals.(n)
+  | Instr.Aload n -> push st fr fr.locals.(n)
+  | Instr.Istore n | Instr.Fstore n | Instr.Astore n ->
+      fr.locals.(n) <- pop st fr
+  | Instr.Iinc (n, d) -> (
+      match fr.locals.(n) with
+      | Value.Vint v -> fr.locals.(n) <- Value.Vint (v + d)
+      | v -> die Type_confusion "iinc on %s" (Value.to_string v))
+  | Instr.Dup ->
+      let v = pop st fr in
+      push st fr v;
+      push st fr v
+  | Instr.Pop -> ignore (pop st fr)
+  | Instr.Swap ->
+      let a = pop st fr in
+      let b = pop st fr in
+      push st fr a;
+      push st fr b
+  | Instr.Iadd ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr + b))
+  | Instr.Isub ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr - b))
+  | Instr.Imul ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr * b))
+  | Instr.Idiv ->
+      let b = pop_int st fr in
+      if b = 0 then die Division_by_zero "idiv";
+      push st fr (Value.Vint (pop_int st fr / b))
+  | Instr.Irem ->
+      let b = pop_int st fr in
+      if b = 0 then die Division_by_zero "irem";
+      push st fr (Value.Vint (pop_int st fr mod b))
+  | Instr.Ineg -> push st fr (Value.Vint (-pop_int st fr))
+  | Instr.Iand ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr land b))
+  | Instr.Ior ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr lor b))
+  | Instr.Ixor ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr lxor b))
+  | Instr.Ishl ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr lsl (b land 63)))
+  | Instr.Ishr ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr asr (b land 63)))
+  | Instr.Iushr ->
+      let b = pop_int st fr in
+      push st fr (Value.Vint (pop_int st fr lsr (b land 63)))
+  | Instr.Fadd ->
+      let b = pop_float st fr in
+      push st fr (Value.Vfloat (pop_float st fr +. b))
+  | Instr.Fsub ->
+      let b = pop_float st fr in
+      push st fr (Value.Vfloat (pop_float st fr -. b))
+  | Instr.Fmul ->
+      let b = pop_float st fr in
+      push st fr (Value.Vfloat (pop_float st fr *. b))
+  | Instr.Fdiv ->
+      let b = pop_float st fr in
+      push st fr (Value.Vfloat (pop_float st fr /. b))
+  | Instr.Fneg -> push st fr (Value.Vfloat (-.pop_float st fr))
+  | Instr.F2i -> push st fr (Value.Vint (int_of_float (pop_float st fr)))
+  | Instr.I2f -> push st fr (Value.Vfloat (float_of_int (pop_int st fr)))
+  | Instr.Fcmp ->
+      let b = pop_float st fr in
+      let a = pop_float st fr in
+      push st fr (Value.Vint (compare a b))
+  | Instr.New cid ->
+      let k = Program.class_by_id st.program cid in
+      let fields = Array.map Value.default_of_field_kind k.Klass.field_kinds in
+      push st fr (Value.Vobj { Value.cls = cid; fields })
+  | Instr.Getfield (_, slot) ->
+      let o = pop_obj st fr in
+      if slot >= Array.length o.Value.fields then
+        die Type_confusion "field slot %d out of range" slot;
+      push st fr o.Value.fields.(slot)
+  | Instr.Putfield (_, slot) ->
+      let v = pop st fr in
+      let o = pop_obj st fr in
+      if slot >= Array.length o.Value.fields then
+        die Type_confusion "field slot %d out of range" slot;
+      o.Value.fields.(slot) <- v
+  | Instr.Instanceof cid -> (
+      match pop st fr with
+      | Value.Vobj o ->
+          let yes =
+            Klass.is_subclass_of st.program.Program.classes
+              ~sub:o.Value.cls ~super:cid
+          in
+          push st fr (Value.Vint (if yes then 1 else 0))
+      | Value.Vnull -> push st fr (Value.Vint 0)
+      | v -> die Type_confusion "instanceof on %s" (Value.to_string v))
+  | Instr.Newarray kind ->
+      let n = pop_int st fr in
+      if n < 0 then die Array_bounds "negative array length %d" n;
+      push st fr
+        (Value.Varr
+           {
+             Value.kind;
+             cells = Array.make n (Value.default_of_array_kind kind);
+           })
+  | Instr.Iaload | Instr.Faload | Instr.Aaload ->
+      let i = pop_int st fr in
+      let a = pop_arr st fr in
+      check_bounds a i;
+      push st fr a.Value.cells.(i)
+  | Instr.Iastore ->
+      let v = pop_int st fr in
+      let i = pop_int st fr in
+      let a = pop_arr st fr in
+      check_bounds a i;
+      a.Value.cells.(i) <- Value.Vint v
+  | Instr.Fastore ->
+      let v = pop_float st fr in
+      let i = pop_int st fr in
+      let a = pop_arr st fr in
+      check_bounds a i;
+      a.Value.cells.(i) <- Value.Vfloat v
+  | Instr.Aastore ->
+      let v = pop st fr in
+      let i = pop_int st fr in
+      let a = pop_arr st fr in
+      check_bounds a i;
+      a.Value.cells.(i) <- v
+  | Instr.Arraylength ->
+      let a = pop_arr st fr in
+      push st fr (Value.Vint (Array.length a.Value.cells))
+  | Instr.Nop -> ()
+  | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _ | Instr.Tableswitch _
+  | Instr.Invokestatic _ | Instr.Invokevirtual _ | Instr.Return
+  | Instr.Ireturn | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
+      misplaced_terminator ()
+
 (* Execute exactly one basic block from the current frame/pc: one
    dispatch, the observer hooks, the block's instructions, and its
-   terminator.  A no-op once the entry method has returned. *)
+   terminator.  A no-op once the entry method has returned.  Each
+   instruction goes through one match: the straight-line ones through
+   [exec_ordinary], then the terminator, if [Block.term] says there is
+   one, through the match below. *)
 let exec_block st =
   if st.depth > 0 then
     let fr = st.top in
@@ -235,194 +391,39 @@ let exec_block st =
     (match st.on_block_state with
     | Some f -> f gid fr.locals
     | None -> ());
-    let end_pc = Block.end_pc b in
     step_budget st b.Block.len;
-    (* straight-line portion *)
-    let pc = ref fr.pc in
     let code = fr.meth.Mthd.code in
-    while !pc < end_pc do
-      let ins = code.(!pc) in
-      (match ins with
-      | Instr.Iconst n -> push st fr (Value.Vint n)
-      | Instr.Fconst f -> push st fr (Value.Vfloat f)
-      | Instr.Aconst_null -> push st fr Value.Vnull
-      | Instr.Iload n -> push st fr fr.locals.(n)
-      | Instr.Fload n -> push st fr fr.locals.(n)
-      | Instr.Aload n -> push st fr fr.locals.(n)
-      | Instr.Istore n | Instr.Fstore n | Instr.Astore n ->
-          fr.locals.(n) <- pop st fr
-      | Instr.Iinc (n, d) -> (
-          match fr.locals.(n) with
-          | Value.Vint v -> fr.locals.(n) <- Value.Vint (v + d)
-          | v -> die Type_confusion "iinc on %s" (Value.to_string v))
-      | Instr.Dup ->
-          let v = pop st fr in
-          push st fr v;
-          push st fr v
-      | Instr.Pop -> ignore (pop st fr)
-      | Instr.Swap ->
-          let a = pop st fr in
-          let b = pop st fr in
-          push st fr a;
-          push st fr b
-      | Instr.Iadd ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr + b))
-      | Instr.Isub ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr - b))
-      | Instr.Imul ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr * b))
-      | Instr.Idiv ->
-          let b = pop_int st fr in
-          if b = 0 then die Division_by_zero "idiv";
-          push st fr (Value.Vint (pop_int st fr / b))
-      | Instr.Irem ->
-          let b = pop_int st fr in
-          if b = 0 then die Division_by_zero "irem";
-          push st fr (Value.Vint (pop_int st fr mod b))
-      | Instr.Ineg -> push st fr (Value.Vint (-pop_int st fr))
-      | Instr.Iand ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr land b))
-      | Instr.Ior ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr lor b))
-      | Instr.Ixor ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr lxor b))
-      | Instr.Ishl ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr lsl (b land 63)))
-      | Instr.Ishr ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr asr (b land 63)))
-      | Instr.Iushr ->
-          let b = pop_int st fr in
-          push st fr (Value.Vint (pop_int st fr lsr (b land 63)))
-      | Instr.Fadd ->
-          let b = pop_float st fr in
-          push st fr (Value.Vfloat (pop_float st fr +. b))
-      | Instr.Fsub ->
-          let b = pop_float st fr in
-          push st fr (Value.Vfloat (pop_float st fr -. b))
-      | Instr.Fmul ->
-          let b = pop_float st fr in
-          push st fr (Value.Vfloat (pop_float st fr *. b))
-      | Instr.Fdiv ->
-          let b = pop_float st fr in
-          push st fr (Value.Vfloat (pop_float st fr /. b))
-      | Instr.Fneg -> push st fr (Value.Vfloat (-.pop_float st fr))
-      | Instr.F2i ->
-          push st fr (Value.Vint (int_of_float (pop_float st fr)))
-      | Instr.I2f ->
-          push st fr (Value.Vfloat (float_of_int (pop_int st fr)))
-      | Instr.Fcmp ->
-          let b = pop_float st fr in
-          let a = pop_float st fr in
-          push st fr (Value.Vint (compare a b))
-      | Instr.New cid ->
-          let k = Program.class_by_id st.program cid in
-          let fields =
-            Array.map Value.default_of_field_kind k.Klass.field_kinds
-          in
-          push st fr (Value.Vobj { Value.cls = cid; fields })
-      | Instr.Getfield (_, slot) ->
-          let o = pop_obj st fr in
-          if slot >= Array.length o.Value.fields then
-            die Type_confusion "field slot %d out of range" slot;
-          push st fr o.Value.fields.(slot)
-      | Instr.Putfield (_, slot) ->
-          let v = pop st fr in
-          let o = pop_obj st fr in
-          if slot >= Array.length o.Value.fields then
-            die Type_confusion "field slot %d out of range" slot;
-          o.Value.fields.(slot) <- v
-      | Instr.Instanceof cid -> (
-          match pop st fr with
-          | Value.Vobj o ->
-              let yes =
-                Klass.is_subclass_of st.program.Program.classes
-                  ~sub:o.Value.cls ~super:cid
-              in
-              push st fr (Value.Vint (if yes then 1 else 0))
-          | Value.Vnull -> push st fr (Value.Vint 0)
-          | v -> die Type_confusion "instanceof on %s" (Value.to_string v))
-      | Instr.Newarray kind ->
-          let n = pop_int st fr in
-          if n < 0 then die Array_bounds "negative array length %d" n;
-          push st fr
-            (Value.Varr
-               {
-                 Value.kind;
-                 cells = Array.make n (Value.default_of_array_kind kind);
-               })
-      | Instr.Iaload | Instr.Faload | Instr.Aaload ->
-          let i = pop_int st fr in
-          let a = pop_arr st fr in
-          check_bounds a i;
-          push st fr a.Value.cells.(i)
-      | Instr.Iastore ->
-          let v = pop_int st fr in
-          let i = pop_int st fr in
-          let a = pop_arr st fr in
-          check_bounds a i;
-          a.Value.cells.(i) <- Value.Vint v
-      | Instr.Fastore ->
-          let v = pop_float st fr in
-          let i = pop_int st fr in
-          let a = pop_arr st fr in
-          check_bounds a i;
-          a.Value.cells.(i) <- Value.Vfloat v
-      | Instr.Aastore ->
-          let v = pop st fr in
-          let i = pop_int st fr in
-          let a = pop_arr st fr in
-          check_bounds a i;
-          a.Value.cells.(i) <- v
-      | Instr.Arraylength ->
-          let a = pop_arr st fr in
-          push st fr (Value.Vint (Array.length a.Value.cells))
-      | Instr.Nop -> ()
-      (* terminators are handled below; they are always last in a
-         block, so reaching them here just ends the straight-line
-         phase *)
-      | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _
-      | Instr.Tableswitch _ | Instr.Invokestatic _
-      | Instr.Invokevirtual _ | Instr.Return | Instr.Ireturn
-      | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
-          ());
-      (match ins with
+    let last = Block.last_pc b in
+    let falls =
+      match b.Block.term with Block.T_fallthrough _ -> true | _ -> false
+    in
+    for pc = fr.pc to (if falls then last else last - 1) do
+      exec_ordinary st fr code.(pc)
+    done;
+    if falls then fr.pc <- last + 1
+    else
+      match code.(last) with
       | Instr.If_icmp (c, target) ->
           let b2 = pop_int st fr in
-          let a = pop_int st fr in
-          fr.pc <- (if Instr.eval_cond c (compare a b2) then target else !pc + 1);
-          pc := end_pc (* leave straight-line loop *)
+          let n = compare (pop_int st fr) b2 in
+          fr.pc <- (if Instr.eval_cond c n then target else last + 1)
       | Instr.Ifz (c, target) ->
           let a = pop_int st fr in
-          fr.pc <- (if Instr.eval_cond c a then target else !pc + 1);
-          pc := end_pc
-      | Instr.Goto target ->
-          fr.pc <- target;
-          pc := end_pc
+          fr.pc <- (if Instr.eval_cond c a then target else last + 1)
+      | Instr.Goto target -> fr.pc <- target
       | Instr.Tableswitch { low; targets; default } ->
-          let v = pop_int st fr in
-          let i = v - low in
+          let i = pop_int st fr - low in
           fr.pc <-
             (if i >= 0 && i < Array.length targets then targets.(i)
-             else default);
-          pc := end_pc
+             else default)
       | Instr.Invokestatic mid2 ->
-          fr.pc <- !pc + 1;
+          fr.pc <- last + 1;
           let callee_m = Program.method_by_id st.program mid2 in
-          setup_call st fr callee_m;
-          pc := end_pc
+          setup_call st fr callee_m
       | Instr.Invokevirtual slot ->
-          fr.pc <- !pc + 1;
+          fr.pc <- last + 1;
           let callee_m = resolve_virtual st fr slot in
-          setup_call st fr callee_m;
-          pc := end_pc
+          setup_call st fr callee_m
       | Instr.Athrow ->
           (* unwind: find the innermost covering handler, searching the
              current frame at the throw pc and callers at their call
@@ -454,26 +455,18 @@ let exec_block st =
                   die Uncaught_exception "class %s"
                     (Program.class_by_id st.program cls).Klass.name
           in
-          unwind fr st.depth !pc;
-          pc := end_pc
+          unwind fr st.depth last
       | Instr.Return ->
           st.top <- fr.caller;
           st.depth <- st.depth - 1;
-          if st.depth = 0 then st.returned <- None;
-          pc := end_pc
+          if st.depth = 0 then st.returned <- None
       | Instr.Ireturn | Instr.Freturn | Instr.Areturn ->
           let v = pop st fr in
           st.top <- fr.caller;
           st.depth <- st.depth - 1;
           if st.depth > 0 then push st fr.caller v
-          else st.returned <- Some v;
-          pc := end_pc
-      | _ ->
-          (* ordinary instruction: advance; if this was the last
-             instruction of a fallthrough block, fr.pc must follow *)
-          incr pc;
-          if !pc = end_pc then fr.pc <- end_pc)
-    done
+          else st.returned <- Some v
+      | _ -> misplaced_terminator ()
 
 (* Resumable execution.  A handle owns the interpreter state and absorbs
    a [Runtime_error] raised mid-step into a pending [Trapped] outcome, so

@@ -24,7 +24,8 @@ rm -f /tmp/check_build.$$
 dune exec --profile release -- ./test/test_alloc.exe
 
 # Inlining gate on the same release build: the interpreter's
-# per-instruction path must compile without calls (DESIGN.md §22).
+# per-instruction path, the straight-line match exec_ordinary included,
+# must compile without calls (DESIGN.md §22).
 # Vm.Interp.exec_block may not call or jump to any hot helper below;
 # the trap raisers those helpers call out of line are allowed.
 if ! command -v objdump > /dev/null 2>&1; then
@@ -40,7 +41,8 @@ if test -z "$exec_block"; then
   echo "check.sh: no Vm.Interp.exec_block in $alloc_exe" >&2
   exit 1
 fi
-hot='Vm__Interp[.$](push|pop|pop_int|pop_float|pop_obj|pop_arr|check_bounds|step_budget)'
+hot='Vm__Interp[.$](push|pop|pop_int|pop_float|pop_obj|pop_arr|check_bounds'
+hot="$hot|step_budget|exec_ordinary)"
 hot="$hot|Cfg__Method_cfg[.$]block_index_at_pc"
 hot="$hot|Cfg__Layout[.$](gid|cfg_of_method)|Bytecode__Instr[.$]eval_cond"
 hot_calls=$(printf '%s\n' "$exec_block" | grep -E "<caml($hot)_[0-9]+>") || true

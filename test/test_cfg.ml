@@ -147,6 +147,44 @@ let test_dot_export () =
   check Alcotest.bool "dot output mentions digraph" true
     (String.length dot > 20 && String.sub dot 0 7 = "digraph")
 
+(* Every block's terminator is its last instruction: [term] is
+   [T_fallthrough] exactly when the last instruction does not end a block,
+   and no earlier instruction ends one.  The interpreter runs a block's
+   straight-line instructions and its terminator on separate paths,
+   chosen by [term], so it relies on this.  Returns the offending gids. *)
+let misplaced_terminators (program : Bytecode.Program.t) =
+  let layout = Layout.build program in
+  List.filter
+    (fun g ->
+      let b = Layout.block layout g in
+      let code = (Layout.method_of_gid layout g).Mthd.code in
+      let last = Block.last_pc b in
+      let falls =
+        match b.Block.term with Block.T_fallthrough _ -> true | _ -> false
+      in
+      let early = ref false in
+      for pc = b.Block.start_pc to last - 1 do
+        if Instr.ends_block code.(pc) then early := true
+      done;
+      !early || falls = Instr.ends_block code.(last))
+    (List.init layout.Layout.n_blocks Fun.id)
+
+let test_workload_terminators () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let size = max 1 (w.Workloads.Workload.default_size / 4) in
+      check
+        (Alcotest.list Alcotest.int)
+        (w.Workloads.Workload.name ^ ": blocks with a misplaced terminator")
+        []
+        (misplaced_terminators (w.Workloads.Workload.build ~size)))
+    Workloads.Registry.all
+
+let prop_random_terminators =
+  QCheck.Test.make ~name:"terminators end random programs' blocks" ~count:60
+    Random_program.arb_program (fun program ->
+      misplaced_terminators program = [])
+
 (* qcheck over random structured programs: the block partition property *)
 let arb_stmts =
   let open QCheck.Gen in
@@ -203,6 +241,7 @@ let () =
           tc "partition" `Quick test_partition;
           tc "successors" `Quick test_successors;
           tc "predecessors inverse" `Quick test_predecessors_inverse;
+          tc "terminators are last" `Quick test_workload_terminators;
         ] );
       ( "analysis",
         [
@@ -210,5 +249,9 @@ let () =
           tc "dot export" `Quick test_dot_export;
         ] );
       ("layout", [ tc "global numbering" `Quick test_layout_gids ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_partition ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_partition;
+          QCheck_alcotest.to_alcotest prop_random_terminators;
+        ] );
     ]

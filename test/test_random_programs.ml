@@ -1,6 +1,6 @@
-(* The big hammer: generate random structured programs — loops, branches,
-   calls, arrays, switches, try/catch — and check system-level properties
-   on every one of them:
+(* The big hammer: draw random structured programs — loops, branches,
+   calls, arrays, switches, try/catch (Random_program) — and check
+   system-level properties on every one of them:
 
    - the front end's output verifies;
    - the engine is transparent (same result and instruction count as the
@@ -8,124 +8,9 @@
    - statistics stay within their bounds;
    - NET and rePLay overlays never disturb execution either. *)
 
-open Workloads.Dsl
-module S = Bytecode.Structured
 module Interp = Vm.Interp
 module Stats = Tracegen.Stats
 module Sx = Analysis.Symexec
-
-(* --------------------------------------------------------------- *)
-(* program generator                                                 *)
-(* --------------------------------------------------------------- *)
-
-(* Locals: ints x, acc; array a (8 cells).  Helper methods f (int->int,
-   possibly throwing) and g (int->int) are always defined.  All generated
-   loops are bounded. *)
-
-let gen_expr_leaf =
-  QCheck.Gen.oneofl
-    [
-      i 1; i 7; i (-3); v "x"; v "acc"; v "a" @. (v "x" &! i 7);
-      call "g" [ v "x" ];
-    ]
-
-let rec gen_expr depth st =
-  let open QCheck.Gen in
-  if depth = 0 then gen_expr_leaf st
-  else
-    (frequency
-       [
-         (3, gen_expr_leaf);
-         ( 2,
-           map2 (fun a b -> a +! b) (gen_expr (depth - 1)) (gen_expr (depth - 1)) );
-         ( 1,
-           map2 (fun a b -> (a *! b) &! i 0xFFFF) (gen_expr (depth - 1))
-             (gen_expr (depth - 1)) );
-         (1, map (fun a -> a ^! i 0x55) (gen_expr (depth - 1)));
-         (1, map (fun a -> call "f" [ a &! i 0xFF ]) (gen_expr (depth - 1)));
-       ])
-      st
-
-let rec gen_stmts depth st =
-  let open QCheck.Gen in
-  let leaf =
-    frequency
-      [
-        (3, map (fun e -> [ set "acc" ((v "acc" +! e) &! i 0xFFFFF) ]) (gen_expr 2));
-        (2, map (fun e -> [ set "x" (e &! i 0xFFF) ]) (gen_expr 1));
-        (1, map (fun e -> [ seti (v "a") (v "x" &! i 7) (e &! i 0xFFFF) ]) (gen_expr 1));
-      ]
-  in
-  if depth = 0 then leaf st
-  else
-    (frequency
-       [
-         (3, leaf);
-         ( 2,
-           map3
-             (fun c a b -> [ if_ (c &! i 1 =! i 0) a b ])
-             (gen_expr 1) (gen_stmts (depth - 1)) (gen_stmts (depth - 1)) );
-         ( 2,
-           map (fun body -> [ for_ "k" (i 0) (i 40) (body @ [ incr_ "x" ]) ])
-             (gen_stmts (depth - 1)) );
-         ( 1,
-           map
-             (fun body ->
-               [
-                 switch (v "x" &! i 3)
-                   [ (0, body); (2, [ set "x" (v "x" +! i 1) ]) ]
-                   [ set "acc" (v "acc" ^! i 9) ];
-               ])
-             (gen_stmts (depth - 1)) );
-         ( 1,
-           map
-             (fun body ->
-               [
-                 try_
-                   (body @ [ set "x" (call "f" [ v "x" &! i 0xFF ]) ])
-                   ~catch:("Boom", "ex")
-                   [ set "acc" (v "acc" +! getf "Boom" "payload" (v "ex")) ];
-               ])
-             (gen_stmts (depth - 1)) );
-         (1, map2 (fun a b -> a @ b) (gen_stmts (depth - 1)) (gen_stmts (depth - 1)));
-       ])
-      st
-
-let build_program stmts =
-  let p = S.create () in
-  S.def_class p ~name:"Boom" ~fields:[ ("payload", S.I) ] ~methods:[] ();
-  (* f throws for one rare argument value *)
-  S.def_method p ~name:"f" ~args:[ ("n", S.I) ] ~ret:S.I
-    ~body:
-      [
-        when_ (v "n" =! i 137)
-          [
-            decl "b" S.R (new_obj "Boom");
-            setf "Boom" "payload" (v "b") (i 5);
-            throw (v "b");
-          ];
-        ret ((v "n" *! i 17) &! i 0xFFF);
-      ]
-    ();
-  S.def_method p ~name:"g" ~args:[ ("n", S.I) ] ~ret:S.I
-    ~body:[ ret ((v "n" +! i 11) &! i 0xFFF) ]
-    ();
-  S.def_method p ~name:"main" ~args:[] ~ret:S.I
-    ~body:
-      ([
-         decl_i "x" (i 3);
-         decl_i "acc" (i 0);
-         decl "a" (S.Arr S.I) (new_arr S.I (i 8));
-       ]
-      @ stmts
-      @ [ ret (v "acc") ])
-    ();
-  S.link p ~entry:"main"
-
-let arb_program =
-  QCheck.make
-    ~print:(fun _ -> "<random program>")
-    QCheck.Gen.(map build_program (gen_stmts 3))
 
 let run_outcomes layout =
   let plain = Interp.run ~max_instructions:2_000_000 layout ~on_block:(fun _ -> ()) in
@@ -133,7 +18,8 @@ let run_outcomes layout =
   (plain, traced)
 
 let prop_verifies =
-  QCheck.Test.make ~name:"random programs verify" ~count:60 arb_program
+  QCheck.Test.make ~name:"random programs verify" ~count:60
+    Random_program.arb_program
     (fun program ->
       Bytecode.Verify.verify_program program;
       true)
@@ -146,7 +32,7 @@ let same_outcome (a : Interp.outcome) (b : Interp.outcome) =
 
 let prop_engine_transparent =
   QCheck.Test.make ~name:"engine is transparent on random programs" ~count:60
-    arb_program (fun program ->
+    Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let plain, traced = run_outcomes layout in
       same_outcome plain.Interp.outcome
@@ -156,7 +42,7 @@ let prop_engine_transparent =
 
 let prop_stats_bounded =
   QCheck.Test.make ~name:"stats stay in bounds on random programs" ~count:40
-    arb_program (fun program ->
+    Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let _, traced = run_outcomes layout in
       let s = traced.Tracegen.Engine.run_stats in
@@ -172,7 +58,7 @@ let prop_stats_bounded =
    outcome, same instruction count as an undisturbed run. *)
 let prop_liveness_cross_validated =
   QCheck.Test.make ~name:"liveness claims survive execution scrambling"
-    ~count:40 arb_program (fun program ->
+    ~count:40 Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let live = Array.map Analysis.Liveness.compute layout.Cfg.Layout.cfgs in
       let plain =
@@ -204,7 +90,7 @@ let prop_liveness_cross_validated =
    analysis calls unreachable is never dispatched. *)
 let prop_constprop_cross_validated =
   QCheck.Test.make ~name:"constprop claims match observed locals" ~count:40
-    arb_program (fun program ->
+    Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let cps =
         Array.map (Analysis.Constprop.compute program) layout.Cfg.Layout.cfgs
@@ -275,7 +161,7 @@ let value_matches_sym sym value =
 
 let prop_symexec_cross_validated =
   QCheck.Test.make ~name:"symexec agrees with the interpreter block-by-block"
-    ~count:40 arb_program (fun program ->
+    ~count:40 Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let failure = ref None in
       let fail fmt =
@@ -357,7 +243,8 @@ let prop_chaos_transparent =
   QCheck.Test.make ~name:"faulted engine is transparent on random programs"
     ~count:45
     QCheck.(
-      pair arb_program (pair (int_bound 1_000_000) (int_bound 2)))
+      pair Random_program.arb_program
+        (pair (int_bound 1_000_000) (int_bound 2)))
     (fun (program, (seed, spec_i)) ->
       let layout = Cfg.Layout.build program in
       let plain =
@@ -380,7 +267,7 @@ let prop_chaos_transparent =
 let prop_osr_transparent =
   QCheck.Test.make
     ~name:"OSR deopt/promotion is transparent on random programs" ~count:40
-    QCheck.(pair arb_program (int_bound 1_000_000))
+    QCheck.(pair Random_program.arb_program (int_bound 1_000_000))
     (fun (program, seed) ->
       let layout = Cfg.Layout.build program in
       let plain =
@@ -408,7 +295,7 @@ let prop_osr_transparent =
 let prop_microir_transparent =
   QCheck.Test.make
     ~name:"compiled tier is transparent on random programs" ~count:40
-    arb_program (fun program ->
+    Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let plain =
         Interp.run ~max_instructions:2_000_000 layout ~on_block:(fun _ -> ())
@@ -432,7 +319,7 @@ let prop_microir_transparent =
 
 let prop_baselines_transparent =
   QCheck.Test.make ~name:"baseline overlays do not disturb execution"
-    ~count:30 arb_program (fun program ->
+    ~count:30 Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
       let plain = Interp.run ~max_instructions:2_000_000 layout ~on_block:(fun _ -> ()) in
       let net = Baselines.Net.create layout in

@@ -250,6 +250,74 @@ let test_trap_out_of_bounds () =
   expect_trap_at ~kind:Interp.Array_bounds ~msg:"index -2, length 3"
     ~instructions:18 ~block_dispatches:3 (walk (-2))
 
+(* Traps raised by a block's last instruction, the one instruction whose
+   path depends on the block's terminator: a conditional branch and a
+   switch popping a non-int, and a division by zero that ends a block
+   falling through to a leader. *)
+let test_trap_if_icmp_float () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected int, got 1.5"
+    ~instructions:4 ~block_dispatches:2
+    (raw_layout (fun m ->
+         let l_cmp = B.new_label m in
+         let l_out = B.new_label m in
+         B.fconst m 1.5;
+         B.goto m l_cmp;
+         B.place m l_cmp;
+         B.iconst m 1;
+         B.if_icmp m I.Lt l_out;
+         B.place m l_out;
+         B.iconst m 0;
+         B.i m I.Ireturn))
+
+let test_trap_tableswitch_float () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected int, got 2.5"
+    ~instructions:4 ~block_dispatches:2
+    (raw_layout (fun m ->
+         let l_sw = B.new_label m in
+         let l_a = B.new_label m in
+         let l_b = B.new_label m in
+         B.iconst m 7;
+         B.goto m l_sw;
+         B.place m l_sw;
+         B.fconst m 2.5;
+         B.tableswitch m ~low:0 ~targets:[| l_a |] ~default:l_b;
+         B.place m l_a;
+         B.i m I.Ireturn;
+         B.place m l_b;
+         B.i m I.Ireturn))
+
+let test_trap_fallthrough_idiv () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  (* the division's block ends only because [l_next] is a branch target *)
+  let layout =
+    raw_layout (fun m ->
+        let l_div = B.new_label m in
+        let l_next = B.new_label m in
+        B.iconst m 1;
+        B.goto m l_div;
+        B.place m l_div;
+        B.iconst m 0;
+        B.i m I.Idiv;
+        B.place m l_next;
+        B.i m I.Ireturn;
+        B.goto m l_next)
+  in
+  let main = Bytecode.Program.entry_method layout.Layout.program in
+  let b =
+    Layout.block layout
+      (Layout.gid_at_pc layout ~method_id:main.Bytecode.Mthd.id ~pc:3)
+  in
+  (match b.Cfg.Block.term with
+  | Cfg.Block.T_fallthrough 4 -> ()
+  | _ -> Alcotest.fail "idiv must end a fall-through block");
+  expect_trap_at ~kind:Interp.Division_by_zero ~msg:"idiv"
+    ~instructions:4 ~block_dispatches:2 layout
+
 let test_instruction_budget () =
   expect_trap_at ~max_instructions:10_000 ~kind:Interp.Instruction_budget
     ~msg:"exceeded 10000 instructions" ~instructions:10_001
@@ -418,6 +486,41 @@ let test_determinism () =
   in
   check Alcotest.int "two runs agree" (mk ()) (mk ())
 
+(* Pinned dispatch streams.  Each registered workload at its test size
+   (a quarter of its default size, as in test_workloads) must keep its
+   result, its instruction and dispatch counts, and the exact sequence of
+   dispatched gids: any refactor of the interpreter leaves all four
+   unchanged.  The digest is an FNV-style fold kept to 30 bits, so it is
+   the same on every word size. *)
+let pinned_streams =
+  [
+    ("compress", (246391, 434546, 91871, 145715202));
+    ("javac", (22236380, 91549, 16880, 465268700));
+    ("raytrace", (1403, 38950, 5259, 573022028));
+    ("mpegaudio", (741409, 142075, 18995, 490772538));
+    ("soot", (11559, 819067, 114800, 778353517));
+    ("scimark", (6152, 3445545, 293315, 309425975));
+  ]
+
+let test_pinned_stream name (value, instructions, dispatches, digest) () =
+  let w = Option.get (Workloads.Registry.find name) in
+  let size = max 1 (w.Workloads.Workload.default_size / 4) in
+  let layout = Layout.build (w.Workloads.Workload.build ~size) in
+  let r = Interp.run_plain layout in
+  (match Interp.result_value r with
+  | Some (Vm.Value.Vint n) -> check Alcotest.int "result" value n
+  | _ -> Alcotest.fail "expected an int result");
+  check Alcotest.int "instructions" instructions r.Interp.instructions;
+  check Alcotest.int "block dispatches" dispatches r.Interp.block_dispatches;
+  let d = ref 0 in
+  let observed =
+    Interp.run layout ~on_block:(fun g ->
+        d := ((!d lxor g) * 16777619) land 0x3FFF_FFFF)
+  in
+  check Alcotest.int "observed dispatches" dispatches
+    observed.Interp.block_dispatches;
+  check Alcotest.int "gid stream digest" digest !d
+
 (* qcheck: arithmetic on random pairs matches OCaml semantics *)
 let prop_arith =
   QCheck.Test.make ~name:"vm int ops match OCaml" ~count:100
@@ -463,6 +566,10 @@ let () =
           tc "expected int, float, object, array" `Quick test_trap_expected;
           tc "field and array access on null" `Quick test_trap_null_access;
           tc "index out of bounds" `Quick test_trap_out_of_bounds;
+          tc "if_icmp on a float" `Quick test_trap_if_icmp_float;
+          tc "tableswitch on a float" `Quick test_trap_tableswitch_float;
+          tc "idiv ending a fall-through block" `Quick
+            test_trap_fallthrough_idiv;
         ] );
       ( "frames",
         [
@@ -476,5 +583,11 @@ let () =
           tc "accounting" `Quick test_dispatch_accounting;
           tc "stream follows edges" `Quick test_observer_stream_is_path;
         ] );
+      ( "pinned",
+        List.map
+          (fun (name, expected) ->
+            tc (name ^ " dispatch stream") `Quick
+              (test_pinned_stream name expected))
+          pinned_streams );
       ("properties", [ QCheck_alcotest.to_alcotest prop_arith ]);
     ]
