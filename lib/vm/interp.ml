@@ -44,18 +44,19 @@ let error_kind_to_string = function
 let die kind fmt =
   Format.kasprintf (fun s -> raise (Runtime_error (kind, s))) fmt
 
-(* A call frame: a window [base, sp) of its handle's one shared operand
-   stack, as in SableVM and the JVM.  A call opens the callee's window at
-   the caller's [sp], so a frame owns no stack storage and a call
-   allocates only the frame and its locals.  The verifier bounds stack
-   growth statically, so [max_stack] is a generous per-window cap checked
-   only on push.  Frames link to their callers; the entry frame is its
-   own caller, and the state's [depth], not the link, says where the
-   chain ends. *)
+(* A call frame: a window of its handle's one shared stack, as in SableVM
+   and the JVM.  The window holds the frame's locals in [lbase, base) and
+   its operands in [base, sp).  A call leaves its arguments where the
+   caller pushed them, and they become the callee's leading locals, so a
+   frame owns no storage and a call allocates only the frame record.  The
+   verifier bounds stack growth statically, so [max_stack] is a generous
+   per-window cap on operands, checked only on push.  Frames link to
+   their callers; the entry frame is its own caller, and the state's
+   [depth], not the link, says where the chain ends. *)
 type frame = {
   meth : Mthd.t;
-  locals : Value.t array;
-  base : int; (* the window's first slot in the shared stack *)
+  lbase : int; (* local 0's slot in the shared stack *)
+  base : int; (* the first operand slot: [lbase + max 1 n_locals] *)
   mutable sp : int; (* absolute: one past the window's top operand *)
   mutable pc : int;
   caller : frame;
@@ -75,11 +76,22 @@ type result = {
   block_dispatches : int; (* = per-block dispatches, Figure 2 model *)
 }
 
+(* Typed slots.  Slot [i] of the shared stack is the tag byte [tags.[i]]
+   and a payload in the array that tag names: an int or a float is kept
+   raw, so pushing one neither allocates nor runs the write barrier, and
+   only a reference ([Vnull], [Vobj] or [Varr]) sits boxed in [refs].
+   The four arrays always have the same length and double together.  A
+   payload array's entry under another tag is stale and never read.
+   Every slot below a live frame's [sp] is in bounds, which is what lets
+   the slot accessors below skip the bounds check. *)
 type state = {
   layout : Layout.t;
   program : Program.t;
   arity : int array; (* selector slot -> argument count, -1 if unbound *)
-  mutable stack : Value.t array; (* shared by every frame; doubles when full *)
+  mutable tags : Bytes.t;
+  mutable ints : int array;
+  mutable floats : Float.Array.t;
+  mutable refs : Value.t array;
   mutable top : frame; (* the running frame, while [depth > 0] *)
   mutable depth : int; (* live frames; 0 once the entry method returned *)
   mutable returned : Value.t option;
@@ -90,11 +102,57 @@ type state = {
   on_block_state : (Layout.gid -> Value.t array -> unit) option;
 }
 
-let grow st =
-  let n = Array.length st.stack in
-  let bigger = Array.make (2 * n) (Value.Vint 0) in
-  Array.blit st.stack 0 bigger 0 n;
-  st.stack <- bigger
+let t_int = '\000'
+
+let t_float = '\001'
+
+let t_ref = '\002'
+
+let[@inline never] grow st =
+  let n = Bytes.length st.tags in
+  let tags = Bytes.make (2 * n) t_int in
+  Bytes.blit st.tags 0 tags 0 n;
+  let ints = Array.make (2 * n) 0 in
+  Array.blit st.ints 0 ints 0 n;
+  let floats = Float.Array.make (2 * n) 0.0 in
+  Float.Array.blit st.floats 0 floats 0 n;
+  let refs = Array.make (2 * n) Value.Vnull in
+  Array.blit st.refs 0 refs 0 n;
+  st.tags <- tags;
+  st.ints <- ints;
+  st.floats <- floats;
+  st.refs <- refs
+
+(* Grow until slots [0, n) exist. *)
+let reserve st n =
+  while Bytes.length st.tags < n do
+    grow st
+  done
+
+(* The value slot [i] holds, boxed: only where a value leaves the stack,
+   for the heap, a trap message, a snapshot, an observer or the entry
+   method's caller. *)
+let value_at st i =
+  let t = Bytes.unsafe_get st.tags i in
+  if t = t_int then Value.Vint (Array.unsafe_get st.ints i)
+  else if t = t_float then Value.Vfloat (Float.Array.unsafe_get st.floats i)
+  else Array.unsafe_get st.refs i
+
+(* Slots [lo, hi), boxed. *)
+let slots st lo hi = Array.init (hi - lo) (fun i -> value_at st (lo + i))
+
+(* Store [v] unboxed in slot [i]: where a value enters the stack. *)
+let[@inline] set_value st i (v : Value.t) =
+  match v with
+  | Value.Vint n ->
+      Bytes.unsafe_set st.tags i t_int;
+      Array.unsafe_set st.ints i n
+  | Value.Vfloat f ->
+      Bytes.unsafe_set st.tags i t_float;
+      Float.Array.unsafe_set st.floats i f
+  | Value.Vnull | Value.Vobj _ | Value.Varr _ ->
+      Bytes.unsafe_set st.tags i t_ref;
+      Array.unsafe_set st.refs i v
 
 (* The hot path.  Every helper [exec_block] calls per instruction is
    [@inline], so a block's common case compiles to straight-line code, as
@@ -110,6 +168,8 @@ let[@inline never] underflow () = die Type_confusion "operand stack underflow"
 let[@inline never] expected what v =
   die Type_confusion "expected %s, got %s" what (Value.to_string v)
 
+let[@inline never] expected_at st what i = expected what (value_at st i)
+
 let[@inline never] null_access what = die Null_pointer "%s access on null" what
 
 let[@inline never] out_of_bounds i n =
@@ -118,37 +178,99 @@ let[@inline never] out_of_bounds i n =
 let[@inline never] over_budget limit =
   die Instruction_budget "exceeded %d instructions" limit
 
+(* What indexing an array out of its bounds raised, where the frame's
+   locals and the stack were arrays of their own. *)
+let[@inline never] bad_index () = invalid_arg "index out of bounds"
+
+let[@inline never] iinc_on st i =
+  die Type_confusion "iinc on %s" (Value.to_string (value_at st i))
+
 (* [Method_cfg.build] makes a block's last instruction its only
    terminator, so this is unreachable. *)
 let[@inline never] misplaced_terminator () =
   invalid_arg "Interp.exec_block: a terminator is not last in its block"
 
-let[@inline] push st fr v =
+(* Copy slot [src] to slot [dst], whatever its tag. *)
+let[@inline] copy_slot st src dst =
+  let t = Bytes.unsafe_get st.tags src in
+  Bytes.unsafe_set st.tags dst t;
+  if t = t_int then Array.unsafe_set st.ints dst (Array.unsafe_get st.ints src)
+  else if t = t_float then
+    Float.Array.unsafe_set st.floats dst (Float.Array.unsafe_get st.floats src)
+  else Array.unsafe_set st.refs dst (Array.unsafe_get st.refs src)
+
+(* Claim the next operand slot of [fr]'s window and return it. *)
+let[@inline] push_slot st fr =
   let sp = fr.sp in
   if sp - fr.base >= max_stack then overflow ();
-  if sp >= Array.length st.stack then grow st;
-  st.stack.(sp) <- v;
-  fr.sp <- sp + 1
+  if sp >= Bytes.length st.tags then grow st;
+  fr.sp <- sp + 1;
+  sp
 
-let[@inline] pop st fr =
-  if fr.sp <= fr.base then underflow ();
-  fr.sp <- fr.sp - 1;
-  st.stack.(fr.sp)
+let[@inline] push_int st fr n =
+  let sp = push_slot st fr in
+  Bytes.unsafe_set st.tags sp t_int;
+  Array.unsafe_set st.ints sp n
+
+let[@inline] push_float st fr f =
+  let sp = push_slot st fr in
+  Bytes.unsafe_set st.tags sp t_float;
+  Float.Array.unsafe_set st.floats sp f
+
+let[@inline] push_ref st fr (v : Value.t) =
+  let sp = push_slot st fr in
+  Bytes.unsafe_set st.tags sp t_ref;
+  Array.unsafe_set st.refs sp v
+
+let[@inline] push_value st fr v = set_value st (push_slot st fr) v
+
+let[@inline] push_copy st fr src = copy_slot st src (push_slot st fr)
+
+(* Release the top operand's slot and return it. *)
+let[@inline] pop_slot fr =
+  let sp = fr.sp - 1 in
+  if sp < fr.base then underflow ();
+  fr.sp <- sp;
+  sp
 
 let[@inline] pop_int st fr =
-  match pop st fr with Value.Vint n -> n | v -> expected "int" v
+  let sp = pop_slot fr in
+  if Bytes.unsafe_get st.tags sp <> t_int then expected_at st "int" sp;
+  Array.unsafe_get st.ints sp
 
 let[@inline] pop_float st fr =
-  match pop st fr with Value.Vfloat f -> f | v -> expected "float" v
+  let sp = pop_slot fr in
+  if Bytes.unsafe_get st.tags sp <> t_float then expected_at st "float" sp;
+  Float.Array.unsafe_get st.floats sp
+
+(* The top operand's slot, holding an int or a float: an arithmetic
+   instruction writes its result there, over its (left) operand, with
+   the checks popping that operand made. *)
+let[@inline] top_int st fr =
+  let sp = fr.sp - 1 in
+  if sp < fr.base then underflow ();
+  if Bytes.unsafe_get st.tags sp <> t_int then expected_at st "int" sp;
+  sp
+
+let[@inline] top_float st fr =
+  let sp = fr.sp - 1 in
+  if sp < fr.base then underflow ();
+  if Bytes.unsafe_get st.tags sp <> t_float then expected_at st "float" sp;
+  sp
+
+let[@inline] pop_value st fr =
+  let sp = pop_slot fr in
+  if Bytes.unsafe_get st.tags sp = t_ref then Array.unsafe_get st.refs sp
+  else value_at st sp
 
 let[@inline] pop_obj st fr =
-  match pop st fr with
+  match pop_value st fr with
   | Value.Vobj o -> o
   | Value.Vnull -> null_access "field"
   | v -> expected "object" v
 
 let[@inline] pop_arr st fr =
-  match pop st fr with
+  match pop_value st fr with
   | Value.Varr a -> a
   | Value.Vnull -> null_access "array"
   | v -> expected "array" v
@@ -157,27 +279,41 @@ let[@inline] check_bounds (a : Value.arr) i =
   let n = Array.length a.Value.cells in
   if i < 0 || i >= n then out_of_bounds i n
 
-let fresh_locals (m : Mthd.t) =
-  Array.make (Int.max 1 m.Mthd.n_locals) (Value.Vint 0)
+(* Local [n]'s slot.  An index outside the method's locals raises what
+   indexing the locals array raised, rather than reaching an operand. *)
+let[@inline] local fr n =
+  if n < 0 || n >= fr.base - fr.lbase then bad_index ();
+  fr.lbase + n
 
-(* Invoke: pop n_args values off the caller's stack into the callee's
-   leading locals (receiver in local 0 for virtual methods), then open
-   the callee's window where the arguments were. *)
+(* Invoke: the top [n_args] operands of the caller's window stay where
+   they are and become the callee's leading locals (receiver in local 0
+   for virtual methods); its other locals are cleared to int 0, and its
+   operands start right above them.  With too few operands this traps
+   as popping them one by one did, and with more arguments than locals
+   it raises what storing past the locals array raised. *)
 let setup_call st (caller : frame) (callee_m : Mthd.t) =
   if st.depth >= max_frames then die Stack_overflow "too many frames";
-  let locals = fresh_locals callee_m in
-  for i = callee_m.Mthd.n_args - 1 downto 0 do
-    locals.(i) <- pop st caller
+  let n_args = Int.max 0 callee_m.Mthd.n_args in
+  let n_locals = Int.max 1 callee_m.Mthd.n_locals in
+  if n_args > n_locals && caller.sp > caller.base then bad_index ();
+  if caller.sp - caller.base < n_args then underflow ();
+  let lbase = caller.sp - n_args in
+  let base = lbase + n_locals in
+  if base > Bytes.length st.tags then reserve st base;
+  for i = lbase + n_args to base - 1 do
+    Bytes.unsafe_set st.tags i t_int;
+    Array.unsafe_set st.ints i 0
   done;
-  let base = caller.sp in
-  st.top <- { meth = callee_m; locals; base; sp = base; pc = 0; caller };
+  caller.sp <- lbase;
+  st.top <- { meth = callee_m; lbase; base; sp = base; pc = 0; caller };
   st.depth <- st.depth + 1
 
 let receiver_class st (caller : frame) n_args =
   (* receiver sits below the arguments, inside the caller's window *)
   let idx = caller.sp - n_args in
   if idx < caller.base then die Type_confusion "missing receiver";
-  match st.stack.(idx) with
+  if idx >= Bytes.length st.tags then bad_index ();
+  match value_at st idx with
   | Value.Vobj o -> o.Value.cls
   | Value.Vnull -> die Null_pointer "virtual call on null"
   | v -> die Type_confusion "virtual call on %s" (Value.to_string v)
@@ -225,115 +361,163 @@ let[@inline] step_budget st n =
 
 (* A block's straight-line instructions: every instruction but the
    terminators.  Top-level rather than local to [exec_block], so that
-   inlining it there allocates no closure. *)
+   inlining it there allocates no closure.  A load or store takes a fast
+   path for its verified type and copies any other tag as it is, so an
+   unverified program moves whatever the slot holds. *)
 let[@inline] exec_ordinary st fr (ins : Instr.t) =
   match ins with
-  | Instr.Iconst n -> push st fr (Value.Vint n)
-  | Instr.Fconst f -> push st fr (Value.Vfloat f)
-  | Instr.Aconst_null -> push st fr Value.Vnull
-  | Instr.Iload n -> push st fr fr.locals.(n)
-  | Instr.Fload n -> push st fr fr.locals.(n)
-  | Instr.Aload n -> push st fr fr.locals.(n)
-  | Instr.Istore n | Instr.Fstore n | Instr.Astore n ->
-      fr.locals.(n) <- pop st fr
-  | Instr.Iinc (n, d) -> (
-      match fr.locals.(n) with
-      | Value.Vint v -> fr.locals.(n) <- Value.Vint (v + d)
-      | v -> die Type_confusion "iinc on %s" (Value.to_string v))
+  | Instr.Iconst n -> push_int st fr n
+  | Instr.Fconst f -> push_float st fr f
+  | Instr.Aconst_null -> push_ref st fr Value.Vnull
+  | Instr.Iload n ->
+      let l = local fr n in
+      if Bytes.unsafe_get st.tags l = t_int then
+        push_int st fr (Array.unsafe_get st.ints l)
+      else push_copy st fr l
+  | Instr.Fload n ->
+      let l = local fr n in
+      if Bytes.unsafe_get st.tags l = t_float then
+        push_float st fr (Float.Array.unsafe_get st.floats l)
+      else push_copy st fr l
+  | Instr.Aload n -> push_copy st fr (local fr n)
+  | Instr.Istore n ->
+      let sp = pop_slot fr in
+      let l = local fr n in
+      if Bytes.unsafe_get st.tags sp = t_int then (
+        Bytes.unsafe_set st.tags l t_int;
+        Array.unsafe_set st.ints l (Array.unsafe_get st.ints sp))
+      else copy_slot st sp l
+  | Instr.Fstore n ->
+      let sp = pop_slot fr in
+      let l = local fr n in
+      if Bytes.unsafe_get st.tags sp = t_float then (
+        Bytes.unsafe_set st.tags l t_float;
+        Float.Array.unsafe_set st.floats l
+          (Float.Array.unsafe_get st.floats sp))
+      else copy_slot st sp l
+  | Instr.Astore n ->
+      let sp = pop_slot fr in
+      copy_slot st sp (local fr n)
+  | Instr.Iinc (n, d) ->
+      let l = local fr n in
+      if Bytes.unsafe_get st.tags l <> t_int then iinc_on st l;
+      Array.unsafe_set st.ints l (Array.unsafe_get st.ints l + d)
   | Instr.Dup ->
-      let v = pop st fr in
-      push st fr v;
-      push st fr v
-  | Instr.Pop -> ignore (pop st fr)
+      if fr.sp <= fr.base then underflow ();
+      push_copy st fr (fr.sp - 1)
+  | Instr.Pop -> ignore (pop_slot fr)
   | Instr.Swap ->
-      let a = pop st fr in
-      let b = pop st fr in
-      push st fr a;
-      push st fr b
+      let a = pop_value st fr in
+      let b = pop_value st fr in
+      push_value st fr a;
+      push_value st fr b
   | Instr.Iadd ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr + b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a + b)
   | Instr.Isub ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr - b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a - b)
   | Instr.Imul ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr * b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a * b)
   | Instr.Idiv ->
       let b = pop_int st fr in
       if b = 0 then die Division_by_zero "idiv";
-      push st fr (Value.Vint (pop_int st fr / b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a / b)
   | Instr.Irem ->
       let b = pop_int st fr in
       if b = 0 then die Division_by_zero "irem";
-      push st fr (Value.Vint (pop_int st fr mod b))
-  | Instr.Ineg -> push st fr (Value.Vint (-pop_int st fr))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a mod b)
+  | Instr.Ineg ->
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (-Array.unsafe_get st.ints a)
   | Instr.Iand ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr land b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a land b)
   | Instr.Ior ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr lor b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a lor b)
   | Instr.Ixor ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr lxor b))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a lxor b)
   | Instr.Ishl ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr lsl (b land 63)))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a lsl (b land 63))
   | Instr.Ishr ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr asr (b land 63)))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a asr (b land 63))
   | Instr.Iushr ->
       let b = pop_int st fr in
-      push st fr (Value.Vint (pop_int st fr lsr (b land 63)))
+      let a = top_int st fr in
+      Array.unsafe_set st.ints a (Array.unsafe_get st.ints a lsr (b land 63))
   | Instr.Fadd ->
       let b = pop_float st fr in
-      push st fr (Value.Vfloat (pop_float st fr +. b))
+      let a = top_float st fr in
+      Float.Array.unsafe_set st.floats a
+        (Float.Array.unsafe_get st.floats a +. b)
   | Instr.Fsub ->
       let b = pop_float st fr in
-      push st fr (Value.Vfloat (pop_float st fr -. b))
+      let a = top_float st fr in
+      Float.Array.unsafe_set st.floats a
+        (Float.Array.unsafe_get st.floats a -. b)
   | Instr.Fmul ->
       let b = pop_float st fr in
-      push st fr (Value.Vfloat (pop_float st fr *. b))
+      let a = top_float st fr in
+      Float.Array.unsafe_set st.floats a
+        (Float.Array.unsafe_get st.floats a *. b)
   | Instr.Fdiv ->
       let b = pop_float st fr in
-      push st fr (Value.Vfloat (pop_float st fr /. b))
-  | Instr.Fneg -> push st fr (Value.Vfloat (-.pop_float st fr))
-  | Instr.F2i -> push st fr (Value.Vint (int_of_float (pop_float st fr)))
-  | Instr.I2f -> push st fr (Value.Vfloat (float_of_int (pop_int st fr)))
+      let a = top_float st fr in
+      Float.Array.unsafe_set st.floats a
+        (Float.Array.unsafe_get st.floats a /. b)
+  | Instr.Fneg ->
+      let a = top_float st fr in
+      Float.Array.unsafe_set st.floats a (-.Float.Array.unsafe_get st.floats a)
+  | Instr.F2i -> push_int st fr (int_of_float (pop_float st fr))
+  | Instr.I2f -> push_float st fr (float_of_int (pop_int st fr))
   | Instr.Fcmp ->
       let b = pop_float st fr in
       let a = pop_float st fr in
-      push st fr (Value.Vint (compare a b))
+      push_int st fr (compare a b)
   | Instr.New cid ->
       let k = Program.class_by_id st.program cid in
       let fields = Array.map Value.default_of_field_kind k.Klass.field_kinds in
-      push st fr (Value.Vobj { Value.cls = cid; fields })
+      push_ref st fr (Value.Vobj { Value.cls = cid; fields })
   | Instr.Getfield (_, slot) ->
       let o = pop_obj st fr in
       if slot >= Array.length o.Value.fields then
         die Type_confusion "field slot %d out of range" slot;
-      push st fr o.Value.fields.(slot)
+      push_value st fr o.Value.fields.(slot)
   | Instr.Putfield (_, slot) ->
-      let v = pop st fr in
+      let v = pop_value st fr in
       let o = pop_obj st fr in
       if slot >= Array.length o.Value.fields then
         die Type_confusion "field slot %d out of range" slot;
       o.Value.fields.(slot) <- v
   | Instr.Instanceof cid -> (
-      match pop st fr with
+      match pop_value st fr with
       | Value.Vobj o ->
           let yes =
             Klass.is_subclass_of st.program.Program.classes
               ~sub:o.Value.cls ~super:cid
           in
-          push st fr (Value.Vint (if yes then 1 else 0))
-      | Value.Vnull -> push st fr (Value.Vint 0)
+          push_int st fr (if yes then 1 else 0)
+      | Value.Vnull -> push_int st fr 0
       | v -> die Type_confusion "instanceof on %s" (Value.to_string v))
   | Instr.Newarray kind ->
       let n = pop_int st fr in
       if n < 0 then die Array_bounds "negative array length %d" n;
-      push st fr
+      push_ref st fr
         (Value.Varr
            {
              Value.kind;
@@ -343,7 +527,7 @@ let[@inline] exec_ordinary st fr (ins : Instr.t) =
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
-      push st fr a.Value.cells.(i)
+      push_value st fr a.Value.cells.(i)
   | Instr.Iastore ->
       let v = pop_int st fr in
       let i = pop_int st fr in
@@ -357,19 +541,26 @@ let[@inline] exec_ordinary st fr (ins : Instr.t) =
       check_bounds a i;
       a.Value.cells.(i) <- Value.Vfloat v
   | Instr.Aastore ->
-      let v = pop st fr in
+      let v = pop_value st fr in
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
       a.Value.cells.(i) <- v
   | Instr.Arraylength ->
       let a = pop_arr st fr in
-      push st fr (Value.Vint (Array.length a.Value.cells))
+      push_int st fr (Array.length a.Value.cells)
   | Instr.Nop -> ()
   | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _ | Instr.Tableswitch _
   | Instr.Invokestatic _ | Instr.Invokevirtual _ | Instr.Return
   | Instr.Ireturn | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
       misplaced_terminator ()
+
+(* The frame's locals, boxed, for an [on_block_state] observer; whatever
+   the observer leaves in the array is stored back. *)
+let[@inline never] observe_locals st fr f gid =
+  let locals = slots st fr.lbase fr.base in
+  f gid locals;
+  Array.iteri (fun i v -> set_value st (fr.lbase + i) v) locals
 
 (* Execute exactly one basic block from the current frame/pc: one
    dispatch, the observer hooks, the block's instructions, and its
@@ -389,7 +580,7 @@ let exec_block st =
     let gid = Layout.gid st.layout ~method_id:mid ~block_index:bi in
     st.on_block gid;
     (match st.on_block_state with
-    | Some f -> f gid fr.locals
+    | Some f -> observe_locals st fr f gid
     | None -> ());
     step_budget st b.Block.len;
     let code = fr.meth.Mthd.code in
@@ -428,7 +619,7 @@ let exec_block st =
           (* unwind: find the innermost covering handler, searching the
              current frame at the throw pc and callers at their call
              sites *)
-          let exc = pop st fr in
+          let exc = pop_value st fr in
           let cls =
             match exc with
             | Value.Vobj o -> o.Value.cls
@@ -444,7 +635,7 @@ let exec_block st =
                 st.top <- f;
                 st.depth <- depth;
                 f.sp <- f.base;
-                push st f exc;
+                push_ref st f exc;
                 f.pc <- h.Mthd.h_target
             | None ->
                 (* a caller is searched at its call site: the
@@ -461,11 +652,11 @@ let exec_block st =
           st.depth <- st.depth - 1;
           if st.depth = 0 then st.returned <- None
       | Instr.Ireturn | Instr.Freturn | Instr.Areturn ->
-          let v = pop st fr in
+          let src = pop_slot fr in
           st.top <- fr.caller;
           st.depth <- st.depth - 1;
-          if st.depth > 0 then push st fr.caller v
-          else st.returned <- Some v
+          if st.depth > 0 then push_copy st fr.caller src
+          else st.returned <- Some (value_at st src)
       | _ -> misplaced_terminator ()
 
 (* Resumable execution.  A handle owns the interpreter state and absorbs
@@ -477,16 +668,20 @@ let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
     ~(on_block : Layout.gid -> unit) : handle =
   let program = layout.Layout.program in
   let entry = Program.entry_method program in
-  let locals = fresh_locals entry in
+  (* the entry method takes no arguments: every local starts as int 0 *)
+  let base = Int.max 1 entry.Mthd.n_locals in
   let rec bottom =
-    { meth = entry; locals; base = 0; sp = 0; pc = 0; caller = bottom }
+    { meth = entry; lbase = 0; base; sp = base; pc = 0; caller = bottom }
   in
   let st =
     {
       layout;
       program;
       arity = selector_arities program;
-      stack = Array.make 64 (Value.Vint 0);
+      tags = Bytes.make 64 t_int;
+      ints = Array.make 64 0;
+      floats = Float.Array.make 64 0.0;
+      refs = Array.make 64 Value.Vnull;
       top = bottom;
       depth = 1;
       returned = None;
@@ -497,6 +692,7 @@ let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
       on_block_state;
     }
   in
+  reserve st base;
   { h_st = st; h_trap = None }
 
 let running h = h.h_trap = None && h.h_st.depth > 0
@@ -545,8 +741,8 @@ type frame_snapshot = {
   fs_method : int;
   fs_pc : int;
   fs_sp : int;
-  fs_locals : Value.t array;
-  fs_stack : Value.t array; (* the frame's window: stack.(base .. sp-1) *)
+  fs_locals : Value.t array; (* slots [lbase, base) *)
+  fs_stack : Value.t array; (* the frame's operands: slots [base, sp) *)
 }
 
 type materialized = {
@@ -564,8 +760,8 @@ let snapshot_frame st (fr : frame) : frame_snapshot =
     fs_method = fr.meth.Mthd.id;
     fs_pc = fr.pc;
     fs_sp = fr.sp - fr.base;
-    fs_locals = Array.copy fr.locals;
-    fs_stack = Array.sub st.stack fr.base (fr.sp - fr.base);
+    fs_locals = slots st fr.lbase fr.base;
+    fs_stack = slots st fr.base fr.sp;
   }
 
 let materialize (h : handle) : materialized =

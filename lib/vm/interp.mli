@@ -51,11 +51,14 @@ val run :
     programs via an {!Instruction_budget} trap.
 
     [on_block_state], when given, is invoked after [on_block] at every
-    dispatch with the current frame's local-variable array.  The array is
-    the live frame state: observers may read it to cross-check static
+    dispatch with a fresh array of the current frame's locals, and
+    whatever the array holds when the observer returns is stored back
+    into the frame.  So observers may read it to cross-check static
     analyses against execution, and may even overwrite slots a liveness
-    analysis claims dead (the tests do exactly that).  It costs one
-    option branch per dispatch when absent. *)
+    analysis claims dead (the tests do exactly that); a write after the
+    observer has returned changes nothing.  The array is built only when
+    an observer is installed: without one, the cost is one option branch
+    per dispatch. *)
 
 val run_plain : ?max_instructions:int -> Cfg.Layout.t -> result
 (** {!run} with no observer: the unmodified interpreter of Table VI. *)
@@ -113,7 +116,9 @@ type frame_snapshot = {
   fs_method : int;  (** method id *)
   fs_pc : int;
   fs_sp : int;  (** operands in the frame's own window *)
-  fs_locals : Value.t array;  (** copied *)
+  fs_locals : Value.t array;
+      (** the frame's locals, boxed into a fresh array; as many as
+          [max 1 n_locals] *)
   fs_stack : Value.t array;  (** the frame's operands only, bottom first *)
 }
 

@@ -24,8 +24,9 @@ rm -f /tmp/check_build.$$
 dune exec --profile release -- ./test/test_alloc.exe
 
 # Inlining gate on the same release build: the interpreter's
-# per-instruction path, the straight-line match exec_ordinary included,
-# must compile without calls (DESIGN.md §22).
+# per-instruction path, the straight-line match exec_ordinary and the
+# typed stack's slot helpers included, must compile without calls
+# (DESIGN.md §22).
 # Vm.Interp.exec_block may not call or jump to any hot helper below;
 # the trap raisers those helpers call out of line are allowed.
 if ! command -v objdump > /dev/null 2>&1; then
@@ -41,7 +42,9 @@ if test -z "$exec_block"; then
   echo "check.sh: no Vm.Interp.exec_block in $alloc_exe" >&2
   exit 1
 fi
-hot='Vm__Interp[.$](push|pop|pop_int|pop_float|pop_obj|pop_arr|check_bounds'
+hot='Vm__Interp[.$](push_slot|push_int|push_float|push_ref|push_value'
+hot="$hot|push_copy|pop_slot|pop_int|pop_float|pop_value|pop_obj|pop_arr"
+hot="$hot|top_int|top_float|copy_slot|set_value|local|check_bounds"
 hot="$hot|step_budget|exec_ordinary)"
 hot="$hot|Cfg__Method_cfg[.$]block_index_at_pc"
 hot="$hot|Cfg__Layout[.$](gid|cfg_of_method)|Bytecode__Instr[.$]eval_cond"

@@ -24,7 +24,13 @@
    256-word limit bypasses the minor heap, so a per-call allocation of
    that size (a fixed-size operand stack, say) never shows in the minor
    words above.  Direct major words are the major words that were not
-   promoted out of the minor heap. *)
+   promoted out of the minor heap.
+
+   The interpreter keeps ints and floats unboxed on its operand stack
+   and a frame's locals in its window there, so straight-line int and
+   float code allocates nothing but a 7-word frame per call, and what a
+   workload's plain run allocates comes from its heap: objects, arrays,
+   and the boxes of the values stored into them. *)
 
 module Config = Tracegen.Config
 module Engine = Tracegen.Engine
@@ -112,9 +118,94 @@ let cases =
         setups)
     [ Workloads.Mpegaudio.workload; Workloads.Compress.workload ]
 
+(* Int and float arithmetic on locals, [Iinc] loops and static calls and
+   returns, touching no heap: 20 calls of a 2,000-iteration loop. *)
+let straight_line_layout () =
+  let open Workloads.Dsl in
+  let module S = Bytecode.Structured in
+  let p = S.create () in
+  S.def_method p ~name:"work"
+    ~args:[ ("n", S.I); ("x", S.F) ]
+    ~ret:S.I
+    ~body:
+      [
+        decl_i "s" (i 0);
+        decl_f "y" (v "x");
+        for_ "k" (i 0) (v "n")
+          [
+            set "s" ((v "s" *! i 31) +! v "k" &! i 0xFFFF);
+            set "y" ((v "y" *! f 0.5) +! i2f (v "k" &! i 7));
+            set "s" (v "s" -! f2i (v "y"));
+          ];
+        ret (v "s");
+      ]
+    ();
+  S.def_method p ~name:"main" ~args:[] ~ret:S.I
+    ~body:
+      [
+        decl_i "t" (i 0);
+        for_ "j" (i 0) (i 20)
+          [ set "t" (v "t" +! call "work" [ i 2000; i2f (v "j") ]) ];
+        ret (v "t");
+      ]
+    ();
+  let program = S.link p ~entry:"main" in
+  Bytecode.Verify.verify_program program;
+  Cfg.Layout.build program
+
+(* 393 words over 1,040,470 instructions, 0.0004 per instruction: the
+   20 frames and the handle's setup.  The boxed stack allocated a value
+   on every int or float push, 1.31 words per instruction here. *)
+let check_straight_line () =
+  let layout = straight_line_layout () in
+  let r, words = minor_words (fun () -> Interp.run_plain layout) in
+  let per = words /. float_of_int r.Interp.instructions in
+  Printf.printf "straight-line: %d instructions, %.0f words, %.5f per\n"
+    r.Interp.instructions words per;
+  if per >= 0.01 then
+    Alcotest.failf
+      "straight-line int/float code: %.4f minor words per instruction (limit \
+       0.01)"
+      per
+
+(* Each workload's [run_plain] minor words per 1,000 instructions at
+   default size, with the boxed operand stack and per-call locals array
+   the interpreter had before its slots were typed; a workload must now
+   stay under half of it.  The figures with typed slots are in the
+   comments. *)
+let boxed_words_per_kinstr =
+  [
+    ("compress", 855.3 (* typed slots: 219.3 *));
+    ("javac", 1413.4 (* 629.5 *));
+    ("raytrace", 1368.9 (* 89.6 *));
+    ("mpegaudio", 1206.1 (* 185.1 *));
+    ("soot", 856.6 (* 168.6 *));
+    ("scimark", 1175.4 (* 208.9 *));
+  ]
+
+let check_workload_words (w : Workloads.Workload.t) () =
+  let boxed = List.assoc w.name boxed_words_per_kinstr in
+  let layout = Harness.Experiment.layout_for w ~size:w.default_size in
+  let r, words = minor_words (fun () -> Interp.run_plain layout) in
+  let per_k = 1000. *. words /. float_of_int r.Interp.instructions in
+  Printf.printf "%s: %.1f words per 1,000 instructions\n" w.name per_k;
+  if per_k >= boxed /. 2. then
+    Alcotest.failf
+      "%s run_plain: %.1f minor words per 1,000 instructions (limit %.1f, \
+       half the boxed stack's %.1f)"
+      w.name per_k (boxed /. 2.) boxed
+
+let interpreter_cases =
+  tc "straight-line" `Quick check_straight_line
+  :: List.map
+       (fun (w : Workloads.Workload.t) ->
+         tc (w.name ^ " run_plain") `Quick (check_workload_words w))
+       Workloads.Registry.all
+
 let () =
   Alcotest.run "alloc"
     [
       ("words per dispatch", cases);
       ("direct major words per dispatch", plain_cases);
+      ("interpreter words", interpreter_cases);
     ]

@@ -160,21 +160,25 @@ let test_operand_overflow_deep () =
   check Alcotest.int "1,024 operands fit" 1027
     (run_int ~defs [ ret (i 3 +! call "c" []) ])
 
-(* A one-method program assembled directly and left unverified: the
-   verifier rejects every operand-type error the traps below need.  Its
-   one class [C] has an int field [x]. *)
-let raw_layout emit =
+(* A program assembled directly and left unverified: the verifier
+   rejects every operand-type error the traps below need.  Each method is
+   [(name, n_args, n_locals, returns, emit)], and the entry is "main".
+   Its one class [C] has an int field [x]. *)
+let raw_methods methods =
   let module B = Bytecode.Builder in
   let b = B.create () in
   B.declare_class b ~name:"C" ~fields:[ ("x", Bytecode.Klass.Kint) ]
     ~methods:[] ();
-  let m =
-    B.begin_method b ~name:"main" ~returns:Bytecode.Mthd.Rint ~n_args:0
-      ~n_locals:0 ()
-  in
-  emit m;
-  B.finish_method m;
+  List.iter
+    (fun (name, n_args, n_locals, returns, emit) ->
+      let m = B.begin_method b ~name ~returns ~n_args ~n_locals () in
+      emit m;
+      B.finish_method m)
+    methods;
   Layout.build (B.link b ~entry:"main")
+
+(* [main] alone, returning an int, with no arguments and one local. *)
+let raw_layout emit = raw_methods [ ("main", 0, 0, Bytecode.Mthd.Rint, emit) ]
 
 (* The operand-stack and bounds traps, each raised from its own raiser
    off the inlined hot path: kind, message and the counts at the trap. *)
@@ -404,6 +408,231 @@ let test_materialize_windows () =
     [ []; [ 22; 23 ]; [ 11 ] ]
     stacks
 
+(* Typed slots: the frame layout's edge cases.  Every expected figure
+   below is also what the boxed operand stack with a locals array per
+   frame gave. *)
+
+(* Bit-for-bit equality: floats by their bits, so NaN and -0.0 count,
+   and references by identity. *)
+let same_value (a : Vm.Value.t) (b : Vm.Value.t) =
+  match (a, b) with
+  | Vm.Value.Vint x, Vm.Value.Vint y -> x = y
+  | Vm.Value.Vfloat x, Vm.Value.Vfloat y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Vm.Value.Vobj x, Vm.Value.Vobj y -> x == y
+  | Vm.Value.Vnull, Vm.Value.Vnull -> true
+  | _ -> false
+
+(* The snapshot taken at the first dispatch of method [name]'s block
+   starting at [pc], and the run's result. *)
+let snapshot_at layout name ~pc =
+  let mid =
+    (Option.get (Bytecode.Program.find_method layout.Layout.program name))
+      .Bytecode.Mthd.id
+  in
+  let h = ref None in
+  let seen = ref None in
+  let on_block gid =
+    let b = Layout.block layout gid in
+    if b.Cfg.Block.method_id = mid && b.Cfg.Block.start_pc = pc && !seen = None
+    then seen := Some (Interp.materialize (Option.get !h))
+  in
+  h := Some (Interp.start layout ~on_block);
+  let r = Interp.finish (Option.get !h) in
+  (r, Option.get !seen)
+
+let test_fresh_locals_int_zero () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  let module M = Bytecode.Mthd in
+  (* [fill] leaves a float and a reference in its two locals and in its
+     two operands; [probe]'s four locals then occupy the same slots *)
+  let layout =
+    raw_methods
+      [
+        ( "fill", 0, 2, M.Rvoid,
+          fun m ->
+            B.fconst m 1.5;
+            B.fstore m 0;
+            B.new_object m "C";
+            B.astore m 1;
+            B.fconst m 2.5;
+            B.new_object m "C";
+            B.i m I.Return );
+        ( "probe", 0, 4, M.Rint,
+          fun m ->
+            for l = 0 to 3 do
+              B.iload m l
+            done;
+            B.i m I.Iadd;
+            B.i m I.Iadd;
+            B.i m I.Iadd;
+            B.iconst m 7;
+            B.i m I.Iadd;
+            B.i m I.Ireturn );
+        ( "main", 0, 0, M.Rint,
+          fun m ->
+            B.invokestatic m "fill";
+            B.invokestatic m "probe";
+            B.i m I.Ireturn );
+      ]
+  in
+  let r, snap = snapshot_at layout "probe" ~pc:0 in
+  check Alcotest.bool "result" true
+    (Interp.result_value r = Some (Vm.Value.Vint 7));
+  check Alcotest.int "instructions" 20 r.Interp.instructions;
+  check Alcotest.int "dispatches" 5 r.Interp.block_dispatches;
+  let probe = List.hd snap.Interp.m_frames in
+  check Alcotest.int "four locals" 4 (Array.length probe.Interp.fs_locals);
+  Array.iter
+    (fun v ->
+      check Alcotest.bool "reads as int 0" true
+        (same_value v (Vm.Value.Vint 0)))
+    probe.Interp.fs_locals
+
+let test_float_through_istore () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  expect_trap_at ~kind:Interp.Type_confusion ~msg:"expected int, got 1.5"
+    ~instructions:6 ~block_dispatches:1
+    (raw_layout (fun m ->
+         B.fconst m 1.5;
+         B.istore m 0;
+         B.iload m 0;
+         B.iconst m 1;
+         B.i m I.Iadd;
+         B.i m I.Ireturn))
+
+let test_local_index_bounds () =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  (* [raw_layout]'s main has one local; an operand sits where a second
+     one would be *)
+  let raises what emit =
+    Alcotest.check_raises what (Invalid_argument "index out of bounds")
+      (fun () ->
+        ignore
+          (Interp.run_plain
+             (raw_layout (fun m ->
+                  B.iconst m 9;
+                  emit m;
+                  B.i m I.Ireturn))))
+  in
+  raises "iload" (fun m -> B.iload m 1);
+  raises "iload below 0" (fun m -> B.iload m (-1));
+  raises "istore" (fun m ->
+      B.iconst m 5;
+      B.istore m 1);
+  raises "iinc" (fun m -> B.iinc m 1 1)
+
+let test_round_trip () =
+  let module B = Bytecode.Builder in
+  let module M = Bytecode.Mthd in
+  let module I = Bytecode.Instr in
+  (* main stores the value in its local, passes it to [pass], which
+     copies it between its locals and returns it *)
+  let round_trip what returns const (load, store, ret) check_result =
+    let layout =
+      raw_methods
+        [
+          ( "pass", 1, 2, returns,
+            fun m ->
+              let l = B.new_label m in
+              load m 0;
+              store m 1;
+              B.goto m l;
+              B.place m l;
+              load m 1;
+              B.i m ret );
+          ( "main", 0, 1, returns,
+            fun m ->
+              const m;
+              store m 0;
+              load m 0;
+              B.invokestatic m "pass";
+              B.i m ret );
+        ]
+    in
+    let r, snap = snapshot_at layout "pass" ~pc:3 in
+    let v = Option.get (Interp.result_value r) in
+    check_result v;
+    check Alcotest.int (what ^ ": instructions") 10 r.Interp.instructions;
+    match snap.Interp.m_frames with
+    | [ pass; main ] ->
+        check Alcotest.bool (what ^ ": callee locals") true
+          (Array.for_all (same_value v) pass.Interp.fs_locals);
+        check Alcotest.bool (what ^ ": caller local") true
+          (Array.for_all (same_value v) main.Interp.fs_locals);
+        check Alcotest.int (what ^ ": callee operands") 0
+          (Array.length pass.Interp.fs_stack);
+        check Alcotest.int (what ^ ": caller operands") 0
+          (Array.length main.Interp.fs_stack)
+    | _ -> Alcotest.fail "two frames"
+  in
+  let ints = (B.iload, B.istore, I.Ireturn) in
+  let floats = (B.fload, B.fstore, I.Freturn) in
+  let int n what =
+    round_trip what M.Rint (fun m -> B.iconst m n) ints (fun v ->
+        check Alcotest.bool what true (same_value v (Vm.Value.Vint n)))
+  in
+  let float x what =
+    round_trip what M.Rfloat (fun m -> B.fconst m x) floats (fun v ->
+        check Alcotest.bool what true (same_value v (Vm.Value.Vfloat x)))
+  in
+  int max_int "max_int";
+  int min_int "min_int";
+  float Float.nan "nan";
+  float (-0.0) "-0.0";
+  round_trip "reference" M.Rref
+    (fun m -> B.new_object m "C")
+    (B.aload, B.astore, I.Areturn)
+    (function
+      | Vm.Value.Vobj o ->
+          check Alcotest.int "the class's one field" 1
+            (Array.length o.Vm.Value.fields)
+      | _ -> Alcotest.fail "an object")
+
+(* The observer contract: [on_block_state]'s array is the frame's
+   locals, and what the observer writes there is what the frame then
+   holds.  Rewriting live [x] at the loop's first test changes the
+   result, and the next dispatch's snapshot shows the written value. *)
+let test_observer_writes_live_local () =
+  let layout =
+    layout_of
+      [
+        decl_i "x" (i 5);
+        decl_i "k" (i 0);
+        while_ (v "k" <! i 3) [ incr_ "k" ];
+        ret (v "x" *! i 3);
+      ]
+  in
+  let h = ref None in
+  let written = ref false in
+  let pending = ref false in
+  let seen = ref None in
+  let on_block _ =
+    if !pending then (
+      pending := false;
+      seen := Some (Interp.materialize (Option.get !h)))
+  in
+  let on_block_state _ (locals : Vm.Value.t array) =
+    if (not !written) && locals.(0) = Vm.Value.Vint 5 then (
+      locals.(0) <- Vm.Value.Vint 7;
+      written := true;
+      pending := true)
+  in
+  h := Some (Interp.start layout ~on_block ~on_block_state);
+  let r = Interp.finish (Option.get !h) in
+  check Alcotest.bool "x rewritten" true
+    (Interp.result_value r = Some (Vm.Value.Vint 21));
+  check Alcotest.int "instructions" 24 r.Interp.instructions;
+  check Alcotest.int "dispatches" 9 r.Interp.block_dispatches;
+  match (Option.get !seen).Interp.m_frames with
+  | [ main ] ->
+      check Alcotest.bool "the snapshot shows the write" true
+        (same_value main.Interp.fs_locals.(0) (Vm.Value.Vint 7))
+  | _ -> Alcotest.fail "one frame"
+
 let test_dispatch_accounting () =
   (* instructions = sum of executed block lengths; block dispatches = number
      of observer calls; every observed gid is a block leader *)
@@ -577,6 +806,16 @@ let () =
             test_throw_unwinds_windows;
           tc "materialize shows per-frame windows" `Quick
             test_materialize_windows;
+        ] );
+      ( "typed slots",
+        [
+          tc "fresh locals read as int 0" `Quick test_fresh_locals_int_zero;
+          tc "a float through istore and iload" `Quick
+            test_float_through_istore;
+          tc "local index out of bounds" `Quick test_local_index_bounds;
+          tc "extreme values round-trip" `Quick test_round_trip;
+          tc "observer writes a live local" `Quick
+            test_observer_writes_live_local;
         ] );
       ( "dispatch",
         [
