@@ -82,6 +82,8 @@ let begin_method t ~name ?(kind = Mthd.Static) ?(returns = Mthd.Rvoid)
     ~n_args ~n_locals () =
   if n_locals < n_args then
     invalid_arg "Builder.begin_method: n_locals < n_args";
+  if kind = Mthd.Virtual && n_args < 1 then
+    invalid_arg "Builder.begin_method: a virtual method's n_args < 1";
   if List.exists (fun m -> String.equal m.m_name name) t.methods then
     invalid_arg (Printf.sprintf "Builder.begin_method: duplicate method %s" name);
   {

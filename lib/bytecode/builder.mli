@@ -40,6 +40,9 @@ val begin_method :
   n_locals:int ->
   unit ->
   meth
+(** A virtual method's [n_args] counts its receiver.
+    @raise Invalid_argument if [n_locals < n_args], if a virtual method
+    has [n_args < 1], or if [name] is already a method. *)
 
 val new_label : meth -> label
 

@@ -79,7 +79,20 @@ let verify_method_all (program : Program.t) (m : Mthd.t) =
   let code = m.Mthd.code in
   let n = Array.length code in
   let mname = m.Mthd.name in
-  if n = 0 then [ { method_name = mname; pc = 0; message = "empty code array" } ]
+  (* a virtual method's [n_args] counts its receiver, which the
+     interpreter finds below the arguments by that count *)
+  if m.Mthd.kind = Mthd.Virtual && m.Mthd.n_args < 1 then
+    record
+      {
+        method_name = mname;
+        pc = 0;
+        message =
+          Printf.sprintf "virtual method without a receiver (n_args=%d)"
+            m.Mthd.n_args;
+      };
+  if n = 0 then (
+    record { method_name = mname; pc = 0; message = "empty code array" };
+    List.rev !errors)
   else begin
   let stack_at : vty list option array = Array.make n None in
   let worklist = Queue.create () in

@@ -5,7 +5,10 @@ module Config = Tracegen.Config
 
    Table VI methodology: time the interpreter with no observer at all, then
    with the profiler hook attached to every block dispatch (trace building
-   disabled), and report the overhead per million dispatches.
+   disabled), and report the overhead per million dispatches.  The two
+   configurations run in pairs, alternating which goes first, and the
+   overhead is the median of the pairs' differences, so drift on the host
+   between rounds does not land in the per-dispatch cost.
 
    Table VII methodology: under the trace-dispatch model the hook runs once
    per dispatch (block or trace); multiplying the measured per-dispatch
@@ -20,38 +23,69 @@ type row = {
   per_million : float; (* overhead seconds per million dispatches *)
 }
 
-let time_best ~repeats f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to repeats do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then begin
-      best := dt;
-      result := Some r
-    end
+let paired ~repeats a b =
+  let rounds = ref [] in
+  for k = 0 to repeats - 1 do
+    let round =
+      if k mod 2 = 0 then
+        let x = a () in
+        (x, b ())
+      else
+        let y = b () in
+        (a (), y)
+    in
+    rounds := round :: !rounds
   done;
-  (!best, Option.get !result)
+  List.rev !rounds
+
+let timed f () =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
+
+(* of a non-empty list *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let best xs = List.fold_left Float.min infinity xs
 
 let measure ?(scale = 1.0) ?(repeats = 3) (w : Workloads.Workload.t) : row =
   let size = Experiment.size_for ~scale w in
   let layout = Experiment.layout_for w ~size in
-  let plain_sec, plain = time_best ~repeats (fun () -> Vm.Interp.run_plain layout) in
   (* pin the profile backend: the hook runs at every dispatch but traces
      are neither built (config) nor entered (backend) *)
   let config = Config.make ~build_traces:false () in
-  let profiled_sec, run =
-    time_best ~repeats (fun () ->
-        Tracegen.Engine.run ~config ~backend:Tracegen.Engine.Profile layout)
+  let rounds =
+    paired ~repeats
+      (timed (fun () -> Vm.Interp.run_plain layout))
+      (timed (fun () ->
+           ignore
+             (Tracegen.Engine.run ~config ~backend:Tracegen.Engine.Profile
+                layout)))
   in
-  let dispatches = plain.Vm.Interp.block_dispatches in
-  ignore run;
+  let plain_secs = List.map (fun ((t, _), _) -> t) rounds in
+  let profiled_secs = List.map (fun (_, (t, ())) -> t) rounds in
+  let dispatches =
+    match rounds with
+    | ((_, plain), _) :: _ -> plain.Vm.Interp.block_dispatches
+    | [] -> 0
+  in
   let per_million =
     if dispatches = 0 then 0.0
-    else (profiled_sec -. plain_sec) /. (float_of_int dispatches /. 1e6)
+    else
+      median (List.map2 ( -. ) profiled_secs plain_secs)
+      /. (float_of_int dispatches /. 1e6)
   in
-  { name = w.Workloads.Workload.name; plain_sec; dispatches; profiled_sec; per_million }
+  {
+    name = w.Workloads.Workload.name;
+    plain_sec = best plain_secs;
+    dispatches;
+    profiled_sec = best profiled_secs;
+    per_million;
+  }
 
 let table6 ?(scale = 1.0) ?(repeats = 3) () =
   let rows = List.map (measure ~scale ~repeats) (Experiment.bench_workloads ()) in

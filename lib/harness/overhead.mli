@@ -2,7 +2,9 @@
 
     Table VI methodology: time the interpreter with no observer, then
     with the profiler hook on every block dispatch (trace building
-    disabled), and report overhead per million dispatches.
+    disabled), and report overhead per million dispatches.  The two
+    runs alternate in pairs ({!paired}), and the overhead is the median
+    of the pairs' differences.
 
     Table VII methodology: under trace dispatch the hook runs once per
     dispatch (block or trace), so multiplying the measured per-dispatch
@@ -17,9 +19,18 @@ type row = {
   per_million : float;  (** overhead seconds per million dispatches *)
 }
 
+val paired : repeats:int -> (unit -> 'a) -> (unit -> 'b) -> ('a * 'b) list
+(** [paired ~repeats a b] runs [a] and [b] [repeats] times each, one of
+    each per round, alternating which goes first: [a] leads rounds 0, 2,
+    4, … and [b] rounds 1, 3, 5, ….  Returns each round's pair of
+    results, [a]'s first, in round order. *)
+
 val measure :
   ?scale:float -> ?repeats:int -> Workloads.Workload.t -> row
-(** Best-of-[repeats] timing of one workload, both configurations. *)
+(** [repeats] {!paired} rounds of one workload in both configurations.
+    [plain_sec] and [profiled_sec] are each the best round's time;
+    [per_million] is the median of the rounds' profiled − plain
+    differences, per million dispatches. *)
 
 val table6 : ?scale:float -> ?repeats:int -> unit -> string * row list
 

@@ -48,15 +48,20 @@ let die kind fmt =
    and the JVM.  The window holds the frame's locals in [lbase, base) and
    its operands in [base, sp).  A call leaves its arguments where the
    caller pushed them, and they become the callee's leading locals, so a
-   frame owns no storage and a call allocates only the frame record.  The
-   verifier bounds stack growth statically, so [max_stack] is a generous
-   per-window cap on operands, checked only on push.  Frames link to
-   their callers; the entry frame is its own caller, and the state's
-   [depth], not the link, says where the chain ends. *)
+   frame owns no storage.  The verifier bounds stack growth statically,
+   so [max_stack] is a generous per-window cap on operands, checked only
+   on push.
+
+   Frames are not allocated per call: each handle keeps one frame per
+   call depth in [state.frames], and a call overwrites the fields of the
+   frame at its depth.  A frame's [caller] is the pooled frame one depth
+   below, linked once when the pool grows; the entry frame is its own
+   caller, and the state's [depth], not the link, says where the chain
+   ends. *)
 type frame = {
-  meth : Mthd.t;
-  lbase : int; (* local 0's slot in the shared stack *)
-  base : int; (* the first operand slot: [lbase + max 1 n_locals] *)
+  mutable meth : Mthd.t;
+  mutable lbase : int; (* local 0's slot in the shared stack *)
+  mutable base : int; (* the first operand slot: [lbase + max 1 n_locals] *)
   mutable sp : int; (* absolute: one past the window's top operand *)
   mutable pc : int;
   caller : frame;
@@ -83,7 +88,12 @@ type result = {
    The four arrays always have the same length and double together.  A
    payload array's entry under another tag is stale and never read.
    Every slot below a live frame's [sp] is in bounds, which is what lets
-   the slot accessors below skip the bounds check. *)
+   the slot accessors below skip the bounds check.
+
+   The frame pool keeps [frames.(0)] as the entry frame, its own caller,
+   and [frames.(k).caller == frames.(k - 1)] above it; while [depth > 0],
+   [top == frames.(depth - 1)].  The frames above [top] are free, and
+   their fields are stale until a call overwrites them. *)
 type state = {
   layout : Layout.t;
   program : Program.t;
@@ -92,6 +102,7 @@ type state = {
   mutable ints : int array;
   mutable floats : Float.Array.t;
   mutable refs : Value.t array;
+  mutable frames : frame array; (* the pool: [frames.(d - 1)] at depth d *)
   mutable top : frame; (* the running frame, while [depth > 0] *)
   mutable depth : int; (* live frames; 0 once the entry method returned *)
   mutable returned : Value.t option;
@@ -130,8 +141,8 @@ let reserve st n =
   done
 
 (* The value slot [i] holds, boxed: only where a value leaves the stack,
-   for the heap, a trap message, a snapshot, an observer or the entry
-   method's caller. *)
+   for an object field or a boxed array cell, a trap message, a
+   snapshot, an observer or the entry method's caller. *)
 let value_at st i =
   let t = Bytes.unsafe_get st.tags i in
   if t = t_int then Value.Vint (Array.unsafe_get st.ints i)
@@ -276,8 +287,29 @@ let[@inline] pop_arr st fr =
   | v -> expected "array" v
 
 let[@inline] check_bounds (a : Value.arr) i =
-  let n = Array.length a.Value.cells in
+  let n = Value.length a in
   if i < 0 || i >= n then out_of_bounds i n
+
+(* An ill-typed array store, which only an unverified program makes: a
+   value that is not the raw element type of [a]'s cells, or any store
+   into boxed cells but [Aastore]'s reference.  [a]'s cells turn [Boxed]
+   for good, holding the same values, and [v] is stored there, as it was
+   when every array's cells were boxed. *)
+let[@inline never] store_boxed (a : Value.arr) i (v : Value.t) =
+  let boxed cells =
+    a.Value.cells <- Value.Boxed cells;
+    cells
+  in
+  let cells =
+    match a.Value.cells with
+    | Value.Boxed c -> c
+    | Value.Ints c -> boxed (Array.map (fun n -> Value.Vint n) c)
+    | Value.Floats c ->
+        boxed
+          (Array.init (Float.Array.length c) (fun k ->
+               Value.Vfloat (Float.Array.get c k)))
+  in
+  cells.(i) <- v
 
 (* Local [n]'s slot.  An index outside the method's locals raises what
    indexing the locals array raised, rather than reaching an operand. *)
@@ -285,14 +317,27 @@ let[@inline] local fr n =
   if n < 0 || n >= fr.base - fr.lbase then bad_index ();
   fr.lbase + n
 
+(* Double the frame pool, linking each new frame to the one below it. *)
+let[@inline never] grow_frames st =
+  let n = Array.length st.frames in
+  let frames = Array.make (2 * n) st.frames.(0) in
+  Array.blit st.frames 0 frames 0 n;
+  for k = n to (2 * n) - 1 do
+    let below = frames.(k - 1) in
+    frames.(k) <- { below with caller = below }
+  done;
+  st.frames <- frames
+
 (* Invoke: the top [n_args] operands of the caller's window stay where
    they are and become the callee's leading locals (receiver in local 0
    for virtual methods); its other locals are cleared to int 0, and its
    operands start right above them.  With too few operands this traps
    as popping them one by one did, and with more arguments than locals
-   it raises what storing past the locals array raised. *)
+   it raises what storing past the locals array raised.  The callee runs
+   in the pooled frame one depth above [caller], which is [st.top]. *)
 let setup_call st (caller : frame) (callee_m : Mthd.t) =
-  if st.depth >= max_frames then die Stack_overflow "too many frames";
+  let depth = st.depth in
+  if depth >= max_frames then die Stack_overflow "too many frames";
   let n_args = Int.max 0 callee_m.Mthd.n_args in
   let n_locals = Int.max 1 callee_m.Mthd.n_locals in
   if n_args > n_locals && caller.sp > caller.base then bad_index ();
@@ -305,8 +350,15 @@ let setup_call st (caller : frame) (callee_m : Mthd.t) =
     Array.unsafe_set st.ints i 0
   done;
   caller.sp <- lbase;
-  st.top <- { meth = callee_m; lbase; base; sp = base; pc = 0; caller };
-  st.depth <- st.depth + 1
+  if depth >= Array.length st.frames then grow_frames st;
+  let f = Array.unsafe_get st.frames depth in
+  f.meth <- callee_m;
+  f.lbase <- lbase;
+  f.base <- base;
+  f.sp <- base;
+  f.pc <- 0;
+  st.top <- f;
+  st.depth <- depth + 1
 
 let receiver_class st (caller : frame) n_args =
   (* receiver sits below the arguments, inside the caller's window *)
@@ -517,38 +569,57 @@ let[@inline] exec_ordinary st fr (ins : Instr.t) =
   | Instr.Newarray kind ->
       let n = pop_int st fr in
       if n < 0 then die Array_bounds "negative array length %d" n;
-      push_ref st fr
-        (Value.Varr
-           {
-             Value.kind;
-             cells = Array.make n (Value.default_of_array_kind kind);
-           })
-  | Instr.Iaload | Instr.Faload | Instr.Aaload ->
+      let cells =
+        match kind with
+        | Instr.Int_array -> Value.Ints (Array.make n 0)
+        | Instr.Float_array -> Value.Floats (Float.Array.make n 0.0)
+        | Instr.Ref_array -> Value.Boxed (Array.make n Value.Vnull)
+      in
+      push_ref st fr (Value.Varr { Value.kind; cells })
+  (* A load pushes what the cell holds, whichever load it is; a store of
+     the cells' own type writes it raw, and any other goes through
+     [store_boxed]. *)
+  | Instr.Iaload | Instr.Faload | Instr.Aaload -> (
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
-      push_value st fr a.Value.cells.(i)
-  | Instr.Iastore ->
+      match a.Value.cells with
+      | Value.Ints c -> push_int st fr (Array.unsafe_get c i)
+      | Value.Floats c -> push_float st fr (Float.Array.unsafe_get c i)
+      | Value.Boxed c -> push_value st fr (Array.unsafe_get c i))
+  | Instr.Iastore -> (
       let v = pop_int st fr in
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
-      a.Value.cells.(i) <- Value.Vint v
-  | Instr.Fastore ->
+      match a.Value.cells with
+      | Value.Ints c -> Array.unsafe_set c i v
+      | _ -> store_boxed a i (Value.Vint v))
+  | Instr.Fastore -> (
       let v = pop_float st fr in
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
-      a.Value.cells.(i) <- Value.Vfloat v
-  | Instr.Aastore ->
-      let v = pop_value st fr in
+      match a.Value.cells with
+      | Value.Floats c -> Float.Array.unsafe_set c i v
+      | _ -> store_boxed a i (Value.Vfloat v))
+  | Instr.Aastore -> (
+      let sp = pop_slot fr in
       let i = pop_int st fr in
       let a = pop_arr st fr in
       check_bounds a i;
-      a.Value.cells.(i) <- v
+      let t = Bytes.unsafe_get st.tags sp in
+      match a.Value.cells with
+      | Value.Boxed c when t = t_ref ->
+          Array.unsafe_set c i (Array.unsafe_get st.refs sp)
+      | Value.Ints c when t = t_int ->
+          Array.unsafe_set c i (Array.unsafe_get st.ints sp)
+      | Value.Floats c when t = t_float ->
+          Float.Array.unsafe_set c i (Float.Array.unsafe_get st.floats sp)
+      | _ -> store_boxed a i (value_at st sp))
   | Instr.Arraylength ->
       let a = pop_arr st fr in
-      push_int st fr (Array.length a.Value.cells)
+      push_int st fr (Value.length a)
   | Instr.Nop -> ()
   | Instr.If_icmp _ | Instr.Ifz _ | Instr.Goto _ | Instr.Tableswitch _
   | Instr.Invokestatic _ | Instr.Invokevirtual _ | Instr.Return
@@ -682,6 +753,7 @@ let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
       ints = Array.make 64 0;
       floats = Float.Array.make 64 0.0;
       refs = Array.make 64 Value.Vnull;
+      frames = [| bottom |];
       top = bottom;
       depth = 1;
       returned = None;
@@ -792,8 +864,7 @@ let value_equal (a : Value.t) (b : Value.t) =
       x.Value.cls = y.Value.cls
       && Array.length x.Value.fields = Array.length y.Value.fields
   | Value.Varr x, Value.Varr y ->
-      x.Value.kind = y.Value.kind
-      && Array.length x.Value.cells = Array.length y.Value.cells
+      x.Value.kind = y.Value.kind && Value.length x = Value.length y
   | (Value.Vobj _ | Value.Varr _), _ | _, (Value.Vobj _ | Value.Varr _) ->
       false
   | _ -> compare a b = 0

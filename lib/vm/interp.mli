@@ -72,6 +72,10 @@ val run_plain : ?max_instructions:int -> Cfg.Layout.t -> result
     {!run} — same observer calls, same counters, same outcome. *)
 
 type handle
+(** A paused program.  It owns its interpreter state: one shared stack
+    holding every frame's locals and operands, ints and floats unboxed,
+    and a pool of frames, one per call depth, that calls reuse instead
+    of allocating.  No two handles share any of it. *)
 
 val start :
   ?max_instructions:int ->
@@ -134,7 +138,9 @@ val materialize : handle -> materialized
 (** Snapshot the interpreter continuation.  Meaningful at block
     boundaries — between {!step_blocks} batches, or from inside an
     [on_block] observer (the observer runs before the block executes, so
-    [m_block] is the block just dispatched). *)
+    [m_block] is the block just dispatched).  The snapshot copies every
+    value it shows, so later calls that reuse the frames it describes
+    leave it unchanged. *)
 
 val materialized_equal : materialized -> materialized -> bool
 (** Control-state equality plus shallow value equality: scalars compare

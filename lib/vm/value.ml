@@ -2,7 +2,14 @@ module Instr = Bytecode.Instr
 
 (* Runtime values.  Objects carry their class id and a flat field array laid
    out per the class's field layout; arrays carry their element kind so the
-   typed array instructions can be checked dynamically. *)
+   typed array instructions can be checked dynamically.
+
+   An int or float array keeps its elements raw, as the JVM's int[] and
+   float[] do, so a store of the matching type neither allocates nor runs
+   the write barrier.  The verifier only knows "reference", so an
+   unverified program may store any value into any array: such a store
+   turns the array's cells [Boxed] for good (see [Interp]), and from then
+   on the array behaves as every array did when all cells were boxed. *)
 
 type t =
   | Vint of int
@@ -18,18 +25,24 @@ and obj = {
 
 and arr = {
   kind : Instr.array_kind;
-  cells : t array;
+  mutable cells : cells;
 }
+
+and cells =
+  | Ints of int array
+  | Floats of Float.Array.t
+  | Boxed of t array
 
 let default_of_field_kind = function
   | Bytecode.Klass.Kint -> Vint 0
   | Bytecode.Klass.Kfloat -> Vfloat 0.0
   | Bytecode.Klass.Kref -> Vnull
 
-let default_of_array_kind = function
-  | Instr.Int_array -> Vint 0
-  | Instr.Float_array -> Vfloat 0.0
-  | Instr.Ref_array -> Vnull
+let[@inline] length a =
+  match a.cells with
+  | Ints c -> Array.length c
+  | Floats c -> Float.Array.length c
+  | Boxed c -> Array.length c
 
 let rec to_string = function
   | Vint n -> string_of_int n
@@ -37,8 +50,6 @@ let rec to_string = function
   | Vnull -> "null"
   | Vobj o -> Printf.sprintf "obj#%d(%d fields)" o.cls (Array.length o.fields)
   | Varr a ->
-      Printf.sprintf "%s[%d]"
-        (Instr.array_kind_to_string a.kind)
-        (Array.length a.cells)
+      Printf.sprintf "%s[%d]" (Instr.array_kind_to_string a.kind) (length a)
 
 and pp ppf v = Format.pp_print_string ppf (to_string v)

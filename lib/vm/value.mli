@@ -18,14 +18,26 @@ and obj = {
 
 and arr = {
   kind : Bytecode.Instr.array_kind;
-  cells : t array;
+  mutable cells : cells;
+      (** [Newarray] makes an int array's cells [Ints] of 0 and a
+          float array's [Floats] of 0.0, raw and unboxed, and a
+          reference array's [Boxed] of [Vnull].  The interpreter turns an array's cells [Boxed], once
+          and for good, when an unverified program stores a value of
+          another type into it ([Fastore] into an int array, say); its
+          elements keep their values, so only the representation
+          changes. *)
 }
+
+and cells =
+  | Ints of int array
+  | Floats of Float.Array.t
+  | Boxed of t array
 
 val default_of_field_kind : Bytecode.Klass.field_kind -> t
 (** The value a freshly allocated object's field starts with. *)
 
-val default_of_array_kind : Bytecode.Instr.array_kind -> t
-(** The value a freshly allocated array's cells start with. *)
+val length : arr -> int
+(** The array's element count, whatever its cells' representation. *)
 
 val to_string : t -> string
 

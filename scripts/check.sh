@@ -24,11 +24,12 @@ rm -f /tmp/check_build.$$
 dune exec --profile release -- ./test/test_alloc.exe
 
 # Inlining gate on the same release build: the interpreter's
-# per-instruction path, the straight-line match exec_ordinary and the
-# typed stack's slot helpers included, must compile without calls
-# (DESIGN.md §22).
+# per-instruction path, the straight-line match exec_ordinary, the
+# typed stack's slot helpers and the array length included, must
+# compile without calls (DESIGN.md §22).
 # Vm.Interp.exec_block may not call or jump to any hot helper below;
-# the trap raisers those helpers call out of line are allowed.
+# the trap raisers those helpers call out of line are allowed, and so
+# is store_boxed, the cold path of an ill-typed array store.
 if ! command -v objdump > /dev/null 2>&1; then
   echo "check.sh: objdump not found; the inlining gate needs it" >&2
   exit 1
@@ -46,6 +47,7 @@ hot='Vm__Interp[.$](push_slot|push_int|push_float|push_ref|push_value'
 hot="$hot|push_copy|pop_slot|pop_int|pop_float|pop_value|pop_obj|pop_arr"
 hot="$hot|top_int|top_float|copy_slot|set_value|local|check_bounds"
 hot="$hot|step_budget|exec_ordinary)"
+hot="$hot|Vm__Value[.$]length"
 hot="$hot|Cfg__Method_cfg[.$]block_index_at_pc"
 hot="$hot|Cfg__Layout[.$](gid|cfg_of_method)|Bytecode__Instr[.$]eval_cond"
 hot_calls=$(printf '%s\n' "$exec_block" | grep -E "<caml($hot)_[0-9]+>") || true

@@ -26,11 +26,13 @@
    words above.  Direct major words are the major words that were not
    promoted out of the minor heap.
 
-   The interpreter keeps ints and floats unboxed on its operand stack
-   and a frame's locals in its window there, so straight-line int and
-   float code allocates nothing but a 7-word frame per call, and what a
-   workload's plain run allocates comes from its heap: objects, arrays,
-   and the boxes of the values stored into them. *)
+   The interpreter keeps ints and floats unboxed on its operand stack,
+   a frame's locals in its window there, and the elements of int and
+   float arrays raw, and it reuses one frame per call depth.  So
+   straight-line int and float code, calls and array stores included,
+   allocates nothing in steady state, and what a workload's plain run
+   allocates comes from its heap: objects, arrays, and the boxes of the
+   values stored into object fields and reference arrays. *)
 
 module Config = Tracegen.Config
 module Engine = Tracegen.Engine
@@ -118,8 +120,9 @@ let cases =
         setups)
     [ Workloads.Mpegaudio.workload; Workloads.Compress.workload ]
 
-(* Int and float arithmetic on locals, [Iinc] loops and static calls and
-   returns, touching no heap: 20 calls of a 2,000-iteration loop. *)
+(* Int and float arithmetic on locals, [Iinc] loops, static calls and
+   returns, and int and float array stores and loads: 20 calls of a
+   2,000-iteration loop, each call allocating its two 16-cell arrays. *)
 let straight_line_layout () =
   let open Workloads.Dsl in
   let module S = Bytecode.Structured in
@@ -131,11 +134,15 @@ let straight_line_layout () =
       [
         decl_i "s" (i 0);
         decl_f "y" (v "x");
+        decl "ia" (S.Arr S.I) (new_arr S.I (i 16));
+        decl "fa" (S.Arr S.F) (new_arr S.F (i 16));
         for_ "k" (i 0) (v "n")
           [
             set "s" ((v "s" *! i 31) +! v "k" &! i 0xFFFF);
             set "y" ((v "y" *! f 0.5) +! i2f (v "k" &! i 7));
-            set "s" (v "s" -! f2i (v "y"));
+            seti (v "ia") (v "k" &! i 15) (v "s");
+            seti (v "fa") (v "k" &! i 15) (v "y");
+            set "s" (v "s" -! f2i (v "fa" @. (v "k" &! i 15)));
           ];
         ret (v "s");
       ]
@@ -153,9 +160,11 @@ let straight_line_layout () =
   Bytecode.Verify.verify_program program;
   Cfg.Layout.build program
 
-(* 393 words over 1,040,470 instructions, 0.0004 per instruction: the
-   20 frames and the handle's setup.  The boxed stack allocated a value
-   on every int or float push, 1.31 words per instruction here. *)
+(* 1,226 words over 1,680,590 instructions, 0.0007 per instruction: the
+   40 arrays, the frame pool and the handle's setup.  With boxed array
+   cells and a frame allocated per call the interpreter allocated
+   241,273 words here, 0.14 per instruction; before that, the boxed
+   operand stack allocated a value on every int or float push. *)
 let check_straight_line () =
   let layout = straight_line_layout () in
   let r, words = minor_words (fun () -> Interp.run_plain layout) in
@@ -169,18 +178,19 @@ let check_straight_line () =
       per
 
 (* Each workload's [run_plain] minor words per 1,000 instructions at
-   default size, with the boxed operand stack and per-call locals array
-   the interpreter had before its slots were typed; a workload must now
-   stay under half of it.  The figures with typed slots are in the
-   comments. *)
+   default size, with the typed operand stack but with boxed array cells
+   and a frame allocated per call, as the interpreter had before its
+   arrays were typed and its frames pooled; a workload must now stay
+   under half of it.  The figures with typed arrays and pooled frames
+   are in the comments. *)
 let boxed_words_per_kinstr =
   [
-    ("compress", 855.3 (* typed slots: 219.3 *));
-    ("javac", 1413.4 (* 629.5 *));
-    ("raytrace", 1368.9 (* 89.6 *));
-    ("mpegaudio", 1206.1 (* 185.1 *));
-    ("soot", 856.6 (* 168.6 *));
-    ("scimark", 1175.4 (* 208.9 *));
+    ("compress", 219.3 (* typed arrays, pooled frames: 0.3 *));
+    ("javac", 629.5 (* 97.4 *));
+    ("raytrace", 89.6 (* 0.7 *));
+    ("mpegaudio", 185.1 (* 56.6 *));
+    ("soot", 168.6 (* 10.0 *));
+    ("scimark", 208.9 (* 0.1 *));
   ]
 
 let check_workload_words (w : Workloads.Workload.t) () =
@@ -192,7 +202,7 @@ let check_workload_words (w : Workloads.Workload.t) () =
   if per_k >= boxed /. 2. then
     Alcotest.failf
       "%s run_plain: %.1f minor words per 1,000 instructions (limit %.1f, \
-       half the boxed stack's %.1f)"
+       half the boxed heap's %.1f)"
       w.name per_k (boxed /. 2.) boxed
 
 let interpreter_cases =

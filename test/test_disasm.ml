@@ -58,7 +58,7 @@ let test_values () =
   check Alcotest.string "null" "null" (Value.to_string Value.Vnull);
   check Alcotest.bool "float prints" true
     (String.length (Value.to_string (Value.Vfloat 1.5)) > 0);
-  let arr = Value.Varr { Value.kind = Bytecode.Instr.Int_array; cells = [| Value.Vint 1 |] } in
+  let arr = Value.Varr { Value.kind = Bytecode.Instr.Int_array; cells = Value.Ints [| 1 |] } in
   check Alcotest.string "array" "int[1]" (Value.to_string arr);
   let obj = Value.Vobj { Value.cls = 3; fields = [| Value.Vnull; Value.Vint 0 |] } in
   check Alcotest.bool "object mentions class" true
@@ -70,9 +70,7 @@ let test_value_defaults () =
   check Alcotest.bool "float field default" true
     (Value.default_of_field_kind Bytecode.Klass.Kfloat = Value.Vfloat 0.0);
   check Alcotest.bool "ref field default" true
-    (Value.default_of_field_kind Bytecode.Klass.Kref = Value.Vnull);
-  check Alcotest.bool "ref array default" true
-    (Value.default_of_array_kind Bytecode.Instr.Ref_array = Value.Vnull)
+    (Value.default_of_field_kind Bytecode.Klass.Kref = Value.Vnull)
 
 let () =
   Alcotest.run "disasm"

@@ -84,6 +84,31 @@ let test_overhead_rows () =
         && r.Harness.Overhead.profiled_sec >= 0.0))
     rows
 
+(* The plain and profiled runs alternate in pairs: each round runs one
+   of each, and the two take turns going first. *)
+let test_overhead_pairing () =
+  let order = ref [] in
+  let thunk name n () =
+    order := name :: !order;
+    n
+  in
+  let rounds =
+    Harness.Overhead.paired ~repeats:5 (thunk "plain" 1) (thunk "profiled" 2)
+  in
+  check
+    Alcotest.(list string)
+    "call order"
+    [
+      "plain"; "profiled"; "profiled"; "plain"; "plain"; "profiled";
+      "profiled"; "plain"; "plain"; "profiled";
+    ]
+    (List.rev !order);
+  check
+    Alcotest.(list (pair int int))
+    "one pair per round, plain first" (List.init 5 (fun _ -> (1, 2))) rounds;
+  check Alcotest.int "no rounds" 0
+    (List.length (Harness.Overhead.paired ~repeats:0 (thunk "a" 0) (thunk "b" 0)))
+
 let test_footprint_rows () =
   let w = Option.get (Workloads.Registry.find "compress") in
   let r = Harness.Footprint.measure ~scale:0.02 w in
@@ -219,6 +244,7 @@ let () =
         [
           tc "tables render" `Slow test_tables_render;
           tc "overhead rows" `Slow test_overhead_rows;
+          tc "overhead pairs alternate" `Quick test_overhead_pairing;
         ] );
       ( "ablations",
         [

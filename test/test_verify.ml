@@ -123,6 +123,52 @@ let test_call_arity_effects () =
     Alcotest.fail "expected underflow on missing argument"
   with Verify.Invalid _ -> ()
 
+(* A virtual method's [n_args] counts its receiver.  [main] runs
+   [new A; invokevirtual m]; with [a_m] declared without a receiver the
+   interpreter would read the slot above [main]'s top operand as it, so
+   the builder refuses to declare such a method and the verifier rejects
+   a program that has one anyway. *)
+let receiver_program ~n_args =
+  let b = B.create () in
+  B.declare_class b ~name:"A" ~fields:[] ~methods:[ ("m", "a_m") ] ();
+  let m =
+    B.begin_method b ~name:"a_m" ~kind:Mthd.Virtual ~returns:Mthd.Rint
+      ~n_args ~n_locals:1 ()
+  in
+  B.iconst m 1;
+  B.i m Instr.Ireturn;
+  B.finish_method m;
+  let m =
+    B.begin_method b ~name:"main" ~returns:Mthd.Rint ~n_args:0 ~n_locals:0 ()
+  in
+  B.new_object m "A";
+  B.invokevirtual m "m";
+  B.i m Instr.Ireturn;
+  B.finish_method m;
+  B.link b ~entry:"main"
+
+let test_virtual_without_receiver () =
+  Alcotest.check_raises "builder"
+    (Invalid_argument "Builder.begin_method: a virtual method's n_args < 1")
+    (fun () -> ignore (receiver_program ~n_args:0));
+  let p = receiver_program ~n_args:1 in
+  Verify.verify_program p;
+  let a_m = Option.get (Bytecode.Program.find_method p "a_m") in
+  p.Bytecode.Program.methods.(a_m.Mthd.id) <- { a_m with Mthd.n_args = 0 };
+  let expected =
+    {
+      Verify.method_name = "a_m";
+      pc = 0;
+      message = "virtual method without a receiver (n_args=0)";
+    }
+  in
+  Alcotest.check_raises "verifier" (Verify.Invalid expected) (fun () ->
+      Verify.verify_program p);
+  Alcotest.(check (list string))
+    "collected"
+    [ Verify.error_to_string expected ]
+    (List.map Verify.error_to_string (Verify.verify_program_all p))
+
 let test_workloads_verify () =
   List.iter
     (fun w ->
@@ -196,6 +242,8 @@ let () =
           tc "wild branch target" `Quick test_bad_target;
           tc "merge inconsistency" `Quick test_merge_inconsistency;
           tc "call arity" `Quick test_call_arity_effects;
+          tc "virtual method without a receiver" `Quick
+            test_virtual_without_receiver;
         ] );
       ( "acceptance",
         [

@@ -633,6 +633,489 @@ let test_observer_writes_live_local () =
         (same_value main.Interp.fs_locals.(0) (Vm.Value.Vint 7))
   | _ -> Alcotest.fail "one frame"
 
+(* Typed heap: int and float arrays hold raw elements, reference arrays
+   boxed values, and an ill-typed store, which only an unverified
+   program makes, boxes an int or float array's cells once.  Every
+   expected figure below is also what the interpreter gave when every
+   array's cells were boxed values. *)
+
+(* A run's outcome, with the type of a returned int or float. *)
+let render (r : Interp.result) =
+  match r.Interp.outcome with
+  | Interp.Finished (Some (Vm.Value.Vint _ as v)) ->
+      "int " ^ Vm.Value.to_string v
+  | Interp.Finished (Some (Vm.Value.Vfloat _ as v)) ->
+      "float " ^ Vm.Value.to_string v
+  | Interp.Finished (Some v) -> Vm.Value.to_string v
+  | Interp.Finished None -> "void"
+  | Interp.Trapped (k, msg) ->
+      Printf.sprintf "%s: %s" (Interp.error_kind_to_string k) msg
+
+(* [main] keeps a three-cell [kind] array in local 0, makes each
+   [(cell, push, store)] into it, runs [final] and returns whatever that
+   leaves on top. *)
+let array_layout kind stores final =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  raw_methods
+    [
+      ( "main", 0, 1, Bytecode.Mthd.Rint,
+        fun m ->
+          B.iconst m 3;
+          B.i m (I.Newarray kind);
+          B.astore m 0;
+          List.iter
+            (fun (cell, push, store) ->
+              B.aload m 0;
+              B.iconst m cell;
+              push m;
+              B.i m store)
+            stores;
+          final m;
+          B.i m I.Ireturn );
+    ]
+
+let int_ n m = Bytecode.Builder.iconst m n
+
+let float_ x m = Bytecode.Builder.fconst m x
+
+let obj_ m = Bytecode.Builder.new_object m "C"
+
+let null_ m = Bytecode.Builder.i m Bytecode.Instr.Aconst_null
+
+(* What the checks below run after the stores: cell 1 through each load
+   and under an int and a float negation; cell 0, written before it;
+   cell 2, never written; the length; the array under a negation, which
+   prints it; and a store of the array's own type into cell 2 after
+   cell 1's. *)
+let array_finals kind =
+  let module B = Bytecode.Builder in
+  let module I = Bytecode.Instr in
+  let cell ?op load idx m =
+    B.aload m 0;
+    B.iconst m idx;
+    B.i m load;
+    Option.iter (B.i m) op
+  in
+  let own_store m =
+    B.aload m 0;
+    B.iconst m 2;
+    (match kind with
+    | I.Int_array ->
+        B.iconst m 11;
+        B.i m I.Iastore
+    | I.Float_array ->
+        B.fconst m 4.25;
+        B.i m I.Fastore
+    | I.Ref_array ->
+        B.new_object m "C";
+        B.i m I.Aastore);
+    cell I.Aaload 2 m
+  in
+  [
+    cell I.Iaload 1;
+    cell I.Faload 1;
+    cell I.Aaload 1;
+    cell ~op:I.Ineg I.Aaload 1;
+    cell ~op:I.Fneg I.Aaload 1;
+    cell I.Aaload 0;
+    cell I.Aaload 2;
+    (fun m ->
+      B.aload m 0;
+      B.i m I.Arraylength);
+    (fun m ->
+      B.aload m 0;
+      B.i m I.Ineg);
+    own_store;
+  ]
+
+(* Each case: an array of [kind] whose cell 0 holds what [first] wrote
+   (null in a reference array) and cell 1 what [store] wrote, and the
+   outcomes of [array_finals]. *)
+let heap_cases =
+  let open Bytecode.Instr in
+  let ints = (Int_array, (0, int_ 5, Iastore)) in
+  let floats = (Float_array, (0, float_ 2.5, Fastore)) in
+  let refs = (Ref_array, (0, null_, Aastore)) in
+  [
+    ( "iastore into float[]", floats, (int_ 7, Iastore),
+      [
+        "int 7";
+        "int 7";
+        "int 7";
+        "int -7";
+        "type confusion: expected float, got 7";
+        "float 2.5";
+        "float 0.";
+        "int 3";
+        "type confusion: expected int, got float[3]";
+        "float 4.25";
+      ] );
+    ( "fastore into int[]", ints, (float_ 1.5, Fastore),
+      [
+        "float 1.5";
+        "float 1.5";
+        "float 1.5";
+        "type confusion: expected int, got 1.5";
+        "float -1.5";
+        "int 5";
+        "int 0";
+        "int 3";
+        "type confusion: expected int, got int[3]";
+        "int 11";
+      ] );
+    ( "aastore int into int[]", ints, (int_ 9, Aastore),
+      [
+        "int 9";
+        "int 9";
+        "int 9";
+        "int -9";
+        "type confusion: expected float, got 9";
+        "int 5";
+        "int 0";
+        "int 3";
+        "type confusion: expected int, got int[3]";
+        "int 11";
+      ] );
+    ( "aastore float into int[]", ints, (float_ 1.5, Aastore),
+      [
+        "float 1.5";
+        "float 1.5";
+        "float 1.5";
+        "type confusion: expected int, got 1.5";
+        "float -1.5";
+        "int 5";
+        "int 0";
+        "int 3";
+        "type confusion: expected int, got int[3]";
+        "int 11";
+      ] );
+    ( "aastore object into int[]", ints, (obj_, Aastore),
+      [
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "type confusion: expected int, got obj#0(1 fields)";
+        "type confusion: expected float, got obj#0(1 fields)";
+        "int 5";
+        "int 0";
+        "int 3";
+        "type confusion: expected int, got int[3]";
+        "int 11";
+      ] );
+    ( "aastore null into int[]", ints, (null_, Aastore),
+      [
+        "null";
+        "null";
+        "null";
+        "type confusion: expected int, got null";
+        "type confusion: expected float, got null";
+        "int 5";
+        "int 0";
+        "int 3";
+        "type confusion: expected int, got int[3]";
+        "int 11";
+      ] );
+    ( "aastore float into float[]", floats, (float_ 0.5, Aastore),
+      [
+        "float 0.5";
+        "float 0.5";
+        "float 0.5";
+        "type confusion: expected int, got 0.5";
+        "float -0.5";
+        "float 2.5";
+        "float 0.";
+        "int 3";
+        "type confusion: expected int, got float[3]";
+        "float 4.25";
+      ] );
+    ( "aastore int into float[]", floats, (int_ 9, Aastore),
+      [
+        "int 9";
+        "int 9";
+        "int 9";
+        "int -9";
+        "type confusion: expected float, got 9";
+        "float 2.5";
+        "float 0.";
+        "int 3";
+        "type confusion: expected int, got float[3]";
+        "float 4.25";
+      ] );
+    ( "aastore object into float[]", floats, (obj_, Aastore),
+      [
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "type confusion: expected int, got obj#0(1 fields)";
+        "type confusion: expected float, got obj#0(1 fields)";
+        "float 2.5";
+        "float 0.";
+        "int 3";
+        "type confusion: expected int, got float[3]";
+        "float 4.25";
+      ] );
+    ( "aastore null into float[]", floats, (null_, Aastore),
+      [
+        "null";
+        "null";
+        "null";
+        "type confusion: expected int, got null";
+        "type confusion: expected float, got null";
+        "float 2.5";
+        "float 0.";
+        "int 3";
+        "type confusion: expected int, got float[3]";
+        "float 4.25";
+      ] );
+    ( "aastore object into ref[]", refs, (obj_, Aastore),
+      [
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "obj#0(1 fields)";
+        "type confusion: expected int, got obj#0(1 fields)";
+        "type confusion: expected float, got obj#0(1 fields)";
+        "null";
+        "null";
+        "int 3";
+        "type confusion: expected int, got ref[3]";
+        "obj#0(1 fields)";
+      ] );
+    ( "iastore into ref[]", refs, (int_ 7, Iastore),
+      [
+        "int 7";
+        "int 7";
+        "int 7";
+        "int -7";
+        "type confusion: expected float, got 7";
+        "null";
+        "null";
+        "int 3";
+        "type confusion: expected int, got ref[3]";
+        "obj#0(1 fields)";
+      ] );
+  ]
+
+let test_heap_store (label, (kind, first), (push, store), expected) () =
+  let runs =
+    List.map
+      (fun final ->
+        Interp.run_plain (array_layout kind [ first; (1, push, store) ] final))
+      (array_finals kind)
+  in
+  check Alcotest.(list string) label expected (List.map render runs);
+  check
+    Alcotest.(list (pair int int))
+    "instructions and dispatches"
+    (List.map (fun n -> (n, 1)) [ 15; 15; 15; 16; 16; 15; 15; 14; 14; 19 ])
+    (List.map
+       (fun r -> (r.Interp.instructions, r.Interp.block_dispatches))
+       runs)
+
+(* [max_int], [min_int], NaN and -0.0 come back bit for bit from a cell
+   of each array kind, stored by the kind's own store or by [Aastore]. *)
+let test_heap_round_trip () =
+  let open Bytecode.Instr in
+  let round_trip what kind push store load expected =
+    let r =
+      Interp.run_plain
+        (array_layout kind
+           [ (1, push, store) ]
+           (fun m ->
+             Bytecode.Builder.aload m 0;
+             Bytecode.Builder.iconst m 1;
+             Bytecode.Builder.i m load))
+    in
+    check Alcotest.bool what true
+      (match r.Interp.outcome with
+      | Interp.Finished (Some v) -> same_value v expected
+      | _ -> false);
+    check Alcotest.int (what ^ ": instructions") 11 r.Interp.instructions
+  in
+  List.iter
+    (fun (name, n) ->
+      let v = Vm.Value.Vint n in
+      round_trip (name ^ " in int[]") Int_array (int_ n) Iastore Iaload v;
+      round_trip (name ^ " aastored in int[]") Int_array (int_ n) Aastore
+        Aaload v;
+      round_trip (name ^ " in float[]") Float_array (int_ n) Iastore Faload v;
+      round_trip (name ^ " in ref[]") Ref_array (int_ n) Aastore Aaload v)
+    [ ("max_int", max_int); ("min_int", min_int) ];
+  List.iter
+    (fun (name, x) ->
+      let v = Vm.Value.Vfloat x in
+      round_trip (name ^ " in float[]") Float_array (float_ x) Fastore Faload
+        v;
+      round_trip (name ^ " aastored in float[]") Float_array (float_ x)
+        Aastore Aaload v;
+      round_trip (name ^ " in int[]") Int_array (float_ x) Fastore Iaload v;
+      round_trip (name ^ " in ref[]") Ref_array (float_ x) Aastore Aaload v)
+    [ ("nan", Float.nan); ("-0.0", -0.0) ]
+
+(* Frame pool: one frame per call depth, reused by every call at that
+   depth.  Every expected figure below is also what the interpreter gave
+   when each call allocated its frame. *)
+
+(* [down n] recurses [n] deep and returns [n]. *)
+let down_defs p =
+  S.def_method p ~name:"down" ~args:[ ("n", S.I) ] ~ret:S.I
+    ~body:
+      [
+        if_ (v "n" =! i 0)
+          [ ret (i 0) ]
+          [ ret (i 1 +! call "down" [ v "n" -! i 1 ]) ];
+      ]
+    ()
+
+(* With [main] at depth 1, [down 4094] reaches depth 4096, the cap, and
+   returns; run twice, the second reuses the frames the first grew the
+   pool to.  [down 4095] then needs one frame more. *)
+let test_pool_max_frames () =
+  check Alcotest.int "down 4094 twice fits" 8188
+    (run_int ~defs:down_defs
+       [ ret (call "down" [ i 4094 ] +! call "down" [ i 4094 ]) ]);
+  expect_trap_at ~kind:Interp.Stack_overflow ~msg:"too many frames"
+    ~instructions:74721 ~block_dispatches:20779
+    (layout_of ~defs:down_defs
+       [
+         decl_i "s" (call "down" [ i 4094 ]);
+         decl_i "t" (call "down" [ i 100 ]);
+         ret (v "s" +! v "t" +! call "down" [ i 4095 ]);
+       ])
+
+(* Exceptions thrown 3 frames below [main], each followed by fresh
+   calls that reuse the unwound frames with other methods and locals. *)
+let test_pool_throw_then_calls () =
+  let defs p =
+    S.def_class p ~name:"Exn" ~fields:[ ("code", S.I) ] ~methods:[] ();
+    down_defs p;
+    S.def_method p ~name:"a" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ ret (i 100 +! call "b" [ v "x" +! i 1 ]) ]
+      ();
+    S.def_method p ~name:"b" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:[ decl_f "y" (f 0.5); ret (i 200 +! call "c" [ v "x" +! i 1 ]) ]
+      ();
+    S.def_method p ~name:"c" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:
+        [
+          decl "e" S.R (new_obj "Exn");
+          setf "Exn" "code" (v "e") (v "x");
+          when_ (v "x" %! i 2 =! i 0) [ throw (v "e") ];
+          ret (v "x");
+        ]
+      ();
+    S.def_method p ~name:"mix" ~args:[ ("x", S.I); ("y", S.F) ] ~ret:S.I
+      ~body:
+        [
+          decl_i "z" (v "x" *! i 3);
+          ret (v "z" +! f2i (v "y") +! call "down" [ i 4 ]);
+        ]
+      ()
+  in
+  check Alcotest.int "result" 4017
+    (run_int ~defs
+       [
+         decl_i "r" (i 0);
+         for_ "k" (i 0) (i 6)
+           [
+             try_
+               [ set "r" (v "r" +! call "a" [ v "k" ]) ]
+               ~catch:("Exn", "ex")
+               [ set "r" (v "r" +! i 1000 +! getf "Exn" "code" (v "ex")) ];
+             set "r" (v "r" +! call "mix" [ v "k"; i2f (v "k") *! f 1.5 ]);
+           ];
+         ret (v "r");
+       ])
+
+(* A snapshot, printed: the instruction count and block, then each
+   frame's method, pc, operand count, locals and operands. *)
+let print_snapshot layout (m : Interp.materialized) =
+  let values a =
+    String.concat "," (Array.to_list (Array.map Vm.Value.to_string a))
+  in
+  Printf.sprintf "%d instructions, block %s" m.Interp.m_instructions
+    (match m.Interp.m_block with Some g -> string_of_int g | None -> "-")
+  :: List.map
+       (fun (fs : Interp.frame_snapshot) ->
+         Printf.sprintf "%s pc %d sp %d locals [%s] stack [%s]"
+           (Bytecode.Program.method_by_id layout.Layout.program
+              fs.Interp.fs_method)
+             .Bytecode.Mthd.name fs.Interp.fs_pc fs.Interp.fs_sp
+           (values fs.Interp.fs_locals)
+           (values fs.Interp.fs_stack))
+       m.Interp.m_frames
+
+(* Snapshots at the deepest point of [down 3], and at [leaf]'s entry
+   after [down] returned and [mid] and [leaf] reused the frames at
+   depths 2 and 3; the first is printed again after the run, when those
+   frames have been overwritten. *)
+let test_pool_materialize () =
+  let defs p =
+    down_defs p;
+    S.def_method p ~name:"leaf" ~args:[ ("x", S.I); ("y", S.F) ] ~ret:S.I
+      ~body:[ ret (v "x" +! f2i (v "y")) ]
+      ();
+    S.def_method p ~name:"mid" ~args:[ ("x", S.I) ] ~ret:S.I
+      ~body:
+        [ decl_i "w" (v "x" *! i 2); ret (i 7 +! call "leaf" [ v "w"; f 2.5 ]) ]
+      ()
+  in
+  let layout =
+    layout_of ~defs
+      [ decl_i "s" (call "down" [ i 3 ]); ret (v "s" +! call "mid" [ v "s" ]) ]
+  in
+  let prog = layout.Layout.program in
+  let id name =
+    (Option.get (Bytecode.Program.find_method prog name)).Bytecode.Mthd.id
+  in
+  let down = id "down" and leaf = id "leaf" in
+  let h = ref None in
+  let downs = ref 0 in
+  let deepest = ref None and deepest_then = ref None in
+  let at_leaf = ref None in
+  let on_block gid =
+    let b = Layout.block layout gid in
+    if b.Cfg.Block.start_pc = 0 then
+      if b.Cfg.Block.method_id = down then (
+        incr downs;
+        if !downs = 4 then (
+          let m = Interp.materialize (Option.get !h) in
+          deepest := Some m;
+          deepest_then := Some (print_snapshot layout m)))
+      else if b.Cfg.Block.method_id = leaf && !at_leaf = None then
+        at_leaf := Some (Interp.materialize (Option.get !h))
+  in
+  h := Some (Interp.start layout ~on_block);
+  let r = Interp.finish (Option.get !h) in
+  check Alcotest.string "result" "int 18" (render r);
+  let deepest_expected =
+    [
+      "26 instructions, block 0";
+      "down pc 0 sp 0 locals [0] stack []";
+      "down pc 8 sp 1 locals [1] stack [1]";
+      "down pc 8 sp 1 locals [2] stack [1]";
+      "down pc 8 sp 1 locals [3] stack [1]";
+      "main pc 2 sp 0 locals [0] stack []";
+    ]
+  in
+  check
+    Alcotest.(list string)
+    "deepest, when taken" deepest_expected (Option.get !deepest_then);
+  check
+    Alcotest.(list string)
+    "deepest, after the run" deepest_expected
+    (print_snapshot layout (Option.get !deepest));
+  check
+    Alcotest.(list string)
+    "at leaf"
+    [
+      "49 instructions, block 6";
+      "leaf pc 0 sp 0 locals [6,2.5] stack []";
+      "mid pc 8 sp 1 locals [3,6] stack [7]";
+      "main pc 6 sp 1 locals [3] stack [3]";
+    ]
+    (print_snapshot layout (Option.get !at_leaf))
+
 let test_dispatch_accounting () =
   (* instructions = sum of executed block lengths; block dispatches = number
      of observer calls; every observed gid is a block leader *)
@@ -816,6 +1299,19 @@ let () =
           tc "extreme values round-trip" `Quick test_round_trip;
           tc "observer writes a live local" `Quick
             test_observer_writes_live_local;
+        ] );
+      ( "typed heap",
+        List.map
+          (fun ((label, _, _, _) as case) ->
+            tc label `Quick (test_heap_store case))
+          heap_cases
+        @ [ tc "extreme values round-trip" `Quick test_heap_round_trip ] );
+      ( "frame pool",
+        [
+          tc "max_frames after the pool grew" `Quick test_pool_max_frames;
+          tc "calls after a throw" `Quick test_pool_throw_then_calls;
+          tc "materialize before and after reuse" `Quick
+            test_pool_materialize;
         ] );
       ( "dispatch",
         [
