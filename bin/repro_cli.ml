@@ -58,7 +58,12 @@ let run workload size (flags : Cli.flags) dump_traces dump_bcg top
     Tracegen.Trace_cache.iter_all (Engine.cache result.Engine.engine)
       (fun tr -> traces := tr :: !traces);
     let sorted =
-      List.sort (fun a b -> compare (completed b) (completed a)) !traces
+      List.sort
+        (fun a b ->
+          match Int.compare (completed b) (completed a) with
+          | 0 -> Int.compare a.Tracegen.Trace.id b.Tracegen.Trace.id
+          | c -> c)
+        !traces
     in
     Printf.printf "\ntraces (%d total, showing up to %d by completions):\n"
       (List.length sorted) top;

@@ -29,6 +29,11 @@ type node = {
        paper's "maximally correlated branch changed" signal compares
        against this snapshot, not the live inline cache (-1 = none) *)
   mutable preds : node list; (* nodes with an edge into this one *)
+  mutable mark : int;
+    (* search stamp: a graph search stamps each node it reaches with a
+       value at or above the base [fresh_marks] gave it, so a mark below
+       the base means "not reached by this search" and nothing has to be
+       cleared afterwards.  0 = never reached. *)
 }
 
 and edge = {
@@ -37,14 +42,15 @@ and edge = {
   mutable weight : int;
 }
 
-type signal = {
+and signal = {
+  s_graph : t; (* the graph [s_node] belongs to *)
   s_node : node;
   s_old_state : State.t;
   s_new_state : State.t;
   s_best_changed : bool;
 }
 
-type t = {
+and t = {
   config : Config.t;
   n_blocks : int;
   nodes : node Int_table.t; (* key = x * n_blocks + y *)
@@ -53,6 +59,7 @@ type t = {
   mutable edge_count : int;
   mutable decays : int; (* decay passes performed, for statistics *)
   mutable signals : int;
+  mutable mark_top : int; (* every node's [mark] is below this *)
 }
 
 let new_node ~x ~y ~delay_left =
@@ -67,6 +74,7 @@ let new_node ~x ~y ~delay_left =
     best = None;
     best_at_recheck = -1;
     preds = [];
+    mark = 0;
   }
 
 (* The sentinels lookups return instead of an option, so a probe
@@ -86,7 +94,16 @@ let create (config : Config.t) ~n_blocks ~on_signal =
     edge_count = 0;
     decays = 0;
     signals = 0;
+    mark_top = 1;
   }
+
+(* Open a graph search that needs [width] distinct mark values: they
+   are [base .. base + width - 1], all above every mark already set, so
+   "reached by this search" is [n.mark >= base]. *)
+let fresh_marks t ~width =
+  let base = t.mark_top in
+  t.mark_top <- base + width;
+  base
 
 let key t x y = (x * t.n_blocks) + y
 
@@ -96,37 +113,48 @@ let find_node t ~x ~y =
   | exception Not_found -> no_node
 
 (* Sum of outgoing edge weights: the denominator of every correlation. *)
-let total_weight (n : node) =
-  List.fold_left (fun acc e -> acc + e.weight) 0 n.edges
+let rec sum_weights acc = function
+  | [] -> acc
+  | e :: rest -> sum_weights (acc + e.weight) rest
 
 (* Correlation of one successor: the probability of taking branch (Y, Z)
-   given that the last branch taken was (X, Y). *)
-let correlation (n : node) (e : edge) =
-  let total = total_weight n in
+   given that the last branch taken was (X, Y).  Inlined so the float
+   reaches its caller unboxed. *)
+let[@inline] correlation (n : node) (e : edge) =
+  let total = sum_weights 0 n.edges in
   if total = 0 then 0.0 else float_of_int e.weight /. float_of_int total
 
-let best_edge (n : node) : edge option =
-  match n.edges with
-  | [] -> None
-  | [ e ] -> Some e
-  | e0 :: rest ->
-      Some
-        (List.fold_left (fun acc e -> if e.weight > acc.weight then e else acc)
-           e0 rest)
+(* The heaviest edge, the first of equal weights; [no_edge] when the
+   node has none. *)
+let rec heavier best = function
+  | [] -> best
+  | e :: rest -> heavier (if e.weight > best.weight then e else best) rest
 
-(* Evaluate the state of a hot node from its current edges. *)
-let evaluate_state t (n : node) : State.t * edge option =
+let heaviest (n : node) =
+  match n.edges with [] -> no_edge | e0 :: rest -> heavier e0 rest
+
+let best_edge (n : node) : edge option =
+  let e = heaviest n in
+  if e == no_edge then None else Some e
+
+(* The state of a hot node whose heaviest edge is [best]. *)
+let evaluate_state t (n : node) (best : edge) : State.t =
   match n.edges with
-  | [] -> (State.Weakly_correlated, None)
-  | [ e ] -> (State.Unique, Some e)
-  | _ -> (
-      match best_edge n with
-      | None -> (State.Weakly_correlated, None)
-      | Some e ->
-          let c = correlation n e in
-          if c >= Config.threshold t.config then
-            (State.Strongly_correlated, Some e)
-          else (State.Weakly_correlated, Some e))
+  | [] -> State.Weakly_correlated
+  | [ _ ] -> State.Unique
+  | _ ->
+      if correlation n best >= Config.threshold t.config then
+        State.Strongly_correlated
+      else State.Weakly_correlated
+
+(* Point the inline cache at [best], keeping its option when it already
+   holds that edge. *)
+let set_best (n : node) (best : edge) =
+  if best == no_edge then n.best <- None
+  else
+    match n.best with
+    | Some b when b == best -> ()
+    | Some _ | None -> n.best <- Some best
 
 (* Re-evaluate state and best successor; raise a signal if either changed.
    Called at start-state promotion and during decay. *)
@@ -139,12 +167,13 @@ let evaluate_state t (n : node) : State.t * edge option =
 let recheck t (n : node) =
   let old_state = n.state in
   let old_best_gid = n.best_at_recheck in
-  let new_state, new_best = evaluate_state t n in
+  let best = heaviest n in
+  let new_state = evaluate_state t n best in
   n.state <- new_state;
-  n.best <- new_best;
-  let best_gid = function None -> -1 | Some e -> e.e_z in
-  n.best_at_recheck <- best_gid new_best;
-  let best_changed = old_best_gid <> best_gid new_best in
+  set_best n best;
+  (* [no_edge.e_z] is -1, the snapshot's "none" *)
+  n.best_at_recheck <- best.e_z;
+  let best_changed = old_best_gid <> best.e_z in
   let followable_changed =
     State.is_followable old_state <> State.is_followable new_state
   in
@@ -153,6 +182,7 @@ let recheck t (n : node) =
     t.signals <- t.signals + 1;
     t.on_signal
       {
+        s_graph = t;
         s_node = n;
         s_old_state = old_state;
         s_new_state = new_state;
@@ -160,23 +190,40 @@ let recheck t (n : node) =
       }
   end
 
-let remove_pred (n : node) ~(pred : node) =
-  n.preds <- List.filter (fun p -> p != pred) n.preds
+let rec without pred = function
+  | [] -> []
+  | p :: rest -> if p == pred then rest else p :: without pred rest
+
+let remove_pred (n : node) ~(pred : node) = n.preds <- without pred n.preds
+
+(* Halve every weight in place; the number of edges that reached 0. *)
+let rec halve dead = function
+  | [] -> dead
+  | e :: rest ->
+      e.weight <- e.weight lsr 1;
+      halve (if e.weight = 0 then dead + 1 else dead) rest
+
+(* [n]'s edges without the dead ones, in order, sharing the tail after
+   the last dead edge; each dead edge leaves the graph. *)
+let rec prune t (n : node) l =
+  match l with
+  | [] -> l
+  | e :: rest ->
+      let rest' = prune t n rest in
+      if e.weight = 0 then begin
+        t.edge_count <- t.edge_count - 1;
+        remove_pred e.e_target ~pred:n;
+        rest'
+      end
+      else if rest' == rest then l
+      else e :: rest'
 
 (* Periodic exponential decay: shift this node's edge weights right one bit,
-   prune dead edges, then recheck the node's correlation state. *)
+   prune dead edges, then recheck the node's correlation state.  A pass
+   that kills no edge allocates nothing. *)
 let decay t (n : node) =
   t.decays <- t.decays + 1;
-  let live, dead =
-    List.iter (fun e -> e.weight <- e.weight lsr 1) n.edges;
-    List.partition (fun e -> e.weight > 0) n.edges
-  in
-  n.edges <- live;
-  List.iter
-    (fun e ->
-      t.edge_count <- t.edge_count - 1;
-      remove_pred e.e_target ~pred:n)
-    dead;
+  if halve 0 n.edges > 0 then n.edges <- prune t n n.edges;
   recheck t n
 
 let make_node t ~x ~y =

@@ -30,6 +30,10 @@ type node = {
           recheck; the "best changed" signal compares against this, not
           the live inline cache (-1 = none) *)
   mutable preds : node list;  (** nodes with an edge into this one *)
+  mutable mark : int;
+      (** search stamp: a search opened by {!fresh_marks} stamps each
+          node it reaches with a value at or above its base, so nothing
+          is cleared afterwards; [0] = never reached *)
 }
 
 and edge = {
@@ -38,7 +42,8 @@ and edge = {
   mutable weight : int;
 }
 
-type signal = {
+and signal = {
+  s_graph : t;  (** the graph [s_node] belongs to *)
   s_node : node;
   s_old_state : State.t;
   s_new_state : State.t;
@@ -47,7 +52,7 @@ type signal = {
 (** Raised when a branch crossed the followable boundary or a followable
     branch's maximally correlated successor changed (paper §4.1.1). *)
 
-type t = {
+and t = {
   config : Config.t;
   n_blocks : int;
   nodes : node Int_table.t;
@@ -56,6 +61,7 @@ type t = {
   mutable edge_count : int;
   mutable decays : int;
   mutable signals : int;
+  mutable mark_top : int;  (** every node's [mark] is below this *)
 }
 
 val event_weight : int
@@ -63,6 +69,14 @@ val event_weight : int
     holds 256 events and one event takes 8 decay shifts to clear). *)
 
 val create : Config.t -> n_blocks:int -> on_signal:(signal -> unit) -> t
+
+val fresh_marks : t -> width:int -> int
+(** [fresh_marks t ~width] opens a search of the graph that needs
+    [width] distinct mark values and returns its base: the values are
+    [base .. base + width - 1], above every {!field:mark} already set,
+    so a node was reached by this search iff [mark >= base].  The
+    counter lives in the graph, so searches through different caches
+    never mistake each other's marks. *)
 
 val no_node : node
 (** The sentinel {!find_node} returns for an absent node — also the
@@ -121,8 +135,10 @@ val recheck : t -> node -> unit
     Runs at start-state promotion and during decay. *)
 
 val decay : t -> node -> unit
-(** One periodic exponential decay pass: halve this node's edge weights,
-    prune dead edges, then {!recheck}. *)
+(** One periodic exponential decay pass: halve this node's edge weights
+    in place, prune dead edges keeping the others' order, then
+    {!recheck}.  A pass that prunes nothing and changes neither the
+    state nor the best successor allocates nothing. *)
 
 val heal_node : t -> node -> bool
 (** Clamp the node's edge weights, decay and start-state bookkeeping back

@@ -79,6 +79,13 @@ type t = {
   counts : Stats.t;
     (* the counters the engine advances, in place; [counters] fills in
        the ones other modules own when it copies them out *)
+  on_path : int -> unit;
+    (* the builder's walk observer: each candidate path it walks is one
+       [Path_walked] event *)
+  fail_install : unit -> bool;
+    (* the builder's install gate: an FT006 failure this engine's
+       injector armed fails this engine's next installation, whichever
+       cache it shares *)
   mutable completed_ids : Bytes.t;
     (* by trace id: '\001' once this engine completed the trace *)
   mutable restored : int; (* traces rebound by [restore] *)
@@ -480,23 +487,13 @@ let note_build t (o : Trace_builder.outcome) ~sweep =
     c.Stats.builder_reuses + o.Trace_builder.reused_traces;
   if sweep && Config.debug_checks t.config then debug_sweep t
 
-(* The builder's walk observer: each candidate path it walks is one
-   [Path_walked] event. *)
-let on_path t transitions =
-  Events.emit t.events (Events.Path_walked { transitions })
-
-(* The builder's install gate: an FT006 failure this engine's injector
-   armed fails this engine's next installation, whichever cache it
-   shares. *)
-let fail_install t () = Faults.take_install_failure t.faults
-
 (* The profiler-signal subscriber: rebuild every trace the signalled
    branch can affect. *)
 let on_signal t signal =
   if Config.build_traces t.config then
     note_build t
       (Trace_builder.on_signal ~events:t.events ~counts:t.counts
-         ~on_path:(on_path t) ~fail_install:(fail_install t) t.config t.cache
+         ~on_path:t.on_path ~fail_install:t.fail_install t.config t.cache
          signal)
       ~sweep:true
 
@@ -517,7 +514,7 @@ let hot_loop t g ~promote =
 let promote_loop t (osr : Osr.t) header ~hotness =
   let outcome, installed =
     Trace_builder.promote ~events:t.events ~counts:t.counts
-      ~on_path:(on_path t) ~fail_install:(fail_install t) t.cache
+      ~on_path:t.on_path ~fail_install:t.fail_install t.cache
       (Profiler.bcg t.profiler) ~header
   in
   (match installed with
@@ -867,6 +864,10 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       osr;
       flightrec;
       counts = Stats.zero ();
+      on_path =
+        (fun transitions ->
+          Events.emit events (Events.Path_walked { transitions }));
+      fail_install = (fun () -> Faults.take_install_failure faults);
       completed_ids = Bytes.empty;
       restored = 0;
       active = None;

@@ -90,7 +90,7 @@ val tick :
 val take_install_failure : t -> bool
 (** Consume one pending FT006 installation failure: [true] when one was
     armed, and the installation asking must then fail.  The engine hands
-    this to [Trace_cache.try_install] as its [~fail], so on a cache
+    this to [Trace_cache.install] as its [~fail], so on a cache
     shared by a [Session] only the injecting member's installations
     fail. *)
 

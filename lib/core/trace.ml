@@ -18,6 +18,12 @@ type t = {
   prob : float; (* expected completion probability at construction *)
   instr_len : int array; (* static instruction count per block *)
   total_instrs : int;
+  mutable seq : Layout.gid array;
+      (* the blocks the trace was built from: its hash-cons key.  The
+         same array as [blocks] until [set_block] first changes the body
+         (FT001), which detaches a copy, so a corrupted trace is still
+         found under the sequence it was built from *)
+  seq_hash : int; (* [hash_seq] of (first, seq) *)
   mutable owner : int;
       (* id of the session whose profiler built this trace; 0 for a
          single-engine run.  Stamped by the cache at installation and
@@ -49,6 +55,26 @@ type t = {
          picks. *)
 }
 
+(* FNV-1a over the context block, the length and the first [len]
+   blocks, kept non-negative. *)
+let hash_seq ~first (blocks : Layout.gid array) ~len =
+  let h = ref ((0x2545F4914F6CDD1D lxor first) * 0x100000001b3) in
+  h := (!h lxor len) * 0x100000001b3;
+  for i = 0 to len - 1 do
+    h := (!h lxor Array.unsafe_get blocks i) * 0x100000001b3
+  done;
+  !h land max_int
+
+let has_sequence t ~first (blocks : Layout.gid array) ~len =
+  t.first = first
+  && Array.length t.seq = len
+  &&
+  let i = ref 0 in
+  while !i < len && t.seq.(!i) = blocks.(!i) do
+    incr i
+  done;
+  !i = len
+
 let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
   if Array.length blocks = 0 then invalid_arg "Trace.make: empty trace";
   let instr_len = Array.map (fun g -> Layout.block_len layout g) blocks in
@@ -59,12 +85,36 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     prob;
     instr_len;
     total_instrs = Array.fold_left ( + ) 0 instr_len;
+    seq = blocks;
+    seq_hash = hash_seq ~first blocks ~len:(Array.length blocks);
     owner = 0;
     pruned = [||];
     promoted = false;
     pins = 0;
     lowered = None;
   }
+
+(* The sentinel the cache returns instead of an option. *)
+let none =
+  {
+    id = -1;
+    first = -1;
+    blocks = [||];
+    prob = 0.0;
+    instr_len = [||];
+    total_instrs = 0;
+    seq = [||];
+    seq_hash = 0;
+    owner = 0;
+    pruned = [||];
+    promoted = false;
+    pins = 0;
+    lowered = None;
+  }
+
+let set_block t i g =
+  if t.seq == t.blocks then t.seq <- Array.copy t.blocks;
+  t.blocks.(i) <- g
 
 let n_blocks t = Array.length t.blocks
 

@@ -18,6 +18,13 @@ type t = {
   prob : float;  (** expected completion probability at construction *)
   instr_len : int array;  (** static instruction count per block *)
   total_instrs : int;
+  mutable seq : Cfg.Layout.gid array;
+      (** the blocks the trace was built from: its hash-cons key.  The
+          same array as [blocks] until {!set_block} first changes the
+          body, which detaches a copy, so a trace a fault corrupted
+          is still found (and purged) under the sequence it was built
+          from. *)
+  seq_hash : int;  (** {!hash_seq} of [(first, seq)], computed once *)
   mutable owner : int;
       (** id of the session whose profiler built this trace ([0] for a
           single-engine run).  Stamped by the cache at installation and
@@ -60,6 +67,24 @@ val make :
   prob:float ->
   t
 (** @raise Invalid_argument on an empty block sequence. *)
+
+val hash_seq : first:Cfg.Layout.gid -> Cfg.Layout.gid array -> len:int -> int
+(** The non-negative hash of the sequence [first, blocks.(0 .. len-1)],
+    computed without copying the slice. *)
+
+val has_sequence : t -> first:Cfg.Layout.gid -> Cfg.Layout.gid array -> len:int -> bool
+(** [has_sequence t ~first blocks ~len]: [t] was built from context
+    block [first] and exactly the blocks [blocks.(0 .. len-1)]
+    ({!field:seq}). *)
+
+val set_block : t -> int -> Cfg.Layout.gid -> unit
+(** [set_block t i g] overwrites the body's [i]-th block with [g] (the
+    FT001 fault), keeping {!field:seq} the sequence the trace was built
+    from. *)
+
+val none : t
+(** A sentinel returned instead of an option where no trace applies
+    (compare with [==]); it has no blocks and must not be mutated. *)
 
 val n_blocks : t -> int
 

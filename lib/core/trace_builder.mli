@@ -12,7 +12,15 @@
       cap;
     + {e cutting} — greedily cut each path into traces whose cumulative
       completion probability stays at or above the threshold, and install
-      them (hash-consed). *)
+      them (hash-consed).
+
+    A construction allocates only what outlives it: the traces it
+    builds, their cache bindings and the events it emits.  The entry
+    search and the walks mark the graph's nodes ({!Bcg.fresh_marks})
+    instead of keeping visited sets, and the roots, the path, its
+    correlations and each candidate's blocks live in the cache's
+    {!Trace_cache.scratch}, which a construction holds for its
+    duration. *)
 
 type outcome = {
   new_traces : int;  (** traces actually constructed *)
@@ -36,8 +44,11 @@ val on_signal :
     omitted.  [on_path] observes the length (in transitions) of each
     maximum-likelihood walk before the probability cut — the engine
     publishes it as a [Path_walked] event.  [fail_install] is each
-    installation's [~fail] ({!Trace_cache.try_install}): the engine's
-    pending injected failures. *)
+    installation's [~fail] ({!Trace_cache.install}): the engine's
+    pending injected failures.
+    @raise Invalid_argument when called while another construction
+    through the same cache is running (from one of its event
+    subscribers, say): the two would share the cache's scratch. *)
 
 val promote :
   ?events:Events.t ->
@@ -56,4 +67,4 @@ val promote :
     when one exists — [None] when the BCG has no followable transition
     into the header or the probability cut rejected every candidate.
     [events], [counts], [on_path] and [fail_install] as in
-    {!on_signal}. *)
+    {!on_signal}, and re-entry is refused the same way. *)

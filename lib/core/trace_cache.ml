@@ -36,22 +36,61 @@ type qentry = {
 
 (* One live entry binding.  Everything a dispatch touches sits in this
    one record: the trace, its LRU stamp and its heat.  [b_first] is the
-   context block of the binding's entry key (its head is the [by_head]
-   slot holding it).  [b_hit] is [Some b_trace], built once when the
-   trace is bound, so a lookup hit returns it without allocating. *)
+   context block of the binding's entry key [b_key] (its head is the
+   [by_head] slot holding it).  [b_hit] is [Some b_trace], built once
+   when the trace is bound, so a lookup hit returns it without
+   allocating.  The bindings entered at one head form a chain through
+   [b_next], so unbinding one relinks a field instead of copying a
+   list. *)
 type binding = {
+  b_key : int;
   b_first : Layout.gid;
   mutable b_trace : Trace.t;
   mutable b_hit : Trace.t option;
   mutable b_stamp : int; (* LRU use stamp *)
   mutable b_uses : int; (* dispatches entering this entry (heat) *)
+  mutable b_next : binding; (* same head; [no_binding] ends the chain *)
+}
+
+(* The chain terminator and "no binding" answer; never linked or
+   mutated. *)
+let rec no_binding =
+  {
+    b_key = -1;
+    b_first = -1;
+    b_trace = Trace.none;
+    b_hit = None;
+    b_stamp = 0;
+    b_uses = 0;
+    b_next = no_binding;
+  }
+
+(* Scratch space the trace builder reuses on every construction through
+   this cache, so a construction allocates only what it keeps.  [busy]
+   is the builder's re-entrancy guard.  The arrays grow on demand and
+   are never shrunk. *)
+type scratch = {
+  mutable busy : bool;
+  mutable path : Bcg.node array;
+  mutable corrs : float array;
+  mutable roots : Bcg.node array;
+  mutable n_roots : int;
+  blocks : Layout.gid array;
+  mutable n_built : int; (* the construction's outcome so far *)
+  mutable n_reused : int;
 }
 
 type t = {
   layout : Layout.t;
   by_entry : binding Int_table.t; (* key = first * n_blocks + head *)
-  by_head : binding list array; (* head -> live bindings entered at it *)
-  by_seq : (string, Trace.t) Hashtbl.t; (* structural key *)
+  by_head : binding array; (* head -> chain of live bindings entered at it *)
+  mutable by_seq : Trace.t array;
+      (* the hash-cons index: open addressing on [Trace.seq_hash] with
+         linear probing; [Trace.none] is an empty slot, [seq_gone] a
+         purged one *)
+  mutable seq_live : int; (* traces in [by_seq] *)
+  mutable seq_used : int; (* slots that are not empty: live or purged *)
+  scratch : scratch;
   max_traces : int; (* live-trace cap; 0 = unbounded *)
   policy : Config.Cache.eviction_policy; (* victim selection under pressure *)
   quarantine : (int, qentry) Hashtbl.t; (* entry key -> blacklist record *)
@@ -72,14 +111,29 @@ type t = {
       (* dispatch lookups entering a trace built by another session *)
 }
 
+let seq_initial = 256
+
 let create ?(max_traces = 0) ?(eviction_policy = Config.Cache.Lru)
     (layout : Layout.t) =
   if max_traces < 0 then invalid_arg "Trace_cache.create: max_traces < 0";
   {
     layout;
     by_entry = Int_table.create 256;
-    by_head = Array.make layout.Layout.n_blocks [];
-    by_seq = Hashtbl.create 256;
+    by_head = Array.make layout.Layout.n_blocks no_binding;
+    by_seq = Array.make seq_initial Trace.none;
+    seq_live = 0;
+    seq_used = 0;
+    scratch =
+      {
+        busy = false;
+        path = [||];
+        corrs = [||];
+        roots = [||];
+        n_roots = 0;
+        blocks = Array.make Config.max_trace_blocks 0;
+        n_built = 0;
+        n_reused = 0;
+      };
     max_traces;
     policy = eviction_policy;
     quarantine = Hashtbl.create 16;
@@ -100,15 +154,7 @@ let layout t = t.layout
 
 let entry_key_int t ~first ~head = (first * t.layout.Layout.n_blocks) + head
 
-let seq_key ~first ~(blocks : Layout.gid array) =
-  let buf = Buffer.create (4 * (Array.length blocks + 1)) in
-  Buffer.add_string buf (string_of_int first);
-  Array.iter
-    (fun g ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int g))
-    blocks;
-  Buffer.contents buf
+let scratch t = t.scratch
 
 let set_clock t now = t.clock <- now
 
@@ -133,10 +179,10 @@ let slot_of_key t ekey =
 
 let first_of_key t ekey = (ekey - slot_of_key t ekey) / t.layout.Layout.n_blocks
 
-let rec find_in first = function
-  | [] -> None
-  | b :: rest -> if b.b_first = first then Some b else find_in first rest
+let rec find_in first b =
+  if b == no_binding || b.b_first = first then b else find_in first b.b_next
 
+(* The binding at [ekey], or [no_binding]. *)
 let binding t ekey = find_in (first_of_key t ekey) t.by_head.(slot_of_key t ekey)
 
 (* Execution pins.  The dispatch loop pins a trace for as long as it is
@@ -171,11 +217,8 @@ let n_demote_refusals t = t.demote_refusals
    [quarantine] does. *)
 
 let trace_uses t (tr : Trace.t) =
-  match
-    binding t (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0))
-  with
-  | Some b -> b.b_uses
-  | None -> 0
+  (binding t (entry_key_int t ~first:tr.Trace.first ~head:tr.Trace.blocks.(0)))
+    .b_uses
 
 let n_compiled t =
   Int_table.fold
@@ -215,16 +258,15 @@ let in_layout t g = g >= 0 && g < t.layout.Layout.n_blocks
 (* Dispatch lookup: is there a trace entered by the transition
    (prev, cur)?  A scan of [cur]'s slot; a hit is a touch of the
    binding's fields and returns its prebuilt option. *)
-let rec enter_in t prev = function
-  | [] -> None
-  | b :: rest ->
-      if b.b_first = prev then begin
-        touch t b;
-        if b.b_trace.Trace.owner <> t.session then
-          t.cross_entries <- t.cross_entries + 1;
-        b.b_hit
-      end
-      else enter_in t prev rest
+let rec enter_in t prev b =
+  if b == no_binding then None
+  else if b.b_first = prev then begin
+    touch t b;
+    if b.b_trace.Trace.owner <> t.session then
+      t.cross_entries <- t.cross_entries + 1;
+    b.b_hit
+  end
+  else enter_in t prev b.b_next
 
 let lookup t ~prev ~cur : Trace.t option =
   if prev < 0 || not (in_layout t cur) then None
@@ -233,29 +275,102 @@ let lookup t ~prev ~cur : Trace.t option =
 (* Non-dispatch lookup: same binding, but no LRU touch and no
    cross-session accounting — tests use this to inspect a binding
    without heating it. *)
-let rec hit_in first = function
-  | [] -> None
-  | b :: rest -> if b.b_first = first then b.b_hit else hit_in first rest
-
 let peek t ~first ~head : Trace.t option =
   if first < 0 || not (in_layout t head) then None
-  else hit_in first t.by_head.(head)
+  else (find_in first t.by_head.(head)).b_hit
 
-(* Purge every by_seq binding of this exact trace.  A corrupted trace's
-   sequence key is stale (the blocks changed under it), so a key lookup
-   cannot be trusted — a physical-equality scan can.  Purging prevents a
-   condemned or evicted trace from being resurrected by hash-consing. *)
+(* The hash-cons index.  A probe compares the candidate slice with the
+   sequence each trace filed under the same hash was built from
+   ([Trace.seq]), so nothing is copied to look a sequence up, and a
+   trace whose body a fault corrupted since is still found. *)
+
+(* A purged slot: probes continue past it, inserts reuse it. *)
+let seq_gone = { Trace.none with Trace.id = -2 }
+
+let rec seq_probe slots mask i ~hash ~first blocks ~len =
+  let tr = Array.unsafe_get slots i in
+  if tr == Trace.none then tr
+  else if
+    tr != seq_gone && tr.Trace.seq_hash = hash
+    && Trace.has_sequence tr ~first blocks ~len
+  then tr
+  else seq_probe slots mask ((i + 1) land mask) ~hash ~first blocks ~len
+
+(* The cached trace with sequence [first, blocks.(0 .. len-1)], or
+   [Trace.none]. *)
+let seq_find t ~hash ~first blocks ~len =
+  let mask = Array.length t.by_seq - 1 in
+  seq_probe t.by_seq mask (hash land mask) ~hash ~first blocks ~len
+
+let rec free_slot slots mask i =
+  let tr = Array.unsafe_get slots i in
+  if tr == Trace.none || tr == seq_gone then i
+  else free_slot slots mask ((i + 1) land mask)
+
+let seq_insert slots (tr : Trace.t) =
+  let mask = Array.length slots - 1 in
+  let i = free_slot slots mask (tr.Trace.seq_hash land mask) in
+  let fresh = slots.(i) == Trace.none in
+  slots.(i) <- tr;
+  fresh
+
+(* File a new trace, first rebuilding the index without its purged
+   slots when it would be more than half full: growth, the only time
+   the index allocates. *)
+let seq_add t (tr : Trace.t) =
+  if 2 * (t.seq_used + 1) > Array.length t.by_seq then begin
+    let size = ref seq_initial in
+    while 4 * (t.seq_live + 1) > !size do
+      size := 2 * !size
+    done;
+    let slots = Array.make !size Trace.none in
+    Array.iter
+      (fun tr ->
+        if tr != Trace.none && tr != seq_gone then ignore (seq_insert slots tr))
+      t.by_seq;
+    t.by_seq <- slots;
+    t.seq_used <- t.seq_live
+  end;
+  if seq_insert t.by_seq tr then t.seq_used <- t.seq_used + 1;
+  t.seq_live <- t.seq_live + 1
+
+let rec slot_of slots mask i (tr : Trace.t) =
+  let s = Array.unsafe_get slots i in
+  if s == tr then i
+  else if s == Trace.none then -1
+  else slot_of slots mask ((i + 1) land mask) tr
+
+(* Take this exact trace out of the hash-cons index, so a condemned or
+   evicted trace is never resurrected by hash-consing: one probe
+   sequence from the hash it was filed under. *)
 let purge_seq t (tr : Trace.t) =
-  let stale = ref [] in
-  Hashtbl.iter (fun k v -> if v == tr then stale := k :: !stale) t.by_seq;
-  List.iter (Hashtbl.remove t.by_seq) !stale
+  let mask = Array.length t.by_seq - 1 in
+  let i = slot_of t.by_seq mask (tr.Trace.seq_hash land mask) tr in
+  if i >= 0 then begin
+    t.by_seq.(i) <- seq_gone;
+    t.seq_live <- t.seq_live - 1
+  end
+
+(* Take [b] out of its head's chain. *)
+let unlink t b =
+  let h = slot_of_key t b.b_key in
+  let p = t.by_head.(h) in
+  if p == b then t.by_head.(h) <- b.b_next
+  else begin
+    let p = ref p in
+    while !p != no_binding && (!p).b_next != b do
+      p := (!p).b_next
+    done;
+    if !p != no_binding then (!p).b_next <- b.b_next
+  end;
+  b.b_next <- no_binding
 
 (* Unbind one live entry: the displaced trace also leaves the hash-cons
    table, so rebuilding it later constructs (and re-validates) it afresh. *)
-let unbind t ekey (tr : Trace.t) =
-  Int_table.remove t.by_entry ekey;
-  let h = slot_of_key t ekey and first = first_of_key t ekey in
-  t.by_head.(h) <- List.filter (fun b -> b.b_first <> first) t.by_head.(h);
+let unbind t b =
+  let tr = b.b_trace in
+  Int_table.remove t.by_entry b.b_key;
+  unlink t b;
   t.live_blocks <- t.live_blocks - Array.length tr.Trace.blocks;
   (* leaving the cache frees the compiled-tier slot too (no Tier_demoted
      event: the eviction/quarantine event already covers the removal) *)
@@ -266,9 +381,9 @@ let n_live t = Int_table.length t.by_entry
 
 (* Called after [unbind], with the victim's binding for its scoring
    inputs. *)
-let emit_evicted t ~events ~ekey b ~reason =
+let emit_evicted t ~events b ~reason =
   if Events.enabled events then begin
-    let n = t.layout.Layout.n_blocks in
+    let n = t.layout.Layout.n_blocks and ekey = b.b_key in
     Events.emit events
       (Events.Trace_evicted
          {
@@ -286,60 +401,57 @@ let emit_evicted t ~events ~ekey b ~reason =
 (* Estimated i-cache bytes this entry pays per use — the footprint/heat
    ratio (shared byte model: [Footprint_model]).  A large rarely-entered
    trace scores high (bad); a hot trace of any size scores low. *)
-let footprint_score b =
+let[@inline] footprint_score b =
   float_of_int (Footprint_model.trace_bytes b.b_trace)
   /. float_of_int (1 + b.b_uses)
 
 (* Pick the victim the configured policy condemns (never [keep], the
    entry just installed, and never a pinned trace): the smallest LRU
    stamp under [Lru], the worst footprint/heat ratio (ties broken by
-   older stamp) under [Footprint_aware].  Returns [None] when nothing is
-   evictable. *)
+   older stamp) under [Footprint_aware].  Stamps are unique, so the
+   victim does not depend on the order the bindings are visited in.
+   Returns [no_binding] when nothing is evictable. *)
 let pick_victim t ~keep =
-  let victim = ref None in
-  (match t.policy with
-  | Config.Cache.Lru ->
-      Int_table.iter
-        (fun ekey b ->
-          if ekey <> keep && not (is_pinned t b.b_trace) then
-            match !victim with
-            | Some (_, best) when best.b_stamp <= b.b_stamp -> ()
-            | _ -> victim := Some (ekey, b))
-        t.by_entry
-  | Config.Cache.Footprint_aware ->
-      let best_score = ref neg_infinity in
-      Int_table.iter
-        (fun ekey b ->
-          if ekey <> keep && not (is_pinned t b.b_trace) then begin
-            let score = footprint_score b in
-            let better =
-              score > !best_score
-              || score = !best_score
-                 &&
-                 match !victim with
-                 | Some (_, best) -> b.b_stamp < best.b_stamp
-                 | None -> true
-            in
-            if better then begin
-              best_score := score;
-              victim := Some (ekey, b)
-            end
-          end)
-        t.by_entry);
+  let victim = ref no_binding in
+  let best_score = ref neg_infinity in
+  let footprint = t.policy = Config.Cache.Footprint_aware in
+  for h = 0 to Array.length t.by_head - 1 do
+    let b = ref t.by_head.(h) in
+    while !b != no_binding do
+      let c = !b in
+      if c.b_key <> keep && not (is_pinned t c.b_trace) then begin
+        if footprint then begin
+          let score = footprint_score c in
+          if
+            score > !best_score
+            || score = !best_score
+               && (!victim == no_binding || c.b_stamp < !victim.b_stamp)
+          then begin
+            best_score := score;
+            victim := c
+          end
+        end
+        else if !victim == no_binding || c.b_stamp < !victim.b_stamp then
+          victim := c
+      end;
+      b := c.b_next
+    done
+  done;
   !victim
 
 (* Evict one live entry chosen by the policy.  [reason] says who asked —
    capacity caps or an injected pressure fault.  Returns false when
    nothing is evictable. *)
 let evict_one t ~events ~(counts : Stats.t) ~keep ~reason =
-  match pick_victim t ~keep with
-  | None -> false
-  | Some (ekey, b) ->
-      unbind t ekey b.b_trace;
-      t.evicted <- t.evicted + 1;
-      counts.Stats.traces_evicted <- counts.Stats.traces_evicted + 1;
-      emit_evicted t ~events ~ekey b ~reason;
-      true
+  let b = pick_victim t ~keep in
+  b != no_binding
+  && begin
+       unbind t b;
+       t.evicted <- t.evicted + 1;
+       counts.Stats.traces_evicted <- counts.Stats.traces_evicted + 1;
+       emit_evicted t ~events b ~reason;
+       true
+     end
 
 let over_capacity t = t.max_traces > 0 && n_live t > t.max_traces
 
@@ -353,33 +465,37 @@ let rec enforce_caps t ~events ~counts ~keep =
    entry to another trace keeps its stamp and heat, which belong to the
    entry. *)
 let bind t ekey (tr : Trace.t) =
+  let b = binding t ekey in
   let b =
-    match binding t ekey with
-    | Some b ->
-        if b.b_trace != tr then begin
-          t.live_blocks <-
-            t.live_blocks
-            - Array.length b.b_trace.Trace.blocks
-            + Array.length tr.Trace.blocks;
-          b.b_trace <- tr;
-          b.b_hit <- Some tr
-        end;
-        b
-    | None ->
-        t.live_blocks <- t.live_blocks + Array.length tr.Trace.blocks;
-        let b =
-          {
-            b_first = first_of_key t ekey;
-            b_trace = tr;
-            b_hit = Some tr;
-            b_stamp = 0;
-            b_uses = 0;
-          }
-        in
-        Int_table.replace t.by_entry ekey b;
-        let h = slot_of_key t ekey in
-        t.by_head.(h) <- b :: t.by_head.(h);
-        b
+    if b != no_binding then begin
+      if b.b_trace != tr then begin
+        t.live_blocks <-
+          t.live_blocks
+          - Array.length b.b_trace.Trace.blocks
+          + Array.length tr.Trace.blocks;
+        b.b_trace <- tr;
+        b.b_hit <- Some tr
+      end;
+      b
+    end
+    else begin
+      t.live_blocks <- t.live_blocks + Array.length tr.Trace.blocks;
+      let h = slot_of_key t ekey in
+      let b =
+        {
+          b_key = ekey;
+          b_first = first_of_key t ekey;
+          b_trace = tr;
+          b_hit = Some tr;
+          b_stamp = 0;
+          b_uses = 0;
+          b_next = t.by_head.(h);
+        }
+      in
+      Int_table.replace t.by_entry ekey b;
+      t.by_head.(h) <- b;
+      b
+    end
   in
   touch t b;
   b
@@ -403,25 +519,26 @@ let n_quarantine_active t =
 let quarantine t ~events ~(counts : Stats.t) ~first ~head ~code :
     Trace.t option =
   let ekey = entry_key_int t ~first ~head in
-  match binding t ekey with
-  | Some { b_trace = tr; _ } when is_pinned t tr ->
-      (* Refuse wholly: no unbind, no blacklist record — the trace is
-         being executed right now.  Under OSR the caller deopts (and
-         unpins) first and retries; without OSR a later sweep or
-         dispatch validation re-detects the fault once the trace has
-         exited.  The refusal is counted, not silently dropped. *)
-      counts.Stats.pin_refusals <- counts.Stats.pin_refusals + 1;
-      None
-  | bound ->
+  let bound = binding t ekey in
+  if bound != no_binding && is_pinned t bound.b_trace then begin
+    (* Refuse wholly: no unbind, no blacklist record — the trace is
+       being executed right now.  Under OSR the caller deopts (and
+       unpins) first and retries; without OSR a later sweep or
+       dispatch validation re-detects the fault once the trace has
+       exited.  The refusal is counted, not silently dropped. *)
+    counts.Stats.pin_refusals <- counts.Stats.pin_refusals + 1;
+    None
+  end
+  else
   let removed =
-    match bound with
-    | Some ({ b_trace = tr; _ } as b) ->
-        unbind t ekey tr;
-        (* not counted in [evicted] (that is capacity accounting) but
-           visible in the timeline with its own reason *)
-        emit_evicted t ~events ~ekey b ~reason:Events.Quarantine;
-        Some tr
-    | None -> None
+    if bound != no_binding then begin
+      unbind t bound;
+      (* not counted in [evicted] (that is capacity accounting) but
+         visible in the timeline with its own reason *)
+      emit_evicted t ~events bound ~reason:Events.Quarantine;
+      bound.b_hit
+    end
+    else None
   in
   let q =
     match Hashtbl.find_opt t.quarantine ekey with
@@ -456,64 +573,81 @@ let quarantine t ~events ~(counts : Stats.t) ~first ~head ~code :
   removed
 
 let remove t ~first ~head : Trace.t option =
-  let ekey = entry_key_int t ~first ~head in
-  match binding t ekey with
-  | None -> None
-  | Some b ->
-      unbind t ekey b.b_trace;
-      b.b_hit
+  let b = binding t (entry_key_int t ~first ~head) in
+  if b == no_binding then None
+  else begin
+    unbind t b;
+    b.b_hit
+  end
 
 type installed = Built of Trace.t | Reused of Trace.t | Refused
 
-(* Install a candidate trace, unless its entry is quarantined or the
-   installing engine has an injected failure pending ([fail] consumes
-   one).  If an identical trace is already cached we keep it (hash-cons
-   hit); otherwise a new trace is constructed and bound to its entry
-   transition, displacing any previous binding. *)
-let try_install ?(fail = fun () -> false) t ~events ~(counts : Stats.t)
-    ~first ~(blocks : Layout.gid array) ~prob : installed =
-  if Array.length blocks = 0 || is_quarantined t ~first ~head:blocks.(0) then
-    Refused
-  else if fail () then begin
+(* A rebound entry is an instability event. *)
+let replaced ~events ~(counts : Stats.t) ~first ~head (tr : Trace.t) =
+  counts.Stats.traces_replaced <- counts.Stats.traces_replaced + 1;
+  if Events.enabled events then
+    Events.emit events
+      (Events.Trace_replaced { first; head; trace_id = tr.Trace.id })
+
+(* Install the candidate [first, blocks.(0 .. len-1)], unless its entry
+   is quarantined or the installing engine has an injected failure
+   pending ([fail] consumes one).  If an identical trace is already
+   cached we keep it (hash-cons hit); otherwise a new trace is
+   constructed from a copy of the slice and bound to its entry
+   transition, displacing any previous binding.  Returns the installed
+   trace, or [Trace.none] when refused; only a new trace allocates. *)
+let[@inline] install ?fail t ~events ~(counts : Stats.t) ~first
+    ~(blocks : Layout.gid array) ~len ~prob : Trace.t =
+  if len = 0 || is_quarantined t ~first ~head:blocks.(0) then Trace.none
+  else if match fail with Some f -> f () | None -> false then begin
     counts.Stats.failed_installs <- counts.Stats.failed_installs + 1;
-    Refused
+    Trace.none
   end
   else begin
-    let skey = seq_key ~first ~blocks in
     let head = blocks.(0) in
     let ekey = entry_key_int t ~first ~head in
-    let replaced (tr : Trace.t) =
-      counts.Stats.traces_replaced <- counts.Stats.traces_replaced + 1;
-      if Events.enabled events then
-        Events.emit events
-          (Events.Trace_replaced { first; head; trace_id = tr.Trace.id })
+    let hash = Trace.hash_seq ~first blocks ~len in
+    let existing = seq_find t ~hash ~first blocks ~len in
+    let tr =
+      if existing != Trace.none then begin
+        if existing.Trace.owner <> t.session then
+          t.cross_installs <- t.cross_installs + 1;
+        (* make sure it is (still) the trace bound to its entry *)
+        let b = binding t ekey in
+        if b != no_binding && b.b_trace != existing then
+          replaced ~events ~counts ~first ~head existing;
+        existing
+      end
+      else begin
+        let id = t.next_id in
+        t.next_id <- id + 1;
+        let tr =
+          Trace.make ~id ~layout:t.layout ~first
+            ~blocks:(Array.sub blocks 0 len) ~prob
+        in
+        tr.Trace.owner <- t.session;
+        t.constructed <- t.constructed + 1;
+        seq_add t tr;
+        if binding t ekey != no_binding then
+          replaced ~events ~counts ~first ~head tr;
+        tr
+      end
     in
-    let result =
-      match Hashtbl.find_opt t.by_seq skey with
-      | Some existing ->
-          if existing.Trace.owner <> t.session then
-            t.cross_installs <- t.cross_installs + 1;
-          (* make sure it is (still) the trace bound to its entry *)
-          (match binding t ekey with
-          | Some b when b.b_trace == existing -> ()
-          | Some _ -> replaced existing
-          | None -> ());
-          ignore (bind t ekey existing);
-          Reused existing
-      | None ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let tr = Trace.make ~id ~layout:t.layout ~first ~blocks ~prob in
-          tr.Trace.owner <- t.session;
-          t.constructed <- t.constructed + 1;
-          Hashtbl.replace t.by_seq skey tr;
-          if binding t ekey <> None then replaced tr;
-          ignore (bind t ekey tr);
-          Built tr
-    in
+    ignore (bind t ekey tr);
     enforce_caps t ~events ~counts ~keep:ekey;
-    result
+    tr
   end
+
+let try_install ?fail t ~events ~counts ~first ~(blocks : Layout.gid array)
+    ~prob : installed =
+  let built = t.constructed in
+  let tr =
+    install ?fail t ~events ~counts ~first ~blocks ~len:(Array.length blocks)
+      ~prob
+  in
+  if tr == Trace.none then Refused
+  else if t.constructed > built then Built tr
+  else Reused tr
 
 let pressure_evict t ~events ~counts ~down_to =
   let down_to = Int.max 0 down_to in
@@ -568,12 +702,14 @@ let restore ?promoted_below t ~events ~counts (snaps : entry_snap list) : int =
       if Array.length snap.snap_blocks = 0 then
         invalid_arg "Trace_cache.restore: empty block sequence";
       let first = snap.snap_first and blocks = snap.snap_blocks in
-      let skey = seq_key ~first ~blocks in
+      let len = Array.length blocks in
       let ekey = entry_key_int t ~first ~head:blocks.(0) in
+      let existing =
+        seq_find t ~hash:(Trace.hash_seq ~first blocks ~len) ~first blocks ~len
+      in
       let tr =
-        match Hashtbl.find_opt t.by_seq skey with
-        | Some existing -> existing
-        | None ->
+        if existing != Trace.none then existing
+        else begin
             let id = t.next_id in
             t.next_id <- id + 1;
             let tr =
@@ -587,8 +723,9 @@ let restore ?promoted_below t ~events ~counts (snaps : entry_snap list) : int =
             | Some threshold when snap.snap_prob < threshold ->
                 tr.Trace.promoted <- true
             | _ -> ());
-            Hashtbl.replace t.by_seq skey tr;
+            seq_add t tr;
             tr
+          end
       in
       let b = bind t ekey tr in
       (* the snapshot's heat replaces the single use [bind] just stamped *)
@@ -607,8 +744,18 @@ let iter_entries t f =
     (fun key b -> f ~first:(key / n) ~head:(key mod n) b.b_trace)
     t.by_entry
 
-(* All traces ever constructed (including displaced ones). *)
-let iter_all t f = Hashtbl.iter (fun _ tr -> f tr) t.by_seq
+(* All traces ever constructed (including displaced ones), oldest
+   first. *)
+let iter_all t f =
+  let all =
+    Array.of_list
+      (Array.fold_left
+         (fun acc tr ->
+           if tr == Trace.none || tr == seq_gone then acc else tr :: acc)
+         [] t.by_seq)
+  in
+  Array.sort (fun (a : Trace.t) b -> Int.compare a.Trace.id b.Trace.id) all;
+  Array.iter f all
 
 let n_constructed t = t.constructed
 
@@ -629,7 +776,9 @@ let n_cross_entries t = t.cross_entries
    following the flushed traces, whose unpins balance them. *)
 let flush t =
   Int_table.reset t.by_entry;
-  Array.fill t.by_head 0 (Array.length t.by_head) [];
-  Hashtbl.reset t.by_seq;
+  Array.fill t.by_head 0 (Array.length t.by_head) no_binding;
+  t.by_seq <- Array.make seq_initial Trace.none;
+  t.seq_live <- 0;
+  t.seq_used <- 0;
   Hashtbl.reset t.quarantine;
   t.live_blocks <- 0

@@ -20,7 +20,7 @@
       condemned by a TL2xx check or an injected fault, with exponential
       backoff in cache-clock units ({!set_clock}) and permanent
       blacklisting after {!Config.heal_max_rebuilds} condemnations;
-    - {!try_install} is the fallible front door the trace builder uses:
+    - {!install} is the fallible front door the trace builder uses:
       it refuses quarantined entries and consumes the installing
       engine's injected installation failures (its [~fail]), so the
       builder degrades gracefully instead of reinstalling a known-bad
@@ -77,6 +77,28 @@ val peek : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
     tests that must not heat the entry.  Same head-index scan as {!lookup}; [first < 0] or a [head]
     outside the layout never matches. *)
 
+val install :
+  ?fail:(unit -> bool) ->
+  t ->
+  events:Events.t ->
+  counts:Stats.t ->
+  first:Cfg.Layout.gid ->
+  blocks:Cfg.Layout.gid array ->
+  len:int ->
+  prob:float ->
+  Trace.t
+(** Install the candidate trace [first, blocks.(0 .. len-1)], the one
+    way traces enter the cache; the trace builder writes each candidate
+    into its scratch array ({!scratch}) and passes the slice.  Returns
+    the trace now bound to the candidate's entry transition, or
+    {!Trace.none} when the install was refused ({!try_install} says
+    which case happened).  The slice is hashed and compared in place
+    and copied only into a newly built trace, so an install that reuses
+    a cached trace allocates nothing.  [blocks] is read only during the
+    call.  Hash-consing compares the sequence each cached trace was
+    built from ({!Trace.t.seq}), so a trace a fault corrupted since
+    still matches it. *)
+
 type installed = Built of Trace.t | Reused of Trace.t | Refused
 
 val try_install :
@@ -102,7 +124,7 @@ val try_install :
     installing engine's pending injected failures (FT006, held by that
     engine's [Faults] injector, so a member of a shared cache consumes
     only its own).
-    Never fails when omitted. *)
+    Never fails when omitted.  {!install} over the whole of [blocks]. *)
 
 val remove : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** Unbind the entry transition [(first, head)], returning the trace it
@@ -254,7 +276,7 @@ val iter_entries :
 val iter_all : t -> (Trace.t -> unit) -> unit
 (** Over every trace ever constructed and still reachable for
     hash-consing, including displaced ones but not evicted or
-    quarantined ones. *)
+    quarantined ones, in id (construction) order. *)
 
 val n_live : t -> int
 
@@ -279,6 +301,29 @@ val n_cross_installs : t -> int
 val n_cross_entries : t -> int
 (** Dispatch lookups that entered a trace built by a different session.
     Always [0] for a solo engine. *)
+
+(** {2 Builder scratch} *)
+
+type scratch = {
+  mutable busy : bool;
+      (** set while a construction uses the scratch: the builder's
+          re-entrancy guard *)
+  mutable path : Bcg.node array;  (** the walk's transitions *)
+  mutable corrs : float array;
+      (** [corrs.(i)] links [path.(i)] to [path.(i + 1)] *)
+  mutable roots : Bcg.node array;  (** the entry search's roots *)
+  mutable n_roots : int;
+  blocks : Cfg.Layout.gid array;
+      (** one candidate's blocks, {!Config.max_trace_blocks} long *)
+  mutable n_built : int;  (** the construction's new traces so far *)
+  mutable n_reused : int;  (** its hash-cons hits so far *)
+}
+(** The space the trace builder ([Trace_builder]) reuses for every
+    construction through this cache, so a construction allocates only
+    what it keeps.  The arrays grow on demand and are never shrunk;
+    the cache itself never reads them. *)
+
+val scratch : t -> scratch
 
 val flush : t -> unit
 (** Empty the cache — live traces, hash-cons table and quarantine records

@@ -20,7 +20,11 @@ rm -f /tmp/check_build.$$
 
 # Allocation gate under the release profile, the one perfbench builds
 # with: the dispatch path must stay allocation-free in the optimised
-# build too, not only in the dev build runtest uses.
+# build too, not only in the dev build runtest uses.  Its "trace
+# construction" group checks exactly, in this build only, that trace
+# construction allocates just what it keeps (a cached signal its
+# events, a capped eviction its Trace_evicted event, a decay pass
+# nothing) and bounds the words per Trace_builder.on_signal call.
 dune exec --profile release -- ./test/test_alloc.exe
 
 # Inlining gate on the same release build: the interpreter's

@@ -212,10 +212,226 @@ let interpreter_cases =
          tc (w.name ^ " run_plain") `Quick (check_workload_words w))
        Workloads.Registry.all
 
+(* Trace construction allocates only what it keeps: the traces it
+   builds, their cache bindings and the events it emits.  The entry
+   search, the walk, the cutter's candidates, the hash-cons probe and
+   the eviction scan work in scratch space the cache owns and in the
+   graph's search marks. *)
+
+module Bcg = Tracegen.Bcg
+module Events = Tracegen.Events
+module Profiler = Tracegen.Profiler
+module Stats = Tracegen.Stats
+module Trace = Tracegen.Trace
+module Trace_builder = Tracegen.Trace_builder
+module Trace_cache = Tracegen.Trace_cache
+
+(* An event stream whose only observer keeps every cold event in a
+   preallocated array, so what a call allocates for its events is
+   exactly the events it emits.  [since k] lists the events kept from
+   the [k]-th on. *)
+let keeping_stream () =
+  let none = { Events.time = 0; payload = Events.Path_walked { transitions = 0 } } in
+  let kept = Array.make 65_536 none and n = ref 0 in
+  let events = Events.create () in
+  Events.set_tap events ~ring:None ~cold:(fun ev ->
+      kept.(!n) <- ev;
+      incr n);
+  let since k = List.init (!n - k) (fun i -> kept.(k + i)) in
+  (events, n, since)
+
+(* The words an event the stream keeps costs: the event record, its
+   payload, and a construction's copy of its blocks. *)
+let event_words (ev : Events.event) =
+  3
+  + (1 + Obj.size (Obj.repr ev.Events.payload))
+  +
+  match ev.Events.payload with
+  | Events.Trace_constructed { blocks; _ } -> 1 + Array.length blocks
+  | _ -> 0
+
+let record_stream layout =
+  let buf = ref (Array.make 4096 0) and n = ref 0 in
+  ignore
+    (Interp.run layout ~on_block:(fun g ->
+         if !n = Array.length !buf then begin
+           let b = Array.make (2 * !n) 0 in
+           Array.blit !buf 0 b 0 !n;
+           buf := b
+         end;
+         !buf.(!n) <- g;
+         incr n));
+  Array.sub !buf 0 !n
+
+(* A profiler replay of [w]'s default-size block stream, its signals
+   feeding the builder over an unbounded cache as the engine does: the
+   signals seen, the builder's calls and the words they allocated. *)
+let replay_builder (w : Workloads.Workload.t) =
+  let layout = Harness.Experiment.layout_for w ~size:w.default_size in
+  let cache = Trace_cache.create layout in
+  let events, _, _ = keeping_stream () in
+  let counts = Stats.zero () in
+  let signals = ref [] and calls = ref 0 and words = ref 0. in
+  let on_signal s =
+    signals := s :: !signals;
+    incr calls;
+    let w0 = Gc.minor_words () in
+    ignore
+      (Trace_builder.on_signal ~events ~counts Config.default cache s);
+    words := !words +. (Gc.minor_words () -. w0)
+  in
+  let prof =
+    Profiler.create Config.default ~n_blocks:layout.Cfg.Layout.n_blocks
+      ~on_signal
+  in
+  Array.iter (Profiler.dispatch prof) (record_stream layout);
+  (cache, List.rev !signals, !calls, !words)
+
+(* The release profile, the one check.sh and perfbench build with.  The
+   dev profile compiles each library opaquely, so a float that crosses
+   a module boundary (a correlation, a candidate's probability) is
+   boxed there; the exact checks below hold in the optimised build. *)
+let optimised = Build_profile.name = "release"
+
+(* A signal rebuilt once more, with every candidate already cached,
+   allocates its outcome and the construction events it emits, nothing
+   else (checked exactly under the release profile). *)
+let check_cached_signal () =
+  let cache, signals, _, _ = replay_builder Workloads.Compress.workload in
+  let events, n, since = keeping_stream () in
+  let counts = Stats.zero () in
+  let reuses = ref 0 in
+  List.iter
+    (fun s ->
+      ignore (Trace_builder.on_signal ~events ~counts Config.default cache s);
+      let k = !n in
+      let o, words =
+        minor_words (fun () ->
+            Trace_builder.on_signal ~events ~counts Config.default cache s)
+      in
+      if o.Trace_builder.new_traces <> 0 then
+        Alcotest.fail "a repeated signal built a trace";
+      reuses := !reuses + o.Trace_builder.reused_traces;
+      let kept = since k in
+      let expected = List.fold_left (fun acc ev -> acc + event_words ev) 3 kept in
+      if optimised && int_of_float words <> expected then
+        Alcotest.failf
+          "a signal of %d cached candidates allocated %.0f words; its \
+           outcome and %d events are %d"
+          o.Trace_builder.reused_traces words (List.length kept) expected)
+    signals;
+  if !reuses = 0 then Alcotest.fail "no candidate was reused"
+
+(* A capped footprint-aware install that evicts allocates, beyond the
+   same install into an uncapped cache, only the Trace_evicted event. *)
+let check_capped_eviction () =
+  let layout =
+    Harness.Experiment.layout_for Workloads.Compress.workload ~size:16
+  in
+  let filled max_traces =
+    let c =
+      Trace_cache.create ~max_traces
+        ~eviction_policy:Config.Cache.Footprint_aware layout
+    in
+    let events = Events.create () and counts = Stats.zero () in
+    for k = 0 to 7 do
+      ignore
+        (Trace_cache.install c ~events ~counts ~first:k
+           ~blocks:[| k + 1; k + 2; k + 3 |] ~len:(1 + (k mod 3)) ~prob:1.0)
+    done;
+    c
+  in
+  let capped = filled 8 and uncapped = filled 0 in
+  let blocks = [| 20; 21; 22 |] in
+  let install cache =
+    let events, n, since = keeping_stream () in
+    let counts = Stats.zero () in
+    let _, words =
+      minor_words (fun () ->
+          Trace_cache.install cache ~events ~counts ~first:19 ~blocks ~len:3
+            ~prob:1.0)
+    in
+    (words, since 0, ignore n)
+  in
+  let w_uncapped, ev_uncapped, () = install uncapped in
+  let w_capped, ev_capped, () = install capped in
+  if ev_uncapped <> [] then Alcotest.fail "the uncapped install evicted";
+  (match ev_capped with
+  | [ { Events.payload = Events.Trace_evicted _; _ } ] -> ()
+  | l -> Alcotest.failf "%d events from the capped install" (List.length l));
+  let extra = w_capped -. w_uncapped in
+  let expected = List.fold_left (fun acc ev -> acc + event_words ev) 0 ev_capped in
+  if int_of_float extra <> expected then
+    Alcotest.failf "the eviction allocated %.0f words; its event is %d" extra
+      expected
+
+(* Minor words per [Trace_builder.on_signal] call at default size, with
+   every call's events kept, in the release build; a workload must stay
+   under 1.5 times its figure (the dev build allocates 15-20% more).
+   The figure before construction moved into the cache's scratch space
+   is in the comment: 359-512 words per call. *)
+let words_per_signal =
+  [
+    ("compress", 59.7 (* 415.5 *));
+    ("javac", 59.4 (* 392.9 *));
+    ("raytrace", 52.3 (* 379.2 *));
+    ("mpegaudio", 53.1 (* 358.9 *));
+    ("soot", 54.5 (* 395.7 *));
+    ("scimark", 68.5 (* 512.0 *));
+  ]
+
+let check_signal_words (w : Workloads.Workload.t) () =
+  let _, _, calls, words = replay_builder w in
+  let per = words /. float_of_int (max 1 calls) in
+  Printf.printf "%s: %d calls, %.1f words per call\n" w.name calls per;
+  let limit = 1.5 *. List.assoc w.name words_per_signal in
+  if per >= limit then
+    Alcotest.failf "%s: %.1f minor words per on_signal call (limit %.1f)"
+      w.name per limit
+
+(* A node whose edges all survive: ten decay passes allocate nothing.
+   Two successors at 3:1 keep the node strongly correlated at a 0.7
+   threshold, so no pass changes its state or best successor. *)
+let check_decay_in_place () =
+  let period = 64 in
+  let config = Config.make ~start_state_delay:1 ~threshold:0.7 ~decay_period:period () in
+  let bcg = Bcg.create config ~n_blocks:16 ~on_signal:(fun _ -> ()) in
+  let ctx = Bcg.visit_node bcg ~x:1 ~y:2 in
+  let hot = Bcg.visit_node bcg ~x:2 ~y:3 and cold = Bcg.visit_node bcg ~x:2 ~y:4 in
+  for _ = 1 to 120 do
+    Bcg.record_successor bcg ~ctx ~target:hot
+  done;
+  for _ = 1 to 40 do
+    Bcg.record_successor bcg ~ctx ~target:cold
+  done;
+  Bcg.recheck bcg ctx;
+  let decays = bcg.Bcg.decays in
+  let (), words =
+    minor_words (fun () ->
+        for _ = 1 to 10 * period do
+          Bcg.visit bcg ctx
+        done)
+  in
+  if bcg.Bcg.decays - decays <> 10 then
+    Alcotest.failf "%d decay passes" (bcg.Bcg.decays - decays);
+  if List.length ctx.Bcg.edges <> 2 then Alcotest.fail "an edge died";
+  if words <> 0. then
+    Alcotest.failf "ten decay passes allocated %.0f words" words
+
+let construction_cases =
+  tc "cached signal" `Quick check_cached_signal
+  :: tc "capped eviction" `Quick check_capped_eviction
+  :: tc "decay in place" `Quick check_decay_in_place
+  :: List.map
+       (fun (w : Workloads.Workload.t) ->
+         tc (w.name ^ " on_signal") `Quick (check_signal_words w))
+       Workloads.Registry.all
+
 let () =
   Alcotest.run "alloc"
     [
       ("words per dispatch", cases);
       ("direct major words per dispatch", plain_cases);
       ("interpreter words", interpreter_cases);
+      ("trace construction", construction_cases);
     ]

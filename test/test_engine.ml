@@ -295,6 +295,137 @@ let test_counters_between_blocks () =
           ~decay_period:4 () );
     ]
 
+
+(* Pinned decision streams on the cache write path.  A churn-shaped
+   case (javac, soot and mpegaudio, two Session members each over an
+   8-trace footprint-aware cache, then a warm restart of each from its
+   first member's snapshot) and the loops and calls programs run solo
+   must keep, engine by engine, the exact stream of events they emit:
+   every construction with its probability's bits, every reuse,
+   replacement and eviction with its victim, reason, footprint and
+   heat.  Sizes are perfbench's base sizes for those workloads.  The
+   digest is an FNV-style fold of each event's Codec JSON, plus the
+   probability bits JSON rounds, kept to 30 bits. *)
+module Session = Tracegen.Session
+
+let fold_string d s =
+  let d = ref d in
+  String.iter
+    (fun c -> d := ((!d lxor Char.code c) * 16777619) land 0x3FFF_FFFF)
+    s;
+  !d
+
+let digest_of events =
+  let d = ref 0 and n = ref 0 in
+  ignore
+    (Events.subscribe events (fun e ->
+         incr n;
+         d :=
+           fold_string !d
+             (Harness.Codec.to_string (Harness.Codec.event_json e));
+         match e.Events.payload with
+         | Events.Trace_constructed { prob; _ } ->
+             d := fold_string !d (Int64.to_string (Int64.bits_of_float prob))
+         | _ -> ()));
+  (d, n)
+
+let pinned_layout name frac =
+  let w = Option.get (Workloads.Registry.find name) in
+  let size =
+    max 1 (int_of_float (Float.round (float_of_int w.bench_size *. frac)))
+  in
+  Layout.build (w.build ~size)
+
+(* (engine, event digest, events) for the churn case, in member order
+   and then restart order. *)
+let churn_streams () =
+  let config =
+    Config.make ~max_cache_traces:8
+      ~eviction_policy:Config.Cache.Footprint_aware ()
+  in
+  let progs =
+    List.map
+      (fun n -> (n, pinned_layout n 0.015))
+      [ "javac"; "soot"; "mpegaudio" ]
+  in
+  let s = Session.create () in
+  let members =
+    List.map
+      (fun (n, layout) ->
+        let events = Events.create () in
+        let d = digest_of events in
+        (n, d, Session.add ~name:n ~config ~events s layout))
+      (progs @ progs)
+  in
+  Session.run s;
+  let warm =
+    List.map
+      (fun (n, layout) ->
+        let _, _, first =
+          List.find (fun (n', _, _) -> n' = n) members
+        in
+        let snap = Engine.snapshot (Session.engine first) in
+        let events = Events.create () in
+        let d = digest_of events in
+        let e = Engine.create ~config ~events layout in
+        (match Engine.restore e snap with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s: restore rejected" n);
+        ignore (Engine.drive e);
+        ("warm " ^ n, d))
+      progs
+  in
+  List.map (fun (n, (d, k), _) -> (n, !d, !k)) members
+  @ List.map (fun (n, (d, k)) -> (n, !d, !k)) warm
+
+let solo_streams () =
+  List.map
+    (fun (n, frac) ->
+      let events = Events.create () in
+      let d, k = digest_of events in
+      ignore (Engine.drive (Engine.create ~events (pinned_layout n frac)));
+      (n, !d, !k))
+    [
+      ("compress", 0.05);
+      ("scimark", 0.05);
+      ("mpegaudio", 0.1);
+      ("soot", 0.1);
+      ("raytrace", 0.1);
+    ]
+
+let stream_t = Alcotest.(list (triple string int int))
+
+(* (engine, digest, events) *)
+let pinned_churn =
+  [
+    ("javac", 426344832, 9443);
+    ("soot", 591128862, 25841);
+    ("mpegaudio", 164164681, 6462);
+    ("javac", 159583855, 9622);
+    ("soot", 944909525, 26515);
+    ("mpegaudio", 512595154, 6703);
+    ("warm javac", 516226425, 9460);
+    ("warm soot", 820235849, 26177);
+    ("warm mpegaudio", 75360658, 7147);
+  ]
+
+let pinned_solo =
+  [
+    ("compress", 783126294, 83391);
+    ("scimark", 371734530, 112982);
+    ("mpegaudio", 577848248, 126911);
+    ("soot", 245148512, 205263);
+    ("raytrace", 10884524, 7314);
+  ]
+
+let test_pinned_churn () =
+  let got = churn_streams () in
+  check stream_t "churn decision streams" pinned_churn got
+
+let test_pinned_solo () =
+  let got = solo_streams () in
+  check stream_t "solo decision streams" pinned_solo got
+
 let () =
   Alcotest.run "engine"
     [
@@ -315,4 +446,9 @@ let () =
           tc "counters between blocks" `Quick test_counters_between_blocks;
         ] );
       ("config", [ tc "threshold validated" `Quick test_threshold_validated ]);
+      ( "pinned decisions",
+        [
+          tc "churn" `Quick test_pinned_churn;
+          tc "loops and calls" `Quick test_pinned_solo;
+        ] );
     ]

@@ -337,6 +337,63 @@ let test_index_keys_on_binding () =
     (Trace_cache.peek cache ~first:0 ~head:1 = None);
   check Alcotest.int "gone from the table" 0 (Trace_cache.n_live cache)
 
+(* The hash-cons index across its growth, purges and a fault: every
+   sequence finds its own trace until it is removed, a removed sequence
+   builds afresh, a corrupted trace is still found under the sequence it
+   was built from, and [iter_all] visits in id order. *)
+let test_hash_index () =
+  let l = Lazy.force layout in
+  let n = l.Layout.n_blocks in
+  let cache = Trace_cache.create l in
+  let seq k =
+    let rec digit k d = if d = 0 then k mod n else digit (k / n) (d - 1) in
+    (digit k 0, Array.init 4 (fun d -> digit k (d + 1)))
+  in
+  let count = 600 in
+  check Alcotest.bool "distinct sequences" true (n * n * n * n * n >= count);
+  let put k =
+    let first, blocks = seq k in
+    install cache ~first ~blocks ~prob:1.0
+  in
+  let built = Array.init count put in
+  Array.iteri
+    (fun k tr -> check Alcotest.bool "found again" true (put k == tr))
+    built;
+  check Alcotest.int "one construction each" count
+    (Trace_cache.n_constructed cache);
+  (* removing the trace bound at an entry purges it from the index; the
+     first [count] traces were built in sequence order, so a trace's id
+     is the number of its sequence *)
+  let removed = ref 0 in
+  for k = 0 to count - 1 do
+    if k mod 7 = 0 then begin
+      let first, blocks = seq k in
+      match Trace_cache.remove cache ~first ~head:blocks.(0) with
+      | Some tr ->
+          incr removed;
+          check Alcotest.bool "removed trace rebuilt afresh" true
+            (put tr.Trace.id != tr)
+      | None -> ()
+    end
+  done;
+  check Alcotest.bool "some removed" true (!removed > 0);
+  (* FT001 corrupts a body in place: the trace keeps its key *)
+  let k = count - 1 in
+  let tr = put k in
+  let first, blocks = seq k in
+  Trace.set_block tr 1 (-1 - tr.Trace.blocks.(1));
+  check Alcotest.bool "corrupted trace found under its sequence" true
+    (put k == tr);
+  ignore (Trace_cache.remove cache ~first ~head:blocks.(0));
+  check Alcotest.bool "and purged by its own hash" true (put k != tr);
+  let ids = ref [] in
+  Trace_cache.iter_all cache (fun tr -> ids := tr.Trace.id :: !ids);
+  let ids = List.rev !ids in
+  check Alcotest.(list int) "iter_all in id order" (List.sort compare ids) ids;
+  check Alcotest.int "every trace still indexed"
+    (Trace_cache.n_constructed cache - !removed - 1)
+    (List.length ids)
+
 let () =
   Alcotest.run "trace"
     [
@@ -353,6 +410,7 @@ let () =
           tc "replacement" `Quick test_replacement;
           tc "live count and flush" `Quick test_live_count;
           tc "index keys on the binding" `Quick test_index_keys_on_binding;
+          tc "hash-cons index" `Quick test_hash_index;
         ] );
       ("head index", [ QCheck_alcotest.to_alcotest prop_index_agrees ]);
     ]

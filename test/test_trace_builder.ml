@@ -54,7 +54,8 @@ let recheck_all bcg = Bcg.iter_nodes bcg (fun n -> Bcg.recheck bcg n)
 let signal_for bcg ~x ~y =
   let n = node_at bcg ~x ~y in
   {
-    Bcg.s_node = n;
+    Bcg.s_graph = bcg;
+    s_node = n;
     s_old_state = State.Newly_created;
     s_new_state = n.Bcg.state;
     s_best_changed = true;
@@ -201,6 +202,342 @@ let test_entry_points_multiple_preds () =
     (Trace_cache.lookup cache ~prev:3 ~cur:4 <> None
     || Trace_cache.lookup cache ~prev:4 ~cur:5 <> None)
 
+(* A construction that re-enters the builder through the same cache
+   (here from an event subscriber) is refused rather than left to
+   overwrite the outer construction's scratch, and the refusal leaves
+   the cache usable. *)
+let test_reentry_refused () =
+  let config = mk_config () in
+  let bcg = mk_bcg config in
+  let cache = Trace_cache.create (Lazy.force layout) in
+  feed_path bcg [ 1; 2; 3; 4; 5 ] ~times:20;
+  recheck_all bcg;
+  let events = Tracegen.Events.create () in
+  let nested = ref 0 in
+  ignore
+    (Tracegen.Events.subscribe events (fun _ ->
+         incr nested;
+         ignore
+           (Trace_builder.on_signal config cache (signal_for bcg ~x:2 ~y:3))));
+  (match Trace_builder.on_signal ~events config cache (signal_for bcg ~x:1 ~y:2) with
+  | _ -> Alcotest.fail "re-entry was not refused"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.int "one nested attempt" 1 !nested;
+  let o = Trace_builder.on_signal config cache (signal_for bcg ~x:1 ~y:2) in
+  check Alcotest.int "the cache builds again" 1
+    (o.Trace_builder.new_traces + o.Trace_builder.reused_traces)
+
+(* ------------------------------------------------------------------ *)
+(* Lockstep with the reference builder                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [Reference_builder] is the builder before construction moved into
+   the cache's scratch space.  Both are driven from identical graphs:
+   per signal (and per OSR promotion), the ordered install calls, the
+   walk lengths, the outcome and every event the construction emits
+   must agree. *)
+
+module Events = Tracegen.Events
+module Stats = Tracegen.Stats
+module Profiler = Tracegen.Profiler
+module Reference = Reference_builder
+
+type side = New | Ref
+
+let signal_on side ~fail_install ~events ~on_path config cache signal =
+  let counts = Stats.zero () in
+  match side with
+  | New ->
+      let o =
+        Trace_builder.on_signal ~events ~counts ~on_path ?fail_install config
+          cache signal
+      in
+      (o.Trace_builder.new_traces, o.Trace_builder.reused_traces)
+  | Ref ->
+      let o =
+        Reference.on_signal ~events ~counts ~on_path ?fail_install config
+          cache signal
+      in
+      (o.Reference.new_traces, o.Reference.reused_traces)
+
+let promote_on side ~fail_install ~events ~on_path cache bcg ~header =
+  let counts = Stats.zero () in
+  match side with
+  | New ->
+      let o, tr =
+        Trace_builder.promote ~events ~counts ~on_path ?fail_install cache bcg
+          ~header
+      in
+      ( (o.Trace_builder.new_traces, o.Trace_builder.reused_traces),
+        Option.map (fun tr -> tr.Trace.id) tr )
+  | Ref ->
+      let o, tr =
+        Reference.promote ~events ~counts ~on_path ?fail_install cache bcg
+          ~header
+      in
+      ( (o.Reference.new_traces, o.Reference.reused_traces),
+        Option.map (fun tr -> tr.Trace.id) tr )
+
+(* The install calls one construction makes, as (first, blocks, prob
+   bits), read through [fail_install], which every call consults once:
+   a first run fails every install and counts the calls, then run [i]
+   fails every install but the [i]-th, which builds in an empty cache
+   and so reports exactly its own candidate. *)
+let install_calls layout run =
+  let k = ref 0 in
+  run
+    ~fail_install:
+      (Some
+         (fun () ->
+           incr k;
+           true))
+    ~events:(Events.create ()) (Trace_cache.create layout);
+  List.init !k (fun i ->
+      let events = Events.create () in
+      let got = ref [] in
+      ignore
+        (Events.subscribe events (fun e ->
+             match e.Events.payload with
+             | Events.Trace_constructed c ->
+                 got := (c.first, c.blocks, Int64.bits_of_float c.prob) :: !got
+             | _ -> ()));
+      let n = ref 0 in
+      run
+        ~fail_install:
+          (Some
+             (fun () ->
+               let j = !n in
+               incr n;
+               j <> i))
+        ~events (Trace_cache.create layout);
+      match !got with
+      | [ c ] -> c
+      | l -> Alcotest.failf "install call %d: %d constructions" i (List.length l))
+
+(* One builder's persistent state: its cache and what its constructions
+   emitted so far. *)
+type lane = { cache : Trace_cache.t; events : Events.t; log : string list ref }
+
+let lane ~max_traces ~policy layout =
+  let events = Events.create () in
+  let log = ref [] in
+  ignore
+    (Events.subscribe events (fun e ->
+         log := Harness.Codec.to_string (Harness.Codec.event_json e) :: !log));
+  {
+    cache = Trace_cache.create ~max_traces ~eviction_policy:policy layout;
+    events;
+    log;
+  }
+
+(* The two builders' lanes over one cache shape: unbounded LRU, and
+   churn's starved footprint-aware cache, whose evictions put the
+   victim choice under the comparison too. *)
+let lanes layout =
+  List.map
+    (fun (max_traces, policy) ->
+      (lane ~max_traces ~policy layout, lane ~max_traces ~policy layout))
+    [ (0, Config.Cache.Lru); (8, Config.Cache.Footprint_aware) ]
+
+type tally = { mutable signals : int; mutable calls : int; mutable evicted : int }
+
+let call_t =
+  Alcotest.(list (triple int (array int) int64))
+
+let agree ~what ~layout tally lanes run =
+  let calls side =
+    install_calls layout (fun ~fail_install ~events cache ->
+        ignore (run side ~fail_install ~events ~on_path:ignore cache))
+  in
+  let want = calls Ref in
+  check call_t (what ^ ": install calls") want (calls New);
+  tally.calls <- tally.calls + List.length want;
+  List.iter
+    (fun (r, n) ->
+      let walks = ref [] in
+      let walked l = walks := l :: !walks in
+      r.log := [];
+      n.log := [];
+      let ro = run Ref ~fail_install:None ~events:r.events ~on_path:walked r.cache in
+      let rw = !walks in
+      walks := [];
+      let no = run New ~fail_install:None ~events:n.events ~on_path:walked n.cache in
+      check Alcotest.string (what ^ ": outcome") ro no;
+      check Alcotest.(list int) (what ^ ": walks") rw !walks;
+      check Alcotest.(list string) (what ^ ": events") !(r.log) !(n.log))
+    lanes
+
+let agree_signal ~layout tally lanes config signal =
+  tally.signals <- tally.signals + 1;
+  agree ~layout tally lanes
+    ~what:
+      (Printf.sprintf "signal %d at (%d,%d)" tally.signals
+         signal.Bcg.s_node.Bcg.n_x signal.Bcg.s_node.Bcg.n_y)
+    (fun side ~fail_install ~events ~on_path cache ->
+      let nb, nr =
+        signal_on side ~fail_install ~events ~on_path config cache signal
+      in
+      Printf.sprintf "%d new, %d reused" nb nr)
+
+let agree_promote ~layout tally lanes bcg ~header =
+  agree ~layout tally lanes
+    ~what:(Printf.sprintf "promote header %d" header)
+    (fun side ~fail_install ~events ~on_path cache ->
+      let (nb, nr), id =
+        promote_on side ~fail_install ~events ~on_path cache bcg ~header
+      in
+      Printf.sprintf "%d new, %d reused, trace %d" nb nr
+        (Option.value id ~default:(-1)))
+
+let finish tally lanes =
+  List.iter
+    (fun (r, n) ->
+      tally.evicted <- tally.evicted + Trace_cache.n_evicted n.cache;
+      check Alcotest.bool "same live cache" true
+        (Trace_cache.snapshot r.cache = Trace_cache.snapshot n.cache))
+    lanes
+
+(* The graph's nodes in (x, y) order. *)
+let nodes_of bcg =
+  let ns = ref [] in
+  Bcg.iter_nodes bcg (fun n -> ns := n :: !ns);
+  List.sort
+    (fun (a : Bcg.node) (b : Bcg.node) ->
+      compare (a.Bcg.n_x, a.Bcg.n_y) (b.Bcg.n_x, b.Bcg.n_y))
+    !ns
+
+let hand_signal bcg (n : Bcg.node) =
+  {
+    Bcg.s_graph = bcg;
+    s_node = n;
+    s_old_state = State.Newly_created;
+    s_new_state = n.Bcg.state;
+    s_best_changed = true;
+  }
+
+(* A layout with room for chains past both caps. *)
+let big_layout =
+  lazy
+    (let open Workloads.Dsl in
+     let module S = Bytecode.Structured in
+     let p = S.create () in
+     S.def_method p ~name:"main" ~args:[] ~ret:S.I
+       ~body:
+         ((decl_i "x" (i 0)
+          :: List.init 200 (fun k ->
+                 when_ (v "x" =! i k) [ set "x" (v "x" +! i 1) ]))
+         @ [ ret (v "x") ])
+       ();
+     Layout.build (S.link p ~entry:"main"))
+
+let chain lo n = List.init n (fun k -> lo + k)
+
+(* Hand-made graphs: (name, block stream fed [times] times). *)
+let hand_graphs =
+  [
+    ("loop closing at the root", List.concat (List.init 20 (fun _ -> [ 1; 2; 3 ])), 1);
+    ( "loop closing mid-path",
+      [ 10; 11; 12 ] @ List.concat (List.init 20 (fun _ -> [ 13; 14; 12 ])),
+      1 );
+    ( "backtracking cycle with a side entry",
+      [ 30; 31; 32 ] @ List.concat (List.init 20 (fun _ -> [ 33; 34; 35; 32 ])),
+      2 );
+    ("max_backtrack cap", chain 1 (Config.max_backtrack + 40), 20);
+    ("max_walk cap", chain 1 (Config.max_walk + 40), 20);
+  ]
+
+let test_lockstep_hand () =
+  let layout = Lazy.force big_layout in
+  check Alcotest.bool "layout holds the chains" true
+    (Config.max_walk + 42 < layout.Layout.n_blocks);
+  let tally = { signals = 0; calls = 0; evicted = 0 } in
+  List.iter
+    (fun (_name, stream, times) ->
+      let config = mk_config () in
+      let bcg =
+        Bcg.create config ~n_blocks:layout.Layout.n_blocks
+          ~on_signal:(fun _ -> ())
+      in
+      feed_path bcg stream ~times;
+      recheck_all bcg;
+      let lanes = lanes layout in
+      let nodes = nodes_of bcg in
+      List.iter
+        (fun n -> agree_signal ~layout tally lanes config (hand_signal bcg n))
+        nodes;
+      List.iter
+        (fun h -> agree_promote ~layout tally lanes bcg ~header:h)
+        (List.sort_uniq compare (List.map (fun n -> n.Bcg.n_y) nodes));
+      finish tally lanes)
+    hand_graphs;
+  check Alcotest.bool "install calls compared" true (tally.calls > 100)
+
+let record_stream layout =
+  let buf = ref (Array.make 4096 0) and n = ref 0 in
+  ignore
+    (Vm.Interp.run layout ~on_block:(fun g ->
+         if !n = Array.length !buf then begin
+           let b = Array.make (2 * !n) 0 in
+           Array.blit !buf 0 b 0 !n;
+           buf := b
+         end;
+         !buf.(!n) <- g;
+         incr n));
+  Array.sub !buf 0 !n
+
+(* Replay [layout]'s block stream through a profiler whose every signal
+   runs both builders, then promote the hottest nodes' blocks. *)
+let replay tally config layout =
+  let lanes = lanes layout in
+  let on_signal s = agree_signal ~layout tally lanes config s in
+  let prof =
+    Profiler.create config ~n_blocks:layout.Layout.n_blocks ~on_signal
+  in
+  Array.iter (Profiler.dispatch prof) (record_stream layout);
+  let bcg = Profiler.bcg prof in
+  let hot =
+    List.sort
+      (fun (a : Bcg.node) b -> compare b.Bcg.exec_total a.Bcg.exec_total)
+      (nodes_of bcg)
+  in
+  List.iteri
+    (fun k (n : Bcg.node) ->
+      if k < 8 then agree_promote ~layout tally lanes bcg ~header:n.Bcg.n_y)
+    hot;
+  finish tally lanes
+
+let test_lockstep_workloads () =
+  let tally = { signals = 0; calls = 0; evicted = 0 } in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let size = max 1 (w.default_size / 4) in
+      replay tally Config.default (Layout.build (w.build ~size)))
+    Workloads.Registry.all;
+  Printf.printf "workloads: %d signals, %d install calls, %d evictions\n"
+    tally.signals tally.calls tally.evicted;
+  check Alcotest.bool "signals compared" true (tally.signals > 100);
+  check Alcotest.bool "evictions compared" true (tally.evicted > 0)
+
+let test_lockstep_random () =
+  let tally = { signals = 0; calls = 0; evicted = 0 } in
+  let rand = Random.State.make [| 37 |] in
+  let programs =
+    QCheck.Gen.generate ~rand ~n:60 (QCheck.gen Random_program.arb_program)
+  in
+  List.iter
+    (fun program ->
+      let layout = Layout.build program in
+      List.iter
+        (fun config -> replay tally config layout)
+        [
+          Config.default;
+          Config.make ~start_state_delay:8 ~threshold:0.9 ~decay_period:64 ();
+        ])
+    programs;
+  Printf.printf "random programs: %d signals, %d install calls\n"
+    tally.signals tally.calls;
+  check Alcotest.bool "signals compared" true (tally.signals > 0)
+
 let () =
   Alcotest.run "trace_builder"
     [
@@ -211,6 +548,7 @@ let () =
           tc "cold nodes not followed" `Quick test_newly_created_not_followed;
           tc "entry points from multiple preds" `Quick
             test_entry_points_multiple_preds;
+          tc "re-entry refused" `Quick test_reentry_refused;
         ] );
       ( "cutting",
         [
@@ -219,5 +557,11 @@ let () =
           tc "max length cap" `Quick test_max_length_cap;
           tc "single transitions suppressed" `Quick
             test_single_transition_suppressed;
+        ] );
+      ( "lockstep",
+        [
+          tc "hand-made graphs" `Quick test_lockstep_hand;
+          tc "workload replays" `Quick test_lockstep_workloads;
+          tc "random programs" `Quick test_lockstep_random;
         ] );
     ]
