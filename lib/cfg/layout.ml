@@ -54,25 +54,21 @@ let build (program : Program.t) : t =
 
 (* The fingerprint ties persisted state to the exact program it was
    profiled over: gids are meaningless under any other layout.  It
-   covers the full disassembly plus the block numbering, so it depends
-   on content, not identity.  Disassembling a program costs about a
-   millisecond, so the digest is computed on first use and kept; a
-   mutable option rather than a [Lazy.t] keeps the record free of
-   closures. *)
+   digests the program's binary encoding plus the block numbering, so
+   it depends on content, not identity: [No_sharing] makes the encoding
+   a function of the values alone, whatever their sharing.  The encoding
+   is one string, allocated in the major heap, with nothing allocated
+   per instruction.  Computed on first use and kept, so [build] does not
+   pay for it; a mutable option rather than a [Lazy.t] keeps the record
+   free of closures. *)
 let fingerprint t =
   match t.fingerprint_memo with
   | Some d -> d
   | None ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf (Bytecode.Disasm.program_to_string t.program);
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (string_of_int t.n_blocks);
-      Array.iter
-        (fun len ->
-          Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int len))
-        t.instr_len;
-      let d = Digest.string (Buffer.contents buf) in
+      let d =
+        Digest.string
+          (Marshal.to_string (t.program, t.instr_len) [ Marshal.No_sharing ])
+      in
       t.fingerprint_memo <- Some d;
       d
 

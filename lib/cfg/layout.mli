@@ -27,8 +27,8 @@ val build : Program.t -> t
     targets, code falling off a method's end). *)
 
 val fingerprint : t -> string
-(** 16-byte MD5 fingerprint of the layout (full disassembly plus block
-    numbering).  Two layouts built separately from the same program have
+(** 16-byte MD5 fingerprint of the layout: the program's binary
+    encoding ([Marshal], without sharing) plus the block numbering.  Two layouts built separately from the same program have
     the same fingerprint.  Computed on first call and cached in the
     layout, so {!build} does not pay for it. *)
 

@@ -362,7 +362,7 @@ let snapshot t : node_snap list =
     (fun _ (n : node) ->
       let edges =
         List.map (fun e -> (e.e_z, e.weight)) n.edges
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       acc :=
         {
@@ -378,7 +378,10 @@ let snapshot t : node_snap list =
         :: !acc)
     t.nodes;
   List.sort
-    (fun a b -> compare (a.ns_x, a.ns_y) (b.ns_x, b.ns_y))
+    (fun a b ->
+      match Int.compare a.ns_x b.ns_x with
+      | 0 -> Int.compare a.ns_y b.ns_y
+      | c -> c)
     !acc
 
 let restore t (snaps : node_snap list) =

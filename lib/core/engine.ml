@@ -91,11 +91,12 @@ type t = {
   mutable restored : int; (* traces rebound by [restore] *)
   (* trace execution state *)
   mutable active : Trace.t option;
-  mutable active_lowered : Microir.body option;
-    (* the active trace's compiled body when it was entered on the
-       compiled tier (Config.tier_enabled); positions followed while
-       this is set are accounted as micro-op dispatches instead of
-       source instructions.  Cleared with [active]. *)
+  mutable active_compiled : bool;
+    (* the active trace was entered on the compiled tier
+       (Config.tier_enabled): its exit accounts the positions it
+       matched as the micro-ops its lowered body dispatches there.  Set
+       at every entry with the tier armed; read only while [active] is
+       set or by the exit that clears it *)
   mutable active_pos : int;
     (* index of the next expected block: the positions matched so far.
        The guards checked and the instructions matched are folded in
@@ -139,19 +140,27 @@ let note_executed t g =
   t.prev2 <- t.prev;
   t.prev <- g
 
-(* Compiled-tier accounting for one followed trace position: what the
-   micro-IR dispatch loop would have dispatched there versus the source
-   instructions trace dispatch runs.  Only the test for the interpreted
-   tier is inlined into the dispatch loop. *)
-let account_position t (b : Microir.body) pos =
-  let c = t.counts in
-  c.Stats.mi_positions <- c.Stats.mi_positions + 1;
-  c.Stats.mi_ops <- c.Stats.mi_ops + b.Microir.pos_ops.(pos);
-  c.Stats.mi_fused <- c.Stats.mi_fused + b.Microir.pos_fused.(pos);
-  c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + b.Microir.pos_src.(pos)
-
-let[@inline] account_lowered t pos =
-  match t.active_lowered with None -> () | Some b -> account_position t b pos
+(* Compiled-tier accounting for the positions [0, upto) of a trace
+   entered on the compiled tier: what the micro-IR dispatch loop would
+   have dispatched there versus the source instructions trace dispatch
+   ran.  Added into [c] when the trace ends, as the guards are, and by
+   [counters] for the trace still in flight.  Exact: a followed trace is
+   pinned, and a pinned trace is never demoted, evicted or quarantined,
+   so [tr.lowered] is still the body it was entered with. *)
+let account_compiled (c : Stats.t) (tr : Trace.t) upto =
+  match tr.Trace.lowered with
+  | None -> ()
+  | Some b ->
+      let ops = ref 0 and fused = ref 0 and src = ref 0 in
+      for i = 0 to upto - 1 do
+        ops := !ops + b.Microir.pos_ops.(i);
+        fused := !fused + b.Microir.pos_fused.(i);
+        src := !src + b.Microir.pos_src.(i)
+      done;
+      c.Stats.mi_positions <- c.Stats.mi_positions + upto;
+      c.Stats.mi_ops <- c.Stats.mi_ops + !ops;
+      c.Stats.mi_fused <- c.Stats.mi_fused + !fused;
+      c.Stats.mi_src_instrs <- c.Stats.mi_src_instrs + !src
 
 (* Walk the health ladder: count and publish the transition and, when
    climbing out of interp-only, drop the profiler's stale branch context
@@ -192,12 +201,8 @@ let note_static t (tr : Trace.t) =
     c.Stats.static_blocks <- c.Stats.static_blocks + Trace.n_blocks tr
   end
 
-(* Clear the trace execution state.  [active_lowered] is written only
-   when set: a pointer store pays the write barrier, and a trace on the
-   interpreted tier never sets it. *)
-let leave t =
-  t.active <- None;
-  match t.active_lowered with Some _ -> t.active_lowered <- None | None -> ()
+(* Clear the trace execution state. *)
+let leave t = t.active <- None
 
 (* End the active trace after a completion: every position past the
    entry was a guard that held. *)
@@ -209,6 +214,7 @@ let finish_completed t (tr : Trace.t) =
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
   c.Stats.completed_instrs <- c.Stats.completed_instrs + tr.Trace.total_instrs;
+  if t.active_compiled then account_compiled c tr (Trace.n_blocks tr);
   leave t;
   Trace_cache.unpin t.cache tr;
   Events.emit_trace_completed t.events ~trace_id:tr.Trace.id
@@ -232,6 +238,7 @@ let finish_partial t (tr : Trace.t) ~guards =
   c.Stats.guards_checked <- c.Stats.guards_checked + guards;
   c.Stats.partial_blocks <- c.Stats.partial_blocks + at;
   c.Stats.partial_instrs <- c.Stats.partial_instrs + !matched_instrs;
+  if t.active_compiled then account_compiled c tr at;
   leave t;
   Trace_cache.unpin t.cache tr;
   Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:at
@@ -400,12 +407,15 @@ let debug_sweep t =
 (* ------------------------------------------------------------------ *)
 
 (* The counters, filled in: a copy of the engine's own record plus, in
-   this one place, the counters other modules own and the guards the
-   active trace has checked so far (the exits count them). *)
+   this one place, the counters other modules own and what the active
+   trace has checked and matched so far (its exit counts them): its
+   guards and, on the compiled tier, its positions' micro-ops. *)
 let counters t : Stats.t =
   let s = Stats.copy t.counts in
   (match t.active with
-  | Some _ -> s.Stats.guards_checked <- s.Stats.guards_checked + t.active_pos - 1
+  | Some tr ->
+      s.Stats.guards_checked <- s.Stats.guards_checked + t.active_pos - 1;
+      if t.active_compiled then account_compiled s tr t.active_pos
   | None -> ());
   let bcg = Profiler.bcg t.profiler in
   s.Stats.signals <- Profiler.signals t.profiler;
@@ -548,8 +558,8 @@ let poll_promote t g =
    its entry's use count crossed [compile_after] — is lowered to
    micro-IR, demoting the coldest compiled trace when the
    [compile_budget] is full.  Entering a trace that holds a lowered body
-   sets [active_lowered], and every position followed while it is set
-   is accounted as the micro-ops the body dispatches there.  The VM runs
+   sets [active_compiled], and the trace's exit accounts every position
+   it matched as the micro-ops the body dispatches there.  The VM runs
    the same bytecode whichever tier a trace is on, so results stay
    bit-identical with the tier on or off; what changes is the
    dispatch-cost model the run is priced under. *)
@@ -562,15 +572,10 @@ let enter_compiled t (tr : Trace.t) =
   let c = t.counts in
   c.Stats.traces_compiled <- c.Stats.traces_compiled + compiled;
   c.Stats.tier_demotions <- c.Stats.tier_demotions + demoted;
-  (match tr.Trace.lowered with
-  | Some _ as lowered ->
-      c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
-      t.active_lowered <- lowered
-  | None -> t.active_lowered <- None);
-  (* the entry position (0) is matched by the lookup itself, before
-     [follow] sees any position; account it here.  A single-block trace
-     completes inside [enter], which clears [active_lowered]. *)
-  account_lowered t 0
+  let entered_compiled = tr.Trace.lowered <> None in
+  if entered_compiled then
+    c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
+  t.active_compiled <- entered_compiled
 
 (* Enter a trace the dispatch lookup produced: pin it, count the trace
    dispatch, run the single profiler hook and start following (a
@@ -745,7 +750,6 @@ let rec follow t (g : Layout.gid) =
       in
       if g = expected && not forced then begin
         note_executed t g;
-        account_lowered t t.active_pos;
         if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
         else t.active_pos <- t.active_pos + 1
       end
@@ -871,7 +875,7 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       completed_ids = Bytes.empty;
       restored = 0;
       active = None;
-      active_lowered = None;
+      active_compiled = false;
       active_pos = 0;
       prev = -1;
       prev2 = -1;

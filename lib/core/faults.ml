@@ -236,7 +236,7 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
       | victims ->
           let tr = nth victims (pick t (List.length victims)) in
           let i = pick t (Array.length tr.Trace.blocks) in
-          Trace.set_block tr i (-1 - tr.Trace.blocks.(i));
+          Trace_cache.set_block cache tr i (-1 - tr.Trace.blocks.(i));
           Some
             (Printf.sprintf "trace %d: block %d negated to %d" tr.Trace.id i
                tr.Trace.blocks.(i)))

@@ -22,7 +22,7 @@
    (nodes by (x, y), edges by z, cache entries by entry key), so
    encode → decode → encode is bit-identical. *)
 
-let snapshot_version = 1
+let snapshot_version = 2
 
 let magic = "TCSNAP01"
 
@@ -57,15 +57,9 @@ type snapshot = {
 
 (* Encoding *)
 
-let put_int buf n =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  Buffer.add_bytes buf b
+let put_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
 
-let put_float buf f =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.bits_of_float f);
-  Buffer.add_bytes buf b
+let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let state_tag = function
   | State.Unique -> 0
@@ -114,9 +108,7 @@ let encode ~(layout : Cfg.Layout.t) (s : snapshot) =
   let payload = encode_payload s in
   let buf = Buffer.create (header_len + String.length payload) in
   Buffer.add_string buf magic;
-  let b4 = Bytes.create 4 in
-  Bytes.set_int32_le b4 0 (Int32.of_int snapshot_version);
-  Buffer.add_bytes buf b4;
+  Buffer.add_int32_le buf (Int32.of_int snapshot_version);
   Buffer.add_string buf (Cfg.Layout.fingerprint layout);
   put_int buf (String.length payload);
   Buffer.add_string buf (Digest.string payload);

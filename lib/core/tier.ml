@@ -1,6 +1,7 @@
 module Layout = Cfg.Layout
 module Block = Cfg.Block
 module Cp = Analysis.Constprop
+module Facts = Analysis.Facts
 module Diag = Analysis.Diag
 
 (* The compiled tier's policy and plumbing: lowering a trace's blocks to
@@ -34,26 +35,15 @@ let trace_blocks_code (layout : Layout.t) (tr : Trace.t) :
     tr.Trace.blocks
 
 let lower_trace (layout : Layout.t) (tr : Trace.t) : Microir.body =
-  let cp_cache : (int, Cp.t) Hashtbl.t = Hashtbl.create 4 in
-  let constprop mid =
-    match Hashtbl.find_opt cp_cache mid with
-    | Some c -> c
-    | None ->
-        let c =
-          Cp.compute layout.Layout.program
-            (Layout.cfg_of_method layout ~method_id:mid)
-        in
-        Hashtbl.add cp_cache mid c;
-        c
-  in
+  let method_of g = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
   (* Constprop block-entry facts, as lowering-time constants.  Sound at
      the start of each position; Microir stops consulting the oracle for
      slots written inside the position and after call barriers. *)
   let local_const ~pos ~slot =
     let g = tr.Trace.blocks.(pos) in
-    let mid = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
+    let mid = method_of g in
     let bi = g - layout.Layout.offsets.(mid) in
-    match (constprop mid).Cp.entry.(bi) with
+    match (Facts.constprop layout ~method_id:mid).Cp.entry.(bi) with
     | Cp.Unreached -> None
     | Cp.Reached { locals; _ } ->
         if slot < 0 || slot >= Array.length locals then None
@@ -73,23 +63,14 @@ let lower_trace (layout : Layout.t) (tr : Trace.t) : Microir.body =
   let live_out = Trace_optimizer.live_out_of layout tr in
   let n = Array.length tr.Trace.blocks in
   let covered_suffix =
-    let live_cache : (int, Analysis.Liveness.t) Hashtbl.t = Hashtbl.create 4 in
-    let covered_of g =
-      let mid = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
-      let live =
-        match Hashtbl.find_opt live_cache mid with
-        | Some l -> l
-        | None ->
-            let l =
-              Analysis.Liveness.compute
-                (Layout.cfg_of_method layout ~method_id:mid)
-            in
-            Hashtbl.add live_cache mid l;
-            l
-      in
-      live.Analysis.Liveness.covered.(g - layout.Layout.offsets.(mid))
+    let flags =
+      Array.map
+        (fun g ->
+          let mid = method_of g in
+          (Facts.liveness layout ~method_id:mid).Analysis.Liveness.covered.(
+            g - layout.Layout.offsets.(mid)))
+        tr.Trace.blocks
     in
-    let flags = Array.map covered_of tr.Trace.blocks in
     for i = n - 2 downto 0 do
       flags.(i) <- flags.(i) || flags.(i + 1)
     done;

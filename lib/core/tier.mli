@@ -21,7 +21,9 @@ val lower_trace : Cfg.Layout.t -> Trace.t -> Microir.body
     {!Analysis.Constprop} block-entry facts as the constant oracle and a
     {!Analysis.Liveness}-derived trailing-store license (slot dead at
     the trace seam, no handler-covered position at or after the store).
-    Pure: does not touch [tr.lowered]. *)
+    Both analyses come from the layout's memo ({!Analysis.Facts}), so
+    each method's facts are computed once per layout, not once per
+    lowering.  Pure: does not touch [tr.lowered]. *)
 
 val check_lowered :
   ?context:string -> Cfg.Layout.t -> Trace.t -> Analysis.Diag.t list

@@ -18,12 +18,7 @@ type t = {
   prob : float; (* expected completion probability at construction *)
   instr_len : int array; (* static instruction count per block *)
   total_instrs : int;
-  mutable seq : Layout.gid array;
-      (* the blocks the trace was built from: its hash-cons key.  The
-         same array as [blocks] until [set_block] first changes the body
-         (FT001), which detaches a copy, so a corrupted trace is still
-         found under the sequence it was built from *)
-  seq_hash : int; (* [hash_seq] of (first, seq) *)
+  seq_hash : int; (* [hash_seq] of (first, blocks) at construction *)
   mutable owner : int;
       (* id of the session whose profiler built this trace; 0 for a
          single-engine run.  Stamped by the cache at installation and
@@ -67,10 +62,10 @@ let hash_seq ~first (blocks : Layout.gid array) ~len =
 
 let has_sequence t ~first (blocks : Layout.gid array) ~len =
   t.first = first
-  && Array.length t.seq = len
+  && Array.length t.blocks = len
   &&
   let i = ref 0 in
-  while !i < len && t.seq.(!i) = blocks.(!i) do
+  while !i < len && t.blocks.(!i) = blocks.(!i) do
     incr i
   done;
   !i = len
@@ -85,7 +80,6 @@ let make ~id ~(layout : Layout.t) ~first ~blocks ~prob =
     prob;
     instr_len;
     total_instrs = Array.fold_left ( + ) 0 instr_len;
-    seq = blocks;
     seq_hash = hash_seq ~first blocks ~len:(Array.length blocks);
     owner = 0;
     pruned = [||];
@@ -103,7 +97,6 @@ let none =
     prob = 0.0;
     instr_len = [||];
     total_instrs = 0;
-    seq = [||];
     seq_hash = 0;
     owner = 0;
     pruned = [||];
@@ -111,10 +104,6 @@ let none =
     pins = 0;
     lowered = None;
   }
-
-let set_block t i g =
-  if t.seq == t.blocks then t.seq <- Array.copy t.blocks;
-  t.blocks.(i) <- g
 
 let n_blocks t = Array.length t.blocks
 

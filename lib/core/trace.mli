@@ -18,13 +18,9 @@ type t = {
   prob : float;  (** expected completion probability at construction *)
   instr_len : int array;  (** static instruction count per block *)
   total_instrs : int;
-  mutable seq : Cfg.Layout.gid array;
-      (** the blocks the trace was built from: its hash-cons key.  The
-          same array as [blocks] until {!set_block} first changes the
-          body, which detaches a copy, so a trace a fault corrupted
-          is still found (and purged) under the sequence it was built
-          from. *)
-  seq_hash : int;  (** {!hash_seq} of [(first, seq)], computed once *)
+  seq_hash : int;
+      (** {!hash_seq} of [(first, blocks)] at construction: the key the
+          cache's hash-cons index files the trace under *)
   mutable owner : int;
       (** id of the session whose profiler built this trace ([0] for a
           single-engine run).  Stamped by the cache at installation and
@@ -73,14 +69,8 @@ val hash_seq : first:Cfg.Layout.gid -> Cfg.Layout.gid array -> len:int -> int
     computed without copying the slice. *)
 
 val has_sequence : t -> first:Cfg.Layout.gid -> Cfg.Layout.gid array -> len:int -> bool
-(** [has_sequence t ~first blocks ~len]: [t] was built from context
-    block [first] and exactly the blocks [blocks.(0 .. len-1)]
-    ({!field:seq}). *)
-
-val set_block : t -> int -> Cfg.Layout.gid -> unit
-(** [set_block t i g] overwrites the body's [i]-th block with [g] (the
-    FT001 fault), keeping {!field:seq} the sequence the trace was built
-    from. *)
+(** [has_sequence t ~first blocks ~len]: [t]'s context block is [first]
+    and its body is exactly the blocks [blocks.(0 .. len-1)]. *)
 
 val none : t
 (** A sentinel returned instead of an option where no trace applies

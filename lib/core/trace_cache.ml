@@ -280,9 +280,10 @@ let peek t ~first ~head : Trace.t option =
   else (find_in first t.by_head.(head)).b_hit
 
 (* The hash-cons index.  A probe compares the candidate slice with the
-   sequence each trace filed under the same hash was built from
-   ([Trace.seq]), so nothing is copied to look a sequence up, and a
-   trace whose body a fault corrupted since is still found. *)
+   body of each trace filed under the same hash, so nothing is copied to
+   look a sequence up.  Every trace in the index still has the body it
+   was filed under: [set_block] takes a trace out before a fault
+   corrupts it. *)
 
 (* A purged slot: probes continue past it, inserts reuse it. *)
 let seq_gone = { Trace.none with Trace.id = -2 }
@@ -350,6 +351,14 @@ let purge_seq t (tr : Trace.t) =
     t.by_seq.(i) <- seq_gone;
     t.seq_live <- t.seq_live - 1
   end
+
+(* FT001's write: overwrite position [i] of [tr]'s body with [g].  The
+   trace leaves the hash-cons index first, so rebuilding its sequence
+   constructs a clean trace; it stays bound to its entry until a check
+   catches it (its later unbind finds nothing left to purge). *)
+let set_block t (tr : Trace.t) i g =
+  purge_seq t tr;
+  tr.Trace.blocks.(i) <- g
 
 (* Take [b] out of its head's chain. *)
 let unlink t b =
@@ -744,18 +753,25 @@ let iter_entries t f =
     (fun key b -> f ~first:(key / n) ~head:(key mod n) b.b_trace)
     t.by_entry
 
-(* All traces ever constructed (including displaced ones), oldest
-   first. *)
+(* The traces still reachable, oldest first: the index (displaced
+   traces included) plus the bound traces a fault took out of it.  A
+   trace in both is visited once (ids are unique within a cache). *)
 let iter_all t f =
+  let indexed =
+    Array.fold_left
+      (fun acc tr ->
+        if tr == Trace.none || tr == seq_gone then acc else tr :: acc)
+      [] t.by_seq
+  in
   let all =
     Array.of_list
-      (Array.fold_left
-         (fun acc tr ->
-           if tr == Trace.none || tr == seq_gone then acc else tr :: acc)
-         [] t.by_seq)
+      (Int_table.fold (fun _ b acc -> b.b_trace :: acc) t.by_entry indexed)
   in
   Array.sort (fun (a : Trace.t) b -> Int.compare a.Trace.id b.Trace.id) all;
-  Array.iter f all
+  Array.iteri
+    (fun i (tr : Trace.t) ->
+      if i = 0 || all.(i - 1).Trace.id <> tr.Trace.id then f tr)
+    all
 
 let n_constructed t = t.constructed
 

@@ -95,9 +95,9 @@ val install :
     which case happened).  The slice is hashed and compared in place
     and copied only into a newly built trace, so an install that reuses
     a cached trace allocates nothing.  [blocks] is read only during the
-    call.  Hash-consing compares the sequence each cached trace was
-    built from ({!Trace.t.seq}), so a trace a fault corrupted since
-    still matches it. *)
+    call.  Hash-consing compares each indexed trace's body; a trace a
+    fault corrupted ({!set_block}) has left the index, so rebuilding
+    its sequence constructs a clean trace. *)
 
 type installed = Built of Trace.t | Reused of Trace.t | Refused
 
@@ -125,6 +125,12 @@ val try_install :
     engine's [Faults] injector, so a member of a shared cache consumes
     only its own).
     Never fails when omitted.  {!install} over the whole of [blocks]. *)
+
+val set_block : t -> Trace.t -> int -> Cfg.Layout.gid -> unit
+(** [set_block t tr i g] overwrites position [i] of [tr]'s body with [g]
+    (the FT001 fault).  [tr] leaves the hash-cons index first, so a
+    later install of its original sequence builds a fresh trace; [tr]
+    stays bound to its entry until a check or an eviction removes it. *)
 
 val remove : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> Trace.t option
 (** Unbind the entry transition [(first, head)], returning the trace it
@@ -275,8 +281,9 @@ val iter_entries :
 
 val iter_all : t -> (Trace.t -> unit) -> unit
 (** Over every trace ever constructed and still reachable for
-    hash-consing, including displaced ones but not evicted or
-    quarantined ones, in id (construction) order. *)
+    hash-consing or bound to an entry, including displaced ones and
+    bound ones a fault corrupted, but not evicted or quarantined ones,
+    in id (construction) order. *)
 
 val n_live : t -> int
 

@@ -384,10 +384,8 @@ let optimize_code ?(live_out = fun _ -> true) ?(covered_from = fun _ -> false)
 let live_out_of (layout : Layout.t) (tr : Trace.t) : int -> bool =
   let g = Trace.last_block tr in
   let mid = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
-  let cfg = Layout.cfg_of_method layout ~method_id:mid in
-  let bi = g - layout.Layout.offsets.(mid) in
-  let live = Analysis.Liveness.compute cfg in
-  let set = live.Analysis.Liveness.live_out.(bi) in
+  let live = Analysis.Facts.liveness layout ~method_id:mid in
+  let set = live.Analysis.Liveness.live_out.(g - layout.Layout.offsets.(mid)) in
   fun slot -> Analysis.Liveness.Slot_set.mem slot set
 
 (* Exceptional observability of the trace's code positions: for each
@@ -396,22 +394,10 @@ let live_out_of (layout : Layout.t) (tr : Trace.t) : int -> bool =
    by a same-frame handler if a later covered instruction traps, so the
    normal-path liveness license does not apply. *)
 let covered_suffix_of (layout : Layout.t) (tr : Trace.t) : int -> bool =
-  let live_cache : (int, Analysis.Liveness.t) Hashtbl.t = Hashtbl.create 4 in
   let covered_of g =
     let mid = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
-    let live =
-      match Hashtbl.find_opt live_cache mid with
-      | Some l -> l
-      | None ->
-          let l =
-            Analysis.Liveness.compute
-              (Layout.cfg_of_method layout ~method_id:mid)
-          in
-          Hashtbl.add live_cache mid l;
-          l
-    in
-    let bi = g - layout.Layout.offsets.(mid) in
-    live.Analysis.Liveness.covered.(bi)
+    (Analysis.Facts.liveness layout ~method_id:mid).Analysis.Liveness.covered.(
+      g - layout.Layout.offsets.(mid))
   in
   let flags =
     Array.concat

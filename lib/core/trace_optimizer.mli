@@ -52,8 +52,9 @@ val optimize_code :
 
 val live_out_of : Cfg.Layout.t -> Trace.t -> int -> bool
 (** The liveness justification for trailing dead-store elimination:
-    computes {!Analysis.Liveness} over the method of the trace's final
-    block and answers membership in that block's live-out set
+    takes {!Analysis.Liveness} of the method of the trace's final block
+    from the layout's memo ({!Analysis.Facts.liveness}) and answers
+    membership in that block's live-out set
     (exceptional edges included, so handler-only reads keep a slot
     live). *)
 

@@ -85,18 +85,6 @@ let derive_pruned (layout : Layout.t) (tr : Trace.t) : bool array =
   let pruned = Array.make n false in
   if n < 2 then pruned
   else begin
-    let program = layout.Layout.program in
-    let cp_cache : (int, Cp.t) Hashtbl.t = Hashtbl.create 4 in
-    let constprop mid =
-      match Hashtbl.find_opt cp_cache mid with
-      | Some c -> c
-      | None ->
-          let c =
-            Cp.compute program (Layout.cfg_of_method layout ~method_id:mid)
-          in
-          Hashtbl.add cp_cache mid c;
-          c
-    in
     (* Fact tables are keyed by symbolic term.  A term's denotation is
        immutable (Slocal (e, s) is "the value at epoch e's start"), so a
        recorded fact never goes stale. *)
@@ -126,7 +114,7 @@ let derive_pruned (layout : Layout.t) (tr : Trace.t) : bool array =
     let seed_block_facts g =
       let mid = (Layout.method_of_gid layout g).Bytecode.Mthd.id in
       let bi = g - layout.Layout.offsets.(mid) in
-      let cp = constprop mid in
+      let cp = Analysis.Facts.constprop layout ~method_id:mid in
       match cp.Cp.entry.(bi) with
       | Cp.Unreached -> ()
       | Cp.Reached { locals; _ } ->

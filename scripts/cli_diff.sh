@@ -127,6 +127,10 @@ check events compress --size 500 --snapshot-period 250 --osr --self-heal \
 # OSR and ladder counters in every snapshot and in Stats.pp
 check events compress --size 500 --snapshot-period 250 --osr \
   --fault-spec 'guard_flip@0.05,budget=24'
+# the compiled tier's mi_* counters, folded in at trace exit, in every
+# snapshot, with and without OSR deopts
+check events compress --size 500 --snapshot-period 250 --tier
+check events mpegaudio --size 500 --snapshot-period 250 --tier --osr
 check run compress --size 500 --osr --self-heal \
   --fault-spec 'guard_flip@0.05,budget=24'
 # failed installs and pressure evictions, counted by the engine
@@ -160,6 +164,8 @@ check explain compress --size 500 --trace 1
 check backends --size 500
 check session --workloads compress,raytrace --size 500
 check table 1 --scale 0.05
+# the optimizer and the prover read each method's facts from the memo
+check table optimizer --scale 0.1
 check export --format csv --scale 0.05
 check export --format json --workload compress --scale 0.05
 check disasm scimark --method fft

@@ -15,7 +15,8 @@
    (tens of thousands of words per trace, more than a short run's whole
    dispatch path), so the tier row also leaves out the words lowering
    costs: every trace still compiled at the end of the run is lowered
-   again and its words subtracted.  Traces compiled and then demoted or
+   again, over a fresh layout whose analysis facts are not yet computed,
+   and its words subtracted.  Traces compiled and then demoted or
    evicted are not re-lowered, so the estimate errs low and the gate
    stays strict.
 
@@ -46,15 +47,18 @@ let minor_words f =
   (r, Gc.minor_words () -. w0)
 
 (* Words lowering the traces an engine holds compiled costs: 0 with the
-   tier off. *)
-let lowering_words layout engine =
+   tier off.  The traces are lowered over a freshly built layout of the
+   same program, whose facts memo is cold, so the words include
+   computing each method's analysis facts once, as the run did. *)
+let lowering_words (layout : Cfg.Layout.t) engine =
   let compiled = ref [] in
   Tracegen.Trace_cache.iter (Engine.cache engine) (fun tr ->
       if tr.Tracegen.Trace.lowered <> None then compiled := tr :: !compiled);
+  let cold = Cfg.Layout.build layout.Cfg.Layout.program in
   snd
     (minor_words (fun () ->
          List.iter
-           (fun tr -> ignore (Tracegen.Tier.lower_trace layout tr))
+           (fun tr -> ignore (Tracegen.Tier.lower_trace cold tr))
            !compiled))
 
 (* Engine words beyond the plain run and the tier's lowering, per block

@@ -189,112 +189,224 @@ let test_threshold_validated () =
   check (Alcotest.float 0.0) "1.0 accepted" 1.0
     (Config.threshold (Config.make ~threshold:1.0 ()))
 
-(* The engine folds [guards_checked] and [partial_instrs] in when a
-   trace ends.  Read between any two [on_block] calls, mid-trace
-   included, they must equal counting position by position: one guard
-   per block observed while a trace is active, and per side exit the
-   instructions of every position matched, each read from the live trace
-   when it matched.  FT002 skews those counts, flips armed mid-trace fail
-   guards at chosen positions, and a trace whose head is corrupted as it
-   is entered is condemned by the sweep before its first guard. *)
+(* The engine folds [guards_checked], [partial_instrs] and, for a trace
+   entered on the compiled tier, the [mi_*] counters in when a trace
+   ends.  Read between any two [on_block] calls, mid-trace included,
+   they must equal counting position by position: one guard per block
+   observed while a trace is active; per side exit the instructions of
+   every position matched, each read from the live trace when it
+   matched; and per position matched of a trace entered compiled, the
+   micro-ops, superinstructions and source instructions its lowered body
+   has there.  FT002 skews the instruction counts, flips armed mid-trace
+   fail guards at chosen positions, a trace whose head is corrupted as
+   it is entered is condemned by the sweep before its first guard, and
+   in a shared cache one member compiles traces another is following on
+   the interpreted tier. *)
 module Events = Tracegen.Events
+module Microir = Tracegen.Microir
 module Trace = Tracegen.Trace
 module Trace_cache = Tracegen.Trace_cache
 
-type seen = Entered of int (* its first block's instructions *) | Exited of int
+type seen =
+  | Entered of int * Microir.body option
+      (* its first block's instructions, and the body it was entered
+         with: [Some] on the compiled tier *)
+  | Exited of int
+
+type observer = {
+  on_block : Layout.gid -> unit;
+  entered_compiled : unit -> bool;
+      (* the active trace, if any, was entered on the compiled tier *)
+  summary : unit -> int * int * int * int * int;
+      (* exits, flips, skews, condemned, compiled positions *)
+}
+
+let counting_observer ~label ~corrupt_entries e events =
+  let seen = ref [] and skews = ref 0 and condemned = ref 0 in
+  let entries = ref 0 in
+  let _sub =
+    Events.subscribe events (fun ev ->
+        match ev.Events.payload with
+        | Events.Side_exit { matched_instrs; _ } ->
+            seen := Exited matched_instrs :: !seen
+        | Events.Trace_entered { trace_id; _ } ->
+            incr entries;
+            Trace_cache.iter (Engine.cache e) (fun tr ->
+                if tr.Trace.id = trace_id then begin
+                  seen :=
+                    Entered (tr.Trace.instr_len.(0), tr.Trace.lowered) :: !seen;
+                  if corrupt_entries && !entries mod 5 = 0 then
+                    tr.Trace.blocks.(0) <- -1 - tr.Trace.blocks.(0)
+                end)
+        | Events.Fault_injected { code = "FT002"; _ } -> incr skews
+        | Events.Deopt_entered { reason = "condemned"; _ } -> incr condemned
+        | _ -> ())
+  in
+  let guards = ref 0 and matched = ref 0 and partial = ref 0 in
+  let n = ref 0 and flips = ref 0 and exits = ref 0 in
+  (* the active trace's lowered body as entered, and the [mi_*] counters
+     position by position: positions, ops, fused, source instructions *)
+  let body = ref None and mi = Array.make 4 0 in
+  let account pos =
+    match !body with
+    | None -> ()
+    | Some (b : Microir.body) ->
+        mi.(0) <- mi.(0) + 1;
+        mi.(1) <- mi.(1) + b.Microir.pos_ops.(pos);
+        mi.(2) <- mi.(2) + b.Microir.pos_fused.(pos);
+        mi.(3) <- mi.(3) + b.Microir.pos_src.(pos)
+  in
+  let on_block g =
+    incr n;
+    let before = Engine.active_trace e in
+    let pos = Engine.inflight_matched_blocks e in
+    (match before with
+    | Some _ when !n mod 41 = 0 ->
+        Engine.arm_guard_flip e ~pos:(pos + (!n mod 3));
+        incr flips
+    | _ -> ());
+    seen := [];
+    Engine.on_block e g;
+    let seen = List.rev !seen in
+    (match before with
+    | Some tr -> (
+        incr guards;
+        (* the guard at [pos] held unless the trace left right there *)
+        match seen with
+        | Exited _ :: _ -> ()
+        | _ ->
+            matched := !matched + tr.Trace.instr_len.(pos);
+            account pos)
+    | None -> ());
+    List.iter
+      (function
+        | Entered (len0, lowered) ->
+            matched := len0;
+            body := lowered;
+            account 0
+        | Exited mi ->
+            incr exits;
+            if mi <> !matched then
+              Alcotest.failf "%s: block %d: side exit matched %d, per position %d"
+                label !n mi !matched;
+            partial := !partial + mi)
+      seen;
+    let s = Engine.counters e in
+    if s.Stats.guards_checked <> !guards then
+      Alcotest.failf "%s: block %d: guards_checked %d, per position %d" label
+        !n s.Stats.guards_checked !guards;
+    if s.Stats.partial_instrs <> !partial then
+      Alcotest.failf "%s: block %d: partial_instrs %d, per position %d" label !n
+        s.Stats.partial_instrs !partial;
+    List.iteri
+      (fun i (name, got) ->
+        if got <> mi.(i) then
+          Alcotest.failf "%s: block %d: %s %d, per position %d" label !n name
+            got mi.(i))
+      [
+        ("mi_positions", s.Stats.mi_positions);
+        ("mi_ops", s.Stats.mi_ops);
+        ("mi_fused", s.Stats.mi_fused);
+        ("mi_src_instrs", s.Stats.mi_src_instrs);
+      ]
+  in
+  {
+    on_block;
+    entered_compiled =
+      (fun () -> Engine.active_trace e <> None && !body <> None);
+    summary = (fun () -> (!exits, !flips, !skews, !condemned, mi.(0)));
+  }
+
+let compress_layout () =
+  Layout.build (Workloads.Compress.workload.Workloads.Workload.build ~size:800)
 
 let test_counters_between_blocks () =
-  let layout =
-    Layout.build (Workloads.Compress.workload.Workloads.Workload.build ~size:800)
-  in
+  let layout = compress_layout () in
   List.iter
     (fun (label, corrupt_entries, config) ->
       let events = Events.create () in
       let e = Engine.create ~config ~events layout in
-      let seen = ref [] and skews = ref 0 and condemned = ref 0 in
-      let entries = ref 0 in
-      let _sub =
-        Events.subscribe events (fun ev ->
-            match ev.Events.payload with
-            | Events.Side_exit { matched_instrs; _ } ->
-                seen := Exited matched_instrs :: !seen
-            | Events.Trace_entered { trace_id; _ } ->
-                incr entries;
-                Trace_cache.iter (Engine.cache e) (fun tr ->
-                    if tr.Trace.id = trace_id then begin
-                      seen := Entered tr.Trace.instr_len.(0) :: !seen;
-                      if corrupt_entries && !entries mod 5 = 0 then
-                        tr.Trace.blocks.(0) <- -1 - tr.Trace.blocks.(0)
-                    end)
-            | Events.Fault_injected { code = "FT002"; _ } -> incr skews
-            | Events.Deopt_entered { reason = "condemned"; _ } ->
-                incr condemned
-            | _ -> ())
-      in
-      let guards = ref 0 and matched = ref 0 and partial = ref 0 in
-      let n = ref 0 and flips = ref 0 and exits = ref 0 in
-      let on_block g =
-        incr n;
-        let before = Engine.active_trace e in
-        let pos = Engine.inflight_matched_blocks e in
-        (match before with
-        | Some _ when !n mod 41 = 0 ->
-            Engine.arm_guard_flip e ~pos:(pos + (!n mod 3));
-            incr flips
-        | _ -> ());
-        seen := [];
-        Engine.on_block e g;
-        let seen = List.rev !seen in
-        (match before with
-        | Some tr -> (
-            incr guards;
-            (* the guard at [pos] held unless the trace left right there *)
-            match seen with
-            | Exited _ :: _ -> ()
-            | _ -> matched := !matched + tr.Trace.instr_len.(pos))
-        | None -> ());
-        List.iter
-          (function
-            | Entered len0 -> matched := len0
-            | Exited mi ->
-                incr exits;
-                if mi <> !matched then
-                  Alcotest.failf
-                    "%s: block %d: side exit matched %d, per position %d" label
-                    !n mi !matched;
-                partial := !partial + mi)
-          seen;
-        let s = Engine.counters e in
-        if s.Stats.guards_checked <> !guards then
-          Alcotest.failf "%s: block %d: guards_checked %d, per position %d"
-            label !n s.Stats.guards_checked !guards;
-        if s.Stats.partial_instrs <> !partial then
-          Alcotest.failf "%s: block %d: partial_instrs %d, per position %d"
-            label !n s.Stats.partial_instrs !partial
-      in
-      let h = Vm.Interp.start layout ~on_block in
+      let obs = counting_observer ~label ~corrupt_entries e events in
+      let h = Vm.Interp.start layout ~on_block:obs.on_block in
       Engine.attach e h;
       ignore (Vm.Interp.finish h);
+      let exits, flips, skews, condemned, compiled = obs.summary () in
       check Alcotest.bool
-        (Printf.sprintf "%s: covered (%d exits, %d flips, %d skews, %d condemned)"
-           label !exits !flips !skews !condemned)
+        (Printf.sprintf
+           "%s: covered (%d exits, %d flips, %d skews, %d condemned, %d \
+            compiled positions)"
+           label exits flips skews condemned compiled)
         true
-        (!exits > 10 && !flips > 10
-        && (!skews > 0 || corrupt_entries)
-        && (!condemned > 0 || not corrupt_entries)))
+        (exits > 10 && flips > 10 && compiled > 0
+        && (skews > 0 || corrupt_entries)
+        && (condemned > 0 || not corrupt_entries)))
     [
       ( "side exits",
         false,
-        Config.make ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+        Config.make ~tier:true ~tier_compile_after:4
+          ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
       ( "osr",
         false,
-        Config.make ~osr:true ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+        Config.make ~osr:true ~tier:true ~tier_compile_after:4
+          ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
       ( "condemned",
         true,
         Config.make ~osr:true ~self_heal:true ~debug_checks:true
-          ~decay_period:4 () );
+          ~decay_period:4 ~tier:true ~tier_compile_after:4 () );
     ]
 
+(* Two engines over one cache, stepped a few blocks at a time: each
+   compiles traces the other may be following.  A trace compiled while
+   the other member follows it on the interpreted tier must not be
+   accounted to that member's exit. *)
+let test_counters_shared_compile () =
+  let layout = compress_layout () in
+  let config =
+    Config.make ~tier:true ~tier_compile_after:3 ~tier_compile_budget:4 ()
+  in
+  let member label ?cache () =
+    let events = Events.create () in
+    let e = Engine.create ~config ~events ?cache layout in
+    let obs = counting_observer ~label ~corrupt_entries:false e events in
+    let h = Vm.Interp.start layout ~on_block:obs.on_block in
+    Engine.attach e h;
+    (e, events, obs, h)
+  in
+  let ea, eva, obsa, ha = member "member a" () in
+  let eb, evb, obsb, hb = member "member b" ~cache:(Engine.cache ea) () in
+  (* compilations by one member of the trace the other is following on
+     the interpreted tier *)
+  let under_other = ref 0 in
+  let watch events other other_obs =
+    Events.subscribe events (fun ev ->
+        match ev.Events.payload with
+        | Events.Trace_compiled { trace_id; _ } -> (
+            match Engine.active_trace other with
+            | Some tr
+              when tr.Trace.id = trace_id && not (other_obs.entered_compiled ())
+              ->
+                incr under_other
+            | _ -> ())
+        | _ -> ())
+  in
+  let _wa = watch eva eb obsb and _wb = watch evb ea obsa in
+  let batch = ref 1 in
+  while Vm.Interp.running ha || Vm.Interp.running hb do
+    ignore (Vm.Interp.step_blocks ha !batch);
+    ignore (Vm.Interp.step_blocks hb (1 + (!batch mod 4)));
+    batch := 1 + ((!batch * 7) mod 5)
+  done;
+  let ra = Vm.Interp.finish ha and rb = Vm.Interp.finish hb in
+  check Alcotest.int "same instructions" ra.Vm.Interp.instructions
+    rb.Vm.Interp.instructions;
+  let _, _, _, _, ca = obsa.summary () and _, _, _, _, cb = obsb.summary () in
+  check Alcotest.bool
+    (Printf.sprintf
+       "covered (%d compiled under the other member, %d + %d compiled \
+        positions)"
+       !under_other ca cb)
+    true
+    (!under_other > 0 && ca > 0 && cb > 0)
 
 (* Pinned decision streams on the cache write path.  A churn-shaped
    case (javac, soot and mpegaudio, two Session members each over an
@@ -444,6 +556,8 @@ let () =
           tc "noisy branch" `Quick test_partial_exits_on_noise;
           tc "signal metrics" `Quick test_dispatch_per_signal_metric;
           tc "counters between blocks" `Quick test_counters_between_blocks;
+          tc "counters under a shared compile" `Quick
+            test_counters_shared_compile;
         ] );
       ("config", [ tc "threshold validated" `Quick test_threshold_validated ]);
       ( "pinned decisions",

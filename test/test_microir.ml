@@ -359,6 +359,134 @@ let test_pin_blocks_demotion () =
   check Alcotest.bool "A demoted after unpin" true (a.Trace.lowered = None);
   check Alcotest.bool "B compiled after unpin" true (b.Trace.lowered <> None)
 
+(* --------------------------------------------------------------- *)
+(* the facts memo                                                    *)
+(* --------------------------------------------------------------- *)
+
+module Facts = Analysis.Facts
+module Constprop = Analysis.Constprop
+module Liveness = Analysis.Liveness
+module Layout = Cfg.Layout
+
+(* Test-size layouts, shared through [Experiment.layout_for] with
+   [Ablation.optimizer_report] at the same scale. *)
+let memo_scale = 0.02
+
+let memo_layout w =
+  Harness.Experiment.layout_for w
+    ~size:(Harness.Experiment.size_for ~scale:memo_scale w)
+
+(* The methods whose blocks the cache's traces visit. *)
+let trace_methods (layout : Layout.t) cache =
+  let seen = Array.make (Array.length layout.Layout.cfgs) false in
+  Trace_cache.iter_all cache (fun tr ->
+      Array.iter
+        (fun g ->
+          if g >= 0 && g < layout.Layout.n_blocks then
+            seen.((Layout.method_of_gid layout g).Bytecode.Mthd.id) <- true)
+        tr.Trace.blocks);
+  List.filter (fun m -> seen.(m)) (List.init (Array.length seen) Fun.id)
+
+(* (a) lowering with the facts a run left in the memo gives the bodies a
+   cold memo gives *)
+let test_memo_matches_cold () =
+  let lowered = ref 0 in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let layout = memo_layout w in
+      let r = run_tiered layout in
+      let cold = Layout.build layout.Layout.program in
+      Trace_cache.iter (Engine.cache r.Engine.engine) (fun tr ->
+          incr lowered;
+          let fresh = Tier.lower_trace cold tr in
+          let label what =
+            Printf.sprintf "%s: trace %d %s" w.Workloads.Workload.name
+              tr.Trace.id what
+          in
+          check Alcotest.bool (label "lowers as on a cold layout") true
+            (Microir.equal_body fresh (Tier.lower_trace layout tr));
+          match tr.Trace.lowered with
+          | Some body ->
+              check Alcotest.bool (label "compiled body as on a cold layout")
+                true
+                (Microir.equal_body fresh body)
+          | None -> ()))
+    Workloads.Registry.all;
+  check Alcotest.bool "some traces lowered" true (!lowered > 0)
+
+let same_constprop (a : Constprop.t) (b : Constprop.t) =
+  compare
+    (a.Constprop.entry, a.Constprop.exit, a.Constprop.iterations)
+    (b.Constprop.entry, b.Constprop.exit, b.Constprop.iterations)
+  = 0
+
+let same_liveness (a : Liveness.t) (b : Liveness.t) =
+  Array.for_all2 Liveness.Slot_set.equal a.Liveness.live_in b.Liveness.live_in
+  && Array.for_all2 Liveness.Slot_set.equal a.Liveness.live_out
+       b.Liveness.live_out
+  && a.Liveness.covered = b.Liveness.covered
+  && a.Liveness.reach = b.Liveness.reach
+  && a.Liveness.iterations = b.Liveness.iterations
+
+(* (b) every consumer reads the shared facts and none writes them: after
+   the tier, the prover and the optimizer report, each memoised fact
+   still equals a fresh computation *)
+let test_memo_unmutated () =
+  let runs =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        let layout = memo_layout w in
+        let r = run_tiered layout in
+        let cache = Engine.cache r.Engine.engine in
+        ignore (Tracegen.Trace_prover.check_cache layout cache);
+        (w, layout, cache))
+      Workloads.Registry.all
+  in
+  ignore (Harness.Ablation.optimizer_report ~scale:memo_scale ());
+  let checked = ref 0 in
+  List.iter
+    (fun ((w : Workloads.Workload.t), (layout : Layout.t), cache) ->
+      List.iter
+        (fun mid ->
+          incr checked;
+          let label what =
+            Printf.sprintf "%s: method %d %s" w.Workloads.Workload.name mid what
+          in
+          let cfg = Layout.cfg_of_method layout ~method_id:mid in
+          let cp = Facts.constprop layout ~method_id:mid in
+          check Alcotest.bool (label "constprop memoised") true
+            (cp == Facts.constprop layout ~method_id:mid);
+          check Alcotest.bool (label "constprop as computed") true
+            (same_constprop cp (Constprop.compute layout.Layout.program cfg));
+          let live = Facts.liveness layout ~method_id:mid in
+          check Alcotest.bool (label "liveness memoised") true
+            (live == Facts.liveness layout ~method_id:mid);
+          check Alcotest.bool (label "liveness as computed") true
+            (same_liveness live (Liveness.compute cfg)))
+        (trace_methods layout cache))
+    runs;
+  check Alcotest.bool "some methods checked" true (!checked > 0)
+
+(* (c) the memo is keyed on the layout, not on its contents *)
+let test_memo_per_layout () =
+  let program = (memo_layout compress).Layout.program in
+  let l1 = Layout.build program and l2 = Layout.build program in
+  Array.iteri
+    (fun mid _ ->
+      let cp1 = Facts.constprop l1 ~method_id:mid
+      and cp2 = Facts.constprop l2 ~method_id:mid in
+      check Alcotest.bool "separate constprop" true (cp1 != cp2);
+      check Alcotest.bool "constprop over the layout's own CFG" true
+        (cp1.Constprop.cfg == l1.Layout.cfgs.(mid)
+        && cp2.Constprop.cfg == l2.Layout.cfgs.(mid));
+      let lv1 = Facts.liveness l1 ~method_id:mid
+      and lv2 = Facts.liveness l2 ~method_id:mid in
+      check Alcotest.bool "separate liveness" true (lv1 != lv2);
+      check Alcotest.bool "liveness over the layout's own CFG" true
+        (lv1.Liveness.cfg == l1.Layout.cfgs.(mid)
+        && lv2.Liveness.cfg == l2.Layout.cfgs.(mid)))
+    program.Bytecode.Program.methods
+
 let () =
   Alcotest.run "microir"
     [
@@ -386,5 +514,11 @@ let () =
           tc "promotion at the compile_after edge" `Quick test_promotion_edge;
           tc "budget demotion prefers the coldest" `Quick test_budget_demotion;
           tc "pins block demotion" `Quick test_pin_blocks_demotion;
+        ] );
+      ( "facts memo",
+        [
+          tc "lowering matches a cold memo" `Quick test_memo_matches_cold;
+          tc "consumers leave facts unchanged" `Quick test_memo_unmutated;
+          tc "one memo per layout" `Quick test_memo_per_layout;
         ] );
     ]

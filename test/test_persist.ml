@@ -130,6 +130,61 @@ let test_same_program_other_layout () =
   check Alcotest.string "re-snapshots identically over the other layout"
     data (Engine.snapshot engine)
 
+(* The stamp digests the program's instructions and the block
+   numbering: changing one instruction's operand, or numbering the same
+   blocks differently, changes it.  Computing it encodes the program
+   into one buffer, so a layout's first stamp allocates a few words per
+   method, not a disassembly. *)
+let test_stamp_covers_content () =
+  let layout = layout_of Workloads.Javacish.workload in
+  let stamp = Cfg.Layout.fingerprint layout in
+  let program = layout.Cfg.Layout.program in
+  (* the first integer constant of any method, plus one *)
+  let methods = Array.map Fun.id program.Bytecode.Program.methods in
+  let changed = ref false in
+  Array.iteri
+    (fun mi (m : Bytecode.Mthd.t) ->
+      if not !changed then
+        Array.iteri
+          (fun pc ins ->
+            match ins with
+            | Bytecode.Instr.Iconst n when not !changed ->
+                let code = Array.copy m.Bytecode.Mthd.code in
+                code.(pc) <- Bytecode.Instr.Iconst (n + 1);
+                methods.(mi) <- { m with Bytecode.Mthd.code };
+                changed := true
+            | _ -> ())
+          m.Bytecode.Mthd.code)
+    program.Bytecode.Program.methods;
+  check Alcotest.bool "found a constant to change" true !changed;
+  let edited =
+    Cfg.Layout.build { program with Bytecode.Program.methods = methods }
+  in
+  check Alcotest.int "same block count" layout.Cfg.Layout.n_blocks
+    edited.Cfg.Layout.n_blocks;
+  check Alcotest.bool "one instruction changes the stamp" true
+    (Cfg.Layout.fingerprint edited <> stamp);
+  let renumbered =
+    {
+      layout with
+      Cfg.Layout.instr_len =
+        Array.of_list (List.rev (Array.to_list layout.Cfg.Layout.instr_len));
+      fingerprint_memo = None;
+    }
+  in
+  check Alcotest.bool "a different numbering" true
+    (renumbered.Cfg.Layout.instr_len <> layout.Cfg.Layout.instr_len);
+  check Alcotest.bool "the numbering changes the stamp" true
+    (Cfg.Layout.fingerprint renumbered <> stamp);
+  let fresh = layout_of Workloads.Javacish.workload in
+  let w0 = Gc.minor_words () in
+  let again = Cfg.Layout.fingerprint fresh in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.string "a rebuilt layout has the same stamp" stamp again;
+  if words >= 1000.0 then
+    Alcotest.failf "first stamp of a javac layout: %.0f minor words (limit 1000)"
+      words
+
 (* --------------------------------------------------------------- *)
 (* rejection                                                         *)
 (* --------------------------------------------------------------- *)
@@ -418,6 +473,7 @@ let () =
         ] );
       ( "rejection",
         [
+          tc "the stamp covers the content" `Quick test_stamp_covers_content;
           tc "typed errors" `Quick test_rejections;
           tc "never half-loads" `Quick test_rejection_never_half_loads;
           tc "events" `Quick test_restore_events;

@@ -339,8 +339,8 @@ let test_index_keys_on_binding () =
 
 (* The hash-cons index across its growth, purges and a fault: every
    sequence finds its own trace until it is removed, a removed sequence
-   builds afresh, a corrupted trace is still found under the sequence it
-   was built from, and [iter_all] visits in id order. *)
+   builds afresh, a corrupted trace leaves the index so that its
+   sequence builds a clean trace, and [iter_all] visits in id order. *)
 let test_hash_index () =
   let l = Lazy.force layout in
   let n = l.Layout.n_blocks in
@@ -377,15 +377,26 @@ let test_hash_index () =
     end
   done;
   check Alcotest.bool "some removed" true (!removed > 0);
-  (* FT001 corrupts a body in place: the trace keeps its key *)
+  (* FT001 corrupts a body in place: the trace leaves the index, so
+     rebuilding its sequence constructs a clean trace, which displaces
+     the corrupted one from the entry *)
   let k = count - 1 in
   let tr = put k in
   let first, blocks = seq k in
-  Trace.set_block tr 1 (-1 - tr.Trace.blocks.(1));
-  check Alcotest.bool "corrupted trace found under its sequence" true
-    (put k == tr);
-  ignore (Trace_cache.remove cache ~first ~head:blocks.(0));
-  check Alcotest.bool "and purged by its own hash" true (put k != tr);
+  Trace_cache.set_block cache tr 1 (-1 - tr.Trace.blocks.(1));
+  let bound_to tr' =
+    match Trace_cache.peek cache ~first ~head:blocks.(0) with
+    | Some b -> b == tr'
+    | None -> false
+  in
+  check Alcotest.bool "corrupted trace still bound" true (bound_to tr);
+  let rebuilt = put k in
+  check Alcotest.bool "rebuilding the corrupted sequence builds afresh" true
+    (rebuilt != tr);
+  check Alcotest.(array int) "with the sequence's blocks" blocks
+    rebuilt.Trace.blocks;
+  check Alcotest.bool "rebuilt trace bound and found again" true
+    (bound_to rebuilt && put k == rebuilt);
   let ids = ref [] in
   Trace_cache.iter_all cache (fun tr -> ids := tr.Trace.id :: !ids);
   let ids = List.rev !ids in
