@@ -87,7 +87,7 @@ let run_small ?events config =
 let observability () =
   let seen = ref 0 in
   let events = Tracegen.Events.create () in
-  let _sub = Tracegen.Events.subscribe events (fun _ -> incr seen) in
+  Tracegen.Events.subscribe events (fun _ -> incr seen);
   ignore (run_small ~events (Tracegen.Config.make ~snapshot_period:10_000 ()));
   [ count "events_per_run" !seen ]
 

@@ -151,13 +151,12 @@ let events workload size flags snapshot_period stats_only =
   (* --stats-only skips the per-event JSON rendering entirely: the
      oracle's tally is all the cross-checks need *)
   if not stats_only then
-    ignore
-      (Events.subscribe events (fun e ->
-           let line = Harness.Codec.to_string (Harness.Codec.event_json e) in
-           (* every record must announce the export schema version *)
-           if not (String.starts_with ~prefix:version_prefix line) then
-             incr unversioned;
-           print_endline line));
+    Events.subscribe events (fun e ->
+        let line = Harness.Codec.to_string (Harness.Codec.event_json e) in
+        (* every record must announce the export schema version *)
+        if not (String.starts_with ~prefix:version_prefix line) then
+          incr unversioned;
+        print_endline line);
   let result = Engine.run ~config ~events layout in
   let s = result.Engine.run_stats in
   let engine = result.Engine.engine in
@@ -871,6 +870,13 @@ let explain workload size flags trace_id block =
   let module L = Tracegen.Ledger in
   let module Events = Tracegen.Events in
   let layout = Cli.layout workload ~size in
+  let n = layout.Cfg.Layout.n_blocks in
+  (match block with
+  | Some b when b < 0 || b >= n ->
+      Cli.die "explain: block %d is outside the layout, which has %d blocks \
+               (0..%d)\n"
+        b n (n - 1)
+  | _ -> ());
   let result = Engine.run ~config:(Cli.config flags) layout in
   let ledger = Option.get (Engine.ledger result.Engine.engine) in
   let entries = List.mapi (fun seq e -> (seq, e)) (L.to_list ledger) in

@@ -51,5 +51,3 @@ val findings : t -> finding list
 (** Per-instruction facts from re-simulating each reached block from its
     entry state; ordered by pc. *)
 
-val singleton : aval -> int option
-(** [Some c] when the abstract value is exactly the integer [c]. *)

@@ -98,9 +98,6 @@ val effects : state -> effect_ list
 val traps : state -> trap list
 val guards : state -> guard list
 
-val fold_unop : string -> sym -> sym
-val fold_binop : string -> sym -> sym -> sym
-
 val concretize : local:(int -> sym option) -> sym -> sym option
 (** Substitute epoch-0 locals with concrete terms and refold; [None] when
     the term depends on unknown stack slots, later epochs or heap

@@ -123,12 +123,6 @@ let emit (m : meth) (p : pseudo) =
 let i m x = emit m (P x)
 let iconst m n = i m (Instr.Iconst n)
 let fconst m f = i m (Instr.Fconst f)
-let iload m n = i m (Instr.Iload n)
-let istore m n = i m (Instr.Istore n)
-let fload m n = i m (Instr.Fload n)
-let fstore m n = i m (Instr.Fstore n)
-let aload m n = i m (Instr.Aload n)
-let astore m n = i m (Instr.Astore n)
 let iinc m l d = i m (Instr.Iinc (l, d))
 let if_icmp m c l = emit m (P_if_icmp (c, l))
 let ifz m c l = emit m (P_ifz (c, l))

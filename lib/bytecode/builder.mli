@@ -75,18 +75,6 @@ val iconst : meth -> int -> unit
 
 val fconst : meth -> float -> unit
 
-val iload : meth -> int -> unit
-
-val istore : meth -> int -> unit
-
-val fload : meth -> int -> unit
-
-val fstore : meth -> int -> unit
-
-val aload : meth -> int -> unit
-
-val astore : meth -> int -> unit
-
 val iinc : meth -> int -> int -> unit
 
 val if_icmp : meth -> Instr.cond -> label -> unit

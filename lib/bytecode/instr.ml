@@ -156,15 +156,8 @@ let branch_targets = function
   | Faload | Fastore | Aaload | Aastore | Arraylength | Nop ->
       []
 
-let is_return = function
-  | Return | Ireturn | Freturn | Areturn -> true
-  | _ -> false
-
-let is_call = function Invokestatic _ | Invokevirtual _ -> true | _ -> false
-
-let is_conditional = function If_icmp _ | Ifz _ -> true | _ -> false
-
-(* Net change in operand-stack height; used by the verifier. *)
+(* Net change in operand-stack height.  [Verify] does not use it: it
+   tracks a typed stack of its own. *)
 let stack_delta = function
   | Iconst _ | Fconst _ | Aconst_null -> 1
   | Iload _ | Fload _ | Aload _ -> 1

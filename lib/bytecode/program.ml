@@ -28,16 +28,6 @@ let find_method t name =
   in
   go 0
 
-let find_class t name =
-  let n = Array.length t.classes in
-  let rec go i =
-    if i >= n then None
-    else if String.equal t.classes.(i).Klass.name name then
-      Some t.classes.(i)
-    else go (i + 1)
-  in
-  go 0
-
 let selector_name t slot =
   if slot < 0 || slot >= Array.length t.selectors then
     Printf.sprintf "sel#%d" slot

@@ -17,8 +17,6 @@ val class_by_id : t -> int -> Klass.t
 
 val find_method : t -> string -> Mthd.t option
 
-val find_class : t -> string -> Klass.t option
-
 val selector_name : t -> int -> string
 
 val entry_method : t -> Mthd.t

@@ -30,13 +30,6 @@ let end_pc b = b.start_pc + b.len (* exclusive *)
 
 let last_pc b = b.start_pc + b.len - 1
 
-let is_loop_back_candidate b =
-  (* a branch whose target precedes it is the usual Java loop back edge *)
-  match b.term with
-  | T_cond (_, taken, _) -> taken <= b.start_pc
-  | T_goto t -> t <= b.start_pc
-  | T_switch _ | T_call _ | T_return | T_throw | T_fallthrough _ -> false
-
 let terminator_to_string = function
   | T_cond (c, t, f) ->
       Printf.sprintf "cond(%s) taken=%d fall=%d" (Instr.cond_to_string c) t f

@@ -31,8 +31,4 @@ val end_pc : t -> int
 
 val last_pc : t -> int
 
-val is_loop_back_candidate : t -> bool
-(** A branch whose target does not lie after the block — the usual shape
-    of a compiled loop back edge. *)
-
 val pp : Format.formatter -> t -> unit

@@ -100,6 +100,3 @@ let natural_loop (cfg : Method_cfg.t) ~(back : int * int) : int list =
   in
   add b;
   Hashtbl.fold (fun k () acc -> k :: acc) in_loop [] |> List.sort compare
-
-let loop_headers (cfg : Method_cfg.t) (t : t) : int list =
-  back_edges cfg t |> List.map snd |> List.sort_uniq compare

@@ -18,5 +18,3 @@ val back_edges : Method_cfg.t -> t -> (int * int) list
 val natural_loop : Method_cfg.t -> back:int * int -> int list
 (** The natural loop of a back edge: every block that reaches the latch
     without passing through the header, plus the header.  Sorted. *)
-
-val loop_headers : Method_cfg.t -> t -> int list

@@ -89,9 +89,6 @@ let[@inline] cfg_of_method t ~method_id = t.cfgs.(method_id)
 
 let block_len t (g : gid) = t.instr_len.(g)
 
-let entry_gid t =
-  gid t ~method_id:t.program.Program.entry ~block_index:0
-
 (* A readable block name: "method:Bk@pc". *)
 let describe t (g : gid) =
   let b = block t g in

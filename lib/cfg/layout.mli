@@ -45,9 +45,6 @@ val cfg_of_method : t -> method_id:int -> Method_cfg.t
 
 val block_len : t -> gid -> int
 
-val entry_gid : t -> gid
-(** The entry method's first block. *)
-
 val describe : t -> gid -> string
 (** A readable block name: ["method:Bk@pc"]. *)
 

@@ -92,8 +92,6 @@ let build (m : Mthd.t) : t =
 
 let n_blocks t = Array.length t.blocks
 
-let block_at_pc t pc = t.blocks.(t.pc_to_block.(pc))
-
 (* The interpreter resolves every dispatch through this one, inlined so
    that the dispatch makes no call for it (DESIGN.md §22). *)
 let[@inline] block_index_at_pc t pc = t.pc_to_block.(pc)

@@ -19,8 +19,6 @@ val build : Mthd.t -> t
 
 val n_blocks : t -> int
 
-val block_at_pc : t -> int -> Block.t
-
 val block_index_at_pc : t -> int -> int
 
 val successors : t -> Block.t -> int list

@@ -6,11 +6,11 @@
     [N_YZ] for every observed triple: the edge counter measures how often
     branch [(Y, Z)] follows branch [(X, Y)].
 
-    Counters are 16-bit and saturating; one observation is worth
-    {!event_weight} counter units, so a single observation survives
-    [log2 event_weight] decay shifts — the paper's 2048-execution history
-    clearing.  Every {!Config.decay_period} executions of a node its
-    edge weights are shifted right one bit and dead edges are pruned;
+    Counters are 16-bit and saturating; one observation is worth 256
+    counter units, so a single observation survives 8 decay shifts — the
+    paper's 2048-execution history clearing.  Every
+    {!Config.decay_period} executions of a node its edge weights are
+    shifted right one bit and dead edges are pruned;
     during decay the node's state and maximally correlated successor are
     re-evaluated and changes are signalled to the trace cache. *)
 
@@ -64,10 +64,6 @@ and t = {
   mutable mark_top : int;  (** every node's [mark] is below this *)
 }
 
-val event_weight : int
-(** Counter units per observed branch event (256, so a 16-bit counter
-    holds 256 events and one event takes 8 decay shifts to clear). *)
-
 val create : Config.t -> n_blocks:int -> on_signal:(signal -> unit) -> t
 
 val fresh_marks : t -> width:int -> int
@@ -94,8 +90,14 @@ val find_node : t -> x:Cfg.Layout.gid -> y:Cfg.Layout.gid -> node
 val visit : t -> node -> unit
 (** Record one execution of the node's branch: count down the
     start-state delay (promoting and re-evaluating when it elapses), or
-    advance periodic decay.  The profiler's fast path reaches the node
-    through a correlation's [e_target] pointer and calls this directly. *)
+    advance periodic decay.  Every {!Config.decay_period} visits one
+    decay pass halves the node's edge weights in place, prunes dead
+    edges keeping the others' order, then re-evaluates the node's state
+    and maximally correlated successor, signalling the trace cache if
+    anything it acts on changed; a pass that prunes nothing and changes
+    neither the state nor the best successor allocates nothing.  The
+    profiler's fast path reaches the node through a correlation's
+    [e_target] pointer and calls this directly. *)
 
 val visit_node : t -> x:Cfg.Layout.gid -> y:Cfg.Layout.gid -> node
 (** {!find_node}, lazily creating the node when absent, then {!visit}. *)
@@ -108,9 +110,9 @@ val record_successor : t -> ctx:node -> target:node -> unit
 val bump_edge : node -> edge -> unit
 (** [bump_edge ctx e]: one more traversal of [ctx]'s edge [e], which the
     caller already found (saturating), keeping [ctx]'s inline cache
-    current.  [e] must still be in [ctx.edges]: only {!decay} prunes
-    edges, so a caller that found [e] before a {!visit} must look it up
-    again when [decays] moved. *)
+    current.  [e] must still be in [ctx.edges]: only a decay pass
+    prunes edges, so a caller that found [e] before a {!visit} must look
+    it up again when [decays] moved. *)
 
 val add_edge : t -> ctx:node -> target:node -> unit
 (** Create [ctx]'s edge to [target] with one traversal, keeping [ctx]'s
@@ -126,28 +128,15 @@ val correlation : node -> edge -> float
     was just taken: [weight] over the node's total outgoing weight, in
     [0, 1]. *)
 
-val best_edge : node -> edge option
-(** The heaviest outgoing edge right now. *)
-
-val recheck : t -> node -> unit
-(** Re-evaluate state and maximally correlated successor, updating the
-    node and signalling the trace cache if anything it acts on changed.
-    Runs at start-state promotion and during decay. *)
-
-val decay : t -> node -> unit
-(** One periodic exponential decay pass: halve this node's edge weights
-    in place, prune dead edges keeping the others' order, then
-    {!recheck}.  A pass that prunes nothing and changes neither the
-    state nor the best successor allocates nothing. *)
-
 val heal_node : t -> node -> bool
 (** Clamp the node's edge weights, decay and start-state bookkeeping back
-    into their legal ranges, then {!recheck} so the inline cache and
-    correlation state are recomputed from the repaired edges (signalling
-    as usual).  Returns [true] when a field actually changed.  The
-    self-healing engine calls this on nodes an invariant check flagged;
-    the node loses corrupted history but keeps profiling, and its
-    correlations re-converge within one decay period. *)
+    into their legal ranges, then re-evaluate the node as a decay pass
+    does ({!visit}), so the inline cache and correlation state are
+    recomputed from the repaired edges (signalling as usual).  Returns
+    [true] when a field actually changed.  The self-healing engine calls
+    this on nodes an invariant check flagged; the node loses corrupted
+    history but keeps profiling, and its correlations re-converge within
+    one decay period. *)
 
 (** {2 Warm-start snapshots} *)
 

@@ -9,11 +9,6 @@ module Cache = struct
   let eviction_policy_to_string = function
     | Lru -> "lru"
     | Footprint_aware -> "footprint"
-
-  let eviction_policy_of_string = function
-    | "lru" -> Some Lru
-    | "footprint" -> Some Footprint_aware
-    | _ -> None
 end
 
 type t = {

@@ -23,9 +23,6 @@ module Cache : sig
 
   val eviction_policy_to_string : eviction_policy -> string
   (** Stable lowercase tag: ["lru"] / ["footprint"]. *)
-
-  val eviction_policy_of_string : string -> eviction_policy option
-  (** Inverse of {!eviction_policy_to_string}; [None] on unknown tags. *)
 end
 
 type t

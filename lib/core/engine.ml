@@ -912,8 +912,6 @@ let ledger t = Some t.ledger
 let inflight_matched_blocks t =
   match t.active with Some _ -> t.active_pos | None -> 0
 
-let arm_guard_flip t ~pos = Faults.arm_flip t.faults ~pos
-
 let attach t (handle : Interp.handle) =
   match t.osr with
   | Some osr ->
@@ -921,8 +919,6 @@ let attach t (handle : Interp.handle) =
   | None -> ()
 
 let backend_name t = fst (describe_backend t.kind)
-
-let backend_pinned t = t.pinned
 
 (* End-of-run statistics: the counters plus what only the VM knows. *)
 let stats t ~(vm_result : Interp.result) ~wall_seconds : Stats.t =

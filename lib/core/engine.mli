@@ -107,7 +107,13 @@ val on_block : t -> Cfg.Layout.gid -> unit
     validated before entry.  When {!Config.snapshot_period} is positive,
     every [period]-th dispatch first publishes a [Phase_snapshot]
     stamped with its 1-based index.  After the dispatch, a decay
-    boundary runs {!debug_sweep} when {!Config.debug_checks} is on. *)
+    boundary runs the invariant sweep when {!Config.debug_checks} is
+    on: {!Invariants} over the BCG and the cache, every finding counted
+    and published.  Under self-healing the sweep heals flagged BCG
+    nodes, quarantines flagged traces (deoptimizing first when OSR is on
+    and the flagged trace is executing) and strikes the ladder.  It also
+    runs after each profiler signal's trace construction and after an
+    OSR promotion that built a trace. *)
 
 val counters : t -> Stats.t
 (** Every counter as it stands now, in a fresh record that later
@@ -163,22 +169,6 @@ val inflight_matched_blocks : t -> int
     is active) — the inlined executions of a run that ends mid-trace,
     which no exit event covers yet. *)
 
-val arm_guard_flip : t -> pos:int -> unit
-(** Arm one FT008 guard flip at trace position [pos] directly
-    ({!Faults.arm_flip}), bypassing the probabilistic schedule — the
-    deopt-at-every-position tests drive this.
-    @raise Invalid_argument if [pos < 1]. *)
-
-val debug_sweep : t -> unit
-(** The invariant sweep ({!Config.debug_checks}): run {!Invariants}
-    over the BCG and the cache, count and publish every finding.  Under
-    self-healing the sweep heals flagged BCG nodes, quarantines flagged
-    traces (deoptimizing first when OSR is on and the flagged trace is
-    executing) and strikes the ladder.  Re-entrancy guarded.  The
-    engine runs it at decay and construction boundaries; calling it
-    directly lets tests condemn a corrupted trace {e while it is
-    executing} and observe the mid-flight cut-over. *)
-
 val attach : t -> Vm.Interp.handle -> unit
 (** Point the OSR state-materialization hook at the live interpreter
     handle; {!drive} does this automatically, external drivers
@@ -188,9 +178,6 @@ val attach : t -> Vm.Interp.handle -> unit
 (** {2 Backend kinds} *)
 
 val backend_name : t -> string
-
-val backend_pinned : t -> bool
-(** Whether the backend was pinned at {!create}. *)
 
 (** {2 Warm starts} *)
 

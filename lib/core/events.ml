@@ -232,34 +232,24 @@ let ring_window r =
   done;
   !acc
 
-type subscription = int
-
 type t = {
-  mutable subs : (subscription * (event -> unit)) list;
-      (* in subscription order *)
-  mutable next_sub : subscription;
+  mutable subs : (event -> unit) list; (* in subscription order *)
   mutable now : int;
   mutable emitted : int;
   (* the tap: out-of-band observers (the flight recorder's ring, the
      decision ledger) that see every event but do not count as
-     subscribers — [emitted] is unaffected, so a tapped-but-unsubscribed
-     stream still reports itself quiet to user code *)
+     subscribers — [emitted] is unaffected, so a tapped stream with no
+     subscriber still reports itself quiet to user code *)
   mutable ring : ring option;
   mutable cold : (event -> unit) option; (* every non-hot event *)
 }
 
 let create () =
-  { subs = []; next_sub = 0; now = 0; emitted = 0; ring = None; cold = None }
+  { subs = []; now = 0; emitted = 0; ring = None; cold = None }
 
 let enabled t = t.subs <> [] || t.ring <> None || t.cold <> None
 
-let subscribe t f =
-  let id = t.next_sub in
-  t.next_sub <- id + 1;
-  t.subs <- t.subs @ [ (id, f) ];
-  id
-
-let unsubscribe t id = t.subs <- List.filter (fun (i, _) -> i <> id) t.subs
+let subscribe t f = t.subs <- t.subs @ [ f ]
 
 let set_tap t ~ring ~cold =
   t.ring <- ring;
@@ -271,7 +261,7 @@ let now t = t.now
 
 let deliver t ev =
   t.emitted <- t.emitted + 1;
-  List.iter (fun (_, f) -> f ev) t.subs
+  List.iter (fun f -> f ev) t.subs
 
 let emit t payload =
   if enabled t then begin

@@ -246,10 +246,6 @@ val ring_capacity : ring -> int
 val ring_recorded : ring -> int
 (** Events ever recorded; above the capacity the ring has wrapped. *)
 
-val ring_record : ring -> event -> unit
-(** Record one event: a hot kind as its scalars, anything else by
-    pointer. *)
-
 val ring_window : ring -> (int * event) list
 (** The surviving window, oldest first, each event with its sequence
     number (the count of events recorded before it). *)
@@ -257,19 +253,15 @@ val ring_window : ring -> (int * event) list
 type t
 (** A stream: an ordered set of subscribers and a logical clock. *)
 
-type subscription
-
 val create : unit -> t
 
 val enabled : t -> bool
 (** [true] iff the stream has at least one subscriber or a tap.
     Emission sites must guard payload construction behind this. *)
 
-val subscribe : t -> (event -> unit) -> subscription
-(** Subscribers are called synchronously, in subscription order. *)
-
-val unsubscribe : t -> subscription -> unit
-(** Unknown or already-removed subscriptions are ignored. *)
+val subscribe : t -> (event -> unit) -> unit
+(** Subscribers are called synchronously, in subscription order, for
+    the stream's lifetime. *)
 
 val set_tap : t -> ring:ring option -> cold:(event -> unit) -> unit
 (** Install the out-of-band observers: the flight recorder's [ring],

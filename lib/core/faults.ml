@@ -182,8 +182,6 @@ let create ~seed spec =
 
 let is_active t = t.arms <> [] && t.budget > 0
 
-let budget_left t = t.budget
-
 (* xorshift64: fast, full-period, and trivially reseedable *)
 let next t =
   let x = t.state in
@@ -313,10 +311,6 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
    trace, so the flip cannot fire there; it is armed as [pending_flip]
    and consumed by the dispatch loop's guard comparison ([flip_now]) at
    the first followed trace reaching the armed position. *)
-
-let arm_flip t ~pos =
-  if pos < 1 then invalid_arg "Faults.arm_flip: pos < 1";
-  t.pending_flip <- Some pos
 
 let take_flip t p ~pos ~n_blocks =
   let target = Int.max 1 (Int.min p (n_blocks - 1)) in

@@ -35,15 +35,8 @@ type kind =
           path.  Transparent by construction: tracing is an overlay, so
           a flipped guard must never change VM results. *)
 
-val kind_name : kind -> string
-(** The DSL name: ["corrupt-trace"], ["zero-counter"], … *)
-
 val code : kind -> string
 (** The stable catalogue code: ["FT001"] … ["FT008"]. *)
-
-val kind_of_name : string -> kind option
-(** Accepts both hyphenated and underscored spellings ([guard-flip] and
-    [guard_flip]). *)
 
 val catalogue : (string * string) list
 (** Code/description pairs: FT001–FT008 (injectable faults, each naming
@@ -54,14 +47,13 @@ type t
 
 val create : seed:int -> string -> t
 (** Parse a schedule and seed its PRNG ([seed 0] is remapped to a fixed
-    non-zero constant — xorshift has no zero state).  An empty spec
-    yields an inactive injector.
+    non-zero constant — xorshift has no zero state).  Kind names are
+    accepted hyphenated or underscored ([guard-flip] and [guard_flip]).
+    An empty spec yields an inactive injector.
     @raise Invalid_argument on a malformed spec. *)
 
 val is_active : t -> bool
 (** [true] while the schedule has arms and budget remaining. *)
-
-val budget_left : t -> int
 
 val tick :
   t ->
@@ -99,13 +91,6 @@ val take_install_failure : t -> bool
     [tick] runs in the dispatch prologue — outside any trace — so a
     guard flip cannot fire there.  Instead it is armed as a pending
     position and consumed by the trace-following loop. *)
-
-val arm_flip : t -> pos:int -> unit
-(** Directly arm a guard flip at trace position [pos >= 1] (tests and
-    the deopt-at-every-position sweep use this; chaos schedules arm via
-    the DSL).  The position is clamped to the followed trace's length at
-    consumption time.
-    @raise Invalid_argument if [pos < 1]. *)
 
 val flip_now : t -> pos:int -> n_blocks:int -> bool
 (** Called by the dispatch loop at guard position [pos] of a followed

@@ -23,14 +23,6 @@ let reason_to_string = function
   | Degraded -> "degraded_interp_only"
   | Manual -> "manual"
 
-let reason_of_string = function
-  | "invariant_violation" -> Some Invariant
-  | "chaos_divergence" -> Some Divergence
-  | "snapshot_rejected" -> Some Snapshot_rejected
-  | "degraded_interp_only" -> Some Degraded
-  | "manual" -> Some Manual
-  | _ -> None
-
 (* The ring itself belongs to the event stream ([Events.ring]): the
    engine's stream holds it and writes the hot kinds into it directly,
    as scalars, so the per-dispatch path makes no closure call.  The
@@ -50,8 +42,6 @@ let dropped t = Int.max 0 (recorded t - capacity t)
 let dumps t = t.dumps
 let set_on_dump t f = t.on_dump <- Some f
 let ring t = t.ring
-let record_event t ev = Events.ring_record t.ring ev
-
 (* Oldest-first reconstruction of the surviving window. *)
 let to_list t =
   List.map

@@ -19,8 +19,6 @@ type dump_reason =
 val reason_to_string : dump_reason -> string
 (** Stable wire tag for the reason, used in postmortem headers. *)
 
-val reason_of_string : string -> dump_reason option
-
 type t
 
 val create : capacity:int -> t
@@ -44,11 +42,6 @@ val ring : t -> Events.ring
 (** The recorder's ring, for {!Events.set_tap}: the stream writes hot
     kinds into it as unboxed scalars — the per-dispatch path allocates
     nothing and calls no closure — and rare kinds by pointer. *)
-
-val record_event : t -> Events.event -> unit
-(** Record one event into {!ring} ({!Events.ring_record}): an event
-    recorded this way and the same event emitted on a stream tapped
-    with the ring leave identical slots. *)
 
 val to_list : t -> entry list
 (** The surviving window, oldest first. *)

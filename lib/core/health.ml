@@ -39,8 +39,6 @@ let create () = { level = Full_tracing; strikes = 0; clean = 0 }
 
 let level t = t.level
 
-let is_degraded t = t.level <> Full_tracing
-
 let strikes t = t.strikes
 
 let down = function

@@ -42,8 +42,6 @@ val create : unit -> t
 
 val level : t -> level
 
-val is_degraded : t -> bool
-
 val strikes : t -> int
 (** Strikes accumulated at the current level since the last demotion or
     forgiveness window. *)

@@ -39,12 +39,6 @@
     trace-construction and decay boundaries, which is measurably slower
     than a production run (see the bench). *)
 
-val check_node : ?context:string -> Bcg.t -> Bcg.node -> Analysis.Diag.t list
-(** [TL204] [TL205] [TL206] [TL208] for one node. *)
-
-val check_bcg : ?context:string -> Bcg.t -> Analysis.Diag.t list
-(** {!check_node} over every node. *)
-
 val check_trace :
   ?context:string ->
   ?bcg:Bcg.t ->
@@ -74,6 +68,7 @@ val check_all :
   bcg:Bcg.t ->
   cache:Trace_cache.t ->
   Analysis.Diag.t list
-(** {!check_bcg} followed by {!check_cache}: the full sweep the engine
+(** [TL204] [TL205] [TL206] [TL208] for every BCG node, followed by
+    {!check_cache}: the full sweep the engine
     runs under {!Config.debug_checks}, and [repro_cli lint] runs after
     a workload's profiled execution. *)

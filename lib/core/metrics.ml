@@ -61,16 +61,11 @@ let hist_max h = h.h_max
 let hist_mean h =
   if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
 
-let n_buckets h = Array.length h.h_buckets
-
-let bucket_count h i = h.h_buckets.(i)
-
-let bucket_bounds h i =
-  let n = Array.length h.h_buckets in
-  if i < 0 || i >= n then invalid_arg "Metrics.bucket_bounds: out of range";
-  if i = 0 then (0, 0)
-  else if i = n - 1 then (1 lsl (i - 1), max_int)
-  else (1 lsl (i - 1), (1 lsl i) - 1)
+(* Bucket [i]'s inclusive upper edge; the overflow bucket has none. *)
+let bucket_hi h i =
+  if i = 0 then 0
+  else if i = Array.length h.h_buckets - 1 then max_int
+  else (1 lsl i) - 1
 
 let percentile h p =
   if h.h_count = 0 then 0
@@ -89,7 +84,7 @@ let percentile h p =
     done;
     (* report the bucket's upper edge, clamped to the observed range so
        a single-observation histogram answers exactly *)
-    let _, hi = bucket_bounds h !i in
+    let hi = bucket_hi h !i in
     let hi = if hi > h.h_max then h.h_max else hi in
     if hi < hist_min h then hist_min h else hi
   end

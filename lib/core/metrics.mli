@@ -35,9 +35,6 @@ val hist_sum : histogram -> int
 val hist_mean : histogram -> float
 (** [0.0] when empty. *)
 
-val hist_min : histogram -> int
-(** Smallest observation ([0] when empty). *)
-
 val hist_max : histogram -> int
 (** Largest observation ([0] when empty). *)
 
@@ -47,12 +44,3 @@ val percentile : histogram -> float -> int
     upper edge clamped to the observed [min]/[max] (so [p <= 0] is the
     minimum, [p >= 100] the maximum, and a single-valued histogram
     answers exactly).  [0] when empty. *)
-
-val n_buckets : histogram -> int
-
-val bucket_count : histogram -> int -> int
-(** Observations in bucket [i]. *)
-
-val bucket_bounds : histogram -> int -> int * int
-(** Inclusive [(lo, hi)] range of bucket [i]; the overflow bucket's
-    upper bound is [max_int].  @raise Invalid_argument out of range. *)

@@ -740,86 +740,3 @@ let check ?expect (b : body) : string list =
     if seen.(p) <> 1 then err "position %d has %d guards, want 1" p seen.(p)
   done;
   List.rev !errs
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let cval_to_string = function
-  | Cint v -> string_of_int v
-  | Cfloat v -> Printf.sprintf "%g" v
-  | Cnull -> "null"
-
-let iop_to_string = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Div -> "div"
-  | Rem -> "rem"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-  | Ushr -> "ushr"
-
-let fop_to_string = function
-  | Fadd -> "fadd"
-  | Fsub -> "fsub"
-  | Fmul -> "fmul"
-  | Fdiv -> "fdiv"
-
-let op_to_string = function
-  | Const { dst; v } -> Printf.sprintf "r%d = const %s" dst (cval_to_string v)
-  | Move { dst; src } -> Printf.sprintf "r%d = r%d" dst src
-  | Iarith { op; dst; a; b } ->
-      Printf.sprintf "r%d = %s r%d, r%d" dst (iop_to_string op) a b
-  | Farith { op; dst; a; b } ->
-      Printf.sprintf "r%d = %s r%d, r%d" dst (fop_to_string op) a b
-  | Ineg { dst; src } -> Printf.sprintf "r%d = neg r%d" dst src
-  | Fneg { dst; src } -> Printf.sprintf "r%d = fneg r%d" dst src
-  | F2i { dst; src } -> Printf.sprintf "r%d = f2i r%d" dst src
-  | I2f { dst; src } -> Printf.sprintf "r%d = i2f r%d" dst src
-  | Fcmp { dst; a; b } -> Printf.sprintf "r%d = fcmp r%d, r%d" dst a b
-  | Load { dst; slot } -> Printf.sprintf "r%d = local[%d]" dst slot
-  | Store { slot; src } -> Printf.sprintf "local[%d] = r%d" slot src
-  | Inc { slot; delta } -> Printf.sprintf "local[%d] += %d" slot delta
-  | Getfield { dst; obj; cid; slot } ->
-      Printf.sprintf "r%d = r%d.f%d_%d" dst obj cid slot
-  | Putfield { obj; src; cid; slot } ->
-      Printf.sprintf "r%d.f%d_%d = r%d" obj cid slot src
-  | New_obj { dst; cid } -> Printf.sprintf "r%d = new c%d" dst cid
-  | Instance_of { dst; src; cid } ->
-      Printf.sprintf "r%d = r%d instanceof c%d" dst src cid
-  | New_array { dst; len; _ } -> Printf.sprintf "r%d = newarray r%d" dst len
-  | Array_load { dst; arr; idx; _ } ->
-      Printf.sprintf "r%d = r%d[r%d]" dst arr idx
-  | Array_store { arr; idx; src; _ } ->
-      Printf.sprintf "r%d[r%d] = r%d" arr idx src
-  | Array_len { dst; src } -> Printf.sprintf "r%d = len r%d" dst src
-  | Branch { cond; a; b } ->
-      Printf.sprintf "br_%s r%d, r%d" (Instr.cond_to_string cond) a b
-  | Branchz { cond; src } ->
-      Printf.sprintf "brz_%s r%d" (Instr.cond_to_string cond) src
-  | Switch { src } -> Printf.sprintf "switch r%d" src
-  | Call { target = Static mid } -> Printf.sprintf "call m%d" mid
-  | Call { target = Virtual sel } -> Printf.sprintf "callv s%d" sel
-  | Ret Rvoid -> "ret"
-  | Ret Rint -> "iret"
-  | Ret Rfloat -> "fret"
-  | Ret Rref -> "aret"
-  | Throw { src } -> Printf.sprintf "throw r%d" src
-  | Guard { pos; expect } -> Printf.sprintf "guard @%d -> b%d" pos expect
-  | Cmp_guard { cond; a; b; pos; expect } ->
-      Printf.sprintf "cmp%s.guard r%d, r%d @%d -> b%d"
-        (Instr.cond_to_string cond) a b pos expect
-  | Cmpz_guard { cond; src; pos; expect } ->
-      Printf.sprintf "cmpz%s.guard r%d @%d -> b%d" (Instr.cond_to_string cond)
-        src pos expect
-  | Load_arith { op; dst; slot; other; load_left } ->
-      if load_left then
-        Printf.sprintf "r%d = %s local[%d], r%d" dst (iop_to_string op) slot
-          other
-      else
-        Printf.sprintf "r%d = %s r%d, local[%d]" dst (iop_to_string op) other
-          slot

@@ -138,12 +138,6 @@ val n_positions : body -> int
 
 val is_fused : op -> bool
 
-val def_of : op -> reg option
-(** The register the op writes, if any. *)
-
-val uses_of : op -> reg list
-(** The registers the op reads. *)
-
 val lower :
   ?local_const:(pos:int -> slot:int -> cval option) ->
   ?store_dead:(pos:int -> slot:int -> bool) ->
@@ -169,7 +163,3 @@ val check : ?expect:Cfg.Layout.gid array -> body -> string list
     starts, registers in range, exactly one guard per position 1..n-1
     (fused or not), and — when [expect] gives the trace's block gids —
     every guard expecting the right block. *)
-
-val cval_to_string : cval -> string
-
-val op_to_string : op -> string

@@ -22,6 +22,8 @@
    (nodes by (x, y), edges by z, cache entries by entry key), so
    encode → decode → encode is bit-identical. *)
 
+(* The format version this build writes and reads, the single bump
+   site: bumped on any change to the header or payload layout. *)
 let snapshot_version = 2
 
 let magic = "TCSNAP01"

@@ -19,10 +19,6 @@
     canonical order {!Bcg.snapshot} and {!Trace_cache.snapshot} produce,
     so encode → decode → encode is bit-identical. *)
 
-val snapshot_version : int
-(** The format version this build writes and reads (the single bump
-    site).  Bumped on any change to the header or payload layout. *)
-
 type error =
   | Truncated of { expected : int; got : int }
       (** shorter than the header, or than the length the header

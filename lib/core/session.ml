@@ -83,8 +83,6 @@ let member_name m = m.name
 
 let engine m = m.engine
 
-let finished m = m.finished <> None
-
 let vm_result m =
   match m.finished with
   | Some r -> r

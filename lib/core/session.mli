@@ -66,8 +66,6 @@ val member_name : member -> string
 
 val engine : member -> Engine.t
 
-val finished : member -> bool
-
 val vm_result : member -> Vm.Interp.result
 (** @raise Invalid_argument while the member is still running. *)
 

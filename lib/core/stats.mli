@@ -130,9 +130,6 @@ val completion_rate : t -> float
 val dispatches_per_signal : t -> float
 (** Dispatches per state-change signal (Table IV reports thousands). *)
 
-val trace_events : t -> int
-(** Signals plus traces constructed. *)
-
 val trace_event_interval : t -> float
 (** Dispatches per trace event (Table V reports thousands). *)
 
@@ -149,23 +146,8 @@ val quarantine_rate : t -> float
 val eviction_rate : t -> float
 (** Capacity evictions per constructed trace. *)
 
-val deopt_rate : t -> float
-(** OSR deoptimizations per trace entry. *)
-
 val deopt_residue : t -> float
 (** Average trace positions abandoned past the deopt point. *)
-
-val mi_ops_per_position : t -> float
-(** Micro-ops dispatched per followed position on the compiled tier. *)
-
-val mi_src_per_position : t -> float
-(** Source instructions per position for the same positions. *)
-
-val mi_dispatch_reduction : t -> float
-(** Fraction of per-position dispatch work the lowered body removes. *)
-
-val mi_fused_share : t -> float
-(** Fraction of dispatched micro-ops that are superinstructions. *)
 
 val pp : Format.formatter -> t -> unit
 (** The resilience counters are rendered only when at least one of them

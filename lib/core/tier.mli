@@ -10,12 +10,6 @@
     on the same counter, which is what makes the tier re-derivable:
     snapshots never store a lowered body. *)
 
-val trace_blocks_code :
-  Cfg.Layout.t -> Trace.t -> (Cfg.Layout.gid * Bytecode.Instr.t array) array
-(** The trace's positions as (gid, instructions) pairs — the micro-IR
-    converter's input, kept per-position so guards land between
-    blocks. *)
-
 val lower_trace : Cfg.Layout.t -> Trace.t -> Microir.body
 (** Lower the trace's block sequence to micro-IR, feeding the converter
     {!Analysis.Constprop} block-entry facts as the constant oracle and a

@@ -113,8 +113,6 @@ let last_block t = t.blocks.(Array.length t.blocks - 1)
 
 (* Two traces are the same cache entry iff context and block sequence are
    identical. *)
-let same_sequence a b = a.first = b.first && a.blocks = b.blocks
-
 (* FT001 negates a gid in place: render it rather than index with it *)
 let describe layout t =
   let name g =

@@ -83,9 +83,6 @@ val entry_key : t -> Cfg.Layout.gid * Cfg.Layout.gid
 
 val last_block : t -> Cfg.Layout.gid
 
-val same_sequence : t -> t -> bool
-(** Same entry context and same block sequence: the same cache entry. *)
-
 val describe : Cfg.Layout.t -> t -> string
 (** One-line human-readable rendering of the live body with block
     names; a gid outside the layout (a corrupted block) renders as

@@ -19,7 +19,7 @@ module Layout = Cfg.Layout
      condemned (by a TL2xx check or an injected fault), with exponential
      backoff in cache-clock units and permanent blacklisting after
      [Config.heal_max_rebuilds] condemnations;
-   - [try_install] is the fallible front door the trace builder uses: it
+   - [install], the one way traces enter the cache, is fallible: it
      refuses quarantined entries and consumes the installing engine's
      injected installation failures, so the builder degrades gracefully
      instead of reinstalling a known-bad trace.
@@ -94,7 +94,6 @@ type t = {
   max_traces : int; (* live-trace cap; 0 = unbounded *)
   policy : Config.Cache.eviction_policy; (* victim selection under pressure *)
   quarantine : (int, qentry) Hashtbl.t; (* entry key -> blacklist record *)
-  mutable n_pinned : int; (* traces with [pins > 0] *)
   mutable stamp : int; (* monotone use counter for LRU *)
   mutable clock : int; (* engine dispatch count, drives backoff *)
   mutable session : int; (* id of the session currently dispatching; 0 solo *)
@@ -137,7 +136,6 @@ let create ?(max_traces = 0) ?(eviction_policy = Config.Cache.Lru)
     max_traces;
     policy = eviction_policy;
     quarantine = Hashtbl.create 16;
-    n_pinned = 0;
     stamp = 0;
     clock = 0;
     session = 0;
@@ -193,20 +191,13 @@ let binding t ekey = find_in (first_of_key t ekey) t.by_head.(slot_of_key t ekey
    The refcount lives on the trace ([Trace.pins]), so a pin is two field
    writes; the cache only counts how many traces are pinned. *)
 
-let pin t (tr : Trace.t) =
-  if tr.Trace.pins = 0 then t.n_pinned <- t.n_pinned + 1;
-  tr.Trace.pins <- tr.Trace.pins + 1
+let pin _t (tr : Trace.t) = tr.Trace.pins <- tr.Trace.pins + 1
 
-let unpin t (tr : Trace.t) =
-  (* an unbalanced unpin is a no-op *)
-  if tr.Trace.pins > 0 then begin
-    tr.Trace.pins <- tr.Trace.pins - 1;
-    if tr.Trace.pins = 0 then t.n_pinned <- t.n_pinned - 1
-  end
+(* an unbalanced unpin is a no-op *)
+let unpin _t (tr : Trace.t) =
+  if tr.Trace.pins > 0 then tr.Trace.pins <- tr.Trace.pins - 1
 
 let is_pinned _t (tr : Trace.t) = tr.Trace.pins > 0
-
-let n_pinned t = t.n_pinned
 
 let n_demote_refusals t = t.demote_refusals
 
@@ -516,11 +507,6 @@ let is_quarantined t ~first ~head =
   | Some q -> q.until > t.clock
   | None -> false
 
-let quarantine_attempts t ~first ~head =
-  match Hashtbl.find_opt t.quarantine (entry_key_int t ~first ~head) with
-  | Some q -> q.attempts
-  | None -> 0
-
 let n_quarantine_active t =
   Hashtbl.fold (fun _ q acc -> if q.until > t.clock then acc + 1 else acc)
     t.quarantine 0
@@ -589,8 +575,6 @@ let remove t ~first ~head : Trace.t option =
     b.b_hit
   end
 
-type installed = Built of Trace.t | Reused of Trace.t | Refused
-
 (* A rebound entry is an instability event. *)
 let replaced ~events ~(counts : Stats.t) ~first ~head (tr : Trace.t) =
   counts.Stats.traces_replaced <- counts.Stats.traces_replaced + 1;
@@ -646,17 +630,6 @@ let[@inline] install ?fail t ~events ~(counts : Stats.t) ~first
     enforce_caps t ~events ~counts ~keep:ekey;
     tr
   end
-
-let try_install ?fail t ~events ~counts ~first ~(blocks : Layout.gid array)
-    ~prob : installed =
-  let built = t.constructed in
-  let tr =
-    install ?fail t ~events ~counts ~first ~blocks ~len:(Array.length blocks)
-      ~prob
-  in
-  if tr == Trace.none then Refused
-  else if t.constructed > built then Built tr
-  else Reused tr
 
 let pressure_evict t ~events ~counts ~down_to =
   let down_to = Int.max 0 down_to in
@@ -788,13 +761,3 @@ let n_cross_installs t = t.cross_installs
 
 let n_cross_entries t = t.cross_entries
 
-(* Pins survive a flush: they belong to the dispatch loops still
-   following the flushed traces, whose unpins balance them. *)
-let flush t =
-  Int_table.reset t.by_entry;
-  Array.fill t.by_head 0 (Array.length t.by_head) no_binding;
-  t.by_seq <- Array.make seq_initial Trace.none;
-  t.seq_live <- 0;
-  t.seq_used <- 0;
-  Hashtbl.reset t.quarantine;
-  t.live_blocks <- 0

@@ -20,9 +20,9 @@
       condemned by a TL2xx check or an injected fault, with exponential
       backoff in cache-clock units ({!set_clock}) and permanent
       blacklisting after {!Config.heal_max_rebuilds} condemnations;
-    - {!install} is the fallible front door the trace builder uses:
-      it refuses quarantined entries and consumes the installing
-      engine's injected installation failures (its [~fail]), so the
+    - {!install}, the one way traces enter the cache, is fallible: it
+      refuses quarantined entries and consumes the installing engine's
+      injected installation failures (its [~fail]), so the trace
       builder degrades gracefully instead of reinstalling a known-bad
       trace.
 
@@ -91,40 +91,31 @@ val install :
     way traces enter the cache; the trace builder writes each candidate
     into its scratch array ({!scratch}) and passes the slice.  Returns
     the trace now bound to the candidate's entry transition, or
-    {!Trace.none} when the install was refused ({!try_install} says
-    which case happened).  The slice is hashed and compared in place
-    and copied only into a newly built trace, so an install that reuses
-    a cached trace allocates nothing.  [blocks] is read only during the
-    call.  Hash-consing compares each indexed trace's body; a trace a
-    fault corrupted ({!set_block}) has left the index, so rebuilding
-    its sequence constructs a clean trace. *)
+    {!Trace.none} when the install was refused.
 
-type installed = Built of Trace.t | Reused of Trace.t | Refused
+    - An identical cached trace is reused (a hash-cons hit); otherwise a
+      new trace is constructed and bound to its entry transition,
+      displacing any previous binding ([traces_replaced]).  Only a new
+      trace counts in {!n_constructed}, which tells a build from a
+      reuse.
+    - Installation may push the cache over its capacity cap; the
+      policy's victims among the {e other} entries are then evicted
+      until the cap holds again ([traces_evicted]; the trace just
+      installed is never its own victim).
+    - Refused: nothing was installed, because [len = 0], the entry is
+      quarantined, or an injected failure was consumed
+      ([failed_installs]).  [fail] is asked once the quarantine check
+      passed: [true] consumes one of the installing engine's pending
+      injected failures (FT006, held by that engine's [Faults]
+      injector, so a member of a shared cache consumes only its own).
+      Never fails when omitted.
 
-val try_install :
-  ?fail:(unit -> bool) ->
-  t ->
-  events:Events.t ->
-  counts:Stats.t ->
-  first:Cfg.Layout.gid ->
-  blocks:Cfg.Layout.gid array ->
-  prob:float ->
-  installed
-(** Install a candidate trace, the one way traces enter the cache.  An
-    identical cached trace is reused ([Reused], a hash-cons hit);
-    otherwise a new trace is constructed ([Built]) and bound to its entry
-    transition, displacing any previous binding ([traces_replaced]).
-    Installation may push the cache over a capacity cap, in which case
-    the policy's victims among the {e other} entries are evicted until
-    the caps hold again ([traces_evicted]; the trace just installed is
-    never its own victim).  [Refused]: nothing was installed — the entry
-    is quarantined, an injected failure was consumed
-    ([failed_installs]), or the block sequence is empty.  [fail] is
-    asked once the quarantine check passed: [true] consumes one of the
-    installing engine's pending injected failures (FT006, held by that
-    engine's [Faults] injector, so a member of a shared cache consumes
-    only its own).
-    Never fails when omitted.  {!install} over the whole of [blocks]. *)
+    The slice is hashed and compared in place and copied only into a
+    newly built trace, so an install that reuses a cached trace
+    allocates nothing.  [blocks] is read only during the call.
+    Hash-consing compares each indexed trace's body; a trace a fault
+    corrupted ({!set_block}) has left the index, so rebuilding its
+    sequence constructs a clean trace. *)
 
 val set_block : t -> Trace.t -> int -> Cfg.Layout.gid -> unit
 (** [set_block t tr i g] overwrites position [i] of [tr]'s body with [g]
@@ -178,9 +169,6 @@ val unpin : t -> Trace.t -> unit
 
 val is_pinned : t -> Trace.t -> bool
 
-val n_pinned : t -> int
-(** Distinct traces currently pinned. *)
-
 val n_demote_refusals : t -> int
 (** {!demote_lowered} demotions refused because the compiled trace was
     pinned (being executed on the compiled tier). *)
@@ -208,13 +196,6 @@ val demote_lowered : t -> Trace.t -> bool
 val coldest_compiled : t -> excluding:Trace.t option -> Trace.t option
 (** The live compiled trace with the fewest uses, skipping pinned traces
     and [excluding] — the budget demotion's victim. *)
-
-val is_quarantined : t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> bool
-(** Whether the entry transition is blacklisted at the current clock. *)
-
-val quarantine_attempts :
-  t -> first:Cfg.Layout.gid -> head:Cfg.Layout.gid -> int
-(** Condemnations of this entry so far (0 = never condemned). *)
 
 val pressure_evict :
   t -> events:Events.t -> counts:Stats.t -> down_to:int -> int
@@ -331,10 +312,3 @@ type scratch = {
     the cache itself never reads them. *)
 
 val scratch : t -> scratch
-
-val flush : t -> unit
-(** Empty the cache — live traces, hash-cons table and quarantine records
-    (Dynamo's bail-out; never needed by the BCG design, provided for
-    experiments).  The totals survive, and so do pins: they belong to the
-    dispatch loops still following flushed traces, whose unpins balance
-    them. *)

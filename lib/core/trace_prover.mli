@@ -46,12 +46,3 @@ val check_pruned :
   ?context:string -> Cfg.Layout.t -> Trace.t -> Analysis.Diag.t list
 (** Re-derive the pruning proofs; every claimed position that no longer
     follows is a TL217 error. *)
-
-val dead_out_of : Cfg.Layout.t -> Trace.t -> int -> bool
-(** The dead-store license {!validate} passes to {!Analysis.Equiv}:
-    slot dead at the final block's normal exit and not exposed to any
-    handler-covered suffix. *)
-
-val structurally_sound : Cfg.Layout.t -> Trace.t -> bool
-(** Whether the trace's body can be reasoned about at all: gids in
-    range, instruction lengths consistent, pruned array well-shaped. *)

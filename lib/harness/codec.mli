@@ -20,8 +20,6 @@ type json =
 
 val to_string : json -> string
 
-val json_escape : string -> string
-
 val parse : string -> (json, string) result
 (** A minimal JSON parser — the inverse of {!to_string}, used to read
     flight-recorder dumps and bench baselines back.  Integral numbers

@@ -162,7 +162,7 @@ let observe t (e : Events.event) =
 
 let attach events =
   let t = create_tally () in
-  let _sub = Events.subscribe events (observe t) in
+  Events.subscribe events (observe t);
   t
 
 (* ------------------------------------------------------------------ *)

@@ -46,12 +46,10 @@ let measure ?snapshot layout =
   let config = Tracegen.Config.make ~snapshot_period:window () in
   let events = Tracegen.Events.create () in
   let series = ref [] in
-  let _ =
-    Tracegen.Events.subscribe events (fun e ->
-        match e.Tracegen.Events.payload with
-        | Tracegen.Events.Phase_snapshot s -> series := s :: !series
-        | _ -> ())
-  in
+  Tracegen.Events.subscribe events (fun e ->
+      match e.Tracegen.Events.payload with
+      | Tracegen.Events.Phase_snapshot s -> series := s :: !series
+      | _ -> ());
   let engine = Engine.create ~config ~events layout in
   (match snapshot with
   | None -> ()

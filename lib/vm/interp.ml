@@ -110,7 +110,6 @@ type state = {
   mutable block_dispatches : int;
   max_instructions : int;
   on_block : Layout.gid -> unit;
-  on_block_state : (Layout.gid -> Value.t array -> unit) option;
 }
 
 let t_int = '\000'
@@ -626,15 +625,8 @@ let[@inline] exec_ordinary st fr (ins : Instr.t) =
   | Instr.Ireturn | Instr.Freturn | Instr.Areturn | Instr.Athrow ->
       misplaced_terminator ()
 
-(* The frame's locals, boxed, for an [on_block_state] observer; whatever
-   the observer leaves in the array is stored back. *)
-let[@inline never] observe_locals st fr f gid =
-  let locals = slots st fr.lbase fr.base in
-  f gid locals;
-  Array.iteri (fun i v -> set_value st (fr.lbase + i) v) locals
-
 (* Execute exactly one basic block from the current frame/pc: one
-   dispatch, the observer hooks, the block's instructions, and its
+   dispatch, the observer hook, the block's instructions, and its
    terminator.  A no-op once the entry method has returned.  Each
    instruction goes through one match: the straight-line ones through
    [exec_ordinary], then the terminator, if [Block.term] says there is
@@ -650,9 +642,6 @@ let exec_block st =
     st.block_dispatches <- st.block_dispatches + 1;
     let gid = Layout.gid st.layout ~method_id:mid ~block_index:bi in
     st.on_block gid;
-    (match st.on_block_state with
-    | Some f -> observe_locals st fr f gid
-    | None -> ());
     step_budget st b.Block.len;
     let code = fr.meth.Mthd.code in
     let last = Block.last_pc b in
@@ -735,7 +724,7 @@ let exec_block st =
    interleaved drivers (the [Session] layer) never see the exception. *)
 type handle = { h_st : state; mutable h_trap : (error_kind * string) option }
 
-let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
+let start ?(max_instructions = max_int) (layout : Layout.t)
     ~(on_block : Layout.gid -> unit) : handle =
   let program = layout.Layout.program in
   let entry = Program.entry_method program in
@@ -761,7 +750,6 @@ let start ?(max_instructions = max_int) ?on_block_state (layout : Layout.t)
       block_dispatches = 0;
       max_instructions;
       on_block;
-      on_block_state;
     }
   in
   reserve st base;
@@ -806,8 +794,8 @@ let finish h =
    abandoning a trace mid-flight leaves the interpreter exactly where
    pure block dispatch would be.  [materialize] captures the live
    continuation — every frame's method, pc, locals and operand stack —
-   at a block boundary; the dispatch overlay never mutates interpreter
-   state, so a mismatch here is a hard invariant violation (TL219). *)
+   at a block boundary.  A deopt compares only the snapshot's block with
+   the block dispatch resumes at (TL219 on a mismatch). *)
 
 type frame_snapshot = {
   fs_method : int;
@@ -854,37 +842,9 @@ let materialize (h : handle) : materialized =
     m_block;
   }
 
-(* Cross-run value equality: scalars structurally ([compare] so NaN
-   equals itself), references by shape only — two independent runs never
-   share heap objects, so identity cannot be compared and deep
-   structural comparison could chase cycles. *)
-let value_equal (a : Value.t) (b : Value.t) =
-  match (a, b) with
-  | Value.Vobj x, Value.Vobj y ->
-      x.Value.cls = y.Value.cls
-      && Array.length x.Value.fields = Array.length y.Value.fields
-  | Value.Varr x, Value.Varr y ->
-      x.Value.kind = y.Value.kind && Value.length x = Value.length y
-  | (Value.Vobj _ | Value.Varr _), _ | _, (Value.Vobj _ | Value.Varr _) ->
-      false
-  | _ -> compare a b = 0
-
-let frame_snapshot_equal (a : frame_snapshot) (b : frame_snapshot) =
-  a.fs_method = b.fs_method && a.fs_pc = b.fs_pc && a.fs_sp = b.fs_sp
-  && Array.length a.fs_locals = Array.length b.fs_locals
-  && Array.for_all2 value_equal a.fs_locals b.fs_locals
-  && Array.length a.fs_stack = Array.length b.fs_stack
-  && Array.for_all2 value_equal a.fs_stack b.fs_stack
-
-let materialized_equal (a : materialized) (b : materialized) =
-  a.m_instructions = b.m_instructions
-  && a.m_block = b.m_block
-  && List.length a.m_frames = List.length b.m_frames
-  && List.for_all2 frame_snapshot_equal a.m_frames b.m_frames
-
-let run ?max_instructions ?on_block_state (layout : Layout.t)
-    ~(on_block : Layout.gid -> unit) : result =
-  finish (start ?max_instructions ?on_block_state layout ~on_block)
+let run ?max_instructions (layout : Layout.t) ~(on_block : Layout.gid -> unit)
+    : result =
+  finish (start ?max_instructions layout ~on_block)
 
 (* Convenience: run with no observer. *)
 let run_plain ?max_instructions layout =

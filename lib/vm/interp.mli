@@ -42,23 +42,14 @@ type result = {
 
 val run :
   ?max_instructions:int ->
-  ?on_block_state:(Cfg.Layout.gid -> Value.t array -> unit) ->
   Cfg.Layout.t ->
   on_block:(Cfg.Layout.gid -> unit) ->
   result
 (** Execute the program from its entry method, invoking [on_block] at
     every basic-block dispatch.  [max_instructions] bounds runaway
-    programs via an {!Instruction_budget} trap.
-
-    [on_block_state], when given, is invoked after [on_block] at every
-    dispatch with a fresh array of the current frame's locals, and
-    whatever the array holds when the observer returns is stored back
-    into the frame.  So observers may read it to cross-check static
-    analyses against execution, and may even overwrite slots a liveness
-    analysis claims dead (the tests do exactly that); a write after the
-    observer has returned changes nothing.  The array is built only when
-    an observer is installed: without one, the cost is one option branch
-    per dispatch. *)
+    programs via an {!Instruction_budget} trap.  [on_block] is the
+    interpreter's one observer; one that needs the frame's state reads
+    it with {!materialize} on a handle from {!start}. *)
 
 val run_plain : ?max_instructions:int -> Cfg.Layout.t -> result
 (** {!run} with no observer: the unmodified interpreter of Table VI. *)
@@ -79,7 +70,6 @@ type handle
 
 val start :
   ?max_instructions:int ->
-  ?on_block_state:(Cfg.Layout.gid -> Value.t array -> unit) ->
   Cfg.Layout.t ->
   on_block:(Cfg.Layout.gid -> unit) ->
   handle
@@ -109,12 +99,10 @@ val result_of : handle -> result
 
     A deoptimizing engine must show that abandoning a trace mid-flight
     leaves the interpreter exactly where pure block dispatch would be.
-    {!materialize} captures the live continuation at a block boundary;
-    because trace dispatch is a pure observational overlay, the
-    materialized state of an engine-driven run is equal
-    ({!materialized_equal}) to that of a plain run stepped the same
-    number of blocks — the OSR machinery checks this at every deopt
-    (invariant TL219). *)
+    {!materialize} captures the live continuation at a block boundary.
+    At every deopt the OSR machinery compares the snapshot's innermost
+    block ([m_block]) with the block dispatch resumes at, and reports a
+    mismatch as invariant TL219; it compares no locals or operands. *)
 
 type frame_snapshot = {
   fs_method : int;  (** method id *)
@@ -141,12 +129,6 @@ val materialize : handle -> materialized
     [m_block] is the block just dispatched).  The snapshot copies every
     value it shows, so later calls that reuse the frames it describes
     leave it unchanged. *)
-
-val materialized_equal : materialized -> materialized -> bool
-(** Control-state equality plus shallow value equality: scalars compare
-    structurally, object/array references by shape (class and field
-    count / element kind and length) — two independent runs never share
-    heap, so reference identity cannot be compared across them. *)
 
 val result_value : result -> Value.t option
 (** The returned value.

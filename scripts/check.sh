@@ -5,6 +5,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Export gate: every value a lib/**/*.mli exports needs a production
+# caller (a use from lib, bin, bench, perfbench or examples outside its
+# own module; tests do not count) or a line in
+# scripts/export_allowlist.txt giving the reason it stays, and no line
+# there may be stale.  The match is by name, so it undercounts.
+if ! command -v python3 > /dev/null 2>&1; then
+  echo "check.sh: python3 not found; the export gate needs it" >&2
+  exit 1
+fi
+python3 scripts/export_gate.py
+
 # Promote every compiler warning to an error for this build; the dune
 # profile keeps warnings non-fatal for day-to-day iteration.
 dune build --profile release 2>&1 | tee /tmp/check_build.$$ || {

@@ -153,12 +153,13 @@ let install_candidate ?fail (cache : Trace_cache.t) ~events ~counts ~first
            });
     ((if reused then (0, 1) else (1, 0)), Some tr)
   in
-  match
-    Trace_cache.try_install ?fail cache ~events ~counts ~first ~blocks ~prob
-  with
-  | Trace_cache.Refused -> ((0, 0), None)
-  | Trace_cache.Built tr -> installed tr ~reused:false
-  | Trace_cache.Reused tr -> installed tr ~reused:true
+  let built = Trace_cache.n_constructed cache in
+  let tr =
+    Trace_cache.install ?fail cache ~events ~counts ~first ~blocks
+      ~len:(Array.length blocks) ~prob
+  in
+  if tr == Trace.none then ((0, 0), None)
+  else installed tr ~reused:(Trace_cache.n_constructed cache = built)
 
 (* Step 4: greedy probability cut of one segment of transitions
    [lo .. hi] (inclusive).  A trace covering transitions i..j consists of

@@ -126,7 +126,7 @@ let test_liveness_dead_store () =
         (* dead: overwritten below, never read *)
         B.iconst m 2;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let live = Liveness.compute cfg in
@@ -150,16 +150,16 @@ let test_liveness_loop_carried () =
         B.i m (Instr.Istore 1);
         (* n *)
         B.place m loop;
-        B.iload m 1;
+        B.i m (Instr.Iload 1);
         B.ifz m Instr.Le exit;
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.iconst m 1;
         B.i m Instr.Iadd;
         B.i m (Instr.Istore 0);
         B.i m (Instr.Iinc (1, -1));
         B.goto m loop;
         B.place m exit;
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let live = Liveness.compute cfg in
@@ -215,6 +215,12 @@ let test_liveness_covered_blocks () =
 (* constant propagation                                              *)
 (* --------------------------------------------------------------- *)
 
+
+(* [Some c] when the abstract value is exactly the integer [c]. *)
+let singleton = function
+  | Constprop.Int { lo; hi } when lo = hi -> Some lo
+  | _ -> None
+
 let test_constprop_folds_arithmetic () =
   let p, cfg =
     main_cfg (fun m ->
@@ -222,14 +228,14 @@ let test_constprop_folds_arithmetic () =
         B.iconst m 7;
         B.i m Instr.Imul;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let cp = Constprop.compute p cfg in
   match cp.Constprop.exit.(0) with
   | Constprop.Reached { locals; _ } ->
       check Alcotest.(option int) "6*7 is a singleton 42" (Some 42)
-        (Constprop.singleton locals.(0))
+        (singleton locals.(0))
   | Constprop.Unreached -> Alcotest.fail "entry block unreached"
 
 let test_constprop_always_taken () =
@@ -238,7 +244,7 @@ let test_constprop_always_taken () =
         let taken = B.new_label m in
         B.iconst m 5;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.ifz m Instr.Gt taken;
         B.iconst m 0;
         B.i m Instr.Ireturn;
@@ -281,7 +287,7 @@ let test_constprop_join_not_singleton () =
         let join = B.new_label m in
         B.iconst m 0;
         B.i m (Instr.Istore 1);
-        B.iload m 1;
+        B.i m (Instr.Iload 1);
         B.ifz m Instr.Eq other;
         B.iconst m 3;
         B.i m (Instr.Istore 0);
@@ -290,7 +296,7 @@ let test_constprop_join_not_singleton () =
         B.iconst m 9;
         B.i m (Instr.Istore 0);
         B.place m join;
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let cp = Constprop.compute p cfg in
@@ -298,7 +304,7 @@ let test_constprop_join_not_singleton () =
   match cp.Constprop.entry.(join_block) with
   | Constprop.Reached { locals; _ } ->
       check Alcotest.(option int) "merge of 3 and 9 is not a singleton" None
-        (Constprop.singleton locals.(0))
+        (singleton locals.(0))
   | Constprop.Unreached ->
       (* constprop may prove the branch one-sided here; that is fine as
          long as it did not invent a wrong singleton, which the lint
@@ -347,7 +353,7 @@ let test_lint_clean_program () =
     main_program (fun m ->
         B.iconst m 0;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let diags = lint p in
@@ -360,7 +366,7 @@ let test_lint_seeded_dead_store () =
         B.i m (Instr.Istore 0);
         B.iconst m 2;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.i m Instr.Ireturn)
   in
   let diags = lint ~context:"seeded" p in
@@ -394,7 +400,7 @@ let test_lint_always_taken_branch () =
         let taken = B.new_label m in
         B.iconst m 5;
         B.i m (Instr.Istore 0);
-        B.iload m 0;
+        B.i m (Instr.Iload 0);
         B.ifz m Instr.Gt taken;
         B.iconst m 0;
         B.i m Instr.Ireturn;

@@ -133,14 +133,14 @@ let test_unpinned_selection () =
   let e = Engine.create layout in
   check Alcotest.string "default: trace backend" "trace"
     (Engine.backend_name e);
-  check Alcotest.bool "not pinned" false (Engine.backend_pinned e);
   let e2 =
     Engine.create ~config:(Config.make ~build_traces:false ()) layout
   in
   check Alcotest.string "build_traces off: profile backend" "profile"
     (Engine.backend_name e2);
   let e3 = Engine.create ~backend:Engine.Interp layout in
-  check Alcotest.bool "pinned" true (Engine.backend_pinned e3)
+  check Alcotest.string "pinned: interp backend" "interp"
+    (Engine.backend_name e3)
 
 (* --------------------------------------------------------------- *)
 (* resumable interpreter                                             *)
@@ -303,7 +303,8 @@ let test_forgiveness_boundary () =
   | Health.Stay -> ()
   | Health.Changed _ -> Alcotest.fail "forgiveness must not change level");
   check Alcotest.int "forgiven at exactly the window" 0 (Health.strikes h);
-  check Alcotest.bool "still at full tracing" false (Health.is_degraded h);
+  check Alcotest.bool "still at full tracing" true
+    (Health.level h = Health.Full_tracing);
   (* the same sequence, one clean dispatch shorter, demotes instead *)
   let h2 = Health.create () in
   strike_n h2 pending;
@@ -358,6 +359,13 @@ let test_strikes_across_demote_recover () =
 (* sessions                                                          *)
 (* --------------------------------------------------------------- *)
 
+
+(* A member has finished once its result can be read. *)
+let finished m =
+  match Session.vm_result m with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 let test_session_sharing () =
   let layout = Lazy.force compress_layout in
   let baseline = Interp.run_plain layout in
@@ -367,8 +375,7 @@ let test_session_sharing () =
   check Alcotest.int "one shared cache" 1
     (List.length (Session.caches session));
   Session.run session;
-  check Alcotest.bool "both finished" true
-    (Session.finished a && Session.finished b);
+  check Alcotest.bool "both finished" true (finished a && finished b);
   List.iter
     (fun m ->
       check Alcotest.bool
@@ -397,7 +404,7 @@ let test_session_solo_counts_nothing () =
   let session = Session.create () in
   let m = Session.add session layout in
   Session.run session;
-  check Alcotest.bool "finished" true (Session.finished m);
+  check Alcotest.bool "finished" true (finished m);
   check Alcotest.int "no cross installs" 0 (Session.cross_installs session);
   check Alcotest.int "no cross entries" 0 (Session.cross_entries session)
 

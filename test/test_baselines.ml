@@ -107,7 +107,10 @@ let test_replay_capped_recording_counts () =
      length cap, closes it into a frame.  No frame is entered, so every
      block fed is a block dispatch, the one that closes the frame too. *)
   let layout = layout_of [ ret (i 0) ] in
-  let g = Layout.entry_gid layout in
+  let g =
+    Layout.gid layout ~method_id:layout.Layout.program.Bytecode.Program.entry
+      ~block_index:0
+  in
   let max_blocks = 3 in
   let t =
     Replay.create ~config:{ Replay.default_config with Replay.max_blocks }

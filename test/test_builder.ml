@@ -13,8 +13,8 @@ let build_simple () =
   let f =
     B.begin_method b ~name:"f" ~returns:Mthd.Rint ~n_args:1 ~n_locals:1 ()
   in
-  B.iload f 0;
-  B.iload f 0;
+  B.i f (Instr.Iload 0);
+  B.i f (Instr.Iload 0);
   B.i f Instr.Imul;
   B.i f Instr.Ireturn;
   B.finish_method f;
@@ -47,13 +47,13 @@ let test_labels () =
   in
   let l_end = B.new_label m in
   B.iconst m 5;
-  B.istore m 0;
-  B.iload m 0;
+  B.i m (Instr.Istore 0);
+  B.i m (Instr.Iload 0);
   B.ifz m Instr.Gt l_end;
   B.iconst m 0;
-  B.istore m 0;
+  B.i m (Instr.Istore 0);
   B.place m l_end;
-  B.iload m 0;
+  B.i m (Instr.Iload 0);
   B.i m Instr.Ireturn;
   B.finish_method m;
   let p = B.link b ~entry:"main" in
@@ -107,7 +107,7 @@ let build_classes () =
     B.begin_method b ~name:"a_get" ~kind:Mthd.Virtual ~returns:Mthd.Rint
       ~n_args:1 ~n_locals:1 ()
   in
-  B.aload a_get 0;
+  B.i a_get (Instr.Aload 0);
   B.getfield a_get "A" "x";
   B.i a_get Instr.Ireturn;
   B.finish_method a_get;
@@ -115,7 +115,7 @@ let build_classes () =
     B.begin_method b ~name:"b_get" ~kind:Mthd.Virtual ~returns:Mthd.Rint
       ~n_args:1 ~n_locals:1 ()
   in
-  B.aload b_get 0;
+  B.i b_get (Instr.Aload 0);
   B.getfield b_get "B" "y";
   B.i b_get Instr.Ireturn;
   B.finish_method b_get;
@@ -123,20 +123,23 @@ let build_classes () =
     B.begin_method b ~name:"main" ~returns:Mthd.Rint ~n_args:0 ~n_locals:1 ()
   in
   B.new_object m "B";
-  B.astore m 0;
-  B.aload m 0;
+  B.i m (Instr.Astore 0);
+  B.i m (Instr.Aload 0);
   B.iconst m 41;
   B.putfield m "B" "y";
-  B.aload m 0;
+  B.i m (Instr.Aload 0);
   B.invokevirtual m "get";
   B.i m Instr.Ireturn;
   B.finish_method m;
   B.link b ~entry:"main"
 
+let find_class (p : Program.t) name =
+  Array.find_opt (fun k -> k.Klass.name = name) p.Program.classes
+
 let test_field_layout () =
   let p = build_classes () in
-  let a = Option.get (Program.find_class p "A") in
-  let b = Option.get (Program.find_class p "B") in
+  let a = Option.get (find_class p "A") in
+  let b = Option.get (find_class p "B") in
   check Alcotest.int "A has one field" 1 (Klass.n_fields a);
   check Alcotest.int "B inherits x then adds y" 2 (Klass.n_fields b);
   check (Alcotest.option Alcotest.int) "x at slot 0 in B" (Some 0)
@@ -146,8 +149,8 @@ let test_field_layout () =
 
 let test_vtable_override () =
   let p = build_classes () in
-  let a = Option.get (Program.find_class p "A") in
-  let b = Option.get (Program.find_class p "B") in
+  let a = Option.get (find_class p "A") in
+  let b = Option.get (find_class p "B") in
   let a_get = Option.get (Program.find_method p "a_get") in
   let b_get = Option.get (Program.find_method p "b_get") in
   (* selector slot 0 is "get" (only selector) *)
@@ -158,8 +161,8 @@ let test_vtable_override () =
 
 let test_subclassing () =
   let p = build_classes () in
-  let a = Option.get (Program.find_class p "A") in
-  let b = Option.get (Program.find_class p "B") in
+  let a = Option.get (find_class p "A") in
+  let b = Option.get (find_class p "B") in
   check Alcotest.bool "B <: A" true
     (Klass.is_subclass_of p.Program.classes ~sub:b.Klass.id ~super:a.Klass.id);
   check Alcotest.bool "A not <: B" false
@@ -172,7 +175,7 @@ let test_entry_must_be_static_zero_arg () =
   let m =
     B.begin_method b ~name:"main" ~returns:Mthd.Rint ~n_args:1 ~n_locals:1 ()
   in
-  B.iload m 0;
+  B.i m (Instr.Iload 0);
   B.i m Instr.Ireturn;
   B.finish_method m;
   try

@@ -26,21 +26,21 @@ let diamond_loop_program () =
   let l_else = B.new_label m in
   let l_join = B.new_label m in
   B.iconst m 5;
-  B.istore m 0;
-  B.iload m 0;
+  B.i m (Instr.Istore 0);
+  B.i m (Instr.Iload 0);
   B.ifz m Instr.Eq l_else;
   B.iconst m 1;
-  B.istore m 1;
+  B.i m (Instr.Istore 1);
   B.goto m l_join;
   B.place m l_else;
   B.iconst m 2;
-  B.istore m 1;
+  B.i m (Instr.Istore 1);
   B.place m l_join;
   (* loop: decrement local 0 until zero *)
   B.iinc m 0 (-1);
-  B.iload m 0;
+  B.i m (Instr.Iload 0);
   B.ifz m Instr.Gt l_join;
-  B.iload m 1;
+  B.i m (Instr.Iload 1);
   B.i m Instr.Ireturn;
   B.finish_method m;
   B.link b ~entry:"main"
@@ -61,7 +61,7 @@ let test_partition () =
   check Alcotest.int "blocks cover all instructions" code_len !covered;
   (* pc_to_block is consistent *)
   for pc = 0 to code_len - 1 do
-    let b = Method_cfg.block_at_pc cfg pc in
+    let b = cfg.Method_cfg.blocks.(Method_cfg.block_index_at_pc cfg pc) in
     check Alcotest.bool "pc within its block" true
       (pc >= b.Block.start_pc && pc < Block.end_pc b)
   done
@@ -113,7 +113,7 @@ let test_dominators_and_loops () =
   check Alcotest.bool "loop contains header" true (List.mem h loop);
   check Alcotest.bool "loop contains latch" true (List.mem b loop);
   check (Alcotest.list Alcotest.int) "loop headers" [ h ]
-    (Dominators.loop_headers cfg dom)
+    (List.sort_uniq compare (List.map snd backs))
 
 let test_layout_gids () =
   let p = diamond_loop_program () in
@@ -127,8 +127,10 @@ let test_layout_gids () =
     in
     check Alcotest.int "gid round trip" g g'
   done;
-  (* entry gid is method entry's first block *)
-  let eg = Layout.entry_gid layout in
+  (* the entry method's first block starts at pc 0 *)
+  let eg =
+    Layout.gid layout ~method_id:p.Bytecode.Program.entry ~block_index:0
+  in
   let eb = Layout.block layout eg in
   check Alcotest.int "entry starts at pc 0" 0 eb.Block.start_pc;
   (* block lengths sum to program size *)

@@ -197,8 +197,8 @@ let test_threshold_validated () =
    every position matched, each read from the live trace when it
    matched; and per position matched of a trace entered compiled, the
    micro-ops, superinstructions and source instructions its lowered body
-   has there.  FT002 skews the instruction counts, flips armed mid-trace
-   fail guards at chosen positions, a trace whose head is corrupted as
+   has there.  FT002 skews the instruction counts, scheduled FT008 flips
+   fail guards at pseudo-random positions, a trace whose head is corrupted as
    it is entered is condemned by the sweep before its first guard, and
    in a shared cache one member compiles traces another is following on
    the interpreted tier. *)
@@ -223,7 +223,7 @@ type observer = {
 
 let counting_observer ~label ~corrupt_entries e events =
   let seen = ref [] and skews = ref 0 and condemned = ref 0 in
-  let entries = ref 0 in
+  let entries = ref 0 and flips = ref 0 in
   let _sub =
     Events.subscribe events (fun ev ->
         match ev.Events.payload with
@@ -239,11 +239,12 @@ let counting_observer ~label ~corrupt_entries e events =
                     tr.Trace.blocks.(0) <- -1 - tr.Trace.blocks.(0)
                 end)
         | Events.Fault_injected { code = "FT002"; _ } -> incr skews
+        | Events.Fault_injected { code = "FT008"; _ } -> incr flips
         | Events.Deopt_entered { reason = "condemned"; _ } -> incr condemned
         | _ -> ())
   in
   let guards = ref 0 and matched = ref 0 and partial = ref 0 in
-  let n = ref 0 and flips = ref 0 and exits = ref 0 in
+  let n = ref 0 and exits = ref 0 in
   (* the active trace's lowered body as entered, and the [mi_*] counters
      position by position: positions, ops, fused, source instructions *)
   let body = ref None and mi = Array.make 4 0 in
@@ -260,11 +261,6 @@ let counting_observer ~label ~corrupt_entries e events =
     incr n;
     let before = Engine.active_trace e in
     let pos = Engine.inflight_matched_blocks e in
-    (match before with
-    | Some _ when !n mod 41 = 0 ->
-        Engine.arm_guard_flip e ~pos:(pos + (!n mod 3));
-        incr flips
-    | _ -> ());
     seen := [];
     Engine.on_block e g;
     let seen = List.rev !seen in
@@ -344,15 +340,16 @@ let test_counters_between_blocks () =
       ( "side exits",
         false,
         Config.make ~tier:true ~tier_compile_after:4
-          ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+          ~fault_spec:"corrupt-instrs@0.01,guard-flip@0.02,budget=80" () );
       ( "osr",
         false,
         Config.make ~osr:true ~tier:true ~tier_compile_after:4
-          ~fault_spec:"corrupt-instrs@0.01,budget=40" () );
+          ~fault_spec:"corrupt-instrs@0.01,guard-flip@0.02,budget=80" () );
       ( "condemned",
         true,
         Config.make ~osr:true ~self_heal:true ~debug_checks:true
-          ~decay_period:4 ~tier:true ~tier_compile_after:4 () );
+          ~decay_period:4 ~tier:true ~tier_compile_after:4
+          ~fault_spec:"guard-flip@0.02,budget=40" () );
     ]
 
 (* Two engines over one cache, stepped a few blocks at a time: each

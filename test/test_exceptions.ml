@@ -211,7 +211,10 @@ let test_handlers_in_disasm_and_cfg () =
   let h = main.Bytecode.Mthd.handlers.(0) in
   (* the handler target starts a basic block *)
   let cfg = Cfg.Method_cfg.build main in
-  let b = Cfg.Method_cfg.block_at_pc cfg h.Bytecode.Mthd.h_target in
+  let b =
+    cfg.Cfg.Method_cfg.blocks.(Cfg.Method_cfg.block_index_at_pc cfg
+                                   h.Bytecode.Mthd.h_target)
+  in
   check Alcotest.int "handler target is a leader" h.Bytecode.Mthd.h_target
     b.Cfg.Block.start_pc;
   let listing = Bytecode.Disasm.method_to_string program main in

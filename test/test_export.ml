@@ -9,11 +9,14 @@ module Stats = Tracegen.Stats
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
+(* A string's JSON rendering, quotes included. *)
+let json_escape s = Codec.to_string (Codec.J_string s)
+
 let test_json_escaping () =
-  check Alcotest.string "quotes" "a\\\"b" (Codec.json_escape "a\"b");
-  check Alcotest.string "backslash" "a\\\\b" (Codec.json_escape "a\\b");
-  check Alcotest.string "newline" "a\\nb" (Codec.json_escape "a\nb");
-  check Alcotest.string "control" "a\\u0001b" (Codec.json_escape "a\001b")
+  check Alcotest.string "quotes" "\"a\\\"b\"" (json_escape "a\"b");
+  check Alcotest.string "backslash" "\"a\\\\b\"" (json_escape "a\\b");
+  check Alcotest.string "newline" "\"a\\nb\"" (json_escape "a\nb");
+  check Alcotest.string "control" "\"a\\u0001b\"" (json_escape "a\001b")
 
 let test_json_rendering () =
   let j =

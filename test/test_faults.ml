@@ -2,7 +2,7 @@
 
    - the fault-schedule DSL (parse errors, determinism, the FT catalogue);
    - the bounded trace cache (remove, LRU eviction, pressure eviction);
-   - quarantine (backoff, blacklisting, try_install refusals);
+   - quarantine (backoff, blacklisting, install refusals);
    - each cache decision counted in the [counts] record passed with it;
    - the degradation ladder (Health) and BCG node repair (heal_node). *)
 
@@ -19,9 +19,10 @@ let check = Alcotest.check
 
 (* A trace the cache must accept. *)
 let install ~events ~counts cache ~first ~blocks ~prob =
-  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
-  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
-  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+  let len = Array.length blocks in
+  let tr = Trace_cache.install cache ~events ~counts ~first ~blocks ~len ~prob in
+  if tr == Tracegen.Trace.none then Alcotest.fail "installation refused";
+  tr
 
 let layout =
   lazy
@@ -35,7 +36,6 @@ let layout =
 let test_parse_good () =
   let f = Faults.create ~seed:1 "corrupt-trace@0.5,fail-install!10,budget=3" in
   check Alcotest.bool "active" true (Faults.is_active f);
-  check Alcotest.int "budget" 3 (Faults.budget_left f);
   (* whitespace-separated arms and an empty spec also parse *)
   ignore (Faults.create ~seed:1 "zero-counter@0.1 drop-best!5");
   let idle = Faults.create ~seed:1 "" in
@@ -65,19 +65,24 @@ let test_catalogue () =
       check Alcotest.bool (c ^ " catalogued") true (List.mem c codes))
     [ "FT001"; "FT002"; "FT003"; "FT004"; "FT005"; "FT006"; "FT007";
       "FT008"; "FT901"; "FT902" ];
-  (* kind_name / kind_of_name round-trip, and codes line up *)
+  (* every kind's DSL name parses, in either spelling, and its code is
+     catalogued *)
   List.iter
-    (fun name ->
-      match Faults.kind_of_name name with
-      | Some k ->
-          check Alcotest.string "name round-trips" name (Faults.kind_name k);
-          check Alcotest.bool "code catalogued" true
-            (List.mem (Faults.code k) codes)
-      | None -> Alcotest.failf "kind %S unknown" name)
-    [ "corrupt-trace"; "corrupt-instrs"; "zero-counter"; "saturate-counter";
-      "drop-best"; "fail-install"; "alloc-pressure"; "guard-flip" ];
-  check Alcotest.(option reject) "unknown kind" None
-    (Faults.kind_of_name "bogus")
+    (fun (name, k) ->
+      List.iter
+        (fun spelling ->
+          check Alcotest.bool (spelling ^ " parses") true
+            (Faults.is_active (Faults.create ~seed:1 (spelling ^ "@0.1"))))
+        [ name; String.map (function '-' -> '_' | c -> c) name ];
+      check Alcotest.bool "code catalogued" true
+        (List.mem (Faults.code k) codes))
+    Faults.
+      [
+        ("corrupt-trace", Corrupt_trace); ("corrupt-instrs", Corrupt_instrs);
+        ("zero-counter", Zero_counter); ("saturate-counter", Saturate_counter);
+        ("drop-best", Drop_best); ("fail-install", Fail_install);
+        ("alloc-pressure", Alloc_pressure); ("guard-flip", Guard_flip);
+      ]
 
 (* a warm BCG + populated cache for the injector to corrupt *)
 let warm_targets () =
@@ -220,9 +225,10 @@ let test_quarantine_backoff () =
   let cache = Trace_cache.create layout in
   let events = Events.create () and counts = Stats.zero () in
   let backoff = Config.heal_backoff in
-  let try_install () =
-    Trace_cache.try_install cache ~events ~counts ~first:0 ~blocks:[| 1; 2 |]
-      ~prob:1.0
+  let refused () =
+    Trace_cache.install cache ~events ~counts ~first:0 ~blocks:[| 1; 2 |]
+      ~len:2 ~prob:1.0
+    == Tracegen.Trace.none
   in
   let quarantine () =
     Trace_cache.quarantine cache ~events ~counts ~first:0 ~head:1
@@ -235,30 +241,27 @@ let test_quarantine_backoff () =
   | Some tr -> check Alcotest.bool "condemned trace removed" true (tr == t0)
   | None -> Alcotest.fail "quarantine returned None for a bound entry");
   check Alcotest.int "unbound" 0 (Trace_cache.n_live cache);
-  check Alcotest.bool "quarantined now" true
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-  check Alcotest.int "one attempt" 1
-    (Trace_cache.quarantine_attempts cache ~first:0 ~head:1);
-  (* try_install refuses while the backoff holds, and not because an
+  check Alcotest.int "quarantined now" 1
+    (Trace_cache.n_quarantine_active cache);
+  check Alcotest.int "one attempt" 1 counts.Stats.traces_quarantined;
+  (* install refuses while the backoff holds, and not because an
      installation failed *)
-  check Alcotest.bool "try_install refused" true
-    (try_install () = Trace_cache.Refused);
+  check Alcotest.bool "install refused" true (refused ());
   check Alcotest.int "no failed install" 0 counts.Stats.failed_installs;
   (* first backoff window: heal_backoff * 2^0 clock units from clock 0 *)
   let released = ref backoff in
   let window attempt =
     Trace_cache.set_clock cache (!released - 1);
-    check Alcotest.bool
+    check Alcotest.int
       (Printf.sprintf "still quarantined before window %d ends" attempt)
-      true
-      (Trace_cache.is_quarantined cache ~first:0 ~head:1);
+      1
+      (Trace_cache.n_quarantine_active cache);
     Trace_cache.set_clock cache (!released + 1);
-    check Alcotest.bool
+    check Alcotest.int
       (Printf.sprintf "released after window %d" attempt)
-      false
-      (Trace_cache.is_quarantined cache ~first:0 ~head:1);
-    check Alcotest.bool "rebuild allowed" true
-      (try_install () <> Trace_cache.Refused)
+      0
+      (Trace_cache.n_quarantine_active cache);
+    check Alcotest.bool "rebuild allowed" false (refused ())
   in
   window 1;
   (* every further condemnation doubles the backoff, up to
@@ -274,8 +277,8 @@ let test_quarantine_backoff () =
   ignore (quarantine ());
   check Alcotest.int "blacklisted" 1 counts.Stats.traces_blacklisted;
   Trace_cache.set_clock cache 1_000_000_000;
-  check Alcotest.bool "blacklist never expires" true
-    (Trace_cache.is_quarantined cache ~first:0 ~head:1);
+  check Alcotest.int "blacklist never expires" 1
+    (Trace_cache.n_quarantine_active cache);
   check Alcotest.int "every condemnation counted"
     (Config.heal_max_rebuilds + 1)
     counts.Stats.traces_quarantined
@@ -285,10 +288,17 @@ let test_inject_install_failure () =
   let cache = Trace_cache.create layout in
   let events = Events.create () and counts = Stats.zero () in
   let faults = Faults.create ~seed:1 "fail-install!0" in
+  (* what the install did: refused, built or reused *)
   let try_install () =
-    Trace_cache.try_install cache
-      ~fail:(fun () -> Faults.take_install_failure faults)
-      ~events ~counts ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0
+    let built = Trace_cache.n_constructed cache in
+    let tr =
+      Trace_cache.install cache
+        ~fail:(fun () -> Faults.take_install_failure faults)
+        ~events ~counts ~first:0 ~blocks:[| 1; 2 |] ~len:2 ~prob:1.0
+    in
+    if tr == Tracegen.Trace.none then `Refused
+    else if Trace_cache.n_constructed cache > built then `Built
+    else `Reused
   in
   let bcg =
     Bcg.create Config.default ~n_blocks:layout.Cfg.Layout.n_blocks
@@ -300,12 +310,10 @@ let test_inject_install_failure () =
     (List.map fst
        (Faults.tick faults ~now:0 ~bcg ~cache ~events ~counts ~active:None));
   check Alcotest.bool "armed failure consumed" true
-    (try_install () = Trace_cache.Refused);
+    (try_install () = `Refused);
   check Alcotest.int "counted" 1 counts.Stats.failed_installs;
-  check Alcotest.bool "next install builds" true
-    (match try_install () with Trace_cache.Built _ -> true | _ -> false);
-  check Alcotest.bool "a third install reuses" true
-    (match try_install () with Trace_cache.Reused _ -> true | _ -> false)
+  check Alcotest.bool "next install builds" true (try_install () = `Built);
+  check Alcotest.bool "a third install reuses" true (try_install () = `Reused)
 
 (* --------------------------------------------------------------- *)
 (* the degradation ladder                                            *)
@@ -344,7 +352,7 @@ let test_health_ladder () =
     (Health.level h);
   check Alcotest.bool "the budget's last strike demotes" true
     (strike () = Health.Changed (Health.Full_tracing, Health.Profiling_only));
-  check Alcotest.bool "degraded" true (Health.is_degraded h);
+  check Alcotest.bool "degraded" true (Health.level h <> Health.Full_tracing);
   (* a second budget reaches the floor *)
   repeat demote_after strike;
   check level "at interp-only" Health.Interp_only (Health.level h);

@@ -19,15 +19,27 @@ let check = Alcotest.check
 
 let ev time n = { Events.time; payload = Events.Decay_pass { decays = n } }
 
+(* A recorder fed the way an engine feeds it: each event emitted at its
+   time on a stream tapped with the recorder's ring. *)
+let recorder ~capacity =
+  let fr = Flightrec.create ~capacity in
+  let stream = Events.create () in
+  Events.set_tap stream ~ring:(Some (Flightrec.ring fr)) ~cold:ignore;
+  let record (e : Events.event) =
+    Events.set_now stream e.time;
+    Events.emit stream e.payload
+  in
+  (fr, record)
+
 (* ------------------------------------------------------------------ *)
 (* the ring in isolation                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_wraparound () =
-  let fr = Flightrec.create ~capacity:4 in
+  let fr, record = recorder ~capacity:4 in
   check Alcotest.int "capacity as asked" 4 (Flightrec.capacity fr);
   for i = 0 to 9 do
-    Flightrec.record_event fr (ev (100 + i) i)
+    record (ev (100 + i) i)
   done;
   check Alcotest.int "every record counted" 10 (Flightrec.recorded fr);
   check Alcotest.int "overflow counted as dropped" 6 (Flightrec.dropped fr);
@@ -39,9 +51,9 @@ let test_wraparound () =
     (List.map (fun (e : Flightrec.entry) -> e.time) window)
 
 let test_capacity_clamped () =
-  let fr = Flightrec.create ~capacity:0 in
+  let fr, record = recorder ~capacity:0 in
   check Alcotest.int "capacity clamps to 2" 2 (Flightrec.capacity fr);
-  Flightrec.record_event fr (ev 1 1);
+  record (ev 1 1);
   check Alcotest.int "no drops below capacity" 0 (Flightrec.dropped fr)
 
 (* A rare kind takes the pointer path, a hot kind the scalar one; a slot
@@ -50,13 +62,13 @@ let cold time =
   { Events.time; payload = Events.Snapshot_rejected { reason = "r" } }
 
 let test_mixed_entries_survive_wrap () =
-  let fr = Flightrec.create ~capacity:3 in
+  let fr, record = recorder ~capacity:3 in
   for i = 0 to 7 do
-    Flightrec.record_event fr (ev i i)
+    record (ev i i)
   done;
-  Flightrec.record_event fr (cold 50);
-  Flightrec.record_event fr (ev 55 8);
-  Flightrec.record_event fr (cold 60);
+  record (cold 50);
+  record (ev 55 8);
+  record (cold 60);
   let window = Flightrec.to_list fr in
   check Alcotest.int "window still bounded" 3 (List.length window);
   check Alcotest.bool "[cold; hot; cold] oldest first" true
@@ -67,7 +79,7 @@ let test_mixed_entries_survive_wrap () =
         (10, 60, (cold 60).payload);
       ]);
   (* the slot that held the first rare event now holds a hot one *)
-  Flightrec.record_event fr (ev 70 9);
+  record (ev 70 9);
   check Alcotest.bool "overwritten pointer slot holds the hot event" true
     (match Flightrec.to_list fr with
     | [ _; _; { seq = 11; time = 70; payload = Events.Decay_pass { decays = 9 } }
@@ -88,18 +100,19 @@ let test_triggers () =
   check Alcotest.(list string) "hook saw each reason, in order"
     [ "chaos_divergence"; "degraded_interp_only" ]
     (List.rev_map Flightrec.reason_to_string !seen);
-  (* reasons round-trip through their wire tags *)
-  List.iter
-    (fun r ->
-      check Alcotest.bool "reason tag round trips" true
-        (Flightrec.reason_of_string (Flightrec.reason_to_string r) = Some r))
-    [
-      Flightrec.Invariant;
-      Flightrec.Divergence;
-      Flightrec.Snapshot_rejected;
-      Flightrec.Degraded;
-      Flightrec.Manual;
-    ]
+  (* each reason has its own wire tag *)
+  let tags =
+    List.map Flightrec.reason_to_string
+      [
+        Flightrec.Invariant;
+        Flightrec.Divergence;
+        Flightrec.Snapshot_rejected;
+        Flightrec.Degraded;
+        Flightrec.Manual;
+      ]
+  in
+  check Alcotest.int "reason tags are distinct" 5
+    (List.length (List.sort_uniq compare tags))
 
 (* ------------------------------------------------------------------ *)
 (* postmortem round trip through the codec                              *)
@@ -110,16 +123,16 @@ let field name = function
   | _ -> None
 
 let test_postmortem_round_trip () =
-  let fr = Flightrec.create ~capacity:8 in
+  let fr, record = recorder ~capacity:8 in
   for i = 0 to 11 do
-    Flightrec.record_event fr (ev i i)
+    record (ev i i)
   done;
-  Flightrec.record_event fr
+  record
     {
       Events.time = 90;
       payload = Events.Snapshot_rejected { reason = "q \"esc\"" };
     };
-  Flightrec.record_event fr (ev 95 12);
+  record (ev 95 12);
   let lines =
     String.split_on_char '\n'
       (String.trim
@@ -289,8 +302,8 @@ let test_routes_agree () =
         (window = Flightrec.to_list loud);
       check Alcotest.bool (label ^ ": same statistics") true
         (quiet_stats = loud_stats);
-      let replay = Flightrec.create ~capacity:(Flightrec.capacity quiet) in
-      List.iter (Flightrec.record_event replay) seen;
+      let replay, record = recorder ~capacity:(Flightrec.capacity quiet) in
+      List.iter record seen;
       check Alcotest.int (label ^ ": the subscriber saw every recorded event")
         (Flightrec.recorded quiet) (Flightrec.recorded replay);
       check Alcotest.bool (label ^ ": payload route rebuilds the window") true

@@ -20,9 +20,7 @@ let test_ends_block () =
       check Alcotest.bool
         (Printf.sprintf "%s does not end a block" (Instr.to_string ins))
         false (Instr.ends_block ins))
-    (List.filter
-       (fun ins -> not (Instr.is_call ins))
-       all_simple_instrs);
+    all_simple_instrs;
   List.iter
     (fun ins ->
       check Alcotest.bool
@@ -80,15 +78,33 @@ let test_negate_cond () =
       done)
     [ Instr.Eq; Instr.Ne; Instr.Lt; Instr.Ge; Instr.Gt; Instr.Le ]
 
+(* Calls, returns and conditionals as the CFG classifies a block by its
+   last instruction. *)
 let test_classification () =
+  let code =
+    Instr.
+      [|
+        Invokestatic 0; Iconst 0; Ifz (Eq, 4); Goto 4; Iconst 1; Iadd; Ireturn;
+      |]
+  in
+  let m =
+    {
+      Bytecode.Mthd.id = 0; name = "m"; kind = Bytecode.Mthd.Static;
+      n_args = 0; n_locals = 0; returns = Bytecode.Mthd.Rint; code;
+      handlers = [||];
+    }
+  in
+  let cfg = Cfg.Method_cfg.build m in
+  let block pc = Cfg.Method_cfg.block_index_at_pc cfg pc in
+  let term pc = cfg.Cfg.Method_cfg.blocks.(block pc).Cfg.Block.term in
   check Alcotest.bool "invokestatic is a call" true
-    (Instr.is_call (Instr.Invokestatic 3));
-  check Alcotest.bool "ireturn is a return" true (Instr.is_return Instr.Ireturn);
-  check Alcotest.bool "iadd is not a return" false (Instr.is_return Instr.Iadd);
+    (match term 0 with Cfg.Block.T_call _ -> true | _ -> false);
   check Alcotest.bool "ifz is conditional" true
-    (Instr.is_conditional (Instr.Ifz (Instr.Eq, 0)));
-  check Alcotest.bool "goto is not conditional" false
-    (Instr.is_conditional (Instr.Goto 0))
+    (match term 2 with Cfg.Block.T_cond _ -> true | _ -> false);
+  check Alcotest.bool "goto is not conditional" true
+    (match term 3 with Cfg.Block.T_goto _ -> true | _ -> false);
+  check Alcotest.bool "ireturn is a return" true (term 6 = Cfg.Block.T_return);
+  check Alcotest.int "iadd is not: its block goes on" (block 6) (block 5)
 
 let test_stack_delta () =
   check Alcotest.int "iconst pushes 1" 1 (Instr.stack_delta (Instr.Iconst 5));

@@ -18,12 +18,12 @@ module Diag = Analysis.Diag
 (* Cache decisions made outside any engine go to a stream and counters
    nobody reads. *)
 let install cache ~first ~blocks ~prob =
-  match
-    Trace_cache.try_install cache ~events:(Events.create ())
-      ~counts:(Tracegen.Stats.zero ()) ~first ~blocks ~prob
-  with
-  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
-  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+  let tr =
+    Trace_cache.install cache ~events:(Events.create ())
+      ~counts:(Tracegen.Stats.zero ()) ~first ~blocks ~len:(Array.length blocks) ~prob
+  in
+  if tr == Tracegen.Trace.none then Alcotest.fail "installation refused";
+  tr
 
 let tc = Alcotest.test_case
 let check = Alcotest.check
@@ -105,6 +105,10 @@ let warm_engine () =
   let engine = r.Engine.engine in
   (layout, engine, Tracegen.Profiler.bcg (Engine.profiler engine))
 
+(* The engine's full sweep: the BCG, then the cache. *)
+let sweep engine bcg =
+  Invariants.check_all (Engine.config engine) ~bcg ~cache:(Engine.cache engine)
+
 let find_node_with_edge bcg =
   let found = ref None in
   Bcg.iter_nodes bcg (fun n ->
@@ -114,36 +118,36 @@ let find_node_with_edge bcg =
   | None -> Alcotest.fail "warm BCG has no node with edges"
 
 let test_corrupt_edge_weight_fires_tl204 () =
-  let _, _, bcg = warm_engine () in
+  let _, engine, bcg = warm_engine () in
   check Alcotest.bool "healthy first" false
-    (Diag.has_errors (Invariants.check_bcg bcg));
+    (Diag.has_errors (sweep engine bcg));
   let n = find_node_with_edge bcg in
   let e = List.hd n.Bcg.edges in
   let saved = e.Bcg.weight in
   e.Bcg.weight <- -5;
   check Alcotest.bool "negative weight fires TL204" true
-    (has_code "TL204" (Invariants.check_bcg bcg));
+    (has_code "TL204" (sweep engine bcg));
   e.Bcg.weight <- Tracegen.Config.counter_max + 1;
   check Alcotest.bool "oversized weight fires TL204" true
-    (has_code "TL204" (Invariants.check_bcg bcg));
+    (has_code "TL204" (sweep engine bcg));
   e.Bcg.weight <- saved
 
 let test_corrupt_best_fires_tl205 () =
-  let _, _, bcg = warm_engine () in
+  let _, engine, bcg = warm_engine () in
   let n = find_node_with_edge bcg in
   let saved = n.Bcg.best in
   n.Bcg.best <- None;
   check Alcotest.bool "edges without a best fires TL205" true
-    (has_code "TL205" (Invariants.check_node bcg n));
+    (has_code "TL205" (sweep engine bcg));
   n.Bcg.best <- saved
 
 let test_corrupt_decay_bookkeeping_fires_tl206 () =
-  let _, _, bcg = warm_engine () in
+  let _, engine, bcg = warm_engine () in
   let n = find_node_with_edge bcg in
   let saved = n.Bcg.since_decay in
   n.Bcg.since_decay <- (Tracegen.Config.decay_period Tracegen.Config.default) + 7;
   check Alcotest.bool "since_decay out of range fires TL206" true
-    (has_code "TL206" (Invariants.check_node bcg n));
+    (has_code "TL206" (sweep engine bcg));
   n.Bcg.since_decay <- saved
 
 (* trace cache corruptions: install traces whose recorded completion

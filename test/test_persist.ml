@@ -21,12 +21,12 @@ module Stats = Tracegen.Stats
 (* Cache decisions made outside any engine go to a stream and counters
    nobody reads, unless a test passes its own stream. *)
 let install ?(events = Events.create ()) cache ~first ~blocks ~prob =
-  match
-    Trace_cache.try_install cache ~events ~counts:(Stats.zero ()) ~first
-      ~blocks ~prob
-  with
-  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
-  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+  let tr =
+    Trace_cache.install cache ~events ~counts:(Stats.zero ()) ~first ~blocks
+      ~len:(Array.length blocks) ~prob
+  in
+  if tr == Tracegen.Trace.none then Alcotest.fail "installation refused";
+  tr
 
 let pressure_evict ?(events = Events.create ()) cache =
   Trace_cache.pressure_evict cache ~events ~counts:(Stats.zero ())
@@ -215,10 +215,10 @@ let test_rejections () =
   expect "bad magic" layout (flip data 0) (function
     | Persist.Bad_magic -> true
     | _ -> false);
-  (* version bumped *)
+  (* version bumped; the build's own version is the int32 at offset 8 *)
   expect "version bump" layout (flip data 8) (function
     | Persist.Version_mismatch { expected; got } ->
-        expected = Persist.snapshot_version && got <> expected
+        expected = Int32.to_int (String.get_int32_le data 8) && got <> expected
     | _ -> false);
   (* payload bit flip: checksum catches it *)
   expect "payload flip" layout (flip data 60) (function

@@ -44,8 +44,8 @@ let test_nodes_from_stream () =
   check Alcotest.int "node (1,2) executed twice" 2 n12.Bcg.exec_total;
   (* edge (1,2)->(2,3) recorded twice *)
   let e = edge_to n12 3 in
-  check Alcotest.int "edge weight is two events" (2 * Bcg.event_weight)
-    e.Bcg.weight
+  (* an event weighs 256 counter units *)
+  check Alcotest.int "edge weight is two events" (2 * 256) e.Bcg.weight
 
 let test_inline_cache_predictions () =
   let p = mk () in

@@ -52,37 +52,45 @@ let prop_stats_bounded =
       && s.Stats.traces_completed <= s.Stats.traces_entered
       && s.Stats.chained_entries <= s.Stats.traces_entered)
 
-(* Liveness cross-validation: at every block dispatch, overwrite every
-   local the analysis claims dead at that block's entry with a sentinel.
-   If the claim is sound, execution cannot observe the difference — same
-   outcome, same instruction count as an undisturbed run. *)
+(* Liveness cross-validation: rewrite the program so that every block
+   first stores a sentinel into each local the analysis claims dead at
+   its entry.  If the claim is sound, execution cannot observe the
+   difference: the same outcome and the same block dispatches as the
+   unmodified program. *)
 let prop_liveness_cross_validated =
   QCheck.Test.make ~name:"liveness claims survive execution scrambling"
     ~count:40 Random_program.arb_program (fun program ->
       let layout = Cfg.Layout.build program in
+      let plain = Interp.run_plain ~max_instructions:2_000_000 layout in
       let live = Array.map Analysis.Liveness.compute layout.Cfg.Layout.cfgs in
-      let plain =
-        Interp.run ~max_instructions:2_000_000 layout ~on_block:(fun _ -> ())
-      in
-      let sentinel = Vm.Value.Vint 987654321 in
-      let scramble gid (locals : Vm.Value.t array) =
-        let mid = (Cfg.Layout.method_of_gid layout gid).Bytecode.Mthd.id in
-        let bi = gid - layout.Cfg.Layout.offsets.(mid) in
-        let lv = live.(mid) in
-        for slot = 0 to Array.length locals - 1 do
-          if
-            not
-              (Analysis.Liveness.Slot_set.mem slot
-                 lv.Analysis.Liveness.live_in.(bi))
-          then locals.(slot) <- sentinel
-        done
+      let dead ~method_id ~block_index =
+        let lv = live.(method_id) in
+        List.init program.Bytecode.Program.methods.(method_id).n_locals Fun.id
+        |> List.filter (fun slot ->
+               not
+                 (Analysis.Liveness.Slot_set.mem slot
+                    lv.Analysis.Liveness.live_in.(block_index)))
+        |> Prologue.stores 987654321
       in
       let scrambled =
-        Interp.run ~max_instructions:2_000_000 layout
-          ~on_block_state:scramble ~on_block:(fun _ -> ())
+        Interp.run_plain ~max_instructions:2_000_000
+          (Cfg.Layout.build (Prologue.at_leaders layout dead))
       in
       same_outcome plain.Interp.outcome scrambled.Interp.outcome
-      && plain.Interp.instructions = scrambled.Interp.instructions)
+      && plain.Interp.block_dispatches = scrambled.Interp.block_dispatches)
+
+(* Run [layout] to the end, handing [observe] each dispatched block and
+   the frame's locals as the block starts, read with [Interp.materialize]
+   from inside [on_block]. *)
+let run_observing_locals layout observe =
+  let h = ref None in
+  let on_block gid =
+    match (Interp.materialize (Option.get !h)).Interp.m_frames with
+    | fr :: _ -> observe gid fr.Interp.fs_locals
+    | [] -> ()
+  in
+  h := Some (Interp.start ~max_instructions:2_000_000 layout ~on_block);
+  Interp.finish (Option.get !h)
 
 (* Constprop cross-validation: every abstract claim at a block's entry
    must bound the value actually observed there — a singleton matches
@@ -131,9 +139,7 @@ let prop_constprop_cross_validated =
                   | _ -> ())
               claims
       in
-      ignore
-        (Interp.run ~max_instructions:2_000_000 layout ~on_block_state:observe
-           ~on_block:(fun _ -> ()));
+      ignore (run_observing_locals layout observe);
       match !failure with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
@@ -208,12 +214,9 @@ let prop_symexec_cross_validated =
         let code = (Cfg.Layout.method_of_gid layout gid).Bytecode.Mthd.code in
         let st = Sx.run (Array.sub code b.Cfg.Block.start_pc b.Cfg.Block.len) in
         last_traps := Sx.traps st;
-        prev := Some (gid, Array.copy locals, st)
+        prev := Some (gid, locals, st)
       in
-      let r =
-        Interp.run ~max_instructions:2_000_000 layout ~on_block_state:observe
-          ~on_block:(fun _ -> ())
-      in
+      let r = run_observing_locals layout observe in
       (match r.Interp.outcome with
       | Interp.Trapped
           ( (Interp.Null_pointer | Interp.Array_bounds | Interp.Division_by_zero),

@@ -26,7 +26,8 @@ let sample =
 
 let test_totals () =
   check Alcotest.int "total dispatches" 150 (Stats.total_dispatches sample);
-  check Alcotest.int "trace events" 15 (Stats.trace_events sample)
+  (* 5 signals plus 10 traces constructed are 15 trace events *)
+  check approx "trace events" 10.0 (Stats.trace_event_interval sample)
 
 let test_lengths () =
   check approx "static avg length" 5.0 (Stats.avg_trace_length sample);

@@ -16,9 +16,10 @@ let decider () = (Events.create (), Stats.zero ())
 
 (* A trace the cache must accept. *)
 let accept ~events ~counts cache ~first ~blocks ~prob =
-  match Trace_cache.try_install cache ~events ~counts ~first ~blocks ~prob with
-  | Trace_cache.Built tr | Trace_cache.Reused tr -> tr
-  | Trace_cache.Refused -> Alcotest.fail "installation refused"
+  let len = Array.length blocks in
+  let tr = Trace_cache.install cache ~events ~counts ~first ~blocks ~len ~prob in
+  if tr == Tracegen.Trace.none then Alcotest.fail "installation refused";
+  tr
 
 let install cache =
   let events, counts = decider () in
@@ -115,8 +116,12 @@ let test_live_count () =
   ignore (install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0);
   ignore (install cache ~first:1 ~blocks:[| 2; 0 |] ~prob:1.0);
   check Alcotest.int "two live entries" 2 (Trace_cache.n_live cache);
-  Trace_cache.flush cache;
-  check Alcotest.int "flush empties the cache" 0 (Trace_cache.n_live cache)
+  let events, counts = decider () in
+  check Alcotest.int "both evicted" 2
+    (Trace_cache.pressure_evict cache ~events ~counts ~down_to:0);
+  check Alcotest.int "eviction to zero empties the cache" 0
+    (Trace_cache.n_live cache);
+  check Alcotest.int "no live blocks" 0 (Trace_cache.live_blocks cache)
 
 (* FT001 negates a body gid in place; describe renders the live body
    and names the corrupted gid instead of indexing outside the layout. *)
@@ -129,13 +134,17 @@ let test_describe_corrupted () =
        (Layout.describe l 1))
     (Trace.describe l tr)
 
+(* Same entry context and same block sequence is the same cache entry,
+   whatever the probability; another context is another trace. *)
 let test_same_sequence () =
   let l = Lazy.force layout in
-  let a = Trace.make ~id:0 ~layout:l ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  let b = Trace.make ~id:1 ~layout:l ~first:0 ~blocks:[| 1; 2 |] ~prob:0.9 in
-  let c = Trace.make ~id:2 ~layout:l ~first:2 ~blocks:[| 1; 2 |] ~prob:1.0 in
-  check Alcotest.bool "same first and blocks" true (Trace.same_sequence a b);
-  check Alcotest.bool "different context differs" false (Trace.same_sequence a c)
+  let cache = Trace_cache.create l in
+  let events, counts = decider () in
+  let a = accept ~events ~counts cache ~first:0 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  let b = accept ~events ~counts cache ~first:0 ~blocks:[| 1; 2 |] ~prob:0.9 in
+  let c = accept ~events ~counts cache ~first:2 ~blocks:[| 1; 2 |] ~prob:1.0 in
+  check Alcotest.bool "same first and blocks" true (a == b);
+  check Alcotest.bool "different context differs" false (a == c)
 
 (* ------------------------------------------------------------------ *)
 (* The head index against the owning table                            *)
@@ -154,7 +163,6 @@ type op =
   | Quarantine of int * int
   | Pinned_quarantine of int * int (* must be refused *)
   | Remove of int * int
-  | Flush
   | Pressure of int (* evict down to *)
   | Roundtrip (* snapshot, restore into a fresh cache *)
   | Corrupt of int * int (* FT001: negate blocks.(0) of the bound trace *)
@@ -168,7 +176,6 @@ let show_op = function
   | Quarantine (f, h) -> Printf.sprintf "quarantine %d %d" f h
   | Pinned_quarantine (f, h) -> Printf.sprintf "pinned-quarantine %d %d" f h
   | Remove (f, h) -> Printf.sprintf "remove %d %d" f h
-  | Flush -> "flush"
   | Pressure k -> Printf.sprintf "pressure %d" k
   | Roundtrip -> "roundtrip"
   | Corrupt (f, h) -> Printf.sprintf "corrupt %d %d" f h
@@ -194,7 +201,6 @@ let gen_op n =
       (2, map (fun (f, h) -> Quarantine (f, h)) key);
       (1, map (fun (f, h) -> Pinned_quarantine (f, h)) key);
       (2, map (fun (f, h) -> Remove (f, h)) key);
-      (1, return Flush);
       (1, map (fun k -> Pressure k) (int_range 0 2));
       (1, return Roundtrip);
       (2, map (fun (f, h) -> Corrupt (f, h)) key);
@@ -246,9 +252,10 @@ let apply cache ~fresh ~events ~counts op =
   let c = !cache in
   match op with
   | Install (first, blocks) ->
+      let blocks = Array.of_list blocks in
       ignore
-        (Trace_cache.try_install c ~events ~counts ~first
-           ~blocks:(Array.of_list blocks) ~prob:0.99)
+        (Trace_cache.install c ~events ~counts ~first ~blocks
+           ~len:(Array.length blocks) ~prob:0.99)
   | Lookup (prev, cur) -> ignore (Trace_cache.lookup c ~prev ~cur)
   | Quarantine (first, head) ->
       ignore
@@ -267,7 +274,6 @@ let apply cache ~fresh ~events ~counts op =
             QCheck.Test.fail_report "pinned refusal not counted";
           Trace_cache.unpin c tr)
   | Remove (first, head) -> ignore (Trace_cache.remove c ~first ~head)
-  | Flush -> Trace_cache.flush c
   | Pressure down_to ->
       ignore (Trace_cache.pressure_evict c ~events ~counts ~down_to)
   | Roundtrip ->

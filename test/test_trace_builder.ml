@@ -49,7 +49,8 @@ let feed_path bcg path ~times =
     go path
   done
 
-let recheck_all bcg = Bcg.iter_nodes bcg (fun n -> Bcg.recheck bcg n)
+(* Healing a healthy node repairs nothing and rechecks it. *)
+let recheck_all bcg = Bcg.iter_nodes bcg (fun n -> ignore (Bcg.heal_node bcg n))
 
 let signal_for bcg ~x ~y =
   let n = node_at bcg ~x ~y in

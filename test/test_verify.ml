@@ -64,7 +64,7 @@ let test_merge_inconsistency () =
   in
   let l_float = B.new_label m in
   let l_join = B.new_label m in
-  B.iload m 0;
+  B.i m (Instr.Iload 0);
   B.ifz m Instr.Eq l_float;
   B.iconst m 1;
   B.goto m l_join;
@@ -87,8 +87,8 @@ let test_call_arity_effects () =
   let f =
     B.begin_method b ~name:"f" ~returns:Mthd.Rint ~n_args:2 ~n_locals:2 ()
   in
-  B.iload f 0;
-  B.iload f 1;
+  B.i f (Instr.Iload 0);
+  B.i f (Instr.Iload 1);
   B.i f Instr.Iadd;
   B.i f Instr.Ireturn;
   B.finish_method f;
@@ -107,7 +107,7 @@ let test_call_arity_effects () =
   let f2 =
     B.begin_method b2 ~name:"f" ~returns:Mthd.Rint ~n_args:2 ~n_locals:2 ()
   in
-  B.iload f2 0;
+  B.i f2 (Instr.Iload 0);
   B.i f2 Instr.Ireturn;
   B.finish_method f2;
   let m2 =

@@ -453,16 +453,16 @@ let test_fresh_locals_int_zero () =
         ( "fill", 0, 2, M.Rvoid,
           fun m ->
             B.fconst m 1.5;
-            B.fstore m 0;
+            B.i m (Bytecode.Instr.Fstore 0);
             B.new_object m "C";
-            B.astore m 1;
+            B.i m (Bytecode.Instr.Astore 1);
             B.fconst m 2.5;
             B.new_object m "C";
             B.i m I.Return );
         ( "probe", 0, 4, M.Rint,
           fun m ->
             for l = 0 to 3 do
-              B.iload m l
+              B.i m (Bytecode.Instr.Iload l)
             done;
             B.i m I.Iadd;
             B.i m I.Iadd;
@@ -497,8 +497,8 @@ let test_float_through_istore () =
     ~instructions:6 ~block_dispatches:1
     (raw_layout (fun m ->
          B.fconst m 1.5;
-         B.istore m 0;
-         B.iload m 0;
+         B.i m (Bytecode.Instr.Istore 0);
+         B.i m (Bytecode.Instr.Iload 0);
          B.iconst m 1;
          B.i m I.Iadd;
          B.i m I.Ireturn))
@@ -518,11 +518,11 @@ let test_local_index_bounds () =
                   emit m;
                   B.i m I.Ireturn))))
   in
-  raises "iload" (fun m -> B.iload m 1);
-  raises "iload below 0" (fun m -> B.iload m (-1));
+  raises "iload" (fun m -> B.i m (Bytecode.Instr.Iload 1));
+  raises "iload below 0" (fun m -> B.i m (Bytecode.Instr.Iload (-1)));
   raises "istore" (fun m ->
       B.iconst m 5;
-      B.istore m 1);
+      B.i m (Bytecode.Instr.Istore 1));
   raises "iinc" (fun m -> B.iinc m 1 1)
 
 let test_round_trip () =
@@ -532,6 +532,7 @@ let test_round_trip () =
   (* main stores the value in its local, passes it to [pass], which
      copies it between its locals and returns it *)
   let round_trip what returns const (load, store, ret) check_result =
+    let load m n = B.i m (load n) and store m n = B.i m (store n) in
     let layout =
       raw_methods
         [
@@ -569,8 +570,8 @@ let test_round_trip () =
           (Array.length main.Interp.fs_stack)
     | _ -> Alcotest.fail "two frames"
   in
-  let ints = (B.iload, B.istore, I.Ireturn) in
-  let floats = (B.fload, B.fstore, I.Freturn) in
+  let ints = ((fun n -> I.Iload n), (fun n -> I.Istore n), I.Ireturn) in
+  let floats = ((fun n -> I.Fload n), (fun n -> I.Fstore n), I.Freturn) in
   let int n what =
     round_trip what M.Rint (fun m -> B.iconst m n) ints (fun v ->
         check Alcotest.bool what true (same_value v (Vm.Value.Vint n)))
@@ -585,17 +586,18 @@ let test_round_trip () =
   float (-0.0) "-0.0";
   round_trip "reference" M.Rref
     (fun m -> B.new_object m "C")
-    (B.aload, B.astore, I.Areturn)
+    ((fun n -> I.Aload n), (fun n -> I.Astore n), I.Areturn)
     (function
       | Vm.Value.Vobj o ->
           check Alcotest.int "the class's one field" 1
             (Array.length o.Vm.Value.fields)
       | _ -> Alcotest.fail "an object")
 
-(* The observer contract: [on_block_state]'s array is the frame's
-   locals, and what the observer writes there is what the frame then
-   holds.  Rewriting live [x] at the loop's first test changes the
-   result, and the next dispatch's snapshot shows the written value. *)
+(* The positive control of the liveness property in
+   test_random_programs: a sentinel store into live [x], prepended at the
+   loop's test block, changes the result, and the frame shows the stored
+   value at the dispatch after the test block's first.  The rewrite adds two instructions
+   per visit of the test block (four visits) and no dispatch. *)
 let test_observer_writes_live_local () =
   let layout =
     layout_of
@@ -606,27 +608,38 @@ let test_observer_writes_live_local () =
         ret (v "x" *! i 3);
       ]
   in
+  let main = layout.Layout.program.Bytecode.Program.entry in
+  let cfg = layout.Layout.cfgs.(main) in
+  let header =
+    match Cfg.Dominators.(back_edges cfg (compute cfg)) with
+    | [ (_, h) ] -> h
+    | _ -> Alcotest.fail "one loop"
+  in
+  let code_at ~method_id ~block_index =
+    if method_id = main && block_index = header then Prologue.stores 7 [ 0 ]
+    else []
+  in
+  let plain = Interp.run_plain layout in
+  let rewritten = Layout.build (Prologue.at_leaders layout code_at) in
+  let header_gid = Layout.gid rewritten ~method_id:main ~block_index:header in
   let h = ref None in
-  let written = ref false in
   let pending = ref false in
   let seen = ref None in
-  let on_block _ =
-    if !pending then (
-      pending := false;
-      seen := Some (Interp.materialize (Option.get !h)))
+  let on_block gid =
+    if !pending && !seen = None then
+      seen := Some (Interp.materialize (Option.get !h));
+    pending := gid = header_gid
   in
-  let on_block_state _ (locals : Vm.Value.t array) =
-    if (not !written) && locals.(0) = Vm.Value.Vint 5 then (
-      locals.(0) <- Vm.Value.Vint 7;
-      written := true;
-      pending := true)
-  in
-  h := Some (Interp.start layout ~on_block ~on_block_state);
+  h := Some (Interp.start rewritten ~on_block);
   let r = Interp.finish (Option.get !h) in
+  check Alcotest.bool "unmodified x" true
+    (Interp.result_value plain = Some (Vm.Value.Vint 15));
   check Alcotest.bool "x rewritten" true
     (Interp.result_value r = Some (Vm.Value.Vint 21));
-  check Alcotest.int "instructions" 24 r.Interp.instructions;
+  check Alcotest.int "instructions" 32 r.Interp.instructions;
   check Alcotest.int "dispatches" 9 r.Interp.block_dispatches;
+  check Alcotest.int "dispatches as unmodified" plain.Interp.block_dispatches
+    r.Interp.block_dispatches;
   match (Option.get !seen).Interp.m_frames with
   | [ main ] ->
       check Alcotest.bool "the snapshot shows the write" true
@@ -663,10 +676,10 @@ let array_layout kind stores final =
         fun m ->
           B.iconst m 3;
           B.i m (I.Newarray kind);
-          B.astore m 0;
+          B.i m (Bytecode.Instr.Astore 0);
           List.iter
             (fun (cell, push, store) ->
-              B.aload m 0;
+              B.i m (Bytecode.Instr.Aload 0);
               B.iconst m cell;
               push m;
               B.i m store)
@@ -692,13 +705,13 @@ let array_finals kind =
   let module B = Bytecode.Builder in
   let module I = Bytecode.Instr in
   let cell ?op load idx m =
-    B.aload m 0;
+    B.i m (Bytecode.Instr.Aload 0);
     B.iconst m idx;
     B.i m load;
     Option.iter (B.i m) op
   in
   let own_store m =
-    B.aload m 0;
+    B.i m (Bytecode.Instr.Aload 0);
     B.iconst m 2;
     (match kind with
     | I.Int_array ->
@@ -721,10 +734,10 @@ let array_finals kind =
     cell I.Aaload 0;
     cell I.Aaload 2;
     (fun m ->
-      B.aload m 0;
+      B.i m (Bytecode.Instr.Aload 0);
       B.i m I.Arraylength);
     (fun m ->
-      B.aload m 0;
+      B.i m (Bytecode.Instr.Aload 0);
       B.i m I.Ineg);
     own_store;
   ]
@@ -922,7 +935,7 @@ let test_heap_round_trip () =
         (array_layout kind
            [ (1, push, store) ]
            (fun m ->
-             Bytecode.Builder.aload m 0;
+             Bytecode.Builder.i m (Bytecode.Instr.Aload 0);
              Bytecode.Builder.iconst m 1;
              Bytecode.Builder.i m load))
     in
