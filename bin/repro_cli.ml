@@ -878,6 +878,16 @@ let explain workload size flags trace_id block =
         b n (n - 1)
   | _ -> ());
   let result = Engine.run ~config:(Cli.config flags) layout in
+  (* the run restores no snapshot, so its trace ids are 0 .. built - 1 *)
+  (match trace_id with
+  | Some id ->
+      let built =
+        Tracegen.Trace_cache.n_constructed (Engine.cache result.Engine.engine)
+      in
+      if id < 0 || id >= built then
+        Cli.die "explain: trace %d is not one of the %d traces the run built\n"
+          id built
+  | None -> ());
   let ledger = Option.get (Engine.ledger result.Engine.engine) in
   let entries = List.mapi (fun seq e -> (seq, e)) (L.to_list ledger) in
   (* the payload's integer field [name], read off its JSON rendering *)

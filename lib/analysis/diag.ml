@@ -66,5 +66,3 @@ let has_errors diags = List.exists (fun d -> d.severity = Error) diags
 
 let count sev diags =
   List.fold_left (fun n d -> if d.severity = sev then n + 1 else n) 0 diags
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)

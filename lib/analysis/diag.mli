@@ -47,5 +47,3 @@ val compare : t -> t -> int
 val has_errors : t list -> bool
 
 val count : severity -> t list -> int
-
-val pp : Format.formatter -> t -> unit

@@ -78,7 +78,6 @@ val pop : state -> sym * state
     the symbolic stack is empty).  Exposed so a caller can name the exact
     operand terms an upcoming [exec] will consume. *)
 
-val local : state -> int -> sym
 val assume_local : state -> slot:int -> sym -> state
 (** Record an externally-established local value (e.g. a constant-
     propagation fact) without counting it as a store. *)

@@ -10,11 +10,9 @@
     paper contrasts with branch-correlation profiling. *)
 
 type config = {
-  hot_threshold : int;  (** Dynamo uses ~50 *)
-  max_blocks : int;
+  hot_threshold : int;  (** Dynamo uses ~50; the default is 50 *)
+  max_blocks : int;  (** the default is 64 *)
 }
-
-val default_config : config
 
 type t
 
@@ -23,13 +21,10 @@ val create : ?config:config -> Cfg.Layout.t -> t
 val on_block : t -> Cfg.Layout.gid -> unit
 (** Feed one dispatched block (attach to {!Vm.Interp.run}'s observer). *)
 
-val stats : t -> instructions:int -> Tracegen.Stats.t
-(** A copy of the counters in the engine's record, with
-    [instructions], the run's instruction count, filled in: dispatches
-    outside traces, trace entries and completions, completed and
-    partial work, and traces built ([traces_constructed]); every other
-    field is 0. *)
-
 val run :
   ?config:config -> ?max_instructions:int -> Cfg.Layout.t -> Tracegen.Stats.t
-(** Run a program under NET selection and return its {!stats}. *)
+(** Run a program under NET selection and return a copy of its counters
+    in the engine's record, with [instructions], the run's instruction
+    count, filled in: dispatches outside traces, trace entries and
+    completions, completed and partial work, and traces built
+    ([traces_constructed]); every other field is 0. *)

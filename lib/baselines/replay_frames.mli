@@ -17,11 +17,9 @@
 type config = {
   promotion_run : int;  (** consecutive same-direction outcomes: 32 *)
   history_bits : int;  (** correlated history depth: 6 *)
-  max_blocks : int;
-  min_blocks : int;
+  max_blocks : int;  (** 32 by default *)
+  min_blocks : int;  (** 2 by default *)
 }
-
-val default_config : config
 
 type t = private {
   layout : Cfg.Layout.t;

@@ -50,23 +50,6 @@ val place : meth -> label -> unit
 (** Bind the label to the next emitted instruction's index.
     @raise Invalid_argument if placed twice. *)
 
-(** Pseudo-instructions: instructions whose control or reference operands
-    are still symbolic. *)
-type pseudo =
-  | P of Instr.t
-  | P_if_icmp of Instr.cond * label
-  | P_ifz of Instr.cond * label
-  | P_goto of label
-  | P_tableswitch of int * label array * label
-  | P_invokestatic of string
-  | P_invokevirtual of string
-  | P_new of string
-  | P_getfield of string * string
-  | P_putfield of string * string
-  | P_instanceof of string
-
-val emit : meth -> pseudo -> unit
-
 (** Emission helpers so call sites read like assembly: *)
 
 val i : meth -> Instr.t -> unit

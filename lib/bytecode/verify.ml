@@ -313,6 +313,3 @@ let verify_program_all (program : Program.t) =
 
 let verify_program (program : Program.t) =
   Array.iter (fun m -> verify_method program m) program.Program.methods
-
-let error_to_string { method_name; pc; message } =
-  Printf.sprintf "verify error in %s at pc %d: %s" method_name pc message

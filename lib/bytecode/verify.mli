@@ -27,5 +27,3 @@ val verify_program : Program.t -> unit
 val verify_program_all : Program.t -> error list
 (** {!verify_method_all} over every method, in method order — the linter's
     entry point. *)
-
-val error_to_string : error -> string

@@ -94,7 +94,3 @@ let describe t (g : gid) =
   let b = block t g in
   Printf.sprintf "%s:B%d@%d" (method_of_gid t g).Mthd.name b.Block.index
     b.Block.start_pc
-
-let pp ppf t =
-  Format.fprintf ppf "layout: %d methods, %d blocks total"
-    (Array.length t.cfgs) t.n_blocks

@@ -47,5 +47,3 @@ val block_len : t -> gid -> int
 
 val describe : t -> gid -> string
 (** A readable block name: ["method:Bk@pc"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -891,15 +891,11 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
   t
 
 (* accessors over the abstract engine *)
-let config t = t.config
-
 let layout t = t.layout
 
 let profiler t = t.profiler
 
 let cache t = t.cache
-
-let events t = t.events
 
 let active_trace t = t.active
 

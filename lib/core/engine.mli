@@ -35,7 +35,8 @@
 
     The engine type is abstract.  Its accounting is read through
     {!counters} (live) or, end-of-run, through {!stats}; its lifecycle
-    is published on {!events}, the typed {!Events} stream every
+    is published on the [events] stream passed to {!create} or {!run},
+    the typed {!Events} stream every
     component emits on ([Signal_raised], [Trace_constructed],
     [Trace_entered], [Side_exit], [Trace_completed], [Trace_replaced],
     [Decay_pass], [Path_walked], …).  Subscribe before driving the
@@ -128,15 +129,11 @@ val stats : t -> vm_result:Vm.Interp.result -> wall_seconds:float -> Stats.t
 
 (** {2 Accessors} *)
 
-val config : t -> Config.t
-
 val layout : t -> Cfg.Layout.t
 
 val profiler : t -> Profiler.t
 
 val cache : t -> Trace_cache.t
-
-val events : t -> Events.t
 
 val active_trace : t -> Trace.t option
 (** The trace currently being followed, if any (e.g. when the program

@@ -257,8 +257,6 @@ let set_tap t ~ring ~cold =
 
 let set_now t n = t.now <- n
 
-let now t = t.now
-
 let deliver t ev =
   t.emitted <- t.emitted + 1;
   List.iter (fun f -> f ev) t.subs

@@ -276,8 +276,6 @@ val set_now : t -> int -> unit
 (** Advance the logical clock; events emitted afterwards carry this
     time. *)
 
-val now : t -> int
-
 val emit : t -> payload -> unit
 (** Deliver to the tap and to every subscriber; a no-op when
     disabled. *)

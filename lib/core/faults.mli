@@ -17,27 +17,6 @@ budget=K     cap the total number of injected faults v}
     a schedule is a pure function of (spec, seed, dispatch stream), so
     chaos runs replay bit-identically. *)
 
-type kind =
-  | Corrupt_trace
-      (** FT001: negate one block gid of an installed trace (TL210) *)
-  | Corrupt_instrs
-      (** FT002: skew one per-block instruction count (TL211) *)
-  | Zero_counter  (** FT003: zero one BCG edge weight (TL204) *)
-  | Saturate_counter
-      (** FT004: push one edge weight past saturation (TL204) *)
-  | Drop_best
-      (** FT005: clear a node's cached most-likely successor (TL205) *)
-  | Fail_install  (** FT006: fail the next trace installation *)
-  | Alloc_pressure  (** FT007: evict half of the live trace cache *)
-  | Guard_flip
-      (** FT008: force a guard failure at a chosen position of the next
-          followed trace, exercising the side-exit / OSR deoptimization
-          path.  Transparent by construction: tracing is an overlay, so
-          a flipped guard must never change VM results. *)
-
-val code : kind -> string
-(** The stable catalogue code: ["FT001"] … ["FT008"]. *)
-
 val catalogue : (string * string) list
 (** Code/description pairs: FT001–FT008 (injectable faults, each naming
     the TL2xx check that detects it) plus FT901/FT902, the chaos gate's

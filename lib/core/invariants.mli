@@ -51,16 +51,6 @@ val check_trace :
     away) and [TL210] [TL211] when a layout is supplied — the two checks
     that catch a corrupted trace body. *)
 
-val check_cache :
-  ?context:string ->
-  ?bcg:Bcg.t ->
-  ?layout:Cfg.Layout.t ->
-  Config.t ->
-  Trace_cache.t ->
-  Analysis.Diag.t list
-(** [TL202] over every live entry binding plus {!check_trace} over every
-    live trace. *)
-
 val check_all :
   ?context:string ->
   ?layout:Cfg.Layout.t ->
@@ -69,6 +59,7 @@ val check_all :
   cache:Trace_cache.t ->
   Analysis.Diag.t list
 (** [TL204] [TL205] [TL206] [TL208] for every BCG node, followed by
-    {!check_cache}: the full sweep the engine
-    runs under {!Config.debug_checks}, and [repro_cli lint] runs after
-    a workload's profiled execution. *)
+    [TL202] over every live entry binding and {!check_trace} (with the
+    BCG) over every live trace: the full sweep the engine runs under
+    {!Config.debug_checks}, and [repro_cli lint] runs after a workload's
+    profiled execution. *)

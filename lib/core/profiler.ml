@@ -74,8 +74,6 @@ let create ?(events = Events.create ()) (config : Config.t) ~n_blocks
     exits = Array.make n_blocks Bcg.no_node;
   }
 
-let events t = t.events
-
 let bcg t = t.bcg
 
 let dispatches t = t.dispatches

@@ -18,8 +18,6 @@ val create :
     reacts, so the timeline shows cause before effect) and [Decay_pass]
     events; a fresh disabled stream is used when omitted. *)
 
-val events : t -> Events.t
-
 val dispatch : t -> Cfg.Layout.gid -> unit
 (** One profiled dispatch of a block: updates the branch context's node
     and correlation edge, counts inline-cache predictions, and advances

@@ -39,8 +39,6 @@ let create ?(batch = 1024) () =
   if batch < 1 then invalid_arg "Session.create: batch < 1";
   { batch; rev_members = []; next_id = 1 }
 
-let batch t = t.batch
-
 let members t = List.rev t.rev_members
 
 (* The distinct caches in use, in member order. *)

@@ -24,8 +24,6 @@ val create : ?batch:int -> unit -> t
     advances per round-robin turn (default [1024]).
     @raise Invalid_argument if [batch < 1]. *)
 
-val batch : t -> int
-
 val add :
   ?name:string ->
   ?config:Config.t ->

@@ -14,11 +14,6 @@ let to_string = function
   | Weakly_correlated -> "weak"
   | Newly_created -> "new"
 
-(* A branch is "hot" once it has left the start state. *)
-let is_hot = function
-  | Unique | Strongly_correlated | Weakly_correlated -> true
-  | Newly_created -> false
-
 (* Trace construction may follow a branch only when its behaviour is
    predictable enough. *)
 let is_followable = function

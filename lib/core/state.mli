@@ -16,9 +16,6 @@ type t =
 
 val to_string : t -> string
 
-val is_hot : t -> bool
-(** [true] once the branch has left the start state. *)
-
 val is_followable : t -> bool
 (** [true] when trace construction may extend a trace through this branch
     ({!Unique} or {!Strongly_correlated}). *)

@@ -146,9 +146,6 @@ val quarantine_rate : t -> float
 val eviction_rate : t -> float
 (** Capacity evictions per constructed trace. *)
 
-val deopt_residue : t -> float
-(** Average trace positions abandoned past the deopt point. *)
-
 val pp : Format.formatter -> t -> unit
 (** The resilience counters are rendered only when at least one of them
     is non-zero, so a healthy run's output is unchanged. *)

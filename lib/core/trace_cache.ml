@@ -161,8 +161,6 @@ let set_clock t now = t.clock <- now
    attributed.  Solo engines leave this at 0 and pay nothing. *)
 let set_session t id = t.session <- id
 
-let session t = t.session
-
 let touch t b =
   t.stamp <- t.stamp + 1;
   b.b_stamp <- t.stamp;

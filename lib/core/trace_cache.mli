@@ -59,9 +59,6 @@ val set_session : t -> int -> unit
     ({!n_cross_installs} / {!n_cross_entries}).  Solo engines leave this
     at [0]. *)
 
-val session : t -> int
-(** The session id announced by the last {!set_session} ([0] initially). *)
-
 val lookup : t -> prev:Cfg.Layout.gid -> cur:Cfg.Layout.gid -> Trace.t option
 (** Dispatch lookup: the trace entered by the transition [(prev, cur)],
     if any ([prev < 0] never matches, nor does a [cur] outside the

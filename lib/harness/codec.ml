@@ -421,9 +421,11 @@ let parse (input : string) : (json, string) result =
     match int_of_string_opt s with
     | Some i -> J_int i
     | None -> (
+        (* the writer never renders a non-finite float, so a literal
+           that overflows to one is no document it wrote *)
         match float_of_string_opt s with
-        | Some f -> J_float f
-        | None -> fail ("bad number " ^ s))
+        | Some f when Float.is_finite f -> J_float f
+        | _ -> fail ("bad number " ^ s))
   in
   let rec parse_value () =
     skip_ws ();

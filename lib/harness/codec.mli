@@ -23,7 +23,8 @@ val to_string : json -> string
 val parse : string -> (json, string) result
 (** A minimal JSON parser — the inverse of {!to_string}, used to read
     flight-recorder dumps and bench baselines back.  Integral numbers
-    parse as {!J_int}, everything else numeric as {!J_float}; non-ASCII
+    parse as {!J_int}, everything else numeric as {!J_float}, and a
+    literal that overflows a float ([1e400]) is an error; non-ASCII
     [\u] escapes are replaced (the emitter never produces them).  Any
     malformed input is an [Error], never an exception. *)
 

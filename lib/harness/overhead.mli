@@ -13,10 +13,12 @@
 
 type row = {
   name : string;
-  plain_sec : float;
+  plain_sec : float;  (** the best round's time *)
   dispatches : int;  (** hook executions in the profiled configuration *)
-  profiled_sec : float;
-  per_million : float;  (** overhead seconds per million dispatches *)
+  profiled_sec : float;  (** the best round's time *)
+  per_million : float;
+      (** the median of the rounds' profiled − plain differences, in
+          seconds per million dispatches *)
 }
 
 val paired : repeats:int -> (unit -> 'a) -> (unit -> 'b) -> ('a * 'b) list
@@ -25,14 +27,9 @@ val paired : repeats:int -> (unit -> 'a) -> (unit -> 'b) -> ('a * 'b) list
     4, … and [b] rounds 1, 3, 5, ….  Returns each round's pair of
     results, [a]'s first, in round order. *)
 
-val measure :
-  ?scale:float -> ?repeats:int -> Workloads.Workload.t -> row
-(** [repeats] {!paired} rounds of one workload in both configurations.
-    [plain_sec] and [profiled_sec] are each the best round's time;
-    [per_million] is the median of the rounds' profiled − plain
-    differences, per million dispatches. *)
-
 val table6 : ?scale:float -> ?repeats:int -> unit -> string * row list
+(** [repeats] {!paired} rounds of each workload in both configurations,
+    one {!row} per workload. *)
 
 val table7 : ?scale:float -> ?repeats:int -> ?rows:row list -> unit -> string
 (** Pass [rows] from a prior {!table6} to avoid re-measuring (and to keep

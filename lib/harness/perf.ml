@@ -124,7 +124,22 @@ let run_of_json (j : Codec.json) : (run, string) result =
   let* sections = field j "sections" in
   let* sections = as_list sections in
   let* sections = map_result section_of_json sections in
-  Ok { bench; env; sections }
+  (* [diff] reads one value per (section, metric) pair; a document with
+     two would read as whichever copy a lookup met first *)
+  let keys =
+    List.sort compare
+      (List.concat_map
+         (fun s -> List.map (fun m -> (s.label, m.name)) s.metrics)
+         sections)
+  in
+  let rec twice = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else twice rest
+    | _ -> None
+  in
+  match twice keys with
+  | Some (section, name) ->
+      Error (Printf.sprintf "section %s holds metric %s twice" section name)
+  | None -> Ok { bench; env; sections }
 
 type error =
   | Version_mismatch of { got : int; expected : int }

@@ -26,16 +26,15 @@ val env_stamp : scale:float -> (string * string) list
 (** Toolchain + workload-scale stamp: OCaml version, word size, OS
     type, and the bench scale factor. *)
 
-val run_json : run -> Codec.json
-(** The whole run as one [schema_version]-stamped object. *)
-
 val to_string : run -> string
+(** The whole run as one [schema_version]-stamped JSON object. *)
 
 type error =
   | Version_mismatch of { got : int; expected : int }
       (** written under another [Codec.schema_version] *)
   | Malformed of string
-      (** not JSON, or not the shape {!to_string} writes *)
+      (** not JSON, not the shape {!to_string} writes, or a (section,
+          metric) pair named twice *)
 
 val error_to_string : error -> string
 

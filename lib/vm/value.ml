@@ -44,12 +44,10 @@ let[@inline] length a =
   | Floats c -> Float.Array.length c
   | Boxed c -> Array.length c
 
-let rec to_string = function
+let to_string = function
   | Vint n -> string_of_int n
   | Vfloat f -> string_of_float f
   | Vnull -> "null"
   | Vobj o -> Printf.sprintf "obj#%d(%d fields)" o.cls (Array.length o.fields)
   | Varr a ->
       Printf.sprintf "%s[%d]" (Instr.array_kind_to_string a.kind) (length a)
-
-and pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -40,5 +40,3 @@ val length : arr -> int
 (** The array's element count, whatever its cells' representation. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -6,10 +6,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Export gate: every value a lib/**/*.mli exports needs a production
-# caller (a use from lib, bin, bench, perfbench or examples outside its
-# own module; tests do not count) or a line in
+# use (in an .ml under lib, bin, bench, perfbench or examples outside
+# its own module; tests do not count) or a line in
 # scripts/export_allowlist.txt giving the reason it stays, and no line
-# there may be stale.  The match is by name, so it undercounts.
+# there may be stale.  A use is resolved by module: `M.v` or `Lib.M.v`,
+# `X.v` after `module X = [Lib.]M`, or a bare `v` in a file that opens
+# `M`; nested modules by full path, and a `val` in a module type is no
+# export.
 if ! command -v python3 > /dev/null 2>&1; then
   echo "check.sh: python3 not found; the export gate needs it" >&2
   exit 1

@@ -4,23 +4,35 @@ production caller or an allowlist entry that says why it stays.
 
 Usage: python3 scripts/export_gate.py [--list]   (from anywhere)
 
-The scan takes each `val NAME` in lib/**/*.mli, and each module in lib
-that has no .mli, and looks for the name in every .ml under lib, bin,
-bench, perfbench and examples, except the value's own module.  A name
-found nowhere there has no production caller: tests do not count.
+Exports.  Each `val NAME` in lib/**/*.mli is the export `Module.NAME`;
+a `val` inside a nested `module X : sig ... end` is `Module.X.NAME`,
+and one in a functor's result signature `Module.F.NAME`.  A `val`
+inside a `module type` or a functor parameter's signature is not an
+export.  A module in lib with no .mli is exported whole, as `Module`.
+
+Production uses.  Every .ml under lib, bin, bench, perfbench and
+examples is indexed once, with comments and string literals blanked;
+tests do not count, nor does the value's own .ml.  In a file, a use of
+`M.v` is:
+  - the path `M.v` or `Lib.M.v` (`Lib` the library's dune name);
+  - `X.v` after `module X = [Lib.]M` (or `let module`, or a functor
+    application `module X = [Lib.]M.F (...)`, which makes `X.v` a use
+    of `M.F.v`); aliases an interface declares (`module Mthd =
+    Bytecode.Mthd` in layout.mli) resolve the same way;
+  - a bare `v` anywhere in a file that opens `M` (`open`, `let open`,
+    `M.( ... )`, `M.[ ... ]`, `M.{ ... }`, `include`).
+Nested modules resolve by full path (`Config.Cache.v`).  A path after
+a dot, `r.M.f`, is a record field, not a use.  A module exported whole
+is used by any path through it.  The index is textual: a bare name in a
+file that opens `M` counts even where a local binding shadows it, and a
+type `M.t` counts as a use of a value `M.t`.
 
 scripts/export_allowlist.txt holds one `Module.value reason` per line
 (`Module reason` for a module without an interface); blank lines and
 lines starting with `#` are skipped.  The gate fails on an exported
-value with no production caller and no entry, and on a stale entry: one
-whose value is no longer exported or now has a production caller.
-`--list` prints every value without a production caller and exits 0.
-
-The match is by name only, so it undercounts: a value is taken as
-called when any production file mentions the same identifier, whether
-or not it refers to that module's value (a common name like `create`
-or `length` is always "called").  Comments and string literals are
-skipped.
+value with no production use and no entry, and on a stale entry: one
+whose value is no longer exported or now has a production use.
+`--list` prints every export without a production use and exits 0.
 """
 
 import os
@@ -30,6 +42,22 @@ import sys
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 PRODUCTION = ["lib", "bin", "bench", "perfbench", "examples"]
 ALLOWLIST = os.path.join(ROOT, "scripts", "export_allowlist.txt")
+
+UID = r"[A-Z][A-Za-z0-9_']*"
+LID = r"[a-z_][A-Za-z0-9_']*"
+PATH = rf"{UID}(?:\s*\.\s*{UID})*"
+NOT_AFTER = r"(?<![A-Za-z0-9_'.])"
+ALIAS = re.compile(rf"\bmodule\s+({UID})\s*=\s*({PATH})")
+OPEN = re.compile(
+    rf"\b(?:open!?|include)\s+({PATH})|{NOT_AFTER}({PATH})\s*\.\s*[(\[{{]"
+)
+VALUE_REF = re.compile(rf"{NOT_AFTER}({PATH})\s*\.\s*({LID})")
+MODULE_REF = re.compile(rf"{NOT_AFTER}({PATH})\s*\.")
+BARE = re.compile(rf"(?<![A-Za-z0-9_'.~?]){LID}")
+MLI_TOKEN = re.compile(
+    rf"\bmodule\s+type\s+{UID}|\bmodule\s+({UID})(?:\s*=\s*({PATH}))?"
+    rf"|\b(sig|struct|object|begin|end)\b|\bval\s+({LID})|([()])"
+)
 
 
 def sources(dirs, ext):
@@ -79,33 +107,144 @@ def module_name(path):
     return base[: base.rindex(".")].capitalize()
 
 
-def exported():
-    """(module, value, own .ml path) for every export, values first."""
-    for mli in sources(["lib"], ".mli"):
-        mod = module_name(mli)
-        for m in re.finditer(
-            r"^\s*val\s+([a-z_][A-Za-z0-9_']*)", code_only(open(mli).read()), re.M
-        ):
-            yield mod, m.group(1), mli[:-1]
-    for ml in sources(["lib"], ".ml"):
-        if not os.path.exists(ml + "i"):
-            yield module_name(ml), None, ml
+def split(path):
+    return tuple(re.split(r"\s*\.\s*", path))
 
 
-def unused(prod):
-    """Exports with no production caller, as `Module.value` / `Module`."""
+def libraries():
+    """Dune library name (capitalized, its wrapper module) per lib dir."""
+    libs = {}
+    for dune in sources(["lib"], "dune"):
+        m = re.search(r"\(library\b.*?\(name\s+([A-Za-z0-9_]+)\)", open(dune).read(), re.S)
+        if m:
+            libs[os.path.dirname(dune)] = m.group(1).capitalize()
+    return libs
+
+
+def interface(mli):
+    """(exports, aliases) of one .mli: the exported value paths below its
+    module, and its `module X = Path` declarations as (X,) -> path."""
+    exports, aliases = [], {}
+    stack, pending, parens = [], None, 0  # stack: path of named sigs, or None
+    for m in MLI_TOKEN.finditer(code_only(open(mli).read())):
+        named, alias_to, word, val, paren = m.group(1, 2, 3, 4, 5)
+        if paren:
+            parens += 1 if paren == "(" else -1
+        elif m.group(0).startswith("module") and not named:
+            pending = None  # module type: its vals are not exports
+        elif named:
+            inside = None not in stack
+            if alias_to and inside:
+                aliases[tuple(stack) + (named,)] = split(alias_to)
+            pending = (named, parens) if inside and not alias_to else None
+        elif word == "sig":
+            # a sig inside a functor's parentheses is a parameter's
+            if pending and pending[1] == parens:
+                stack.append(pending[0])
+                pending = None
+            else:
+                stack.append(None)
+        elif word == "end":
+            if stack:
+                stack.pop()
+        elif word:
+            stack.append(None)
+        elif val:
+            pending = None
+            if None not in stack:
+                exports.append(tuple(stack) + (val,))
+    return exports, aliases
+
+
+class Project:
+    def __init__(self):
+        self.libs = set(libraries().values())
+        self.exports = []  # (path tuple, own .ml, whole module?)
+        self.aliases = {}  # interface aliases, full path -> target
+        self.modules = set()  # every known module path
+        for ml in sources(["lib"], ".ml"):
+            mod = module_name(ml)
+            self.modules.add((mod,))
+            if not os.path.exists(ml + "i"):
+                self.exports.append(((mod,), ml, True))
+                continue
+            values, aliases = interface(ml + "i")
+            for path in values:
+                self.exports.append(((mod,) + path, ml, False))
+                self.modules.update((mod,) + path[:k] for k in range(1, len(path)))
+            for path, target in aliases.items():
+                self.aliases[(mod,) + path] = target
+                self.modules.add((mod,) + path)
+
+    def resolve(self, parts, local, opens):
+        """The module path `parts` names in a file, or None."""
+        for _ in range(8):
+            if parts and parts[0] in local:
+                parts = local[parts[0]] + parts[1:]
+                continue
+            if parts and parts[0] in self.libs:
+                parts = parts[1:]
+            if not parts:
+                return None
+            if (parts[0],) not in self.modules:
+                base = next((o for o in opens if o + parts[:1] in self.modules), None)
+                if base is None:
+                    return None
+                parts = base + parts
+            for k in range(len(parts), 1, -1):
+                if parts[:k] in self.aliases:
+                    parts = self.aliases[parts[:k]] + parts[k:]
+                    break
+            else:
+                return parts
+        return None
+
+    def index(self, text):
+        """(value paths used, modules used, modules opened, bare names)."""
+        aliases = [(m.group(1), split(m.group(2))) for m in ALIAS.finditer(text)]
+        local = {name: target for name, target in aliases if target != (name,)}
+        opens = set()
+        for m in OPEN.finditer(text):
+            path = self.resolve(split(m.group(1) or m.group(2)), local, ())
+            if path:
+                opens.add(path)
+        values, modules = set(), set()
+        for m in VALUE_REF.finditer(text):
+            path = self.resolve(split(m.group(1)), local, opens)
+            if path:
+                values.add(path + (m.group(2),))
+        targets = [split(m.group(1)) for m in MODULE_REF.finditer(text)]
+        for parts in targets + [target for _, target in aliases]:
+            path = self.resolve(parts, local, opens)
+            if path:
+                modules.add(path[0])
+        modules.update(path[0] for path in opens)
+        bare = set(BARE.findall(text)) if opens else set()
+        return values, modules, opens, bare
+
+
+def unused(project):
+    """Exports with no production use, as `Module.value` / `Module`."""
+    files = {
+        p: project.index(code_only(open(p).read())) for p in sources(PRODUCTION, ".ml")
+    }
+
+    def uses(path, whole, index):
+        values, modules, opens, bare = index
+        if whole:
+            return path[0] in modules
+        return path in values or (path[:-1] in opens and path[-1] in bare)
+
     out = []
-    for mod, value, own in exported():
-        name = value if value else mod
-        word = re.compile(r"(?<![A-Za-z0-9_'])" + re.escape(name) + r"(?![A-Za-z0-9_'])")
-        if not any(word.search(text) for path, text in prod.items() if path != own):
-            out.append(f"{mod}.{value}" if value else mod)
+    for path, own, whole in project.exports:
+        if not any(uses(path, whole, ix) for p, ix in files.items() if p != own):
+            out.append(".".join(path))
     return out
 
 
 def main():
-    prod = {p: code_only(open(p).read()) for p in sources(PRODUCTION, ".ml")}
-    found = unused(prod)
+    project = Project()
+    found = unused(project)
     if "--list" in sys.argv[1:]:
         print("\n".join(found))
         return 0
@@ -118,7 +257,7 @@ def main():
                 print(f"export_gate: allowlist entry {key} gives no reason")
                 return 1
             allowed[key] = reason
-    exports = {f"{m}.{v}" if v else m for m, v, _ in exported()}
+    exports = {".".join(path) for path, _, _ in project.exports}
     unlisted = [k for k in found if k not in allowed]
     stale = sorted(k for k in allowed if k not in found)
     for k in unlisted:

@@ -48,13 +48,13 @@ let test_net_threshold () =
     ]
   in
   let layout = layout_of small in
-  let s = Net.run ~config:{ Net.default_config with Net.hot_threshold = 100 } layout in
+  let s = Net.run ~config:{ Net.hot_threshold = 100; max_blocks = 64 } layout in
   check Alcotest.int "cold loop builds nothing" 0 s.Stats.traces_constructed
 
 let test_net_length_cap () =
   let layout = layout_of hot_loop in
   let s =
-    Net.run ~config:{ Net.default_config with Net.max_blocks = 3 } layout
+    Net.run ~config:{ Net.hot_threshold = 50; max_blocks = 3 } layout
   in
   check Alcotest.bool "respects cap (avg length)" true
     (Stats.dynamic_trace_length s <= 3.0 +. 1e-9);
@@ -113,7 +113,14 @@ let test_replay_capped_recording_counts () =
   in
   let max_blocks = 3 in
   let t =
-    Replay.create ~config:{ Replay.default_config with Replay.max_blocks }
+    Replay.create
+      ~config:
+        {
+          Replay.promotion_run = 32;
+          history_bits = 6;
+          max_blocks;
+          min_blocks = 2;
+        }
       layout
   in
   for _ = 1 to max_blocks do

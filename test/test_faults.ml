@@ -58,32 +58,6 @@ let test_parse_bad () =
   raises "budget=-1";
   raises "quota=3"
 
-let test_catalogue () =
-  let codes = List.map fst Faults.catalogue in
-  List.iter
-    (fun c ->
-      check Alcotest.bool (c ^ " catalogued") true (List.mem c codes))
-    [ "FT001"; "FT002"; "FT003"; "FT004"; "FT005"; "FT006"; "FT007";
-      "FT008"; "FT901"; "FT902" ];
-  (* every kind's DSL name parses, in either spelling, and its code is
-     catalogued *)
-  List.iter
-    (fun (name, k) ->
-      List.iter
-        (fun spelling ->
-          check Alcotest.bool (spelling ^ " parses") true
-            (Faults.is_active (Faults.create ~seed:1 (spelling ^ "@0.1"))))
-        [ name; String.map (function '-' -> '_' | c -> c) name ];
-      check Alcotest.bool "code catalogued" true
-        (List.mem (Faults.code k) codes))
-    Faults.
-      [
-        ("corrupt-trace", Corrupt_trace); ("corrupt-instrs", Corrupt_instrs);
-        ("zero-counter", Zero_counter); ("saturate-counter", Saturate_counter);
-        ("drop-best", Drop_best); ("fail-install", Fail_install);
-        ("alloc-pressure", Alloc_pressure); ("guard-flip", Guard_flip);
-      ]
-
 (* a warm BCG + populated cache for the injector to corrupt *)
 let warm_targets () =
   let layout = Lazy.force layout in
@@ -113,6 +87,31 @@ let run_schedule ~seed ~ticks spec =
     log := List.rev_append fired !log
   done;
   List.rev !log
+
+let test_catalogue () =
+  let codes = List.map fst Faults.catalogue in
+  List.iter
+    (fun c ->
+      check Alcotest.bool (c ^ " catalogued") true (List.mem c codes))
+    [ "FT001"; "FT002"; "FT003"; "FT004"; "FT005"; "FT006"; "FT007";
+      "FT008"; "FT901"; "FT902" ];
+  (* every kind's DSL name parses, in either spelling, and the code its
+     injection reports is catalogued *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun spelling ->
+          check Alcotest.bool (spelling ^ " parses") true
+            (Faults.is_active (Faults.create ~seed:1 (spelling ^ "@0.1"))))
+        [ name; String.map (function '-' -> '_' | c -> c) name ];
+      match run_schedule ~seed:1 ~ticks:1 (name ^ "@1.0") with
+      | [ (code, _) ] ->
+          check Alcotest.bool "code catalogued" true (List.mem code codes)
+      | fired -> Alcotest.failf "%s fired %d times" name (List.length fired))
+    [
+      "corrupt-trace"; "corrupt-instrs"; "zero-counter"; "saturate-counter";
+      "drop-best"; "fail-install"; "alloc-pressure"; "guard-flip";
+    ]
 
 let test_determinism () =
   let spec = "corrupt-trace@0.1,zero-counter@0.2,drop-best@0.1,budget=16" in

@@ -230,6 +230,28 @@ let test_perf_other_version () =
       Alcotest.failf "malformed, not a version error: %s" msg
   | Ok _ -> Alcotest.fail "a document of another version was read"
 
+(* A (section, metric) pair named twice is refused, whether the copies
+   share a section or sit in two sections of one label: a diff would
+   read whichever copy it met first.  One name in two sections is two
+   pairs. *)
+let test_perf_pair_twice () =
+  let with_section label =
+    let run = perf_run [ count "deopts" 235.0 ] in
+    {
+      run with
+      Perf.sections =
+        run.Perf.sections @ [ { Perf.label; metrics = [ count "deopts" 1.0 ] } ];
+    }
+  in
+  let read run = Perf.of_string (Perf.to_string run) in
+  let malformed = function Error (Perf.Malformed _) -> true | _ -> false in
+  check Alcotest.bool "one section" true
+    (malformed (read (perf_run [ count "deopts" 235.0; count "deopts" 1.0 ])));
+  check Alcotest.bool "two sections of one label" true
+    (malformed (read (with_section "sec")));
+  check Alcotest.bool "two labels" true
+    (Result.is_ok (read (with_section "other")))
+
 let () =
   Alcotest.run "harness"
     [
@@ -261,5 +283,6 @@ let () =
           tc "added metric fails" `Quick test_perf_added_metric;
           tc "identical diffs clean" `Quick test_perf_identical;
           tc "another schema version fails" `Quick test_perf_other_version;
+          tc "a pair named twice fails" `Quick test_perf_pair_twice;
         ] );
     ]

@@ -32,6 +32,14 @@ let codes diags = List.map (fun d -> d.Diag.code) diags
 
 let has_code c diags = List.mem c (codes diags)
 
+(* The cache's findings, through the full sweep over an empty BCG, which
+   adds none of its own. *)
+let check_cache ?context cache =
+  let n_blocks = (Trace_cache.layout cache).Cfg.Layout.n_blocks in
+  Invariants.check_all ?context Config.default
+    ~bcg:(Bcg.create Config.default ~n_blocks ~on_signal:ignore)
+    ~cache
+
 let debug_config = Config.make ~debug_checks:true ()
 
 (* --------------------------------------------------------------- *)
@@ -107,7 +115,7 @@ let warm_engine () =
 
 (* The engine's full sweep: the BCG, then the cache. *)
 let sweep engine bcg =
-  Invariants.check_all (Engine.config engine) ~bcg ~cache:(Engine.cache engine)
+  Invariants.check_all Config.default ~bcg ~cache:(Engine.cache engine)
 
 let find_node_with_edge bcg =
   let found = ref None in
@@ -160,11 +168,11 @@ let test_bad_trace_prob_fires_tl201 () =
   let layout = tiny_layout () in
   let cache = Trace_cache.create layout in
   ignore (install cache ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:1.5);
-  let diags = Invariants.check_cache Config.default cache in
+  let diags = check_cache cache in
   check Alcotest.bool "prob > 1 fires TL201" true (has_code "TL201" diags);
   let cache2 = Trace_cache.create layout in
   ignore (install cache2 ~first:0 ~blocks:[| 1; 2; 3 |] ~prob:0.5);
-  let diags2 = Invariants.check_cache Config.default cache2 in
+  let diags2 = check_cache cache2 in
   check Alcotest.bool "prob below threshold fires TL201" true
     (has_code "TL201" diags2)
 
@@ -177,14 +185,14 @@ let test_bad_trace_length_fires_tl209 () =
       (fun k -> (k + 1) mod layout.Cfg.Layout.n_blocks)
   in
   ignore (install cache ~first:0 ~blocks:too_long ~prob:1.0);
-  let diags = Invariants.check_cache Config.default cache in
+  let diags = check_cache cache in
   check Alcotest.bool "overlong trace fires TL209" true
     (has_code "TL209" diags);
   (* a single-block trace violates the minimum *)
   let cache2 = Trace_cache.create layout in
   ignore (install cache2 ~first:0 ~blocks:[| 1 |] ~prob:1.0);
   check Alcotest.bool "short trace fires TL209" true
-    (has_code "TL209" (Invariants.check_cache Config.default cache2))
+    (has_code "TL209" (check_cache cache2))
 
 let test_unrolled_transitions_fire_tl203 () =
   let layout = tiny_layout () in
@@ -194,14 +202,14 @@ let test_unrolled_transitions_fire_tl203 () =
     (install cache ~first:0
        ~blocks:[| 1; 2; 1; 2; 1; 2 |] ~prob:1.0);
   check Alcotest.bool "thrice-repeated transition fires TL203" true
-    (has_code "TL203" (Invariants.check_cache Config.default cache))
+    (has_code "TL203" (check_cache cache))
 
 (* every corruption finding is error severity and renders with its code *)
 let test_findings_render () =
   let layout = tiny_layout () in
   let cache = Trace_cache.create layout in
   ignore (install cache ~first:0 ~blocks:[| 1; 2 |] ~prob:2.0);
-  let diags = Invariants.check_cache ~context:"seeded" Config.default cache in
+  let diags = check_cache ~context:"seeded" cache in
   check Alcotest.bool "errors" true (Diag.has_errors diags);
   List.iter
     (fun d ->

@@ -220,7 +220,10 @@ let test_parser_values () =
   bad "{";
   bad "[1,]";
   bad "1 trailing";
-  bad "\"unterminated"
+  bad "\"unterminated";
+  (* a literal that overflows a float is not read as infinity *)
+  bad "1e400";
+  bad "[-1e400]"
 
 (* ------------------------------------------------------------------ *)
 (* decoders under byte mutation                                         *)

@@ -214,7 +214,7 @@ let model cache =
       Hashtbl.replace m (first, head) tr);
   m
 
-let agree cache ~step =
+let agree cache ~session ~step =
   let l = Trace_cache.layout cache in
   let m = model cache in
   if Hashtbl.length m <> Trace_cache.n_live cache then
@@ -239,7 +239,7 @@ let agree cache ~step =
           step first head;
       let bump =
         match expected with
-        | Some tr when tr.Trace.owner <> Trace_cache.session cache -> 1
+        | Some tr when tr.Trace.owner <> session -> 1
         | _ -> 0
       in
       if Trace_cache.n_cross_entries cache - before <> bump then
@@ -248,7 +248,7 @@ let agree cache ~step =
     done
   done
 
-let apply cache ~fresh ~events ~counts op =
+let apply cache ~session ~fresh ~events ~counts op =
   let c = !cache in
   match op with
   | Install (first, blocks) ->
@@ -286,7 +286,7 @@ let apply cache ~fresh ~events ~counts op =
             corrupted := true);
       if not !corrupted then begin
         let next = fresh () in
-        Trace_cache.set_session next (Trace_cache.session c);
+        Trace_cache.set_session next !session;
         ignore
           (Trace_cache.restore next ~events ~counts (Trace_cache.snapshot c));
         cache := next
@@ -296,7 +296,9 @@ let apply cache ~fresh ~events ~counts op =
       | Some tr when tr.Trace.blocks.(0) >= 0 ->
           tr.Trace.blocks.(0) <- -1 - tr.Trace.blocks.(0)
       | _ -> ())
-  | Session s -> Trace_cache.set_session c s
+  | Session s ->
+      session := s;
+      Trace_cache.set_session c s
 
 let prop_index_agrees =
   let l = Lazy.force layout in
@@ -317,11 +319,13 @@ let prop_index_agrees =
       in
       let fresh () = Trace_cache.create ~max_traces ~eviction_policy l in
       let cache = ref (fresh ()) in
+      (* the session last announced, as the cache starts: 0 *)
+      let session = ref 0 in
       let events, counts = decider () in
       List.iteri
         (fun i op ->
-          apply cache ~fresh ~events ~counts op;
-          agree !cache ~step:(Printf.sprintf "step %d (%s)" i (show_op op)))
+          apply cache ~session ~fresh ~events ~counts op;
+          agree !cache ~session:!session ~step:(Printf.sprintf "step %d (%s)" i (show_op op)))
         ops;
       true)
 

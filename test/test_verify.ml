@@ -164,10 +164,14 @@ let test_virtual_without_receiver () =
   in
   Alcotest.check_raises "verifier" (Verify.Invalid expected) (fun () ->
       Verify.verify_program p);
-  Alcotest.(check (list string))
-    "collected"
-    [ Verify.error_to_string expected ]
-    (List.map Verify.error_to_string (Verify.verify_program_all p))
+  let error =
+    Alcotest.testable
+      (fun ppf (e : Verify.error) ->
+        Format.fprintf ppf "%s at pc %d: %s" e.method_name e.pc e.message)
+      ( = )
+  in
+  Alcotest.(check (list error))
+    "collected" [ expected ] (Verify.verify_program_all p)
 
 let test_workloads_verify () =
   List.iter
