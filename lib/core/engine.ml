@@ -1,46 +1,27 @@
 module Layout = Cfg.Layout
 module Interp = Vm.Interp
 
-(* The complete system: the VM's block-dispatch stream drives the profiler;
-   profiler signals drive trace reconstruction; and the trace cache overlays
-   trace dispatch onto the stream.
+(* The complete system (engine.mli describes the model): the VM's
+   block-dispatch stream drives the profiler, profiler signals drive
+   trace reconstruction, and the trace cache overlays trace dispatch
+   onto the stream.  One record, [t], holds the dispatch state, and
+   [create] picks the dispatch path [observer] hands the VM:
 
-   One record, [t], holds the dispatch state, and one function,
-   [on_block], is the dispatch loop's body.  Each observed block is
-   dispatched under one of three backend kinds, picked from the Health
-   ladder —
+   - the paper's path, where nothing optional can act: [paper_follow]
+     for the [Trace] kind, [paper_profile] for [Profile].  It runs the
+     profiler hook, the cache lookup, the pins and the recorder and
+     tests nothing else; an interior block of a followed trace is one
+     gid compare and an index bump.
+   - the general path, [general_on_block], for every other
+     configuration: the Health ladder's re-selection of the kind, OSR,
+     fault flips, self-healing, the compiled tier and the invariant
+     sweep.  The kinds differ only in how a block outside any trace is
+     dispatched ([step] and [deopt_resume], one [match] each).
 
-     Full_tracing  + build_traces -> Trace
-     Full_tracing  (no traces)    -> Profile
-     Profiling_only               -> Profile
-     Interp_only                  -> Interp
-
-   so walking the degradation ladder IS switching backends.  The kinds
-   differ only in how a block outside any trace is dispatched ([step]
-   and [deopt_resume], one [match] each); trace construction, entry,
-   following and exit, the ladder walk and the invariant sweep are
-   shared.  The compiled micro-IR tier (Config.tier_enabled) is part of
-   trace dispatch, so it rides the top rung only.  A backend can also be
-   pinned at creation (tests, the `repro_cli backends` inspection
-   command), in which case the ladder still runs its accounting but
-   never changes the kind.
-
-   Dispatch accounting mirrors the modified SableVM:
-
-   - a block dispatched outside any trace executes the profiler hook and
-     counts as one block dispatch;
-   - a dispatch that enters a trace executes the hook once and counts as
-     one *trace* dispatch; the blocks the trace then executes internally
-     are inlined — no dispatch, no hook;
-   - when execution diverges from the trace (side exit) or the trace
-     completes, the profiler context is resynchronized to the last two
-     executed blocks and normal dispatching resumes.
-
-   Every counter the engine advances — OSR's, the ladder's, its cache
-   decisions' — lives in [counts]; [counters] adds Profiler's and Bcg's.
-   Because every kind observes the same stream and tracing is a pure
-   overlay, the VM's results are bit-identical under any backend, any
-   ladder schedule and any fault schedule. *)
+   Both paths enter traces through [enter] and leave them through
+   [finish_completed] and [finish_partial], which bump every counter
+   and emit every event, so a run's counters, stream, ledger and
+   recorder window do not depend on the path. *)
 
 type backend_kind = Interp | Profile | Trace
 
@@ -61,6 +42,11 @@ let select config (level : Health.level) : backend_kind =
   | Health.Full_tracing ->
       if Config.build_traces config then Trace else Profile
 
+(* The dispatch paths: the paper's, for the [Trace] or the [Profile]
+   kind, or the general one, re-selecting the kind from the ladder or
+   pinned to the kind given at creation. *)
+type path = Paper_trace | Paper_profile | Ladder | Pinned
+
 type t = {
   config : Config.t;
   layout : Layout.t;
@@ -71,36 +57,27 @@ type t = {
   health : Health.t;
   faults : Faults.t;
   osr : Osr.t option; (* None = on-stack replacement off *)
-  (* deep observability: the flight recorder *)
   flightrec : Flightrec.t option;
-    (* the always-on black box (None only when
-       Config.flightrec_capacity = 0); dump triggers fire here, the
-       intake is wired through the event tap *)
-  counts : Stats.t;
-    (* the counters the engine advances, in place; [counters] fills in
-       the ones other modules own when it copies them out *)
-  on_path : int -> unit;
-    (* the builder's walk observer: each candidate path it walks is one
-       [Path_walked] event *)
+    (* the black box (None when Config.flightrec_capacity = 0), fed by
+       the event tap; dump triggers fire here *)
+  counts : Stats.t; (* the counters the engine advances, in place *)
+  on_path : int -> unit; (* the builder's walk observer: [Path_walked] *)
   fail_install : unit -> bool;
-    (* the builder's install gate: an FT006 failure this engine's
-       injector armed fails this engine's next installation, whichever
-       cache it shares *)
+    (* the builder's install gate: this engine's armed FT006 failure *)
   mutable completed_ids : Bytes.t;
     (* by trace id: '\001' once this engine completed the trace *)
   mutable restored : int; (* traces rebound by [restore] *)
-  (* trace execution state *)
-  mutable active : Trace.t option;
-  mutable active_compiled : bool;
-    (* the active trace was entered on the compiled tier
-       (Config.tier_enabled): its exit accounts the positions it
-       matched as the micro-ops its lowered body dispatches there.  Set
-       at every entry with the tier armed; read only while [active] is
-       set or by the exit that clears it *)
   mutable active_pos : int;
-    (* index of the next expected block: the positions matched so far.
-       The guards checked and the instructions matched are folded in
-       from it when the trace ends *)
+    (* index of the next expected block of the active trace: the
+       positions matched so far, folded into the counters at its exit;
+       0 = no trace *)
+  mutable active : Trace.t;
+    (* the active trace; after an exit, the last one followed
+       (Trace.none before the first).  Only an entry of another trace
+       writes it, so re-entering a loop trace writes no pointer *)
+  mutable active_compiled : bool;
+    (* the active trace was entered on the compiled tier: its exit
+       accounts the positions it matched as micro-ops *)
   (* last two blocks actually executed, traces included *)
   mutable prev : Layout.gid;
   mutable prev2 : Layout.gid;
@@ -111,10 +88,14 @@ type t = {
     (* re-entrancy guard: healing a node rechecks it, which can signal
        the builder, whose construction boundary would sweep again *)
   (* backend selection *)
-  pinned : bool; (* backend forced at creation: never re-selected *)
+  path : path; (* the dispatch path [create] chose *)
   mutable kind : backend_kind;
   mutable kind_level : Health.level; (* level [kind] was selected from *)
 }
+
+(* The trace being followed, or Trace.none: every reader outside the
+   dispatch functions goes through here. *)
+let active t = if t.active_pos > 0 then t.active else Trace.none
 
 (* The engine's dispatch clock: the cache clock and the event stream's
    timestamp base alike. *)
@@ -141,12 +122,9 @@ let note_executed t g =
   t.prev <- g
 
 (* Compiled-tier accounting for the positions [0, upto) of a trace
-   entered on the compiled tier: what the micro-IR dispatch loop would
-   have dispatched there versus the source instructions trace dispatch
-   ran.  Added into [c] when the trace ends, as the guards are, and by
-   [counters] for the trace still in flight.  Exact: a followed trace is
-   pinned, and a pinned trace is never demoted, evicted or quarantined,
-   so [tr.lowered] is still the body it was entered with. *)
+   entered on the compiled tier, added into [c] when the trace ends and
+   by [counters] for the trace in flight.  Exact: a followed trace is
+   pinned, so never demoted, and [tr.lowered] is the body entered. *)
 let account_compiled (c : Stats.t) (tr : Trace.t) upto =
   match tr.Trace.lowered with
   | None -> ()
@@ -184,9 +162,7 @@ let apply_health t (transition : Health.transition) =
         fr_trigger t Flightrec.Degraded;
       if from_level = Health.Interp_only then Profiler.reset t.profiler
 
-(* ------------------------------------------------------------------ *)
-(* trace exit and deoptimization                                        *)
-(* ------------------------------------------------------------------ *)
+(* ---- trace exit and deoptimization --------------------------------- *)
 
 (* Count [tr] among the static traces at this engine's first completion
    of it (the trace may be shared, the mark is this engine's). *)
@@ -201,11 +177,13 @@ let note_static t (tr : Trace.t) =
     c.Stats.static_blocks <- c.Stats.static_blocks + Trace.n_blocks tr
   end
 
-(* Clear the trace execution state. *)
-let leave t = t.active <- None
+(* The compiled tier's part of a trace exit after [upto] positions: the
+   general path runs it before either exit below. *)
+let exit_compiled t (tr : Trace.t) upto =
+  if t.active_compiled then account_compiled t.counts tr upto
 
 (* End the active trace after a completion: every position past the
-   entry was a guard that held. *)
+   entry was a guard that held.  Leaving writes no pointer. *)
 let finish_completed t (tr : Trace.t) =
   t.just_completed <- true;
   note_static t tr;
@@ -214,8 +192,7 @@ let finish_completed t (tr : Trace.t) =
   c.Stats.traces_completed <- c.Stats.traces_completed + 1;
   c.Stats.completed_blocks <- c.Stats.completed_blocks + Trace.n_blocks tr;
   c.Stats.completed_instrs <- c.Stats.completed_instrs + tr.Trace.total_instrs;
-  if t.active_compiled then account_compiled c tr (Trace.n_blocks tr);
-  leave t;
+  t.active_pos <- 0;
   Trace_cache.unpin t.cache tr;
   Events.emit_trace_completed t.events ~trace_id:tr.Trace.id
     ~n_blocks:(Trace.n_blocks tr) ~n_instrs:tr.Trace.total_instrs;
@@ -223,10 +200,9 @@ let finish_completed t (tr : Trace.t) =
      trace's final branch *)
   Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
 
-(* End the active trace after a side exit; the mismatching block has not
-   been processed yet.  [guards] is the number of guards checked, the
-   failed one included.  The matched instructions are summed from the
-   trace's live per-block counts, as trace dispatch ran them. *)
+(* End the active trace after a side exit, before the mismatching block
+   is processed.  [guards] counts the failed one; the matched
+   instructions are summed from the trace's live per-block counts. *)
 let finish_partial t (tr : Trace.t) ~guards =
   t.just_completed <- false;
   let c = t.counts in
@@ -238,20 +214,17 @@ let finish_partial t (tr : Trace.t) ~guards =
   c.Stats.guards_checked <- c.Stats.guards_checked + guards;
   c.Stats.partial_blocks <- c.Stats.partial_blocks + at;
   c.Stats.partial_instrs <- c.Stats.partial_instrs + !matched_instrs;
-  if t.active_compiled then account_compiled c tr at;
-  leave t;
+  t.active_pos <- 0;
   Trace_cache.unpin t.cache tr;
   Events.emit_side_exit t.events ~trace_id:tr.Trace.id ~at_block:at
     ~matched_instrs:!matched_instrs;
   Profiler.resync t.profiler ~x:t.prev2 ~y:t.prev
 
-(* OSR deoptimization: abandon the active trace at the current position
-   and resume block dispatch at [resume].  A deopt *is* a side exit plus
-   a state-equivalence proof: [finish_partial] does the exit bookkeeping
-   (side-exit event, profiler resync, unpin), and the proof obligation —
-   the materialized interpreter continuation already sits at the block
-   dispatch resumes at, because the overlay never moved it — is checked
-   against the live handle (TL219 on mismatch). *)
+(* OSR deoptimization: abandon the active trace here and resume block
+   dispatch at [resume].  A deopt is a side exit ([finish_partial]) plus
+   a proof that the materialized interpreter continuation already sits
+   at [resume], because the overlay never moved it (TL219 on
+   mismatch). *)
 let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
   let c = t.counts in
   let at = t.active_pos in
@@ -267,6 +240,9 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
       if not ok then begin
         c.Stats.osr_state_mismatches <- c.Stats.osr_state_mismatches + 1;
         if Config.debug_checks t.config then begin
+          let at_block =
+            Option.fold ~none:"<stopped>" ~some:string_of_int m.Interp.m_block
+          in
           note_violation t;
           Events.emit t.events
             (Events.Invariant_violation
@@ -277,10 +253,7 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
                    Printf.sprintf
                      "trace %d: deopt at position %d resumes at block %d \
                       but the interpreter materialized at %s"
-                     tr.Trace.id at resume
-                     (match m.Interp.m_block with
-                     | Some b -> string_of_int b
-                     | None -> "<stopped>");
+                     tr.Trace.id at resume at_block;
                });
           fr_trigger t Flightrec.Invariant
         end
@@ -292,6 +265,7 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
     | Osr.Condemned -> at - 1
     | Osr.Guard_failure | Osr.Guard_flip -> at
   in
+  exit_compiled t tr at;
   finish_partial t tr ~guards;
   c.Stats.deopts <- c.Stats.deopts + 1;
   c.Stats.deopt_residue_blocks <-
@@ -306,34 +280,26 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
          reason = Osr.reason_to_string reason;
        })
 
-(* Mid-flight cut-over: deoptimize the currently executing trace (a
-   sweep is condemning it).  Between dispatches there is no mismatching
-   block to resume at; the resume point is wherever the interpreter
-   materializes (-1 when no handle is attached), and the next observed
-   block goes through the normal dispatch path. *)
+(* Mid-flight cut-over of the executing trace a sweep condemns.  Between
+   dispatches no block mismatched, so resume wherever the interpreter
+   materializes (-1 with no handle). *)
 let deopt_active t ~reason =
-  match (t.active, t.osr) with
-  | Some tr, Some osr ->
+  match t.osr with
+  | Some osr when active t != Trace.none ->
       let resume =
         match Osr.materialized osr with
         | Some m -> ( match m.Interp.m_block with Some b -> b | None -> -1)
         | None -> -1
       in
-      deopt t osr tr ~resume ~reason
+      deopt t osr t.active ~resume ~reason
   | _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* the invariant sweep                                                  *)
-(* ------------------------------------------------------------------ *)
+(* ---- the invariant sweep ------------------------------------------- *)
 
-(* Run the invariant sweep (Config.debug_checks): count every finding and
-   publish it on the stream.  Called at trace-construction and decay
-   boundaries, never on the plain dispatch path.
-
-   Under Config.self_heal the sweep also repairs what it found: flagged
-   BCG nodes are healed in place (losing corrupted history, keeping the
-   node profiling), flagged traces are quarantined, and the whole sweep
-   counts as one strike against the health ladder. *)
+(* The invariant sweep (Config.debug_checks), at trace-construction and
+   decay boundaries: count and publish every finding.  Under self-heal
+   it also heals flagged BCG nodes in place, quarantines flagged traces
+   and strikes the health ladder once. *)
 let debug_sweep t =
   if t.in_debug_sweep then ()
   else begin
@@ -372,17 +338,12 @@ let debug_sweep t =
           | Analysis.Diag.Trace_loc { trace_id } ->
               if not (Hashtbl.mem condemned trace_id) then begin
                 Hashtbl.replace condemned trace_id ();
-                (* OSR mid-flight cut-over: when the flagged trace is
-                   the one being executed right now, deoptimize first —
-                   block dispatch resumes at the materialized state, the
-                   execution pin drops, and the quarantine below is not
-                   refused.  Without OSR the pin refuses the quarantine
-                   and a later sweep (or dispatch validation) condemns
-                   the trace once it has exited. *)
-                (match t.active with
-                | Some a when a.Trace.id = trace_id ->
-                    deopt_active t ~reason:Osr.Condemned
-                | _ -> ());
+                (* OSR mid-flight cut-over: deoptimize the flagged trace
+                   if it is executing, so its pin drops and the
+                   quarantine below is not refused.  Without OSR the pin
+                   refuses it, and a later sweep condemns the trace. *)
+                if (active t).Trace.id = trace_id then
+                  deopt_active t ~reason:Osr.Condemned;
                 (* quarantine by the trace's live entry binding *)
                 let entry = ref None in
                 Trace_cache.iter_entries t.cache (fun ~first ~head tr ->
@@ -402,21 +363,17 @@ let debug_sweep t =
     t.in_debug_sweep <- false
   end
 
-(* ------------------------------------------------------------------ *)
-(* counters and the dispatch prologue                                   *)
-(* ------------------------------------------------------------------ *)
+(* ---- counters and the dispatch prologue ---------------------------- *)
 
-(* The counters, filled in: a copy of the engine's own record plus, in
-   this one place, the counters other modules own and what the active
-   trace has checked and matched so far (its exit counts them): its
-   guards and, on the compiled tier, its positions' micro-ops. *)
+(* A copy of the engine's counters plus, in this one place, those other
+   modules own and what the active trace's exit will count so far. *)
 let counters t : Stats.t =
   let s = Stats.copy t.counts in
-  (match t.active with
-  | Some tr ->
-      s.Stats.guards_checked <- s.Stats.guards_checked + t.active_pos - 1;
-      if t.active_compiled then account_compiled s tr t.active_pos
-  | None -> ());
+  let tr = active t in
+  if tr != Trace.none then begin
+    s.Stats.guards_checked <- s.Stats.guards_checked + t.active_pos - 1;
+    if t.active_compiled then account_compiled s tr t.active_pos
+  end;
   let bcg = Profiler.bcg t.profiler in
   s.Stats.signals <- Profiler.signals t.profiler;
   s.Stats.ic_predictions <- Profiler.predictions t.profiler;
@@ -456,10 +413,9 @@ let sample t =
     | None -> [])
   @ [ ("ledger_records", Ledger.length t.ledger) ]
 
-(* The dispatch prologue every kind runs first: every [snapshot_period]
-   dispatches publish a phase snapshot stamped with this dispatch's
-   1-based index, and when the self-healing or fault machinery is armed
-   advance the cache clock and the fault injector. *)
+(* The general path's prologue: every [snapshot_period] dispatches a
+   phase snapshot stamped with this dispatch's 1-based index; under
+   self-healing or faults, the cache clock and the fault injector. *)
 let prologue t =
   let period = Config.snapshot_period t.config in
   if period > 0 then begin
@@ -478,17 +434,13 @@ let prologue t =
         c.Stats.faults_injected <- c.Stats.faults_injected + 1;
         Events.emit t.events (Events.Fault_injected { code; detail }))
       (Faults.tick t.faults ~now ~bcg:(Profiler.bcg t.profiler) ~cache:t.cache
-         ~events:t.events ~counts:c ~active:t.active)
+         ~events:t.events ~counts:c)
   end
 
-(* ------------------------------------------------------------------ *)
-(* trace construction                                                   *)
-(* ------------------------------------------------------------------ *)
+(* ---- trace construction -------------------------------------------- *)
 
-(* Every trace construction, from a profiler signal or an OSR
-   promotion, ends here: fold the builder's outcome into the counters
-   and, when [sweep] holds, run the invariant sweep at the construction
-   boundary. *)
+(* Every trace construction ends here: fold the builder's outcome into
+   the counters and, when [sweep] holds, run the invariant sweep. *)
 let note_build t (o : Trace_builder.outcome) ~sweep =
   let c = t.counts in
   c.Stats.traces_constructed <-
@@ -507,20 +459,16 @@ let on_signal t signal =
          signal)
       ~sweep:true
 
-(* Feed one outside-trace dispatch of [g] to OSR hot-loop detection;
-   None when OSR is off.  With [promote = false] the heat saturates at
-   the threshold instead of firing, so it survives until trace dispatch
-   can act on the crossing. *)
+(* Feed one outside-trace dispatch of [g] to OSR hot-loop detection
+   (None when OSR is off); [promote = false] saturates the heat. *)
 let hot_loop t g ~promote =
   match t.osr with
   | Some osr -> Osr.observe_header osr g ~promote
   | None -> None
 
-(* OSR mid-loop promotion: a hot header crossed its threshold while we
-   were dispatching blocks — build its loop trace immediately, so the
-   very next latch->header transition enters it.  The construction
-   boundary sweeps only when a trace was built.  Returns whether a trace
-   was installed. *)
+(* OSR mid-loop promotion: build a hot header's loop trace now, so the
+   next latch->header transition enters it.  Returns whether a trace
+   was installed; the sweep runs only when one was built. *)
 let promote_loop t (osr : Osr.t) header ~hotness =
   let outcome, installed =
     Trace_builder.promote ~events:t.events ~counts:t.counts
@@ -549,20 +497,13 @@ let poll_promote t g =
       | Some hotness -> promote_loop t osr g ~hotness
       | None -> false)
 
-(* ------------------------------------------------------------------ *)
-(* trace entry                                                          *)
-(* ------------------------------------------------------------------ *)
+(* ---- trace entry --------------------------------------------------- *)
 
-(* The compiled tier's part of a trace entry (Config.tier_enabled).  The
-   tier cost model runs first (Tier.maybe_compile): a trace hot enough —
-   its entry's use count crossed [compile_after] — is lowered to
-   micro-IR, demoting the coldest compiled trace when the
-   [compile_budget] is full.  Entering a trace that holds a lowered body
-   sets [active_compiled], and the trace's exit accounts every position
-   it matched as the micro-ops the body dispatches there.  The VM runs
-   the same bytecode whichever tier a trace is on, so results stay
-   bit-identical with the tier on or off; what changes is the
-   dispatch-cost model the run is priced under. *)
+(* The compiled tier's part of a trace entry (Config.tier_enabled): the
+   tier cost model (Tier.maybe_compile) lowers a hot enough trace to
+   micro-IR, and entering a trace that holds a lowered body sets
+   [active_compiled], so its exit accounts the positions it matched as
+   micro-ops.  The VM runs the same bytecode on either tier. *)
 let enter_compiled t (tr : Trace.t) =
   (* the lookup that produced [tr] just heated its entry, so the cost
      model sees the use count including this dispatch *)
@@ -573,27 +514,22 @@ let enter_compiled t (tr : Trace.t) =
   c.Stats.traces_compiled <- c.Stats.traces_compiled + compiled;
   c.Stats.tier_demotions <- c.Stats.tier_demotions + demoted;
   let entered_compiled = tr.Trace.lowered <> None in
-  if entered_compiled then
+  if entered_compiled then begin
     c.Stats.compiled_entries <- c.Stats.compiled_entries + 1;
+    (* a single-block trace completes at its entry: account it here *)
+    if Trace.n_blocks tr = 1 then account_compiled c tr 1
+  end;
   t.active_compiled <- entered_compiled
 
-(* Enter a trace the dispatch lookup produced: pin it, count the trace
-   dispatch, run the single profiler hook and start following (a
-   single-block trace completes immediately).  [hit] is the lookup's
-   [Some tr], the cache binding's own: following the trace stores it as
-   [active] rather than allocating another. *)
-let enter t ~hit (tr : Trace.t) g =
-  if Config.tier_enabled t.config then enter_compiled t tr;
+(* Enter a trace the dispatch lookup produced, on either path: pin it,
+   count the trace dispatch, run the single profiler hook and start
+   following (a single-block trace completes immediately). *)
+let enter t (tr : Trace.t) g =
   (* executing traces are pinned against eviction and quarantine for the
      duration of the dispatch; finish_completed/finish_partial unpin *)
   Trace_cache.pin t.cache tr;
   let c = t.counts in
   c.Stats.traces_entered <- c.Stats.traces_entered + 1;
-  (* the first entry of the latest promoted trace is an OSR entry taken *)
-  (match t.osr with
-  | Some osr when Osr.take_armed osr ~trace_id:tr.Trace.id ->
-      c.Stats.osr_entries <- c.Stats.osr_entries + 1
-  | _ -> ());
   let chained = t.just_completed in
   if chained then c.Stats.chained_entries <- c.Stats.chained_entries + 1;
   t.just_completed <- false;
@@ -605,19 +541,26 @@ let enter t ~hit (tr : Trace.t) g =
     (* degenerate single-block trace: completes immediately *)
     finish_completed t tr
   else begin
-    t.active <- hit;
+    if t.active != tr then t.active <- tr;
     t.active_pos <- 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* dispatch outside a trace                                             *)
-(* ------------------------------------------------------------------ *)
+(* The general path's entry: the tier, then OSR's entry count, then
+   [enter]. *)
+let enter_general t (tr : Trace.t) g =
+  if Config.tier_enabled t.config then enter_compiled t tr;
+  (* the first entry of the latest promoted trace is an OSR entry taken *)
+  (match t.osr with
+  | Some osr when Osr.take_armed osr ~trace_id:tr.Trace.id ->
+      t.counts.Stats.osr_entries <- t.counts.Stats.osr_entries + 1
+  | _ -> ());
+  enter t tr g
 
-(* Validate a trace the dispatch lookup produced, before entering it.
-   Returns the code of the first violated invariant, or None when the
-   trace is sound.  The binding key is checked first (a corrupted head
-   block desynchronizes it), then the full TL2xx battery over the trace
-   body — the cost self-healing pays per trace dispatch. *)
+(* ---- the general path: dispatch outside a trace ------------------ *)
+
+(* Self-healing's check of a looked-up trace before entry: the code of
+   the first violated invariant (the binding key, then the TL2xx
+   battery over the body), or None. *)
 let validate_dispatch t (tr : Trace.t) ~prev ~cur : string option =
   let f, h = Trace.entry_key tr in
   if f <> prev || h <> cur then Some "TL202"
@@ -649,12 +592,11 @@ let credit_clean t =
 let trace_dispatch t g =
   let self_heal = Config.self_heal t.config in
   let hit = Trace_cache.lookup t.cache ~prev:t.prev ~cur:g in
-  (* hot-loop heat accumulates only on uncovered dispatches: a loop
-     already running under trace dispatch has nothing to promote, and a
-     loop that loses coverage (eviction, quarantine) starts re-heating
-     the moment its header misses again.  When the miss that crossed the
-     threshold is itself the latch->header transition, the freshly
-     promoted trace is entered by this very dispatch. *)
+  (* hot-loop heat accumulates only on misses: a loop running under
+     trace dispatch has nothing to promote, and one that loses coverage
+     re-heats at its next miss.  When the miss that crossed the
+     threshold is the latch->header transition, this very dispatch
+     enters the freshly promoted trace *)
   let hit =
     match hit with
     | Some _ -> hit
@@ -678,24 +620,19 @@ let trace_dispatch t g =
     | _ -> false
   in
   (match hit with
-  | Some tr when not condemned -> enter t ~hit tr g
+  | Some tr when not condemned -> enter_general t tr g
   | _ -> profiled_dispatch t g);
   if self_heal && not condemned then
     apply_health t (Health.clean_dispatch t.health)
 
-(* Process one block dispatched outside any trace: the decision that
+(* The general path's block outside any trace: the decision that
    distinguishes the kinds.
-
-   - Interp, the ladder's last resort (Health.Interp_only): not even the
-     profiler hook runs — the profiler only counts how much of the
-     stream it missed, so its branch context goes stale (apply_health
-     resets it on promotion back up).  Clean dispatches still feed the
-     ladder so the engine can probe its way back to profiling.
-   - Profile (Health.Profiling_only, and full tracing with
-     Config.build_traces off — the paper's Table VI configuration):
-     every block feeds the profiler and OSR header heat; the cache is
-     never consulted.  The profiler's signals still fire — trace
-     construction is [on_signal]'s business, gated on build_traces.
+   - Interp (Health.Interp_only): the profiler hook does not run, so its
+     branch context goes stale (apply_health resets it on promotion);
+     clean dispatches still feed the ladder.
+   - Profile (Health.Profiling_only, or build_traces off): the hook and
+     OSR header heat; the cache is never consulted, but signals still
+     reach [on_signal], which builds only under build_traces.
    - Trace (Health.Full_tracing): [trace_dispatch]. *)
 let step t g =
   prologue t;
@@ -712,11 +649,9 @@ let step t g =
   | Trace -> trace_dispatch t g
 
 (* OSR exit point: the block dispatch execution resumes at after a
-   deoptimization.  It never consults the trace cache — the engine just
-   abandoned a trace at this block, and re-entering one at the deopt
-   transition would defeat the resume — so under Interp and Profile it
-   is their ordinary [step], and under Trace a profiled dispatch that
-   also skips the hot-loop poll. *)
+   deoptimization.  Re-entering a trace at the deopt transition would
+   defeat the resume, so under Trace it is a profiled dispatch without
+   the cache or the hot-loop poll. *)
 let deopt_resume t g =
   match t.kind with
   | Interp | Profile -> step t g
@@ -725,55 +660,52 @@ let deopt_resume t g =
       profiled_dispatch t g;
       credit_clean t
 
-(* ------------------------------------------------------------------ *)
-(* following a trace                                                    *)
-(* ------------------------------------------------------------------ *)
+(* ---- the general path: following a trace ------------------------- *)
 
-(* Follow the active trace, if any; a block outside every trace goes to
-   [step].  An active trace is followed to its end whatever the kind, so
-   a health-level change mid-trace does not cut it short.
-
-   A guard can fail two ways: organically ([g <> expected]) or because
-   an armed FT008 guard flip forces this position to fail.  Without OSR
-   both take the classic side exit — leave the trace, reprocess [g]
-   through the full dispatch path (it may enter another trace).  With
-   OSR both *deoptimize*: the engine proves the interpreter already sits
-   at [g] and resumes plain block dispatch there through
-   [deopt_resume], which never consults the trace cache. *)
+(* The general path's following: an active trace is followed to its
+   end whatever the kind; a block outside every trace goes to [step].
+   A guard fails organically or by an armed FT008 flip.  Without OSR
+   both take the side exit and reprocess [g] (it may enter another
+   trace); with OSR both deoptimize and resume at [g] through
+   [deopt_resume]. *)
 let rec follow t (g : Layout.gid) =
-  match t.active with
-  | None -> step t g
-  | Some tr ->
-      let expected = tr.Trace.blocks.(t.active_pos) in
-      let forced =
-        Faults.flip_now t.faults ~pos:t.active_pos ~n_blocks:(Trace.n_blocks tr)
-      in
-      if g = expected && not forced then begin
-        note_executed t g;
-        if t.active_pos = Trace.n_blocks tr - 1 then finish_completed t tr
-        else t.active_pos <- t.active_pos + 1
+  let pos = t.active_pos in
+  if pos = 0 then step t g
+  else begin
+    let tr = t.active in
+    let expected = tr.Trace.blocks.(pos) in
+    let forced = Faults.flip_now t.faults ~pos ~n_blocks:(Trace.n_blocks tr) in
+    if g = expected && not forced then begin
+      note_executed t g;
+      if pos = Trace.n_blocks tr - 1 then begin
+        exit_compiled t tr (pos + 1);
+        finish_completed t tr
       end
-      else begin
-        match t.osr with
-        | Some osr ->
-            (* deoptimize: abandon the residue, resume block dispatch at
-               the failing block *)
-            deopt t osr tr ~resume:g
-              ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
-            deopt_resume t g
-        | None ->
-            (* side exit: leave the trace, then process g normally (it
-               may itself enter another trace) *)
-            finish_partial t tr ~guards:t.active_pos;
-            follow t g
-      end
+      else t.active_pos <- pos + 1
+    end
+    else begin
+      match t.osr with
+      | Some osr ->
+          (* deoptimize: abandon the residue, resume block dispatch at
+             the failing block *)
+          deopt t osr tr ~resume:g
+            ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
+          deopt_resume t g
+      | None ->
+          (* side exit: leave the trace, then process g normally (it
+             may itself enter another trace) *)
+          exit_compiled t tr pos;
+          finish_partial t tr ~guards:pos;
+          follow t g
+    end
+  end
 
-(* The VM observer: re-select the backend if the ladder moved since the
-   last dispatch (a mid-dispatch transition therefore takes effect at
-   the next observed block), stamp the event clock, follow/step, then
-   check for a decay boundary. *)
-let on_block t (g : Layout.gid) =
-  if not t.pinned then begin
+(* The general path's VM observer: re-select the backend if the ladder
+   moved since the last dispatch (a mid-dispatch transition therefore
+   takes effect at the next observed block), stamp the event clock,
+   follow/step, then check for a decay boundary. *)
+let general_on_block t (g : Layout.gid) =
+  if t.path = Ladder then begin
     let level = Health.level t.health in
     if level <> t.kind_level then begin
       t.kind_level <- level;
@@ -798,9 +730,73 @@ let on_block t (g : Layout.gid) =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* life cycle                                                           *)
-(* ------------------------------------------------------------------ *)
+(* ---- the paper's path ---------------------------------------------- *)
+
+(* A block outside any trace: stamp the stream, then consult the cache
+   by the entering transition.  A hit is one trace dispatch, a miss one
+   profiled block dispatch.  An entry restamps the stream, so what the
+   trace's exit emits carries the index after it, as the general path's
+   stamp per block does. *)
+let paper_step t g =
+  Events.set_now t.events (total_dispatches t);
+  match Trace_cache.lookup t.cache ~prev:t.prev ~cur:g with
+  | Some tr ->
+      enter t tr g;
+      Events.set_now t.events (total_dispatches t)
+  | None -> profiled_dispatch t g
+
+(* The [Trace] kind's observer.  An interior block is one gid compare
+   and an index bump; [prev]/[prev2] are not kept per position but read
+   back from the body at the exit ([upto] positions matched, [upto >= 1];
+   with one, the entry's [note_executed] already set them).  The body
+   cannot change under a followed trace: faults are inert here, and
+   another Session member's faults spare pinned traces. *)
+let paper_follow t (g : Layout.gid) =
+  let pos = t.active_pos in
+  if pos = 0 then paper_step t g
+  else begin
+    let tr = t.active in
+    let blocks = tr.Trace.blocks in
+    (* 0 < pos < Array.length blocks while a trace is active *)
+    if g = Array.unsafe_get blocks pos then begin
+      if pos + 1 < Array.length blocks then t.active_pos <- pos + 1
+      else begin
+        t.prev2 <- Array.unsafe_get blocks (pos - 1);
+        t.prev <- g;
+        finish_completed t tr
+      end
+    end
+    else begin
+      if pos >= 2 then begin
+        t.prev2 <- Array.unsafe_get blocks (pos - 2);
+        t.prev <- Array.unsafe_get blocks (pos - 1)
+      end;
+      finish_partial t tr ~guards:pos;
+      paper_step t g
+    end
+  end
+
+(* The [Profile] kind's observer: the cache is never consulted. *)
+let paper_profile t g =
+  Events.set_now t.events (total_dispatches t);
+  profiled_dispatch t g
+
+(* The VM observer the engine's path installs: a caller that hands it to
+   the VM pays no test per block.  [on_block] is the same dispatch for a
+   caller feeding blocks one at a time. *)
+let observer t : Layout.gid -> unit =
+  match t.path with
+  | Paper_trace -> fun g -> paper_follow t g
+  | Paper_profile -> fun g -> paper_profile t g
+  | Ladder | Pinned -> fun g -> general_on_block t g
+
+let on_block t g =
+  match t.path with
+  | Paper_trace -> paper_follow t g
+  | Paper_profile -> paper_profile t g
+  | Ladder | Pinned -> general_on_block t g
+
+(* ---- life cycle ---------------------------------------------------- *)
 
 let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     ?backend (layout : Layout.t) : t =
@@ -855,6 +851,20 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
     | Some k -> (k, true)
     | None -> (select config (Health.level health), false)
   in
+  (* the paper's path where nothing optional can act; the ladder and
+     the kind then stay where they start *)
+  let path =
+    let paper =
+      (not (Config.osr_enabled config || Config.self_heal config))
+      && (not (Config.debug_checks config || Config.tier_enabled config))
+      && Config.snapshot_period config = 0
+      && not (Faults.is_active faults)
+    in
+    match kind with
+    | Trace when paper -> Paper_trace
+    | Profile when paper -> Paper_profile
+    | _ -> if pinned then Pinned else Ladder
+  in
   let t =
     {
       config;
@@ -874,15 +884,15 @@ let create ?(config = Config.default) ?(events = Events.create ()) ?cache
       fail_install = (fun () -> Faults.take_install_failure faults);
       completed_ids = Bytes.empty;
       restored = 0;
-      active = None;
-      active_compiled = false;
       active_pos = 0;
+      active = Trace.none;
+      active_compiled = false;
       prev = -1;
       prev2 = -1;
       just_completed = false;
       seen_decays = 0;
       in_debug_sweep = false;
-      pinned;
+      path;
       kind;
       kind_level = Health.level health;
     }
@@ -897,16 +907,19 @@ let profiler t = t.profiler
 
 let cache t = t.cache
 
-let active_trace t = t.active
-
 let health t = t.health
 
 let flightrec t = t.flightrec
 
 let ledger t = Some t.ledger
 
-let inflight_matched_blocks t =
-  match t.active with Some _ -> t.active_pos | None -> 0
+let active_trace t =
+  let tr = active t in
+  if tr == Trace.none then None else Some tr
+
+let inflight_matched_blocks t = t.active_pos
+
+let paper_path t = t.path = Paper_trace || t.path = Paper_profile
 
 let attach t (handle : Interp.handle) =
   match t.osr with
@@ -960,10 +973,8 @@ let restore t data : (restore_info, Persist.error) result =
           t.cache ~events:t.events ~counts:t.counts snap.Persist.cache_entries
       in
       t.restored <- t.restored + traces;
-      (* the compiled tier is derived state: snapshots persist heat, not
-         lowered bodies, so re-derive the compiled set from the restored
-         use counts (Tier.recompile_restored is a no-op with the tier
-         off) *)
+      (* snapshots persist heat, not lowered bodies: re-derive the
+         compiled set (a no-op with the tier off) *)
       let recompiled =
         Tier.recompile_restored t.config t.layout t.cache ~events:t.events
       in
@@ -1001,14 +1012,13 @@ let drive ?max_instructions t : run_result =
   (* drive through a handle (not Interp.run) so the OSR deopt checks can
      materialize the live continuation; bit-identical either way *)
   let handle =
-    Interp.start ?max_instructions t.layout ~on_block:(fun g -> on_block t g)
+    Interp.start ?max_instructions t.layout ~on_block:(observer t)
   in
   attach t handle;
   let vm_result = Interp.finish handle in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   { engine = t; vm_result; run_stats = stats t ~vm_result ~wall_seconds }
 
-(* Run a program under the full system. *)
 let run ?(config = Config.default) ?events ?max_instructions ?backend
     (layout : Layout.t) : run_result =
   drive ?max_instructions (create ~config ?events ?backend layout)

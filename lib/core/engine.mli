@@ -2,57 +2,45 @@
 
     The VM's block-dispatch stream drives the profiler; profiler signals
     drive trace reconstruction; and the trace cache overlays trace
-    dispatch onto the stream.
+    dispatch onto the stream.  Dispatch accounting mirrors the modified
+    SableVM: a block dispatched outside any trace runs the profiler hook
+    and counts as one {e block dispatch}; a dispatch that enters a trace
+    runs the hook once and counts as one {e trace dispatch}, and the
+    trace's interior blocks are inlined (no dispatch, no hook); at a
+    side exit or completion the profiler context is resynchronized to
+    the last two executed blocks.  Tracing is a pure overlay: results
+    and instruction counts are identical with and without it.
 
-    One module owns the dispatch state, the dispatch function
-    ({!on_block}) and the engine's life cycle.  Each observed block is
-    dispatched under a {!backend_kind} picked from the {!Health} ladder
-    — [Full_tracing] maps to [Trace] (or [Profile] when
-    {!Config.build_traces} is off), [Profiling_only] to [Profile],
-    [Interp_only] to [Interp] — so walking the degradation ladder {e is}
-    switching backends ([Stats.backend_switches]).  The kinds differ
-    only in how a block outside any trace is dispatched; trace
-    construction, entry, following and exit, the ladder walk and the
-    invariant sweep are shared.  The compiled micro-IR tier
-    ({!Config.tier_enabled}) is part of trace dispatch, not a kind of
-    its own.  A backend can also be pinned at {!create}.
-
-    Dispatch accounting mirrors the modified SableVM:
-
-    - a block dispatched outside any trace executes the profiler hook and
-      counts as one {e block dispatch};
-    - a dispatch whose transition enters a trace executes the hook once
-      and counts as one {e trace dispatch}; the trace's interior blocks
-      are inlined — no dispatch, no hook;
-    - on a side exit or completion the profiler context is
-      resynchronized to the last two executed blocks and normal
-      dispatching resumes.
-
-    Tracing is a pure overlay: results and instruction counts are
-    identical with and without it.
+    {!create} picks one of two dispatch paths for the engine's life.
+    The paper's path ({!paper_path}) serves the configurations where
+    nothing optional can act: OSR, self-healing,
+    {!Config.debug_checks} and the compiled tier off,
+    {!Config.snapshot_period} 0, an inert fault schedule, and the
+    [Trace] or [Profile] kind.  It tests nothing but the trace it
+    follows.  Every other configuration takes the general path, where
+    each observed block is dispatched under a {!backend_kind} picked
+    from the {!Health} ladder — [Full_tracing] maps to [Trace] (or
+    [Profile] when {!Config.build_traces} is off), [Profiling_only] to
+    [Profile], [Interp_only] to [Interp] — so walking the degradation
+    ladder {e is} switching backends ([Stats.backend_switches]).  A
+    backend can also be pinned at {!create}.  Both paths count every
+    counter and emit every event in the same places.
 
     {2 Observing the engine}
 
     The engine type is abstract.  Its accounting is read through
     {!counters} (live) or, end-of-run, through {!stats}; its lifecycle
     is published on the [events] stream passed to {!create} or {!run},
-    the typed {!Events} stream every
-    component emits on ([Signal_raised], [Trace_constructed],
-    [Trace_entered], [Side_exit], [Trace_completed], [Trace_replaced],
-    [Decay_pass], [Path_walked], …).  Subscribe before driving the
-    engine; a run with no subscribers — the default, where only the
-    flight recorder and the ledger tap the stream — allocates nothing
-    per dispatch.  The stream is the one record of every per-event
-    observation: the engine keeps no histograms and no per-block
-    counts.  A distribution such as executed-trace length is a fold of
-    event fields ([Harness.Oracle]'s tally keeps five), and a block's
-    dispatches outside traces are its executions in a plain run minus
-    the positions the exit events inline.  With
-    [Config.snapshot_period] positive the engine also samples every
-    {!Stats.counters} entry (bar [instructions]) and its cache,
-    recorder and ledger state every [period] dispatches, and publishes
-    each sample as a [Phase_snapshot] event: the stream is the
-    phase-analysis time series. *)
+    the typed {!Events} stream every component emits on.  Subscribe
+    before driving the engine; a run with no subscribers — the default,
+    where only the flight recorder and the ledger tap the stream —
+    allocates nothing per dispatch.  The stream is the one record of
+    every per-event observation: the engine keeps no histograms and no
+    per-block counts ([Harness.Oracle]'s tally folds them from event
+    fields).  With [Config.snapshot_period] positive the engine also
+    samples every {!Stats.counters} entry (bar [instructions]) and its
+    cache, recorder and ledger state every [period] dispatches, as a
+    [Phase_snapshot] event. *)
 
 type t
 
@@ -89,32 +77,37 @@ val create :
     the backend follows the ladder. *)
 
 val on_block : t -> Cfg.Layout.gid -> unit
-(** The VM observer: feed one dispatched block.  Exposed so the engine
-    can be driven by any block stream (the baselines and tests do).
+(** Feed one dispatched block to the engine's dispatch path.  Exposed
+    so the engine can be driven by any block stream (the baselines and
+    tests do).
 
-    The backend is re-selected first when the ladder moved since the
-    last block.  An active trace is then followed to its end whatever
-    the kind; a block outside every trace is dispatched the way the
-    kind says.  Each followed position counts as one checked guard.  A
-    guard fails organically (mismatching block) or by an armed FT008
-    flip ({!Faults.flip_now}).  Without OSR both take the classic side
-    exit and reprocess the block through the full dispatch path; with
-    OSR both deoptimize and resume with a block dispatch that never
-    consults the trace cache.
+    An active trace is followed to its end whatever the kind; each
+    followed position counts as one checked guard.  On the general path
+    the backend is first re-selected when the ladder moved since the
+    last block.  A guard there fails organically (mismatching block) or
+    by an armed FT008 flip ({!Faults.flip_now}); without OSR both take
+    the classic side exit and reprocess the block through the full
+    dispatch path, with OSR both deoptimize and resume with a block
+    dispatch that never consults the trace cache.  A cache hit with
+    {!Config.tier_enabled} first runs the tier cost model
+    ([Tier.maybe_compile]); under self-healing every candidate trace is
+    validated before entry.  Every [period]-th dispatch
+    ({!Config.snapshot_period}) first publishes a [Phase_snapshot]
+    stamped with its 1-based index.  With {!Config.debug_checks} a
+    decay boundary, a profiler signal's trace construction and an OSR
+    promotion that built a trace run the invariant sweep: {!Invariants}
+    over the BCG and the cache, every finding counted and published.
+    Under self-healing the sweep heals flagged BCG nodes, quarantines
+    flagged traces (deoptimizing first when OSR is on and the flagged
+    trace is executing) and strikes the ladder. *)
 
-    Under [Trace], a cache hit enters the trace; with
-    {!Config.tier_enabled} the entry first runs the tier cost model
-    ([Tier.maybe_compile]).  Under self-healing every candidate trace is
-    validated before entry.  When {!Config.snapshot_period} is positive,
-    every [period]-th dispatch first publishes a [Phase_snapshot]
-    stamped with its 1-based index.  After the dispatch, a decay
-    boundary runs the invariant sweep when {!Config.debug_checks} is
-    on: {!Invariants} over the BCG and the cache, every finding counted
-    and published.  Under self-healing the sweep heals flagged BCG
-    nodes, quarantines flagged traces (deoptimizing first when OSR is on
-    and the flagged trace is executing) and strikes the ladder.  It also
-    runs after each profiler signal's trace construction and after an
-    OSR promotion that built a trace. *)
+val observer : t -> Cfg.Layout.gid -> unit
+(** The chosen path as the VM's [on_block] observer, with the path
+    resolved once: a caller that hands it to [Vm.Interp.start] pays no
+    test per block ({!drive} and [Session] do). *)
+
+val paper_path : t -> bool
+(** Whether {!create} chose the paper's dispatch path. *)
 
 val counters : t -> Stats.t
 (** Every counter as it stands now, in a fresh record that later
@@ -150,16 +143,12 @@ val health : t -> Health.t
 
 val flightrec : t -> Flightrec.t option
 (** The flight recorder (black box); [None] only when
-    [Config.flightrec_capacity] was 0 at creation.  Its intake taps
-    the event stream out of band, so an armed recorder does not count
-    as an event subscriber.  Install a dump sink with
-    [Flightrec.set_on_dump] to capture postmortems. *)
+    [Config.flightrec_capacity] was 0 at creation.  It taps the event
+    stream out of band: it is no subscriber. *)
 
 val ledger : t -> Ledger.t option
-(** The decision ledger, fed from the event tap it shares with the
-    flight recorder.  Always [Some]: every engine keeps one.  The option
-    type stays because existing readers (perfbench among them) match
-    on it. *)
+(** The decision ledger, fed from the event tap.  Always [Some]; the
+    option stays for the readers (perfbench) that match on it. *)
 
 val inflight_matched_blocks : t -> int
 (** Blocks matched so far by the currently active trace (0 when no trace

@@ -201,18 +201,14 @@ let pick t bound =
 
 (* Victim selection.  A currently dispatching trace is never a victim:
    corrupting it mid-flight would make the fault indistinguishable from an
-   interpreter bug.  Both this engine's [active] trace and any trace the
-   shared cache has pinned (another session member may be executing it)
-   are excluded. *)
+   interpreter bug.  Every executing trace is pinned, this engine's and
+   those of the other members sharing the cache, so pinned traces are
+   excluded. *)
 
-let live_victims cache ~active =
+let live_victims cache =
   let acc = ref [] in
   Trace_cache.iter cache (fun tr ->
-      let executing =
-        (match active with Some a -> a == tr | None -> false)
-        || Trace_cache.is_pinned cache tr
-      in
-      if not executing then acc := tr :: !acc);
+      if not (Trace_cache.is_pinned cache tr) then acc := tr :: !acc);
   !acc
 
 let node_victims bcg ~need_best =
@@ -225,11 +221,11 @@ let node_victims bcg ~need_best =
 let nth l i = List.nth l i
 
 (* Apply one fault; [None] = no eligible victim, nothing was injected. *)
-let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
-    ~(active : Trace.t option) : string option =
+let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts :
+    string option =
   match kind with
   | Corrupt_trace -> (
-      match live_victims cache ~active with
+      match live_victims cache with
       | [] -> None
       | victims ->
           let tr = nth victims (pick t (List.length victims)) in
@@ -239,7 +235,7 @@ let apply t kind ~(bcg : Bcg.t) ~(cache : Trace_cache.t) ~events ~counts
             (Printf.sprintf "trace %d: block %d negated to %d" tr.Trace.id i
                tr.Trace.blocks.(i)))
   | Corrupt_instrs -> (
-      match live_victims cache ~active with
+      match live_victims cache with
       | [] -> None
       | victims ->
           let tr = nth victims (pick t (List.length victims)) in
@@ -336,7 +332,7 @@ let take_install_failure t =
        true
      end
 
-let tick t ~now ~bcg ~cache ~events ~counts ~active : (string * string) list =
+let tick t ~now ~bcg ~cache ~events ~counts : (string * string) list =
   if t.budget <= 0 || t.arms = [] then []
   else begin
     let applied = ref [] in
@@ -354,7 +350,7 @@ let tick t ~now ~bcg ~cache ~events ~counts ~active : (string * string) list =
                 else false
           in
           if fire then
-            match apply t arm.a_kind ~bcg ~cache ~events ~counts ~active with
+            match apply t arm.a_kind ~bcg ~cache ~events ~counts with
             | Some detail ->
                 t.budget <- t.budget - 1;
                 applied := (code arm.a_kind, detail) :: !applied

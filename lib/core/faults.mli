@@ -41,13 +41,12 @@ val tick :
   cache:Trace_cache.t ->
   events:Events.t ->
   counts:Stats.t ->
-  active:Trace.t option ->
   (string * string) list
 (** Evaluate every arm of the schedule at dispatch [now], applying the
     faults that fire; returns a [(code, detail)] pair per fault actually
     injected; [events] and [counts] take an allocation-pressure fault's
-    evictions.  [active] pins the currently dispatching trace — it is
-    never picked as a corruption victim.  An arm whose fault finds no
+    evictions.  A pinned trace (an executing one) is never picked as a
+    corruption victim.  An arm whose fault finds no
     eligible victim (empty cache, no BCG edges) fires without effect and
     does not consume budget.
 

@@ -68,8 +68,7 @@ let add ?name ?config ?events ?max_instructions t (layout : Layout.t) =
   in
   let engine = Engine.create ?config ?events ?cache layout in
   let handle =
-    Interp.start ?max_instructions layout ~on_block:(fun g ->
-        Engine.on_block engine g)
+    Interp.start ?max_instructions layout ~on_block:(Engine.observer engine)
   in
   (* OSR deopt checks materialize state through the member's own handle *)
   Engine.attach engine handle;

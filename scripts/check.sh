@@ -41,7 +41,7 @@ rm -f /tmp/check_build.$$
 # nothing) and bounds the words per Trace_builder.on_signal call.
 dune exec --profile release -- ./test/test_alloc.exe
 
-# Inlining gate on the same release build: the interpreter's
+# Inlining gates on the same release build.  The interpreter's
 # per-instruction path, the straight-line match exec_ordinary, the
 # typed stack's slot helpers and the array length included, must
 # compile without calls (DESIGN.md §22).
@@ -53,12 +53,26 @@ if ! command -v objdump > /dev/null 2>&1; then
   exit 1
 fi
 alloc_exe=_build/default/test/test_alloc.exe
-exec_block=$(objdump -d --no-show-raw-insn "$alloc_exe" | awk '
-  /^[0-9a-f]+ <camlVm__Interp[.$]exec_block_[0-9]+>:$/ { p = 1; next }
-  /^[0-9a-f]+ </ { p = 0 }
-  p')
+alloc_dis=$(mktemp /tmp/check_dis.XXXXXX)
+objdump -d --no-show-raw-insn "$alloc_exe" > "$alloc_dis"
+# function_body NAME: the disassembly of the OCaml function NAME (e.g.
+# Vm__Interp.exec_block) in the release test_alloc.exe
+function_body() {
+  awk -v name="$1" '
+    /^[0-9a-f]+ </ {
+      sym = $2
+      sub(/^<caml/, "", sym)
+      sub(/_[0-9]+>:$/, "", sym)
+      gsub(/\$/, ".", sym)
+      p = (sym == name)
+      next
+    }
+    p' "$alloc_dis"
+}
+exec_block=$(function_body 'Vm__Interp.exec_block')
 if test -z "$exec_block"; then
   echo "check.sh: no Vm.Interp.exec_block in $alloc_exe" >&2
+  rm -f "$alloc_dis"
   exit 1
 fi
 hot='Vm__Interp[.$](push_slot|push_int|push_float|push_ref|push_value'
@@ -72,6 +86,67 @@ hot_calls=$(printf '%s\n' "$exec_block" | grep -E "<caml($hot)_[0-9]+>") || true
 if test -n "$hot_calls"; then
   printf '%s\n' "$hot_calls" >&2
   echo "check.sh: Vm.Interp.exec_block calls the hot helpers above" >&2
+  rm -f "$alloc_dis"
+  exit 1
+fi
+
+# The paper's dispatch path (DESIGN.md §14): Engine.paper_follow, the
+# function the default configuration runs for every block, inside a
+# trace or not, may not reach an optional subsystem through any chain
+# of direct calls and jumps (closures, such as the profiler's signal
+# callback, are not followed), nor call Events.set_now or
+# note_executed itself.  Those two are single stores when inlined,
+# which this symbol check cannot see.
+# reachable NAME: every function the OCaml function NAME reaches by
+# direct calls and jumps, NAME's own symbol included, one a line
+reachable() {
+  awk -v name="$1" '
+    /^[0-9a-f]+ </ {
+      fn = substr($2, 2, length($2) - 3)
+      sym = fn
+      sub(/^caml/, "", sym)
+      sub(/_[0-9]+$/, "", sym)
+      gsub(/\$/, ".", sym)
+      if (sym == name) root = fn
+      next
+    }
+    fn != "" && match($0, /(call|j[a-z]+) +[0-9a-f]+ <[^>+]+/) {
+      callee = substr($0, RSTART, RLENGTH)
+      sub(/.*</, "", callee)
+      if (callee != fn) edges[fn] = edges[fn] " " callee
+    }
+    END {
+      if (root == "") exit
+      seen[root] = 1
+      todo[1] = root
+      n = 1
+      while (n > 0) {
+        f = todo[n--]
+        k = split(edges[f], out, " ")
+        for (i = 1; i <= k; i++)
+          if (!(out[i] in seen)) {
+            seen[out[i]] = 1
+            todo[++n] = out[i]
+          }
+      }
+      for (f in seen) print f
+    }' "$alloc_dis"
+}
+paper=$(function_body 'Tracegen__Engine.paper_follow')
+paper_reach=$(reachable 'Tracegen__Engine.paper_follow')
+rm -f "$alloc_dis"
+if test -z "$paper"; then
+  echo "check.sh: no Tracegen.Engine.paper_follow in $alloc_exe" >&2
+  exit 1
+fi
+optional='Tracegen__(Faults|Health|Osr|Tier|Microir|Invariants)[.$]'
+optional_calls=$(printf '%s\n' "$paper_reach" | grep -E "^caml($optional)") ||
+  true
+own='Tracegen__(Events[.$]set_now|Engine[.$]note_executed)'
+own_calls=$(printf '%s\n' "$paper" | grep -E "<caml($own)_[0-9]+>") || true
+if test -n "$optional_calls$own_calls"; then
+  printf '%s\n' "$optional_calls" "$own_calls" | grep . >&2
+  echo "check.sh: Tracegen.Engine.paper_follow reaches the code above" >&2
   exit 1
 fi
 

@@ -535,6 +535,133 @@ let test_pinned_solo () =
   let got = solo_streams () in
   check stream_t "solo decision streams" pinned_solo got
 
+(* Lockstep: the paper's dispatch path against the general one.  The
+   default configuration installs the paper's path; the same run with
+   [debug_checks] on takes the general path, whose sweep finds nothing
+   in a clean run.  Both must leave the same record, byte for byte:
+   every Stats counter, the JSONL event stream, the decision ledger and
+   the flight-recorder window. *)
+module Flightrec = Tracegen.Flightrec
+module Ledger = Tracegen.Ledger
+module Codec = Harness.Codec
+
+type record = {
+  path : bool; (* the engine installed the paper's path *)
+  stream : Buffer.t; (* every event, one JSONL line each *)
+  engine : Engine.t;
+}
+
+(* A stream that keeps every event as a JSONL line. *)
+let recording () =
+  let events = Events.create () and stream = Buffer.create 4096 in
+  ignore
+    (Events.subscribe events (fun e ->
+         Buffer.add_string stream (Codec.to_string (Codec.event_json e));
+         Buffer.add_char stream '\n'));
+  (events, stream)
+
+let record_of stream e = { path = Engine.paper_path e; stream; engine = e }
+
+(* A finished run's record as lines: its counters, then its stream,
+   ledger and recorder window. *)
+let lines r ~(vm_result : Vm.Interp.result) =
+  let s = Engine.stats r.engine ~vm_result ~wall_seconds:0.0 in
+  let json e = Codec.to_string (Codec.event_json e) in
+  List.map (fun (n, get) -> Printf.sprintf "%s %d" n (get s)) Stats.counters
+  @ [ Buffer.contents r.stream ]
+  @ List.map json
+      (Option.fold ~none:[] ~some:Ledger.to_list (Engine.ledger r.engine))
+  @ List.map
+      (fun en -> Codec.to_string (Codec.flightrec_entry_json en))
+      (Option.fold ~none:[] ~some:Flightrec.to_list (Engine.flightrec r.engine))
+
+let check_lockstep label (paper, vm_paper) (gen, vm_gen) =
+  check Alcotest.bool (label ^ ": paper path installed") true paper.path;
+  check Alcotest.bool (label ^ ": general path installed") false gen.path;
+  check
+    Alcotest.(list string)
+    (label ^ ": same record")
+    (lines gen ~vm_result:vm_gen)
+    (lines paper ~vm_result:vm_paper)
+
+(* [config debug_checks]: a configuration, and the same with the sweep
+   armed *)
+let lockstep_solo label config layout =
+  let run debug_checks =
+    let events, stream = recording () in
+    let e = Engine.create ~config:(config debug_checks) ~events layout in
+    let r = Engine.drive ~max_instructions:2_000_000 e in
+    (record_of stream e, r.Engine.vm_result)
+  in
+  check_lockstep label (run false) (run true)
+
+let default debug_checks = Config.make ~debug_checks ()
+
+let test_lockstep_workloads () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      lockstep_solo w.name default
+        (Layout.build (Workloads.Workload.build_default w)))
+    Workloads.Registry.all
+
+let test_lockstep_profile () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      lockstep_solo (w.name ^ " profile")
+        (fun debug_checks -> Config.make ~debug_checks ~build_traces:false ())
+        (Layout.build (Workloads.Workload.build_default w)))
+    Workloads.Registry.all
+
+let test_lockstep_random () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 41 |]) ~n:40
+      (QCheck.gen Random_program.arb_program)
+  in
+  List.iteri
+    (fun i program ->
+      lockstep_solo (Printf.sprintf "random program %d" i) default
+        (Layout.build program))
+    programs
+
+(* Two Session members over one 8-trace cache, in turns of 7 blocks:
+   one member's installs evict traces while the other is inside a
+   trace. *)
+let test_lockstep_session () =
+  let layout = pinned_layout "javac" 0.015 in
+  let members debug_checks =
+    let config = Config.make ~debug_checks ~max_cache_traces:8 () in
+    let s = Session.create ~batch:7 () in
+    (* evictions by one member while the other follows a trace *)
+    let engines = Array.make 2 None and mid_trace = ref 0 in
+    let ms =
+      List.mapi
+        (fun i name ->
+          let events, stream = recording () in
+          Events.subscribe events (fun ev ->
+              match (ev.Events.payload, engines.(1 - i)) with
+              | Events.Trace_evicted _, Some e
+                when Engine.active_trace e <> None ->
+                  incr mid_trace
+              | _ -> ());
+          let m = Session.add ~name ~config ~events s layout in
+          engines.(i) <- Some (Session.engine m);
+          (stream, m))
+        [ "a"; "b" ]
+    in
+    Session.run s;
+    ( List.map
+        (fun (stream, m) ->
+          (record_of stream (Session.engine m), Session.vm_result m))
+        ms,
+      !mid_trace )
+  in
+  let paper, mid_trace = members false and gen, _ = members true in
+  List.iteri
+    (fun i (p, g) -> check_lockstep (Printf.sprintf "member %d" i) p g)
+    (List.combine paper gen);
+  check Alcotest.bool "evictions while the other member is mid-trace" true
+    (mid_trace > 0)
+
 let () =
   Alcotest.run "engine"
     [
@@ -561,5 +688,12 @@ let () =
         [
           tc "churn" `Quick test_pinned_churn;
           tc "loops and calls" `Quick test_pinned_solo;
+        ] );
+      ( "paper path",
+        [
+          tc "lockstep workloads" `Quick test_lockstep_workloads;
+          tc "lockstep profile kind" `Quick test_lockstep_profile;
+          tc "lockstep random programs" `Quick test_lockstep_random;
+          tc "lockstep session" `Quick test_lockstep_session;
         ] );
     ]

@@ -83,7 +83,7 @@ let run_schedule ~seed ~ticks spec =
   let events = Events.create () and counts = Stats.zero () in
   let log = ref [] in
   for now = 0 to ticks - 1 do
-    let fired = Faults.tick f ~now ~bcg ~cache ~events ~counts ~active:None in
+    let fired = Faults.tick f ~now ~bcg ~cache ~events ~counts in
     log := List.rev_append fired !log
   done;
   List.rev !log
@@ -307,7 +307,7 @@ let test_inject_install_failure () =
     Alcotest.(list string)
     "FT006 armed" [ "FT006" ]
     (List.map fst
-       (Faults.tick faults ~now:0 ~bcg ~cache ~events ~counts ~active:None));
+       (Faults.tick faults ~now:0 ~bcg ~cache ~events ~counts));
   check Alcotest.bool "armed failure consumed" true
     (try_install () = `Refused);
   check Alcotest.int "counted" 1 counts.Stats.failed_installs;
