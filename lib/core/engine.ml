@@ -222,27 +222,21 @@ let finish_partial t (tr : Trace.t) ~guards =
 
 (* OSR deoptimization: abandon the active trace here and resume block
    dispatch at [resume].  A deopt is a side exit ([finish_partial]) plus
-   a proof that the materialized interpreter continuation already sits
-   at [resume], because the overlay never moved it (TL219 on
-   mismatch). *)
+   a proof that the interpreter's innermost block already is [resume],
+   because the overlay never moved it (TL219 on mismatch). *)
 let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
   let c = t.counts in
   let at = t.active_pos in
   let residue = Trace.n_blocks tr - at in
-  (match Osr.materialized osr with
-  | Some m ->
+  (match Osr.probe osr with
+  | Some innermost ->
       c.Stats.osr_state_checks <- c.Stats.osr_state_checks + 1;
-      let ok =
-        match m.Interp.m_block with
-        | Some b -> b = resume
-        | None -> resume < 0
-      in
+      let b = innermost () in
+      let ok = if b < 0 then resume < 0 else b = resume in
       if not ok then begin
         c.Stats.osr_state_mismatches <- c.Stats.osr_state_mismatches + 1;
         if Config.debug_checks t.config then begin
-          let at_block =
-            Option.fold ~none:"<stopped>" ~some:string_of_int m.Interp.m_block
-          in
+          let at_block = if b < 0 then "<stopped>" else string_of_int b in
           note_violation t;
           Events.emit t.events
             (Events.Invariant_violation
@@ -281,15 +275,13 @@ let deopt t (osr : Osr.t) (tr : Trace.t) ~resume ~(reason : Osr.reason) =
        })
 
 (* Mid-flight cut-over of the executing trace a sweep condemns.  Between
-   dispatches no block mismatched, so resume wherever the interpreter
-   materializes (-1 with no handle). *)
+   dispatches no block mismatched, so resume at the interpreter's
+   innermost block (-1 with no handle). *)
 let deopt_active t ~reason =
   match t.osr with
   | Some osr when active t != Trace.none ->
       let resume =
-        match Osr.materialized osr with
-        | Some m -> ( match m.Interp.m_block with Some b -> b | None -> -1)
-        | None -> -1
+        match Osr.probe osr with Some innermost -> innermost () | None -> -1
       in
       deopt t osr t.active ~resume ~reason
   | _ -> ()
@@ -924,7 +916,7 @@ let paper_path t = t.path = Paper_trace || t.path = Paper_profile
 let attach t (handle : Interp.handle) =
   match t.osr with
   | Some osr ->
-      Osr.set_materialize osr (fun () -> Some (Interp.materialize handle))
+      Osr.set_probe osr (fun () -> Interp.innermost_block handle)
   | None -> ()
 
 let backend_name t = fst (describe_backend t.kind)
@@ -1010,7 +1002,8 @@ type run_result = {
 let drive ?max_instructions t : run_result =
   let t0 = Unix.gettimeofday () in
   (* drive through a handle (not Interp.run) so the OSR deopt checks can
-     materialize the live continuation; bit-identical either way *)
+     read the live continuation's innermost block; bit-identical either
+     way *)
   let handle =
     Interp.start ?max_instructions t.layout ~on_block:(observer t)
   in

@@ -156,10 +156,10 @@ val inflight_matched_blocks : t -> int
     which no exit event covers yet. *)
 
 val attach : t -> Vm.Interp.handle -> unit
-(** Point the OSR state-materialization hook at the live interpreter
-    handle; {!drive} does this automatically, external drivers
-    ([Session], tests stepping a handle themselves) call it once after
-    [Vm.Interp.start].  No-op when OSR is off. *)
+(** Point the OSR deopt check's probe ({!Vm.Interp.innermost_block})
+    at the live interpreter handle; {!drive} does this automatically,
+    external drivers ([Session], tests stepping a handle themselves)
+    call it once after [Vm.Interp.start].  No-op when OSR is off. *)
 
 (** {2 Backend kinds} *)
 

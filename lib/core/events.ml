@@ -145,12 +145,19 @@ let scalar_width = 5 (* kind code; time; the kind's 3 int fields *)
 
 let k_pointer = 0 (* not a hot kind: the event lives in [evs] *)
 
+(* The filler of the ring's pointer slots and of the ledger's store: a
+   static constant, never a young event.  An array of more than 256
+   words ([Max_young_wosize]) seeded with a young value makes
+   [Array.make] empty the minor heap first, so seeding one with the
+   event being recorded would force a minor collection per engine.  A
+   slot holding the filler is never read: only [k_pointer] slots are. *)
+let filler = { time = 0; payload = Path_walked { transitions = 0 } }
+
 type ring = {
   cap : int;
   mutable evs : event array;
-      (* [[||]] until the first pointer-path event: [event] has no
-         nullary value to fill with, so the first recorded event seeds
-         the array *)
+      (* [[||]] until the first pointer-path event, then [cap] slots
+         seeded with [filler] *)
   scalars : int array; (* [scalar_width] ints per slot *)
   mutable pos : int; (* next write index; invariant pos = next_seq mod cap *)
   mutable next_seq : int;
@@ -192,7 +199,7 @@ let[@inline] record_hot r kind time a b c =
 
 let record_cold r (ev : event) =
   let i = r.pos in
-  if Array.length r.evs = 0 then r.evs <- Array.make r.cap ev;
+  if Array.length r.evs = 0 then r.evs <- Array.make r.cap filler;
   r.scalars.(i * scalar_width) <- k_pointer;
   r.evs.(i) <- ev;
   advance r i
@@ -209,7 +216,7 @@ let ring_record r (ev : event) =
   | _ -> record_cold r ev
 
 (* Rebuild one event from its slot (dump path only).  Every slot the
-   window walk visits was written, and a pointer-path write seeds
+   window walk visits was written, and a pointer-path write allocates
    [evs], so a [k_pointer] slot always has its event. *)
 let event_at r i : event =
   let s = i * scalar_width in

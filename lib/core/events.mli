@@ -226,6 +226,12 @@ type event = { time : int; payload : payload }
 (** [time] is the engine's dispatch index (block + trace dispatches) at
     emission. *)
 
+val filler : event
+(** A static event that fills the unused slots of an event array.  An
+    array of more than 256 words seeded with a young value forces a
+    minor collection, so a per-run store never seeds one with the event
+    it is recording; nothing reads a slot that holds the filler. *)
+
 (** {2 The flight recorder's ring}
 
     A bounded ring of the most recent events, in emission order.  The

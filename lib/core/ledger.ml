@@ -1,7 +1,11 @@
 (* Decision ledger: the decision-kind events of one engine's stream.
    The engine's event tap feeds it (cold side only: no hot kind is a
    decision), so the ledger holds the same events the stream delivered,
-   never a second copy of their fields.  Storage is a doubling array. *)
+   never a second copy of their fields.  Storage is a doubling array
+   seeded with [Events.filler], never with the event being recorded:
+   past 256 records the array outgrows [Max_young_wosize], and seeding
+   it with a young event would force a minor collection.  Only the
+   first [n] entries are read. *)
 
 let kinds =
   [
@@ -39,7 +43,7 @@ let length t = t.n
 let observe t (e : Events.event) =
   if is_decision e.Events.payload then begin
     if t.n = Array.length t.store then begin
-      let store = Array.make (Int.max 64 (2 * t.n)) e in
+      let store = Array.make (Int.max 64 (2 * t.n)) Events.filler in
       Array.blit t.store 0 store 0 t.n;
       t.store <- store
     end;

@@ -13,9 +13,9 @@ module Layout = Cfg.Layout
      observational overlay, "reconstructing interpreter state" is a
      proof obligation rather than a transformation: the interpreter is
      already exactly where pure block dispatch would be, and [deopt]
-     checks it (TL219) by materializing the live continuation
-     ([Vm.Interp.materialize]) and comparing its innermost block against
-     the block dispatch resumes at.
+     checks it (TL219) by reading the live continuation's innermost
+     block ([Vm.Interp.innermost_block]) and comparing it against the
+     block dispatch resumes at.
 
    - Promotion (blocks -> trace).  Hot-loop detection counts
      outside-trace dispatches of natural-loop headers ([Analysis.Loops]
@@ -25,7 +25,7 @@ module Layout = Cfg.Layout
      so it is entered at the header on the very next latch->header
      transition.
 
-   This module holds the detection tables, the materialization hook and
+   This module holds the detection tables, the innermost-block probe and
    the armed-promotion id.  The dispatch-loop integration (deopt and
    promotion) lives in [Engine], which also keeps the OSR counters. *)
 
@@ -40,10 +40,11 @@ type t = {
   promote_after : int;
   is_header : bool array; (* gid -> natural-loop header? *)
   header_hits : int array; (* gid -> outside-trace dispatches since reset *)
-  mutable materialize_fn : unit -> Vm.Interp.materialized option;
-      (* set by whoever owns the interpreter handle (Engine.drive /
-         Session.add); stays [fun () -> None] for observer-only drivers,
-         which skip the state check *)
+  mutable probe : (unit -> Layout.gid) option;
+      (* the innermost block of the live interpreter, -1 once stopped;
+         set by whoever owns the interpreter handle (Engine.drive /
+         Session.add); stays [None] for observer-only drivers, which
+         skip the state check *)
   mutable armed_trace : int;
       (* trace id of the latest promotion, awaiting its first entry;
          -1 = none *)
@@ -69,13 +70,13 @@ let create ~promote_after (layout : Layout.t) =
     promote_after;
     is_header;
     header_hits = Array.make n 0;
-    materialize_fn = (fun () -> None);
+    probe = None;
     armed_trace = -1;
   }
 
-let set_materialize t f = t.materialize_fn <- f
+let set_probe t f = t.probe <- Some f
 
-let materialized t = t.materialize_fn ()
+let probe t = t.probe
 
 let is_header t g = g >= 0 && g < Array.length t.is_header && t.is_header.(g)
 

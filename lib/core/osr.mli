@@ -12,16 +12,16 @@
       dispatch {e at the failing block}.  Trace dispatch is a pure
       observational overlay, so the interpreter is already in exactly
       the state pure block dispatch would have produced; the deopt
-      {e verifies} this by materializing the live continuation
-      ({!Vm.Interp.materialize}) and comparing its innermost block
-      against the resume block — a mismatch is invariant TL219;
+      {e verifies} this by reading the live continuation's innermost
+      block ({!Vm.Interp.innermost_block}) and comparing it against the
+      resume block — a mismatch is invariant TL219;
     - {e promotion} — outside-trace dispatches of natural-loop headers
       ({!Analysis.Loops}) are counted, and a header crossing
       {!Config.osr_promote_after} promotes its loop into a freshly
       built back-edge trace mid-iteration, entered at the header on the
       very next latch→header transition.
 
-    This module holds the detection tables, the materialization hook and
+    This module holds the detection tables, the innermost-block probe and
     the armed-promotion id.  The dispatch-loop integration (deopt and
     promotion) lives in [Engine], and so do the OSR counters: [Engine]
     advances [deopts], [deopt_residue_blocks], [osr_promotions],
@@ -46,14 +46,16 @@ val create : promote_after:int -> Cfg.Layout.t -> t
     header's heat at zero and no promotion armed.
     @raise Invalid_argument if [promote_after < 1]. *)
 
-val set_materialize : t -> (unit -> Vm.Interp.materialized option) -> unit
-(** Install the interpreter-state hook — whoever owns the live
-    [Vm.Interp.handle] ([Engine.drive], [Session.add]) points it here.
-    Without a hook deopts skip the TL219 state check (observer-only
-    drivers have no interpreter to materialize). *)
+val set_probe : t -> (unit -> Cfg.Layout.gid) -> unit
+(** Install the interpreter-state probe, the innermost block of the live
+    continuation ([-1] once stopped, as {!Vm.Interp.innermost_block}):
+    whoever owns the live [Vm.Interp.handle] ([Engine.drive],
+    [Session.add]) points it here.  Without a probe deopts skip the
+    TL219 state check (observer-only drivers have no interpreter to
+    read). *)
 
-val materialized : t -> Vm.Interp.materialized option
-(** Materialize the live interpreter continuation through the hook. *)
+val probe : t -> (unit -> Cfg.Layout.gid) option
+(** The installed probe, [None] before {!set_probe}. *)
 
 val observe_header : t -> Cfg.Layout.gid -> promote:bool -> int option
 (** Count one outside-trace dispatch of [g].  Returns [Some hotness]

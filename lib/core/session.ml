@@ -70,7 +70,7 @@ let add ?name ?config ?events ?max_instructions t (layout : Layout.t) =
   let handle =
     Interp.start ?max_instructions layout ~on_block:(Engine.observer engine)
   in
-  (* OSR deopt checks materialize state through the member's own handle *)
+  (* OSR deopt checks read the member's own handle *)
   Engine.attach engine handle;
   let m = { id; name; engine; handle; wall = 0.0; finished = None } in
   t.rev_members <- m :: t.rev_members;

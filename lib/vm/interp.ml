@@ -794,8 +794,9 @@ let finish h =
    abandoning a trace mid-flight leaves the interpreter exactly where
    pure block dispatch would be.  [materialize] captures the live
    continuation — every frame's method, pc, locals and operand stack —
-   at a block boundary.  A deopt compares only the snapshot's block with
-   the block dispatch resumes at (TL219 on a mismatch). *)
+   at a block boundary.  A deopt needs only the innermost block, which
+   [innermost_block] reads without a snapshot, and compares it with the
+   block dispatch resumes at (TL219 on a mismatch). *)
 
 type frame_snapshot = {
   fs_method : int;
@@ -824,22 +825,26 @@ let snapshot_frame st (fr : frame) : frame_snapshot =
     fs_stack = slots st fr.base fr.sp;
   }
 
-let materialize (h : handle) : materialized =
+(* The block the innermost frame's pc resolves to; -1 once the program
+   has stopped (or pc lies outside the method's code). *)
+let innermost_block (h : handle) : Layout.gid =
   let st = h.h_st in
   let fr = st.top in
-  let m_block =
-    if st.depth > 0 && fr.pc >= 0 && fr.pc < Array.length fr.meth.Mthd.code
-    then Some (Layout.gid_at_pc st.layout ~method_id:fr.meth.Mthd.id ~pc:fr.pc)
-    else None
-  in
+  if st.depth > 0 && fr.pc >= 0 && fr.pc < Array.length fr.meth.Mthd.code then
+    Layout.gid_at_pc st.layout ~method_id:fr.meth.Mthd.id ~pc:fr.pc
+  else -1
+
+let materialize (h : handle) : materialized =
+  let st = h.h_st in
+  let b = innermost_block h in
   let rec frames f depth =
     if depth = 0 then []
     else snapshot_frame st f :: frames f.caller (depth - 1)
   in
   {
-    m_frames = frames fr st.depth;
+    m_frames = frames st.top st.depth;
     m_instructions = st.instructions;
-    m_block;
+    m_block = (if b < 0 then None else Some b);
   }
 
 let run ?max_instructions (layout : Layout.t) ~(on_block : Layout.gid -> unit)

@@ -100,9 +100,10 @@ val result_of : handle -> result
     A deoptimizing engine must show that abandoning a trace mid-flight
     leaves the interpreter exactly where pure block dispatch would be.
     {!materialize} captures the live continuation at a block boundary.
-    At every deopt the OSR machinery compares the snapshot's innermost
-    block ([m_block]) with the block dispatch resumes at, and reports a
-    mismatch as invariant TL219; it compares no locals or operands. *)
+    At every deopt the OSR machinery compares the innermost block
+    ({!innermost_block}, the snapshot's [m_block]) with the block
+    dispatch resumes at, and reports a mismatch as invariant TL219; it
+    compares no locals or operands. *)
 
 type frame_snapshot = {
   fs_method : int;  (** method id *)
@@ -121,6 +122,11 @@ type materialized = {
       (** the block the innermost frame's pc resolves to; [None] once
           the program has stopped *)
 }
+
+val innermost_block : handle -> Cfg.Layout.gid
+(** The block the innermost frame's pc resolves to, [-1] once the
+    program has stopped: {!materialize}'s [m_block] without the
+    snapshot.  Allocates nothing. *)
 
 val materialize : handle -> materialized
 (** Snapshot the interpreter continuation.  Meaningful at block

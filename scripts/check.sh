@@ -134,6 +134,27 @@ reachable() {
 }
 paper=$(function_body 'Tracegen__Engine.paper_follow')
 paper_reach=$(reachable 'Tracegen__Engine.paper_follow')
+# The profiled dispatch's write barrier: Profiler.dispatch has four
+# caml_modify call sites (the branch context, stored on a visit, a new
+# edge and a known edge, and the inline cache's best edge when another
+# edge overtakes it) and Profiler.resync two (the context and the memo
+# on a miss).  A pointer store added to either adds a call site here.
+for barrier in dispatch:4 resync:2; do
+  fn=Tracegen__Profiler.${barrier%:*}
+  body=$(function_body "$fn")
+  if test -z "$body"; then
+    echo "check.sh: no $fn in $alloc_exe" >&2
+    rm -f "$alloc_dis"
+    exit 1
+  fi
+  sites=$(printf '%s\n' "$body" | grep -c '<caml_modify>') || true
+  if test "$sites" -gt "${barrier#*:}"; then
+    printf '%s\n' "$body" | grep '<caml_modify>' >&2
+    echo "check.sh: $fn has $sites caml_modify call sites (limit ${barrier#*:})" >&2
+    rm -f "$alloc_dis"
+    exit 1
+  fi
+done
 rm -f "$alloc_dis"
 if test -z "$paper"; then
   echo "check.sh: no Tracegen.Engine.paper_follow in $alloc_exe" >&2

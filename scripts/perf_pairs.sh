@@ -21,6 +21,12 @@
 # per workload and side, metrics named METRIC.median, METRIC.q1 and
 # METRIC.q3, the deltas as METRIC.delta_pct.*), with both revisions in
 # its env.  Deterministic metrics are checked equal within each pair.
+#
+# Code placement alone moves these timings by several percent, so for
+# each side the script reads with nm where the hottest functions start
+# within a 64-byte line (their address mod 64), prints a line for each
+# that differs between the sides, and records them in FILE's env as
+# line_offset.SIDE.SYMBOL.
 set -eu
 base_rev=HEAD~1
 pairs=10
@@ -66,6 +72,30 @@ build "$repo" "$work/head_build"
 base_exe=$work/base/_build/default/perfbench/main.exe
 head_exe=$work/head_build/default/perfbench/main.exe
 
+# line_offsets EXE: "SYMBOL OFFSET" for each hot function, OFFSET its
+# address mod 64 in hex ("none" when EXE lacks it)
+hot_syms="camlVm__Interp.exec_block camlTracegen__Profiler.dispatch"
+hot_syms="$hot_syms camlTracegen__Engine.paper_follow"
+line_offsets() {
+  nm "$1" > "$work/nm.txt"
+  for sym in $hot_syms; do
+    addr=$(sed -n "s/^\([0-9a-f]*\) [Tt] ${sym}_[0-9]*\$/\1/p" \
+      "$work/nm.txt" | head -n 1)
+    if test -n "$addr"; then
+      printf '%s 0x%02x\n' "$sym" $((0x$addr % 64))
+    else
+      printf '%s none\n' "$sym"
+    fi
+  done
+}
+line_offsets "$base_exe" > "$work/base.offsets"
+line_offsets "$head_exe" > "$work/head.offsets"
+paste -d ' ' "$work/base.offsets" "$work/head.offsets" |
+  while read -r sym b _ h; do
+    test "$b" = "$h" ||
+      echo "perf_pairs: $sym starts at line offset $b in base, $h in head" >&2
+  done
+
 # run SIDE WORKLOAD SEED: one perfbench run's final line, appended to
 # $work/SIDE.WORKLOAD.jsonl
 run() {
@@ -95,6 +125,12 @@ import sys
 
 work, out, base_sha, head_sha, pairs, seconds = sys.argv[1:7]
 workloads = sys.argv[7:]
+offsets = {}
+for side in ("base", "head"):
+    with open("%s/%s.offsets" % (work, side)) as f:
+        for line in f:
+            sym, off = line.split()
+            offsets["line_offset.%s.%s" % (side, sym)] = off
 TIMING = ("setup_s", "plain_ms", "profile_ms", "trace_ms", "trace_ms_tail",
           "microir_ms")
 EXACT = ("alloc_words_per_kinstr", "dispatches_per_kinstr", "coverage_pct",
@@ -172,8 +208,8 @@ for w in workloads:
 doc = {
     "schema_version": schema,
     "bench": "perf",
-    "env": {"revision": head_sha, "base_revision": base_sha,
-            "pairs": pairs, "seconds": seconds},
+    "env": dict({"revision": head_sha, "base_revision": base_sha,
+                 "pairs": pairs, "seconds": seconds}, **offsets),
     "sections": sections,
 }
 with open(out, "w") as f:

@@ -33,7 +33,13 @@
    straight-line int and float code, calls and array stores included,
    allocates nothing in steady state, and what a workload's plain run
    allocates comes from its heap: objects, arrays, and the boxes of the
-   values stored into object fields and reference arrays. *)
+   values stored into object fields and reference arrays.
+
+   No engine run forces a minor collection.  The rule that keeps it so:
+   a per-run array over 256 words is never seeded with a young value,
+   because [Array.make] of such an array empties the minor heap first.
+   The flight recorder's ring and the decision ledger seed theirs with
+   the static [Events.filler]. *)
 
 module Config = Tracegen.Config
 module Engine = Tracegen.Engine
@@ -123,6 +129,9 @@ let setups =
 let general_setups =
   [
     ( Workloads.Compress.workload,
+      ("trace --osr", Config.make ~osr:true (), Engine.Trace) );
+    (* 3,939 deopts, each reading only the innermost block *)
+    ( Workloads.Mpegaudio.workload,
       ("trace --osr", Config.make ~osr:true (), Engine.Trace) );
     ( Workloads.Mpegaudio.workload,
       ("profile --osr", Config.make ~osr:true (), Engine.Profile) );
@@ -449,6 +458,104 @@ let construction_cases =
          tc (w.name ^ " on_signal") `Quick (check_signal_words w))
        Workloads.Registry.all
 
+(* No engine run forces a collection.  [Array.make] of more than 256
+   words (the minor heap's [Max_young_wosize]) seeded with a young value
+   empties the minor heap first, so a store that seeds such an array
+   with the value it is recording forces a minor collection however
+   large the minor heap is.  With the minor heap raised above
+   everything a run allocates (checked with [Gc.minor_words]), no minor
+   collection may happen at all. *)
+
+let roomy_minor_heap = 4 * 1024 * 1024 (* words *)
+
+(* Run [f] with the minor heap at [roomy_minor_heap]: [f] must allocate
+   less than that and force no minor collection.  Setting the size
+   empties the minor heap, so [f] starts with all of it free. *)
+let without_collection label f () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = roomy_minor_heap };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+      let (), words = minor_words f in
+      let c1 = (Gc.quick_stat ()).Gc.minor_collections in
+      Printf.printf "%s: %.0f minor words, %d minor collections\n" label words
+        (c1 - c0);
+      if words >= float_of_int roomy_minor_heap then
+        Alcotest.failf
+          "%s allocated %.0f words, more than the %d-word minor heap" label
+          words roomy_minor_heap;
+      Alcotest.(check int) (label ^ ": minor collections") 0 (c1 - c0))
+
+(* The six workloads at [1 / shrink] of their default size, laid out
+   before the measured runs. *)
+let layouts ~shrink =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      ( w.name,
+        Harness.Experiment.layout_for w
+          ~size:(Int.max 1 (w.default_size / shrink)) ))
+    Workloads.Registry.all
+
+(* Two members per program over one 8-trace cache, then each program's
+   first engine snapshotted and a fresh engine restored from it and
+   driven. *)
+let session_and_warm_restart () =
+  let config = Config.make ~max_cache_traces:8 () in
+  let programs =
+    List.filter
+      (fun (name, _) -> List.mem name [ "javac"; "soot"; "mpegaudio" ])
+      (layouts ~shrink:1)
+  in
+  let s = Tracegen.Session.create () in
+  let firsts =
+    List.map
+      (fun (_, layout) ->
+        let m = Tracegen.Session.add ~config s layout in
+        ignore (Tracegen.Session.add ~config s layout);
+        (layout, m))
+      programs
+  in
+  Tracegen.Session.run s;
+  List.iter
+    (fun (layout, m) ->
+      let data = Engine.snapshot (Tracegen.Session.engine m) in
+      let e = Engine.create ~config layout in
+      match Engine.restore e data with
+      | Ok _ -> ignore (Engine.drive e)
+      | Error err ->
+          Alcotest.failf "restore rejected: %s"
+            (Tracegen.Persist.error_to_string err))
+    firsts
+
+(* Self-healing validates every trace it enters, which allocates (about
+   2.6 words per instruction on scimark), so its runs are shortened to
+   stay inside the minor heap. *)
+let collection_cases =
+  let engine_cases (label, config, backend, shrink, max_instructions) =
+    List.map
+      (fun (name, layout) ->
+        ( label ^ " " ^ name,
+          fun () ->
+            ignore (Engine.run ~config ~backend ?max_instructions layout) ))
+      (layouts ~shrink)
+  in
+  List.map
+    (fun (label, f) -> tc label `Quick (without_collection label f))
+    (List.concat_map engine_cases
+       [
+         ("paper trace", Config.default, Engine.Trace, 1, None);
+         ("paper profile", Config.default, Engine.Profile, 1, None);
+         ("general --osr", Config.make ~osr:true (), Engine.Trace, 1, None);
+         ( "general --osr --self-heal",
+           Config.make ~osr:true ~self_heal:true (),
+           Engine.Trace,
+           50,
+           Some 1_000_000 );
+       ]
+    @ [ ("session and warm restart", session_and_warm_restart) ])
+
 let () =
   Alcotest.run "alloc"
     [
@@ -456,4 +563,5 @@ let () =
       ("direct major words per dispatch", plain_cases);
       ("interpreter words", interpreter_cases);
       ("trace construction", construction_cases);
+      ("no forced collection", collection_cases);
     ]
