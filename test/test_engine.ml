@@ -502,6 +502,32 @@ let solo_streams () =
       ("raytrace", 0.1);
     ]
 
+(* The general path under its optional subsystems, which the paper-path
+   lockstep does not reach: OSR deopts forced by guard flips, and
+   self-healing with the sweep against skewed per-block counts. *)
+let general_streams () =
+  let configs =
+    [
+      ("osr", Config.make ~osr:true ~fault_spec:"guard-flip@0.02,budget=40" ());
+      ( "self-heal",
+        Config.make ~self_heal:true ~debug_checks:true
+          ~fault_spec:"corrupt-instrs@0.01,budget=80" () );
+    ]
+  in
+  List.concat_map
+    (fun (label, config) ->
+      List.map
+        (fun (n, frac) ->
+          let events = Events.create () in
+          let d, k = digest_of events in
+          let e = Engine.create ~config ~events (pinned_layout n frac) in
+          check Alcotest.bool (label ^ " " ^ n ^ ": general path") false
+            (Engine.paper_path e);
+          ignore (Engine.drive e);
+          (label ^ " " ^ n, !d, !k))
+        [ ("compress", 0.05); ("mpegaudio", 0.1); ("soot", 0.1) ])
+    configs
+
 let stream_t = Alcotest.(list (triple string int int))
 
 (* (engine, digest, events) *)
@@ -527,6 +553,16 @@ let pinned_solo =
     ("raytrace", 10884524, 7314);
   ]
 
+let pinned_general =
+  [
+    ("osr compress", 840022334, 83532);
+    ("osr mpegaudio", 221289055, 132314);
+    ("osr soot", 972062456, 178989);
+    ("self-heal compress", 792045629, 1681);
+    ("self-heal mpegaudio", 193193775, 1036);
+    ("self-heal soot", 553744136, 2683);
+  ]
+
 let test_pinned_churn () =
   let got = churn_streams () in
   check stream_t "churn decision streams" pinned_churn got
@@ -534,6 +570,10 @@ let test_pinned_churn () =
 let test_pinned_solo () =
   let got = solo_streams () in
   check stream_t "solo decision streams" pinned_solo got
+
+let test_pinned_general () =
+  let got = general_streams () in
+  check stream_t "general-path decision streams" pinned_general got
 
 (* Lockstep: the paper's dispatch path against the general one.  The
    default configuration installs the paper's path; the same run with
@@ -688,6 +728,7 @@ let () =
         [
           tc "churn" `Quick test_pinned_churn;
           tc "loops and calls" `Quick test_pinned_solo;
+          tc "general path" `Quick test_pinned_general;
         ] );
       ( "paper path",
         [
