@@ -156,43 +156,6 @@ let branch_targets = function
   | Faload | Fastore | Aaload | Aastore | Arraylength | Nop ->
       []
 
-(* Net change in operand-stack height.  [Verify] does not use it: it
-   tracks a typed stack of its own. *)
-let stack_delta = function
-  | Iconst _ | Fconst _ | Aconst_null -> 1
-  | Iload _ | Fload _ | Aload _ -> 1
-  | Istore _ | Fstore _ | Astore _ -> -1
-  | Iinc _ -> 0
-  | Dup -> 1
-  | Pop -> -1
-  | Swap -> 0
-  | Iadd | Isub | Imul | Idiv | Irem -> -1
-  | Ineg -> 0
-  | Iand | Ior | Ixor | Ishl | Ishr | Iushr -> -1
-  | Fadd | Fsub | Fmul | Fdiv -> -1
-  | Fneg -> 0
-  | F2i | I2f -> 0
-  | Fcmp -> -1
-  | If_icmp _ -> -2
-  | Ifz _ -> -1
-  | Goto _ -> 0
-  | Tableswitch _ -> -1
-  | Invokestatic _ | Invokevirtual _ ->
-      (* call deltas depend on the callee's signature; handled separately *)
-      0
-  | Return -> 0
-  | Ireturn | Freturn | Areturn -> -1
-  | New _ -> 1
-  | Getfield _ -> 0
-  | Putfield _ -> -2
-  | Instanceof _ -> 0
-  | Newarray _ -> 0
-  | Iaload | Faload | Aaload -> -1
-  | Iastore | Fastore | Aastore -> -3
-  | Arraylength -> 0
-  | Athrow -> -1
-  | Nop -> 0
-
 let pp ppf t =
   let s fmt = Format.fprintf ppf fmt in
   match t with

@@ -103,10 +103,6 @@ val branch_targets : t -> int list
 (** Instruction indices this instruction can branch to; they become block
     leaders. *)
 
-val stack_delta : t -> int
-(** Net change in operand-stack height; call deltas depend on the callee's
-    signature and are reported as 0 here. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

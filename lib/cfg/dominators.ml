@@ -4,8 +4,8 @@ module Klass = Bytecode.Klass
 module Program = Bytecode.Program
 
 (* Iterative dominator computation (Cooper-Harvey-Kennedy) over a method
-   CFG, plus back-edge and natural-loop discovery.  Used by analyses, the
-   dot exporter and the NET baseline's notion of loop headers. *)
+   CFG, plus back-edge and natural-loop discovery.  Used by analyses and
+   the NET baseline's notion of loop headers. *)
 
 type t = {
   idom : int array; (* immediate dominator; entry maps to itself; -1 = unreachable *)

@@ -4,24 +4,16 @@ module Interp = Vm.Interp
 (* The complete system (engine.mli describes the model): the VM's
    block-dispatch stream drives the profiler, profiler signals drive
    trace reconstruction, and the trace cache overlays trace dispatch
-   onto the stream.  One record, [t], holds the dispatch state, and
-   [create] picks the dispatch path [observer] hands the VM:
+   onto the stream.  One record, [t], holds the dispatch state.
 
-   - the paper's path, where nothing optional can act: [paper_follow]
-     for the [Trace] kind, [paper_profile] for [Profile].  It runs the
-     profiler hook, the cache lookup, the pins and the recorder and
-     tests nothing else; an interior block of a followed trace is one
-     gid compare and an index bump.
-   - the general path, [general_on_block], for every other
-     configuration: the Health ladder's re-selection of the kind, OSR,
-     fault flips, self-healing, the compiled tier and the invariant
-     sweep.  The kinds differ only in how a block outside any trace is
-     dispatched ([step] and [deopt_resume], one [match] each).
-
-   Both paths enter traces through [enter] and leave them through
-   [finish_completed] and [finish_partial], which bump every counter
-   and emit every event, so a run's counters, stream, ledger and
-   recorder window do not depend on the path. *)
+   The dispatch is defined once and instantiated twice (the "dispatch"
+   section): [create] picks the paper's instantiation ([paper_follow],
+   [paper_profile]) where nothing optional can act, and the general one
+   ([general_on_block]) otherwise.  Both enter traces through [enter]
+   and leave them through [finish_completed] and [finish_partial], which
+   bump every counter, emit every event and set [prev]/[prev2] from the
+   trace body, so a run's counters, stream, ledger and recorder window
+   do not depend on the path. *)
 
 type backend_kind = Interp | Profile | Trace
 
@@ -182,9 +174,21 @@ let note_static t (tr : Trace.t) =
 let exit_compiled t (tr : Trace.t) upto =
   if t.active_compiled then account_compiled t.counts tr upto
 
+(* The exit's [prev]/[prev2], on both paths: the last two blocks of the
+   [upto >= 1] positions of [tr] that ran, read back from the body, which
+   cannot change under a followed trace (it is pinned, and faults spare
+   pinned traces).  With one position, the entry's [note_executed]
+   already set them. *)
+let[@inline] prev_from_body t (tr : Trace.t) upto =
+  if upto >= 2 then begin
+    t.prev2 <- Array.unsafe_get tr.Trace.blocks (upto - 2);
+    t.prev <- Array.unsafe_get tr.Trace.blocks (upto - 1)
+  end
+
 (* End the active trace after a completion: every position past the
    entry was a guard that held.  Leaving writes no pointer. *)
 let finish_completed t (tr : Trace.t) =
+  prev_from_body t tr (Trace.n_blocks tr);
   t.just_completed <- true;
   note_static t tr;
   let c = t.counts in
@@ -204,9 +208,10 @@ let finish_completed t (tr : Trace.t) =
    is processed.  [guards] counts the failed one; the matched
    instructions are summed from the trace's live per-block counts. *)
 let finish_partial t (tr : Trace.t) ~guards =
+  let at = t.active_pos in
+  prev_from_body t tr at;
   t.just_completed <- false;
   let c = t.counts in
-  let at = t.active_pos in
   let matched_instrs = ref 0 in
   for i = 0 to at - 1 do
     matched_instrs := !matched_instrs + tr.Trace.instr_len.(i)
@@ -537,18 +542,39 @@ let enter t (tr : Trace.t) g =
     t.active_pos <- 1
   end
 
-(* The general path's entry: the tier, then OSR's entry count, then
-   [enter]. *)
-let enter_general t (tr : Trace.t) g =
+(* ---- dispatch: one definition, two instantiations ------------------ *)
+
+(* Each piece of the dispatch (a block outside any trace under the
+   [Trace] or the [Profile] kind, following a trace, leaving it) is one
+   [@inline] function over [~general], instantiated as the paper's path
+   ([paper_step], [paper_profile], [paper_follow]: [~general:false]) and
+   the general one ([trace_dispatch], [step]'s [Profile] arm, [follow]).
+   Each optional subsystem is an [if general then ...] hook at one named
+   point.  The flag is a literal at each instantiation and is tested at
+   its use, never through a [let]: ocamlopt (Closure mode) then folds
+   every hook out of the paper's path, while a flag bound to a variable
+   leaves its compare behind. *)
+
+(* The tier's entry and OSR's entry count, before [enter]. *)
+let general_entry t (tr : Trace.t) =
   if Config.tier_enabled t.config then enter_compiled t tr;
   (* the first entry of the latest promoted trace is an OSR entry taken *)
-  (match t.osr with
+  match t.osr with
   | Some osr when Osr.take_armed osr ~trace_id:tr.Trace.id ->
       t.counts.Stats.osr_entries <- t.counts.Stats.osr_entries + 1
-  | _ -> ());
-  enter t tr g
+  | _ -> ()
 
-(* ---- the general path: dispatch outside a trace ------------------ *)
+(* OSR's promotion poll on a lookup's miss.  Hot-loop heat accumulates
+   only on misses: a loop running under trace dispatch has nothing to
+   promote, and one that loses coverage re-heats at its next miss.  When
+   the miss that crossed the threshold is the latch->header transition,
+   this very dispatch enters the freshly promoted trace. *)
+let[@inline] promote_on_miss t g (hit : Trace.t option) =
+  match hit with
+  | Some _ -> hit
+  | None ->
+      if poll_promote t g then Trace_cache.lookup t.cache ~prev:t.prev ~cur:g
+      else None
 
 (* Self-healing's check of a looked-up trace before entry: the code of
    the first violated invariant (the binding key, then the TL2xx
@@ -564,6 +590,26 @@ let validate_dispatch t (tr : Trace.t) ~prev ~cur : string option =
     | [] -> None
     | d :: _ -> Some d.Analysis.Diag.code
 
+(* Self-healing's entry check: a trace that fails validation is
+   condemned at dispatch, its entry quarantined and the ladder struck;
+   the block is then dispatched normally. *)
+let[@inline] condemned t (tr : Trace.t) g =
+  Config.self_heal t.config
+  &&
+  match validate_dispatch t tr ~prev:t.prev ~cur:g with
+  | None -> false
+  | Some code ->
+      ignore
+        (Trace_cache.quarantine t.cache ~events:t.events ~counts:t.counts
+           ~first:t.prev ~head:g ~code);
+      apply_health t (Health.strike t.health);
+      true
+
+(* The ladder's credit for a clean dispatch, under self-healing. *)
+let[@inline] credit_clean t =
+  if Config.self_heal t.config then
+    apply_health t (Health.clean_dispatch t.health)
+
 (* An ordinary profiled block dispatch: the hook runs, the trace cache
    is not consulted. *)
 let profiled_dispatch t g =
@@ -571,59 +617,53 @@ let profiled_dispatch t g =
   Profiler.dispatch t.profiler g;
   note_executed t g
 
-let credit_clean t =
-  if Config.self_heal t.config then
-    apply_health t (Health.clean_dispatch t.health)
+(* A profiled dispatch the general path credits to the ladder.  On the
+   paper's path the dispatch stays a tail call. *)
+let[@inline] profiled ~general t g =
+  if general then (
+    profiled_dispatch t g;
+    credit_clean t)
+  else profiled_dispatch t g
 
-(* The trace kind's dispatch decision: consult the cache by the entering
-   transition.  A hit is one trace dispatch (the hook runs once, the
-   interior blocks are inlined); a miss is a profiled block dispatch.
-   Under self-healing every candidate trace is validated before entry; a
-   condemned trace is quarantined, strikes the ladder, and the block
-   falls back to a normal dispatch. *)
-let trace_dispatch t g =
-  let self_heal = Config.self_heal t.config in
+(* The [Trace] kind's block outside any trace: consult the cache by the
+   entering transition.  A hit is one trace dispatch (the hook runs
+   once, the interior blocks are inlined), a miss one profiled block
+   dispatch.  The general path stamps the stream once per observed block
+   ([general_on_block]); the paper's stamps it here and again after an
+   entry, which gives what the trace's exit emits the same index. *)
+let[@inline] dispatch_trace ~general t g =
+  if not general then Events.set_now t.events (total_dispatches t);
   let hit = Trace_cache.lookup t.cache ~prev:t.prev ~cur:g in
-  (* hot-loop heat accumulates only on misses: a loop running under
-     trace dispatch has nothing to promote, and one that loses coverage
-     re-heats at its next miss.  When the miss that crossed the
-     threshold is the latch->header transition, this very dispatch
-     enters the freshly promoted trace *)
-  let hit =
-    match hit with
-    | Some _ -> hit
-    | None ->
-        if poll_promote t g then Trace_cache.lookup t.cache ~prev:t.prev ~cur:g
-        else None
-  in
-  let condemned =
-    match hit with
-    | Some tr when self_heal -> (
-        match validate_dispatch t tr ~prev:t.prev ~cur:g with
-        | None -> false
-        | Some code ->
-            (* condemned at dispatch: quarantine the entry and strike
-               the ladder, then dispatch the block normally *)
-            ignore
-              (Trace_cache.quarantine t.cache ~events:t.events
-                 ~counts:t.counts ~first:t.prev ~head:g ~code);
-            apply_health t (Health.strike t.health);
-            true)
-    | _ -> false
-  in
-  (match hit with
-  | Some tr when not condemned -> enter_general t tr g
-  | _ -> profiled_dispatch t g);
-  if self_heal && not condemned then
-    apply_health t (Health.clean_dispatch t.health)
+  let hit = if general then promote_on_miss t g hit else hit in
+  match hit with
+  | Some tr when not (general && condemned t tr g) ->
+      if general then general_entry t tr;
+      enter t tr g;
+      if general then credit_clean t
+      else Events.set_now t.events (total_dispatches t)
+  | Some _ -> (* condemned: no credit *) profiled_dispatch t g
+  | None -> profiled ~general t g
 
-(* The general path's block outside any trace: the decision that
-   distinguishes the kinds.
+let trace_dispatch t g = dispatch_trace ~general:true t g
+
+let paper_step t g = dispatch_trace ~general:false t g
+
+(* The [Profile] kind's block: the hook runs and the cache is never
+   consulted.  Under OSR the block's header heat saturates (OSR's own
+   state, so before the dispatch or after it alike). *)
+let[@inline] dispatch_profile ~general t g =
+  if general then ignore (hot_loop t g ~promote:false)
+  else Events.set_now t.events (total_dispatches t);
+  profiled ~general t g
+
+let paper_profile t g = dispatch_profile ~general:false t g
+
+(* The general path's block outside any trace: the prologue, then the
+   decision that distinguishes the kinds.
    - Interp (Health.Interp_only): the profiler hook does not run, so its
      branch context goes stale (apply_health resets it on promotion);
      clean dispatches still feed the ladder.
-   - Profile (Health.Profiling_only, or build_traces off): the hook and
-     OSR header heat; the cache is never consulted, but signals still
+   - Profile (Health.Profiling_only, or build_traces off): signals still
      reach [on_signal], which builds only under build_traces.
    - Trace (Health.Full_tracing): [trace_dispatch]. *)
 let step t g =
@@ -634,10 +674,7 @@ let step t g =
       Profiler.note_skipped t.profiler;
       note_executed t g;
       apply_health t (Health.clean_dispatch t.health)
-  | Profile ->
-      profiled_dispatch t g;
-      ignore (hot_loop t g ~promote:false);
-      credit_clean t
+  | Profile -> dispatch_profile ~general:true t g
   | Trace -> trace_dispatch t g
 
 (* OSR exit point: the block dispatch execution resumes at after a
@@ -649,53 +686,64 @@ let deopt_resume t g =
   | Interp | Profile -> step t g
   | Trace ->
       prologue t;
-      profiled_dispatch t g;
-      credit_clean t
+      profiled ~general:true t g
 
-(* ---- the general path: following a trace ------------------------- *)
+(* OSR's exit at a failed guard: deoptimize, abandoning the residue, and
+   resume block dispatch at the failing block [g].  Whether OSR is on
+   and took the exit. *)
+let osr_exit t (tr : Trace.t) g ~forced =
+  match t.osr with
+  | Some osr ->
+      deopt t osr tr ~resume:g
+        ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
+      deopt_resume t g;
+      true
+  | None -> false
 
-(* The general path's following: an active trace is followed to its
-   end whatever the kind; a block outside every trace goes to [step].
-   A guard fails organically or by an armed FT008 flip.  Without OSR
-   both take the side exit and reprocess [g] (it may enter another
-   trace); with OSR both deoptimize and resume at [g] through
-   [deopt_resume]. *)
-let rec follow t (g : Layout.gid) =
+(* Leave the active trace [tr] at a failed guard: [g] mismatched, or an
+   FT008 flip [forced] the failure.  A side exit, after which [g] is
+   dispatched as a block outside any trace (it may enter another); with
+   OSR a deopt instead. *)
+let[@inline] leave ~general t (tr : Trace.t) g ~forced =
+  if not (general && osr_exit t tr g ~forced) then begin
+    let pos = t.active_pos in
+    if general then exit_compiled t tr pos;
+    finish_partial t tr ~guards:pos;
+    if general then step t g else paper_step t g
+  end
+
+(* The observed block [g]: follow the active trace, whatever the kind,
+   or dispatch [g] outside any.  An interior block is one gid compare
+   and an index bump ([prev_from_body] sets [prev]/[prev2] at the exit);
+   on the general path an armed FT008 flip fails the guard first. *)
+let[@inline] follow_trace ~general t (g : Layout.gid) =
   let pos = t.active_pos in
-  if pos = 0 then step t g
+  if pos = 0 then if general then step t g else paper_step t g
   else begin
     let tr = t.active in
-    let expected = tr.Trace.blocks.(pos) in
-    let forced = Faults.flip_now t.faults ~pos ~n_blocks:(Trace.n_blocks tr) in
-    if g = expected && not forced then begin
-      note_executed t g;
-      if pos = Trace.n_blocks tr - 1 then begin
-        exit_compiled t tr (pos + 1);
+    let blocks = tr.Trace.blocks in
+    (* 0 < pos < Array.length blocks while a trace is active *)
+    if general && Faults.flip_now t.faults ~pos ~n_blocks:(Array.length blocks)
+    then leave ~general t tr g ~forced:true
+    else if g = Array.unsafe_get blocks pos then begin
+      if pos + 1 < Array.length blocks then t.active_pos <- pos + 1
+      else begin
+        if general then exit_compiled t tr (pos + 1);
         finish_completed t tr
       end
-      else t.active_pos <- pos + 1
     end
-    else begin
-      match t.osr with
-      | Some osr ->
-          (* deoptimize: abandon the residue, resume block dispatch at
-             the failing block *)
-          deopt t osr tr ~resume:g
-            ~reason:(if forced then Osr.Guard_flip else Osr.Guard_failure);
-          deopt_resume t g
-      | None ->
-          (* side exit: leave the trace, then process g normally (it
-             may itself enter another trace) *)
-          exit_compiled t tr pos;
-          finish_partial t tr ~guards:pos;
-          follow t g
-    end
+    else leave ~general t tr g ~forced:false
   end
+
+let follow t g = follow_trace ~general:true t g
+
+let paper_follow t g = follow_trace ~general:false t g
 
 (* The general path's VM observer: re-select the backend if the ladder
    moved since the last dispatch (a mid-dispatch transition therefore
-   takes effect at the next observed block), stamp the event clock,
-   follow/step, then check for a decay boundary. *)
+   takes effect at the next observed block), stamp the event clock once
+   for every event this block emits, follow, then check for a decay
+   boundary. *)
 let general_on_block t (g : Layout.gid) =
   if t.path = Ladder then begin
     let level = Health.level t.health in
@@ -708,8 +756,6 @@ let general_on_block t (g : Layout.gid) =
       end
     end
   end;
-  (* stamp the stream once per observed block; events emitted during this
-     step carry the current dispatch index *)
   Events.set_now t.events (total_dispatches t);
   follow t g;
   if Config.debug_checks t.config then begin
@@ -721,57 +767,6 @@ let general_on_block t (g : Layout.gid) =
       debug_sweep t
     end
   end
-
-(* ---- the paper's path ---------------------------------------------- *)
-
-(* A block outside any trace: stamp the stream, then consult the cache
-   by the entering transition.  A hit is one trace dispatch, a miss one
-   profiled block dispatch.  An entry restamps the stream, so what the
-   trace's exit emits carries the index after it, as the general path's
-   stamp per block does. *)
-let paper_step t g =
-  Events.set_now t.events (total_dispatches t);
-  match Trace_cache.lookup t.cache ~prev:t.prev ~cur:g with
-  | Some tr ->
-      enter t tr g;
-      Events.set_now t.events (total_dispatches t)
-  | None -> profiled_dispatch t g
-
-(* The [Trace] kind's observer.  An interior block is one gid compare
-   and an index bump; [prev]/[prev2] are not kept per position but read
-   back from the body at the exit ([upto] positions matched, [upto >= 1];
-   with one, the entry's [note_executed] already set them).  The body
-   cannot change under a followed trace: faults are inert here, and
-   another Session member's faults spare pinned traces. *)
-let paper_follow t (g : Layout.gid) =
-  let pos = t.active_pos in
-  if pos = 0 then paper_step t g
-  else begin
-    let tr = t.active in
-    let blocks = tr.Trace.blocks in
-    (* 0 < pos < Array.length blocks while a trace is active *)
-    if g = Array.unsafe_get blocks pos then begin
-      if pos + 1 < Array.length blocks then t.active_pos <- pos + 1
-      else begin
-        t.prev2 <- Array.unsafe_get blocks (pos - 1);
-        t.prev <- g;
-        finish_completed t tr
-      end
-    end
-    else begin
-      if pos >= 2 then begin
-        t.prev2 <- Array.unsafe_get blocks (pos - 2);
-        t.prev <- Array.unsafe_get blocks (pos - 1)
-      end;
-      finish_partial t tr ~guards:pos;
-      paper_step t g
-    end
-  end
-
-(* The [Profile] kind's observer: the cache is never consulted. *)
-let paper_profile t g =
-  Events.set_now t.events (total_dispatches t);
-  profiled_dispatch t g
 
 (* The VM observer the engine's path installs: a caller that hands it to
    the VM pays no test per block.  [on_block] is the same dispatch for a

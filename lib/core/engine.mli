@@ -11,20 +11,22 @@
     the last two executed blocks.  Tracing is a pure overlay: results
     and instruction counts are identical with and without it.
 
-    {!create} picks one of two dispatch paths for the engine's life.
-    The paper's path ({!paper_path}) serves the configurations where
-    nothing optional can act: OSR, self-healing,
-    {!Config.debug_checks} and the compiled tier off,
-    {!Config.snapshot_period} 0, an inert fault schedule, and the
+    The dispatch has one definition and two instantiations, and
+    {!create} picks one for the engine's life.  The paper's path
+    ({!paper_path}) serves the configurations where nothing optional can
+    act: OSR, self-healing, {!Config.debug_checks} and the compiled tier
+    off, {!Config.snapshot_period} 0, an inert fault schedule, and the
     [Trace] or [Profile] kind.  It tests nothing but the trace it
-    follows.  Every other configuration takes the general path, where
-    each observed block is dispatched under a {!backend_kind} picked
-    from the {!Health} ladder — [Full_tracing] maps to [Trace] (or
-    [Profile] when {!Config.build_traces} is off), [Profiling_only] to
-    [Profile], [Interp_only] to [Interp] — so walking the degradation
-    ladder {e is} switching backends ([Stats.backend_switches]).  A
-    backend can also be pinned at {!create}.  Both paths count every
-    counter and emit every event in the same places.
+    follows: the compiler folds every optional hook out of it, because
+    the path flag is a literal at each instantiation (DESIGN.md §14).
+    Every other configuration takes the general path, where each
+    observed block is dispatched under a {!backend_kind} picked from the
+    {!Health} ladder — [Full_tracing] maps to [Trace] (or [Profile] when
+    {!Config.build_traces} is off), [Profiling_only] to [Profile],
+    [Interp_only] to [Interp] — so walking the degradation ladder {e is}
+    switching backends ([Stats.backend_switches]).  A backend can also
+    be pinned at {!create}.  Both paths share every counter, event and
+    trace exit.
 
     {2 Observing the engine}
 

@@ -55,16 +55,14 @@ let best xs = List.fold_left Float.min infinity xs
 let measure ?(scale = 1.0) ?(repeats = 3) (w : Workloads.Workload.t) : row =
   let size = Experiment.size_for ~scale w in
   let layout = Experiment.layout_for w ~size in
-  (* pin the profile backend: the hook runs at every dispatch but traces
-     are neither built (config) nor entered (backend) *)
+  (* with build_traces off the engine selects the Profile kind on the
+     paper's path: the hook runs at every dispatch, no trace is built or
+     entered *)
   let config = Config.make ~build_traces:false () in
   let rounds =
     paired ~repeats
       (timed (fun () -> Vm.Interp.run_plain layout))
-      (timed (fun () ->
-           ignore
-             (Tracegen.Engine.run ~config ~backend:Tracegen.Engine.Profile
-                layout)))
+      (timed (fun () -> ignore (Tracegen.Engine.run ~config layout)))
   in
   let plain_secs = List.map (fun ((t, _), _) -> t) rounds in
   let profiled_secs = List.map (fun (_, (t, ())) -> t) rounds in

@@ -90,13 +90,6 @@ if test -n "$hot_calls"; then
   exit 1
 fi
 
-# The paper's dispatch path (DESIGN.md §14): Engine.paper_follow, the
-# function the default configuration runs for every block, inside a
-# trace or not, may not reach an optional subsystem through any chain
-# of direct calls and jumps (closures, such as the profiler's signal
-# callback, are not followed), nor call Events.set_now or
-# note_executed itself.  Those two are single stores when inlined,
-# which this symbol check cannot see.
 # reachable NAME: every function the OCaml function NAME reaches by
 # direct calls and jumps, NAME's own symbol included, one a line
 reachable() {
@@ -132,8 +125,6 @@ reachable() {
       for (f in seen) print f
     }' "$alloc_dis"
 }
-paper=$(function_body 'Tracegen__Engine.paper_follow')
-paper_reach=$(reachable 'Tracegen__Engine.paper_follow')
 # The profiled dispatch's write barrier: Profiler.dispatch has four
 # caml_modify call sites (the branch context, stored on a visit, a new
 # edge and a known edge, and the inline cache's best edge when another
@@ -155,21 +146,36 @@ for barrier in dispatch:4 resync:2; do
     exit 1
   fi
 done
-rm -f "$alloc_dis"
-if test -z "$paper"; then
-  echo "check.sh: no Tracegen.Engine.paper_follow in $alloc_exe" >&2
-  exit 1
-fi
+# The paper's dispatch path (DESIGN.md §14): Engine.paper_follow, the
+# function the default configuration runs for every block, inside a
+# trace or not, and Engine.paper_profile, the one the Profile kind runs
+# (profile_ms and Table VI), may not reach an optional subsystem through
+# any chain of direct calls and jumps (closures, such as the profiler's
+# signal callback, are not followed), nor call Events.set_now or
+# note_executed themselves.  Those two are single stores when inlined,
+# which this symbol check cannot see.  Both functions instantiate the
+# engine's one dispatch definition with ~general:false, so this gate is
+# what shows that every `if general` hook was folded away.
 optional='Tracegen__(Faults|Health|Osr|Tier|Microir|Invariants)[.$]'
-optional_calls=$(printf '%s\n' "$paper_reach" | grep -E "^caml($optional)") ||
-  true
 own='Tracegen__(Events[.$]set_now|Engine[.$]note_executed)'
-own_calls=$(printf '%s\n' "$paper" | grep -E "<caml($own)_[0-9]+>") || true
-if test -n "$optional_calls$own_calls"; then
-  printf '%s\n' "$optional_calls" "$own_calls" | grep . >&2
-  echo "check.sh: Tracegen.Engine.paper_follow reaches the code above" >&2
-  exit 1
-fi
+for fn in paper_follow paper_profile; do
+  paper=$(function_body "Tracegen__Engine.$fn")
+  if test -z "$paper"; then
+    echo "check.sh: no Tracegen.Engine.$fn in $alloc_exe" >&2
+    rm -f "$alloc_dis"
+    exit 1
+  fi
+  optional_calls=$(reachable "Tracegen__Engine.$fn" |
+    grep -E "^caml($optional)") || true
+  own_calls=$(printf '%s\n' "$paper" | grep -E "<caml($own)_[0-9]+>") || true
+  if test -n "$optional_calls$own_calls"; then
+    printf '%s\n' "$optional_calls" "$own_calls" | grep . >&2
+    echo "check.sh: Tracegen.Engine.$fn reaches the code above" >&2
+    rm -f "$alloc_dis"
+    exit 1
+  fi
+done
+rm -f "$alloc_dis"
 
 dune build
 dune runtest

@@ -142,13 +142,6 @@ let test_layout_gids () =
     (Bytecode.Program.total_instructions p)
     !total
 
-let test_dot_export () =
-  let p = diamond_loop_program () in
-  let cfg = Method_cfg.build (Bytecode.Program.entry_method p) in
-  let dot = Cfg.Dot.method_to_dot cfg in
-  check Alcotest.bool "dot output mentions digraph" true
-    (String.length dot > 20 && String.sub dot 0 7 = "digraph")
-
 (* Every block's terminator is its last instruction: [term] is
    [T_fallthrough] exactly when the last instruction does not end a block,
    and no earlier instruction ends one.  The interpreter runs a block's
@@ -248,7 +241,6 @@ let () =
       ( "analysis",
         [
           tc "dominators and loops" `Quick test_dominators_and_loops;
-          tc "dot export" `Quick test_dot_export;
         ] );
       ("layout", [ tc "global numbering" `Quick test_layout_gids ]);
       ( "properties",

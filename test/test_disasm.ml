@@ -1,4 +1,4 @@
-(* Disassembler, dot export, and runtime values. *)
+(* Disassembler and runtime values. *)
 
 module Disasm = Bytecode.Disasm
 module Program = Bytecode.Program
@@ -39,20 +39,6 @@ let test_every_method_lists () =
       check Alcotest.bool m.Bytecode.Mthd.name true (String.length s > 0))
     p.Program.methods
 
-let test_dot () =
-  let p = Lazy.force program in
-  let m = Option.get (Program.find_method p "parse_expr") in
-  let cfg = Cfg.Method_cfg.build m in
-  let dot = Cfg.Dot.method_to_dot cfg in
-  check Alcotest.bool "digraph" true (contains dot "digraph");
-  check Alcotest.bool "edges" true (contains dot "->");
-  (* one node line per block *)
-  let count_blocks = Cfg.Method_cfg.n_blocks cfg in
-  let count_nodes = ref 0 in
-  String.split_on_char '\n' dot
-  |> List.iter (fun line -> if contains line "[label=" then incr count_nodes);
-  check Alcotest.int "node per block" count_blocks !count_nodes
-
 let test_values () =
   check Alcotest.string "int" "42" (Value.to_string (Value.Vint 42));
   check Alcotest.string "null" "null" (Value.to_string Value.Vnull);
@@ -81,7 +67,6 @@ let () =
           tc "method" `Quick test_method_listing;
           tc "all methods" `Quick test_every_method_lists;
         ] );
-      ("dot", [ tc "export" `Quick test_dot ]);
       ( "values",
         [
           tc "to_string" `Quick test_values;

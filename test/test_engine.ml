@@ -487,13 +487,22 @@ let churn_streams () =
   List.map (fun (n, (d, k), _) -> (n, !d, !k)) members
   @ List.map (fun (n, (d, k)) -> (n, !d, !k)) warm
 
-let solo_streams () =
+(* (label, digest, events) of each program run solo under [config],
+   which installs the paper's path or not as [paper] says. *)
+let streams ?(label = "") ~paper config programs =
   List.map
     (fun (n, frac) ->
       let events = Events.create () in
       let d, k = digest_of events in
-      ignore (Engine.drive (Engine.create ~events (pinned_layout n frac)));
-      (n, !d, !k))
+      let e = Engine.create ~config ~events (pinned_layout n frac) in
+      check Alcotest.bool (label ^ n ^ ": paper path") paper
+        (Engine.paper_path e);
+      ignore (Engine.drive e);
+      (label ^ n, !d, !k))
+    programs
+
+let solo_streams () =
+  streams ~paper:true Config.default
     [
       ("compress", 0.05);
       ("scimark", 0.05);
@@ -506,27 +515,14 @@ let solo_streams () =
    lockstep does not reach: OSR deopts forced by guard flips, and
    self-healing with the sweep against skewed per-block counts. *)
 let general_streams () =
-  let configs =
-    [
-      ("osr", Config.make ~osr:true ~fault_spec:"guard-flip@0.02,budget=40" ());
-      ( "self-heal",
-        Config.make ~self_heal:true ~debug_checks:true
-          ~fault_spec:"corrupt-instrs@0.01,budget=80" () );
-    ]
-  in
-  List.concat_map
-    (fun (label, config) ->
-      List.map
-        (fun (n, frac) ->
-          let events = Events.create () in
-          let d, k = digest_of events in
-          let e = Engine.create ~config ~events (pinned_layout n frac) in
-          check Alcotest.bool (label ^ " " ^ n ^ ": general path") false
-            (Engine.paper_path e);
-          ignore (Engine.drive e);
-          (label ^ " " ^ n, !d, !k))
-        [ ("compress", 0.05); ("mpegaudio", 0.1); ("soot", 0.1) ])
-    configs
+  let programs = [ ("compress", 0.05); ("mpegaudio", 0.1); ("soot", 0.1) ] in
+  streams ~label:"osr " ~paper:false
+    (Config.make ~osr:true ~fault_spec:"guard-flip@0.02,budget=40" ())
+    programs
+  @ streams ~label:"self-heal " ~paper:false
+      (Config.make ~self_heal:true ~debug_checks:true
+         ~fault_spec:"corrupt-instrs@0.01,budget=80" ())
+      programs
 
 let stream_t = Alcotest.(list (triple string int int))
 

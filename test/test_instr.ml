@@ -106,12 +106,6 @@ let test_classification () =
   check Alcotest.bool "ireturn is a return" true (term 6 = Cfg.Block.T_return);
   check Alcotest.int "iadd is not: its block goes on" (block 6) (block 5)
 
-let test_stack_delta () =
-  check Alcotest.int "iconst pushes 1" 1 (Instr.stack_delta (Instr.Iconst 5));
-  check Alcotest.int "iadd nets -1" (-1) (Instr.stack_delta Instr.Iadd);
-  check Alcotest.int "iastore nets -3" (-3) (Instr.stack_delta Instr.Iastore);
-  check Alcotest.int "swap nets 0" 0 (Instr.stack_delta Instr.Swap)
-
 let test_pp_unique () =
   (* every instruction prints, and distinct instructions print distinctly *)
   let strings = List.map Instr.to_string all_simple_instrs in
@@ -135,7 +129,6 @@ let () =
         [
           tc "eval_cond" `Quick test_eval_cond;
           tc "negate_cond" `Quick test_negate_cond;
-          tc "stack_delta" `Quick test_stack_delta;
         ] );
       ("printing", [ tc "pp distinct" `Quick test_pp_unique ]);
     ]
